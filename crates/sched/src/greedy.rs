@@ -13,15 +13,47 @@
 //! amount of work (`work_quantum`, by default proportional to the synchronisation
 //! cost `L` so that barriers are amortised) or no eligible node remains.
 //!
-//! ## Scratch reuse
+//! ## Pass structure and complexity
 //!
-//! The inner loop runs on [`SchedulerScratch`]: the ready list is pruned in
-//! place, candidate/allowed buffers are reused across passes, the per-superstep
-//! "assigned here" test reads the assignment array directly (no `Vec<Vec<bool>>`
-//! per superstep), and the superstep close touches only the nodes assigned in
-//! that superstep instead of sweeping all `V`. The pre-scratch implementation is
-//! retained verbatim as [`crate::reference::greedy_reference`]; the differential
-//! tests assert both produce byte-identical schedules.
+//! A superstep is built in *passes*. A pass walks the ready list — unassigned
+//! nodes whose parents are all assigned — in priority order (bottom level
+//! descending, ties by node id) and places every candidate that passes the
+//! eligibility and quantum tests; nodes released during a pass are considered
+//! from the next pass on, and a pass that places nothing closes the superstep.
+//!
+//! * **The ready list stays sorted across passes.** Released nodes collect in
+//!   a side buffer; at pass start that buffer alone is sorted and merged into
+//!   the list, and entries assigned since are dropped in the same sweep. The
+//!   order is total (ids are unique), so the merged list is exactly what
+//!   re-sorting all unassigned ready nodes would give — O(R + F log F) per
+//!   pass for a list of R entries and F released nodes instead of O(R log R).
+//! * **A superstep ends as soon as it is non-empty and every processor's load
+//!   has reached the quantum.** In that state the candidate loop cannot change
+//!   anything: a candidate either has no allowed processor, or all its allowed
+//!   processors are at quantum while the superstep is non-empty — both are
+//!   skipped before any state is written. That holds for the rest of the pass
+//!   and for the whole pass that would follow, which would therefore place
+//!   nothing and close the superstep. Leaving at that point is exact, not a
+//!   heuristic. "Non-empty" is the loop's own notion (some load is non-zero);
+//!   with `quantum == 0` (zero `min_quantum`, `L = 0`, zero-weight nodes) the
+//!   loads stay zero, the superstep stays "empty", and every eligible
+//!   candidate is placed as before.
+//!
+//! With S supersteps, a ready list of width R, and n nodes / m edges, the
+//! candidate loop does O((n + m) · P) work in total on the instances served
+//! here (each node is visited about once before it is placed — a count-based
+//! test holds visits ≤ n + m) and the merges add O(S · R + n log R); the loop
+//! this replaced re-sorted and re-walked the whole list at least twice per
+//! superstep, O(S · R · (log R + P · deg)). Adversarial shapes — many ready
+//! nodes pinned to a processor that is full while another keeps receiving a
+//! chain — still cost one list walk per pass.
+//!
+//! All working state lives in [`SchedulerScratch`] and is reused across calls;
+//! the per-superstep "assigned here" test reads the assignment array directly,
+//! and the superstep close touches only the nodes assigned in that superstep.
+//! The original implementation is retained verbatim as
+//! [`crate::reference::greedy_reference`]; the differential tests assert both
+//! produce byte-identical schedules and order hints.
 
 use crate::{BspScheduler, BspSchedulingResult, SchedulerScratch};
 use mbsp_dag::topo::bottom_levels_into;
@@ -97,7 +129,6 @@ impl GreedyBspScheduler {
         let p = arch.processors;
         scratch.topo.rebuild(dag);
         bottom_levels_into(dag, &scratch.topo, &mut scratch.priorities);
-        let priorities = &scratch.priorities;
 
         // Work quantum per processor per superstep.
         let max_node_weight = dag
@@ -123,6 +154,7 @@ impl GreedyBspScheduler {
         // memory. We place them on processor 0, superstep 0 so that the assignment
         // covers every node, but they carry no compute work.
         scratch.ready.clear();
+        scratch.newly_ready.clear();
         for v in dag.nodes() {
             if dag.is_source(v) {
                 assignment[v.index()] = Some((ProcId::new(0), 0));
@@ -131,11 +163,11 @@ impl GreedyBspScheduler {
                 for c in dag.children(v) {
                     scratch.remaining_parents[c.index()] -= 1;
                     if scratch.remaining_parents[c.index()] == 0 {
-                        scratch.ready.push(c);
+                        scratch.newly_ready.push(c);
                     }
                 }
             } else if dag.in_degree(v) == 0 {
-                scratch.ready.push(v);
+                scratch.newly_ready.push(v);
             }
         }
 
@@ -148,33 +180,23 @@ impl GreedyBspScheduler {
             .extend((0..n).map(|i| assignment[i].is_some()));
         scratch.load.clear();
         scratch.load.resize(p, 0.0);
+        scratch.candidate_visits = 0;
 
         while scheduled < n {
             superstep += 1;
             scratch.load.fill(0.0);
             scratch.newly_assigned.clear();
-            let mut progressed = true;
+            // A function of `load` alone, refreshed on every commit — the only
+            // place `load` changes within a superstep.
+            let mut superstep_empty = true;
 
-            while progressed {
-                progressed = false;
-                // Candidate selection: eligible ready nodes sorted by priority.
-                // Assigned nodes are compacted out of the ready list first, so
-                // the list never accumulates stale entries.
-                {
-                    let assignment = &assignment;
-                    scratch.ready.retain(|&v| assignment[v.index()].is_none());
-                }
-                scratch.candidates.clear();
-                scratch.candidates.extend_from_slice(&scratch.ready);
-                scratch.candidates.sort_by(|&a, &b| {
-                    priorities[b.index()]
-                        .partial_cmp(&priorities[a.index()])
-                        .unwrap()
-                        .then(a.cmp(&b))
-                });
+            'superstep: loop {
+                merge_newly_ready(scratch, &assignment);
+                let mut progressed = false;
 
-                for ci in 0..scratch.candidates.len() {
-                    let v = scratch.candidates[ci];
+                for ci in 0..scratch.ready.len() {
+                    scratch.candidate_visits += 1;
+                    let v = scratch.ready[ci];
                     // Determine which processors may execute v in this superstep:
                     // every parent must be finished before this superstep, or be
                     // assigned to that same processor within this superstep.
@@ -199,7 +221,6 @@ impl GreedyBspScheduler {
                         .allowed
                         .iter()
                         .any(|&q| scratch.load[q.index()] < quantum);
-                    let superstep_empty = scratch.load.iter().all(|&l| l == 0.0);
                     if !someone_below_quantum && !superstep_empty {
                         continue;
                     }
@@ -229,6 +250,7 @@ impl GreedyBspScheduler {
                     // Commit the assignment.
                     assignment[v.index()] = Some((chosen, superstep));
                     scratch.load[chosen.index()] += dag.compute_weight(v);
+                    superstep_empty = scratch.load.iter().all(|&l| l == 0.0);
                     scratch.newly_assigned.push(v);
                     order.push(v);
                     scheduled += 1;
@@ -236,9 +258,23 @@ impl GreedyBspScheduler {
                     for c in dag.children(v) {
                         scratch.remaining_parents[c.index()] -= 1;
                         if scratch.remaining_parents[c.index()] == 0 {
-                            scratch.ready.push(c);
+                            scratch.newly_ready.push(c);
                         }
                     }
+                    // Exact early exit: once the superstep is non-empty and
+                    // every processor is at quantum, each remaining candidate
+                    // of this pass, and all of the pass that would follow,
+                    // fails the `someone_below_quantum` test above and is
+                    // skipped without touching any state — the superstep is
+                    // over. (`quantum == 0` with zero-weight nodes never gets
+                    // here: its loads stay 0.0, so the superstep stays "empty"
+                    // and every candidate is placed.)
+                    if !superstep_empty && scratch.load.iter().all(|&l| l >= quantum) {
+                        break 'superstep;
+                    }
+                }
+                if !progressed {
+                    break;
                 }
             }
             // Close the superstep: everything assigned in it is now visible to
@@ -256,6 +292,39 @@ impl GreedyBspScheduler {
         schedule.compact_supersteps();
         BspSchedulingResult { schedule, order }
     }
+}
+
+/// Pass start: sorts the nodes that became ready since the last pass and merges
+/// them into the sorted ready list, dropping entries assigned in the meantime.
+/// The order — priority descending, ties by node id — is total (ids are unique),
+/// so the result is exactly the list a full re-sort of the unassigned ready
+/// nodes would produce.
+fn merge_newly_ready(scratch: &mut SchedulerScratch, assignment: &[Option<(ProcId, usize)>]) {
+    let SchedulerScratch {
+        priorities,
+        ready,
+        newly_ready,
+        merged,
+        ..
+    } = scratch;
+    let by_priority = |a: &NodeId, b: &NodeId| {
+        priorities[b.index()]
+            .partial_cmp(&priorities[a.index()])
+            .unwrap()
+            .then(a.cmp(b))
+    };
+    newly_ready.sort_unstable_by(by_priority);
+    merged.clear();
+    let mut incoming = newly_ready.iter().copied().peekable();
+    for &v in ready.iter().filter(|v| assignment[v.index()].is_none()) {
+        while let Some(w) = incoming.next_if(|w| by_priority(w, &v).is_lt()) {
+            merged.push(w);
+        }
+        merged.push(v);
+    }
+    merged.extend(incoming);
+    newly_ready.clear();
+    std::mem::swap(ready, merged);
 }
 
 impl BspScheduler for GreedyBspScheduler {
@@ -322,6 +391,40 @@ mod tests {
             let fresh = sched.schedule(&dag, &a);
             assert_eq!(reused.schedule, fresh.schedule, "seed {seed}");
             assert_eq!(reused.order, fresh.order, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn candidate_visits_stay_linear_in_nodes_plus_edges() {
+        // Timing-free complexity guard. Re-walking the whole ready list once
+        // the processors are at quantum (the pre-merge pass loop) costs about
+        // supersteps x ready-list width visits — two orders of magnitude above
+        // this bound on the layered DAG.
+        let layered = random_layered_dag(
+            &RandomDagConfig {
+                layers: 50,
+                width: 400,
+                edge_probability: 3.0 / 400.0,
+                ..Default::default()
+            },
+            0x5CA1E,
+        );
+        let cg = mbsp_gen::cg::cg_dag("cg_n16_k3", 16, 3);
+        let sched = GreedyBspScheduler::new();
+        let mut scratch = SchedulerScratch::new();
+        for dag in [&layered, &cg] {
+            let size = (dag.num_nodes() + dag.num_edges()) as u64;
+            for p in [1usize, 2, 4, 8] {
+                for l in [0.0, 2.0, 10.0] {
+                    sched.schedule_with_scratch(dag, &arch(p, l), &mut scratch);
+                    assert!(
+                        scratch.candidate_visits <= size,
+                        "{} p {p} l {l}: {} candidate visits for n + m = {size}",
+                        dag.name(),
+                        scratch.candidate_visits
+                    );
+                }
+            }
         }
     }
 

@@ -73,12 +73,17 @@ pub struct SchedulerScratch {
     pub(crate) priorities: Vec<f64>,
     pub(crate) remaining_parents: Vec<u32>,
     pub(crate) ready: Vec<NodeId>,
-    // Greedy scheduler.
-    pub(crate) candidates: Vec<NodeId>,
+    // Greedy scheduler: `ready` stays sorted across passes; `newly_ready`
+    // collects nodes released during a pass and `merged` is the buffer they are
+    // merged through at the next pass start.
+    pub(crate) newly_ready: Vec<NodeId>,
+    pub(crate) merged: Vec<NodeId>,
     pub(crate) allowed: Vec<ProcId>,
     pub(crate) load: Vec<f64>,
     pub(crate) finished_before: Vec<bool>,
     pub(crate) newly_assigned: Vec<NodeId>,
+    /// Candidate-loop iterations of the last greedy run (complexity guard).
+    pub(crate) candidate_visits: u64,
     // Cilk work-stealing simulation + superstep fold.
     pub(crate) deques: Vec<VecDeque<NodeId>>,
     pub(crate) worker_time: Vec<f64>,

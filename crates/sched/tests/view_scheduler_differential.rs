@@ -20,6 +20,8 @@ use mbsp_sched::{
     GreedyBspScheduler,
 };
 
+mod common;
+
 fn arch(p: usize, l: f64) -> Architecture {
     Architecture::new(p, 1e9, 1.0, l)
 }
@@ -71,6 +73,51 @@ fn generic_greedy_on_full_view_matches_comp_dag_path_and_reference() {
         cases += 1;
     }
     assert!(cases >= 40);
+}
+
+/// Copies any [`DagLike`] graph into a standalone `CompDag` with the same
+/// ids, weights and adjacency order, so the `CompDag`-only reference
+/// scheduler can serve as the oracle for a view.
+fn materialise<D: DagLike>(view: &D) -> mbsp_dag::CompDag {
+    let weights: Vec<mbsp_dag::NodeWeights> = view
+        .nodes()
+        .map(|v| mbsp_dag::NodeWeights::new(view.compute_weight(v), view.memory_weight(v)))
+        .collect();
+    let edges: Vec<(usize, usize)> = view
+        .nodes()
+        .flat_map(|u| view.children(u).map(move |v| (u.index(), v.index())))
+        .collect();
+    mbsp_dag::CompDag::from_edges(view.name(), weights, &edges).unwrap()
+}
+
+#[test]
+fn generic_greedy_on_large_shard_views_matches_reference() {
+    // The sharded search seeds every shard from a greedy run on its
+    // `SubDagView::with_inputs` view, once per shard per iteration; at
+    // `large_dataset` scale those views have ready lists hundreds wide.
+    let config = GreedyBspConfig::default();
+    let scheduler = GreedyBspScheduler::with_config(config);
+    for dag in &common::scale_dags() {
+        // A contiguous id range is a contiguous topological run for both
+        // generators — the shape `topo_shards` cuts.
+        let n = dag.num_nodes();
+        let core: Vec<NodeId> = dag.nodes().skip(n / 4).take(n / 2).collect();
+        let view = SubDagView::with_inputs(dag, &core, format!("{}::shard", dag.name()));
+        assert!(view.num_inputs() > 0);
+        let standalone = materialise(&view);
+        for (p, l) in common::scale_grid() {
+            let a = arch(p, l);
+            let via_view = scheduler.schedule_dag(&view, &a);
+            let oracle = reference::greedy_reference(&config, &standalone, &a);
+            assert_eq!(
+                via_view.schedule,
+                oracle.schedule,
+                "{} p {p} l {l}",
+                dag.name()
+            );
+            assert_eq!(via_view.order, oracle.order, "{} p {p} l {l}", dag.name());
+        }
+    }
 }
 
 #[test]

@@ -35,6 +35,8 @@ pub const E_BAD_DELTA: &str = "bad_delta";
 pub const E_UNKNOWN_JOB: &str = "unknown_job";
 /// Error code: the daemon is shutting down and admits no new work.
 pub const E_SHUTTING_DOWN: &str = "shutting_down";
+/// Error code: a request line exceeded [`crate::server::MAX_LINE_BYTES`].
+pub const E_TOO_LARGE: &str = "too_large";
 
 /// A rejected request: a stable machine-readable code plus a human message.
 #[derive(Debug, Clone)]

@@ -37,7 +37,7 @@ use mbsp_pool::{AdmissionQueue, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,6 +46,12 @@ use std::thread;
 
 /// Name of the registry blob inside the state directory.
 pub const REGISTRY_FILE: &str = "registry.mbio";
+
+/// Longest request line (terminator included) a connection may send: 64 MiB,
+/// two orders of magnitude above a 100k-node `dag_hex` upload. A longer line
+/// is answered with a `too_large` reject and the connection is closed, so no
+/// client can make the daemon buffer an unbounded line.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -343,19 +349,71 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
 }
 
 fn connection_loop(stream: TcpStream, inner: Arc<ServerInner>) {
+    // Every frame is one `write_all` (see `LineWriter::send`), so Nagle's
+    // algorithm has nothing to coalesce; left on, it holds the frame after
+    // `accepted` back until the client's delayed ACK (~40 ms) arrives.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let out = LineWriter::new(stream);
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(read_half);
+    loop {
+        // A buffer per line, as `BufRead::lines` had: an upload's megabytes
+        // are freed with the request instead of staying with the connection.
+        let mut line = Vec::new();
+        // One byte past the cap tells an over-long line from one of exactly
+        // `MAX_LINE_BYTES`.
+        let mut bounded = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if line.len() > MAX_LINE_BYTES {
+            out.send_reject(
+                None,
+                None,
+                &Reject::new(
+                    protocol::E_TOO_LARGE,
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                ),
+            );
+            // Closing with the rest of the line unread would reset the
+            // connection and could take the reject frame with it.
+            if line.last() != Some(&b'\n') {
+                discard_line(&mut reader);
+            }
+            break;
+        }
+        // As `BufRead::lines` did: invalid UTF-8 ends the connection, and the
+        // terminator (`\n` or `\r\n`) is not part of the line.
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let text = text.strip_suffix('\n').unwrap_or(text);
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if text.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(text) {
             Err((id, reject)) => out.send_reject(id, None, &reject),
             Ok((id, request)) => dispatch(&inner, &out, id, request),
+        }
+    }
+}
+
+/// Reads and drops input up to and including the next newline (or EOF) through
+/// the reader's fixed buffer.
+fn discard_line(reader: &mut impl BufRead) {
+    while let Ok(buf) = reader.fill_buf() {
+        if buf.is_empty() {
+            return;
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let consumed = newline.map_or(buf.len(), |at| at + 1);
+        reader.consume(consumed);
+        if newline.is_some() {
+            return;
         }
     }
 }

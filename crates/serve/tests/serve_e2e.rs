@@ -29,16 +29,19 @@ impl Client {
         stream
             .set_read_timeout(Some(Duration::from_secs(120)))
             .unwrap();
+        stream.set_nodelay(true).unwrap();
         Client {
             reader: BufReader::new(stream.try_clone().expect("clone")),
             writer: stream,
         }
     }
 
+    /// One request, one write — the client half of the transport advice in
+    /// docs/PROTOCOL.md.
     fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Value {
@@ -269,6 +272,96 @@ fn concurrent_clients_stream_monotone_incumbents_and_match_direct_runs() {
     let arch = *MbspInstance::with_cache_factor(dag.clone(), base, 3.0).arch();
     assert_eq!(served, direct_schedule_json(&dag, &arch, budget_config()));
 
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn queued_replies_do_not_wait_for_a_delayed_ack() {
+    // An instance `status` is two small frames (`accepted`, then the reply
+    // through the admission queue) and no engine work. Without `TCP_NODELAY`
+    // on the daemon's socket the second frame waits for the client's delayed
+    // ACK: ~44 ms per round trip on a warm connection instead of well under
+    // one.
+    let state_dir = temp_state_dir("nodelay");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"cache_factor":3.0,{BUDGET}}}"#
+    ));
+    assert_ok(&c.recv());
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|i| {
+            let started = std::time::Instant::now();
+            c.send(&format!(
+                r#"{{"id":{},"op":"status","instance":"cg"}}"#,
+                10 + i
+            ));
+            let (_, status) = c.recv_until(|f| is_event(f, "status"));
+            assert_ok(&status);
+            started.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median instance-status round trip {median:?}: {round_trips:?}"
+    );
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn hostile_lines_are_rejected_with_typed_frames() {
+    let state_dir = temp_state_dir("hostile");
+    let server = start_server(&state_dir);
+    let addr = server.local_addr();
+
+    // Nesting past the parser's cap is an ordinary `bad_request` (at the
+    // parent commit it overflowed the connection thread's stack and took the
+    // daemon down); the connection stays usable.
+    let mut c = Client::connect(addr);
+    c.send(&"[".repeat(100_000));
+    let frame = c.recv();
+    assert_eq!(get(&frame, "ok"), Some(&Value::Bool(false)));
+    let code = |frame: &Value| {
+        get(frame, "error")
+            .and_then(|e| e.as_map())
+            .and_then(|m| map_get(m, "code"))
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    assert_eq!(code(&frame).as_deref(), Some("bad_request"));
+    c.send(r#"{"id":2,"op":"status"}"#);
+    assert_ok(&c.recv());
+
+    // A line one byte over the cap: `too_large`, then the daemon closes the
+    // connection. The writer runs beside the reader because the daemon stops
+    // buffering at the cap and only drains the rest.
+    let mut big = Client::connect(addr);
+    let mut writer = big.writer.try_clone().unwrap();
+    let upload = std::thread::spawn(move || {
+        let mut line = vec![b'x'; mbsp_serve::server::MAX_LINE_BYTES + 1];
+        line.push(b'\n');
+        // The daemon may close before the last bytes are written.
+        let _ = writer.write_all(&line);
+    });
+    let frame = big.recv();
+    assert_eq!(code(&frame).as_deref(), Some("too_large"), "got {frame:?}");
+    upload.join().unwrap();
+    let mut rest = String::new();
+    assert_eq!(
+        big.reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection is closed after `too_large`"
+    );
+
+    // The daemon itself is unharmed.
+    c.send(r#"{"id":3,"op":"status"}"#);
+    assert_ok(&c.recv());
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);

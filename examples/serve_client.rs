@@ -21,14 +21,14 @@ fn main() -> std::io::Result<()> {
         .nth(1)
         .unwrap_or_else(|| "127.0.0.1:7700".to_string());
     let stream = TcpStream::connect(&addr)?;
+    // Transport advice of docs/PROTOCOL.md: no Nagle, one write per request.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
 
     let mut send = |line: &str| -> std::io::Result<()> {
         println!(">> {line}");
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()
+        writer.write_all(format!("{line}\n").as_bytes())
     };
     let mut recv_line = String::new();
     let mut recv = |buf: &mut String| -> std::io::Result<String> {
