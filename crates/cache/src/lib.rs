@@ -16,8 +16,9 @@
 //!   the inputs of the next segment are loaded (with greedy prefetching of further
 //!   inputs while cache space remains).
 //! * [`ConversionArena`] — the same conversion split into a long-lived arena
-//!   (topological order, `use_positions`, per-processor buffers — built once per
-//!   instance) plus a cheap per-candidate reset. The holistic search of `mbsp-ilp`
+//!   (topological order, the flat use index, the stamped blue set and the
+//!   per-processor buffers — built once per instance) plus a cheap per-candidate
+//!   reset. The holistic search of `mbsp-ilp`
 //!   converts thousands of neighbouring assignments through one arena without
 //!   re-allocating; [`two_stage::reference`] keeps the original single-shot
 //!   converter as the differential oracle the arena is tested against (the same

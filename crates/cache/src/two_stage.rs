@@ -24,12 +24,27 @@
 //! processor assignments per instance, so the conversion state is split in two:
 //!
 //! * [`ConversionArena`] holds everything that outlives one candidate — the
-//!   topological order, the per-processor compute sequences, the `use_positions`
+//!   topological order, the per-processor compute sequences, the flat use
 //!   index, the cache-simulation buffers — allocated **once per instance**;
 //! * each conversion is then a cheap *reset* of that state. Converting a
 //!   neighbouring assignment via [`ConversionArena::convert_assignment`] reuses all
-//!   allocations and rebuilds the compute sequences only for the processors the
-//!   move actually touched.
+//!   allocations and rebuilds the compute sequences (and their slice of the use
+//!   index) only for the processors the move actually touched.
+//!
+//! At tight caches (`r = 3·r0`, the paper's regime) a conversion simulates about
+//! one superstep per computed node, so nothing in the superstep loop may scale
+//! with the DAG. Two structures keep one conversion at
+//! O(`P`·nodes + edges + supersteps·`P`) plus the eviction work:
+//!
+//! * the **flat use index** — per processor, one CSR pair (`u32` offsets per
+//!   node, `u32` positions per edge into the processor's sequence) answering
+//!   "where is this value read next on this processor?" with two dependent
+//!   loads, instead of one heap vector per `(processor, node)`;
+//! * the **stamped blue set** — per node, the first superstep at whose
+//!   beginning the value is in slow memory. Loads may only read values that were
+//!   blue when their superstep *began* (a value saved in superstep `s` is
+//!   loadable from `s + 1` on); comparing the stamp with the current superstep
+//!   index answers that without copying the blue set once per superstep.
 //!
 //! On generous caches the simulation itself is dominated by victim selection:
 //! every eviction trigger used to rebuild and scan a candidate set the size of
@@ -80,6 +95,9 @@ pub fn set_reference_conversion_mode(enabled: bool) {
 pub fn reference_conversion_mode() -> bool {
     REFERENCE_CONVERSION.load(Ordering::Relaxed)
 }
+
+/// [`ConversionArena`]'s blue stamp of a node that is not in slow memory.
+const NOT_BLUE: u32 = u32::MAX;
 
 /// Configuration of the two-stage converter.
 #[derive(Debug, Clone, Copy)]
@@ -180,9 +198,15 @@ pub struct ConversionArena {
     /// Per node: index of the processor whose sequence contains it
     /// (`u32::MAX` for sources, which are never computed).
     node_proc: Vec<u32>,
-    /// Per processor and node, flattened as `p * n + v`: sorted positions in
-    /// `seq[p]` where the node is used as an input of a compute step.
-    use_positions: Vec<Vec<usize>>,
+    /// The flat use index, offsets half: per processor and node, flattened as
+    /// `p * (n + 1) + v`, the CSR offsets into `use_pos[p]` — entries
+    /// `use_off[..v]..use_off[..v + 1]` are the ascending positions in `seq[p]`
+    /// where `v` is read as an input of a compute step. Rebuilt only for the
+    /// processors whose sequence changed.
+    use_off: Vec<u32>,
+    /// The flat use index, positions half: one position list per processor
+    /// (one entry per edge into a node of `seq[p]`).
+    use_pos: Vec<Vec<u32>>,
     /// Canonical superstep of every node for the current assignment.
     superstep: Vec<usize>,
     /// Assignment and supersteps of the previous `convert_assignment` call, used to
@@ -199,9 +223,10 @@ pub struct ConversionArena {
     // ---- Per-run cache-simulation state. ----
     /// Per processor: current position in `seq`.
     cursor: Vec<usize>,
-    /// Per processor and node (flat `p * n + v`): index of the first entry of
-    /// `use_positions` that has not been passed yet.
-    use_ptr: Vec<usize>,
+    /// Per processor and node (flat `p * n + v`): index into `use_pos[p]` of
+    /// the node's first use that has not been passed yet (starts at the node's
+    /// `use_off` entry, ends at the next node's).
+    use_ptr: Vec<u32>,
     /// Per processor and node (flat `p * n + v`): is the node currently cached?
     /// One flat allocation instead of one heap vector per processor.
     cached: Vec<bool>,
@@ -250,10 +275,16 @@ pub struct ConversionArena {
     in_dead: Vec<bool>,
     /// Per processor: logical clock incremented on every compute step.
     clock: Vec<usize>,
-    /// Which nodes currently have a blue pebble.
-    blue: Vec<bool>,
-    /// Snapshot of `blue` at the beginning of the current superstep.
-    blue_snapshot: Vec<bool>,
+    /// Index of the superstep being simulated.
+    step: u32,
+    /// The stamped blue set. Per node: the first superstep at whose beginning
+    /// the node is in slow memory — `0` for sources, `s + 1` for a value saved
+    /// during superstep `s`, [`NOT_BLUE`] while it has no blue pebble. One
+    /// array answers both questions the simulation asks: "is it blue now?"
+    /// (`!= NOT_BLUE`) and "was it blue when this superstep began?"
+    /// (`<= step`) — loads may only read the latter, so a value saved in
+    /// superstep `s` is loadable from `s + 1` on.
+    blue_since: Vec<u32>,
     /// Number of not-yet-executed compute steps (on any processor) that read a node.
     remaining_uses: Vec<usize>,
     /// Whether the node must eventually reside in slow memory.
@@ -281,6 +312,13 @@ impl ConversionArena {
                 base_uses[u.index()] += 1;
             }
         }
+        // Superstep stamps and the flat use index are `u32`: `run` never
+        // simulates more than `8 * n + 8` supersteps, and a processor's use
+        // positions number at most the edges of the DAG.
+        assert!(
+            n < (NOT_BLUE as usize - 8) / 8 && base_uses.iter().sum::<usize>() < NOT_BLUE as usize,
+            "DAG too large for the arena's u32 stamps and use index"
+        );
         let sink_mask: Vec<bool> = dag.nodes().map(|v| dag.is_sink(v)).collect();
         let source_mask: Vec<bool> = dag.nodes().map(|v| dag.is_source(v)).collect();
         ConversionArena {
@@ -293,7 +331,8 @@ impl ConversionArena {
             source_mask,
             seq: vec![Vec::new(); p],
             node_proc: vec![u32::MAX; n],
-            use_positions: vec![Vec::new(); p * n],
+            use_off: vec![0; p * (n + 1)],
+            use_pos: vec![Vec::new(); p],
             superstep: vec![0; n],
             prev_procs: vec![ProcId::new(0); n],
             prev_superstep: vec![0; n],
@@ -321,8 +360,8 @@ impl ConversionArena {
             dead: vec![std::collections::BTreeSet::new(); p],
             in_dead: vec![false; p * n],
             clock: vec![0; p],
-            blue: vec![false; n],
-            blue_snapshot: vec![false; n],
+            step: 0,
+            blue_since: vec![NOT_BLUE; n],
             remaining_uses: vec![0; n],
             is_required_output: vec![false; n],
             scratch_nodes: Vec::new(),
@@ -365,9 +404,8 @@ impl ConversionArena {
             ));
         }
         self.keyed.sort_unstable();
-        for pi in 0..self.p {
-            self.clear_use_positions(dag, pi);
-            self.seq[pi].clear();
+        for s in &mut self.seq {
+            s.clear();
         }
         self.node_proc.fill(u32::MAX);
         for i in 0..self.keyed.len() {
@@ -376,7 +414,7 @@ impl ConversionArena {
             self.node_proc[v.index()] = pi as u32;
         }
         for pi in 0..self.p {
-            self.fill_use_positions(dag, pi);
+            self.rebuild_use_index(dag, pi);
         }
         self.reset_run_state(required_outputs);
         self.run(dag, arch, policy, config, out);
@@ -424,9 +462,8 @@ impl ConversionArena {
         }
         for pi in 0..self.p {
             if all_dirty || self.seq_dirty[pi] {
-                self.clear_use_positions(dag, pi);
                 self.rebuild_seq_for_assignment(pi, procs);
-                self.fill_use_positions(dag, pi);
+                self.rebuild_use_index(dag, pi);
             }
         }
         for i in 0..self.n {
@@ -492,29 +529,35 @@ impl ConversionArena {
         s.sort_unstable_by_key(|v| (superstep[v.index()], topo_pos[v.index()]));
     }
 
-    /// Clears the input-use positions referenced by `pi`'s *current* sequence.
-    /// Only entries for parents of sequence nodes can be non-empty (the fill
-    /// below maintains that invariant), so this costs O(edges of the processor)
-    /// rather than O(V).
-    fn clear_use_positions<D: DagLike + ?Sized>(&mut self, dag: &D, pi: usize) {
-        let base = pi * self.n;
-        for idx in 0..self.seq[pi].len() {
-            let v = self.seq[pi][idx];
+    /// Rebuilds processor `pi`'s slice of the flat use index from its (fresh)
+    /// sequence: count the uses per node, prefix-sum them into `use_off`, then
+    /// scatter the positions — walking `seq[pi]` in order leaves every node's
+    /// positions ascending. O(V + edges of the processor), no allocation once
+    /// `use_pos[pi]` has grown to the processor's largest edge count.
+    fn rebuild_use_index<D: DagLike + ?Sized>(&mut self, dag: &D, pi: usize) {
+        let n = self.n;
+        let off = &mut self.use_off[pi * (n + 1)..(pi + 1) * (n + 1)];
+        off.fill(0);
+        for &v in &self.seq[pi] {
             for u in dag.parents(v) {
-                self.use_positions[base + u.index()].clear();
+                off[u.index() + 1] += 1;
             }
         }
-    }
-
-    /// Fills the input-use positions of processor `pi` from its (fresh) sequence;
-    /// [`ConversionArena::clear_use_positions`] must have run against the old
-    /// sequence first.
-    fn fill_use_positions<D: DagLike + ?Sized>(&mut self, dag: &D, pi: usize) {
-        let base = pi * self.n;
-        for pos in 0..self.seq[pi].len() {
-            let v = self.seq[pi][pos];
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        // `use_ptr` is reset from the offsets at the start of every run, so it
+        // doubles as the scatter cursor here.
+        let ptr = &mut self.use_ptr[pi * n..(pi + 1) * n];
+        ptr.copy_from_slice(&off[..n]);
+        let positions = &mut self.use_pos[pi];
+        positions.clear();
+        positions.resize(off[n] as usize, 0);
+        for (pos, &v) in self.seq[pi].iter().enumerate() {
             for u in dag.parents(v) {
-                self.use_positions[base + u.index()].push(pos);
+                let slot = &mut ptr[u.index()];
+                positions[*slot as usize] = pos as u32;
+                *slot += 1;
             }
         }
     }
@@ -545,9 +588,15 @@ impl ConversionArena {
             self.dead[pi].clear();
         }
         self.last_use.fill(0);
-        self.use_ptr.fill(0);
+        let n = self.n;
+        for pi in 0..self.p {
+            self.use_ptr[pi * n..(pi + 1) * n]
+                .copy_from_slice(&self.use_off[pi * (n + 1)..pi * (n + 1) + n]);
+        }
         // The initial blue set is exactly the sources.
-        self.blue.copy_from_slice(&self.source_mask);
+        for (since, &source) in self.blue_since.iter_mut().zip(&self.source_mask) {
+            *since = if source { 0 } else { NOT_BLUE };
+        }
         self.remaining_uses.copy_from_slice(&self.base_uses);
         self.is_required_output.copy_from_slice(&self.sink_mask);
         for &v in required_outputs {
@@ -584,6 +633,9 @@ impl ConversionArena {
             }
         }
 
+        // Read the process-global switch once: a run is either entirely fast or
+        // entirely linear, whatever another thread does to the flag meanwhile.
+        let linear = reference_conversion_mode();
         let total: usize = self.seq.iter().map(|s| s.len()).sum();
         // Each superstep makes progress (a compute or a load); the bound below is a
         // generous safety net against construction bugs.
@@ -595,11 +647,12 @@ impl ConversionArena {
                 step_idx <= max_supersteps,
                 "two-stage conversion is not making progress"
             );
-            // Snapshot of the blue set at the beginning of the superstep: loads in
-            // this superstep may only read values that were already in slow memory
-            // (saves of the same superstep are not relied upon, which keeps the
-            // construction simple and always valid).
-            self.blue_snapshot.copy_from_slice(&self.blue);
+            // Loads in this superstep may only read values that were already in
+            // slow memory when it began (saves of the same superstep are not
+            // relied upon, which keeps the construction simple and always
+            // valid): advancing the index the blue stamps are compared against
+            // is the whole "snapshot".
+            self.step = step_idx as u32;
             if step_idx >= out.num_supersteps() {
                 out.push_empty_superstep();
             }
@@ -622,7 +675,7 @@ impl ConversionArena {
                     // Make room for the output of v by dropping dead values only
                     // (no I/O allowed inside a compute phase).
                     let needed = dag.memory_weight(v);
-                    if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v) {
+                    if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v, linear) {
                         break;
                     }
                     // Execute the compute step.
@@ -648,7 +701,7 @@ impl ConversionArena {
                             self.spent_insert(pi, u);
                         }
                         if self.remaining_uses[u.index()] == 0
-                            && (!self.is_required_output[u.index()] || self.blue[u.index()])
+                            && (!self.is_required_output[u.index()] || self.is_blue(u))
                         {
                             // Last global use consumed: u is now dead on every
                             // processor that still caches a copy.
@@ -662,7 +715,7 @@ impl ConversionArena {
                     let ComputePhaseStep::Compute(v) = phases.compute[idx] else {
                         continue;
                     };
-                    if self.blue[v.index()] {
+                    if self.is_blue(v) {
                         continue;
                     }
                     let has_remote_child = dag.children(v).any(|c| {
@@ -680,7 +733,7 @@ impl ConversionArena {
                         if respent {
                             self.spent_remove(pi, v);
                         }
-                        self.blue[v.index()] = true;
+                        self.mark_blue(v);
                         if respent {
                             self.spent_insert(pi, v);
                         }
@@ -693,7 +746,7 @@ impl ConversionArena {
                 }
 
                 // ---- 3 & 4. Eviction and loads for the next segment. ----
-                self.plan_io(dag, arch, policy, config, pi, phases);
+                self.plan_io(dag, arch, policy, config, pi, phases, linear);
             }
             step_idx += 1;
         }
@@ -703,7 +756,10 @@ impl ConversionArena {
 
     /// Drops dead cached values (not needed by any future compute and not an
     /// unsaved required output) until `needed` additional space is available.
-    /// Returns false if that is impossible without real evictions.
+    /// Returns false if that is impossible without real evictions. `linear`
+    /// selects the retained full-cache scan ([`set_reference_conversion_mode`],
+    /// read once per run).
+    #[allow(clippy::too_many_arguments)]
     fn make_room_with_dead_values<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
@@ -712,12 +768,13 @@ impl ConversionArena {
         needed: f64,
         phases: &mut mbsp_model::ProcPhases,
         about_to_compute: NodeId,
+        linear: bool,
     ) -> bool {
         let r = arch.cache_size;
         if self.used[pi] + needed <= r + 1e-9 {
             return true;
         }
-        if !reference_conversion_mode() {
+        if !linear {
             // Fast path: the dead values are already known, in eviction order
             // (node-id ascending), in the incrementally maintained `dead` set —
             // pop until the output fits. Parents of the pending compute still
@@ -746,7 +803,7 @@ impl ConversionArena {
                 let v = self.cached_list[pi][idx];
                 if !parents.contains(&v)
                     && self.remaining_uses[v.index()] == 0
-                    && (!self.is_required_output[v.index()] || self.blue[v.index()])
+                    && (!self.is_required_output[v.index()] || self.is_blue(v))
                 {
                     dead.push(v);
                 }
@@ -767,7 +824,9 @@ impl ConversionArena {
     }
 
     /// Plans the save/delete/load phases that prepare the next compute segment of
-    /// processor `pi`.
+    /// processor `pi`. `linear` selects the retained linear forms
+    /// ([`set_reference_conversion_mode`], read once per run).
+    #[allow(clippy::too_many_arguments)]
     fn plan_io<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
         dag: &D,
@@ -776,6 +835,7 @@ impl ConversionArena {
         config: TwoStageConfig,
         pi: usize,
         phases: &mut mbsp_model::ProcPhases,
+        linear: bool,
     ) {
         let pos = self.cursor[pi];
         if pos >= self.seq[pi].len() {
@@ -794,7 +854,7 @@ impl ConversionArena {
         loadable.clear();
         loadable.extend(
             dag.parents(next)
-                .filter(|&u| !self.cached[base + u.index()] && self.blue_snapshot[u.index()]),
+                .filter(|&u| !self.cached[base + u.index()] && self.loadable(u)),
         );
         if loadable.len() < missing {
             // Some input is not yet in slow memory (its producer has not caught up);
@@ -815,7 +875,7 @@ impl ConversionArena {
             // current blue pebbles, which equal the trigger-start snapshot the
             // scan path sees: the only blue bit an eviction flips belongs to
             // the victim itself, which leaves the cache with it.
-            if policy.evicts_spent_first() && !reference_conversion_mode() {
+            if policy.evicts_spent_first() && !linear {
                 while self.used[pi] + target_free > r + 1e-9 {
                     let Some((_, _, vid)) = self.spent[pi].pop_first() else {
                         break;
@@ -824,10 +884,10 @@ impl ConversionArena {
                     self.in_spent[base + v.index()] = false;
                     debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
                     let needed_later = self.remaining_uses[v.index()] > 0
-                        || (self.is_required_output[v.index()] && !self.blue[v.index()]);
-                    if needed_later && !self.blue[v.index()] {
+                        || (self.is_required_output[v.index()] && !self.is_blue(v));
+                    if needed_later && !self.is_blue(v) {
                         phases.save.push(v);
-                        self.blue[v.index()] = true;
+                        self.mark_blue(v);
                     }
                     phases.delete.push(v);
                     self.cache_remove(pi, v);
@@ -857,9 +917,9 @@ impl ConversionArena {
                         weight: dag.memory_weight(v),
                         next_use: self.next_use(pi, v),
                         last_use: self.last_use[base + v.index()],
-                        has_blue: self.blue[v.index()],
+                        has_blue: self.is_blue(v),
                         needed_later: self.remaining_uses[v.index()] > 0
-                            || (self.is_required_output[v.index()] && !self.blue[v.index()]),
+                            || (self.is_required_output[v.index()] && !self.is_blue(v)),
                     };
                     candidates.push(candidate);
                 }
@@ -881,9 +941,9 @@ impl ConversionArena {
                     self.spent_remove(pi, v);
                     // A victim that is still needed and not yet in slow memory must be
                     // saved before it is deleted (save phase precedes delete phase).
-                    if c.needed_later && !self.blue[v.index()] {
+                    if c.needed_later && !self.is_blue(v) {
                         phases.save.push(v);
-                        self.blue[v.index()] = true;
+                        self.mark_blue(v);
                     }
                     phases.delete.push(v);
                     self.cache_remove(pi, v);
@@ -914,11 +974,10 @@ impl ConversionArena {
         // the retained linear scan (`reference_conversion_mode`) is the pre-mask
         // form the bench's reference runs reproduce — both are operation-identical.
         if config.prefetch {
-            let scan = reference_conversion_mode();
             let mut virtually_cached = std::mem::take(&mut self.scratch_nodes2);
             virtually_cached.clear();
             virtually_cached.push(next);
-            if !scan {
+            if !linear {
                 self.virt_mask[next.index()] = true;
             }
             let mut extras = std::mem::take(&mut self.scratch_nodes3);
@@ -929,13 +988,13 @@ impl ConversionArena {
                 extras.clear();
                 extras.extend(dag.parents(w).filter(|&u| {
                     !self.cached[base + u.index()]
-                        && if scan {
+                        && if linear {
                             !virtually_cached.contains(&u)
                         } else {
                             !self.virt_mask[u.index()]
                         }
                 }));
-                if extras.iter().any(|&u| !self.blue_snapshot[u.index()]) {
+                if extras.iter().any(|&u| !self.loadable(u)) {
                     break;
                 }
                 let extra_weight: f64 = extras.iter().map(|&u| dag.memory_weight(u)).sum();
@@ -949,12 +1008,12 @@ impl ConversionArena {
                 }
                 virtual_used += extra_weight + dag.memory_weight(w);
                 virtually_cached.push(w);
-                if !scan {
+                if !linear {
                     self.virt_mask[w.index()] = true;
                 }
                 look += 1;
             }
-            if !scan {
+            if !linear {
                 for &v in &virtually_cached {
                     self.virt_mask[v.index()] = false;
                 }
@@ -966,13 +1025,35 @@ impl ConversionArena {
 
     /// Position of the next use of `v` as an input on processor `pi`, if any.
     fn next_use(&mut self, pi: usize, v: NodeId) -> Option<usize> {
-        let slot = pi * self.n + v.index();
-        let positions = &self.use_positions[slot];
-        let ptr = &mut self.use_ptr[slot];
-        while *ptr < positions.len() && positions[*ptr] < self.cursor[pi] {
+        let end = self.use_off[pi * (self.n + 1) + v.index() + 1];
+        let positions = &self.use_pos[pi];
+        let cursor = self.cursor[pi] as u32;
+        let ptr = &mut self.use_ptr[pi * self.n + v.index()];
+        while *ptr < end && positions[*ptr as usize] < cursor {
             *ptr += 1;
         }
-        positions.get(*ptr).copied()
+        (*ptr < end).then(|| positions[*ptr as usize] as usize)
+    }
+
+    /// Does `v` have a blue pebble right now?
+    #[inline]
+    fn is_blue(&self, v: NodeId) -> bool {
+        self.blue_since[v.index()] != NOT_BLUE
+    }
+
+    /// Was `v` already in slow memory when the current superstep began — the
+    /// only values its load phases may read?
+    #[inline]
+    fn loadable(&self, v: NodeId) -> bool {
+        self.blue_since[v.index()] <= self.step
+    }
+
+    /// Places `v`'s blue pebble during the current superstep (loadable from
+    /// the next one on).
+    #[inline]
+    fn mark_blue(&mut self, v: NodeId) {
+        debug_assert!(!self.is_blue(v));
+        self.blue_since[v.index()] = self.step + 1;
     }
 
     /// Marks `v` as cached on `pi` (must not be cached already — the converter
@@ -994,7 +1075,7 @@ impl ConversionArena {
     #[inline]
     fn spent_key(&self, v: NodeId) -> (u8, u64, u32) {
         (
-            !self.blue[v.index()] as u8,
+            !self.is_blue(v) as u8,
             !self.mem_weight[v.index()].to_bits(),
             v.index() as u32,
         )
@@ -1557,6 +1638,76 @@ mod tests {
                         inst.name(),
                         policy.name()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_saved_in_superstep_s_is_loadable_from_s_plus_one() {
+        // The model would let processor 1 load in the very superstep processor
+        // 0 saves (the save phase precedes the load phase), and processor 0 is
+        // simulated first, so its blue pebble is already placed when processor
+        // 1 plans its loads. The conversion deliberately does not rely on it:
+        // loads read the blue set as of the beginning of the superstep.
+        let dag = mbsp_dag::CompDag::from_edges(
+            "handover",
+            vec![mbsp_dag::NodeWeights::unit(); 3],
+            &[(0, 1), (1, 2)],
+        )
+        .unwrap();
+        let arch = Architecture::new(2, 3.0, 1.0, 1.0);
+        let procs = [ProcId::new(0), ProcId::new(0), ProcId::new(1)];
+        let produced = NodeId::new(1);
+        for policy in [
+            &ClairvoyantPolicy::new() as &dyn EvictionPolicy,
+            &LruPolicy::new(),
+        ] {
+            for prefetch in [true, false] {
+                let mut arena = ConversionArena::new(&dag, &arch);
+                let mut out = MbspSchedule::new(arch.processors);
+                let config = TwoStageConfig { prefetch };
+                arena.convert_assignment(&dag, &arch, &procs, policy, config, &[], &mut out);
+                out.validate(&dag, &arch).unwrap();
+                let step_of = |pi: usize, pick: fn(&mbsp_model::ProcPhases) -> &Vec<NodeId>| {
+                    out.supersteps()
+                        .iter()
+                        .position(|s| pick(&s.procs[pi]).contains(&produced))
+                        .expect("the value crosses processors through slow memory")
+                };
+                let saved = step_of(0, |ph| &ph.save);
+                let loaded = step_of(1, |ph| &ph.load);
+                assert_eq!(loaded, saved + 1, "{} prefetch={prefetch}", policy.name());
+            }
+        }
+        // The same holds for every cross-processor hand-over of a real
+        // conversion: no load of a computed value in or before the superstep
+        // of its save.
+        let sched = GreedyBspScheduler::new();
+        for inst in instances() {
+            let bsp = sched.schedule(inst.dag(), inst.arch());
+            let mbsp = TwoStageScheduler::new().schedule(
+                inst.dag(),
+                inst.arch(),
+                &bsp,
+                &ClairvoyantPolicy::new(),
+            );
+            let mut saved_in = vec![None; inst.dag().num_nodes()];
+            for (s, step) in mbsp.supersteps().iter().enumerate() {
+                for phases in &step.procs {
+                    for &v in &phases.load {
+                        assert!(
+                            inst.dag().is_source(v) || saved_in[v.index()].is_some_and(|t| t < s),
+                            "{}: {v:?} loaded in superstep {s}, saved in {:?}",
+                            inst.name(),
+                            saved_in[v.index()]
+                        );
+                    }
+                }
+                for phases in &step.procs {
+                    for &v in &phases.save {
+                        saved_in[v.index()].get_or_insert(s);
+                    }
                 }
             }
         }

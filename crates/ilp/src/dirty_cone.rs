@@ -104,7 +104,10 @@ pub struct RepairStats {
     pub accepted_shards: usize,
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub salvaged_moves: u64,
-    /// Total candidate evaluations (local and global).
+    /// Schedules converted and costed: the stale incumbent, every dirty
+    /// shard's search (counted as in
+    /// [`LocalSearchOutcome::evaluations`](crate::shard::LocalSearchOutcome::evaluations))
+    /// and one per merge fold and per replayed delta.
     pub evaluations: u64,
     /// Wall-clock of the repair.
     pub elapsed: Duration,

@@ -9,8 +9,10 @@
 //!   (relocate one node, relocate a sibling group, swap two nodes);
 //! * [`EvaluationEngine`] — per-worker evaluation state: a
 //!   [`mbsp_cache::ConversionArena`] (allocated once, reused for every candidate),
-//!   a scratch schedule, and a [`mbsp_model::ScheduleEvaluator`] for the
-//!   post-optimiser's incremental cost deltas;
+//!   a scratch schedule (plus the retained schedule of its best batch
+//!   candidate, so a round's winner is never converted twice), and a
+//!   [`mbsp_model::ScheduleEvaluator`] for the post-optimiser's incremental
+//!   cost deltas;
 //! * [`EvalPath`] — selects the incremental engine or the *reference* path (a
 //!   freshly allocated converter plus a full re-cost per candidate, the
 //!   pre-engine behaviour). Both paths are operation-identical, which the
@@ -157,6 +159,9 @@ pub struct EvaluationEngine {
     config: TwoStageConfig,
     arena: ConversionArena,
     schedule: MbspSchedule,
+    /// The schedule of the best candidate of the last batch chunk evaluated
+    /// through this engine (see [`EvaluationEngine::swap_batch_winner`]).
+    retained: MbspSchedule,
     post: PostOptimizer,
     procs_buf: Vec<ProcId>,
     /// Number of candidate evaluations performed through this engine.
@@ -179,6 +184,7 @@ impl EvaluationEngine {
             config: TwoStageConfig::default(),
             arena: ConversionArena::new(dag, arch),
             schedule: MbspSchedule::new(arch.processors),
+            retained: MbspSchedule::new(arch.processors),
             post: PostOptimizer::new(dag, arch),
             procs_buf: Vec::new(),
             evaluations: 0,
@@ -334,9 +340,24 @@ impl EvaluationEngine {
         }
     }
 
-    /// The schedule produced by the most recent evaluation.
+    /// The schedule produced by the most recent direct `evaluate_*` call (a
+    /// batch leaves its winner behind [`EvaluationEngine::swap_batch_winner`]
+    /// instead).
     pub fn schedule(&self) -> &MbspSchedule {
         &self.schedule
+    }
+
+    /// Swaps `schedule` with the schedule this engine kept for the winner of
+    /// the last batch. A batch keeps its winner's schedule: every chunk holds
+    /// on to the schedule of its best-so-far candidate by an O(1) swap, and
+    /// [`evaluate_moves_on`] moves the batch winner's into `engines[0]` — so
+    /// after a batch that reported a winner, calling this on `engines[0]`
+    /// yields exactly the schedule a fresh evaluation of the winning
+    /// assignment would produce, without converting it a second time. What
+    /// the caller hands in (typically the previous incumbent) is recycled as
+    /// scratch storage.
+    pub fn swap_batch_winner(&mut self, schedule: &mut MbspSchedule) {
+        std::mem::swap(&mut self.retained, schedule);
     }
 }
 
@@ -344,8 +365,9 @@ impl EvaluationEngine {
 /// [`crate::improver::HolisticScheduler::schedule_with_stats`].
 #[derive(Debug, Clone, Copy)]
 pub struct SearchStats {
-    /// Total candidate evaluations (incumbents, batch candidates and winner
-    /// re-evaluations).
+    /// Total candidate evaluations: the two seed incumbents plus every batch
+    /// candidate. (A round winner is not evaluated again — its batch keeps its
+    /// schedule.)
     pub evaluations: u64,
     /// Number of completed search rounds.
     pub rounds: usize,
@@ -472,7 +494,7 @@ pub fn evaluate_moves_on<D: DagLike + Sync + ?Sized>(
         })
         .collect();
     let results: Vec<(Option<(f64, usize)>, u64)> = pool.run_batch(tasks);
-    reduce_batch(results)
+    reduce_batch(engines, chunk_size, results)
 }
 
 /// The pre-pool scoped-spawn form of [`evaluate_moves_on`], kept as the
@@ -544,27 +566,39 @@ pub fn evaluate_moves_scoped_on<D: DagLike + Sync + ?Sized>(
             .map(|h| h.join().expect("evaluation worker panicked"))
             .collect()
     });
-    reduce_batch(results)
+    reduce_batch(engines, chunk_size, results)
+}
+
+/// The fixed `(cost, candidate index)` tie-break order of a batch: does the
+/// candidate precede the best one so far?
+fn beats(cost: f64, idx: usize, best: Option<(f64, usize)>) -> bool {
+    best.map_or(true, |(bc, bi)| {
+        cost.total_cmp(&bc).then(idx.cmp(&bi)).is_lt()
+    })
 }
 
 /// Folds the per-worker chunk results into the batch outcome by the fixed
-/// `(cost, candidate index)` tie-break order.
-fn reduce_batch(results: Vec<(Option<(f64, usize)>, u64)>) -> BatchOutcome {
+/// `(cost, candidate index)` tie-break order, and moves the winner's retained
+/// schedule from the engine whose chunk contained it into `engines[0]`.
+fn reduce_batch(
+    engines: &mut [EvaluationEngine],
+    chunk_size: usize,
+    results: Vec<(Option<(f64, usize)>, u64)>,
+) -> BatchOutcome {
     let mut winner: Option<(f64, usize)> = None;
     let mut evaluations = 0u64;
     for (local, evals) in results {
         evaluations += evals;
         if let Some((cost, idx)) = local {
-            winner = match winner {
-                None => Some((cost, idx)),
-                Some((bc, bi)) => {
-                    if cost.total_cmp(&bc).then(idx.cmp(&bi)).is_lt() {
-                        Some((cost, idx))
-                    } else {
-                        Some((bc, bi))
-                    }
-                }
-            };
+            if beats(cost, idx, winner) {
+                winner = Some((cost, idx));
+            }
+        }
+    }
+    if let Some((_, idx)) = winner {
+        let (first, rest) = engines.split_at_mut(1);
+        if let Some(owner) = (idx / chunk_size).checked_sub(1) {
+            std::mem::swap(&mut first[0].retained, &mut rest[owner].retained);
         }
     }
     BatchOutcome {
@@ -573,7 +607,8 @@ fn reduce_batch(results: Vec<(Option<(f64, usize)>, u64)>) -> BatchOutcome {
     }
 }
 
-/// Evaluates a contiguous chunk of the round's candidates through one engine.
+/// Evaluates a contiguous chunk of the round's candidates through one engine,
+/// which retains the schedule of the chunk's best candidate.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_chunk<D: DagLike + ?Sized>(
     engine: &mut EvaluationEngine,
@@ -600,16 +635,12 @@ fn evaluate_chunk<D: DagLike + ?Sized>(
         engine.procs_buf = procs;
         evaluations += 1;
         let idx = index_offset + i;
-        best = match best {
-            None => Some((cost, idx)),
-            Some((bc, bi)) => {
-                if cost.total_cmp(&bc).then(idx.cmp(&bi)).is_lt() {
-                    Some((cost, idx))
-                } else {
-                    Some((bc, bi))
-                }
-            }
-        };
+        if beats(cost, idx, best) {
+            best = Some((cost, idx));
+            // Keep the new best's schedule; the old one becomes the scratch
+            // the next conversion overwrites.
+            std::mem::swap(&mut engine.schedule, &mut engine.retained);
+        }
     }
     (best, evaluations)
 }
@@ -708,6 +739,76 @@ mod tests {
         }
         assert_eq!(winners[0], winners[1]);
         assert_eq!(winners[0], winners[2]);
+    }
+
+    #[test]
+    fn a_batch_keeps_its_winners_schedule() {
+        // Whatever the engine count (and so whichever engine's chunk held the
+        // winner), the schedule the batch retained must be the one a fresh
+        // engine produces for the winner's assignment, at a bit-equal cost —
+        // that is what lets the search loops skip the winner's second
+        // conversion.
+        let inst = instance();
+        let dag = inst.dag();
+        let n = dag.num_nodes();
+        let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut winners_outside_engine_0 = 0usize;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let procs: Vec<ProcId> = (0..n)
+                .map(|i| ProcId::new((i + seed as usize) % inst.arch().processors))
+                .collect();
+            let mut moves = Vec::new();
+            while moves.len() < 21 {
+                if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
+                    moves.push(mv);
+                }
+            }
+            for workers in [1usize, 2, 4] {
+                let mut engines: Vec<EvaluationEngine> = (0..workers)
+                    .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
+                    .collect();
+                let before: u64 = engines.iter().map(|e| e.evaluations).sum();
+                let outcome = evaluate_moves(
+                    WorkerPool::shared(),
+                    &mut engines,
+                    &inst,
+                    &procs,
+                    &moves,
+                    CostModel::Synchronous,
+                    &[],
+                    deadline,
+                );
+                let (cost, idx) = outcome.winner.expect("every candidate evaluated");
+                winners_outside_engine_0 += (idx >= moves.len().div_ceil(workers)) as usize;
+                let mut retained = MbspSchedule::new(inst.arch().processors);
+                engines[0].swap_batch_winner(&mut retained);
+                // Taking the winner costs no evaluation.
+                let after: u64 = engines.iter().map(|e| e.evaluations).sum();
+                assert_eq!(after - before, moves.len() as u64);
+
+                let mut winner = procs.clone();
+                moves[idx].apply(dag, &mut winner);
+                let mut fresh = EvaluationEngine::new(&inst, EvalPath::Incremental);
+                let fresh_cost =
+                    fresh.evaluate_assignment(&inst, &winner, CostModel::Synchronous, &[]);
+                assert_eq!(
+                    cost.to_bits(),
+                    fresh_cost.to_bits(),
+                    "seed {seed}, {workers} engines"
+                );
+                assert_eq!(
+                    &retained,
+                    fresh.schedule(),
+                    "seed {seed}, {workers} engines: retained schedule is not the winner's"
+                );
+            }
+        }
+        assert!(
+            winners_outside_engine_0 > 0,
+            "no winner came from another engine's chunk: the hand-over is untested"
+        );
     }
 
     #[test]

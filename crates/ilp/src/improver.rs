@@ -192,15 +192,9 @@ impl HolisticScheduler {
                 };
                 if cost < best_cost - 1e-9 {
                     moves[idx].apply(dag, &mut procs);
-                    // Re-evaluate the winner through worker 0 to materialise its
-                    // schedule (workers only report costs).
-                    best_cost = engines[0].evaluate_assignment(
-                        instance,
-                        &procs,
-                        cost_model,
-                        required_outputs,
-                    );
-                    best_schedule = engines[0].schedule().clone();
+                    // The batch kept its winner's schedule.
+                    best_cost = cost;
+                    engines[0].swap_batch_winner(&mut best_schedule);
                 } else {
                     break;
                 }
@@ -329,6 +323,28 @@ pub struct PostOptimizer {
     unfolded: Configuration,
     required: Vec<bool>,
     last_load: Vec<Option<usize>>,
+    /// Per node: the epoch of the last fold attempt (one epoch per attempt and
+    /// processor) whose merged compute phase computed it — the "computed
+    /// earlier in this phase" half of the pre-copy fold rejection.
+    computed_in_phase: Vec<u64>,
+    phase_epoch: u64,
+    /// What the fold attempts of this optimiser's lifetime cost.
+    pub(crate) fold_stats: FoldStats,
+}
+
+/// Counters over [`PostOptimizer`]'s fold attempts. At tight caches nearly
+/// every attempt is rejected before it pays for a [`Configuration`] copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FoldStats {
+    /// Attempts that copied the prefix configuration to simulate the merged
+    /// superstep on it.
+    pub(crate) copied: u64,
+    /// Attempts whose merged superstep simulated cleanly and reached the
+    /// state comparison (which copies the prefix once more, for the unfolded
+    /// pair).
+    pub(crate) compared: u64,
+    /// Attempts that returned "fold".
+    pub(crate) accepted: u64,
 }
 
 impl PostOptimizer {
@@ -343,6 +359,9 @@ impl PostOptimizer {
             unfolded: Configuration::initial(dag, arch),
             required: vec![false; dag.num_nodes()],
             last_load: vec![None; dag.num_nodes()],
+            computed_in_phase: vec![0; dag.num_nodes()],
+            phase_epoch: 0,
+            fold_stats: FoldStats::default(),
         }
     }
 
@@ -524,6 +543,40 @@ impl PostOptimizer {
     ) -> bool {
         let steps = schedule.supersteps();
         let p = schedule.processors();
+        // Reject before paying for a copy: loads only happen after every
+        // compute of a superstep, so a parent of a `Compute(v)` in the merged
+        // compute phase must be red on that processor in `prefix` or computed
+        // earlier in the same phase — if it is neither, the simulation below
+        // fails at that compute at the latest. Step `k`'s own computes are
+        // valid from `prefix`; only step `j`'s need the test. At tight caches
+        // this is nearly every attempt: the conversion ended step `k` because
+        // step `j`'s first compute was waiting for a load.
+        for pi in 0..p {
+            let later = &steps[j].procs[pi].compute;
+            if later.is_empty() {
+                continue;
+            }
+            let proc = ProcId::new(pi);
+            self.phase_epoch += 1;
+            let epoch = self.phase_epoch;
+            for &c in &steps[k].procs[pi].compute {
+                if let mbsp_model::ComputePhaseStep::Compute(v) = c {
+                    self.computed_in_phase[v.index()] = epoch;
+                }
+            }
+            for &c in later {
+                let mbsp_model::ComputePhaseStep::Compute(v) = c else {
+                    continue;
+                };
+                if dag.parents(v).any(|u| {
+                    !self.prefix.has_red(proc, u) && self.computed_in_phase[u.index()] != epoch
+                }) {
+                    return false;
+                }
+                self.computed_in_phase[v.index()] = epoch;
+            }
+        }
+        self.fold_stats.copied += 1;
         self.trial.copy_from(&self.prefix);
         // Simulate the merged superstep with full precondition checks, in
         // validation order: the compute phases of every processor, then the save,
@@ -583,10 +636,12 @@ impl PostOptimizer {
         // included — `state_eq` is the chunked-kernel form of the derived
         // `PartialEq`), the remaining supersteps see an identical state and
         // stay valid because the current schedule is valid.
+        self.fold_stats.compared += 1;
         self.unfolded.copy_from(&self.prefix);
         apply_step_unchecked(&mut self.unfolded, &steps[k], dag);
         apply_step_unchecked(&mut self.unfolded, &steps[j], dag);
         if self.trial.state_eq(&self.unfolded) {
+            self.fold_stats.accepted += 1;
             return true;
         }
         // Rare slow path: the fold reordered a delete/load pair and changed the
@@ -600,7 +655,9 @@ impl PostOptimizer {
                 return false;
             }
         }
-        dag.sink_nodes().all(|v| self.trial.has_blue(v))
+        let valid = dag.sink_nodes().all(|v| self.trial.has_blue(v));
+        self.fold_stats.accepted += valid as u64;
+        valid
     }
 }
 
@@ -1017,6 +1074,10 @@ mod tests {
                 holistic.schedule_with_stats(&inst, &baseline, &[], EvalPath::Reference);
             assert_eq!(fast, slow, "{}: evaluation paths diverged", inst.name());
             assert_eq!(fast_stats.evaluations, slow_stats.evaluations);
+            // The returned schedule is the one a batch kept for its last
+            // accepted winner; it must cost what the search reports.
+            let recost = sync_cost(&fast, inst.dag(), inst.arch()).total;
+            assert!((recost - fast_stats.final_cost).abs() < 1e-9);
         }
     }
 
@@ -1140,6 +1201,136 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Seeded schedules for the post-optimiser differentials: every tiny
+    /// instance under random 4-processor assignments, converted at the
+    /// paper's tight cache (`r = 3·r0`, `L = 10`: nearly every fold attempt
+    /// dies on a missing parent) and at a generous cache with a large latency
+    /// (`r = 12·r0`, `L = 50`: folds are accepted).
+    fn seeded_conversions(
+        cache_factor: f64,
+        latency: f64,
+        per_instance: usize,
+    ) -> Vec<(MbspInstance, MbspSchedule)> {
+        use mbsp_cache::{ConversionArena, TwoStageConfig};
+        use rand::Rng;
+        let policy = ClairvoyantPolicy::new();
+        let mut out = Vec::new();
+        for (i, named) in mbsp_gen::tiny_dataset(42).into_iter().enumerate() {
+            let arch = Architecture::paper_default(0.0).with_latency(latency);
+            let inst = MbspInstance::with_cache_factor(named.dag, arch, cache_factor);
+            let mut arena = ConversionArena::new(inst.dag(), inst.arch());
+            let mut rng = StdRng::seed_from_u64(0xF01D ^ i as u64);
+            for _ in 0..per_instance {
+                let procs: Vec<ProcId> = inst
+                    .dag()
+                    .nodes()
+                    .map(|_| ProcId::new(rng.gen_range(0..inst.arch().processors)))
+                    .collect();
+                let mut schedule = MbspSchedule::new(inst.arch().processors);
+                arena.convert_assignment(
+                    inst.dag(),
+                    inst.arch(),
+                    &procs,
+                    &policy,
+                    TwoStageConfig::default(),
+                    &[],
+                    &mut schedule,
+                );
+                out.push((inst.clone(), schedule));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn session_eager_and_reference_passes_agree_on_seeded_conversions() {
+        let mut cases = 0usize;
+        let mut folded_cases = 0usize;
+        for (cache_factor, latency) in [(3.0, 10.0), (12.0, 50.0)] {
+            for (inst, schedule) in seeded_conversions(cache_factor, latency, 4) {
+                let (dag, arch) = (inst.dag(), inst.arch());
+                let model = CostModel::Synchronous;
+                let mut post = PostOptimizer::new(dag, arch);
+                let mut session = schedule.clone();
+                let session_cost = post.optimize(&mut session, dag, arch, model, &[]);
+                let mut eager = schedule.clone();
+                let eager_cost = post.optimize_eager(&mut eager, dag, arch, model, &[]);
+                let mut reference = schedule;
+                reference_post_optimize(&mut reference, dag, arch, model, &[]);
+                let name = format!("{} r={cache_factor}·r0 L={latency}", inst.name());
+                assert_eq!(session, reference, "{name}: session vs reference");
+                assert_eq!(eager, reference, "{name}: eager vs reference");
+                assert_eq!(session_cost.to_bits(), eager_cost.to_bits(), "{name}");
+                assert_eq!(
+                    session_cost.to_bits(),
+                    sync_cost(&reference, dag, arch).total.to_bits(),
+                    "{name}"
+                );
+                cases += 1;
+                folded_cases += (post.fold_stats.accepted > 0) as usize;
+            }
+        }
+        assert!(cases >= 100, "expected 100+ cases, got {cases}");
+        assert!(
+            folded_cases >= cases / 4,
+            "only {folded_cases} of {cases} cases accepted a fold: the accept path is barely tested"
+        );
+    }
+
+    #[test]
+    fn tight_cache_fold_attempts_are_rejected_before_any_copy() {
+        // At r = 3·r0 the conversion ends a superstep because the next compute
+        // waits for a load, so a fold attempt fails on a parent that is
+        // neither red in the prefix nor computed earlier in the merged phase —
+        // and must be turned away before `trial.copy_from(&prefix)`. What is
+        // still copied is nearly always a fold that goes through: over the
+        // seeded set, copies number at most the attempts that reached the
+        // state comparison plus the folds accepted. (With the early rejection
+        // removed, every attempt whose cost side passes is copied — an order
+        // of magnitude more than either.)
+        let mut cases = seeded_conversions(3.0, 10.0, 4);
+        // The served regime as well: a layered-random DAG under its greedy
+        // assignment, where hundreds of attempts yield a handful of folds.
+        let dag = mbsp_gen::random::random_layered_dag(
+            &mbsp_gen::random::RandomDagConfig {
+                layers: 20,
+                width: 50,
+                edge_probability: 0.06,
+                ..Default::default()
+            },
+            7,
+        );
+        let inst = MbspInstance::with_cache_factor(dag, Architecture::new(4, 0.0, 1.0, 2.0), 3.0);
+        let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
+        let schedule = TwoStageScheduler::new().schedule(
+            inst.dag(),
+            inst.arch(),
+            &baseline,
+            &ClairvoyantPolicy::new(),
+        );
+        cases.push((inst, schedule));
+
+        let mut total = FoldStats::default();
+        let mut pairs = 0u64;
+        for (inst, mut schedule) in cases {
+            let (dag, arch) = (inst.dag(), inst.arch());
+            pairs += schedule.num_supersteps().saturating_sub(1) as u64;
+            let mut post = PostOptimizer::new(dag, arch);
+            post.optimize(&mut schedule, dag, arch, CostModel::Synchronous, &[]);
+            total.copied += post.fold_stats.copied;
+            total.compared += post.fold_stats.compared;
+            total.accepted += post.fold_stats.accepted;
+        }
+        assert!(
+            total.copied <= total.accepted + total.compared,
+            "{total:?} over {pairs} adjacent superstep pairs"
+        );
+        assert!(
+            total.copied * 2 < pairs,
+            "{total:?}: most of the {pairs} adjacent pairs should be turned away uncopied"
+        );
     }
 
     #[test]

@@ -174,7 +174,11 @@ pub struct ShardedSearchStats {
     pub improved_shards: usize,
     /// Shard merges accepted by the global boundary-repair evaluation.
     pub accepted_shards: usize,
-    /// Total candidate evaluations (local and global).
+    /// Schedules converted and costed. Per shard search: its seed, the
+    /// shard-local greedy seed when one was offered, and every batch
+    /// candidate (a round winner is not evaluated again — its batch keeps its
+    /// schedule). Globally: the two seed incumbents plus one per merge fold
+    /// and per replayed delta.
     pub evaluations: u64,
     /// Wall-clock of the whole run.
     pub elapsed: Duration,
@@ -514,7 +518,9 @@ pub struct LocalSearchOutcome {
     pub accepted_deltas: Vec<Vec<(NodeId, ProcId)>>,
     /// The materialised schedule of the winning assignment (local ids).
     pub schedule: MbspSchedule,
-    /// Candidate evaluations performed.
+    /// Schedules converted and costed: the seed, the alternative seed when one
+    /// was offered, and every batch candidate (a round winner is not evaluated
+    /// again — its batch keeps its schedule).
     pub evaluations: u64,
     /// Completed search rounds.
     pub rounds: usize,
@@ -654,15 +660,9 @@ pub fn search_view_seeded(
                 let before = procs.clone();
                 moves[idx].apply(view, &mut procs);
                 accepted_deltas.push(assignment_delta(&before, &procs));
-                // Re-evaluate the winner to materialise its schedule.
-                best_cost = engines[0].evaluate_assignment_on(
-                    view,
-                    arch,
-                    &procs,
-                    params.cost_model,
-                    required_outputs,
-                );
-                best_schedule = engines[0].schedule().clone();
+                // The batch kept its winner's schedule.
+                best_cost = cost;
+                engines[0].swap_batch_winner(&mut best_schedule);
             } else {
                 stale_rounds += 1;
                 if params.stale_round_limit > 0 && stale_rounds >= params.stale_round_limit {
@@ -797,7 +797,8 @@ pub struct IncumbentUpdate {
     pub iteration: usize,
     /// Total cost of the incumbent under the configured cost model.
     pub cost: f64,
-    /// Schedule evaluations spent so far (global engine + finished shards).
+    /// Schedules converted and costed so far (global engine + finished
+    /// shards; counted as in [`ShardedSearchStats::evaluations`]).
     pub evaluations: u64,
 }
 
@@ -1244,10 +1245,24 @@ mod tests {
         assert!(out.best_cost <= out.base_cost + 1e-9);
         assert!(out.evaluations >= 1);
         assert_eq!(out.procs.len(), view.num_nodes());
-        // The materialised schedule matches the reported cost.
+        // Rounds were accepted, so the schedule below is one a batch kept for
+        // its winner — never converted a second time...
+        assert!(!out.accepted_deltas.is_empty());
+        // ...and it matches the reported cost and is the schedule of the
+        // returned assignment.
         let recost = params
             .cost_model
             .evaluate(&out.schedule, &view, inst.arch());
         assert!((recost - out.best_cost).abs() < 1e-9);
+        let mut fresh = EvaluationEngine::for_dag(&view, inst.arch(), EvalPath::Incremental);
+        let fresh_cost = fresh.evaluate_assignment_on(
+            &view,
+            inst.arch(),
+            &out.procs,
+            params.cost_model,
+            &required,
+        );
+        assert_eq!(fresh_cost.to_bits(), out.best_cost.to_bits());
+        assert_eq!(fresh.schedule(), &out.schedule);
     }
 }

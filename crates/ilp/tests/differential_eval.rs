@@ -14,11 +14,12 @@
 //! dataset seeds, times all three BSP baselines (greedy BSPg, Cilk work stealing,
 //! DFS), times both eviction policies (clairvoyant and LRU).
 
-use mbsp_cache::two_stage::reference;
+use mbsp_cache::two_stage::{reference, set_reference_conversion_mode};
 use mbsp_cache::{ClairvoyantPolicy, ConversionArena, EvictionPolicy, LruPolicy, TwoStageConfig};
-use mbsp_dag::NodeId;
+use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_ilp::engine::{EvalPath, EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
+use mbsp_ilp::shard::{part_view, topo_shards};
 use mbsp_model::{
     async_cost, sync_cost, Architecture, CostModel, MbspInstance, MbspSchedule, ProcId,
 };
@@ -124,6 +125,125 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
         cases >= 100,
         "expected 100+ differential cases, got {cases}"
     );
+}
+
+/// Replays `AT_SCALE_MOVES` seeded moves through **one** arena and checks after
+/// every move that `convert_assignment` produces exactly the schedule the
+/// from-scratch reference converter produces for the canonical BSP schedule of
+/// the same assignment — and exactly the same again through the arena's
+/// retained linear hot loops. At this size a conversion simulates hundreds to
+/// thousands of supersteps, so the stamped blue set, the flat use index and
+/// their per-processor incremental rebuild are compared against the snapshot
+/// copy and the per-node position vectors of the oracle at every one of them.
+fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
+    dag: &D,
+    arch: &Architecture,
+    seed_procs: &[ProcId],
+    required: &[NodeId],
+    label: &str,
+) {
+    const AT_SCALE_MOVES: usize = 50;
+    // Flipping the process-global switch is serialised so that every "linear"
+    // conversion below really runs linear; other tests of this binary may see
+    // the flag either way, which is harmless (the forms are identical).
+    static LINEAR_MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
+    for policy in policies() {
+        for prefetch in [true, false] {
+            let config = TwoStageConfig { prefetch };
+            let mut arena = ConversionArena::new(dag, arch);
+            let mut out = MbspSchedule::new(arch.processors);
+            let mut linear = MbspSchedule::new(arch.processors);
+            let mut procs = seed_procs.to_vec();
+            let mut rng = StdRng::seed_from_u64(0x0A75_CA1E ^ prefetch as u64);
+            let mut moves = 0usize;
+            while moves < AT_SCALE_MOVES {
+                let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) else {
+                    continue;
+                };
+                mv.apply(dag, &mut procs);
+                moves += 1;
+                let case = format!(
+                    "{label}/{}/prefetch={prefetch}/move {moves} ({mv:?})",
+                    policy.name()
+                );
+                let canonical = canonical_bsp(dag, arch, &procs);
+                let oracle =
+                    reference::convert(dag, arch, &canonical, policy.as_ref(), config, required);
+                arena.convert_assignment(
+                    dag,
+                    arch,
+                    &procs,
+                    policy.as_ref(),
+                    config,
+                    required,
+                    &mut out,
+                );
+                assert!(out == oracle, "{case}: the arena drifted from the oracle");
+                {
+                    let _serial = LINEAR_MODE.lock().unwrap_or_else(|e| e.into_inner());
+                    set_reference_conversion_mode(true);
+                    arena.convert_assignment(
+                        dag,
+                        arch,
+                        &procs,
+                        policy.as_ref(),
+                        config,
+                        required,
+                        &mut linear,
+                    );
+                    set_reference_conversion_mode(false);
+                }
+                assert!(linear == oracle, "{case}: the linear forms drifted");
+            }
+        }
+    }
+}
+
+/// The whole DAG and one `SubDagView::with_inputs` shard of it (with its
+/// non-empty required outputs), at the minimal and at the paper's cache size.
+fn at_scale_differential(dag: CompDag) {
+    let base = Architecture::new(4, 0.0, 1.0, 2.0);
+    for cache_factor in [1.0, 3.0] {
+        let instance = MbspInstance::with_cache_factor(dag.clone(), base, cache_factor);
+        let (dag, arch) = (instance.dag(), instance.arch());
+        let bsp = GreedyBspScheduler::new().schedule(dag, arch);
+        let procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
+        let label = format!("{} r={cache_factor}·r0", dag.name());
+        replay_moves_against_the_reference(dag, arch, &procs, &[], &label);
+
+        let partition = topo_shards(dag, 4);
+        let parts = partition.parts();
+        let (view, required) = part_view(dag, &partition, &parts[1], 1, "shard");
+        assert!(view.num_inputs() > 0 && !required.is_empty());
+        let shard_procs: Vec<ProcId> = (0..view.num_nodes())
+            .map(|l| procs[view.to_global(NodeId::new(l)).index()])
+            .collect();
+        replay_moves_against_the_reference(
+            &view,
+            arch,
+            &shard_procs,
+            &required,
+            &format!("{label} shard 1"),
+        );
+    }
+}
+
+#[test]
+fn arena_matches_the_reference_at_scale_on_a_layered_random_dag() {
+    let config = mbsp_gen::random::RandomDagConfig {
+        layers: 25,
+        width: 200,
+        edge_probability: 3.0 / 200.0,
+        max_compute: 4,
+        max_memory: 3,
+    };
+    at_scale_differential(mbsp_gen::random::random_layered_dag(&config, 0x5CA1E));
+}
+
+#[test]
+fn arena_matches_the_reference_at_scale_on_a_cg_dag() {
+    at_scale_differential(mbsp_gen::cg::cg_dag("cg_n13_k4", 13, 4));
 }
 
 /// The engine's incremental candidate cost must match a full re-cost of the
