@@ -1,5 +1,4 @@
 # Developer entry points; CI runs the same commands (see .github/workflows/ci.yml).
-# A justfile with identical recipes exists for `just` users.
 
 .PHONY: build test doc fmt lint bench bench-compile bench-json smokes bench-check serve-smoke ci
 

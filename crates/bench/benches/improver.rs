@@ -38,8 +38,9 @@ fn bench_candidate_evaluation(c: &mut Criterion) {
         let mut engine = EvaluationEngine::new(&instance, EvalPath::Incremental);
         let mut i = 0usize;
         b.iter(|| {
-            let cost = engine.evaluate_assignment(
-                &instance,
+            let cost = engine.evaluate_assignment_on(
+                instance.dag(),
+                instance.arch(),
                 &tour[i % tour.len()],
                 CostModel::Synchronous,
                 &[],
@@ -52,8 +53,9 @@ fn bench_candidate_evaluation(c: &mut Criterion) {
         let mut engine = EvaluationEngine::new(&instance, EvalPath::Reference);
         let mut i = 0usize;
         b.iter(|| {
-            let cost = engine.evaluate_assignment(
-                &instance,
+            let cost = engine.evaluate_assignment_on(
+                instance.dag(),
+                instance.arch(),
                 &tour[i % tour.len()],
                 CostModel::Synchronous,
                 &[],

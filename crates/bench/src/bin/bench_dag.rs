@@ -145,17 +145,18 @@ fn run_pipeline(
         .map(|v| bsp.schedule.proc_of(v))
         .collect();
     let candidates = candidate_assignments(instance, &base, batch);
+    let (dag, arch) = (instance.dag(), instance.arch());
     let mut engine = EvaluationEngine::new(instance, path);
     let mut costs = Vec::with_capacity(batch + 1);
     let mut schedules = Vec::with_capacity(batch + 1);
     let stage = Instant::now();
-    costs.push(engine.evaluate_bsp(instance, &bsp, CostModel::Synchronous, &[]));
+    costs.push(engine.evaluate_bsp_on(dag, arch, &bsp, CostModel::Synchronous, &[]));
     timed += stage.elapsed().as_secs_f64();
     schedules.push(engine.schedule().clone());
     eprintln!("    [{label}] baseline conversion done: {timed:.2}s");
     for (i, procs) in candidates.iter().enumerate() {
         let stage = Instant::now();
-        costs.push(engine.evaluate_assignment(instance, procs, CostModel::Synchronous, &[]));
+        costs.push(engine.evaluate_assignment_on(dag, arch, procs, CostModel::Synchronous, &[]));
         timed += stage.elapsed().as_secs_f64();
         schedules.push(engine.schedule().clone());
         eprintln!(

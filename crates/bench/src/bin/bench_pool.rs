@@ -36,7 +36,7 @@ use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_gen::NamedInstance;
 use mbsp_ilp::engine::{
-    evaluate_moves, evaluate_moves_scoped_on, EvalPath, EvaluationEngine, Move,
+    evaluate_moves_on, evaluate_moves_scoped_on, EvalPath, EvaluationEngine, Move,
 };
 use mbsp_ilp::improver::PostOptimizer;
 use mbsp_model::kernels::{
@@ -235,10 +235,11 @@ fn hill_climb(
             }
         }
         let outcome = match backend {
-            Backend::Pool(pool) => evaluate_moves(
+            Backend::Pool(pool) => evaluate_moves_on(
                 pool,
                 &mut engines,
-                instance,
+                dag,
+                arch,
                 &procs,
                 &moves,
                 CostModel::Synchronous,
@@ -438,7 +439,7 @@ fn main() {
         let baseline = GreedyBspScheduler::new().schedule(dag, arch);
         let base_procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
         let base_cost = EvaluationEngine::new(&instance, EvalPath::Incremental)
-            .evaluate_assignment(&instance, &base_procs, CostModel::Synchronous, &[]);
+            .evaluate_assignment_on(dag, arch, &base_procs, CostModel::Synchronous, &[]);
 
         // --- Section 1: end-to-end engine batches, pool vs scoped spawn. ---
         let reference = hill_climb(

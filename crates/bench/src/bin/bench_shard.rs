@@ -300,8 +300,9 @@ fn main() {
                 .nodes()
                 .map(|v| baseline.schedule.proc_of(v))
                 .collect();
-            let a = engine.evaluate_assignment(&instance, &procs, CostModel::Synchronous, &[]);
-            let b = engine.evaluate_bsp(&instance, &baseline, CostModel::Synchronous, &[]);
+            let (dag, arch) = (instance.dag(), instance.arch());
+            let a = engine.evaluate_assignment_on(dag, arch, &procs, CostModel::Synchronous, &[]);
+            let b = engine.evaluate_bsp_on(dag, arch, &baseline, CostModel::Synchronous, &[]);
             a.min(b)
         };
         eprintln!("    baseline incumbent cost: {baseline_cost:.1}");

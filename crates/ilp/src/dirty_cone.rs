@@ -21,7 +21,8 @@
 //! 3. **Repair** — the mutated schedule (the stale incumbent's assignment,
 //!    re-evaluated on the mutated DAG) seeds the dirty shards' local searches,
 //!    and the winners fold back through the same deterministic boundary-repair
-//!    merge as [`ShardedHolisticScheduler`](crate::ShardedHolisticScheduler) (`merge_outcomes`).
+//!    merge as [`ShardedHolisticScheduler`](crate::ShardedHolisticScheduler) — both run the search
+//!    core's one partition → search → merge pass, here restricted to the cone.
 //!    Clean shards are not re-searched *and* not re-merged: a clean shard's
 //!    local search is a deterministic function of its local problem, which a
 //!    mutation outside its radius-1 neighbourhood cannot change, so from a
@@ -45,16 +46,20 @@
 //! [`CompDag::apply_delta`] (keeping the assignment's per-node side table in
 //! sync with swap-remove id remaps) and [`IncrementalScheduler::repair`]
 //! drains the pending set into one cone-bounded sharded search.
+//! [`IncrementalScheduler::schedule`] runs the *full* sharded search on the
+//! session's own DAG and adopts the winner in place — the pass borrows the
+//! DAG, so a warm session needs no owning detour to be re-scheduled.
 //! `benches/bench_delta` measures repair against a full re-search from the
 //! same stale incumbent; `tests/repair_determinism.rs` pins the worker-count
 //! invariance.
 
-use crate::engine::{resolve_workers, EvalPath, EvaluationEngine};
-use crate::shard::{merge_outcomes, run_shard, shard_partition, ShardOutcome, ShardedSearchConfig};
+use crate::search::{Incumbent, ShardedSearch};
+use crate::shard::{sharded_schedule, IncumbentObserver, ShardedSearchConfig, ShardedSearchStats};
 use mbsp_dag::{AcyclicPartition, CompDag, DagDelta, DeltaEffect, NodeId, PkOrder, Result};
 use mbsp_model::{Architecture, MbspSchedule, ProcId};
-use mbsp_pool::{CancelToken, Deadline, StopReason, WorkerPool};
-use std::time::{Duration, Instant};
+use mbsp_pool::{CancelToken, StopReason, WorkerPool};
+use mbsp_sched::BspSchedulingResult;
+use std::time::Duration;
 
 /// Configuration of [`IncrementalScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -105,9 +110,8 @@ pub struct RepairStats {
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub salvaged_moves: u64,
     /// Schedules converted and costed: the stale incumbent, every dirty
-    /// shard's search (counted as in
-    /// [`LocalSearchOutcome::evaluations`](crate::shard::LocalSearchOutcome::evaluations))
-    /// and one per merge fold and per replayed delta.
+    /// shard's search (its seeds and every batch candidate) and one per merge
+    /// fold and per replayed delta.
     pub evaluations: u64,
     /// Wall-clock of the repair.
     pub elapsed: Duration,
@@ -313,116 +317,78 @@ impl IncrementalScheduler {
 
     fn repair_from(&mut self, pending: &[NodeId]) -> (MbspSchedule, RepairStats) {
         let dag = &self.dag;
-        let arch = &self.arch;
-        let search = &self.config.search;
-        let cost_model = search.cost_model;
-        let start = Instant::now();
-        let deadline = Deadline::at(start + search.time_limit).with_token_opt(self.cancel.as_ref());
-
-        // The DAG size may have changed since the last repair, so the engine
-        // (arena sized at construction) is rebuilt each time.
-        let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
-        let mut best_cost = engine.evaluate_assignment_on(dag, arch, &self.procs, cost_model, &[]);
-        let incumbent_cost = best_cost;
-        let mut best_schedule = engine.schedule().clone();
-
-        let cone = mutation_cone(dag, pending, self.config.cone_radius);
-        let k = if search.num_shards >= 1 {
-            search.num_shards
-        } else {
-            resolve_workers(0)
-        }
-        .clamp(1, dag.num_nodes().max(1));
-        let workers = resolve_workers(search.workers).min(k).max(1);
-
-        let movable_any = dag.nodes().any(|v| !dag.is_source(v));
-        let mut shards = 0usize;
-        let mut searched_shards = 0usize;
-        let mut search_evaluations = 0u64;
-        let mut outcomes: Vec<ShardOutcome> = Vec::new();
-        if movable_any && arch.processors > 1 && dag.num_nodes() > 0 && !cone.is_empty() {
-            // Iteration 0 of the full run's partition schedule: the repaired
-            // shards must line up with the shards a full run would search so
-            // the per-shard seed streams match.
-            let partition = shard_partition(dag, k, search, 0);
-            shards = partition.num_parts();
-            let dirty = dirty_shard_indices(&partition, &cone);
-            let parts = partition.parts();
-            let config = *search;
-            let procs_ref: &[ProcId] = &self.procs;
-            let partition_ref = &partition;
-            let parts_ref = &parts;
-            let dirty_ref = &dirty;
-            let deadline_ref = &deadline;
-            // Dirty shards are distributed round-robin over the workers; each
-            // shard is seeded by its global index, so the distribution cannot
-            // change any result, only the wall-clock.
-            let make_lanes = || {
-                (0..workers.min(dirty_ref.len()).max(1))
-                    .map(|w| {
-                        move || {
-                            let mut local = Vec::new();
-                            let mut d = w;
-                            while d < dirty_ref.len() {
-                                let s = dirty_ref[d];
-                                local.push(run_shard(
-                                    dag,
-                                    arch,
-                                    partition_ref,
-                                    &parts_ref[s],
-                                    s,
-                                    procs_ref,
-                                    &config,
-                                    config.seed,
-                                    deadline_ref,
-                                ));
-                                d += workers;
-                            }
-                            local
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            };
-            // A poisoned pool (worker panic outside the engine's own jobs)
-            // degrades to re-running the whole batch on the caller thread:
-            // slower, byte-identical.
-            let mut collected: Vec<ShardOutcome> = match self.pool.try_run_batch(make_lanes()) {
-                Ok(lanes) => lanes.into_iter().flatten().collect(),
-                Err(_poisoned) => make_lanes().into_iter().flat_map(|lane| lane()).collect(),
-            };
-            collected.sort_by_key(|o| o.index);
-            searched_shards = collected.len();
-            search_evaluations = collected.iter().map(|o| o.evaluations).sum();
-            outcomes = collected;
-        }
-
-        let (improved_shards, accepted_shards, salvaged_moves) = merge_outcomes(
-            &mut engine,
+        // The stale incumbent: the session's assignment re-evaluated on the
+        // mutated DAG. The search works on a copy, so a panic inside it leaves
+        // the session's assignment whole.
+        let mut search = ShardedSearch::new(
+            &self.pool,
+            self.cancel.as_ref(),
             dag,
-            arch,
-            cost_model,
-            &outcomes,
-            &mut self.procs,
-            &mut best_cost,
-            &mut best_schedule,
-            search.merge_replay_cap,
+            &self.arch,
+            &self.config.search,
+            self.procs.clone(),
+            None,
         );
-
+        let incumbent_cost = search.incumbent.cost;
+        let cone = mutation_cone(dag, pending, self.config.cone_radius);
+        // Iteration 0 of the full run's partition and seed schedule: the
+        // repaired shards must line up with the shards a full run would search
+        // so the per-shard seed streams match.
+        let shards = if search.searchable && !cone.is_empty() {
+            search.pass(0, Some(&cone)).num_parts()
+        } else {
+            0
+        };
         let stats = RepairStats {
             pending_nodes: pending.len(),
             cone_nodes: cone.len(),
             shards,
-            dirty_shards: searched_shards,
-            improved_shards,
-            accepted_shards,
-            salvaged_moves,
-            evaluations: engine.evaluations + search_evaluations,
-            elapsed: start.elapsed(),
+            dirty_shards: search.searched,
+            improved_shards: search.improved,
+            accepted_shards: search.accepted,
+            salvaged_moves: search.salvaged,
+            evaluations: search.evaluations(),
+            elapsed: search.start.elapsed(),
             incumbent_cost,
-            final_cost: best_cost,
-            stop_reason: deadline.reason().unwrap_or_default(),
+            final_cost: search.incumbent.cost,
+            stop_reason: search.deadline.reason().unwrap_or_default(),
         };
-        (best_schedule, stats)
+        let Incumbent {
+            procs, schedule, ..
+        } = search.incumbent;
+        self.procs = procs;
+        (schedule, stats)
+    }
+
+    /// Runs the full sharded search — `search.iterations` partition → search →
+    /// merge passes seeded from `baseline`, exactly what
+    /// [`ShardedHolisticScheduler::schedule_with_assignment`](crate::ShardedHolisticScheduler::schedule_with_assignment)
+    /// runs on an owned instance — on the session's own DAG, pool and cancel
+    /// token, and adopts the winner in place. Afterwards the session equals
+    /// `IncrementalScheduler::new(dag, arch, winner, config)` on the current
+    /// DAG, down to its [`checkpoint`](IncrementalScheduler::checkpoint)
+    /// bytes: the assignment is replaced, the pending set cleared and the live
+    /// order reset. `search` replaces the session's own search knobs for this
+    /// run only; `baseline` must schedule the session's current DAG.
+    pub fn schedule(
+        &mut self,
+        search: &ShardedSearchConfig,
+        baseline: &BspSchedulingResult,
+        observer: Option<IncumbentObserver>,
+    ) -> (MbspSchedule, ShardedSearchStats) {
+        let (schedule, stats, procs) = sharded_schedule(
+            &self.pool,
+            self.cancel.as_ref(),
+            observer.as_ref(),
+            &self.dag,
+            &self.arch,
+            search,
+            baseline,
+        );
+        self.procs = procs;
+        self.pending.clear();
+        self.order = PkOrder::of_dag(&self.dag);
+        (schedule, stats)
     }
 }
 

@@ -22,7 +22,8 @@
 
 use crate::improver::{post_optimize, HolisticConfig};
 use crate::partition_ilp::{recursive_partition, BipartitionConfig};
-use crate::shard::{part_view, search_view, LocalSearchParams};
+use crate::search::{fan_out, search_view, LocalSearchParams};
+use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep};
 use mbsp_pool::{Deadline, WorkerPool};
@@ -124,9 +125,8 @@ impl DivideAndConquerScheduler {
             .nodes()
             .map(|v| global_baseline.schedule.proc_of(v))
             .collect();
-        let workers =
-            crate::engine::resolve_workers(self.config.workers).min(plan.parts.len().max(1));
-        let config = self.config;
+        let workers = crate::engine::resolve_workers(self.config.workers);
+        let config = &self.config;
         // Each entry keeps only the part's schedule, processor set and the
         // O(part-size) local→global id map; the parent-sized view is dropped
         // as soon as its search finishes.
@@ -135,76 +135,52 @@ impl DivideAndConquerScheduler {
             processors: Vec<ProcId>,
             to_global: Vec<NodeId>,
         }
+        let scheduled = fan_out(&self.pool, workers, plan.parts.len(), |i| {
+            let part_plan = &plan.parts[i];
+            let part = part_plan.part;
+            let local_arch = Architecture::new(
+                part_plan.processors.len(),
+                arch.cache_size,
+                arch.g,
+                arch.latency,
+            );
+            let (view, required) = part_view(dag, &partition, &parts[part], part, "part");
+            let to_global: Vec<NodeId> = (0..view.num_nodes())
+                .map(|l| view.to_global(NodeId::new(l)))
+                .collect();
+            let seed_procs: Vec<ProcId> = to_global
+                .iter()
+                .map(|g| ProcId::new(global_procs[g.index()].index() % local_arch.processors))
+                .collect();
+            let params = LocalSearchParams {
+                cost_model: config.cost_model,
+                max_rounds: config.per_part.max_rounds,
+                moves_per_round: config.per_part.moves_per_round,
+                seed: config.per_part.seed.wrapping_add(part as u64),
+                // Mirror the single-incumbent search: a stale best-of-batch
+                // round ends the part.
+                stale_round_limit: 1,
+            };
+            let deadline = Deadline::after(config.per_part.time_limit);
+            let found = search_view(
+                &view,
+                &local_arch,
+                &params,
+                seed_procs,
+                None,
+                &required,
+                &deadline,
+            );
+            ScheduledPart {
+                schedule: found.incumbent.schedule,
+                processors: part_plan.processors.clone(),
+                to_global,
+            }
+        });
         let mut sub_schedules: Vec<Option<ScheduledPart>> =
             (0..partition.num_parts()).map(|_| None).collect();
-        let scheduled: Vec<(usize, ScheduledPart)> = {
-            let plan_parts = &plan.parts;
-            let parts_ref = &parts;
-            let partition_ref = &partition;
-            let global_procs_ref: &[ProcId] = &global_procs;
-            let lanes: Vec<_> = (0..workers)
-                .map(|w| {
-                    move || {
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < plan_parts.len() {
-                            let part_plan = &plan_parts[i];
-                            let part = part_plan.part;
-                            let local_arch = Architecture::new(
-                                part_plan.processors.len(),
-                                arch.cache_size,
-                                arch.g,
-                                arch.latency,
-                            );
-                            let (view, required) =
-                                part_view(dag, partition_ref, &parts_ref[part], part, "part");
-                            let seed_procs: Vec<ProcId> = (0..view.num_nodes())
-                                .map(|l| {
-                                    let g = view.to_global(NodeId::new(l));
-                                    ProcId::new(
-                                        global_procs_ref[g.index()].index() % local_arch.processors,
-                                    )
-                                })
-                                .collect();
-                            let params = LocalSearchParams {
-                                cost_model: config.cost_model,
-                                max_rounds: config.per_part.max_rounds,
-                                moves_per_round: config.per_part.moves_per_round,
-                                seed: config.per_part.seed.wrapping_add(part as u64),
-                                // Mirror the single-incumbent search: a
-                                // stale best-of-batch round ends the part.
-                                stale_round_limit: 1,
-                            };
-                            let deadline = Deadline::after(config.per_part.time_limit);
-                            let outcome = search_view(
-                                &view,
-                                &local_arch,
-                                &params,
-                                &seed_procs,
-                                &required,
-                                &deadline,
-                            );
-                            let to_global: Vec<NodeId> = (0..view.num_nodes())
-                                .map(|l| view.to_global(NodeId::new(l)))
-                                .collect();
-                            out.push((
-                                part,
-                                ScheduledPart {
-                                    schedule: outcome.schedule,
-                                    processors: part_plan.processors.clone(),
-                                    to_global,
-                                },
-                            ));
-                            i += workers;
-                        }
-                        out
-                    }
-                })
-                .collect();
-            self.pool.run_batch(lanes).into_iter().flatten().collect()
-        };
-        for (part, scheduled_part) in scheduled {
-            sub_schedules[part] = Some(scheduled_part);
+        for (part_plan, scheduled_part) in plan.parts.iter().zip(scheduled) {
+            sub_schedules[part_plan.part] = Some(scheduled_part);
         }
 
         // 4. Concatenate the sub-schedules stage by stage. Between stages, every

@@ -18,7 +18,7 @@
 //!   pre-engine behaviour). Both paths are operation-identical, which the
 //!   differential tests assert; the reference path exists as the oracle and as
 //!   the baseline of `bench_improver`;
-//! * [`evaluate_moves`] — evaluates one round's batch of moves, in parallel on
+//! * [`evaluate_moves_on`] — evaluates one round's batch of moves, in parallel on
 //!   the resident [`mbsp_pool::WorkerPool`] with one engine per pool task.
 //!   Candidates are generated up front and the winner is chosen by the fixed
 //!   tie-break order (lowest cost, then lowest candidate index), so a fixed seed
@@ -194,24 +194,8 @@ impl EvaluationEngine {
     /// Evaluates a per-node processor assignment: canonical superstep structure,
     /// BSP→MBSP conversion, post-optimisation, and the true MBSP cost. The
     /// resulting schedule stays available through [`EvaluationEngine::schedule`].
-    pub fn evaluate_assignment(
-        &mut self,
-        instance: &MbspInstance,
-        procs: &[ProcId],
-        cost_model: CostModel,
-        required_outputs: &[NodeId],
-    ) -> f64 {
-        self.evaluate_assignment_on(
-            instance.dag(),
-            instance.arch(),
-            procs,
-            cost_model,
-            required_outputs,
-        )
-    }
-
-    /// [`EvaluationEngine::evaluate_assignment`] over any [`DagLike`] graph (the
-    /// engine must have been built for the same graph and architecture).
+    /// Works over any [`DagLike`] graph (the engine must have been built for
+    /// the same graph and architecture).
     pub fn evaluate_assignment_on<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
@@ -220,72 +204,27 @@ impl EvaluationEngine {
         cost_model: CostModel,
         required_outputs: &[NodeId],
     ) -> f64 {
-        self.evaluations += 1;
-        match self.path {
-            EvalPath::Incremental | EvalPath::EagerMerge => {
-                self.arena.convert_assignment(
-                    dag,
-                    arch,
-                    procs,
-                    &self.policy,
-                    self.config,
-                    required_outputs,
-                    &mut self.schedule,
-                );
-                if self.path == EvalPath::EagerMerge {
-                    self.post.optimize_eager(
-                        &mut self.schedule,
-                        dag,
-                        arch,
-                        cost_model,
-                        required_outputs,
-                    )
-                } else {
-                    self.post
-                        .optimize(&mut self.schedule, dag, arch, cost_model, required_outputs)
-                }
-            }
-            EvalPath::Reference => {
-                let bsp = canonical_bsp(dag, arch, procs);
-                self.schedule = two_stage::reference::convert(
-                    dag,
-                    arch,
-                    &bsp,
-                    &self.policy,
-                    self.config,
-                    required_outputs,
-                );
-                reference_post_optimize(
-                    &mut self.schedule,
-                    dag,
-                    arch,
-                    cost_model,
-                    required_outputs,
-                );
-                cost_model.evaluate(&self.schedule, dag, arch)
-            }
+        if self.path == EvalPath::Reference {
+            // The reference path materialises the canonical structure the
+            // arena derives implicitly.
+            let bsp = canonical_bsp(dag, arch, procs);
+            return self.evaluate_bsp_on(dag, arch, &bsp, cost_model, required_outputs);
         }
+        self.evaluations += 1;
+        self.arena.convert_assignment(
+            dag,
+            arch,
+            procs,
+            &self.policy,
+            self.config,
+            required_outputs,
+            &mut self.schedule,
+        );
+        self.post_optimize(dag, arch, cost_model, required_outputs)
     }
 
     /// Evaluates an explicit BSP scheduling result (used for the baseline's own
     /// superstep structure, which the canonical reconstruction may not reproduce).
-    pub fn evaluate_bsp(
-        &mut self,
-        instance: &MbspInstance,
-        bsp: &BspSchedulingResult,
-        cost_model: CostModel,
-        required_outputs: &[NodeId],
-    ) -> f64 {
-        self.evaluate_bsp_on(
-            instance.dag(),
-            instance.arch(),
-            bsp,
-            cost_model,
-            required_outputs,
-        )
-    }
-
-    /// [`EvaluationEngine::evaluate_bsp`] over any [`DagLike`] graph.
     pub fn evaluate_bsp_on<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
@@ -295,47 +234,51 @@ impl EvaluationEngine {
         required_outputs: &[NodeId],
     ) -> f64 {
         self.evaluations += 1;
+        if self.path == EvalPath::Reference {
+            self.schedule = two_stage::reference::convert(
+                dag,
+                arch,
+                bsp,
+                &self.policy,
+                self.config,
+                required_outputs,
+            );
+        } else {
+            self.arena.convert(
+                dag,
+                arch,
+                bsp,
+                &self.policy,
+                self.config,
+                required_outputs,
+                &mut self.schedule,
+            );
+        }
+        self.post_optimize(dag, arch, cost_model, required_outputs)
+    }
+
+    /// Post-optimises the freshly converted schedule along this engine's
+    /// [`EvalPath`] and returns its cost.
+    fn post_optimize<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        cost_model: CostModel,
+        required_outputs: &[NodeId],
+    ) -> f64 {
+        let schedule = &mut self.schedule;
         match self.path {
-            EvalPath::Incremental | EvalPath::EagerMerge => {
-                self.arena.convert(
-                    dag,
-                    arch,
-                    bsp,
-                    &self.policy,
-                    self.config,
-                    required_outputs,
-                    &mut self.schedule,
-                );
-                if self.path == EvalPath::EagerMerge {
-                    self.post.optimize_eager(
-                        &mut self.schedule,
-                        dag,
-                        arch,
-                        cost_model,
-                        required_outputs,
-                    )
-                } else {
-                    self.post
-                        .optimize(&mut self.schedule, dag, arch, cost_model, required_outputs)
-                }
+            EvalPath::Incremental => {
+                self.post
+                    .optimize(schedule, dag, arch, cost_model, required_outputs)
+            }
+            EvalPath::EagerMerge => {
+                self.post
+                    .optimize_eager(schedule, dag, arch, cost_model, required_outputs)
             }
             EvalPath::Reference => {
-                self.schedule = two_stage::reference::convert(
-                    dag,
-                    arch,
-                    bsp,
-                    &self.policy,
-                    self.config,
-                    required_outputs,
-                );
-                reference_post_optimize(
-                    &mut self.schedule,
-                    dag,
-                    arch,
-                    cost_model,
-                    required_outputs,
-                );
-                cost_model.evaluate(&self.schedule, dag, arch)
+                reference_post_optimize(schedule, dag, arch, cost_model, required_outputs);
+                cost_model.evaluate(schedule, dag, arch)
             }
         }
     }
@@ -390,37 +333,6 @@ pub struct BatchOutcome {
 
 pub use mbsp_pool::resolve_workers;
 
-/// Evaluates one round's batch of candidate moves against the base assignment,
-/// splitting the batch across the given engines on the resident worker pool
-/// (one engine per pool task). Returns the winner by the fixed `(cost, index)`
-/// tie-break order, which makes the result independent of the worker count.
-///
-/// Workers stop evaluating once `deadline` has passed; candidates they skip are
-/// simply not considered (the same truncation the serial loop performed).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_moves(
-    pool: &WorkerPool,
-    engines: &mut [EvaluationEngine],
-    instance: &MbspInstance,
-    base_procs: &[ProcId],
-    moves: &[Move],
-    cost_model: CostModel,
-    required_outputs: &[NodeId],
-    deadline: Instant,
-) -> BatchOutcome {
-    evaluate_moves_on(
-        pool,
-        engines,
-        instance.dag(),
-        instance.arch(),
-        base_procs,
-        moves,
-        cost_model,
-        required_outputs,
-        deadline,
-    )
-}
-
 /// The `(node, new processor)` pairs by which `after` differs from `before` —
 /// the assignment delta the sharded merge replays through the global engine.
 /// Node ids are indices into the assignment slices (local or global, caller's
@@ -433,8 +345,16 @@ pub fn assignment_delta(before: &[ProcId], after: &[ProcId]) -> Vec<(NodeId, Pro
         .collect()
 }
 
-/// [`evaluate_moves`] over any [`DagLike`] graph (`Sync` so worker threads can
-/// share the borrow; both `CompDag` and `SubDagView` qualify).
+/// Evaluates one round's batch of candidate moves against the base assignment,
+/// splitting the batch across the given engines on the resident worker pool
+/// (one engine per pool task). Returns the winner by the fixed `(cost, index)`
+/// tie-break order, which makes the result independent of the worker count.
+///
+/// Workers stop evaluating once `deadline` has passed; candidates they skip are
+/// simply not considered (the same truncation the serial loop performed).
+///
+/// Works over any [`DagLike`] graph (`Sync` so worker threads can share the
+/// borrow; both `CompDag` and `SubDagView` qualify).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_moves_on<D: DagLike + Sync + ?Sized>(
     pool: &WorkerPool,
@@ -455,23 +375,7 @@ pub fn evaluate_moves_on<D: DagLike + Sync + ?Sized>(
     }
     let workers = engines.len().min(moves.len());
     let chunk_size = moves.len().div_ceil(workers);
-    if workers == 1 {
-        let (winner, evaluations) = evaluate_chunk(
-            &mut engines[0],
-            dag,
-            arch,
-            base_procs,
-            moves,
-            0,
-            cost_model,
-            required_outputs,
-            deadline,
-        );
-        return BatchOutcome {
-            winner,
-            evaluations,
-        };
-    }
+    // A single busy engine is a one-task batch, which the pool runs inline.
     let tasks: Vec<_> = engines[..workers]
         .iter_mut()
         .zip(moves.chunks(chunk_size))
@@ -695,8 +599,20 @@ mod tests {
             if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
                 mv.apply(dag, &mut procs);
             }
-            let a = incremental.evaluate_assignment(&inst, &procs, CostModel::Synchronous, &[]);
-            let b = reference.evaluate_assignment(&inst, &procs, CostModel::Synchronous, &[]);
+            let a = incremental.evaluate_assignment_on(
+                dag,
+                inst.arch(),
+                &procs,
+                CostModel::Synchronous,
+                &[],
+            );
+            let b = reference.evaluate_assignment_on(
+                dag,
+                inst.arch(),
+                &procs,
+                CostModel::Synchronous,
+                &[],
+            );
             assert!((a - b).abs() < 1e-9, "incremental {a} vs reference {b}");
             assert_eq!(incremental.schedule(), reference.schedule());
         }
@@ -724,10 +640,11 @@ mod tests {
             let mut engines: Vec<EvaluationEngine> = (0..workers)
                 .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
                 .collect();
-            let outcome = evaluate_moves(
+            let outcome = evaluate_moves_on(
                 WorkerPool::shared(),
                 &mut engines,
-                &inst,
+                dag,
+                inst.arch(),
                 &procs,
                 &moves,
                 CostModel::Synchronous,
@@ -770,10 +687,11 @@ mod tests {
                     .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
                     .collect();
                 let before: u64 = engines.iter().map(|e| e.evaluations).sum();
-                let outcome = evaluate_moves(
+                let outcome = evaluate_moves_on(
                     WorkerPool::shared(),
                     &mut engines,
-                    &inst,
+                    dag,
+                    inst.arch(),
                     &procs,
                     &moves,
                     CostModel::Synchronous,
@@ -791,8 +709,13 @@ mod tests {
                 let mut winner = procs.clone();
                 moves[idx].apply(dag, &mut winner);
                 let mut fresh = EvaluationEngine::new(&inst, EvalPath::Incremental);
-                let fresh_cost =
-                    fresh.evaluate_assignment(&inst, &winner, CostModel::Synchronous, &[]);
+                let fresh_cost = fresh.evaluate_assignment_on(
+                    dag,
+                    inst.arch(),
+                    &winner,
+                    CostModel::Synchronous,
+                    &[],
+                );
                 assert_eq!(
                     cost.to_bits(),
                     fresh_cost.to_bits(),
@@ -834,10 +757,11 @@ mod tests {
             let mut engines: Vec<EvaluationEngine> = (0..workers)
                 .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
                 .collect();
-            let pooled = evaluate_moves(
+            let pooled = evaluate_moves_on(
                 WorkerPool::shared(),
                 &mut engines,
-                &inst,
+                dag,
+                inst.arch(),
                 &procs,
                 &moves,
                 CostModel::Synchronous,

@@ -18,20 +18,18 @@
 //! evaluated in parallel (one [`crate::engine::EvaluationEngine`] — arena plus
 //! scratch buffers — per worker), with the round winner chosen by the fixed
 //! `(cost, candidate index)` tie-break so a fixed seed produces the same schedule
-//! for any worker count.
+//! for any worker count. The loop itself is the search core's `hill_climb`, run
+//! with one engine per worker on the whole DAG.
 
-use crate::engine::{
-    evaluate_moves, resolve_workers, EvalPath, EvaluationEngine, Move, SearchStats,
-};
+use crate::engine::{resolve_workers, EvalPath, EvaluationEngine, SearchStats};
+use crate::search::{hill_climb, Incumbent, LocalSearchParams};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
     Architecture, BspSchedule, Configuration, CostModel, MbspInstance, MbspSchedule, ParentMasks,
     ProcId, ScheduleEvaluator, Superstep,
 };
-use mbsp_pool::WorkerPool;
+use mbsp_pool::{Deadline, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// Configuration of [`HolisticScheduler`].
@@ -104,27 +102,16 @@ impl HolisticScheduler {
         instance: &MbspInstance,
         baseline: &BspSchedulingResult,
     ) -> MbspSchedule {
-        self.schedule_with_required_outputs(instance, baseline, &[])
-    }
-
-    /// Like [`HolisticScheduler::schedule`], but additionally guarantees that every
-    /// node in `required_outputs` ends up in slow memory (used when scheduling the
-    /// sub-problems of the divide-and-conquer method).
-    pub fn schedule_with_required_outputs(
-        &self,
-        instance: &MbspInstance,
-        baseline: &BspSchedulingResult,
-        required_outputs: &[NodeId],
-    ) -> MbspSchedule {
-        self.schedule_with_stats(instance, baseline, required_outputs, EvalPath::Incremental)
+        self.schedule_with_stats(instance, baseline, &[], EvalPath::Incremental)
             .0
     }
 
     /// Runs the search with an explicit evaluation path and reports statistics
-    /// (candidate evaluations, rounds, wall-clock). `EvalPath::Reference` selects
-    /// the pre-engine clone-and-recost machinery — the two paths are
-    /// operation-identical and exist side by side for differential testing and the
-    /// `bench_improver` throughput comparison.
+    /// (candidate evaluations, rounds, wall-clock), additionally guaranteeing
+    /// that every node in `required_outputs` ends up in slow memory.
+    /// `EvalPath::Reference` selects the pre-engine clone-and-recost machinery
+    /// — the two paths are operation-identical and exist side by side for
+    /// differential testing and the `bench_improver` throughput comparison.
     pub fn schedule_with_stats(
         &self,
         instance: &MbspInstance,
@@ -132,82 +119,51 @@ impl HolisticScheduler {
         required_outputs: &[NodeId],
         path: EvalPath,
     ) -> (MbspSchedule, SearchStats) {
-        let dag = instance.dag();
-        let arch = instance.arch();
-        let cost_model = self.config.cost_model;
+        let (dag, arch) = (instance.dag(), instance.arch());
+        let config = &self.config;
         let start = Instant::now();
-        let deadline = start + self.config.time_limit;
-        let workers = resolve_workers(self.config.workers);
-        let mut engines: Vec<EvaluationEngine> = (0..workers)
+        let deadline = Deadline::at(start + config.time_limit);
+        let mut engines: Vec<EvaluationEngine> = (0..resolve_workers(config.workers))
             .map(|_| EvaluationEngine::new(instance, path))
             .collect();
 
-        // Current search state: per-node processor assignment.
-        let mut procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
-
-        let mut best_cost =
-            engines[0].evaluate_assignment(instance, &procs, cost_model, required_outputs);
-        let mut best_schedule = engines[0].schedule().clone();
-        // Also consider the baseline's own superstep structure (not just the
-        // canonical one) as a starting incumbent.
-        {
-            let cost = engines[0].evaluate_bsp(instance, baseline, cost_model, required_outputs);
-            if cost < best_cost {
-                best_cost = cost;
-                best_schedule = engines[0].schedule().clone();
-            }
-        }
-
-        let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let mut rounds = 0usize;
-        if !movable.is_empty() && arch.processors > 1 {
-            let mut rng = StdRng::seed_from_u64(self.config.seed);
-            let mut moves: Vec<Move> = Vec::with_capacity(self.config.moves_per_round);
-
-            for _round in 0..self.config.max_rounds {
-                if Instant::now() >= deadline {
-                    break;
-                }
-                // Candidates are generated up front from the seeded RNG, so the
-                // batch is identical for any worker count.
-                moves.clear();
-                for _ in 0..self.config.moves_per_round {
-                    if let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) {
-                        moves.push(mv);
-                    }
-                }
-                let outcome = evaluate_moves(
-                    &self.pool,
-                    &mut engines,
-                    instance,
-                    &procs,
-                    &moves,
-                    cost_model,
-                    required_outputs,
-                    deadline,
-                );
-                rounds += 1;
-                let Some((cost, idx)) = outcome.winner else {
-                    break;
-                };
-                if cost < best_cost - 1e-9 {
-                    moves[idx].apply(dag, &mut procs);
-                    // The batch kept its winner's schedule.
-                    best_cost = cost;
-                    engines[0].swap_batch_winner(&mut best_schedule);
-                } else {
-                    break;
-                }
-            }
-        }
+        let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
+        let cost_model = config.cost_model;
+        let mut incumbent = Incumbent::seed(
+            &mut engines[0],
+            dag,
+            arch,
+            procs,
+            Some(baseline),
+            cost_model,
+            required_outputs,
+        );
+        let params = LocalSearchParams {
+            cost_model,
+            max_rounds: config.max_rounds,
+            moves_per_round: config.moves_per_round,
+            seed: config.seed,
+            // The first stale best-of-batch round ends the search.
+            stale_round_limit: 1,
+        };
+        let rounds = hill_climb(
+            &self.pool,
+            &mut engines,
+            dag,
+            arch,
+            &params,
+            required_outputs,
+            &deadline,
+            &mut incumbent,
+        );
 
         let stats = SearchStats {
             evaluations: engines.iter().map(|e| e.evaluations).sum(),
             rounds,
             elapsed: start.elapsed(),
-            final_cost: best_cost,
+            final_cost: incumbent.cost,
         };
-        (best_schedule, stats)
+        (incumbent.schedule, stats)
     }
 }
 
@@ -960,6 +916,8 @@ mod tests {
     use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
     use mbsp_model::sync_cost;
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_instances(limit: usize) -> Vec<MbspInstance> {
         mbsp_gen::tiny_dataset(42)

@@ -9,6 +9,14 @@
 //!   ILP with the branch-and-bound solver of `lp-solver` and extracts an
 //!   [`mbsp_model::MbspSchedule`]. Exact solving is viable for small DAGs — the same
 //!   regime in which the paper runs its full formulation with COPT.
+//! * `search` (crate-private) — the one search core behind the four search
+//!   front-ends below: the seeded `hill_climb` (propose a batch of moves,
+//!   evaluate it through the engines, adopt the winner), the index-ordered
+//!   `fan_out` over the worker pool, and the partition → search → merge
+//!   `pass` over a borrowed DAG. Holistic = `hill_climb` with W engines on
+//!   the whole DAG; divide-and-conquer = `fan_out` + `hill_climb` per part;
+//!   sharded = seed + `iterations` passes; incremental = the session's
+//!   assignment + pass `0` restricted to the mutation cone.
 //! * [`improver`] — [`improver::HolisticScheduler`], the holistic optimiser used by
 //!   the experiment harness on benchmark-sized instances: starting from the
 //!   two-stage baseline (exactly like the paper warm-starts COPT), it performs a
@@ -35,9 +43,9 @@
 //!   service that scales the holistic search to the 100k-node instances:
 //!   weight-aware shards (recursive ILP bipartition of a topological run
 //!   quotient, with equal node-count topological shards as the legacy
-//!   fallback), one `EvaluationEngine`-backed local search per shard on its own
-//!   worker thread seeded from both the global incumbent's restriction and a
-//!   shard-local greedy baseline, a deterministic `(cost, shard index)`-ordered
+//!   fallback), one `EvaluationEngine`-backed local search per shard, fanned
+//!   out over the resident worker pool and seeded from both the global
+//!   incumbent's restriction and a shard-local greedy baseline, a deterministic `(cost, shard index)`-ordered
 //!   merge whose boundary-repair pass re-evaluates cross-shard supersteps
 //!   through the incremental evaluator (with capped move-replay salvage for
 //!   rejected blocks), iterated over shifted partitions until the candidate
@@ -54,6 +62,9 @@
 //!   count and never cost more than the stale incumbent; the mutation-replay
 //!   differential suites in `mbsp_gen` and `mbsp_model` pin the underlying
 //!   delta and dirty-set semantics against full-rebuild oracles.
+//!   [`dirty_cone::IncrementalScheduler::schedule`] runs the full sharded
+//!   search on the session's own DAG and adopts the winner in place (what
+//!   the `mbsp_serve` daemon's `schedule` request calls).
 //! * [`session`] — binary session checkpoints for the incremental scheduler,
 //!   composing the `mbsp_io` frame: [`IncrementalScheduler::checkpoint`]
 //!   captures the mutated DAG, live order, incumbent assignment, pending set
@@ -68,6 +79,7 @@ pub mod engine;
 pub mod formulation;
 pub mod improver;
 pub mod partition_ilp;
+mod search;
 pub mod session;
 pub mod shard;
 

@@ -1,0 +1,601 @@
+//! The search core shared by every holistic front-end.
+//!
+//! The paper has one idea on the holistic side: warm-start from the two-stage
+//! baseline and improve under the true MBSP cost, on the whole DAG (§6.1) or
+//! per acyclic part (§6.3). This module writes that idea down once:
+//!
+//! * [`hill_climb`] — the seeded local search: each round draws a batch of
+//!   [`Move`]s from the RNG, evaluates it through the given
+//!   [`EvaluationEngine`]s and adopts the `(cost, index)`-ordered winner when
+//!   it improves the [`Incumbent`]. Several engines on the whole DAG are the
+//!   single-incumbent search; one engine on a [`SubDagView`] is a shard of the
+//!   sharded search or a part of the divide-and-conquer scheduler.
+//! * [`fan_out`] — runs independent index-addressed jobs (shard or part
+//!   searches) on the worker pool and returns their results in index order,
+//!   so the worker count never changes a result.
+//! * [`ShardedSearch::pass`] — one partition → search → merge pass over a
+//!   borrowed `(CompDag, Architecture, ShardedSearchConfig)`: partition, pick
+//!   every shard or only those intersecting a mutation cone, fan out
+//!   `run_shard`, fold the winners into the global incumbent through the
+//!   deterministic boundary-repair merge. The full sharded search is the
+//!   seed plus `iterations` passes; a dirty-cone repair is the session's
+//!   assignment plus pass `0` restricted to the cone.
+
+use crate::dirty_cone::dirty_shard_indices;
+use crate::engine::{
+    assignment_delta, evaluate_moves_on, resolve_workers, EvalPath, EvaluationEngine, Move,
+};
+use crate::shard::{part_view, shard_partition, ShardedSearchConfig};
+use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
+use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
+use mbsp_pool::{CancelToken, Deadline, WorkerPool};
+use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
+
+/// Tuning knobs of one [`hill_climb`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LocalSearchParams {
+    /// Cost model to optimise.
+    pub(crate) cost_model: CostModel,
+    /// Maximum local-search rounds.
+    pub(crate) max_rounds: usize,
+    /// Candidate moves per round.
+    pub(crate) moves_per_round: usize,
+    /// RNG seed of this search.
+    pub(crate) seed: u64,
+    /// Consecutive stale rounds tolerated before stopping (`0` = spend the
+    /// whole round budget regardless).
+    pub(crate) stale_round_limit: usize,
+}
+
+/// The best assignment found so far, its cost and its materialised schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct Incumbent {
+    /// Per-node processor assignment.
+    pub(crate) procs: Vec<ProcId>,
+    /// Cost of `schedule` under the search's cost model.
+    pub(crate) cost: f64,
+    /// The schedule of `procs` (or of the seeding baseline's own superstep
+    /// structure over the same assignment).
+    pub(crate) schedule: MbspSchedule,
+    /// The assignment delta of every improvement a local search adopted, in
+    /// acceptance order: the `(node, new processor)` pairs it changed. Lets
+    /// the merge replay an improving prefix when a shard's whole block is
+    /// rejected.
+    pub(crate) deltas: Vec<Vec<(NodeId, ProcId)>>,
+}
+
+impl Incumbent {
+    /// Evaluates `procs` through `engine` as the starting incumbent. With a
+    /// `baseline` (whose assignment `procs` is), its own superstep structure —
+    /// which the canonical reconstruction may not reproduce — is considered as
+    /// the starting schedule too.
+    pub(crate) fn seed<D: DagLike + ?Sized>(
+        engine: &mut EvaluationEngine,
+        dag: &D,
+        arch: &Architecture,
+        procs: Vec<ProcId>,
+        baseline: Option<&BspSchedulingResult>,
+        cost_model: CostModel,
+        required_outputs: &[NodeId],
+    ) -> Self {
+        let mut cost =
+            engine.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
+        let mut schedule = engine.schedule().clone();
+        if let Some(bsp) = baseline {
+            let bsp_cost = engine.evaluate_bsp_on(dag, arch, bsp, cost_model, required_outputs);
+            if bsp_cost < cost {
+                cost = bsp_cost;
+                schedule = engine.schedule().clone();
+            }
+        }
+        Incumbent {
+            procs,
+            cost,
+            schedule,
+            deltas: Vec::new(),
+        }
+    }
+}
+
+/// The seeded hill climb: up to `params.max_rounds` rounds, each proposing
+/// `params.moves_per_round` moves from the seeded RNG (so the batch is
+/// identical for any engine count), evaluating them through `engines` on
+/// `pool` and adopting the round winner when it improves `incumbent`. Every
+/// adopted improvement is recorded in [`Incumbent::deltas`]. Returns the
+/// number of completed rounds.
+///
+/// `deadline` is observed in full at the round boundary — the search's
+/// deterministic cut point; the engines' mid-batch checks consume its
+/// wall-clock component only. Deterministic in `params.seed` as long as the
+/// deadline does not truncate the search.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
+    pool: &WorkerPool,
+    engines: &mut [EvaluationEngine],
+    dag: &D,
+    arch: &Architecture,
+    params: &LocalSearchParams,
+    required_outputs: &[NodeId],
+    deadline: &Deadline,
+    incumbent: &mut Incumbent,
+) -> usize {
+    let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
+    if movable.is_empty() || arch.processors <= 1 {
+        return 0;
+    }
+    let mut rng = StdRng::seed_from_u64(params.seed);
+    let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
+    let mut rounds = 0usize;
+    let mut stale_rounds = 0usize;
+    let wall = deadline.wall_clock();
+    for _round in 0..params.max_rounds {
+        if deadline.expired() {
+            break;
+        }
+        moves.clear();
+        for _ in 0..params.moves_per_round {
+            if let Some(mv) = Move::propose(dag, arch, &incumbent.procs, &movable, &mut rng) {
+                moves.push(mv);
+            }
+        }
+        let outcome = evaluate_moves_on(
+            pool,
+            engines,
+            dag,
+            arch,
+            &incumbent.procs,
+            &moves,
+            params.cost_model,
+            required_outputs,
+            wall,
+        );
+        rounds += 1;
+        let Some((cost, idx)) = outcome.winner else {
+            if moves.is_empty() {
+                // Every draw of this round was a no-op proposal; the round
+                // consumed its budget, but nothing was evaluated, so it says
+                // nothing about staleness — keep going.
+                continue;
+            }
+            // Candidates existed but none was evaluated: the deadline has
+            // passed, so further rounds cannot make progress either.
+            break;
+        };
+        if cost < incumbent.cost - 1e-9 {
+            stale_rounds = 0;
+            let before = incumbent.procs.clone();
+            moves[idx].apply(dag, &mut incumbent.procs);
+            incumbent
+                .deltas
+                .push(assignment_delta(&before, &incumbent.procs));
+            // The batch kept its winner's schedule.
+            incumbent.cost = cost;
+            engines[0].swap_batch_winner(&mut incumbent.schedule);
+        } else {
+            stale_rounds += 1;
+            if params.stale_round_limit > 0 && stale_rounds >= params.stale_round_limit {
+                break;
+            }
+        }
+    }
+    rounds
+}
+
+/// Runs `job(0), …, job(count - 1)` on at most `workers` lanes of `pool` and
+/// returns the results in index order. Every job is self-contained, so the
+/// distribution over lanes (and therefore the worker count) cannot change any
+/// result, only the wall-clock.
+///
+/// A poisoned batch (a job panicked on a worker) degrades to re-running every
+/// job on the calling thread: slower, but the schedulers keep producing
+/// schedules instead of aborting. A deterministic panic surfaces again there,
+/// on the caller's stack, where it belongs.
+pub(crate) fn fan_out<T, F>(pool: &WorkerPool, workers: usize, count: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    // The pool drains the whole batch before it re-throws a job's panic, so
+    // nothing still borrows `job` when the unwind arrives here.
+    catch_unwind(AssertUnwindSafe(|| pool.run_indexed(count, workers, &job)))
+        .unwrap_or_else(|_poisoned| (0..count).map(&job).collect())
+}
+
+/// Result of [`search_view`].
+#[derive(Debug, Clone)]
+pub(crate) struct ViewSearch {
+    /// Cost of the seed assignment on the view's sub-problem.
+    pub(crate) base_cost: f64,
+    /// The winning assignment, cost, schedule and accepted deltas (local ids).
+    pub(crate) incumbent: Incumbent,
+    /// Schedules converted and costed: the seed, the alternative seed when one
+    /// was offered, and every batch candidate (a round winner is not evaluated
+    /// again — its batch keeps its schedule).
+    pub(crate) evaluations: u64,
+}
+
+/// Runs one engine-backed [`hill_climb`] over a zero-copy view, so candidate
+/// conversions and re-costs touch only the shard or part.
+///
+/// `seed_procs` is the starting assignment (local ids; entries of input nodes
+/// are ignored — inputs are sources and never computed), `required_outputs`
+/// the local ids that must end in slow memory. The non-source part of an
+/// `alt_seed` (typically a shard-local greedy baseline) is evaluated against
+/// `seed_procs` and, when it improves, adopted as the first accepted delta —
+/// so the merge can replay it into the global schedule like any other move.
+/// `base_cost` still reports the cost of `seed_procs` (the restriction of the
+/// global incumbent), which is what orders the merge by
+/// improvement-over-incumbent.
+pub(crate) fn search_view(
+    view: &SubDagView<'_>,
+    arch: &Architecture,
+    params: &LocalSearchParams,
+    seed_procs: Vec<ProcId>,
+    alt_seed: Option<&[ProcId]>,
+    required_outputs: &[NodeId],
+    deadline: &Deadline,
+) -> ViewSearch {
+    let cost_model = params.cost_model;
+    let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
+    let mut incumbent = Incumbent::seed(
+        &mut engine,
+        view,
+        arch,
+        seed_procs,
+        None,
+        cost_model,
+        required_outputs,
+    );
+    let base_cost = incumbent.cost;
+
+    if let Some(alt) = alt_seed {
+        // Sources keep the incumbent's assignment so the adopted delta stays
+        // replayable through the global merge (global sources are never moved,
+        // and input nodes map to foreign global nodes).
+        let mut candidate = incumbent.procs.clone();
+        for v in view.nodes() {
+            if !view.is_source(v) {
+                candidate[v.index()] = alt[v.index()];
+            }
+        }
+        let delta = assignment_delta(&incumbent.procs, &candidate);
+        if !delta.is_empty() {
+            let cost =
+                engine.evaluate_assignment_on(view, arch, &candidate, cost_model, required_outputs);
+            if cost < incumbent.cost - 1e-9 {
+                incumbent.deltas.push(delta);
+                incumbent.procs = candidate;
+                incumbent.cost = cost;
+                incumbent.schedule = engine.schedule().clone();
+            }
+        }
+    }
+
+    // One engine means every batch runs inline on this thread — the pool
+    // handle is never exercised (shards already saturate the workers).
+    let mut engines = [engine];
+    hill_climb(
+        WorkerPool::shared(),
+        &mut engines,
+        view,
+        arch,
+        params,
+        required_outputs,
+        deadline,
+        &mut incumbent,
+    );
+    ViewSearch {
+        base_cost,
+        incumbent,
+        evaluations: engines[0].evaluations,
+    }
+}
+
+/// One shard's contribution to the merge: the global-id assignment delta of
+/// every locally accepted move (in acceptance order) plus the local costs that
+/// order the merge.
+#[derive(Debug, Clone)]
+struct ShardOutcome {
+    index: usize,
+    base_cost: f64,
+    best_cost: f64,
+    deltas: Vec<Vec<(NodeId, ProcId)>>,
+    evaluations: u64,
+}
+
+/// Builds the view of one shard, runs its local search and maps the accepted
+/// deltas back to global ids. `index` is the shard's *global* index in the
+/// partition — it feeds the seed stride, so searching a subset of shards (the
+/// dirty-cone repair) explores exactly the streams a full run would.
+#[allow(clippy::too_many_arguments)]
+fn run_shard(
+    dag: &CompDag,
+    arch: &Architecture,
+    partition: &AcyclicPartition,
+    core: &[NodeId],
+    index: usize,
+    global_procs: &[ProcId],
+    config: &ShardedSearchConfig,
+    seed_base: u64,
+    deadline: &Deadline,
+) -> ShardOutcome {
+    let (view, required) = part_view(dag, partition, core, index, "shard");
+    let seed_procs: Vec<ProcId> = (0..view.num_nodes())
+        .map(|i| global_procs[view.to_global(NodeId::new(i)).index()])
+        .collect();
+    let params = LocalSearchParams {
+        cost_model: config.cost_model,
+        max_rounds: config.max_rounds,
+        moves_per_round: config.moves_per_round,
+        // Golden-ratio stride decorrelates the shard streams from each other
+        // and from the single-incumbent search at the same base seed.
+        seed: seed_base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        stale_round_limit: config.stale_round_limit,
+    };
+    // Shard-local greedy baseline: a restriction of the global schedule is
+    // rarely a good schedule of the sub-problem, so offer the generic greedy
+    // scheduler's view-local schedule as an alternative starting point.
+    let alt_seed: Option<Vec<ProcId>> = if config.shard_local_seed && arch.processors > 1 {
+        let local = GreedyBspScheduler::new().schedule_dag(&view, arch);
+        Some(view.nodes().map(|v| local.schedule.proc_of(v)).collect())
+    } else {
+        None
+    };
+    let found = search_view(
+        &view,
+        arch,
+        &params,
+        seed_procs,
+        alt_seed.as_deref(),
+        &required,
+        deadline,
+    );
+    let deltas = found
+        .incumbent
+        .deltas
+        .iter()
+        .map(|delta| {
+            delta
+                .iter()
+                .map(|&(local, p)| (view.to_global(local), p))
+                .collect()
+        })
+        .collect();
+    ShardOutcome {
+        index,
+        base_cost: found.base_cost,
+        best_cost: found.incumbent.cost,
+        deltas,
+        evaluations: found.evaluations,
+    }
+}
+
+/// The state partition → search → merge passes run on: the borrowed problem,
+/// the resolved shard and worker counts, the deadline, the global evaluation
+/// engine and the global incumbent.
+pub(crate) struct ShardedSearch<'a> {
+    dag: &'a CompDag,
+    arch: &'a Architecture,
+    config: &'a ShardedSearchConfig,
+    pool: &'a WorkerPool,
+    k: usize,
+    workers: usize,
+    engine: EvaluationEngine,
+    shard_evaluations: u64,
+    /// Shard searches run so far (per pass: every shard, or the ones
+    /// intersecting the cone).
+    pub(crate) searched: usize,
+    /// Searched shards whose local search improved on its local baseline.
+    pub(crate) improved: usize,
+    /// Shard merges accepted by the global boundary-repair evaluation. The
+    /// merge only ever lowers the incumbent's cost, so a pass that raises this
+    /// count strictly improved the incumbent.
+    pub(crate) accepted: usize,
+    /// Individually replayed deltas kept by the merge's prefix salvage.
+    pub(crate) salvaged: u64,
+    /// When the search started (its deadline is `start + config.time_limit`).
+    pub(crate) start: Instant,
+    /// The time limit combined with the caller's cancel token.
+    pub(crate) deadline: Deadline,
+    /// Whether there is anything to search: a movable node and a second
+    /// processor to move it to.
+    pub(crate) searchable: bool,
+    /// The global incumbent every pass improves in place.
+    pub(crate) incumbent: Incumbent,
+}
+
+impl<'a> ShardedSearch<'a> {
+    /// Starts a search from `procs` (and, when given, the superstep structure
+    /// of the `baseline` they come from), evaluated on the whole DAG as the
+    /// seed incumbent. The engine (arena sized at construction) is built per
+    /// search: a session's DAG may have changed size since the last one.
+    pub(crate) fn new(
+        pool: &'a WorkerPool,
+        cancel: Option<&CancelToken>,
+        dag: &'a CompDag,
+        arch: &'a Architecture,
+        config: &'a ShardedSearchConfig,
+        procs: Vec<ProcId>,
+        baseline: Option<&BspSchedulingResult>,
+    ) -> Self {
+        let start = Instant::now();
+        let deadline = Deadline::at(start + config.time_limit).with_token_opt(cancel);
+        let k = if config.num_shards >= 1 {
+            config.num_shards
+        } else {
+            resolve_workers(0)
+        }
+        .clamp(1, dag.num_nodes().max(1));
+        let workers = resolve_workers(config.workers).min(k);
+        let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
+        let cost_model = config.cost_model;
+        let incumbent = Incumbent::seed(&mut engine, dag, arch, procs, baseline, cost_model, &[]);
+        ShardedSearch {
+            dag,
+            arch,
+            config,
+            pool,
+            k,
+            workers,
+            engine,
+            shard_evaluations: 0,
+            searched: 0,
+            improved: 0,
+            accepted: 0,
+            salvaged: 0,
+            start,
+            deadline,
+            searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
+            incumbent,
+        }
+    }
+
+    /// Schedules converted and costed so far: the global engine (seeds, one
+    /// per merge fold and per replayed delta) plus every finished shard
+    /// search.
+    pub(crate) fn evaluations(&self) -> u64 {
+        self.engine.evaluations + self.shard_evaluations
+    }
+
+    /// One partition → search → merge pass. `iteration` shifts the weighted
+    /// strategy's run boundaries by a golden-ratio offset, so improvements
+    /// blocked by an old shard boundary land inside a shard on a later pass,
+    /// and decorrelates the passes' move streams. With a `cone`, only the
+    /// shards intersecting it are searched (and merged). Returns the partition
+    /// the pass ran on.
+    pub(crate) fn pass(&mut self, iteration: usize, cone: Option<&[NodeId]>) -> AcyclicPartition {
+        let (dag, arch, config) = (self.dag, self.arch, self.config);
+        let partition = shard_partition(dag, self.k, config, iteration);
+        let shards: Vec<usize> = match cone {
+            Some(cone) => dirty_shard_indices(&partition, cone),
+            None => (0..partition.num_parts()).collect(),
+        };
+        let parts = partition.parts();
+        let seed_base = config
+            .seed
+            .wrapping_add((iteration as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
+        let (procs, deadline) = (&self.incumbent.procs, &self.deadline);
+        // Each shard's search is seeded by its own global index.
+        let outcomes = fan_out(self.pool, self.workers, shards.len(), |i| {
+            let s = shards[i];
+            run_shard(
+                dag, arch, &partition, &parts[s], s, procs, config, seed_base, deadline,
+            )
+        });
+        self.searched += outcomes.len();
+        self.shard_evaluations += outcomes.iter().map(|o| o.evaluations).sum::<u64>();
+        self.merge_outcomes(&outcomes);
+        partition
+    }
+
+    /// Folds per-shard outcomes into the global incumbent: most
+    /// locally-improving shard first (shard index as the tie-break — a total
+    /// order, so the result is identical for any worker count), each fold
+    /// re-evaluated globally (conversion + post-optimisation of the whole
+    /// assignment) and kept only if the global cost improves; rejected blocks
+    /// get a prefix-replay salvage bounded by `merge_replay_cap`.
+    fn merge_outcomes(&mut self, outcomes: &[ShardOutcome]) {
+        let (dag, arch, cost_model) = (self.dag, self.arch, self.config.cost_model);
+        let (engine, incumbent) = (&mut self.engine, &mut self.incumbent);
+        let mut order: Vec<usize> = (0..outcomes.len()).collect();
+        order.sort_by(|&a, &b| {
+            let da = outcomes[a].best_cost - outcomes[a].base_cost;
+            let db = outcomes[b].best_cost - outcomes[b].base_cost;
+            da.total_cmp(&db)
+                .then(outcomes[a].index.cmp(&outcomes[b].index))
+        });
+        let mut trial = incumbent.procs.clone();
+        // Evaluates `trial` globally and adopts it when it improves the
+        // incumbent; otherwise rolls `trial` back.
+        let mut adopt_if_better = |trial: &mut Vec<ProcId>| {
+            let cost = engine.evaluate_assignment_on(dag, arch, trial, cost_model, &[]);
+            let better = cost < incumbent.cost - 1e-9;
+            if better {
+                incumbent.cost = cost;
+                incumbent.schedule.clone_from(engine.schedule());
+                incumbent.procs.copy_from_slice(trial);
+            } else {
+                trial.copy_from_slice(&incumbent.procs);
+            }
+            better
+        };
+        for &i in &order {
+            let o = &outcomes[i];
+            if o.best_cost >= o.base_cost - 1e-9 || o.deltas.is_empty() {
+                continue;
+            }
+            self.improved += 1;
+            for &(g, p) in o.deltas.iter().flatten() {
+                trial[g.index()] = p;
+            }
+            if adopt_if_better(&mut trial) {
+                self.accepted += 1;
+                continue;
+            }
+            // The whole block regressed globally (a later local move overfit
+            // the shard's boundary conditions) — salvage the improving prefix:
+            // replay the accepted deltas in order, keeping each one only while
+            // the global cost keeps improving, and stop at the first failure
+            // (bounded extra global evaluations per rejected shard).
+            let salvaged_before = self.salvaged;
+            for delta in o.deltas.iter().take(self.config.merge_replay_cap) {
+                for &(g, p) in delta {
+                    trial[g.index()] = p;
+                }
+                if !adopt_if_better(&mut trial) {
+                    break;
+                }
+                self.salvaged += 1;
+            }
+            self.accepted += (self.salvaged > salvaged_before) as usize;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        let pool = WorkerPool::with_capacity(4);
+        for workers in [1usize, 2, 8] {
+            for count in [0usize, 1, 5] {
+                let got = fan_out(&pool, workers, count, |i| i * 7);
+                let expect: Vec<usize> = (0..count).map(|i| i * 7).collect();
+                assert_eq!(got, expect, "workers={workers} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_reruns_a_poisoned_batch_inline() {
+        let pool = WorkerPool::with_capacity(4);
+        let caller = std::thread::current().id();
+        let panicked = AtomicBool::new(false);
+        let give_up = Instant::now() + std::time::Duration::from_secs(30);
+        let got = fan_out(&pool, 2, 6, |i| {
+            // Panic exactly once, and only on a pool worker: the inline re-run
+            // on the calling thread must then produce every result.
+            if std::thread::current().id() != caller && !panicked.swap(true, Ordering::SeqCst) {
+                panic!("injected shard panic at job {i}");
+            }
+            // Hold every other job until a worker has picked one up (bounded,
+            // so a pool that cannot spawn fails the assertion below instead of
+            // hanging the suite).
+            while !panicked.load(Ordering::SeqCst) && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            i + 1
+        });
+        assert!(panicked.load(Ordering::SeqCst), "no pool worker ran a job");
+        assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
+        // The pool survives the poisoned batch.
+        assert_eq!(pool.run_batch(vec![|| 1, || 2]), vec![1, 2]);
+    }
+}

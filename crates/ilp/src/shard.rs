@@ -18,9 +18,10 @@
 //! 2. **Search** — every shard becomes a zero-copy [`SubDagView`]
 //!    ([`SubDagView::with_inputs`]: external parents join as pure sources whose
 //!    values are already in slow memory) and gets its own
-//!    [`EvaluationEngine`]-backed local search ([`search_view`]) on a scoped
-//!    worker thread. Per-shard candidate evaluations cost `O(V/k)` instead of
-//!    `O(V)`, which is where the wall-clock win comes from even on one core.
+//!    [`EvaluationEngine`](crate::EvaluationEngine)-backed hill climb, fanned
+//!    out over the resident worker pool. Per-shard candidate evaluations cost
+//!    `O(V/k)` instead of `O(V)`, which is where the wall-clock win comes from
+//!    even on one core.
 //!    With [`ShardedSearchConfig::shard_local_seed`] the search additionally
 //!    seeds from a *shard-local* greedy baseline (the `DagLike`-generic
 //!    [`mbsp_sched::GreedyBspScheduler`] run directly on the view), adopted as
@@ -51,22 +52,20 @@
 //! timing — the same caveat as the single-incumbent search);
 //! `tests/shard_determinism.rs` asserts the worker-count invariance under a
 //! generous limit for both strategies.
+//!
+//! Steps 2 and 3 are one pass of the shared search core (`crate::search`);
+//! this module owns the partitioners, the configuration and the front-end
+//! that seeds the global incumbent and iterates the pass.
 
-use crate::engine::{
-    assignment_delta, evaluate_moves_on, resolve_workers, EvalPath, EvaluationEngine, Move,
-};
 use crate::partition_ilp::{weighted_bipartition, WeightedBipartitionConfig};
-use mbsp_dag::{
-    AcyclicPartition, CompDag, DagLike, NodeId, NodeWeights, SubDagView, TopologicalOrder,
-};
+use crate::search::{Incumbent, ShardedSearch};
+use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
-use mbsp_pool::{CancelToken, Deadline, StopReason, WorkerPool};
-use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mbsp_pool::{CancelToken, StopReason, WorkerPool};
+use mbsp_sched::BspSchedulingResult;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How [`ShardedHolisticScheduler`] partitions the DAG into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -454,8 +453,9 @@ pub(crate) fn shard_partition(
 
 /// Builds the boundary sub-problem of one part: the zero-copy
 /// [`SubDagView::with_inputs`] view of its core nodes plus the local ids of
-/// the required outputs (core nodes whose value is needed in another part).
-/// Shared by the sharded search and the divide-and-conquer scheduler.
+/// the required outputs (core nodes whose value is needed in another part, so
+/// the part's schedule must save them). Shared by the sharded search and the
+/// divide-and-conquer scheduler.
 pub fn part_view<'a>(
     dag: &'a CompDag,
     partition: &AcyclicPartition,
@@ -464,317 +464,16 @@ pub fn part_view<'a>(
     kind: &str,
 ) -> (SubDagView<'a>, Vec<NodeId>) {
     let view = SubDagView::with_inputs(dag, core, format!("{}::{kind}{index}", dag.name()));
-    let required = cross_part_outputs(dag, partition, index, &view);
-    (view, required)
-}
-
-/// Local ids of the core nodes of `view` whose value is needed outside part
-/// `part_index` of `partition` (they must be saved by the part's schedule).
-pub fn cross_part_outputs(
-    dag: &CompDag,
-    partition: &AcyclicPartition,
-    part_index: usize,
-    view: &SubDagView<'_>,
-) -> Vec<NodeId> {
-    view.core_nodes()
+    let required = view
+        .core_nodes()
         .filter(|&local| {
             let g = view.to_global(local);
             dag.children(g)
                 .iter()
-                .any(|c| partition.part_of(*c) != part_index)
+                .any(|c| partition.part_of(*c) != index)
         })
-        .collect()
-}
-
-/// Tuning knobs of one [`search_view`] run (the per-shard slice of a
-/// [`ShardedSearchConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub struct LocalSearchParams {
-    /// Cost model to optimise.
-    pub cost_model: CostModel,
-    /// Maximum local-search rounds.
-    pub max_rounds: usize,
-    /// Candidate moves per round.
-    pub moves_per_round: usize,
-    /// RNG seed of this search.
-    pub seed: u64,
-    /// Consecutive stale rounds tolerated before stopping (`0` = spend the
-    /// whole round budget regardless).
-    pub stale_round_limit: usize,
-}
-
-/// Outcome of one per-shard local search.
-#[derive(Debug, Clone)]
-pub struct LocalSearchOutcome {
-    /// Cost of the seed assignment on the shard's sub-problem.
-    pub base_cost: f64,
-    /// Best cost found (equals `base_cost` when nothing improved).
-    pub best_cost: f64,
-    /// The winning per-node assignment (local ids of the view).
-    pub procs: Vec<ProcId>,
-    /// The assignment delta of every accepted move, in acceptance order: the
-    /// `(local node, new processor)` pairs the move changed. Lets the merge
-    /// replay an improving prefix when a shard's whole block is rejected.
-    pub accepted_deltas: Vec<Vec<(NodeId, ProcId)>>,
-    /// The materialised schedule of the winning assignment (local ids).
-    pub schedule: MbspSchedule,
-    /// Schedules converted and costed: the seed, the alternative seed when one
-    /// was offered, and every batch candidate (a round winner is not evaluated
-    /// again — its batch keeps its schedule).
-    pub evaluations: u64,
-    /// Completed search rounds.
-    pub rounds: usize,
-}
-
-/// Runs an [`EvaluationEngine`]-backed local search over one zero-copy view:
-/// the same seeded hill-climb as the single-incumbent holistic search, but the
-/// candidate conversions and re-costs touch only the shard.
-///
-/// `seed_procs` is the starting assignment (local ids; entries of input nodes
-/// are ignored — inputs are sources and never computed), `required_outputs`
-/// the local ids that must end in slow memory. Deterministic in `params.seed`
-/// as long as `deadline` does not truncate the search.
-pub fn search_view(
-    view: &SubDagView<'_>,
-    arch: &Architecture,
-    params: &LocalSearchParams,
-    seed_procs: &[ProcId],
-    required_outputs: &[NodeId],
-    deadline: &Deadline,
-) -> LocalSearchOutcome {
-    search_view_seeded(
-        view,
-        arch,
-        params,
-        seed_procs,
-        None,
-        required_outputs,
-        deadline,
-    )
-}
-
-/// [`search_view`] with an optional alternative starting assignment
-/// (typically a shard-local greedy baseline): the non-source part of
-/// `alt_seed` is evaluated against `seed_procs`, and when it improves, it is
-/// adopted as the first accepted delta — so the merge can replay it into the
-/// global schedule like any other move. `base_cost` still reports the cost of
-/// `seed_procs` (the restriction of the global incumbent), which is what
-/// orders the merge by improvement-over-incumbent.
-#[allow(clippy::too_many_arguments)]
-pub fn search_view_seeded(
-    view: &SubDagView<'_>,
-    arch: &Architecture,
-    params: &LocalSearchParams,
-    seed_procs: &[ProcId],
-    alt_seed: Option<&[ProcId]>,
-    required_outputs: &[NodeId],
-    deadline: &Deadline,
-) -> LocalSearchOutcome {
-    let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
-    let mut procs = seed_procs.to_vec();
-    let base_cost =
-        engine.evaluate_assignment_on(view, arch, &procs, params.cost_model, required_outputs);
-    let mut best_cost = base_cost;
-    let mut best_schedule = engine.schedule().clone();
-    let mut accepted_deltas: Vec<Vec<(NodeId, ProcId)>> = Vec::new();
-
-    if let Some(alt) = alt_seed {
-        // Candidate = alt seed restricted to the movable (non-source) nodes;
-        // sources keep the incumbent's assignment so the adopted delta stays
-        // replayable through the global merge (global sources are never moved,
-        // and input nodes map to foreign global nodes).
-        let mut candidate = procs.clone();
-        for v in view.nodes() {
-            if !view.is_source(v) {
-                candidate[v.index()] = alt[v.index()];
-            }
-        }
-        let delta = assignment_delta(&procs, &candidate);
-        if !delta.is_empty() {
-            let cost = engine.evaluate_assignment_on(
-                view,
-                arch,
-                &candidate,
-                params.cost_model,
-                required_outputs,
-            );
-            if cost < best_cost - 1e-9 {
-                accepted_deltas.push(delta);
-                procs = candidate;
-                best_cost = cost;
-                best_schedule = engine.schedule().clone();
-            }
-        }
-    }
-
-    let movable: Vec<NodeId> = view.nodes().filter(|&v| !view.is_source(v)).collect();
-    let mut rounds = 0usize;
-    if !movable.is_empty() && arch.processors > 1 {
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
-        let mut engines = [engine];
-        let mut stale_rounds = 0usize;
-        // The engine's mid-batch time checks consume the wall-clock component
-        // only; the cancel token is observed at the round boundary below, the
-        // shard search's deterministic cut point.
-        let wall = deadline.wall_clock();
-        for _round in 0..params.max_rounds {
-            if deadline.expired() {
-                break;
-            }
-            moves.clear();
-            for _ in 0..params.moves_per_round {
-                if let Some(mv) = Move::propose(view, arch, &procs, &movable, &mut rng) {
-                    moves.push(mv);
-                }
-            }
-            // One engine means the batch runs inline on this thread — the pool
-            // handle is never exercised (shards already saturate the workers).
-            let outcome = evaluate_moves_on(
-                WorkerPool::shared(),
-                &mut engines,
-                view,
-                arch,
-                &procs,
-                &moves,
-                params.cost_model,
-                required_outputs,
-                wall,
-            );
-            rounds += 1;
-            let Some((cost, idx)) = outcome.winner else {
-                if moves.is_empty() {
-                    // Every draw of this round was a no-op proposal; the round
-                    // consumed its budget (exactly like the single-incumbent
-                    // loop, which counts no-op draws against the batch), but
-                    // nothing was evaluated, so it says nothing about
-                    // staleness — keep going.
-                    continue;
-                }
-                // Candidates existed but none was evaluated: the deadline has
-                // passed, so further rounds cannot make progress either.
-                break;
-            };
-            if cost < best_cost - 1e-9 {
-                stale_rounds = 0;
-                let before = procs.clone();
-                moves[idx].apply(view, &mut procs);
-                accepted_deltas.push(assignment_delta(&before, &procs));
-                // The batch kept its winner's schedule.
-                best_cost = cost;
-                engines[0].swap_batch_winner(&mut best_schedule);
-            } else {
-                stale_rounds += 1;
-                if params.stale_round_limit > 0 && stale_rounds >= params.stale_round_limit {
-                    break;
-                }
-            }
-        }
-        engine = engines.into_iter().next().expect("one engine");
-    }
-
-    LocalSearchOutcome {
-        base_cost,
-        best_cost,
-        procs,
-        accepted_deltas,
-        schedule: best_schedule,
-        evaluations: engine.evaluations,
-        rounds,
-    }
-}
-
-/// One shard's contribution to the merge: the global-id assignment delta of
-/// every locally accepted move (in acceptance order) plus the local costs that
-/// order the merge. Shared with the dirty-cone repair engine, which merges
-/// only the shards intersecting a mutation cone.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardOutcome {
-    pub(crate) index: usize,
-    pub(crate) base_cost: f64,
-    pub(crate) best_cost: f64,
-    pub(crate) deltas: Vec<Vec<(NodeId, ProcId)>>,
-    pub(crate) evaluations: u64,
-}
-
-/// Folds per-shard outcomes into the global incumbent: most locally-improving
-/// shard first (shard index as the tie-break — a total order, so the result is
-/// identical for any worker count), each fold re-evaluated globally through
-/// `engine` and kept only if the global cost improves; rejected blocks get a
-/// prefix-replay salvage bounded by `replay_cap`. Updates `procs`, `best_cost`
-/// and `best_schedule` in place and returns `(improved_shards,
-/// accepted_shards, salvaged_moves)`. Shared by [`ShardedHolisticScheduler`]
-/// and the dirty-cone repair engine.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_outcomes(
-    engine: &mut EvaluationEngine,
-    dag: &CompDag,
-    arch: &Architecture,
-    cost_model: CostModel,
-    outcomes: &[ShardOutcome],
-    procs: &mut [ProcId],
-    best_cost: &mut f64,
-    best_schedule: &mut MbspSchedule,
-    replay_cap: usize,
-) -> (usize, usize, u64) {
-    let mut order: Vec<usize> = (0..outcomes.len()).collect();
-    order.sort_by(|&a, &b| {
-        let da = outcomes[a].best_cost - outcomes[a].base_cost;
-        let db = outcomes[b].best_cost - outcomes[b].base_cost;
-        da.total_cmp(&db)
-            .then(outcomes[a].index.cmp(&outcomes[b].index))
-    });
-    let mut trial = procs.to_vec();
-    let mut improved_shards = 0usize;
-    let mut accepted_shards = 0usize;
-    let mut salvaged_moves = 0u64;
-    for &i in &order {
-        let o = &outcomes[i];
-        if o.best_cost >= o.base_cost - 1e-9 || o.deltas.is_empty() {
-            continue;
-        }
-        improved_shards += 1;
-        for delta in &o.deltas {
-            for &(g, p) in delta {
-                trial[g.index()] = p;
-            }
-        }
-        let cost = engine.evaluate_assignment_on(dag, arch, &trial, cost_model, &[]);
-        if cost < *best_cost - 1e-9 {
-            *best_cost = cost;
-            best_schedule.clone_from(engine.schedule());
-            accepted_shards += 1;
-            procs.copy_from_slice(&trial);
-            continue;
-        }
-        trial.copy_from_slice(procs);
-        // The whole block regressed globally (a later local move overfit the
-        // shard's boundary conditions) — salvage the improving prefix: replay
-        // the accepted deltas in order, keeping each one only while the global
-        // cost keeps improving, and stop at the first failure (bounded extra
-        // global evaluations per rejected shard).
-        let mut salvaged = false;
-        for delta in o.deltas.iter().take(replay_cap) {
-            for &(g, p) in delta {
-                trial[g.index()] = p;
-            }
-            let cost = engine.evaluate_assignment_on(dag, arch, &trial, cost_model, &[]);
-            if cost < *best_cost - 1e-9 {
-                *best_cost = cost;
-                best_schedule.clone_from(engine.schedule());
-                procs.copy_from_slice(&trial);
-                salvaged = true;
-                salvaged_moves += 1;
-            } else {
-                trial.copy_from_slice(procs);
-                break;
-            }
-        }
-        if salvaged {
-            accepted_shards += 1;
-        }
-    }
-    (improved_shards, accepted_shards, salvaged_moves)
+        .collect();
+    (view, required)
 }
 
 /// One anytime-incumbent improvement observed at a deterministic merge
@@ -784,7 +483,7 @@ pub(crate) fn merge_outcomes(
 /// instance, baseline and [`ShardedSearchConfig`], the sequence of updates
 /// (their count, `iteration`, `cost` and `evaluations` fields) is
 /// byte-identical for any worker count, because emissions happen only after
-/// the deterministic merge fold (`merge_outcomes`) — never from inside a
+/// the deterministic merge fold of a pass — never from inside a
 /// shard worker. Costs are strictly decreasing along the stream, so a consumer
 /// (e.g. the `mbsp_serve` daemon streaming incumbents to a client) observes a
 /// monotone, reproducible improvement sequence.
@@ -903,254 +602,99 @@ impl ShardedHolisticScheduler {
         instance: &MbspInstance,
         baseline: &BspSchedulingResult,
     ) -> (MbspSchedule, ShardedSearchStats, Vec<ProcId>) {
-        let dag = instance.dag();
-        let arch = instance.arch();
-        let cost_model = self.config.cost_model;
-        let start = Instant::now();
-        let deadline =
-            Deadline::at(start + self.config.time_limit).with_token_opt(self.cancel.as_ref());
-        let k = if self.config.num_shards >= 1 {
-            self.config.num_shards
-        } else {
-            resolve_workers(0)
-        }
-        .clamp(1, dag.num_nodes().max(1));
-        let workers = resolve_workers(self.config.workers).min(k).max(1);
-
-        // Global incumbent: the baseline assignment (canonical structure) and
-        // the baseline's own superstep structure, exactly like the
-        // single-incumbent search.
-        let mut global_engine = EvaluationEngine::new(instance, EvalPath::Incremental);
-        let mut procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
-        let mut best_cost = global_engine.evaluate_assignment(instance, &procs, cost_model, &[]);
-        let mut best_schedule = global_engine.schedule().clone();
-        {
-            let cost = global_engine.evaluate_bsp(instance, baseline, cost_model, &[]);
-            if cost < best_cost {
-                best_cost = cost;
-                best_schedule = global_engine.schedule().clone();
-            }
-        }
-        // Anytime stream, update 0: the seed incumbent. Every emission below
-        // happens after a deterministic merge, so the whole stream is
-        // reproducible for any worker count.
-        let mut observer_sequence = 0u64;
-        if let Some(observer) = &self.observer {
-            observer(&IncumbentUpdate {
-                sequence: observer_sequence,
-                iteration: 0,
-                cost: best_cost,
-                evaluations: global_engine.evaluations,
-            });
-        }
-
-        let movable_any = dag.nodes().any(|v| !dag.is_source(v));
-        let searchable = movable_any && arch.processors > 1 && dag.num_nodes() > 0;
-        let iterations = self.config.iterations.max(1);
-        let mut total_shards = 0usize;
-        let mut improved_shards = 0usize;
-        let mut accepted_shards = 0usize;
-        let mut salvaged_moves = 0u64;
-        let mut shard_evaluations = 0u64;
-        let mut shard_compute_mass: Vec<f64> = Vec::new();
-        let mut cut_edges = 0usize;
-        let mut iterations_run = 0usize;
-        let mut stop_reason = StopReason::Completed;
-
-        for iter in 0..iterations {
-            if !searchable {
-                break;
-            }
-            // The deadline can truncate the iteration schedule exactly like it
-            // can truncate a shard's search — the determinism caveat in the
-            // module docs covers both. Cancellation is additionally observed
-            // before the *first* iteration, so a pre-cancelled token returns
-            // the seed incumbent without spending a single evaluation.
-            if deadline.cancelled() || (iter > 0 && deadline.expired()) {
-                stop_reason = deadline.reason().unwrap_or(StopReason::DeadlineExpired);
-                break;
-            }
-            iterations_run += 1;
-            // Re-partition around the merged incumbent: iteration `iter` shifts
-            // the weighted strategy's run boundaries by a golden-ratio offset,
-            // so improvements blocked by an old shard boundary land inside a
-            // shard on a later pass.
-            let partition = shard_partition(dag, k, &self.config, iter);
-            if iter == 0 {
-                shard_compute_mass = partition.part_compute_masses(dag);
-                cut_edges = partition.cut_edges(dag);
-            }
-            let parts = partition.parts();
-            let config = self.config;
-            let procs_ref: &[ProcId] = &procs;
-            let partition_ref = &partition;
-            let parts_ref = &parts;
-            let deadline_ref = &deadline;
-            // Decorrelate the iterations' move streams: each pass explores new
-            // candidates from the new incumbent.
-            let seed_base = config
-                .seed
-                .wrapping_add((iter as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-            // Shards are distributed round-robin over the workers; each shard's
-            // search is self-contained and seeded by its own index, so the
-            // distribution (and therefore the worker count) cannot change any
-            // result, only the wall-clock.
-            let make_lanes = || {
-                (0..workers)
-                    .map(|w| {
-                        move || {
-                            let mut local = Vec::new();
-                            let mut s = w;
-                            while s < k {
-                                local.push(run_shard(
-                                    dag,
-                                    arch,
-                                    partition_ref,
-                                    &parts_ref[s],
-                                    s,
-                                    procs_ref,
-                                    &config,
-                                    seed_base,
-                                    deadline_ref,
-                                ));
-                                s += workers;
-                            }
-                            local
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let mut outcomes: Vec<ShardOutcome> = match self.pool.try_run_batch(make_lanes()) {
-                Ok(lanes) => lanes.into_iter().flatten().collect(),
-                // A poisoned batch (a shard job panicked on a worker) degrades
-                // to re-running every lane on the calling thread: slower, but
-                // the engine keeps producing schedules instead of aborting. A
-                // deterministic panic will surface here on the caller's stack,
-                // where it belongs.
-                Err(_poisoned) => make_lanes().into_iter().flat_map(|lane| lane()).collect(),
-            };
-            outcomes.sort_by_key(|o| o.index);
-
-            // Deterministic merge: most locally-improving shard first, shard
-            // index as the tie-break; each fold must survive the global
-            // boundary-repair re-evaluation (conversion + post-optimisation of
-            // the whole assignment) to be kept.
-            let (improved, accepted, salvaged) = merge_outcomes(
-                &mut global_engine,
-                dag,
-                arch,
-                cost_model,
-                &outcomes,
-                &mut procs,
-                &mut best_cost,
-                &mut best_schedule,
-                self.config.merge_replay_cap,
-            );
-            total_shards += outcomes.len();
-            improved_shards += improved;
-            accepted_shards += accepted;
-            salvaged_moves += salvaged;
-            shard_evaluations += outcomes.iter().map(|o| o.evaluations).sum::<u64>();
-            // Emit an anytime update when this iteration's merge improved the
-            // incumbent. `merge_outcomes` only ever lowers `best_cost`, so
-            // `accepted > 0` implies a strict improvement and the stream stays
-            // strictly decreasing.
-            if accepted > 0 {
-                if let Some(observer) = &self.observer {
-                    observer_sequence += 1;
-                    observer(&IncumbentUpdate {
-                        sequence: observer_sequence,
-                        iteration: iter,
-                        cost: best_cost,
-                        evaluations: global_engine.evaluations + shard_evaluations,
-                    });
-                }
-            }
-        }
-
-        let stats = ShardedSearchStats {
-            shards: total_shards,
-            improved_shards,
-            accepted_shards,
-            evaluations: global_engine.evaluations + shard_evaluations,
-            elapsed: start.elapsed(),
-            final_cost: best_cost,
-            shard_compute_mass,
-            cut_edges,
-            salvaged_moves,
-            iterations: iterations_run,
-            stop_reason,
-        };
-        (best_schedule, stats, procs)
+        sharded_schedule(
+            &self.pool,
+            self.cancel.as_ref(),
+            self.observer.as_ref(),
+            instance.dag(),
+            instance.arch(),
+            &self.config,
+            baseline,
+        )
     }
 }
 
-/// Builds the view of one shard, runs its local search and maps the winning
-/// assignment back to global ids. `index` is the shard's *global* index in the
-/// partition — it feeds the seed stride, so searching a subset of shards (the
-/// dirty-cone repair) explores exactly the streams a full run would.
-/// `seed_base` is the iteration-shifted base seed (iteration 0 passes
-/// `config.seed` unchanged, which is what the dirty-cone repair replays).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shard(
+/// The full sharded search on a borrowed problem: the baseline's assignment
+/// and its own superstep structure seed the global incumbent (exactly like the
+/// single-incumbent search), then `config.iterations` partition → search →
+/// merge passes improve it. Behind both
+/// [`ShardedHolisticScheduler::schedule_with_assignment`] and
+/// [`IncrementalScheduler::schedule`](crate::IncrementalScheduler::schedule),
+/// which runs it on the warm session's own DAG.
+pub(crate) fn sharded_schedule(
+    pool: &WorkerPool,
+    cancel: Option<&CancelToken>,
+    observer: Option<&IncumbentObserver>,
     dag: &CompDag,
     arch: &Architecture,
-    partition: &AcyclicPartition,
-    core: &[NodeId],
-    index: usize,
-    global_procs: &[ProcId],
     config: &ShardedSearchConfig,
-    seed_base: u64,
-    deadline: &Deadline,
-) -> ShardOutcome {
-    let (view, required) = part_view(dag, partition, core, index, "shard");
-    let seed_procs: Vec<ProcId> = (0..view.num_nodes())
-        .map(|i| global_procs[view.to_global(NodeId::new(i)).index()])
-        .collect();
-    let params = LocalSearchParams {
-        cost_model: config.cost_model,
-        max_rounds: config.max_rounds,
-        moves_per_round: config.moves_per_round,
-        // Golden-ratio stride decorrelates the shard streams from each other
-        // and from the single-incumbent search at the same base seed.
-        seed: seed_base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        stale_round_limit: config.stale_round_limit,
+    baseline: &BspSchedulingResult,
+) -> (MbspSchedule, ShardedSearchStats, Vec<ProcId>) {
+    let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
+    let mut search = ShardedSearch::new(pool, cancel, dag, arch, config, procs, Some(baseline));
+    // The anytime stream: update 0 is the seed incumbent, and every later
+    // emission happens after a deterministic merge, so the whole stream is
+    // reproducible for any worker count.
+    let mut sequence = 0u64;
+    let emit = |sequence: u64, iteration: usize, search: &ShardedSearch<'_>| {
+        if let Some(observer) = observer {
+            observer(&IncumbentUpdate {
+                sequence,
+                iteration,
+                cost: search.incumbent.cost,
+                evaluations: search.evaluations(),
+            });
+        }
     };
-    // Shard-local greedy baseline: a restriction of the global schedule is
-    // rarely a good schedule of the sub-problem, so offer the generic greedy
-    // scheduler's view-local schedule as an alternative starting point.
-    let alt_seed: Option<Vec<ProcId>> = if config.shard_local_seed && arch.processors > 1 {
-        let local = GreedyBspScheduler::new().schedule_dag(&view, arch);
-        Some(view.nodes().map(|v| local.schedule.proc_of(v)).collect())
-    } else {
-        None
-    };
-    let outcome = search_view_seeded(
-        &view,
-        arch,
-        &params,
-        &seed_procs,
-        alt_seed.as_deref(),
-        &required,
-        deadline,
-    );
-    let deltas: Vec<Vec<(NodeId, ProcId)>> = outcome
-        .accepted_deltas
-        .iter()
-        .map(|delta| {
-            delta
-                .iter()
-                .map(|&(local, p)| (view.to_global(local), p))
-                .collect()
-        })
-        .collect();
-    ShardOutcome {
-        index,
-        base_cost: outcome.base_cost,
-        best_cost: outcome.best_cost,
-        deltas,
-        evaluations: outcome.evaluations,
+    emit(sequence, 0, &search);
+
+    let mut shard_compute_mass = Vec::new();
+    let mut cut_edges = 0usize;
+    let mut iterations = 0usize;
+    let mut stop_reason = StopReason::Completed;
+    for iter in 0..config.iterations.max(1) {
+        if !search.searchable {
+            break;
+        }
+        // The deadline can truncate the iteration schedule exactly like it
+        // can truncate a shard's search — the determinism caveat in the
+        // module docs covers both. Cancellation is additionally observed
+        // before the *first* iteration, so a pre-cancelled token returns
+        // the seed incumbent without spending a single evaluation.
+        let deadline = &search.deadline;
+        if deadline.cancelled() || (iter > 0 && deadline.expired()) {
+            stop_reason = deadline.reason().unwrap_or(StopReason::DeadlineExpired);
+            break;
+        }
+        iterations += 1;
+        let accepted_before = search.accepted;
+        let partition = search.pass(iter, None);
+        if iter == 0 {
+            shard_compute_mass = partition.part_compute_masses(dag);
+            cut_edges = partition.cut_edges(dag);
+        }
+        if search.accepted > accepted_before {
+            sequence += 1;
+            emit(sequence, iter, &search);
+        }
     }
+    let stats = ShardedSearchStats {
+        shards: search.searched,
+        improved_shards: search.improved,
+        accepted_shards: search.accepted,
+        evaluations: search.evaluations(),
+        elapsed: search.start.elapsed(),
+        final_cost: search.incumbent.cost,
+        shard_compute_mass,
+        cut_edges,
+        salvaged_moves: search.salvaged,
+        iterations,
+        stop_reason,
+    };
+    let Incumbent {
+        procs, schedule, ..
+    } = search.incumbent;
+    (schedule, stats, procs)
 }
 
 #[cfg(test)]
@@ -1224,12 +768,15 @@ mod tests {
 
     #[test]
     fn search_view_improves_or_keeps_the_seed() {
+        use crate::engine::{EvalPath, EvaluationEngine};
+        use crate::search::{search_view, LocalSearchParams};
+        use mbsp_dag::DagLike;
+        use mbsp_pool::Deadline;
         let inst = &instances(4)[3];
         let dag = inst.dag();
         let partition = topo_shards(dag, 2);
         let parts = partition.parts();
-        let view = SubDagView::with_inputs(dag, &parts[1], "part1");
-        let required = cross_part_outputs(dag, &partition, 1, &view);
+        let (view, required) = part_view(dag, &partition, &parts[1], 1, "part");
         let seed: Vec<ProcId> = (0..view.num_nodes())
             .map(|i| ProcId::new(i % inst.arch().processors))
             .collect();
@@ -1241,28 +788,37 @@ mod tests {
             stale_round_limit: 1,
         };
         let deadline = Deadline::after(Duration::from_secs(10));
-        let out = search_view(&view, inst.arch(), &params, &seed, &required, &deadline);
-        assert!(out.best_cost <= out.base_cost + 1e-9);
+        let out = search_view(
+            &view,
+            inst.arch(),
+            &params,
+            seed,
+            None,
+            &required,
+            &deadline,
+        );
+        let best = &out.incumbent;
+        assert!(best.cost <= out.base_cost + 1e-9);
         assert!(out.evaluations >= 1);
-        assert_eq!(out.procs.len(), view.num_nodes());
+        assert_eq!(best.procs.len(), view.num_nodes());
         // Rounds were accepted, so the schedule below is one a batch kept for
         // its winner — never converted a second time...
-        assert!(!out.accepted_deltas.is_empty());
+        assert!(!best.deltas.is_empty());
         // ...and it matches the reported cost and is the schedule of the
         // returned assignment.
         let recost = params
             .cost_model
-            .evaluate(&out.schedule, &view, inst.arch());
-        assert!((recost - out.best_cost).abs() < 1e-9);
+            .evaluate(&best.schedule, &view, inst.arch());
+        assert!((recost - best.cost).abs() < 1e-9);
         let mut fresh = EvaluationEngine::for_dag(&view, inst.arch(), EvalPath::Incremental);
         let fresh_cost = fresh.evaluate_assignment_on(
             &view,
             inst.arch(),
-            &out.procs,
+            &best.procs,
             params.cost_model,
             &required,
         );
-        assert_eq!(fresh_cost.to_bits(), out.best_cost.to_bits());
-        assert_eq!(fresh.schedule(), &out.schedule);
+        assert_eq!(fresh_cost.to_bits(), best.cost.to_bits());
+        assert_eq!(fresh.schedule(), &best.schedule);
     }
 }

@@ -265,7 +265,8 @@ fn incremental_costs_match_full_recost_after_every_move() {
                     if let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) {
                         mv.apply(dag, &mut procs);
                     }
-                    let cost = incremental.evaluate_assignment(&instance, &procs, cost_model, &[]);
+                    let cost =
+                        incremental.evaluate_assignment_on(dag, arch, &procs, cost_model, &[]);
                     // The incrementally maintained cost equals a full re-cost of
                     // the produced schedule...
                     let full = match cost_model {
@@ -281,7 +282,8 @@ fn incremental_costs_match_full_recost_after_every_move() {
                     );
                     // ...and the schedule (not just the cost) matches the
                     // clone-and-recost reference path.
-                    let ref_cost = oracle.evaluate_assignment(&instance, &procs, cost_model, &[]);
+                    let ref_cost =
+                        oracle.evaluate_assignment_on(dag, arch, &procs, cost_model, &[]);
                     assert!((cost - ref_cost).abs() < 1e-9);
                     assert_eq!(incremental.schedule(), oracle.schedule());
                 }
@@ -307,8 +309,9 @@ fn required_outputs_are_respected_by_both_paths() {
     let procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
     let mut incremental = EvaluationEngine::new(instance, EvalPath::Incremental);
     let mut oracle = EvaluationEngine::new(instance, EvalPath::Reference);
-    let a = incremental.evaluate_assignment(instance, &procs, CostModel::Synchronous, &required);
-    let b = oracle.evaluate_assignment(instance, &procs, CostModel::Synchronous, &required);
+    let a =
+        incremental.evaluate_assignment_on(dag, arch, &procs, CostModel::Synchronous, &required);
+    let b = oracle.evaluate_assignment_on(dag, arch, &procs, CostModel::Synchronous, &required);
     assert!((a - b).abs() < 1e-9);
     assert_eq!(incremental.schedule(), oracle.schedule());
     let boundary = mbsp_model::BoundaryCondition {

@@ -28,8 +28,7 @@ use crate::protocol::{
     RepairRequest, Request, ScheduleRequest,
 };
 use mbsp_ilp::{
-    CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig,
-    ShardedHolisticScheduler, StopReason,
+    CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
 use mbsp_model::{Architecture, MbspInstance};
@@ -653,18 +652,9 @@ fn instance_worker(
 
 fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {
     match job.kind {
-        JobKind::Schedule(ref req) => {
-            let req = req.clone();
-            run_schedule(state, &job, req, inner);
-        }
-        JobKind::Repair(ref req) => {
-            let req = req.clone();
-            run_repair(state, &job, req, inner);
-        }
-        JobKind::Mutate(ref req) => {
-            let req = req.clone();
-            run_mutate(state, &job, req, inner);
-        }
+        JobKind::Schedule(ref req) => run_schedule(state, &job, req),
+        JobKind::Repair(ref req) => run_repair(state, &job, req, inner),
+        JobKind::Mutate(ref req) => run_mutate(state, &job, req, inner),
         JobKind::Status => {
             job.out.send(
                 instance_status_frame(state)
@@ -699,23 +689,20 @@ fn stop_reason_str(reason: StopReason) -> &'static str {
     }
 }
 
-fn run_schedule(state: &mut InstanceState, job: &Job, req: ScheduleRequest, inner: &ServerInner) {
-    let dag = state.session.dag().clone();
-    let arch = *state.session.arch();
-    let mut config = state.session.config().search;
+fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
+    let session = &mut state.session;
+    let mut config = session.config().search;
     req.overrides.apply(&mut config);
 
     // Identical to a direct library run at the same budget: greedy baseline,
-    // then the sharded search seeded from it.
-    let baseline = GreedyBspScheduler::new().schedule(&dag, &arch);
-    let instance = MbspInstance::new(dag.clone(), arch);
-    let mut scheduler = ShardedHolisticScheduler::with_config(config)
-        .with_pool(inner.pool.clone())
-        .with_cancel(&job.cancel);
-    if req.stream {
+    // then the sharded search seeded from it — run on the warm session in
+    // place, which adopts the winning incumbent so subsequent mutations
+    // repair from what this run found.
+    let baseline = GreedyBspScheduler::new().schedule(session.dag(), session.arch());
+    let observer = req.stream.then(|| -> IncumbentObserver {
         let out = job.out.clone();
         let job_id = job.job_id;
-        let observer: IncumbentObserver = Arc::new(move |update: &IncumbentUpdate| {
+        Arc::new(move |update: &IncumbentUpdate| {
             out.send(
                 JsonWriter::new()
                     .u64("job", job_id)
@@ -726,16 +713,11 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: ScheduleRequest, inne
                     .u64("evaluations", update.evaluations)
                     .build(),
             );
-        });
-        scheduler = scheduler.with_observer(observer);
-    }
-    let (schedule, stats, procs) = scheduler.schedule_with_assignment(&instance, &baseline);
-
-    // Fold the winning incumbent back into the warm session so subsequent
-    // mutations repair from what this run found.
-    let config = *state.session.config();
-    state.session =
-        IncrementalScheduler::new(dag, arch, procs, config).with_pool(inner.pool.clone());
+        })
+    });
+    session.set_cancel(Some(&job.cancel));
+    let (schedule, stats) = session.schedule(&config, &baseline, observer);
+    session.set_cancel(None);
     state.last_cost = Some(stats.final_cost);
 
     let mut frame = JsonWriter::new()
@@ -753,7 +735,7 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: ScheduleRequest, inne
     job.out.send(frame.build());
 }
 
-fn run_repair(state: &mut InstanceState, job: &Job, req: RepairRequest, inner: &ServerInner) {
+fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: &ServerInner) {
     let saved = *state.session.config();
     req.overrides.apply(&mut state.session.config_mut().search);
     state.session.set_cancel(Some(&job.cancel));
@@ -783,7 +765,7 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: RepairRequest, inner: &
     job.out.send(frame.build());
 }
 
-fn run_mutate(state: &mut InstanceState, job: &Job, req: MutateRequest, inner: &ServerInner) {
+fn run_mutate(state: &mut InstanceState, job: &Job, req: &MutateRequest, inner: &ServerInner) {
     let mut applied = 0u64;
     for (i, delta) in req.deltas.iter().enumerate() {
         if let Err(e) = state.session.apply(delta) {
