@@ -1,7 +1,7 @@
 //! The CI bench-regression gate: parses the quick-mode `BENCH_*_quick.json`
-//! files that the eight benchmark smokes (`bench_solver`, `bench_improver`,
-//! `bench_dag`, `bench_shard`, `bench_delta`, `bench_pool`, `bench_io`,
-//! `bench_serve` with their `MBSP_BENCH_*_QUICK=1` contracts)
+//! files that the seven benchmark smokes (`bench_solver`, `bench_improver`,
+//! `bench_dag`, `bench_shard`, `bench_delta`, `bench_io`, `bench_serve` with
+//! their `MBSP_BENCH_*_QUICK=1` contracts)
 //! wrote earlier in the run, and **fails** if any fast-vs-reference speedup
 //! dropped below 1.0 or any agreement flag shows the compared paths diverged.
 //! Every violation names the offending file, instance and metric; a missing or
@@ -10,13 +10,12 @@
 //! knows about is reported as a **named warning** (a new smoke was added
 //! without registering it here, or a stale artifact is lying around) rather
 //! than silently ignored or spuriously failed.
-//! (The pool and shard smokes are gated on their agreement flags only: on the
-//! tiny smoke instances the pool-vs-scoped-spawn margin is within timing noise
-//! and the weighted sharding's partition-ILP overhead is not amortised, so
-//! their speedup bars are asserted by the full `bench_pool` / `bench_shard`
-//! runs instead. The shard smoke must cover both sharding modes — legacy
-//! topological and weighted-iterated — and additionally gates the weighted
-//! mode's equal-or-better-than-legacy flag. The io smoke gates checkpoint
+//! (The shard smoke is gated on its agreement flags only: on the tiny smoke
+//! instances the weighted sharding's partition-ILP overhead is not amortised,
+//! so its speedup bar is asserted by the full `bench_shard` run instead. The
+//! shard smoke must cover both sharding modes — legacy topological and
+//! weighted-iterated — and additionally gates the weighted mode's
+//! equal-or-better-than-legacy flag. The io smoke gates checkpoint
 //! byte-identity and corruption rejection; its 50 ms encode/decode budget is
 //! production-scale by definition, so it is asserted by the full `bench_io`
 //! run on the 100k-node instances.)
@@ -25,7 +24,7 @@
 //! performance regression that makes an optimised path slower than its
 //! reference oracle — or a silent behavioural divergence that slips past the
 //! in-binary assertions — turns the build red instead of rotting quietly.
-//! Locally it runs as part of `make ci` / `just ci` after the smokes.
+//! Locally it runs as part of `make ci` after the smokes.
 
 use serde::Deserialize;
 use std::process::ExitCode;
@@ -123,34 +122,6 @@ struct DeltaReport {
 }
 
 #[derive(Debug, Deserialize)]
-struct PoolInstance {
-    name: String,
-    costs_match: bool,
-    identical_across_workers: bool,
-}
-
-#[derive(Debug, Deserialize)]
-struct PoolKernel {
-    name: String,
-    results_match: bool,
-}
-
-#[derive(Debug, Deserialize)]
-struct PoolImprover {
-    name: String,
-    costs_match: bool,
-}
-
-#[derive(Debug, Deserialize)]
-struct PoolReport {
-    quick: bool,
-    instances: Vec<PoolInstance>,
-    geomean_speedup: f64,
-    kernels: Vec<PoolKernel>,
-    improver: Vec<PoolImprover>,
-}
-
-#[derive(Debug, Deserialize)]
 struct IoInstance {
     name: String,
     encode_seconds: f64,
@@ -181,13 +152,12 @@ struct ServeReport {
 
 /// Every quick report this gate knows how to check. A `BENCH_*_quick.json`
 /// not on this list produces a named warning, never a silent pass.
-const REGISTERED: [&str; 8] = [
+const REGISTERED: [&str; 7] = [
     "BENCH_solver_quick.json",
     "BENCH_improver_quick.json",
     "BENCH_dag_quick.json",
     "BENCH_shard_quick.json",
     "BENCH_delta_quick.json",
-    "BENCH_pool_quick.json",
     "BENCH_io_quick.json",
     "BENCH_serve_quick.json",
 ];
@@ -297,10 +267,10 @@ fn main() -> ExitCode {
         );
     }
     if let Some(r) = gate.parse::<ShardReport>("BENCH_shard_quick.json") {
-        // Like the pool smoke, the shard smoke is gated on its agreement and
-        // never-worse flags only: the weighted mode's partition-ILP overhead
-        // is not amortised on the tiny smoke instances, so its speedup bar is
-        // asserted by the full `bench_shard` run instead.
+        // The shard smoke is gated on its agreement and never-worse flags
+        // only: the weighted mode's partition-ILP overhead is not amortised on
+        // the tiny smoke instances, so its speedup bar is asserted by the full
+        // `bench_shard` run instead.
         let path = "BENCH_shard_quick.json";
         gate.require(
             path,
@@ -389,51 +359,6 @@ fn main() -> ExitCode {
         }
         println!(
             "delta    geomean {:>7.2}x over {} instances",
-            r.geomean_speedup,
-            r.instances.len()
-        );
-    }
-
-    if let Some(r) = gate.parse::<PoolReport>("BENCH_pool_quick.json") {
-        let path = "BENCH_pool_quick.json";
-        gate.require(
-            path,
-            "report",
-            "quick flag is false — the smoke must run with the quick-mode env var",
-            r.quick,
-        );
-        for i in &r.instances {
-            gate.require(
-                path,
-                &i.name,
-                "pool and scoped-spawn engine batches diverged",
-                i.costs_match,
-            );
-            gate.require(
-                path,
-                &i.name,
-                "pool batches diverged across worker counts",
-                i.identical_across_workers,
-            );
-        }
-        for k in &r.kernels {
-            gate.require(
-                path,
-                &k.name,
-                "chunked kernel diverged from its scalar oracle",
-                k.results_match,
-            );
-        }
-        for i in &r.improver {
-            gate.require(
-                path,
-                &i.name,
-                "segment-tree and eager merge passes diverged",
-                i.costs_match,
-            );
-        }
-        println!(
-            "pool     geomean {:>7.2}x over {} instances",
             r.geomean_speedup,
             r.instances.len()
         );

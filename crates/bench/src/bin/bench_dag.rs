@@ -111,7 +111,7 @@ fn run_pipeline(
     mbsp_sched::BspSchedulingResult,
 ) {
     let label = match path {
-        EvalPath::Incremental | EvalPath::EagerMerge => "fast",
+        EvalPath::Incremental => "fast",
         EvalPath::Reference => "reference",
     };
     // Only the pipeline stages themselves are timed; the per-candidate schedule
@@ -120,7 +120,7 @@ fn run_pipeline(
     let mut timed = 0.0f64;
     let stage = Instant::now();
     let bsp = match path {
-        EvalPath::Incremental | EvalPath::EagerMerge => {
+        EvalPath::Incremental => {
             let mut scratch = SchedulerScratch::new();
             GreedyBspScheduler::new().schedule_with_scratch(
                 instance.dag(),

@@ -21,13 +21,11 @@
 //!   reset. The holistic search of `mbsp-ilp`
 //!   converts thousands of neighbouring assignments through one arena without
 //!   re-allocating; [`two_stage::reference`] keeps the original single-shot
-//!   converter as the differential oracle the arena is tested against (the same
-//!   oracle pattern as `lp_solver`'s `dense::` module).
+//!   converter as the ground truth the arena is tested against (the same
+//!   pattern as `lp_solver`'s `dense::` module).
 
 pub mod policy;
 pub mod two_stage;
 
 pub use policy::{CandidateVictim, ClairvoyantPolicy, EvictionPolicy, LruPolicy};
-pub use two_stage::{
-    set_reference_conversion_mode, ConversionArena, TwoStageConfig, TwoStageScheduler,
-};
+pub use two_stage::{ConversionArena, TwoStageConfig, TwoStageScheduler};

@@ -53,48 +53,18 @@
 //! policy evicts first, in exactly the set's order) and a node-id-ordered set
 //! of **dead** values (no remaining use anywhere, droppable without a save),
 //! updated at the few events that create them; eviction triggers then pop
-//! victims in O(log cached). The linear forms are retained behind
-//! [`set_reference_conversion_mode`] — operation-identical, so the switch
-//! changes timings only.
+//! victims in O(log cached).
 //!
 //! The arena is **operation-identical** to a from-scratch conversion: the
-//! [`mod@reference`] module keeps the original single-shot converter as a
-//! differential oracle (mirroring the `dense::` oracle of `lp_solver`), and the
-//! tests in `mbsp-ilp` replay random move sequences asserting that arena output
-//! and oracle output are equal schedules.
+//! [`mod@reference`] module keeps the original single-shot converter as the
+//! ground truth (mirroring the `dense::` module of `lp_solver`), and the tests
+//! in `mbsp-ilp` replay random move sequences asserting that arena output and
+//! reference output are equal schedules.
 
 use crate::policy::{CandidateVictim, EvictionPolicy};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{Architecture, ComputePhaseStep, MbspSchedule, ProcId, Superstep};
 use mbsp_sched::BspSchedulingResult;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, [`ConversionArena`] routes its two optimised hot loops through
-/// their retained linear predecessors: the prefetch planner answers its
-/// membership test with the original `Vec::contains` scan (quadratic in the
-/// prefetch window) instead of the O(1) node mask, and every eviction trigger
-/// rebuilds and scans the full candidate set instead of popping victims from
-/// the incrementally maintained spent-value set. Both forms are
-/// operation-identical — same victims, same saves, same loads — so the switch
-/// changes timings only. It exists for one caller: `bench_pool`'s reference
-/// runs, which reproduce the pre-optimisation "current path" end to end.
-/// Production code never sets it.
-static REFERENCE_CONVERSION: AtomicBool = AtomicBool::new(false);
-
-/// Route the arena's conversion hot loops (prefetch membership, eviction
-/// victim selection) through their retained linear forms (`true`) or the
-/// optimised paths (`false`, the default). Bench/differential use only; both
-/// settings produce identical schedules.
-pub fn set_reference_conversion_mode(enabled: bool) {
-    REFERENCE_CONVERSION.store(enabled, Ordering::Relaxed);
-}
-
-/// Is [`set_reference_conversion_mode`] currently routing the conversion hot
-/// loops through their linear forms?
-#[inline]
-pub fn reference_conversion_mode() -> bool {
-    REFERENCE_CONVERSION.load(Ordering::Relaxed)
-}
 
 /// [`ConversionArena`]'s blue stamp of a node that is not in slow memory.
 const NOT_BLUE: u32 = u32::MAX;
@@ -258,8 +228,8 @@ pub struct ConversionArena {
     /// children) and leaves it on eviction, so eviction triggers pop victims in
     /// O(log cached) instead of scanning the whole cache. Policies whose
     /// [`EvictionPolicy::evicts_spent_first`] is `false` (LRU) ignore the set
-    /// for victim selection, but it is maintained unconditionally so toggling
-    /// policies or [`set_reference_conversion_mode`] between runs is safe.
+    /// for victim selection, but it is maintained unconditionally so switching
+    /// policies between runs is safe.
     spent: Vec<std::collections::BTreeSet<(u8, u64, u32)>>,
     /// Per processor and node (flat `p * n + v`): is the node in `spent`?
     in_spent: Vec<bool>,
@@ -633,9 +603,6 @@ impl ConversionArena {
             }
         }
 
-        // Read the process-global switch once: a run is either entirely fast or
-        // entirely linear, whatever another thread does to the flag meanwhile.
-        let linear = reference_conversion_mode();
         let total: usize = self.seq.iter().map(|s| s.len()).sum();
         // Each superstep makes progress (a compute or a load); the bound below is a
         // generous safety net against construction bugs.
@@ -675,7 +642,7 @@ impl ConversionArena {
                     // Make room for the output of v by dropping dead values only
                     // (no I/O allowed inside a compute phase).
                     let needed = dag.memory_weight(v);
-                    if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v, linear) {
+                    if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v) {
                         break;
                     }
                     // Execute the compute step.
@@ -746,7 +713,7 @@ impl ConversionArena {
                 }
 
                 // ---- 3 & 4. Eviction and loads for the next segment. ----
-                self.plan_io(dag, arch, policy, config, pi, phases, linear);
+                self.plan_io(dag, arch, policy, config, pi, phases);
             }
             step_idx += 1;
         }
@@ -756,10 +723,7 @@ impl ConversionArena {
 
     /// Drops dead cached values (not needed by any future compute and not an
     /// unsaved required output) until `needed` additional space is available.
-    /// Returns false if that is impossible without real evictions. `linear`
-    /// selects the retained full-cache scan ([`set_reference_conversion_mode`],
-    /// read once per run).
-    #[allow(clippy::too_many_arguments)]
+    /// Returns false if that is impossible without real evictions.
     fn make_room_with_dead_values<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
@@ -768,65 +732,28 @@ impl ConversionArena {
         needed: f64,
         phases: &mut mbsp_model::ProcPhases,
         about_to_compute: NodeId,
-        linear: bool,
     ) -> bool {
         let r = arch.cache_size;
-        if self.used[pi] + needed <= r + 1e-9 {
-            return true;
-        }
-        if !linear {
-            // Fast path: the dead values are already known, in eviction order
-            // (node-id ascending), in the incrementally maintained `dead` set —
-            // pop until the output fits. Parents of the pending compute still
-            // have an unconsumed use, so they can never sit in the set.
-            while self.used[pi] + needed > r + 1e-9 {
-                let Some(&vid) = self.dead[pi].first() else {
-                    break;
-                };
-                let v = NodeId::new(vid as usize);
-                debug_assert!(!dag.parents(about_to_compute).any(|u| u == v));
-                phases.compute.push(ComputePhaseStep::Delete(v));
-                self.cache_remove(pi, v);
-                self.used[pi] -= dag.memory_weight(v);
-            }
-        } else {
-            // Retained "current path" (the form `bench_pool`'s reference runs
-            // reproduce): collect the dead cached values by scanning the whole
-            // cache and evict them in node-index order (the order the reference
-            // converter walks them in) until the output fits.
-            let mut parents = std::mem::take(&mut self.scratch_parents);
-            parents.clear();
-            parents.extend(dag.parents(about_to_compute));
-            let mut dead = std::mem::take(&mut self.scratch_nodes);
-            dead.clear();
-            for idx in 0..self.cached_list[pi].len() {
-                let v = self.cached_list[pi][idx];
-                if !parents.contains(&v)
-                    && self.remaining_uses[v.index()] == 0
-                    && (!self.is_required_output[v.index()] || self.is_blue(v))
-                {
-                    dead.push(v);
-                }
-            }
-            dead.sort_unstable();
-            for &v in &dead {
-                if self.used[pi] + needed <= r + 1e-9 {
-                    break;
-                }
-                phases.compute.push(ComputePhaseStep::Delete(v));
-                self.cache_remove(pi, v);
-                self.used[pi] -= dag.memory_weight(v);
-            }
-            self.scratch_nodes = dead;
-            self.scratch_parents = parents;
+        // The dead values are already known, in eviction order (node-id
+        // ascending — the order the reference converter walks them in), in the
+        // incrementally maintained `dead` set: pop until the output fits.
+        // Parents of the pending compute still have an unconsumed use, so they
+        // can never sit in the set.
+        while self.used[pi] + needed > r + 1e-9 {
+            let Some(&vid) = self.dead[pi].first() else {
+                break;
+            };
+            let v = NodeId::new(vid as usize);
+            debug_assert!(!dag.parents(about_to_compute).any(|u| u == v));
+            phases.compute.push(ComputePhaseStep::Delete(v));
+            self.cache_remove(pi, v);
+            self.used[pi] -= dag.memory_weight(v);
         }
         self.used[pi] + needed <= r + 1e-9
     }
 
     /// Plans the save/delete/load phases that prepare the next compute segment of
-    /// processor `pi`. `linear` selects the retained linear forms
-    /// ([`set_reference_conversion_mode`], read once per run).
-    #[allow(clippy::too_many_arguments)]
+    /// processor `pi`.
     fn plan_io<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
         dag: &D,
@@ -835,7 +762,6 @@ impl ConversionArena {
         config: TwoStageConfig,
         pi: usize,
         phases: &mut mbsp_model::ProcPhases,
-        linear: bool,
     ) {
         let pos = self.cursor[pi];
         if pos >= self.seq[pi].len() {
@@ -875,7 +801,7 @@ impl ConversionArena {
             // current blue pebbles, which equal the trigger-start snapshot the
             // scan path sees: the only blue bit an eviction flips belongs to
             // the victim itself, which leaves the cache with it.
-            if policy.evicts_spent_first() && !linear {
+            if policy.evicts_spent_first() {
                 while self.used[pi] + target_free > r + 1e-9 {
                     let Some((_, _, vid)) = self.spent[pi].pop_first() else {
                         break;
@@ -898,9 +824,8 @@ impl ConversionArena {
             // through `policy.rank`; since the policy order is total, repeatedly
             // extracting the minimum yields the identical eviction sequence
             // without sorting candidates that are never evicted. This is the
-            // only path for policies without the spent-first guarantee, the
-            // retained "current path" under `reference_conversion_mode`, and
-            // the fallback once the spent set runs dry.
+            // only path for policies without the spent-first guarantee and the
+            // fallback once the spent set runs dry.
             if self.used[pi] + target_free > r + 1e-9 {
                 let mut keep = std::mem::take(&mut self.scratch_parents);
                 keep.clear();
@@ -935,9 +860,9 @@ impl ConversionArena {
                     candidates.swap(best, remaining - 1);
                     remaining -= 1;
                     let v = c.node;
-                    // The victim may sit in the spent set (always, under
-                    // reference mode); drop it before the blue flip below
-                    // invalidates its ordering key.
+                    // The victim may sit in the spent set (policies that do
+                    // not evict spent values first); drop it before the blue
+                    // flip below invalidates its ordering key.
                     self.spent_remove(pi, v);
                     // A victim that is still needed and not yet in slow memory must be
                     // saved before it is deleted (save phase precedes delete phase).
@@ -970,30 +895,22 @@ impl ConversionArena {
 
         // Greedy prefetch: extend the loads with the inputs of further compute steps
         // while everything (inputs plus the outputs produced in between) still fits.
-        // Membership in the lookahead window is answered by `virt_mask` in O(1);
-        // the retained linear scan (`reference_conversion_mode`) is the pre-mask
-        // form the bench's reference runs reproduce — both are operation-identical.
+        // Membership in the lookahead window is answered by `virt_mask` in O(1).
         if config.prefetch {
             let mut virtually_cached = std::mem::take(&mut self.scratch_nodes2);
             virtually_cached.clear();
             virtually_cached.push(next);
-            if !linear {
-                self.virt_mask[next.index()] = true;
-            }
+            self.virt_mask[next.index()] = true;
             let mut extras = std::mem::take(&mut self.scratch_nodes3);
             let mut virtual_used = self.used[pi] + dag.memory_weight(next);
             let mut look = pos + 1;
             while look < self.seq[pi].len() {
                 let w = self.seq[pi][look];
                 extras.clear();
-                extras.extend(dag.parents(w).filter(|&u| {
-                    !self.cached[base + u.index()]
-                        && if linear {
-                            !virtually_cached.contains(&u)
-                        } else {
-                            !self.virt_mask[u.index()]
-                        }
-                }));
+                extras.extend(
+                    dag.parents(w)
+                        .filter(|&u| !self.cached[base + u.index()] && !self.virt_mask[u.index()]),
+                );
                 if extras.iter().any(|&u| !self.loadable(u)) {
                     break;
                 }
@@ -1008,15 +925,11 @@ impl ConversionArena {
                 }
                 virtual_used += extra_weight + dag.memory_weight(w);
                 virtually_cached.push(w);
-                if !linear {
-                    self.virt_mask[w.index()] = true;
-                }
+                self.virt_mask[w.index()] = true;
                 look += 1;
             }
-            if !linear {
-                for &v in &virtually_cached {
-                    self.virt_mask[v.index()] = false;
-                }
+            for &v in &virtually_cached {
+                self.virt_mask[v.index()] = false;
             }
             self.scratch_nodes2 = virtually_cached;
             self.scratch_nodes3 = extras;
@@ -1590,56 +1503,6 @@ mod tests {
                 &mut out,
             );
             assert_eq!(out, oracle, "{}: arena reuse drifted", inst.name());
-        }
-    }
-
-    #[test]
-    fn reference_conversion_mode_is_operation_identical() {
-        // The retained linear hot loops (full-cache eviction scans, quadratic
-        // prefetch-window scan) must produce byte-identical schedules to the
-        // spent/dead-set and mask fast paths — `bench_pool`'s reference runs
-        // depend on the switch changing timings only. Exercised with and
-        // without prefetch, under both policies, through one reused arena.
-        let sched = GreedyBspScheduler::new();
-        for prefetch in [true, false] {
-            let config = TwoStageConfig { prefetch };
-            for inst in instances() {
-                let bsp = sched.schedule(inst.dag(), inst.arch());
-                let mut arena = ConversionArena::new(inst.dag(), inst.arch());
-                let mut fast = MbspSchedule::new(inst.arch().processors);
-                let mut linear = MbspSchedule::new(inst.arch().processors);
-                let clair = ClairvoyantPolicy::new();
-                let lru = LruPolicy::new();
-                for policy in [&clair as &dyn EvictionPolicy, &lru] {
-                    arena.convert(
-                        inst.dag(),
-                        inst.arch(),
-                        &bsp,
-                        policy,
-                        config,
-                        &[],
-                        &mut fast,
-                    );
-                    set_reference_conversion_mode(true);
-                    arena.convert(
-                        inst.dag(),
-                        inst.arch(),
-                        &bsp,
-                        policy,
-                        config,
-                        &[],
-                        &mut linear,
-                    );
-                    set_reference_conversion_mode(false);
-                    assert_eq!(
-                        fast,
-                        linear,
-                        "{} ({}, prefetch={prefetch}): modes diverged",
-                        inst.name(),
-                        policy.name()
-                    );
-                }
-            }
         }
     }
 

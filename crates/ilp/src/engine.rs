@@ -14,10 +14,10 @@
 //!   [`mbsp_model::ScheduleEvaluator`] for the post-optimiser's incremental
 //!   cost deltas;
 //! * [`EvalPath`] — selects the incremental engine or the *reference* path (a
-//!   freshly allocated converter plus a full re-cost per candidate, the
-//!   pre-engine behaviour). Both paths are operation-identical, which the
-//!   differential tests assert; the reference path exists as the oracle and as
-//!   the baseline of `bench_improver`;
+//!   freshly allocated converter plus a full re-cost per candidate). Both
+//!   paths are operation-identical, which the differential tests assert; the
+//!   reference path is the ground truth they compare with and the baseline of
+//!   `bench_improver`;
 //! * [`evaluate_moves_on`] — evaluates one round's batch of moves, in parallel on
 //!   the resident [`mbsp_pool::WorkerPool`] with one engine per pool task.
 //!   Candidates are generated up front and the winner is chosen by the fixed
@@ -135,17 +135,9 @@ pub enum EvalPath {
     /// The incremental engine: arena-backed conversion plus incremental cost
     /// deltas in the post-optimiser. The production path.
     Incremental,
-    /// The incremental engine with the pre-segment-tree merge pass: identical
-    /// conversion and cost deltas, but each accepted fold in the per-candidate
-    /// post-optimiser shifts the superstep and cost arrays eagerly
-    /// ([`PostOptimizer::optimize_eager`]) instead of going through the
-    /// `O(log S)` merge session. Kept as the differential oracle and the
-    /// `bench_pool` baseline; candidate costs and schedules are identical to
-    /// [`EvalPath::Incremental`].
-    EagerMerge,
     /// The pre-engine behaviour: a freshly allocated converter and a full
-    /// `sync_cost`/`async_cost` re-cost per candidate. Kept as the differential
-    /// oracle and the `bench_improver` baseline.
+    /// `sync_cost`/`async_cost` re-cost per candidate. The ground truth of the
+    /// differential suites and the `bench_improver` baseline.
     Reference,
 }
 
@@ -272,10 +264,6 @@ impl EvaluationEngine {
                 self.post
                     .optimize(schedule, dag, arch, cost_model, required_outputs)
             }
-            EvalPath::EagerMerge => {
-                self.post
-                    .optimize_eager(schedule, dag, arch, cost_model, required_outputs)
-            }
             EvalPath::Reference => {
                 reference_post_optimize(schedule, dag, arch, cost_model, required_outputs);
                 cost_model.evaluate(schedule, dag, arch)
@@ -398,78 +386,6 @@ pub fn evaluate_moves_on<D: DagLike + Sync + ?Sized>(
         })
         .collect();
     let results: Vec<(Option<(f64, usize)>, u64)> = pool.run_batch(tasks);
-    reduce_batch(engines, chunk_size, results)
-}
-
-/// The pre-pool scoped-spawn form of [`evaluate_moves_on`], kept as the
-/// differential oracle and the `bench_pool` baseline: every call spawns (and
-/// joins) one OS thread per busy engine instead of reusing the resident
-/// workers — exactly the per-batch overhead the pool removes. The chunking,
-/// deadline handling and `(cost, index)` winner tie-break are identical, so
-/// both forms return the same outcome on the same inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_moves_scoped_on<D: DagLike + Sync + ?Sized>(
-    engines: &mut [EvaluationEngine],
-    dag: &D,
-    arch: &Architecture,
-    base_procs: &[ProcId],
-    moves: &[Move],
-    cost_model: CostModel,
-    required_outputs: &[NodeId],
-    deadline: Instant,
-) -> BatchOutcome {
-    if moves.is_empty() || engines.is_empty() {
-        return BatchOutcome {
-            winner: None,
-            evaluations: 0,
-        };
-    }
-    let workers = engines.len().min(moves.len());
-    let chunk_size = moves.len().div_ceil(workers);
-    if workers == 1 {
-        let (winner, evaluations) = evaluate_chunk(
-            &mut engines[0],
-            dag,
-            arch,
-            base_procs,
-            moves,
-            0,
-            cost_model,
-            required_outputs,
-            deadline,
-        );
-        return BatchOutcome {
-            winner,
-            evaluations,
-        };
-    }
-    let results: Vec<(Option<(f64, usize)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines[..workers]
-            .iter_mut()
-            .zip(moves.chunks(chunk_size))
-            .enumerate()
-            .map(|(w, (engine, chunk))| {
-                let offset = w * chunk_size;
-                scope.spawn(move || {
-                    evaluate_chunk(
-                        engine,
-                        dag,
-                        arch,
-                        base_procs,
-                        chunk,
-                        offset,
-                        cost_model,
-                        required_outputs,
-                        deadline,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("evaluation worker panicked"))
-            .collect()
-    });
     reduce_batch(engines, chunk_size, results)
 }
 
@@ -620,42 +536,50 @@ mod tests {
 
     #[test]
     fn batch_winner_is_worker_count_independent() {
+        // Every engine count — including an odd one whose last chunk is short
+        // and more engines than the pool has workers — must report the outcome
+        // of the one-engine batch, which the pool runs inline.
         let inst = instance();
         let dag = inst.dag();
         let n = dag.num_nodes();
         let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let mut rng = StdRng::seed_from_u64(3);
         let procs: Vec<ProcId> = (0..n)
             .map(|i| ProcId::new(i % inst.arch().processors))
             .collect();
-        let mut moves = Vec::new();
-        while moves.len() < 24 {
-            if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
-                moves.push(mv);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for seed in [3u64, 11] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut moves = Vec::new();
+            while moves.len() < 24 {
+                if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
+                    moves.push(mv);
+                }
+            }
+            let mut inline = None;
+            for workers in [1usize, 2, 3, 4, 8] {
+                let mut engines: Vec<EvaluationEngine> = (0..workers)
+                    .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
+                    .collect();
+                let outcome = evaluate_moves_on(
+                    WorkerPool::shared(),
+                    &mut engines,
+                    dag,
+                    inst.arch(),
+                    &procs,
+                    &moves,
+                    CostModel::Synchronous,
+                    &[],
+                    deadline,
+                );
+                assert_eq!(outcome.evaluations, moves.len() as u64);
+                let winner = outcome.winner.expect("every candidate evaluated");
+                assert_eq!(
+                    winner,
+                    *inline.get_or_insert(winner),
+                    "seed {seed}, {workers} engines"
+                );
             }
         }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut winners = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut engines: Vec<EvaluationEngine> = (0..workers)
-                .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
-                .collect();
-            let outcome = evaluate_moves_on(
-                WorkerPool::shared(),
-                &mut engines,
-                dag,
-                inst.arch(),
-                &procs,
-                &moves,
-                CostModel::Synchronous,
-                &[],
-                deadline,
-            );
-            assert_eq!(outcome.evaluations, moves.len() as u64);
-            winners.push(outcome.winner.expect("every candidate evaluated"));
-        }
-        assert_eq!(winners[0], winners[1]);
-        assert_eq!(winners[0], winners[2]);
     }
 
     #[test]
@@ -732,55 +656,6 @@ mod tests {
             winners_outside_engine_0 > 0,
             "no winner came from another engine's chunk: the hand-over is untested"
         );
-    }
-
-    #[test]
-    fn scoped_spawn_oracle_agrees_with_the_pool_batches() {
-        // The retained spawn-per-batch form must return the same winner and
-        // evaluation count as the resident-pool form, for any worker count.
-        let inst = instance();
-        let dag = inst.dag();
-        let n = dag.num_nodes();
-        let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let mut rng = StdRng::seed_from_u64(11);
-        let procs: Vec<ProcId> = (0..n)
-            .map(|i| ProcId::new(i % inst.arch().processors))
-            .collect();
-        let mut moves = Vec::new();
-        while moves.len() < 24 {
-            if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
-                moves.push(mv);
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        for workers in [1usize, 3, 8] {
-            let mut engines: Vec<EvaluationEngine> = (0..workers)
-                .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
-                .collect();
-            let pooled = evaluate_moves_on(
-                WorkerPool::shared(),
-                &mut engines,
-                dag,
-                inst.arch(),
-                &procs,
-                &moves,
-                CostModel::Synchronous,
-                &[],
-                deadline,
-            );
-            let scoped = evaluate_moves_scoped_on(
-                &mut engines,
-                dag,
-                inst.arch(),
-                &procs,
-                &moves,
-                CostModel::Synchronous,
-                &[],
-                deadline,
-            );
-            assert_eq!(pooled.evaluations, scoped.evaluations);
-            assert_eq!(pooled.winner, scoped.winner, "{workers} workers");
-        }
     }
 
     #[test]

@@ -346,54 +346,6 @@ impl PostOptimizer {
         self.merge_supersteps(schedule, dag, arch, cost_model)
     }
 
-    /// [`PostOptimizer::optimize`] with the pre-segment-tree merge loop, kept as
-    /// the differential oracle and the `bench_pool` baseline: each fold decision
-    /// uses the same `O(P)` evaluator deltas, but an accepted fold compacts the
-    /// superstep and per-superstep cost arrays **eagerly** — an `O(S · P)` shift
-    /// per fold, so a pass that folds most of an `S`-superstep schedule costs
-    /// `O(S² · P)` where the merge session costs `O(S log S + S · P)`. The fold
-    /// decisions, the optimised schedule and the returned cost are identical.
-    pub fn optimize_eager<D: DagLike + ?Sized>(
-        &mut self,
-        schedule: &mut MbspSchedule,
-        dag: &D,
-        arch: &Architecture,
-        cost_model: CostModel,
-        required_outputs: &[NodeId],
-    ) -> f64 {
-        self.required.fill(false);
-        self.last_load.fill(None);
-        remove_redundant_saves_into(
-            schedule,
-            dag,
-            required_outputs,
-            &mut self.required,
-            &mut self.last_load,
-        );
-        schedule.remove_empty_supersteps();
-        match cost_model {
-            CostModel::Synchronous => {
-                self.evaluator.rebuild(schedule, dag);
-                self.prefix.reset_initial(dag);
-                let mut k = 0usize;
-                while k + 1 < schedule.num_supersteps() {
-                    if self.evaluator.merged_cost(k) <= self.evaluator.separate_cost(k) + 1e-9
-                        && self.try_fold_pair(schedule, dag, arch, k, k + 1)
-                    {
-                        fold_superstep(schedule, k);
-                        self.evaluator.apply_merge(k);
-                        continue;
-                    }
-                    apply_step_unchecked(&mut self.prefix, &schedule.supersteps()[k], dag);
-                    k += 1;
-                }
-                self.evaluator.total()
-            }
-            // The asynchronous arm never used the session; share it.
-            CostModel::Asynchronous => self.merge_supersteps(schedule, dag, arch, cost_model),
-        }
-    }
-
     /// Greedily merges adjacent supersteps whenever the merged schedule remains
     /// valid and its cost does not increase; returns the final cost.
     ///
@@ -413,14 +365,12 @@ impl PostOptimizer {
     /// victim dead in O(log S) and empties it in place instead of shifting the
     /// superstep and cost arrays by O(S), so a pass that folds most of a
     /// thousands-of-supersteps schedule is O(S log S + S · P) instead of
-    /// O(S² · P); dead steps are compacted away once at the end. The decision
-    /// arithmetic of the session pairs is form-identical to the eager
-    /// [`ScheduleEvaluator::merged_cost`]/[`ScheduleEvaluator::separate_cost`]
-    /// path, so the folds taken — and the resulting schedule and cost — are
-    /// bit-for-bit unchanged (the differential tests against
-    /// [`reference_post_optimize`] pin this down). The asynchronous makespan
-    /// has no per-superstep decomposition, so that model keeps the full
-    /// re-evaluation through the scratch schedule and the eager fold.
+    /// O(S² · P); dead steps are compacted away once at the end. The folds
+    /// taken — and the resulting schedule and cost — are those of
+    /// [`reference_post_optimize`] (the differential tests pin this down). The
+    /// asynchronous makespan has no per-superstep decomposition, so that model
+    /// keeps the full re-evaluation through the scratch schedule and the
+    /// eager fold.
     fn merge_supersteps<D: DagLike + ?Sized>(
         &mut self,
         schedule: &mut MbspSchedule,
@@ -1122,45 +1072,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segment_tree_merge_matches_the_eager_merge_exactly() {
-        // The merge session (lazy O(log S) deletions over the alive tree) and
-        // the retained eager pass (O(S · P) shifts per fold) must take the same
-        // folds and produce byte-identical schedules and bit-identical costs.
-        let greedy = GreedyBspScheduler::new();
-        let converter = TwoStageScheduler::new();
-        let policy = ClairvoyantPolicy::new();
-        for inst in tiny_instances(6) {
-            for cost_model in [CostModel::Synchronous, CostModel::Asynchronous] {
-                let baseline = greedy.schedule(inst.dag(), inst.arch());
-                let schedule = converter.schedule(inst.dag(), inst.arch(), &baseline, &policy);
-                let mut session = schedule.clone();
-                let session_cost = PostOptimizer::new(inst.dag(), inst.arch()).optimize(
-                    &mut session,
-                    inst.dag(),
-                    inst.arch(),
-                    cost_model,
-                    &[],
-                );
-                let mut eager = schedule;
-                let eager_cost = PostOptimizer::new(inst.dag(), inst.arch()).optimize_eager(
-                    &mut eager,
-                    inst.dag(),
-                    inst.arch(),
-                    cost_model,
-                    &[],
-                );
-                assert_eq!(session, eager, "{} {cost_model}", inst.name());
-                assert_eq!(
-                    session_cost.to_bits(),
-                    eager_cost.to_bits(),
-                    "{} {cost_model}: session {session_cost} vs eager {eager_cost}",
-                    inst.name()
-                );
-            }
-        }
-    }
-
     /// Seeded schedules for the post-optimiser differentials: every tiny
     /// instance under random 4-processor assignments, converted at the
     /// paper's tight cache (`r = 3·r0`, `L = 10`: nearly every fold attempt
@@ -1213,14 +1124,10 @@ mod tests {
                 let mut post = PostOptimizer::new(dag, arch);
                 let mut session = schedule.clone();
                 let session_cost = post.optimize(&mut session, dag, arch, model, &[]);
-                let mut eager = schedule.clone();
-                let eager_cost = post.optimize_eager(&mut eager, dag, arch, model, &[]);
                 let mut reference = schedule;
                 reference_post_optimize(&mut reference, dag, arch, model, &[]);
                 let name = format!("{} r={cache_factor}·r0 L={latency}", inst.name());
                 assert_eq!(session, reference, "{name}: session vs reference");
-                assert_eq!(eager, reference, "{name}: eager vs reference");
-                assert_eq!(session_cost.to_bits(), eager_cost.to_bits(), "{name}");
                 assert_eq!(
                     session_cost.to_bits(),
                     sync_cost(&reference, dag, arch).total.to_bits(),

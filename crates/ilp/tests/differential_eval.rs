@@ -14,7 +14,7 @@
 //! dataset seeds, times all three BSP baselines (greedy BSPg, Cilk work stealing,
 //! DFS), times both eviction policies (clairvoyant and LRU).
 
-use mbsp_cache::two_stage::{reference, set_reference_conversion_mode};
+use mbsp_cache::two_stage::reference;
 use mbsp_cache::{ClairvoyantPolicy, ConversionArena, EvictionPolicy, LruPolicy, TwoStageConfig};
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_ilp::engine::{EvalPath, EvaluationEngine, Move};
@@ -130,8 +130,7 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
 /// Replays `AT_SCALE_MOVES` seeded moves through **one** arena and checks after
 /// every move that `convert_assignment` produces exactly the schedule the
 /// from-scratch reference converter produces for the canonical BSP schedule of
-/// the same assignment — and exactly the same again through the arena's
-/// retained linear hot loops. At this size a conversion simulates hundreds to
+/// the same assignment. At this size a conversion simulates hundreds to
 /// thousands of supersteps, so the stamped blue set, the flat use index and
 /// their per-processor incremental rebuild are compared against the snapshot
 /// copy and the per-node position vectors of the oracle at every one of them.
@@ -143,17 +142,12 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
     label: &str,
 ) {
     const AT_SCALE_MOVES: usize = 50;
-    // Flipping the process-global switch is serialised so that every "linear"
-    // conversion below really runs linear; other tests of this binary may see
-    // the flag either way, which is harmless (the forms are identical).
-    static LINEAR_MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     for policy in policies() {
         for prefetch in [true, false] {
             let config = TwoStageConfig { prefetch };
             let mut arena = ConversionArena::new(dag, arch);
             let mut out = MbspSchedule::new(arch.processors);
-            let mut linear = MbspSchedule::new(arch.processors);
             let mut procs = seed_procs.to_vec();
             let mut rng = StdRng::seed_from_u64(0x0A75_CA1E ^ prefetch as u64);
             let mut moves = 0usize;
@@ -180,21 +174,6 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
                     &mut out,
                 );
                 assert!(out == oracle, "{case}: the arena drifted from the oracle");
-                {
-                    let _serial = LINEAR_MODE.lock().unwrap_or_else(|e| e.into_inner());
-                    set_reference_conversion_mode(true);
-                    arena.convert_assignment(
-                        dag,
-                        arch,
-                        &procs,
-                        policy.as_ref(),
-                        config,
-                        required,
-                        &mut linear,
-                    );
-                    set_reference_conversion_mode(false);
-                }
-                assert!(linear == oracle, "{case}: the linear forms drifted");
             }
         }
     }

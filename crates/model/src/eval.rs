@@ -9,11 +9,11 @@
 //!
 //! [`ScheduleEvaluator`] caches the per-superstep, per-processor phase costs of a
 //! schedule together with the per-superstep maxima, and exposes O(changed
-//! supersteps) updates: refreshing a single superstep, removing one, or folding
-//! superstep `k + 1` into `k` (the post-optimiser's merge move). The slow reference
-//! path remains [`crate::cost::sync_cost`] / [`crate::cost::async_cost`]; the
-//! differential tests in `mbsp-ilp` replay random edit sequences and assert that the
-//! evaluator never drifts from a full re-cost.
+//! supersteps) updates: appending a superstep, or folding a later superstep into
+//! an earlier one inside a merge session (the post-optimiser's merge move). The
+//! ground truth remains [`crate::cost::sync_cost`] / [`crate::cost::async_cost`];
+//! the differential tests in `mbsp-ilp` replay random edit sequences and assert
+//! that the evaluator never drifts from a full re-cost.
 //!
 //! The asynchronous makespan has no per-superstep decomposition (a load may wait on
 //! a save arbitrarily far in the past), so asynchronous evaluation intentionally
@@ -31,19 +31,7 @@ use mbsp_dag::DagLike;
 /// schedule edit must be paired with the corresponding evaluator update). All
 /// buffers are reused across [`ScheduleEvaluator::rebuild`] calls, so one evaluator
 /// can serve an entire candidate-evaluation loop without allocating.
-///
-/// ## Dirty tracking
-///
-/// For the incremental re-scheduling engine, the evaluator also carries a
-/// **dirty set** of superstep indices with per-superstep invalidation stamps:
-/// a superstep's cached cost depends only on the weights of the nodes listed
-/// in its phase lists, so after a DAG mutation
-/// [`ScheduleEvaluator::mark_nodes_dirty`] marks exactly the supersteps that
-/// mention a touched node and [`ScheduleEvaluator::refresh_dirty`] re-costs
-/// only those, leaving every clean superstep's cache untouched. Stamps are
-/// epoch-versioned (`stamp[k] == epoch` ⇔ dirty), so clearing the dirty set
-/// is O(1) — no per-superstep reset pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScheduleEvaluator {
     procs: usize,
     g: f64,
@@ -56,12 +44,6 @@ pub struct ScheduleEvaluator {
     max_comp: Vec<f64>,
     max_save: Vec<f64>,
     max_load: Vec<f64>,
-    /// Per-superstep invalidation stamps: `stamp[k] == epoch` marks `k` dirty.
-    stamp: Vec<u64>,
-    /// Current dirty epoch; bumping it (on refresh/clear) cleans every stamp.
-    epoch: u64,
-    /// Indices of the currently dirty supersteps, in marking order.
-    dirty: Vec<u32>,
     /// Per-superstep liveness of the current merge session (all `true` outside
     /// one); rows of folded-away supersteps go dead instead of being drained.
     alive: Vec<bool>,
@@ -72,29 +54,6 @@ pub struct ScheduleEvaluator {
     tree: Vec<u32>,
     /// Index of the first leaf of `tree` (the leaf count, a power of two).
     tree_base: usize,
-}
-
-impl Default for ScheduleEvaluator {
-    fn default() -> Self {
-        ScheduleEvaluator {
-            procs: 0,
-            g: 0.0,
-            latency: 0.0,
-            comp: Vec::new(),
-            save: Vec::new(),
-            load: Vec::new(),
-            max_comp: Vec::new(),
-            max_save: Vec::new(),
-            max_load: Vec::new(),
-            stamp: Vec::new(),
-            // Starts above every fresh stamp (0), so new supersteps are clean.
-            epoch: 1,
-            dirty: Vec::new(),
-            alive: Vec::new(),
-            tree: Vec::new(),
-            tree_base: 0,
-        }
-    }
 }
 
 impl ScheduleEvaluator {
@@ -124,8 +83,6 @@ impl ScheduleEvaluator {
         self.max_comp.clear();
         self.max_save.clear();
         self.max_load.clear();
-        self.stamp.clear();
-        self.dirty.clear();
         for step in schedule.supersteps() {
             self.push_superstep(step, dag);
         }
@@ -156,132 +113,6 @@ impl ScheduleEvaluator {
         self.max_comp.push(max_c);
         self.max_save.push(max_s);
         self.max_load.push(max_l);
-        // Freshly costed, hence clean: any stamp below the current epoch works.
-        self.stamp.push(0);
-    }
-
-    /// Recomputes the cached costs of superstep `k` from `step` (after the caller
-    /// edited that superstep in place).
-    pub fn refresh_superstep<D: DagLike + ?Sized>(&mut self, k: usize, step: &Superstep, dag: &D) {
-        debug_assert_eq!(step.procs.len(), self.procs);
-        let base = k * self.procs;
-        let mut max_c: f64 = 0.0;
-        let mut max_s: f64 = 0.0;
-        let mut max_l: f64 = 0.0;
-        for (pi, phases) in step.procs.iter().enumerate() {
-            let c = phases.compute_cost(dag);
-            let s = phases.save_cost(dag, self.g);
-            let l = phases.load_cost(dag, self.g);
-            self.comp[base + pi] = c;
-            self.save[base + pi] = s;
-            self.load[base + pi] = l;
-            max_c = max_c.max(c);
-            max_s = max_s.max(s);
-            max_l = max_l.max(l);
-        }
-        self.max_comp[k] = max_c;
-        self.max_save[k] = max_s;
-        self.max_load[k] = max_l;
-    }
-
-    /// Drops the cached costs of superstep `k` (after the caller removed that
-    /// superstep from the schedule).
-    ///
-    /// This is an **O(S · P)** structural edit: every row behind `k` shifts
-    /// forward, exactly mirroring the `Vec::remove` the caller performed on the
-    /// schedule. Fine for occasional edits; a merge pass that folds many of `S`
-    /// supersteps should use the [`ScheduleEvaluator::begin_merge`] session,
-    /// whose lazy deletions cost O(log S) per fold instead.
-    pub fn remove_superstep(&mut self, k: usize) {
-        // Structural edits would shift the indices queued in the dirty set;
-        // callers must refresh (or clear) dirty marks first.
-        debug_assert!(
-            self.dirty.is_empty(),
-            "refresh_dirty/clear_dirty before structurally editing the schedule"
-        );
-        debug_assert!(
-            self.alive.is_empty(),
-            "finish_merge before structurally editing the schedule"
-        );
-        let base = k * self.procs;
-        self.comp.drain(base..base + self.procs);
-        self.save.drain(base..base + self.procs);
-        self.load.drain(base..base + self.procs);
-        self.max_comp.remove(k);
-        self.max_save.remove(k);
-        self.max_load.remove(k);
-        self.stamp.remove(k);
-    }
-
-    /// Marks superstep `k` dirty: its cached costs are stale until the next
-    /// [`ScheduleEvaluator::refresh_dirty`]. Idempotent per epoch.
-    pub fn mark_superstep_dirty(&mut self, k: usize) {
-        debug_assert!(k < self.num_supersteps());
-        if self.stamp[k] != self.epoch {
-            self.stamp[k] = self.epoch;
-            self.dirty.push(k as u32);
-        }
-    }
-
-    /// Returns true if superstep `k` is currently marked dirty.
-    pub fn is_dirty(&self, k: usize) -> bool {
-        self.stamp[k] == self.epoch
-    }
-
-    /// Number of supersteps currently marked dirty.
-    pub fn num_dirty(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Marks every superstep whose phase lists mention a node with
-    /// `dirty_node[v] == true`. A superstep's cached cost depends only on the
-    /// weights of its listed nodes, so this is exactly the invalidation set of
-    /// a node-reweight mutation. Nodes beyond `dirty_node`'s length are clean.
-    pub fn mark_nodes_dirty(&mut self, schedule: &MbspSchedule, dirty_node: &[bool]) {
-        debug_assert_eq!(schedule.num_supersteps(), self.num_supersteps());
-        let is_dirty = |v: mbsp_dag::NodeId| dirty_node.get(v.index()).copied().unwrap_or(false);
-        for (k, step) in schedule.supersteps().iter().enumerate() {
-            if self.stamp[k] == self.epoch {
-                continue;
-            }
-            let touched = step.procs.iter().any(|phases| {
-                phases.compute.iter().any(|s| is_dirty(s.node()))
-                    || phases.save.iter().copied().any(is_dirty)
-                    || phases.load.iter().copied().any(is_dirty)
-            });
-            if touched {
-                self.stamp[k] = self.epoch;
-                self.dirty.push(k as u32);
-            }
-        }
-    }
-
-    /// Re-costs exactly the dirty supersteps from `schedule` and clears the
-    /// dirty set (O(1) epoch bump). Returns how many supersteps were
-    /// refreshed; every clean superstep's cache is left byte-identical.
-    pub fn refresh_dirty<D: DagLike + ?Sized>(
-        &mut self,
-        schedule: &MbspSchedule,
-        dag: &D,
-    ) -> usize {
-        debug_assert_eq!(schedule.num_supersteps(), self.num_supersteps());
-        let dirty = std::mem::take(&mut self.dirty);
-        for &k in &dirty {
-            self.refresh_superstep(k as usize, &schedule.supersteps()[k as usize], dag);
-        }
-        let refreshed = dirty.len();
-        // Hand the buffer back (emptied) so marking stays allocation-free.
-        self.dirty = dirty;
-        self.dirty.clear();
-        self.epoch += 1;
-        refreshed
-    }
-
-    /// Drops all dirty marks without re-costing (the caller rebuilt or
-    /// discarded the cache another way).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-        self.epoch += 1;
     }
 
     /// Synchronous cost of superstep `k` (its three phase maxima plus `L`).
@@ -289,77 +120,18 @@ impl ScheduleEvaluator {
         self.max_comp[k] + self.max_save[k] + self.max_load[k] + self.latency
     }
 
-    /// Combined synchronous cost of supersteps `k` and `k + 1` kept separate —
-    /// the quantity a fold of `k + 1` into `k` competes against. Exactly one of
-    /// the two latency charges survives a merge, so only one `L` is included.
-    pub fn separate_cost(&self, k: usize) -> f64 {
-        self.max_comp[k]
-            + self.max_save[k]
-            + self.max_load[k]
-            + self.max_comp[k + 1]
-            + self.max_save[k + 1]
-            + self.max_load[k + 1]
-            + self.latency
-    }
-
-    /// Synchronous cost of the superstep that would result from folding `k + 1`
-    /// into `k` (per-processor phase costs add up, the maxima are re-taken).
-    pub fn merged_cost(&self, k: usize) -> f64 {
-        let a = k * self.procs;
-        let b = (k + 1) * self.procs;
-        let mut max_c: f64 = 0.0;
-        let mut max_s: f64 = 0.0;
-        let mut max_l: f64 = 0.0;
-        for pi in 0..self.procs {
-            max_c = max_c.max(self.comp[a + pi] + self.comp[b + pi]);
-            max_s = max_s.max(self.save[a + pi] + self.save[b + pi]);
-            max_l = max_l.max(self.load[a + pi] + self.load[b + pi]);
-        }
-        max_c + max_s + max_l
-    }
-
-    /// Folds the cached costs of superstep `k + 1` into `k` (mirroring the same
-    /// fold applied to the schedule) and removes row `k + 1`.
-    ///
-    /// O(P) for the re-max plus the **O(S · P)** shift of
-    /// [`ScheduleEvaluator::remove_superstep`] — the merge-session form
-    /// ([`ScheduleEvaluator::apply_merge_pair`]) replaces the shift with an
-    /// O(log S) lazy deletion and is what the post-optimiser's merge pass uses;
-    /// this eager form stays as its differential oracle.
-    pub fn apply_merge(&mut self, k: usize) {
-        let mut max_c: f64 = 0.0;
-        let mut max_s: f64 = 0.0;
-        let mut max_l: f64 = 0.0;
-        for pi in 0..self.procs {
-            let a = k * self.procs + pi;
-            let b = (k + 1) * self.procs + pi;
-            self.comp[a] += self.comp[b];
-            self.save[a] += self.save[b];
-            self.load[a] += self.load[b];
-            max_c = max_c.max(self.comp[a]);
-            max_s = max_s.max(self.save[a]);
-            max_l = max_l.max(self.load[a]);
-        }
-        self.max_comp[k] = max_c;
-        self.max_save[k] = max_s;
-        self.max_load[k] = max_l;
-        self.remove_superstep(k + 1);
-    }
-
     // ------------------------------------------------------------------
     // Merge sessions: O(log S) fold bookkeeping for the post-optimiser.
     //
     // A greedy merge pass over a schedule with thousands of supersteps folds
-    // O(S) times; with the eager `apply_merge` each fold pays an O(S) array
-    // shift, making the pass quadratic. A session replaces the shifts with
-    // lazy deletion: folded-away rows are marked dead in a segment tree of
-    // alive counts, "the superstep after k" becomes an O(log S) tree descent
+    // O(S) times; removing a row per fold would pay an O(S) array shift each
+    // time, making the pass quadratic. A session uses lazy deletion instead:
+    // folded-away rows are marked dead in a segment tree of alive counts,
+    // "the superstep after k" becomes an O(log S) tree descent
     // ([`ScheduleEvaluator::next_alive_after`]) and the arrays are compacted
-    // once at [`ScheduleEvaluator::finish_merge`]. The per-row arithmetic of
-    // `merged_cost_pair`/`separate_cost_pair`/`apply_merge_pair` is
-    // form-identical to the eager pair forms on compacted arrays, so every
-    // fold decision — and therefore the final schedule and its cost — is
-    // bit-for-bit the same; the eager path stays as the differential oracle.
+    // once at [`ScheduleEvaluator::finish_merge`]. The per-row arithmetic adds
+    // the two rows' per-processor phase costs and re-takes the maxima, which
+    // is what re-costing the folded schedule computes.
     // ------------------------------------------------------------------
 
     /// Opens a merge session over the currently cached supersteps: every row
@@ -367,10 +139,6 @@ impl ScheduleEvaluator {
     /// Pair with [`ScheduleEvaluator::finish_merge`]; structural edits outside
     /// the session API are not allowed while one is open.
     pub fn begin_merge(&mut self) {
-        debug_assert!(
-            self.dirty.is_empty(),
-            "refresh_dirty/clear_dirty before a merge session"
-        );
         let s = self.num_supersteps();
         self.alive.clear();
         self.alive.resize(s, true);
@@ -424,8 +192,8 @@ impl ScheduleEvaluator {
     }
 
     /// Combined synchronous cost of alive supersteps `k` and `j` kept separate
-    /// — the session form of [`ScheduleEvaluator::separate_cost`], identical
-    /// arithmetic with `j` in place of `k + 1`.
+    /// — the quantity a fold of `j` into `k` competes against. Exactly one of
+    /// the two latency charges survives a merge, so only one `L` is included.
     pub fn separate_cost_pair(&self, k: usize, j: usize) -> f64 {
         debug_assert!(self.alive[k] && self.alive[j]);
         self.max_comp[k]
@@ -437,10 +205,9 @@ impl ScheduleEvaluator {
             + self.latency
     }
 
-    /// Synchronous cost of the superstep that would result from folding alive
-    /// superstep `j` into `k` — the session form of
-    /// [`ScheduleEvaluator::merged_cost`], identical arithmetic with `j` in
-    /// place of `k + 1`.
+    /// Synchronous cost (without `L`) of the superstep that would result from
+    /// folding alive superstep `j` into `k`: per-processor phase costs add up,
+    /// the maxima are re-taken.
     pub fn merged_cost_pair(&self, k: usize, j: usize) -> f64 {
         debug_assert!(self.alive[k] && self.alive[j]);
         let a = k * self.procs;
@@ -456,11 +223,10 @@ impl ScheduleEvaluator {
         max_c + max_s + max_l
     }
 
-    /// Folds the cached costs of alive superstep `j` into `k` and marks `j`
-    /// dead: the same row additions and re-max as
-    /// [`ScheduleEvaluator::apply_merge`], but the dead row is lazily deleted
-    /// through the segment tree — O(P + log S), no array shift. The dead row's
-    /// stale values are never read again (session accessors only ever take
+    /// Folds the cached costs of alive superstep `j` into `k` (mirroring the
+    /// same fold applied to the schedule) and marks `j` dead: the dead row is
+    /// lazily deleted through the segment tree — O(P + log S), no array shift.
+    /// Its stale values are never read again (session accessors only ever take
     /// alive indices).
     pub fn apply_merge_pair(&mut self, k: usize, j: usize) {
         debug_assert!(self.alive[k] && self.alive[j] && k < j);
@@ -491,7 +257,7 @@ impl ScheduleEvaluator {
     /// Closes the merge session: compacts every cached array down to the alive
     /// rows (one O(S · P) pass — paid once per pass instead of once per fold)
     /// and releases the session state. The evaluator afterwards mirrors the
-    /// compacted schedule exactly as an eager-merge evaluator would.
+    /// compacted schedule.
     pub fn finish_merge(&mut self) {
         let procs = self.procs;
         let s = self.alive.len();
@@ -514,7 +280,6 @@ impl ScheduleEvaluator {
                     self.max_comp[kept] = self.max_comp[k];
                     self.max_save[kept] = self.max_save[k];
                     self.max_load[kept] = self.max_load[k];
-                    self.stamp[kept] = self.stamp[k];
                 }
                 kept += 1;
             }
@@ -524,7 +289,6 @@ impl ScheduleEvaluator {
             self.max_comp.truncate(kept);
             self.max_save.truncate(kept);
             self.max_load.truncate(kept);
-            self.stamp.truncate(kept);
         }
         self.alive.clear();
         self.tree.clear();
@@ -616,43 +380,38 @@ mod tests {
         assert!((sum - eval.total()).abs() < 1e-12);
     }
 
+    /// Folds superstep `k + 1` of `sched` into `k` by hand (phase lists
+    /// concatenated per processor, the emptied superstep removed).
+    fn fold(sched: &mut MbspSchedule, k: usize) {
+        let removed = sched.supersteps_mut().remove(k + 1);
+        for (pi, phases) in removed.procs.into_iter().enumerate() {
+            let t = &mut sched.supersteps_mut()[k].procs[pi];
+            t.compute.extend(phases.compute);
+            t.save.extend(phases.save);
+            t.delete.extend(phases.delete);
+            t.load.extend(phases.load);
+        }
+    }
+
     #[test]
     fn merge_bookkeeping_matches_folded_schedule() {
         let dag = diamond();
         let arch = arch();
         let mut sched = schedule();
         let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
+        eval.begin_merge();
         // Predicted merged cost of folding step 2 into step 1.
-        let predicted = eval.merged_cost(1);
-        // Fold the schedule by hand (phase lists concatenated per processor).
-        let removed = sched.supersteps_mut().remove(2);
-        for (pi, phases) in removed.procs.into_iter().enumerate() {
-            let t = &mut sched.supersteps_mut()[1].procs[pi];
-            t.compute.extend(phases.compute);
-            t.save.extend(phases.save);
-            t.delete.extend(phases.delete);
-            t.load.extend(phases.load);
-        }
-        eval.apply_merge(1);
+        let predicted = eval.merged_cost_pair(1, 2);
+        fold(&mut sched, 1);
+        eval.apply_merge_pair(1, 2);
+        eval.finish_merge();
         assert_eq!(eval.num_supersteps(), 2);
+        let fresh = ScheduleEvaluator::of(&sched, &dag, &arch);
+        for k in 0..2 {
+            assert!((eval.step_cost(k) - fresh.step_cost(k)).abs() < 1e-12);
+        }
         assert!((eval.total() - sync_cost(&sched, &dag, &arch).total).abs() < 1e-12);
         assert!((eval.step_cost(1) - (predicted + arch.latency)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn refresh_and_remove_track_schedule_edits() {
-        let dag = diamond();
-        let arch = arch();
-        let mut sched = schedule();
-        let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
-        // Drop p1's save of node 2 in superstep 1 and refresh only that row.
-        sched.supersteps_mut()[1].procs[1].save.clear();
-        eval.refresh_superstep(1, &sched.supersteps()[1], &dag);
-        assert_eq!(eval.total(), sync_cost(&sched, &dag, &arch).total);
-        // Remove superstep 0 entirely.
-        sched.supersteps_mut().remove(0);
-        eval.remove_superstep(0);
-        assert_eq!(eval.total(), sync_cost(&sched, &dag, &arch).total);
     }
 
     #[test]
@@ -670,101 +429,45 @@ mod tests {
     }
 
     #[test]
-    fn node_dirty_marks_cover_exactly_the_mentioning_supersteps() {
-        let dag = diamond();
-        let arch = arch();
-        let sched = schedule();
-        let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
-        assert_eq!(eval.num_dirty(), 0);
-        // Node 3 appears only in superstep 2 (computed and saved there).
-        let mut mask = vec![false; 4];
-        mask[3] = true;
-        eval.mark_nodes_dirty(&sched, &mask);
-        assert_eq!(eval.num_dirty(), 1);
-        assert!(!eval.is_dirty(0));
-        assert!(!eval.is_dirty(1));
-        assert!(eval.is_dirty(2));
-        // Node 0 is loaded in superstep 0 only.
-        mask[3] = false;
-        mask[0] = true;
-        eval.mark_nodes_dirty(&sched, &mask);
-        assert_eq!(eval.num_dirty(), 2);
-        assert!(eval.is_dirty(0));
-    }
-
-    #[test]
-    fn refresh_dirty_recosts_only_the_marked_supersteps() {
-        let mut dag = diamond();
-        let arch = arch();
-        let sched = schedule();
-        let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
-        // Reweight node 1 (superstep 1: computed+saved on p0, loaded on p1).
-        dag.set_weights(NodeId::new(1), NodeWeights::new(9.0, 4.0))
-            .unwrap();
-        let mut mask = vec![false; 4];
-        mask[1] = true;
-        eval.mark_nodes_dirty(&sched, &mask);
-        let refreshed = eval.refresh_dirty(&sched, &dag);
-        assert_eq!(refreshed, 1);
-        assert_eq!(eval.num_dirty(), 0);
-        assert_eq!(eval.total(), sync_cost(&sched, &dag, &arch).total);
-        // Marking is idempotent across epochs: a second round works the same.
-        dag.set_weights(NodeId::new(1), NodeWeights::new(2.0, 1.0))
-            .unwrap();
-        eval.mark_nodes_dirty(&sched, &mask);
-        eval.mark_nodes_dirty(&sched, &mask);
-        assert_eq!(eval.num_dirty(), 1);
-        assert_eq!(eval.refresh_dirty(&sched, &dag), 1);
-        assert_eq!(eval.total(), sync_cost(&sched, &dag, &arch).total);
-    }
-
-    #[test]
-    fn clear_dirty_drops_marks_without_recosting() {
-        let dag = diamond();
-        let arch = arch();
-        let sched = schedule();
-        let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
-        eval.mark_superstep_dirty(1);
-        assert!(eval.is_dirty(1));
-        eval.clear_dirty();
-        assert_eq!(eval.num_dirty(), 0);
-        assert!(!eval.is_dirty(1));
-    }
-
-    #[test]
     fn merge_session_replays_the_eager_merge_exactly() {
-        // Replay the same greedy fold sequence through the eager O(S)-shift
-        // API and the segment-tree session API; every intermediate decision
-        // quantity and the final totals must agree bit for bit.
+        // Replay one greedy fold sequence through the segment-tree session and
+        // through the schedule itself, folded eagerly (an O(S) `Vec::remove`
+        // per fold) and re-costed from scratch after every fold. Every
+        // decision quantity and the final totals must agree bit for bit (the
+        // diamond's weights are dyadic, so the sums are exact in either order).
         let dag = diamond();
         let arch = arch();
-        let sched = schedule();
-        let mut eager = ScheduleEvaluator::of(&sched, &dag, &arch);
+        let mut sched = schedule();
         let mut session = ScheduleEvaluator::of(&sched, &dag, &arch);
         session.begin_merge();
 
-        // Fold step 1 into step 0, then step 2 (now the eager step 1) into 0.
-        let j = session.next_alive_after(0).unwrap();
-        assert_eq!(j, 1);
-        assert_eq!(session.merged_cost_pair(0, j), eager.merged_cost(0));
-        assert_eq!(session.separate_cost_pair(0, j), eager.separate_cost(0));
-        session.apply_merge_pair(0, j);
-        eager.apply_merge(0);
-
-        let j = session.next_alive_after(0).unwrap();
-        assert_eq!(j, 2); // eager index 1 is session index 2 (1 is dead)
-        assert!(session.merge_alive(0) && !session.merge_alive(1));
-        assert_eq!(session.merged_cost_pair(0, j), eager.merged_cost(0));
-        assert_eq!(session.separate_cost_pair(0, j), eager.separate_cost(0));
-        session.apply_merge_pair(0, j);
-        eager.apply_merge(0);
+        // Fold step 1 into step 0, then step 2 (by then the folded schedule's
+        // step 1) into 0. Session index 1 is dead for the second fold.
+        for expected_j in [1, 2] {
+            let j = session.next_alive_after(0).unwrap();
+            assert_eq!(j, expected_j);
+            let before = ScheduleEvaluator::of(&sched, &dag, &arch);
+            assert_eq!(
+                session.separate_cost_pair(0, j),
+                before.step_cost(0) + before.step_cost(1) - arch.latency
+            );
+            fold(&mut sched, 0);
+            let after = ScheduleEvaluator::of(&sched, &dag, &arch);
+            assert_eq!(
+                session.merged_cost_pair(0, j) + arch.latency,
+                after.step_cost(0)
+            );
+            session.apply_merge_pair(0, j);
+            assert!(session.merge_alive(0) && !session.merge_alive(j));
+        }
 
         assert_eq!(session.next_alive_after(0), None);
         session.finish_merge();
-        assert_eq!(session.num_supersteps(), eager.num_supersteps());
-        assert_eq!(session.total(), eager.total());
-        for k in 0..eager.num_supersteps() {
-            assert_eq!(session.step_cost(k), eager.step_cost(k));
+        let folded = ScheduleEvaluator::of(&sched, &dag, &arch);
+        assert_eq!(session.num_supersteps(), folded.num_supersteps());
+        assert_eq!(session.total(), sync_cost(&sched, &dag, &arch).total);
+        for k in 0..folded.num_supersteps() {
+            assert_eq!(session.step_cost(k), folded.step_cost(k));
         }
     }
 
@@ -801,10 +504,11 @@ mod tests {
         // so the merged cost undercuts the separate cost by exactly L.
         let dag = diamond();
         let arch = arch();
-        let eval = ScheduleEvaluator::of(&schedule(), &dag, &arch);
+        let mut eval = ScheduleEvaluator::of(&schedule(), &dag, &arch);
+        eval.begin_merge();
         // Steps 1 and 2: p1 works in both, so merging adds its phase costs.
-        let separate = eval.separate_cost(1);
-        let merged = eval.merged_cost(1);
+        let separate = eval.separate_cost_pair(1, 2);
+        let merged = eval.merged_cost_pair(1, 2);
         // merged excludes the latency of the folded step; separate includes one L.
         assert!(merged <= separate);
     }

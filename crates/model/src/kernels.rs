@@ -11,33 +11,11 @@
 //! autovectorizes, while the per-chunk early exits keep the expected cost of
 //! failing subset/equality tests as low as the scalar loop's.
 //!
-//! Every kernel keeps its one-word-at-a-time predecessor as `*_scalar` next to
-//! it: the scalar forms are the differential oracles of
-//! `tests/kernel_differential.rs` (seeded random word slices, both paths must
-//! agree exactly) and document the semantics the chunked loops must preserve.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, every chunked kernel routes to its `*_scalar` oracle instead.
-///
-/// This exists for one caller: `bench_pool`'s reference runs, which reproduce
-/// the pre-kernel "current path" end to end (scoped spawns + eager merge +
-/// one-word-at-a-time loops). Production code never sets it; the relaxed load
-/// it costs per kernel call is a single predictable branch.
-static SCALAR_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Route every chunked kernel through its retained scalar oracle (`true`) or
-/// the chunked fast path (`false`, the default). Bench/differential use only;
-/// both settings produce bit-identical results.
-pub fn set_scalar_mode(enabled: bool) {
-    SCALAR_MODE.store(enabled, Ordering::Relaxed);
-}
-
-/// Is [`set_scalar_mode`] currently routing kernels to the scalar oracles?
-#[inline]
-pub fn scalar_mode() -> bool {
-    SCALAR_MODE.load(Ordering::Relaxed)
-}
+//! Every kernel has a one-word-at-a-time `*_scalar` form next to it — the
+//! ground truth that `tests/kernel_differential.rs` compares the chunked loop
+//! with (seeded random word slices, both must agree exactly). It is reached by
+//! name only: no caller outside the tests runs it, and nothing selects it at
+//! run time.
 
 /// Words per chunk of [`words_equal`] and [`popcount_words`]. Eight `u64`s are
 /// one cache line — wide enough for two 256-bit vector lanes, small enough that
@@ -57,9 +35,6 @@ const SUBSET_CHUNK: usize = 4;
 /// vectorize).
 #[inline]
 pub fn popcount_words(words: &[u64]) -> u32 {
-    if scalar_mode() {
-        return popcount_words_scalar(words);
-    }
     let mut chunks = words.chunks_exact(EQ_CHUNK);
     let mut total = 0u32;
     for chunk in &mut chunks {
@@ -88,9 +63,6 @@ pub fn popcount_words_scalar(words: &[u64]) -> u32 {
 /// vectorizable while a difference still exits after at most one chunk.
 #[inline]
 pub fn words_equal(a: &[u64], b: &[u64]) -> bool {
-    if scalar_mode() {
-        return words_equal_scalar(a, b);
-    }
     if a.len() != b.len() {
         return false;
     }
@@ -133,9 +105,6 @@ pub fn words_equal_scalar(a: &[u64], b: &[u64]) -> bool {
 #[inline]
 pub fn masked_subset(red: &[u64], words: &[u32], masks: &[u64]) -> bool {
     debug_assert_eq!(words.len(), masks.len());
-    if scalar_mode() {
-        return masked_subset_scalar(red, words, masks);
-    }
     let mut cw = words.chunks_exact(SUBSET_CHUNK);
     let mut cm = masks.chunks_exact(SUBSET_CHUNK);
     for (xw, xm) in (&mut cw).zip(&mut cm) {

@@ -9,6 +9,7 @@
 //! missing-field / wrong-type case maps to a typed [`Reject`] carrying one of
 //! the protocol's stable error codes.
 
+use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -393,17 +394,34 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
         }
     };
 
+    // The session sizes per-processor tables from these numbers, so they are
+    // bounded here, before anything is built.
     let processors = require(field_usize(map, "processors")?, "processors")?;
-    if processors == 0 {
+    if !(1..=MAX_PROCESSORS).contains(&processors) {
         return Err(Reject::new(
             E_BAD_REQUEST,
-            "`processors` must be at least 1",
+            format!("`processors` must be between 1 and {MAX_PROCESSORS}"),
         ));
     }
-    let g = field_f64(map, "g")?.unwrap_or(1.0);
-    let latency = field_f64(map, "latency")?.unwrap_or(2.0);
-    let cache_size = field_f64(map, "cache_size")?;
+    let non_negative = |key: &str| -> Parse<Option<f64>> {
+        match field_f64(map, key)? {
+            Some(x) if !(x.is_finite() && x >= 0.0) => Err(Reject::new(
+                E_BAD_REQUEST,
+                format!("`{key}` must be finite and >= 0"),
+            )),
+            x => Ok(x),
+        }
+    };
+    let g = non_negative("g")?.unwrap_or(1.0);
+    let latency = non_negative("latency")?.unwrap_or(2.0);
+    let cache_size = non_negative("cache_size")?;
     let cache_factor = field_f64(map, "cache_factor")?;
+    if cache_factor.is_some_and(|f| !(f.is_finite() && f > 0.0)) {
+        return Err(Reject::new(
+            E_BAD_REQUEST,
+            "`cache_factor` must be finite and > 0",
+        ));
+    }
     if cache_size.is_some() && cache_factor.is_some() {
         return Err(Reject::new(
             E_BAD_REQUEST,
@@ -455,8 +473,8 @@ fn parse_family(spec: &Value) -> Parse<FamilySpec> {
         .as_map()
         .ok_or_else(|| Reject::new(E_BAD_REQUEST, "`family` must be a JSON object"))?;
     let kind = require(field_str(map, "kind")?, "family.kind")?;
-    match kind.as_str() {
-        "random" => Ok(FamilySpec::Random {
+    let spec = match kind.as_str() {
+        "random" => FamilySpec::Random {
             config: RandomDagConfig {
                 layers: require(field_usize(map, "layers")?, "family.layers")?,
                 width: require(field_usize(map, "width")?, "family.width")?,
@@ -465,20 +483,59 @@ fn parse_family(spec: &Value) -> Parse<FamilySpec> {
                 max_memory: field_u64(map, "max_memory")?.unwrap_or(3) as u32,
             },
             seed: field_u64(map, "seed")?.unwrap_or(0),
-        }),
-        "cg" => Ok(FamilySpec::Cg {
+        },
+        "cg" => FamilySpec::Cg {
             n: require(field_usize(map, "n")?, "family.n")?,
             k: require(field_usize(map, "k")?, "family.k")?,
-        }),
-        "knn" => Ok(FamilySpec::Knn {
+        },
+        "knn" => FamilySpec::Knn {
             n: require(field_usize(map, "n")?, "family.n")?,
             k: require(field_usize(map, "k")?, "family.k")?,
-        }),
-        other => Err(Reject::new(
-            E_BAD_DAG,
-            format!("unknown family kind `{other}` (expected random/cg/knn)"),
-        )),
+        },
+        other => {
+            return Err(Reject::new(
+                E_BAD_DAG,
+                format!("unknown family kind `{other}` (expected random/cg/knn)"),
+            ))
+        }
+    };
+    // The generators assert on degenerate parameters and allocate per node, so
+    // both are checked before one runs. `nodes` is an upper bound on the
+    // generated node count, `None` when it overflows.
+    let (well_formed, nodes) = match &spec {
+        FamilySpec::Random { config, .. } => (
+            config.layers >= 1
+                && config.width >= 1
+                && (0.0..=1.0).contains(&config.edge_probability),
+            config.layers.checked_mul(config.width),
+        ),
+        // 2n² sources, then fewer than 7n² nodes per iteration.
+        FamilySpec::Cg { n, k } => (
+            *n >= 2 && *k >= 1,
+            n.checked_mul(*n)
+                .and_then(|points| points.checked_mul(k.checked_mul(7)?.checked_add(2)?)),
+        ),
+        // 2n sources, then 2n nodes per query (of n) and round.
+        FamilySpec::Knn { n, k } => (
+            *n >= 2 && *k >= 1,
+            n.checked_mul(*n)
+                .and_then(|pairs| pairs.checked_mul(k.checked_mul(2)?)?.checked_add(2 * n)),
+        ),
+    };
+    if !well_formed {
+        return Err(Reject::new(
+            E_BAD_REQUEST,
+            "`family` needs layers, width >= 1 and edge_probability in [0, 1] (random) \
+             or n >= 2 and k >= 1 (cg, knn)",
+        ));
     }
+    if nodes.map_or(true, |n| n > MAX_FAMILY_NODES) {
+        return Err(Reject::new(
+            E_BAD_REQUEST,
+            format!("`family` would generate more than {MAX_FAMILY_NODES} nodes"),
+        ));
+    }
+    Ok(spec)
 }
 
 fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {

@@ -35,7 +35,7 @@ use mbsp_model::{Architecture, MbspInstance};
 use mbsp_pool::{AdmissionQueue, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::{Serialize, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -51,6 +51,16 @@ pub const REGISTRY_FILE: &str = "registry.mbio";
 /// is answered with a `too_large` reject and the connection is closed, so no
 /// client can make the daemon buffer an unbounded line.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Most processors a `register` may ask for. A session allocates several
+/// `processors × nodes` tables, so an unchecked count lets one request line
+/// abort the daemon — and every tenant with it — on allocation failure.
+pub const MAX_PROCESSORS: usize = 1024;
+
+/// Most nodes a `register` `family` spec may generate: ten times the largest
+/// instance of `mbsp_gen::large_dataset` (100,000 nodes). Uploaded DAGs are
+/// bounded by [`MAX_LINE_BYTES`] instead.
+pub const MAX_FAMILY_NODES: usize = 1_000_000;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -146,12 +156,38 @@ struct InstanceHandle {
     worker: thread::JoinHandle<()>,
 }
 
+/// The instance table: the live sessions, plus the names of `register`s that
+/// are still building theirs. A name is reserved under the lock and the session
+/// built outside it, so two concurrent `register`s of one name cannot both
+/// succeed and no build is serialised behind another.
+#[derive(Default)]
+struct Instances {
+    live: BTreeMap<String, InstanceHandle>,
+    registering: BTreeSet<String>,
+}
+
+/// A name reserved by an in-flight `register`. Dropping it releases the name
+/// on every way out of the request; a `register` that succeeded has put its
+/// live entry in the table by then.
+struct Reservation<'a> {
+    inner: &'a ServerInner,
+    name: &'a str,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut instances) = self.inner.instances.lock() {
+            instances.registering.remove(self.name);
+        }
+    }
+}
+
 struct ServerInner {
     addr: SocketAddr,
     pool: WorkerPool,
     state_dir: PathBuf,
     shutting_down: AtomicBool,
-    instances: Mutex<BTreeMap<String, InstanceHandle>>,
+    instances: Mutex<Instances>,
     jobs: Mutex<HashMap<u64, CancelToken>>,
     next_job: AtomicU64,
     registry: Mutex<BTreeMap<String, (String, u64)>>,
@@ -188,7 +224,7 @@ impl ServerInner {
         }
         // Close every admission queue: workers drain their backlog, write a
         // final checkpoint and exit; the accept thread joins them.
-        for handle in self.instances.lock().unwrap().values() {
+        for handle in self.instances.lock().unwrap().live.values() {
             handle.queue.close();
         }
         // Wake the accept loop so it observes the flag.
@@ -228,7 +264,7 @@ impl Server {
             pool,
             state_dir: config.state_dir,
             shutting_down: AtomicBool::new(false),
-            instances: Mutex::new(BTreeMap::new()),
+            instances: Mutex::default(),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
             registry: Mutex::new(BTreeMap::new()),
@@ -318,6 +354,7 @@ fn spawn_instance(inner: &Arc<ServerInner>, state: InstanceState) {
         .instances
         .lock()
         .unwrap()
+        .live
         .insert(name, InstanceHandle { queue, worker });
 }
 
@@ -336,7 +373,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
     // Join every session worker; each wrote its final checkpoint on exit.
     let handles: Vec<InstanceHandle> = {
         let mut instances = inner.instances.lock().unwrap();
-        std::mem::take(&mut *instances).into_values().collect()
+        std::mem::take(&mut instances.live).into_values().collect()
     };
     for handle in handles {
         handle.queue.close();
@@ -489,7 +526,12 @@ fn handle_register(
     id: Option<u64>,
     req: RegisterRequest,
 ) {
-    if inner.instances.lock().unwrap().contains_key(&req.instance) {
+    let reserved = {
+        let mut instances = inner.instances.lock().unwrap();
+        !instances.live.contains_key(&req.instance)
+            && instances.registering.insert(req.instance.clone())
+    };
+    if !reserved {
         out.send_reject(
             id,
             None,
@@ -500,6 +542,10 @@ fn handle_register(
         );
         return;
     }
+    let _reservation = Reservation {
+        inner,
+        name: &req.instance,
+    };
     let dag = match &req.source {
         DagSource::Uploaded(dag) => dag.clone(),
         DagSource::Family(spec) => spec.generate(&req.instance),
@@ -592,7 +638,7 @@ fn enqueue(
 ) {
     let queue = {
         let instances = inner.instances.lock().unwrap();
-        match instances.get(instance) {
+        match instances.live.get(instance) {
             Some(handle) => Arc::clone(&handle.queue),
             None => {
                 out.send_reject(

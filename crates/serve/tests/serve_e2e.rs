@@ -338,6 +338,43 @@ fn hostile_lines_are_rejected_with_typed_frames() {
     c.send(r#"{"id":2,"op":"status"}"#);
     assert_ok(&c.recv());
 
+    // A `register` whose numbers would size an allocation (or trip an
+    // assertion) is a `bad_request` before anything is built; the connection
+    // stays usable after each.
+    let family = r#""family":{"kind":"cg","n":4,"k":1}"#;
+    for fields in [
+        format!(r#"{family},"processors":1000000000"#),
+        format!(r#"{family},"processors":1025"#),
+        format!(r#"{family},"processors":2,"g":-1.0"#),
+        format!(r#"{family},"processors":2,"g":1e999"#),
+        format!(r#"{family},"processors":2,"latency":-0.5"#),
+        format!(r#"{family},"processors":2,"cache_size":-4.0"#),
+        format!(r#"{family},"processors":2,"cache_factor":0.0"#),
+        format!(r#"{family},"processors":2,"cache_factor":-3.0"#),
+        r#""processors":2,"family":{"kind":"random","layers":4294967296,"width":4294967296}"#
+            .to_string(),
+        r#""processors":2,"family":{"kind":"random","layers":2000,"width":1000}"#.to_string(),
+        r#""processors":2,"family":{"kind":"random","layers":4,"width":4,"edge_probability":1.5}"#
+            .to_string(),
+        r#""processors":2,"family":{"kind":"cg","n":1000,"k":4}"#.to_string(),
+        r#""processors":2,"family":{"kind":"knn","n":0,"k":1}"#.to_string(),
+    ] {
+        c.send(&format!(
+            r#"{{"id":9,"op":"register","instance":"hostile",{fields}}}"#
+        ));
+        let frame = c.recv();
+        assert_eq!(
+            code(&frame).as_deref(),
+            Some("bad_request"),
+            "{fields}: got {frame:?}"
+        );
+    }
+    // None of them reserved the name or left a session behind.
+    c.send(&format!(
+        r#"{{"id":10,"op":"register","instance":"hostile",{family},"processors":2}}"#
+    ));
+    assert!(is_event(&c.recv(), "registered"));
+
     // A line one byte over the cap: `too_large`, then the daemon closes the
     // connection. The writer runs beside the reader because the daemon stops
     // buffering at the cap and only drains the rest.
@@ -362,6 +399,68 @@ fn hostile_lines_are_rejected_with_typed_frames() {
     // The daemon itself is unharmed.
     c.send(r#"{"id":3,"op":"status"}"#);
     assert_ok(&c.recv());
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn concurrent_registers_of_one_name_admit_exactly_one() {
+    // The name is reserved before the session is built, so of N simultaneous
+    // `register`s exactly one wins and the rest are told so — none replaces
+    // another's session worker or overwrites its checkpoint.
+    const CLIENTS: usize = 4;
+    let state_dir = temp_state_dir("same_name");
+    let server = start_server(&state_dir);
+    let addr = server.local_addr();
+    // Large enough that building the session outlasts the clients' skew.
+    let dag = random_layered_dag(
+        &RandomDagConfig {
+            layers: 40,
+            width: 500,
+            edge_probability: 3.0 / 500.0,
+            max_compute: 4,
+            max_memory: 3,
+        },
+        5,
+    );
+    let line = format!(
+        r#"{{"id":1,"op":"register","instance":"twin","dag_hex":"{}","processors":4,{BUDGET}}}"#,
+        mbsp_serve::encode_hex(&mbsp_io::encode_dag(&dag))
+    );
+    let start = std::sync::Barrier::new(CLIENTS);
+    let frames: Vec<Value> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut c = Client::connect(addr);
+                    start.wait();
+                    c.send(&line);
+                    c.recv()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let registered = frames.iter().filter(|f| is_event(f, "registered")).count();
+    let duplicates = frames
+        .iter()
+        .filter(|f| {
+            get(f, "error")
+                .and_then(|e| e.as_map())
+                .and_then(|m| map_get(m, "code"))
+                .and_then(|v| v.as_str())
+                == Some("duplicate_instance")
+        })
+        .count();
+    assert_eq!((registered, duplicates), (1, CLIENTS - 1), "got {frames:?}");
+
+    // The one session answers, and a graceful shutdown joins its worker.
+    let mut c = Client::connect(addr);
+    c.send(r#"{"id":2,"op":"status","instance":"twin"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_ok(&status);
+    assert_eq!(get_u64(&status, "nodes"), Some(dag.num_nodes() as u64));
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);
