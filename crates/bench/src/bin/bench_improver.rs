@@ -154,10 +154,12 @@ fn main() {
             && (par_stats.final_cost - ref_stats.final_cost).abs()
                 <= 1e-9 * (1.0 + ref_stats.final_cost.abs());
         println!(
-            "{:<16} {:>5} nodes  {:>6} evals   reference {:>8.0}/s   engine {:>8.0}/s ({:>5.1}x)   parallel[{}] {:>8.0}/s ({:>5.1}x)   match: {}",
+            "{:<16} {:>5} nodes  {:>6} evals ({} supersteps simulated, {} skipped)   reference {:>8.0}/s   engine {:>8.0}/s ({:>5.1}x)   parallel[{}] {:>8.0}/s ({:>5.1}x)   match: {}",
             inst.name,
             instance.dag().num_nodes(),
             eng_stats.evaluations,
+            eng_stats.simulated_supersteps,
+            eng_stats.skipped_supersteps,
             ref_eps,
             eng_eps,
             eng_eps / ref_eps.max(1e-9),

@@ -157,9 +157,11 @@ fn run_sharded(
     let not_worse_than_baseline = cost <= baseline_cost + 1e-9 * (1.0 + baseline_cost.abs());
     eprintln!(
         "    {label} ({SHARDS} shards): cost {cost:.1}, {seconds:.2}s (1 worker: \
-         {seconds_1w:.2}s), {} evals, {} improved / {} accepted shards, {} salvaged moves, \
-         {} iterations",
+         {seconds_1w:.2}s), {} evals ({} supersteps simulated, {} skipped), {} improved / {} \
+         accepted shards, {} salvaged moves, {} iterations",
         stats.evaluations,
+        stats.simulated_supersteps,
+        stats.skipped_supersteps,
         stats.improved_shards,
         stats.accepted_shards,
         stats.salvaged_moves,

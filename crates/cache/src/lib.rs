@@ -18,9 +18,11 @@
 //! * [`ConversionArena`] — the same conversion split into a long-lived arena
 //!   (topological order, the flat use index, the stamped blue set and the
 //!   per-processor buffers — built once per instance) plus a cheap per-candidate
-//!   reset. The holistic search of `mbsp-ilp`
+//!   restore. The holistic search of `mbsp-ilp`
 //!   converts thousands of neighbouring assignments through one arena without
-//!   re-allocating; [`two_stage::reference`] keeps the original single-shot
+//!   re-allocating, and — once [`ConversionArena::rebase`] has recorded the
+//!   incumbent's conversion — re-simulates only the supersteps a candidate's
+//!   move can change; [`two_stage::reference`] keeps the original single-shot
 //!   converter as the ground truth the arena is tested against (the same
 //!   pattern as `lp_solver`'s `dense::` module).
 

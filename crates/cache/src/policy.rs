@@ -29,13 +29,19 @@ pub struct CandidateVictim {
 
 /// A cache-eviction policy: selects which cached values to drop when space is needed.
 pub trait EvictionPolicy {
-    /// Human-readable name of the policy (used in experiment reports).
+    /// Human-readable name of the policy (used in experiment reports). It also
+    /// identifies the policy to [`crate::ConversionArena::rebase`]: two
+    /// policies that order candidates differently must not share a name.
     fn name(&self) -> &'static str;
 
     /// Compares two candidates by eviction preference: `Less` means `a` should be
     /// evicted before `b`. The order must be **total** (policies break remaining
     /// ties by node id), so any selection strategy — a full sort or a repeated
-    /// minimum — produces the same eviction sequence.
+    /// minimum — produces the same eviction sequence. It may depend on
+    /// [`CandidateVictim::next_use`] only through how two candidates' positions
+    /// compare: a conversion that starts from a recorded base
+    /// ([`crate::ConversionArena::rebase`]) sees positions shifted by the
+    /// candidate's move, monotonically, relative to the base's.
     fn order(&self, a: &CandidateVictim, b: &CandidateVictim) -> std::cmp::Ordering;
 
     /// Does this policy evict every candidate with `next_use == None` before any

@@ -26,10 +26,11 @@
 //! * [`ConversionArena`] holds everything that outlives one candidate — the
 //!   topological order, the per-processor compute sequences, the flat use
 //!   index, the cache-simulation buffers — allocated **once per instance**;
-//! * each conversion is then a cheap *reset* of that state. Converting a
-//!   neighbouring assignment via [`ConversionArena::convert_assignment`] reuses all
-//!   allocations and rebuilds the compute sequences (and their slice of the use
-//!   index) only for the processors the move actually touched.
+//! * each conversion then *restores* that state to a superstep boundary and
+//!   simulates from there. Converting a neighbouring assignment via
+//!   [`ConversionArena::convert_assignment`] reuses all allocations and
+//!   rebuilds the compute sequences (and their slice of the use index) only
+//!   for the processors the move actually touched.
 //!
 //! At tight caches (`r = 3·r0`, the paper's regime) a conversion simulates about
 //! one superstep per computed node, so nothing in the superstep loop may scale
@@ -48,26 +49,107 @@
 //!
 //! On generous caches the simulation itself is dominated by victim selection:
 //! every eviction trigger used to rebuild and scan a candidate set the size of
-//! the cache. The arena instead maintains, per processor, an ordered set of
+//! the cache. The arena instead maintains, per processor, a sorted list of
 //! **spent** values (cached, no remaining local use — what the clairvoyant
-//! policy evicts first, in exactly the set's order) and a node-id-ordered set
-//! of **dead** values (no remaining use anywhere, droppable without a save),
-//! updated at the few events that create them; eviction triggers then pop
-//! victims in O(log cached).
+//! policy evicts first, in exactly the list's order) and a node-id-ordered
+//! list of **dead** values (no remaining use anywhere, droppable without a
+//! save), updated at the few events that create them; eviction triggers then
+//! pop victims off the end. Both are flat vectors (binary-search insert): at
+//! `3·r0` they hold a few dozen entries, and a checkpoint copies them as
+//! flags on the cache contents.
+//!
+//! ## Suffix re-conversion: the base
+//!
+//! The red/blue configuration at a superstep boundary is a function of the
+//! schedule prefix (Hong–Kung), and a search candidate differs from the
+//! incumbent by one move, so its simulation reproduces the incumbent's
+//! operation for operation until the first superstep that *reads* something
+//! the move changed. [`ConversionArena::rebase`] converts the incumbent once
+//! while recording a **base**; [`ConversionArena::convert_assignment`] then
+//! starts a candidate at the last recorded checkpoint before that superstep
+//! and copies the supersteps before it from the base.
+//!
+//! **What a base holds.** (a) A *checkpoint* every few simulated supersteps
+//! (the interval doubles, dropping every other checkpoint, whenever their
+//! total exceeds a fixed number of entries per node): per processor the
+//! sequence cursor, the cache usage `used` (an `f64` running sum, stored
+//! because re-adding the weights would round differently) and the cache
+//! contents in list order, each with its spent/dead flag. (b) Two `u32`
+//! stamps per node — the first superstep that read it, and its final
+//! `blue_since` — plus one end-of-sequence read stamp per processor. (c) The
+//! base's assignment, canonical supersteps and sequences (to diff against),
+//! and its raw schedule — every simulated superstep, before empty-superstep
+//! removal and before any post-optimisation — as flat arrays.
+//!
+//! **What is reconstructed, and why that is exact.** Everything else at a
+//! superstep boundary `c` follows from the prefix: a blue stamp is written
+//! once and never cleared, so the blue set at `c` is the final stamps
+//! filtered by `≤ c`; `remaining_uses` and `last_use` are written only by
+//! compute steps, so replaying the `cursor` computed entries of each sequence
+//! (identical in base and candidate, see below) rebuilds them; the LRU clock
+//! of a processor *is* its cursor; `use_ptr` is a lazily advanced cache of
+//! "first use at or after the cursor" and may restart from `use_off`; the
+//! spent keys are recomputed from the restored blue stamps. No array of size
+//! `P·n` is ever copied into a checkpoint.
+//!
+//! **The read-stamp rule.** A candidate's conversion may differ from the
+//! base's only through the three things an assignment determines: the
+//! sequences, the use lists, and `node_proc`. Each is read at a known place,
+//! and the base run stamps the node (or processor) involved with the first
+//! superstep that did so:
+//!
+//! * *sequence entries* are read through the cursor (the compute loop looks at
+//!   `seq[p][cursor]`, also when it then stops there) and through the prefetch
+//!   look-ahead (every entry it inspects, including the one it stops at);
+//!   running off the end of a sequence stamps the processor instead. Entries
+//!   are read in index order, so on a processor whose sequence changed the
+//!   earliest affected read is the base entry at the first index where the two
+//!   sequences differ (or the end-of-sequence stamp).
+//! * *use lists* are read only for values in a cache (`next_use` of a computed
+//!   value, of its inputs, of eviction candidates), so every cache entry —
+//!   computed or loaded — stamps the value. A value's uses change only when a
+//!   child changes processor or position, so the parents of every changed node
+//!   are tested. Uses of unchanged nodes may shift position, but monotonically
+//!   (unchanged nodes keep their `(superstep, topological position)` keys),
+//!   and policies compare `next_use` positions only with each other.
+//! * *`node_proc` of a computed value's children* is read by the save phase
+//!   (`has_remote_child`); the value was computed, so it carries a stamp, and
+//!   it is a parent of the changed child, so it is tested.
+//!
+//! The smallest stamp over {nodes whose processor or canonical superstep
+//! changed} ∪ their parents ∪ the first differing base entry of each affected
+//! processor is a superstep `d` before which the two simulations cannot tell
+//! the assignments apart; the restore goes to the last checkpoint `≤ d`.
+//! Without a base (or with `d = 0`, or under a different policy,
+//! configuration or required-output set than the base was recorded with) the
+//! same code restores the initial checkpoint — superstep 0, empty caches —
+//! which is a full conversion. A rebase is itself such a conversion relative
+//! to the previous base, recording from the restored checkpoint on.
 //!
 //! The arena is **operation-identical** to a from-scratch conversion: the
 //! [`mod@reference`] module keeps the original single-shot converter as the
 //! ground truth (mirroring the `dense::` module of `lp_solver`), and the tests
-//! in `mbsp-ilp` replay random move sequences asserting that arena output and
-//! reference output are equal schedules.
+//! in `mbsp-ilp` replay random move sequences asserting that arena output —
+//! based and base-less — and reference output are equal schedules.
 
 use crate::policy::{CandidateVictim, EvictionPolicy};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{Architecture, ComputePhaseStep, MbspSchedule, ProcId, Superstep};
 use mbsp_sched::BspSchedulingResult;
 
-/// [`ConversionArena`]'s blue stamp of a node that is not in slow memory.
+/// [`ConversionArena`]'s blue stamp of a node that is not in slow memory, and
+/// the read stamp of a node no recorded superstep has read.
 const NOT_BLUE: u32 = u32::MAX;
+
+/// Supersteps between two checkpoints of a freshly recorded base.
+const CHECKPOINT_INTERVAL: u32 = 8;
+/// Checkpoint entries (cached values over all checkpoints) a base may hold
+/// per node of the DAG; beyond that every other checkpoint is dropped.
+const CHECKPOINT_ENTRIES_PER_NODE: usize = 8;
+/// Checkpoint-entry flags (node ids stay below `2^29`, see
+/// [`ConversionArena::new`]): the cached value is in the spent / dead list.
+const CKPT_SPENT: u32 = 1 << 31;
+const CKPT_DEAD: u32 = 1 << 30;
 
 /// Configuration of the two-stage converter.
 #[derive(Debug, Clone, Copy)]
@@ -141,6 +223,190 @@ impl TwoStageScheduler {
     }
 }
 
+/// What [`ConversionArena::rebase`] records about one conversion so that
+/// neighbouring assignments can start from one of its superstep boundaries;
+/// see the module docs. Only the initial checkpoint exists until then.
+#[derive(Debug)]
+struct Base {
+    /// Do the fields below describe a recorded conversion?
+    valid: bool,
+    /// The parameters the base was recorded under: a conversion under any
+    /// other starts from superstep 0.
+    policy: &'static str,
+    prefetch: bool,
+    required: Vec<NodeId>,
+    /// The base's assignment, canonical supersteps and sequences.
+    procs: Vec<ProcId>,
+    superstep: Vec<usize>,
+    seq: Vec<Vec<NodeId>>,
+    /// Per node: the first superstep that read it ([`NOT_BLUE`]: none did).
+    read_since: Vec<u32>,
+    /// Per processor: the first superstep that ran off the end of its sequence.
+    end_read: Vec<u32>,
+    /// Per node: its blue stamp when the base's conversion ended.
+    blue_since: Vec<u32>,
+    /// The raw schedule — one superstep per simulated superstep — as CSR
+    /// arrays: per superstep and processor one range of `compute`, and three
+    /// ranges (save, delete, load) of `io`.
+    compute: Vec<ComputePhaseStep>,
+    compute_off: Vec<u32>,
+    io: Vec<NodeId>,
+    io_off: Vec<u32>,
+    /// The checkpoints, ascending by the superstep at whose beginning each was
+    /// taken; entry 0 is the initial configuration (superstep 0, nothing
+    /// cached). Per checkpoint and processor (flat `c * p + pi`): the cursor,
+    /// the cache usage and one CSR range of `ckpt_entries` — the cached nodes
+    /// in list order, or-ed with [`CKPT_SPENT`] / [`CKPT_DEAD`].
+    ckpt_step: Vec<u32>,
+    ckpt_cursor: Vec<u32>,
+    ckpt_used: Vec<f64>,
+    ckpt_off: Vec<u32>,
+    ckpt_entries: Vec<u32>,
+    /// Supersteps between checkpoints (doubles whenever they are thinned).
+    interval: u32,
+}
+
+impl Base {
+    /// The empty base of a `p`-processor arena: the initial checkpoint only.
+    fn new(p: usize) -> Self {
+        Base {
+            valid: false,
+            policy: "",
+            prefetch: false,
+            required: Vec::new(),
+            procs: Vec::new(),
+            superstep: Vec::new(),
+            seq: vec![Vec::new(); p],
+            read_since: Vec::new(),
+            end_read: vec![NOT_BLUE; p],
+            blue_since: Vec::new(),
+            compute: Vec::new(),
+            compute_off: vec![0],
+            io: Vec::new(),
+            io_off: vec![0],
+            ckpt_step: vec![0],
+            ckpt_cursor: vec![0; p],
+            ckpt_used: vec![0.0; p],
+            ckpt_off: vec![0; p + 1],
+            ckpt_entries: Vec::new(),
+            interval: CHECKPOINT_INTERVAL,
+        }
+    }
+
+    /// Forgets every checkpoint after `idx` and every raw superstep and read
+    /// stamp from that checkpoint's superstep on — what a recording that
+    /// resumes there is about to rewrite.
+    fn rewind_to(&mut self, idx: usize, n: usize, p: usize) {
+        let step = self.ckpt_step[idx];
+        self.ckpt_step.truncate(idx + 1);
+        self.ckpt_cursor.truncate((idx + 1) * p);
+        self.ckpt_used.truncate((idx + 1) * p);
+        self.ckpt_off.truncate((idx + 1) * p + 1);
+        self.ckpt_entries
+            .truncate(self.ckpt_off[(idx + 1) * p] as usize);
+        if idx == 0 {
+            self.interval = CHECKPOINT_INTERVAL;
+        }
+        let slots = step as usize * p;
+        self.compute_off.truncate(slots + 1);
+        self.compute.truncate(self.compute_off[slots] as usize);
+        self.io_off.truncate(3 * slots + 1);
+        self.io.truncate(self.io_off[3 * slots] as usize);
+        self.read_since.resize(n, NOT_BLUE);
+        for stamp in self.read_since.iter_mut().chain(&mut self.end_read) {
+            if *stamp >= step {
+                *stamp = NOT_BLUE;
+            }
+        }
+    }
+
+    /// Drops every other checkpoint (keeping the even-indexed ones, so the
+    /// initial one stays) and doubles the interval.
+    fn thin(&mut self, p: usize) {
+        let mut kept = 0usize;
+        let mut entries = 0usize;
+        for c in (0..self.ckpt_step.len()).step_by(2) {
+            self.ckpt_step[kept] = self.ckpt_step[c];
+            for pi in 0..p {
+                let (from, to) = (c * p + pi, kept * p + pi);
+                let range = self.ckpt_off[from] as usize..self.ckpt_off[from + 1] as usize;
+                self.ckpt_cursor[to] = self.ckpt_cursor[from];
+                self.ckpt_used[to] = self.ckpt_used[from];
+                self.ckpt_off[to] = entries as u32;
+                let len = range.len();
+                self.ckpt_entries.copy_within(range, entries);
+                entries += len;
+            }
+            kept += 1;
+        }
+        self.ckpt_off[kept * p] = entries as u32;
+        self.ckpt_step.truncate(kept);
+        self.ckpt_cursor.truncate(kept * p);
+        self.ckpt_used.truncate(kept * p);
+        self.ckpt_off.truncate(kept * p + 1);
+        self.ckpt_entries.truncate(entries);
+        self.interval *= 2;
+    }
+
+    /// Appends the supersteps `from..` of `out` to the raw schedule.
+    fn append_raw(&mut self, out: &MbspSchedule, from: usize) {
+        for step in &out.supersteps()[from..] {
+            for phases in &step.procs {
+                let offset = |len| u32::try_from(len).expect("raw schedule fits u32 offsets");
+                self.compute.extend_from_slice(&phases.compute);
+                self.compute_off.push(offset(self.compute.len()));
+                for io in [&phases.save, &phases.delete, &phases.load] {
+                    self.io.extend_from_slice(io);
+                    self.io_off.push(offset(self.io.len()));
+                }
+            }
+        }
+    }
+
+    /// Writes the raw supersteps `..steps` into `out` (reusing its
+    /// allocations; supersteps of `out` beyond them are left as they are).
+    fn copy_raw_prefix(&self, steps: usize, p: usize, out: &mut MbspSchedule) {
+        while out.num_supersteps() < steps {
+            out.push_empty_superstep();
+        }
+        for (s, step) in out.supersteps_mut()[..steps].iter_mut().enumerate() {
+            step.procs.resize_with(p, Default::default);
+            for (pi, phases) in step.procs.iter_mut().enumerate() {
+                let slot = s * p + pi;
+                let range = self.compute_off[slot] as usize..self.compute_off[slot + 1] as usize;
+                phases.compute.clear();
+                phases.compute.extend_from_slice(&self.compute[range]);
+                let io = [&mut phases.save, &mut phases.delete, &mut phases.load];
+                for (k, phase) in io.into_iter().enumerate() {
+                    let at = 3 * slot + k;
+                    let range = self.io_off[at] as usize..self.io_off[at + 1] as usize;
+                    phase.clear();
+                    phase.extend_from_slice(&self.io[range]);
+                }
+            }
+        }
+    }
+}
+
+/// Inserts `key` into the descending-sorted `list` (the smallest key — the
+/// next to pop — sits at the end).
+#[inline]
+fn sorted_insert<T: Ord + Copy>(list: &mut Vec<T>, key: T) {
+    let at = list.partition_point(|&k| k > key);
+    list.insert(at, key);
+}
+
+/// Removes `key` from the descending-sorted `list`; was it present?
+#[inline]
+fn sorted_remove<T: Ord + Copy>(list: &mut Vec<T>, key: T) -> bool {
+    let at = list.partition_point(|&k| k > key);
+    let found = list.get(at) == Some(&key);
+    if found {
+        list.remove(at);
+    }
+    found
+}
+
 /// Long-lived conversion state for one `(dag, arch)` instance.
 ///
 /// All buffers are allocated once and reused across conversions; see the module
@@ -185,13 +451,23 @@ pub struct ConversionArena {
     prev_superstep: Vec<usize>,
     /// Whether `prev_procs`/`prev_superstep` describe the current `seq` state.
     have_prev: bool,
-    /// Scratch: which processors need their sequence rebuilt.
+    /// Scratch: which processors need their sequence rebuilt (then: which
+    /// processors' sequences differ from the base's).
     seq_dirty: Vec<bool>,
     /// Scratch for the generic (explicit BSP result) path.
     order_pos: Vec<usize>,
     keyed: Vec<(usize, usize, usize, NodeId)>,
+    // ---- The base (see the module docs). ----
+    base: Base,
+    /// Is the running conversion being recorded into `base`?
+    recording: bool,
+    /// Supersteps simulated, and supersteps copied from a base instead, over
+    /// the arena's lifetime.
+    simulated_supersteps: u64,
+    skipped_supersteps: u64,
     // ---- Per-run cache-simulation state. ----
-    /// Per processor: current position in `seq`.
+    /// Per processor: current position in `seq` — also the processor's LRU
+    /// clock (one tick per compute step).
     cursor: Vec<usize>,
     /// Per processor and node (flat `p * n + v`): index into `use_pos[p]` of
     /// the node's first use that has not been passed yet (starts at the node's
@@ -212,39 +488,39 @@ pub struct ConversionArena {
     /// Per processor and node (flat `p * n + v`): logical time of the last
     /// access (for LRU).
     last_use: Vec<usize>,
-    /// Per node: membership mask mirroring the prefetch planner's
-    /// `virtually_cached` list (O(1) lookups instead of a linear scan over a
-    /// window that grows with the cache size). Always all-false outside
+    /// Per node: a membership mask for the two node sets `plan_io` tests
+    /// cached values against — the inputs of the next compute step during the
+    /// eviction scan, then the prefetch planner's `virtually_cached` list
+    /// (O(1) lookups instead of a linear scan). Always all-false outside
     /// [`ConversionArena::plan_io`].
-    virt_mask: Vec<bool>,
+    node_mask: Vec<bool>,
     /// Per node: its memory weight `μ(v)`, copied out of the DAG once so the
-    /// spent-set keys can be built without a `DagLike` handle.
+    /// spent keys can be built without a `DagLike` handle.
     mem_weight: Vec<f64>,
     /// Per processor: the cached values with no remaining use on that processor
-    /// ("spent"), ordered exactly as the clairvoyant policy evicts them —
-    /// blue-pebbled first, then heavier, then smaller node id (see
-    /// [`ConversionArena::spent_key`]). A value enters the set the moment its
-    /// last local use is consumed (or when it is computed with no local
-    /// children) and leaves it on eviction, so eviction triggers pop victims in
-    /// O(log cached) instead of scanning the whole cache. Policies whose
-    /// [`EvictionPolicy::evicts_spent_first`] is `false` (LRU) ignore the set
+    /// ("spent"), sorted so that popping from the end yields them exactly as
+    /// the clairvoyant policy evicts them — blue-pebbled first, then heavier,
+    /// then smaller node id (see [`ConversionArena::spent_key`]). A value enters
+    /// the list the moment its last local use is consumed (or when it is
+    /// computed with no local children) and leaves it on eviction, so eviction
+    /// triggers pop victims instead of scanning the whole cache. Policies whose
+    /// [`EvictionPolicy::evicts_spent_first`] is `false` (LRU) ignore the list
     /// for victim selection, but it is maintained unconditionally so switching
     /// policies between runs is safe.
-    spent: Vec<std::collections::BTreeSet<(u8, u64, u32)>>,
+    spent: Vec<Vec<(u8, u64, u32)>>,
     /// Per processor and node (flat `p * n + v`): is the node in `spent`?
     in_spent: Vec<bool>,
     /// Per processor: the cached values that are *dead* — no unconsumed use on
-    /// any processor and droppable without a save (`!required || blue`) — in
-    /// node-id order, exactly the order
-    /// [`ConversionArena::make_room_with_dead_values`] drops them in. Deadness
-    /// is monotone while a value stays cached, so the set is maintained at the
-    /// two events that create it (the last global use is consumed; a required
-    /// value with no uses left gains its blue pebble) and on eviction.
-    dead: Vec<std::collections::BTreeSet<u32>>,
+    /// any processor and droppable without a save (`!required || blue`) —
+    /// sorted so that popping from the end yields ascending node ids, exactly
+    /// the order [`ConversionArena::make_room_with_dead_values`] drops them in.
+    /// Deadness is monotone while a value stays cached, so the list is
+    /// maintained at the two events that create it (the last global use is
+    /// consumed; a required value with no uses left gains its blue pebble) and
+    /// on eviction.
+    dead: Vec<Vec<u32>>,
     /// Per processor and node (flat `p * n + v`): is the node in `dead`?
     in_dead: Vec<bool>,
-    /// Per processor: logical clock incremented on every compute step.
-    clock: Vec<usize>,
     /// Index of the superstep being simulated.
     step: u32,
     /// The stamped blue set. Per node: the first superstep at whose beginning
@@ -263,7 +539,6 @@ pub struct ConversionArena {
     scratch_nodes: Vec<NodeId>,
     scratch_nodes2: Vec<NodeId>,
     scratch_nodes3: Vec<NodeId>,
-    scratch_parents: Vec<NodeId>,
     scratch_candidates: Vec<CandidateVictim>,
 }
 
@@ -284,7 +559,8 @@ impl ConversionArena {
         }
         // Superstep stamps and the flat use index are `u32`: `run` never
         // simulates more than `8 * n + 8` supersteps, and a processor's use
-        // positions number at most the edges of the DAG.
+        // positions number at most the edges of the DAG. (The bound on `n`
+        // also keeps node ids clear of the checkpoint-entry flags.)
         assert!(
             n < (NOT_BLUE as usize - 8) / 8 && base_uses.iter().sum::<usize>() < NOT_BLUE as usize,
             "DAG too large for the arena's u32 stamps and use index"
@@ -310,6 +586,10 @@ impl ConversionArena {
             seq_dirty: vec![false; p],
             order_pos: vec![usize::MAX; n],
             keyed: Vec::new(),
+            base: Base::new(p),
+            recording: false,
+            simulated_supersteps: 0,
+            skipped_supersteps: 0,
             cursor: vec![0; p],
             use_ptr: vec![0; p * n],
             cached: vec![false; p * n],
@@ -317,7 +597,7 @@ impl ConversionArena {
             list_pos: vec![0; p * n],
             used: vec![0.0; p],
             last_use: vec![0; p * n],
-            virt_mask: vec![false; n],
+            node_mask: vec![false; n],
             mem_weight: {
                 let w: Vec<f64> = dag.nodes().map(|v| dag.memory_weight(v)).collect();
                 // Non-negative weights keep the `to_bits` ordering of `spent_key`
@@ -325,11 +605,10 @@ impl ConversionArena {
                 debug_assert!(w.iter().all(|&x| x >= 0.0));
                 w
             },
-            spent: vec![std::collections::BTreeSet::new(); p],
+            spent: vec![Vec::new(); p],
             in_spent: vec![false; p * n],
-            dead: vec![std::collections::BTreeSet::new(); p],
+            dead: vec![Vec::new(); p],
             in_dead: vec![false; p * n],
-            clock: vec![0; p],
             step: 0,
             blue_since: vec![NOT_BLUE; n],
             remaining_uses: vec![0; n],
@@ -337,15 +616,26 @@ impl ConversionArena {
             scratch_nodes: Vec::new(),
             scratch_nodes2: Vec::new(),
             scratch_nodes3: Vec::new(),
-            scratch_parents: Vec::new(),
             scratch_candidates: Vec::new(),
         }
+    }
+
+    /// Supersteps this arena's conversions (rebases included) simulated.
+    pub fn simulated_supersteps(&self) -> u64 {
+        self.simulated_supersteps
+    }
+
+    /// Supersteps this arena's conversions copied from a base instead of
+    /// simulating them.
+    pub fn skipped_supersteps(&self) -> u64 {
+        self.skipped_supersteps
     }
 
     /// Converts an explicit BSP scheduling result (assignment, supersteps and order
     /// hint) into `out`. This is the general path used for schedules produced by the
     /// BSP baselines; the per-processor sequences are rebuilt from scratch, but all
-    /// allocations are reused.
+    /// allocations are reused. Clears the arena's base: a base describes a
+    /// canonical assignment, which an explicit superstep structure is not.
     #[allow(clippy::too_many_arguments)]
     pub fn convert<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
@@ -358,6 +648,7 @@ impl ConversionArena {
         out: &mut MbspSchedule,
     ) {
         assert_eq!(dag.num_nodes(), self.n, "arena used with a different DAG");
+        self.base.valid = false;
         // Sequences no longer correspond to a canonical assignment.
         self.have_prev = false;
         self.order_pos.fill(usize::MAX);
@@ -386,8 +677,9 @@ impl ConversionArena {
         for pi in 0..self.p {
             self.rebuild_use_index(dag, pi);
         }
-        self.reset_run_state(required_outputs);
-        self.run(dag, arch, policy, config, out);
+        let start = self.restore(dag, 0, required_outputs);
+        self.run(dag, arch, policy, config, start, out);
+        out.remove_empty_supersteps();
     }
 
     /// Converts a bare per-node processor assignment into `out`, deriving the
@@ -397,7 +689,11 @@ impl ConversionArena {
     /// This is the hot path of the holistic search: consecutive calls reuse the
     /// per-processor sequences of every processor whose node set and superstep keys
     /// did not change, so a single-node move typically rebuilds one or two
-    /// sequences instead of all `P`.
+    /// sequences instead of all `P`; and on an arena with a base
+    /// ([`ConversionArena::rebase`]) only the supersteps from the last
+    /// checkpoint before the first one the change can affect are simulated —
+    /// the rest is copied from the base. The result is the same schedule
+    /// either way.
     #[allow(clippy::too_many_arguments)]
     pub fn convert_assignment<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
@@ -408,6 +704,63 @@ impl ConversionArena {
         config: TwoStageConfig,
         required_outputs: &[NodeId],
         out: &mut MbspSchedule,
+    ) {
+        self.convert_from_base(
+            dag,
+            arch,
+            procs,
+            policy,
+            config,
+            required_outputs,
+            out,
+            false,
+        );
+    }
+
+    /// Converts `procs` into `out` exactly like
+    /// [`ConversionArena::convert_assignment`] and records the conversion as
+    /// the arena's **base**: later `convert_assignment` calls under the same
+    /// policy (by [`EvictionPolicy::name`]), configuration and required
+    /// outputs re-simulate only the
+    /// supersteps their difference from `procs` can change. The base costs
+    /// O(n + operations of the schedule) memory and stays until the next
+    /// `rebase` or [`ConversionArena::convert`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn rebase<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        procs: &[ProcId],
+        policy: &P,
+        config: TwoStageConfig,
+        required_outputs: &[NodeId],
+        out: &mut MbspSchedule,
+    ) {
+        self.convert_from_base(
+            dag,
+            arch,
+            procs,
+            policy,
+            config,
+            required_outputs,
+            out,
+            true,
+        );
+    }
+
+    /// The canonical-assignment conversion behind `convert_assignment`
+    /// (`record == false`) and `rebase`.
+    #[allow(clippy::too_many_arguments)]
+    fn convert_from_base<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        procs: &[ProcId],
+        policy: &P,
+        config: TwoStageConfig,
+        required_outputs: &[NodeId],
+        out: &mut MbspSchedule,
+        record: bool,
     ) {
         assert_eq!(procs.len(), self.n, "assignment length mismatch");
         self.compute_canonical_supersteps(dag, procs);
@@ -447,8 +800,88 @@ impl ConversionArena {
         self.prev_superstep.copy_from_slice(&self.superstep);
         self.have_prev = true;
 
-        self.reset_run_state(required_outputs);
-        self.run(dag, arch, policy, config, out);
+        let same_parameters = self.base.valid
+            && self.base.policy == policy.name()
+            && self.base.prefetch == config.prefetch
+            && self.base.required == required_outputs;
+        let checkpoint = if same_parameters {
+            self.first_affected_checkpoint(dag, procs)
+        } else {
+            Some(0)
+        };
+        let Some(checkpoint) = checkpoint else {
+            // The base's own assignment: nothing to simulate (or to record).
+            let steps = (self.base.compute_off.len() - 1) / self.p;
+            self.base.copy_raw_prefix(steps, self.p, out);
+            out.supersteps_mut().truncate(steps);
+            out.remove_empty_supersteps();
+            self.skipped_supersteps += steps as u64;
+            return;
+        };
+        let start = self.restore(dag, checkpoint, required_outputs);
+        self.base.copy_raw_prefix(start, self.p, out);
+        if record {
+            self.base.valid = false;
+            self.base.rewind_to(checkpoint, self.n, self.p);
+        }
+        self.recording = record;
+        self.run(dag, arch, policy, config, start, out);
+        self.recording = false;
+        if record {
+            let base = &mut self.base;
+            base.append_raw(out, start);
+            base.blue_since.clone_from(&self.blue_since);
+            base.procs.clear();
+            base.procs.extend_from_slice(procs);
+            base.superstep.clone_from(&self.superstep);
+            for (kept, seq) in base.seq.iter_mut().zip(&self.seq) {
+                kept.clone_from(seq);
+            }
+            base.policy = policy.name();
+            base.prefetch = config.prefetch;
+            base.required.clear();
+            base.required.extend_from_slice(required_outputs);
+            base.valid = true;
+        }
+        out.remove_empty_supersteps();
+    }
+
+    /// Diffs the current assignment (`procs`, `superstep`, `seq`) against the
+    /// base and returns the last checkpoint at or before the first superstep
+    /// the difference can affect — the read-stamp rule of the module docs —
+    /// or `None` when the assignment is the base's.
+    fn first_affected_checkpoint<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        procs: &[ProcId],
+    ) -> Option<usize> {
+        let base = &self.base;
+        let mut first = NOT_BLUE;
+        let differs = &mut self.seq_dirty;
+        differs.fill(false);
+        for i in 0..self.n {
+            if self.source_mask[i]
+                || (procs[i] == base.procs[i] && self.superstep[i] == base.superstep[i])
+            {
+                continue;
+            }
+            first = first.min(base.read_since[i]);
+            for u in dag.parents(NodeId::new(i)) {
+                first = first.min(base.read_since[u.index()]);
+            }
+            differs[base.procs[i].index()] = true;
+            differs[procs[i].index()] = true;
+        }
+        for pi in (0..self.p).filter(|&pi| differs[pi]) {
+            let (old, new) = (&base.seq[pi], &self.seq[pi]);
+            let common = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+            if let Some(v) = old.get(common) {
+                first = first.min(base.read_since[v.index()]);
+            } else if common < new.len() {
+                first = first.min(base.end_read[pi]);
+            }
+        }
+        (first != NOT_BLUE).then(|| base.ckpt_step.partition_point(|&s| s <= first) - 1)
     }
 
     /// Canonical superstep of every node for `procs`: in topological order, a
@@ -532,57 +965,146 @@ impl ConversionArena {
         }
     }
 
-    /// Resets the cache-simulation state for a fresh run (no allocations).
-    fn reset_run_state(&mut self, required_outputs: &[NodeId]) {
-        self.cursor.fill(0);
-        self.used.fill(0.0);
-        self.clock.fill(0);
+    /// Puts the cache-simulation state at the beginning of the superstep of
+    /// checkpoint `idx` (no allocations) and returns that superstep. Checkpoint
+    /// 0 is the initial configuration, which every arena has; a later one
+    /// belongs to the base, whose simulation up to it the current sequences
+    /// must reproduce (see the module docs for what is stored and what is
+    /// rebuilt here).
+    fn restore<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        idx: usize,
+        required_outputs: &[NodeId],
+    ) -> usize {
+        let (n, p) = (self.n, self.p);
+        let step = self.base.ckpt_step[idx];
         // Clear exactly the red pebbles the previous run left behind (the dense
         // list knows them), instead of an O(P·V) sweep.
-        for pi in 0..self.p {
-            let base = pi * self.n;
-            for idx in 0..self.cached_list[pi].len() {
-                let v = self.cached_list[pi][idx];
-                self.cached[base + v.index()] = false;
+        for pi in 0..p {
+            let row = pi * n;
+            for v in self.cached_list[pi].drain(..) {
+                self.cached[row + v.index()] = false;
             }
-            self.cached_list[pi].clear();
-            // `in_spent` is true exactly for the set members, so clearing the
+            // `in_spent` is true exactly for the list members, so clearing the
             // flags while draining keeps both in sync without an O(V) sweep.
-            for &(_, _, v) in self.spent[pi].iter() {
-                self.in_spent[base + v as usize] = false;
+            for (_, _, v) in self.spent[pi].drain(..) {
+                self.in_spent[row + v as usize] = false;
             }
-            self.spent[pi].clear();
-            for &v in self.dead[pi].iter() {
-                self.in_dead[base + v as usize] = false;
+            for v in self.dead[pi].drain(..) {
+                self.in_dead[row + v as usize] = false;
             }
-            self.dead[pi].clear();
         }
         self.last_use.fill(0);
-        let n = self.n;
-        for pi in 0..self.p {
+        for pi in 0..p {
             self.use_ptr[pi * n..(pi + 1) * n]
                 .copy_from_slice(&self.use_off[pi * (n + 1)..pi * (n + 1) + n]);
         }
-        // The initial blue set is exactly the sources.
-        for (since, &source) in self.blue_since.iter_mut().zip(&self.source_mask) {
-            *since = if source { 0 } else { NOT_BLUE };
+        if step == 0 {
+            // The initial blue set is exactly the sources.
+            for (since, &source) in self.blue_since.iter_mut().zip(&self.source_mask) {
+                *since = if source { 0 } else { NOT_BLUE };
+            }
+        } else {
+            // A blue stamp never changes once written.
+            for (since, &last) in self.blue_since.iter_mut().zip(&self.base.blue_since) {
+                *since = if last <= step { last } else { NOT_BLUE };
+            }
         }
         self.remaining_uses.copy_from_slice(&self.base_uses);
         self.is_required_output.copy_from_slice(&self.sink_mask);
         for &v in required_outputs {
             self.is_required_output[v.index()] = true;
         }
+        for pi in 0..p {
+            let (row, slot) = (pi * n, idx * p + pi);
+            let cursor = self.base.ckpt_cursor[slot] as usize;
+            self.cursor[pi] = cursor;
+            self.used[pi] = self.base.ckpt_used[slot];
+            // Only compute steps write the use counts and the LRU clocks.
+            for pos in 0..cursor {
+                let v = self.seq[pi][pos];
+                self.last_use[row + v.index()] = pos + 1;
+                for u in dag.parents(v) {
+                    self.last_use[row + u.index()] = pos + 1;
+                    self.remaining_uses[u.index()] -= 1;
+                }
+            }
+            for at in self.base.ckpt_off[slot] as usize..self.base.ckpt_off[slot + 1] as usize {
+                let entry = self.base.ckpt_entries[at];
+                let v = NodeId::new((entry & !(CKPT_SPENT | CKPT_DEAD)) as usize);
+                self.cache_insert(pi, v);
+                if entry & CKPT_SPENT != 0 {
+                    self.spent_insert(pi, v);
+                }
+                if entry & CKPT_DEAD != 0 {
+                    self.dead_insert(pi, v);
+                }
+            }
+        }
+        step as usize
     }
 
-    /// The cache simulation itself: identical transition rules to
+    /// Records the run state at the beginning of superstep `self.step` as the
+    /// base's next checkpoint, thinning the checkpoints when they outgrow
+    /// their O(n) allowance.
+    fn take_checkpoint(&mut self) {
+        let (n, p) = (self.n, self.p);
+        let base = &mut self.base;
+        base.ckpt_step.push(self.step);
+        for pi in 0..p {
+            base.ckpt_cursor.push(self.cursor[pi] as u32);
+            base.ckpt_used.push(self.used[pi]);
+            for &v in &self.cached_list[pi] {
+                let slot = pi * n + v.index();
+                let mut entry = v.index() as u32;
+                if self.in_spent[slot] {
+                    entry |= CKPT_SPENT;
+                }
+                if self.in_dead[slot] {
+                    entry |= CKPT_DEAD;
+                }
+                base.ckpt_entries.push(entry);
+            }
+            base.ckpt_off.push(base.ckpt_entries.len() as u32);
+        }
+        while base.ckpt_entries.len() > CHECKPOINT_ENTRIES_PER_NODE * n && base.ckpt_step.len() > 1
+        {
+            base.thin(p);
+        }
+    }
+
+    /// Stamps `v` as read by the superstep being recorded.
+    #[inline]
+    fn note_read(&mut self, v: NodeId) {
+        if self.recording {
+            let stamp = &mut self.base.read_since[v.index()];
+            *stamp = (*stamp).min(self.step);
+        }
+    }
+
+    /// Stamps processor `pi`'s end of sequence as read by the superstep being
+    /// recorded.
+    #[inline]
+    fn note_end_read(&mut self, pi: usize) {
+        if self.recording {
+            let stamp = &mut self.base.end_read[pi];
+            *stamp = (*stamp).min(self.step);
+        }
+    }
+
+    /// The cache simulation itself, from the beginning of superstep `start`
+    /// (the state [`ConversionArena::restore`] left; `out` already holds the
+    /// supersteps before it): identical transition rules to
     /// [`reference::convert`], writing into `out` (whose superstep and phase
-    /// allocations are reused).
+    /// allocations are reused). Leaves one superstep per simulated superstep.
     fn run<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         policy: &P,
         config: TwoStageConfig,
+        start: usize,
         out: &mut MbspSchedule,
     ) {
         assert_eq!(
@@ -590,24 +1112,11 @@ impl ConversionArena {
             self.p,
             "output schedule has the wrong processor count"
         );
-        // Clear any previous contents while keeping the phase-vector allocations.
-        for step in out.supersteps_mut().iter_mut() {
-            if step.procs.len() != self.p {
-                *step = Superstep::empty(self.p);
-            }
-            for phases in &mut step.procs {
-                phases.compute.clear();
-                phases.save.clear();
-                phases.delete.clear();
-                phases.load.clear();
-            }
-        }
-
         let total: usize = self.seq.iter().map(|s| s.len()).sum();
         // Each superstep makes progress (a compute or a load); the bound below is a
         // generous safety net against construction bugs.
         let max_supersteps = 4 * total + 4 * self.n + 8;
-        let mut step_idx = 0usize;
+        let mut step_idx = start;
 
         while self.cursor.iter().zip(&self.seq).any(|(&c, s)| c < s.len()) {
             assert!(
@@ -620,8 +1129,24 @@ impl ConversionArena {
             // valid): advancing the index the blue stamps are compared against
             // is the whole "snapshot".
             self.step = step_idx as u32;
+            if self.recording && step_idx > start && self.step % self.base.interval == 0 {
+                self.take_checkpoint();
+            }
+            // Clear any previous contents while keeping the phase-vector
+            // allocations.
             if step_idx >= out.num_supersteps() {
                 out.push_empty_superstep();
+            } else {
+                let step = &mut out.supersteps_mut()[step_idx];
+                if step.procs.len() != self.p {
+                    *step = Superstep::empty(self.p);
+                }
+                for phases in &mut step.procs {
+                    phases.compute.clear();
+                    phases.save.clear();
+                    phases.delete.clear();
+                    phases.load.clear();
+                }
             }
 
             for pi in 0..self.p {
@@ -632,9 +1157,11 @@ impl ConversionArena {
                 loop {
                     let pos = self.cursor[pi];
                     if pos >= self.seq[pi].len() {
+                        self.note_end_read(pi);
                         break;
                     }
                     let v = self.seq[pi][pos];
+                    self.note_read(v);
                     // All parents must already be cached.
                     if dag.parents(v).any(|u| !self.cached[base + u.index()]) {
                         break;
@@ -645,14 +1172,14 @@ impl ConversionArena {
                     if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v) {
                         break;
                     }
-                    // Execute the compute step.
+                    // Execute the compute step; it is the processor's
+                    // `pos + 1`-th, which is its LRU clock reading.
                     phases.compute.push(ComputePhaseStep::Compute(v));
                     self.cache_insert(pi, v);
                     self.used[pi] += dag.memory_weight(v);
-                    self.clock[pi] += 1;
-                    self.last_use[base + v.index()] = self.clock[pi];
+                    self.last_use[base + v.index()] = pos + 1;
                     for u in dag.parents(v) {
-                        self.last_use[base + u.index()] = self.clock[pi];
+                        self.last_use[base + u.index()] = pos + 1;
                         self.remaining_uses[u.index()] -= 1;
                     }
                     self.cursor[pi] += 1;
@@ -692,10 +1219,10 @@ impl ConversionArena {
                     });
                     if self.is_required_output[v.index()] || has_remote_child {
                         phases.save.push(v);
-                        // Blue is part of the spent-set ordering key, so a
-                        // spent value must be re-keyed across the flip. Only
-                        // pi's set can hold v: an unsaved value exists solely
-                        // on the processor that computed it.
+                        // Blue is part of the spent ordering key, so a spent
+                        // value must be re-keyed across the flip. Only pi's
+                        // list can hold v: an unsaved value exists solely on
+                        // the processor that computed it.
                         let respent = self.in_spent[base + v.index()];
                         if respent {
                             self.spent_remove(pi, v);
@@ -718,7 +1245,8 @@ impl ConversionArena {
             step_idx += 1;
         }
         out.supersteps_mut().truncate(step_idx);
-        out.remove_empty_supersteps();
+        self.simulated_supersteps += (step_idx - start) as u64;
+        self.skipped_supersteps += start as u64;
     }
 
     /// Drops dead cached values (not needed by any future compute and not an
@@ -736,11 +1264,11 @@ impl ConversionArena {
         let r = arch.cache_size;
         // The dead values are already known, in eviction order (node-id
         // ascending — the order the reference converter walks them in), in the
-        // incrementally maintained `dead` set: pop until the output fits.
+        // incrementally maintained `dead` list: pop until the output fits.
         // Parents of the pending compute still have an unconsumed use, so they
-        // can never sit in the set.
+        // can never sit in the list.
         while self.used[pi] + needed > r + 1e-9 {
-            let Some(&vid) = self.dead[pi].first() else {
+            let Some(&vid) = self.dead[pi].last() else {
                 break;
             };
             let v = NodeId::new(vid as usize);
@@ -769,6 +1297,7 @@ impl ConversionArena {
         }
         let r = arch.cache_size;
         let base = pi * self.n;
+        // (Already stamped as read: the compute loop stopped at this entry.)
         let next = self.seq[pi][pos];
         // Inputs of the next compute step that are missing from the cache and
         // already available in slow memory.
@@ -794,30 +1323,22 @@ impl ConversionArena {
         // Evict until the next compute step fits.
         if self.used[pi] + target_free > r + 1e-9 {
             // Fast path: a policy that evicts spent values first pops them
-            // straight off the ordered spent set — O(log cached) per victim.
-            // Parents of `next` (and `next` itself) are never spent (their use
-            // at the current cursor position is still pending), so the keep-set
-            // filter of the scan below is vacuous here. Popping reads the
-            // current blue pebbles, which equal the trigger-start snapshot the
-            // scan path sees: the only blue bit an eviction flips belongs to
-            // the victim itself, which leaves the cache with it.
+            // straight off the sorted spent list. Parents of `next` (and
+            // `next` itself) are never spent (their use at the current cursor
+            // position is still pending), so the keep-set filter of the scan
+            // below is vacuous here. Popping reads the current blue pebbles,
+            // which equal the trigger-start snapshot the scan path sees: the
+            // only blue bit an eviction flips belongs to the victim itself,
+            // which leaves the cache with it.
             if policy.evicts_spent_first() {
                 while self.used[pi] + target_free > r + 1e-9 {
-                    let Some((_, _, vid)) = self.spent[pi].pop_first() else {
+                    let Some((_, _, vid)) = self.spent[pi].pop() else {
                         break;
                     };
                     let v = NodeId::new(vid as usize);
                     self.in_spent[base + v.index()] = false;
                     debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
-                    let needed_later = self.remaining_uses[v.index()] > 0
-                        || (self.is_required_output[v.index()] && !self.is_blue(v));
-                    if needed_later && !self.is_blue(v) {
-                        phases.save.push(v);
-                        self.mark_blue(v);
-                    }
-                    phases.delete.push(v);
-                    self.cache_remove(pi, v);
-                    self.used[pi] -= dag.memory_weight(v);
+                    self.evict(dag, pi, v, phases);
                 }
             }
             // Full scan: the reference converter ranks the whole candidate set
@@ -825,16 +1346,20 @@ impl ConversionArena {
             // extracting the minimum yields the identical eviction sequence
             // without sorting candidates that are never evicted. This is the
             // only path for policies without the spent-first guarantee and the
-            // fallback once the spent set runs dry.
+            // fallback once the spent list runs dry. The first minimum is
+            // tracked while the candidates are built — one victim is usually
+            // enough — and only a further victim costs a further pass.
             if self.used[pi] + target_free > r + 1e-9 {
-                let mut keep = std::mem::take(&mut self.scratch_parents);
-                keep.clear();
-                keep.extend(dag.parents(next));
+                self.node_mask[next.index()] = true;
+                for u in dag.parents(next) {
+                    self.node_mask[u.index()] = true;
+                }
                 let mut candidates = std::mem::take(&mut self.scratch_candidates);
                 candidates.clear();
+                let mut best = 0usize;
                 for idx in 0..self.cached_list[pi].len() {
                     let v = self.cached_list[pi][idx];
-                    if keep.contains(&v) || v == next {
+                    if self.node_mask[v.index()] {
                         continue;
                     }
                     let candidate = CandidateVictim {
@@ -846,36 +1371,34 @@ impl ConversionArena {
                         needed_later: self.remaining_uses[v.index()] > 0
                             || (self.is_required_output[v.index()] && !self.is_blue(v)),
                     };
+                    if candidates.is_empty() || policy.order(&candidate, &candidates[best]).is_lt()
+                    {
+                        best = candidates.len();
+                    }
                     candidates.push(candidate);
                 }
+                self.node_mask[next.index()] = false;
+                for u in dag.parents(next) {
+                    self.node_mask[u.index()] = false;
+                }
+                let mut first = Some(best);
                 let mut remaining = candidates.len();
                 while self.used[pi] + target_free > r + 1e-9 && remaining > 0 {
-                    let mut best = 0usize;
-                    for i in 1..remaining {
-                        if policy.order(&candidates[i], &candidates[best]).is_lt() {
-                            best = i;
-                        }
-                    }
-                    let c = candidates[best];
+                    let best = first.take().unwrap_or_else(|| {
+                        (1..remaining).fold(0, |best, i| {
+                            if policy.order(&candidates[i], &candidates[best]).is_lt() {
+                                i
+                            } else {
+                                best
+                            }
+                        })
+                    });
+                    let v = candidates[best].node;
                     candidates.swap(best, remaining - 1);
                     remaining -= 1;
-                    let v = c.node;
-                    // The victim may sit in the spent set (policies that do
-                    // not evict spent values first); drop it before the blue
-                    // flip below invalidates its ordering key.
-                    self.spent_remove(pi, v);
-                    // A victim that is still needed and not yet in slow memory must be
-                    // saved before it is deleted (save phase precedes delete phase).
-                    if c.needed_later && !self.is_blue(v) {
-                        phases.save.push(v);
-                        self.mark_blue(v);
-                    }
-                    phases.delete.push(v);
-                    self.cache_remove(pi, v);
-                    self.used[pi] -= dag.memory_weight(v);
+                    self.evict(dag, pi, v, phases);
                 }
                 self.scratch_candidates = candidates;
-                self.scratch_parents = keep;
             }
         }
 
@@ -895,21 +1418,26 @@ impl ConversionArena {
 
         // Greedy prefetch: extend the loads with the inputs of further compute steps
         // while everything (inputs plus the outputs produced in between) still fits.
-        // Membership in the lookahead window is answered by `virt_mask` in O(1).
+        // Membership in the lookahead window is answered by `node_mask` in O(1).
         if config.prefetch {
             let mut virtually_cached = std::mem::take(&mut self.scratch_nodes2);
             virtually_cached.clear();
             virtually_cached.push(next);
-            self.virt_mask[next.index()] = true;
+            self.node_mask[next.index()] = true;
             let mut extras = std::mem::take(&mut self.scratch_nodes3);
             let mut virtual_used = self.used[pi] + dag.memory_weight(next);
             let mut look = pos + 1;
-            while look < self.seq[pi].len() {
+            loop {
+                if look >= self.seq[pi].len() {
+                    self.note_end_read(pi);
+                    break;
+                }
                 let w = self.seq[pi][look];
+                self.note_read(w);
                 extras.clear();
                 extras.extend(
                     dag.parents(w)
-                        .filter(|&u| !self.cached[base + u.index()] && !self.virt_mask[u.index()]),
+                        .filter(|&u| !self.cached[base + u.index()] && !self.node_mask[u.index()]),
                 );
                 if extras.iter().any(|&u| !self.loadable(u)) {
                     break;
@@ -925,15 +1453,39 @@ impl ConversionArena {
                 }
                 virtual_used += extra_weight + dag.memory_weight(w);
                 virtually_cached.push(w);
-                self.virt_mask[w.index()] = true;
+                self.node_mask[w.index()] = true;
                 look += 1;
             }
             for &v in &virtually_cached {
-                self.virt_mask[v.index()] = false;
+                self.node_mask[v.index()] = false;
             }
             self.scratch_nodes2 = virtually_cached;
             self.scratch_nodes3 = extras;
         }
+    }
+
+    /// Evicts `v` from `pi`'s cache in the delete phase. A victim that is still
+    /// needed and not yet in slow memory is saved first (the save phase
+    /// precedes the delete phase).
+    fn evict<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        pi: usize,
+        v: NodeId,
+        phases: &mut mbsp_model::ProcPhases,
+    ) {
+        // The victim may sit in the spent list (policies that do not evict
+        // spent values first); drop it before the blue flip below invalidates
+        // its ordering key.
+        self.spent_remove(pi, v);
+        let needed_later = self.remaining_uses[v.index()] > 0 || self.is_required_output[v.index()];
+        if needed_later && !self.is_blue(v) {
+            phases.save.push(v);
+            self.mark_blue(v);
+        }
+        phases.delete.push(v);
+        self.cache_remove(pi, v);
+        self.used[pi] -= dag.memory_weight(v);
     }
 
     /// Position of the next use of `v` as an input on processor `pi`, if any.
@@ -970,9 +1522,11 @@ impl ConversionArena {
     }
 
     /// Marks `v` as cached on `pi` (must not be cached already — the converter
-    /// only caches on a miss) and tracks it in the dense cached list.
+    /// only caches on a miss) and tracks it in the dense cached list. From here
+    /// on `v`'s use lists are read, so a recorded run stamps it.
     #[inline]
     fn cache_insert(&mut self, pi: usize, v: NodeId) {
+        self.note_read(v);
         let slot = pi * self.n + v.index();
         debug_assert!(!self.cached[slot]);
         self.cached[slot] = true;
@@ -994,18 +1548,18 @@ impl ConversionArena {
         )
     }
 
-    /// Inserts `v` into `pi`'s spent set (no-op if already present).
+    /// Inserts `v` into `pi`'s spent list (no-op if already present).
     #[inline]
     fn spent_insert(&mut self, pi: usize, v: NodeId) {
         let slot = pi * self.n + v.index();
         if !self.in_spent[slot] {
             self.in_spent[slot] = true;
             let key = self.spent_key(v);
-            self.spent[pi].insert(key);
+            sorted_insert(&mut self.spent[pi], key);
         }
     }
 
-    /// Removes `v` from `pi`'s spent set (no-op if absent). Must run before any
+    /// Removes `v` from `pi`'s spent list (no-op if absent). Must run before any
     /// change to `v`'s blue pebble, while the stored key still matches.
     #[inline]
     fn spent_remove(&mut self, pi: usize, v: NodeId) {
@@ -1013,8 +1567,8 @@ impl ConversionArena {
         if self.in_spent[slot] {
             self.in_spent[slot] = false;
             let key = self.spent_key(v);
-            let removed = self.spent[pi].remove(&key);
-            debug_assert!(removed, "spent-set key out of sync");
+            let removed = sorted_remove(&mut self.spent[pi], key);
+            debug_assert!(removed, "spent key out of sync");
         }
     }
 
@@ -1025,25 +1579,33 @@ impl ConversionArena {
     /// processor evicting it.)
     fn dead_insert_everywhere(&mut self, v: NodeId) {
         for pi in 0..self.p {
-            let slot = pi * self.n + v.index();
-            if self.cached[slot] && !self.in_dead[slot] {
-                self.in_dead[slot] = true;
-                self.dead[pi].insert(v.index() as u32);
+            if self.cached[pi * self.n + v.index()] {
+                self.dead_insert(pi, v);
             }
+        }
+    }
+
+    /// Inserts `v` into `pi`'s dead list (no-op if already present).
+    #[inline]
+    fn dead_insert(&mut self, pi: usize, v: NodeId) {
+        let slot = pi * self.n + v.index();
+        if !self.in_dead[slot] {
+            self.in_dead[slot] = true;
+            sorted_insert(&mut self.dead[pi], v.index() as u32);
         }
     }
 
     /// Removes `v` from `pi`'s cache and its dense cached list (O(1) swap-remove).
     #[inline]
     fn cache_remove(&mut self, pi: usize, v: NodeId) {
-        // Evicted values leave the spent and dead sets with the cache (dead
+        // Evicted values leave the spent and dead lists with the cache (dead
         // values dropped by `make_room_with_dead_values` are always spent).
         self.spent_remove(pi, v);
         let slot = pi * self.n + v.index();
         if self.in_dead[slot] {
             self.in_dead[slot] = false;
-            let removed = self.dead[pi].remove(&(v.index() as u32));
-            debug_assert!(removed, "dead-set entry out of sync");
+            let removed = sorted_remove(&mut self.dead[pi], v.index() as u32);
+            debug_assert!(removed, "dead entry out of sync");
         }
         debug_assert!(self.cached[slot]);
         self.cached[slot] = false;

@@ -113,6 +113,11 @@ pub struct RepairStats {
     /// shard's search (its seeds and every batch candidate) and one per merge
     /// fold and per replayed delta.
     pub evaluations: u64,
+    /// Supersteps the conversions behind `evaluations` (and the shard
+    /// searches' rebases) simulated.
+    pub simulated_supersteps: u64,
+    /// Supersteps they copied from a base instead of simulating them.
+    pub skipped_supersteps: u64,
     /// Wall-clock of the repair.
     pub elapsed: Duration,
     /// Cost of the stale incumbent's assignment on the mutated DAG.
@@ -348,6 +353,8 @@ impl IncrementalScheduler {
             accepted_shards: search.accepted,
             salvaged_moves: search.salvaged,
             evaluations: search.evaluations(),
+            simulated_supersteps: search.simulated_supersteps(),
+            skipped_supersteps: search.skipped_supersteps(),
             elapsed: search.start.elapsed(),
             incumbent_cost,
             final_cost: search.incumbent.cost,

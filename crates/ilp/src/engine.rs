@@ -8,7 +8,9 @@
 //! * [`Move`] — first-class candidate moves over a per-node processor assignment
 //!   (relocate one node, relocate a sibling group, swap two nodes);
 //! * [`EvaluationEngine`] — per-worker evaluation state: a
-//!   [`mbsp_cache::ConversionArena`] (allocated once, reused for every candidate),
+//!   [`mbsp_cache::ConversionArena`] (allocated once, reused for every candidate;
+//!   [`EvaluationEngine::rebase`] records the incumbent's conversion in it, so
+//!   a candidate re-simulates only the supersteps its move can change),
 //!   a scratch schedule (plus the retained schedule of its best batch
 //!   candidate, so a round's winner is never converted twice), and a
 //!   [`mbsp_model::ScheduleEvaluator`] for the post-optimiser's incremental
@@ -215,6 +217,46 @@ impl EvaluationEngine {
         self.post_optimize(dag, arch, cost_model, required_outputs)
     }
 
+    /// Makes `procs` — the incumbent a batch of neighbouring candidates is
+    /// about to be evaluated against — the base of this engine's arena (see
+    /// [`ConversionArena::rebase`]): one conversion, recorded, after which
+    /// [`EvaluationEngine::evaluate_assignment_on`] simulates only the
+    /// supersteps a candidate's difference from `procs` can change. Results
+    /// are identical with or without it, and it is **not an evaluation**:
+    /// [`EvaluationEngine::evaluations`] is unchanged, nothing is
+    /// post-optimised or costed. Overwrites the scratch behind
+    /// [`EvaluationEngine::schedule`]. A no-op on the reference path.
+    pub fn rebase<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        procs: &[ProcId],
+        required_outputs: &[NodeId],
+    ) {
+        if self.path == EvalPath::Incremental {
+            self.arena.rebase(
+                dag,
+                arch,
+                procs,
+                &self.policy,
+                self.config,
+                required_outputs,
+                &mut self.schedule,
+            );
+        }
+    }
+
+    /// Supersteps this engine's conversions simulated (rebases included).
+    pub fn simulated_supersteps(&self) -> u64 {
+        self.arena.simulated_supersteps()
+    }
+
+    /// Supersteps this engine's conversions copied from their base instead of
+    /// simulating them.
+    pub fn skipped_supersteps(&self) -> u64 {
+        self.arena.skipped_supersteps()
+    }
+
     /// Evaluates an explicit BSP scheduling result (used for the baseline's own
     /// superstep structure, which the canonical reconstruction may not reproduce).
     pub fn evaluate_bsp_on<D: DagLike + ?Sized>(
@@ -290,6 +332,13 @@ impl EvaluationEngine {
     pub fn swap_batch_winner(&mut self, schedule: &mut MbspSchedule) {
         std::mem::swap(&mut self.retained, schedule);
     }
+
+    /// Swaps `schedule` with the schedule of the most recent direct
+    /// `evaluate_*` call; what the caller hands in becomes the scratch the
+    /// next conversion overwrites.
+    pub(crate) fn swap_schedule(&mut self, schedule: &mut MbspSchedule) {
+        std::mem::swap(&mut self.schedule, schedule);
+    }
 }
 
 /// Statistics of one holistic search run, reported by
@@ -306,6 +355,10 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Cost of the returned schedule under the configured cost model.
     pub final_cost: f64,
+    /// Supersteps the engines' conversions simulated (rebases included).
+    pub simulated_supersteps: u64,
+    /// Supersteps they copied from a base instead of simulating them.
+    pub skipped_supersteps: u64,
 }
 
 /// Outcome of one round's batch evaluation: the winning candidate (if any

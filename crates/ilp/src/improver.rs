@@ -162,6 +162,8 @@ impl HolisticScheduler {
             rounds,
             elapsed: start.elapsed(),
             final_cost: incumbent.cost,
+            simulated_supersteps: engines.iter().map(|e| e.simulated_supersteps()).sum(),
+            skipped_supersteps: engines.iter().map(|e| e.skipped_supersteps()).sum(),
         };
         (incumbent.schedule, stats)
     }

@@ -108,6 +108,11 @@ impl Incumbent {
 /// adopted improvement is recorded in [`Incumbent::deltas`]. Returns the
 /// number of completed rounds.
 ///
+/// Before a round's batch the engines are rebased on the incumbent whenever
+/// it changed (the seed, then every adopted winner), so each candidate
+/// re-simulates only the supersteps its move can change; a rebase is not an
+/// evaluation and changes no result.
+///
 /// `deadline` is observed in full at the round boundary — the search's
 /// deterministic cut point; the engines' mid-batch checks consume its
 /// wall-clock component only. Deterministic in `params.seed` as long as the
@@ -131,6 +136,8 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
     let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
     let mut rounds = 0usize;
     let mut stale_rounds = 0usize;
+    // Do the engines' bases describe `incumbent.procs`?
+    let mut based = false;
     let wall = deadline.wall_clock();
     for _round in 0..params.max_rounds {
         if deadline.expired() {
@@ -141,6 +148,16 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
             if let Some(mv) = Move::propose(dag, arch, &incumbent.procs, &movable, &mut rng) {
                 moves.push(mv);
             }
+        }
+        if !based && !moves.is_empty() {
+            let procs = &incumbent.procs;
+            pool.run_batch(
+                engines
+                    .iter_mut()
+                    .map(|engine| move || engine.rebase(dag, arch, procs, required_outputs))
+                    .collect(),
+            );
+            based = true;
         }
         let outcome = evaluate_moves_on(
             pool,
@@ -167,6 +184,7 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
         };
         if cost < incumbent.cost - 1e-9 {
             stale_rounds = 0;
+            based = false;
             let before = incumbent.procs.clone();
             moves[idx].apply(dag, &mut incumbent.procs);
             incumbent
@@ -216,6 +234,9 @@ pub(crate) struct ViewSearch {
     /// was offered, and every batch candidate (a round winner is not evaluated
     /// again — its batch keeps its schedule).
     pub(crate) evaluations: u64,
+    /// Supersteps the view's conversions simulated / copied from their base.
+    pub(crate) simulated_supersteps: u64,
+    pub(crate) skipped_supersteps: u64,
 }
 
 /// Runs one engine-backed [`hill_climb`] over a zero-copy view, so candidate
@@ -241,6 +262,10 @@ pub(crate) fn search_view(
 ) -> ViewSearch {
     let cost_model = params.cost_model;
     let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
+    // Each seed is recorded as the engine's base before it is evaluated (the
+    // evaluation then only copies it), so the hill climb's first rebase converts
+    // nothing when it starts from the seed evaluated last.
+    engine.rebase(view, arch, &seed_procs, required_outputs);
     let mut incumbent = Incumbent::seed(
         &mut engine,
         view,
@@ -264,6 +289,7 @@ pub(crate) fn search_view(
         }
         let delta = assignment_delta(&incumbent.procs, &candidate);
         if !delta.is_empty() {
+            engine.rebase(view, arch, &candidate, required_outputs);
             let cost =
                 engine.evaluate_assignment_on(view, arch, &candidate, cost_model, required_outputs);
             if cost < incumbent.cost - 1e-9 {
@@ -292,6 +318,8 @@ pub(crate) fn search_view(
         base_cost,
         incumbent,
         evaluations: engines[0].evaluations,
+        simulated_supersteps: engines[0].simulated_supersteps(),
+        skipped_supersteps: engines[0].skipped_supersteps(),
     }
 }
 
@@ -305,6 +333,8 @@ struct ShardOutcome {
     best_cost: f64,
     deltas: Vec<Vec<(NodeId, ProcId)>>,
     evaluations: u64,
+    simulated_supersteps: u64,
+    skipped_supersteps: u64,
 }
 
 /// Builds the view of one shard, runs its local search and maps the accepted
@@ -371,6 +401,8 @@ fn run_shard(
         best_cost: found.incumbent.cost,
         deltas,
         evaluations: found.evaluations,
+        simulated_supersteps: found.simulated_supersteps,
+        skipped_supersteps: found.skipped_supersteps,
     }
 }
 
@@ -386,6 +418,8 @@ pub(crate) struct ShardedSearch<'a> {
     workers: usize,
     engine: EvaluationEngine,
     shard_evaluations: u64,
+    shard_simulated_supersteps: u64,
+    shard_skipped_supersteps: u64,
     /// Shard searches run so far (per pass: every shard, or the ones
     /// intersecting the cone).
     pub(crate) searched: usize,
@@ -443,6 +477,8 @@ impl<'a> ShardedSearch<'a> {
             workers,
             engine,
             shard_evaluations: 0,
+            shard_simulated_supersteps: 0,
+            shard_skipped_supersteps: 0,
             searched: 0,
             improved: 0,
             accepted: 0,
@@ -459,6 +495,17 @@ impl<'a> ShardedSearch<'a> {
     /// search.
     pub(crate) fn evaluations(&self) -> u64 {
         self.engine.evaluations + self.shard_evaluations
+    }
+
+    /// Supersteps simulated so far by the conversions behind
+    /// [`ShardedSearch::evaluations`] (and the shard searches' rebases).
+    pub(crate) fn simulated_supersteps(&self) -> u64 {
+        self.engine.simulated_supersteps() + self.shard_simulated_supersteps
+    }
+
+    /// Supersteps those conversions copied from a base instead.
+    pub(crate) fn skipped_supersteps(&self) -> u64 {
+        self.engine.skipped_supersteps() + self.shard_skipped_supersteps
     }
 
     /// One partition → search → merge pass. `iteration` shifts the weighted
@@ -487,7 +534,11 @@ impl<'a> ShardedSearch<'a> {
             )
         });
         self.searched += outcomes.len();
-        self.shard_evaluations += outcomes.iter().map(|o| o.evaluations).sum::<u64>();
+        for o in &outcomes {
+            self.shard_evaluations += o.evaluations;
+            self.shard_simulated_supersteps += o.simulated_supersteps;
+            self.shard_skipped_supersteps += o.skipped_supersteps;
+        }
         self.merge_outcomes(&outcomes);
         partition
     }
@@ -516,7 +567,8 @@ impl<'a> ShardedSearch<'a> {
             let better = cost < incumbent.cost - 1e-9;
             if better {
                 incumbent.cost = cost;
-                incumbent.schedule.clone_from(engine.schedule());
+                // The replaced incumbent's schedule becomes the engine's scratch.
+                engine.swap_schedule(&mut incumbent.schedule);
                 incumbent.procs.copy_from_slice(trial);
             } else {
                 trial.copy_from_slice(&incumbent.procs);

@@ -193,6 +193,11 @@ pub struct ShardedSearchStats {
     pub salvaged_moves: u64,
     /// Partition/search/merge iterations executed.
     pub iterations: usize,
+    /// Supersteps the conversions behind `evaluations` (and the shard
+    /// searches' rebases) simulated.
+    pub simulated_supersteps: u64,
+    /// Supersteps they copied from a base instead of simulating them.
+    pub skipped_supersteps: u64,
     /// Why the run stopped: budget exhausted normally, wall-clock deadline, or
     /// cancellation. Observed only at iteration boundaries — a deadline that
     /// merely truncated the final shard searches still reports `Completed`
@@ -689,6 +694,8 @@ pub(crate) fn sharded_schedule(
         cut_edges,
         salvaged_moves: search.salvaged,
         iterations,
+        simulated_supersteps: search.simulated_supersteps(),
+        skipped_supersteps: search.skipped_supersteps(),
         stop_reason,
     };
     let Incumbent {
