@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test doc fmt lint bench bench-compile bench-json smokes bench-check serve-smoke loc ci
+.PHONY: build test doc fmt lint bench-json smokes serve-smoke loc ci
 
 build:
 	cargo build --release --workspace --all-targets
@@ -17,56 +17,27 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-bench:
-	cargo bench -p mbsp_bench
-
-# CI's criterion compile gate: benches must keep building even when not run.
-bench-compile:
-	cargo bench --workspace --no-run
-
-# Records the benchmark baselines: the solver comparison (sparse warm-started
-# branch-and-bound vs the dense oracle) into BENCH_solver.json, the improver
-# comparison (incremental evaluation engine vs clone-and-recost) into
-# BENCH_improver.json, the DAG-substrate comparison (CSR/bitset/scratch
-# pipeline vs nested-Vec reference paths on 10k-100k-node instances) into
-# BENCH_dag.json, the sharded-search comparison (sharded holistic search
-# over zero-copy sub-DAG views vs the single-incumbent search at equal move
-# budget) into BENCH_shard.json, and the incremental-repair comparison
-# (dirty-cone repair vs from-scratch re-schedule after localized DAG mutation)
-# into BENCH_delta.json, the checkpoint-codec baseline (session encode/decode
-# wall-clock with byte-identity and corruption-rejection flags, <50 ms each
-# way on the 100k-node instances) into BENCH_io.json, and the serving
-# baseline (mbsp_serve fan-out latency/throughput with monotone-incumbent
-# and served-vs-direct byte-identity flags) into BENCH_serve.json. Set
-# MBSP_BENCH_SOLVER_QUICK=1 / MBSP_BENCH_IMPROVER_QUICK=1 /
-# MBSP_BENCH_DAG_QUICK=1 / MBSP_BENCH_SHARD_QUICK=1 /
-# MBSP_BENCH_DELTA_QUICK=1 / MBSP_BENCH_IO_QUICK=1 /
-# MBSP_BENCH_SERVE_QUICK=1 for the fast CI smoke variants. Each compares a
-# fast path with its ground-truth reference; what a request costs from one
-# commit to the next is bench_e2e's job (benchmark/, BENCHMARK.json).
+# Records the six benchmark baselines through the one recorder skeleton
+# (`crates/bench/src/lib.rs`): `solver` (sparse warm-started branch-and-bound
+# vs the dense oracle), `improver` (incremental evaluation engine vs
+# clone-and-recost), `dag` (CSR/bitset/scratch pipeline vs nested-Vec reference
+# paths on 10k-100k-node instances), `shard` (sharded holistic search vs the
+# single-incumbent search at equal move budget), `delta` (dirty-cone repair vs
+# full re-search after localized DAG mutation) and `io` (session checkpoint
+# encode/decode, <50 ms each way on the 100k-node instances), each into its
+# BENCH_<name>.json (~1 h; one recorder: `bench_record <name>`, a few
+# instances: `--only <substr>`, which prints rows and writes nothing). Each
+# compares a fast path with its ground-truth reference and the exit status is
+# the gate; what a request costs from one commit to the next is bench_e2e's
+# job (benchmark/, BENCHMARK.json).
 bench-json:
-	cargo run --release -p mbsp_bench --bin bench_solver
-	cargo run --release -p mbsp_bench --bin bench_improver
-	cargo run --release -p mbsp_bench --bin bench_dag
-	cargo run --release -p mbsp_bench --bin bench_shard
-	cargo run --release -p mbsp_bench --bin bench_delta
-	cargo run --release -p mbsp_bench --bin bench_io
-	cargo run --release -p mbsp_bench --bin bench_serve
+	cargo run --release -p mbsp_bench --bin bench_record -- all
 
-# The seven CI benchmark smokes (quick mode, writing BENCH_*_quick.json).
+# The CI benchmark smoke: every recorder on its small instances (seconds).
+# Prints the rows, writes nothing, and fails on any false agreement flag,
+# sub-1.0 speedup or unreal timing.
 smokes:
-	MBSP_BENCH_SOLVER_QUICK=1 cargo run --release -p mbsp_bench --bin bench_solver
-	MBSP_BENCH_IMPROVER_QUICK=1 cargo run --release -p mbsp_bench --bin bench_improver
-	MBSP_BENCH_DAG_QUICK=1 cargo run --release -p mbsp_bench --bin bench_dag
-	MBSP_BENCH_SHARD_QUICK=1 cargo run --release -p mbsp_bench --bin bench_shard
-	MBSP_BENCH_DELTA_QUICK=1 cargo run --release -p mbsp_bench --bin bench_delta
-	MBSP_BENCH_IO_QUICK=1 cargo run --release -p mbsp_bench --bin bench_io
-	MBSP_BENCH_SERVE_QUICK=1 cargo run --release -p mbsp_bench --bin bench_serve
-
-# The bench-regression gate: parses the BENCH_*_quick.json smoke outputs and
-# fails on any sub-1.0 speedup or fast/reference divergence.
-bench-check:
-	cargo run --release -p mbsp_bench --bin bench_check
+	cargo run --release -p mbsp_bench --bin bench_record -- all --quick
 
 # The serving smoke: boot a real mbsp_serve daemon, drive a scripted client
 # session (register / schedule / mutate / graceful shutdown), restart it on
@@ -90,7 +61,7 @@ loc:
 	@wc -c target/release/mbsp_serve
 
 # Everything CI checks, in CI's order: build, test, doc, formatting, clippy,
-# the seven benchmark smokes, the criterion compile gate, the
-# bench-regression gate and the serving smoke. Contributors can reproduce a
-# red CI run locally with this single target.
-ci: build test doc fmt lint smokes bench-compile bench-check serve-smoke
+# the benchmark smoke (whose exit status is the regression gate) and the
+# serving smoke. Contributors can reproduce a red CI run locally with this
+# single target.
+ci: build test doc fmt lint smokes serve-smoke

@@ -1,7 +1,7 @@
 //! Runs the full experiment suite (all tables and figures) and writes the combined
 //! markdown report to stdout. Individual experiments are available as separate
-//! binaries (`table1` … `sync_vs_async`); this driver is what EXPERIMENTS.md was
-//! produced with.
+//! binaries (`table1` … `sync_vs_async`), listed in the README section "Reproducing
+//! the paper's tables and figures".
 
 use mbsp_bench::{
     geometric_mean_ratio, render_table, run_small_dataset_comparison, run_tiny_comparison,

@@ -150,12 +150,12 @@ pub fn small_dataset_sample(seed: u64) -> Vec<NamedInstance> {
 /// SpMV, iterated-SpMV and CG instances scaled far beyond the paper's benchmark
 /// sizes. Deterministic in `seed`.
 ///
-/// These are the instances `bench_dag` uses to exercise the CSR DAG substrate,
-/// the bitset pebbling state and the scratch-based schedulers at production
-/// scale, and `bench_shard` uses to compare the sharded holistic search
-/// against the single-incumbent search at equal move budget (the 100k-node
-/// `rand_L200_W500` instance is the headline case); construction is
-/// near-linear thanks to the builder's incremental Pearce–Kelly cycle check
+/// These are the instances the `dag` recorder (`bench_record dag`) uses to
+/// exercise the CSR DAG substrate, the bitset pebbling state and the
+/// scratch-based schedulers at production scale, and the `shard` recorder uses
+/// to compare the sharded holistic search against the single-incumbent search
+/// at equal move budget (the 100k-node `rand_L200_W500` instance is the
+/// headline case); construction is near-linear thanks to the builder's incremental Pearce–Kelly cycle check
 /// (every generator emits order-respecting edges). Memory weights stay at the
 /// paper's random `{1..5}` distribution.
 pub fn large_dataset(seed: u64) -> Vec<NamedInstance> {

@@ -5,7 +5,7 @@
 //! coarse-grained algorithm graphs plus fine-grained CG, SpMV, iterated SpMV and
 //! k-NN instances) and a sample of 10 larger DAGs with 264–464 nodes. The original
 //! dataset files are not redistributable, so this crate generates synthetic DAGs of
-//! the same families, sizes and structure (see DESIGN.md, substitution 2):
+//! the same families, sizes and structure (see PAPER.md, "Reproduction notes"):
 //!
 //! * [`spmv`] — fine-grained sparse matrix–vector multiplication and iterated SpMV;
 //! * [`cg`] — fine-grained conjugate-gradient iterations on a 2D grid;

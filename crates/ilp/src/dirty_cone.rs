@@ -37,7 +37,7 @@
 //! proposal to globally improving even when the proposal's shard is far from
 //! the mutation — a coupling no hop-bounded cone can capture. Empirically the
 //! residual stays below a tenth of a percent of the schedule cost
-//! (`bench_delta` gates it at 0.1%) while the repair runs several times
+//! (the `delta` recorder gates it at 0.1%) while the repair runs several times
 //! faster, and the gap to the mutated incumbent is always closed exactly.
 //!
 //! [`IncrementalScheduler`] owns the mutating DAG, its live
@@ -49,9 +49,9 @@
 //! [`IncrementalScheduler::schedule`] runs the *full* sharded search on the
 //! session's own DAG and adopts the winner in place — the pass borrows the
 //! DAG, so a warm session needs no owning detour to be re-scheduled.
-//! `benches/bench_delta` measures repair against a full re-search from the
-//! same stale incumbent; `tests/repair_determinism.rs` pins the worker-count
-//! invariance.
+//! The `delta` recorder (`bench_record delta`) measures repair against a full
+//! re-search from the same stale incumbent; `tests/repair_determinism.rs` pins
+//! the worker-count invariance.
 
 use crate::search::{Incumbent, ShardedSearch};
 use crate::shard::{sharded_schedule, IncumbentObserver, ShardedSearchConfig, ShardedSearchStats};

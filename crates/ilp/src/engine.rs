@@ -19,7 +19,7 @@
 //!   freshly allocated converter plus a full re-cost per candidate). Both
 //!   paths are operation-identical, which the differential tests assert; the
 //!   reference path is the ground truth they compare with and the baseline of
-//!   `bench_improver`;
+//!   the `improver` recorder (`bench_record improver`);
 //! * [`evaluate_moves_on`] — evaluates one round's batch of moves, in parallel on
 //!   the resident [`mbsp_pool::WorkerPool`] with one engine per pool task.
 //!   Candidates are generated up front and the winner is chosen by the fixed
@@ -139,7 +139,7 @@ pub enum EvalPath {
     Incremental,
     /// The pre-engine behaviour: a freshly allocated converter and a full
     /// `sync_cost`/`async_cost` re-cost per candidate. The ground truth of the
-    /// differential suites and the `bench_improver` baseline.
+    /// differential suites and the `improver` recorder's baseline.
     Reference,
 }
 

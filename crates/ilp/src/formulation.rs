@@ -15,7 +15,7 @@
 //! dominates every finish time. (For `P = 1` and `L = 0` this coincides with the
 //! synchronous cost, which is how the exact solver is used in the test-suite and the
 //! Lemma 6.1 experiment; benchmark-scale synchronous instances are handled by the
-//! holistic scheduler instead — see DESIGN.md.)
+//! holistic scheduler instead — see PAPER.md, "Reproduction notes".)
 //!
 //! Recomputation can be forbidden with [`IlpConfig::allow_recompute`]`= false`,
 //! which adds the constraint `Σ_{p,t} compute[p][v][t] ≤ 1` for every node — the

@@ -2,9 +2,9 @@
 //!
 //! The paper's headline scheduler formulates the whole MBSP problem as an ILP and
 //! lets COPT improve on the two-stage baseline within a time limit. Without a
-//! commercial solver, this module plays the same role (see DESIGN.md,
-//! substitution 1): starting from the baseline's processor assignment it searches
-//! the neighbourhood of assignments — moving single nodes, moving small node groups
+//! commercial solver, this module plays the same role (see PAPER.md,
+//! "Reproduction notes"): starting from the baseline's processor assignment it
+//! searches the neighbourhood of assignments — moving single nodes, moving small node groups
 //! that share a parent, and swapping nodes between processors — and evaluates every
 //! candidate *holistically*: the candidate assignment is converted into a valid MBSP
 //! schedule (cache simulation with the clairvoyant policy) and measured with the
@@ -111,7 +111,7 @@ impl HolisticScheduler {
     /// that every node in `required_outputs` ends up in slow memory.
     /// `EvalPath::Reference` selects the pre-engine clone-and-recost machinery
     /// — the two paths are operation-identical and exist side by side for
-    /// differential testing and the `bench_improver` throughput comparison.
+    /// differential testing and the `improver` recorder's throughput comparison.
     pub fn schedule_with_stats(
         &self,
         instance: &MbspInstance,
@@ -245,7 +245,7 @@ pub fn post_optimize<D: DagLike + ?Sized>(
 }
 
 /// The pre-engine post-optimisation pass, kept verbatim as the differential
-/// oracle and the `bench_improver` baseline: every merge candidate materialises a
+/// oracle and the `improver` recorder's baseline: every merge candidate materialises a
 /// folded copy of the whole schedule and validates it from scratch, and the final
 /// cost requires a separate full re-cost by the caller.
 pub(crate) fn reference_post_optimize<D: DagLike + ?Sized>(

@@ -23,7 +23,7 @@
 //!   seeded local search over processor assignments and superstep structure,
 //!   evaluating every candidate with the *true* MBSP cost (including cache-miss I/O)
 //!   and post-optimising the resulting schedule (superstep merging, redundant-I/O
-//!   removal). See DESIGN.md, substitution 1.
+//!   removal). See PAPER.md, "Reproduction notes", for the COPT substitution.
 //! * [`engine`] — the candidate-evaluation engine behind the holistic search:
 //!   first-class [`engine::Move`]s, per-worker [`engine::EvaluationEngine`]s
 //!   (arena-backed conversion via `mbsp_cache::ConversionArena` plus incremental

@@ -9,7 +9,7 @@
 //! missing-field / wrong-type case maps to a typed [`Reject`] carrying one of
 //! the protocol's stable error codes.
 
-use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS};
+use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_TABLE_CELLS};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -366,7 +366,9 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
         ));
     }
 
-    let source = match (map_get(map, "dag_hex"), map_get(map, "family")) {
+    // `nodes` is the DAG's node count, or the bound on it for a `family` that
+    // is only generated once the request is admitted.
+    let (source, nodes) = match (map_get(map, "dag_hex"), map_get(map, "family")) {
         (Some(_), Some(_)) => {
             return Err(Reject::new(
                 E_BAD_REQUEST,
@@ -377,7 +379,8 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
             let bytes = decode_hex(hex)?;
             let dag = mbsp_io::decode_dag(&bytes)
                 .map_err(|e| Reject::new(E_BAD_DAG, format!("rejected DAG blob: {e}")))?;
-            DagSource::Uploaded(dag)
+            let nodes = dag.num_nodes();
+            (DagSource::Uploaded(dag), nodes)
         }
         (Some(_), None) => {
             return Err(Reject::new(
@@ -385,7 +388,10 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
                 "field `dag_hex` must be a string",
             ))
         }
-        (None, Some(spec)) => DagSource::Family(parse_family(spec)?),
+        (None, Some(spec)) => {
+            let (spec, nodes) = parse_family(spec)?;
+            (DagSource::Family(spec), nodes)
+        }
         (None, None) => {
             return Err(Reject::new(
                 E_BAD_REQUEST,
@@ -401,6 +407,12 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
         return Err(Reject::new(
             E_BAD_REQUEST,
             format!("`processors` must be between 1 and {MAX_PROCESSORS}"),
+        ));
+    }
+    if processors.saturating_mul(nodes) > MAX_TABLE_CELLS {
+        return Err(Reject::new(
+            E_BAD_REQUEST,
+            format!("`processors` x nodes ({processors} x {nodes}) exceeds {MAX_TABLE_CELLS}"),
         ));
     }
     let non_negative = |key: &str| -> Parse<Option<f64>> {
@@ -468,7 +480,8 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
     })
 }
 
-fn parse_family(spec: &Value) -> Parse<FamilySpec> {
+/// The spec and the upper bound on the nodes it generates.
+fn parse_family(spec: &Value) -> Parse<(FamilySpec, usize)> {
     let map = spec
         .as_map()
         .ok_or_else(|| Reject::new(E_BAD_REQUEST, "`family` must be a JSON object"))?;
@@ -529,13 +542,13 @@ fn parse_family(spec: &Value) -> Parse<FamilySpec> {
              or n >= 2 and k >= 1 (cg, knn)",
         ));
     }
-    if nodes.map_or(true, |n| n > MAX_FAMILY_NODES) {
-        return Err(Reject::new(
+    match nodes {
+        Some(nodes) if nodes <= MAX_FAMILY_NODES => Ok((spec, nodes)),
+        _ => Err(Reject::new(
             E_BAD_REQUEST,
             format!("`family` would generate more than {MAX_FAMILY_NODES} nodes"),
-        ));
+        )),
     }
-    Ok(spec)
 }
 
 fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {

@@ -57,6 +57,13 @@ pub const MAX_LINE_BYTES: usize = 64 << 20;
 /// abort the daemon — and every tenant with it — on allocation failure.
 pub const MAX_PROCESSORS: usize = 1024;
 
+/// Largest `processors × nodes` product a `register` may ask for (a `family`
+/// is held to its node-count bound): the session's conversion arena allocates
+/// seven tables of that many cells, so the two per-factor caps alone still
+/// admit a request line that aborts the daemon on allocation. 2²⁴ cells is
+/// forty times the largest product `benchmark/` sends (4 × 100,000).
+pub const MAX_TABLE_CELLS: usize = 1 << 24;
+
 /// Most nodes a `register` `family` spec may generate: ten times the largest
 /// instance of `mbsp_gen::large_dataset` (100,000 nodes). Uploaded DAGs are
 /// bounded by [`MAX_LINE_BYTES`] instead.

@@ -342,7 +342,21 @@ fn hostile_lines_are_rejected_with_typed_frames() {
     // assertion) is a `bad_request` before anything is built; the connection
     // stays usable after each.
     let family = r#""family":{"kind":"cg","n":4,"k":1}"#;
+    // 20,000 nodes: admissible on its own, as is 1024 processors — their
+    // product is what would size the arena's tables.
+    let wide_upload = mbsp_serve::encode_hex(&mbsp_io::encode_dag(&random_layered_dag(
+        &RandomDagConfig {
+            layers: 20,
+            width: 1000,
+            edge_probability: 0.001,
+            max_compute: 4,
+            max_memory: 3,
+        },
+        9,
+    )));
     for fields in [
+        format!(r#""dag_hex":"{wide_upload}","processors":1024"#),
+        r#""processors":1024,"family":{"kind":"random","layers":1000,"width":1000}"#.to_string(),
         format!(r#"{family},"processors":1000000000"#),
         format!(r#"{family},"processors":1025"#),
         format!(r#"{family},"processors":2,"g":-1.0"#),
