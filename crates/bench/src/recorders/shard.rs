@@ -18,7 +18,18 @@
 //! Both sharding modes always run (the report's `mode` is the constant
 //! `"both"`); each runs at 1 and at 4 workers. The flat `sharded_*` /
 //! `speedup` fields of a row describe the weighted mode. A quick run takes two
-//! small layered DAGs. Gated on every row: worker-count identity and
+//! small layered DAGs.
+//!
+//! The `partition_*` fields of a row say what one weighted partition
+//! (iteration 0 of the weighted mode) cost on that instance: its wall-clock,
+//! the branch-and-bound nodes of its splits and whether a split stopped on a
+//! limit. The report's `paper_scale_partitions` lists the same for the
+//! paper-scale instances a `tenants_small` daemon serves, where the partition
+//! is most of a request. Both are per instance and ungated: the cost is
+//! heavy-tailed (a split that runs into its node limit costs twenty times the
+//! median), which a median over instances hides.
+//!
+//! Gated on every row: worker-count identity and
 //! never-worse-than-baseline for each mode and for the headline, and the
 //! weighted mode never behind the legacy one. `speedup` is not: on smoke-sized
 //! instances the partition ILP is not amortised. Full-run bars: on the
@@ -29,8 +40,9 @@
 use crate::{field, geomean, large_or_quick, paper_instance, Fields, Recorder};
 use mbsp_gen::NamedInstance;
 use mbsp_ilp::{
-    EvalPath, EvaluationEngine, HolisticConfig, HolisticScheduler, ShardStrategy,
-    ShardedHolisticScheduler, ShardedSearchConfig, ShardedSearchStats,
+    weighted_shards_solve, EvalPath, EvaluationEngine, HolisticConfig, HolisticScheduler,
+    ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig, ShardedSearchStats,
+    WeightedBipartitionConfig,
 };
 use mbsp_model::{CostModel, MbspInstance};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
@@ -100,6 +112,20 @@ pub(crate) struct Row {
     equal_or_better: bool,
     not_worse_than_baseline: bool,
     identical_across_workers: bool,
+    partition_ms: f64,
+    partition_bnb_nodes: usize,
+    partition_truncated: bool,
+}
+
+/// What one weighted partition cost on one instance: an entry of the report's
+/// `paper_scale_partitions`, and the source of a row's `partition_*` fields.
+#[derive(Debug, Serialize)]
+struct PaperScalePartition {
+    name: String,
+    nodes: usize,
+    partition_ms: f64,
+    partition_bnb_nodes: usize,
+    partition_truncated: bool,
 }
 
 /// The relative slack of every cost comparison.
@@ -146,6 +172,28 @@ fn weighted_config(workers: usize, nodes: usize) -> ShardedSearchConfig {
         shard_local_seed: true,
         runs_per_shard: if nodes >= 10_000 { 12 } else { 8 },
         ..legacy_config(workers)
+    }
+}
+
+/// Times iteration 0's partition of the weighted mode on `named`.
+fn timed_partition(named: &NamedInstance) -> PaperScalePartition {
+    let nodes = named.dag.num_nodes();
+    let config = weighted_config(1, nodes);
+    let start = Instant::now();
+    let (_, solve) = weighted_shards_solve(
+        &named.dag,
+        SHARDS,
+        config.runs_per_shard,
+        config.mass_tolerance,
+        0.0,
+        WeightedBipartitionConfig::default().limits,
+    );
+    PaperScalePartition {
+        name: named.name.clone(),
+        nodes,
+        partition_ms: start.elapsed().as_secs_f64() * 1e3,
+        partition_bnb_nodes: solve.bnb_nodes,
+        partition_truncated: solve.truncated,
     }
 }
 
@@ -261,6 +309,7 @@ impl Recorder for Shard {
             "legacy/topo",
         );
         let nodes = dag.num_nodes();
+        let partition = timed_partition(named);
         let (base, stats) = run_sharded(
             &instance,
             &baseline,
@@ -282,6 +331,9 @@ impl Recorder for Shard {
             equal_or_better: within(base.cost, single_cost),
             not_worse_than_baseline: base.not_worse_than_baseline,
             identical_across_workers: base.identical_across_workers,
+            partition_ms: partition.partition_ms,
+            partition_bnb_nodes: partition.partition_bnb_nodes,
+            partition_truncated: partition.partition_truncated,
             weighted: WeightedReport {
                 iterations: stats.iterations,
                 salvaged_moves: stats.salvaged_moves,
@@ -318,9 +370,15 @@ impl Recorder for Shard {
     fn summary(&self, rows: &[Row]) -> Fields {
         let speedup = geomean(rows.iter().map(|r| r.speedup));
         let better = strictly_better(rows);
+        // The instances of `bench_e2e`'s `tenants_small` workload.
+        let mut paper_scale = mbsp_gen::small_dataset_sample(42);
+        paper_scale.extend(mbsp_gen::tiny_dataset(42).into_iter().take(3));
+        let partitions: Vec<PaperScalePartition> =
+            paper_scale.iter().map(timed_partition).collect();
         vec![
             field("geomean_speedup", speedup),
             field("weighted_strictly_better_count", better),
+            field("paper_scale_partitions", partitions),
         ]
     }
 

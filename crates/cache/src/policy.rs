@@ -44,19 +44,18 @@ pub trait EvictionPolicy {
     /// candidate's move, monotonically, relative to the base's.
     fn order(&self, a: &CandidateVictim, b: &CandidateVictim) -> std::cmp::Ordering;
 
-    /// Does this policy evict every candidate with `next_use == None` before any
-    /// candidate with a future use, ordering those spent candidates exactly by
+    /// Is [`EvictionPolicy::order`] exactly the clairvoyant order: furthest
+    /// `next_use` first with `None` (no further use) furthest of all, then
     /// `(has_blue desc, weight desc, node asc)`?
     ///
-    /// Returning `true` is a promise about [`EvictionPolicy::order`] that lets
-    /// the arena converter serve most evictions from an incrementally maintained
-    /// ordered set of spent values (values with no remaining use on the
-    /// processor) in `O(log cached)` per victim, instead of rebuilding and
-    /// scanning the full candidate set on every eviction trigger. The fallback
-    /// full scan still runs whenever the spent set is exhausted, so a policy
-    /// answering `true` only changes *how fast* victims are found, never *which*
-    /// victims are chosen.
-    fn evicts_spent_first(&self) -> bool {
+    /// Returning `true` is a promise about `order` that lets the arena
+    /// converter pick victims without building the candidate set: candidates
+    /// with no further use come off an incrementally maintained ordered set
+    /// in `O(log cached)` each, the others from a dense array of next-use
+    /// positions, one pass per victim — `order` itself is never called. A
+    /// policy answering `true` only changes *how fast* victims are found,
+    /// never *which* victims are chosen.
+    fn orders_by_next_use(&self) -> bool {
         false
     }
 
@@ -91,10 +90,9 @@ impl EvictionPolicy for ClairvoyantPolicy {
         "clairvoyant"
     }
 
-    fn evicts_spent_first(&self) -> bool {
-        // `order` keys on `next_use` descending with `None → usize::MAX`, so
-        // spent values precede every candidate with a future use, and the
-        // remaining tie-break is exactly (has_blue desc, weight desc, node asc).
+    fn orders_by_next_use(&self) -> bool {
+        // `order` below keys on `next_use` descending with `None → usize::MAX`,
+        // then (has_blue desc, weight desc, node asc): the promised order.
         true
     }
 

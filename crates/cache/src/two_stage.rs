@@ -56,7 +56,15 @@
 //! save), updated at the few events that create them; eviction triggers then
 //! pop victims off the end. Both are flat vectors (binary-search insert): at
 //! `3·r0` they hold a few dozen entries, and a checkpoint copies them as
-//! flags on the cache contents.
+//! flags on the cache contents. When the spent list runs dry the clairvoyant
+//! victim is the cached value read furthest in the future: the arena keeps
+//! each cached value's **next-use position** in an array parallel to the
+//! cache list (written on entry, rewritten for the inputs of every compute
+//! step — the only values whose next use a step moves) and takes the largest
+//! key in one pass, where it used to build a candidate record per cached
+//! value. A policy that does not promise the clairvoyant order
+//! ([`EvictionPolicy::orders_by_next_use`]; LRU) gets the full candidate scan
+//! through [`EvictionPolicy::order`].
 //!
 //! ## Suffix re-conversion: the base
 //!
@@ -89,7 +97,9 @@
 //! (identical in base and candidate, see below) rebuilds them; the LRU clock
 //! of a processor *is* its cursor; `use_ptr` is a lazily advanced cache of
 //! "first use at or after the cursor" and may restart from `use_off`; the
-//! spent keys are recomputed from the restored blue stamps. No array of size
+//! next-use keys are read off it as the cache contents are re-inserted at the
+//! restored cursor; the spent keys are recomputed from the restored blue
+//! stamps. No array of size
 //! `P·n` is ever copied into a checkpoint.
 //!
 //! **The read-stamp rule.** A candidate's conversion may differ from the
@@ -150,6 +160,9 @@ const CHECKPOINT_ENTRIES_PER_NODE: usize = 8;
 /// [`ConversionArena::new`]): the cached value is in the spent / dead list.
 const CKPT_SPENT: u32 = 1 << 31;
 const CKPT_DEAD: u32 = 1 << 30;
+/// [`ConversionArena`]'s next-use key of a cached value with no further use
+/// on its processor (sequence positions stay below `2^29`).
+const NO_USE: u32 = u32::MAX;
 
 /// Configuration of the two-stage converter.
 #[derive(Debug, Clone, Copy)]
@@ -480,6 +493,14 @@ pub struct ConversionArena {
     /// exactly in sync with `cached` so eviction scans cost O(cached) instead of
     /// O(V).
     cached_list: Vec<Vec<NodeId>>,
+    /// Parallel to `cached_list`: the position in `seq[pi]` of each cached
+    /// node's next use on `pi` at or after the cursor ([`NO_USE`] when it has
+    /// none) — `next_use` as a dense array, so the clairvoyant eviction scan
+    /// reads one `u32` per cached value. Written when a node enters the cache
+    /// and rewritten for the inputs of every compute step: advancing the
+    /// cursor past position `c` changes the next use of exactly the nodes
+    /// read at `c`.
+    cached_next: Vec<Vec<u32>>,
     /// Per processor and node (flat `p * n + v`): position of the node within
     /// `cached_list` (only meaningful while the node is cached).
     list_pos: Vec<u32>,
@@ -504,9 +525,9 @@ pub struct ConversionArena {
     /// the list the moment its last local use is consumed (or when it is
     /// computed with no local children) and leaves it on eviction, so eviction
     /// triggers pop victims instead of scanning the whole cache. Policies whose
-    /// [`EvictionPolicy::evicts_spent_first`] is `false` (LRU) ignore the list
-    /// for victim selection, but it is maintained unconditionally so switching
-    /// policies between runs is safe.
+    /// [`EvictionPolicy::orders_by_next_use`] is `false` (LRU) ignore the list
+    /// (and `cached_next`) for victim selection, but both are maintained
+    /// unconditionally so switching policies between runs is safe.
     spent: Vec<Vec<(u8, u64, u32)>>,
     /// Per processor and node (flat `p * n + v`): is the node in `spent`?
     in_spent: Vec<bool>,
@@ -594,6 +615,7 @@ impl ConversionArena {
             use_ptr: vec![0; p * n],
             cached: vec![false; p * n],
             cached_list: vec![Vec::new(); p],
+            cached_next: vec![Vec::new(); p],
             list_pos: vec![0; p * n],
             used: vec![0.0; p],
             last_use: vec![0; p * n],
@@ -986,6 +1008,7 @@ impl ConversionArena {
             for v in self.cached_list[pi].drain(..) {
                 self.cached[row + v.index()] = false;
             }
+            self.cached_next[pi].clear();
             // `in_spent` is true exactly for the list members, so clearing the
             // flags while draining keeps both in sync without an O(V) sweep.
             for (_, _, v) in self.spent[pi].drain(..) {
@@ -1175,7 +1198,9 @@ impl ConversionArena {
                     // Execute the compute step; it is the processor's
                     // `pos + 1`-th, which is its LRU clock reading.
                     phases.compute.push(ComputePhaseStep::Compute(v));
-                    self.cache_insert(pi, v);
+                    // v's own uses all lie behind `pos`, so the key it enters
+                    // the cache with still holds once the cursor has moved on.
+                    let key = self.cache_insert(pi, v);
                     self.used[pi] += dag.memory_weight(v);
                     self.last_use[base + v.index()] = pos + 1;
                     for u in dag.parents(v) {
@@ -1187,11 +1212,15 @@ impl ConversionArena {
                     // consumed (for v itself: when it has no local uses at
                     // all); recording the transition here is what lets the
                     // eviction triggers pop victims without scanning the cache.
-                    if self.next_use(pi, v).is_none() {
+                    if key == NO_USE {
                         self.spent_insert(pi, v);
                     }
                     for u in dag.parents(v) {
-                        if self.next_use(pi, u).is_none() {
+                        // The step consumed u's use at `pos`: re-key it.
+                        let key = self.next_use_key(pi, u);
+                        let at = self.list_pos[base + u.index()] as usize;
+                        self.cached_next[pi][at] = key;
+                        if key == NO_USE {
                             self.spent_insert(pi, u);
                         }
                         if self.remaining_uses[u.index()] == 0
@@ -1321,85 +1350,110 @@ impl ConversionArena {
         let target_free = missing_weight + dag.memory_weight(next);
 
         // Evict until the next compute step fits.
-        if self.used[pi] + target_free > r + 1e-9 {
-            // Fast path: a policy that evicts spent values first pops them
-            // straight off the sorted spent list. Parents of `next` (and
-            // `next` itself) are never spent (their use at the current cursor
-            // position is still pending), so the keep-set filter of the scan
-            // below is vacuous here. Popping reads the current blue pebbles,
-            // which equal the trigger-start snapshot the scan path sees: the
-            // only blue bit an eviction flips belongs to the victim itself,
-            // which leaves the cache with it.
-            if policy.evicts_spent_first() {
-                while self.used[pi] + target_free > r + 1e-9 {
-                    let Some((_, _, vid)) = self.spent[pi].pop() else {
-                        break;
-                    };
-                    let v = NodeId::new(vid as usize);
-                    self.in_spent[base + v.index()] = false;
-                    debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
-                    self.evict(dag, pi, v, phases);
-                }
+        let must_evict = self.used[pi] + target_free > r + 1e-9;
+        if must_evict && policy.orders_by_next_use() {
+            // The policy's order is known, so no candidate set is built.
+            // First the spent values, popped straight off their sorted list.
+            // Parents of `next` (and `next` itself) are never spent (their
+            // use at the current cursor position is still pending), so the
+            // keep-set filter of the generic scan is vacuous here. Popping
+            // reads the current blue pebbles, which equal the trigger-start
+            // snapshot the generic scan sees: the only blue bit an eviction
+            // flips belongs to the victim itself, which leaves the cache with
+            // it.
+            while self.used[pi] + target_free > r + 1e-9 {
+                let Some((_, _, vid)) = self.spent[pi].pop() else {
+                    break;
+                };
+                let v = NodeId::new(vid as usize);
+                self.in_spent[base + v.index()] = false;
+                debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
+                self.evict(dag, pi, v, phases);
             }
-            // Full scan: the reference converter ranks the whole candidate set
-            // through `policy.rank`; since the policy order is total, repeatedly
-            // extracting the minimum yields the identical eviction sequence
-            // without sorting candidates that are never evicted. This is the
-            // only path for policies without the spent-first guarantee and the
-            // fallback once the spent list runs dry. The first minimum is
-            // tracked while the candidates are built — one victim is usually
-            // enough — and only a further victim costs a further pass.
-            if self.used[pi] + target_free > r + 1e-9 {
-                self.node_mask[next.index()] = true;
-                for u in dag.parents(next) {
-                    self.node_mask[u.index()] = true;
-                }
-                let mut candidates = std::mem::take(&mut self.scratch_candidates);
-                candidates.clear();
-                let mut best = 0usize;
-                for idx in 0..self.cached_list[pi].len() {
-                    let v = self.cached_list[pi][idx];
-                    if self.node_mask[v.index()] {
+            // Then the values with a future use, furthest first, ties like
+            // the spent keys: each victim is one pass over the dense next-use
+            // keys. A key equal to `pos` is an input of `next` (nothing else
+            // is read there), which is the whole keep-set.
+            while self.used[pi] + target_free > r + 1e-9 {
+                let (keys, list) = (&self.cached_next[pi], &self.cached_list[pi]);
+                let mut best: Option<usize> = None;
+                for (at, &key) in keys.iter().enumerate() {
+                    if key as usize <= pos {
                         continue;
                     }
-                    let candidate = CandidateVictim {
-                        node: v,
-                        weight: dag.memory_weight(v),
-                        next_use: self.next_use(pi, v),
-                        last_use: self.last_use[base + v.index()],
-                        has_blue: self.is_blue(v),
-                        needed_later: self.remaining_uses[v.index()] > 0
-                            || (self.is_required_output[v.index()] && !self.is_blue(v)),
-                    };
-                    if candidates.is_empty() || policy.order(&candidate, &candidates[best]).is_lt()
-                    {
-                        best = candidates.len();
-                    }
-                    candidates.push(candidate);
-                }
-                self.node_mask[next.index()] = false;
-                for u in dag.parents(next) {
-                    self.node_mask[u.index()] = false;
-                }
-                let mut first = Some(best);
-                let mut remaining = candidates.len();
-                while self.used[pi] + target_free > r + 1e-9 && remaining > 0 {
-                    let best = first.take().unwrap_or_else(|| {
-                        (1..remaining).fold(0, |best, i| {
-                            if policy.order(&candidates[i], &candidates[best]).is_lt() {
-                                i
-                            } else {
-                                best
-                            }
-                        })
+                    let better = best.map_or(true, |b| {
+                        key > keys[b]
+                            || (key == keys[b]
+                                && self.spent_key(list[at]) < self.spent_key(list[b]))
                     });
-                    let v = candidates[best].node;
-                    candidates.swap(best, remaining - 1);
-                    remaining -= 1;
-                    self.evict(dag, pi, v, phases);
+                    if better {
+                        best = Some(at);
+                    }
                 }
-                self.scratch_candidates = candidates;
+                let Some(best) = best else {
+                    break;
+                };
+                let v = list[best];
+                debug_assert_eq!(self.next_use_key(pi, v), self.cached_next[pi][best]);
+                debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
+                self.evict(dag, pi, v, phases);
             }
+        } else if must_evict {
+            // Full scan, for a policy that promises no order: the reference
+            // converter ranks the whole candidate set through `policy.rank`;
+            // since the policy order is total, repeatedly extracting the
+            // minimum yields the identical eviction sequence without sorting
+            // candidates that are never evicted. The first minimum is tracked
+            // while the candidates are built — one victim is usually enough —
+            // and only a further victim costs a further pass.
+            self.node_mask[next.index()] = true;
+            for u in dag.parents(next) {
+                self.node_mask[u.index()] = true;
+            }
+            let mut candidates = std::mem::take(&mut self.scratch_candidates);
+            candidates.clear();
+            let mut best = 0usize;
+            for idx in 0..self.cached_list[pi].len() {
+                let v = self.cached_list[pi][idx];
+                if self.node_mask[v.index()] {
+                    continue;
+                }
+                let candidate = CandidateVictim {
+                    node: v,
+                    weight: dag.memory_weight(v),
+                    next_use: self.next_use(pi, v),
+                    last_use: self.last_use[base + v.index()],
+                    has_blue: self.is_blue(v),
+                    needed_later: self.remaining_uses[v.index()] > 0
+                        || (self.is_required_output[v.index()] && !self.is_blue(v)),
+                };
+                if candidates.is_empty() || policy.order(&candidate, &candidates[best]).is_lt() {
+                    best = candidates.len();
+                }
+                candidates.push(candidate);
+            }
+            self.node_mask[next.index()] = false;
+            for u in dag.parents(next) {
+                self.node_mask[u.index()] = false;
+            }
+            let mut first = Some(best);
+            let mut remaining = candidates.len();
+            while self.used[pi] + target_free > r + 1e-9 && remaining > 0 {
+                let best = first.take().unwrap_or_else(|| {
+                    (1..remaining).fold(0, |best, i| {
+                        if policy.order(&candidates[i], &candidates[best]).is_lt() {
+                            i
+                        } else {
+                            best
+                        }
+                    })
+                });
+                let v = candidates[best].node;
+                candidates.swap(best, remaining - 1);
+                remaining -= 1;
+                self.evict(dag, pi, v, phases);
+            }
+            self.scratch_candidates = candidates;
         }
 
         // Required loads for the next compute step.
@@ -1500,6 +1554,12 @@ impl ConversionArena {
         (*ptr < end).then(|| positions[*ptr as usize] as usize)
     }
 
+    /// [`ConversionArena::next_use`] as a `cached_next` key.
+    #[inline]
+    fn next_use_key(&mut self, pi: usize, v: NodeId) -> u32 {
+        self.next_use(pi, v).map_or(NO_USE, |pos| pos as u32)
+    }
+
     /// Does `v` have a blue pebble right now?
     #[inline]
     fn is_blue(&self, v: NodeId) -> bool {
@@ -1523,15 +1583,19 @@ impl ConversionArena {
 
     /// Marks `v` as cached on `pi` (must not be cached already — the converter
     /// only caches on a miss) and tracks it in the dense cached list. From here
-    /// on `v`'s use lists are read, so a recorded run stamps it.
+    /// on `v`'s use lists are read, so a recorded run stamps it. Returns the
+    /// next-use key `v` enters with.
     #[inline]
-    fn cache_insert(&mut self, pi: usize, v: NodeId) {
+    fn cache_insert(&mut self, pi: usize, v: NodeId) -> u32 {
         self.note_read(v);
         let slot = pi * self.n + v.index();
         debug_assert!(!self.cached[slot]);
         self.cached[slot] = true;
         self.list_pos[slot] = self.cached_list[pi].len() as u32;
         self.cached_list[pi].push(v);
+        let key = self.next_use_key(pi, v);
+        self.cached_next[pi].push(key);
+        key
     }
 
     /// Ordering key of a spent value within [`ConversionArena::spent`]:
@@ -1610,6 +1674,7 @@ impl ConversionArena {
         debug_assert!(self.cached[slot]);
         self.cached[slot] = false;
         let pos = self.list_pos[slot] as usize;
+        self.cached_next[pi].swap_remove(pos);
         let last = self.cached_list[pi]
             .pop()
             .expect("cached list is non-empty");

@@ -96,8 +96,9 @@ pub use partition_ilp::{
     weighted_prefix_split, BipartitionConfig, WeightedBipartitionConfig,
 };
 pub use shard::{
-    topo_shards, weighted_shards, IncumbentObserver, IncumbentUpdate, ShardStrategy,
-    ShardedHolisticScheduler, ShardedSearchConfig, ShardedSearchStats,
+    topo_shards, weighted_shards, weighted_shards_solve, IncumbentObserver, IncumbentUpdate,
+    PartitionSolve, ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig,
+    ShardedSearchStats,
 };
 
 // Cancellation vocabulary, re-exported so downstream users of the schedulers

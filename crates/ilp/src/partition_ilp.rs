@@ -20,7 +20,9 @@
 //! same prefix split is used as a fallback (it is always acyclic and
 //! balanced).
 
-use lp_solver::{BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipStatus, SolverLimits};
+use lp_solver::{
+    BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipStatus, MipStop, SolverLimits,
+};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
 use std::time::Duration;
 
@@ -286,16 +288,27 @@ pub fn weighted_bipartition(
     edge_weights: &[f64],
     config: &WeightedBipartitionConfig,
 ) -> AcyclicPartition {
+    weighted_bipartition_solve(dag, edge_weights, config).0
+}
+
+/// [`weighted_bipartition`] plus what its branch and bound did: the nodes it
+/// explored and what stopped it. A [`MipStop::Time`] split depends on the wall
+/// clock — the same call may return another split the next time.
+pub(crate) fn weighted_bipartition_solve(
+    dag: &CompDag,
+    edge_weights: &[f64],
+    config: &WeightedBipartitionConfig,
+) -> (AcyclicPartition, usize, MipStop) {
     let n = dag.num_nodes();
     if n < config.min_side0_nodes.max(1) + config.min_side1_nodes.max(1) {
-        return AcyclicPartition::trivial(dag);
+        return (AcyclicPartition::trivial(dag), 0, MipStop::Gap);
     }
     let fallback = weighted_prefix_split(dag, config);
     let (problem, warm) = weighted_bipartition_model(dag, edge_weights, config);
     let solution = BranchBoundSolver::with_limits(config.limits)
         .with_warm_start(warm)
         .solve(&problem);
-    match solution.status {
+    let split = match solution.status {
         MipStatus::Optimal | MipStatus::Feasible => {
             let assignment: Vec<usize> = (0..n)
                 .map(|i| solution.values[i].round() as usize)
@@ -303,7 +316,8 @@ pub fn weighted_bipartition(
             AcyclicPartition::new(dag, assignment, 2).unwrap_or(fallback)
         }
         _ => fallback,
-    }
+    };
+    (split, solution.nodes_explored, solution.stop)
 }
 
 /// Mass-balanced topological-prefix split: cuts a topological order at the

@@ -20,12 +20,20 @@
 //!   deterministic boundary-repair merge. The full sharded search is the
 //!   seed plus `iterations` passes; a dirty-cone repair is the session's
 //!   assignment plus pass `0` restricted to the cone.
+//! * [`PartitionMemo`] — the partitions a warm session has already solved for
+//!   its current DAG. A pass asks it before it partitions: the partition is a
+//!   function of the DAG and the five inputs of a [`PartitionKey`], so a
+//!   remembered one is exactly what solving again would return and no result
+//!   changes — only the branch and bound (most of a paper-scale request) is
+//!   not run twice. One-shot front-ends pass no memo.
 
 use crate::dirty_cone::dirty_shard_indices;
 use crate::engine::{
     assignment_delta, evaluate_moves_on, resolve_workers, EvalPath, EvaluationEngine, Move,
 };
-use crate::shard::{part_view, shard_partition, ShardedSearchConfig};
+use crate::shard::{
+    part_view, shard_partition, PartitionSolve, ShardStrategy, ShardedSearchConfig,
+};
 use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
 use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, Deadline, WorkerPool};
@@ -33,6 +41,7 @@ use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs of one [`hill_climb`].
@@ -406,6 +415,64 @@ fn run_shard(
     }
 }
 
+/// Everything besides the DAG that [`shard_partition`] reads: the pass
+/// `iteration` (it sets the weighted strategy's cut offset), the *resolved*
+/// shard count, the strategy, and the weighted partitioner's granularity and
+/// mass tolerance (by its bits: two tolerances share a key only when the
+/// solver sees the same number).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PartitionKey {
+    iteration: usize,
+    k: usize,
+    strategy: ShardStrategy,
+    runs_per_shard: usize,
+    mass_tolerance: u64,
+}
+
+/// The partitions already solved for one DAG, by [`PartitionKey`]. Its owner
+/// (the warm session) must [`clear`](PartitionMemo::clear) it whenever that
+/// DAG changes. In memory only: never part of a checkpoint.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PartitionMemo {
+    /// Oldest first.
+    entries: Vec<(PartitionKey, Arc<AcyclicPartition>)>,
+}
+
+impl PartitionMemo {
+    /// Entries kept: requests may override every key field, and each entry is
+    /// one `usize` per node, so the memo forgets its oldest entry beyond this.
+    /// A request looks up one key per iteration.
+    const CAPACITY: usize = 8;
+
+    /// Forgets everything (the DAG changed).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    fn get(&self, key: &PartitionKey) -> Option<Arc<AcyclicPartition>> {
+        let (_, partition) = self.entries.iter().find(|(k, _)| k == key)?;
+        Some(Arc::clone(partition))
+    }
+
+    /// Remembers a freshly solved partition — unless a split of it stopped on
+    /// the wall clock. Such a partition is valid and the pass uses it, but
+    /// replaying it would turn one irreproducible request into many.
+    fn insert(
+        &mut self,
+        key: PartitionKey,
+        partition: &Arc<AcyclicPartition>,
+        solve: PartitionSolve,
+    ) {
+        if solve.time_limited {
+            return;
+        }
+        if self.entries.len() == Self::CAPACITY {
+            self.entries.remove(0);
+        }
+        self.entries.push((key, Arc::clone(partition)));
+    }
+}
+
 /// The state partition → search → merge passes run on: the borrowed problem,
 /// the resolved shard and worker counts, the deadline, the global evaluation
 /// engine and the global incumbent.
@@ -414,6 +481,9 @@ pub(crate) struct ShardedSearch<'a> {
     arch: &'a Architecture,
     config: &'a ShardedSearchConfig,
     pool: &'a WorkerPool,
+    /// The partitions already solved for `dag`, when a warm session runs the
+    /// search.
+    memo: Option<&'a mut PartitionMemo>,
     k: usize,
     workers: usize,
     engine: EvaluationEngine,
@@ -431,6 +501,9 @@ pub(crate) struct ShardedSearch<'a> {
     pub(crate) accepted: usize,
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub(crate) salvaged: u64,
+    /// Passes that ran the partitioner, and passes the memo served instead.
+    pub(crate) partitions_solved: usize,
+    pub(crate) partition_hits: usize,
     /// When the search started (its deadline is `start + config.time_limit`).
     pub(crate) start: Instant,
     /// The time limit combined with the caller's cancel token.
@@ -447,9 +520,12 @@ impl<'a> ShardedSearch<'a> {
     /// of the `baseline` they come from), evaluated on the whole DAG as the
     /// seed incumbent. The engine (arena sized at construction) is built per
     /// search: a session's DAG may have changed size since the last one.
+    /// `memo`, when given, must hold partitions of `dag` only.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pool: &'a WorkerPool,
         cancel: Option<&CancelToken>,
+        memo: Option<&'a mut PartitionMemo>,
         dag: &'a CompDag,
         arch: &'a Architecture,
         config: &'a ShardedSearchConfig,
@@ -473,6 +549,7 @@ impl<'a> ShardedSearch<'a> {
             arch,
             config,
             pool,
+            memo,
             k,
             workers,
             engine,
@@ -483,6 +560,8 @@ impl<'a> ShardedSearch<'a> {
             improved: 0,
             accepted: 0,
             salvaged: 0,
+            partitions_solved: 0,
+            partition_hits: 0,
             start,
             deadline,
             searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
@@ -514,9 +593,13 @@ impl<'a> ShardedSearch<'a> {
     /// and decorrelates the passes' move streams. With a `cone`, only the
     /// shards intersecting it are searched (and merged). Returns the partition
     /// the pass ran on.
-    pub(crate) fn pass(&mut self, iteration: usize, cone: Option<&[NodeId]>) -> AcyclicPartition {
+    pub(crate) fn pass(
+        &mut self,
+        iteration: usize,
+        cone: Option<&[NodeId]>,
+    ) -> Arc<AcyclicPartition> {
         let (dag, arch, config) = (self.dag, self.arch, self.config);
-        let partition = shard_partition(dag, self.k, config, iteration);
+        let partition = self.partition(iteration);
         let shards: Vec<usize> = match cone {
             Some(cone) => dirty_shard_indices(&partition, cone),
             None => (0..partition.num_parts()).collect(),
@@ -540,6 +623,29 @@ impl<'a> ShardedSearch<'a> {
             self.shard_skipped_supersteps += o.skipped_supersteps;
         }
         self.merge_outcomes(&outcomes);
+        partition
+    }
+
+    /// The partition of pass `iteration`: the memo's, or a fresh solve that is
+    /// offered to the memo.
+    fn partition(&mut self, iteration: usize) -> Arc<AcyclicPartition> {
+        let key = PartitionKey {
+            iteration,
+            k: self.k,
+            strategy: self.config.strategy,
+            runs_per_shard: self.config.runs_per_shard,
+            mass_tolerance: self.config.mass_tolerance.to_bits(),
+        };
+        if let Some(partition) = self.memo.as_deref().and_then(|memo| memo.get(&key)) {
+            self.partition_hits += 1;
+            return partition;
+        }
+        let (partition, solve) = shard_partition(self.dag, self.k, self.config, iteration);
+        self.partitions_solved += 1;
+        let partition = Arc::new(partition);
+        if let Some(memo) = self.memo.as_deref_mut() {
+            memo.insert(key, &partition, solve);
+        }
         partition
     }
 
@@ -612,6 +718,54 @@ impl<'a> ShardedSearch<'a> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn key(iteration: usize) -> PartitionKey {
+        PartitionKey {
+            iteration,
+            k: 4,
+            strategy: ShardStrategy::Weighted,
+            runs_per_shard: 8,
+            mass_tolerance: 0.25f64.to_bits(),
+        }
+    }
+
+    #[test]
+    fn the_memo_does_not_remember_a_time_limited_partition() {
+        let dag = mbsp_gen::tiny_dataset(42).remove(2).dag;
+        let partition = Arc::new(AcyclicPartition::trivial(&dag));
+        let mut memo = PartitionMemo::default();
+        let cut = PartitionSolve {
+            bnb_nodes: 0,
+            truncated: true,
+            time_limited: true,
+        };
+        memo.insert(key(0), &partition, cut);
+        assert!(memo.get(&key(0)).is_none());
+        // A node-count limit cuts every run at the same node: remembered.
+        let counted = PartitionSolve {
+            time_limited: false,
+            ..cut
+        };
+        memo.insert(key(0), &partition, counted);
+        assert!(memo.get(&key(0)).is_some());
+        assert!(memo.get(&key(1)).is_none());
+        memo.clear();
+        assert!(memo.get(&key(0)).is_none());
+    }
+
+    #[test]
+    fn the_memo_forgets_its_oldest_entry_beyond_its_capacity() {
+        let dag = mbsp_gen::tiny_dataset(42).remove(2).dag;
+        let partition = Arc::new(AcyclicPartition::trivial(&dag));
+        let mut memo = PartitionMemo::default();
+        for iteration in 0..=PartitionMemo::CAPACITY {
+            memo.insert(key(iteration), &partition, PartitionSolve::default());
+        }
+        assert_eq!(memo.entries.len(), PartitionMemo::CAPACITY);
+        assert!(memo.get(&key(0)).is_none());
+        assert!(memo.get(&key(1)).is_some());
+        assert!(memo.get(&key(PartitionMemo::CAPACITY)).is_some());
+    }
 
     #[test]
     fn fan_out_returns_results_in_index_order() {

@@ -9,8 +9,10 @@
 //! 1. **Partition** — [`weighted_shards`] balances per-shard *compute mass*
 //!    and penalises cut edges: the DAG is quotiented over contiguous topo
 //!    runs (a few runs per shard), and the small run-quotient is recursively
-//!    bipartitioned by the warm-started [`weighted_bipartition`] ILP. Side 0 of every split receives the lower part indices, so each
-//!    edge satisfies `part(u) ≤ part(v)` and the quotient is acyclic by
+//!    bipartitioned by the warm-started
+//!    [`weighted_bipartition`](crate::weighted_bipartition) ILP. Side 0 of
+//!    every split receives the lower part indices, so each edge satisfies
+//!    `part(u) ≤ part(v)` and the quotient is acyclic by
 //!    construction. [`topo_shards`] (equal node-count blocks) is retained as
 //!    the differential fallback/oracle and the legacy strategy. Keeping shard
 //!    boundaries aligned with the precedence order is the BSP-bridging-model
@@ -57,8 +59,9 @@
 //! this module owns the partitioners, the configuration and the front-end
 //! that seeds the global incumbent and iterates the pass.
 
-use crate::partition_ilp::{weighted_bipartition, WeightedBipartitionConfig};
-use crate::search::{Incumbent, ShardedSearch};
+use crate::partition_ilp::{weighted_bipartition_solve, WeightedBipartitionConfig};
+use crate::search::{Incumbent, PartitionMemo, ShardedSearch};
+use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
@@ -198,6 +201,12 @@ pub struct ShardedSearchStats {
     pub simulated_supersteps: u64,
     /// Supersteps they copied from a base instead of simulating them.
     pub skipped_supersteps: u64,
+    /// Iterations that ran the partitioner.
+    pub partitions_solved: usize,
+    /// Iterations whose partition a warm session had already solved for the
+    /// same DAG (see [`IncrementalScheduler`](crate::IncrementalScheduler));
+    /// always `0` for the one-shot [`ShardedHolisticScheduler`].
+    pub partition_hits: usize,
     /// Why the run stopped: budget exhausted normally, wall-clock deadline, or
     /// cancellation. Observed only at iteration boundaries — a deadline that
     /// merely truncated the final shard searches still reports `Completed`
@@ -283,15 +292,17 @@ fn contiguous_mass_blocks(
 /// mass-balanced topological runs (`contiguous_mass_blocks`; always acyclic),
 /// then the small run-quotient — whose edge weights are the multiplicities of
 /// the aggregated original edges — is recursively split by the warm-started
-/// [`weighted_bipartition`] ILP. Side 0 of every split takes the lower part
-/// indices, so every original edge satisfies `part(u) ≤ part(v)` and the
-/// result is acyclic by construction for *any* split the ILP returns.
+/// [`weighted_bipartition`](crate::weighted_bipartition) ILP. Side 0 of every
+/// split takes the lower part indices, so every original edge satisfies
+/// `part(u) ≤ part(v)` and the result is acyclic by construction for *any*
+/// split the ILP returns.
 ///
 /// `cut_offset ∈ [0, 1)` shifts the run boundaries (see
 /// `contiguous_mass_blocks`); the iterated search passes a golden-ratio
 /// multiple per iteration so repeated partitions straddle each other's cuts.
 /// Deterministic: the ILPs are solved with fixed limits and deterministic
-/// warm starts, and every tie-break is index-based.
+/// warm starts, and every tie-break is index-based — unless a split runs into
+/// the wall-clock limit of its solve, which [`weighted_shards_solve`] reports.
 pub fn weighted_shards(
     dag: &CompDag,
     num_shards: usize,
@@ -299,10 +310,46 @@ pub fn weighted_shards(
     mass_tolerance: f64,
     cut_offset: f64,
 ) -> AcyclicPartition {
+    let limits = WeightedBipartitionConfig::default().limits;
+    weighted_shards_solve(
+        dag,
+        num_shards,
+        runs_per_shard,
+        mass_tolerance,
+        cut_offset,
+        limits,
+    )
+    .0
+}
+
+/// What the branch-and-bound solves behind one [`weighted_shards_solve`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartitionSolve {
+    /// Branch-and-bound nodes explored, summed over the recursive splits.
+    pub bnb_nodes: usize,
+    /// Did any split stop on a limit (node count or wall clock) with its cut
+    /// feasible but not proven optimal?
+    pub truncated: bool,
+    /// Did any split stop on its wall-clock limit? Such a partition is valid
+    /// but not reproducible: the same call may return another one.
+    pub time_limited: bool,
+}
+
+/// [`weighted_shards`] with explicit solver `limits` for every split (it uses
+/// [`WeightedBipartitionConfig`]'s defaults), also returning what the solves
+/// did.
+pub fn weighted_shards_solve(
+    dag: &CompDag,
+    num_shards: usize,
+    runs_per_shard: usize,
+    mass_tolerance: f64,
+    cut_offset: f64,
+    limits: SolverLimits,
+) -> (AcyclicPartition, PartitionSolve) {
     let n = dag.num_nodes();
     let k = num_shards.clamp(1, n.max(1));
     if k <= 1 || n == 0 {
-        return AcyclicPartition::trivial(dag);
+        return (AcyclicPartition::trivial(dag), PartitionSolve::default());
     }
     let topo = TopologicalOrder::of(dag);
     let c = (k * runs_per_shard.max(1)).clamp(k, n);
@@ -327,20 +374,22 @@ pub fn weighted_shards(
     }
 
     // Recursive weight-aware split of the run list into k parts.
-    let mut part_of_run = vec![0usize; c];
-    let runs: Vec<usize> = (0..c).collect();
-    split_runs(
-        &runs,
-        k,
-        0,
-        &run_weights,
-        &multiplicity,
+    let mut splitter = RunSplitter {
+        run_weights: &run_weights,
+        multiplicity: &multiplicity,
         mass_tolerance,
-        &mut part_of_run,
-    );
+        limits,
+        part_of_run: vec![0usize; c],
+        solve: PartitionSolve::default(),
+    };
+    let runs: Vec<usize> = (0..c).collect();
+    splitter.split(&runs, k, 0);
+    let RunSplitter {
+        part_of_run, solve, ..
+    } = splitter;
 
     let part: Vec<usize> = (0..n).map(|i| part_of_run[run_of[i]]).collect();
-    match AcyclicPartition::new(dag, part, k) {
+    let partition = match AcyclicPartition::new(dag, part, k) {
         Ok(p) => p,
         // Defensive: the recursive split guarantees part(u) ≤ part(v) per
         // edge, but if a degenerate split ever slipped through, fall back to
@@ -350,89 +399,86 @@ pub fn weighted_shards(
             AcyclicPartition::new(dag, direct, k)
                 .expect("contiguous mass blocks form an acyclic partition")
         }
-    }
+    };
+    (partition, solve)
 }
 
-/// Recursively assigns the runs in `runs` (ascending run indices) to `k`
-/// consecutive part indices starting at `base`, bipartitioning by compute mass
-/// with cut-multiplicity objective. Side 0 keeps the lower part indices; the
-/// quotient-edge acyclicity constraint of the ILP (`x_u ≤ x_v`) guarantees
-/// every cross-side edge points from side 0 to side 1.
-fn split_runs(
-    runs: &[usize],
-    k: usize,
-    base: usize,
-    run_weights: &[NodeWeights],
-    multiplicity: &BTreeMap<(usize, usize), f64>,
+/// The recursive split of a run quotient: the quotient and the solver
+/// settings every split shares, and what the splits produce.
+struct RunSplitter<'a> {
+    run_weights: &'a [NodeWeights],
+    multiplicity: &'a BTreeMap<(usize, usize), f64>,
     mass_tolerance: f64,
-    part_of_run: &mut [usize],
-) {
-    if k <= 1 || runs.len() <= 1 {
-        for &r in runs {
-            part_of_run[r] = base;
-        }
-        return;
-    }
-    let kl = k - k / 2; // side 0 (earlier runs) gets the larger half on odd k
-    let kr = k / 2;
+    limits: SolverLimits,
+    part_of_run: Vec<usize>,
+    solve: PartitionSolve,
+}
 
-    // Build the induced sub-quotient over `runs`: local index = position in the
-    // ascending run list, so edges only point forward and the graph is acyclic.
-    let local_of: BTreeMap<usize, usize> = runs.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-    let weights: Vec<NodeWeights> = runs.iter().map(|&r| run_weights[r]).collect();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut edge_weights: Vec<f64> = Vec::new();
-    for (&(ru, rv), &m) in multiplicity {
-        if let (Some(&lu), Some(&lv)) = (local_of.get(&ru), local_of.get(&rv)) {
-            edges.push((lu, lv));
-            edge_weights.push(m);
+impl RunSplitter<'_> {
+    /// Recursively assigns the runs in `runs` (ascending run indices) to `k`
+    /// consecutive part indices starting at `base`, bipartitioning by compute
+    /// mass with cut-multiplicity objective. Side 0 keeps the lower part
+    /// indices; the quotient-edge acyclicity constraint of the ILP
+    /// (`x_u ≤ x_v`) guarantees every cross-side edge points from side 0 to
+    /// side 1.
+    fn split(&mut self, runs: &[usize], k: usize, base: usize) {
+        if k <= 1 || runs.len() <= 1 {
+            for &r in runs {
+                self.part_of_run[r] = base;
+            }
+            return;
         }
-    }
-    let sub = CompDag::from_edges("runs", weights, &edges).expect("run quotient is acyclic");
-    let cfg = WeightedBipartitionConfig {
-        side1_mass_fraction: kr as f64 / k as f64,
-        mass_tolerance,
-        min_side0_nodes: kl,
-        min_side1_nodes: kr,
-        ..Default::default()
-    };
-    let split = weighted_bipartition(&sub, &edge_weights, &cfg);
+        let kl = k - k / 2; // side 0 (earlier runs) gets the larger half on odd k
+        let kr = k / 2;
 
-    let mut side0: Vec<usize> = Vec::new();
-    let mut side1: Vec<usize> = Vec::new();
-    if split.num_parts() == 2 {
-        for (i, &r) in runs.iter().enumerate() {
-            if split.part_of(NodeId::new(i)) == 0 {
-                side0.push(r);
-            } else {
-                side1.push(r);
+        // Build the induced sub-quotient over `runs`: local index = position in
+        // the ascending run list, so edges only point forward and the graph is
+        // acyclic.
+        let local_of: BTreeMap<usize, usize> =
+            runs.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let weights: Vec<NodeWeights> = runs.iter().map(|&r| self.run_weights[r]).collect();
+        let mut edges: Vec<(usize, usize)> = Vec::new();
+        let mut edge_weights: Vec<f64> = Vec::new();
+        for (&(ru, rv), &m) in self.multiplicity {
+            if let (Some(&lu), Some(&lv)) = (local_of.get(&ru), local_of.get(&rv)) {
+                edges.push((lu, lv));
+                edge_weights.push(m);
             }
         }
+        let sub = CompDag::from_edges("runs", weights, &edges).expect("run quotient is acyclic");
+        let cfg = WeightedBipartitionConfig {
+            side1_mass_fraction: kr as f64 / k as f64,
+            mass_tolerance: self.mass_tolerance,
+            min_side0_nodes: kl,
+            min_side1_nodes: kr,
+            limits: self.limits,
+        };
+        let (split, bnb_nodes, stop) = weighted_bipartition_solve(&sub, &edge_weights, &cfg);
+        self.solve.bnb_nodes += bnb_nodes;
+        self.solve.truncated |= stop != MipStop::Gap;
+        self.solve.time_limited |= stop == MipStop::Time;
+
+        let mut side0: Vec<usize> = Vec::new();
+        let mut side1: Vec<usize> = Vec::new();
+        if split.num_parts() == 2 {
+            for (i, &r) in runs.iter().enumerate() {
+                if split.part_of(NodeId::new(i)) == 0 {
+                    side0.push(r);
+                } else {
+                    side1.push(r);
+                }
+            }
+        }
+        if side0.len() < kl || side1.len() < kr {
+            // Degenerate split (the count floors make this unreachable through
+            // the ILP or its prefix fallback, but stay safe): prefix split by
+            // count.
+            side0 = runs[..kl].to_vec();
+            side1 = runs[kl..].to_vec();
+        }
+        self.split(&side0, kl, base);
+        self.split(&side1, kr, base + kl);
     }
-    if side0.len() < kl || side1.len() < kr {
-        // Degenerate split (the count floors make this unreachable through the
-        // ILP or its prefix fallback, but stay safe): prefix split by count.
-        side0 = runs[..kl].to_vec();
-        side1 = runs[kl..].to_vec();
-    }
-    split_runs(
-        &side0,
-        kl,
-        base,
-        run_weights,
-        multiplicity,
-        mass_tolerance,
-        part_of_run,
-    );
-    split_runs(
-        &side1,
-        kr,
-        base + kl,
-        run_weights,
-        multiplicity,
-        mass_tolerance,
-        part_of_run,
-    );
 }
 
 /// The partition one iteration of the sharded search runs on: dispatches on
@@ -440,18 +486,28 @@ fn split_runs(
 /// golden-ratio cut-offset shift of the weighted strategy. Iteration `0` uses
 /// offset `0`, so single-iteration runs (and the dirty-cone repair, which
 /// always repairs iteration 0's partition) are unaffected by the shift
-/// schedule.
+/// schedule. The partition is a function of the DAG and of the five inputs
+/// [`PartitionKey`](crate::search::PartitionKey) names — which is what lets a
+/// warm session remember it — unless the returned [`PartitionSolve`] says a
+/// split stopped on the wall clock.
 pub(crate) fn shard_partition(
     dag: &CompDag,
     k: usize,
     config: &ShardedSearchConfig,
     iteration: usize,
-) -> AcyclicPartition {
+) -> (AcyclicPartition, PartitionSolve) {
     match config.strategy {
-        ShardStrategy::Topo => topo_shards(dag, k),
+        ShardStrategy::Topo => (topo_shards(dag, k), PartitionSolve::default()),
         ShardStrategy::Weighted => {
             let offset = ((iteration as f64) * 0.618_033_988_749_894_8).fract();
-            weighted_shards(dag, k, config.runs_per_shard, config.mass_tolerance, offset)
+            weighted_shards_solve(
+                dag,
+                k,
+                config.runs_per_shard,
+                config.mass_tolerance,
+                offset,
+                WeightedBipartitionConfig::default().limits,
+            )
         }
     }
 }
@@ -611,6 +667,7 @@ impl ShardedHolisticScheduler {
             &self.pool,
             self.cancel.as_ref(),
             self.observer.as_ref(),
+            None,
             instance.dag(),
             instance.arch(),
             &self.config,
@@ -625,18 +682,22 @@ impl ShardedHolisticScheduler {
 /// merge passes improve it. Behind both
 /// [`ShardedHolisticScheduler::schedule_with_assignment`] and
 /// [`IncrementalScheduler::schedule`](crate::IncrementalScheduler::schedule),
-/// which runs it on the warm session's own DAG.
+/// which runs it on the warm session's own DAG with the session's partition
+/// `memo`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sharded_schedule(
     pool: &WorkerPool,
     cancel: Option<&CancelToken>,
     observer: Option<&IncumbentObserver>,
+    memo: Option<&mut PartitionMemo>,
     dag: &CompDag,
     arch: &Architecture,
     config: &ShardedSearchConfig,
     baseline: &BspSchedulingResult,
 ) -> (MbspSchedule, ShardedSearchStats, Vec<ProcId>) {
     let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
-    let mut search = ShardedSearch::new(pool, cancel, dag, arch, config, procs, Some(baseline));
+    let mut search =
+        ShardedSearch::new(pool, cancel, memo, dag, arch, config, procs, Some(baseline));
     // The anytime stream: update 0 is the seed incumbent, and every later
     // emission happens after a deterministic merge, so the whole stream is
     // reproducible for any worker count.
@@ -696,6 +757,8 @@ pub(crate) fn sharded_schedule(
         iterations,
         simulated_supersteps: search.simulated_supersteps(),
         skipped_supersteps: search.skipped_supersteps(),
+        partitions_solved: search.partitions_solved,
+        partition_hits: search.partition_hits,
         stop_reason,
     };
     let Incumbent {
@@ -735,6 +798,30 @@ mod tests {
                 );
                 assert!(hi - lo <= 1, "{}: sizes {sizes:?}", inst.name());
             }
+        }
+    }
+
+    #[test]
+    fn a_zero_time_limit_is_reported_and_still_yields_a_valid_partition() {
+        let limits = WeightedBipartitionConfig::default().limits;
+        let cut = SolverLimits {
+            time_limit: Duration::ZERO,
+            ..limits
+        };
+        for inst in instances(4) {
+            let dag = inst.dag();
+            let (full, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, limits);
+            assert!(!solve.truncated && !solve.time_limited, "{}", inst.name());
+            assert!(solve.bnb_nodes > 0, "{}", inst.name());
+            assert_eq!(full, weighted_shards(dag, 4, 8, 0.25, 0.0));
+            // Every split stops at its first node pop: the warm start (or the
+            // prefix fallback) is used, and the caller learns it was the clock.
+            let (part, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut);
+            assert!(solve.truncated && solve.time_limited, "{}", inst.name());
+            assert_eq!(solve.bnb_nodes, 0);
+            assert_eq!(part.num_parts(), full.num_parts());
+            assert!(part.quotient_is_acyclic(dag));
+            assert!(part.part_sizes().iter().all(|&s| s > 0));
         }
     }
 

@@ -38,11 +38,31 @@ pub enum MipStatus {
     LimitReached,
 }
 
+/// What ended a MIP solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MipStop {
+    /// The tree was exhausted: every open node was solved and pruned only when
+    /// infeasible, integral or within [`SolverLimits::relative_gap`] of the
+    /// incumbent.
+    Gap,
+    /// [`SolverLimits::max_nodes`] nodes were explored — a count, so the same
+    /// solve stops at the same node on any machine.
+    Nodes,
+    /// [`SolverLimits::time_limit`] passed, at a node pop or inside a node's
+    /// relaxation. The only stop that depends on the wall clock: the same
+    /// solve may return a different incumbent the next time.
+    Time,
+    /// The [`CancelToken`] was observed at a node pop.
+    Cancelled,
+}
+
 /// Result of a MIP solve.
 #[derive(Debug, Clone)]
 pub struct MipSolution {
     /// Termination status.
     pub status: MipStatus,
+    /// Which limit, if any, ended the search.
+    pub stop: MipStop,
     /// Best objective value found (`f64::INFINITY` if none).
     pub objective: f64,
     /// Best assignment found (empty if none).
@@ -173,12 +193,24 @@ impl BranchBoundSolver {
         let mut best_bound = f64::NEG_INFINITY;
         let mut open_bounds: Vec<f64> = Vec::new();
         let mut proven = true;
+        let mut stop = MipStop::Gap;
 
         while let Some(node) = stack.pop() {
-            if nodes >= self.limits.max_nodes
-                || start.elapsed() >= self.limits.time_limit
-                || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-            {
+            let limit = if nodes >= self.limits.max_nodes {
+                Some(MipStop::Nodes)
+            } else if start.elapsed() >= self.limits.time_limit {
+                Some(MipStop::Time)
+            } else if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                Some(MipStop::Cancelled)
+            } else {
+                None
+            };
+            if let Some(limit) = limit {
+                // A relaxation the clock cut earlier already made the result
+                // timing-dependent; a later count limit does not undo that.
+                if stop != MipStop::Time {
+                    stop = limit;
+                }
                 proven = false;
                 break;
             }
@@ -215,6 +247,11 @@ impl BranchBoundSolver {
                     continue;
                 }
                 LpStatus::IterationLimit => {
+                    // The pivot loops stop on their own iteration count or on
+                    // the deadline; only the latter is a wall-clock cut.
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        stop = MipStop::Time;
+                    }
                     proven = false;
                     continue;
                 }
@@ -296,6 +333,7 @@ impl BranchBoundSolver {
                 } else {
                     MipStatus::Feasible
                 },
+                stop,
                 objective,
                 values,
                 nodes_explored: nodes,
@@ -307,6 +345,7 @@ impl BranchBoundSolver {
                 } else {
                     MipStatus::LimitReached
                 },
+                stop,
                 objective: f64::INFINITY,
                 values: vec![],
                 nodes_explored: nodes,
@@ -341,6 +380,7 @@ mod tests {
         );
         let sol = BranchBoundSolver::new().solve(&p);
         assert_eq!(sol.status, MipStatus::Optimal);
+        assert_eq!(sol.stop, MipStop::Gap);
         assert_close(sol.objective, -20.0);
         assert_close(sol.values[x1.index()], 0.0);
         assert_close(sol.values[x2.index()], 1.0);
@@ -400,7 +440,19 @@ mod tests {
             .with_warm_start(vec![1.0, 0.0])
             .solve(&p);
         assert_eq!(sol.status, MipStatus::Feasible);
+        assert_eq!(sol.stop, MipStop::Nodes);
         assert_close(sol.objective, -1.0);
+        // A zero time limit stops at the same pop, and says the clock did it.
+        let timed = SolverLimits {
+            time_limit: Duration::ZERO,
+            ..Default::default()
+        };
+        let sol = BranchBoundSolver::with_limits(timed)
+            .with_warm_start(vec![1.0, 0.0])
+            .solve(&p);
+        assert_eq!(sol.status, MipStatus::Feasible);
+        assert_eq!(sol.stop, MipStop::Time);
+        assert_eq!(sol.nodes_explored, 0);
         // An infeasible warm start is ignored.
         let sol2 = BranchBoundSolver::with_limits(limits)
             .with_warm_start(vec![1.0, 1.0])
@@ -524,6 +576,7 @@ mod tests {
             .solve(&p);
         assert_eq!(sol.nodes_explored, 0);
         assert_eq!(sol.status, MipStatus::Feasible);
+        assert_eq!(sol.stop, MipStop::Cancelled);
         assert_eq!(sol.values, ws);
         // Without a warm start the cancelled solve reports the limit.
         let sol = BranchBoundSolver::new().with_cancel(&token).solve(&p);

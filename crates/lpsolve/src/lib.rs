@@ -42,7 +42,7 @@ pub mod pricing;
 pub mod revised;
 pub mod sparse;
 
-pub use branch_bound::{BranchBoundSolver, MipSolution, MipStatus, SolverLimits};
+pub use branch_bound::{BranchBoundSolver, MipSolution, MipStatus, MipStop, SolverLimits};
 pub use model::{Constraint, ConstraintSense, LinExpr, LpProblem, VarId, VarType};
 pub use revised::{
     solve_lp, solve_lp_with_bounds, solve_lp_with_bounds_deadline, Basis, LpSolution, LpStatus,
