@@ -1,6 +1,7 @@
 # Developer entry points; CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test doc fmt lint bench-json smokes serve-smoke loc ci
+.PHONY: build test doc fmt lint bench-json smokes serve-smoke determinism \
+	fault-soak bench-e2e-smoke loc ci
 
 build:
 	cargo build --release --workspace --all-targets
@@ -17,25 +18,28 @@ fmt:
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Records the six benchmark baselines through the one recorder skeleton
+# Records the seven reports through the one recorder skeleton
 # (`crates/bench/src/lib.rs`): `solver` (sparse warm-started branch-and-bound
 # vs the dense oracle), `improver` (incremental evaluation engine vs
 # clone-and-recost), `dag` (CSR/bitset/scratch pipeline vs nested-Vec reference
 # paths on 10k-100k-node instances), `shard` (sharded holistic search vs the
 # single-incumbent search at equal move budget), `delta` (dirty-cone repair vs
-# full re-search after localized DAG mutation) and `io` (session checkpoint
-# encode/decode, <50 ms each way on the 100k-node instances), each into its
+# full re-search after localized DAG mutation), `io` (session checkpoint
+# encode/decode, <50 ms each way on the 100k-node instances) and `repro` (the
+# paper's tables, Figure 4 and gadget lemmas, every claim a gated boolean;
+# count budgets only, so a second run rewrites the same bytes), each into its
 # BENCH_<name>.json (~1 h; one recorder: `bench_record <name>`, a few
-# instances: `--only <substr>`, which prints rows and writes nothing). Each
-# compares a fast path with its ground-truth reference and the exit status is
-# the gate; what a request costs from one commit to the next is bench_e2e's
-# job (benchmark/, BENCHMARK.json).
+# instances: `--only <substr>`, which prints rows and writes nothing). The
+# first six compare a fast path with its ground-truth reference; the exit
+# status is the gate; what a request costs from one commit to the next is
+# bench_e2e's job (benchmark/, BENCHMARK.json).
 bench-json:
 	cargo run --release -p mbsp_bench --bin bench_record -- all
 
-# The CI benchmark smoke: every recorder on its small instances (seconds).
-# Prints the rows, writes nothing, and fails on any false agreement flag,
-# sub-1.0 speedup or unreal timing.
+# The CI benchmark smoke: every recorder on its small instances (~20 s, most
+# of it `repro`'s divide-and-conquer partitions). Prints the rows, writes
+# nothing, and fails on any false agreement flag, sub-1.0 speedup, unreal
+# timing or claim of the paper that does not hold.
 smokes:
 	cargo run --release -p mbsp_bench --bin bench_record -- all --quick
 
@@ -46,10 +50,46 @@ serve-smoke:
 	cargo run --release -p mbsp_serve -- --help >/dev/null
 	sh scripts/serve_smoke.sh
 
+# Worker-count determinism: the search and the daemon must produce
+# byte-identical schedules whatever MBSP_BENCH_THREADS says — the determinism
+# suites pinned to an undersubscribed (2) and an oversubscribed (8) resident
+# pool. CI runs one count per matrix job: `make determinism WORKERS=2`.
+WORKERS ?= 2 8
+determinism:
+	@set -e; for workers in $(WORKERS); do \
+	  echo "== MBSP_BENCH_THREADS=$$workers"; \
+	  MBSP_BENCH_THREADS=$$workers cargo test -q -p mbsp_ilp --test shard_determinism --test repair_determinism --test cancellation --test checkpoint_session --test golden_identity --test suffix_conversion --test partition_memo; \
+	  MBSP_BENCH_THREADS=$$workers cargo test -q -p mbsp_serve --test serve_e2e; \
+	  MBSP_BENCH_THREADS=$$workers cargo test -q -p mbsp_pool --test panic_recovery; \
+	done
+
+# The fault-injection soak: a mutation-stream repair session under a seeded
+# FaultPlan (worker panics, corrupted checkpoints, invalid deltas) must never
+# abort, surface every failure as a typed error and never regress past its
+# pre-fault incumbent. CI runs one seed per matrix job: `make fault-soak
+# SEEDS=7`.
+SEEDS ?= 62487 7 20250809
+fault-soak:
+	@set -e; for seed in $(SEEDS); do \
+	  echo "== MBSP_FAULT_SEED=$$seed"; \
+	  MBSP_FAULT_SEED=$$seed cargo test -q -p mbsp_ilp --test fault_soak -- --nocapture; \
+	done
+
+# The served-request benchmark's smoke: `benchmark/` is a package of its own,
+# so nothing above builds it. Its tests drive the smoke-sized workloads
+# through a real daemon and assert structure and `failed == 0`, never timings;
+# the traced run leaves the per-layer table of the search-bound workload in
+# layer_table.txt (CI uploads it).
+bench-e2e-smoke:
+	cargo test --offline --manifest-path benchmark/Cargo.toml
+	cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+	  run --smoke --trace --workload sched_large > layer_table.txt
+	cat layer_table.txt
+
 # "Less code" as a printed number: the counted production lines per crate and
 # in total (every .rs file under crates/*/src up to its first #[cfg(test)],
-# blank and // lines skipped) and the byte size of the release daemon (build
-# first). Compare two commits by running it in both checkouts.
+# blank and // lines skipped) and the byte size of the release daemon when one
+# has been built. Compare two commits by running it in both checkouts.
 loc:
 	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	  FNR == 1 { stop = 0; split(FILENAME, path, "/"); crate = path[2] } \
@@ -58,10 +98,13 @@ loc:
 	          if (s != "" && substr(s, 1, 2) != "//") { lines[crate]++; total++ } } \
 	  END { for (c in lines) printf "%-8s %6d\n", c, lines[c] | "sort"; close("sort"); \
 	        printf "%-8s %6d\n", "total", total }'
-	@wc -c target/release/mbsp_serve
+	@if [ -f target/release/mbsp_serve ]; then wc -c target/release/mbsp_serve; \
+	  else echo "target/release/mbsp_serve: not built (run \`make build\` for its size)"; fi
 
-# Everything CI checks, in CI's order: build, test, doc, formatting, clippy,
-# the benchmark smoke (whose exit status is the regression gate) and the
-# serving smoke. Contributors can reproduce a red CI run locally with this
-# single target.
-ci: build test doc fmt lint smokes serve-smoke
+# Everything CI checks — each of its seven jobs runs these targets, so every
+# command is written once, here: build, test, doc and the line count; the
+# benchmark smoke (whose exit status is the gate); worker-count determinism;
+# the fault soak; the serving smoke; the bench_e2e smoke; formatting and
+# clippy. Contributors can reproduce a red CI run locally with this single
+# target.
+ci: build test doc loc smokes determinism fault-soak serve-smoke bench-e2e-smoke fmt lint

@@ -1,287 +1,31 @@
-//! # mbsp-bench — experiment harness regenerating the paper's tables and figures
+//! # mbsp-bench — the recorded reports: the paper's reproduction and six fast-path baselines
 //!
-//! Every table and figure of the evaluation section has a dedicated binary (see the
-//! crate's `src/bin/` directory and the README section "Reproducing the paper's
-//! tables and figures"); this library holds the shared machinery: instance
-//! preparation, the scheduler pipelines being compared, cost evaluation, and report
-//! formatting (markdown tables and geometric means, the paper's headline metric).
-//!
-//! The schedulers compared are
-//!
-//! * **baseline** — greedy BSP scheduling (BSPg-style) + clairvoyant eviction (the
-//!   paper's main two-stage baseline);
-//! * **ilp** — the holistic scheduler seeded with that baseline (the paper's
-//!   ILP-based scheduler; see PAPER.md, "Reproduction notes", for the COPT
-//!   substitution);
-//! * **cilk+lru** — the practical baseline (work stealing + LRU);
-//! * **bsp-ilp** — the stronger two-stage baseline whose first stage optimises the
-//!   pure BSP cost;
-//! * **dnc** — the divide-and-conquer scheduler for the larger dataset.
-//!
-//! Wall-clock budgets are deliberately small so that the whole suite runs on a
-//! laptop; set the `MBSP_BENCH_SECONDS` environment variable to give the holistic
-//! search more time per instance (the paper gives COPT 30–60 minutes). Dataset
-//! sweeps over independent instances run on scoped worker threads; set
-//! `MBSP_BENCH_THREADS` to override the thread count (`1` forces serial runs).
-//! Results are ordered by instance regardless of the thread interleaving.
-//!
-//! The crate also records the six `BENCH_<name>.json` baselines — each a fast
-//! path measured against its ground-truth reference — through one skeleton: a
+//! Seven recorders write one `BENCH_<name>.json` each through one skeleton: a
 //! `Recorder` supplies instances, one `measure` and the names of its gated row
 //! fields; `record` owns the loop, the report and the gate; the `bench_record`
 //! binary ([`record_main`]) is the only entry point and its exit status is the
-//! regression gate. What a served request costs from one commit to the next is
-//! not measured here but by `bench_e2e` (`benchmark/`, `BENCHMARK.json`).
+//! gate.
+//!
+//! * `repro` regenerates the paper's evaluation — Tables 1–4, Figure 4, the
+//!   single-processor experiment and the Theorem 4.1 / Lemma 5.3 / 5.4 / 6.1
+//!   gadgets — and asserts each of the paper's claims about them as a named
+//!   boolean (see [`recorders::repro`] and the README section "Reproducing the
+//!   paper's tables and figures"). Its budgets are counts, so its report has
+//!   no timings and a second run reproduces it byte for byte.
+//! * `solver`, `improver`, `dag`, `shard`, `delta` and `io` each measure a
+//!   fast path against its ground-truth reference.
+//!
+//! `MBSP_BENCH_THREADS` overrides the worker count of every search (`1` forces
+//! serial runs); results do not depend on it. What a served request costs from
+//! one commit to the next is not measured here but by `bench_e2e`
+//! (`benchmark/`, `BENCHMARK.json`).
 
-use mbsp_cache::{ClairvoyantPolicy, EvictionPolicy, LruPolicy, TwoStageScheduler};
 use mbsp_gen::NamedInstance;
-use mbsp_ilp::{
-    DivideAndConquerConfig, DivideAndConquerScheduler, HolisticConfig, HolisticScheduler,
-};
-use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule};
-use mbsp_sched::{BspScheduler, CilkScheduler, DfsScheduler, GreedyBspScheduler};
+use mbsp_model::{Architecture, MbspInstance};
 use serde::{Serialize, Value};
 use std::process::ExitCode;
-use std::time::Duration;
 
-/// Parameters of one experiment configuration (a column of Table 4 / Figure 4).
-#[derive(Debug, Clone, Copy)]
-pub struct ExperimentParams {
-    /// Number of processors.
-    pub processors: usize,
-    /// Cache size as a multiple of the instance's minimal feasible cache `r₀`.
-    pub cache_factor: f64,
-    /// Communication gap `g`.
-    pub g: f64,
-    /// Synchronisation cost `L`.
-    pub latency: f64,
-    /// Cost model used for evaluation and optimisation.
-    pub cost_model: CostModel,
-    /// Time budget per instance for the holistic search.
-    pub time_limit: Duration,
-    /// Seed of the dataset and the search.
-    pub seed: u64,
-}
-
-impl ExperimentParams {
-    /// The paper's base configuration: `P = 4`, `r = 3·r₀`, `g = 1`, `L = 10`,
-    /// synchronous cost.
-    pub fn base() -> Self {
-        ExperimentParams {
-            processors: 4,
-            cache_factor: 3.0,
-            g: 1.0,
-            latency: 10.0,
-            cost_model: CostModel::Synchronous,
-            time_limit: default_time_limit(),
-            seed: 42,
-        }
-    }
-
-    /// Builds the [`MbspInstance`] of a named benchmark DAG under these parameters.
-    pub fn instance(&self, named: &NamedInstance) -> MbspInstance {
-        let arch = Architecture::new(self.processors, 0.0, self.g, self.latency);
-        MbspInstance::with_cache_factor(named.dag.clone(), arch, self.cache_factor)
-    }
-
-    /// The holistic-scheduler configuration corresponding to these parameters.
-    pub fn holistic_config(&self) -> HolisticConfig {
-        HolisticConfig {
-            cost_model: self.cost_model,
-            time_limit: self.time_limit,
-            seed: self.seed,
-            ..Default::default()
-        }
-    }
-}
-
-/// Per-instance time budget for the holistic search, overridable through the
-/// `MBSP_BENCH_SECONDS` environment variable.
-pub fn default_time_limit() -> Duration {
-    let seconds = std::env::var("MBSP_BENCH_SECONDS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        // "inf" parses as a valid f64 but Duration::from_secs_f64 panics on
-        // non-finite input; treat it like any other unusable value.
-        .filter(|s| s.is_finite())
-        .unwrap_or(3.0);
-    Duration::from_secs_f64(seconds.clamp(0.1, 86_400.0))
-}
-
-/// One row of a comparison table.
-#[derive(Debug, Clone, Serialize)]
-pub struct ComparisonRow {
-    /// Instance name.
-    pub instance: String,
-    /// Cost of the two-stage baseline.
-    pub baseline: f64,
-    /// Cost of the holistic (ILP-style) scheduler.
-    pub ilp: f64,
-    /// `ilp / baseline` cost-reduction ratio.
-    pub ratio: f64,
-}
-
-/// Schedules an instance with the main two-stage baseline (greedy BSP +
-/// clairvoyant eviction) and returns the schedule.
-pub fn baseline_schedule(instance: &MbspInstance) -> MbspSchedule {
-    two_stage_schedule(
-        instance,
-        &GreedyBspScheduler::new(),
-        &ClairvoyantPolicy::new(),
-    )
-}
-
-/// Schedules an instance with an arbitrary two-stage pipeline.
-pub fn two_stage_schedule(
-    instance: &MbspInstance,
-    scheduler: &dyn BspScheduler,
-    policy: &dyn EvictionPolicy,
-) -> MbspSchedule {
-    let bsp = scheduler.schedule(instance.dag(), instance.arch());
-    TwoStageScheduler::new().schedule(instance.dag(), instance.arch(), &bsp, policy)
-}
-
-/// Schedules an instance with the holistic scheduler seeded by the main baseline.
-pub fn holistic_schedule(instance: &MbspInstance, params: &ExperimentParams) -> MbspSchedule {
-    let bsp = GreedyBspScheduler::new().schedule(instance.dag(), instance.arch());
-    HolisticScheduler::with_config(params.holistic_config()).schedule(instance, &bsp)
-}
-
-/// Evaluates a schedule under the experiment's cost model, checking validity first.
-pub fn evaluate(
-    instance: &MbspInstance,
-    schedule: &MbspSchedule,
-    params: &ExperimentParams,
-) -> f64 {
-    schedule
-        .validate(instance.dag(), instance.arch())
-        .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", instance.name()));
-    params
-        .cost_model
-        .evaluate(schedule, instance.dag(), instance.arch())
-}
-
-/// Runs the baseline-vs-holistic comparison over the tiny dataset with the given
-/// parameters (the core of Tables 1, 3, 4 and Figure 4).
-pub fn run_tiny_comparison(params: &ExperimentParams) -> Vec<ComparisonRow> {
-    mbsp_gen::tiny_dataset(params.seed)
-        .iter()
-        .map(|named| {
-            let instance = params.instance(named);
-            let base = evaluate(&instance, &baseline_schedule(&instance), params);
-            let ilp = evaluate(&instance, &holistic_schedule(&instance, params), params);
-            ComparisonRow {
-                instance: named.name.clone(),
-                baseline: base,
-                ilp,
-                ratio: ilp / base,
-            }
-        })
-        .collect()
-}
-
-/// Number of worker threads for per-instance dataset sweeps: the
-/// `MBSP_BENCH_THREADS` environment variable when set to a positive integer,
-/// otherwise the machine's available parallelism, in both cases clamped to the
-/// number of instances.
-fn bench_threads(instances: usize) -> usize {
-    // One env contract for the whole workspace: the pool's resolver owns the
-    // MBSP_BENCH_THREADS parsing and the available-parallelism fallback.
-    mbsp_pool::resolve_workers(0).clamp(1, instances.max(1))
-}
-
-/// Maps `f` over `0..count` with at most `threads` concurrent lanes on the
-/// resident [`mbsp_pool::WorkerPool`] (dynamic index stealing, results **in
-/// index order**), so parallel sweeps stay byte-for-byte deterministic. A panic
-/// in any lane propagates.
-fn parallel_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    mbsp_pool::WorkerPool::shared().run_indexed(count, threads, f)
-}
-
-/// Runs the divide-and-conquer comparison over the small-dataset sample
-/// (Table 2). Instances are independent, so they are scheduled **in parallel**
-/// on the resident worker pool (`MBSP_BENCH_THREADS` overrides the lane count;
-/// set it to 1 for serial runs). Result rows keep the dataset order regardless
-/// of lane interleaving.
-pub fn run_small_dataset_comparison(params: &ExperimentParams) -> Vec<ComparisonRow> {
-    let instances = mbsp_gen::small_dataset_sample(params.seed);
-    let threads = bench_threads(instances.len());
-    let dnc_config = DivideAndConquerConfig {
-        cost_model: params.cost_model,
-        per_part: HolisticConfig {
-            cost_model: params.cost_model,
-            time_limit: params.time_limit,
-            seed: params.seed,
-            // The sweep already parallelises across instances; keep every
-            // per-part holistic search serial to avoid oversubscription.
-            workers: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    parallel_indexed(instances.len(), threads, |i| {
-        let named = &instances[i];
-        let dnc = DivideAndConquerScheduler::with_config(dnc_config);
-        let instance = params.instance(named);
-        let base = evaluate(&instance, &baseline_schedule(&instance), params);
-        let schedule = dnc.schedule(&instance);
-        let ilp = evaluate(&instance, &schedule, params);
-        ComparisonRow {
-            instance: named.name.clone(),
-            baseline: base,
-            ilp,
-            ratio: ilp / base,
-        }
-    })
-}
-
-/// The practical baseline of Table 3: Cilk work stealing + LRU eviction.
-pub fn cilk_lru_schedule(instance: &MbspInstance) -> MbspSchedule {
-    two_stage_schedule(instance, &CilkScheduler::new(), &LruPolicy::new())
-}
-
-/// The single-processor pebbling baseline: DFS order + clairvoyant eviction.
-pub fn dfs_schedule(instance: &MbspInstance) -> MbspSchedule {
-    two_stage_schedule(instance, &DfsScheduler::new(), &ClairvoyantPolicy::new())
-}
-
-/// Geometric mean of the cost-reduction ratios of a table.
-pub fn geometric_mean_ratio(rows: &[ComparisonRow]) -> f64 {
-    geomean(rows.iter().map(|r| r.ratio))
-}
-
-/// Renders a comparison table in the markdown layout of the README's reproduction
-/// section.
-pub fn render_table(title: &str, rows: &[ComparisonRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "## {title}\n");
-    let _ = writeln!(out, "| Instance | Baseline | ILP (holistic) | ratio |");
-    let _ = writeln!(out, "|---|---:|---:|---:|");
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.0} | {:.0} | {:.2} |",
-            row.instance, row.baseline, row.ilp, row.ratio
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\ngeometric-mean cost reduction: {:.2}x",
-        geometric_mean_ratio(rows)
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The recorder skeleton (`bench_record`)
-// ---------------------------------------------------------------------------
-
-/// The six recorders behind `bench_record`, one module each. A module supplies
+/// The seven recorders behind `bench_record`, one module each. A module supplies
 /// what it measures — instances, one `measure`, a row struct, the names of its
 /// gated fields, its full-run bars — and nothing else: arguments, the instance
 /// loop, report assembly, the `BENCH_<name>.json` write and the gate are
@@ -291,6 +35,7 @@ pub mod recorders {
     pub mod delta;
     pub mod improver;
     pub mod io;
+    pub mod repro;
     pub mod shard;
     pub mod solver;
 }
@@ -303,8 +48,8 @@ pub(crate) fn field(key: &str, value: impl Serialize) -> (String, Value) {
     (key.to_string(), value.to_value())
 }
 
-/// One baseline recorder: a fast path measured against its ground-truth
-/// reference on a fixed instance list. Field paths in [`FLAGS`](Self::FLAGS),
+/// One recorder: a fixed instance list, one measurement per instance and the
+/// row fields the run is gated on. Field paths in [`FLAGS`](Self::FLAGS),
 /// [`SPEEDUPS`](Self::SPEEDUPS) and [`TIMINGS`](Self::TIMINGS) address the
 /// serialised row, with `.` descending into nested objects.
 pub(crate) trait Recorder {
@@ -329,7 +74,7 @@ pub(crate) trait Recorder {
     fn instances(&self, quick: bool) -> Vec<Self::Instance>;
     /// The instance's name: what `--only` matches and violations cite.
     fn name(instance: &Self::Instance) -> &str;
-    /// Runs both paths on one instance.
+    /// Measures one instance.
     fn measure(&self, instance: &Self::Instance) -> Self::Row;
     /// Report fields between `quick` and `instances`.
     fn header(&self) -> Fields {
@@ -493,7 +238,7 @@ fn entry<R: Recorder + Default>() -> Entry {
 }
 
 const USAGE: &str =
-    "usage: bench_record <solver|improver|dag|shard|delta|io|all> [--quick] [--only <substr>]";
+    "usage: bench_record <solver|improver|dag|shard|delta|io|repro|all> [--quick] [--only <substr>]";
 
 /// The recorders `which` selects — one by name, or every one for `all`, in
 /// the order `all` runs them (cheapest first); empty for an unknown name.
@@ -505,6 +250,7 @@ fn select(which: &str) -> Vec<Entry> {
         entry::<recorders::shard::Shard>(),
         entry::<recorders::delta::Delta>(),
         entry::<recorders::io::Io>(),
+        entry::<recorders::repro::Repro>(),
     ];
     all.retain(|(name, _)| which == "all" || *name == which);
     all
@@ -582,79 +328,59 @@ pub fn record_main(args: impl Iterator<Item = String>) -> ExitCode {
 mod tests {
     use super::*;
 
-    fn quick_params() -> ExperimentParams {
-        ExperimentParams {
-            time_limit: Duration::from_millis(300),
-            ..ExperimentParams::base()
-        }
+    /// One quick `repro` experiment, measured through the skeleton; `cost`
+    /// has validated every schedule behind a number in it.
+    fn quick_repro(experiment: &str) -> Value {
+        let outcome = record(&recorders::repro::Repro, true, Some(experiment));
+        assert_eq!((outcome.rows, &outcome.violations), (1, &Vec::new()));
+        let rows = lookup(&outcome.report, "instances").and_then(Value::as_seq);
+        rows.expect("an `instances` array")[0].clone()
+    }
+
+    /// The per-instance costs of a row, one `Vec` per dataset instance.
+    fn costs_of(row: &Value) -> Vec<Vec<f64>> {
+        let costs = lookup(row, "costs").and_then(Value::as_seq).expect("costs");
+        let numbers = |entry: &Value| -> Vec<f64> {
+            let list = lookup(entry, "costs")
+                .and_then(Value::as_seq)
+                .expect("costs");
+            let float = |v: &Value| match v {
+                Value::Float(f) => *f,
+                other => panic!("a cost is a float, got {other:?}"),
+            };
+            list.iter().map(float).collect()
+        };
+        costs.iter().map(numbers).collect()
     }
 
     #[test]
     fn baseline_and_holistic_run_on_one_instance() {
-        let params = quick_params();
-        let named = &mbsp_gen::tiny_dataset(params.seed)[3];
-        let instance = params.instance(named);
-        let base = evaluate(&instance, &baseline_schedule(&instance), &params);
-        let ilp = evaluate(&instance, &holistic_schedule(&instance, &params), &params);
-        assert!(base > 0.0);
-        assert!(ilp <= base + 1e-9);
-    }
-
-    #[test]
-    fn geometric_mean_and_table_rendering() {
-        let rows = vec![
-            ComparisonRow {
-                instance: "a".into(),
-                baseline: 100.0,
-                ilp: 50.0,
-                ratio: 0.5,
-            },
-            ComparisonRow {
-                instance: "b".into(),
-                baseline: 100.0,
-                ilp: 200.0,
-                ratio: 2.0,
-            },
-        ];
-        assert!((geometric_mean_ratio(&rows) - 1.0).abs() < 1e-9);
-        let table = render_table("Test", &rows);
-        assert!(table.contains("| a | 100 | 50 | 0.50 |"));
-        assert!(table.contains("geometric-mean"));
-        assert_eq!(geometric_mean_ratio(&[]), 1.0);
-    }
-
-    #[test]
-    fn parallel_indexed_preserves_order_and_covers_every_index() {
-        for threads in [1, 2, 3, 8] {
-            let got = parallel_indexed(13, threads, |i| i * i);
-            let want: Vec<usize> = (0..13).map(|i| i * i).collect();
-            assert_eq!(got, want, "threads = {threads}");
+        let costs = costs_of(&quick_repro("table1"));
+        assert!(!costs.is_empty());
+        for pair in costs {
+            let [base, holistic] = pair[..] else {
+                panic!("table1 has two columns, got {pair:?}");
+            };
+            assert!(base > 0.0);
+            assert!(holistic <= base + 1e-9);
         }
-        assert!(parallel_indexed(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn bench_threads_clamps_to_instance_count() {
-        // Whatever the env/machine says, the clamp bounds hold.
-        let t = bench_threads(3);
-        assert!((1..=3).contains(&t));
-        assert_eq!(bench_threads(0), 1);
     }
 
     #[test]
     fn cilk_lru_and_dfs_pipelines_produce_valid_schedules() {
-        let params = quick_params();
-        let named = &mbsp_gen::tiny_dataset(params.seed)[0];
-        let instance = params.instance(named);
-        let cilk = cilk_lru_schedule(&instance);
-        cilk.validate(instance.dag(), instance.arch()).unwrap();
-        let single = ExperimentParams {
-            processors: 1,
-            ..params
-        };
-        let instance1 = single.instance(named);
-        let dfs = dfs_schedule(&instance1);
-        dfs.validate(instance1.dag(), instance1.arch()).unwrap();
+        for (experiment, column) in [("table3", "cilk_lru"), ("pebbling_p1", "dfs_clairvoyant")] {
+            let row = quick_repro(experiment);
+            let columns = lookup(&row, "columns")
+                .and_then(Value::as_seq)
+                .expect("columns");
+            let at = columns
+                .iter()
+                .position(|c| *c == Value::Str(column.to_string()))
+                .unwrap_or_else(|| panic!("{experiment} has no `{column}` column"));
+            for costs in costs_of(&row) {
+                assert!(costs[at].is_finite() && costs[at] > 0.0, "{experiment}");
+            }
+        }
     }
 
     /// A recorder whose rows are handed in, so each gate rule can be driven
@@ -771,12 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn all_visits_the_six_recorders_in_a_fixed_order() {
+    fn all_visits_the_seven_recorders_in_a_fixed_order() {
         let names =
             |which| -> Vec<&str> { select(which).into_iter().map(|(name, _)| name).collect() };
         assert_eq!(
             names("all"),
-            ["solver", "improver", "dag", "shard", "delta", "io"]
+            ["solver", "improver", "dag", "shard", "delta", "io", "repro"]
         );
         assert_eq!(names("shard"), ["shard"]);
         assert!(select("serve").is_empty());
@@ -785,7 +511,7 @@ mod tests {
         let (selected, quick, only) = args("all --quick --only rand_L200").expect("valid");
         assert_eq!(
             (selected.len(), quick, only.as_deref()),
-            (6, true, Some("rand_L200"))
+            (7, true, Some("rand_L200"))
         );
         let (selected, quick, only) = args("io").expect("valid");
         assert_eq!((selected.len(), quick, only), (1, false, None));
@@ -858,5 +584,6 @@ mod tests {
         assert_schema(&recorders::shard::Shard);
         assert_schema(&recorders::delta::Delta);
         assert_schema(&recorders::io::Io);
+        assert_schema(&recorders::repro::Repro);
     }
 }

@@ -17,13 +17,15 @@
 //! A quick run solves smaller instances once instead of taking the median of
 //! three. Gated on every row: `objectives_match`, `speedup` ≥ 1.
 
-use crate::{baseline_schedule, field, geomean, Fields, Recorder};
+use crate::{field, geomean, Fields, Recorder};
 use lp_solver::{BranchBoundSolver, LpProblem, MipStatus, SolverLimits};
+use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
 use mbsp_dag::graph::NodeWeights;
 use mbsp_dag::CompDag;
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_ilp::{IlpConfig, MbspIlpBuilder};
 use mbsp_model::{Architecture, MbspInstance};
+use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -82,8 +84,10 @@ fn mbsp_case(
         limits: solver_limits(quick),
     };
     let builder = MbspIlpBuilder::build(&instance, &config);
-    let two_stage = baseline_schedule(&instance);
-    let warm_start = builder.warm_start_from_schedule(instance.dag(), instance.arch(), &two_stage);
+    let (dag, arch) = (instance.dag(), instance.arch());
+    let bsp = GreedyBspScheduler::new().schedule(dag, arch);
+    let two_stage = TwoStageScheduler::new().schedule(dag, arch, &bsp, &ClairvoyantPolicy::new());
+    let warm_start = builder.warm_start_from_schedule(dag, arch, &two_stage);
     Case {
         name: format!("mbsp_ilp/{name}_p{processors}"),
         warm_start,

@@ -264,11 +264,6 @@ impl QuotientGraph {
         &self.graph
     }
 
-    /// The original edges that leave part `p` towards other parts.
-    pub fn cross_edges_from(&self, p: usize) -> &[(NodeId, NodeId)] {
-        &self.cross_edges[p]
-    }
-
     /// Total number of original edges crossing between parts.
     pub fn total_cross_edges(&self) -> usize {
         self.cross_edges.iter().map(|e| e.len()).sum()

@@ -92,11 +92,6 @@ impl SubDag {
         &self.dag
     }
 
-    /// Consumes the view and returns the induced subgraph.
-    pub fn into_dag(self) -> CompDag {
-        self.dag
-    }
-
     /// Number of nodes in the subgraph.
     pub fn num_nodes(&self) -> usize {
         self.dag.num_nodes()

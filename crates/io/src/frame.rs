@@ -274,11 +274,6 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends raw bytes (no length prefix).
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_u64(v.len() as u64);

@@ -185,11 +185,6 @@ impl RevisedSimplex {
         }
     }
 
-    /// Number of structural columns.
-    pub fn num_structural(&self) -> usize {
-        self.form.nstruct
-    }
-
     /// Overrides the structural bounds (branch-and-bound node setup).
     pub fn set_structural_bounds(&mut self, lower: &[f64], upper: &[f64]) {
         self.form.set_structural_bounds(lower, upper);

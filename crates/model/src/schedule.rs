@@ -209,22 +209,9 @@ impl ProcPhases {
         g * self.load.iter().map(|&v| dag.memory_weight(v)).sum::<f64>()
     }
 
-    /// Total I/O cost (saves plus loads).
-    pub fn io_cost<D: DagLike + ?Sized>(&self, dag: &D, g: f64) -> f64 {
-        self.save_cost(dag, g) + self.load_cost(dag, g)
-    }
-
     /// Number of compute steps (not counting deletes).
     pub fn num_computes(&self) -> usize {
         self.compute.iter().filter(|s| s.is_compute()).count()
-    }
-
-    /// The nodes computed in this superstep, in order.
-    pub fn computed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.compute.iter().filter_map(|s| match s {
-            ComputePhaseStep::Compute(v) => Some(*v),
-            ComputePhaseStep::Delete(_) => None,
-        })
     }
 }
 

@@ -280,6 +280,18 @@ fn field_usize(map: &[(String, Value)], key: &str) -> Parse<Option<usize>> {
     Ok(field_u64(map, key)?.map(|n| n as usize))
 }
 
+fn field_u32(map: &[(String, Value)], key: &str) -> Parse<Option<u32>> {
+    let narrow = |n: u64| {
+        u32::try_from(n).map_err(|_| {
+            Reject::new(
+                E_BAD_REQUEST,
+                format!("field `{key}` = {n} exceeds the u32 range"),
+            )
+        })
+    };
+    field_u64(map, key)?.map(narrow).transpose()
+}
+
 fn field_f64(map: &[(String, Value)], key: &str) -> Parse<Option<f64>> {
     match map_get(map, key) {
         None | Some(Value::Null) => Ok(None),
@@ -492,8 +504,8 @@ fn parse_family(spec: &Value) -> Parse<(FamilySpec, usize)> {
                 layers: require(field_usize(map, "layers")?, "family.layers")?,
                 width: require(field_usize(map, "width")?, "family.width")?,
                 edge_probability: field_f64(map, "edge_probability")?.unwrap_or(0.3),
-                max_compute: field_u64(map, "max_compute")?.unwrap_or(4) as u32,
-                max_memory: field_u64(map, "max_memory")?.unwrap_or(3) as u32,
+                max_compute: field_u32(map, "max_compute")?.unwrap_or(4),
+                max_memory: field_u32(map, "max_memory")?.unwrap_or(3),
             },
             seed: field_u64(map, "seed")?.unwrap_or(0),
         },
@@ -609,8 +621,17 @@ fn parse_delta(entry: &Value) -> Parse<DagDelta> {
     let body = body
         .as_map()
         .ok_or_else(|| Reject::new(E_BAD_DELTA, format!("`{kind}` body must be an object")))?;
-    let node =
-        |key: &str| -> Parse<NodeId> { Ok(NodeId::new(require(field_usize(body, key)?, key)?)) };
+    // `NodeId::new` only debug-asserts the `u32` range: in a release build
+    // 2³² would wrap to node 0.
+    let node = |key: &str| -> Parse<NodeId> {
+        let index = require(field_usize(body, key)?, key)?;
+        NodeId::try_new(index).ok_or_else(|| {
+            Reject::new(
+                E_BAD_DELTA,
+                format!("field `{key}` = {index} exceeds the node id range"),
+            )
+        })
+    };
     match kind.as_str() {
         "add_node" => Ok(DagDelta::AddNode {
             weights: NodeWeights::new(
@@ -778,5 +799,30 @@ mod tests {
         assert!(matches!(req.deltas[0], DagDelta::AddNode { .. }));
         assert!(matches!(req.deltas[1], DagDelta::AddEdge { .. }));
         assert!(matches!(req.deltas[2], DagDelta::Reweight { .. }));
+    }
+
+    #[test]
+    fn ids_and_weights_past_u32_are_rejected_not_wrapped() {
+        // 2³² is the first value `as u32` maps to 0.
+        for body in [
+            r#"{"remove_node":{"node":4294967296}}"#,
+            r#"{"add_edge":{"from":0,"to":4294967296}}"#,
+            r#"{"reweight":{"node":4294967297,"compute":1.0,"memory":1.0}}"#,
+        ] {
+            let line = format!(r#"{{"id":3,"op":"mutate","instance":"x","deltas":[{body}]}}"#);
+            let (id, rej) = parse_request(&line).unwrap_err();
+            assert_eq!((id, rej.code), (Some(3), E_BAD_DELTA), "{body}");
+        }
+        let line =
+            r#"{"op":"mutate","instance":"x","deltas":[{"remove_node":{"node":4294967295}}]}"#;
+        assert!(parse_request(line).is_ok(), "u32::MAX is still an id");
+
+        for bound in ["max_compute", "max_memory"] {
+            let line = format!(
+                r#"{{"op":"register","instance":"x","processors":2,"family":{{"kind":"random","layers":2,"width":2,"{bound}":4294967296}}}}"#
+            );
+            let (_, rej) = parse_request(&line).unwrap_err();
+            assert_eq!(rej.code, E_BAD_REQUEST, "{bound}");
+        }
     }
 }

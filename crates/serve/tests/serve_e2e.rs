@@ -387,7 +387,25 @@ fn hostile_lines_are_rejected_with_typed_frames() {
     c.send(&format!(
         r#"{{"id":10,"op":"register","instance":"hostile",{family},"processors":2}}"#
     ));
-    assert!(is_event(&c.recv(), "registered"));
+    let registered = c.recv();
+    assert!(is_event(&registered, "registered"));
+
+    // A node id past `u32` is a `bad_delta`, not node 0 (a release build used
+    // to wrap it): nothing is removed. An oversized family weight bound is a
+    // `bad_request` like the other hostile sizes.
+    c.send(r#"{"id":11,"op":"mutate","instance":"hostile","deltas":[{"remove_node":{"node":4294967296}}]}"#);
+    let frame = c.recv();
+    assert_eq!(code(&frame).as_deref(), Some("bad_delta"), "got {frame:?}");
+    c.send(r#"{"id":12,"op":"status","instance":"hostile"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_eq!(get_u64(&status, "nodes"), get_u64(&registered, "nodes"));
+    c.send(r#"{"id":13,"op":"register","instance":"wide","processors":2,"family":{"kind":"random","layers":4,"width":4,"max_compute":4294967296}}"#);
+    let frame = c.recv();
+    assert_eq!(
+        code(&frame).as_deref(),
+        Some("bad_request"),
+        "got {frame:?}"
+    );
 
     // A line one byte over the cap: `too_large`, then the daemon closes the
     // connection. The writer runs beside the reader because the daemon stops

@@ -4,7 +4,7 @@
 # incumbents / mutate / graceful shutdown), then restarts the daemon on the
 # same state directory and asserts the checkpointed session restored — the
 # pending set survived and a repair completes. Exits non-zero on any failed
-# step. Run via `make serve-smoke` / `just serve-smoke`.
+# step. Run via `make serve-smoke`.
 set -eu
 
 cargo build --release -q -p mbsp_serve
