@@ -89,7 +89,12 @@ bench-e2e-smoke:
 # "Less code" as a printed number: the counted production lines per crate and
 # in total (every .rs file under crates/*/src up to its first #[cfg(test)],
 # blank and // lines skipped) and the byte size of the release daemon when one
-# has been built. Compare two commits by running it in both checkouts.
+# has been built. "Fewer options" likewise: `switches` counts what can be set
+# independently — the `pub` fields of every `pub struct *Config` / `*Limits` /
+# `BspIlpScheduler` under crates/*/src outside crates/bench, the distinct
+# `MBSP_*` names passed to `env::var` anywhere under crates/, the arms of
+# `EvalPath`, and the `--` flags `bench_record` matches on. Compare two
+# commits by running it in both checkouts.
 loc:
 	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	  FNR == 1 { stop = 0; split(FILENAME, path, "/"); crate = path[2] } \
@@ -98,6 +103,16 @@ loc:
 	          if (s != "" && substr(s, 1, 2) != "//") { lines[crate]++; total++ } } \
 	  END { for (c in lines) printf "%-8s %6d\n", c, lines[c] | "sort"; close("sort"); \
 	        printf "%-8s %6d\n", "total", total }'
+	@fields=$$(find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | xargs awk ' \
+	  /^pub struct ([A-Za-z]*(Config|Limits)|BspIlpScheduler) / { inside = 1; next } \
+	  /^}/ { inside = 0 } \
+	  inside && /^    pub [a-z_0-9]+:/ { n++ } END { print n + 0 }'); \
+	env=$$(grep -rhoE 'env::var\("MBSP_[A-Z_]+"' --include='*.rs' crates | sort -u | wc -l); \
+	arms=$$(awk '/^pub enum EvalPath / { inside = 1; next } /^}/ { inside = 0 } \
+	  inside && /^    [A-Z][A-Za-z]*,/ { n++ } END { print n + 0 }' crates/ilp/src/engine.rs); \
+	flags=$$(grep -cE '^ +"--[a-z-]+" =>' crates/bench/src/lib.rs); \
+	printf "%-8s %6d  (%d config fields, %d env vars, %d EvalPath arms, %d bench_record flags)\n" \
+	  switches $$((fields + env + arms + flags)) $$fields $$env $$arms $$flags
 	@if [ -f target/release/mbsp_serve ]; then wc -c target/release/mbsp_serve; \
 	  else echo "target/release/mbsp_serve: not built (run \`make build\` for its size)"; fi
 

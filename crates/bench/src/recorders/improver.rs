@@ -8,23 +8,16 @@
 //! differs. The recorded metric is candidate evaluations per second, plus the
 //! final holistic cost of each path (which must agree).
 //!
-//! The `parallel_*` columns record the engine with the workspace's worker
-//! count (`mbsp_pool::resolve_workers`, i.e. `MBSP_BENCH_THREADS` or the
-//! machine's parallelism) on the same move budget. When that count is 1 there
-//! is no parallel configuration to measure: the third run is skipped and the
-//! columns repeat the engine's own numbers with `parallel_workers: 1`, rather
-//! than timing the serial search twice and calling the noise a speedup.
-//!
 //! A quick run takes three tiny instances, a smaller move budget and one
 //! repetition. Gated on every row: `costs_match`, `speedup` ≥ 1.
 
 use crate::{field, geomean, paper_instance, Fields, Recorder};
 use mbsp_gen::NamedInstance;
-use mbsp_ilp::{EvalPath, HolisticConfig, HolisticScheduler, SearchStats};
+use mbsp_ilp::{EvalPath, HolisticConfig, HolisticScheduler};
 use mbsp_model::CostModel;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The `improver` recorder.
 #[derive(Default)]
@@ -39,15 +32,12 @@ pub(crate) struct Row {
     reference_evals_per_sec: f64,
     engine_evals_per_sec: f64,
     speedup: f64,
-    parallel_workers: usize,
-    parallel_evals_per_sec: f64,
-    parallel_speedup: f64,
     engine_cost: f64,
     reference_cost: f64,
     costs_match: bool,
 }
 
-/// A dataset instance with the serial search configuration both paths run.
+/// A dataset instance with the search configuration both paths run.
 pub(crate) struct Case {
     named: NamedInstance,
     config: HolisticConfig,
@@ -55,10 +45,6 @@ pub(crate) struct Case {
     /// of this many runs per path is recorded (the standard defence against
     /// scheduler interference on shared machines).
     reps: usize,
-}
-
-fn evals_per_sec(stats: &SearchStats) -> f64 {
-    stats.evaluations as f64 / stats.elapsed.as_secs_f64().max(1e-9)
 }
 
 impl Recorder for Improver {
@@ -81,7 +67,6 @@ impl Recorder for Improver {
             moves_per_round: if quick { 30 } else { 90 },
             time_limit: Duration::from_secs(600),
             seed: 0x5EED,
-            workers: 1,
         };
         // The tiny dataset plus, in full mode, a slice of the small dataset:
         // the engine exists for benchmark-sized instances, so the recorded
@@ -108,38 +93,28 @@ impl Recorder for Improver {
     fn measure(&self, case: &Case) -> Row {
         let instance = paper_instance(&case.named);
         let baseline = GreedyBspScheduler::new().schedule(instance.dag(), instance.arch());
-        let best_of = |config: HolisticConfig, path: EvalPath| {
-            let scheduler = HolisticScheduler::with_config(config);
-            let (schedule, stats) = (0..case.reps)
-                .map(|_| scheduler.schedule_with_stats(&instance, &baseline, &[], path))
-                .min_by_key(|(_, stats)| stats.elapsed)
+        let scheduler = HolisticScheduler::with_config(case.config);
+        // The stats of a path's fastest repetition and its evaluations per
+        // second.
+        let best_of = |path: EvalPath| {
+            let (seconds, schedule, stats) = (0..case.reps)
+                .map(|_| {
+                    let start = Instant::now();
+                    let (schedule, stats) =
+                        scheduler.schedule_with_stats(&instance, &baseline, &[], path);
+                    (start.elapsed().as_secs_f64(), schedule, stats)
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0))
                 .expect("at least one repetition");
             schedule
                 .validate(instance.dag(), instance.arch())
                 .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", case.named.name));
-            stats
+            (stats, stats.evaluations as f64 / seconds.max(1e-9))
         };
-        let reference = best_of(case.config, EvalPath::Reference);
-        let engine = best_of(case.config, EvalPath::Incremental);
-        let agrees = |stats: &SearchStats| {
-            (stats.final_cost - reference.final_cost).abs()
-                <= 1e-9 * (1.0 + reference.final_cost.abs())
-        };
-        let mut costs_match = agrees(&engine);
-        let ref_eps = evals_per_sec(&reference);
-        let eng_eps = evals_per_sec(&engine);
-        let parallel_workers = mbsp_pool::resolve_workers(0);
-        let par_eps = if parallel_workers == 1 {
-            eng_eps
-        } else {
-            let config = HolisticConfig {
-                workers: parallel_workers,
-                ..case.config
-            };
-            let parallel = best_of(config, EvalPath::Incremental);
-            costs_match &= agrees(&parallel);
-            evals_per_sec(&parallel)
-        };
+        let (reference, ref_eps) = best_of(EvalPath::Reference);
+        let (engine, eng_eps) = best_of(EvalPath::Incremental);
+        let costs_match = (engine.final_cost - reference.final_cost).abs()
+            <= 1e-9 * (1.0 + reference.final_cost.abs());
         eprintln!(
             "    {} evals, {} supersteps simulated, {} skipped",
             engine.evaluations, engine.simulated_supersteps, engine.skipped_supersteps
@@ -151,9 +126,6 @@ impl Recorder for Improver {
             reference_evals_per_sec: ref_eps,
             engine_evals_per_sec: eng_eps,
             speedup: eng_eps / ref_eps.max(1e-9),
-            parallel_workers,
-            parallel_evals_per_sec: par_eps,
-            parallel_speedup: par_eps / ref_eps.max(1e-9),
             engine_cost: engine.final_cost,
             reference_cost: reference.final_cost,
             costs_match,
@@ -161,11 +133,9 @@ impl Recorder for Improver {
     }
 
     fn summary(&self, rows: &[Row]) -> Fields {
-        let speedup = geomean(rows.iter().map(|r| r.speedup));
-        let parallel = geomean(rows.iter().map(|r| r.parallel_speedup));
-        vec![
-            field("geomean_speedup", speedup),
-            field("geomean_parallel_speedup", parallel),
-        ]
+        vec![field(
+            "geomean_speedup",
+            geomean(rows.iter().map(|r| r.speedup)),
+        )]
     }
 }

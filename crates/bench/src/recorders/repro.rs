@@ -208,15 +208,14 @@ impl Setting {
     /// The search budget of this setting, whole-instance or per part: the
     /// scheduler's default counts (a search also ends at its first round
     /// without an improvement), spelled out because the report is a function
-    /// of them. `workers: 0` is the workspace's resolved count.
-    fn search(&self, workers: usize) -> HolisticConfig {
+    /// of them.
+    fn search(&self) -> HolisticConfig {
         HolisticConfig {
             cost_model: self.cost_model,
             max_rounds: 60,
             moves_per_round: 120,
             time_limit: NO_CLOCK,
             seed: SEED,
-            workers,
         }
     }
 
@@ -236,7 +235,7 @@ impl Setting {
 
     /// The cost of the holistic search seeded with `bsp`.
     fn improved(&self, instance: &MbspInstance, bsp: &BspSchedulingResult) -> f64 {
-        let schedule = HolisticScheduler::with_config(self.search(0)).schedule(instance, bsp);
+        let schedule = HolisticScheduler::with_config(self.search()).schedule(instance, bsp);
         cost(&schedule, instance.dag(), instance.arch(), self.cost_model)
     }
 }
@@ -261,9 +260,7 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
             }
             Sweep::DivideAndConquer { max_nodes, .. } => {
                 let mut config = DivideAndConquerConfig {
-                    // The parts already run side by side.
-                    per_part: setting.search(1),
-                    cost_model: setting.cost_model,
+                    per_part: setting.search(),
                     ..Default::default()
                 };
                 config.bipartition.limits = SolverLimits {

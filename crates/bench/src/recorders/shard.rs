@@ -287,7 +287,6 @@ impl Recorder for Shard {
             max_rounds: SINGLE_ROUNDS,
             moves_per_round: SINGLE_MOVES_PER_ROUND,
             time_limit: Duration::from_secs(3600),
-            workers: 1,
             ..Default::default()
         });
         let start = Instant::now();

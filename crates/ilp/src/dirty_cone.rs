@@ -77,7 +77,6 @@ use mbsp_dag::{AcyclicPartition, CompDag, DagDelta, DeltaEffect, NodeId, PkOrder
 use mbsp_model::{Architecture, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
-use std::time::Duration;
 
 /// Configuration of [`IncrementalScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -143,8 +142,6 @@ pub struct RepairStats {
     /// `1` when the session had already solved this partition for the current
     /// DAG.
     pub partition_hits: usize,
-    /// Wall-clock of the repair.
-    pub elapsed: Duration,
     /// Cost of the stale incumbent's assignment on the mutated DAG.
     pub incumbent_cost: f64,
     /// Cost of the repaired schedule.
@@ -390,7 +387,6 @@ impl IncrementalScheduler {
             skipped_supersteps: search.skipped_supersteps(),
             partitions_solved: search.partitions_solved,
             partition_hits: search.partition_hits,
-            elapsed: search.start.elapsed(),
             incumbent_cost,
             final_cost: search.incumbent.cost,
             stop_reason: search.deadline.reason().unwrap_or_default(),
@@ -441,6 +437,7 @@ mod tests {
     use crate::shard::{topo_shards, ShardedHolisticScheduler};
     use mbsp_model::{sync_cost, CostModel, MbspInstance};
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
+    use std::time::Duration;
 
     fn instance() -> MbspInstance {
         let inst = mbsp_gen::tiny_dataset(42).remove(2);

@@ -25,7 +25,7 @@ use crate::partition_ilp::{recursive_partition, BipartitionConfig};
 use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
-use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep};
+use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId, Superstep};
 use mbsp_pool::{Deadline, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
 use std::time::Duration;
@@ -37,12 +37,10 @@ pub struct DivideAndConquerConfig {
     pub max_part_size: usize,
     /// Configuration of the acyclic bipartitioning ILP.
     pub bipartition: BipartitionConfig,
-    /// Budget of the per-part local search (`max_rounds`, `moves_per_round`,
-    /// `time_limit` and `seed` are used; the time limit applies per part).
+    /// The per-part local search: its cost model (also that of the final
+    /// streamlining pass), round and move budgets, time limit (applied per
+    /// part) and seed (part `i` searches with `seed + i`).
     pub per_part: HolisticConfig,
-    /// Cost model used for the per-part searches and the final streamlining
-    /// pass.
-    pub cost_model: CostModel,
     /// Number of worker threads scheduling parts concurrently. `0` resolves via
     /// `MBSP_BENCH_THREADS` / available parallelism. Parts are independent
     /// sub-problems, so the worker count never changes the result.
@@ -58,10 +56,8 @@ impl Default for DivideAndConquerConfig {
                 max_rounds: 20,
                 moves_per_round: 60,
                 time_limit: Duration::from_secs(5),
-                workers: 1,
                 ..Default::default()
             },
-            cost_model: CostModel::Synchronous,
             workers: 0,
         }
     }
@@ -153,7 +149,7 @@ impl DivideAndConquerScheduler {
                 .map(|g| ProcId::new(global_procs[g.index()].index() % local_arch.processors))
                 .collect();
             let params = LocalSearchParams {
-                cost_model: config.cost_model,
+                cost_model: config.per_part.cost_model,
                 max_rounds: config.per_part.max_rounds,
                 moves_per_round: config.per_part.moves_per_round,
                 seed: config.per_part.seed.wrapping_add(part as u64),
@@ -268,7 +264,7 @@ impl DivideAndConquerScheduler {
         // Streamline the combined schedule. Saves of values needed by later parts
         // have already happened, so no extra required outputs are necessary here.
         combined.remove_empty_supersteps();
-        post_optimize(&mut combined, dag, arch, self.config.cost_model, &[]);
+        post_optimize(&mut combined, dag, arch, config.per_part.cost_model, &[]);
         combined
     }
 
@@ -305,7 +301,6 @@ mod tests {
                 max_rounds: 3,
                 moves_per_round: 20,
                 time_limit: Duration::from_millis(250),
-                workers: 1,
                 ..Default::default()
             },
             ..Default::default()
@@ -351,7 +346,6 @@ mod tests {
                 max_rounds: 3,
                 moves_per_round: 20,
                 time_limit: Duration::from_secs(2),
-                workers: 1,
                 ..Default::default()
             },
             ..fast_config()

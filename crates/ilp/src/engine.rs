@@ -7,7 +7,7 @@
 //!
 //! * [`Move`] — first-class candidate moves over a per-node processor assignment
 //!   (relocate one node, relocate a sibling group, swap two nodes);
-//! * [`EvaluationEngine`] — per-worker evaluation state: a
+//! * [`EvaluationEngine`] — the evaluation state of one search: a
 //!   [`mbsp_cache::ConversionArena`] (allocated once, reused for every candidate;
 //!   [`EvaluationEngine::rebase`] records the incumbent's conversion in it, so
 //!   a candidate re-simulates only the supersteps its move can change),
@@ -20,21 +20,20 @@
 //!   paths are operation-identical, which the differential tests assert; the
 //!   reference path is the ground truth they compare with and the baseline of
 //!   the `improver` recorder (`bench_record improver`);
-//! * [`evaluate_moves_on`] — evaluates one round's batch of moves, in parallel on
-//!   the resident [`mbsp_pool::WorkerPool`] with one engine per pool task.
-//!   Candidates are generated up front and the winner is chosen by the fixed
-//!   tie-break order (lowest cost, then lowest candidate index), so a fixed seed
-//!   yields the same search trajectory for any worker count.
+//! * [`EvaluationEngine::evaluate_batch_on`] — evaluates one round's batch of
+//!   moves in candidate order. The winner is chosen by the fixed tie-break
+//!   order (lowest cost, then lowest candidate index) and its schedule is
+//!   retained. A search has one engine; the workspace parallelises across
+//!   independent searches (shards, parts), never inside one.
 
 use crate::improver::{canonical_bsp, reference_post_optimize, PostOptimizer};
 use mbsp_cache::{two_stage, ClairvoyantPolicy, ConversionArena, TwoStageConfig};
 use mbsp_dag::{DagLike, NodeId};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
-use mbsp_pool::WorkerPool;
 use mbsp_sched::BspSchedulingResult;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A candidate move of the holistic local search, applied to a per-node processor
 /// assignment.
@@ -143,9 +142,8 @@ pub enum EvalPath {
     Reference,
 }
 
-/// Per-worker candidate-evaluation state. One engine per evaluation worker; every
-/// candidate evaluated through the same engine reuses its arena and scratch
-/// allocations.
+/// Candidate-evaluation state. One engine per search; every candidate
+/// evaluated through the same engine reuses its arena and scratch allocations.
 #[derive(Debug)]
 pub struct EvaluationEngine {
     path: EvalPath,
@@ -153,8 +151,8 @@ pub struct EvaluationEngine {
     config: TwoStageConfig,
     arena: ConversionArena,
     schedule: MbspSchedule,
-    /// The schedule of the best candidate of the last batch chunk evaluated
-    /// through this engine (see [`EvaluationEngine::swap_batch_winner`]).
+    /// The schedule of the best candidate of the last batch evaluated through
+    /// this engine (see [`EvaluationEngine::swap_batch_winner`]).
     retained: MbspSchedule,
     post: PostOptimizer,
     procs_buf: Vec<ProcId>,
@@ -313,6 +311,48 @@ impl EvaluationEngine {
         }
     }
 
+    /// Evaluates one round's batch of candidate `moves`, each applied to
+    /// `base_procs`, in candidate order. Returns `(cost, candidate index)` of
+    /// the winner by the fixed tie-break order (lowest cost first, then lowest
+    /// index) and retains the winner's schedule behind
+    /// [`EvaluationEngine::swap_batch_winner`]; `None` when nothing was
+    /// evaluated.
+    ///
+    /// Evaluation stops once `deadline` has passed; the candidates after that
+    /// point are simply not considered.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_batch_on<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        base_procs: &[ProcId],
+        moves: &[Move],
+        cost_model: CostModel,
+        required_outputs: &[NodeId],
+        deadline: Instant,
+    ) -> Option<(f64, usize)> {
+        let mut best: Option<(f64, usize)> = None;
+        let mut procs = std::mem::take(&mut self.procs_buf);
+        for (idx, mv) in moves.iter().enumerate() {
+            if Instant::now() >= deadline {
+                break;
+            }
+            procs.clear();
+            procs.extend_from_slice(base_procs);
+            mv.apply(dag, &mut procs);
+            let cost = self.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
+            // Candidates arrive in index order, so the earlier one keeps a tie.
+            if best.map_or(true, |(best_cost, _)| cost.total_cmp(&best_cost).is_lt()) {
+                best = Some((cost, idx));
+                // Keep the new best's schedule; the old one becomes the scratch
+                // the next conversion overwrites.
+                std::mem::swap(&mut self.schedule, &mut self.retained);
+            }
+        }
+        self.procs_buf = procs;
+        best
+    }
+
     /// The schedule produced by the most recent direct `evaluate_*` call (a
     /// batch leaves its winner behind [`EvaluationEngine::swap_batch_winner`]
     /// instead).
@@ -321,14 +361,13 @@ impl EvaluationEngine {
     }
 
     /// Swaps `schedule` with the schedule this engine kept for the winner of
-    /// the last batch. A batch keeps its winner's schedule: every chunk holds
-    /// on to the schedule of its best-so-far candidate by an O(1) swap, and
-    /// [`evaluate_moves_on`] moves the batch winner's into `engines[0]` — so
-    /// after a batch that reported a winner, calling this on `engines[0]`
-    /// yields exactly the schedule a fresh evaluation of the winning
-    /// assignment would produce, without converting it a second time. What
-    /// the caller hands in (typically the previous incumbent) is recycled as
-    /// scratch storage.
+    /// the last batch. A batch keeps its winner's schedule —
+    /// [`EvaluationEngine::evaluate_batch_on`] holds on to the schedule of its
+    /// best-so-far candidate by an O(1) swap — so after a batch that reported
+    /// a winner this yields exactly the schedule a fresh evaluation of the
+    /// winning assignment would produce, without converting it a second
+    /// time. What the caller hands in (typically the previous incumbent) is
+    /// recycled as scratch storage.
     pub fn swap_batch_winner(&mut self, schedule: &mut MbspSchedule) {
         std::mem::swap(&mut self.retained, schedule);
     }
@@ -351,25 +390,12 @@ pub struct SearchStats {
     pub evaluations: u64,
     /// Number of completed search rounds.
     pub rounds: usize,
-    /// Wall-clock time of the whole search.
-    pub elapsed: Duration,
     /// Cost of the returned schedule under the configured cost model.
     pub final_cost: f64,
-    /// Supersteps the engines' conversions simulated (rebases included).
+    /// Supersteps the engine's conversions simulated (rebases included).
     pub simulated_supersteps: u64,
     /// Supersteps they copied from a base instead of simulating them.
     pub skipped_supersteps: u64,
-}
-
-/// Outcome of one round's batch evaluation: the winning candidate (if any
-/// candidate was evaluated before the deadline) and the number of evaluations.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOutcome {
-    /// `(cost, candidate index)` of the best candidate by the fixed tie-break
-    /// order (lowest cost first, then lowest index).
-    pub winner: Option<(f64, usize)>,
-    /// Candidate evaluations performed across all workers.
-    pub evaluations: u64,
 }
 
 pub use mbsp_pool::resolve_workers;
@@ -384,138 +410,6 @@ pub fn assignment_delta(before: &[ProcId], after: &[ProcId]) -> Vec<(NodeId, Pro
         .filter(|&i| after[i] != before[i])
         .map(|i| (NodeId::new(i), after[i]))
         .collect()
-}
-
-/// Evaluates one round's batch of candidate moves against the base assignment,
-/// splitting the batch across the given engines on the resident worker pool
-/// (one engine per pool task). Returns the winner by the fixed `(cost, index)`
-/// tie-break order, which makes the result independent of the worker count.
-///
-/// Workers stop evaluating once `deadline` has passed; candidates they skip are
-/// simply not considered (the same truncation the serial loop performed).
-///
-/// Works over any [`DagLike`] graph (`Sync` so worker threads can share the
-/// borrow; both `CompDag` and `SubDagView` qualify).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_moves_on<D: DagLike + Sync + ?Sized>(
-    pool: &WorkerPool,
-    engines: &mut [EvaluationEngine],
-    dag: &D,
-    arch: &Architecture,
-    base_procs: &[ProcId],
-    moves: &[Move],
-    cost_model: CostModel,
-    required_outputs: &[NodeId],
-    deadline: Instant,
-) -> BatchOutcome {
-    if moves.is_empty() || engines.is_empty() {
-        return BatchOutcome {
-            winner: None,
-            evaluations: 0,
-        };
-    }
-    let workers = engines.len().min(moves.len());
-    let chunk_size = moves.len().div_ceil(workers);
-    // A single busy engine is a one-task batch, which the pool runs inline.
-    let tasks: Vec<_> = engines[..workers]
-        .iter_mut()
-        .zip(moves.chunks(chunk_size))
-        .enumerate()
-        .map(|(w, (engine, chunk))| {
-            let offset = w * chunk_size;
-            move || {
-                evaluate_chunk(
-                    engine,
-                    dag,
-                    arch,
-                    base_procs,
-                    chunk,
-                    offset,
-                    cost_model,
-                    required_outputs,
-                    deadline,
-                )
-            }
-        })
-        .collect();
-    let results: Vec<(Option<(f64, usize)>, u64)> = pool.run_batch(tasks);
-    reduce_batch(engines, chunk_size, results)
-}
-
-/// The fixed `(cost, candidate index)` tie-break order of a batch: does the
-/// candidate precede the best one so far?
-fn beats(cost: f64, idx: usize, best: Option<(f64, usize)>) -> bool {
-    best.map_or(true, |(bc, bi)| {
-        cost.total_cmp(&bc).then(idx.cmp(&bi)).is_lt()
-    })
-}
-
-/// Folds the per-worker chunk results into the batch outcome by the fixed
-/// `(cost, candidate index)` tie-break order, and moves the winner's retained
-/// schedule from the engine whose chunk contained it into `engines[0]`.
-fn reduce_batch(
-    engines: &mut [EvaluationEngine],
-    chunk_size: usize,
-    results: Vec<(Option<(f64, usize)>, u64)>,
-) -> BatchOutcome {
-    let mut winner: Option<(f64, usize)> = None;
-    let mut evaluations = 0u64;
-    for (local, evals) in results {
-        evaluations += evals;
-        if let Some((cost, idx)) = local {
-            if beats(cost, idx, winner) {
-                winner = Some((cost, idx));
-            }
-        }
-    }
-    if let Some((_, idx)) = winner {
-        let (first, rest) = engines.split_at_mut(1);
-        if let Some(owner) = (idx / chunk_size).checked_sub(1) {
-            std::mem::swap(&mut first[0].retained, &mut rest[owner].retained);
-        }
-    }
-    BatchOutcome {
-        winner,
-        evaluations,
-    }
-}
-
-/// Evaluates a contiguous chunk of the round's candidates through one engine,
-/// which retains the schedule of the chunk's best candidate.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_chunk<D: DagLike + ?Sized>(
-    engine: &mut EvaluationEngine,
-    dag: &D,
-    arch: &Architecture,
-    base_procs: &[ProcId],
-    moves: &[Move],
-    index_offset: usize,
-    cost_model: CostModel,
-    required_outputs: &[NodeId],
-    deadline: Instant,
-) -> (Option<(f64, usize)>, u64) {
-    let mut best: Option<(f64, usize)> = None;
-    let mut evaluations = 0u64;
-    for (i, mv) in moves.iter().enumerate() {
-        if Instant::now() >= deadline {
-            break;
-        }
-        engine.procs_buf.clear();
-        engine.procs_buf.extend_from_slice(base_procs);
-        let mut procs = std::mem::take(&mut engine.procs_buf);
-        mv.apply(dag, &mut procs);
-        let cost = engine.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
-        engine.procs_buf = procs;
-        evaluations += 1;
-        let idx = index_offset + i;
-        if beats(cost, idx, best) {
-            best = Some((cost, idx));
-            // Keep the new best's schedule; the old one becomes the scratch
-            // the next conversion overwrites.
-            std::mem::swap(&mut engine.schedule, &mut engine.retained);
-        }
-    }
-    (best, evaluations)
 }
 
 #[cfg(test)]
@@ -588,66 +482,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_winner_is_worker_count_independent() {
-        // Every engine count — including an odd one whose last chunk is short
-        // and more engines than the pool has workers — must report the outcome
-        // of the one-engine batch, which the pool runs inline.
-        let inst = instance();
-        let dag = inst.dag();
-        let n = dag.num_nodes();
-        let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let procs: Vec<ProcId> = (0..n)
-            .map(|i| ProcId::new(i % inst.arch().processors))
-            .collect();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        for seed in [3u64, 11] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut moves = Vec::new();
-            while moves.len() < 24 {
-                if let Some(mv) = Move::propose(dag, inst.arch(), &procs, &movable, &mut rng) {
-                    moves.push(mv);
-                }
-            }
-            let mut inline = None;
-            for workers in [1usize, 2, 3, 4, 8] {
-                let mut engines: Vec<EvaluationEngine> = (0..workers)
-                    .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
-                    .collect();
-                let outcome = evaluate_moves_on(
-                    WorkerPool::shared(),
-                    &mut engines,
-                    dag,
-                    inst.arch(),
-                    &procs,
-                    &moves,
-                    CostModel::Synchronous,
-                    &[],
-                    deadline,
-                );
-                assert_eq!(outcome.evaluations, moves.len() as u64);
-                let winner = outcome.winner.expect("every candidate evaluated");
-                assert_eq!(
-                    winner,
-                    *inline.get_or_insert(winner),
-                    "seed {seed}, {workers} engines"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn a_batch_keeps_its_winners_schedule() {
-        // Whatever the engine count (and so whichever engine's chunk held the
-        // winner), the schedule the batch retained must be the one a fresh
-        // engine produces for the winner's assignment, at a bit-equal cost —
-        // that is what lets the search loops skip the winner's second
-        // conversion.
+        // The batch reports the first candidate of lowest cost, and the
+        // schedule it retained must be the one a fresh engine produces for the
+        // winner's assignment, at a bit-equal cost — that is what lets the
+        // search loop skip the winner's second conversion.
         let inst = instance();
         let dag = inst.dag();
         let n = dag.num_nodes();
         let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut winners_outside_engine_0 = 0usize;
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        let mut winners_past_the_first_candidate = 0usize;
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let procs: Vec<ProcId> = (0..n)
@@ -659,14 +504,9 @@ mod tests {
                     moves.push(mv);
                 }
             }
-            for workers in [1usize, 2, 4] {
-                let mut engines: Vec<EvaluationEngine> = (0..workers)
-                    .map(|_| EvaluationEngine::new(&inst, EvalPath::Incremental))
-                    .collect();
-                let before: u64 = engines.iter().map(|e| e.evaluations).sum();
-                let outcome = evaluate_moves_on(
-                    WorkerPool::shared(),
-                    &mut engines,
+            let mut engine = EvaluationEngine::new(&inst, EvalPath::Incremental);
+            let (cost, idx) = engine
+                .evaluate_batch_on(
                     dag,
                     inst.arch(),
                     &procs,
@@ -674,40 +514,46 @@ mod tests {
                     CostModel::Synchronous,
                     &[],
                     deadline,
-                );
-                let (cost, idx) = outcome.winner.expect("every candidate evaluated");
-                winners_outside_engine_0 += (idx >= moves.len().div_ceil(workers)) as usize;
-                let mut retained = MbspSchedule::new(inst.arch().processors);
-                engines[0].swap_batch_winner(&mut retained);
-                // Taking the winner costs no evaluation.
-                let after: u64 = engines.iter().map(|e| e.evaluations).sum();
-                assert_eq!(after - before, moves.len() as u64);
+                )
+                .expect("every candidate evaluated");
+            winners_past_the_first_candidate += (idx > 0) as usize;
+            let mut retained = MbspSchedule::new(inst.arch().processors);
+            engine.swap_batch_winner(&mut retained);
+            // Taking the winner costs no evaluation.
+            assert_eq!(engine.evaluations, moves.len() as u64);
 
-                let mut winner = procs.clone();
-                moves[idx].apply(dag, &mut winner);
-                let mut fresh = EvaluationEngine::new(&inst, EvalPath::Incremental);
-                let fresh_cost = fresh.evaluate_assignment_on(
+            let mut fresh = EvaluationEngine::new(&inst, EvalPath::Incremental);
+            let mut costs = Vec::new();
+            for mv in &moves {
+                let mut candidate = procs.clone();
+                mv.apply(dag, &mut candidate);
+                let c = fresh.evaluate_assignment_on(
                     dag,
                     inst.arch(),
-                    &winner,
+                    &candidate,
                     CostModel::Synchronous,
                     &[],
                 );
-                assert_eq!(
-                    cost.to_bits(),
-                    fresh_cost.to_bits(),
-                    "seed {seed}, {workers} engines"
-                );
-                assert_eq!(
-                    &retained,
-                    fresh.schedule(),
-                    "seed {seed}, {workers} engines: retained schedule is not the winner's"
-                );
+                costs.push(c);
             }
+            let first_min = (0..costs.len())
+                .min_by(|&a, &b| costs[a].total_cmp(&costs[b]).then(a.cmp(&b)))
+                .unwrap();
+            assert_eq!(idx, first_min, "seed {seed}: (cost, index) order");
+            assert_eq!(cost.to_bits(), costs[idx].to_bits(), "seed {seed}");
+
+            let mut winner = procs.clone();
+            moves[idx].apply(dag, &mut winner);
+            fresh.evaluate_assignment_on(dag, inst.arch(), &winner, CostModel::Synchronous, &[]);
+            assert_eq!(
+                &retained,
+                fresh.schedule(),
+                "seed {seed}: retained schedule is not the winner's"
+            );
         }
         assert!(
-            winners_outside_engine_0 > 0,
-            "no winner came from another engine's chunk: the hand-over is untested"
+            winners_past_the_first_candidate > 0,
+            "every winner was candidate 0: the retention swap is untested"
         );
     }
 

@@ -15,22 +15,22 @@
 //!
 //! Candidate evaluation goes through the [`crate::engine`] module: each round's
 //! batch of [`crate::engine::Move`]s is generated up front from the seeded RNG and
-//! evaluated in parallel (one [`crate::engine::EvaluationEngine`] — arena plus
-//! scratch buffers — per worker), with the round winner chosen by the fixed
-//! `(cost, candidate index)` tie-break so a fixed seed produces the same schedule
-//! for any worker count. The loop itself is the search core's `hill_climb`, run
-//! with one engine per worker on the whole DAG.
+//! evaluated through one [`crate::engine::EvaluationEngine`] (arena plus scratch
+//! buffers), with the round winner chosen by the fixed `(cost, candidate index)`
+//! tie-break. The loop itself is the search core's `hill_climb`, run on the
+//! whole DAG; callers with many instances run one scheduler per instance side
+//! by side.
 
-use crate::engine::{resolve_workers, EvalPath, EvaluationEngine, SearchStats};
+use crate::engine::{EvalPath, EvaluationEngine, SearchStats};
 use crate::search::{hill_climb, Incumbent, LocalSearchParams};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
     Architecture, BspSchedule, Configuration, CostModel, MbspInstance, MbspSchedule, ParentMasks,
     ProcId, ScheduleEvaluator, Superstep,
 };
-use mbsp_pool::{Deadline, WorkerPool};
+use mbsp_pool::Deadline;
 use mbsp_sched::BspSchedulingResult;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of [`HolisticScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -44,13 +44,9 @@ pub struct HolisticConfig {
     pub moves_per_round: usize,
     /// Wall-clock time limit for the search.
     pub time_limit: Duration,
-    /// RNG seed (the search is fully deterministic for a fixed seed, for any
-    /// worker count, as long as the time limit does not truncate it).
+    /// RNG seed (the search is fully deterministic for a fixed seed as long as
+    /// the time limit does not truncate it).
     pub seed: u64,
-    /// Number of parallel evaluation workers. `0` (the default) resolves to the
-    /// `MBSP_BENCH_THREADS` environment variable, falling back to the machine's
-    /// available parallelism.
-    pub workers: usize,
 }
 
 impl Default for HolisticConfig {
@@ -61,7 +57,6 @@ impl Default for HolisticConfig {
             moves_per_round: 120,
             time_limit: Duration::from_secs(20),
             seed: 0x5EED,
-            workers: 0,
         }
     }
 }
@@ -70,7 +65,6 @@ impl Default for HolisticConfig {
 #[derive(Debug, Clone, Default)]
 pub struct HolisticScheduler {
     config: HolisticConfig,
-    pool: WorkerPool,
 }
 
 impl HolisticScheduler {
@@ -81,17 +75,7 @@ impl HolisticScheduler {
 
     /// Creates a scheduler with an explicit configuration.
     pub fn with_config(config: HolisticConfig) -> Self {
-        HolisticScheduler {
-            config,
-            pool: WorkerPool::default(),
-        }
-    }
-
-    /// Replaces the worker pool the candidate batches run on (the default is
-    /// the process-wide [`WorkerPool::shared`] pool).
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
+        HolisticScheduler { config }
     }
 
     /// Improves on the given baseline scheduling result and returns the best MBSP
@@ -107,7 +91,7 @@ impl HolisticScheduler {
     }
 
     /// Runs the search with an explicit evaluation path and reports statistics
-    /// (candidate evaluations, rounds, wall-clock), additionally guaranteeing
+    /// (candidate evaluations, rounds, final cost), additionally guaranteeing
     /// that every node in `required_outputs` ends up in slow memory.
     /// `EvalPath::Reference` selects the pre-engine clone-and-recost machinery
     /// — the two paths are operation-identical and exist side by side for
@@ -121,16 +105,13 @@ impl HolisticScheduler {
     ) -> (MbspSchedule, SearchStats) {
         let (dag, arch) = (instance.dag(), instance.arch());
         let config = &self.config;
-        let start = Instant::now();
-        let deadline = Deadline::at(start + config.time_limit);
-        let mut engines: Vec<EvaluationEngine> = (0..resolve_workers(config.workers))
-            .map(|_| EvaluationEngine::new(instance, path))
-            .collect();
+        let deadline = Deadline::after(config.time_limit);
+        let mut engine = EvaluationEngine::new(instance, path);
 
         let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
         let cost_model = config.cost_model;
         let mut incumbent = Incumbent::seed(
-            &mut engines[0],
+            &mut engine,
             dag,
             arch,
             procs,
@@ -147,8 +128,7 @@ impl HolisticScheduler {
             stale_round_limit: 1,
         };
         let rounds = hill_climb(
-            &self.pool,
-            &mut engines,
+            &mut engine,
             dag,
             arch,
             &params,
@@ -158,12 +138,11 @@ impl HolisticScheduler {
         );
 
         let stats = SearchStats {
-            evaluations: engines.iter().map(|e| e.evaluations).sum(),
+            evaluations: engine.evaluations,
             rounds,
-            elapsed: start.elapsed(),
             final_cost: incumbent.cost,
-            simulated_supersteps: engines.iter().map(|e| e.simulated_supersteps()).sum(),
-            skipped_supersteps: engines.iter().map(|e| e.skipped_supersteps()).sum(),
+            simulated_supersteps: engine.simulated_supersteps(),
+            skipped_supersteps: engine.skipped_supersteps(),
         };
         (incumbent.schedule, stats)
     }
@@ -939,40 +918,12 @@ mod tests {
     }
 
     #[test]
-    fn holistic_search_is_deterministic_across_worker_counts() {
-        // Same seed ⇒ identical schedule, whether candidates are evaluated by one
-        // worker or by several (the time limit is generous enough not to truncate).
-        let greedy = GreedyBspScheduler::new();
-        for inst in tiny_instances(3) {
-            let baseline = greedy.schedule(inst.dag(), inst.arch());
-            let mut schedules = Vec::new();
-            for workers in [1usize, 4] {
-                let holistic = HolisticScheduler::with_config(HolisticConfig {
-                    max_rounds: 4,
-                    moves_per_round: 24,
-                    time_limit: Duration::from_secs(60),
-                    workers,
-                    ..Default::default()
-                });
-                schedules.push(holistic.schedule(&inst, &baseline));
-            }
-            assert_eq!(
-                schedules[0],
-                schedules[1],
-                "{}: 1-worker and 4-worker searches diverged",
-                inst.name()
-            );
-        }
-    }
-
-    #[test]
     fn incremental_and_reference_paths_agree_end_to_end() {
         let greedy = GreedyBspScheduler::new();
         let config = HolisticConfig {
             max_rounds: 3,
             moves_per_round: 16,
             time_limit: Duration::from_secs(60),
-            workers: 1,
             ..Default::default()
         };
         let holistic = HolisticScheduler::with_config(config);

@@ -11,10 +11,11 @@
 //!   regime in which the paper runs its full formulation with COPT.
 //! * `search` (crate-private) — the one search core behind the four search
 //!   front-ends below: the seeded `hill_climb` (propose a batch of moves,
-//!   evaluate it through the engines, adopt the winner), the index-ordered
-//!   `fan_out` over the worker pool, and the partition → search → merge
-//!   `pass` over a borrowed DAG. Holistic = `hill_climb` with W engines on
-//!   the whole DAG; divide-and-conquer = `fan_out` + `hill_climb` per part;
+//!   evaluate it through one engine, adopt the winner), the index-ordered
+//!   `fan_out` over the worker pool — the workspace's only parallel shape —
+//!   and the partition → search → merge `pass` over a borrowed DAG.
+//!   Holistic = `hill_climb` on the whole DAG;
+//!   divide-and-conquer = `fan_out` + `hill_climb` per part;
 //!   sharded = seed + `iterations` passes; incremental = the session's
 //!   assignment + pass `0` restricted to the mutation cone.
 //! * [`improver`] — [`improver::HolisticScheduler`], the holistic optimiser used by
@@ -25,9 +26,9 @@
 //!   and post-optimising the resulting schedule (superstep merging, redundant-I/O
 //!   removal). See PAPER.md, "Reproduction notes", for the COPT substitution.
 //! * [`engine`] — the candidate-evaluation engine behind the holistic search:
-//!   first-class [`engine::Move`]s, per-worker [`engine::EvaluationEngine`]s
+//!   first-class [`engine::Move`]s, one [`engine::EvaluationEngine`] per search
 //!   (arena-backed conversion via `mbsp_cache::ConversionArena` plus incremental
-//!   cost deltas via `mbsp_model::ScheduleEvaluator`), and deterministic parallel
+//!   cost deltas via `mbsp_model::ScheduleEvaluator`), and `(cost, index)`-ordered
 //!   batch evaluation. The pre-engine clone-and-recost machinery survives as
 //!   [`engine::EvalPath::Reference`], the differential oracle mirroring
 //!   `lp_solver`'s `dense::` pattern.
@@ -104,7 +105,7 @@ pub use shard::{
 // Cancellation vocabulary, re-exported so downstream users of the schedulers
 // (including the `mbsp` facade, which does not depend on `mbsp_pool` directly)
 // can build tokens and inspect stop reasons.
-pub use mbsp_pool::{CancelToken, Deadline, PoolError, StopReason};
+pub use mbsp_pool::{CancelToken, Deadline, StopReason};
 
 // The checkpoint error type, re-exported for callers matching on
 // [`IncrementalScheduler::restore`] failures without naming `mbsp_io`.

@@ -48,23 +48,27 @@ impl Default for BipartitionConfig {
     }
 }
 
-/// Builds the bipartition ILP of `dag` together with its prefix-split warm
-/// start. The first `n` variables are the binary node-side indicators `x_v`
-/// (variable `i` belongs to node `i`), followed by one continuous cut
-/// indicator `y_e` per edge. Shared by [`bipartition`] and the recorded
-/// `BENCH_solver.json` benchmark, so both always measure the exact production
-/// formulation.
-pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f64>) {
-    let n = dag.num_nodes();
-    let fallback = prefix_split(dag);
+/// The LP skeleton both bipartition ILPs share, with `fallback` (a two-part
+/// prefix split) as warm start: one binary side indicator `x_v` per node
+/// (variable `i` belongs to node `i`), then per edge `e = (u, v)` a continuous
+/// cut indicator `y_e` of objective weight `edge_weight(e)` with its rows
+/// `y_e ≥ x_v − x_u` (continuous is enough: the objective pushes it to the
+/// lower bound) and `x_u ≤ x_v` (acyclicity), then the `side1_count` bounds
+/// on `Σ x_v` and, when given, the `side1_mass` bounds on
+/// `Σ compute_weight(v) · x_v`.
+fn model(
+    dag: &CompDag,
+    edge_weight: impl Fn(usize) -> f64,
+    side1_count: (f64, f64),
+    side1_mass: Option<(f64, f64)>,
+    fallback: &AcyclicPartition,
+) -> (LpProblem, Vec<f64>) {
     let mut problem = LpProblem::new();
-    let xs: Vec<_> = (0..n)
+    let xs: Vec<_> = (0..dag.num_nodes())
         .map(|i| problem.add_binary(format!("x{i}"), 0.0))
         .collect();
     for (e, (u, v)) in dag.edges().enumerate() {
-        // Cut indicator y_e >= x_v - x_u (continuous is enough: the objective pushes
-        // it to the lower bound).
-        let y = problem.add_continuous(format!("y{e}"), 0.0, 1.0, 1.0);
+        let y = problem.add_continuous(format!("y{e}"), 0.0, 1.0, edge_weight(e));
         problem.add_constraint(
             format!("cut{e}"),
             LinExpr::term(y, 1.0)
@@ -73,7 +77,6 @@ pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f6
             ConstraintSense::GreaterEqual,
             0.0,
         );
-        // Acyclicity: x_u <= x_v.
         problem.add_constraint(
             format!("acyc{e}"),
             LinExpr::term(xs[u.index()], 1.0).plus(xs[v.index()], -1.0),
@@ -81,36 +84,72 @@ pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f6
             0.0,
         );
     }
-    let min_nodes = ((n as f64) * min_fraction).ceil().max(1.0);
-    let max_nodes = (n as f64) - min_nodes;
-    let mut size_expr = LinExpr::new();
-    for &x in &xs {
-        size_expr.add(x, 1.0);
+    let mut bound = |name: &str, weight: &dyn Fn(NodeId) -> f64, (lo, hi): (f64, f64)| {
+        let mut expr = LinExpr::new();
+        for v in dag.nodes() {
+            expr.add(xs[v.index()], weight(v));
+        }
+        problem.add_constraint(
+            format!("{name}_lo"),
+            expr.clone(),
+            ConstraintSense::GreaterEqual,
+            lo,
+        );
+        problem.add_constraint(format!("{name}_hi"), expr, ConstraintSense::LessEqual, hi);
+    };
+    bound("count", &|_| 1.0, side1_count);
+    if let Some(mass) = side1_mass {
+        bound("mass", &|v| dag.compute_weight(v), mass);
     }
-    problem.add_constraint(
-        "balance_lo",
-        size_expr.clone(),
-        ConstraintSense::GreaterEqual,
-        min_nodes,
-    );
-    problem.add_constraint(
-        "balance_hi",
-        size_expr,
-        ConstraintSense::LessEqual,
-        max_nodes,
-    );
 
-    // Warm start from the fallback split.
+    // The y variables follow the x variables, one per edge in edge order.
     let mut warm = vec![0.0; problem.num_variables()];
     for v in dag.nodes() {
         warm[xs[v.index()].index()] = fallback.part_of(v) as f64;
     }
     for (e, (u, v)) in dag.edges().enumerate() {
         let cut = fallback.part_of(u) != fallback.part_of(v);
-        // The y variables come right after being added per edge; recompute index.
         warm[xs.len() + e] = if cut { 1.0 } else { 0.0 };
     }
     (problem, warm)
+}
+
+/// Solves a [`model`] of `dag` from its warm start and reads the split off the
+/// `x_v`; `fallback` when the solver found nothing within `limits` (or
+/// returned something that is not an acyclic bipartition). Also reports the
+/// branch-and-bound nodes explored and what stopped the solve.
+fn solve(
+    dag: &CompDag,
+    (problem, warm): (LpProblem, Vec<f64>),
+    fallback: AcyclicPartition,
+    limits: SolverLimits,
+) -> (AcyclicPartition, usize, MipStop) {
+    let solution = BranchBoundSolver::with_limits(limits)
+        .with_warm_start(warm)
+        .solve(&problem);
+    let split = match solution.status {
+        MipStatus::Optimal | MipStatus::Feasible => {
+            let assignment: Vec<usize> = (0..dag.num_nodes())
+                .map(|i| solution.values[i].round() as usize)
+                .collect();
+            AcyclicPartition::new(dag, assignment, 2).unwrap_or(fallback)
+        }
+        _ => fallback,
+    };
+    (split, solution.nodes_explored, solution.stop)
+}
+
+/// Builds the bipartition ILP of `dag` together with its prefix-split warm
+/// start. The first `n` variables are the binary node-side indicators `x_v`
+/// (variable `i` belongs to node `i`), followed by one continuous cut
+/// indicator `y_e` per edge. Shared by [`bipartition`] and the recorded
+/// `BENCH_solver.json` benchmark, so both always measure the exact production
+/// formulation.
+pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f64>) {
+    let n = dag.num_nodes() as f64;
+    let min_nodes = (n * min_fraction).ceil().max(1.0);
+    let sizes = (min_nodes, n - min_nodes);
+    model(dag, |_| 1.0, sizes, None, &prefix_split(dag))
 }
 
 /// Computes an acyclic bipartition of `dag` (two parts) minimising the cut.
@@ -118,24 +157,11 @@ pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f6
 /// Falls back to a balanced topological-prefix split when the ILP solver cannot
 /// find a solution within its limits or the DAG is too small to split.
 pub fn bipartition(dag: &CompDag, config: &BipartitionConfig) -> AcyclicPartition {
-    let n = dag.num_nodes();
-    if n < 2 {
+    if dag.num_nodes() < 2 {
         return AcyclicPartition::trivial(dag);
     }
-    let fallback = prefix_split(dag);
-    let (problem, warm) = bipartition_model(dag, config.min_fraction);
-    let solution = BranchBoundSolver::with_limits(config.limits)
-        .with_warm_start(warm)
-        .solve(&problem);
-    match solution.status {
-        MipStatus::Optimal | MipStatus::Feasible => {
-            let assignment: Vec<usize> = (0..n)
-                .map(|i| solution.values[i].round() as usize)
-                .collect();
-            AcyclicPartition::new(dag, assignment, 2).unwrap_or(fallback)
-        }
-        _ => fallback,
-    }
+    let lp = bipartition_model(dag, config.min_fraction);
+    solve(dag, lp, prefix_split(dag), config.limits).0
 }
 
 /// Balanced topological-prefix split: the first half of a topological order forms
@@ -200,80 +226,27 @@ pub fn weighted_bipartition_model(
     edge_weights: &[f64],
     config: &WeightedBipartitionConfig,
 ) -> (LpProblem, Vec<f64>) {
-    let n = dag.num_nodes();
-    let fallback = weighted_prefix_split(dag, config);
-    let mut problem = LpProblem::new();
-    let xs: Vec<_> = (0..n)
-        .map(|i| problem.add_binary(format!("x{i}"), 0.0))
-        .collect();
-    for (e, (u, v)) in dag.edges().enumerate() {
-        let y = problem.add_continuous(format!("y{e}"), 0.0, 1.0, edge_weights[e]);
-        problem.add_constraint(
-            format!("cut{e}"),
-            LinExpr::term(y, 1.0)
-                .plus(xs[v.index()], -1.0)
-                .plus(xs[u.index()], 1.0),
-            ConstraintSense::GreaterEqual,
-            0.0,
-        );
-        problem.add_constraint(
-            format!("acyc{e}"),
-            LinExpr::term(xs[u.index()], 1.0).plus(xs[v.index()], -1.0),
-            ConstraintSense::LessEqual,
-            0.0,
-        );
-    }
     // Node-count floor per side (keeps every downstream shard non-empty even when
     // the compute mass is concentrated on a few nodes).
     let min_side1 = config.min_side1_nodes.max(1) as f64;
-    let max_side1 = (n as f64) - config.min_side0_nodes.max(1) as f64;
-    let mut count_expr = LinExpr::new();
-    for &x in &xs {
-        count_expr.add(x, 1.0);
-    }
-    problem.add_constraint(
-        "count_lo",
-        count_expr.clone(),
-        ConstraintSense::GreaterEqual,
-        min_side1,
-    );
-    problem.add_constraint(
-        "count_hi",
-        count_expr,
-        ConstraintSense::LessEqual,
-        max_side1,
-    );
+    let max_side1 = (dag.num_nodes() as f64) - config.min_side0_nodes.max(1) as f64;
     // Compute-mass balance around the target fraction.
     let total_mass: f64 = dag.nodes().map(|v| dag.compute_weight(v)).sum();
-    if total_mass > 0.0 {
+    let mass = (total_mass > 0.0).then(|| {
         let target = total_mass * config.side1_mass_fraction;
         let lo = (target * (1.0 - config.mass_tolerance)).max(0.0);
         let hi = (target * (1.0 + config.mass_tolerance))
             .min(total_mass)
             .max(lo);
-        let mut mass_expr = LinExpr::new();
-        for v in dag.nodes() {
-            mass_expr.add(xs[v.index()], dag.compute_weight(v));
-        }
-        problem.add_constraint(
-            "mass_lo",
-            mass_expr.clone(),
-            ConstraintSense::GreaterEqual,
-            lo,
-        );
-        problem.add_constraint("mass_hi", mass_expr, ConstraintSense::LessEqual, hi);
-    }
-
-    // Warm start from the mass-balanced prefix split.
-    let mut warm = vec![0.0; problem.num_variables()];
-    for v in dag.nodes() {
-        warm[xs[v.index()].index()] = fallback.part_of(v) as f64;
-    }
-    for (e, (u, v)) in dag.edges().enumerate() {
-        let cut = fallback.part_of(u) != fallback.part_of(v);
-        warm[xs.len() + e] = if cut { 1.0 } else { 0.0 };
-    }
-    (problem, warm)
+        (lo, hi)
+    });
+    model(
+        dag,
+        |e| edge_weights[e],
+        (min_side1, max_side1),
+        mass,
+        &weighted_prefix_split(dag, config),
+    )
 }
 
 /// Computes a weight-aware acyclic bipartition of `dag` minimising the weighted
@@ -299,25 +272,11 @@ pub(crate) fn weighted_bipartition_solve(
     edge_weights: &[f64],
     config: &WeightedBipartitionConfig,
 ) -> (AcyclicPartition, usize, MipStop) {
-    let n = dag.num_nodes();
-    if n < config.min_side0_nodes.max(1) + config.min_side1_nodes.max(1) {
+    if dag.num_nodes() < config.min_side0_nodes.max(1) + config.min_side1_nodes.max(1) {
         return (AcyclicPartition::trivial(dag), 0, MipStop::Gap);
     }
-    let fallback = weighted_prefix_split(dag, config);
-    let (problem, warm) = weighted_bipartition_model(dag, edge_weights, config);
-    let solution = BranchBoundSolver::with_limits(config.limits)
-        .with_warm_start(warm)
-        .solve(&problem);
-    let split = match solution.status {
-        MipStatus::Optimal | MipStatus::Feasible => {
-            let assignment: Vec<usize> = (0..n)
-                .map(|i| solution.values[i].round() as usize)
-                .collect();
-            AcyclicPartition::new(dag, assignment, 2).unwrap_or(fallback)
-        }
-        _ => fallback,
-    };
-    (split, solution.nodes_explored, solution.stop)
+    let lp = weighted_bipartition_model(dag, edge_weights, config);
+    solve(dag, lp, weighted_prefix_split(dag, config), config.limits)
 }
 
 /// Mass-balanced topological-prefix split: cuts a topological order at the

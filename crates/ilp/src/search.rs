@@ -6,13 +6,15 @@
 //!
 //! * [`hill_climb`] — the seeded local search: each round draws a batch of
 //!   [`Move`]s from the RNG, evaluates it through the given
-//!   [`EvaluationEngine`]s and adopts the `(cost, index)`-ordered winner when
-//!   it improves the [`Incumbent`]. Several engines on the whole DAG are the
-//!   single-incumbent search; one engine on a [`SubDagView`] is a shard of the
+//!   [`EvaluationEngine`] and adopts the `(cost, index)`-ordered winner when
+//!   it improves the [`Incumbent`]. On the whole DAG it is the
+//!   single-incumbent search; on a [`SubDagView`] it is a shard of the
 //!   sharded search or a part of the divide-and-conquer scheduler.
 //! * [`fan_out`] — runs independent index-addressed jobs (shard or part
 //!   searches) on the worker pool and returns their results in index order,
-//!   so the worker count never changes a result.
+//!   so the worker count never changes a result. The paper parallelises
+//!   across independent acyclic parts (§6.3) and so does this workspace: it
+//!   is the only place a search touches the pool.
 //! * [`ShardedSearch::pass`] — one partition → search → merge pass over a
 //!   borrowed `(CompDag, Architecture, ShardedSearchConfig)`: partition, pick
 //!   every shard or only those intersecting a mutation cone, fan out
@@ -28,9 +30,7 @@
 //!   not run twice. One-shot front-ends pass no memo.
 
 use crate::dirty_cone::dirty_shard_indices;
-use crate::engine::{
-    assignment_delta, evaluate_moves_on, resolve_workers, EvalPath, EvaluationEngine, Move,
-};
+use crate::engine::{assignment_delta, resolve_workers, EvalPath, EvaluationEngine, Move};
 use crate::shard::{
     part_view, shard_partition, PartitionSolve, ShardStrategy, ShardedSearchConfig,
 };
@@ -42,7 +42,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Tuning knobs of one [`hill_climb`].
 #[derive(Debug, Clone, Copy)]
@@ -111,25 +110,22 @@ impl Incumbent {
 }
 
 /// The seeded hill climb: up to `params.max_rounds` rounds, each proposing
-/// `params.moves_per_round` moves from the seeded RNG (so the batch is
-/// identical for any engine count), evaluating them through `engines` on
-/// `pool` and adopting the round winner when it improves `incumbent`. Every
+/// `params.moves_per_round` moves from the seeded RNG, evaluating them through
+/// `engine` and adopting the round winner when it improves `incumbent`. Every
 /// adopted improvement is recorded in [`Incumbent::deltas`]. Returns the
 /// number of completed rounds.
 ///
-/// Before a round's batch the engines are rebased on the incumbent whenever
+/// Before a round's batch the engine is rebased on the incumbent whenever
 /// it changed (the seed, then every adopted winner), so each candidate
 /// re-simulates only the supersteps its move can change; a rebase is not an
 /// evaluation and changes no result.
 ///
 /// `deadline` is observed in full at the round boundary — the search's
-/// deterministic cut point; the engines' mid-batch checks consume its
+/// deterministic cut point; the engine's mid-batch check consumes its
 /// wall-clock component only. Deterministic in `params.seed` as long as the
 /// deadline does not truncate the search.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
-    pool: &WorkerPool,
-    engines: &mut [EvaluationEngine],
+pub(crate) fn hill_climb<D: DagLike + ?Sized>(
+    engine: &mut EvaluationEngine,
     dag: &D,
     arch: &Architecture,
     params: &LocalSearchParams,
@@ -145,7 +141,7 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
     let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
     let mut rounds = 0usize;
     let mut stale_rounds = 0usize;
-    // Do the engines' bases describe `incumbent.procs`?
+    // Does the engine's base describe `incumbent.procs`?
     let mut based = false;
     let wall = deadline.wall_clock();
     for _round in 0..params.max_rounds {
@@ -159,18 +155,10 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
             }
         }
         if !based && !moves.is_empty() {
-            let procs = &incumbent.procs;
-            pool.run_batch(
-                engines
-                    .iter_mut()
-                    .map(|engine| move || engine.rebase(dag, arch, procs, required_outputs))
-                    .collect(),
-            );
+            engine.rebase(dag, arch, &incumbent.procs, required_outputs);
             based = true;
         }
-        let outcome = evaluate_moves_on(
-            pool,
-            engines,
+        let winner = engine.evaluate_batch_on(
             dag,
             arch,
             &incumbent.procs,
@@ -180,7 +168,7 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
             wall,
         );
         rounds += 1;
-        let Some((cost, idx)) = outcome.winner else {
+        let Some((cost, idx)) = winner else {
             if moves.is_empty() {
                 // Every draw of this round was a no-op proposal; the round
                 // consumed its budget, but nothing was evaluated, so it says
@@ -201,7 +189,7 @@ pub(crate) fn hill_climb<D: DagLike + Sync + ?Sized>(
                 .push(assignment_delta(&before, &incumbent.procs));
             // The batch kept its winner's schedule.
             incumbent.cost = cost;
-            engines[0].swap_batch_winner(&mut incumbent.schedule);
+            engine.swap_batch_winner(&mut incumbent.schedule);
         } else {
             stale_rounds += 1;
             if params.stale_round_limit > 0 && stale_rounds >= params.stale_round_limit {
@@ -310,12 +298,8 @@ pub(crate) fn search_view(
         }
     }
 
-    // One engine means every batch runs inline on this thread — the pool
-    // handle is never exercised (shards already saturate the workers).
-    let mut engines = [engine];
     hill_climb(
-        WorkerPool::shared(),
-        &mut engines,
+        &mut engine,
         view,
         arch,
         params,
@@ -326,9 +310,9 @@ pub(crate) fn search_view(
     ViewSearch {
         base_cost,
         incumbent,
-        evaluations: engines[0].evaluations,
-        simulated_supersteps: engines[0].simulated_supersteps(),
-        skipped_supersteps: engines[0].skipped_supersteps(),
+        evaluations: engine.evaluations,
+        simulated_supersteps: engine.simulated_supersteps(),
+        skipped_supersteps: engine.skipped_supersteps(),
     }
 }
 
@@ -504,9 +488,8 @@ pub(crate) struct ShardedSearch<'a> {
     /// Passes that ran the partitioner, and passes the memo served instead.
     pub(crate) partitions_solved: usize,
     pub(crate) partition_hits: usize,
-    /// When the search started (its deadline is `start + config.time_limit`).
-    pub(crate) start: Instant,
-    /// The time limit combined with the caller's cancel token.
+    /// `config.time_limit` from the moment the search was set up, combined
+    /// with the caller's cancel token.
     pub(crate) deadline: Deadline,
     /// Whether there is anything to search: a movable node and a second
     /// processor to move it to.
@@ -532,8 +515,7 @@ impl<'a> ShardedSearch<'a> {
         procs: Vec<ProcId>,
         baseline: Option<&BspSchedulingResult>,
     ) -> Self {
-        let start = Instant::now();
-        let deadline = Deadline::at(start + config.time_limit).with_token_opt(cancel);
+        let deadline = Deadline::after(config.time_limit).with_token_opt(cancel);
         let k = if config.num_shards >= 1 {
             config.num_shards
         } else {
@@ -562,7 +544,6 @@ impl<'a> ShardedSearch<'a> {
             salvaged: 0,
             partitions_solved: 0,
             partition_hits: 0,
-            start,
             deadline,
             searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
             incumbent,
@@ -718,6 +699,7 @@ impl<'a> ShardedSearch<'a> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     fn key(iteration: usize) -> PartitionKey {
         PartitionKey {

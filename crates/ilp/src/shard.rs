@@ -182,8 +182,6 @@ pub struct ShardedSearchStats {
     /// schedule). Globally: the two seed incumbents plus one per merge fold
     /// and per replayed delta.
     pub evaluations: u64,
-    /// Wall-clock of the whole run.
-    pub elapsed: Duration,
     /// Cost of the returned schedule under the configured cost model.
     pub final_cost: f64,
     /// Per-shard compute mass of the first iteration's partition (what the
@@ -749,7 +747,6 @@ pub(crate) fn sharded_schedule(
         improved_shards: search.improved,
         accepted_shards: search.accepted,
         evaluations: search.evaluations(),
-        elapsed: search.start.elapsed(),
         final_cost: search.incumbent.cost,
         shard_compute_mass,
         cut_edges,

@@ -13,6 +13,7 @@ use mbsp_ilp::{IncrementalScheduler, RepairConfig, ShardedSearchConfig};
 use mbsp_model::{Architecture, MbspInstance, ProcId};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 fn soak_seed() -> u64 {
@@ -87,8 +88,9 @@ fn the_engine_survives_a_seeded_fault_schedule() {
     let mut rejected_deltas = 0usize;
     for (op, delta) in stream.iter().enumerate() {
         if plan.panics_at(op) {
-            // Poison the session's own worker pool; the error must be typed
-            // and the pool must keep serving the session afterwards.
+            // Poison the session's own worker pool; the panic must reach the
+            // submitter (where the schedulers' fan-out catches it) and the
+            // pool must keep serving the session afterwards.
             let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4usize)
                 .map(|i| {
                     Box::new(move || {
@@ -99,8 +101,12 @@ fn the_engine_survives_a_seeded_fault_schedule() {
                     }) as Box<dyn FnOnce() -> usize + Send>
                 })
                 .collect();
-            let err = pool.try_run_batch(tasks).expect_err("poisoned batch");
-            assert_eq!(err.job_index, 2);
+            let payload = catch_unwind(AssertUnwindSafe(|| pool.run_batch(tasks)))
+                .expect_err("poisoned batch");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("soak-injected panic at op 2")
+            );
             injected_panics += 1;
         }
         if plan.invalid_delta_at(op) {

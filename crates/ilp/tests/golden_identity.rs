@@ -82,29 +82,26 @@ const HOLISTIC: &[Row] = &[
 #[test]
 fn holistic_scheduler_matches_the_recorded_values() {
     let greedy = GreedyBspScheduler::new();
-    for workers in [1usize, 4] {
-        let holistic = HolisticScheduler::with_config(HolisticConfig {
-            max_rounds: 6,
-            moves_per_round: 24,
-            time_limit: Duration::from_secs(120),
-            workers,
-            ..Default::default()
-        });
-        let actual: Vec<Row> = instances()
-            .iter()
-            .map(|inst| {
-                let baseline = greedy.schedule(inst.dag(), inst.arch());
-                let (schedule, stats) =
-                    holistic.schedule_with_stats(inst, &baseline, &[], EvalPath::Incremental);
-                (
-                    stats.final_cost.to_bits(),
-                    stats.evaluations,
-                    schedule_hash(&schedule),
-                )
-            })
-            .collect();
-        assert_golden("HOLISTIC", &actual, HOLISTIC);
-    }
+    let holistic = HolisticScheduler::with_config(HolisticConfig {
+        max_rounds: 6,
+        moves_per_round: 24,
+        time_limit: Duration::from_secs(120),
+        ..Default::default()
+    });
+    let actual: Vec<Row> = instances()
+        .iter()
+        .map(|inst| {
+            let baseline = greedy.schedule(inst.dag(), inst.arch());
+            let (schedule, stats) =
+                holistic.schedule_with_stats(inst, &baseline, &[], EvalPath::Incremental);
+            (
+                stats.final_cost.to_bits(),
+                stats.evaluations,
+                schedule_hash(&schedule),
+            )
+        })
+        .collect();
+    assert_golden("HOLISTIC", &actual, HOLISTIC);
 }
 
 const DIVIDE_AND_CONQUER: &[Row] = &[
@@ -124,7 +121,6 @@ fn divide_and_conquer_scheduler_matches_the_recorded_values() {
             max_rounds: 4,
             moves_per_round: 20,
             time_limit: Duration::from_secs(120),
-            workers: 1,
             ..Default::default()
         },
         ..Default::default()

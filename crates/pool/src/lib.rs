@@ -1,39 +1,34 @@
-//! # mbsp-pool — the resident work-stealing worker pool
+//! # mbsp-pool — the resident worker pool
 //!
-//! Every parallel site of the workspace — the holistic engine's candidate
-//! batches, the sharded search, the dirty-cone repairer, divide-and-conquer and
-//! the bench sweeps — used to spawn fresh `std::thread::scope` threads per
-//! batch, paying thread startup and teardown on every candidate round. This
-//! crate replaces those sites with one **resident** pool in the Blumofe–Leiserson
-//! work-stealing mould (the model `mbsp_sched::CilkScheduler` simulates):
+//! The workspace has one parallel shape: independent, index-addressed jobs —
+//! the shards of the sharded search, the dirty shards of a repair, the parts
+//! of divide-and-conquer, the instances of a bench sweep — run side by side
+//! and their results are read in index order. This crate is the one **resident**
+//! pool those sites share, so none of them spawns threads per batch:
 //!
 //! * **Capped, lazily spawned workers.** No thread exists until the first batch
 //!   is submitted; workers are spawned up to the cap as demand appears. If the
 //!   OS refuses a thread (`EAGAIN`), the cap falls back to the number of
 //!   workers already running instead of panicking — batches still complete
 //!   because submitting threads help execute queued jobs while they wait.
-//! * **Per-worker injector deques with chase-lev-style stealing.** Each worker
-//!   slot owns a deque; batches are injected round-robin. The owner pops
-//!   newest-first from the back, thieves (other workers and waiting
-//!   submitters) steal oldest-first from the front. Batch tasks are coarse
-//!   (one engine chunk, one shard, one instance), so a mutex per deque stands
-//!   in for the lock-free chase-lev array without measurable contention.
+//! * **One shared FIFO.** Batches are appended to a single queue; workers and
+//!   waiting submitters take the oldest job. Batch tasks are coarse (one shard,
+//!   one part, one [`WorkerPool::run_indexed`] lane), and a lane pulls its
+//!   indices from one atomic counter, so load is balanced where the work is
+//!   dealt and the queue needs no per-worker structure.
 //! * **Scoped batches.** [`WorkerPool::run_batch`] submits a `Vec` of closures
 //!   that may borrow from the caller's stack (like `std::thread::scope`) and
 //!   blocks until every closure has run, returning the results **in submission
-//!   order**. Worker count and steal interleaving therefore never change what a
-//!   caller observes — the holistic engine's deterministic `(cost, index)`
-//!   winner tie-break survives unchanged, as does every index-ordered sweep.
+//!   order**. Worker count and scheduling interleaving therefore never change
+//!   what a caller observes — every index-ordered sweep is reproducible.
 //! * **Panic isolation.** A panicking job does not poison the pool: every job
 //!   runs under `catch_unwind`, the batch drains fully, and the first payload
-//!   is either re-thrown on the submitting thread ([`WorkerPool::run_batch`],
-//!   mirroring `std::thread::scope`) or surfaced as a typed [`PoolError`]
-//!   carrying the payload message ([`WorkerPool::try_run_batch`]) so callers
-//!   can degrade — the schedulers re-run a poisoned batch on the calling
-//!   thread instead of aborting. Workers that die anyway (stack overflow and
-//!   friends) are reaped and respawned on the next batch, and a worker that
-//!   observes shutdown drains the deques before exiting so no queued job is
-//!   ever stranded.
+//!   is re-thrown on the submitting thread (mirroring `std::thread::scope`),
+//!   where callers can catch it and degrade — the schedulers re-run a
+//!   poisoned batch on the calling thread instead of aborting. Workers that
+//!   die anyway (stack overflow and friends) are reaped and respawned on the
+//!   next batch, and a worker that observes shutdown drains the queue before
+//!   exiting so no queued job is ever stranded.
 //!
 //! The pool is also where the workspace's **cancellation vocabulary** lives:
 //! [`CancelToken`] (a cloneable atomic flag), [`Deadline`] (optional wall-clock
@@ -45,13 +40,12 @@
 //! [`resolve_workers`] is the single implementation of the `MBSP_BENCH_THREADS`
 //! environment-variable parse (an explicit positive count wins, then the
 //! environment variable, then the machine's available parallelism — always at
-//! least 1) that the five parallel sites previously each re-implemented.
+//! least 1).
 //!
 //! [`WorkerPool::shared`] hands out the process-wide pool that the schedulers
-//! thread through `EvaluationEngine` batches, `ShardedHolisticScheduler`,
-//! `IncrementalScheduler` and `DivideAndConquerScheduler`; isolated pools can
-//! still be built with [`WorkerPool::with_capacity`] (tests use this to
-//! exercise specific sizes).
+//! thread through `ShardedHolisticScheduler`, `IncrementalScheduler` and
+//! `DivideAndConquerScheduler`; isolated pools can still be built with
+//! [`WorkerPool::with_capacity`] (tests use this to exercise specific sizes).
 //!
 //! For long-lived serving (the `mbsp_serve` daemon), [`AdmissionQueue`]
 //! provides the batch-admission layer in front of the pool: concurrent client
@@ -193,46 +187,13 @@ impl Deadline {
     }
 }
 
-/// A batch failed because one of its jobs panicked.
-///
-/// The batch still drained — every other job ran to completion and the pool's
-/// workers survive — so the caller can degrade (e.g. re-run the work inline)
-/// instead of aborting. Carries the panic payload's message and the index of
-/// the first job that failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolError {
-    /// Submission index of the first panicking job.
-    pub job_index: usize,
-    /// The panic payload rendered as text (`&str`/`String` payloads verbatim).
-    pub message: String,
-}
-
-impl PoolError {
-    fn from_payload(job_index: usize, payload: &(dyn std::any::Any + Send)) -> Self {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        PoolError { job_index, message }
-    }
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch job {} panicked: {}", self.job_index, self.message)
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 /// Resolves the number of evaluation workers: an explicit positive `configured`
 /// wins; otherwise the `MBSP_BENCH_THREADS` environment variable; otherwise the
 /// machine's available parallelism. Always at least 1.
 ///
 /// This is the one worker-count contract of the workspace — every parallel
-/// site (engine batches, sharded search, dirty-cone repair, divide-and-conquer,
-/// bench sweeps) resolves its worker count through this function, so
+/// site (sharded search, dirty-cone repair, divide-and-conquer, bench sweeps)
+/// resolves its worker count through this function, so
 /// `MBSP_BENCH_THREADS=1` forces serial runs everywhere at once.
 pub fn resolve_workers(configured: usize) -> usize {
     if configured >= 1 {
@@ -256,17 +217,17 @@ type Job = Box<dyn FnOnce() + Send>;
 
 /// State shared between the pool handle, its workers and waiting submitters.
 struct Shared {
-    /// Per-worker-slot injector deques (owner pops back, thieves pop front).
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Spawn bookkeeping and the park/wake channel of idle workers.
+    /// The job queue, spawn bookkeeping and shutdown flag, under one lock: a
+    /// worker that finds the queue empty parks on `wake` without letting go of
+    /// the lock in between, so an injection is never slept through.
     control: Mutex<Control>,
     /// Wakes parked workers on injection and on shutdown.
     wake: Condvar,
-    /// Round-robin injection cursor.
-    cursor: AtomicUsize,
 }
 
 struct Control {
+    /// Queued jobs of every in-flight batch, oldest first.
+    queue: VecDeque<Job>,
     /// Workers spawned so far (they stay resident until shutdown).
     spawned: usize,
     /// Maximum workers this pool may spawn; shrinks on `EAGAIN`.
@@ -276,73 +237,29 @@ struct Control {
     shutdown: bool,
 }
 
-impl Shared {
-    /// Pops a job for worker `me`: own deque newest-first, then steal
-    /// oldest-first from the other deques.
-    fn pop_for(&self, me: usize) -> Option<Job> {
-        if let Some(job) = self.queues[me].lock().unwrap().pop_back() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        for d in 1..n {
-            if let Some(job) = self.queues[(me + d) % n].lock().unwrap().pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Steals the oldest job of any deque (used by threads that are not pool
-    /// workers: submitters helping while they wait for their batch).
-    fn steal_any(&self) -> Option<Job> {
-        for queue in &self.queues {
-            if let Some(job) = queue.lock().unwrap().pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn has_jobs(&self) -> bool {
-        self.queues.iter().any(|q| !q.lock().unwrap().is_empty())
-    }
-}
-
 /// Runs one queued job with panic isolation. Batch jobs already wrap the
 /// caller's closure in `catch_unwind` and report panics through their batch
 /// state; this outer guard is defence in depth so that a panic escaping the
-/// glue (e.g. out of a payload's `Drop`) cannot unwind a resident worker and
-/// strand its deque.
+/// glue (e.g. out of a payload's `Drop`) cannot unwind a resident worker.
 fn run_isolated(job: Job) {
     let _ = catch_unwind(AssertUnwindSafe(job));
 }
 
-/// Resident worker loop: run jobs while any are queued, park otherwise. On
-/// shutdown the worker drains every job it can still reach before exiting, so
-/// a submitter blocked on a batch is never stranded by a racing drop.
-fn worker_loop(shared: Arc<Shared>, me: usize) {
+/// Resident worker loop: run jobs while any are queued, park otherwise. A
+/// worker exits only once shutdown is set *and* the queue is empty, so a
+/// submitter blocked on a batch is never stranded by a racing drop.
+fn worker_loop(shared: Arc<Shared>) {
+    let mut control = shared.control.lock().unwrap();
     loop {
-        if let Some(job) = shared.pop_for(me) {
+        if let Some(job) = control.queue.pop_front() {
+            drop(control);
             run_isolated(job);
-            continue;
-        }
-        let mut control = shared.control.lock().unwrap();
-        if control.shutdown {
+            control = shared.control.lock().unwrap();
+        } else if control.shutdown {
             break;
+        } else {
+            control = shared.wake.wait(control).unwrap();
         }
-        // Re-check under the control lock: an injection between the failed pop
-        // and the lock acquisition must not be slept through (injectors notify
-        // only after their push is visible).
-        if shared.has_jobs() {
-            continue;
-        }
-        control = shared.wake.wait(control).unwrap();
-        if control.shutdown {
-            break;
-        }
-    }
-    while let Some(job) = shared.pop_for(me) {
-        run_isolated(job);
     }
 }
 
@@ -354,9 +271,9 @@ struct BatchState {
 
 struct BatchProgress {
     pending: usize,
-    /// Submission index and payload of the batch's first panic (later ones are
-    /// dropped, like `std::thread::scope` joining multiple panicked threads).
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+    /// Payload of the batch's first panic (later ones are dropped, like
+    /// `std::thread::scope` joining multiple panicked threads).
+    panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 /// Owns the worker handles; dropping the last pool handle shuts the workers
@@ -379,7 +296,7 @@ impl Drop for PoolCore {
     }
 }
 
-/// A cloneable handle to a resident work-stealing pool. All clones share the
+/// A cloneable handle to a resident worker pool. All clones share the
 /// same workers; the workers shut down when the last handle is dropped (the
 /// [`WorkerPool::shared`] pool lives for the whole process).
 #[derive(Clone)]
@@ -430,15 +347,14 @@ impl WorkerPool {
         WorkerPool {
             core: Arc::new(PoolCore {
                 shared: Arc::new(Shared {
-                    queues: (0..cap).map(|_| Mutex::new(VecDeque::new())).collect(),
                     control: Mutex::new(Control {
+                        queue: VecDeque::new(),
                         spawned: 0,
                         cap,
                         eagain_fallback: false,
                         shutdown: false,
                     }),
                     wake: Condvar::new(),
-                    cursor: AtomicUsize::new(0),
                 }),
                 handles: Mutex::new(Vec::new()),
             }),
@@ -467,35 +383,31 @@ impl WorkerPool {
     /// Spawns workers lazily up to `min(want, cap)`; on a spawn failure
     /// (`EAGAIN`-class resource exhaustion) freezes the cap at the current
     /// worker count — the pool keeps functioning because submitters help.
-    fn ensure_workers(&self, want: usize) {
-        let mut control = self.core.shared.control.lock().unwrap();
+    fn ensure_workers(&self, control: &mut Control, want: usize) {
         // Reap workers that died (defensive `catch_unwind` makes this nearly
         // unreachable, but a stack overflow or a poisoned internal lock can
         // still kill a thread) so the spawn loop below replaces them instead
         // of counting corpses against the cap.
-        {
-            let mut handles = self.core.handles.lock().unwrap();
-            let mut i = 0;
-            while i < handles.len() {
-                if handles[i].is_finished() {
-                    let _ = handles.swap_remove(i).join();
-                    control.spawned -= 1;
-                } else {
-                    i += 1;
-                }
+        let mut handles = self.core.handles.lock().unwrap();
+        let mut i = 0;
+        while i < handles.len() {
+            if handles[i].is_finished() {
+                let _ = handles.swap_remove(i).join();
+                control.spawned -= 1;
+            } else {
+                i += 1;
             }
         }
         let target = want.min(control.cap);
         while control.spawned < target {
             let shared = Arc::clone(&self.core.shared);
-            let me = control.spawned;
             match std::thread::Builder::new()
-                .name(format!("mbsp-pool-{me}"))
-                .spawn(move || worker_loop(shared, me))
+                .name(format!("mbsp-pool-{}", control.spawned))
+                .spawn(move || worker_loop(shared))
             {
                 Ok(handle) => {
                     control.spawned += 1;
-                    self.core.handles.lock().unwrap().push(handle);
+                    handles.push(handle);
                 }
                 Err(_) => {
                     control.cap = control.spawned;
@@ -521,74 +433,11 @@ impl WorkerPool {
         F: FnOnce() -> T + Send + 'env,
     {
         let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
+        if n <= 1 {
+            // An empty or one-task batch is the serial case: run inline, no
+            // queue round trip, panics propagate natively.
+            return tasks.into_iter().map(|task| task()).collect();
         }
-        if n == 1 {
-            // A one-task batch is the serial case: run inline, no queue round
-            // trip, panics propagate natively.
-            let task = tasks.into_iter().next().unwrap();
-            return vec![task()];
-        }
-        let (results, panic) = self.execute(tasks);
-        if let Some((_, payload)) = panic {
-            resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every batch job fills its slot"))
-            .collect()
-    }
-
-    /// Like [`WorkerPool::run_batch`], but a panicking job surfaces as a typed
-    /// [`PoolError`] instead of re-throwing the panic.
-    ///
-    /// The failure mode is identical — the batch drains fully, the workers
-    /// survive — only the report differs: the error names the first panicking
-    /// job and carries its payload message, so callers can degrade gracefully
-    /// (the schedulers re-run a poisoned batch on the calling thread).
-    pub fn try_run_batch<'env, T, F>(&self, tasks: Vec<F>) -> Result<Vec<T>, PoolError>
-    where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        if n == 1 {
-            let task = tasks.into_iter().next().unwrap();
-            return match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(v) => Ok(vec![v]),
-                Err(payload) => Err(PoolError::from_payload(0, payload.as_ref())),
-            };
-        }
-        let (results, panic) = self.execute(tasks);
-        match panic {
-            Some((index, payload)) => Err(PoolError::from_payload(index, payload.as_ref())),
-            None => Ok(results
-                .into_iter()
-                .map(|slot| slot.expect("every batch job fills its slot"))
-                .collect()),
-        }
-    }
-
-    /// Shared core of [`WorkerPool::run_batch`]/[`WorkerPool::try_run_batch`]:
-    /// runs a multi-job batch to full completion and returns the result slots
-    /// plus the first panic, if any. `tasks` must hold at least two jobs.
-    #[allow(clippy::type_complexity)]
-    fn execute<'env, T, F>(
-        &self,
-        tasks: Vec<F>,
-    ) -> (
-        Vec<Option<T>>,
-        Option<(usize, Box<dyn std::any::Any + Send>)>,
-    )
-    where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
-    {
-        let n = tasks.len();
         let mut results: Vec<Option<T>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
         let state = Arc::new(BatchState {
@@ -614,7 +463,7 @@ impl WorkerPool {
                     // submitter reads the slots only after `pending` hits 0.
                     Ok(value) => unsafe { slot.write(value) },
                     Err(payload) => {
-                        progress.panic.get_or_insert((i, payload));
+                        progress.panic.get_or_insert(payload);
                     }
                 }
                 progress.pending -= 1;
@@ -625,8 +474,8 @@ impl WorkerPool {
             // SAFETY: lifetime erasure of the scope borrow. `run_batch` blocks
             // until `pending == 0`, i.e. until every job has run to completion,
             // so the `'env` borrows inside the job are live whenever it
-            // executes. Jobs are never dropped unexecuted: the queues only
-            // drain by running, and shutdown joins after every batch returned.
+            // executes. Jobs are never dropped unexecuted: the queue only
+            // drains by running, and shutdown joins after every batch returned.
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
                     job,
@@ -636,8 +485,13 @@ impl WorkerPool {
         }
         self.inject(jobs);
         self.help_until_done(&state);
-        let panic = state.progress.lock().unwrap().panic.take();
-        (results, panic)
+        if let Some(payload) = state.progress.lock().unwrap().panic.take() {
+            resume_unwind(payload);
+        }
+        results
+            .into_iter()
+            .map(|slot| slot.expect("every batch job fills its slot"))
+            .collect()
     }
 
     /// Maps `f` over `0..count` with dynamic index stealing across at most
@@ -688,16 +542,16 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Queues a batch's jobs round-robin across the injector deques and makes
-    /// sure enough workers are awake (spawning lazily on first use).
+    /// Appends a batch's jobs to the queue and makes sure enough workers are
+    /// awake (spawning lazily on first use).
     fn inject(&self, jobs: Vec<Job>) {
         let shared = &self.core.shared;
         let want = jobs.len();
-        for job in jobs {
-            let q = shared.cursor.fetch_add(1, Ordering::Relaxed) % shared.queues.len();
-            shared.queues[q].lock().unwrap().push_back(job);
+        {
+            let mut control = shared.control.lock().unwrap();
+            control.queue.extend(jobs);
+            self.ensure_workers(&mut control, want);
         }
-        self.ensure_workers(want);
         shared.wake.notify_all();
     }
 
@@ -710,13 +564,14 @@ impl WorkerPool {
             if state.progress.lock().unwrap().pending == 0 {
                 return;
             }
-            if let Some(job) = shared.steal_any() {
+            let job = shared.control.lock().unwrap().queue.pop_front();
+            if let Some(job) = job {
                 job();
                 continue;
             }
             // Every remaining job of the batch is running on some thread; its
             // completion notifies `done`. The timeout is a backstop that also
-            // re-polls the deques (another batch may have queued helpable work).
+            // re-polls the queue (another batch may have queued helpable work).
             let progress = state.progress.lock().unwrap();
             if progress.pending == 0 {
                 return;
@@ -932,34 +787,6 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 5);
         // The pool survives and accepts the next batch.
         assert_eq!(pool.run_batch(vec![|| 1, || 2]), vec![1, 2]);
-    }
-
-    #[test]
-    fn try_run_batch_surfaces_a_typed_error_and_drains() {
-        let pool = WorkerPool::with_capacity(2);
-        let ran = AtomicUsize::new(0);
-        let ran_ref = &ran;
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("boom at {i}");
-                    }
-                    ran_ref.fetch_add(1, Ordering::Relaxed);
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = pool.try_run_batch(tasks).expect_err("job 2 panics");
-        assert_eq!(err.job_index, 2);
-        assert_eq!(err.message, "boom at 2");
-        assert_eq!(ran.load(Ordering::Relaxed), 5, "the rest of the batch ran");
-        // The pool survives and the Ok path still works.
-        assert_eq!(pool.try_run_batch(vec![|| 7, || 8]), Ok(vec![7, 8]));
-        // The single-job inline path is isolated too.
-        let single: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(|| panic!("solo"))];
-        let err = pool.try_run_batch(single).expect_err("solo panics");
-        assert_eq!((err.job_index, err.message.as_str()), (0, "solo"));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! this binary under `MBSP_BENCH_THREADS=2` and `=8`) and explicit capacities.
 //!
 //! The contract under test: a panicking job never aborts the process or kills
-//! the pool; the batch drains; the failure surfaces either as a re-thrown
-//! panic (`run_batch`) or a typed `PoolError` (`try_run_batch`); and the very
-//! next batch on the same pool completes normally.
+//! the pool; the batch drains; the failure surfaces as a re-thrown panic the
+//! submitter can catch (what the schedulers' `fan_out` relies on); and the
+//! very next batch on the same pool completes normally.
 
-use mbsp_pool::{PoolError, WorkerPool};
+use mbsp_pool::WorkerPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -26,9 +26,12 @@ fn poison_then_recover(pool: &WorkerPool, jobs: usize, poisoned: usize) {
             }) as Box<dyn FnOnce() -> usize + Send>
         })
         .collect();
-    let err: PoolError = pool.try_run_batch(tasks).expect_err("poisoned batch fails");
-    assert_eq!(err.job_index, poisoned);
-    assert_eq!(err.message, format!("injected panic at job {poisoned}"));
+    let payload =
+        catch_unwind(AssertUnwindSafe(|| pool.run_batch(tasks))).expect_err("poisoned batch fails");
+    assert_eq!(
+        payload.downcast_ref::<String>(),
+        Some(&format!("injected panic at job {poisoned}"))
+    );
     assert_eq!(
         ran.load(Ordering::Relaxed),
         jobs - 1,
@@ -89,7 +92,7 @@ fn repeated_poisoning_does_not_leak_or_wedge() {
                 }) as Box<dyn FnOnce() -> usize + Send>
             })
             .collect();
-        assert!(pool.try_run_batch(tasks).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| pool.run_batch(tasks))).is_err());
     }
     assert_eq!(pool.run_batch(vec![|| 10, || 20]), vec![10, 20]);
 }

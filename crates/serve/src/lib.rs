@@ -27,7 +27,8 @@
 //! * **Durability.** Sessions checkpoint to the state directory (via the
 //!   [`mbsp_io`] session codec) on registration, after every mutation and on
 //!   graceful shutdown; the instance registry is an
-//!   [`mbsp_io::ServiceRegistry`] blob. A restarted daemon restores every
+//!   [`mbsp_io::ServiceRegistry`] blob. A write the state directory refuses is
+//!   answered with a typed `storage_failed` reject, never acknowledged. A restarted daemon restores every
 //!   session and continues byte-identically — the serving inheritance of the
 //!   engine's checkpoint contract.
 //!

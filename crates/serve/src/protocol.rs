@@ -9,7 +9,7 @@
 //! missing-field / wrong-type case maps to a typed [`Reject`] carrying one of
 //! the protocol's stable error codes.
 
-use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_TABLE_CELLS};
+use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_SHARDS, MAX_TABLE_CELLS};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -38,6 +38,10 @@ pub const E_UNKNOWN_JOB: &str = "unknown_job";
 pub const E_SHUTTING_DOWN: &str = "shutting_down";
 /// Error code: a request line exceeded [`crate::server::MAX_LINE_BYTES`].
 pub const E_TOO_LARGE: &str = "too_large";
+/// Error code: the state directory did not take a checkpoint write. What the
+/// request did to the in-memory session stands (a `register` registers
+/// nothing); only its durability failed.
+pub const E_STORAGE_FAILED: &str = "storage_failed";
 
 /// A rejected request: a stable machine-readable code plus a human message.
 #[derive(Debug, Clone)]
@@ -575,9 +579,16 @@ fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {
         }
         None => map,
     };
+    let num_shards = field_usize(map, "num_shards")?;
+    if num_shards.is_some_and(|k| k > MAX_SHARDS) {
+        return Err(Reject::new(
+            E_BAD_REQUEST,
+            format!("`num_shards` must be at most {MAX_SHARDS}"),
+        ));
+    }
     Ok(SearchOverrides {
         seed: field_u64(map, "seed")?,
-        num_shards: field_usize(map, "num_shards")?,
+        num_shards,
         workers: field_usize(map, "workers")?,
         max_rounds: field_usize(map, "max_rounds")?,
         moves_per_round: field_usize(map, "moves_per_round")?,
@@ -823,6 +834,32 @@ mod tests {
             );
             let (_, rej) = parse_request(&line).unwrap_err();
             assert_eq!(rej.code, E_BAD_REQUEST, "{bound}");
+        }
+    }
+
+    #[test]
+    fn num_shards_past_the_cap_is_rejected_on_every_searching_request() {
+        let over = MAX_SHARDS + 1;
+        for request in [
+            r#""op":"register","instance":"x","processors":2,"family":{"kind":"cg","n":4,"k":2}"#,
+            r#""op":"schedule","instance":"x""#,
+            r#""op":"repair","instance":"x""#,
+        ] {
+            for budget in [
+                format!(r#""num_shards":{over}"#),
+                format!(r#""budget":{{"num_shards":{over}}}"#),
+            ] {
+                let (id, rej) = parse_request(&format!(r#"{{"id":9,{request},{budget}}}"#))
+                    .expect_err("a shard count past the cap");
+                assert_eq!(
+                    (id, rej.code),
+                    (Some(9), E_BAD_REQUEST),
+                    "{request} {budget}"
+                );
+                assert!(rej.message.contains("num_shards"), "{}", rej.message);
+            }
+            let at_cap = format!(r#"{{"id":9,{request},"num_shards":{MAX_SHARDS}}}"#);
+            assert!(parse_request(&at_cap).is_ok(), "the cap itself is admitted");
         }
     }
 }

@@ -64,6 +64,13 @@ pub const MAX_PROCESSORS: usize = 1024;
 /// forty times the largest product `benchmark/` sends (4 × 100,000).
 pub const MAX_TABLE_CELLS: usize = 1 << 24;
 
+/// Most shards a request may ask for (`num_shards`, flat or under `budget`).
+/// The weighted partitioner solves `num_shards − 1` bipartition ILPs that
+/// observe neither the job's cancel token nor its `time_limit_ms`, so an
+/// unchecked count is hours of uncancellable work on the session worker.
+/// Sixty-four times the 4 shards `benchmark/` sends.
+pub const MAX_SHARDS: usize = 256;
+
 /// Most nodes a `register` `family` spec may generate: ten times the largest
 /// instance of `mbsp_gen::large_dataset` (100,000 nodes). Uploaded DAGs are
 /// bounded by [`MAX_LINE_BYTES`] instead.
@@ -202,7 +209,10 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    fn write_registry_locked(&self, entries: &BTreeMap<String, (String, u64)>) {
+    fn write_registry_locked(
+        &self,
+        entries: &BTreeMap<String, (String, u64)>,
+    ) -> std::io::Result<()> {
         let registry = ServiceRegistry {
             entries: entries
                 .iter()
@@ -213,16 +223,24 @@ impl ServerInner {
                 })
                 .collect(),
         };
-        write_atomic(&self.state_dir.join(REGISTRY_FILE), &registry.encode());
+        write_atomic(&self.state_dir.join(REGISTRY_FILE), &registry.encode())
     }
 
     /// Persists one instance: session blob first, then the registry naming it.
-    fn checkpoint_instance(&self, state: &InstanceState) {
+    fn checkpoint_instance(&self, state: &InstanceState) -> std::io::Result<()> {
         let file = format!("{}.session.mbio", state.name);
-        write_atomic(&self.state_dir.join(&file), &state.session.checkpoint());
+        write_atomic(&self.state_dir.join(&file), &state.session.checkpoint())?;
         let mut registry = self.registry.lock().unwrap();
-        registry.insert(state.name.clone(), (file, state.generation));
-        self.write_registry_locked(&registry);
+        let previous = registry.insert(state.name.clone(), (file, state.generation));
+        let written = self.write_registry_locked(&registry);
+        if written.is_err() {
+            // The map keeps saying what the registry file on disk says.
+            match previous {
+                Some(entry) => registry.insert(state.name.clone(), entry),
+                None => registry.remove(&state.name),
+            };
+        }
+        written
     }
 
     fn begin_shutdown(&self) {
@@ -240,11 +258,18 @@ impl ServerInner {
 }
 
 /// Writes `bytes` to `path` atomically (temp file + rename).
-fn write_atomic(path: &Path, bytes: &[u8]) {
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    if std::fs::write(&tmp, bytes).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The reject of a request whose checkpoint the state directory refused.
+fn storage_failed(error: &std::io::Error) -> Reject {
+    Reject::new(
+        protocol::E_STORAGE_FAILED,
+        format!("the state dir did not take the write: {error}"),
+    )
 }
 
 /// The daemon handle: binds, restores persisted sessions, serves until
@@ -591,7 +616,11 @@ fn handle_register(
         state.session.dag().num_nodes(),
         state.session.dag().num_edges(),
     );
-    inner.checkpoint_instance(&state);
+    if let Err(e) = inner.checkpoint_instance(&state) {
+        // Nothing durable, so nothing registered: the name is free again.
+        out.send_reject(id, None, &storage_failed(&e));
+        return;
+    }
     spawn_instance(inner, state);
     out.send(
         JsonWriter::new()
@@ -700,7 +729,12 @@ fn instance_worker(
         inner.jobs.lock().unwrap().remove(&job_id);
     }
     // Queue closed: graceful shutdown. Persist the final session state.
-    inner.checkpoint_instance(&state);
+    if let Err(e) = inner.checkpoint_instance(&state) {
+        eprintln!(
+            "mbsp_serve: final checkpoint of {:?} failed: {e}",
+            state.name
+        );
+    }
 }
 
 fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {
@@ -799,7 +833,12 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
     // The repair moved the incumbent: persist it so a restart resumes from
     // the repaired state, not the pre-repair checkpoint.
     state.generation += 1;
-    inner.checkpoint_instance(state);
+    if let Err(e) = inner.checkpoint_instance(state) {
+        // The session keeps the repaired incumbent and keeps serving.
+        job.out
+            .send_reject(job.id, Some(job.job_id), &storage_failed(&e));
+        return;
+    }
 
     let mut frame = JsonWriter::new()
         .id(job.id)
@@ -819,27 +858,32 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
 }
 
 fn run_mutate(state: &mut InstanceState, job: &Job, req: &MutateRequest, inner: &ServerInner) {
+    // The applied prefix of a batch stays applied (and is checkpointed); the
+    // client learns exactly how far the batch got.
     let mut applied = 0u64;
+    let mut reject = None;
     for (i, delta) in req.deltas.iter().enumerate() {
         if let Err(e) = state.session.apply(delta) {
-            // The applied prefix stays applied (and is checkpointed below);
-            // the client learns exactly how far the batch got.
-            state.generation += 1;
-            inner.checkpoint_instance(state);
-            job.out.send_reject(
-                job.id,
-                Some(job.job_id),
-                &Reject::new(
-                    protocol::E_BAD_DELTA,
-                    format!("delta {i} rejected after {applied} applied: {e}"),
-                ),
-            );
-            return;
+            let message = format!("delta {i} rejected after {applied} applied: {e}");
+            reject = Some(Reject::new(protocol::E_BAD_DELTA, message));
+            break;
         }
         applied += 1;
     }
     state.generation += 1;
-    inner.checkpoint_instance(state);
+    if let Err(e) = inner.checkpoint_instance(state) {
+        // The session keeps what was applied and keeps serving. A batch that
+        // was cut short stays a `bad_delta`; its message carries both causes.
+        let unsaved = storage_failed(&e);
+        reject = Some(match reject {
+            Some(cut) => Reject::new(cut.code, format!("{}; {}", cut.message, unsaved.message)),
+            None => unsaved,
+        });
+    }
+    if let Some(reject) = reject {
+        job.out.send_reject(job.id, Some(job.job_id), &reject);
+        return;
+    }
     job.out.send(
         JsonWriter::new()
             .id(job.id)

@@ -102,6 +102,15 @@ fn assert_ok(frame: &Value) {
     );
 }
 
+/// The `error.code` of a reject frame.
+fn error_code(frame: &Value) -> Option<String> {
+    get(frame, "error")
+        .and_then(|e| e.as_map())
+        .and_then(|m| map_get(m, "code"))
+        .and_then(|v| v.as_str())
+        .map(str::to_string)
+}
+
 fn temp_state_dir(label: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mbsp_serve_{label}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -327,13 +336,7 @@ fn hostile_lines_are_rejected_with_typed_frames() {
     c.send(&"[".repeat(100_000));
     let frame = c.recv();
     assert_eq!(get(&frame, "ok"), Some(&Value::Bool(false)));
-    let code = |frame: &Value| {
-        get(frame, "error")
-            .and_then(|e| e.as_map())
-            .and_then(|m| map_get(m, "code"))
-            .and_then(|v| v.as_str())
-            .map(str::to_string)
-    };
+    let code = error_code;
     assert_eq!(code(&frame).as_deref(), Some("bad_request"));
     c.send(r#"{"id":2,"op":"status"}"#);
     assert_ok(&c.recv());
@@ -493,6 +496,50 @@ fn concurrent_registers_of_one_name_admit_exactly_one() {
     let (_, status) = c.recv_until(|f| is_event(f, "status"));
     assert_ok(&status);
     assert_eq!(get_u64(&status, "nodes"), Some(dag.num_nodes() as u64));
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_refused_checkpoint_is_a_typed_reject_and_the_session_keeps_serving() {
+    let state_dir = temp_state_dir("squat");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(r#"{"id":1,"op":"register","instance":"s","family":{"kind":"cg","n":4,"k":1},"processors":2}"#);
+    let registered = c.recv();
+    assert!(is_event(&registered, "registered"), "got {registered:?}");
+    let nodes = get_u64(&registered, "nodes").unwrap();
+
+    // A directory squatting on the checkpoint's path makes the rename fail
+    // (also for root, which a read-only state dir would not stop).
+    let checkpoint = state_dir.join("s.session.mbio");
+    std::fs::remove_file(&checkpoint).expect("register wrote the checkpoint");
+    std::fs::create_dir(&checkpoint).unwrap();
+    let mutate =
+        r#""op":"mutate","instance":"s","deltas":[{"add_node":{"compute":1.0,"memory":1.0}}]"#;
+    c.send(&format!(r#"{{"id":2,{mutate}}}"#));
+    let (_, frame) =
+        c.recv_until(|f| is_event(f, "done") || get(f, "ok") == Some(&Value::Bool(false)));
+    assert_eq!(
+        error_code(&frame).as_deref(),
+        Some("storage_failed"),
+        "got {frame:?}"
+    );
+
+    // The session applied the delta in memory and still answers.
+    c.send(r#"{"id":3,"op":"status","instance":"s"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_eq!(get_u64(&status, "nodes"), Some(nodes + 1));
+
+    // With the path free again the next mutate is persisted and acknowledged.
+    std::fs::remove_dir(&checkpoint).unwrap();
+    c.send(&format!(r#"{{"id":4,{mutate}}}"#));
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    assert_eq!(get_u64(&done, "nodes"), Some(nodes + 2));
+    assert!(checkpoint.is_file());
+
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);
