@@ -93,16 +93,25 @@ bench-e2e-smoke:
 # independently — the `pub` fields of every `pub struct *Config` / `*Limits` /
 # `BspIlpScheduler` under crates/*/src outside crates/bench, the distinct
 # `MBSP_*` names passed to `env::var` anywhere under crates/, the arms of
-# `EvalPath`, and the `--` flags `bench_record` matches on. Compare two
+# `EvalPath`, and the `--` flags `bench_record` matches on. "No clock in the
+# library" likewise: `clocks` counts the production lines (same cut at the
+# first #[cfg(test)], comments skipped) under crates/*/src outside crates/bench
+# that read the wall clock (`Instant::now` or `.elapsed()`), and the target
+# fails when one of them is outside crates/pool/src (the stop signal) and
+# crates/serve/src (the daemon): every other budget is a count. Compare two
 # commits by running it in both checkouts.
 loc:
 	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
 	  FNR == 1 { stop = 0; split(FILENAME, path, "/"); crate = path[2] } \
 	  /^#\[cfg\(test\)\]/ { stop = 1 } \
 	  !stop { s = $$0; sub(/^[ \t]+/, "", s); \
-	          if (s != "" && substr(s, 1, 2) != "//") { lines[crate]++; total++ } } \
+	          if (s != "" && substr(s, 1, 2) != "//") { lines[crate]++; total++; \
+	            if (crate != "bench" && s ~ /Instant::now|\.elapsed\(\)/) { clocks++; \
+	              if (crate != "pool" && crate != "serve") { stray++; print FILENAME ": " s } } } } \
 	  END { for (c in lines) printf "%-8s %6d\n", c, lines[c] | "sort"; close("sort"); \
-	        printf "%-8s %6d\n", "total", total }'
+	        printf "%-8s %6d\n", "total", total; \
+	        printf "%-8s %6d  (%d outside crates/pool/src and crates/serve/src)\n", "clocks", clocks, stray; \
+	        exit stray > 0 }'
 	@fields=$$(find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | xargs awk ' \
 	  /^pub struct ([A-Za-z]*(Config|Limits)|BspIlpScheduler) / { inside = 1; next } \
 	  /^}/ { inside = 0 } \

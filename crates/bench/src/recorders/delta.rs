@@ -43,7 +43,7 @@ use mbsp_ilp::{
 use mbsp_model::{CostModel, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// More shards than the `shard` recorder's 4: the dirty set is bound by the
 /// mutation window (2-3 shards regardless of the count), so a finer partition
@@ -105,7 +105,6 @@ fn search_config(workers: usize) -> ShardedSearchConfig {
         workers,
         max_rounds: SHARD_ROUNDS,
         moves_per_round: 1,
-        time_limit: Duration::from_secs(3600),
         stale_round_limit: 0,
         ..Default::default()
     }

@@ -17,7 +17,7 @@ use mbsp_ilp::{EvalPath, HolisticConfig, HolisticScheduler};
 use mbsp_model::CostModel;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The `improver` recorder.
 #[derive(Default)]
@@ -58,14 +58,12 @@ impl Recorder for Improver {
     const TIMINGS: &'static [&'static str] = &["reference_evals_per_sec", "engine_evals_per_sec"];
 
     fn instances(&self, quick: bool) -> Vec<Case> {
-        // The search budget is fixed in moves, not wall-clock: the time limit
-        // is far above what either path needs, so both trajectories run the
+        // The search budget is fixed in moves, so both trajectories run the
         // identical candidate sequence to completion.
         let config = HolisticConfig {
             cost_model: CostModel::Synchronous,
             max_rounds: if quick { 4 } else { 10 },
             moves_per_round: if quick { 30 } else { 90 },
-            time_limit: Duration::from_secs(600),
             seed: 0x5EED,
         };
         // The tiny dataset plus, in full mode, a slice of the small dataset:

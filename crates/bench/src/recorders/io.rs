@@ -25,7 +25,7 @@ use mbsp_gen::{mutation_stream, Corruption, MutationStreamConfig, NamedInstance}
 use mbsp_ilp::{IncrementalScheduler, RepairConfig, ShardedSearchConfig};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Wall-clock is the minimum over this many runs: checkpointing is pure CPU
 /// (no I/O, no search), so the minimum is the least-noisy estimator.
@@ -89,7 +89,6 @@ impl Recorder for Io {
                     workers: 4,
                     max_rounds: 20,
                     moves_per_round: 4,
-                    time_limit: Duration::from_secs(3600),
                     ..Default::default()
                 },
                 cone_radius: 1,

@@ -23,9 +23,9 @@
 //! measured for `table1` and four of the Table 4 settings.
 //!
 //! Every number is a function of (experiment, seed) only. The budgets are
-//! counts — `max_rounds`, `moves_per_round`, the bipartition's `max_nodes` —
-//! and the one clock limit passed alongside them (`NO_CLOCK`) cannot bind,
-//! so two runs write the same bytes and there are no timings to gate. A quick
+//! counts — `max_rounds`, `moves_per_round`, the bipartition's `max_nodes`
+//! and `max_pivots` — and no scheduler or solver here is handed a clock, so
+//! two runs write the same bytes and there are no timings to gate. A quick
 //! run differs from a full one in `table2` alone (four instances, ten
 //! branch-and-bound nodes per bipartition): everything else takes seconds.
 
@@ -47,16 +47,11 @@ use mbsp_sched::{
     BspScheduler, BspSchedulingResult, CilkScheduler, DfsScheduler, GreedyBspScheduler,
 };
 use serde::{Serialize, Value};
-use std::time::Duration;
 use ComputePhaseStep::{Compute, Delete};
 use CostModel::{Asynchronous, Synchronous};
 
 /// Seed of the datasets and of every search.
 const SEED: u64 = 42;
-/// The clock limit every scheduler and solver is handed next to its count
-/// budget. A day is far beyond what any count here allows, so the counts alone
-/// decide where a search stops.
-const NO_CLOCK: Duration = Duration::from_secs(86_400);
 
 /// The `repro` recorder.
 #[derive(Default)]
@@ -214,7 +209,6 @@ impl Setting {
             cost_model: self.cost_model,
             max_rounds: 60,
             moves_per_round: 120,
-            time_limit: NO_CLOCK,
             seed: SEED,
         }
     }
@@ -263,9 +257,11 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
                     per_part: setting.search(),
                     ..Default::default()
                 };
+                // `max_nodes` alone budgets a cut here (the library default
+                // also bounds its pivots).
                 config.bipartition.limits = SolverLimits {
                     max_nodes,
-                    time_limit: NO_CLOCK,
+                    max_pivots: usize::MAX,
                     ..config.bipartition.limits
                 };
                 let schedule = DivideAndConquerScheduler::with_config(config).schedule(&instance);
@@ -274,10 +270,7 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
             }
             Sweep::Baselines => {
                 let cilk = setting.two_stage(&instance, &CilkScheduler::new(), &LruPolicy::new());
-                let bsp_ilp = BspIlpScheduler {
-                    time_limit: NO_CLOCK,
-                    ..BspIlpScheduler::default()
-                };
+                let bsp_ilp = BspIlpScheduler::default();
                 let (optimised, bsp_ilp) = setting.two_stage(&instance, &bsp_ilp, &clairvoyant);
                 let ours = setting.improved(&instance, &seed);
                 let both = setting.improved(&instance, &optimised);

@@ -47,7 +47,7 @@ use mbsp_ilp::{
 use mbsp_model::{CostModel, MbspInstance};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SHARDS: usize = 4;
 /// Shared candidate budget: every search may evaluate at most this many moves.
@@ -149,7 +149,6 @@ fn legacy_config(workers: usize) -> ShardedSearchConfig {
         moves_per_round: SHARD_MOVES_PER_ROUND,
         iterations: 1,
         shard_local_seed: false,
-        time_limit: Duration::from_secs(3600),
         // Deep one-candidate rounds: one unlucky draw must not forfeit the
         // shard's remaining budget.
         stale_round_limit: 0,
@@ -286,7 +285,6 @@ impl Recorder for Shard {
             cost_model: CostModel::Synchronous,
             max_rounds: SINGLE_ROUNDS,
             moves_per_round: SINGLE_MOVES_PER_ROUND,
-            time_limit: Duration::from_secs(3600),
             ..Default::default()
         });
         let start = Instant::now();

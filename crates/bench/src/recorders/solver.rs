@@ -27,7 +27,7 @@ use mbsp_ilp::{IlpConfig, MbspIlpBuilder};
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The `solver` recorder.
 #[derive(Default)]
@@ -61,8 +61,8 @@ pub(crate) struct Case {
 fn solver_limits(quick: bool) -> SolverLimits {
     SolverLimits {
         max_nodes: if quick { 2_000 } else { 20_000 },
-        time_limit: Duration::from_secs(if quick { 20 } else { 120 }),
         relative_gap: 1e-6,
+        ..Default::default()
     }
 }
 

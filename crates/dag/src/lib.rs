@@ -12,9 +12,9 @@
 //! children, sources, sinks, topological orderings), analysis helpers used by the
 //! schedulers (critical path, total work, the minimal feasible cache size `r₀`),
 //! sub-DAG extraction and acyclic quotient graphs for the divide-and-conquer
-//! scheduler, zero-copy sub-DAG views behind the [`DagLike`] accessor trait
+//! scheduler, and zero-copy sub-DAG views behind the [`DagLike`] accessor trait
 //! (the generic surface the scheduling stacks of the downstream crates are
-//! written against), and DOT export for debugging.
+//! written against).
 //!
 //! ## Representation
 //!
@@ -64,7 +64,6 @@
 pub mod analysis;
 pub mod builder;
 pub mod delta;
-pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod partition;

@@ -9,7 +9,6 @@
 
 use crate::error::DagError;
 use crate::graph::{CompDag, NodeId, NodeWeights};
-use crate::subgraph::SubDag;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -221,15 +220,6 @@ impl AcyclicPartition {
         })
     }
 
-    /// Extracts the induced [`SubDag`] of every part, in part-index order.
-    pub fn sub_dags(&self, dag: &CompDag) -> Result<Vec<SubDag>> {
-        self.parts()
-            .into_iter()
-            .enumerate()
-            .map(|(p, nodes)| SubDag::induced(dag, &nodes, format!("{}::part{}", dag.name(), p)))
-            .collect()
-    }
-
     /// Refines the partition by re-splitting part `target` according to `assignment`
     /// (0/1 per node of that part), producing a partition with one extra part.
     /// The resulting quotient must still be acyclic.
@@ -319,9 +309,10 @@ mod tests {
         let p = AcyclicPartition::trivial(&d);
         assert_eq!(p.num_parts(), 1);
         assert_eq!(p.cut_edges(&d), 0);
-        let subs = p.sub_dags(&d).unwrap();
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].num_nodes(), 4);
+        let parts = p.parts();
+        assert_eq!(parts.len(), 1);
+        let sub = crate::subgraph::SubDag::induced(&d, &parts[0], "part0").unwrap();
+        assert_eq!(sub.num_nodes(), 4);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper's stronger two-stage baseline replaces the greedy BSP heuristic with a
 //! BSP scheduling ILP solved by COPT under a time limit. Here the same role is
-//! played by a deterministic local search that minimises the *pure BSP cost*
-//! (work-balance + h-relation + latency, no memory constraints) starting from the
-//! greedy solution — like the paper's BSP ILP it optimises a memory-oblivious
+//! played by a deterministic, count-budgeted local search that minimises the
+//! *pure BSP cost* (work-balance + h-relation + latency, no memory
+//! constraints) starting from the greedy solution — like the paper's BSP ILP it optimises a memory-oblivious
 //! objective, which is exactly what makes it an interesting comparison point: a
 //! better first stage does not necessarily yield a better MBSP schedule.
 //! (Exact-ILP pipelines instead go through [`crate::ExactIlpScheduler`], whose
@@ -17,7 +17,6 @@ use mbsp_model::{Architecture, ProcId};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 /// BSP-cost optimiser used as the "ILP-based BSP scheduler" stand-in.
 #[derive(Debug, Clone)]
@@ -26,8 +25,6 @@ pub struct BspIlpScheduler {
     pub max_rounds: usize,
     /// Candidate moves per round.
     pub moves_per_round: usize,
-    /// Wall-clock limit.
-    pub time_limit: Duration,
     /// RNG seed.
     pub seed: u64,
 }
@@ -37,7 +34,6 @@ impl Default for BspIlpScheduler {
         BspIlpScheduler {
             max_rounds: 40,
             moves_per_round: 150,
-            time_limit: Duration::from_secs(10),
             seed: 0xB5B,
         }
     }
@@ -56,7 +52,6 @@ impl BspScheduler for BspIlpScheduler {
     }
 
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
-        let start = Instant::now();
         let greedy = GreedyBspScheduler::new().schedule(dag, arch);
         let mut procs: Vec<ProcId> = dag.nodes().map(|v| greedy.schedule.proc_of(v)).collect();
         let evaluate = |procs: &[ProcId]| -> (f64, BspSchedulingResult) {
@@ -77,9 +72,6 @@ impl BspScheduler for BspIlpScheduler {
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         for _ in 0..self.max_rounds {
-            if start.elapsed() >= self.time_limit {
-                break;
-            }
             let mut improved = false;
             for _ in 0..self.moves_per_round {
                 let v = movable[rng.gen_range(0..movable.len())];
@@ -119,7 +111,6 @@ mod tests {
         let opt = BspIlpScheduler {
             max_rounds: 4,
             moves_per_round: 40,
-            time_limit: Duration::from_secs(2),
             seed: 1,
         };
         for inst in mbsp_gen::tiny_dataset(42).into_iter().take(4) {
@@ -143,7 +134,6 @@ mod tests {
         let opt = BspIlpScheduler {
             max_rounds: 3,
             moves_per_round: 25,
-            time_limit: Duration::from_secs(2),
             seed: 7,
         };
         let a = opt.schedule(&inst.dag, &arch());

@@ -146,8 +146,9 @@ pub struct RepairStats {
     pub incumbent_cost: f64,
     /// Cost of the repaired schedule.
     pub final_cost: f64,
-    /// Why the repair stopped: ran to completion, hit the configured time
-    /// limit, or observed a [`CancelToken`] at a round boundary.
+    /// Why the repair stopped: `Completed` when no shard-search round and not
+    /// the pass itself was skipped, else the signal that skipped one (the
+    /// configured time limit, or a [`CancelToken`]).
     pub stop_reason: StopReason,
 }
 
@@ -248,10 +249,10 @@ impl IncrementalScheduler {
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`] observed at shard-round
-    /// boundaries of every subsequent repair: a repair interrupted by the
-    /// token still folds the completed rounds' winners through the merge and
-    /// reports [`StopReason::Cancelled`] in its stats.
+    /// Attaches a cooperative [`CancelToken`] observed before the pass and at
+    /// shard-round boundaries of every subsequent repair: a repair interrupted
+    /// by the token still folds the completed rounds' winners through the
+    /// merge and reports [`StopReason::Cancelled`] in its stats.
     pub fn with_cancel(mut self, token: &CancelToken) -> Self {
         self.cancel = Some(token.clone());
         self
@@ -332,9 +333,9 @@ impl IncrementalScheduler {
     /// cone, re-searches only the shards intersecting it and folds the winners
     /// back through the deterministic merge. Clears the pending set. The
     /// result never costs more than the stale incumbent's assignment
-    /// re-evaluated on the mutated DAG, and is byte-identical for any worker
-    /// count (same caveat as the full sharded search: the time limit must not
-    /// truncate a shard).
+    /// re-evaluated on the mutated DAG, and — unless the stop signal cut it,
+    /// which [`RepairStats::stop_reason`] then says — is byte-identical for
+    /// any worker count.
     pub fn repair(&mut self) -> (MbspSchedule, RepairStats) {
         let pending = std::mem::take(&mut self.pending);
         self.repair_from(&pending)
@@ -369,7 +370,7 @@ impl IncrementalScheduler {
         // Iteration 0 of the full run's partition and seed schedule: the
         // repaired shards must line up with the shards a full run would search
         // so the per-shard seed streams match.
-        let shards = if search.searchable && !cone.is_empty() {
+        let shards = if search.searchable && !cone.is_empty() && !search.stop_before_pass() {
             search.pass(0, Some(&cone)).num_parts()
         } else {
             0
@@ -389,7 +390,7 @@ impl IncrementalScheduler {
             partition_hits: search.partition_hits,
             incumbent_cost,
             final_cost: search.incumbent.cost,
-            stop_reason: search.deadline.reason().unwrap_or_default(),
+            stop_reason: search.stopped.unwrap_or_default(),
         };
         let Incumbent {
             procs, schedule, ..
@@ -437,7 +438,6 @@ mod tests {
     use crate::shard::{topo_shards, ShardedHolisticScheduler};
     use mbsp_model::{sync_cost, CostModel, MbspInstance};
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-    use std::time::Duration;
 
     fn instance() -> MbspInstance {
         let inst = mbsp_gen::tiny_dataset(42).remove(2);
@@ -459,7 +459,6 @@ mod tests {
                 workers: 1,
                 max_rounds: 3,
                 moves_per_round: 12,
-                time_limit: Duration::from_secs(10),
                 ..Default::default()
             },
             cone_radius: 2,

@@ -26,9 +26,8 @@ use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId, Superstep};
-use mbsp_pool::{Deadline, WorkerPool};
+use mbsp_pool::{CancelToken, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
-use std::time::Duration;
 
 /// Configuration of [`DivideAndConquerScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +37,8 @@ pub struct DivideAndConquerConfig {
     /// Configuration of the acyclic bipartitioning ILP.
     pub bipartition: BipartitionConfig,
     /// The per-part local search: its cost model (also that of the final
-    /// streamlining pass), round and move budgets, time limit (applied per
-    /// part) and seed (part `i` searches with `seed + i`).
+    /// streamlining pass), round and move budgets (applied per part) and seed
+    /// (part `i` searches with `seed + i`).
     pub per_part: HolisticConfig,
     /// Number of worker threads scheduling parts concurrently. `0` resolves via
     /// `MBSP_BENCH_THREADS` / available parallelism. Parts are independent
@@ -55,7 +54,6 @@ impl Default for DivideAndConquerConfig {
             per_part: HolisticConfig {
                 max_rounds: 20,
                 moves_per_round: 60,
-                time_limit: Duration::from_secs(5),
                 ..Default::default()
             },
             workers: 0,
@@ -131,6 +129,8 @@ impl DivideAndConquerScheduler {
             processors: Vec<ProcId>,
             to_global: Vec<NodeId>,
         }
+        // Nothing stops a part search but its budget of rounds.
+        let never = CancelToken::new();
         let scheduled = fan_out(&self.pool, workers, plan.parts.len(), |i| {
             let part_plan = &plan.parts[i];
             let part = part_plan.part;
@@ -157,7 +157,6 @@ impl DivideAndConquerScheduler {
                 // round ends the part.
                 stale_round_limit: 1,
             };
-            let deadline = Deadline::after(config.per_part.time_limit);
             let found = search_view(
                 &view,
                 &local_arch,
@@ -165,7 +164,7 @@ impl DivideAndConquerScheduler {
                 seed_procs,
                 None,
                 &required,
-                &deadline,
+                &never,
             );
             ScheduledPart {
                 schedule: found.incumbent.schedule,
@@ -284,7 +283,7 @@ mod tests {
     fn fast_config() -> DivideAndConquerConfig {
         DivideAndConquerConfig {
             max_part_size: 40,
-            // The default 5-second budget applies to *every* recursive cut; on
+            // The default pivot budget applies to *every* recursive cut; on
             // the ~400-node small-sample instances that alone pushes a single
             // test past several minutes. CI only needs validity, not cut
             // quality, so give the bipartition ILP a token budget and let it
@@ -292,7 +291,7 @@ mod tests {
             bipartition: BipartitionConfig {
                 limits: lp_solver::SolverLimits {
                     max_nodes: 200,
-                    time_limit: Duration::from_millis(100),
+                    max_pivots: 500,
                     relative_gap: 1e-6,
                 },
                 ..Default::default()
@@ -300,7 +299,6 @@ mod tests {
             per_part: HolisticConfig {
                 max_rounds: 3,
                 moves_per_round: 20,
-                time_limit: Duration::from_millis(250),
                 ..Default::default()
             },
             ..Default::default()
@@ -336,16 +334,14 @@ mod tests {
         let instance =
             MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0);
         // Unlike the validity tests, this one asserts schedule *quality*, so it
-        // gets real (second-scale) solver budgets — on a ~50-node instance they
-        // are rarely exhausted, which also keeps the assertion stable on slow
-        // CI runners.
+        // gets the real solver budgets — on a ~50-node instance they are
+        // rarely exhausted.
         let dnc = DivideAndConquerScheduler::with_config(DivideAndConquerConfig {
             max_part_size: 25,
             bipartition: BipartitionConfig::default(),
             per_part: HolisticConfig {
                 max_rounds: 3,
                 moves_per_round: 20,
-                time_limit: Duration::from_secs(2),
                 ..Default::default()
             },
             ..fast_config()

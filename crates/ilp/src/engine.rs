@@ -1,9 +1,9 @@
 //! The candidate-evaluation engine of the holistic search.
 //!
 //! The holistic scheduler's quality is bounded by how many candidate schedules it
-//! can evaluate inside its time limit (the paper gives COPT a fixed wall-clock
-//! budget; we give the local search one). This module packages evaluation as a
-//! reusable engine:
+//! can evaluate inside its budget (the paper gives COPT a fixed wall-clock
+//! budget; we give the local search a count of moves). This module packages
+//! evaluation as a reusable engine:
 //!
 //! * [`Move`] — first-class candidate moves over a per-node processor assignment
 //!   (relocate one node, relocate a sibling group, swap two nodes);
@@ -33,7 +33,6 @@ use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::BspSchedulingResult;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::time::Instant;
 
 /// A candidate move of the holistic local search, applied to a per-node processor
 /// assignment.
@@ -315,12 +314,7 @@ impl EvaluationEngine {
     /// `base_procs`, in candidate order. Returns `(cost, candidate index)` of
     /// the winner by the fixed tie-break order (lowest cost first, then lowest
     /// index) and retains the winner's schedule behind
-    /// [`EvaluationEngine::swap_batch_winner`]; `None` when nothing was
-    /// evaluated.
-    ///
-    /// Evaluation stops once `deadline` has passed; the candidates after that
-    /// point are simply not considered.
-    #[allow(clippy::too_many_arguments)]
+    /// [`EvaluationEngine::swap_batch_winner`]; `None` when `moves` is empty.
     pub fn evaluate_batch_on<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
@@ -329,14 +323,10 @@ impl EvaluationEngine {
         moves: &[Move],
         cost_model: CostModel,
         required_outputs: &[NodeId],
-        deadline: Instant,
     ) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
         let mut procs = std::mem::take(&mut self.procs_buf);
         for (idx, mv) in moves.iter().enumerate() {
-            if Instant::now() >= deadline {
-                break;
-            }
             procs.clear();
             procs.extend_from_slice(base_procs);
             mv.apply(dag, &mut procs);
@@ -491,7 +481,6 @@ mod tests {
         let dag = inst.dag();
         let n = dag.num_nodes();
         let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
-        let deadline = Instant::now() + std::time::Duration::from_secs(60);
         let mut winners_past_the_first_candidate = 0usize;
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -513,7 +502,6 @@ mod tests {
                     &moves,
                     CostModel::Synchronous,
                     &[],
-                    deadline,
                 )
                 .expect("every candidate evaluated");
             winners_past_the_first_candidate += (idx > 0) as usize;

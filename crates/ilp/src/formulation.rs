@@ -594,7 +594,6 @@ mod tests {
     use super::*;
     use mbsp_dag::graph::NodeWeights;
     use mbsp_model::async_cost;
-    use std::time::Duration;
 
     fn path2_instance() -> MbspInstance {
         // A single source feeding one compute node; P = 1, r = 2, g = 1.
@@ -605,7 +604,7 @@ mod tests {
     fn small_limits() -> SolverLimits {
         SolverLimits {
             max_nodes: 4000,
-            time_limit: Duration::from_secs(20),
+            max_pivots: 100_000,
             relative_gap: 1e-6,
         }
     }

@@ -28,9 +28,8 @@ use mbsp_model::{
     Architecture, BspSchedule, Configuration, CostModel, MbspInstance, MbspSchedule, ParentMasks,
     ProcId, ScheduleEvaluator, Superstep,
 };
-use mbsp_pool::Deadline;
+use mbsp_pool::CancelToken;
 use mbsp_sched::BspSchedulingResult;
-use std::time::Duration;
 
 /// Configuration of [`HolisticScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -42,10 +41,8 @@ pub struct HolisticConfig {
     pub max_rounds: usize,
     /// Number of candidate moves evaluated per round.
     pub moves_per_round: usize,
-    /// Wall-clock time limit for the search.
-    pub time_limit: Duration,
-    /// RNG seed (the search is fully deterministic for a fixed seed as long as
-    /// the time limit does not truncate it).
+    /// RNG seed; the search is a function of the instance, this
+    /// configuration and the seed.
     pub seed: u64,
 }
 
@@ -55,7 +52,6 @@ impl Default for HolisticConfig {
             cost_model: CostModel::Synchronous,
             max_rounds: 60,
             moves_per_round: 120,
-            time_limit: Duration::from_secs(20),
             seed: 0x5EED,
         }
     }
@@ -105,7 +101,6 @@ impl HolisticScheduler {
     ) -> (MbspSchedule, SearchStats) {
         let (dag, arch) = (instance.dag(), instance.arch());
         let config = &self.config;
-        let deadline = Deadline::after(config.time_limit);
         let mut engine = EvaluationEngine::new(instance, path);
 
         let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
@@ -127,13 +122,13 @@ impl HolisticScheduler {
             // The first stale best-of-batch round ends the search.
             stale_round_limit: 1,
         };
-        let rounds = hill_climb(
+        let (rounds, _) = hill_climb(
             &mut engine,
             dag,
             arch,
             &params,
             required_outputs,
-            &deadline,
+            &CancelToken::new(),
             &mut incumbent,
         );
 
@@ -864,7 +859,6 @@ mod tests {
         HolisticConfig {
             max_rounds: 6,
             moves_per_round: 30,
-            time_limit: Duration::from_secs(3),
             ..Default::default()
         }
     }
@@ -923,7 +917,6 @@ mod tests {
         let config = HolisticConfig {
             max_rounds: 3,
             moves_per_round: 16,
-            time_limit: Duration::from_secs(60),
             ..Default::default()
         };
         let holistic = HolisticScheduler::with_config(config);

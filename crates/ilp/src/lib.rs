@@ -105,7 +105,7 @@ pub use shard::{
 // Cancellation vocabulary, re-exported so downstream users of the schedulers
 // (including the `mbsp` facade, which does not depend on `mbsp_pool` directly)
 // can build tokens and inspect stop reasons.
-pub use mbsp_pool::{CancelToken, Deadline, StopReason};
+pub use mbsp_pool::{CancelToken, StopReason};
 
 // The checkpoint error type, re-exported for callers matching on
 // [`IncrementalScheduler::restore`] failures without naming `mbsp_io`.

@@ -24,7 +24,6 @@ use lp_solver::{
     BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipStatus, MipStop, SolverLimits,
 };
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
-use std::time::Duration;
 
 /// Configuration of the bipartitioning step.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +40,9 @@ impl Default for BipartitionConfig {
             min_fraction: 1.0 / 3.0,
             limits: SolverLimits {
                 max_nodes: 2_000,
-                time_limit: Duration::from_secs(5),
+                // What bounds a cut of more than a few hundred nodes: the
+                // relaxation of a 400-node split runs at under 100 pivots/s.
+                max_pivots: 20_000,
                 relative_gap: 1e-6,
             },
         }
@@ -208,7 +209,9 @@ impl Default for WeightedBipartitionConfig {
             min_side1_nodes: 1,
             limits: SolverLimits {
                 max_nodes: 2_000,
-                time_limit: Duration::from_secs(5),
+                // 3× the largest run-quotient solve measured (16,759 pivots,
+                // itself cut at `max_nodes`).
+                max_pivots: 50_000,
                 relative_gap: 1e-6,
             },
         }
@@ -265,8 +268,7 @@ pub fn weighted_bipartition(
 }
 
 /// [`weighted_bipartition`] plus what its branch and bound did: the nodes it
-/// explored and what stopped it. A [`MipStop::Time`] split depends on the wall
-/// clock — the same call may return another split the next time.
+/// explored and what stopped it.
 pub(crate) fn weighted_bipartition_solve(
     dag: &CompDag,
     edge_weights: &[f64],

@@ -31,12 +31,10 @@
 
 use crate::dirty_cone::dirty_shard_indices;
 use crate::engine::{assignment_delta, resolve_workers, EvalPath, EvaluationEngine, Move};
-use crate::shard::{
-    part_view, shard_partition, PartitionSolve, ShardStrategy, ShardedSearchConfig,
-};
+use crate::shard::{part_view, shard_partition, ShardStrategy, ShardedSearchConfig};
 use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
 use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
-use mbsp_pool::{CancelToken, Deadline, WorkerPool};
+use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,29 +111,29 @@ impl Incumbent {
 /// `params.moves_per_round` moves from the seeded RNG, evaluating them through
 /// `engine` and adopting the round winner when it improves `incumbent`. Every
 /// adopted improvement is recorded in [`Incumbent::deltas`]. Returns the
-/// number of completed rounds.
+/// number of completed rounds and, when `stop` ended the search with rounds
+/// still to run, the signal it showed.
 ///
 /// Before a round's batch the engine is rebased on the incumbent whenever
 /// it changed (the seed, then every adopted winner), so each candidate
 /// re-simulates only the supersteps its move can change; a rebase is not an
 /// evaluation and changes no result.
 ///
-/// `deadline` is observed in full at the round boundary — the search's
-/// deterministic cut point; the engine's mid-batch check consumes its
-/// wall-clock component only. Deterministic in `params.seed` as long as the
-/// deadline does not truncate the search.
+/// `stop` is observed at the top of a round and nowhere else: a round that
+/// starts evaluates its whole batch. A search that reports no signal spent a
+/// budget of counts and is a function of `params.seed` alone.
 pub(crate) fn hill_climb<D: DagLike + ?Sized>(
     engine: &mut EvaluationEngine,
     dag: &D,
     arch: &Architecture,
     params: &LocalSearchParams,
     required_outputs: &[NodeId],
-    deadline: &Deadline,
+    stop: &CancelToken,
     incumbent: &mut Incumbent,
-) -> usize {
+) -> (usize, Option<StopReason>) {
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     if movable.is_empty() || arch.processors <= 1 {
-        return 0;
+        return (0, None);
     }
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
@@ -143,9 +141,10 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
     let mut stale_rounds = 0usize;
     // Does the engine's base describe `incumbent.procs`?
     let mut based = false;
-    let wall = deadline.wall_clock();
+    let mut stopped = None;
     for _round in 0..params.max_rounds {
-        if deadline.expired() {
+        stopped = stop.reason();
+        if stopped.is_some() {
             break;
         }
         moves.clear();
@@ -165,19 +164,13 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
             &moves,
             params.cost_model,
             required_outputs,
-            wall,
         );
         rounds += 1;
         let Some((cost, idx)) = winner else {
-            if moves.is_empty() {
-                // Every draw of this round was a no-op proposal; the round
-                // consumed its budget, but nothing was evaluated, so it says
-                // nothing about staleness — keep going.
-                continue;
-            }
-            // Candidates existed but none was evaluated: the deadline has
-            // passed, so further rounds cannot make progress either.
-            break;
+            // Every draw of this round was a no-op proposal; the round
+            // consumed its budget, but nothing was evaluated, so it says
+            // nothing about staleness — keep going.
+            continue;
         };
         if cost < incumbent.cost - 1e-9 {
             stale_rounds = 0;
@@ -197,7 +190,7 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
             }
         }
     }
-    rounds
+    (rounds, stopped)
 }
 
 /// Runs `job(0), …, job(count - 1)` on at most `workers` lanes of `pool` and
@@ -234,6 +227,8 @@ pub(crate) struct ViewSearch {
     /// Supersteps the view's conversions simulated / copied from their base.
     pub(crate) simulated_supersteps: u64,
     pub(crate) skipped_supersteps: u64,
+    /// The signal that cut the hill climb short, if one did.
+    pub(crate) stopped: Option<StopReason>,
 }
 
 /// Runs one engine-backed [`hill_climb`] over a zero-copy view, so candidate
@@ -255,7 +250,7 @@ pub(crate) fn search_view(
     seed_procs: Vec<ProcId>,
     alt_seed: Option<&[ProcId]>,
     required_outputs: &[NodeId],
-    deadline: &Deadline,
+    stop: &CancelToken,
 ) -> ViewSearch {
     let cost_model = params.cost_model;
     let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
@@ -298,13 +293,13 @@ pub(crate) fn search_view(
         }
     }
 
-    hill_climb(
+    let (_, stopped) = hill_climb(
         &mut engine,
         view,
         arch,
         params,
         required_outputs,
-        deadline,
+        stop,
         &mut incumbent,
     );
     ViewSearch {
@@ -313,6 +308,7 @@ pub(crate) fn search_view(
         evaluations: engine.evaluations,
         simulated_supersteps: engine.simulated_supersteps(),
         skipped_supersteps: engine.skipped_supersteps(),
+        stopped,
     }
 }
 
@@ -328,6 +324,7 @@ struct ShardOutcome {
     evaluations: u64,
     simulated_supersteps: u64,
     skipped_supersteps: u64,
+    stopped: Option<StopReason>,
 }
 
 /// Builds the view of one shard, runs its local search and maps the accepted
@@ -344,7 +341,7 @@ fn run_shard(
     global_procs: &[ProcId],
     config: &ShardedSearchConfig,
     seed_base: u64,
-    deadline: &Deadline,
+    stop: &CancelToken,
 ) -> ShardOutcome {
     let (view, required) = part_view(dag, partition, core, index, "shard");
     let seed_procs: Vec<ProcId> = (0..view.num_nodes())
@@ -375,7 +372,7 @@ fn run_shard(
         seed_procs,
         alt_seed.as_deref(),
         &required,
-        deadline,
+        stop,
     );
     let deltas = found
         .incumbent
@@ -396,6 +393,7 @@ fn run_shard(
         evaluations: found.evaluations,
         simulated_supersteps: found.simulated_supersteps,
         skipped_supersteps: found.skipped_supersteps,
+        stopped: found.stopped,
     }
 }
 
@@ -438,18 +436,9 @@ impl PartitionMemo {
         Some(Arc::clone(partition))
     }
 
-    /// Remembers a freshly solved partition — unless a split of it stopped on
-    /// the wall clock. Such a partition is valid and the pass uses it, but
-    /// replaying it would turn one irreproducible request into many.
-    fn insert(
-        &mut self,
-        key: PartitionKey,
-        partition: &Arc<AcyclicPartition>,
-        solve: PartitionSolve,
-    ) {
-        if solve.time_limited {
-            return;
-        }
+    /// Remembers a freshly solved partition. Every solve is budgeted by
+    /// counts, so even a truncated one is what solving again would return.
+    fn insert(&mut self, key: PartitionKey, partition: &Arc<AcyclicPartition>) {
         if self.entries.len() == Self::CAPACITY {
             self.entries.remove(0);
         }
@@ -458,8 +447,8 @@ impl PartitionMemo {
 }
 
 /// The state partition → search → merge passes run on: the borrowed problem,
-/// the resolved shard and worker counts, the deadline, the global evaluation
-/// engine and the global incumbent.
+/// the resolved shard and worker counts, the job's stop signal, the global
+/// evaluation engine and the global incumbent.
 pub(crate) struct ShardedSearch<'a> {
     dag: &'a CompDag,
     arch: &'a Architecture,
@@ -488,9 +477,13 @@ pub(crate) struct ShardedSearch<'a> {
     /// Passes that ran the partitioner, and passes the memo served instead.
     pub(crate) partitions_solved: usize,
     pub(crate) partition_hits: usize,
-    /// `config.time_limit` from the moment the search was set up, combined
-    /// with the caller's cancel token.
-    pub(crate) deadline: Deadline,
+    /// The job's stop signal: the caller's cancel token (a fresh one without),
+    /// expiring `config.time_limit` after the search was set up.
+    token: CancelToken,
+    /// The signal that skipped a shard-search round or a pass, if one did — a
+    /// cancellation outranks an expiry. `None` after a run that spent its
+    /// budget of counts.
+    pub(crate) stopped: Option<StopReason>,
     /// Whether there is anything to search: a movable node and a second
     /// processor to move it to.
     pub(crate) searchable: bool,
@@ -515,7 +508,10 @@ impl<'a> ShardedSearch<'a> {
         procs: Vec<ProcId>,
         baseline: Option<&BspSchedulingResult>,
     ) -> Self {
-        let deadline = Deadline::after(config.time_limit).with_token_opt(cancel);
+        let token = cancel
+            .cloned()
+            .unwrap_or_default()
+            .expiring_after(config.time_limit);
         let k = if config.num_shards >= 1 {
             config.num_shards
         } else {
@@ -544,7 +540,8 @@ impl<'a> ShardedSearch<'a> {
             salvaged: 0,
             partitions_solved: 0,
             partition_hits: 0,
-            deadline,
+            token,
+            stopped: None,
             searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
             incumbent,
         }
@@ -568,6 +565,14 @@ impl<'a> ShardedSearch<'a> {
         self.engine.skipped_supersteps() + self.shard_skipped_supersteps
     }
 
+    /// The pass boundary: whether the stop signal forbids another pass (it is
+    /// then recorded in [`ShardedSearch::stopped`]).
+    pub(crate) fn stop_before_pass(&mut self) -> bool {
+        let reason = self.token.reason();
+        self.stopped = self.stopped.max(reason);
+        reason.is_some()
+    }
+
     /// One partition → search → merge pass. `iteration` shifts the weighted
     /// strategy's run boundaries by a golden-ratio offset, so improvements
     /// blocked by an old shard boundary land inside a shard on a later pass,
@@ -589,12 +594,12 @@ impl<'a> ShardedSearch<'a> {
         let seed_base = config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let (procs, deadline) = (&self.incumbent.procs, &self.deadline);
+        let (procs, token) = (&self.incumbent.procs, &self.token);
         // Each shard's search is seeded by its own global index.
         let outcomes = fan_out(self.pool, self.workers, shards.len(), |i| {
             let s = shards[i];
             run_shard(
-                dag, arch, &partition, &parts[s], s, procs, config, seed_base, deadline,
+                dag, arch, &partition, &parts[s], s, procs, config, seed_base, token,
             )
         });
         self.searched += outcomes.len();
@@ -602,6 +607,7 @@ impl<'a> ShardedSearch<'a> {
             self.shard_evaluations += o.evaluations;
             self.shard_simulated_supersteps += o.simulated_supersteps;
             self.shard_skipped_supersteps += o.skipped_supersteps;
+            self.stopped = self.stopped.max(o.stopped);
         }
         self.merge_outcomes(&outcomes);
         partition
@@ -621,11 +627,10 @@ impl<'a> ShardedSearch<'a> {
             self.partition_hits += 1;
             return partition;
         }
-        let (partition, solve) = shard_partition(self.dag, self.k, self.config, iteration);
+        let partition = Arc::new(shard_partition(self.dag, self.k, self.config, iteration));
         self.partitions_solved += 1;
-        let partition = Arc::new(partition);
         if let Some(memo) = self.memo.as_deref_mut() {
-            memo.insert(key, &partition, solve);
+            memo.insert(key, &partition);
         }
         partition
     }
@@ -698,6 +703,9 @@ impl<'a> ShardedSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition_ilp::WeightedBipartitionConfig;
+    use crate::shard::weighted_shards_solve;
+    use lp_solver::SolverLimits;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
@@ -712,27 +720,86 @@ mod tests {
     }
 
     #[test]
-    fn the_memo_does_not_remember_a_time_limited_partition() {
+    fn the_memo_remembers_a_pivot_truncated_partition_bit_for_bit() {
         let dag = mbsp_gen::tiny_dataset(42).remove(2).dag;
-        let partition = Arc::new(AcyclicPartition::trivial(&dag));
+        let cut = SolverLimits {
+            max_pivots: 0,
+            ..WeightedBipartitionConfig::default().limits
+        };
+        let (partition, solve) = weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut);
+        assert!(solve.truncated);
+        let partition = Arc::new(partition);
         let mut memo = PartitionMemo::default();
-        let cut = PartitionSolve {
-            bnb_nodes: 0,
-            truncated: true,
-            time_limited: true,
-        };
-        memo.insert(key(0), &partition, cut);
-        assert!(memo.get(&key(0)).is_none());
-        // A node-count limit cuts every run at the same node: remembered.
-        let counted = PartitionSolve {
-            time_limited: false,
-            ..cut
-        };
-        memo.insert(key(0), &partition, counted);
-        assert!(memo.get(&key(0)).is_some());
+        memo.insert(key(0), &partition);
+        // A hit is the remembered partition itself, which is also what solving
+        // again under the same counts returns.
+        let hit = memo
+            .get(&key(0))
+            .expect("a truncated partition is remembered");
+        assert!(Arc::ptr_eq(&hit, &partition));
+        assert_eq!(*hit, weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut).0);
         assert!(memo.get(&key(1)).is_none());
         memo.clear();
         assert!(memo.get(&key(0)).is_none());
+    }
+
+    /// The contract the wall-clock caveat used to stand in for: a search over
+    /// a partition its pivot budget cut short is as reproducible as any other.
+    #[test]
+    fn a_search_over_a_pivot_truncated_partition_is_identical_for_any_worker_count() {
+        use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
+        use mbsp_sched::BspScheduler;
+        let dag = mbsp_gen::tiny_dataset(42).remove(3).dag;
+        let inst =
+            mbsp_model::MbspInstance::with_cache_factor(dag, Architecture::paper_default(0.0), 3.0);
+        let (dag, arch) = (inst.dag(), inst.arch());
+        let config = ShardedSearchConfig {
+            num_shards: 4,
+            max_rounds: 4,
+            moves_per_round: 12,
+            ..Default::default()
+        };
+        // The partition the search would solve, cut mid-solve by its pivots.
+        let cut = SolverLimits {
+            max_pivots: 60,
+            ..WeightedBipartitionConfig::default().limits
+        };
+        let solve = || weighted_shards_solve(dag, 4, 8, config.mass_tolerance, 0.0, cut);
+        let (partition, stats) = solve();
+        assert!(stats.truncated && stats.bnb_nodes > 0, "{stats:?}");
+        assert_eq!((partition.clone(), stats), solve());
+        let partition = Arc::new(partition);
+
+        let baseline = GreedyBspScheduler::new().schedule(dag, arch);
+        let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
+        let repair = RepairConfig {
+            search: config,
+            cone_radius: 2,
+        };
+        let runs: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|workers| {
+                let mut session =
+                    IncrementalScheduler::new(dag.clone(), *arch, procs.clone(), repair)
+                        .with_pool(WorkerPool::with_capacity(workers));
+                session.memo.insert(key(0), &partition);
+                let search = ShardedSearchConfig { workers, ..config };
+                // Two requests: both are served the remembered partition, the
+                // second from the incumbent the first one adopted.
+                let mut requests = Vec::new();
+                for _ in 0..2 {
+                    let (schedule, stats) = session.schedule(&search, &baseline, None);
+                    assert_eq!((stats.partitions_solved, stats.partition_hits), (0, 1));
+                    assert_eq!(stats.stop_reason, StopReason::Completed);
+                    schedule.validate(dag, arch).unwrap();
+                    let cost = stats.final_cost.to_bits();
+                    requests.push((schedule, cost, stats.evaluations, session.checkpoint()));
+                }
+                requests
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
     }
 
     #[test]
@@ -741,7 +808,7 @@ mod tests {
         let partition = Arc::new(AcyclicPartition::trivial(&dag));
         let mut memo = PartitionMemo::default();
         for iteration in 0..=PartitionMemo::CAPACITY {
-            memo.insert(key(iteration), &partition, PartitionSolve::default());
+            memo.insert(key(iteration), &partition);
         }
         assert_eq!(memo.entries.len(), PartitionMemo::CAPACITY);
         assert!(memo.get(&key(0)).is_none());

@@ -48,12 +48,16 @@
 //!    moves_per_round`.
 //!
 //! The final schedule is therefore never worse than the baseline incumbent,
-//! and for a fixed seed and shard count the whole pipeline is deterministic
-//! regardless of the worker count, **provided the time limit does not truncate
-//! a shard's search or drop an iteration** (truncation depends on wall-clock
-//! timing — the same caveat as the single-incumbent search);
-//! `tests/shard_determinism.rs` asserts the worker-count invariance under a
-//! generous limit for both strategies.
+//! and every budget above is a count — rounds, moves, passes, and the
+//! partitioner's branch-and-bound nodes and pivots — so a run that reports
+//! [`StopReason::Completed`] is a function of (DAG, architecture, config,
+//! seed), byte-identical for any worker count: `tests/shard_determinism.rs`
+//! asserts it for both strategies, also when the partition was cut by its
+//! pivot budget. The one thing that reads a clock is the job's stop signal —
+//! [`ShardedSearchConfig::time_limit`] and the caller's `CancelToken` —
+//! observed at round and pass boundaries: a run it cuts says so
+//! (`DeadlineExpired` / `Cancelled`) and returns a valid schedule that costs
+//! no more than its seed, but not a reproducible one.
 //!
 //! Steps 2 and 3 are one pass of the shared search core (`crate::search`);
 //! this module owns the partitioners, the configuration and the front-end
@@ -96,8 +100,7 @@ pub struct ShardedSearchConfig {
     pub num_shards: usize,
     /// Number of worker threads running shard searches. `0` resolves via
     /// `MBSP_BENCH_THREADS`, falling back to the machine's parallelism. The
-    /// worker count never affects the result, only the wall-clock — as long as
-    /// [`ShardedSearchConfig::time_limit`] does not truncate any shard search.
+    /// worker count never affects the result, only the wall-clock.
     pub workers: usize,
     /// Maximum local-search rounds per shard.
     pub max_rounds: usize,
@@ -106,7 +109,12 @@ pub struct ShardedSearchConfig {
     /// budget shape as a single-incumbent search with `k ·  moves_per_round`
     /// moves per round).
     pub moves_per_round: usize,
-    /// Wall-clock limit for the whole sharded search.
+    /// The workspace's one wall-clock: the search's stop signal expires this
+    /// long after the search is set up, is observed at round and pass
+    /// boundaries like a cancellation, and is reported as
+    /// [`StopReason::DeadlineExpired`]. `Duration::MAX` (the default) is no
+    /// deadline; the budget is then `max_rounds`, `moves_per_round` and
+    /// `iterations` alone.
     pub time_limit: Duration,
     /// RNG seed; shard `s` searches with seed `seed ⊕ f(s)`.
     pub seed: u64,
@@ -154,7 +162,7 @@ impl Default for ShardedSearchConfig {
             workers: 0,
             max_rounds: 60,
             moves_per_round: 30,
-            time_limit: Duration::from_secs(20),
+            time_limit: Duration::MAX,
             seed: 0x5EED,
             stale_round_limit: 1,
             strategy: ShardStrategy::Weighted,
@@ -205,10 +213,10 @@ pub struct ShardedSearchStats {
     /// same DAG (see [`IncrementalScheduler`](crate::IncrementalScheduler));
     /// always `0` for the one-shot [`ShardedHolisticScheduler`].
     pub partition_hits: usize,
-    /// Why the run stopped: budget exhausted normally, wall-clock deadline, or
-    /// cancellation. Observed only at iteration boundaries — a deadline that
-    /// merely truncated the final shard searches still reports `Completed`
-    /// (the module docs' determinism caveat).
+    /// Why the run stopped. `Completed` means no shard-search round and no
+    /// pass was skipped: the run spent its budget of counts and is
+    /// reproducible. Otherwise the signal that skipped one (a cancellation
+    /// outranks the deadline).
     pub stop_reason: StopReason,
 }
 
@@ -298,9 +306,8 @@ fn contiguous_mass_blocks(
 /// `cut_offset ∈ [0, 1)` shifts the run boundaries (see
 /// `contiguous_mass_blocks`); the iterated search passes a golden-ratio
 /// multiple per iteration so repeated partitions straddle each other's cuts.
-/// Deterministic: the ILPs are solved with fixed limits and deterministic
-/// warm starts, and every tie-break is index-based — unless a split runs into
-/// the wall-clock limit of its solve, which [`weighted_shards_solve`] reports.
+/// Deterministic: the ILPs are solved under count limits from deterministic
+/// warm starts, and every tie-break is index-based.
 pub fn weighted_shards(
     dag: &CompDag,
     num_shards: usize,
@@ -325,12 +332,10 @@ pub fn weighted_shards(
 pub struct PartitionSolve {
     /// Branch-and-bound nodes explored, summed over the recursive splits.
     pub bnb_nodes: usize,
-    /// Did any split stop on a limit (node count or wall clock) with its cut
-    /// feasible but not proven optimal?
+    /// Did any split stop on a limit (node or pivot count) with its cut
+    /// feasible but not proven optimal? Such a partition is as reproducible
+    /// as a finished one.
     pub truncated: bool,
-    /// Did any split stop on its wall-clock limit? Such a partition is valid
-    /// but not reproducible: the same call may return another one.
-    pub time_limited: bool,
 }
 
 /// [`weighted_shards`] with explicit solver `limits` for every split (it uses
@@ -454,7 +459,6 @@ impl RunSplitter<'_> {
         let (split, bnb_nodes, stop) = weighted_bipartition_solve(&sub, &edge_weights, &cfg);
         self.solve.bnb_nodes += bnb_nodes;
         self.solve.truncated |= stop != MipStop::Gap;
-        self.solve.time_limited |= stop == MipStop::Time;
 
         let mut side0: Vec<usize> = Vec::new();
         let mut side1: Vec<usize> = Vec::new();
@@ -485,17 +489,16 @@ impl RunSplitter<'_> {
 /// offset `0`, so single-iteration runs (and the dirty-cone repair, which
 /// always repairs iteration 0's partition) are unaffected by the shift
 /// schedule. The partition is a function of the DAG and of the five inputs
-/// [`PartitionKey`](crate::search::PartitionKey) names — which is what lets a
-/// warm session remember it — unless the returned [`PartitionSolve`] says a
-/// split stopped on the wall clock.
+/// [`PartitionKey`](crate::search::PartitionKey) names, which is what lets a
+/// warm session remember it.
 pub(crate) fn shard_partition(
     dag: &CompDag,
     k: usize,
     config: &ShardedSearchConfig,
     iteration: usize,
-) -> (AcyclicPartition, PartitionSolve) {
+) -> AcyclicPartition {
     match config.strategy {
-        ShardStrategy::Topo => (topo_shards(dag, k), PartitionSolve::default()),
+        ShardStrategy::Topo => topo_shards(dag, k),
         ShardStrategy::Weighted => {
             let offset = ((iteration as f64) * 0.618_033_988_749_894_8).fract();
             weighted_shards_solve(
@@ -506,6 +509,7 @@ pub(crate) fn shard_partition(
                 offset,
                 WeightedBipartitionConfig::default().limits,
             )
+            .0
         }
     }
 }
@@ -608,7 +612,8 @@ impl ShardedHolisticScheduler {
         self
     }
 
-    /// Attaches a cancellation token. The token is observed **only at
+    /// Attaches a cancellation token; the search observes it, with
+    /// [`ShardedSearchConfig::time_limit`] as its expiry, **only at
     /// deterministic cut points** — before each partition/search/merge
     /// iteration and at every shard-search round boundary — so a run cancelled
     /// before it starts returns the seed incumbent byte-identically for any
@@ -715,19 +720,11 @@ pub(crate) fn sharded_schedule(
     let mut shard_compute_mass = Vec::new();
     let mut cut_edges = 0usize;
     let mut iterations = 0usize;
-    let mut stop_reason = StopReason::Completed;
     for iter in 0..config.iterations.max(1) {
-        if !search.searchable {
-            break;
-        }
-        // The deadline can truncate the iteration schedule exactly like it
-        // can truncate a shard's search — the determinism caveat in the
-        // module docs covers both. Cancellation is additionally observed
-        // before the *first* iteration, so a pre-cancelled token returns
-        // the seed incumbent without spending a single evaluation.
-        let deadline = &search.deadline;
-        if deadline.cancelled() || (iter > 0 && deadline.expired()) {
-            stop_reason = deadline.reason().unwrap_or(StopReason::DeadlineExpired);
+        // The stop signal is observed before the *first* pass too, so a token
+        // cancelled or expired beforehand returns the seed incumbent without
+        // spending a single search evaluation.
+        if !search.searchable || search.stop_before_pass() {
             break;
         }
         iterations += 1;
@@ -756,7 +753,7 @@ pub(crate) fn sharded_schedule(
         skipped_supersteps: search.skipped_supersteps(),
         partitions_solved: search.partitions_solved,
         partition_hits: search.partition_hits,
-        stop_reason,
+        stop_reason: search.stopped.unwrap_or_default(),
     };
     let Incumbent {
         procs, schedule, ..
@@ -799,26 +796,31 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_time_limit_is_reported_and_still_yields_a_valid_partition() {
+    fn a_zero_pivot_budget_is_reported_and_still_yields_a_valid_partition() {
         let limits = WeightedBipartitionConfig::default().limits;
         let cut = SolverLimits {
-            time_limit: Duration::ZERO,
+            max_pivots: 0,
             ..limits
         };
         for inst in instances(4) {
             let dag = inst.dag();
             let (full, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, limits);
-            assert!(!solve.truncated && !solve.time_limited, "{}", inst.name());
+            assert!(!solve.truncated, "{}", inst.name());
             assert!(solve.bnb_nodes > 0, "{}", inst.name());
             assert_eq!(full, weighted_shards(dag, 4, 8, 0.25, 0.0));
             // Every split stops at its first node pop: the warm start (or the
-            // prefix fallback) is used, and the caller learns it was the clock.
+            // prefix fallback) is used, the caller learns it was cut, and —
+            // the cut being a count — a second run returns the same partition.
             let (part, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut);
-            assert!(solve.truncated && solve.time_limited, "{}", inst.name());
+            assert!(solve.truncated, "{}", inst.name());
             assert_eq!(solve.bnb_nodes, 0);
             assert_eq!(part.num_parts(), full.num_parts());
             assert!(part.quotient_is_acyclic(dag));
             assert!(part.part_sizes().iter().all(|&s| s > 0));
+            assert_eq!(
+                (part, solve),
+                weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut)
+            );
         }
     }
 
@@ -830,7 +832,6 @@ mod tests {
             workers: 1,
             max_rounds: 4,
             moves_per_round: 16,
-            time_limit: Duration::from_secs(10),
             ..Default::default()
         });
         for inst in instances(5) {
@@ -862,7 +863,6 @@ mod tests {
         use crate::engine::{EvalPath, EvaluationEngine};
         use crate::search::{search_view, LocalSearchParams};
         use mbsp_dag::DagLike;
-        use mbsp_pool::Deadline;
         let inst = &instances(4)[3];
         let dag = inst.dag();
         let partition = topo_shards(dag, 2);
@@ -878,7 +878,6 @@ mod tests {
             seed: 7,
             stale_round_limit: 1,
         };
-        let deadline = Deadline::after(Duration::from_secs(10));
         let out = search_view(
             &view,
             inst.arch(),
@@ -886,8 +885,9 @@ mod tests {
             seed,
             None,
             &required,
-            &deadline,
+            &CancelToken::new(),
         );
+        assert_eq!(out.stopped, None);
         let best = &out.incumbent;
         assert!(best.cost <= out.base_cost + 1e-9);
         assert!(out.evaluations >= 1);

@@ -9,7 +9,6 @@ use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig};
 use mbsp_model::{Architecture, MbspInstance, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use std::time::Duration;
 
 fn instance() -> MbspInstance {
     let inst = mbsp_gen::tiny_dataset(42).remove(2);
@@ -31,7 +30,6 @@ fn repair_config(workers: usize) -> RepairConfig {
             workers,
             max_rounds: 4,
             moves_per_round: 12,
-            time_limit: Duration::from_secs(60),
             ..Default::default()
         },
         cone_radius: 2,

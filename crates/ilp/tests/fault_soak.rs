@@ -14,7 +14,6 @@ use mbsp_model::{Architecture, MbspInstance, ProcId};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 fn soak_seed() -> u64 {
     match std::env::var("MBSP_FAULT_SEED") {
@@ -74,7 +73,6 @@ fn the_engine_survives_a_seeded_fault_schedule() {
                 workers: 2,
                 max_rounds: 3,
                 moves_per_round: 10,
-                time_limit: Duration::from_secs(60),
                 ..Default::default()
             },
             cone_radius: 2,

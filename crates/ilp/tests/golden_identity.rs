@@ -85,7 +85,6 @@ fn holistic_scheduler_matches_the_recorded_values() {
     let holistic = HolisticScheduler::with_config(HolisticConfig {
         max_rounds: 6,
         moves_per_round: 24,
-        time_limit: Duration::from_secs(120),
         ..Default::default()
     });
     let actual: Vec<Row> = instances()
@@ -120,7 +119,6 @@ fn divide_and_conquer_scheduler_matches_the_recorded_values() {
         per_part: HolisticConfig {
             max_rounds: 4,
             moves_per_round: 20,
-            time_limit: Duration::from_secs(120),
             ..Default::default()
         },
         ..Default::default()
@@ -166,7 +164,6 @@ fn sharded_rows(strategy: ShardStrategy, shard_local_seed: bool) -> Vec<ShardedR
                 max_rounds: 4,
                 moves_per_round: 10,
                 iterations: 2,
-                time_limit: Duration::from_secs(120),
                 ..Default::default()
             })
             .with_observer(observer);
@@ -420,6 +417,8 @@ fn incremental_scheduler_matches_the_recorded_values() {
             num_shards: 4,
             max_rounds: 4,
             moves_per_round: 12,
+            // Never reached; kept because its bytes are in the checkpoints
+            // whose hashes `INCREMENTAL` pins.
             time_limit: Duration::from_secs(120),
             ..RepairConfig::default().search
         },

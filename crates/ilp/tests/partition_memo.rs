@@ -14,7 +14,6 @@ use mbsp_ilp::{
 };
 use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use std::time::Duration;
 
 /// The serving default (`iterations = 1`, four weighted shards) at a small
 /// move budget; `workers: 0` so CI's `MBSP_BENCH_THREADS` sweep reaches it.
@@ -23,7 +22,6 @@ fn search_config() -> ShardedSearchConfig {
         num_shards: 4,
         max_rounds: 3,
         moves_per_round: 8,
-        time_limit: Duration::from_secs(600),
         ..Default::default()
     }
 }

@@ -10,7 +10,6 @@ use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{IncrementalScheduler, RepairConfig, ShardedSearchConfig};
 use mbsp_model::{Architecture, MbspInstance, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use std::time::Duration;
 
 fn instances(limit: usize) -> Vec<MbspInstance> {
     mbsp_gen::tiny_dataset(42)
@@ -37,8 +36,6 @@ fn repair_config(workers: usize) -> RepairConfig {
             workers,
             max_rounds: 4,
             moves_per_round: 12,
-            // Generous enough that the deadline never truncates a shard.
-            time_limit: Duration::from_secs(60),
             ..Default::default()
         },
         cone_radius: 2,

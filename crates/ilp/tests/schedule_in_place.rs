@@ -13,7 +13,6 @@ use mbsp_ilp::{
 use mbsp_model::{Architecture, MbspInstance, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 fn instance() -> MbspInstance {
     let inst = mbsp_gen::tiny_dataset(42).remove(2);
@@ -27,7 +26,6 @@ fn search_config(strategy: ShardStrategy) -> ShardedSearchConfig {
         max_rounds: 4,
         moves_per_round: 12,
         iterations: 2,
-        time_limit: Duration::from_secs(60),
         ..Default::default()
     }
 }

@@ -6,7 +6,6 @@
 use mbsp_ilp::{ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig};
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use std::time::Duration;
 
 fn instances(limit: usize) -> Vec<MbspInstance> {
     mbsp_gen::tiny_dataset(42)
@@ -31,8 +30,6 @@ fn sharded_search_is_byte_identical_across_worker_counts() {
                 workers,
                 max_rounds: 4,
                 moves_per_round: 12,
-                // Generous enough that the deadline never truncates a shard.
-                time_limit: Duration::from_secs(60),
                 ..Default::default()
             });
             let (schedule, stats) = sharded.schedule_with_stats(&inst, &baseline);
@@ -84,9 +81,6 @@ fn weighted_iterated_search_is_byte_identical_across_worker_counts() {
                 moves_per_round: 8,
                 iterations: 3,
                 shard_local_seed: true,
-                // Generous enough that the deadline never truncates an
-                // iteration or a shard search.
-                time_limit: Duration::from_secs(60),
                 ..Default::default()
             });
             let (schedule, stats) = sharded.schedule_with_stats(&inst, &baseline);
@@ -125,7 +119,6 @@ fn sharded_search_stats_are_consistent() {
         workers: 2,
         max_rounds: 3,
         moves_per_round: 10,
-        time_limit: Duration::from_secs(60),
         ..Default::default()
     });
     let (schedule, stats) = sharded.schedule_with_stats(&inst.clone(), &baseline);

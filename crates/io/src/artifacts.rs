@@ -1,5 +1,5 @@
 //! Framed codecs for the engine's domain artifacts: computational DAGs,
-//! Pearce–Kelly orders, BSP schedules, assignments and architectures.
+//! Pearce–Kelly orders, assignments and architectures.
 //!
 //! Each artifact is a blob of CRC-checked sections (see [`crate::frame`]);
 //! decoding validates domain invariants on the way back in — a decoded DAG is
@@ -11,12 +11,10 @@
 use crate::codec::{Decode, Encode};
 use crate::frame::{DecodeError, Reader, Writer};
 use mbsp_dag::{CompDag, NodeId, NodeWeights, PkOrder};
-use mbsp_model::{Architecture, BspSchedule, ProcId};
+use mbsp_model::{Architecture, ProcId};
 
 /// Artifact kind stamped in the header of a DAG blob.
 pub const KIND_DAG: u32 = u32::from_le_bytes(*b"CDAG");
-/// Artifact kind of a BSP-schedule blob.
-pub const KIND_BSP: u32 = u32::from_le_bytes(*b"BSPS");
 /// Artifact kind of an incremental-scheduler session checkpoint.
 pub const KIND_SESSION: u32 = u32::from_le_bytes(*b"SESS");
 /// Artifact kind of a serving-daemon instance registry.
@@ -40,8 +38,6 @@ pub const SEC_PROCS: u32 = u32::from_le_bytes(*b"PROC");
 pub const SEC_PENDING: u32 = u32::from_le_bytes(*b"PEND");
 /// Section tag: search/repair configuration (seeds, budgets, strategy).
 pub const SEC_CONFIG: u32 = u32::from_le_bytes(*b"CONF");
-/// Section tag: BSP assignment (processor, superstep) per node.
-pub const SEC_ASSIGN: u32 = u32::from_le_bytes(*b"ASGN");
 /// Section tag: instance entries of a serving-daemon registry.
 pub const SEC_INSTANCES: u32 = u32::from_le_bytes(*b"INST");
 
@@ -247,54 +243,6 @@ impl Decode for Architecture {
         })
     }
     const MIN_SIZE: usize = 32;
-}
-
-/// Encodes a BSP schedule (first-stage baseline) as a standalone blob.
-pub fn encode_bsp(sched: &BspSchedule) -> Vec<u8> {
-    let mut w = Writer::new(KIND_BSP);
-    w.section(SEC_ASSIGN, |w| {
-        w.put_u64(sched.processors() as u64);
-        w.put_u64(sched.assignment().len() as u64);
-        for &(p, step) in sched.assignment() {
-            w.put_u32(p.0);
-            w.put_u64(step as u64);
-        }
-    });
-    w.finish()
-}
-
-/// Decodes a BSP-schedule blob, rejecting out-of-range processor ids.
-pub fn decode_bsp(bytes: &[u8]) -> Result<BspSchedule, DecodeError> {
-    let mut r = Reader::open(bytes, KIND_BSP)?;
-    let mut saved: Option<BspSchedule> = None;
-    while let Some((tag, mut body)) = r.next_section()? {
-        match tag {
-            SEC_ASSIGN => {
-                let processors = usize::decode(&mut body)?;
-                let len = body.get_len(12)?;
-                let mut assignment = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let p = ProcId(body.get_u32()?);
-                    let step = usize::decode(&mut body)?;
-                    if p.index() >= processors {
-                        return Err(body.invalid(format!(
-                            "assignment references processor {p} but only {processors} exist"
-                        )));
-                    }
-                    assignment.push((p, step));
-                }
-                body.finish()?;
-                set_once(tag, &mut saved, BspSchedule::new(processors, assignment))?;
-            }
-            _ => {
-                return Err(DecodeError::BadSectionTag {
-                    offset: body.offset(),
-                    tag,
-                })
-            }
-        }
-    }
-    saved.ok_or(DecodeError::MissingSection { tag: SEC_ASSIGN })
 }
 
 /// True when `name` is a valid service-instance name: 1–64 characters drawn

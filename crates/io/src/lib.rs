@@ -19,7 +19,6 @@
 //! - [`encode_dag`]/[`decode_dag`] — a [`mbsp_dag::CompDag`] (name, weights,
 //!   labels, edge list; the CSR arrays are rebuilt and re-validated on
 //!   decode).
-//! - [`encode_bsp`]/[`decode_bsp`] — a [`mbsp_model::BspSchedule`].
 //! - [`SavedOrder`] — the persistent state of a [`mbsp_dag::PkOrder`].
 //! - [`ServiceRegistry`] — the instance registry of the `mbsp_serve` daemon
 //!   (instance name → session-checkpoint file + generation counter), so a
@@ -42,10 +41,10 @@ mod codec;
 mod frame;
 
 pub use artifacts::{
-    check_assignment, decode_bsp, decode_dag, encode_bsp, encode_dag, valid_instance_name,
-    write_dag_sections, DagSections, RegistryEntry, SavedOrder, ServiceRegistry, KIND_BSP,
-    KIND_DAG, KIND_REGISTRY, KIND_SESSION, SEC_ARCH, SEC_ASSIGN, SEC_CONFIG, SEC_EDGES,
-    SEC_INSTANCES, SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
+    check_assignment, decode_dag, encode_dag, valid_instance_name, write_dag_sections, DagSections,
+    RegistryEntry, SavedOrder, ServiceRegistry, KIND_DAG, KIND_REGISTRY, KIND_SESSION, SEC_ARCH,
+    SEC_CONFIG, SEC_EDGES, SEC_INSTANCES, SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS,
+    SEC_WEIGHTS,
 };
 pub use codec::{Decode, Encode};
 pub use frame::{crc32, DecodeError, Reader, Writer, MAGIC, VERSION};
@@ -95,8 +94,9 @@ mod tests {
             decode_dag(&skew),
             Err(DecodeError::UnsupportedVersion { .. })
         ));
+        let session = Writer::new(KIND_SESSION).finish();
         assert!(matches!(
-            decode_bsp(&blob),
+            decode_dag(&session),
             Err(DecodeError::WrongArtifact { .. })
         ));
     }
@@ -166,30 +166,6 @@ mod tests {
         };
         assert!(matches!(
             high.restore(),
-            Err(DecodeError::InvalidValue { .. })
-        ));
-    }
-
-    #[test]
-    fn bsp_schedule_round_trips_and_validates_procs() {
-        use mbsp_model::{BspSchedule, ProcId};
-        let sched = BspSchedule::new(
-            3,
-            vec![
-                (ProcId(0), 0),
-                (ProcId(2), 0),
-                (ProcId(1), 1),
-                (ProcId(2), 2),
-            ],
-        );
-        let blob = encode_bsp(&sched);
-        let back = decode_bsp(&blob).expect("decode");
-        assert_eq!(back, sched);
-
-        let bad = BspSchedule::new(1, vec![(ProcId(5), 0)]);
-        let blob = encode_bsp(&bad);
-        assert!(matches!(
-            decode_bsp(&blob),
             Err(DecodeError::InvalidValue { .. })
         ));
     }

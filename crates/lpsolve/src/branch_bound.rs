@@ -2,9 +2,10 @@
 //!
 //! The solver mirrors how the paper uses COPT: it accepts an **incumbent warm
 //! start** (the two-stage baseline schedule encoded as a feasible assignment),
-//! it respects a **time limit** and a node limit, and it reports whether the
-//! returned solution is proven optimal or only the best found within the
-//! limits.
+//! it respects a node limit and a pivot limit — counts, where the paper sets a
+//! time limit, so a truncated solve is as reproducible as a finished one — and
+//! it reports whether the returned solution is proven optimal or only the best
+//! found within the limits.
 //!
 //! Node relaxations are solved by the sparse revised simplex with **basis
 //! warm starts**: every child node inherits its parent's optimal basis and,
@@ -16,12 +17,11 @@
 //! benchmarking, [`BranchBoundSolver::with_dense_relaxation`] switches every
 //! node to the dense-tableau oracle solved from scratch (the seed behaviour).
 
-use crate::dense::solve_lp_dense_with_bounds_deadline;
+use crate::dense::solve_lp_dense_with_bounds;
 use crate::model::{LpProblem, VarType};
 use crate::revised::{Basis, LpSolution, LpStatus, RevisedSimplex};
 use mbsp_pool::CancelToken;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// Termination status of a MIP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +48,10 @@ pub enum MipStop {
     /// [`SolverLimits::max_nodes`] nodes were explored — a count, so the same
     /// solve stops at the same node on any machine.
     Nodes,
-    /// [`SolverLimits::time_limit`] passed, at a node pop or inside a node's
-    /// relaxation. The only stop that depends on the wall clock: the same
-    /// solve may return a different incumbent the next time.
-    Time,
+    /// The relaxations used up [`SolverLimits::max_pivots`] — a count like
+    /// `Nodes`: the search ends at the node pop that finds nothing left, or
+    /// inside the relaxation that runs out (which is dropped unsolved).
+    Pivots,
     /// The [`CancelToken`] was observed at a node pop.
     Cancelled,
 }
@@ -78,8 +78,15 @@ pub struct MipSolution {
 pub struct SolverLimits {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Wall-clock time limit.
-    pub time_limit: Duration,
+    /// Maximum number of simplex pivots (iterations of the primal or dual
+    /// loop, bound flips included) over all node relaxations of one solve;
+    /// each relaxation is handed what its predecessors left. What a wall-clock
+    /// limit would bound, as a count. Not charged by the dense oracle of
+    /// [`BranchBoundSolver::with_dense_relaxation`], which `max_nodes` and its
+    /// per-relaxation cycle guard bound. The default is ≈ 70× the largest
+    /// solve the workspace runs under it (14,573 pivots: the 247-variable
+    /// `diamond_p2` pebbling ILP of `bench_record solver`).
+    pub max_pivots: usize,
     /// Relative optimality gap at which the search stops.
     pub relative_gap: f64,
 }
@@ -88,7 +95,7 @@ impl Default for SolverLimits {
     fn default() -> Self {
         SolverLimits {
             max_nodes: 50_000,
-            time_limit: Duration::from_secs(30),
+            max_pivots: 1_000_000,
             relative_gap: 1e-6,
         }
     }
@@ -158,10 +165,6 @@ impl BranchBoundSolver {
 
     /// Solves the MIP.
     pub fn solve(&self, problem: &LpProblem) -> MipSolution {
-        let start = Instant::now();
-        // Hard wall-clock deadline, also enforced inside each LP relaxation's
-        // pivot loop — a single large relaxation must not blow the budget.
-        let deadline = start.checked_add(self.limits.time_limit);
         let n = problem.num_variables();
         let tol = 1e-6;
 
@@ -174,11 +177,11 @@ impl BranchBoundSolver {
 
         // The shared relaxation solver (sparse path); bounds are swapped in
         // per node, bases are inherited parent → child.
-        let mut simplex = if self.dense_relaxation {
-            None
-        } else {
-            Some(RevisedSimplex::new(problem))
-        };
+        let mut simplex = (!self.dense_relaxation).then(|| {
+            let mut solver = RevisedSimplex::new(problem);
+            solver.set_pivot_budget(self.limits.max_pivots);
+            solver
+        });
 
         let root_lower: Vec<f64> = problem.variables.iter().map(|v| v.lower).collect();
         let root_upper: Vec<f64> = problem.variables.iter().map(|v| v.upper).collect();
@@ -196,21 +199,20 @@ impl BranchBoundSolver {
         let mut stop = MipStop::Gap;
 
         while let Some(node) = stack.pop() {
+            let pivots_left = simplex
+                .as_ref()
+                .map_or(self.limits.max_pivots, RevisedSimplex::pivots_left);
             let limit = if nodes >= self.limits.max_nodes {
                 Some(MipStop::Nodes)
-            } else if start.elapsed() >= self.limits.time_limit {
-                Some(MipStop::Time)
+            } else if pivots_left == 0 {
+                Some(MipStop::Pivots)
             } else if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 Some(MipStop::Cancelled)
             } else {
                 None
             };
             if let Some(limit) = limit {
-                // A relaxation the clock cut earlier already made the result
-                // timing-dependent; a later count limit does not undo that.
-                if stop != MipStop::Time {
-                    stop = limit;
-                }
+                stop = limit;
                 proven = false;
                 break;
             }
@@ -219,22 +221,17 @@ impl BranchBoundSolver {
                 Some(solver) => {
                     solver.set_structural_bounds(&node.lower, &node.upper);
                     let sol = match (&node.basis, &self.warm_start) {
-                        (Some(basis), _) => solver.solve_with_basis(basis, deadline),
+                        (Some(basis), _) => solver.solve_with_basis(basis),
                         // Root node: crash towards the incumbent when we have one.
-                        (None, Some(ws)) if ws.len() == n => solver.solve_from_point(ws, deadline),
-                        (None, _) => solver.solve(deadline),
+                        (None, Some(ws)) if ws.len() == n => solver.solve_from_point(ws),
+                        (None, _) => solver.solve(),
                     };
                     let basis =
                         (sol.status == LpStatus::Optimal).then(|| Rc::new(solver.basis_snapshot()));
                     (sol, basis)
                 }
                 None => (
-                    solve_lp_dense_with_bounds_deadline(
-                        problem,
-                        &node.lower,
-                        &node.upper,
-                        deadline,
-                    ),
+                    solve_lp_dense_with_bounds(problem, &node.lower, &node.upper),
                     None,
                 ),
             };
@@ -247,12 +244,13 @@ impl BranchBoundSolver {
                     continue;
                 }
                 LpStatus::IterationLimit => {
-                    // The pivot loops stop on their own iteration count or on
-                    // the deadline; only the latter is a wall-clock cut.
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        stop = MipStop::Time;
-                    }
                     proven = false;
+                    // The pivot budget ran out inside this relaxation (a later
+                    // one could only do the same), or its own cycle guard did.
+                    if simplex.as_ref().is_some_and(|s| s.pivots_left() == 0) {
+                        stop = MipStop::Pivots;
+                        break;
+                    }
                     continue;
                 }
                 LpStatus::Optimal => {}
@@ -442,16 +440,16 @@ mod tests {
         assert_eq!(sol.status, MipStatus::Feasible);
         assert_eq!(sol.stop, MipStop::Nodes);
         assert_close(sol.objective, -1.0);
-        // A zero time limit stops at the same pop, and says the clock did it.
-        let timed = SolverLimits {
-            time_limit: Duration::ZERO,
+        // A pivot budget of 0 stops at the same pop, and says which count did.
+        let no_pivots = SolverLimits {
+            max_pivots: 0,
             ..Default::default()
         };
-        let sol = BranchBoundSolver::with_limits(timed)
+        let sol = BranchBoundSolver::with_limits(no_pivots)
             .with_warm_start(vec![1.0, 0.0])
             .solve(&p);
         assert_eq!(sol.status, MipStatus::Feasible);
-        assert_eq!(sol.stop, MipStop::Time);
+        assert_eq!(sol.stop, MipStop::Pivots);
         assert_eq!(sol.nodes_explored, 0);
         // An infeasible warm start is ignored.
         let sol2 = BranchBoundSolver::with_limits(limits)
@@ -533,39 +531,51 @@ mod tests {
         assert_close(sol.objective, 0.0);
     }
 
-    #[test]
-    fn node_and_time_limits_are_respected() {
-        // A larger knapsack with tight limits terminates quickly with a feasible or
-        // limit status.
+    /// A knapsack whose tree outgrows tight limits.
+    fn knapsack_25() -> LpProblem {
         let mut p = LpProblem::new();
         let mut expr = LinExpr::new();
         for i in 0..25 {
-            let x = p.add_binary(format!("x{i}"), -((i % 7 + 1) as f64));
-            expr.add(x, ((i % 5) + 1) as f64);
+            let x = p.add_binary(format!("x{i}"), -(((3 * i + 7) % 11 + 5) as f64));
+            expr.add(x, ((5 * i + 3) % 13 + 4) as f64);
         }
-        p.add_constraint("cap", expr, ConstraintSense::LessEqual, 20.0);
-        let limits = SolverLimits {
+        p.add_constraint("cap", expr, ConstraintSense::LessEqual, 37.0);
+        p
+    }
+
+    #[test]
+    fn node_and_pivot_limits_are_respected_and_named() {
+        let p = knapsack_25();
+        let full = BranchBoundSolver::new().solve(&p);
+        assert_eq!((full.status, full.stop), (MipStatus::Optimal, MipStop::Gap));
+        assert!(full.nodes_explored > 10);
+        let by_nodes = SolverLimits {
             max_nodes: 10,
-            time_limit: Duration::from_millis(200),
-            relative_gap: 1e-6,
+            ..Default::default()
         };
-        let sol = BranchBoundSolver::with_limits(limits).solve(&p);
-        assert!(sol.nodes_explored <= 10);
-        assert!(matches!(
-            sol.status,
-            MipStatus::Feasible | MipStatus::LimitReached | MipStatus::Optimal
-        ));
+        let sol = BranchBoundSolver::with_limits(by_nodes).solve(&p);
+        assert_eq!(sol.stop, MipStop::Nodes);
+        assert_eq!(sol.nodes_explored, 10);
+        assert_ne!(sol.status, MipStatus::Optimal);
+        // Ten pivots do not finish the tree either; the cut is a count, so a
+        // second solve stops at the same node with the same incumbent.
+        let by_pivots = SolverLimits {
+            max_pivots: 10,
+            ..Default::default()
+        };
+        let sol = BranchBoundSolver::with_limits(by_pivots).solve(&p);
+        assert_eq!(sol.stop, MipStop::Pivots);
+        assert!(sol.nodes_explored < full.nodes_explored);
+        assert_ne!(sol.status, MipStatus::Optimal);
+        let again = BranchBoundSolver::with_limits(by_pivots).solve(&p);
+        assert_eq!(again.nodes_explored, sol.nodes_explored);
+        assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+        assert_eq!(again.values, sol.values);
     }
 
     #[test]
     fn a_pre_cancelled_token_stops_at_the_first_node_pop() {
-        let mut p = LpProblem::new();
-        let mut expr = LinExpr::new();
-        for i in 0..25 {
-            let x = p.add_binary(format!("x{i}"), -((i % 7 + 1) as f64));
-            expr.add(x, ((i % 5) + 1) as f64);
-        }
-        p.add_constraint("cap", expr, ConstraintSense::LessEqual, 20.0);
+        let p = knapsack_25();
         let token = CancelToken::new();
         token.cancel();
         // A feasible warm start survives cancellation as the returned incumbent.

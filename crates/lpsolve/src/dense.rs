@@ -15,7 +15,6 @@
 
 use crate::model::{ConstraintSense, LpProblem};
 use crate::revised::{LpSolution, LpStatus};
-use std::time::Instant;
 
 const EPS: f64 = 1e-9;
 const PIVOT_EPS: f64 = 1e-7;
@@ -30,18 +29,6 @@ pub fn solve_lp_dense(problem: &LpProblem) -> LpSolution {
 
 /// Solves the LP relaxation of `problem` with overridden variable bounds.
 pub fn solve_lp_dense_with_bounds(problem: &LpProblem, lower: &[f64], upper: &[f64]) -> LpSolution {
-    solve_lp_dense_with_bounds_deadline(problem, lower, upper, None)
-}
-
-/// Like [`solve_lp_dense_with_bounds`], but aborts with
-/// [`LpStatus::IterationLimit`] once `deadline` passes (checked inside the
-/// pivot loop).
-pub fn solve_lp_dense_with_bounds_deadline(
-    problem: &LpProblem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-) -> LpSolution {
     let n = problem.num_variables();
     assert_eq!(lower.len(), n);
     assert_eq!(upper.len(), n);
@@ -52,7 +39,7 @@ pub fn solve_lp_dense_with_bounds_deadline(
             values: vec![],
         };
     }
-    Tableau::build(problem, lower, upper).solve(problem, lower, deadline)
+    Tableau::build(problem, lower, upper).solve(problem, lower)
 }
 
 /// Internal simplex tableau.
@@ -170,12 +157,7 @@ impl Tableau {
     }
 
     /// Runs both simplex phases and extracts the solution.
-    fn solve(
-        mut self,
-        problem: &LpProblem,
-        lower: &[f64],
-        deadline: Option<Instant>,
-    ) -> LpSolution {
+    fn solve(mut self, problem: &LpProblem, lower: &[f64]) -> LpSolution {
         let max_iter = 200 * (self.ncols + self.rows.len() + 10);
 
         // Phase 1: minimise the sum of artificial variables.
@@ -185,7 +167,7 @@ impl Tableau {
                 obj[a] = 1.0;
             }
             let (mut objrow, mut objval) = self.price_out(&obj);
-            match self.iterate(&mut objrow, &mut objval, max_iter, None, deadline) {
+            match self.iterate(&mut objrow, &mut objval, max_iter, None) {
                 PhaseOutcome::Unbounded => {
                     // Phase 1 objective is bounded below by 0; treat as numerical trouble.
                     return LpSolution {
@@ -228,7 +210,7 @@ impl Tableau {
             obj[i] = v.objective;
         }
         let (mut objrow, mut objval) = self.price_out(&obj);
-        let outcome = self.iterate(&mut objrow, &mut objval, max_iter, Some(&banned), deadline);
+        let outcome = self.iterate(&mut objrow, &mut objval, max_iter, Some(&banned));
         let status = match outcome {
             PhaseOutcome::Optimal => LpStatus::Optimal,
             PhaseOutcome::Unbounded => LpStatus::Unbounded,
@@ -286,17 +268,9 @@ impl Tableau {
         objval: &mut f64,
         max_iter: usize,
         banned: Option<&[bool]>,
-        deadline: Option<Instant>,
     ) -> PhaseOutcome {
         let bland_threshold = max_iter / 2;
         for iter in 0..max_iter {
-            if iter & 31 == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return PhaseOutcome::IterationLimit;
-                    }
-                }
-            }
             let use_bland = iter > bland_threshold;
             // Entering column.
             let mut entering = None;

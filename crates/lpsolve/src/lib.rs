@@ -31,8 +31,7 @@
 //! The MBSP ILP formulations (binary compute/save/load/pebble variables per
 //! node × processor × step) are overwhelmingly sparse and 0/1-bounded; the
 //! revised simplex exploits exactly that, which is what lets the holistic ILP
-//! schedulers handle DAG sizes the dense tableau could not touch within its
-//! time budget.
+//! schedulers handle DAG sizes the dense tableau could not touch.
 
 pub mod basis;
 pub mod branch_bound;
@@ -45,6 +44,5 @@ pub mod sparse;
 pub use branch_bound::{BranchBoundSolver, MipSolution, MipStatus, MipStop, SolverLimits};
 pub use model::{Constraint, ConstraintSense, LinExpr, LpProblem, VarId, VarType};
 pub use revised::{
-    solve_lp, solve_lp_with_bounds, solve_lp_with_bounds_deadline, Basis, LpSolution, LpStatus,
-    RevisedSimplex, VarStatus,
+    solve_lp, solve_lp_with_bounds, Basis, LpSolution, LpStatus, RevisedSimplex, VarStatus,
 };

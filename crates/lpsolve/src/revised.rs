@@ -31,7 +31,6 @@ use crate::basis::Factorization;
 use crate::model::LpProblem;
 use crate::pricing::{select_bland, Pricing};
 use crate::sparse::SparseForm;
-use std::time::Instant;
 
 /// Status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +41,8 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below.
     Unbounded,
-    /// The iteration limit (or the caller's deadline) was reached first.
+    /// An iteration limit was reached first: the solve's own size-derived cycle
+    /// guard or the caller's pivot budget ([`RevisedSimplex::set_pivot_budget`]).
     IterationLimit,
 }
 
@@ -130,10 +130,9 @@ enum DualOutcome {
     Feasible,
     /// The LP is infeasible (a row proved no feasible point exists).
     Infeasible,
-    /// Budget exhausted or numerical trouble; caller should re-solve cold.
+    /// Cycle guard tripped, pivot budget spent or numerical trouble; caller
+    /// should re-solve cold (which a spent budget ends at once).
     GiveUp,
-    /// The caller's deadline passed.
-    Deadline,
 }
 
 /// The revised simplex solver. Owns the standard form (so branch and bound can
@@ -154,7 +153,8 @@ pub struct RevisedSimplex {
     ybuf: Vec<f64>,
     wbuf: Vec<f64>,
     rbuf: Vec<f64>,
-    deadline: Option<Instant>,
+    /// Pivots the caller still allows, over every solve from now on.
+    pivots_left: usize,
 }
 
 impl RevisedSimplex {
@@ -181,7 +181,7 @@ impl RevisedSimplex {
             wbuf: vec![0.0; m],
             rbuf: vec![0.0; m],
             form,
-            deadline: None,
+            pivots_left: usize::MAX,
         }
     }
 
@@ -198,9 +198,21 @@ impl RevisedSimplex {
         }
     }
 
+    /// Allows `pivots` more simplex iterations (primal or dual, bound flips
+    /// included) over all later solves together; a solve that runs out returns
+    /// [`LpStatus::IterationLimit`]. A count, so the same sequence of solves
+    /// stops at the same pivot on any machine. Unlimited until set.
+    pub fn set_pivot_budget(&mut self, pivots: usize) {
+        self.pivots_left = pivots;
+    }
+
+    /// What is left of the budget of [`RevisedSimplex::set_pivot_budget`].
+    pub fn pivots_left(&self) -> usize {
+        self.pivots_left
+    }
+
     /// Solves from scratch (crash basis + Phase 1 + Phase 2).
-    pub fn solve(&mut self, deadline: Option<Instant>) -> LpSolution {
-        self.deadline = deadline;
+    pub fn solve(&mut self) -> LpSolution {
         if self.bounds_crossed() {
             return LpSolution::infeasible();
         }
@@ -211,8 +223,7 @@ impl RevisedSimplex {
     /// value per structural variable): every nonbasic structural rests at the
     /// bound nearest its point value, so a feasible `point` whose entries sit
     /// on their bounds (e.g. an integral incumbent) skips Phase 1 entirely.
-    pub fn solve_from_point(&mut self, point: &[f64], deadline: Option<Instant>) -> LpSolution {
-        self.deadline = deadline;
+    pub fn solve_from_point(&mut self, point: &[f64]) -> LpSolution {
         if self.bounds_crossed() {
             return LpSolution::infeasible();
         }
@@ -228,8 +239,7 @@ impl RevisedSimplex {
     /// solve when the basis is unusable. This is the branch-and-bound fast
     /// path: after a single bound change the parent's optimal basis stays dual
     /// feasible and the dual simplex typically needs only a few pivots.
-    pub fn solve_with_basis(&mut self, basis: &Basis, deadline: Option<Instant>) -> LpSolution {
-        self.deadline = deadline;
+    pub fn solve_with_basis(&mut self, basis: &Basis) -> LpSolution {
         if self.bounds_crossed() {
             return LpSolution::infeasible();
         }
@@ -250,7 +260,6 @@ impl RevisedSimplex {
                         PhaseOutcome::NumericalTrouble => {}
                     },
                     DualOutcome::Infeasible => return LpSolution::infeasible(),
-                    DualOutcome::Deadline => return LpSolution::limit(),
                     DualOutcome::GiveUp => {}
                 }
             }
@@ -496,13 +505,10 @@ impl RevisedSimplex {
         let bland_threshold = max_iter / 2;
         let mut degenerate_run = 0usize;
         for iter in 0..max_iter {
-            if iter & 15 == 0 {
-                if let Some(d) = self.deadline {
-                    if Instant::now() >= d {
-                        return PhaseOutcome::IterationLimit;
-                    }
-                }
+            if self.pivots_left == 0 {
+                return PhaseOutcome::IterationLimit;
             }
+            self.pivots_left -= 1;
             // Duals for the current cost vector.
             for i in 0..m {
                 let bj = self.basic[i];
@@ -672,14 +678,11 @@ impl RevisedSimplex {
         let m = self.form.nrows;
         let ncols = self.form.ncols();
         let max_iter = 200 * (ncols + m + 10);
-        for iter in 0..max_iter {
-            if iter & 15 == 0 {
-                if let Some(d) = self.deadline {
-                    if Instant::now() >= d {
-                        return DualOutcome::Deadline;
-                    }
-                }
+        for _ in 0..max_iter {
+            if self.pivots_left == 0 {
+                return DualOutcome::GiveUp;
             }
+            self.pivots_left -= 1;
             // Leaving row: the basic variable with the largest bound violation.
             let mut r = usize::MAX;
             let mut worst = PRIMAL_TOL;
@@ -878,25 +881,13 @@ pub fn solve_lp(problem: &LpProblem) -> LpSolution {
 /// Solves the LP relaxation of `problem` with overridden variable bounds (used
 /// by branch and bound). `lower`/`upper` must have one entry per variable.
 pub fn solve_lp_with_bounds(problem: &LpProblem, lower: &[f64], upper: &[f64]) -> LpSolution {
-    solve_lp_with_bounds_deadline(problem, lower, upper, None)
-}
-
-/// Like [`solve_lp_with_bounds`], but aborts with [`LpStatus::IterationLimit`]
-/// once `deadline` passes (checked inside the pivot loops, so a single large
-/// relaxation cannot blow a caller's wall-clock budget).
-pub fn solve_lp_with_bounds_deadline(
-    problem: &LpProblem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-) -> LpSolution {
     let n = problem.num_variables();
     assert_eq!(lower.len(), n);
     assert_eq!(upper.len(), n);
     if lower.iter().zip(upper).any(|(&l, &u)| l > u + 1e-9) {
         return LpSolution::infeasible();
     }
-    RevisedSimplex::with_bounds(problem, lower, upper).solve(deadline)
+    RevisedSimplex::with_bounds(problem, lower, upper).solve()
 }
 
 #[cfg(test)]
@@ -1118,12 +1109,12 @@ mod tests {
             6.0,
         );
         let mut solver = RevisedSimplex::new(&p);
-        let root = solver.solve(None);
+        let root = solver.solve();
         assert_eq!(root.status, LpStatus::Optimal);
         assert_close(root.objective, -14.0 / 5.0);
         let basis = solver.basis_snapshot();
         solver.set_structural_bounds(&[0.0, 0.0], &[1.0, f64::INFINITY]);
-        let child = solver.solve_with_basis(&basis, None);
+        let child = solver.solve_with_basis(&basis);
         assert_eq!(child.status, LpStatus::Optimal);
         // With x <= 1: y <= 1.5 from c1, objective -(1 + 1.5) = -2.5.
         assert_close(child.objective, -2.5);
@@ -1144,11 +1135,11 @@ mod tests {
             4.0,
         );
         let mut solver = RevisedSimplex::new(&p);
-        let root = solver.solve(None);
+        let root = solver.solve();
         assert_eq!(root.status, LpStatus::Optimal);
         let basis = solver.basis_snapshot();
         solver.set_structural_bounds(&[0.0, 0.0], &[1.0, 1.0]);
-        let child = solver.solve_with_basis(&basis, None);
+        let child = solver.solve_with_basis(&basis);
         assert_eq!(child.status, LpStatus::Infeasible);
     }
 
@@ -1166,11 +1157,44 @@ mod tests {
             6.0,
         );
         let mut solver = RevisedSimplex::new(&p);
-        let sol = solver.solve_from_point(&[0.0, 1.0, 1.0], None);
+        let sol = solver.solve_from_point(&[0.0, 1.0, 1.0]);
         assert_eq!(sol.status, LpStatus::Optimal);
         // LP optimum of the relaxation is -21 (x1 = 0, x2 = 1, x3 = 1 is integral
         // but the LP can do better: x1 fractional).
         assert!(sol.objective <= -20.0 - 1e-9);
+    }
+
+    #[test]
+    fn a_pivot_budget_is_shared_by_later_solves_and_ends_in_an_iteration_limit() {
+        let mut p = LpProblem::new();
+        let x = p.add_continuous("x", 0.0, f64::INFINITY, -1.0);
+        let y = p.add_continuous("y", 0.0, f64::INFINITY, -1.0);
+        p.add_constraint(
+            "c1",
+            LinExpr::term(x, 1.0).plus(y, 2.0),
+            ConstraintSense::LessEqual,
+            4.0,
+        );
+        p.add_constraint(
+            "c2",
+            LinExpr::term(x, 3.0).plus(y, 1.0),
+            ConstraintSense::LessEqual,
+            6.0,
+        );
+        let mut solver = RevisedSimplex::new(&p);
+        assert_eq!(solver.pivots_left(), usize::MAX);
+        solver.set_pivot_budget(100);
+        assert_eq!(solver.solve().status, LpStatus::Optimal);
+        let used = 100 - solver.pivots_left();
+        assert!(used >= 2, "two columns enter: {used}");
+        // The same solve with one pivot too few stops, and stays stopped.
+        solver.set_pivot_budget(used - 1);
+        assert_eq!(solver.solve().status, LpStatus::IterationLimit);
+        assert_eq!(solver.pivots_left(), 0);
+        assert_eq!(solver.solve().status, LpStatus::IterationLimit);
+        solver.set_pivot_budget(used);
+        assert_eq!(solver.solve().status, LpStatus::Optimal);
+        assert_eq!(solver.pivots_left(), 0);
     }
 
     #[test]
@@ -1196,7 +1220,7 @@ mod tests {
             );
         }
         let mut solver = RevisedSimplex::new(&p);
-        let root = solver.solve(None);
+        let root = solver.solve();
         assert_eq!(root.status, LpStatus::Optimal);
         let mut basis = solver.basis_snapshot();
         let mut lower = vec![0.0; n];
@@ -1208,7 +1232,7 @@ mod tests {
                 lower[step] = 1.0;
             }
             solver.set_structural_bounds(&lower, &upper);
-            let warm = solver.solve_with_basis(&basis, None);
+            let warm = solver.solve_with_basis(&basis);
             let cold = solve_lp_with_bounds(&p, &lower, &upper);
             assert_eq!(warm.status, cold.status, "step {step}");
             if warm.status == LpStatus::Optimal {

@@ -16,7 +16,6 @@ use lp_solver::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::Duration;
 
 /// Number of random bounded LPs in the pure-LP sweep.
 const NUM_LPS: usize = 140;
@@ -225,8 +224,8 @@ fn mbsp_shaped_ilps_match_the_dense_oracle_through_branch_and_bound() {
     let mut r = rng(0xD1FF_0003);
     let limits = SolverLimits {
         max_nodes: 20_000,
-        time_limit: Duration::from_secs(10),
         relative_gap: 1e-9,
+        ..Default::default()
     };
     for k in 0..NUM_ILPS {
         let p = random_mbsp_ilp(&mut r);
@@ -350,8 +349,8 @@ fn the_random_ilp_family_contains_both_feasible_and_infeasible_instances() {
     let mut r = rng(0xD1FF_0003);
     let limits = SolverLimits {
         max_nodes: 20_000,
-        time_limit: Duration::from_secs(10),
         relative_gap: 1e-9,
+        ..Default::default()
     };
     let mut optimal = 0;
     let mut infeasible = 0;

@@ -31,10 +31,9 @@
 //!   exiting so no queued job is ever stranded.
 //!
 //! The pool is also where the workspace's **cancellation vocabulary** lives:
-//! [`CancelToken`] (a cloneable atomic flag), [`Deadline`] (optional wall-clock
-//! instant + optional token) and [`StopReason`]. The schedulers observe these
-//! only at deterministic round boundaries — see the fault-tolerance section of
-//! the repository README.
+//! [`CancelToken`] (a cloneable atomic flag with an optional wall-clock expiry)
+//! and [`StopReason`]. The schedulers observe the token only at deterministic
+//! round boundaries — see the fault-tolerance section of the repository README.
 //!
 //! The pool also owns the workspace's worker-count contract:
 //! [`resolve_workers`] is the single implementation of the `MBSP_BENCH_THREADS`
@@ -59,22 +58,38 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A cloneable cancellation flag: one `cancel()` is observed by every clone.
+/// The workspace's one stop signal: a cloneable cancellation flag — one
+/// `cancel()` is observed by every clone — that may also carry a wall-clock
+/// expiry ([`CancelToken::expiring_after`]).
 ///
-/// The schedulers check the token **only at deterministic round boundaries**
-/// (shard-search round, iteration boundary, branch-and-bound node pop), never
-/// mid-evaluation — so a cancelled run still returns a valid, never-worse
-/// incumbent, and a token that was cancelled *before* the run starts yields a
-/// byte-identical result for any worker count.
+/// The schedulers check the token **only at deterministic boundaries** — the
+/// top of a shard-search round, the top of a partition → search → merge pass,
+/// a branch-and-bound node pop — never mid-evaluation and never between the
+/// candidates of a round. A stopped run therefore returns a valid, never-worse
+/// incumbent and names the signal in its [`StopReason`]; a token that was
+/// cancelled or had expired *before* the run starts yields the seed incumbent,
+/// byte-identical for any worker count. Every other budget in the workspace is
+/// a count, and these are the only lines that read the clock.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    expiry: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
+    /// A fresh, uncancelled token that never expires.
     pub fn new() -> Self {
         CancelToken::default()
+    }
+
+    /// A token sharing this one's flag that additionally expires `after` from
+    /// now; an instant the clock cannot represent (`Duration::MAX`) is no
+    /// expiry. Replaces any expiry this token carried.
+    pub fn expiring_after(&self, after: Duration) -> Self {
+        CancelToken {
+            flag: Arc::clone(&self.flag),
+            expiry: Instant::now().checked_add(after),
+        }
     }
 
     /// Requests cancellation. Idempotent; visible to every clone.
@@ -82,21 +97,35 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// True once any clone has been cancelled.
+    /// True once any clone has been cancelled or the expiry has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.reason().is_some()
+    }
+
+    /// Which signal stopped the run — the flag outranks the clock when both
+    /// hold — or `None` while it may continue. A token without an expiry never
+    /// reads the clock.
+    pub fn reason(&self) -> Option<StopReason> {
+        if self.flag.load(Ordering::Acquire) {
+            Some(StopReason::Cancelled)
+        } else if self.expiry.is_some_and(|at| Instant::now() >= at) {
+            Some(StopReason::DeadlineExpired)
+        } else {
+            None
+        }
     }
 }
 
-/// Why a search run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Why a search run stopped. Ordered by precedence: when several boundaries
+/// of one run observed different signals, the run reports the greatest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum StopReason {
     /// The run exhausted its configured budget normally.
     #[default]
     Completed,
-    /// The wall-clock deadline passed at a round boundary.
+    /// The [`CancelToken`]'s expiry passed and a boundary observed it.
     DeadlineExpired,
-    /// A [`CancelToken`] was cancelled.
+    /// A [`CancelToken`] was cancelled and a boundary observed it.
     Cancelled,
 }
 
@@ -106,83 +135,6 @@ impl std::fmt::Display for StopReason {
             StopReason::Completed => write!(f, "completed"),
             StopReason::DeadlineExpired => write!(f, "deadline expired"),
             StopReason::Cancelled => write!(f, "cancelled"),
-        }
-    }
-}
-
-/// A combined stop condition: an optional wall-clock instant plus an optional
-/// [`CancelToken`], checked together at the schedulers' round boundaries.
-#[derive(Clone, Debug, Default)]
-pub struct Deadline {
-    instant: Option<Instant>,
-    token: Option<CancelToken>,
-}
-
-impl Deadline {
-    /// Never expires on its own (no instant, no token).
-    pub fn none() -> Self {
-        Deadline::default()
-    }
-
-    /// Expires once `instant` has passed.
-    pub fn at(instant: Instant) -> Self {
-        Deadline {
-            instant: Some(instant),
-            token: None,
-        }
-    }
-
-    /// Expires `d` from now.
-    pub fn after(d: Duration) -> Self {
-        Deadline::at(Instant::now() + d)
-    }
-
-    /// Attaches a cancellation token (cloned; `cancel()` on the original is
-    /// observed here).
-    pub fn with_token(mut self, token: &CancelToken) -> Self {
-        self.token = Some(token.clone());
-        self
-    }
-
-    /// Attaches a token if one is given.
-    pub fn with_token_opt(self, token: Option<&CancelToken>) -> Self {
-        match token {
-            Some(t) => self.with_token(t),
-            None => self,
-        }
-    }
-
-    /// The wall-clock component, if any.
-    pub fn instant(&self) -> Option<Instant> {
-        self.instant
-    }
-
-    /// The wall-clock component, or an effectively-unreachable instant — the
-    /// form the evaluation engine's time-budgeted inner loops consume.
-    pub fn wall_clock(&self) -> Instant {
-        self.instant
-            .unwrap_or_else(|| Instant::now() + Duration::from_secs(86_400 * 365))
-    }
-
-    /// True once the attached token was cancelled.
-    pub fn cancelled(&self) -> bool {
-        self.token.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// True once the run should stop: token cancelled or instant passed.
-    pub fn expired(&self) -> bool {
-        self.cancelled() || self.instant.is_some_and(|t| Instant::now() >= t)
-    }
-
-    /// The stop reason if this deadline is expired (cancellation takes
-    /// precedence over the clock), `None` while the run may continue.
-    pub fn reason(&self) -> Option<StopReason> {
-        if self.cancelled() {
-            Some(StopReason::Cancelled)
-        } else if self.instant.is_some_and(|t| Instant::now() >= t) {
-            Some(StopReason::DeadlineExpired)
-        } else {
-            None
         }
     }
 }
@@ -825,21 +777,24 @@ mod tests {
     #[test]
     fn cancel_tokens_and_deadlines_expire_as_documented() {
         let token = CancelToken::new();
-        let deadline = Deadline::after(Duration::from_secs(3600)).with_token(&token);
-        assert!(!deadline.expired());
-        assert_eq!(deadline.reason(), None);
+        let timed = token.expiring_after(Duration::from_secs(3600));
+        assert!(!timed.is_cancelled());
+        assert_eq!(timed.reason(), None);
         token.cancel();
-        assert!(deadline.expired());
-        assert_eq!(deadline.reason(), Some(StopReason::Cancelled));
+        assert!(timed.is_cancelled(), "the flag is shared");
+        assert_eq!(timed.reason(), Some(StopReason::Cancelled));
 
-        let past = Deadline::at(Instant::now() - Duration::from_millis(1));
-        assert!(past.expired());
+        let past = CancelToken::new().expiring_after(Duration::ZERO);
+        assert!(past.is_cancelled());
         assert_eq!(past.reason(), Some(StopReason::DeadlineExpired));
-        // Cancellation outranks the clock when both hold.
-        let both = Deadline::at(Instant::now() - Duration::from_millis(1)).with_token(&token);
-        assert_eq!(both.reason(), Some(StopReason::Cancelled));
-        assert!(!Deadline::none().expired());
-        assert!(Deadline::none().wall_clock() > Instant::now());
+        assert_eq!(past.clone().reason(), Some(StopReason::DeadlineExpired));
+        // The flag outranks the clock when both hold.
+        past.cancel();
+        assert_eq!(past.reason(), Some(StopReason::Cancelled));
+        // No expiry, no clock: `Duration::MAX` is "never", like a plain token.
+        let never = CancelToken::new().expiring_after(Duration::MAX);
+        assert!(never.expiry.is_none() && CancelToken::new().expiry.is_none());
+        assert_eq!(never.reason(), None);
     }
 
     #[test]

@@ -183,7 +183,8 @@ pub struct SearchOverrides {
     pub moves_per_round: Option<usize>,
     /// Partition/search/merge passes.
     pub iterations: Option<usize>,
-    /// Wall-clock limit in milliseconds.
+    /// Wall-clock deadline of the job in milliseconds (absent: the
+    /// instance's, which is none unless `register` set one).
     pub time_limit_ms: Option<u64>,
     /// Stale-round early-stopping limit.
     pub stale_round_limit: Option<usize>,
@@ -459,7 +460,9 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
 
     // Serving needs reproducible results across daemons with different core
     // counts, so the environment-resolved `num_shards: 0` default is replaced
-    // with an explicit value unless the client picks one.
+    // with an explicit value unless the client picks one. The library default
+    // has no deadline, so neither has an instance whose client sent no
+    // `time_limit_ms`: its budget is counts, the same on a slow host.
     let mut search = ShardedSearchConfig {
         num_shards: 4,
         ..ShardedSearchConfig::default()
@@ -797,6 +800,31 @@ mod tests {
             _ => panic!("expected family"),
         };
         assert!(dag.num_nodes() > 0);
+    }
+
+    #[test]
+    fn a_register_without_time_limit_ms_has_no_deadline() {
+        let register = |budget: &str| {
+            let line = format!(
+                r#"{{"op":"register","instance":"x","family":{{"kind":"cg","n":4,"k":2}},"processors":4{budget}}}"#
+            );
+            match parse_request(&line).unwrap().1 {
+                Request::Register(req) => req.search,
+                other => panic!("expected register, got {other:?}"),
+            }
+        };
+        // `Duration::MAX` arms no expiry, so no search over this config can
+        // report `deadline`; the shard count is still pinned.
+        let search = register("");
+        assert_eq!(search.time_limit, Duration::MAX);
+        assert_eq!(search.num_shards, 4);
+        // The field keeps its name, both positions and its meaning.
+        let hour = Duration::from_secs(3600);
+        assert_eq!(register(r#","time_limit_ms":3600000"#).time_limit, hour);
+        assert_eq!(
+            register(r#","budget":{"time_limit_ms":3600000}"#).time_limit,
+            hour
+        );
     }
 
     #[test]

@@ -65,8 +65,9 @@ pub const MAX_PROCESSORS: usize = 1024;
 pub const MAX_TABLE_CELLS: usize = 1 << 24;
 
 /// Most shards a request may ask for (`num_shards`, flat or under `budget`).
-/// The weighted partitioner solves `num_shards − 1` bipartition ILPs that
-/// observe neither the job's cancel token nor its `time_limit_ms`, so an
+/// The weighted partitioner solves `num_shards − 1` bipartition ILPs, each
+/// bounded by its node and pivot counts but run before the first boundary at
+/// which the job's cancel token or `time_limit_ms` is observed, so an
 /// unchecked count is hours of uncancellable work on the session worker.
 /// Sixty-four times the 4 shards `benchmark/` sends.
 pub const MAX_SHARDS: usize = 256;

@@ -287,6 +287,36 @@ fn concurrent_clients_stream_monotone_incumbents_and_match_direct_runs() {
 }
 
 #[test]
+fn a_zero_time_limit_answers_the_seed_incumbent_and_says_deadline() {
+    let state_dir = temp_state_dir("deadline");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"cache_factor":3.0,{BUDGET}}}"#
+    ));
+    assert_ok(&c.recv());
+    // The deadline has passed before the first pass: only the seed incumbent
+    // streams, and `done` carries its cost.
+    c.send(r#"{"id":2,"op":"schedule","instance":"cg","stream":true,"time_limit_ms":0}"#);
+    assert!(is_event(&c.recv(), "accepted"));
+    let (incumbents, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    assert_eq!(incumbents.len(), 1, "got {incumbents:?}");
+    assert_eq!(get_str(&done, "stop_reason"), Some("deadline"));
+    assert_eq!(get_u64(&done, "iterations"), Some(0));
+    assert_eq!(get_f64(&done, "cost"), get_f64(&incumbents[0], "cost"));
+    // The override was the job's alone: the instance registered no deadline,
+    // so the same search without it spends its counts.
+    c.send(r#"{"id":3,"op":"schedule","instance":"cg","stream":false}"#);
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_eq!(get_str(&done, "stop_reason"), Some("completed"));
+    assert_eq!(get_u64(&done, "iterations"), Some(2));
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn queued_replies_do_not_wait_for_a_delayed_ack() {
     // An instance `status` is two small frames (`accepted`, then the reply
     // through the admission queue) and no engine work. Without `TCP_NODELAY`

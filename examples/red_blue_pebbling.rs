@@ -9,7 +9,6 @@ use mbsp::ilp::{ExactIlpScheduler, IlpConfig};
 use mbsp::model::Operation;
 use mbsp::prelude::*;
 use mbsp::solver::SolverLimits;
-use std::time::Duration;
 
 fn main() {
     // A small binary-tree reduction with 4 leaves.
@@ -67,8 +66,7 @@ fn main() {
         allow_recompute: true,
         limits: SolverLimits {
             max_nodes: 5_000,
-            time_limit: Duration::from_secs(30),
-            relative_gap: 1e-6,
+            ..Default::default()
         },
     })
     .schedule(&tiny_instance);

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::dag::{CompDag, DagBuilder, DagLike, DagStatistics, NodeId, SubDagView};
     pub use crate::gen::{large_dataset, small_dataset_sample, tiny_dataset};
     pub use crate::ilp::{
-        CancelToken, Deadline, DivideAndConquerScheduler, ExactIlpScheduler, HolisticConfig,
+        CancelToken, DivideAndConquerScheduler, ExactIlpScheduler, HolisticConfig,
         HolisticScheduler, IncrementalScheduler, RepairConfig, ShardedHolisticScheduler,
         ShardedSearchConfig, StopReason,
     };
