@@ -36,7 +36,7 @@ lint:
 bench-json:
 	cargo run --release -p mbsp_bench --bin bench_record -- all
 
-# The CI benchmark smoke: every recorder on its small instances (~20 s, most
+# The CI benchmark smoke: every recorder on its small instances (~12 s, most
 # of it `repro`'s divide-and-conquer partitions). Prints the rows, writes
 # nothing, and fails on any false agreement flag, sub-1.0 speedup, unreal
 # timing or claim of the paper that does not hold.

@@ -69,6 +69,9 @@ pub(crate) trait Recorder {
     const SPEEDUPS: &'static [&'static str] = &[];
     /// Measurements that must be finite and positive on every row.
     const TIMINGS: &'static [&'static str] = &[];
+    /// Boolean [`summary`](Self::summary) fields that must be `true`, quick or
+    /// full.
+    const SUMMARY_FLAGS: &'static [&'static str] = &[];
 
     /// The full instance list, or the small smoke list when `quick`.
     fn instances(&self, quick: bool) -> Vec<Self::Instance>;
@@ -217,7 +220,13 @@ pub(crate) fn record<R: Recorder>(recorder: &R, quick: bool, only: Option<&str>)
     }
     let summary = recorder.summary(&rows);
     if !summary.is_empty() {
-        println!("{:<8} {}", R::NAME, render(&Value::Map(summary.clone())));
+        let summary = Value::Map(summary.clone());
+        println!("{:<8} {}", R::NAME, render(&summary));
+        for path in R::SUMMARY_FLAGS {
+            if lookup(&summary, path) != Some(&Value::Bool(true)) {
+                violations.push(format!("{}: summary: `{path}` is not true", R::NAME));
+            }
+        }
     }
     let mut report = vec![field("benchmark", R::BENCHMARK), field("quick", quick)];
     report.extend(recorder.header());

@@ -26,11 +26,10 @@
 //! counts — `max_rounds`, `moves_per_round`, the bipartition's `max_nodes`
 //! and `max_pivots` — and no scheduler or solver here is handed a clock, so
 //! two runs write the same bytes and there are no timings to gate. A quick
-//! run differs from a full one in `table2` alone (four instances, ten
-//! branch-and-bound nodes per bipartition): everything else takes seconds.
+//! run differs from a full one in `table2` alone (its first four instances):
+//! everything else takes seconds.
 
 use crate::{field, geomean, Fields, Recorder};
-use lp_solver::SolverLimits;
 use mbsp_cache::{ClairvoyantPolicy, EvictionPolicy, LruPolicy, TwoStageScheduler};
 use mbsp_dag::{CompDag, NodeId, TopologicalOrder};
 use mbsp_gen::constructions::{
@@ -86,12 +85,10 @@ struct Setting {
 enum Sweep {
     /// Tables 1 and 4: baseline vs holistic on the tiny dataset.
     Holistic,
-    /// Table 2: baseline vs divide-and-conquer on the first `instances` of the
-    /// small-dataset sample, each bipartition ILP explored for `max_nodes`
-    /// branch-and-bound nodes. The relaxation of a 400-node split takes
-    /// seconds, so these two counts are what a run's minutes are spent on
-    /// and the only thing a quick run shrinks.
-    DivideAndConquer { instances: usize, max_nodes: usize },
+    /// Table 2: baseline vs divide-and-conquer (at the library's default
+    /// bipartition budget) on the first `instances` of the small-dataset
+    /// sample — the only thing a quick run shrinks.
+    DivideAndConquer { instances: usize },
     /// Table 3: every baseline and both holistic variants on the tiny dataset.
     Baselines,
     /// Section 7.2: DFS + clairvoyant vs holistic on one processor.
@@ -236,7 +233,7 @@ impl Setting {
 
 fn sweep(sweep: Sweep, setting: Setting) -> Row {
     let mut dataset = mbsp_gen::tiny_dataset(SEED);
-    if let Sweep::DivideAndConquer { instances, .. } = sweep {
+    if let Sweep::DivideAndConquer { instances } = sweep {
         dataset = mbsp_gen::small_dataset_sample(SEED);
         dataset.truncate(instances);
     }
@@ -252,17 +249,10 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
             Sweep::Holistic | Sweep::Pebbling => {
                 vec![baseline, setting.improved(&instance, &seed)]
             }
-            Sweep::DivideAndConquer { max_nodes, .. } => {
-                let mut config = DivideAndConquerConfig {
+            Sweep::DivideAndConquer { .. } => {
+                let config = DivideAndConquerConfig {
                     per_part: setting.search(),
                     ..Default::default()
-                };
-                // `max_nodes` alone budgets a cut here (the library default
-                // also bounds its pivots).
-                config.bipartition.limits = SolverLimits {
-                    max_nodes,
-                    max_pivots: usize::MAX,
-                    ..config.bipartition.limits
                 };
                 let schedule = DivideAndConquerScheduler::with_config(config).schedule(&instance);
                 let (dag, arch) = (instance.dag(), instance.arch());
@@ -563,10 +553,8 @@ impl Recorder for Repro {
     const FLAGS: &'static [&'static str] = &["claims_hold"];
 
     fn instances(&self, quick: bool) -> Vec<Experiment> {
-        let (instances, max_nodes) = if quick { (4, 10) } else { (usize::MAX, 100) };
         let table2 = Sweep::DivideAndConquer {
-            instances,
-            max_nodes,
+            instances: if quick { 4 } else { usize::MAX },
         };
         let setting = |processors, cache_factor, latency, cost_model| Setting {
             processors,

@@ -23,11 +23,13 @@
 //! The `partition_*` fields of a row say what one weighted partition
 //! (iteration 0 of the weighted mode) cost on that instance: its wall-clock,
 //! the branch-and-bound nodes of its splits and whether a split stopped on a
-//! limit. The report's `paper_scale_partitions` lists the same for the
-//! paper-scale instances a `tenants_small` daemon serves, where the partition
-//! is most of a request. Both are per instance and ungated: the cost is
-//! heavy-tailed (a split that runs into its node limit costs twenty times the
-//! median), which a median over instances hides.
+//! limit. The report's `paper_scale_partitions` lists the same — and the
+//! variables and rows of the root split's model — for the paper-scale
+//! instances a `tenants_small` daemon serves. Both are per instance: the cost
+//! is heavy-tailed (a split that runs into its node limit costs twenty times
+//! the median), which a median over instances hides. A paper-scale partition
+//! that stops on a limit fails the run (`paper_scale_untruncated`), quick or
+//! full; on the large rows a truncated root split is recorded, not gated.
 //!
 //! Gated on every row: worker-count identity and
 //! never-worse-than-baseline for each mode and for the headline, and the
@@ -126,6 +128,9 @@ struct PaperScalePartition {
     partition_ms: f64,
     partition_bnb_nodes: usize,
     partition_truncated: bool,
+    /// Size of the root split's model, the largest of the partition's solves.
+    variables: usize,
+    constraints: usize,
 }
 
 /// The relative slack of every cost comparison.
@@ -186,6 +191,7 @@ fn timed_partition(named: &NamedInstance) -> PaperScalePartition {
         config.mass_tolerance,
         0.0,
         WeightedBipartitionConfig::default().limits,
+        None,
     );
     PaperScalePartition {
         name: named.name.clone(),
@@ -193,6 +199,8 @@ fn timed_partition(named: &NamedInstance) -> PaperScalePartition {
         partition_ms: start.elapsed().as_secs_f64() * 1e3,
         partition_bnb_nodes: solve.bnb_nodes,
         partition_truncated: solve.truncated,
+        variables: solve.root_variables,
+        constraints: solve.root_constraints,
     }
 }
 
@@ -259,6 +267,7 @@ impl Recorder for Shard {
         "weighted.equal_or_better_than_legacy",
     ];
     const TIMINGS: &'static [&'static str] = &["single_seconds", "sharded_seconds"];
+    const SUMMARY_FLAGS: &'static [&'static str] = &["paper_scale_untruncated"];
 
     fn instances(&self, quick: bool) -> Vec<NamedInstance> {
         large_or_quick(quick, [(10, 40, 0.1, 7), (20, 50, 0.08, 8)])
@@ -372,9 +381,11 @@ impl Recorder for Shard {
         paper_scale.extend(mbsp_gen::tiny_dataset(42).into_iter().take(3));
         let partitions: Vec<PaperScalePartition> =
             paper_scale.iter().map(timed_partition).collect();
+        let untruncated = partitions.iter().all(|p| !p.partition_truncated);
         vec![
             field("geomean_speedup", speedup),
             field("weighted_strictly_better_count", better),
+            field("paper_scale_untruncated", untruncated),
             field("paper_scale_partitions", partitions),
         ]
     }

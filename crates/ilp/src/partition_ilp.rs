@@ -2,15 +2,27 @@
 //!
 //! The divide-and-conquer scheduler splits the DAG into two parts such that the
 //! quotient graph stays acyclic, the parts are balanced, and as few edges as
-//! possible cross the cut (Section 6.3 / Appendix C.2). The ILP below uses one
-//! binary variable `x_v` per node (`x_v = 1` means "second part"):
+//! possible cross the cut (Section 6.3 / Appendix C.2). The ILP below is the
+//! paper's in *closure form*: one binary variable `x_v` per node (`x_v = 1`
+//! means "second part") and no other variable:
 //!
 //! * acyclicity: for every edge `(u, v)`, `x_u ≤ x_v` (all cut edges point from part
-//!   0 to part 1, so the quotient has a single edge `0 → 1`);
+//!   0 to part 1, so the quotient has a single edge `0 → 1`) — side 1 is a
+//!   closure of the DAG. A row is emitted only for the edges of the transitive
+//!   reduction; the others are implied by a chain of those;
 //! * balance: `⌈n/3⌉ ≤ Σ x_v ≤ ⌊2n/3⌋` (each part gets at least a third of the
 //!   nodes, as in the paper's recursive splitting);
-//! * objective: minimise `Σ_{(u,v) ∈ E} y_{uv}` with `y_{uv} ≥ x_v − x_u`, the
-//!   number of cut edges.
+//! * objective: minimise the number of cut edges. Appendix C.2 writes it with
+//!   an indicator `y_{uv} ≥ x_v − x_u` per edge; under the acyclicity rows
+//!   `x_v − x_u ∈ {0, 1}` *is* that indicator, so the cut is
+//!   `Σ_{(u,v) ∈ E} (x_v − x_u) = Σ_v (in-degree(v) − out-degree(v)) · x_v` —
+//!   the same feasible splits and the same value on each, with `n` columns
+//!   and at most `m + 2` rows instead of `n + m` and `2m + 2`
+//!   (`tests/partition_differential.rs` keeps the `y` form as the oracle).
+//!   The objective is an integer at every split, which `lp_solver`'s branch
+//!   and bound observes and uses to round its bounds up; its relaxations are
+//!   all-binary, so it also rounds them by thresholds, and every such
+//!   rounding keeps the acyclicity rows.
 //!
 //! A topological-prefix split warm-starts the solver — since the rework of
 //! `lp_solver` around the sparse revised simplex, the warm assignment both
@@ -24,6 +36,7 @@ use lp_solver::{
     BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipStatus, MipStop, SolverLimits,
 };
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
+use mbsp_pool::CancelToken;
 
 /// Configuration of the bipartitioning step.
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +53,13 @@ impl Default for BipartitionConfig {
             min_fraction: 1.0 / 3.0,
             limits: SolverLimits {
                 max_nodes: 2_000,
-                // What bounds a cut of more than a few hundred nodes: the
-                // relaxation of a 400-node split runs at under 100 pivots/s.
+                // What bounds a cut of more than a few hundred nodes. The
+                // closure-form relaxation pivots at ≈ 12,000/s on a 200–250
+                // node split, 1,200–5,000/s at 420 nodes and 700–1,100/s at
+                // 480–780, so this is ≈ 2 s, 4–16 s and 18–30 s. The largest
+                // cut of `examples/divide_and_conquer` that finishes takes
+                // 3,874 pivots; of `repro`'s Table 2 (105 cuts, 10 of which
+                // stop here) 12,355.
                 max_pivots: 20_000,
                 relative_gap: 1e-6,
             },
@@ -49,13 +67,45 @@ impl Default for BipartitionConfig {
     }
 }
 
-/// The LP skeleton both bipartition ILPs share, with `fallback` (a two-part
-/// prefix split) as warm start: one binary side indicator `x_v` per node
-/// (variable `i` belongs to node `i`), then per edge `e = (u, v)` a continuous
-/// cut indicator `y_e` of objective weight `edge_weight(e)` with its rows
-/// `y_e ≥ x_v − x_u` (continuous is enough: the objective pushes it to the
-/// lower bound) and `x_u ≤ x_v` (acyclicity), then the `side1_count` bounds
-/// on `Σ x_v` and, when given, the `side1_mass` bounds on
+/// The edges of `dag`'s transitive reduction, in `(u, v)` order. An edge
+/// `(u, v)` with another path `u → c → … → v` is dropped: the rows
+/// `x_u ≤ x_c ≤ … ≤ x_v` imply `x_u ≤ x_v`. One descendant bitset per node
+/// (the node included), filled in reverse topological order: `O(n · m / 64)`
+/// time and `n² / 8` bytes.
+fn transitive_reduction(dag: &CompDag) -> Vec<(NodeId, NodeId)> {
+    let n = dag.num_nodes();
+    let words = n.div_ceil(64);
+    let topo = TopologicalOrder::of(dag);
+    let mut reach = vec![0u64; n * words];
+    let mut kept = Vec::new();
+    for &u in topo.order().iter().rev() {
+        // Any other path to a child runs through a child earlier in the order.
+        let mut children = dag.children(u).to_vec();
+        children.sort_by_key(|&c| topo.position(c));
+        let row = u.index() * words;
+        for c in children {
+            if reach[row + c.index() / 64] >> (c.index() % 64) & 1 == 0 {
+                kept.push((u, c));
+                for w in 0..words {
+                    reach[row + w] |= reach[c.index() * words + w];
+                }
+            }
+        }
+        reach[row + u.index() / 64] |= 1 << (u.index() % 64);
+    }
+    kept.sort_unstable();
+    kept
+}
+
+/// The LP skeleton both bipartition ILPs share, in closure form, with
+/// `fallback` (a two-part prefix split) as warm start: one binary side
+/// indicator `x_v` per node (variable `i` belongs to node `i`) and nothing
+/// else. Under the acyclicity rows `x_u ≤ x_v` an edge `e = (u, v)` is cut
+/// exactly when `x_v − x_u = 1`, so the weighted cut `Σ_e edge_weight(e) ·
+/// (x_v − x_u)` is linear in `x`: node `v`'s objective coefficient is its
+/// in-weight minus its out-weight. The acyclicity rows are needed only over
+/// the [`transitive_reduction`] (they imply the rest), followed by the
+/// `side1_count` bounds on `Σ x_v` and, when given, the `side1_mass` bounds on
 /// `Σ compute_weight(v) · x_v`.
 fn model(
     dag: &CompDag,
@@ -64,22 +114,19 @@ fn model(
     side1_mass: Option<(f64, f64)>,
     fallback: &AcyclicPartition,
 ) -> (LpProblem, Vec<f64>) {
-    let mut problem = LpProblem::new();
-    let xs: Vec<_> = (0..dag.num_nodes())
-        .map(|i| problem.add_binary(format!("x{i}"), 0.0))
-        .collect();
+    let mut net_in_weight = vec![0.0; dag.num_nodes()];
     for (e, (u, v)) in dag.edges().enumerate() {
-        let y = problem.add_continuous(format!("y{e}"), 0.0, 1.0, edge_weight(e));
+        let w = edge_weight(e);
+        net_in_weight[v.index()] += w;
+        net_in_weight[u.index()] -= w;
+    }
+    let mut problem = LpProblem::new();
+    let xs: Vec<_> = (net_in_weight.iter().enumerate())
+        .map(|(i, &w)| problem.add_binary(format!("x{i}"), w))
+        .collect();
+    for (u, v) in transitive_reduction(dag) {
         problem.add_constraint(
-            format!("cut{e}"),
-            LinExpr::term(y, 1.0)
-                .plus(xs[v.index()], -1.0)
-                .plus(xs[u.index()], 1.0),
-            ConstraintSense::GreaterEqual,
-            0.0,
-        );
-        problem.add_constraint(
-            format!("acyc{e}"),
+            format!("acyc{}_{}", u.index(), v.index()),
             LinExpr::term(xs[u.index()], 1.0).plus(xs[v.index()], -1.0),
             ConstraintSense::LessEqual,
             0.0,
@@ -102,32 +149,27 @@ fn model(
     if let Some(mass) = side1_mass {
         bound("mass", &|v| dag.compute_weight(v), mass);
     }
-
-    // The y variables follow the x variables, one per edge in edge order.
-    let mut warm = vec![0.0; problem.num_variables()];
-    for v in dag.nodes() {
-        warm[xs[v.index()].index()] = fallback.part_of(v) as f64;
-    }
-    for (e, (u, v)) in dag.edges().enumerate() {
-        let cut = fallback.part_of(u) != fallback.part_of(v);
-        warm[xs.len() + e] = if cut { 1.0 } else { 0.0 };
-    }
+    let warm = dag.nodes().map(|v| fallback.part_of(v) as f64).collect();
     (problem, warm)
 }
 
 /// Solves a [`model`] of `dag` from its warm start and reads the split off the
 /// `x_v`; `fallback` when the solver found nothing within `limits` (or
 /// returned something that is not an acyclic bipartition). Also reports the
-/// branch-and-bound nodes explored and what stopped the solve.
-fn solve(
+/// branch-and-bound nodes explored and what stopped the solve: `cancel`, when
+/// given, stops it at a node pop with its incumbent so far.
+pub(crate) fn solve(
     dag: &CompDag,
     (problem, warm): (LpProblem, Vec<f64>),
     fallback: AcyclicPartition,
     limits: SolverLimits,
+    cancel: Option<&CancelToken>,
 ) -> (AcyclicPartition, usize, MipStop) {
-    let solution = BranchBoundSolver::with_limits(limits)
-        .with_warm_start(warm)
-        .solve(&problem);
+    let mut solver = BranchBoundSolver::with_limits(limits).with_warm_start(warm);
+    if let Some(token) = cancel {
+        solver = solver.with_cancel(token);
+    }
+    let solution = solver.solve(&problem);
     let split = match solution.status {
         MipStatus::Optimal | MipStatus::Feasible => {
             let assignment: Vec<usize> = (0..dag.num_nodes())
@@ -141,9 +183,8 @@ fn solve(
 }
 
 /// Builds the bipartition ILP of `dag` together with its prefix-split warm
-/// start. The first `n` variables are the binary node-side indicators `x_v`
-/// (variable `i` belongs to node `i`), followed by one continuous cut
-/// indicator `y_e` per edge. Shared by [`bipartition`] and the recorded
+/// start. Its `n` variables are the binary node-side indicators `x_v`
+/// (variable `i` belongs to node `i`). Shared by [`bipartition`] and the recorded
 /// `BENCH_solver.json` benchmark, so both always measure the exact production
 /// formulation.
 pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f64>) {
@@ -162,7 +203,7 @@ pub fn bipartition(dag: &CompDag, config: &BipartitionConfig) -> AcyclicPartitio
         return AcyclicPartition::trivial(dag);
     }
     let lp = bipartition_model(dag, config.min_fraction);
-    solve(dag, lp, prefix_split(dag), config.limits).0
+    solve(dag, lp, prefix_split(dag), config.limits, None).0
 }
 
 /// Balanced topological-prefix split: the first half of a topological order forms
@@ -209,8 +250,11 @@ impl Default for WeightedBipartitionConfig {
             min_side1_nodes: 1,
             limits: SolverLimits {
                 max_nodes: 2_000,
-                // 3× the largest run-quotient solve measured (16,759 pivots,
-                // itself cut at `max_nodes`).
+                // 4.5× the largest run-quotient solve measured: 10,998 pivots,
+                // a 30-run split of `spmv_N2000` cut at `max_nodes`. The
+                // largest that finishes (a served 32-run root split) takes
+                // 2,335; a 32-run model pivots at ≈ 170,000/s, a 48-run one
+                // at ≈ 20,000/s.
                 max_pivots: 50_000,
                 relative_gap: 1e-6,
             },
@@ -221,9 +265,9 @@ impl Default for WeightedBipartitionConfig {
 /// Builds the weight-aware bipartition ILP of `dag` together with its
 /// mass-balanced prefix-split warm start. `edge_weights[e]` is the objective
 /// coefficient of cutting the `e`-th edge of `dag.edges()` (for run-quotient
-/// graphs this is the multiplicity of the aggregated original edges). The first
-/// `n` variables are the binary node-side indicators `x_v`, followed by one
-/// continuous cut indicator per edge, exactly as in [`bipartition_model`].
+/// graphs this is the multiplicity of the aggregated original edges). Its `n`
+/// variables are the binary node-side indicators `x_v`, exactly as in
+/// [`bipartition_model`].
 pub fn weighted_bipartition_model(
     dag: &CompDag,
     edge_weights: &[f64],
@@ -264,21 +308,12 @@ pub fn weighted_bipartition(
     edge_weights: &[f64],
     config: &WeightedBipartitionConfig,
 ) -> AcyclicPartition {
-    weighted_bipartition_solve(dag, edge_weights, config).0
-}
-
-/// [`weighted_bipartition`] plus what its branch and bound did: the nodes it
-/// explored and what stopped it.
-pub(crate) fn weighted_bipartition_solve(
-    dag: &CompDag,
-    edge_weights: &[f64],
-    config: &WeightedBipartitionConfig,
-) -> (AcyclicPartition, usize, MipStop) {
     if dag.num_nodes() < config.min_side0_nodes.max(1) + config.min_side1_nodes.max(1) {
-        return (AcyclicPartition::trivial(dag), 0, MipStop::Gap);
+        return AcyclicPartition::trivial(dag);
     }
     let lp = weighted_bipartition_model(dag, edge_weights, config);
-    solve(dag, lp, weighted_prefix_split(dag, config), config.limits)
+    let fallback = weighted_prefix_split(dag, config);
+    solve(dag, lp, fallback, config.limits, None).0
 }
 
 /// Mass-balanced topological-prefix split: cuts a topological order at the

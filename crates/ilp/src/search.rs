@@ -437,7 +437,8 @@ impl PartitionMemo {
     }
 
     /// Remembers a freshly solved partition. Every solve is budgeted by
-    /// counts, so even a truncated one is what solving again would return.
+    /// counts, so even a truncated one is what solving again would return;
+    /// one solved under a stop signal that has fired is not offered.
     fn insert(&mut self, key: PartitionKey, partition: &Arc<AcyclicPartition>) {
         if self.entries.len() == Self::CAPACITY {
             self.entries.remove(0);
@@ -627,9 +628,14 @@ impl<'a> ShardedSearch<'a> {
             self.partition_hits += 1;
             return partition;
         }
-        let partition = Arc::new(shard_partition(self.dag, self.k, self.config, iteration));
+        let (dag, token) = (self.dag, &self.token);
+        let partition = Arc::new(shard_partition(dag, self.k, self.config, iteration, token));
         self.partitions_solved += 1;
-        if let Some(memo) = self.memo.as_deref_mut() {
+        // A stop signal may have cut a split short: the partition is valid but
+        // not what solving again would return, so it is not remembered.
+        let reason = token.reason();
+        self.stopped = self.stopped.max(reason);
+        if let (Some(memo), None) = (self.memo.as_deref_mut(), reason) {
             memo.insert(key, &partition);
         }
         partition
@@ -726,7 +732,7 @@ mod tests {
             max_pivots: 0,
             ..WeightedBipartitionConfig::default().limits
         };
-        let (partition, solve) = weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut);
+        let (partition, solve) = weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut, None);
         assert!(solve.truncated);
         let partition = Arc::new(partition);
         let mut memo = PartitionMemo::default();
@@ -737,7 +743,10 @@ mod tests {
             .get(&key(0))
             .expect("a truncated partition is remembered");
         assert!(Arc::ptr_eq(&hit, &partition));
-        assert_eq!(*hit, weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut).0);
+        assert_eq!(
+            *hit,
+            weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut, None).0
+        );
         assert!(memo.get(&key(1)).is_none());
         memo.clear();
         assert!(memo.get(&key(0)).is_none());
@@ -764,7 +773,7 @@ mod tests {
             max_pivots: 60,
             ..WeightedBipartitionConfig::default().limits
         };
-        let solve = || weighted_shards_solve(dag, 4, 8, config.mass_tolerance, 0.0, cut);
+        let solve = || weighted_shards_solve(dag, 4, 8, config.mass_tolerance, 0.0, cut, None);
         let (partition, stats) = solve();
         assert!(stats.truncated && stats.bnb_nodes > 0, "{stats:?}");
         assert_eq!((partition.clone(), stats), solve());
@@ -800,6 +809,51 @@ mod tests {
             .collect();
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
+    }
+
+    /// The job's token reaches the partition's branch and bound; what it cuts
+    /// short is valid, reported, and not what a later request is served.
+    #[test]
+    fn a_partition_solved_under_a_fired_stop_signal_is_not_remembered() {
+        use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
+        use mbsp_sched::BspScheduler;
+        let dag = mbsp_gen::tiny_dataset(42).remove(3).dag;
+        let inst =
+            mbsp_model::MbspInstance::with_cache_factor(dag, Architecture::paper_default(0.0), 3.0);
+        let (dag, arch) = (inst.dag(), inst.arch());
+        let config = ShardedSearchConfig {
+            num_shards: 4,
+            max_rounds: 2,
+            moves_per_round: 4,
+            ..Default::default()
+        };
+        let baseline = GreedyBspScheduler::new().schedule(dag, arch);
+        let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
+        let repair = RepairConfig {
+            search: config,
+            cone_radius: 2,
+        };
+        let mut session = IncrementalScheduler::new(dag.clone(), *arch, procs.clone(), repair);
+        let (pool, token) = (WorkerPool::with_capacity(1), CancelToken::new());
+        let memo = Some(&mut session.memo);
+        let mut search =
+            ShardedSearch::new(&pool, Some(&token), memo, dag, arch, &config, procs, None);
+        // The signal fires after the pass boundary let the pass through.
+        assert!(!search.stop_before_pass());
+        token.cancel();
+        let partition = search.partition(0);
+        assert_eq!(partition.num_parts(), 4);
+        assert!(partition.quotient_is_acyclic(dag));
+        assert_eq!(search.stopped, Some(StopReason::Cancelled));
+        assert_eq!((search.partitions_solved, search.partition_hits), (1, 0));
+        assert!(session.memo.entries.is_empty());
+        // The next request solves the partition itself, and only that one is
+        // what the request after it is served.
+        for expect in [(1, 0), (0, 1)] {
+            let (_, stats) = session.schedule(&config, &baseline, None);
+            assert_eq!((stats.partitions_solved, stats.partition_hits), expect);
+            assert_eq!(stats.stop_reason, StopReason::Completed);
+        }
     }
 
     #[test]

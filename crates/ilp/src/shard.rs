@@ -55,7 +55,8 @@
 //! asserts it for both strategies, also when the partition was cut by its
 //! pivot budget. The one thing that reads a clock is the job's stop signal —
 //! [`ShardedSearchConfig::time_limit`] and the caller's `CancelToken` —
-//! observed at round and pass boundaries: a run it cuts says so
+//! observed at round and pass boundaries and at the node pops of the
+//! partitioner's branch and bound: a run it cuts says so
 //! (`DeadlineExpired` / `Cancelled`) and returns a valid schedule that costs
 //! no more than its seed, but not a reproducible one.
 //!
@@ -63,7 +64,9 @@
 //! this module owns the partitioners, the configuration and the front-end
 //! that seeds the global incumbent and iterates the pass.
 
-use crate::partition_ilp::{weighted_bipartition_solve, WeightedBipartitionConfig};
+use crate::partition_ilp::{
+    solve, weighted_bipartition_model, weighted_prefix_split, WeightedBipartitionConfig,
+};
 use crate::search::{Incumbent, PartitionMemo, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
@@ -214,9 +217,9 @@ pub struct ShardedSearchStats {
     /// always `0` for the one-shot [`ShardedHolisticScheduler`].
     pub partition_hits: usize,
     /// Why the run stopped. `Completed` means no shard-search round and no
-    /// pass was skipped: the run spent its budget of counts and is
-    /// reproducible. Otherwise the signal that skipped one (a cancellation
-    /// outranks the deadline).
+    /// pass was skipped and no partition split cut short: the run spent its
+    /// budget of counts and is reproducible. Otherwise the signal that did
+    /// (a cancellation outranks the deadline).
     pub stop_reason: StopReason,
 }
 
@@ -323,6 +326,7 @@ pub fn weighted_shards(
         mass_tolerance,
         cut_offset,
         limits,
+        None,
     )
     .0
 }
@@ -334,13 +338,19 @@ pub struct PartitionSolve {
     pub bnb_nodes: usize,
     /// Did any split stop on a limit (node or pivot count) with its cut
     /// feasible but not proven optimal? Such a partition is as reproducible
-    /// as a finished one.
+    /// as a finished one; one the caller's token cancelled is not.
     pub truncated: bool,
+    /// Variables of the root split's model, the largest one solved.
+    pub root_variables: usize,
+    /// Rows of the root split's model.
+    pub root_constraints: usize,
 }
 
 /// [`weighted_shards`] with explicit solver `limits` for every split (it uses
-/// [`WeightedBipartitionConfig`]'s defaults), also returning what the solves
-/// did.
+/// [`WeightedBipartitionConfig`]'s defaults) and, when given, the job's stop
+/// signal, also returning what the solves did. A split `cancel` stops keeps
+/// its incumbent — at worst the prefix split — so the partition is valid
+/// whenever the signal arrives.
 pub fn weighted_shards_solve(
     dag: &CompDag,
     num_shards: usize,
@@ -348,6 +358,7 @@ pub fn weighted_shards_solve(
     mass_tolerance: f64,
     cut_offset: f64,
     limits: SolverLimits,
+    cancel: Option<&CancelToken>,
 ) -> (AcyclicPartition, PartitionSolve) {
     let n = dag.num_nodes();
     let k = num_shards.clamp(1, n.max(1));
@@ -382,6 +393,7 @@ pub fn weighted_shards_solve(
         multiplicity: &multiplicity,
         mass_tolerance,
         limits,
+        cancel,
         part_of_run: vec![0usize; c],
         solve: PartitionSolve::default(),
     };
@@ -413,6 +425,7 @@ struct RunSplitter<'a> {
     multiplicity: &'a BTreeMap<(usize, usize), f64>,
     mass_tolerance: f64,
     limits: SolverLimits,
+    cancel: Option<&'a CancelToken>,
     part_of_run: Vec<usize>,
     solve: PartitionSolve,
 }
@@ -456,7 +469,14 @@ impl RunSplitter<'_> {
             min_side1_nodes: kr,
             limits: self.limits,
         };
-        let (split, bnb_nodes, stop) = weighted_bipartition_solve(&sub, &edge_weights, &cfg);
+        let lp = weighted_bipartition_model(&sub, &edge_weights, &cfg);
+        // Only the root split holds every run.
+        if runs.len() == self.part_of_run.len() {
+            self.solve.root_variables = lp.0.num_variables();
+            self.solve.root_constraints = lp.0.num_constraints();
+        }
+        let fallback = weighted_prefix_split(&sub, &cfg);
+        let (split, bnb_nodes, stop) = solve(&sub, lp, fallback, self.limits, self.cancel);
         self.solve.bnb_nodes += bnb_nodes;
         self.solve.truncated |= stop != MipStop::Gap;
 
@@ -490,12 +510,14 @@ impl RunSplitter<'_> {
 /// always repairs iteration 0's partition) are unaffected by the shift
 /// schedule. The partition is a function of the DAG and of the five inputs
 /// [`PartitionKey`](crate::search::PartitionKey) names, which is what lets a
-/// warm session remember it.
+/// warm session remember it — unless `cancel`, handed to every split's branch
+/// and bound, cut one short.
 pub(crate) fn shard_partition(
     dag: &CompDag,
     k: usize,
     config: &ShardedSearchConfig,
     iteration: usize,
+    cancel: &CancelToken,
 ) -> AcyclicPartition {
     match config.strategy {
         ShardStrategy::Topo => topo_shards(dag, k),
@@ -508,6 +530,7 @@ pub(crate) fn shard_partition(
                 config.mass_tolerance,
                 offset,
                 WeightedBipartitionConfig::default().limits,
+                Some(cancel),
             )
             .0
         }
@@ -615,7 +638,8 @@ impl ShardedHolisticScheduler {
     /// Attaches a cancellation token; the search observes it, with
     /// [`ShardedSearchConfig::time_limit`] as its expiry, **only at
     /// deterministic cut points** — before each partition/search/merge
-    /// iteration and at every shard-search round boundary — so a run cancelled
+    /// iteration, at every node pop of the partition's branch and bound and
+    /// at every shard-search round boundary — so a run cancelled
     /// before it starts returns the seed incumbent byte-identically for any
     /// worker count, and a run cancelled mid-flight still returns a valid,
     /// never-worse schedule with [`ShardedSearchStats::stop_reason`] set to
@@ -804,14 +828,14 @@ mod tests {
         };
         for inst in instances(4) {
             let dag = inst.dag();
-            let (full, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, limits);
+            let (full, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, limits, None);
             assert!(!solve.truncated, "{}", inst.name());
             assert!(solve.bnb_nodes > 0, "{}", inst.name());
             assert_eq!(full, weighted_shards(dag, 4, 8, 0.25, 0.0));
             // Every split stops at its first node pop: the warm start (or the
             // prefix fallback) is used, the caller learns it was cut, and —
             // the cut being a count — a second run returns the same partition.
-            let (part, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut);
+            let (part, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut, None);
             assert!(solve.truncated, "{}", inst.name());
             assert_eq!(solve.bnb_nodes, 0);
             assert_eq!(part.num_parts(), full.num_parts());
@@ -819,8 +843,33 @@ mod tests {
             assert!(part.part_sizes().iter().all(|&s| s > 0));
             assert_eq!(
                 (part, solve),
-                weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut)
+                weighted_shards_solve(dag, 4, 8, 0.25, 0.0, cut, None)
             );
+        }
+    }
+
+    /// The job's token reaches the splits' branch and bound: one cancelled
+    /// before the partition stops every split at its first node pop.
+    #[test]
+    fn a_cancelled_token_stops_every_split_at_its_prefix_fallback() {
+        let limits = WeightedBipartitionConfig::default().limits;
+        let no_pivots = SolverLimits {
+            max_pivots: 0,
+            ..limits
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        for inst in instances(4) {
+            let dag = inst.dag();
+            let (part, solve) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, limits, Some(&token));
+            assert!(solve.truncated, "{}", inst.name());
+            assert_eq!(solve.bnb_nodes, 0);
+            assert_eq!(part.num_parts(), 4);
+            assert!(part.quotient_is_acyclic(dag));
+            assert!(part.part_sizes().iter().all(|&s| s > 0));
+            // No split got past its warm start, the prefix split.
+            let (prefix, _) = weighted_shards_solve(dag, 4, 8, 0.25, 0.0, no_pivots, None);
+            assert_eq!(part, prefix, "{}", inst.name());
         }
     }
 

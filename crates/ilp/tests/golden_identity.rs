@@ -7,7 +7,10 @@
 //! truncate), the final cost bits, the evaluation count and the 64-bit FNV-1a
 //! hash of the schedule's JSON form for each front-end, plus the hashes of the
 //! sharded search's incumbent stream and of the incremental session's final
-//! checkpoint. The tables were generated at commit `550b858`; a mismatch
+//! checkpoint. The tables were generated at commit `550b858`
+//! (`DIVIDE_AND_CONQUER` and the two `SHARDED_WEIGHTED_*` tables re-recorded
+//! when the bipartition ILP went into closure form, which returns a different
+//! optimum among ties); a mismatch
 //! prints the table the current build produces, so an *intended* change of
 //! behaviour is re-recorded by pasting that output over the constant.
 
@@ -105,11 +108,11 @@ fn holistic_scheduler_matches_the_recorded_values() {
 
 const DIVIDE_AND_CONQUER: &[Row] = &[
     (4644090825121202176, 0, 11491537141267037038),
-    (4643914903260758016, 0, 15284187120565070198),
+    (4644213970423513088, 0, 7588284370162990913),
     (4644530629772312576, 0, 16055161327706311255),
-    (4637863191261478912, 0, 17130648237373530937),
-    (4639903884842631168, 0, 12310131623485145344),
-    (4641874209679605760, 0, 5213676195139322077),
+    (4637581716284768256, 0, 16347524510636357122),
+    (4640255728563519488, 0, 5355031962182114235),
+    (4640818678516940800, 0, 8547879637612837511),
 ];
 
 #[test]
@@ -276,22 +279,22 @@ const SHARDED_WEIGHTED_LOCAL_SEED: &[ShardedRow] = &[
         12010078265069988452,
     ),
     (
-        4636526185122103296,
-        89,
-        11948317060293604454,
-        3256837572789071055,
+        4636385447633747968,
+        80,
+        4206028768088501097,
+        2117129791919105072,
     ),
     (
-        4638074297494011904,
+        4635892866424504320,
+        105,
+        5167368198685613334,
+        15732106177436549689,
+    ),
+    (
+        4640361281679785984,
         95,
-        3180714917848297763,
-        7052470600267765642,
-    ),
-    (
-        4640607572284407808,
-        67,
-        3509240196707641311,
-        17071041393494820146,
+        4047691476760464372,
+        3265441624120913757,
     ),
 ];
 const SHARDED_WEIGHTED_INCUMBENT_SEED: &[ShardedRow] = &[
@@ -314,22 +317,22 @@ const SHARDED_WEIGHTED_INCUMBENT_SEED: &[ShardedRow] = &[
         12010078265069988452,
     ),
     (
-        4636526185122103296,
-        102,
-        11948317060293604454,
-        3256837572789071055,
+        4636385447633747968,
+        67,
+        4206028768088501097,
+        9990517648759545987,
     ),
     (
         4637581716284768256,
-        99,
+        82,
         16775519440794393649,
-        15679583494363088583,
+        6582484622997570615,
     ),
     (
-        4640361281679785984,
-        132,
-        2608967543918469982,
-        14402662778460718378,
+        4640326097307697152,
+        113,
+        6402579048842926037,
+        14133151384747127503,
     ),
 ];
 

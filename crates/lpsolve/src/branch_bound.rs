@@ -16,9 +16,21 @@
 //! incumbent makes even the root Phase-1-free. For differential testing and
 //! benchmarking, [`BranchBoundSolver::with_dense_relaxation`] switches every
 //! node to the dense-tableau oracle solved from scratch (the seed behaviour).
+//!
+//! Two strengthenings are properties the solver observes in the problem, not
+//! settings. When every column with a non-zero objective coefficient is
+//! integer-typed and that coefficient is an integer, the objective is an
+//! integer at every feasible point, so a node's bound is `⌈bound − ε⌉` before
+//! pruning and in [`MipSolution::best_bound`]. And on an all-binary problem a
+//! fractional relaxation `x` is rounded by thresholds before it is branched
+//! on: for every distinct fractional value θ of `x`, the point `[x ≥ θ]` is
+//! offered as an incumbent (it must pass [`LpProblem::is_feasible`]). Any row
+//! `x_u ≤ x_v` the relaxation satisfies survives every such rounding, which
+//! is what makes this effective on closure problems — the acyclic
+//! bipartition — where only the few balance rows can reject a candidate.
 
 use crate::dense::solve_lp_dense_with_bounds;
-use crate::model::{LpProblem, VarType};
+use crate::model::{LpProblem, VarType, Variable};
 use crate::revised::{Basis, LpSolution, LpStatus, RevisedSimplex};
 use mbsp_pool::CancelToken;
 use std::rc::Rc;
@@ -183,6 +195,27 @@ impl BranchBoundSolver {
             solver
         });
 
+        // The two properties read off the problem (see the module docs).
+        let integer_typed = |v: &Variable| v.var_type != VarType::Continuous;
+        let integral_objective = (problem.variables.iter())
+            .all(|v| v.objective == 0.0 || (integer_typed(v) && v.objective.fract() == 0.0));
+        let all_binary = (problem.variables.iter()).all(|v| v.var_type == VarType::Binary);
+        // Adopts `candidate` when it beats the incumbent and is feasible.
+        let offer = |candidate: Vec<f64>, incumbent: &mut Option<(f64, Vec<f64>)>| {
+            let obj = problem.objective_value(&candidate);
+            if incumbent.as_ref().map_or(true, |(best, _)| obj < *best)
+                && problem.is_feasible(&candidate, 1e-5)
+            {
+                *incumbent = Some((obj, candidate));
+            }
+        };
+        // Prune by bound.
+        let pruned = |bound: f64, incumbent: &Option<(f64, Vec<f64>)>| {
+            incumbent.as_ref().is_some_and(|(best, _)| {
+                bound >= *best - self.limits.relative_gap * best.abs().max(1.0)
+            })
+        };
+
         let root_lower: Vec<f64> = problem.variables.iter().map(|v| v.lower).collect();
         let root_upper: Vec<f64> = problem.variables.iter().map(|v| v.upper).collect();
 
@@ -255,13 +288,14 @@ impl BranchBoundSolver {
                 }
                 LpStatus::Optimal => {}
             }
-            let bound = relax.objective;
+            let bound = if integral_objective {
+                (relax.objective - tol).ceil()
+            } else {
+                relax.objective
+            };
             open_bounds.push(bound);
-            // Prune by bound.
-            if let Some((best_obj, _)) = &incumbent {
-                if bound >= *best_obj - self.limits.relative_gap * best_obj.abs().max(1.0) {
-                    continue;
-                }
+            if pruned(bound, &incumbent) {
+                continue;
             }
             // Find a fractional integer variable to branch on (most fractional).
             let mut branch_var: Option<(usize, f64)> = None;
@@ -285,14 +319,25 @@ impl BranchBoundSolver {
                             rounded[i] = rounded[i].round();
                         }
                     }
-                    if problem.is_feasible(&rounded, 1e-5) {
-                        let obj = problem.objective_value(&rounded);
-                        if incumbent.as_ref().map_or(true, |(best, _)| obj < *best) {
-                            incumbent = Some((obj, rounded));
-                        }
-                    }
+                    offer(rounded, &mut incumbent);
                 }
                 Some((i, x)) => {
+                    if all_binary {
+                        // Threshold rounding: one candidate `[x ≥ θ]` per
+                        // distinct fractional value θ of the relaxation. It
+                        // keeps every row `x_u ≤ x_v` the relaxation satisfies.
+                        let mut thresholds = relax.values.clone();
+                        thresholds.retain(|x| (x - x.round()).abs() > tol);
+                        thresholds.sort_unstable_by(f64::total_cmp);
+                        thresholds.dedup();
+                        for theta in thresholds {
+                            let step = |&x: &f64| if x >= theta { 1.0 } else { 0.0 };
+                            offer(relax.values.iter().map(step).collect(), &mut incumbent);
+                        }
+                        if pruned(bound, &incumbent) {
+                            continue;
+                        }
+                    }
                     // Branch: x <= floor, x >= ceil. Push the "floor" branch last so
                     // it is explored first (depth-first dive towards 0 for binaries).
                     // Both children start from this node's optimal basis.
@@ -571,6 +616,63 @@ mod tests {
         assert_eq!(again.nodes_explored, sol.nodes_explored);
         assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
         assert_eq!(again.values, sol.values);
+    }
+
+    /// max x1 + x2 + x3 s.t. 2(x1 + x2 + x3) ≤ 3, binary: the relaxation's
+    /// optimum is 1.5, the integer optimum 1.
+    fn half_knapsack() -> LpProblem {
+        let mut p = LpProblem::new();
+        let mut cap = LinExpr::new();
+        for i in 0..3 {
+            cap.add(p.add_binary(format!("x{i}"), -1.0), 2.0);
+        }
+        p.add_constraint("cap", cap, ConstraintSense::LessEqual, 3.0);
+        p
+    }
+
+    #[test]
+    fn an_integral_objective_rounds_the_relaxation_bound_up() {
+        // The root's bound −1.5 is ⌈−1.5⌉ = −1 for an objective that only
+        // takes integer values, so the incumbent −1 prunes the root.
+        let p = half_knapsack();
+        let sol = BranchBoundSolver::new()
+            .with_warm_start(vec![1.0, 0.0, 0.0])
+            .solve(&p);
+        assert_eq!((sol.status, sol.stop), (MipStatus::Optimal, MipStop::Gap));
+        assert_eq!(sol.nodes_explored, 1);
+        assert_close(sol.objective, -1.0);
+        assert_close(sol.best_bound, -1.0);
+    }
+
+    #[test]
+    fn a_fractional_coefficient_or_a_continuous_objective_column_is_not_rounded() {
+        // Both optima are −1.5 behind an incumbent of −1: rounding the root's
+        // bound −1.5 up to −1 would prune them.
+        let mut fractional = LpProblem::new();
+        fractional.add_binary("x", -1.0);
+        fractional.add_binary("y", -0.5);
+        let mut continuous = LpProblem::new();
+        continuous.add_binary("x", -1.0);
+        continuous.add_continuous("c", 0.0, 0.5, -1.0);
+        for (p, optimum) in [(fractional, [1.0, 1.0]), (continuous, [1.0, 0.5])] {
+            let sol = BranchBoundSolver::new()
+                .with_warm_start(vec![1.0, 0.0])
+                .solve(&p);
+            assert_eq!(sol.status, MipStatus::Optimal);
+            assert_close(sol.objective, -1.5);
+            assert_eq!(sol.values, optimum);
+        }
+    }
+
+    #[test]
+    fn a_threshold_rounding_that_violates_a_row_is_not_adopted() {
+        // The root relaxation is (1, ½, 0) up to symmetry; its only threshold
+        // rounding sets two variables — objective −2, capacity 4 > 3.
+        let p = half_knapsack();
+        let sol = BranchBoundSolver::new().solve(&p);
+        assert_eq!(sol.status, MipStatus::Optimal);
+        assert_close(sol.objective, -1.0);
+        assert!(p.is_feasible(&sol.values, 1e-9));
     }
 
     #[test]
