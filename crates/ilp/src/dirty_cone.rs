@@ -50,28 +50,11 @@
 //! session's own DAG and adopts the winner in place — the pass borrows the
 //! DAG, so a warm session needs no owning detour to be re-scheduled.
 //!
-//! **The partition memo.** Step 2's partition is a function of the DAG and of
-//! five search knobs (the iteration index, the resolved shard count, the
-//! strategy, `runs_per_shard`, `mass_tolerance`), and at the paper's scale
-//! solving it — three branch-and-bound bipartitions — is most of a request.
-//! The session therefore remembers the partitions `repair` and `schedule`
-//! solved for the DAG *as it is now* and hands them to the search core; every
-//! successful [`IncrementalScheduler::apply`] forgets them all, a rejected
-//! delta forgets nothing. A remembered partition is exactly what solving
-//! again would return, so no schedule, cost or evaluation count depends on
-//! the memo — only [`RepairStats::partition_hits`] /
-//! [`ShardedSearchStats::partition_hits`] tell. It is neither a knob nor
-//! part of the session's state: a
-//! [`checkpoint`](IncrementalScheduler::checkpoint) never contains it, a
-//! restored session starts without it, a clone gets its own copy.
-//! `tests/partition_memo.rs` holds a warm session to one restored before
-//! every request.
-//!
 //! The `delta` recorder (`bench_record delta`) measures repair against a full
 //! re-search from the same stale incumbent; `tests/repair_determinism.rs` pins
 //! the worker-count invariance.
 
-use crate::search::{Incumbent, PartitionMemo, ShardedSearch};
+use crate::search::{Incumbent, ShardedSearch};
 use crate::shard::{sharded_schedule, IncumbentObserver, ShardedSearchConfig, ShardedSearchStats};
 use mbsp_dag::{AcyclicPartition, CompDag, DagDelta, DeltaEffect, NodeId, PkOrder, Result};
 use mbsp_model::{Architecture, MbspSchedule, ProcId};
@@ -86,10 +69,10 @@ pub struct RepairConfig {
     /// strategy must match the full run's for the repaired shards to explore
     /// the same streams. The *default* here overrides the search default to
     /// [`ShardStrategy::Topo`](crate::ShardStrategy::Topo) without shard-local
-    /// seeds: a repair is a latency path, and the weighted partition ILP —
-    /// solved again after every delta batch, since any delta empties the
-    /// session's partition memo — is pure overhead inside a cone that rarely
-    /// spans a cut.
+    /// seeds: a repair is a latency path, and the weighted partition — one
+    /// closure-form bipartition ILP per split, solved again by every repair
+    /// (≈ 4 ms in the mean at the paper's scale, ≈ 0.2 s on a 16k-node SpMV)
+    /// — is pure overhead inside a cone that rarely spans a cut.
     pub search: ShardedSearchConfig,
     /// Hop radius of the mutation cone expanded around touched nodes, in both
     /// edge directions. `0` repairs only the shards containing touched nodes
@@ -136,12 +119,6 @@ pub struct RepairStats {
     pub simulated_supersteps: u64,
     /// Supersteps they copied from a base instead of simulating them.
     pub skipped_supersteps: u64,
-    /// `1` when the repair ran the partitioner, `0` when it searched nothing
-    /// or the session had the partition already.
-    pub partitions_solved: usize,
-    /// `1` when the session had already solved this partition for the current
-    /// DAG.
-    pub partition_hits: usize,
     /// Cost of the stale incumbent's assignment on the mutated DAG.
     pub incumbent_cost: f64,
     /// Cost of the repaired schedule.
@@ -211,9 +188,6 @@ pub struct IncrementalScheduler {
     pub(crate) pending: Vec<NodeId>,
     pub(crate) pool: WorkerPool,
     pub(crate) cancel: Option<CancelToken>,
-    /// The shard partitions already solved for `dag` as it is now; emptied by
-    /// every applied delta, never checkpointed.
-    pub(crate) memo: PartitionMemo,
 }
 
 impl IncrementalScheduler {
@@ -238,7 +212,6 @@ impl IncrementalScheduler {
             pending: Vec::new(),
             pool: WorkerPool::default(),
             cancel: None,
-            memo: PartitionMemo::default(),
         }
     }
 
@@ -304,9 +277,6 @@ impl IncrementalScheduler {
     pub fn apply(&mut self, delta: &DagDelta) -> Result<DeltaEffect> {
         let old_last = NodeId::new(self.dag.num_nodes().saturating_sub(1));
         let effect = self.dag.apply_delta(delta, &mut self.order)?;
-        // Every kind of delta changes an input of the partitioners: the nodes,
-        // the edges or the compute masses.
-        self.memo.clear();
         if let Some(added) = effect.added {
             // A fresh node starts on processor 0; the repair search moves it.
             self.procs.push(ProcId::new(0));
@@ -358,7 +328,6 @@ impl IncrementalScheduler {
         let mut search = ShardedSearch::new(
             &self.pool,
             self.cancel.as_ref(),
-            Some(&mut self.memo),
             dag,
             &self.arch,
             &self.config.search,
@@ -386,8 +355,6 @@ impl IncrementalScheduler {
             evaluations: search.evaluations(),
             simulated_supersteps: search.simulated_supersteps(),
             skipped_supersteps: search.skipped_supersteps(),
-            partitions_solved: search.partitions_solved,
-            partition_hits: search.partition_hits,
             incumbent_cost,
             final_cost: search.incumbent.cost,
             stop_reason: search.stopped.unwrap_or_default(),
@@ -419,7 +386,6 @@ impl IncrementalScheduler {
             &self.pool,
             self.cancel.as_ref(),
             observer.as_ref(),
-            Some(&mut self.memo),
             &self.dag,
             &self.arch,
             search,

@@ -22,16 +22,10 @@
 //!   deterministic boundary-repair merge. The full sharded search is the
 //!   seed plus `iterations` passes; a dirty-cone repair is the session's
 //!   assignment plus pass `0` restricted to the cone.
-//! * [`PartitionMemo`] — the partitions a warm session has already solved for
-//!   its current DAG. A pass asks it before it partitions: the partition is a
-//!   function of the DAG and the five inputs of a [`PartitionKey`], so a
-//!   remembered one is exactly what solving again would return and no result
-//!   changes — only the branch and bound (most of a paper-scale request) is
-//!   not run twice. One-shot front-ends pass no memo.
 
 use crate::dirty_cone::dirty_shard_indices;
 use crate::engine::{assignment_delta, resolve_workers, EvalPath, EvaluationEngine, Move};
-use crate::shard::{part_view, shard_partition, ShardStrategy, ShardedSearchConfig};
+use crate::shard::{part_view, shard_partition, ShardedSearchConfig};
 use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
 use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
@@ -39,7 +33,6 @@ use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 /// Tuning knobs of one [`hill_climb`].
 #[derive(Debug, Clone, Copy)]
@@ -397,56 +390,6 @@ fn run_shard(
     }
 }
 
-/// Everything besides the DAG that [`shard_partition`] reads: the pass
-/// `iteration` (it sets the weighted strategy's cut offset), the *resolved*
-/// shard count, the strategy, and the weighted partitioner's granularity and
-/// mass tolerance (by its bits: two tolerances share a key only when the
-/// solver sees the same number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PartitionKey {
-    iteration: usize,
-    k: usize,
-    strategy: ShardStrategy,
-    runs_per_shard: usize,
-    mass_tolerance: u64,
-}
-
-/// The partitions already solved for one DAG, by [`PartitionKey`]. Its owner
-/// (the warm session) must [`clear`](PartitionMemo::clear) it whenever that
-/// DAG changes. In memory only: never part of a checkpoint.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PartitionMemo {
-    /// Oldest first.
-    entries: Vec<(PartitionKey, Arc<AcyclicPartition>)>,
-}
-
-impl PartitionMemo {
-    /// Entries kept: requests may override every key field, and each entry is
-    /// one `usize` per node, so the memo forgets its oldest entry beyond this.
-    /// A request looks up one key per iteration.
-    const CAPACITY: usize = 8;
-
-    /// Forgets everything (the DAG changed).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn get(&self, key: &PartitionKey) -> Option<Arc<AcyclicPartition>> {
-        let (_, partition) = self.entries.iter().find(|(k, _)| k == key)?;
-        Some(Arc::clone(partition))
-    }
-
-    /// Remembers a freshly solved partition. Every solve is budgeted by
-    /// counts, so even a truncated one is what solving again would return;
-    /// one solved under a stop signal that has fired is not offered.
-    fn insert(&mut self, key: PartitionKey, partition: &Arc<AcyclicPartition>) {
-        if self.entries.len() == Self::CAPACITY {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, Arc::clone(partition)));
-    }
-}
-
 /// The state partition → search → merge passes run on: the borrowed problem,
 /// the resolved shard and worker counts, the job's stop signal, the global
 /// evaluation engine and the global incumbent.
@@ -455,9 +398,6 @@ pub(crate) struct ShardedSearch<'a> {
     arch: &'a Architecture,
     config: &'a ShardedSearchConfig,
     pool: &'a WorkerPool,
-    /// The partitions already solved for `dag`, when a warm session runs the
-    /// search.
-    memo: Option<&'a mut PartitionMemo>,
     k: usize,
     workers: usize,
     engine: EvaluationEngine,
@@ -475,9 +415,6 @@ pub(crate) struct ShardedSearch<'a> {
     pub(crate) accepted: usize,
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub(crate) salvaged: u64,
-    /// Passes that ran the partitioner, and passes the memo served instead.
-    pub(crate) partitions_solved: usize,
-    pub(crate) partition_hits: usize,
     /// The job's stop signal: the caller's cancel token (a fresh one without),
     /// expiring `config.time_limit` after the search was set up.
     token: CancelToken,
@@ -497,12 +434,9 @@ impl<'a> ShardedSearch<'a> {
     /// of the `baseline` they come from), evaluated on the whole DAG as the
     /// seed incumbent. The engine (arena sized at construction) is built per
     /// search: a session's DAG may have changed size since the last one.
-    /// `memo`, when given, must hold partitions of `dag` only.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pool: &'a WorkerPool,
         cancel: Option<&CancelToken>,
-        memo: Option<&'a mut PartitionMemo>,
         dag: &'a CompDag,
         arch: &'a Architecture,
         config: &'a ShardedSearchConfig,
@@ -528,7 +462,6 @@ impl<'a> ShardedSearch<'a> {
             arch,
             config,
             pool,
-            memo,
             k,
             workers,
             engine,
@@ -539,8 +472,6 @@ impl<'a> ShardedSearch<'a> {
             improved: 0,
             accepted: 0,
             salvaged: 0,
-            partitions_solved: 0,
-            partition_hits: 0,
             token,
             stopped: None,
             searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
@@ -580,13 +511,12 @@ impl<'a> ShardedSearch<'a> {
     /// and decorrelates the passes' move streams. With a `cone`, only the
     /// shards intersecting it are searched (and merged). Returns the partition
     /// the pass ran on.
-    pub(crate) fn pass(
-        &mut self,
-        iteration: usize,
-        cone: Option<&[NodeId]>,
-    ) -> Arc<AcyclicPartition> {
+    pub(crate) fn pass(&mut self, iteration: usize, cone: Option<&[NodeId]>) -> AcyclicPartition {
         let (dag, arch, config) = (self.dag, self.arch, self.config);
-        let partition = self.partition(iteration);
+        let partition = shard_partition(dag, self.k, config, iteration, &self.token);
+        // A stop signal may have cut a split short: the partition is valid,
+        // but not what solving again would return.
+        self.stopped = self.stopped.max(self.token.reason());
         let shards: Vec<usize> = match cone {
             Some(cone) => dirty_shard_indices(&partition, cone),
             None => (0..partition.num_parts()).collect(),
@@ -611,33 +541,6 @@ impl<'a> ShardedSearch<'a> {
             self.stopped = self.stopped.max(o.stopped);
         }
         self.merge_outcomes(&outcomes);
-        partition
-    }
-
-    /// The partition of pass `iteration`: the memo's, or a fresh solve that is
-    /// offered to the memo.
-    fn partition(&mut self, iteration: usize) -> Arc<AcyclicPartition> {
-        let key = PartitionKey {
-            iteration,
-            k: self.k,
-            strategy: self.config.strategy,
-            runs_per_shard: self.config.runs_per_shard,
-            mass_tolerance: self.config.mass_tolerance.to_bits(),
-        };
-        if let Some(partition) = self.memo.as_deref().and_then(|memo| memo.get(&key)) {
-            self.partition_hits += 1;
-            return partition;
-        }
-        let (dag, token) = (self.dag, &self.token);
-        let partition = Arc::new(shard_partition(dag, self.k, self.config, iteration, token));
-        self.partitions_solved += 1;
-        // A stop signal may have cut a split short: the partition is valid but
-        // not what solving again would return, so it is not remembered.
-        let reason = token.reason();
-        self.stopped = self.stopped.max(reason);
-        if let (Some(memo), None) = (self.memo.as_deref_mut(), reason) {
-            memo.insert(key, &partition);
-        }
         partition
     }
 
@@ -711,73 +614,34 @@ mod tests {
     use super::*;
     use crate::partition_ilp::WeightedBipartitionConfig;
     use crate::shard::weighted_shards_solve;
-    use lp_solver::SolverLimits;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
-    fn key(iteration: usize) -> PartitionKey {
-        PartitionKey {
-            iteration,
-            k: 4,
-            strategy: ShardStrategy::Weighted,
-            runs_per_shard: 8,
-            mass_tolerance: 0.25f64.to_bits(),
-        }
-    }
-
-    #[test]
-    fn the_memo_remembers_a_pivot_truncated_partition_bit_for_bit() {
-        let dag = mbsp_gen::tiny_dataset(42).remove(2).dag;
-        let cut = SolverLimits {
-            max_pivots: 0,
-            ..WeightedBipartitionConfig::default().limits
-        };
-        let (partition, solve) = weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut, None);
-        assert!(solve.truncated);
-        let partition = Arc::new(partition);
-        let mut memo = PartitionMemo::default();
-        memo.insert(key(0), &partition);
-        // A hit is the remembered partition itself, which is also what solving
-        // again under the same counts returns.
-        let hit = memo
-            .get(&key(0))
-            .expect("a truncated partition is remembered");
-        assert!(Arc::ptr_eq(&hit, &partition));
-        assert_eq!(
-            *hit,
-            weighted_shards_solve(&dag, 4, 8, 0.25, 0.0, cut, None).0
-        );
-        assert!(memo.get(&key(1)).is_none());
-        memo.clear();
-        assert!(memo.get(&key(0)).is_none());
-    }
-
     /// The contract the wall-clock caveat used to stand in for: a search over
-    /// a partition its pivot budget cut short is as reproducible as any other.
+    /// a partition a count cut short is as reproducible as any other. Under
+    /// the served limits, a child split of `spmv_N2000`'s 48-run quotient
+    /// stops at its branch-and-bound node count.
     #[test]
-    fn a_search_over_a_pivot_truncated_partition_is_identical_for_any_worker_count() {
+    fn a_search_over_a_count_truncated_partition_is_identical_for_any_worker_count() {
         use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
+        use mbsp_gen::spmv::{spmv_dag, SparsityPattern};
         use mbsp_sched::BspScheduler;
-        let dag = mbsp_gen::tiny_dataset(42).remove(3).dag;
+        let dag = spmv_dag("spmv_N2000", &SparsityPattern::random(2000, 4, 42 ^ 0x84));
         let inst =
             mbsp_model::MbspInstance::with_cache_factor(dag, Architecture::paper_default(0.0), 3.0);
         let (dag, arch) = (inst.dag(), inst.arch());
         let config = ShardedSearchConfig {
             num_shards: 4,
-            max_rounds: 4,
-            moves_per_round: 12,
+            runs_per_shard: 12,
+            max_rounds: 2,
+            moves_per_round: 4,
             ..Default::default()
         };
-        // The partition the search would solve, cut mid-solve by its pivots.
-        let cut = SolverLimits {
-            max_pivots: 60,
-            ..WeightedBipartitionConfig::default().limits
-        };
-        let solve = || weighted_shards_solve(dag, 4, 8, config.mass_tolerance, 0.0, cut, None);
-        let (partition, stats) = solve();
-        assert!(stats.truncated && stats.bnb_nodes > 0, "{stats:?}");
-        assert_eq!((partition.clone(), stats), solve());
-        let partition = Arc::new(partition);
+        // The partition every request below solves.
+        let limits = WeightedBipartitionConfig::default().limits;
+        let (_, solve) =
+            weighted_shards_solve(dag, 4, 12, config.mass_tolerance, 0.0, limits, None);
+        assert!(solve.truncated, "{solve:?}");
 
         let baseline = GreedyBspScheduler::new().schedule(dag, arch);
         let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
@@ -791,14 +655,12 @@ mod tests {
                 let mut session =
                     IncrementalScheduler::new(dag.clone(), *arch, procs.clone(), repair)
                         .with_pool(WorkerPool::with_capacity(workers));
-                session.memo.insert(key(0), &partition);
                 let search = ShardedSearchConfig { workers, ..config };
-                // Two requests: both are served the remembered partition, the
-                // second from the incumbent the first one adopted.
+                // Two requests, the second from the incumbent the first one
+                // adopted.
                 let mut requests = Vec::new();
                 for _ in 0..2 {
                     let (schedule, stats) = session.schedule(&search, &baseline, None);
-                    assert_eq!((stats.partitions_solved, stats.partition_hits), (0, 1));
                     assert_eq!(stats.stop_reason, StopReason::Completed);
                     schedule.validate(dag, arch).unwrap();
                     let cost = stats.final_cost.to_bits();
@@ -812,7 +674,7 @@ mod tests {
     }
 
     /// The job's token reaches the partition's branch and bound; what it cuts
-    /// short is valid, reported, and not what a later request is served.
+    /// short is valid and reported, and nothing of it outlives its request.
     #[test]
     fn a_partition_solved_under_a_fired_stop_signal_is_not_remembered() {
         use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
@@ -833,41 +695,32 @@ mod tests {
             search: config,
             cone_radius: 2,
         };
-        let mut session = IncrementalScheduler::new(dag.clone(), *arch, procs.clone(), repair);
+        let session = || IncrementalScheduler::new(dag.clone(), *arch, procs.clone(), repair);
+        let mut warm = session();
         let (pool, token) = (WorkerPool::with_capacity(1), CancelToken::new());
-        let memo = Some(&mut session.memo);
-        let mut search =
-            ShardedSearch::new(&pool, Some(&token), memo, dag, arch, &config, procs, None);
+        let mut search = ShardedSearch::new(
+            &pool,
+            Some(&token),
+            warm.dag(),
+            arch,
+            &config,
+            procs.clone(),
+            None,
+        );
         // The signal fires after the pass boundary let the pass through.
         assert!(!search.stop_before_pass());
         token.cancel();
-        let partition = search.partition(0);
+        let partition = search.pass(0, None);
         assert_eq!(partition.num_parts(), 4);
         assert!(partition.quotient_is_acyclic(dag));
         assert_eq!(search.stopped, Some(StopReason::Cancelled));
-        assert_eq!((search.partitions_solved, search.partition_hits), (1, 0));
-        assert!(session.memo.entries.is_empty());
-        // The next request solves the partition itself, and only that one is
-        // what the request after it is served.
-        for expect in [(1, 0), (0, 1)] {
-            let (_, stats) = session.schedule(&config, &baseline, None);
-            assert_eq!((stats.partitions_solved, stats.partition_hits), expect);
-            assert_eq!(stats.stop_reason, StopReason::Completed);
-        }
-    }
-
-    #[test]
-    fn the_memo_forgets_its_oldest_entry_beyond_its_capacity() {
-        let dag = mbsp_gen::tiny_dataset(42).remove(2).dag;
-        let partition = Arc::new(AcyclicPartition::trivial(&dag));
-        let mut memo = PartitionMemo::default();
-        for iteration in 0..=PartitionMemo::CAPACITY {
-            memo.insert(key(iteration), &partition);
-        }
-        assert_eq!(memo.entries.len(), PartitionMemo::CAPACITY);
-        assert!(memo.get(&key(0)).is_none());
-        assert!(memo.get(&key(1)).is_some());
-        assert!(memo.get(&key(PartitionMemo::CAPACITY)).is_some());
+        // The next request, with no token, is a freshly built session's.
+        let (schedule, stats) = warm.schedule(&config, &baseline, None);
+        let (fresh_schedule, fresh) = session().schedule(&config, &baseline, None);
+        assert_eq!(stats.stop_reason, StopReason::Completed);
+        assert_eq!(schedule, fresh_schedule);
+        assert_eq!(stats.final_cost.to_bits(), fresh.final_cost.to_bits());
+        assert_eq!(stats.evaluations, fresh.evaluations);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! caller-side configuration; only the transient worker pool and cancel token
 //! are re-attached with [`IncrementalScheduler::with_pool`] /
 //! [`IncrementalScheduler::with_cancel`], neither of which can affect results.
-//! The session's partition memo is not captured either: it only holds what
-//! the restored session would solve again, identically, on its first request.
 //!
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
 //! sections) under [`KIND_SESSION`]; this module is the composition point the
@@ -25,7 +23,6 @@
 //! continues serving byte-identically to an uninterrupted one.
 
 use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
-use crate::search::PartitionMemo;
 use crate::shard::{ShardStrategy, ShardedSearchConfig};
 use mbsp_dag::NodeId;
 use mbsp_io::{
@@ -206,8 +203,6 @@ impl IncrementalScheduler {
             pending,
             pool: WorkerPool::default(),
             cancel: None,
-            // A restored session starts cold: the memo is never checkpointed.
-            memo: PartitionMemo::default(),
         })
     }
 }

@@ -67,7 +67,7 @@
 use crate::partition_ilp::{
     solve, weighted_bipartition_model, weighted_prefix_split, WeightedBipartitionConfig,
 };
-use crate::search::{Incumbent, PartitionMemo, ShardedSearch};
+use crate::search::{Incumbent, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
@@ -210,12 +210,6 @@ pub struct ShardedSearchStats {
     pub simulated_supersteps: u64,
     /// Supersteps they copied from a base instead of simulating them.
     pub skipped_supersteps: u64,
-    /// Iterations that ran the partitioner.
-    pub partitions_solved: usize,
-    /// Iterations whose partition a warm session had already solved for the
-    /// same DAG (see [`IncrementalScheduler`](crate::IncrementalScheduler));
-    /// always `0` for the one-shot [`ShardedHolisticScheduler`].
-    pub partition_hits: usize,
     /// Why the run stopped. `Completed` means no shard-search round and no
     /// pass was skipped and no partition split cut short: the run spent its
     /// budget of counts and is reproducible. Otherwise the signal that did
@@ -508,10 +502,9 @@ impl RunSplitter<'_> {
 /// golden-ratio cut-offset shift of the weighted strategy. Iteration `0` uses
 /// offset `0`, so single-iteration runs (and the dirty-cone repair, which
 /// always repairs iteration 0's partition) are unaffected by the shift
-/// schedule. The partition is a function of the DAG and of the five inputs
-/// [`PartitionKey`](crate::search::PartitionKey) names, which is what lets a
-/// warm session remember it — unless `cancel`, handed to every split's branch
-/// and bound, cut one short.
+/// schedule. The partition is a function of the DAG, `iteration`, `k` and the
+/// strategy's fields of `config` — unless `cancel`, handed to every split's
+/// branch and bound, cut one short.
 pub(crate) fn shard_partition(
     dag: &CompDag,
     k: usize,
@@ -694,7 +687,6 @@ impl ShardedHolisticScheduler {
             &self.pool,
             self.cancel.as_ref(),
             self.observer.as_ref(),
-            None,
             instance.dag(),
             instance.arch(),
             &self.config,
@@ -709,22 +701,18 @@ impl ShardedHolisticScheduler {
 /// merge passes improve it. Behind both
 /// [`ShardedHolisticScheduler::schedule_with_assignment`] and
 /// [`IncrementalScheduler::schedule`](crate::IncrementalScheduler::schedule),
-/// which runs it on the warm session's own DAG with the session's partition
-/// `memo`.
-#[allow(clippy::too_many_arguments)]
+/// which runs it on the warm session's own DAG.
 pub(crate) fn sharded_schedule(
     pool: &WorkerPool,
     cancel: Option<&CancelToken>,
     observer: Option<&IncumbentObserver>,
-    memo: Option<&mut PartitionMemo>,
     dag: &CompDag,
     arch: &Architecture,
     config: &ShardedSearchConfig,
     baseline: &BspSchedulingResult,
 ) -> (MbspSchedule, ShardedSearchStats, Vec<ProcId>) {
     let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
-    let mut search =
-        ShardedSearch::new(pool, cancel, memo, dag, arch, config, procs, Some(baseline));
+    let mut search = ShardedSearch::new(pool, cancel, dag, arch, config, procs, Some(baseline));
     // The anytime stream: update 0 is the seed incumbent, and every later
     // emission happens after a deterministic merge, so the whole stream is
     // reproducible for any worker count.
@@ -775,8 +763,6 @@ pub(crate) fn sharded_schedule(
         iterations,
         simulated_supersteps: search.simulated_supersteps(),
         skipped_supersteps: search.skipped_supersteps(),
-        partitions_solved: search.partitions_solved,
-        partition_hits: search.partition_hits,
         stop_reason: search.stopped.unwrap_or_default(),
     };
     let Incumbent {

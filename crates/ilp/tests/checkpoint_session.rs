@@ -2,12 +2,12 @@
 //! section truncated at several offsets, plus single-bit flips) must be
 //! rejected with typed errors, and a session restored from a clean checkpoint
 //! must continue **byte-identically** to the uninterrupted session, at any
-//! worker count.
+//! worker count — a warm session holds nothing its checkpoint does not.
 
-use mbsp_dag::DagDelta;
+use mbsp_dag::{DagDelta, NodeId};
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig};
-use mbsp_model::{Architecture, MbspInstance, ProcId};
+use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
 fn instance() -> MbspInstance {
@@ -207,4 +207,91 @@ fn pending_state_survives_the_round_trip() {
     assert_eq!(live, back);
     assert_eq!(live_stats.evaluations, back_stats.evaluations);
     assert_eq!(restored.num_pending(), 0);
+}
+
+/// The served search budget (`iterations = 1`, four weighted shards) at a
+/// small move budget; `workers: 0` so CI's `MBSP_BENCH_THREADS` sweep reaches
+/// it.
+fn served_config() -> ShardedSearchConfig {
+    ShardedSearchConfig {
+        num_shards: 4,
+        max_rounds: 3,
+        moves_per_round: 8,
+        ..Default::default()
+    }
+}
+
+fn served_session(inst: mbsp_gen::NamedInstance) -> IncrementalScheduler {
+    let inst = MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0);
+    let config = RepairConfig {
+        search: served_config(),
+        cone_radius: 2,
+    };
+    IncrementalScheduler::new(inst.dag().clone(), *inst.arch(), seed_procs(&inst), config)
+}
+
+/// A `schedule` request on the session's own DAG, from a fresh greedy
+/// baseline.
+fn served_schedule(session: &mut IncrementalScheduler) -> (MbspSchedule, u64, u64) {
+    let baseline = GreedyBspScheduler::new().schedule(session.dag(), session.arch());
+    let (schedule, stats) = session.schedule(&served_config(), &baseline, None);
+    (schedule, stats.final_cost.to_bits(), stats.evaluations)
+}
+
+/// The same session as a daemon would have it after `kill -9`: rebuilt from
+/// its checkpoint.
+fn restarted(session: &IncrementalScheduler) -> IncrementalScheduler {
+    IncrementalScheduler::restore(&session.checkpoint()).expect("a session's own checkpoint")
+}
+
+/// The `tenants_small` request pattern — per pass one `schedule`, one batch of
+/// eight seeded deltas, one `repair` — on a warm session and on one restored
+/// from its checkpoint before every request: schedules, cost bits, evaluation
+/// counts and checkpoint bytes agree after every request.
+#[test]
+fn a_warm_session_equals_one_restarted_before_every_request() {
+    let mut instances = mbsp_gen::tiny_dataset(42);
+    instances.push(mbsp_gen::small_dataset_sample(42).swap_remove(5)); // CG_N7_K2
+    let stream = MutationStreamConfig {
+        ops: 8,
+        ..Default::default()
+    };
+    for inst in instances {
+        let name = inst.name.clone();
+        let mut warm = served_session(inst);
+        let mut cold = restarted(&warm);
+        for pass in 0..6u64 {
+            let what = format!("{name} pass {pass}");
+            let w = served_schedule(&mut warm);
+            cold = restarted(&cold);
+            assert_eq!(w, served_schedule(&mut cold), "{what}: schedule");
+            assert_eq!(warm.checkpoint(), cold.checkpoint(), "{what}: schedule");
+
+            for delta in mutation_stream(warm.dag(), &stream, 0xD17A + pass) {
+                warm.apply(&delta).unwrap();
+                cold.apply(&delta).unwrap();
+            }
+            let (w, w_stats) = warm.repair();
+            cold = restarted(&cold);
+            let (c, c_stats) = cold.repair();
+            assert_eq!(w, c, "{what}: repair");
+            assert_eq!(w_stats.final_cost.to_bits(), c_stats.final_cost.to_bits());
+            assert_eq!(w_stats.evaluations, c_stats.evaluations, "{what}");
+            assert_eq!(w_stats.dirty_shards, c_stats.dirty_shards, "{what}");
+            assert_eq!(warm.checkpoint(), cold.checkpoint(), "{what}: repair");
+        }
+    }
+}
+
+#[test]
+fn a_rejected_delta_leaves_the_checkpoint_unchanged() {
+    let mut sched = session(1);
+    sched.full_repair();
+    let before = sched.checkpoint();
+    // Node 0 has children: removing it is refused, nothing is touched.
+    let refused = sched.apply(&DagDelta::RemoveNode {
+        node: NodeId::new(0),
+    });
+    assert!(refused.is_err());
+    assert_eq!(sched.checkpoint(), before);
 }

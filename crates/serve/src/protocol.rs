@@ -9,7 +9,7 @@
 //! missing-field / wrong-type case maps to a typed [`Reject`] carrying one of
 //! the protocol's stable error codes.
 
-use crate::server::{MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_SHARDS, MAX_TABLE_CELLS};
+use crate::server::{check_search_caps, MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_TABLE_CELLS};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -582,23 +582,22 @@ fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {
         }
         None => map,
     };
-    let num_shards = field_usize(map, "num_shards")?;
-    if num_shards.is_some_and(|k| k > MAX_SHARDS) {
-        return Err(Reject::new(
-            E_BAD_REQUEST,
-            format!("`num_shards` must be at most {MAX_SHARDS}"),
-        ));
-    }
-    Ok(SearchOverrides {
+    let overrides = SearchOverrides {
         seed: field_u64(map, "seed")?,
-        num_shards,
+        num_shards: field_usize(map, "num_shards")?,
         workers: field_usize(map, "workers")?,
         max_rounds: field_usize(map, "max_rounds")?,
         moves_per_round: field_usize(map, "moves_per_round")?,
         iterations: field_usize(map, "iterations")?,
         time_limit_ms: field_u64(map, "time_limit_ms")?,
         stale_round_limit: field_usize(map, "stale_round_limit")?,
-    })
+    };
+    check_search_caps(
+        overrides.num_shards.unwrap_or(0),
+        overrides.moves_per_round.unwrap_or(0),
+    )
+    .map_err(|message| Reject::new(E_BAD_REQUEST, message))?;
+    Ok(overrides)
 }
 
 fn parse_deltas(map: &[(String, Value)]) -> Parse<Vec<DagDelta>> {
@@ -867,27 +866,33 @@ mod tests {
 
     #[test]
     fn num_shards_past_the_cap_is_rejected_on_every_searching_request() {
-        let over = MAX_SHARDS + 1;
+        use crate::server::{MAX_MOVES_PER_ROUND, MAX_SHARDS};
         for request in [
             r#""op":"register","instance":"x","processors":2,"family":{"kind":"cg","n":4,"k":2}"#,
             r#""op":"schedule","instance":"x""#,
             r#""op":"repair","instance":"x""#,
         ] {
-            for budget in [
-                format!(r#""num_shards":{over}"#),
-                format!(r#""budget":{{"num_shards":{over}}}"#),
+            for (field, cap) in [
+                ("num_shards", MAX_SHARDS),
+                ("moves_per_round", MAX_MOVES_PER_ROUND),
             ] {
-                let (id, rej) = parse_request(&format!(r#"{{"id":9,{request},{budget}}}"#))
-                    .expect_err("a shard count past the cap");
-                assert_eq!(
-                    (id, rej.code),
-                    (Some(9), E_BAD_REQUEST),
-                    "{request} {budget}"
-                );
-                assert!(rej.message.contains("num_shards"), "{}", rej.message);
+                let over = cap + 1;
+                for budget in [
+                    format!(r#""{field}":{over}"#),
+                    format!(r#""budget":{{"{field}":{over}}}"#),
+                ] {
+                    let (id, rej) = parse_request(&format!(r#"{{"id":9,{request},{budget}}}"#))
+                        .expect_err("a budget past its cap");
+                    assert_eq!(
+                        (id, rej.code),
+                        (Some(9), E_BAD_REQUEST),
+                        "{request} {budget}"
+                    );
+                    assert!(rej.message.contains(field), "{}", rej.message);
+                }
+                let at_cap = format!(r#"{{"id":9,{request},"{field}":{cap}}}"#);
+                assert!(parse_request(&at_cap).is_ok(), "the cap itself is admitted");
             }
-            let at_cap = format!(r#"{{"id":9,{request},"num_shards":{MAX_SHARDS}}}"#);
-            assert!(parse_request(&at_cap).is_ok(), "the cap itself is admitted");
         }
     }
 }

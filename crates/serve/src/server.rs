@@ -78,6 +78,30 @@ pub const MAX_TABLE_CELLS: usize = 1 << 24;
 /// returns in 0.25 s. Sixty-four times the 4 shards `benchmark/` sends.
 pub const MAX_SHARDS: usize = 256;
 
+/// Most candidate moves a shard may propose per round (`moves_per_round`,
+/// flat or under `budget`). A shard's hill climb reserves a round's `Move`s
+/// before it draws the first, so an unchecked count lets one request line
+/// abort the daemon — and every tenant with it — on allocation failure. 2¹⁶
+/// is 768 KiB of `Move`s per shard lane, against the served default of 30 and
+/// the 8 `benchmark/` sends.
+pub const MAX_MOVES_PER_ROUND: usize = 1 << 16;
+
+/// Holds a search budget to [`MAX_SHARDS`] and [`MAX_MOVES_PER_ROUND`]: a
+/// request's overrides as they are parsed, and the config of every session
+/// restored from the state directory, which may have been checkpointed
+/// before the caps existed.
+pub(crate) fn check_search_caps(num_shards: usize, moves_per_round: usize) -> Result<(), String> {
+    if num_shards > MAX_SHARDS {
+        return Err(format!("`num_shards` must be at most {MAX_SHARDS}"));
+    }
+    if moves_per_round > MAX_MOVES_PER_ROUND {
+        return Err(format!(
+            "`moves_per_round` must be at most {MAX_MOVES_PER_ROUND}"
+        ));
+    }
+    Ok(())
+}
+
 /// Most nodes a `register` `family` spec may generate: ten times the largest
 /// instance of `mbsp_gen::large_dataset` (100,000 nodes). Uploaded DAGs are
 /// bounded by [`MAX_LINE_BYTES`] instead.
@@ -362,6 +386,9 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
         let session = IncrementalScheduler::restore(&blob)
             .map_err(|e| invalid(format!("corrupt session {}: {e}", session_path.display())))?
             .with_pool(inner.pool.clone());
+        let search = &session.config().search;
+        check_search_caps(search.num_shards, search.moves_per_round)
+            .map_err(|e| invalid(format!("session {}: {e}", session_path.display())))?;
         inner
             .registry
             .lock()
