@@ -1,4 +1,4 @@
-//! The `mbsp_serve` line protocol: request parsing and frame building.
+//! The `mbsp_serve` line protocol: request parsing and frame writing.
 //!
 //! One request per line, one JSON object per request; the daemon answers with
 //! one or more JSON object frames, each on its own line (the full
@@ -7,7 +7,9 @@
 //! is the wrong tool for a wire protocol full of optional knobs — so requests
 //! are parsed by hand off the generic [`serde::Value`] model, and every
 //! missing-field / wrong-type case maps to a typed [`Reject`] carrying one of
-//! the protocol's stable error codes.
+//! the protocol's stable error codes. Replies go the other way without a
+//! tree: [`JsonWriter`] and [`write_schedule`] append each frame's JSON text
+//! to the one line buffer the daemon writes.
 
 use crate::server::{check_search_caps, MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_TABLE_CELLS};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
@@ -15,7 +17,9 @@ use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_ilp::{ShardStrategy, ShardedSearchConfig};
-use serde::{map_get, Value};
+use mbsp_model::{ComputePhaseStep, MbspSchedule};
+use serde::{map_get, Serialize, Value};
+use std::fmt::Write;
 use std::time::Duration;
 
 /// Error code: the line was not valid JSON or not a JSON object.
@@ -141,8 +145,9 @@ impl FamilySpec {
 pub enum CacheSpec {
     /// An explicit cache size.
     Size(f64),
-    /// A multiple of the DAG's minimal feasible cache size (resolved against
-    /// the actual DAG via [`mbsp_model::MbspInstance::with_cache_factor`]).
+    /// A multiple of the DAG's minimal feasible cache size, resolved against
+    /// the actual DAG as [`mbsp_model::MbspInstance::with_cache_factor`] does;
+    /// a product that is not finite is a `bad_request`.
     Factor(f64),
 }
 
@@ -678,11 +683,23 @@ fn parse_delta(entry: &Value) -> Parse<DagDelta> {
     }
 }
 
-/// Fluent builder for response frames (JSON objects), keeping server code
-/// free of `Value::Map` noise.
-#[derive(Debug, Default)]
+/// Fluent writer of one response frame (a JSON object): every call appends
+/// its field to the frame's text, so a reply is written once, in field order,
+/// and never exists as a [`Value`] tree. Scalars are formatted by
+/// `serde_json`, so the text is the one `serde_json::to_string` writes for the
+/// equivalent `Value::Map` — except that a non-finite float, which JSON cannot
+/// represent, is written as `null`. Writing cannot fail.
+#[derive(Debug)]
 pub struct JsonWriter {
-    entries: Vec<(String, Value)>,
+    text: String,
+}
+
+impl Default for JsonWriter {
+    fn default() -> Self {
+        JsonWriter {
+            text: String::from("{"),
+        }
+    }
 }
 
 impl JsonWriter {
@@ -691,30 +708,35 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
-    /// Adds an arbitrary value field.
-    pub fn value(mut self, key: &str, value: Value) -> Self {
-        self.entries.push((key.to_string(), value));
+    /// Adds a field whose JSON text `write` appends.
+    fn field(mut self, key: &str, write: impl FnOnce(&mut String)) -> Self {
+        if self.text.len() > 1 {
+            self.text.push(',');
+        }
+        push_scalar(&mut self.text, key);
+        self.text.push(':');
+        write(&mut self.text);
         self
     }
 
     /// Adds a string field.
     pub fn str(self, key: &str, value: &str) -> Self {
-        self.value(key, Value::Str(value.to_string()))
+        self.field(key, |out| push_scalar(out, value))
     }
 
     /// Adds an unsigned integer field.
     pub fn u64(self, key: &str, value: u64) -> Self {
-        self.value(key, Value::UInt(value))
+        self.field(key, |out| push_scalar(out, &value))
     }
 
-    /// Adds a float field.
+    /// Adds a float field (`null` when it is not finite).
     pub fn f64(self, key: &str, value: f64) -> Self {
-        self.value(key, Value::Float(value))
+        self.field(key, |out| push_scalar(out, &value))
     }
 
     /// Adds a boolean field.
     pub fn bool(self, key: &str, value: bool) -> Self {
-        self.value(key, Value::Bool(value))
+        self.field(key, |out| push_scalar(out, &value))
     }
 
     /// Adds the optional echoed request id.
@@ -725,10 +747,95 @@ impl JsonWriter {
         }
     }
 
-    /// Finishes the frame.
-    pub fn build(self) -> Value {
-        Value::Map(self.entries)
+    /// Adds a nested object field.
+    pub fn object(self, key: &str, object: JsonWriter) -> Self {
+        self.field(key, |out| out.push_str(&object.build()))
     }
+
+    /// Adds an array-of-objects field.
+    pub fn objects(self, key: &str, objects: Vec<JsonWriter>) -> Self {
+        self.field(key, |out| {
+            push_list(out, objects, |out, object| out.push_str(&object.build()))
+        })
+    }
+
+    /// Adds a schedule field, written by [`write_schedule`].
+    pub fn schedule(self, key: &str, schedule: &MbspSchedule) -> Self {
+        self.field(key, |out| write_schedule(schedule, out))
+    }
+
+    /// Finishes the frame: its JSON text, without a line terminator.
+    pub fn build(mut self) -> String {
+        self.text.push('}');
+        self.text
+    }
+}
+
+/// Appends the JSON text of a scalar as `serde_json` writes it, or `null` for
+/// the non-finite float it refuses.
+fn push_scalar<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    match serde_json::to_string(value) {
+        Ok(text) => out.push_str(&text),
+        Err(_) => out.push_str("null"),
+    }
+}
+
+/// Appends `[item,item,…]`, each item written by `write`.
+fn push_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends `schedule` as the JSON text of its derived `Serialize` — the bytes
+/// of `serde_json::to_string(schedule)` — without building the `Value` tree:
+/// `{"processors":P,"supersteps":[{"procs":[{"compute":[{"Compute":v}|{"Delete":v}],
+/// "save":[v],"delete":[v],"load":[v]}]}]}`. At `large_dataset` scale the
+/// schedule is most of a `done` frame (≈ 10 MB); written here, it is never
+/// held twice.
+pub fn write_schedule(schedule: &MbspSchedule, out: &mut String) {
+    // Node ids and the processor count are integers, which `serde_json`
+    // writes with `Display`.
+    let write_ids = |out: &mut String, ids: &[NodeId]| {
+        push_list(out, ids, |out, v| {
+            let _ = write!(out, "{}", v.0);
+        })
+    };
+    let _ = write!(
+        out,
+        r#"{{"processors":{},"supersteps":"#,
+        schedule.processors()
+    );
+    push_list(out, schedule.supersteps(), |out, superstep| {
+        out.push_str(r#"{"procs":"#);
+        push_list(out, &superstep.procs, |out, phases| {
+            out.push_str(r#"{"compute":"#);
+            push_list(out, &phases.compute, |out, op| {
+                let _ = match op {
+                    ComputePhaseStep::Compute(v) => write!(out, r#"{{"Compute":{}}}"#, v.0),
+                    ComputePhaseStep::Delete(v) => write!(out, r#"{{"Delete":{}}}"#, v.0),
+                };
+            });
+            out.push_str(r#","save":"#);
+            write_ids(out, &phases.save);
+            out.push_str(r#","delete":"#);
+            write_ids(out, &phases.delete);
+            out.push_str(r#","load":"#);
+            write_ids(out, &phases.load);
+            out.push('}');
+        });
+        out.push('}');
+    });
+    out.push('}');
 }
 
 /// Hex-encodes a binary blob (lowercase, no separators) — the wire form of
@@ -770,6 +877,85 @@ mod tests {
         assert_eq!(decode_hex(&encode_hex(&blob)).unwrap(), blob);
         assert!(decode_hex("abc").is_err());
         assert!(decode_hex("zz").is_err());
+    }
+
+    #[test]
+    fn write_schedule_writes_the_bytes_of_the_derive() {
+        use mbsp_ilp::{HolisticConfig, HolisticScheduler, ShardedHolisticScheduler};
+        use mbsp_model::{Architecture, MbspInstance};
+        use mbsp_sched::{BspScheduler, GreedyBspScheduler};
+
+        let instance = |dag: CompDag, factor: f64| {
+            let base = Architecture::new(4, 0.0, 1.0, 10.0);
+            let instance = MbspInstance::with_cache_factor(dag, base, factor);
+            let baseline = GreedyBspScheduler::new().schedule(instance.dag(), instance.arch());
+            (instance, baseline)
+        };
+        // The converted baselines of both datasets — at the minimal cache too,
+        // where the compute phases evict — plus one sharded-search result and
+        // the empty schedule.
+        let converted = HolisticScheduler::with_config(HolisticConfig {
+            max_rounds: 0,
+            ..HolisticConfig::default()
+        });
+        let mut corpus = vec![MbspSchedule::default()];
+        for (named, factor) in mbsp_gen::tiny_dataset(42)
+            .into_iter()
+            .flat_map(|named| [(named.clone(), 1.0), (named, 3.0)])
+            .chain(
+                mbsp_gen::small_dataset_sample(42)
+                    .into_iter()
+                    .map(|n| (n, 3.0)),
+            )
+        {
+            let (instance, baseline) = instance(named.dag, factor);
+            corpus.push(converted.schedule(&instance, &baseline));
+        }
+        let (instance, baseline) = instance(cg_dag("cg", 4, 2), 3.0);
+        let sharded = ShardedHolisticScheduler::with_config(ShardedSearchConfig {
+            num_shards: 4,
+            max_rounds: 3,
+            moves_per_round: 4,
+            iterations: 2,
+            ..ShardedSearchConfig::default()
+        });
+        corpus.push(sharded.schedule_with_assignment(&instance, &baseline).0);
+
+        let phases = || {
+            corpus
+                .iter()
+                .flat_map(|s| s.supersteps())
+                .flat_map(|step| &step.procs)
+        };
+        assert!(phases().any(|p| p
+            .compute
+            .iter()
+            .any(|op| matches!(op, ComputePhaseStep::Delete(_)))));
+        assert!(phases().any(|p| p.is_empty()));
+        assert!(phases().any(|p| p.load.is_empty() && !p.is_empty()));
+        for (i, schedule) in corpus.iter().enumerate() {
+            let mut written = String::new();
+            write_schedule(schedule, &mut written);
+            assert_eq!(written, serde_json::to_string(schedule).unwrap(), "{i}");
+        }
+    }
+
+    #[test]
+    fn frames_write_non_finite_floats_as_null() {
+        let frame = JsonWriter::new()
+            .f64("cost", f64::INFINITY)
+            .f64("gap", f64::NAN)
+            .f64("ratio", 0.5)
+            .object(
+                "error",
+                JsonWriter::new().str("message", "a \"quoted\"\nline"),
+            )
+            .objects("none", Vec::new())
+            .build();
+        assert_eq!(
+            frame,
+            r#"{"cost":null,"gap":null,"ratio":0.5,"error":{"message":"a \"quoted\"\nline"},"none":[]}"#
+        );
     }
 
     #[test]

@@ -31,10 +31,9 @@ use mbsp_ilp::{
     CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
-use mbsp_model::{Architecture, MbspInstance};
+use mbsp_model::Architecture;
 use mbsp_pool::{AdmissionQueue, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -146,13 +145,11 @@ impl LineWriter {
         }
     }
 
-    /// Serializes and sends one frame. Write errors are swallowed: a client
-    /// that hung up stops receiving frames, but its queued jobs still run to
-    /// completion (their session effects must not depend on the socket).
-    fn send(&self, frame: Value) {
-        let Ok(mut line) = serde_json::to_string(&frame) else {
-            return;
-        };
+    /// Sends one frame, the JSON text [`JsonWriter::build`] wrote, as one
+    /// line in one write. Write errors are swallowed: a client that hung up
+    /// stops receiving frames, but its queued jobs still run to completion
+    /// (their session effects must not depend on the socket).
+    fn send(&self, mut line: String) {
         line.push('\n');
         let mut stream = self.stream.lock().unwrap();
         let _ = stream.write_all(line.as_bytes());
@@ -166,9 +163,8 @@ impl LineWriter {
         }
         let error = JsonWriter::new()
             .str("code", reject.code)
-            .str("message", &reject.message)
-            .build();
-        self.send(w.bool("ok", false).value("error", error).build());
+            .str("message", &reject.message);
+        self.send(w.bool("ok", false).object("error", error).build());
     }
 }
 
@@ -624,13 +620,25 @@ fn handle_register(
         );
         return;
     }
-    let arch = match req.cache {
-        CacheSpec::Size(size) => Architecture::new(req.processors, size, req.g, req.latency),
-        CacheSpec::Factor(factor) => {
-            let base = Architecture::new(req.processors, 0.0, req.g, req.latency);
-            *MbspInstance::with_cache_factor(dag.clone(), base, factor).arch()
-        }
+    // A factor is resolved as `MbspInstance::with_cache_factor` does, without
+    // copying the DAG. A finite factor can still overflow the product, which
+    // `Architecture` would assert on.
+    let cache_size = match req.cache {
+        CacheSpec::Size(size) => size,
+        CacheSpec::Factor(factor) => factor * dag.minimal_cache_size(),
     };
+    if !cache_size.is_finite() {
+        out.send_reject(
+            id,
+            None,
+            &Reject::new(
+                protocol::E_BAD_REQUEST,
+                "`cache_factor` times the DAG's minimal cache size is not finite",
+            ),
+        );
+        return;
+    }
+    let arch = Architecture::new(req.processors, cache_size, req.g, req.latency);
     // Seed the warm session's incumbent from the deterministic greedy BSP
     // baseline — the same seed a direct library run starts from.
     let baseline = GreedyBspScheduler::new().schedule(&dag, &arch);
@@ -671,7 +679,7 @@ fn handle_register(
 }
 
 fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u64>) {
-    let instances: Vec<Value> = inner
+    let instances = inner
         .registry
         .lock()
         .unwrap()
@@ -681,7 +689,6 @@ fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u
                 .str("name", name)
                 .str("session_file", file)
                 .u64("generation", *generation)
-                .build()
         })
         .collect();
     let active = inner.jobs.lock().unwrap().len();
@@ -690,7 +697,7 @@ fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u
             .id(id)
             .bool("ok", true)
             .str("event", "status")
-            .value("instances", Value::Seq(instances))
+            .objects("instances", instances)
             .u64("active_jobs", active as u64)
             .build(),
     );
@@ -851,7 +858,7 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
         .u64("iterations", stats.iterations as u64)
         .u64("evaluations", stats.evaluations);
     if req.return_schedule {
-        frame = frame.value("schedule", schedule.to_value());
+        frame = frame.schedule("schedule", &schedule);
     }
     job.out.send(frame.build());
 }
@@ -886,7 +893,7 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
         .u64("dirty_shards", stats.dirty_shards as u64)
         .u64("evaluations", stats.evaluations);
     if req.return_schedule {
-        frame = frame.value("schedule", schedule.to_value());
+        frame = frame.schedule("schedule", &schedule);
     }
     job.out.send(frame.build());
 }

@@ -1,17 +1,19 @@
 //! End-to-end tests of the `mbsp_serve` daemon over real TCP connections:
 //! concurrent schedule/mutate/cancel traffic with streamed monotone
 //! incumbents, byte-identity of served schedules against direct library runs
-//! at the same budget, and byte-identical continuation across a graceful
-//! shutdown + restart. CI reruns this suite under `MBSP_BENCH_THREADS=2/8`
-//! to pin the worker-count independence of every served result.
+//! at the same budget, byte-identical continuation across a graceful
+//! shutdown + restart, and every frame kind's text against what
+//! `serde_json::to_string` writes for its map. CI reruns this suite under
+//! `MBSP_BENCH_THREADS=2/8` to pin the worker-count independence of every
+//! served result.
 
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_ilp::{IncrementalScheduler, RepairConfig, ShardedHolisticScheduler, ShardedSearchConfig};
-use mbsp_model::{Architecture, MbspInstance};
+use mbsp_model::{Architecture, MbspInstance, MbspSchedule};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use mbsp_serve::{Server, ServerConfig};
-use serde::{map_get, Value};
+use serde::{map_get, Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -44,11 +46,34 @@ impl Client {
             .expect("send");
     }
 
-    fn recv(&mut self) -> Value {
+    /// One frame's text, without its newline.
+    fn recv_line(&mut self) -> String {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).expect("recv");
         assert!(n > 0, "server closed the connection unexpectedly");
-        serde_json::from_str(line.trim()).expect("frame must be valid JSON")
+        assert_eq!(line.pop(), Some('\n'), "a frame ends in one newline");
+        line
+    }
+
+    fn recv(&mut self) -> Value {
+        serde_json::from_str(&self.recv_line()).expect("frame must be valid JSON")
+    }
+
+    /// Receives one frame and asserts that its text is, byte for byte, what
+    /// `serde_json::to_string` writes for the map of `expected` — the entries
+    /// the test builds from the parsed frame, typed and ordered as the frame
+    /// kind prescribes.
+    fn recv_exactly(&mut self, expected: impl FnOnce(&Value) -> Vec<(&str, Value)>) -> Value {
+        let line = self.recv_line();
+        let frame: Value = serde_json::from_str(&line).expect("frame must be valid JSON");
+        let oracle = Value::Map(
+            expected(&frame)
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        );
+        assert_eq!(line, serde_json::to_string(&oracle).unwrap());
+        frame
     }
 
     /// Reads frames until one matches `pred`, returning the skipped frames
@@ -316,6 +341,300 @@ fn a_zero_time_limit_answers_the_seed_incumbent_and_says_deadline() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+// Entry builders of the byte-identity oracle below. Each types a value the
+// way its frame kind prescribes, reading it from the parsed frame where the
+// test cannot know it in advance.
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+fn uint(frame: &Value, key: &str) -> Value {
+    Value::UInt(get_u64(frame, key).expect(key))
+}
+
+fn float(frame: &Value, key: &str) -> Value {
+    Value::Float(get_f64(frame, key).expect(key))
+}
+
+fn echo(frame: &Value, key: &str) -> Value {
+    text(get_str(frame, key).expect(key))
+}
+
+/// How the reply to a queued job starts.
+fn job_reply(id: u64, job: u64, event: &str) -> Vec<(&'static str, Value)> {
+    vec![
+        ("id", Value::UInt(id)),
+        ("job", Value::UInt(job)),
+        ("ok", Value::Bool(true)),
+        ("event", text(event)),
+    ]
+}
+
+/// Appends the schedule a `done` frame embeds, in the layout of its derive.
+fn embedding(
+    mut entries: Vec<(&'static str, Value)>,
+    frame: &Value,
+    embedded: bool,
+) -> Vec<(&'static str, Value)> {
+    if embedded {
+        let schedule = get(frame, "schedule").expect("an embedded schedule");
+        let schedule = MbspSchedule::from_value(schedule).expect("a schedule");
+        entries.push(("schedule", schedule.to_value()));
+    }
+    entries
+}
+
+fn schedule_done(frame: &Value, id: u64, job: u64, embedded: bool) -> Vec<(&'static str, Value)> {
+    let mut entries = job_reply(id, job, "done");
+    entries.extend([
+        ("cost", float(frame, "cost")),
+        ("stop_reason", echo(frame, "stop_reason")),
+        ("iterations", uint(frame, "iterations")),
+        ("evaluations", uint(frame, "evaluations")),
+    ]);
+    embedding(entries, frame, embedded)
+}
+
+fn repair_done(frame: &Value, id: u64, job: u64, embedded: bool) -> Vec<(&'static str, Value)> {
+    let mut entries = job_reply(id, job, "done");
+    entries.extend([
+        ("cost", float(frame, "cost")),
+        ("incumbent_cost", float(frame, "incumbent_cost")),
+        ("stop_reason", echo(frame, "stop_reason")),
+        ("pending_nodes", uint(frame, "pending_nodes")),
+        ("dirty_shards", uint(frame, "dirty_shards")),
+        ("evaluations", uint(frame, "evaluations")),
+    ]);
+    embedding(entries, frame, embedded)
+}
+
+fn reject(frame: &Value, id: Option<u64>, job: Option<u64>) -> Vec<(&'static str, Value)> {
+    let error = get(frame, "error").expect("error");
+    let error = Value::Map(vec![
+        ("code".to_string(), echo(error, "code")),
+        ("message".to_string(), echo(error, "message")),
+    ]);
+    let mut entries = Vec::new();
+    entries.extend(id.map(|id| ("id", Value::UInt(id))));
+    entries.extend(job.map(|job| ("job", Value::UInt(job))));
+    entries.extend([("ok", Value::Bool(false)), ("error", error)]);
+    entries
+}
+
+/// Receives the `accepted` frame of request `id` on instance `cg`; its job.
+fn accepted(c: &mut Client, id: u64) -> u64 {
+    let frame = c.recv_exactly(|f| {
+        vec![
+            ("id", Value::UInt(id)),
+            ("ok", Value::Bool(true)),
+            ("event", text("accepted")),
+            ("job", uint(f, "job")),
+            ("instance", text("cg")),
+        ]
+    });
+    get_u64(&frame, "job").unwrap()
+}
+
+fn instance_status(c: &mut Client, id: u64, scheduled: bool) {
+    let job = accepted(c, id);
+    c.recv_exactly(|f| {
+        let mut entries = vec![
+            ("ok", Value::Bool(true)),
+            ("event", text("status")),
+            ("instance", text("cg")),
+            ("nodes", uint(f, "nodes")),
+            ("edges", uint(f, "edges")),
+            ("pending", uint(f, "pending")),
+            ("generation", uint(f, "generation")),
+        ];
+        if scheduled {
+            entries.push(("last_cost", float(f, "last_cost")));
+        }
+        entries.extend([("id", Value::UInt(id)), ("job", Value::UInt(job))]);
+        entries
+    });
+}
+
+fn mutate(c: &mut Client, id: u64) {
+    c.send(&format!(
+        r#"{{"id":{id},"op":"mutate","instance":"cg","deltas":[{{"add_node":{{"compute":2.0,"memory":1.5}}}},{{"reweight":{{"node":3,"compute":4.0,"memory":2.0}}}}]}}"#
+    ));
+    let job = accepted(c, id);
+    c.recv_exactly(|f| {
+        let mut entries = job_reply(id, job, "done");
+        entries.extend([
+            ("applied", Value::UInt(2)),
+            ("nodes", uint(f, "nodes")),
+            ("edges", uint(f, "edges")),
+            ("pending", uint(f, "pending")),
+            ("generation", uint(f, "generation")),
+        ]);
+        entries
+    });
+}
+
+#[test]
+fn every_frame_kind_is_the_text_serde_json_writes_for_its_map() {
+    let state_dir = temp_state_dir("wire");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"cache_factor":3.0,{BUDGET}}}"#
+    ));
+    c.recv_exactly(|f| {
+        vec![
+            ("id", Value::UInt(1)),
+            ("ok", Value::Bool(true)),
+            ("event", text("registered")),
+            ("instance", text("cg")),
+            ("nodes", uint(f, "nodes")),
+            ("edges", uint(f, "edges")),
+            ("processors", Value::UInt(4)),
+            ("cache_size", float(f, "cache_size")),
+        ]
+    });
+
+    // Instance status before any search (no `last_cost`); daemon status.
+    c.send(r#"{"id":2,"op":"status","instance":"cg"}"#);
+    instance_status(&mut c, 2, false);
+    c.send(r#"{"id":3,"op":"status"}"#);
+    c.recv_exactly(|f| {
+        let registered = Value::Map(vec![
+            ("name".to_string(), text("cg")),
+            ("session_file".to_string(), text("cg.session.mbio")),
+            ("generation".to_string(), Value::UInt(1)),
+        ]);
+        vec![
+            ("id", Value::UInt(3)),
+            ("ok", Value::Bool(true)),
+            ("event", text("status")),
+            ("instances", Value::Seq(vec![registered])),
+            ("active_jobs", uint(f, "active_jobs")),
+        ]
+    });
+
+    // `schedule`, streamed without the schedule, then unstreamed with it.
+    c.send(r#"{"id":4,"op":"schedule","instance":"cg","stream":true}"#);
+    let job = accepted(&mut c, 4);
+    let mut sequence = 0;
+    while !is_event(
+        &c.recv_exactly(|f| {
+            if is_event(f, "done") {
+                return schedule_done(f, 4, job, false);
+            }
+            vec![
+                ("job", Value::UInt(job)),
+                ("event", text("incumbent")),
+                ("sequence", Value::UInt(sequence)),
+                ("iteration", uint(f, "iteration")),
+                ("cost", float(f, "cost")),
+                ("evaluations", uint(f, "evaluations")),
+            ]
+        }),
+        "done",
+    ) {
+        sequence += 1;
+    }
+    assert!(sequence > 0, "the seed incumbent streams");
+    c.send(r#"{"id":5,"op":"schedule","instance":"cg","stream":false,"return_schedule":true}"#);
+    let job = accepted(&mut c, 5);
+    c.recv_exactly(|f| schedule_done(f, 5, job, true));
+    c.send(r#"{"id":6,"op":"status","instance":"cg"}"#);
+    instance_status(&mut c, 6, true);
+
+    // `mutate`, then `repair` without and with the schedule.
+    mutate(&mut c, 7);
+    c.send(r#"{"id":8,"op":"repair","instance":"cg"}"#);
+    let job = accepted(&mut c, 8);
+    c.recv_exactly(|f| repair_done(f, 8, job, false));
+    mutate(&mut c, 9);
+    c.send(r#"{"id":10,"op":"repair","instance":"cg","return_schedule":true}"#);
+    let job = accepted(&mut c, 10);
+    c.recv_exactly(|f| repair_done(f, 10, job, true));
+
+    // `cancelled` for a running job, whose `done` may be written first.
+    c.send(r#"{"id":11,"op":"schedule","instance":"cg","stream":false,"max_rounds":100000,"iterations":1000}"#);
+    let job = accepted(&mut c, 11);
+    c.send(&format!(r#"{{"id":12,"op":"cancel","job":{job}}}"#));
+    let mut events: Vec<String> = (0..2)
+        .map(|_| {
+            let frame = c.recv_exactly(|f| {
+                if is_event(f, "done") {
+                    return schedule_done(f, 11, job, false);
+                }
+                vec![
+                    ("id", Value::UInt(12)),
+                    ("ok", Value::Bool(true)),
+                    ("event", text("cancelled")),
+                    ("job", Value::UInt(job)),
+                ]
+            });
+            get_str(&frame, "event").unwrap().to_string()
+        })
+        .collect();
+    events.sort();
+    assert_eq!(events, ["cancelled", "done"]);
+
+    // Rejects with a `job`, with an `id` only, and with neither; the message
+    // of the second needs escapes.
+    c.send(r#"{"id":13,"op":"cancel","job":999999}"#);
+    c.recv_exactly(|f| reject(f, Some(13), Some(999_999)));
+    c.send(r#"{"id":14,"op":"status","instance":"no \"such\" instance"}"#);
+    c.recv_exactly(|f| reject(f, Some(14), None));
+    c.send("not json");
+    c.recv_exactly(|f| reject(f, None, None));
+
+    c.send(r#"{"id":15,"op":"shutdown"}"#);
+    c.recv_exactly(|_| {
+        vec![
+            ("id", Value::UInt(15)),
+            ("ok", Value::Bool(true)),
+            ("event", text("shutting_down")),
+        ]
+    });
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn an_infinite_cost_is_written_as_null_and_the_instance_keeps_answering() {
+    // `g` = 1e308 is finite and admitted, but every cost it multiplies
+    // overflows to infinity, which JSON cannot represent. Such a frame used to
+    // be dropped — no `done`, and no instance `status` after it — so the
+    // reads here time out rather than wait for the default two minutes.
+    let state_dir = temp_state_dir("null");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"g":1e308,{BUDGET}}}"#
+    ));
+    assert!(is_event(&c.recv(), "registered"));
+    c.send(r#"{"id":2,"op":"schedule","instance":"cg","stream":true}"#);
+    let (frames, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    assert_eq!(get(&done, "cost"), Some(&Value::Null), "got {done:?}");
+    let incumbents: Vec<_> = frames.iter().filter(|f| is_event(f, "incumbent")).collect();
+    assert!(!incumbents.is_empty());
+    assert!(incumbents
+        .iter()
+        .all(|f| get(f, "cost") == Some(&Value::Null)));
+    c.send(r#"{"id":3,"op":"status","instance":"cg"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_eq!(
+        get(&status, "last_cost"),
+        Some(&Value::Null),
+        "got {status:?}"
+    );
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn queued_replies_do_not_wait_for_a_delayed_ack() {
     // An instance `status` is two small frames (`accepted`, then the reply
@@ -398,6 +717,10 @@ fn hostile_lines_are_rejected_with_typed_frames() {
         format!(r#"{family},"processors":2,"cache_size":-4.0"#),
         format!(r#"{family},"processors":2,"cache_factor":0.0"#),
         format!(r#"{family},"processors":2,"cache_factor":-3.0"#),
+        // Finite, but the cache size it resolves to is not: checked once the
+        // DAG exists, after the name is reserved (it used to panic the
+        // connection thread).
+        format!(r#"{family},"processors":2,"cache_factor":1e308"#),
         r#""processors":2,"family":{"kind":"random","layers":4294967296,"width":4294967296}"#
             .to_string(),
         r#""processors":2,"family":{"kind":"random","layers":2000,"width":1000}"#.to_string(),

@@ -1,9 +1,11 @@
 #!/bin/sh
 # The CI serving smoke: boots a real mbsp_serve daemon on an ephemeral port,
 # drives a scripted client session (register / schedule with streamed
-# incumbents / mutate / graceful shutdown), then restarts the daemon on the
-# same state directory and asserts the checkpointed session restored — the
-# pending set survived and a repair completes. Exits non-zero on any failed
+# incumbents and the schedule embedded / an instance whose costs overflow /
+# mutate / graceful shutdown), then restarts the daemon on the same state
+# directory and asserts the checkpointed session restored — the pending set
+# survived and a repair completes. Python's `json` reads every frame, so the
+# daemon's frame writer is checked by an independent parser. Exits non-zero on any failed
 # step. Run via `make serve-smoke`.
 set -eu
 
@@ -47,6 +49,19 @@ def recv_done():
         if frame.get("event") == "done":
             return frame
 
+def check_schedule(schedule):
+    # The embedded schedule, read by a parser that shares no code with the
+    # daemon's writer: 4 processors, each with its four phase lists in every
+    # superstep, and no node computed twice.
+    assert schedule["processors"] == 4, schedule["processors"]
+    computed = []
+    for step in schedule["supersteps"]:
+        assert len(step["procs"]) == 4, step
+        for phases in step["procs"]:
+            assert sorted(phases) == ["compute", "delete", "load", "save"], phases
+            computed += [op["Compute"] for op in phases["compute"] if "Compute" in op]
+    assert computed and len(computed) == len(set(computed)), "a node computed twice"
+
 send({"id": 1, "op": "register", "instance": "smoke",
       "family": {"kind": "cg", "n": 4, "k": 2},
       "processors": 4, "cache_factor": 3.0,
@@ -54,9 +69,22 @@ send({"id": 1, "op": "register", "instance": "smoke",
       "moves_per_round": 6, "iterations": 1})
 assert recv()["event"] == "registered", "register failed"
 
-send({"id": 2, "op": "schedule", "instance": "smoke", "stream": True})
+send({"id": 2, "op": "schedule", "instance": "smoke", "stream": True,
+      "return_schedule": True})
 done = recv_done()
 assert done["ok"] and done["stop_reason"] == "completed", done
+check_schedule(done["schedule"])
+
+# A finite `g` whose costs overflow: the `done` frame still comes, with
+# `"cost": null`.
+send({"id": 6, "op": "register", "instance": "overflow",
+      "family": {"kind": "cg", "n": 4, "k": 2},
+      "processors": 4, "g": 1e308, "num_shards": 4, "seed": 11,
+      "max_rounds": 5, "moves_per_round": 6, "iterations": 1})
+assert recv()["event"] == "registered", "register failed"
+send({"id": 7, "op": "schedule", "instance": "overflow", "stream": False})
+done = recv_done()
+assert done["ok"] and done["cost"] is None, done
 
 send({"id": 3, "op": "mutate", "instance": "smoke", "deltas": [
     {"add_node": {"compute": 2.0, "memory": 1.0}},
@@ -100,6 +128,19 @@ def recv():
     print("<<", json.dumps(frame))
     return frame
 
+def check_schedule(schedule):
+    # The embedded schedule, read by a parser that shares no code with the
+    # daemon's writer: 4 processors, each with its four phase lists in every
+    # superstep, and no node computed twice.
+    assert schedule["processors"] == 4, schedule["processors"]
+    computed = []
+    for step in schedule["supersteps"]:
+        assert len(step["procs"]) == 4, step
+        for phases in step["procs"]:
+            assert sorted(phases) == ["compute", "delete", "load", "save"], phases
+            computed += [op["Compute"] for op in phases["compute"] if "Compute" in op]
+    assert computed and len(computed) == len(set(computed)), "a node computed twice"
+
 expected_pending = int(open(sys.argv[2]).read())
 
 send({"id": 1, "op": "status", "instance": "smoke"})
@@ -110,11 +151,12 @@ while True:
             f"restart lost pending set: {frame['pending']} != {expected_pending}")
         break
 
-send({"id": 2, "op": "repair", "instance": "smoke"})
+send({"id": 2, "op": "repair", "instance": "smoke", "return_schedule": True})
 while True:
     frame = recv()
     if frame.get("event") == "done":
         assert frame["ok"] and frame["stop_reason"] == "completed", frame
+        check_schedule(frame["schedule"])
         break
 
 send({"id": 3, "op": "shutdown"})
