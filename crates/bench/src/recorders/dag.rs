@@ -108,11 +108,7 @@ fn run_pipeline(instance: &MbspInstance, path: EvalPath, batch: usize) -> Pipeli
                 &mut scratch,
             )
         }
-        EvalPath::Reference => reference::greedy_reference(
-            &mbsp_sched::greedy::GreedyBspConfig::default(),
-            instance.dag(),
-            instance.arch(),
-        ),
+        EvalPath::Reference => reference::greedy_reference(instance.dag(), instance.arch()),
     };
     seconds += stage.elapsed().as_secs_f64();
     let base: Vec<ProcId> = instance

@@ -40,7 +40,7 @@ use mbsp_ilp::{
     IncrementalScheduler, RepairConfig, ShardStrategy, ShardedHolisticScheduler,
     ShardedSearchConfig,
 };
-use mbsp_model::{CostModel, MbspInstance};
+use mbsp_model::MbspInstance;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
 use std::time::Instant;
@@ -92,7 +92,6 @@ pub(crate) struct Row {
 
 fn search_config(workers: usize) -> ShardedSearchConfig {
     ShardedSearchConfig {
-        cost_model: CostModel::Synchronous,
         // This benchmark measures incremental-repair *latency*: keep the O(n)
         // topological partitioner and the single-pass pipeline, so a repair
         // pays no partition-ILP or shard-seeding overhead on top of its cone.

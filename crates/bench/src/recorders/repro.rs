@@ -260,7 +260,7 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
             }
             Sweep::Baselines => {
                 let cilk = setting.two_stage(&instance, &CilkScheduler::new(), &LruPolicy::new());
-                let bsp_ilp = BspIlpScheduler::default();
+                let bsp_ilp = BspIlpScheduler;
                 let (optimised, bsp_ilp) = setting.two_stage(&instance, &bsp_ilp, &clairvoyant);
                 let ours = setting.improved(&instance, &seed);
                 let both = setting.improved(&instance, &optimised);

@@ -146,7 +146,6 @@ fn within(cost: f64, bound: f64) -> bool {
 /// seeds, one pass.
 fn legacy_config(workers: usize) -> ShardedSearchConfig {
     ShardedSearchConfig {
-        cost_model: CostModel::Synchronous,
         strategy: ShardStrategy::Topo,
         num_shards: SHARDS,
         workers,

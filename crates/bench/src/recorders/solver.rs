@@ -150,7 +150,7 @@ impl Recorder for Solver {
             },
             7,
         );
-        let (problem, warm) = mbsp_ilp::bipartition_model(&layered, 1.0 / 3.0);
+        let (problem, warm) = mbsp_ilp::bipartition_model(&layered);
         cases.push(Case {
             name: format!("bipartition/layered{}", layers * width),
             problem,

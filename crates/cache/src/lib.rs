@@ -13,8 +13,9 @@
 //!   is split into maximally long segments of compute steps that can run without new
 //!   I/O; between segments, values that are still needed (locally or by another
 //!   processor) are saved, victims chosen by the eviction policy are deleted, and
-//!   the inputs of the next segment are loaded (with greedy prefetching of further
-//!   inputs while cache space remains).
+//!   the inputs of the next segment are loaded, always with greedy prefetching of
+//!   further inputs while cache space remains (the paper's baseline has one
+//!   configuration, so the converter has none).
 //! * [`ConversionArena`] — the same conversion split into a long-lived arena
 //!   (topological order, the flat use index, the stamped blue set and the
 //!   per-processor buffers — built once per instance) plus a cheap per-candidate
@@ -30,4 +31,4 @@ pub mod policy;
 pub mod two_stage;
 
 pub use policy::{CandidateVictim, ClairvoyantPolicy, EvictionPolicy, LruPolicy};
-pub use two_stage::{ConversionArena, TwoStageConfig, TwoStageScheduler};
+pub use two_stage::{ConversionArena, TwoStageScheduler};

@@ -140,6 +140,58 @@ impl CompDag {
         }
     }
 
+    /// The largest compute footprint ([`CompDag::compute_footprint`]) that
+    /// `delta` raises, and its node, as the footprint will be once the delta
+    /// is applied. Only the touched node and its children can gain: an
+    /// `AddNode` brings its own weight, an `AddEdge` one more parent of its
+    /// target, a `Reweight` that grows a memory weight the node itself and
+    /// its children. `None` when no footprint rises, including every delta
+    /// [`CompDag::apply_delta`] rejects for another reason. O(degree): the
+    /// sums run over the same parents in the same order as
+    /// `compute_footprint` after the delta, so the value is bit-identical.
+    pub fn footprint_after(&self, delta: &DagDelta) -> Option<(NodeId, f64)> {
+        let n = self.num_nodes();
+        match *delta {
+            DagDelta::AddNode { weights, .. } => {
+                validate_weights(n, &weights).ok()?;
+                Some((NodeId::new(n), weights.memory))
+            }
+            DagDelta::AddEdge { from, to } => {
+                if from.index() >= n || to.index() >= n || from == to || self.has_edge(from, to) {
+                    return None;
+                }
+                // `apply_delta` appends `from` to the parents of `to`.
+                let parents: f64 = (self.parents(to).iter().chain([&from]))
+                    .map(|&u| self.memory_weight(u))
+                    .sum();
+                Some((to, self.memory_weight(to) + parents))
+            }
+            DagDelta::Reweight { node, weights } => {
+                if node.index() >= n || validate_weights(node.index(), &weights).is_err() {
+                    return None;
+                }
+                if weights.memory <= self.memory_weight(node) {
+                    return None;
+                }
+                let weight = |u: NodeId| {
+                    if u == node {
+                        weights.memory
+                    } else {
+                        self.memory_weight(u)
+                    }
+                };
+                let footprint = |v: NodeId| {
+                    let parents: f64 = self.parents(v).iter().map(|&u| weight(u)).sum();
+                    weight(v) + parents
+                };
+                (std::iter::once(node).chain(self.children(node).iter().copied()))
+                    .map(|v| (v, footprint(v)))
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+            }
+            DagDelta::RemoveNode { .. } | DagDelta::RemoveEdge { .. } => None,
+        }
+    }
+
     fn delta_add_node(
         &mut self,
         weights: NodeWeights,
@@ -604,6 +656,60 @@ mod tests {
             dag.apply_delta(&bad, &mut order),
             Err(DagError::InvalidWeight { .. })
         ));
+    }
+
+    #[test]
+    fn footprint_after_is_the_largest_footprint_the_delta_leaves() {
+        let (dag, order) = diamond_with_order();
+        let raising = [
+            DagDelta::AddNode {
+                weights: NodeWeights::new(1.0, 5.0),
+                label: None,
+            },
+            DagDelta::AddEdge {
+                from: NodeId::new(1),
+                to: NodeId::new(2),
+            },
+            // Node 1's own footprint becomes 5, its child 3's becomes 6.
+            DagDelta::Reweight {
+                node: NodeId::new(1),
+                weights: NodeWeights::new(1.0, 4.0),
+            },
+        ];
+        for delta in &raising {
+            let (node, footprint) = dag.footprint_after(delta).expect("a footprint rises");
+            let (mut after, mut order) = (dag.clone(), order.clone());
+            after.apply_delta(delta, &mut order).unwrap();
+            assert_eq!(footprint, after.compute_footprint(node), "{delta:?}");
+            assert_eq!(footprint, after.minimal_cache_size(), "{delta:?}");
+        }
+        let quiet = [
+            DagDelta::RemoveEdge {
+                from: NodeId::new(0),
+                to: NodeId::new(1),
+            },
+            DagDelta::Reweight {
+                node: NodeId::new(1),
+                weights: NodeWeights::new(9.0, 0.5),
+            },
+            // Rejected by `apply_delta`: a duplicate, an unknown node and a
+            // negative weight.
+            DagDelta::AddEdge {
+                from: NodeId::new(0),
+                to: NodeId::new(1),
+            },
+            DagDelta::AddEdge {
+                from: NodeId::new(9),
+                to: NodeId::new(1),
+            },
+            DagDelta::Reweight {
+                node: NodeId::new(2),
+                weights: NodeWeights::new(1.0, -1.0),
+            },
+        ];
+        for delta in &quiet {
+            assert_eq!(dag.footprint_after(delta), None, "{delta:?}");
+        }
     }
 
     #[test]

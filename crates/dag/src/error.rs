@@ -61,6 +61,16 @@ pub enum DagError {
         /// Remaining out-degree of the node.
         out_degree: usize,
     },
+    /// A delta would raise a node's compute footprint above the cache size,
+    /// so that the node could no longer be computed by any schedule.
+    FootprintExceedsCache {
+        /// The node whose footprint would exceed the cache.
+        node: usize,
+        /// Its footprint after the delta.
+        footprint: f64,
+        /// The cache size it would exceed.
+        cache_size: f64,
+    },
 }
 
 impl fmt::Display for DagError {
@@ -93,6 +103,17 @@ impl fmt::Display for DagError {
                     "node {node} still has incident edges \
                      (in-degree {in_degree}, out-degree {out_degree}); \
                      remove them before removing the node"
+                )
+            }
+            DagError::FootprintExceedsCache {
+                node,
+                footprint,
+                cache_size,
+            } => {
+                write!(
+                    f,
+                    "node {node} would need {footprint} of fast memory to be computed, \
+                     more than the cache size {cache_size}"
                 )
             }
         }
@@ -140,6 +161,13 @@ mod tests {
             out_degree: 2,
         };
         assert!(e.to_string().contains("incident edges"));
+
+        let e = DagError::FootprintExceedsCache {
+            node: 5,
+            footprint: 12.0,
+            cache_size: 9.0,
+        };
+        assert!(e.to_string().contains("cache size 9"));
     }
 
     #[test]

@@ -18,31 +18,23 @@ use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// BSP-cost optimiser used as the "ILP-based BSP scheduler" stand-in.
-#[derive(Debug, Clone)]
-pub struct BspIlpScheduler {
-    /// Number of local-search rounds.
-    pub max_rounds: usize,
-    /// Candidate moves per round.
-    pub moves_per_round: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Local-search rounds; a round without an improvement also ends the search.
+const MAX_ROUNDS: usize = 40;
+/// Candidate moves per round.
+const MOVES_PER_ROUND: usize = 150;
+/// Seed of the move stream.
+const SEED: u64 = 0xB5B;
 
-impl Default for BspIlpScheduler {
-    fn default() -> Self {
-        BspIlpScheduler {
-            max_rounds: 40,
-            moves_per_round: 150,
-            seed: 0xB5B,
-        }
-    }
-}
+/// BSP-cost optimiser used as the "ILP-based BSP scheduler" stand-in. Like the
+/// paper's baseline it runs in one configuration: 40 rounds of 150 moves,
+/// drawn from a fixed seed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BspIlpScheduler;
 
 impl BspIlpScheduler {
-    /// Creates the optimiser with default settings.
+    /// Creates the optimiser.
     pub fn new() -> Self {
-        Self::default()
+        BspIlpScheduler
     }
 }
 
@@ -70,10 +62,10 @@ impl BspScheduler for BspIlpScheduler {
         if movable.is_empty() || arch.processors == 1 {
             return best;
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..self.max_rounds {
+        let mut rng = StdRng::seed_from_u64(SEED);
+        for _ in 0..MAX_ROUNDS {
             let mut improved = false;
-            for _ in 0..self.moves_per_round {
+            for _ in 0..MOVES_PER_ROUND {
                 let v = movable[rng.gen_range(0..movable.len())];
                 let new_proc = ProcId::new(rng.gen_range(0..arch.processors));
                 if procs[v.index()] == new_proc {
@@ -108,11 +100,7 @@ mod tests {
 
     #[test]
     fn produces_valid_schedules_with_cost_not_worse_than_greedy() {
-        let opt = BspIlpScheduler {
-            max_rounds: 4,
-            moves_per_round: 40,
-            seed: 1,
-        };
+        let opt = BspIlpScheduler::new();
         for inst in mbsp_gen::tiny_dataset(42).into_iter().take(4) {
             let a = arch();
             let greedy = GreedyBspScheduler::new().schedule(&inst.dag, &a);
@@ -131,11 +119,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = mbsp_gen::tiny_dataset(1).remove(4);
-        let opt = BspIlpScheduler {
-            max_rounds: 3,
-            moves_per_round: 25,
-            seed: 7,
-        };
+        let opt = BspIlpScheduler::new();
         let a = opt.schedule(&inst.dag, &arch());
         let b = opt.schedule(&inst.dag, &arch());
         assert_eq!(a.schedule, b.schedule);

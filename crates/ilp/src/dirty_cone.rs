@@ -56,7 +56,9 @@
 
 use crate::search::{Incumbent, ShardedSearch};
 use crate::shard::{sharded_schedule, IncumbentObserver, ShardedSearchConfig, ShardedSearchStats};
-use mbsp_dag::{AcyclicPartition, CompDag, DagDelta, DeltaEffect, NodeId, PkOrder, Result};
+use mbsp_dag::{
+    AcyclicPartition, CompDag, DagDelta, DagError, DeltaEffect, NodeId, PkOrder, Result,
+};
 use mbsp_model::{Architecture, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
@@ -273,8 +275,20 @@ impl IncrementalScheduler {
     /// Applies one delta to the owned DAG, keeping the assignment and the
     /// pending set consistent with id remaps. On error the scheduler is
     /// untouched (the [`CompDag::apply_delta`] validate-before-mutate
-    /// contract).
+    /// contract). A delta that would raise a compute footprint above the
+    /// cache is refused the same way, with
+    /// [`DagError::FootprintExceedsCache`]: no schedule could compute that
+    /// node.
     pub fn apply(&mut self, delta: &DagDelta) -> Result<DeltaEffect> {
+        if let Some((node, footprint)) = self.dag.footprint_after(delta) {
+            if !self.arch.fits(footprint) {
+                return Err(DagError::FootprintExceedsCache {
+                    node: node.index(),
+                    footprint,
+                    cache_size: self.arch.cache_size,
+                });
+            }
+        }
         let old_last = NodeId::new(self.dag.num_nodes().saturating_sub(1));
         let effect = self.dag.apply_delta(delta, &mut self.order)?;
         if let Some(added) = effect.added {
@@ -563,6 +577,44 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(sched.num_pending(), before_pending);
         assert_eq!(sched.assignment().len(), n0);
+    }
+
+    #[test]
+    fn a_delta_that_outgrows_the_cache_is_refused_before_the_dag_changes() {
+        let inst = instance();
+        let mut sched = IncrementalScheduler::new(
+            inst.dag().clone(),
+            *inst.arch(),
+            seed_procs(&inst),
+            config(),
+        );
+        let before = sched.checkpoint();
+        let r = inst.arch().cache_size;
+        let v = NodeId::new(1);
+        let grown = DagDelta::Reweight {
+            node: v,
+            weights: mbsp_dag::NodeWeights::new(1.0, r),
+        };
+        let heavy = DagDelta::AddNode {
+            weights: mbsp_dag::NodeWeights::new(1.0, 2.0 * r),
+            label: None,
+        };
+        for delta in [grown, heavy] {
+            match sched.apply(&delta) {
+                Err(DagError::FootprintExceedsCache { cache_size, .. }) => {
+                    assert_eq!(cache_size, r)
+                }
+                other => panic!("{delta:?}: expected a footprint refusal, got {other:?}"),
+            }
+            assert_eq!(sched.checkpoint(), before, "{delta:?}");
+        }
+        // A node exactly as large as the cache still fits.
+        let fitting = DagDelta::AddNode {
+            weights: mbsp_dag::NodeWeights::new(1.0, r),
+            label: None,
+        };
+        sched.apply(&fitting).unwrap();
+        assert!(sched.arch().fits(sched.dag().minimal_cache_size()));
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub struct DivideAndConquerConfig {
     /// streamlining pass), round and move budgets (applied per part) and seed
     /// (part `i` searches with `seed + i`).
     pub per_part: HolisticConfig,
-    /// Number of worker threads scheduling parts concurrently. `0` resolves via
-    /// `MBSP_BENCH_THREADS` / available parallelism. Parts are independent
-    /// sub-problems, so the worker count never changes the result.
-    pub workers: usize,
 }
 
 impl Default for DivideAndConquerConfig {
@@ -56,7 +52,6 @@ impl Default for DivideAndConquerConfig {
                 moves_per_round: 60,
                 ..Default::default()
             },
-            workers: 0,
         }
     }
 }
@@ -112,14 +107,15 @@ impl DivideAndConquerScheduler {
         //    their values are in slow memory when the part runs) and one
         //    engine-backed local search, seeded by restricting a single global
         //    greedy baseline to the part. Parts are independent, so they run
-        //    concurrently on the resident worker pool; results are deterministic
+        //    concurrently on every lane of the worker pool (`MBSP_BENCH_THREADS`
+        //    or the machine's parallelism); results are deterministic
         //    regardless of the worker count.
         let global_baseline = GreedyBspScheduler::new().schedule(dag, arch);
         let global_procs: Vec<ProcId> = dag
             .nodes()
             .map(|v| global_baseline.schedule.proc_of(v))
             .collect();
-        let workers = crate::engine::resolve_workers(self.config.workers);
+        let workers = crate::engine::resolve_workers(0);
         let config = &self.config;
         // Each entry keeps only the part's schedule, processor set and the
         // O(part-size) local→global id map; the parent-sized view is dropped
@@ -294,14 +290,12 @@ mod tests {
                     max_pivots: 500,
                     relative_gap: 1e-6,
                 },
-                ..Default::default()
             },
             per_part: HolisticConfig {
                 max_rounds: 3,
                 moves_per_round: 20,
                 ..Default::default()
             },
-            ..Default::default()
         }
     }
 
@@ -344,7 +338,6 @@ mod tests {
                 moves_per_round: 20,
                 ..Default::default()
             },
-            ..fast_config()
         });
         let schedule = dnc.schedule(&instance);
         schedule.validate(instance.dag(), instance.arch()).unwrap();

@@ -27,7 +27,7 @@
 //!   independent searches (shards, parts), never inside one.
 
 use crate::improver::{canonical_bsp, reference_post_optimize, PostOptimizer};
-use mbsp_cache::{two_stage, ClairvoyantPolicy, ConversionArena, TwoStageConfig};
+use mbsp_cache::{two_stage, ClairvoyantPolicy, ConversionArena};
 use mbsp_dag::{DagLike, NodeId};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::BspSchedulingResult;
@@ -147,7 +147,6 @@ pub enum EvalPath {
 pub struct EvaluationEngine {
     path: EvalPath,
     policy: ClairvoyantPolicy,
-    config: TwoStageConfig,
     arena: ConversionArena,
     schedule: MbspSchedule,
     /// The schedule of the best candidate of the last batch evaluated through
@@ -172,7 +171,6 @@ impl EvaluationEngine {
         EvaluationEngine {
             path,
             policy: ClairvoyantPolicy::new(),
-            config: TwoStageConfig::default(),
             arena: ConversionArena::new(dag, arch),
             schedule: MbspSchedule::new(arch.processors),
             retained: MbspSchedule::new(arch.processors),
@@ -207,7 +205,6 @@ impl EvaluationEngine {
             arch,
             procs,
             &self.policy,
-            self.config,
             required_outputs,
             &mut self.schedule,
         );
@@ -236,7 +233,6 @@ impl EvaluationEngine {
                 arch,
                 procs,
                 &self.policy,
-                self.config,
                 required_outputs,
                 &mut self.schedule,
             );
@@ -266,21 +262,14 @@ impl EvaluationEngine {
     ) -> f64 {
         self.evaluations += 1;
         if self.path == EvalPath::Reference {
-            self.schedule = two_stage::reference::convert(
-                dag,
-                arch,
-                bsp,
-                &self.policy,
-                self.config,
-                required_outputs,
-            );
+            self.schedule =
+                two_stage::reference::convert(dag, arch, bsp, &self.policy, required_outputs);
         } else {
             self.arena.convert(
                 dag,
                 arch,
                 bsp,
                 &self.policy,
-                self.config,
                 required_outputs,
                 &mut self.schedule,
             );

@@ -1028,7 +1028,7 @@ mod tests {
         latency: f64,
         per_instance: usize,
     ) -> Vec<(MbspInstance, MbspSchedule)> {
-        use mbsp_cache::{ConversionArena, TwoStageConfig};
+        use mbsp_cache::ConversionArena;
         use rand::Rng;
         let policy = ClairvoyantPolicy::new();
         let mut out = Vec::new();
@@ -1049,7 +1049,6 @@ mod tests {
                     inst.arch(),
                     &procs,
                     &policy,
-                    TwoStageConfig::default(),
                     &[],
                     &mut schedule,
                 );

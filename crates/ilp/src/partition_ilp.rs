@@ -11,7 +11,8 @@
 //!   closure of the DAG. A row is emitted only for the edges of the transitive
 //!   reduction; the others are implied by a chain of those;
 //! * balance: `⌈n/3⌉ ≤ Σ x_v ≤ ⌊2n/3⌋` (each part gets at least a third of the
-//!   nodes, as in the paper's recursive splitting);
+//!   nodes, as in the paper's recursive splitting, which splits no other
+//!   way);
 //! * objective: minimise the number of cut edges. Appendix C.2 writes it with
 //!   an indicator `y_{uv} ≥ x_v − x_u` per edge; under the acyclicity rows
 //!   `x_v − x_u ∈ {0, 1}` *is* that indicator, so the cut is
@@ -38,11 +39,14 @@ use lp_solver::{
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
 use mbsp_pool::CancelToken;
 
-/// Configuration of the bipartitioning step.
+/// Minimal fraction of the nodes each part of a [`bipartition`] receives: the
+/// paper's "each part gets at least a third".
+const MIN_FRACTION: f64 = 1.0 / 3.0;
+
+/// Configuration of the bipartitioning step (each part receives at least a
+/// third of the nodes).
 #[derive(Debug, Clone, Copy)]
 pub struct BipartitionConfig {
-    /// Minimal fraction of the nodes each part must receive.
-    pub min_fraction: f64,
     /// Limits for the branch-and-bound solver.
     pub limits: SolverLimits,
 }
@@ -50,7 +54,6 @@ pub struct BipartitionConfig {
 impl Default for BipartitionConfig {
     fn default() -> Self {
         BipartitionConfig {
-            min_fraction: 1.0 / 3.0,
             limits: SolverLimits {
                 max_nodes: 2_000,
                 // What bounds a cut of more than a few hundred nodes. The
@@ -187,9 +190,9 @@ pub(crate) fn solve(
 /// (variable `i` belongs to node `i`). Shared by [`bipartition`] and the recorded
 /// `BENCH_solver.json` benchmark, so both always measure the exact production
 /// formulation.
-pub fn bipartition_model(dag: &CompDag, min_fraction: f64) -> (LpProblem, Vec<f64>) {
+pub fn bipartition_model(dag: &CompDag) -> (LpProblem, Vec<f64>) {
     let n = dag.num_nodes() as f64;
-    let min_nodes = (n * min_fraction).ceil().max(1.0);
+    let min_nodes = (n * MIN_FRACTION).ceil().max(1.0);
     let sizes = (min_nodes, n - min_nodes);
     model(dag, |_| 1.0, sizes, None, &prefix_split(dag))
 }
@@ -202,7 +205,7 @@ pub fn bipartition(dag: &CompDag, config: &BipartitionConfig) -> AcyclicPartitio
     if dag.num_nodes() < 2 {
         return AcyclicPartition::trivial(dag);
     }
-    let lp = bipartition_model(dag, config.min_fraction);
+    let lp = bipartition_model(dag);
     solve(dag, lp, prefix_split(dag), config.limits, None).0
 }
 

@@ -34,6 +34,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// The objective of the sharded search and the dirty-cone repair: the
+/// synchronous cost. (The asynchronous objective is not a served target.)
+const SHARDED_COST_MODEL: CostModel = CostModel::Synchronous;
+
+/// Deltas of a shard whose whole block the merge rejected that are replayed
+/// one at a time to salvage an improving prefix. Each replay is one global
+/// evaluation, so the cap bounds the merge cost.
+pub(crate) const MERGE_REPLAY_CAP: usize = 4;
+
 /// Tuning knobs of one [`hill_climb`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LocalSearchParams {
@@ -341,7 +350,7 @@ fn run_shard(
         .map(|i| global_procs[view.to_global(NodeId::new(i)).index()])
         .collect();
     let params = LocalSearchParams {
-        cost_model: config.cost_model,
+        cost_model: SHARDED_COST_MODEL,
         max_rounds: config.max_rounds,
         moves_per_round: config.moves_per_round,
         // Golden-ratio stride decorrelates the shard streams from each other
@@ -455,8 +464,15 @@ impl<'a> ShardedSearch<'a> {
         .clamp(1, dag.num_nodes().max(1));
         let workers = resolve_workers(config.workers).min(k);
         let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
-        let cost_model = config.cost_model;
-        let incumbent = Incumbent::seed(&mut engine, dag, arch, procs, baseline, cost_model, &[]);
+        let incumbent = Incumbent::seed(
+            &mut engine,
+            dag,
+            arch,
+            procs,
+            baseline,
+            SHARDED_COST_MODEL,
+            &[],
+        );
         ShardedSearch {
             dag,
             arch,
@@ -549,9 +565,9 @@ impl<'a> ShardedSearch<'a> {
     /// order, so the result is identical for any worker count), each fold
     /// re-evaluated globally (conversion + post-optimisation of the whole
     /// assignment) and kept only if the global cost improves; rejected blocks
-    /// get a prefix-replay salvage bounded by `merge_replay_cap`.
+    /// get a prefix-replay salvage bounded by [`MERGE_REPLAY_CAP`].
     fn merge_outcomes(&mut self, outcomes: &[ShardOutcome]) {
-        let (dag, arch, cost_model) = (self.dag, self.arch, self.config.cost_model);
+        let (dag, arch, cost_model) = (self.dag, self.arch, SHARDED_COST_MODEL);
         let (engine, incumbent) = (&mut self.engine, &mut self.incumbent);
         let mut order: Vec<usize> = (0..outcomes.len()).collect();
         order.sort_by(|&a, &b| {
@@ -595,7 +611,7 @@ impl<'a> ShardedSearch<'a> {
             // the global cost keeps improving, and stop at the first failure
             // (bounded extra global evaluations per rejected shard).
             let salvaged_before = self.salvaged;
-            for delta in o.deltas.iter().take(self.config.merge_replay_cap) {
+            for delta in o.deltas.iter().take(MERGE_REPLAY_CAP) {
                 for &(g, p) in delta {
                     trial[g.index()] = p;
                 }

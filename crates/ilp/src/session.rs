@@ -15,7 +15,9 @@
 //! `mbsp_io` crate documents — it cannot depend on the scheduler itself.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
 //! blobs (order/assignment length mismatching the DAG, out-of-range pending
-//! ids, unknown strategy bytes) are rejected with a typed [`DecodeError`].
+//! ids, unknown strategy bytes, a cost-model byte or salvage cap other than
+//! the fixed one, a DAG whose minimal cache size `r₀` exceeds the
+//! architecture's cache) are rejected with a typed [`DecodeError`].
 //!
 //! The `mbsp_serve` daemon builds its durability on exactly this contract:
 //! it checkpoints every warm session to disk after each mutation batch and on
@@ -23,22 +25,24 @@
 //! continues serving byte-identically to an uninterrupted one.
 
 use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
+use crate::search::MERGE_REPLAY_CAP;
 use crate::shard::{ShardStrategy, ShardedSearchConfig};
 use mbsp_dag::NodeId;
 use mbsp_io::{
     check_assignment, write_dag_sections, DagSections, Decode, DecodeError, Encode, Reader,
     SavedOrder, Writer, KIND_SESSION, SEC_ARCH, SEC_CONFIG, SEC_ORDER, SEC_PENDING, SEC_PROCS,
 };
-use mbsp_model::{Architecture, CostModel, ProcId};
+use mbsp_model::{Architecture, ProcId};
 use mbsp_pool::WorkerPool;
 use std::time::Duration;
 
+/// The `CONF` section's cost-model byte: the search optimises the synchronous
+/// cost only, so `0` is the one value written and accepted.
+const SYNCHRONOUS: u8 = 0;
+
 fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
     let s = &cfg.search;
-    w.put_u8(match s.cost_model {
-        CostModel::Synchronous => 0,
-        CostModel::Asynchronous => 1,
-    });
+    w.put_u8(SYNCHRONOUS);
     w.put_u8(match s.strategy {
         ShardStrategy::Topo => 0,
         ShardStrategy::Weighted => 1,
@@ -53,18 +57,19 @@ fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
     w.put_u64(s.seed);
     w.put_u64(s.stale_round_limit as u64);
     w.put_u64(s.iterations as u64);
-    w.put_u64(s.merge_replay_cap as u64);
+    w.put_u64(MERGE_REPLAY_CAP as u64);
     w.put_u64(s.runs_per_shard as u64);
     w.put_f64(s.mass_tolerance);
     w.put_u64(cfg.cone_radius as u64);
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
-    let cost_model = match r.get_u8()? {
-        0 => CostModel::Synchronous,
-        1 => CostModel::Asynchronous,
-        b => return Err(r.invalid(format!("byte {b:#04x} is not a cost model"))),
-    };
+    let cost_model = r.get_u8()?;
+    if cost_model != SYNCHRONOUS {
+        return Err(r.invalid(format!(
+            "cost-model byte {cost_model:#04x} is not the synchronous cost ({SYNCHRONOUS:#04x})"
+        )));
+    }
     let strategy = match r.get_u8()? {
         0 => ShardStrategy::Topo,
         1 => ShardStrategy::Weighted,
@@ -85,6 +90,11 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     let stale_round_limit = usize::decode(r)?;
     let iterations = usize::decode(r)?;
     let merge_replay_cap = usize::decode(r)?;
+    if merge_replay_cap != MERGE_REPLAY_CAP {
+        return Err(r.invalid(format!(
+            "salvage cap {merge_replay_cap} is not the fixed {MERGE_REPLAY_CAP}"
+        )));
+    }
     let runs_per_shard = usize::decode(r)?;
     let mass_tolerance = r.get_f64()?;
     if !mass_tolerance.is_finite() || mass_tolerance < 0.0 {
@@ -95,7 +105,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     let cone_radius = usize::decode(r)?;
     Ok(RepairConfig {
         search: ShardedSearchConfig {
-            cost_model,
             num_shards,
             workers,
             max_rounds,
@@ -106,7 +115,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
             strategy,
             iterations,
             shard_local_seed,
-            merge_replay_cap,
             runs_per_shard,
             mass_tolerance,
         },
@@ -138,8 +146,9 @@ impl IncrementalScheduler {
 
     /// Restores a session from a checkpoint blob, re-validating every domain
     /// invariant (acyclicity, order consistency, assignment coverage, pending
-    /// ids in range). The restored scheduler runs on the default worker pool
-    /// with no cancel token; both are transient and result-neutral.
+    /// ids in range, every compute footprint within the cache). The restored
+    /// scheduler runs on the default worker pool with no cancel token; both
+    /// are transient and result-neutral.
     pub fn restore(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::open(bytes, KIND_SESSION)?;
         let mut dag_sections = DagSections::default();
@@ -185,6 +194,17 @@ impl IncrementalScheduler {
         }
         let order = order.restore()?;
         check_assignment(&procs, dag.num_nodes(), arch.processors)?;
+        // Below `r₀` some node cannot be computed at all: no schedule exists.
+        let r0 = dag.minimal_cache_size();
+        if !arch.fits(r0) {
+            return Err(DecodeError::InvalidValue {
+                offset: 0,
+                what: format!(
+                    "cache size {} is below the DAG's minimal cache size {r0}",
+                    arch.cache_size
+                ),
+            });
+        }
         if let Some(&v) = pending.iter().find(|v| v.index() >= dag.num_nodes()) {
             return Err(DecodeError::InvalidValue {
                 offset: 0,

@@ -37,7 +37,11 @@
 //!    through the shared incremental machinery (arena conversion + superstep
 //!    merging through [`mbsp_model::ScheduleEvaluator`]): this boundary-repair
 //!    pass re-derives and re-costs the cross-shard supersteps, so local wins
-//!    that break the boundary are rejected rather than merged blindly.
+//!    that break the boundary are rejected rather than merged blindly. A
+//!    rejected shard gets a prefix salvage: up to four of its accepted deltas
+//!    are replayed one at a time while the global cost keeps improving. Every
+//!    cost here is the synchronous one; both the objective and the salvage
+//!    cap are constants, not configuration.
 //!
 //! 4. **Iterate** — with [`ShardedSearchConfig::iterations`] `> 1` the
 //!    pipeline re-partitions around the merged incumbent with *shifted* cut
@@ -70,7 +74,7 @@ use crate::partition_ilp::{
 use crate::search::{Incumbent, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
-use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
+use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
 use std::collections::BTreeMap;
@@ -90,11 +94,12 @@ pub enum ShardStrategy {
     Weighted,
 }
 
-/// Configuration of [`ShardedHolisticScheduler`].
+/// Configuration of [`ShardedHolisticScheduler`]. The search always
+/// optimises the synchronous cost (the asynchronous objective is not a served
+/// target) and replays at most 4 deltas of a rejected shard (see
+/// [`ShardedSearchStats::salvaged_moves`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedSearchConfig {
-    /// Cost model to optimise.
-    pub cost_model: CostModel,
     /// Number of shards `k`. `0` resolves like the worker count (so one shard
     /// per worker by default). The shard count shapes the partition and the
     /// per-shard seeds, so it *does* affect the result — reproducible runs
@@ -142,12 +147,6 @@ pub struct ShardedSearchConfig {
     /// better of the two starts the hill climb. Costs one extra evaluation per
     /// shard.
     pub shard_local_seed: bool,
-    /// When a shard's whole winning block is rejected by the global
-    /// boundary-repair evaluation, at most this many of its accepted deltas
-    /// are replayed individually to salvage an improving prefix (each replay
-    /// is one global evaluation, so the cap bounds the merge cost). `0`
-    /// restores the all-or-nothing merge.
-    pub merge_replay_cap: usize,
     /// Granularity of the weighted partitioner: the DAG is quotiented over
     /// `runs_per_shard · k` contiguous topological runs before the recursive
     /// ILP bipartition (clamped to `[k, n]`). More runs give the ILP finer cut
@@ -160,7 +159,6 @@ pub struct ShardedSearchConfig {
 impl Default for ShardedSearchConfig {
     fn default() -> Self {
         ShardedSearchConfig {
-            cost_model: CostModel::Synchronous,
             num_shards: 0,
             workers: 0,
             max_rounds: 60,
@@ -171,7 +169,6 @@ impl Default for ShardedSearchConfig {
             strategy: ShardStrategy::Weighted,
             iterations: 1,
             shard_local_seed: true,
-            merge_replay_cap: 4,
             runs_per_shard: 8,
             mass_tolerance: 0.25,
         }
@@ -193,15 +190,18 @@ pub struct ShardedSearchStats {
     /// schedule). Globally: the two seed incumbents plus one per merge fold
     /// and per replayed delta.
     pub evaluations: u64,
-    /// Cost of the returned schedule under the configured cost model.
+    /// Synchronous cost of the returned schedule.
     pub final_cost: f64,
     /// Per-shard compute mass of the first iteration's partition (what the
     /// weighted partitioner balances; empty when no partition was built).
     pub shard_compute_mass: Vec<f64>,
     /// Cut edges of the first iteration's partition.
     pub cut_edges: usize,
-    /// Individually replayed deltas kept by the merge's prefix salvage (moves
-    /// recovered from shards whose whole block was rejected).
+    /// Individually replayed deltas kept by the merge's prefix salvage: when
+    /// the global boundary-repair evaluation rejects a shard's whole winning
+    /// block, at most 4 of its accepted deltas are replayed one at a time
+    /// while the global cost keeps improving (each replay is one global
+    /// evaluation, so the cap bounds the merge cost).
     pub salvaged_moves: u64,
     /// Partition/search/merge iterations executed.
     pub iterations: usize,
@@ -573,7 +573,7 @@ pub struct IncumbentUpdate {
     /// The partition/search/merge iteration that produced this incumbent
     /// (0 for the seed incumbent emitted before the first iteration).
     pub iteration: usize,
-    /// Total cost of the incumbent under the configured cost model.
+    /// Synchronous cost of the incumbent.
     pub cost: f64,
     /// Schedules converted and costed so far (global engine + finished
     /// shards; counted as in [`ShardedSearchStats::evaluations`]).
@@ -774,7 +774,7 @@ pub(crate) fn sharded_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbsp_model::sync_cost;
+    use mbsp_model::{sync_cost, CostModel};
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
     fn instances(limit: usize) -> Vec<MbspInstance> {

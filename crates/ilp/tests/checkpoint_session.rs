@@ -295,3 +295,67 @@ fn a_rejected_delta_leaves_the_checkpoint_unchanged() {
     assert!(refused.is_err());
     assert_eq!(sched.checkpoint(), before);
 }
+
+/// FNV-1a over a checkpoint's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// The checkpoint format is pinned: a seeded session's bytes before and after
+/// one repair hash to recorded `(length, FNV-1a)` pairs. A change to what any
+/// section holds — the `CONF` layout included — moves them; such a change
+/// belongs with a bump of `mbsp_io::VERSION`.
+#[test]
+fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
+    let mut sched = session(1);
+    let before = sched.checkpoint();
+    let config = MutationStreamConfig {
+        ops: 4,
+        ..Default::default()
+    };
+    for delta in mutation_stream(sched.dag(), &config, 0xF0A7) {
+        sched.apply(&delta).unwrap();
+    }
+    sched.repair();
+    let after = sched.checkpoint();
+    assert_eq!(
+        [(before.len(), fnv1a(&before)), (after.len(), fnv1a(&after))],
+        [(3611, 0x583C_FEFC_DA09_FE5B), (3666, 0x53F3_7EBF_B642_E331)]
+    );
+}
+
+/// `blob` with the `CONF` payload bytes at `at` replaced by `bytes` and the
+/// section's CRC recomputed: a well-formed checkpoint carrying other values.
+fn with_config_bytes(blob: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    let (_, start, end) = section_spans(blob)
+        .into_iter()
+        .find(|&(tag, ..)| tag == mbsp_io::SEC_CONFIG)
+        .expect("a checkpoint has a CONF section");
+    let payload = start + 16;
+    let mut out = blob.to_vec();
+    out[payload + at..payload + at + bytes.len()].copy_from_slice(bytes);
+    let crc = mbsp_io::crc32(&out[payload..end]);
+    out[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// The `CONF` section keeps its layout, but its cost-model byte (the
+/// section's first) and its salvage cap (the `u64` at payload offset 71)
+/// each have one legal value: the synchronous cost, `0`, and `4`.
+#[test]
+fn a_config_section_with_another_cost_model_or_salvage_cap_is_rejected() {
+    let blob = session(1).checkpoint();
+    assert_eq!(with_config_bytes(&blob, 0, &[0]), blob);
+    assert_eq!(with_config_bytes(&blob, 71, &4u64.to_le_bytes()), blob);
+    for (at, bytes) in [(0, vec![1u8]), (71, 7u64.to_le_bytes().to_vec())] {
+        let err = IncrementalScheduler::restore(&with_config_bytes(&blob, at, &bytes))
+            .err()
+            .unwrap_or_else(|| panic!("CONF byte {at} set to {bytes:?} was accepted"));
+        assert!(
+            matches!(err, DecodeError::InvalidValue { .. }),
+            "CONF byte {at}: {err}"
+        );
+    }
+}

@@ -15,7 +15,7 @@
 //! DFS), times both eviction policies (clairvoyant and LRU).
 
 use mbsp_cache::two_stage::reference;
-use mbsp_cache::{ClairvoyantPolicy, ConversionArena, EvictionPolicy, LruPolicy, TwoStageConfig};
+use mbsp_cache::{ClairvoyantPolicy, ConversionArena, EvictionPolicy, LruPolicy};
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_ilp::engine::{EvalPath, EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
@@ -59,7 +59,6 @@ fn instances(seed: u64) -> Vec<MbspInstance> {
 /// reused (and thus exercising its incremental per-processor sequence reuse).
 #[test]
 fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
-    let config = TwoStageConfig::default();
     let mut cases = 0usize;
     for &dataset_seed in &DATASET_SEEDS {
         for instance in instances(dataset_seed) {
@@ -73,8 +72,8 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
                     let mut out = MbspSchedule::new(arch.processors);
 
                     // Generic path: the baseline's own superstep structure.
-                    let oracle = reference::convert(dag, arch, &bsp, policy.as_ref(), config, &[]);
-                    arena.convert(dag, arch, &bsp, policy.as_ref(), config, &[], &mut out);
+                    let oracle = reference::convert(dag, arch, &bsp, policy.as_ref(), &[]);
+                    arena.convert(dag, arch, &bsp, policy.as_ref(), &[], &mut out);
                     assert_eq!(
                         out,
                         oracle,
@@ -98,16 +97,8 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
                         }
                         let canonical = canonical_bsp(dag, arch, &procs);
                         let oracle =
-                            reference::convert(dag, arch, &canonical, policy.as_ref(), config, &[]);
-                        arena.convert_assignment(
-                            dag,
-                            arch,
-                            &procs,
-                            policy.as_ref(),
-                            config,
-                            &[],
-                            &mut out,
-                        );
+                            reference::convert(dag, arch, &canonical, policy.as_ref(), &[]);
+                        arena.convert_assignment(dag, arch, &procs, policy.as_ref(), &[], &mut out);
                         assert_eq!(
                             out,
                             oracle,
@@ -144,37 +135,22 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
     const AT_SCALE_MOVES: usize = 50;
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     for policy in policies() {
-        for prefetch in [true, false] {
-            let config = TwoStageConfig { prefetch };
-            let mut arena = ConversionArena::new(dag, arch);
-            let mut out = MbspSchedule::new(arch.processors);
-            let mut procs = seed_procs.to_vec();
-            let mut rng = StdRng::seed_from_u64(0x0A75_CA1E ^ prefetch as u64);
-            let mut moves = 0usize;
-            while moves < AT_SCALE_MOVES {
-                let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) else {
-                    continue;
-                };
-                mv.apply(dag, &mut procs);
-                moves += 1;
-                let case = format!(
-                    "{label}/{}/prefetch={prefetch}/move {moves} ({mv:?})",
-                    policy.name()
-                );
-                let canonical = canonical_bsp(dag, arch, &procs);
-                let oracle =
-                    reference::convert(dag, arch, &canonical, policy.as_ref(), config, required);
-                arena.convert_assignment(
-                    dag,
-                    arch,
-                    &procs,
-                    policy.as_ref(),
-                    config,
-                    required,
-                    &mut out,
-                );
-                assert!(out == oracle, "{case}: the arena drifted from the oracle");
-            }
+        let mut arena = ConversionArena::new(dag, arch);
+        let mut out = MbspSchedule::new(arch.processors);
+        let mut procs = seed_procs.to_vec();
+        let mut rng = StdRng::seed_from_u64(0x0A75_CA1F);
+        let mut moves = 0usize;
+        while moves < AT_SCALE_MOVES {
+            let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) else {
+                continue;
+            };
+            mv.apply(dag, &mut procs);
+            moves += 1;
+            let case = format!("{label}/{}/move {moves} ({mv:?})", policy.name());
+            let canonical = canonical_bsp(dag, arch, &procs);
+            let oracle = reference::convert(dag, arch, &canonical, policy.as_ref(), required);
+            arena.convert_assignment(dag, arch, &procs, policy.as_ref(), required, &mut out);
+            assert!(out == oracle, "{case}: the arena drifted from the oracle");
         }
     }
 }

@@ -310,7 +310,7 @@ fn layered_bipartition_models_agree_with_the_y_formulation() {
             seed,
         );
         let unit = vec![1.0; dag.num_edges()];
-        let model = bipartition_model(&dag, 1.0 / 3.0);
+        let model = bipartition_model(&dag);
         let what = format!("layered {layers}x{width} seed {seed}");
         let split =
             check(&dag, &unit, model, limits, &what, &mut proven).expect("a third is feasible");

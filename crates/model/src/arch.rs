@@ -83,6 +83,14 @@ impl Architecture {
         Architecture::new(1, cache_size, g, 0.0)
     }
 
+    /// Does a compute step of this footprint
+    /// ([`mbsp_dag::CompDag::compute_footprint`]) fit in one processor's fast
+    /// memory? With the `1e-9` slack the converter's own cache tests allow; a
+    /// DAG whose minimal cache size does not fit has no valid schedule.
+    pub fn fits(&self, footprint: f64) -> bool {
+        footprint <= self.cache_size + 1e-9
+    }
+
     /// Iterator over the processor ids `0..P`.
     pub fn procs(&self) -> impl Iterator<Item = ProcId> {
         (0..self.processors).map(ProcId::new)

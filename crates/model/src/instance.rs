@@ -53,7 +53,7 @@ impl MbspInstance {
     /// Returns `true` if the instance admits any valid schedule at all, i.e. the
     /// cache is large enough to hold the footprint of every individual compute step.
     pub fn is_feasible(&self) -> bool {
-        self.arch.cache_size + 1e-9 >= self.dag.minimal_cache_size()
+        self.arch.fits(self.dag.minimal_cache_size())
     }
 
     /// Returns a copy of the instance with a modified architecture.

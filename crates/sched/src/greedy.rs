@@ -10,8 +10,11 @@
 //! * the communication volume caused by parents that live on other processors.
 //!
 //! A superstep is closed once every processor has accumulated at least the target
-//! amount of work (`work_quantum`, by default proportional to the synchronisation
-//! cost `L` so that barriers are amortised) or no eligible node remains.
+//! amount of work (the work quantum: twice the synchronisation cost `L`, so
+//! that barriers are amortised, but never below 4 or the heaviest node
+//! weight) or no eligible node remains.
+//! The placement score adds the two terms above with equal weight. The paper
+//! runs BSPg in this one configuration, so the scheduler has no other.
 //!
 //! ## Pass structure and complexity
 //!
@@ -27,17 +30,14 @@
 //!   order is total (ids are unique), so the merged list is exactly what
 //!   re-sorting all unassigned ready nodes would give — O(R + F log F) per
 //!   pass for a list of R entries and F released nodes instead of O(R log R).
-//! * **A superstep ends as soon as it is non-empty and every processor's load
-//!   has reached the quantum.** In that state the candidate loop cannot change
-//!   anything: a candidate either has no allowed processor, or all its allowed
-//!   processors are at quantum while the superstep is non-empty — both are
-//!   skipped before any state is written. That holds for the rest of the pass
-//!   and for the whole pass that would follow, which would therefore place
-//!   nothing and close the superstep. Leaving at that point is exact, not a
-//!   heuristic. "Non-empty" is the loop's own notion (some load is non-zero);
-//!   with `quantum == 0` (zero `min_quantum`, `L = 0`, zero-weight nodes) the
-//!   loads stay zero, the superstep stays "empty", and every eligible
-//!   candidate is placed as before.
+//! * **A superstep ends as soon as every processor's load has reached the
+//!   quantum.** The quantum is positive, so the superstep is then non-empty,
+//!   and the candidate loop cannot change anything: a candidate either has no
+//!   allowed processor, or all its allowed processors are at quantum while the
+//!   superstep is non-empty — both are skipped before any state is written.
+//!   That holds for the rest of the pass and for the whole pass that would
+//!   follow, which would therefore place nothing and close the superstep.
+//!   Leaving at that point is exact, not a heuristic.
 //!
 //! With S supersteps, a ready list of width R, and n nodes / m edges, the
 //! candidate loop does O((n + m) · P) work in total on the instances served
@@ -60,49 +60,22 @@ use mbsp_dag::topo::bottom_levels_into;
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{Architecture, BspSchedule, ProcId};
 
-/// Tunable parameters of [`GreedyBspScheduler`].
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyBspConfig {
-    /// Relative weight of the load-balancing term in the placement score.
-    pub balance_weight: f64,
-    /// Relative weight of the communication term in the placement score.
-    pub comm_weight: f64,
-    /// Target compute work per processor per superstep, as a multiple of `L`
-    /// (clamped from below by the heaviest node weight). Larger values create fewer,
-    /// longer supersteps.
-    pub quantum_latency_factor: f64,
-    /// Minimal work quantum used when `L = 0`.
-    pub min_quantum: f64,
-}
+/// Target compute work per processor per superstep, as a multiple of `L`.
+/// Larger factors create fewer, longer supersteps.
+pub(crate) const QUANTUM_LATENCY_FACTOR: f64 = 2.0;
 
-impl Default for GreedyBspConfig {
-    fn default() -> Self {
-        GreedyBspConfig {
-            balance_weight: 1.0,
-            comm_weight: 1.0,
-            quantum_latency_factor: 2.0,
-            min_quantum: 4.0,
-        }
-    }
-}
+/// Floor of the work quantum at every `L` (the heaviest node weight is a
+/// second floor). At `L = 0` it is the whole quantum.
+pub(crate) const MIN_QUANTUM: f64 = 4.0;
 
 /// Greedy BSP list scheduler with superstep formation (BSPg-style baseline).
-#[derive(Debug, Clone, Default)]
-pub struct GreedyBspScheduler {
-    config: GreedyBspConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyBspScheduler;
 
 impl GreedyBspScheduler {
-    /// Creates a scheduler with the default configuration.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        GreedyBspScheduler {
-            config: GreedyBspConfig::default(),
-        }
-    }
-
-    /// Creates a scheduler with an explicit configuration.
-    pub fn with_config(config: GreedyBspConfig) -> Self {
-        GreedyBspScheduler { config }
+        GreedyBspScheduler
     }
 
     /// Generic counterpart of [`BspScheduler::schedule`]: runs the greedy list
@@ -135,8 +108,8 @@ impl GreedyBspScheduler {
             .nodes()
             .map(|v| dag.compute_weight(v))
             .fold(0.0, f64::max);
-        let quantum = (arch.latency * self.config.quantum_latency_factor)
-            .max(self.config.min_quantum)
+        let quantum = (arch.latency * QUANTUM_LATENCY_FACTOR)
+            .max(MIN_QUANTUM)
             .max(max_node_weight);
 
         // Scheduling state. The assignment array doubles as the per-superstep
@@ -236,8 +209,7 @@ impl GreedyBspScheduler {
                             })
                             .map(|u| dag.memory_weight(u) * arch.g)
                             .sum();
-                        let score = self.config.balance_weight * scratch.load[q.index()]
-                            + self.config.comm_weight * comm;
+                        let score = scratch.load[q.index()] + comm;
                         if best.map_or(true, |(s, _)| score < s - 1e-12) {
                             best = Some((score, q));
                         }
@@ -261,15 +233,13 @@ impl GreedyBspScheduler {
                             scratch.newly_ready.push(c);
                         }
                     }
-                    // Exact early exit: once the superstep is non-empty and
-                    // every processor is at quantum, each remaining candidate
-                    // of this pass, and all of the pass that would follow,
-                    // fails the `someone_below_quantum` test above and is
-                    // skipped without touching any state — the superstep is
-                    // over. (`quantum == 0` with zero-weight nodes never gets
-                    // here: its loads stay 0.0, so the superstep stays "empty"
-                    // and every candidate is placed.)
-                    if !superstep_empty && scratch.load.iter().all(|&l| l >= quantum) {
+                    // Exact early exit: once every processor is at quantum
+                    // (so, the quantum being positive, the superstep is
+                    // non-empty), each remaining candidate of this pass, and
+                    // all of the pass that would follow, fails the
+                    // `someone_below_quantum` test above and is skipped
+                    // without touching any state — the superstep is over.
+                    if scratch.load.iter().all(|&l| l >= quantum) {
                         break 'superstep;
                     }
                 }

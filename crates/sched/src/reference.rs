@@ -6,13 +6,13 @@
 //! — fresh `Vec<Vec<bool>>` per superstep, a full `O(V)` sweep per superstep
 //! close, one allocation per DFS step — kept because they are obviously correct.
 //! The differential tests in `tests/scheduler_differential.rs` assert that, for
-//! the same DAG, architecture and configuration, the optimised schedulers
+//! the same DAG, architecture and seed, the optimised schedulers
 //! produce **byte-identical** scheduling results (assignment, supersteps and
 //! order hint), following the workspace's oracle convention
 //! (`lp_solver::dense`, `mbsp_cache::two_stage::reference`,
 //! `mbsp_dag::reference`, `mbsp_model::reference`).
 
-use crate::greedy::GreedyBspConfig;
+use crate::greedy::{MIN_QUANTUM, QUANTUM_LATENCY_FACTOR};
 use crate::BspSchedulingResult;
 use mbsp_dag::topo::bottom_levels;
 use mbsp_dag::{CompDag, NodeId};
@@ -22,11 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// The pre-scratch greedy BSP list scheduler (original implementation).
-pub fn greedy_reference(
-    config: &GreedyBspConfig,
-    dag: &CompDag,
-    arch: &Architecture,
-) -> BspSchedulingResult {
+pub fn greedy_reference(dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
     let n = dag.num_nodes();
     let p = arch.processors;
     let priorities = bottom_levels(dag);
@@ -36,8 +32,8 @@ pub fn greedy_reference(
         .nodes()
         .map(|v| dag.compute_weight(v))
         .fold(0.0, f64::max);
-    let quantum = (arch.latency * config.quantum_latency_factor)
-        .max(config.min_quantum)
+    let quantum = (arch.latency * QUANTUM_LATENCY_FACTOR)
+        .max(MIN_QUANTUM)
         .max(max_node_weight);
 
     // Scheduling state.
@@ -132,7 +128,7 @@ pub fn greedy_reference(
                         })
                         .map(|&u| dag.memory_weight(u) * arch.g)
                         .sum();
-                    let score = config.balance_weight * load[q.index()] + config.comm_weight * comm;
+                    let score = load[q.index()] + comm;
                     if best.map_or(true, |(s, _)| score < s - 1e-12) {
                         best = Some((score, q));
                     }

@@ -10,7 +10,6 @@
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_gen::tiny_dataset;
 use mbsp_model::Architecture;
-use mbsp_sched::greedy::GreedyBspConfig;
 use mbsp_sched::{
     assert_order_respects_precedence, reference, BspScheduler, CilkScheduler, DfsScheduler,
     GreedyBspScheduler, SchedulerScratch,
@@ -37,13 +36,8 @@ fn greedy_matches_reference_on_random_dags_and_datasets() {
         );
         for &(p, l) in &[(1usize, 0.0), (2, 5.0), (4, 10.0)] {
             let a = arch(p, l);
-            let config = GreedyBspConfig::default();
-            let fast = GreedyBspScheduler::with_config(config).schedule_with_scratch(
-                &dag,
-                &a,
-                &mut scratch,
-            );
-            let oracle = reference::greedy_reference(&config, &dag, &a);
+            let fast = GreedyBspScheduler::new().schedule_with_scratch(&dag, &a, &mut scratch);
+            let oracle = reference::greedy_reference(&dag, &a);
             assert_eq!(fast.schedule, oracle.schedule, "seed {seed} p {p}");
             assert_eq!(fast.order, oracle.order, "seed {seed} p {p}");
             assert_order_respects_precedence(&dag, &fast.order);
@@ -52,13 +46,8 @@ fn greedy_matches_reference_on_random_dags_and_datasets() {
     }
     for inst in tiny_dataset(42) {
         let a = arch(4, 10.0);
-        let config = GreedyBspConfig::default();
-        let fast = GreedyBspScheduler::with_config(config).schedule_with_scratch(
-            &inst.dag,
-            &a,
-            &mut scratch,
-        );
-        let oracle = reference::greedy_reference(&config, &inst.dag, &a);
+        let fast = GreedyBspScheduler::new().schedule_with_scratch(&inst.dag, &a, &mut scratch);
+        let oracle = reference::greedy_reference(&inst.dag, &a);
         assert_eq!(fast.schedule, oracle.schedule, "{}", inst.name);
         assert_eq!(fast.order, oracle.order, "{}", inst.name);
         cases += 1;
@@ -72,51 +61,14 @@ fn greedy_matches_reference_at_scale() {
     // regime where the sorted-merge ready list and the all-at-quantum exit
     // replace most of the reference's work, so any divergence shows here.
     let mut scratch = SchedulerScratch::new();
-    let config = GreedyBspConfig::default();
     for dag in &common::scale_dags() {
         for (p, l) in common::scale_grid() {
             let a = arch(p, l);
-            let fast = GreedyBspScheduler::with_config(config).schedule_with_scratch(
-                dag,
-                &a,
-                &mut scratch,
-            );
-            let oracle = reference::greedy_reference(&config, dag, &a);
+            let fast = GreedyBspScheduler::new().schedule_with_scratch(dag, &a, &mut scratch);
+            let oracle = reference::greedy_reference(dag, &a);
             assert_eq!(fast.schedule, oracle.schedule, "{} p {p} l {l}", dag.name());
             assert_eq!(fast.order, oracle.order, "{} p {p} l {l}", dag.name());
         }
-    }
-}
-
-#[test]
-fn greedy_with_zero_quantum_matches_reference_and_terminates() {
-    // `min_quantum: 0`, `L = 0` and zero-weight nodes give `quantum == 0`:
-    // "every load >= quantum" holds before anything is placed, so an early
-    // exit that did not also require a non-empty superstep would never place
-    // a node. Loads stay 0.0, the superstep stays "empty", and the reference
-    // places every ready node in one superstep per dependency level.
-    let mut b = mbsp_dag::DagBuilder::new("zero_weight");
-    let layers: Vec<Vec<mbsp_dag::NodeId>> = (0..5)
-        .map(|_| (0..6).map(|_| b.add_node(0.0, 1.0).unwrap()).collect())
-        .collect();
-    for pair in layers.windows(2) {
-        for (i, &v) in pair[1].iter().enumerate() {
-            b.add_edge(pair[0][i], v).unwrap();
-            b.add_edge(pair[0][(i + 1) % 6], v).unwrap();
-        }
-    }
-    let dag = b.build();
-    let config = GreedyBspConfig {
-        min_quantum: 0.0,
-        ..Default::default()
-    };
-    for p in [1usize, 2, 4] {
-        let a = arch(p, 0.0);
-        let fast = GreedyBspScheduler::with_config(config).schedule(&dag, &a);
-        let oracle = reference::greedy_reference(&config, &dag, &a);
-        assert_eq!(fast.schedule, oracle.schedule, "p {p}");
-        assert_eq!(fast.order, oracle.order, "p {p}");
-        assert_order_respects_precedence(&dag, &fast.order);
     }
 }
 

@@ -14,7 +14,6 @@ use mbsp_dag::{DagLike, NodeId, SubDagView};
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_gen::tiny_dataset;
 use mbsp_model::Architecture;
-use mbsp_sched::greedy::GreedyBspConfig;
 use mbsp_sched::{
     assert_order_respects_precedence, reference, BspScheduler, CilkScheduler, DfsScheduler,
     GreedyBspScheduler,
@@ -48,11 +47,10 @@ fn generic_greedy_on_full_view_matches_comp_dag_path_and_reference() {
         let view = full_view(&dag);
         for &(p, l) in &[(1usize, 0.0), (2, 5.0), (4, 10.0)] {
             let a = arch(p, l);
-            let config = GreedyBspConfig::default();
-            let scheduler = GreedyBspScheduler::with_config(config);
+            let scheduler = GreedyBspScheduler::new();
             let via_view = scheduler.schedule_dag(&view, &a);
             let via_dag = scheduler.schedule(&dag, &a);
-            let oracle = reference::greedy_reference(&config, &dag, &a);
+            let oracle = reference::greedy_reference(&dag, &a);
             assert_eq!(via_view.schedule, via_dag.schedule, "seed {seed} p {p}");
             assert_eq!(via_view.order, via_dag.order, "seed {seed} p {p}");
             assert_eq!(via_view.schedule, oracle.schedule, "seed {seed} p {p}");
@@ -63,11 +61,9 @@ fn generic_greedy_on_full_view_matches_comp_dag_path_and_reference() {
     }
     for inst in tiny_dataset(42) {
         let a = arch(4, 10.0);
-        let config = GreedyBspConfig::default();
-        let scheduler = GreedyBspScheduler::with_config(config);
         let view = full_view(&inst.dag);
-        let via_view = scheduler.schedule_dag(&view, &a);
-        let oracle = reference::greedy_reference(&config, &inst.dag, &a);
+        let via_view = GreedyBspScheduler::new().schedule_dag(&view, &a);
+        let oracle = reference::greedy_reference(&inst.dag, &a);
         assert_eq!(via_view.schedule, oracle.schedule, "{}", inst.name);
         assert_eq!(via_view.order, oracle.order, "{}", inst.name);
         cases += 1;
@@ -95,8 +91,7 @@ fn generic_greedy_on_large_shard_views_matches_reference() {
     // The sharded search seeds every shard from a greedy run on its
     // `SubDagView::with_inputs` view, once per shard per iteration; at
     // `large_dataset` scale those views have ready lists hundreds wide.
-    let config = GreedyBspConfig::default();
-    let scheduler = GreedyBspScheduler::with_config(config);
+    let scheduler = GreedyBspScheduler::new();
     for dag in &common::scale_dags() {
         // A contiguous id range is a contiguous topological run for both
         // generators — the shape `topo_shards` cuts.
@@ -108,7 +103,7 @@ fn generic_greedy_on_large_shard_views_matches_reference() {
         for (p, l) in common::scale_grid() {
             let a = arch(p, l);
             let via_view = scheduler.schedule_dag(&view, &a);
-            let oracle = reference::greedy_reference(&config, &standalone, &a);
+            let oracle = reference::greedy_reference(&standalone, &a);
             assert_eq!(
                 via_view.schedule,
                 oracle.schedule,

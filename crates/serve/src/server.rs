@@ -623,9 +623,10 @@ fn handle_register(
     // A factor is resolved as `MbspInstance::with_cache_factor` does, without
     // copying the DAG. A finite factor can still overflow the product, which
     // `Architecture` would assert on.
+    let r0 = dag.minimal_cache_size();
     let cache_size = match req.cache {
         CacheSpec::Size(size) => size,
-        CacheSpec::Factor(factor) => factor * dag.minimal_cache_size(),
+        CacheSpec::Factor(factor) => factor * r0,
     };
     if !cache_size.is_finite() {
         out.send_reject(
@@ -639,6 +640,22 @@ fn handle_register(
         return;
     }
     let arch = Architecture::new(req.processors, cache_size, req.g, req.latency);
+    if !arch.fits(r0) {
+        // Some node's inputs and output cannot be in fast memory at once: no
+        // schedule exists, and the converter would never finish one.
+        out.send_reject(
+            id,
+            None,
+            &Reject::new(
+                protocol::E_BAD_REQUEST,
+                format!(
+                    "the cache size {cache_size} is below the DAG's minimal cache size \
+                     r0 = {r0} (its largest compute footprint)"
+                ),
+            ),
+        );
+        return;
+    }
     // Seed the warm session's incumbent from the deterministic greedy BSP
     // baseline — the same seed a direct library run starts from.
     let baseline = GreedyBspScheduler::new().schedule(&dag, &arch);

@@ -635,6 +635,100 @@ fn an_infinite_cost_is_written_as_null_and_the_instance_keeps_answering() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A `schedule` on instance `cg` that is answered `done`.
+fn schedule_is_answered(c: &mut Client, id: u64) {
+    c.send(&format!(r#"{{"id":{id},"op":"schedule","instance":"cg"}}"#));
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    assert_eq!(get_str(&done, "stop_reason"), Some("completed"));
+}
+
+#[test]
+fn a_cache_below_the_minimal_cache_size_is_refused_at_register() {
+    // Below `r0` some node's inputs and output never fit in fast memory
+    // together, so no schedule exists. Such a `register` used to be answered
+    // `registered`; the converter then panicked the instance's worker on the
+    // next `schedule`, which — like every later request to the instance — was
+    // accepted and never answered. The reads time out rather than wait for
+    // the default two minutes.
+    let state_dir = temp_state_dir("below_r0");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let cg = r#""instance":"cg","family":{"kind":"cg","n":4,"k":2},"processors":4"#;
+    for cache in [r#""cache_size":0.0"#, r#""cache_factor":0.5"#] {
+        c.send(&format!(
+            r#"{{"id":1,"op":"register",{cg},{cache},{BUDGET}}}"#
+        ));
+        let frame = c.recv();
+        assert_eq!(
+            error_code(&frame).as_deref(),
+            Some("bad_request"),
+            "{cache}: got {frame:?}"
+        );
+    }
+    // Nothing was registered, and at `r0` itself the instance is served.
+    c.send(&format!(
+        r#"{{"id":2,"op":"register",{cg},"cache_factor":1.0,{BUDGET}}}"#
+    ));
+    assert!(is_event(&c.recv(), "registered"));
+    schedule_is_answered(&mut c, 3);
+    c.send(r#"{"id":4,"op":"repair","instance":"cg"}"#);
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_delta_that_outgrows_the_cache_is_a_bad_delta_and_the_instance_keeps_answering() {
+    // A reweight that pushes a compute footprint above the cache used to be
+    // applied and acknowledged; the next `schedule` then hung like a
+    // registration below `r0` (see above). It is refused before the DAG
+    // changes.
+    let state_dir = temp_state_dir("outgrown");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"cache_factor":3.0,{BUDGET}}}"#
+    ));
+    let registered = c.recv();
+    assert!(is_event(&registered, "registered"));
+    assert!(get_u64(&registered, "nodes").unwrap() > 20);
+    c.send(r#"{"id":2,"op":"mutate","instance":"cg","deltas":[{"reweight":{"node":20,"compute":1,"memory":1000}}]}"#);
+    let (_, frame) =
+        c.recv_until(|f| is_event(f, "done") || get(f, "ok") == Some(&Value::Bool(false)));
+    assert_eq!(
+        error_code(&frame).as_deref(),
+        Some("bad_delta"),
+        "got {frame:?}"
+    );
+    c.send(r#"{"id":3,"op":"status","instance":"cg"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_eq!(get_u64(&status, "pending"), Some(0), "got {status:?}");
+    schedule_is_answered(&mut c, 4);
+    // A finished job leaves the job table just after its last frame.
+    let drained = (0..100).any(|_| {
+        c.send(r#"{"id":5,"op":"status"}"#);
+        let (_, status) = c.recv_until(|f| get(f, "active_jobs").is_some());
+        let idle = get_u64(&status, "active_jobs") == Some(0);
+        if !idle {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        idle
+    });
+    assert!(drained, "a job of the instance is still active");
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn queued_replies_do_not_wait_for_a_delayed_ack() {
     // An instance `status` is two small frames (`accepted`, then the reply
