@@ -41,7 +41,9 @@ use mbsp_ilp::{
     BspIlpScheduler, DivideAndConquerConfig, DivideAndConquerScheduler, HolisticConfig,
     HolisticScheduler,
 };
-use mbsp_model::{Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId};
+use mbsp_model::{
+    Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep,
+};
 use mbsp_sched::{
     BspScheduler, BspSchedulingResult, CilkScheduler, DfsScheduler, GreedyBspScheduler,
 };
@@ -356,10 +358,8 @@ fn theorem41(ds: &[usize]) -> Row {
 /// use there.
 fn placed(dag: &CompDag, procs: &[usize], steps: &[usize]) -> MbspSchedule {
     let processors = procs.iter().max().map_or(1, |p| p + 1);
-    let mut schedule = MbspSchedule::new(processors);
-    for _ in 0..=steps.iter().copied().max().unwrap_or(0) {
-        schedule.push_empty_superstep();
-    }
+    let supersteps = steps.iter().copied().max().unwrap_or(0) + 1;
+    let mut schedule = vec![Superstep::empty(processors); supersteps];
     // Superstep by superstep, topologically within one: a processor's first
     // use of an input is the first one met.
     let mut order = TopologicalOrder::of(dag).order().to_vec();
@@ -371,16 +371,16 @@ fn placed(dag: &CompDag, procs: &[usize], steps: &[usize]) -> MbspSchedule {
         let elsewhere = |u: &NodeId| dag.is_source(*u) || procs[u.index()] != p;
         for &u in dag.parents(v).iter().filter(|u| elsewhere(u)) {
             if loaded.insert((p, u)) {
-                schedule.supersteps_mut()[s - 1].procs[p].load.push(u);
+                schedule[s - 1].procs[p].load.push(u);
             }
         }
-        let here = &mut schedule.supersteps_mut()[s].procs[p];
+        let here = &mut schedule[s].procs[p];
         here.compute.push(Compute(v));
         if dag.is_sink(v) || dag.children(v).iter().any(|c| procs[c.index()] != p) {
             here.save.push(v);
         }
     }
-    schedule
+    MbspSchedule::from_supersteps(processors, &schedule).expect("one entry per processor")
 }
 
 /// Lemma 5.3: ladder `i` runs on the processor pair `(2i, 2i + 1)`. The
@@ -485,21 +485,13 @@ fn lemma61(d: usize, g: f64, ms: &[usize]) -> Row {
                 steps.extend(previous.replace(node).map(Delete));
             }
         };
-        // Both start alike: load `w`, compute both chains and `v_0`.
-        let opening = || {
-            let mut schedule = MbspSchedule::new(1);
-            schedule.push_empty_superstep().procs[0]
-                .load
-                .push(NodeId::new(0));
-            let steps = &mut schedule.push_empty_superstep().procs[0].compute;
-            climb(steps, 0);
-            climb(steps, 1);
-            steps.push(Compute(v(0)));
-            schedule
-        };
-
-        let mut with = opening();
-        let body = &mut with.supersteps_mut()[1].procs[0];
+        // Load `w`, compute both chains and `v_0`.
+        let mut with = vec![Superstep::empty(1); 2];
+        with[0].procs[0].load.push(NodeId::new(0));
+        let body = &mut with[1].procs[0];
+        climb(&mut body.compute, 0);
+        climb(&mut body.compute, 1);
+        body.compute.push(Compute(v(0)));
         body.compute.push(Delete(end[1]));
         for i in 1..=m {
             if i > 1 {
@@ -509,6 +501,7 @@ fn lemma61(d: usize, g: f64, ms: &[usize]) -> Row {
             body.compute.extend([Compute(v(i)), Delete(v(i - 1))]);
         }
         body.save.push(v(m));
+        let with = MbspSchedule::from_supersteps(1, &with).expect("one processor");
 
         // The two-stage conversion never recomputes: one processor, nodes in
         // id order, clairvoyant eviction.

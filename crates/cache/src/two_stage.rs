@@ -87,7 +87,11 @@
 //! `blue_since` — plus one end-of-sequence read stamp per processor. (c) The
 //! base's assignment, canonical supersteps and sequences (to diff against),
 //! and its raw schedule — every simulated superstep, before empty-superstep
-//! removal and before any post-optimisation — as flat arrays.
+//! removal and before any post-optimisation — as an [`MbspSchedule`]. A
+//! schedule is flat (one compute array, one I/O array and their offsets), so
+//! handing a candidate the supersteps before its restart point is four prefix
+//! copies ([`MbspSchedule::copy_prefix_from`]), and recording a conversion
+//! copies the candidate's raw schedule back the same way.
 //!
 //! **What is reconstructed, and why that is exact.** Everything else at a
 //! superstep boundary `c` follows from the prefix: a blue stamp is written
@@ -144,7 +148,7 @@
 
 use crate::policy::{CandidateVictim, EvictionPolicy};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
-use mbsp_model::{Architecture, ComputePhaseStep, MbspSchedule, ProcId, Superstep};
+use mbsp_model::{Architecture, ComputePhaseStep, MbspSchedule, ProcId, ProcPhases, Superstep};
 use mbsp_sched::BspSchedulingResult;
 
 /// [`ConversionArena`]'s blue stamp of a node that is not in slow memory, and
@@ -225,13 +229,8 @@ struct Base {
     end_read: Vec<u32>,
     /// Per node: its blue stamp when the base's conversion ended.
     blue_since: Vec<u32>,
-    /// The raw schedule — one superstep per simulated superstep — as CSR
-    /// arrays: per superstep and processor one range of `compute`, and three
-    /// ranges (save, delete, load) of `io`.
-    compute: Vec<ComputePhaseStep>,
-    compute_off: Vec<u32>,
-    io: Vec<NodeId>,
-    io_off: Vec<u32>,
+    /// The raw schedule: one superstep per simulated superstep.
+    raw: MbspSchedule,
     /// The checkpoints, ascending by the superstep at whose beginning each was
     /// taken; entry 0 is the initial configuration (superstep 0, nothing
     /// cached). Per checkpoint and processor (flat `c * p + pi`): the cursor,
@@ -259,10 +258,7 @@ impl Base {
             read_since: Vec::new(),
             end_read: vec![NOT_BLUE; p],
             blue_since: Vec::new(),
-            compute: Vec::new(),
-            compute_off: vec![0],
-            io: Vec::new(),
-            io_off: vec![0],
+            raw: MbspSchedule::new(p),
             ckpt_step: vec![0],
             ckpt_cursor: vec![0; p],
             ckpt_used: vec![0.0; p],
@@ -286,11 +282,7 @@ impl Base {
         if idx == 0 {
             self.interval = CHECKPOINT_INTERVAL;
         }
-        let slots = step as usize * p;
-        self.compute_off.truncate(slots + 1);
-        self.compute.truncate(self.compute_off[slots] as usize);
-        self.io_off.truncate(3 * slots + 1);
-        self.io.truncate(self.io_off[3 * slots] as usize);
+        self.raw.truncate(step as usize);
         self.read_since.resize(n, NOT_BLUE);
         for stamp in self.read_since.iter_mut().chain(&mut self.end_read) {
             if *stamp >= step {
@@ -325,45 +317,6 @@ impl Base {
         self.ckpt_off.truncate(kept * p + 1);
         self.ckpt_entries.truncate(entries);
         self.interval *= 2;
-    }
-
-    /// Appends the supersteps `from..` of `out` to the raw schedule.
-    fn append_raw(&mut self, out: &MbspSchedule, from: usize) {
-        for step in &out.supersteps()[from..] {
-            for phases in &step.procs {
-                let offset = |len| u32::try_from(len).expect("raw schedule fits u32 offsets");
-                self.compute.extend_from_slice(&phases.compute);
-                self.compute_off.push(offset(self.compute.len()));
-                for io in [&phases.save, &phases.delete, &phases.load] {
-                    self.io.extend_from_slice(io);
-                    self.io_off.push(offset(self.io.len()));
-                }
-            }
-        }
-    }
-
-    /// Writes the raw supersteps `..steps` into `out` (reusing its
-    /// allocations; supersteps of `out` beyond them are left as they are).
-    fn copy_raw_prefix(&self, steps: usize, p: usize, out: &mut MbspSchedule) {
-        while out.num_supersteps() < steps {
-            out.push_empty_superstep();
-        }
-        for (s, step) in out.supersteps_mut()[..steps].iter_mut().enumerate() {
-            step.procs.resize_with(p, Default::default);
-            for (pi, phases) in step.procs.iter_mut().enumerate() {
-                let slot = s * p + pi;
-                let range = self.compute_off[slot] as usize..self.compute_off[slot + 1] as usize;
-                phases.compute.clear();
-                phases.compute.extend_from_slice(&self.compute[range]);
-                let io = [&mut phases.save, &mut phases.delete, &mut phases.load];
-                for (k, phase) in io.into_iter().enumerate() {
-                    let at = 3 * slot + k;
-                    let range = self.io_off[at] as usize..self.io_off[at + 1] as usize;
-                    phase.clear();
-                    phase.extend_from_slice(&self.io[range]);
-                }
-            }
-        }
     }
 }
 
@@ -523,6 +476,9 @@ pub struct ConversionArena {
     /// Whether the node must eventually reside in slow memory.
     is_required_output: Vec<bool>,
     // ---- Reusable scratch buffers. ----
+    /// The superstep being simulated: the phases of every processor, appended
+    /// to the output once the superstep ends.
+    scratch_step: Superstep,
     scratch_nodes: Vec<NodeId>,
     scratch_nodes2: Vec<NodeId>,
     scratch_nodes3: Vec<NodeId>,
@@ -601,6 +557,7 @@ impl ConversionArena {
             blue_since: vec![NOT_BLUE; n],
             remaining_uses: vec![0; n],
             is_required_output: vec![false; n],
+            scratch_step: Superstep::empty(p),
             scratch_nodes: Vec::new(),
             scratch_nodes2: Vec::new(),
             scratch_nodes3: Vec::new(),
@@ -664,7 +621,8 @@ impl ConversionArena {
             self.rebuild_use_index(dag, pi);
         }
         let start = self.restore(dag, 0, required_outputs);
-        self.run(dag, arch, policy, start, out);
+        out.truncate(start);
+        self.run(dag, arch, policy, out);
         out.remove_empty_supersteps();
     }
 
@@ -772,25 +730,23 @@ impl ConversionArena {
         };
         let Some(checkpoint) = checkpoint else {
             // The base's own assignment: nothing to simulate (or to record).
-            let steps = (self.base.compute_off.len() - 1) / self.p;
-            self.base.copy_raw_prefix(steps, self.p, out);
-            out.supersteps_mut().truncate(steps);
+            out.clone_from(&self.base.raw);
             out.remove_empty_supersteps();
-            self.skipped_supersteps += steps as u64;
+            self.skipped_supersteps += self.base.raw.num_supersteps() as u64;
             return;
         };
         let start = self.restore(dag, checkpoint, required_outputs);
-        self.base.copy_raw_prefix(start, self.p, out);
+        out.copy_prefix_from(&self.base.raw, start);
         if record {
             self.base.valid = false;
             self.base.rewind_to(checkpoint, self.n, self.p);
         }
         self.recording = record;
-        self.run(dag, arch, policy, start, out);
+        self.run(dag, arch, policy, out);
         self.recording = false;
         if record {
             let base = &mut self.base;
-            base.append_raw(out, start);
+            base.raw.clone_from(out);
             base.blue_since.clone_from(&self.blue_since);
             base.procs.clear();
             base.procs.extend_from_slice(procs);
@@ -1054,17 +1010,16 @@ impl ConversionArena {
         }
     }
 
-    /// The cache simulation itself, from the beginning of superstep `start`
-    /// (the state [`ConversionArena::restore`] left; `out` already holds the
-    /// supersteps before it): identical transition rules to
-    /// [`reference::convert`], writing into `out` (whose superstep and phase
-    /// allocations are reused). Leaves one superstep per simulated superstep.
+    /// The cache simulation itself, from the beginning of the superstep after
+    /// the ones `out` holds (the state [`ConversionArena::restore`] left):
+    /// identical transition rules to [`reference::convert`]. Each superstep is
+    /// built in the scratch phase lists and appended to `out` once it ends, so
+    /// `out` gains one superstep per simulated superstep.
     fn run<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         policy: &P,
-        start: usize,
         out: &mut MbspSchedule,
     ) {
         assert_eq!(
@@ -1072,6 +1027,8 @@ impl ConversionArena {
             self.p,
             "output schedule has the wrong processor count"
         );
+        let start = out.num_supersteps();
+        let mut step = std::mem::take(&mut self.scratch_step);
         let total: usize = self.seq.iter().map(|s| s.len()).sum();
         // Each superstep makes progress (a compute or a load); the bound below is a
         // generous safety net against construction bugs.
@@ -1092,25 +1049,9 @@ impl ConversionArena {
             if self.recording && step_idx > start && self.step % self.base.interval == 0 {
                 self.take_checkpoint();
             }
-            // Clear any previous contents while keeping the phase-vector
-            // allocations.
-            if step_idx >= out.num_supersteps() {
-                out.push_empty_superstep();
-            } else {
-                let step = &mut out.supersteps_mut()[step_idx];
-                if step.procs.len() != self.p {
-                    *step = Superstep::empty(self.p);
-                }
-                for phases in &mut step.procs {
-                    phases.compute.clear();
-                    phases.save.clear();
-                    phases.delete.clear();
-                    phases.load.clear();
-                }
-            }
 
-            for pi in 0..self.p {
-                let phases = &mut out.supersteps_mut()[step_idx].procs[pi];
+            for (pi, phases) in step.procs.iter_mut().enumerate() {
+                phases.clear();
                 let base = pi * self.n;
 
                 // ---- 1. Compute phase: maximal segment without new I/O. ----
@@ -1208,9 +1149,10 @@ impl ConversionArena {
                 // ---- 3 & 4. Eviction and loads for the next segment. ----
                 self.plan_io(dag, arch, policy, pi, phases);
             }
+            out.push_superstep(&step);
             step_idx += 1;
         }
-        out.supersteps_mut().truncate(step_idx);
+        self.scratch_step = step;
         self.simulated_supersteps += (step_idx - start) as u64;
         self.skipped_supersteps += start as u64;
     }
@@ -1224,7 +1166,7 @@ impl ConversionArena {
         arch: &Architecture,
         pi: usize,
         needed: f64,
-        phases: &mut mbsp_model::ProcPhases,
+        phases: &mut ProcPhases,
         about_to_compute: NodeId,
     ) -> bool {
         let r = arch.cache_size;
@@ -1254,7 +1196,7 @@ impl ConversionArena {
         arch: &Architecture,
         policy: &P,
         pi: usize,
-        phases: &mut mbsp_model::ProcPhases,
+        phases: &mut ProcPhases,
     ) {
         let pos = self.cursor[pi];
         if pos >= self.seq[pi].len() {
@@ -1460,7 +1402,7 @@ impl ConversionArena {
         dag: &D,
         pi: usize,
         v: NodeId,
-        phases: &mut mbsp_model::ProcPhases,
+        phases: &mut ProcPhases,
     ) {
         // The victim may sit in the spent list (policies that do not evict
         // spent values first); drop it before the blue flip below invalidates
@@ -1763,7 +1705,7 @@ pub mod reference {
                 // in this superstep may only read values that were already in slow
                 // memory.
                 let blue_snapshot = self.blue.clone();
-                let step = schedule.push_empty_superstep();
+                let mut step = Superstep::empty(p);
 
                 for pi in 0..p {
                     let proc = ProcId::new(pi);
@@ -1820,6 +1762,7 @@ pub mod reference {
                     // ---- 3 & 4. Eviction and loads for the next segment. ----
                     self.plan_io(pi, phases, &blue_snapshot);
                 }
+                schedule.push_superstep(&step);
             }
             schedule.remove_empty_supersteps();
             schedule
@@ -1830,7 +1773,7 @@ pub mod reference {
             &mut self,
             pi: usize,
             needed: f64,
-            phases: &mut mbsp_model::ProcPhases,
+            phases: &mut ProcPhases,
             about_to_compute: NodeId,
         ) -> bool {
             let r = self.arch.cache_size;
@@ -1860,12 +1803,7 @@ pub mod reference {
 
         /// Plans the save/delete/load phases that prepare the next compute segment
         /// of processor `pi`.
-        fn plan_io(
-            &mut self,
-            pi: usize,
-            phases: &mut mbsp_model::ProcPhases,
-            blue_snapshot: &[bool],
-        ) {
+        fn plan_io(&mut self, pi: usize, phases: &mut ProcPhases, blue_snapshot: &[bool]) {
             let pos = self.cursor[pi];
             if pos >= self.seq[pi].len() {
                 return;
@@ -2068,14 +2006,13 @@ mod tests {
             let mut out = MbspSchedule::new(arch.processors);
             arena.convert_assignment(&dag, &arch, &procs, policy, &[], &mut out);
             out.validate(&dag, &arch).unwrap();
-            let step_of = |pi: usize, pick: fn(&mbsp_model::ProcPhases) -> &Vec<NodeId>| {
+            let step_of = |pi: usize, pick: fn(mbsp_model::PhasesView<'_>) -> &[NodeId]| {
                 out.supersteps()
-                    .iter()
-                    .position(|s| pick(&s.procs[pi]).contains(&produced))
+                    .position(|s| pick(s.proc(ProcId::new(pi))).contains(&produced))
                     .expect("the value crosses processors through slow memory")
             };
-            let saved = step_of(0, |ph| &ph.save);
-            let loaded = step_of(1, |ph| &ph.load);
+            let saved = step_of(0, |ph| ph.save);
+            let loaded = step_of(1, |ph| ph.load);
             assert_eq!(loaded, saved + 1, "{}", policy.name());
         }
         // The same holds for every cross-processor hand-over of a real
@@ -2091,9 +2028,9 @@ mod tests {
                 &ClairvoyantPolicy::new(),
             );
             let mut saved_in = vec![None; inst.dag().num_nodes()];
-            for (s, step) in mbsp.supersteps().iter().enumerate() {
-                for phases in &step.procs {
-                    for &v in &phases.load {
+            for (s, step) in mbsp.supersteps().enumerate() {
+                for phases in step.procs() {
+                    for &v in phases.load {
                         assert!(
                             inst.dag().is_source(v) || saved_in[v.index()].is_some_and(|t| t < s),
                             "{}: {v:?} loaded in superstep {s}, saved in {:?}",
@@ -2102,8 +2039,8 @@ mod tests {
                         );
                     }
                 }
-                for phases in &step.procs {
-                    for &v in &phases.save {
+                for phases in step.procs() {
+                    for &v in phases.save {
                         saved_in[v.index()].get_or_insert(s);
                     }
                 }

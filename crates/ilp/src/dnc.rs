@@ -25,7 +25,7 @@ use crate::partition_ilp::{recursive_partition, BipartitionConfig};
 use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
-use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId, Superstep};
+use mbsp_model::{Architecture, ComputePhaseStep, MbspInstance, MbspSchedule, ProcId, Superstep};
 use mbsp_pool::{CancelToken, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
 
@@ -177,10 +177,12 @@ impl DivideAndConquerScheduler {
         // 4. Concatenate the sub-schedules stage by stage. Between stages, every
         //    processor's cache is flushed (free delete operations): each sub-schedule
         //    assumes it starts with an empty cache, and everything a later part needs
-        //    is already in slow memory.
+        //    is already in slow memory. A stage is assembled in owned supersteps —
+        //    its parts run side by side on disjoint processors — and then appended.
         let mut combined = MbspSchedule::new(arch.processors);
         let mut cached: Vec<std::collections::BTreeSet<NodeId>> =
             vec![std::collections::BTreeSet::new(); arch.processors];
+        let mut stage_steps: Vec<Superstep> = Vec::new();
         for stage in plan.stages() {
             let stage_len = stage
                 .iter()
@@ -191,68 +193,59 @@ impl DivideAndConquerScheduler {
                 })
                 .max()
                 .unwrap_or(0);
-            let offset = combined.num_supersteps();
             if stage_len == 0 {
                 continue;
             }
-            for _ in 0..stage_len {
-                combined.push_superstep(Superstep::empty(arch.processors));
-            }
+            stage_steps.clear();
+            stage_steps.resize(stage_len, Superstep::empty(arch.processors));
             // Flush the caches left over from earlier stages at the beginning of the
             // first superstep of this stage.
-            {
-                let first = &mut combined.supersteps_mut()[offset];
-                for (pi, leftovers) in cached.iter_mut().enumerate() {
-                    for &v in leftovers.iter() {
-                        first.procs[pi]
-                            .compute
-                            .push(mbsp_model::ComputePhaseStep::Delete(v));
-                    }
-                    leftovers.clear();
-                }
+            for (pi, leftovers) in cached.iter_mut().enumerate() {
+                stage_steps[0].procs[pi]
+                    .compute
+                    .extend(leftovers.iter().map(|&v| ComputePhaseStep::Delete(v)));
+                leftovers.clear();
             }
             for part_plan in stage {
                 let part = part_plan.part;
                 let sub = sub_schedules[part].as_ref().expect("scheduled");
                 let (schedule, processors) = (&sub.schedule, &sub.processors);
                 let to_global = |v: NodeId| sub.to_global[v.index()];
-                for (s, step) in schedule.supersteps().iter().enumerate() {
-                    let target = &mut combined.supersteps_mut()[offset + s];
-                    for (local_p, phases) in step.procs.iter().enumerate() {
+                for (step, target) in schedule.supersteps().zip(&mut stage_steps) {
+                    for (local_p, phases) in step.procs().enumerate() {
                         let global_p = processors[local_p];
                         let t = &mut target.procs[global_p.index()];
-                        t.compute.extend(phases.compute.iter().map(|c| match c {
-                            mbsp_model::ComputePhaseStep::Compute(v) => {
-                                mbsp_model::ComputePhaseStep::Compute(to_global(*v))
-                            }
-                            mbsp_model::ComputePhaseStep::Delete(v) => {
-                                mbsp_model::ComputePhaseStep::Delete(to_global(*v))
-                            }
+                        t.compute.extend(phases.compute.iter().map(|c| match *c {
+                            ComputePhaseStep::Compute(v) => ComputePhaseStep::Compute(to_global(v)),
+                            ComputePhaseStep::Delete(v) => ComputePhaseStep::Delete(to_global(v)),
                         }));
                         t.save.extend(phases.save.iter().map(|&v| to_global(v)));
                         t.delete.extend(phases.delete.iter().map(|&v| to_global(v)));
                         t.load.extend(phases.load.iter().map(|&v| to_global(v)));
                         // Track what remains cached on this processor at stage end.
                         let cache = &mut cached[global_p.index()];
-                        for c in &phases.compute {
+                        for &c in phases.compute {
                             match c {
-                                mbsp_model::ComputePhaseStep::Compute(v) => {
-                                    cache.insert(to_global(*v));
+                                ComputePhaseStep::Compute(v) => {
+                                    cache.insert(to_global(v));
                                 }
-                                mbsp_model::ComputePhaseStep::Delete(v) => {
-                                    cache.remove(&to_global(*v));
+                                ComputePhaseStep::Delete(v) => {
+                                    cache.remove(&to_global(v));
                                 }
                             }
                         }
                         // Phase order within a superstep: deletes happen before loads.
-                        for &v in &phases.delete {
+                        for &v in phases.delete {
                             cache.remove(&to_global(v));
                         }
-                        for &v in &phases.load {
+                        for &v in phases.load {
                             cache.insert(to_global(v));
                         }
                     }
                 }
+            }
+            for step in &stage_steps {
+                combined.push_superstep(step);
             }
         }
 

@@ -26,7 +26,7 @@ use lp_solver::{
     VarId,
 };
 use mbsp_dag::{CompDag, NodeId};
-use mbsp_model::{Architecture, ComputePhaseStep, MbspInstance, MbspSchedule, ProcId};
+use mbsp_model::{Architecture, ComputePhaseStep, MbspInstance, MbspSchedule, ProcId, Superstep};
 
 /// Options of the ILP formulation.
 #[derive(Debug, Clone, Copy)]
@@ -361,20 +361,15 @@ impl MbspIlpBuilder {
         let mut red_off: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
         let mut cursor = 0usize;
         for step in schedule.supersteps() {
-            let c_max = step
-                .procs
-                .iter()
-                .map(|ph| ph.num_computes())
-                .max()
-                .unwrap_or(0);
-            let s_max = step.procs.iter().map(|ph| ph.save.len()).max().unwrap_or(0);
-            let l_max = step.procs.iter().map(|ph| ph.load.len()).max().unwrap_or(0);
+            let c_max = step.procs().map(|ph| ph.num_computes()).max().unwrap_or(0);
+            let s_max = step.procs().map(|ph| ph.save.len()).max().unwrap_or(0);
+            let l_max = step.procs().map(|ph| ph.load.len()).max().unwrap_or(0);
             if cursor + c_max + s_max + l_max > t_max {
                 return None;
             }
-            for (pi, phases) in step.procs.iter().enumerate() {
+            for (pi, phases) in step.procs().enumerate() {
                 let mut tc = cursor;
-                for c in &phases.compute {
+                for c in phases.compute {
                     match c {
                         ComputePhaseStep::Compute(v) => {
                             op_at[pi][tc] = Some(WarmOp::Compute(v.index()));
@@ -386,7 +381,7 @@ impl MbspIlpBuilder {
                 for (k, v) in phases.save.iter().enumerate() {
                     op_at[pi][cursor + c_max + k] = Some(WarmOp::Save(v.index()));
                 }
-                for v in &phases.delete {
+                for v in phases.delete {
                     red_off[pi].push((cursor + c_max + s_max, v.index()));
                 }
                 for (k, v) in phases.load.iter().enumerate() {
@@ -505,10 +500,11 @@ impl MbspIlpBuilder {
         let values = &solution.values;
         let is_one = |var: VarId| values[var.index()] > 0.5;
         let mut schedule = MbspSchedule::new(p);
+        let mut step = Superstep::empty(p);
         for t in 0..self.time_steps {
-            let step = schedule.push_empty_superstep();
             for pi in 0..p {
                 let phases = step.proc_mut(ProcId::new(pi));
+                phases.clear();
                 for v_idx in 0..n {
                     let v = NodeId::new(v_idx);
                     if is_one(self.compute[pi][v_idx][t]) {
@@ -528,6 +524,7 @@ impl MbspIlpBuilder {
                     }
                 }
             }
+            schedule.push_superstep(&step);
         }
         schedule.remove_empty_supersteps();
         schedule
@@ -666,19 +663,13 @@ mod tests {
     /// A hand-built optimal schedule for [`path2_instance`]: load the source,
     /// compute the sink, save it.
     fn path2_schedule() -> MbspSchedule {
-        use mbsp_model::ComputePhaseStep;
-        let mut s = MbspSchedule::new(1);
-        let p = ProcId::new(0);
-        s.push_empty_superstep()
-            .proc_mut(p)
-            .load
-            .push(mbsp_dag::NodeId::new(0));
-        let step = s.push_empty_superstep();
-        step.proc_mut(p)
+        let mut steps = vec![Superstep::empty(1); 2];
+        steps[0].procs[0].load.push(mbsp_dag::NodeId::new(0));
+        steps[1].procs[0]
             .compute
             .push(ComputePhaseStep::Compute(mbsp_dag::NodeId::new(1)));
-        step.proc_mut(p).save.push(mbsp_dag::NodeId::new(1));
-        s
+        steps[1].procs[0].save.push(mbsp_dag::NodeId::new(1));
+        MbspSchedule::from_supersteps(1, &steps).unwrap()
     }
 
     #[test]

@@ -25,8 +25,8 @@ use crate::engine::{EvalPath, EvaluationEngine, SearchStats};
 use crate::search::{hill_climb, Incumbent, LocalSearchParams};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
-    Architecture, BspSchedule, Configuration, CostModel, MbspInstance, MbspSchedule, ParentMasks,
-    ProcId, ScheduleEvaluator, Superstep,
+    Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspInstance,
+    MbspSchedule, ParentMasks, ProcId, ScheduleEvaluator, SuperstepView,
 };
 use mbsp_pool::CancelToken;
 use mbsp_sched::BspSchedulingResult;
@@ -336,17 +336,18 @@ impl PostOptimizer {
     /// the check falls back to simulating the suffix, which is still
     /// allocation-free.
     ///
-    /// Structural bookkeeping goes through the evaluator's **merge session**
-    /// (segment tree over alive supersteps): each accepted fold marks its
-    /// victim dead in O(log S) and empties it in place instead of shifting the
-    /// superstep and cost arrays by O(S), so a pass that folds most of a
-    /// thousands-of-supersteps schedule is O(S log S + S · P) instead of
-    /// O(S² · P); dead steps are compacted away once at the end. The folds
-    /// taken — and the resulting schedule and cost — are those of
-    /// [`reference_post_optimize`] (the differential tests pin this down). The
-    /// asynchronous makespan has no per-superstep decomposition, so that model
-    /// keeps the full re-evaluation through the scratch schedule and the
-    /// eager fold.
+    /// Structural bookkeeping goes through the evaluator's **merge session**:
+    /// an accepted fold moves superstep `k` into `k + 1`
+    /// ([`MbspSchedule::fold_into_next`], O(operations of the two)) and marks
+    /// `k` dead instead of shifting the superstep and cost arrays by O(S), and
+    /// the pass goes on from the merged step — so every pair it tries is
+    /// adjacent, a pass that folds most of a thousands-of-supersteps schedule
+    /// is O(operations + S · P) instead of O(S² · P), and the dead (empty)
+    /// steps are compacted away once at the end. The folds taken — and the
+    /// resulting schedule and cost — are those of [`reference_post_optimize`]
+    /// (the differential tests pin this down). The asynchronous makespan has
+    /// no per-superstep decomposition, so that model keeps the full
+    /// re-evaluation through the scratch schedule and the eager fold.
     fn merge_supersteps<D: DagLike + ?Sized>(
         &mut self,
         schedule: &mut MbspSchedule,
@@ -359,32 +360,27 @@ impl PostOptimizer {
                 self.evaluator.rebuild(schedule, dag);
                 self.evaluator.begin_merge();
                 self.prefix.reset_initial(dag);
-                let mut k = 0usize;
-                while let Some(j) = self.evaluator.next_alive_after(k) {
-                    // Cost of the two alive steps separately vs merged; all
-                    // other supersteps are untouched by the fold.
-                    if self.evaluator.merged_cost_pair(k, j)
-                        <= self.evaluator.separate_cost_pair(k, j) + 1e-9
-                        && self.try_fold_pair(schedule, dag, arch, k, j)
+                let mut folded = false;
+                for k in 0..schedule.num_supersteps().saturating_sub(1) {
+                    // Cost of the two steps separately vs merged; all other
+                    // supersteps are untouched by the fold.
+                    if self.evaluator.merged_cost_pair(k, k + 1)
+                        <= self.evaluator.separate_cost_pair(k, k + 1) + 1e-9
+                        && self.try_fold_pair(schedule, dag, arch, k)
                     {
-                        fold_superstep_pair(schedule, k, j);
-                        self.evaluator.apply_merge_pair(k, j);
-                        // Stay at the same step: further merges may now be possible.
-                        continue;
+                        // Step `k` is empty from here on, so `prefix` stays the
+                        // configuration before the merged step.
+                        schedule.fold_into_next(k);
+                        self.evaluator.apply_merge_pair(k, k + 1);
+                        folded = true;
+                    } else {
+                        apply_step_unchecked(&mut self.prefix, schedule.superstep(k), dag);
                     }
-                    apply_step_unchecked(&mut self.prefix, &schedule.supersteps()[k], dag);
-                    k = j;
                 }
                 // Compact: drop exactly the folded-away (now empty) steps.
                 // Fold-free passes skip the sweep — nothing was emptied.
-                if self.evaluator.merge_alive_count() < schedule.num_supersteps() {
-                    let evaluator = &self.evaluator;
-                    let mut idx = 0usize;
-                    schedule.supersteps_mut().retain(|_| {
-                        let keep = evaluator.merge_alive(idx);
-                        idx += 1;
-                        keep
-                    });
+                if folded {
+                    schedule.retain_supersteps(|s| self.evaluator.merge_alive(s));
                 }
                 self.evaluator.finish_merge();
                 self.evaluator.total()
@@ -393,7 +389,7 @@ impl PostOptimizer {
                 let mut current_cost = cost_model.evaluate(schedule, dag, arch);
                 let mut k = 0usize;
                 while k + 1 < schedule.num_supersteps() {
-                    copy_schedule_into(&mut self.scratch, schedule);
+                    self.scratch.clone_from(schedule);
                     fold_superstep(&mut self.scratch, k);
                     if self.scratch.validate(dag, arch).is_ok() {
                         let cost = cost_model.evaluate(&self.scratch, dag, arch);
@@ -410,21 +406,20 @@ impl PostOptimizer {
         }
     }
 
-    /// Decides whether folding superstep `j` into `k` (the next alive step and
-    /// its alive successor in the merge session — any steps in between are dead
-    /// and empty) keeps the schedule valid, with exactly the same outcome as
-    /// validating the folded schedule from scratch (the supersteps before `k`
-    /// are untouched by the fold, so their simulation is the cached `prefix`).
+    /// Decides whether merging supersteps `k` and `j = k + 1` keeps the
+    /// schedule valid, with exactly the same outcome as validating the folded
+    /// schedule from scratch (the supersteps before `k` are untouched by the
+    /// fold — or folded-away and empty — so their simulation is the cached
+    /// `prefix`).
     fn try_fold_pair<D: DagLike + ?Sized>(
         &mut self,
         schedule: &MbspSchedule,
         dag: &D,
         arch: &Architecture,
         k: usize,
-        j: usize,
     ) -> bool {
-        let steps = schedule.supersteps();
-        let p = schedule.processors();
+        let j = k + 1;
+        let (step_k, step_j) = (schedule.superstep(k), schedule.superstep(j));
         // Reject before paying for a copy: loads only happen after every
         // compute of a superstep, so a parent of a `Compute(v)` in the merged
         // compute phase must be red on that processor in `prefix` or computed
@@ -433,21 +428,20 @@ impl PostOptimizer {
         // valid from `prefix`; only step `j`'s need the test. At tight caches
         // this is nearly every attempt: the conversion ended step `k` because
         // step `j`'s first compute was waiting for a load.
-        for pi in 0..p {
-            let later = &steps[j].procs[pi].compute;
+        for (pi, (earlier, later)) in step_k.computes().zip(step_j.computes()).enumerate() {
             if later.is_empty() {
                 continue;
             }
             let proc = ProcId::new(pi);
             self.phase_epoch += 1;
             let epoch = self.phase_epoch;
-            for &c in &steps[k].procs[pi].compute {
-                if let mbsp_model::ComputePhaseStep::Compute(v) = c {
+            for &c in earlier {
+                if let ComputePhaseStep::Compute(v) = c {
                     self.computed_in_phase[v.index()] = epoch;
                 }
             }
             for &c in later {
-                let mbsp_model::ComputePhaseStep::Compute(v) = c else {
+                let ComputePhaseStep::Compute(v) = c else {
                     continue;
                 };
                 if dag.parents(v).any(|u| {
@@ -464,18 +458,16 @@ impl PostOptimizer {
         // validation order: the compute phases of every processor, then the save,
         // delete and load phases (each processor's folded phase list is the
         // concatenation of its step-k and step-j lists).
-        for pi in 0..p {
+        for (pi, lists) in step_k.computes().zip(step_j.computes()).enumerate() {
             let proc = ProcId::new(pi);
-            for phases in [&steps[k].procs[pi], &steps[j].procs[pi]] {
-                for &c in &phases.compute {
+            for list in [lists.0, lists.1] {
+                for &c in list {
                     let ok = match c {
-                        mbsp_model::ComputePhaseStep::Compute(v) => {
+                        ComputePhaseStep::Compute(v) => {
                             self.trial
                                 .try_compute_masked(dag, arch, &self.masks, proc, v)
                         }
-                        mbsp_model::ComputePhaseStep::Delete(v) => {
-                            self.trial.try_delete(dag, proc, v)
-                        }
+                        ComputePhaseStep::Delete(v) => self.trial.try_delete(dag, proc, v),
                     };
                     if !ok {
                         return false;
@@ -483,30 +475,30 @@ impl PostOptimizer {
                 }
             }
         }
-        for pi in 0..p {
+        for (pi, lists) in step_k.saves().zip(step_j.saves()).enumerate() {
             let proc = ProcId::new(pi);
-            for phases in [&steps[k].procs[pi], &steps[j].procs[pi]] {
-                for &v in &phases.save {
+            for list in [lists.0, lists.1] {
+                for &v in list {
                     if !self.trial.try_save(proc, v) {
                         return false;
                     }
                 }
             }
         }
-        for pi in 0..p {
+        for (pi, lists) in step_k.deletes().zip(step_j.deletes()).enumerate() {
             let proc = ProcId::new(pi);
-            for phases in [&steps[k].procs[pi], &steps[j].procs[pi]] {
-                for &v in &phases.delete {
+            for list in [lists.0, lists.1] {
+                for &v in list {
                     if !self.trial.try_delete(dag, proc, v) {
                         return false;
                     }
                 }
             }
         }
-        for pi in 0..p {
+        for (pi, lists) in step_k.loads().zip(step_j.loads()).enumerate() {
             let proc = ProcId::new(pi);
-            for phases in [&steps[k].procs[pi], &steps[j].procs[pi]] {
-                for &v in &phases.load {
+            for list in [lists.0, lists.1] {
+                for &v in list {
                     if !self.trial.try_load(dag, arch, proc, v) {
                         return false;
                     }
@@ -520,19 +512,16 @@ impl PostOptimizer {
         // stay valid because the current schedule is valid.
         self.fold_stats.compared += 1;
         self.unfolded.copy_from(&self.prefix);
-        apply_step_unchecked(&mut self.unfolded, &steps[k], dag);
-        apply_step_unchecked(&mut self.unfolded, &steps[j], dag);
+        apply_step_unchecked(&mut self.unfolded, step_k, dag);
+        apply_step_unchecked(&mut self.unfolded, step_j, dag);
         if self.trial.state_eq(&self.unfolded) {
             self.fold_stats.accepted += 1;
             return true;
         }
         // Rare slow path: the fold reordered a delete/load pair and changed the
         // state, so re-simulate the suffix (still allocation-free) and re-check
-        // the terminal condition.
-        // Dead (already-folded) steps are empty and therefore no-ops under the
-        // checked application, so walking the raw suffix is equivalent to
-        // walking the alive suffix.
-        for step in &steps[j + 1..] {
+        // the terminal condition. Every step after `j` is alive.
+        for step in schedule.supersteps().skip(j + 1) {
             if !apply_step_checked(&mut self.trial, step, dag, arch, &self.masks) {
                 return false;
             }
@@ -545,30 +534,34 @@ impl PostOptimizer {
 
 /// Applies every operation of `step` to `cfg` without precondition checks (the
 /// step is known to be valid from this state).
-fn apply_step_unchecked<D: DagLike + ?Sized>(cfg: &mut Configuration, step: &Superstep, dag: &D) {
-    for (pi, phases) in step.procs.iter().enumerate() {
+fn apply_step_unchecked<D: DagLike + ?Sized>(
+    cfg: &mut Configuration,
+    step: SuperstepView<'_>,
+    dag: &D,
+) {
+    for (pi, compute) in step.computes().enumerate() {
         let proc = ProcId::new(pi);
-        for &c in &phases.compute {
+        for &c in compute {
             match c {
-                mbsp_model::ComputePhaseStep::Compute(v) => cfg.place_red_unchecked(dag, proc, v),
-                mbsp_model::ComputePhaseStep::Delete(v) => cfg.remove_red_unchecked(dag, proc, v),
+                ComputePhaseStep::Compute(v) => cfg.place_red_unchecked(dag, proc, v),
+                ComputePhaseStep::Delete(v) => cfg.remove_red_unchecked(dag, proc, v),
             }
         }
     }
-    for phases in &step.procs {
-        for &v in &phases.save {
+    for save in step.saves() {
+        for &v in save {
             cfg.place_blue_unchecked(v);
         }
     }
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, delete) in step.deletes().enumerate() {
         let proc = ProcId::new(pi);
-        for &v in &phases.delete {
+        for &v in delete {
             cfg.remove_red_unchecked(dag, proc, v);
         }
     }
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, load) in step.loads().enumerate() {
         let proc = ProcId::new(pi);
-        for &v in &phases.load {
+        for &v in load {
             cfg.place_red_unchecked(dag, proc, v);
         }
     }
@@ -579,44 +572,42 @@ fn apply_step_unchecked<D: DagLike + ?Sized>(cfg: &mut Configuration, step: &Sup
 /// compute precondition goes through the word-level [`ParentMasks`] path.
 fn apply_step_checked<D: DagLike + ?Sized>(
     cfg: &mut Configuration,
-    step: &Superstep,
+    step: SuperstepView<'_>,
     dag: &D,
     arch: &Architecture,
     masks: &ParentMasks,
 ) -> bool {
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, compute) in step.computes().enumerate() {
         let proc = ProcId::new(pi);
-        for &c in &phases.compute {
+        for &c in compute {
             let ok = match c {
-                mbsp_model::ComputePhaseStep::Compute(v) => {
-                    cfg.try_compute_masked(dag, arch, masks, proc, v)
-                }
-                mbsp_model::ComputePhaseStep::Delete(v) => cfg.try_delete(dag, proc, v),
+                ComputePhaseStep::Compute(v) => cfg.try_compute_masked(dag, arch, masks, proc, v),
+                ComputePhaseStep::Delete(v) => cfg.try_delete(dag, proc, v),
             };
             if !ok {
                 return false;
             }
         }
     }
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, save) in step.saves().enumerate() {
         let proc = ProcId::new(pi);
-        for &v in &phases.save {
+        for &v in save {
             if !cfg.try_save(proc, v) {
                 return false;
             }
         }
     }
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, delete) in step.deletes().enumerate() {
         let proc = ProcId::new(pi);
-        for &v in &phases.delete {
+        for &v in delete {
             if !cfg.try_delete(dag, proc, v) {
                 return false;
             }
         }
     }
-    for (pi, phases) in step.procs.iter().enumerate() {
+    for (pi, load) in step.loads().enumerate() {
         let proc = ProcId::new(pi);
-        for &v in &phases.load {
+        for &v in load {
             if !cfg.try_load(dag, arch, proc, v) {
                 return false;
             }
@@ -658,24 +649,16 @@ fn remove_redundant_saves_into<D: DagLike + ?Sized>(
         required[v.index()] = true;
     }
     // For each node, the last superstep in which it is loaded by anyone.
-    for (s, step) in schedule.supersteps().iter().enumerate() {
-        for phases in &step.procs {
-            for &v in &phases.load {
+    for (s, step) in schedule.supersteps().enumerate() {
+        for load in step.loads() {
+            for &v in load {
                 last_load[v.index()] = Some(s);
             }
         }
     }
-    let num_steps = schedule.num_supersteps();
-    for s in 0..num_steps {
-        let step = &mut schedule.supersteps_mut()[s];
-        for phases in &mut step.procs {
-            phases.save.retain(|&v| {
-                dag.is_sink(v)
-                    || required[v.index()]
-                    || last_load[v.index()].is_some_and(|l| l >= s)
-            });
-        }
-    }
+    schedule.retain_saves(|s, v| {
+        dag.is_sink(v) || required[v.index()] || last_load[v.index()].is_some_and(|l| l >= s)
+    });
 }
 
 /// The pre-engine greedy superstep merging (PR 2 behaviour), kept verbatim as the
@@ -697,19 +680,9 @@ fn reference_merge_supersteps<D: DagLike + ?Sized>(
             let mut save: Vec<Vec<f64>> = Vec::with_capacity(schedule.num_supersteps());
             let mut load: Vec<Vec<f64>> = Vec::with_capacity(schedule.num_supersteps());
             for step in schedule.supersteps() {
-                comp.push(step.procs.iter().map(|ph| ph.compute_cost(dag)).collect());
-                save.push(
-                    step.procs
-                        .iter()
-                        .map(|ph| ph.save_cost(dag, arch.g))
-                        .collect(),
-                );
-                load.push(
-                    step.procs
-                        .iter()
-                        .map(|ph| ph.load_cost(dag, arch.g))
-                        .collect(),
-                );
+                comp.push(step.procs().map(|ph| ph.compute_cost(dag)).collect());
+                save.push(step.procs().map(|ph| ph.save_cost(dag, arch.g)).collect());
+                load.push(step.procs().map(|ph| ph.load_cost(dag, arch.g)).collect());
             }
             let maxima = |row: &[f64]| row.iter().copied().fold(0.0f64, f64::max);
             let mut k = 0usize;
@@ -734,7 +707,7 @@ fn reference_merge_supersteps<D: DagLike + ?Sized>(
                     .fold(0.0f64, f64::max);
                 let merged = merged_comp + merged_save + merged_load;
                 if merged <= separate + 1e-9 {
-                    copy_schedule_into(&mut scratch, schedule);
+                    scratch.clone_from(schedule);
                     fold_superstep(&mut scratch, k);
                     if scratch.validate(dag, arch).is_ok() {
                         std::mem::swap(schedule, &mut scratch);
@@ -758,7 +731,7 @@ fn reference_merge_supersteps<D: DagLike + ?Sized>(
             let mut current_cost = cost_model.evaluate(schedule, dag, arch);
             let mut k = 0usize;
             while k + 1 < schedule.num_supersteps() {
-                copy_schedule_into(&mut scratch, schedule);
+                scratch.clone_from(schedule);
                 fold_superstep(&mut scratch, k);
                 if scratch.validate(dag, arch).is_ok() {
                     let cost = cost_model.evaluate(&scratch, dag, arch);
@@ -774,66 +747,12 @@ fn reference_merge_supersteps<D: DagLike + ?Sized>(
     }
 }
 
-/// Copies `src` into `dst`, reusing `dst`'s superstep and phase allocations.
-/// (`Clone::clone_from` on the schedule would allocate afresh: the derive only
-/// generates `clone`.)
-fn copy_schedule_into(dst: &mut MbspSchedule, src: &MbspSchedule) {
-    debug_assert_eq!(dst.processors(), src.processors());
-    let p = src.processors();
-    let steps = dst.supersteps_mut();
-    steps.truncate(src.num_supersteps());
-    while steps.len() < src.num_supersteps() {
-        steps.push(Superstep::empty(p));
-    }
-    for (d, s) in steps.iter_mut().zip(src.supersteps()) {
-        for (dp, sp) in d.procs.iter_mut().zip(&s.procs) {
-            dp.compute.clear();
-            dp.compute.extend_from_slice(&sp.compute);
-            dp.save.clear();
-            dp.save.extend_from_slice(&sp.save);
-            dp.delete.clear();
-            dp.delete.extend_from_slice(&sp.delete);
-            dp.load.clear();
-            dp.load.extend_from_slice(&sp.load);
-        }
-    }
-}
-
-/// Folds superstep `k + 1` into superstep `k` in place (phase lists
-/// concatenated per processor), removing step `k + 1`. O(S) per fold (the
-/// `Vec::remove` shift) — the asynchronous merge pass and the reference pass
-/// keep this form; the synchronous session pass uses
-/// [`fold_superstep_pair`] instead.
+/// Folds superstep `k + 1` into superstep `k` (phase lists concatenated per
+/// processor), removing step `k + 1` — the eager fold of the asynchronous merge
+/// pass and the reference pass: O(operations of the two + S · P) per fold.
 fn fold_superstep(schedule: &mut MbspSchedule, k: usize) {
-    let steps = schedule.supersteps_mut();
-    let removed = steps.remove(k + 1);
-    for (pi, phases) in removed.procs.into_iter().enumerate() {
-        let t = &mut steps[k].procs[pi];
-        t.compute.extend(phases.compute);
-        t.save.extend(phases.save);
-        t.delete.extend(phases.delete);
-        t.load.extend(phases.load);
-    }
-}
-
-/// Folds superstep `j` into superstep `k` in place, leaving step `j` behind
-/// **empty** instead of removing it — the O(phase-lists) counterpart of
-/// [`fold_superstep`] for the merge session, where dead (emptied) steps are
-/// skipped via the evaluator's alive tree and compacted away once at the end
-/// of the pass.
-fn fold_superstep_pair(schedule: &mut MbspSchedule, k: usize, j: usize) {
-    debug_assert!(k < j);
-    let steps = schedule.supersteps_mut();
-    let (head, tail) = steps.split_at_mut(j);
-    let src = &mut tail[0];
-    let dst = &mut head[k];
-    for (pi, phases) in src.procs.iter_mut().enumerate() {
-        let t = &mut dst.procs[pi];
-        t.compute.append(&mut phases.compute);
-        t.save.append(&mut phases.save);
-        t.delete.append(&mut phases.delete);
-        t.load.append(&mut phases.load);
-    }
+    schedule.fold_into_next(k);
+    schedule.retain_supersteps(|s| s != k);
 }
 
 #[cfg(test)]

@@ -92,12 +92,13 @@ impl Incumbent {
     ) -> Self {
         let mut cost =
             engine.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
-        let mut schedule = engine.schedule().clone();
+        let mut schedule = MbspSchedule::new(arch.processors);
+        engine.swap_schedule(&mut schedule);
         if let Some(bsp) = baseline {
             let bsp_cost = engine.evaluate_bsp_on(dag, arch, bsp, cost_model, required_outputs);
             if bsp_cost < cost {
                 cost = bsp_cost;
-                schedule = engine.schedule().clone();
+                engine.swap_schedule(&mut schedule);
             }
         }
         Incumbent {
@@ -290,7 +291,7 @@ pub(crate) fn search_view(
                 incumbent.deltas.push(delta);
                 incumbent.procs = candidate;
                 incumbent.cost = cost;
-                incumbent.schedule = engine.schedule().clone();
+                engine.swap_schedule(&mut incumbent.schedule);
             }
         }
     }

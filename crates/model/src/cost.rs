@@ -90,7 +90,7 @@ pub fn sync_cost<D: DagLike + ?Sized>(
         let mut max_comp: f64 = 0.0;
         let mut max_save: f64 = 0.0;
         let mut max_load: f64 = 0.0;
-        for phases in &step.procs {
+        for phases in step.procs() {
             max_comp = max_comp.max(phases.compute_cost(dag));
             max_save = max_save.max(phases.save_cost(dag, arch.g));
             max_load = max_load.max(phases.load_cost(dag, arch.g));
@@ -138,14 +138,14 @@ pub fn async_cost<D: DagLike + ?Sized>(
         //    other processors, only extend the processor's own timeline. Collect the
         //    candidate Γ values of nodes saved for the first time in this superstep.
         let mut candidates: Vec<(usize, f64)> = Vec::new();
-        for (pi, phases) in step.procs.iter().enumerate() {
+        for (pi, phases) in step.procs().enumerate() {
             let mut t = gamma[pi];
-            for &c in &phases.compute {
+            for &c in phases.compute {
                 if let ComputePhaseStep::Compute(v) = c {
                     t += dag.compute_weight(v);
                 }
             }
-            for &v in &phases.save {
+            for &v in phases.save {
                 t += dag.memory_weight(v) * arch.g;
                 if gets_blue[v.index()].is_infinite() {
                     candidates.push((v.index(), t));
@@ -161,9 +161,9 @@ pub fn async_cost<D: DagLike + ?Sized>(
             }
         }
         // 2. Delete (free) and load phases.
-        for (pi, phases) in step.procs.iter().enumerate() {
+        for (pi, phases) in step.procs().enumerate() {
             let mut t = gamma[pi];
-            for &v in &phases.load {
+            for &v in phases.load {
                 let available = gets_blue[v.index()];
                 debug_assert!(
                     available.is_finite(),
@@ -181,8 +181,8 @@ pub fn async_cost<D: DagLike + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::ProcId;
     use crate::ops::ComputePhaseStep;
+    use crate::schedule::Superstep;
     use mbsp_dag::graph::NodeWeights;
     use mbsp_dag::{CompDag, NodeId};
 
@@ -191,19 +191,14 @@ mod tests {
     }
 
     fn simple_schedule() -> MbspSchedule {
-        let p = ProcId::new(0);
-        let mut sched = MbspSchedule::new(1);
-        let s = sched.push_empty_superstep();
-        s.proc_mut(p).load.push(NodeId::new(0));
-        let s2 = sched.push_empty_superstep();
-        s2.proc_mut(p)
-            .compute
-            .push(ComputePhaseStep::Compute(NodeId::new(1)));
-        s2.proc_mut(p)
-            .compute
-            .push(ComputePhaseStep::Compute(NodeId::new(2)));
-        s2.proc_mut(p).save.push(NodeId::new(2));
-        sched
+        let mut steps = vec![Superstep::empty(1); 2];
+        steps[0].procs[0].load.push(NodeId::new(0));
+        steps[1].procs[0].compute.extend([
+            ComputePhaseStep::Compute(NodeId::new(1)),
+            ComputePhaseStep::Compute(NodeId::new(2)),
+        ]);
+        steps[1].procs[0].save.push(NodeId::new(2));
+        MbspSchedule::from_supersteps(1, &steps).unwrap()
     }
 
     #[test]
@@ -248,20 +243,18 @@ mod tests {
         let dag =
             CompDag::from_edges("two", vec![NodeWeights::unit(); 4], &[(0, 1), (2, 3)]).unwrap();
         let arch = Architecture::new(2, 2.0, 1.0, 0.0);
-        let (p0, p1) = (ProcId::new(0), ProcId::new(1));
-        let mut sched = MbspSchedule::new(2);
-        let s = sched.push_empty_superstep();
-        s.proc_mut(p0).load.push(NodeId::new(0));
-        s.proc_mut(p1).load.push(NodeId::new(2));
-        let s1 = sched.push_empty_superstep();
-        s1.proc_mut(p0)
+        let mut steps = vec![Superstep::empty(2); 2];
+        steps[0].procs[0].load.push(NodeId::new(0));
+        steps[0].procs[1].load.push(NodeId::new(2));
+        steps[1].procs[0]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(1)));
-        s1.proc_mut(p0).save.push(NodeId::new(1));
-        s1.proc_mut(p1)
+        steps[1].procs[0].save.push(NodeId::new(1));
+        steps[1].procs[1]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(3)));
-        s1.proc_mut(p1).save.push(NodeId::new(3));
+        steps[1].procs[1].save.push(NodeId::new(3));
+        let sched = MbspSchedule::from_supersteps(2, &steps).unwrap();
         sched.validate(&dag, &arch).unwrap();
         let cost = sync_cost(&sched, &dag, &arch);
         assert_eq!(cost.compute, 1.0);
@@ -280,21 +273,18 @@ mod tests {
         weights[1] = NodeWeights::new(10.0, 1.0);
         let dag = CompDag::from_edges("w", weights, &[(0, 1), (1, 2)]).unwrap();
         let arch = Architecture::new(2, 3.0, 1.0, 0.0);
-        let (p0, p1) = (ProcId::new(0), ProcId::new(1));
-        let mut sched = MbspSchedule::new(2);
-        let s = sched.push_empty_superstep();
-        s.proc_mut(p0).load.push(NodeId::new(0));
-        let s1 = sched.push_empty_superstep();
-        s1.proc_mut(p0)
+        let mut steps = vec![Superstep::empty(2); 3];
+        steps[0].procs[0].load.push(NodeId::new(0));
+        steps[1].procs[0]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(1)));
-        s1.proc_mut(p0).save.push(NodeId::new(1));
-        s1.proc_mut(p1).load.push(NodeId::new(1));
-        let s2 = sched.push_empty_superstep();
-        s2.proc_mut(p1)
+        steps[1].procs[0].save.push(NodeId::new(1));
+        steps[1].procs[1].load.push(NodeId::new(1));
+        steps[2].procs[1]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(2)));
-        s2.proc_mut(p1).save.push(NodeId::new(2));
+        steps[2].procs[1].save.push(NodeId::new(2));
+        let sched = MbspSchedule::from_supersteps(2, &steps).unwrap();
         sched.validate(&dag, &arch).unwrap();
         // p0 timeline: load(1) + compute(10) + save(1) = 12.
         // p1 timeline: load of node 1 waits until 12, finishes 13; compute 1 + save 1 = 15.

@@ -9,8 +9,8 @@
 //!
 //! [`ScheduleEvaluator`] caches the per-superstep, per-processor phase costs of a
 //! schedule together with the per-superstep maxima, and exposes O(changed
-//! supersteps) updates: appending a superstep, or folding a later superstep into
-//! an earlier one inside a merge session (the post-optimiser's merge move). The
+//! supersteps) updates: appending a superstep, or folding a superstep into the
+//! next one inside a merge session (the post-optimiser's merge move). The
 //! ground truth remains [`crate::cost::sync_cost`] / [`crate::cost::async_cost`];
 //! the differential tests in `mbsp-ilp` replay random edit sequences and assert
 //! that the evaluator never drifts from a full re-cost.
@@ -20,7 +20,7 @@
 //! stays on the reference path.
 
 use crate::arch::Architecture;
-use crate::schedule::{MbspSchedule, Superstep};
+use crate::schedule::{MbspSchedule, SuperstepView};
 use mbsp_dag::DagLike;
 
 /// Cached per-superstep, per-processor phase costs of a schedule under the
@@ -44,16 +44,11 @@ pub struct ScheduleEvaluator {
     max_comp: Vec<f64>,
     max_save: Vec<f64>,
     max_load: Vec<f64>,
-    /// Per-superstep liveness of the current merge session (all `true` outside
-    /// one); rows of folded-away supersteps go dead instead of being drained.
+    /// Per-superstep liveness of the current merge session; rows of
+    /// folded-away supersteps go dead instead of being drained.
     alive: Vec<bool>,
-    /// Segment tree over the alive flags: `tree[i]` counts the alive leaves
-    /// under node `i` (1-based heap layout, leaves at `tree_base..`), so the
-    /// next alive superstep after any index is an O(log S) descent and a fold
-    /// is an O(log S) path update instead of an O(S) array shift.
-    tree: Vec<u32>,
-    /// Index of the first leaf of `tree` (the leaf count, a power of two).
-    tree_base: usize,
+    /// Rows folded away in the current merge session.
+    folded: usize,
 }
 
 impl ScheduleEvaluator {
@@ -94,12 +89,11 @@ impl ScheduleEvaluator {
     }
 
     /// Appends the costs of one superstep to the cache.
-    pub fn push_superstep<D: DagLike + ?Sized>(&mut self, step: &Superstep, dag: &D) {
-        debug_assert_eq!(step.procs.len(), self.procs);
+    pub fn push_superstep<D: DagLike + ?Sized>(&mut self, step: SuperstepView<'_>, dag: &D) {
         let mut max_c: f64 = 0.0;
         let mut max_s: f64 = 0.0;
         let mut max_l: f64 = 0.0;
-        for phases in &step.procs {
+        for phases in step.procs() {
             let c = phases.compute_cost(dag);
             let s = phases.save_cost(dag, self.g);
             let l = phases.load_cost(dag, self.g);
@@ -121,36 +115,25 @@ impl ScheduleEvaluator {
     }
 
     // ------------------------------------------------------------------
-    // Merge sessions: O(log S) fold bookkeeping for the post-optimiser.
+    // Merge sessions: O(P) fold bookkeeping for the post-optimiser.
     //
     // A greedy merge pass over a schedule with thousands of supersteps folds
     // O(S) times; removing a row per fold would pay an O(S) array shift each
-    // time, making the pass quadratic. A session uses lazy deletion instead:
-    // folded-away rows are marked dead in a segment tree of alive counts,
-    // "the superstep after k" becomes an O(log S) tree descent
-    // ([`ScheduleEvaluator::next_alive_after`]) and the arrays are compacted
-    // once at [`ScheduleEvaluator::finish_merge`]. The per-row arithmetic adds
-    // the two rows' per-processor phase costs and re-takes the maxima, which
-    // is what re-costing the folded schedule computes.
+    // time, making the pass quadratic. A session folds a superstep into the
+    // *next* one instead and marks the emptied row dead, so the pass walks the
+    // rows left to right, every pair it tries is adjacent, and the arrays are
+    // compacted once at [`ScheduleEvaluator::finish_merge`]. The per-row
+    // arithmetic adds the two rows' per-processor phase costs and re-takes the
+    // maxima, which is what re-costing the folded schedule computes.
     // ------------------------------------------------------------------
 
     /// Opens a merge session over the currently cached supersteps: every row
-    /// starts alive, and the alive-count segment tree is (re)built in O(S).
-    /// Pair with [`ScheduleEvaluator::finish_merge`]; structural edits outside
-    /// the session API are not allowed while one is open.
+    /// starts alive. Pair with [`ScheduleEvaluator::finish_merge`]; structural
+    /// edits outside the session API are not allowed while one is open.
     pub fn begin_merge(&mut self) {
-        let s = self.num_supersteps();
         self.alive.clear();
-        self.alive.resize(s, true);
-        self.tree_base = s.next_power_of_two().max(1);
-        self.tree.clear();
-        self.tree.resize(2 * self.tree_base, 0);
-        for leaf in 0..s {
-            self.tree[self.tree_base + leaf] = 1;
-        }
-        for i in (1..self.tree_base).rev() {
-            self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1];
-        }
+        self.alive.resize(self.num_supersteps(), true);
+        self.folded = 0;
     }
 
     /// Is superstep `k` still alive in the current merge session?
@@ -158,42 +141,9 @@ impl ScheduleEvaluator {
         self.alive[k]
     }
 
-    /// The smallest alive superstep index strictly greater than `k`, or `None`
-    /// if every later superstep has been folded away. O(log S): one walk up
-    /// the alive-count tree to the first right-hand subtree containing an
-    /// alive leaf, one descent to its leftmost alive leaf.
-    pub fn next_alive_after(&self, k: usize) -> Option<usize> {
-        let s = self.num_supersteps();
-        if k + 1 >= s {
-            return None;
-        }
-        let mut node = self.tree_base + k + 1;
-        loop {
-            if self.tree[node] > 0 {
-                // Descend to the leftmost alive leaf of this subtree.
-                while node < self.tree_base {
-                    node *= 2;
-                    if self.tree[node] == 0 {
-                        node += 1;
-                    }
-                }
-                return Some(node - self.tree_base);
-            }
-            // Climb out of exhausted right spines, then step to the sibling on
-            // the right; reaching the root means no alive leaf remains.
-            while node % 2 == 1 {
-                node /= 2;
-                if node <= 1 {
-                    return None;
-                }
-            }
-            node += 1;
-        }
-    }
-
     /// Combined synchronous cost of alive supersteps `k` and `j` kept separate
-    /// — the quantity a fold of `j` into `k` competes against. Exactly one of
-    /// the two latency charges survives a merge, so only one `L` is included.
+    /// — the quantity a fold of the two competes against. Exactly one of the
+    /// two latency charges survives a merge, so only one `L` is included.
     pub fn separate_cost_pair(&self, k: usize, j: usize) -> f64 {
         debug_assert!(self.alive[k] && self.alive[j]);
         self.max_comp[k]
@@ -206,8 +156,8 @@ impl ScheduleEvaluator {
     }
 
     /// Synchronous cost (without `L`) of the superstep that would result from
-    /// folding alive superstep `j` into `k`: per-processor phase costs add up,
-    /// the maxima are re-taken.
+    /// folding alive supersteps `k` and `j` together: per-processor phase costs
+    /// add up, the maxima are re-taken.
     pub fn merged_cost_pair(&self, k: usize, j: usize) -> f64 {
         debug_assert!(self.alive[k] && self.alive[j]);
         let a = k * self.procs;
@@ -223,11 +173,10 @@ impl ScheduleEvaluator {
         max_c + max_s + max_l
     }
 
-    /// Folds the cached costs of alive superstep `j` into `k` (mirroring the
-    /// same fold applied to the schedule) and marks `j` dead: the dead row is
-    /// lazily deleted through the segment tree — O(P + log S), no array shift.
-    /// Its stale values are never read again (session accessors only ever take
-    /// alive indices).
+    /// Folds the cached costs of alive superstep `k` into `j` (mirroring
+    /// [`MbspSchedule::fold_into_next`] on the schedule) and marks `k` dead:
+    /// O(P), no array shift. The dead row's stale values are never read again
+    /// (session accessors only ever take alive indices).
     pub fn apply_merge_pair(&mut self, k: usize, j: usize) {
         debug_assert!(self.alive[k] && self.alive[j] && k < j);
         let mut max_c: f64 = 0.0;
@@ -236,38 +185,32 @@ impl ScheduleEvaluator {
         for pi in 0..self.procs {
             let a = k * self.procs + pi;
             let b = j * self.procs + pi;
-            self.comp[a] += self.comp[b];
-            self.save[a] += self.save[b];
-            self.load[a] += self.load[b];
-            max_c = max_c.max(self.comp[a]);
-            max_s = max_s.max(self.save[a]);
-            max_l = max_l.max(self.load[a]);
+            self.comp[b] += self.comp[a];
+            self.save[b] += self.save[a];
+            self.load[b] += self.load[a];
+            max_c = max_c.max(self.comp[b]);
+            max_s = max_s.max(self.save[b]);
+            max_l = max_l.max(self.load[b]);
         }
-        self.max_comp[k] = max_c;
-        self.max_save[k] = max_s;
-        self.max_load[k] = max_l;
-        self.alive[j] = false;
-        let mut node = self.tree_base + j;
-        while node >= 1 {
-            self.tree[node] -= 1;
-            node /= 2;
-        }
+        self.max_comp[j] = max_c;
+        self.max_save[j] = max_s;
+        self.max_load[j] = max_l;
+        self.alive[k] = false;
+        self.folded += 1;
     }
 
     /// Closes the merge session: compacts every cached array down to the alive
-    /// rows (one O(S · P) pass — paid once per pass instead of once per fold)
-    /// and releases the session state. The evaluator afterwards mirrors the
-    /// compacted schedule.
+    /// rows (one O(S · P) pass — paid once per pass instead of once per fold).
+    /// The evaluator afterwards mirrors the compacted schedule.
     pub fn finish_merge(&mut self) {
         let procs = self.procs;
-        let s = self.alive.len();
-        // Fast exit for the (common) fold-free session: every row is alive, the
-        // arrays are already compact, and only the session state needs clearing.
-        // The buffers keep their capacity either way — a post-optimiser reuses
-        // one evaluator across thousands of candidate schedules.
-        if self.merge_alive_count() < s {
+        // Fast exit for the (common) fold-free session: every row is alive and
+        // the arrays are already compact. The buffers keep their capacity
+        // either way — a post-optimiser reuses one evaluator across thousands
+        // of candidate schedules.
+        if self.folded > 0 {
             let mut kept = 0usize;
-            for k in 0..s {
+            for k in 0..self.alive.len() {
                 if !self.alive[k] {
                     continue;
                 }
@@ -291,14 +234,7 @@ impl ScheduleEvaluator {
             self.max_load.truncate(kept);
         }
         self.alive.clear();
-        self.tree.clear();
-        self.tree_base = 0;
-    }
-
-    /// Number of supersteps still alive in the current merge session (the root
-    /// of the alive-count tree).
-    pub fn merge_alive_count(&self) -> usize {
-        self.tree.get(1).map_or(0, |&n| n as usize)
+        self.folded = 0;
     }
 
     /// Total synchronous cost of the cached schedule. Accumulates the per-phase
@@ -320,9 +256,9 @@ impl ScheduleEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::ProcId;
     use crate::cost::sync_cost;
     use crate::ops::ComputePhaseStep;
+    use crate::schedule::Superstep;
     use mbsp_dag::graph::NodeWeights;
     use mbsp_dag::{CompDag, NodeId};
 
@@ -334,27 +270,23 @@ mod tests {
 
     /// A two-processor schedule of the diamond with non-trivial phases.
     fn schedule() -> MbspSchedule {
-        let (p0, p1) = (ProcId::new(0), ProcId::new(1));
-        let mut sched = MbspSchedule::new(2);
-        let s0 = sched.push_empty_superstep();
-        s0.proc_mut(p0).load.push(NodeId::new(0));
-        s0.proc_mut(p1).load.push(NodeId::new(0));
-        let s1 = sched.push_empty_superstep();
-        s1.proc_mut(p0)
+        let mut steps = vec![Superstep::empty(2); 3];
+        steps[0].procs[0].load.push(NodeId::new(0));
+        steps[0].procs[1].load.push(NodeId::new(0));
+        steps[1].procs[0]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(1)));
-        s1.proc_mut(p0).save.push(NodeId::new(1));
-        s1.proc_mut(p1)
+        steps[1].procs[0].save.push(NodeId::new(1));
+        steps[1].procs[1]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(2)));
-        s1.proc_mut(p1).save.push(NodeId::new(2));
-        s1.proc_mut(p1).load.push(NodeId::new(1));
-        let s2 = sched.push_empty_superstep();
-        s2.proc_mut(p1)
+        steps[1].procs[1].save.push(NodeId::new(2));
+        steps[1].procs[1].load.push(NodeId::new(1));
+        steps[2].procs[1]
             .compute
             .push(ComputePhaseStep::Compute(NodeId::new(3)));
-        s2.proc_mut(p1).save.push(NodeId::new(3));
-        sched
+        steps[2].procs[1].save.push(NodeId::new(3));
+        MbspSchedule::from_supersteps(2, &steps).unwrap()
     }
 
     fn arch() -> Architecture {
@@ -380,17 +312,10 @@ mod tests {
         assert!((sum - eval.total()).abs() < 1e-12);
     }
 
-    /// Folds superstep `k + 1` of `sched` into `k` by hand (phase lists
-    /// concatenated per processor, the emptied superstep removed).
+    /// Folds superstep `k` of `sched` into `k + 1` and removes the emptied `k`.
     fn fold(sched: &mut MbspSchedule, k: usize) {
-        let removed = sched.supersteps_mut().remove(k + 1);
-        for (pi, phases) in removed.procs.into_iter().enumerate() {
-            let t = &mut sched.supersteps_mut()[k].procs[pi];
-            t.compute.extend(phases.compute);
-            t.save.extend(phases.save);
-            t.delete.extend(phases.delete);
-            t.load.extend(phases.load);
-        }
+        sched.fold_into_next(k);
+        sched.retain_supersteps(|s| s != k);
     }
 
     #[test]
@@ -400,7 +325,7 @@ mod tests {
         let mut sched = schedule();
         let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
         eval.begin_merge();
-        // Predicted merged cost of folding step 2 into step 1.
+        // Predicted merged cost of folding step 1 into step 2.
         let predicted = eval.merged_cost_pair(1, 2);
         fold(&mut sched, 1);
         eval.apply_merge_pair(1, 2);
@@ -430,38 +355,35 @@ mod tests {
 
     #[test]
     fn merge_session_replays_the_eager_merge_exactly() {
-        // Replay one greedy fold sequence through the segment-tree session and
-        // through the schedule itself, folded eagerly (an O(S) `Vec::remove`
-        // per fold) and re-costed from scratch after every fold. Every
-        // decision quantity and the final totals must agree bit for bit (the
-        // diamond's weights are dyadic, so the sums are exact in either order).
+        // Replay one greedy fold sequence through the session and through the
+        // schedule itself, folded eagerly (the emptied superstep removed) and
+        // re-costed from scratch after every fold. Every decision quantity and
+        // the final totals must agree bit for bit (the diamond's weights are
+        // dyadic, so the sums are exact in either order).
         let dag = diamond();
         let arch = arch();
         let mut sched = schedule();
         let mut session = ScheduleEvaluator::of(&sched, &dag, &arch);
         session.begin_merge();
 
-        // Fold step 1 into step 0, then step 2 (by then the folded schedule's
-        // step 1) into 0. Session index 1 is dead for the second fold.
-        for expected_j in [1, 2] {
-            let j = session.next_alive_after(0).unwrap();
-            assert_eq!(j, expected_j);
+        // Fold step 0 into step 1, then the merged step 1 into step 2: session
+        // index `k` is the eager schedule's step 0 each time.
+        for k in [0, 1] {
             let before = ScheduleEvaluator::of(&sched, &dag, &arch);
             assert_eq!(
-                session.separate_cost_pair(0, j),
+                session.separate_cost_pair(k, k + 1),
                 before.step_cost(0) + before.step_cost(1) - arch.latency
             );
             fold(&mut sched, 0);
             let after = ScheduleEvaluator::of(&sched, &dag, &arch);
             assert_eq!(
-                session.merged_cost_pair(0, j) + arch.latency,
+                session.merged_cost_pair(k, k + 1) + arch.latency,
                 after.step_cost(0)
             );
-            session.apply_merge_pair(0, j);
-            assert!(session.merge_alive(0) && !session.merge_alive(j));
+            session.apply_merge_pair(k, k + 1);
+            assert!(!session.merge_alive(k) && session.merge_alive(k + 1));
         }
 
-        assert_eq!(session.next_alive_after(0), None);
         session.finish_merge();
         let folded = ScheduleEvaluator::of(&sched, &dag, &arch);
         assert_eq!(session.num_supersteps(), folded.num_supersteps());
@@ -472,30 +394,32 @@ mod tests {
     }
 
     #[test]
-    fn next_alive_descent_crosses_tree_levels() {
-        // 9 supersteps force a 16-leaf tree; kill everything between 0 and 8
-        // so the successor walk has to climb to the root and descend the far
-        // subtree.
+    fn a_fold_chain_compacts_to_one_superstep() {
+        // Nine supersteps each loading the source on one processor, folded
+        // left to right into the last: the session keeps only the last row,
+        // which must cost what the folded schedule costs.
         let dag = diamond();
         let arch = arch();
-        let mut sched = MbspSchedule::new(2);
-        for _ in 0..9 {
-            sched.push_empty_superstep();
-        }
+        let steps: Vec<Superstep> = (0..9)
+            .map(|s| {
+                let mut step = Superstep::empty(2);
+                step.procs[s % 2].load.push(NodeId::new(0));
+                step
+            })
+            .collect();
+        let mut sched = MbspSchedule::from_supersteps(2, &steps).unwrap();
         let mut eval = ScheduleEvaluator::of(&sched, &dag, &arch);
         eval.begin_merge();
-        for j in 1..8 {
-            let next = eval.next_alive_after(0).unwrap();
-            assert_eq!(next, j);
-            eval.apply_merge_pair(0, j);
+        for k in 0..8 {
+            sched.fold_into_next(k);
+            eval.apply_merge_pair(k, k + 1);
         }
-        assert_eq!(eval.next_alive_after(0), Some(8));
-        assert_eq!(eval.next_alive_after(7), Some(8));
-        assert_eq!(eval.next_alive_after(8), None);
-        eval.apply_merge_pair(0, 8);
-        assert_eq!(eval.next_alive_after(0), None);
+        sched.retain_supersteps(|s| eval.merge_alive(s));
         eval.finish_merge();
+        assert_eq!(sched.num_supersteps(), 1);
         assert_eq!(eval.num_supersteps(), 1);
+        assert_eq!(eval.total(), sync_cost(&sched, &dag, &arch).total);
+        assert_eq!(sched.superstep(0).proc(crate::ProcId::new(0)).load.len(), 5);
     }
 
     #[test]

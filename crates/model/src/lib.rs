@@ -14,7 +14,12 @@
 //!   ([`ops::Operation`]);
 //! * a schedule is a sequence of **supersteps**, each consisting of a compute phase
 //!   followed by save / delete / load sub-phases on every processor
-//!   ([`schedule::MbspSchedule`]);
+//!   ([`schedule::MbspSchedule`]). It is stored flat — one array of compute-phase
+//!   steps, one of save / delete / load nodes and `u32` offsets per (superstep,
+//!   processor, phase) — so a schedule of any length is four allocations; readers
+//!   borrow [`schedule::SuperstepView`] / [`schedule::PhasesView`] slices, and
+//!   [`schedule::Superstep`] / [`schedule::ProcPhases`] are only the owned shape
+//!   it is built from and serialised as;
 //! * the pebble state itself ([`state::Configuration`]) packs the per-processor
 //!   red sets and the blue set into `u64`-word bitsets with incrementally
 //!   maintained memory usage, so simulation, validation and the post-optimiser's
@@ -55,7 +60,8 @@ pub use eval::ScheduleEvaluator;
 pub use instance::MbspInstance;
 pub use ops::{ComputePhaseStep, Operation};
 pub use schedule::{
-    BoundaryCondition, MbspSchedule, ProcPhases, ScheduleError, ScheduleStatistics, Superstep,
+    BoundaryCondition, MbspSchedule, PhasesView, ProcPhases, ScheduleError, ScheduleStatistics,
+    Superstep, SuperstepView,
 };
 pub use state::{Configuration, ParentMasks};
 

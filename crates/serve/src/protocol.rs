@@ -796,8 +796,9 @@ fn push_list<T>(
     out.push(']');
 }
 
-/// Appends `schedule` as the JSON text of its derived `Serialize` — the bytes
-/// of `serde_json::to_string(schedule)` — without building the `Value` tree:
+/// Appends `schedule` as the JSON text of its `Serialize` — the bytes of
+/// `serde_json::to_string(schedule)` — walking its views, without building the
+/// `Value` tree:
 /// `{"processors":P,"supersteps":[{"procs":[{"compute":[{"Compute":v}|{"Delete":v}],
 /// "save":[v],"delete":[v],"load":[v]}]}]}`. At `large_dataset` scale the
 /// schedule is most of a `done` frame (≈ 10 MB); written here, it is never
@@ -817,20 +818,20 @@ pub fn write_schedule(schedule: &MbspSchedule, out: &mut String) {
     );
     push_list(out, schedule.supersteps(), |out, superstep| {
         out.push_str(r#"{"procs":"#);
-        push_list(out, &superstep.procs, |out, phases| {
+        push_list(out, superstep.procs(), |out, phases| {
             out.push_str(r#"{"compute":"#);
-            push_list(out, &phases.compute, |out, op| {
+            push_list(out, phases.compute, |out, op| {
                 let _ = match op {
                     ComputePhaseStep::Compute(v) => write!(out, r#"{{"Compute":{}}}"#, v.0),
                     ComputePhaseStep::Delete(v) => write!(out, r#"{{"Delete":{}}}"#, v.0),
                 };
             });
             out.push_str(r#","save":"#);
-            write_ids(out, &phases.save);
+            write_ids(out, phases.save);
             out.push_str(r#","delete":"#);
-            write_ids(out, &phases.delete);
+            write_ids(out, phases.delete);
             out.push_str(r#","load":"#);
-            write_ids(out, &phases.load);
+            write_ids(out, phases.load);
             out.push('}');
         });
         out.push('}');
@@ -898,7 +899,7 @@ mod tests {
             max_rounds: 0,
             ..HolisticConfig::default()
         });
-        let mut corpus = vec![MbspSchedule::default()];
+        let mut corpus = vec![MbspSchedule::new(4)];
         for (named, factor) in mbsp_gen::tiny_dataset(42)
             .into_iter()
             .flat_map(|named| [(named.clone(), 1.0), (named, 3.0)])
@@ -925,7 +926,7 @@ mod tests {
             corpus
                 .iter()
                 .flat_map(|s| s.supersteps())
-                .flat_map(|step| &step.procs)
+                .flat_map(|step| step.procs())
         };
         assert!(phases().any(|p| p
             .compute

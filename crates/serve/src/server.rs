@@ -608,8 +608,8 @@ fn handle_register(
         inner,
         name: &req.instance,
     };
-    let dag = match &req.source {
-        DagSource::Uploaded(dag) => dag.clone(),
+    let dag = match req.source {
+        DagSource::Uploaded(dag) => dag,
         DagSource::Family(spec) => spec.generate(&req.instance),
     };
     if dag.num_nodes() == 0 {
