@@ -45,12 +45,6 @@
 //! thread through `ShardedHolisticScheduler`, `IncrementalScheduler` and
 //! `DivideAndConquerScheduler`; isolated pools can still be built with
 //! [`WorkerPool::with_capacity`] (tests use this to exercise specific sizes).
-//!
-//! For long-lived serving (the `mbsp_serve` daemon), [`AdmissionQueue`]
-//! provides the batch-admission layer in front of the pool: concurrent client
-//! requests for one engine session are stamped with monotone tickets and
-//! drained by a single consumer in ticket order, so the session's jobs hit the
-//! shared pool back-to-back in a deterministic sequence.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -533,103 +527,6 @@ impl WorkerPool {
                 .wait_timeout(progress, Duration::from_millis(10))
                 .unwrap();
         }
-    }
-}
-
-/// A FIFO admission queue for concurrent jobs targeting a shared resource.
-///
-/// The serving daemon (`mbsp_serve`) accepts requests from many client
-/// connections at once, but each engine session owns mutable state (the live
-/// DAG, the incumbent assignment) that must be touched by **one job at a
-/// time, in a deterministic order**. `AdmissionQueue` is that ordering point:
-/// producers [`admit`](AdmissionQueue::admit) jobs from any thread and receive
-/// a monotone admission ticket; a single consumer drains them with
-/// [`next`](AdmissionQueue::next) in exactly ticket order. Batching therefore
-/// happens *before* the pool — admitted jobs run back-to-back on the warm
-/// [`WorkerPool`] shard workers without interleaving, so two clients issuing
-/// the same requests in the same admission order always observe byte-identical
-/// results, regardless of connection scheduling.
-///
-/// [`close`](AdmissionQueue::close) wakes the consumer for shutdown: `next`
-/// then drains the backlog and finally returns `None`.
-#[derive(Debug)]
-pub struct AdmissionQueue<T> {
-    state: Mutex<AdmissionState<T>>,
-    ready: Condvar,
-}
-
-#[derive(Debug)]
-struct AdmissionState<T> {
-    queue: VecDeque<(u64, T)>,
-    next_ticket: u64,
-    closed: bool,
-}
-
-impl<T> Default for AdmissionQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> AdmissionQueue<T> {
-    /// Creates an empty, open queue.
-    pub fn new() -> Self {
-        AdmissionQueue {
-            state: Mutex::new(AdmissionState {
-                queue: VecDeque::new(),
-                next_ticket: 0,
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Admits a job and returns its ticket — the position in the global
-    /// admission order. Returns `Err(job)` if the queue has been closed.
-    pub fn admit(&self, job: T) -> Result<u64, T> {
-        let mut state = self.state.lock().unwrap();
-        if state.closed {
-            return Err(job);
-        }
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.queue.push_back((ticket, job));
-        drop(state);
-        self.ready.notify_one();
-        Ok(ticket)
-    }
-
-    /// Blocks until a job is available and returns it with its ticket.
-    /// Jobs come out in strictly increasing ticket order. Returns `None`
-    /// once the queue is closed *and* fully drained.
-    pub fn next(&self) -> Option<(u64, T)> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(entry) = state.queue.pop_front() {
-                return Some(entry);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap();
-        }
-    }
-
-    /// Number of jobs waiting for admission right now.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().queue.len()
-    }
-
-    /// Whether no jobs are currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Closes the queue: later `admit` calls fail, and `next` returns `None`
-    /// after the backlog drains. Idempotent.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.ready.notify_all();
     }
 }
 

@@ -13,10 +13,11 @@
 //!   search budget. Each instance gets a warm engine session seeded from the
 //!   greedy BSP baseline.
 //! * **Deterministic request batching.** Concurrent requests for one instance
-//!   are funnelled through an [`mbsp_pool::AdmissionQueue`]: a single session
-//!   worker drains them in admission-ticket order and runs each job on the
-//!   shared [`mbsp_pool::WorkerPool`] shard workers. Given an admission
-//!   order, every result is byte-identical for any worker count.
+//!   are pushed onto its mailbox: one drain thread per busy instance, FIFO
+//!   under the mailbox lock, pops them in admission order and runs each job
+//!   on the shared [`mbsp_pool::WorkerPool`] shard workers. It exits when
+//!   the mailbox drains, so an idle instance holds no thread. Given an
+//!   admission order, every result is byte-identical for any worker count.
 //! * **Streamed anytime incumbents.** A `schedule` job attaches an
 //!   [`mbsp_ilp::IncumbentObserver`] to the sharded search; every
 //!   deterministic merge boundary that improves the incumbent is forwarded to

@@ -46,6 +46,10 @@ pub const E_TOO_LARGE: &str = "too_large";
 /// request did to the in-memory session stands (a `register` registers
 /// nothing); only its durability failed.
 pub const E_STORAGE_FAILED: &str = "storage_failed";
+/// Error code: the instance already has [`crate::server::MAX_QUEUED_JOBS`]
+/// jobs waiting, or the daemon could not start the thread that runs them. The
+/// job was refused; the instance keeps serving what it had queued.
+pub const E_OVERLOADED: &str = "overloaded";
 
 /// A rejected request: a stable machine-readable code plus a human message.
 #[derive(Debug, Clone)]

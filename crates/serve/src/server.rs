@@ -9,11 +9,16 @@
 //!   (`register`, `cancel`, daemon `status`, `shutdown`) execute immediately;
 //!   instance operations (`schedule`, `repair`, `mutate`, instance `status`)
 //!   are stamped with a server-wide job id, answered with an `accepted` frame
-//!   and admitted to the instance's [`AdmissionQueue`].
-//! * One **session worker thread per instance** owns the warm
-//!   [`IncrementalScheduler`] exclusively and drains its queue in
-//!   admission-ticket order, running each job on the shared [`WorkerPool`].
-//!   Single ownership is what makes request batching deterministic: no lock
+//!   and pushed onto the instance's mailbox.
+//! * **One drain thread per busy instance, FIFO under the mailbox lock.** The
+//!   push that finds no drain thread spawns one. It takes the warm
+//!   [`IncrementalScheduler`] out of the mailbox, pops jobs in push order and
+//!   runs each on the shared [`WorkerPool`]. When it finds the mailbox empty,
+//!   it puts the session back and exits, under the same lock the next push
+//!   takes, so no job is stranded. An idle instance costs no thread: the
+//!   memory one instance's search freed is reused by the next busy instance's
+//!   thread instead of staying with a resident thread per tenant. Single
+//!   ownership is what makes request batching deterministic: no lock
 //!   interleaving can reorder two jobs for the same instance.
 //!
 //! # Durability
@@ -32,9 +37,9 @@ use mbsp_ilp::{
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
 use mbsp_model::Architecture;
-use mbsp_pool::{AdmissionQueue, WorkerPool};
+use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -76,6 +81,11 @@ pub const MAX_TABLE_CELLS: usize = 1 << 24;
 /// splits take ≈ 14 min; under a token cancelled beforehand the partition
 /// returns in 0.25 s. Sixty-four times the 4 shards `benchmark/` sends.
 pub const MAX_SHARDS: usize = 256;
+
+/// Most jobs an instance's mailbox holds behind the one running. The next job
+/// is refused with `overloaded`, so a client that pipelines requests faster
+/// than the instance runs them cannot grow the daemon's memory without bound.
+pub const MAX_QUEUED_JOBS: usize = 256;
 
 /// Most candidate moves a shard may propose per round (`moves_per_round`,
 /// flat or under `budget`). A shard's hill climb reserves a round's `Move`s
@@ -131,7 +141,7 @@ impl Default for ServerConfig {
 
 /// A shared, line-buffered writer for one client connection. Each frame is
 /// written and flushed under the lock, so concurrent emitters (the connection
-/// thread and session workers streaming incumbents) never interleave bytes
+/// thread and drain threads streaming incumbents) never interleave bytes
 /// within a line.
 #[derive(Clone)]
 struct LineWriter {
@@ -184,7 +194,7 @@ enum JobKind {
     Status,
 }
 
-/// The state owned exclusively by one instance's session worker.
+/// The state owned exclusively by whichever thread runs the instance's jobs.
 struct InstanceState {
     name: String,
     session: IncrementalScheduler,
@@ -192,10 +202,21 @@ struct InstanceState {
     last_cost: Option<f64>,
 }
 
-struct InstanceHandle {
-    queue: Arc<AdmissionQueue<Job>>,
-    worker: thread::JoinHandle<()>,
+/// One instance's jobs and, between busy periods, its session. Admission and
+/// a drain thread's exit take the same lock, so every pushed job is either
+/// popped by the running drain thread or starts a new one.
+struct Mailbox {
+    /// Admitted jobs not yet popped, in admission order.
+    jobs: VecDeque<Job>,
+    /// The session while no drain thread holds it.
+    idle: Option<InstanceState>,
+    /// Set by shutdown: later jobs are refused.
+    closed: bool,
+    /// The drain thread, from its spawn until it puts the session back.
+    worker: Option<thread::JoinHandle<()>>,
 }
+
+type SharedMailbox = Arc<Mutex<Mailbox>>;
 
 /// The instance table: the live sessions, plus the names of `register`s that
 /// are still building theirs. A name is reserved under the lock and the session
@@ -203,7 +224,7 @@ struct InstanceHandle {
 /// succeed and no build is serialised behind another.
 #[derive(Default)]
 struct Instances {
-    live: BTreeMap<String, InstanceHandle>,
+    live: BTreeMap<String, SharedMailbox>,
     registering: BTreeSet<String>,
 }
 
@@ -274,10 +295,10 @@ impl ServerInner {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Close every admission queue: workers drain their backlog, write a
-        // final checkpoint and exit; the accept thread joins them.
-        for handle in self.instances.lock().unwrap().live.values() {
-            handle.queue.close();
+        // Close every mailbox: drain threads run what was admitted and exit;
+        // the accept thread joins them and writes the final checkpoints.
+        for mailbox in self.instances.lock().unwrap().live.values() {
+            mailbox.lock().unwrap().closed = true;
         }
         // Wake the accept loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
@@ -347,7 +368,7 @@ impl Server {
         self.inner.addr
     }
 
-    /// Triggers a graceful shutdown: drains every session queue, writes final
+    /// Triggers a graceful shutdown: drains every mailbox, writes final
     /// checkpoints, stops accepting. Returns immediately; [`Server::join`]
     /// waits for completion.
     pub fn shutdown(&self) {
@@ -390,7 +411,7 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
             .lock()
             .unwrap()
             .insert(entry.name.clone(), (entry.session_file, entry.generation));
-        spawn_instance(
+        insert_instance(
             inner,
             InstanceState {
                 name: entry.name,
@@ -403,21 +424,22 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
     Ok(())
 }
 
-fn spawn_instance(inner: &Arc<ServerInner>, state: InstanceState) {
-    let queue = Arc::new(AdmissionQueue::new());
-    let worker_queue = Arc::clone(&queue);
-    let worker_inner = Arc::clone(inner);
+/// Adds an idle instance: its session waits in its mailbox, and no thread
+/// exists for it until its first job.
+fn insert_instance(inner: &ServerInner, state: InstanceState) {
     let name = state.name.clone();
-    let worker = thread::Builder::new()
-        .name(format!("mbsp-serve-{name}"))
-        .spawn(move || instance_worker(state, worker_queue, worker_inner))
-        .expect("spawn session worker");
+    let mailbox = Mailbox {
+        jobs: VecDeque::new(),
+        idle: Some(state),
+        closed: false,
+        worker: None,
+    };
     inner
         .instances
         .lock()
         .unwrap()
         .live
-        .insert(name, InstanceHandle { queue, worker });
+        .insert(name, Arc::new(Mutex::new(mailbox)));
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
@@ -432,14 +454,25 @@ fn accept_loop(listener: TcpListener, inner: Arc<ServerInner>) {
             .spawn(move || connection_loop(stream, conn_inner));
     }
     drop(listener);
-    // Join every session worker; each wrote its final checkpoint on exit.
-    let handles: Vec<InstanceHandle> = {
-        let mut instances = inner.instances.lock().unwrap();
-        std::mem::take(&mut instances.live).into_values().collect()
-    };
-    for handle in handles {
-        handle.queue.close();
-        let _ = handle.worker.join();
+    // A closed mailbox spawns no drain thread, so once the running one is
+    // joined the session is idle: checkpoint it from there.
+    let live = std::mem::take(&mut inner.instances.lock().unwrap().live);
+    for (name, mailbox) in live {
+        let worker = {
+            let mut mailbox = mailbox.lock().unwrap();
+            mailbox.closed = true;
+            mailbox.worker.take()
+        };
+        if let Some(worker) = worker {
+            let _ = worker.join();
+        }
+        let Some(state) = mailbox.lock().unwrap().idle.take() else {
+            eprintln!("mbsp_serve: a job of {name:?} panicked; no final checkpoint");
+            continue;
+        };
+        if let Err(e) = inner.checkpoint_instance(&state) {
+            eprintln!("mbsp_serve: final checkpoint of {name:?} failed: {e}");
+        }
     }
     let (lock, cvar) = &inner.done;
     *lock.lock().unwrap() = true;
@@ -680,7 +713,7 @@ fn handle_register(
         out.send_reject(id, None, &storage_failed(&e));
         return;
     }
-    spawn_instance(inner, state);
+    insert_instance(inner, state);
     out.send(
         JsonWriter::new()
             .id(id)
@@ -709,6 +742,12 @@ fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u
         })
         .collect();
     let active = inner.jobs.lock().unwrap().len();
+    let (mut running, mut queued) = (0, 0);
+    for mailbox in inner.instances.lock().unwrap().live.values() {
+        let mailbox = mailbox.lock().unwrap();
+        running += usize::from(mailbox.worker.is_some());
+        queued += mailbox.jobs.len();
+    }
     out.send(
         JsonWriter::new()
             .id(id)
@@ -716,13 +755,15 @@ fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u
             .str("event", "status")
             .objects("instances", instances)
             .u64("active_jobs", active as u64)
+            .u64("running_sessions", running as u64)
+            .u64("queued_jobs", queued as u64)
             .build(),
     );
 }
 
 /// Stamps a job id, sends the `accepted` frame and admits the job to the
-/// instance's queue. The `accepted` frame always precedes every other frame
-/// of the job (the session worker emits through the same line-locked writer).
+/// instance's mailbox. The `accepted` frame always precedes every other frame
+/// of the job (the drain thread emits through the same line-locked writer).
 fn enqueue(
     inner: &Arc<ServerInner>,
     out: &LineWriter,
@@ -730,10 +771,10 @@ fn enqueue(
     instance: &str,
     kind: JobKind,
 ) {
-    let queue = {
+    let mailbox = {
         let instances = inner.instances.lock().unwrap();
         match instances.live.get(instance) {
-            Some(handle) => Arc::clone(&handle.queue),
+            Some(mailbox) => Arc::clone(mailbox),
             None => {
                 out.send_reject(
                     id,
@@ -766,33 +807,73 @@ fn enqueue(
         out: out.clone(),
         kind,
     };
-    if queue.admit(job).is_err() {
+    if let Err(reject) = admit(inner, &mailbox, instance, job) {
         inner.jobs.lock().unwrap().remove(&job_id);
-        out.send_reject(
-            id,
-            Some(job_id),
-            &Reject::new(protocol::E_SHUTTING_DOWN, "daemon is shutting down"),
-        );
+        out.send_reject(id, Some(job_id), &reject);
     }
 }
 
-fn instance_worker(
-    mut state: InstanceState,
-    queue: Arc<AdmissionQueue<Job>>,
-    inner: Arc<ServerInner>,
-) {
-    while let Some((_ticket, job)) = queue.next() {
+/// Pushes `job` onto the mailbox and, when no drain thread holds the session,
+/// spawns one. A refused job is dropped; the mailbox is as it was.
+fn admit(
+    inner: &Arc<ServerInner>,
+    mailbox: &SharedMailbox,
+    instance: &str,
+    job: Job,
+) -> Result<(), Reject> {
+    let mut guard = mailbox.lock().unwrap();
+    if guard.closed {
+        return Err(Reject::new(
+            protocol::E_SHUTTING_DOWN,
+            "daemon is shutting down",
+        ));
+    }
+    if guard.jobs.len() >= MAX_QUEUED_JOBS {
+        return Err(Reject::new(
+            protocol::E_OVERLOADED,
+            format!("instance {instance:?} already has {MAX_QUEUED_JOBS} jobs queued"),
+        ));
+    }
+    guard.jobs.push_back(job);
+    if guard.worker.is_none() {
+        let (mailbox, inner) = (Arc::clone(mailbox), Arc::clone(inner));
+        let spawned = thread::Builder::new()
+            .name(format!("mbsp-serve-{instance}"))
+            .spawn(move || drain(mailbox, inner));
+        match spawned {
+            Ok(worker) => guard.worker = Some(worker),
+            Err(e) => {
+                guard.jobs.pop_back();
+                return Err(Reject::new(
+                    protocol::E_OVERLOADED,
+                    format!("no thread could be started for instance {instance:?}: {e}"),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A drain thread: takes the session out of the mailbox and runs its jobs in
+/// admission order. Finding the mailbox empty, it puts the session back and
+/// exits under the lock the next admission takes, so that admission either
+/// finds this thread still popping or spawns the next one.
+fn drain(mailbox: SharedMailbox, inner: Arc<ServerInner>) {
+    let mut guard = mailbox.lock().unwrap();
+    let mut state = guard
+        .idle
+        .take()
+        .expect("a drain thread is spawned only for an idle session");
+    while let Some(job) = guard.jobs.pop_front() {
+        drop(guard);
         let job_id = job.job_id;
         execute(&mut state, job, &inner);
         inner.jobs.lock().unwrap().remove(&job_id);
+        guard = mailbox.lock().unwrap();
     }
-    // Queue closed: graceful shutdown. Persist the final session state.
-    if let Err(e) = inner.checkpoint_instance(&state) {
-        eprintln!(
-            "mbsp_serve: final checkpoint of {:?} failed: {e}",
-            state.name
-        );
-    }
+    guard.idle = Some(state);
+    // This thread's own handle: dropping it detaches a thread that is done.
+    guard.worker = None;
 }
 
 fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {

@@ -2,8 +2,11 @@
 //! concurrent schedule/mutate/cancel traffic with streamed monotone
 //! incumbents, byte-identity of served schedules against direct library runs
 //! at the same budget, byte-identical continuation across a graceful
-//! shutdown + restart, and every frame kind's text against what
-//! `serde_json::to_string` writes for its map. CI reruns this suite under
+//! shutdown + restart, every frame kind's text against what
+//! `serde_json::to_string` writes for its map, and the mailbox's drain
+//! threads — none while an instance is idle, no job stranded as one exits, a
+//! bounded backlog, final checkpoints from idle and busy instances alike. CI
+//! reruns this suite under
 //! `MBSP_BENCH_THREADS=2/8` to pin the worker-count independence of every
 //! served result.
 
@@ -512,6 +515,8 @@ fn every_frame_kind_is_the_text_serde_json_writes_for_its_map() {
             ("event", text("status")),
             ("instances", Value::Seq(vec![registered])),
             ("active_jobs", uint(f, "active_jobs")),
+            ("running_sessions", uint(f, "running_sessions")),
+            ("queued_jobs", uint(f, "queued_jobs")),
         ]
     });
 
@@ -732,7 +737,7 @@ fn a_delta_that_outgrows_the_cache_is_a_bad_delta_and_the_instance_keeps_answeri
 #[test]
 fn queued_replies_do_not_wait_for_a_delayed_ack() {
     // An instance `status` is two small frames (`accepted`, then the reply
-    // through the admission queue) and no engine work. Without `TCP_NODELAY`
+    // through the instance's mailbox) and no engine work. Without `TCP_NODELAY`
     // on the daemon's socket the second frame waits for the client's delayed
     // ACK: ~44 ms per round trip on a warm connection instead of well under
     // one.
@@ -890,7 +895,7 @@ fn hostile_lines_are_rejected_with_typed_frames() {
 fn concurrent_registers_of_one_name_admit_exactly_one() {
     // The name is reserved before the session is built, so of N simultaneous
     // `register`s exactly one wins and the rest are told so — none replaces
-    // another's session worker or overwrites its checkpoint.
+    // another's session or overwrites its checkpoint.
     const CLIENTS: usize = 4;
     let state_dir = temp_state_dir("same_name");
     let server = start_server(&state_dir);
@@ -987,6 +992,271 @@ fn a_refused_checkpoint_is_a_typed_reject_and_the_session_keeps_serving() {
     assert_eq!(get_u64(&done, "nodes"), Some(nodes + 2));
     assert!(checkpoint.is_file());
 
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// The daemon-level `status` frame.
+fn daemon_status(c: &mut Client) -> Value {
+    c.send(r#"{"op":"status"}"#);
+    let (_, status) = c.recv_until(|f| get(f, "running_sessions").is_some());
+    status
+}
+
+/// Polls the daemon `status` until `running` instances hold a drain thread. A
+/// drain thread puts its session back just after it writes its last frame, so
+/// the count may lag a reply by that long.
+fn wait_for_running_sessions(c: &mut Client, running: u64) -> Value {
+    for _ in 0..200 {
+        let status = daemon_status(c);
+        if get_u64(&status, "running_sessions") == Some(running) {
+            return status;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("the running sessions never came to {running}");
+}
+
+/// A `register` of a cg instance named `name` small enough to run in
+/// milliseconds.
+fn register_tiny(c: &mut Client, name: &str) {
+    c.send(&format!(
+        r#"{{"op":"register","instance":"{name}","family":{{"kind":"cg","n":4,"k":1}},"processors":2,{BUDGET}}}"#
+    ));
+    let frame = c.recv();
+    assert!(is_event(&frame, "registered"), "got {frame:?}");
+}
+
+#[test]
+fn an_idle_instance_holds_no_thread() {
+    let state_dir = temp_state_dir("idle");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    const TENANTS: u64 = 32;
+    for i in 0..TENANTS {
+        register_tiny(&mut c, &format!("t{i}"));
+    }
+    // Registration spawns nothing.
+    let status = daemon_status(&mut c);
+    assert_eq!(get_u64(&status, "running_sessions"), Some(0), "{status:?}");
+    // One `schedule` each, all in flight at once.
+    for i in 0..TENANTS {
+        c.send(&format!(
+            r#"{{"id":{i},"op":"schedule","instance":"t{i}","stream":false}}"#
+        ));
+    }
+    let mut answered = Vec::new();
+    while answered.len() < TENANTS as usize {
+        let frame = c.recv();
+        if is_event(&frame, "done") {
+            assert_eq!(get_str(&frame, "stop_reason"), Some("completed"));
+            answered.push(get_u64(&frame, "id").unwrap());
+        }
+    }
+    answered.sort();
+    assert_eq!(answered, (0..TENANTS).collect::<Vec<_>>());
+    let status = wait_for_running_sessions(&mut c, 0);
+    assert_eq!(get_u64(&status, "queued_jobs"), Some(0), "{status:?}");
+    assert_eq!(get_u64(&status, "active_jobs"), Some(0), "{status:?}");
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn jobs_admitted_while_the_drain_thread_exits_are_answered_once_in_order() {
+    // After a `done`, the drain thread is about to find the mailbox empty and
+    // exit. Two jobs pipelined right then either reach it before it looks or
+    // start the next one; none may be stranded, answered twice or reordered.
+    let state_dir = temp_state_dir("race");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    register_tiny(&mut c, "cg");
+    let mutate = |id: u64| {
+        format!(
+            r#"{{"id":{id},"op":"mutate","instance":"cg","deltas":[{{"add_node":{{"compute":1.0,"memory":1.0}}}}]}}"#
+        )
+    };
+    let mut generation = 1;
+    for round in 0..200u64 {
+        let id = 10 + 3 * round;
+        c.send(&mutate(id));
+        assert!(is_event(&c.recv(), "accepted"));
+        let done = c.recv();
+        assert!(is_event(&done, "done"), "got {done:?}");
+        generation += 1;
+        assert_eq!(get_u64(&done, "generation"), Some(generation));
+
+        let status = format!(r#"{{"id":{},"op":"status","instance":"cg"}}"#, id + 2);
+        c.send(&format!("{}\n{status}", mutate(id + 1)));
+        // `accepted` of the mutate comes first; the mutate's `done` and the
+        // status's `accepted` race; the status reply comes last.
+        let frames: Vec<Value> = (0..4).map(|_| c.recv()).collect();
+        let mut events: Vec<_> = frames
+            .iter()
+            .map(|f| (get_u64(f, "id").unwrap(), get_str(f, "event").unwrap()))
+            .collect();
+        assert_eq!(events[0], (id + 1, "accepted"), "{frames:?}");
+        assert_eq!(events[3], (id + 2, "status"), "{frames:?}");
+        events[1..3].sort();
+        assert_eq!(
+            events[1..3],
+            [(id + 1, "done"), (id + 2, "accepted")],
+            "{frames:?}"
+        );
+        let job = |id: u64| {
+            let accepted = frames
+                .iter()
+                .find(|f| is_event(f, "accepted") && get_u64(f, "id") == Some(id));
+            get_u64(accepted.unwrap(), "job").unwrap()
+        };
+        assert!(job(id + 1) < job(id + 2));
+        generation += 1;
+        for f in frames.iter().filter(|f| !is_event(f, "accepted")) {
+            assert_eq!(get_u64(f, "generation"), Some(generation), "{f:?}");
+        }
+    }
+    // Nothing else was written.
+    c.send(r#"{"op":"status"}"#);
+    let frame = c.recv();
+    assert!(get(&frame, "running_sessions").is_some(), "got {frame:?}");
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn a_full_mailbox_refuses_only_the_overflow() {
+    use mbsp_serve::server::MAX_QUEUED_JOBS;
+    let state_dir = temp_state_dir("overloaded");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    register_tiny(&mut c, "cg");
+    // A schedule that runs until cancelled; its seed incumbent shows it has
+    // left the mailbox.
+    c.send(r#"{"id":2,"op":"schedule","instance":"cg","stream":true,"max_rounds":100000,"iterations":1000}"#);
+    let schedule = get_u64(&c.recv(), "job").unwrap();
+    c.recv_until(|f| is_event(f, "incumbent"));
+
+    let first = 100;
+    let overflow = first + MAX_QUEUED_JOBS as u64;
+    let lines: Vec<String> = (first..=overflow)
+        .map(|id| format!(r#"{{"id":{id},"op":"status","instance":"cg"}}"#))
+        .collect();
+    c.send(&lines.join("\n"));
+    let mut accepted = Vec::new();
+    let refused = loop {
+        let frame = c.recv();
+        if is_event(&frame, "accepted") {
+            accepted.push(get_u64(&frame, "id").unwrap());
+        } else if get(&frame, "ok") == Some(&Value::Bool(false)) {
+            break frame;
+        } else {
+            assert!(is_event(&frame, "incumbent"), "got {frame:?}");
+        }
+    };
+    assert_eq!(accepted, (first..=overflow).collect::<Vec<_>>());
+    assert_eq!(error_code(&refused).as_deref(), Some("overloaded"));
+    assert_eq!(get_u64(&refused, "id"), Some(overflow));
+    assert!(get_u64(&refused, "job").is_some(), "{refused:?}");
+    // The refused job left the job table; the others wait in the mailbox.
+    let status = daemon_status(&mut c);
+    assert_eq!(get_u64(&status, "running_sessions"), Some(1));
+    assert_eq!(
+        get_u64(&status, "queued_jobs"),
+        Some(MAX_QUEUED_JOBS as u64)
+    );
+    assert_eq!(
+        get_u64(&status, "active_jobs"),
+        Some(MAX_QUEUED_JOBS as u64 + 1)
+    );
+
+    c.send(&format!(r#"{{"op":"cancel","job":{schedule}}}"#));
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_eq!(get_str(&done, "stop_reason"), Some("cancelled"));
+    let mut answered = Vec::new();
+    while answered.len() < MAX_QUEUED_JOBS {
+        let frame = c.recv();
+        if get(&frame, "generation").is_some() {
+            answered.push(get_u64(&frame, "id").unwrap());
+        }
+    }
+    assert_eq!(answered, (first..overflow).collect::<Vec<_>>());
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn shutdown_checkpoints_idle_and_busy_instances() {
+    // Every final checkpoint is written by the shutdown path: the session
+    // files are deleted beforehand, and the restarted daemon reads them.
+    let state_dir = temp_state_dir("shutdown");
+    let server = start_server(&state_dir);
+    let addr = server.local_addr();
+    let mut c = Client::connect(addr);
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let names = ["idle0", "idle1", "idle2", "busy"];
+    // `last_cost` is not part of a checkpoint.
+    let strip = |frame: Value| -> Value {
+        let mut map = frame.as_map().unwrap().to_vec();
+        map.retain(|(key, _)| !["id", "job", "last_cost"].contains(&key.as_str()));
+        Value::Map(map)
+    };
+    let mut before = Vec::new();
+    for name in names {
+        register_tiny(&mut c, name);
+        c.send(&format!(
+            r#"{{"op":"mutate","instance":"{name}","deltas":[{{"add_node":{{"compute":1.0,"memory":1.0}}}}]}}"#
+        ));
+        c.recv_until(|f| is_event(f, "done"));
+        c.send(&format!(r#"{{"op":"status","instance":"{name}"}}"#));
+        before.push(strip(c.recv_until(|f| is_event(f, "status")).1));
+    }
+
+    let mut busy = Client::connect(addr);
+    busy.writer
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    // Busy for its deadline, counted from when it starts, whatever the host,
+    // with its last `status` queued behind it.
+    busy.send(r#"{"op":"schedule","instance":"busy","stream":true,"max_rounds":100000,"iterations":1000,"time_limit_ms":1500}"#);
+    busy.recv_until(|f| is_event(f, "incumbent"));
+    busy.send(r#"{"op":"status","instance":"busy"}"#);
+    busy.recv_until(|f| is_event(f, "accepted"));
+    wait_for_running_sessions(&mut c, 1);
+    for name in names {
+        std::fs::remove_file(state_dir.join(format!("{name}.session.mbio"))).unwrap();
+    }
+    c.send(r#"{"op":"shutdown"}"#);
+    assert!(is_event(&c.recv(), "shutting_down"));
+    let (_, done) = busy.recv_until(|f| is_event(f, "done"));
+    assert_eq!(get_str(&done, "stop_reason"), Some("deadline"));
+    // The schedule repaired the mutation: only the final checkpoint has that.
+    let (_, status) = busy.recv_until(|f| is_event(f, "status"));
+    assert_eq!(get_u64(&status, "pending"), Some(0), "{status:?}");
+    before[3] = strip(status);
+    server.join();
+
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    for (name, before) in names.iter().zip(before) {
+        c.send(&format!(r#"{{"op":"status","instance":"{name}"}}"#));
+        let after = strip(c.recv_until(|f| is_event(f, "status")).1);
+        assert_eq!(after, before, "{name}");
+    }
     server.shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);

@@ -4,7 +4,8 @@
 # incumbents and the schedule embedded / an instance whose costs overflow /
 # mutate / graceful shutdown), then restarts the daemon on the same state
 # directory and asserts the checkpointed session restored — the pending set
-# survived and a repair completes. Python's `json` reads every frame, so the
+# survived and a repair completes. Before each shutdown the daemon `status`
+# must report no running session: an idle instance holds no thread. Python's `json` reads every frame, so the
 # daemon's frame writer is checked by an independent parser. Exits non-zero on any failed
 # step. Run via `make serve-smoke`.
 set -eu
@@ -29,7 +30,7 @@ DAEMON_PID=$!
 wait_addr
 
 python3 - "$(cat "$STATE/addr")" "$STATE/pending" <<'EOF'
-import json, socket, sys
+import json, socket, sys, time
 
 host, port = sys.argv[1].rsplit(":", 1)
 sock = socket.create_connection((host, int(port)), timeout=60)
@@ -48,6 +49,18 @@ def recv_done():
         frame = recv()
         if frame.get("event") == "done":
             return frame
+
+def assert_no_session_runs():
+    # An idle instance holds no drain thread. A thread puts its session back
+    # just after its last frame, so the count may lag the reply briefly.
+    for _ in range(100):
+        send({"op": "status"})
+        frame = recv()
+        if frame["running_sessions"] == 0:
+            assert frame["queued_jobs"] == 0, frame
+            return
+        time.sleep(0.05)
+    raise AssertionError("an idle instance still holds a drain thread")
 
 def check_schedule(schedule):
     # The embedded schedule, read by a parser that shares no code with the
@@ -100,6 +113,7 @@ while True:
             f.write(str(frame["pending"]))
         break
 
+assert_no_session_runs()
 send({"id": 5, "op": "shutdown"})
 assert recv()["event"] == "shutting_down"
 EOF
@@ -114,7 +128,7 @@ DAEMON_PID=$!
 wait_addr
 
 python3 - "$(cat "$STATE/addr")" "$STATE/pending" <<'EOF'
-import json, socket, sys
+import json, socket, sys, time
 
 host, port = sys.argv[1].rsplit(":", 1)
 sock = socket.create_connection((host, int(port)), timeout=60)
@@ -127,6 +141,18 @@ def recv():
     frame = json.loads(rfile.readline())
     print("<<", json.dumps(frame))
     return frame
+
+def assert_no_session_runs():
+    # An idle instance holds no drain thread. A thread puts its session back
+    # just after its last frame, so the count may lag the reply briefly.
+    for _ in range(100):
+        send({"op": "status"})
+        frame = recv()
+        if frame["running_sessions"] == 0:
+            assert frame["queued_jobs"] == 0, frame
+            return
+        time.sleep(0.05)
+    raise AssertionError("an idle instance still holds a drain thread")
 
 def check_schedule(schedule):
     # The embedded schedule, read by a parser that shares no code with the
@@ -159,6 +185,7 @@ while True:
         check_schedule(frame["schedule"])
         break
 
+assert_no_session_runs()
 send({"id": 3, "op": "shutdown"})
 assert recv()["event"] == "shutting_down"
 EOF
