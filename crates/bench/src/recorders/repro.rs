@@ -13,7 +13,7 @@
 //! | `table1`, `table4_{r5,r1,p8,l0,async}` | greedy BSP + clairvoyant vs the holistic search on the tiny dataset, base setting (`P = 4`, `r = 3·r₀`, `g = 1`, `L = 10`, synchronous) and its five variations | holistic ≤ baseline on every instance; geomean < 1 |
 //! | `table2` | the same baseline vs divide-and-conquer on the small-dataset sample, `r = 5·r₀` | geomean < 1 (`losing` counts the instances it loses, `quartiles[4]` is the worst) |
 //! | `table3` | baseline, holistic, Cilk + LRU, BSP-ILP, BSP-ILP + holistic | Cilk + LRU is the weakest column; BSP-ILP + holistic ≤ BSP-ILP |
-//! | `pebbling_p1` | DFS + clairvoyant vs holistic at `P = 1` | holistic ≤ DFS + clairvoyant; it improves on a minority |
+//! | `pebbling_p1` | DFS + clairvoyant vs holistic at `P = 1` | holistic ≤ DFS + clairvoyant; it improves on at least one instance and on a minority |
 //! | `theorem41` | the two placements of the proof for growing `d` | the two-stage / holistic ratio strictly increases |
 //! | `lemma53` | the asynchronous optimum and the aligned placement, costed synchronously | every factor within 5 % of `P/2` |
 //! | `lemma54` | the synchronous and the asynchronous optimum, costed both ways | each wins its own model; the asynchronous factor is within 5 % of 4/3 |
@@ -309,7 +309,8 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
                 "holistic_le_dfs_clairvoyant_on_every_instance",
                 row.every_le(1, 0),
             );
-            row.claim("improves_on_a_minority", 2 * row.improved < row.costs.len());
+            let minority = row.improved >= 1 && 2 * row.improved < row.costs.len();
+            row.claim("improves_on_a_minority", minority);
         }
     }
     row

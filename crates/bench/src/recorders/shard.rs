@@ -44,7 +44,7 @@ use mbsp_gen::NamedInstance;
 use mbsp_ilp::{
     weighted_shards_solve, EvalPath, EvaluationEngine, HolisticConfig, HolisticScheduler,
     ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig, ShardedSearchStats,
-    WeightedBipartitionConfig,
+    SHARD_SPLIT_LIMITS,
 };
 use mbsp_model::{CostModel, MbspInstance};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
@@ -189,7 +189,7 @@ fn timed_partition(named: &NamedInstance) -> PaperScalePartition {
         config.runs_per_shard,
         config.mass_tolerance,
         0.0,
-        WeightedBipartitionConfig::default().limits,
+        SHARD_SPLIT_LIMITS,
         None,
     );
     PaperScalePartition {

@@ -23,7 +23,7 @@ use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
 use mbsp_dag::graph::NodeWeights;
 use mbsp_dag::CompDag;
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
-use mbsp_ilp::{IlpConfig, MbspIlpBuilder};
+use mbsp_ilp::{Balance, IlpConfig, MbspIlpBuilder};
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use serde::Serialize;
@@ -61,7 +61,6 @@ pub(crate) struct Case {
 fn solver_limits(quick: bool) -> SolverLimits {
     SolverLimits {
         max_nodes: if quick { 2_000 } else { 20_000 },
-        relative_gap: 1e-6,
         ..Default::default()
     }
 }
@@ -150,7 +149,8 @@ impl Recorder for Solver {
             },
             7,
         );
-        let (problem, warm) = mbsp_ilp::bipartition_model(&layered);
+        let unit = vec![1.0; layered.num_edges()];
+        let (problem, warm) = mbsp_ilp::bipartition_model(&layered, &unit, &Balance::Thirds);
         cases.push(Case {
             name: format!("bipartition/layered{}", layers * width),
             problem,

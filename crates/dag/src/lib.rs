@@ -79,7 +79,7 @@ pub use builder::DagBuilder;
 pub use delta::{DagDelta, DeltaEffect};
 pub use error::DagError;
 pub use graph::{CompDag, EdgeId, NodeId, NodeWeights};
-pub use partition::{AcyclicPartition, QuotientGraph};
+pub use partition::AcyclicPartition;
 pub use pk::PkOrder;
 pub use subgraph::SubDag;
 pub use topo::TopologicalOrder;

@@ -5,7 +5,7 @@
 //! parts whenever some edge of the original DAG crosses them — is itself acyclic.
 //! [`AcyclicPartition`] stores such an assignment and can validate it, count the cut
 //! edges (the objective the acyclic-partitioning ILP minimises), and build the
-//! contracted [`QuotientGraph`].
+//! contracted quotient graph ([`AcyclicPartition::quotient_graph`]).
 
 use crate::error::DagError;
 use crate::graph::{CompDag, NodeId, NodeWeights};
@@ -176,10 +176,11 @@ impl AcyclicPartition {
         out
     }
 
-    /// Builds the contracted quotient graph. Each part becomes one node whose compute
-    /// and memory weights are the sums over the part's nodes (as the paper's
-    /// divide-and-conquer planner does).
-    pub fn quotient_graph(&self, dag: &CompDag) -> Result<QuotientGraph> {
+    /// Builds the contracted quotient graph: one node `p` (labelled `part{p}`)
+    /// per part, whose compute and memory weights are the sums over the part's
+    /// nodes (as the paper's divide-and-conquer planner does), and one edge per
+    /// distinct pair of parts an edge of `dag` crosses.
+    pub fn quotient_graph(&self, dag: &CompDag) -> Result<CompDag> {
         let k = self.num_parts;
         let mut compute = vec![0.0f64; k];
         let mut memory = vec![0.0f64; k];
@@ -196,13 +197,6 @@ impl AcyclicPartition {
             .into_iter()
             .map(|(pu, pv)| (NodeId::new(pu), NodeId::new(pv)))
             .collect();
-        let mut cross_edges = vec![Vec::new(); k];
-        for (u, v) in dag.edges() {
-            let (pu, pv) = (self.part_of(u), self.part_of(v));
-            if pu != pv {
-                cross_edges[pu].push((u, v));
-            }
-        }
         let q = CompDag::from_parts(
             format!("{}::quotient", dag.name()),
             weights,
@@ -214,10 +208,7 @@ impl AcyclicPartition {
                 reason: "quotient graph contains a cycle".to_string(),
             });
         }
-        Ok(QuotientGraph {
-            graph: q,
-            cross_edges,
-        })
+        Ok(q)
     }
 
     /// Refines the partition by re-splitting part `target` according to `assignment`
@@ -237,26 +228,6 @@ impl AcyclicPartition {
             }
         }
         AcyclicPartition::new(dag, part, self.num_parts + 1)
-    }
-}
-
-/// The contracted graph of an [`AcyclicPartition`]: one node per part.
-#[derive(Debug, Clone)]
-pub struct QuotientGraph {
-    graph: CompDag,
-    /// For each part, the original DAG edges leaving that part.
-    cross_edges: Vec<Vec<(NodeId, NodeId)>>,
-}
-
-impl QuotientGraph {
-    /// The contracted DAG (one node per part, summed weights).
-    pub fn graph(&self) -> &CompDag {
-        &self.graph
-    }
-
-    /// Total number of original edges crossing between parts.
-    pub fn total_cross_edges(&self) -> usize {
-        self.cross_edges.iter().map(|e| e.len()).sum()
     }
 }
 
@@ -282,10 +253,9 @@ mod tests {
         assert_eq!(p.cut_edges(&d), 1);
         assert_eq!(p.part_sizes(), vec![2, 2]);
         let q = p.quotient_graph(&d).unwrap();
-        assert_eq!(q.graph().num_nodes(), 2);
-        assert_eq!(q.graph().num_edges(), 1);
-        assert_eq!(q.graph().compute_weight(NodeId::new(0)), 2.0);
-        assert_eq!(q.total_cross_edges(), 1);
+        assert_eq!(q.num_nodes(), 2);
+        assert_eq!(q.num_edges(), 1);
+        assert_eq!(q.compute_weight(NodeId::new(0)), 2.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! can fall behind the two-stage baseline on DAGs without good partitions.
 
 use crate::improver::{post_optimize, HolisticConfig};
-use crate::partition_ilp::{recursive_partition, BipartitionConfig};
+use crate::partition_ilp::recursive_partition;
 use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
@@ -32,10 +32,9 @@ use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
 /// Configuration of [`DivideAndConquerScheduler`].
 #[derive(Debug, Clone, Copy)]
 pub struct DivideAndConquerConfig {
-    /// Maximal number of nodes per part (the paper uses 60).
+    /// Maximal number of nodes per part (the paper uses 60). Every cut is
+    /// solved within [`DNC_SPLIT_LIMITS`](crate::DNC_SPLIT_LIMITS).
     pub max_part_size: usize,
-    /// Configuration of the acyclic bipartitioning ILP.
-    pub bipartition: BipartitionConfig,
     /// The per-part local search: its cost model (also that of the final
     /// streamlining pass), round and move budgets (applied per part) and seed
     /// (part `i` searches with `seed + i`).
@@ -46,7 +45,6 @@ impl Default for DivideAndConquerConfig {
     fn default() -> Self {
         DivideAndConquerConfig {
             max_part_size: 60,
-            bipartition: BipartitionConfig::default(),
             per_part: HolisticConfig {
                 max_rounds: 20,
                 moves_per_round: 60,
@@ -92,15 +90,14 @@ impl DivideAndConquerScheduler {
         let arch = instance.arch();
 
         // 1. Recursive acyclic partitioning.
-        let partition =
-            recursive_partition(dag, self.config.max_part_size, &self.config.bipartition);
+        let partition = recursive_partition(dag, self.config.max_part_size);
         let parts = partition.parts();
 
         // 2. High-level plan on the quotient graph.
         let quotient = partition
             .quotient_graph(dag)
             .expect("partition quotient is acyclic");
-        let plan = QuotientPlanner::new().plan(quotient.graph(), arch);
+        let plan = QuotientPlanner::new().plan(&quotient, arch);
 
         // 3. Schedule every part with its assigned processors: one zero-copy
         //    [`SubDagView`] per part (external parents join as pure sources —
@@ -256,10 +253,10 @@ impl DivideAndConquerScheduler {
         combined
     }
 
-    /// Convenience accessor used by the experiment harness: the partition the
-    /// scheduler would use for the given DAG.
+    /// The partition the scheduler would use for the given DAG (what
+    /// `examples/divide_and_conquer.rs` prints).
     pub fn partition_for(&self, dag: &CompDag) -> mbsp_dag::AcyclicPartition {
-        recursive_partition(dag, self.config.max_part_size, &self.config.bipartition)
+        recursive_partition(dag, self.config.max_part_size)
     }
 }
 
@@ -272,18 +269,6 @@ mod tests {
     fn fast_config() -> DivideAndConquerConfig {
         DivideAndConquerConfig {
             max_part_size: 40,
-            // The default pivot budget applies to *every* recursive cut; on
-            // the ~400-node small-sample instances that alone pushes a single
-            // test past several minutes. CI only needs validity, not cut
-            // quality, so give the bipartition ILP a token budget and let it
-            // fall back to the prefix split when it runs out.
-            bipartition: BipartitionConfig {
-                limits: lp_solver::SolverLimits {
-                    max_nodes: 200,
-                    max_pivots: 500,
-                    relative_gap: 1e-6,
-                },
-            },
             per_part: HolisticConfig {
                 max_rounds: 3,
                 moves_per_round: 20,
@@ -320,12 +305,8 @@ mod tests {
         let inst = mbsp_gen::tiny_dataset(42).remove(3); // spmv_N6
         let instance =
             MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0);
-        // Unlike the validity tests, this one asserts schedule *quality*, so it
-        // gets the real solver budgets — on a ~50-node instance they are
-        // rarely exhausted.
         let dnc = DivideAndConquerScheduler::with_config(DivideAndConquerConfig {
             max_part_size: 25,
-            bipartition: BipartitionConfig::default(),
             per_part: HolisticConfig {
                 max_rounds: 3,
                 moves_per_round: 20,

@@ -602,7 +602,6 @@ mod tests {
         SolverLimits {
             max_nodes: 4000,
             max_pivots: 100_000,
-            relative_gap: 1e-6,
         }
     }
 

@@ -34,8 +34,10 @@
 //!   `lp_solver`'s `dense::` pattern.
 //! * [`bsp_opt`] — a BSP-cost optimiser used as the stronger "ILP-based BSP
 //!   scheduler" baseline of Table 3.
-//! * [`partition_ilp`] — the ILP formulation of acyclic bipartitioning used by the
-//!   divide-and-conquer method, with a level-based fallback heuristic.
+//! * [`partition_ilp`] — the one acyclic-bipartition ILP, balanced by a
+//!   per-split [`Balance`]: node-count thirds for the divide-and-conquer
+//!   method, a compute-mass window for the sharded search's splits, with a
+//!   topological-prefix fallback.
 //! * [`dnc`] — [`dnc::DivideAndConquerScheduler`], the divide-and-conquer scheduler
 //!   of Section 6.3: recursive acyclic bipartition, a quotient-graph plan, per-part
 //!   engine-backed scheduling over zero-copy `SubDagView`s on concurrent workers,
@@ -93,8 +95,7 @@ pub use engine::{EvalPath, EvaluationEngine, Move, SearchStats};
 pub use formulation::{ExactIlpScheduler, IlpConfig, MbspIlpBuilder};
 pub use improver::{HolisticConfig, HolisticScheduler};
 pub use partition_ilp::{
-    bipartition, bipartition_model, weighted_bipartition, weighted_bipartition_model,
-    weighted_prefix_split, BipartitionConfig, WeightedBipartitionConfig,
+    bipartition, bipartition_model, Balance, DNC_SPLIT_LIMITS, SHARD_SPLIT_LIMITS,
 };
 pub use shard::{
     topo_shards, weighted_shards, weighted_shards_solve, IncumbentObserver, IncumbentUpdate,

@@ -1,37 +1,42 @@
-//! ILP-based acyclic bipartitioning (the first step of divide and conquer).
+//! ILP-based acyclic bipartitioning: every cut of divide and conquer and
+//! every split of the sharded search's run quotient.
 //!
-//! The divide-and-conquer scheduler splits the DAG into two parts such that the
-//! quotient graph stays acyclic, the parts are balanced, and as few edges as
-//! possible cross the cut (Section 6.3 / Appendix C.2). The ILP below is the
-//! paper's in *closure form*: one binary variable `x_v` per node (`x_v = 1`
-//! means "second part") and no other variable:
+//! One model serves both. It splits a DAG into two parts such that the
+//! quotient graph stays acyclic, the parts are balanced, and the cut edges
+//! weigh as little as possible (Section 6.3 / Appendix C.2). What "balanced"
+//! means is data the caller computes per split, a [`Balance`]: the paper's
+//! thirds for divide and conquer, a compute-mass window with node-count
+//! floors for a shard split. The ILP is the paper's in *closure form*: one
+//! binary variable `x_v` per node (`x_v = 1` means "second part") and no
+//! other variable:
 //!
 //! * acyclicity: for every edge `(u, v)`, `x_u ≤ x_v` (all cut edges point from part
 //!   0 to part 1, so the quotient has a single edge `0 → 1`) — side 1 is a
 //!   closure of the DAG. A row is emitted only for the edges of the transitive
 //!   reduction; the others are implied by a chain of those;
-//! * balance: `⌈n/3⌉ ≤ Σ x_v ≤ ⌊2n/3⌋` (each part gets at least a third of the
-//!   nodes, as in the paper's recursive splitting, which splits no other
-//!   way);
-//! * objective: minimise the number of cut edges. Appendix C.2 writes it with
-//!   an indicator `y_{uv} ≥ x_v − x_u` per edge; under the acyclicity rows
-//!   `x_v − x_u ∈ {0, 1}` *is* that indicator, so the cut is
-//!   `Σ_{(u,v) ∈ E} (x_v − x_u) = Σ_v (in-degree(v) − out-degree(v)) · x_v` —
-//!   the same feasible splits and the same value on each, with `n` columns
-//!   and at most `m + 2` rows instead of `n + m` and `2m + 2`
+//! * balance: node-count floors `min₁ ≤ Σ x_v ≤ n − min₀` — under
+//!   [`Balance::Thirds`] `⌈n/3⌉` each, as in the paper's recursive splitting,
+//!   which splits no other way — and under [`Balance::Mass`] also a window
+//!   on side 1's compute mass `Σ compute_weight(v) · x_v`;
+//! * objective: minimise the weight of the cut edges. Appendix C.2 writes it
+//!   with an indicator `y_{uv} ≥ x_v − x_u` per edge; under the acyclicity
+//!   rows `x_v − x_u ∈ {0, 1}` *is* that indicator, so the cut is
+//!   `Σ_{(u,v) ∈ E} w_{uv} (x_v − x_u) = Σ_v (in-weight(v) − out-weight(v)) · x_v`
+//!   — the same feasible splits and the same value on each, with `n` columns
+//!   and at most `m + 4` rows instead of `n + m` and `2m + 4`
 //!   (`tests/partition_differential.rs` keeps the `y` form as the oracle).
-//!   The objective is an integer at every split, which `lp_solver`'s branch
-//!   and bound observes and uses to round its bounds up; its relaxations are
-//!   all-binary, so it also rounds them by thresholds, and every such
-//!   rounding keeps the acyclicity rows.
+//!   With integer edge weights the objective is an integer at every split,
+//!   which `lp_solver`'s branch and bound observes and uses to round its
+//!   bounds up; its relaxations are all-binary, so it also rounds them by
+//!   thresholds, and every such rounding keeps the acyclicity rows.
 //!
-//! A topological-prefix split warm-starts the solver — since the rework of
-//! `lp_solver` around the sparse revised simplex, the warm assignment both
-//! prunes branch and bound from the first node *and* crashes the root basis
-//! (the prefix split's variables all sit on their bounds, so Phase 1 is
-//! skipped entirely). If the solver hits its limits without a solution, the
-//! same prefix split is used as a fallback (it is always acyclic and
-//! balanced).
+//! A topological-prefix split ([`prefix_split`]) warm-starts the solver —
+//! since the rework of `lp_solver` around the sparse revised simplex, the
+//! warm assignment both prunes branch and bound from the first node *and*
+//! crashes the root basis (the prefix split's variables all sit on their
+//! bounds, so Phase 1 is skipped entirely). If the solver hits its limits
+//! without a solution, the same prefix split is used as a fallback (it is
+//! always acyclic and keeps the node-count floors).
 
 use lp_solver::{
     BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipStatus, MipStop, SolverLimits,
@@ -39,33 +44,63 @@ use lp_solver::{
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
 use mbsp_pool::CancelToken;
 
-/// Minimal fraction of the nodes each part of a [`bipartition`] receives: the
-/// paper's "each part gets at least a third".
-const MIN_FRACTION: f64 = 1.0 / 3.0;
+/// The budget of every cut of [`recursive_partition`] (divide and conquer).
+pub const DNC_SPLIT_LIMITS: SolverLimits = SolverLimits {
+    max_nodes: 2_000,
+    // What bounds a cut of more than a few hundred nodes. The closure-form
+    // relaxation pivots at ≈ 12,000/s on a 200–250 node split, 1,200–5,000/s
+    // at 420 nodes and 700–1,100/s at 480–780, so this is ≈ 2 s, 4–16 s and
+    // 18–30 s. The largest cut of `examples/divide_and_conquer` that
+    // finishes takes 3,874 pivots; of `repro`'s Table 2 (105 cuts, 10 of
+    // which stop here) 12,355.
+    max_pivots: 20_000,
+};
 
-/// Configuration of the bipartitioning step (each part receives at least a
-/// third of the nodes).
-#[derive(Debug, Clone, Copy)]
-pub struct BipartitionConfig {
-    /// Limits for the branch-and-bound solver.
-    pub limits: SolverLimits,
+/// The budget of every run-quotient split of the sharded search
+/// ([`crate::weighted_shards`]).
+pub const SHARD_SPLIT_LIMITS: SolverLimits = SolverLimits {
+    max_nodes: 2_000,
+    // 4.5× the largest run-quotient solve measured: 10,998 pivots, a 30-run
+    // split of `spmv_N2000` cut at `max_nodes`. The largest that finishes (a
+    // served 32-run root split) takes 2,335; a 32-run model pivots at
+    // ≈ 170,000/s, a 48-run one at ≈ 20,000/s.
+    max_pivots: 50_000,
+};
+
+/// What a [`bipartition`] keeps balanced: data the caller computes for each
+/// split, not a setting.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Balance {
+    /// Section 6.3: each side gets at least `⌈n/3⌉` nodes, and the prefix
+    /// split cuts a topological order at half the nodes.
+    Thirds,
+    /// A shard split: side 1 gets `fraction` of the compute mass, within
+    /// `fraction · total · (1 ± tolerance)` (clamped to `[0, total]`), and
+    /// side `s` at least `min_side{s}` nodes (at least one either way). The
+    /// prefix split cuts where the suffix mass is closest to the target.
+    Mass {
+        /// Fraction of the total compute mass side 1 should get.
+        fraction: f64,
+        /// Relative tolerance on side 1's mass target.
+        tolerance: f64,
+        /// Minimal number of nodes on side 0.
+        min_side0: usize,
+        /// Minimal number of nodes on side 1.
+        min_side1: usize,
+    },
 }
 
-impl Default for BipartitionConfig {
-    fn default() -> Self {
-        BipartitionConfig {
-            limits: SolverLimits {
-                max_nodes: 2_000,
-                // What bounds a cut of more than a few hundred nodes. The
-                // closure-form relaxation pivots at ≈ 12,000/s on a 200–250
-                // node split, 1,200–5,000/s at 420 nodes and 700–1,100/s at
-                // 480–780, so this is ≈ 2 s, 4–16 s and 18–30 s. The largest
-                // cut of `examples/divide_and_conquer` that finishes takes
-                // 3,874 pivots; of `repro`'s Table 2 (105 cuts, 10 of which
-                // stop here) 12,355.
-                max_pivots: 20_000,
-                relative_gap: 1e-6,
-            },
+impl Balance {
+    /// The node-count floors `(side 0, side 1)` of an `n`-node split.
+    fn floors(&self, n: usize) -> (usize, usize) {
+        let third = n.div_ceil(3).max(1);
+        match *self {
+            Balance::Thirds => (third, third),
+            Balance::Mass {
+                min_side0,
+                min_side1,
+                ..
+            } => (min_side0.max(1), min_side1.max(1)),
         }
     }
 }
@@ -100,26 +135,26 @@ fn transitive_reduction(dag: &CompDag) -> Vec<(NodeId, NodeId)> {
     kept
 }
 
-/// The LP skeleton both bipartition ILPs share, in closure form, with
-/// `fallback` (a two-part prefix split) as warm start: one binary side
-/// indicator `x_v` per node (variable `i` belongs to node `i`) and nothing
-/// else. Under the acyclicity rows `x_u ≤ x_v` an edge `e = (u, v)` is cut
-/// exactly when `x_v − x_u = 1`, so the weighted cut `Σ_e edge_weight(e) ·
-/// (x_v − x_u)` is linear in `x`: node `v`'s objective coefficient is its
-/// in-weight minus its out-weight. The acyclicity rows are needed only over
-/// the [`transitive_reduction`] (they imply the rest), followed by the
-/// `side1_count` bounds on `Σ x_v` and, when given, the `side1_mass` bounds on
-/// `Σ compute_weight(v) · x_v`.
-fn model(
+/// Builds the bipartition ILP of `dag` under `balance` together with its
+/// [`prefix_split`] warm start. `edge_weights[e]` is the cost of cutting the
+/// `e`-th edge of `dag.edges()` (for run-quotient graphs, the multiplicity of
+/// the aggregated original edges). Its `n` variables are the binary side
+/// indicators `x_v` (variable `i` belongs to node `i`). Under the acyclicity
+/// rows `x_u ≤ x_v` an edge `e = (u, v)` is cut exactly when `x_v − x_u = 1`,
+/// so the weighted cut is linear in `x`: node `v`'s objective coefficient is
+/// its in-weight minus its out-weight. The acyclicity rows are needed only
+/// over the transitive reduction (they imply the rest), followed by the
+/// node-count bounds on `Σ x_v` and, under [`Balance::Mass`] with mass to
+/// balance, the mass bounds on `Σ compute_weight(v) · x_v`. Shared by
+/// [`bipartition`], the sharded search and the recorded `BENCH_solver.json`
+/// benchmark, so all of them solve the exact production formulation.
+pub fn bipartition_model(
     dag: &CompDag,
-    edge_weight: impl Fn(usize) -> f64,
-    side1_count: (f64, f64),
-    side1_mass: Option<(f64, f64)>,
-    fallback: &AcyclicPartition,
+    edge_weights: &[f64],
+    balance: &Balance,
 ) -> (LpProblem, Vec<f64>) {
     let mut net_in_weight = vec![0.0; dag.num_nodes()];
-    for (e, (u, v)) in dag.edges().enumerate() {
-        let w = edge_weight(e);
+    for ((u, v), &w) in dag.edges().zip(edge_weights) {
         net_in_weight[v.index()] += w;
         net_in_weight[u.index()] -= w;
     }
@@ -148,26 +183,43 @@ fn model(
         );
         problem.add_constraint(format!("{name}_hi"), expr, ConstraintSense::LessEqual, hi);
     };
-    bound("count", &|_| 1.0, side1_count);
-    if let Some(mass) = side1_mass {
-        bound("mass", &|v| dag.compute_weight(v), mass);
+    let (min0, min1) = balance.floors(dag.num_nodes());
+    let n = dag.num_nodes() as f64;
+    bound("count", &|_| 1.0, (min1 as f64, n - min0 as f64));
+    if let Balance::Mass {
+        fraction,
+        tolerance,
+        ..
+    } = *balance
+    {
+        let total: f64 = dag.nodes().map(|v| dag.compute_weight(v)).sum();
+        if total > 0.0 {
+            let target = total * fraction;
+            let lo = (target * (1.0 - tolerance)).max(0.0);
+            let hi = (target * (1.0 + tolerance)).min(total).max(lo);
+            bound("mass", &|v| dag.compute_weight(v), (lo, hi));
+        }
     }
-    let warm = dag.nodes().map(|v| fallback.part_of(v) as f64).collect();
+    let prefix = prefix_split(dag, balance);
+    let warm = dag.nodes().map(|v| prefix.part_of(v) as f64).collect();
     (problem, warm)
 }
 
-/// Solves a [`model`] of `dag` from its warm start and reads the split off the
-/// `x_v`; `fallback` when the solver found nothing within `limits` (or
-/// returned something that is not an acyclic bipartition). Also reports the
-/// branch-and-bound nodes explored and what stopped the solve: `cancel`, when
-/// given, stops it at a node pop with its incumbent so far.
+/// Solves a [`bipartition_model`] of `dag` from its warm start and reads the
+/// split off the `x_v`; the warm start's split when the solver found nothing
+/// within `limits` (or returned something that is not an acyclic
+/// bipartition). Also reports the branch-and-bound nodes explored and what
+/// stopped the solve: `cancel`, when given, stops it at a node pop with its
+/// incumbent so far. The warm start must be a two-part split — `dag` has at
+/// least as many nodes as the balance's floors ask for.
 pub(crate) fn solve(
     dag: &CompDag,
     (problem, warm): (LpProblem, Vec<f64>),
-    fallback: AcyclicPartition,
     limits: SolverLimits,
     cancel: Option<&CancelToken>,
 ) -> (AcyclicPartition, usize, MipStop) {
+    let sides = |values: &[f64]| values.iter().map(|x| x.round() as usize).collect();
+    let fallback = AcyclicPartition::new(dag, sides(&warm), 2).expect("prefix split is acyclic");
     let mut solver = BranchBoundSolver::with_limits(limits).with_warm_start(warm);
     if let Some(token) = cancel {
         solver = solver.with_cancel(token);
@@ -175,172 +227,65 @@ pub(crate) fn solve(
     let solution = solver.solve(&problem);
     let split = match solution.status {
         MipStatus::Optimal | MipStatus::Feasible => {
-            let assignment: Vec<usize> = (0..dag.num_nodes())
-                .map(|i| solution.values[i].round() as usize)
-                .collect();
-            AcyclicPartition::new(dag, assignment, 2).unwrap_or(fallback)
+            AcyclicPartition::new(dag, sides(&solution.values[..dag.num_nodes()]), 2)
+                .unwrap_or(fallback)
         }
         _ => fallback,
     };
     (split, solution.nodes_explored, solution.stop)
 }
 
-/// Builds the bipartition ILP of `dag` together with its prefix-split warm
-/// start. Its `n` variables are the binary node-side indicators `x_v`
-/// (variable `i` belongs to node `i`). Shared by [`bipartition`] and the recorded
-/// `BENCH_solver.json` benchmark, so both always measure the exact production
-/// formulation.
-pub fn bipartition_model(dag: &CompDag) -> (LpProblem, Vec<f64>) {
-    let n = dag.num_nodes() as f64;
-    let min_nodes = (n * MIN_FRACTION).ceil().max(1.0);
-    let sizes = (min_nodes, n - min_nodes);
-    model(dag, |_| 1.0, sizes, None, &prefix_split(dag))
-}
-
-/// Computes an acyclic bipartition of `dag` (two parts) minimising the cut.
+/// Computes an acyclic bipartition of `dag` under `balance` minimising the
+/// weighted cut (`edge_weights` as in [`bipartition_model`]), within `limits`
+/// and, when given, until `cancel` is observed. Also returns the
+/// branch-and-bound nodes explored and what stopped the solve.
 ///
-/// Falls back to a balanced topological-prefix split when the ILP solver cannot
-/// find a solution within its limits or the DAG is too small to split.
-pub fn bipartition(dag: &CompDag, config: &BipartitionConfig) -> AcyclicPartition {
-    if dag.num_nodes() < 2 {
-        return AcyclicPartition::trivial(dag);
-    }
-    let lp = bipartition_model(dag);
-    solve(dag, lp, prefix_split(dag), config.limits, None).0
-}
-
-/// Balanced topological-prefix split: the first half of a topological order forms
-/// part 0. Always acyclic; used as warm start and fallback.
-pub fn prefix_split(dag: &CompDag) -> AcyclicPartition {
-    let n = dag.num_nodes();
-    let topo = TopologicalOrder::of(dag);
-    let half = n / 2;
-    let mut assignment = vec![0usize; n];
-    for (i, &v) in topo.order().iter().enumerate() {
-        assignment[v.index()] = if i < half { 0 } else { 1 };
-    }
-    AcyclicPartition::new(dag, assignment, 2).expect("prefix split is always acyclic")
-}
-
-/// Configuration of the weight-aware bipartitioning step used by the sharded
-/// search ([`crate::shard::weighted_shards`]).
-///
-/// Unlike [`BipartitionConfig`], balance is expressed in *compute mass* (the sum
-/// of node compute weights per side) rather than node count, and each edge
-/// carries an explicit cut penalty (for quotient graphs: the number of original
-/// DAG edges the quotient edge aggregates).
-#[derive(Debug, Clone, Copy)]
-pub struct WeightedBipartitionConfig {
-    /// Fraction of the total compute mass the second part (side 1) should get.
-    pub side1_mass_fraction: f64,
-    /// Relative tolerance on the mass target: side 1 must end up within
-    /// `target * (1 ± mass_tolerance)` (clamped to `[0, total]`).
-    pub mass_tolerance: f64,
-    /// Minimal number of nodes on side 0 (guarantees non-empty parts downstream).
-    pub min_side0_nodes: usize,
-    /// Minimal number of nodes on side 1.
-    pub min_side1_nodes: usize,
-    /// Limits for the branch-and-bound solver.
-    pub limits: SolverLimits,
-}
-
-impl Default for WeightedBipartitionConfig {
-    fn default() -> Self {
-        WeightedBipartitionConfig {
-            side1_mass_fraction: 0.5,
-            mass_tolerance: 0.15,
-            min_side0_nodes: 1,
-            min_side1_nodes: 1,
-            limits: SolverLimits {
-                max_nodes: 2_000,
-                // 4.5× the largest run-quotient solve measured: 10,998 pivots,
-                // a 30-run split of `spmv_N2000` cut at `max_nodes`. The
-                // largest that finishes (a served 32-run root split) takes
-                // 2,335; a 32-run model pivots at ≈ 170,000/s, a 48-run one
-                // at ≈ 20,000/s.
-                max_pivots: 50_000,
-                relative_gap: 1e-6,
-            },
-        }
-    }
-}
-
-/// Builds the weight-aware bipartition ILP of `dag` together with its
-/// mass-balanced prefix-split warm start. `edge_weights[e]` is the objective
-/// coefficient of cutting the `e`-th edge of `dag.edges()` (for run-quotient
-/// graphs this is the multiplicity of the aggregated original edges). Its `n`
-/// variables are the binary node-side indicators `x_v`, exactly as in
-/// [`bipartition_model`].
-pub fn weighted_bipartition_model(
+/// Falls back to the [`prefix_split`] when the solver finds no split within
+/// its limits — the mass window plus the count floors can genuinely be
+/// infeasible; the prefix split then gives the closest balance it can — and
+/// returns the trivial one-part partition when the DAG has fewer nodes than
+/// the floors ask for.
+pub fn bipartition(
     dag: &CompDag,
     edge_weights: &[f64],
-    config: &WeightedBipartitionConfig,
-) -> (LpProblem, Vec<f64>) {
-    // Node-count floor per side (keeps every downstream shard non-empty even when
-    // the compute mass is concentrated on a few nodes).
-    let min_side1 = config.min_side1_nodes.max(1) as f64;
-    let max_side1 = (dag.num_nodes() as f64) - config.min_side0_nodes.max(1) as f64;
-    // Compute-mass balance around the target fraction.
-    let total_mass: f64 = dag.nodes().map(|v| dag.compute_weight(v)).sum();
-    let mass = (total_mass > 0.0).then(|| {
-        let target = total_mass * config.side1_mass_fraction;
-        let lo = (target * (1.0 - config.mass_tolerance)).max(0.0);
-        let hi = (target * (1.0 + config.mass_tolerance))
-            .min(total_mass)
-            .max(lo);
-        (lo, hi)
-    });
-    model(
-        dag,
-        |e| edge_weights[e],
-        (min_side1, max_side1),
-        mass,
-        &weighted_prefix_split(dag, config),
-    )
-}
-
-/// Computes a weight-aware acyclic bipartition of `dag` minimising the weighted
-/// cut subject to compute-mass balance (see [`WeightedBipartitionConfig`]).
-///
-/// Falls back to the mass-balanced topological-prefix split when the solver
-/// cannot find a solution within its limits (the mass window plus the count
-/// floors can genuinely be infeasible — the prefix split then provides the
-/// closest achievable balance) or the DAG is too small to split.
-pub fn weighted_bipartition(
-    dag: &CompDag,
-    edge_weights: &[f64],
-    config: &WeightedBipartitionConfig,
-) -> AcyclicPartition {
-    if dag.num_nodes() < config.min_side0_nodes.max(1) + config.min_side1_nodes.max(1) {
-        return AcyclicPartition::trivial(dag);
+    balance: &Balance,
+    limits: SolverLimits,
+    cancel: Option<&CancelToken>,
+) -> (AcyclicPartition, usize, MipStop) {
+    let (min0, min1) = balance.floors(dag.num_nodes());
+    if dag.num_nodes() < min0 + min1 {
+        return (AcyclicPartition::trivial(dag), 0, MipStop::Gap);
     }
-    let lp = weighted_bipartition_model(dag, edge_weights, config);
-    let fallback = weighted_prefix_split(dag, config);
-    solve(dag, lp, fallback, config.limits, None).0
+    let lp = bipartition_model(dag, edge_weights, balance);
+    solve(dag, lp, limits, cancel)
 }
 
-/// Mass-balanced topological-prefix split: cuts a topological order at the
-/// prefix whose suffix mass is closest to the configured side-1 target, subject
-/// to the per-side node-count floors. Always acyclic; used as warm start and
-/// fallback for [`weighted_bipartition`]. Ties prefer the earlier cut.
-pub fn weighted_prefix_split(
-    dag: &CompDag,
-    config: &WeightedBipartitionConfig,
-) -> AcyclicPartition {
+/// Balanced topological-prefix split: cuts a topological order at the
+/// position whose suffix weight (node count under [`Balance::Thirds`],
+/// compute mass under [`Balance::Mass`]) is closest to side 1's target,
+/// subject to the node-count floors; ties prefer the earlier cut. Under
+/// `Thirds` that is half the nodes, rounded down. Always acyclic; the warm
+/// start and fallback of [`bipartition`], and the trivial partition when
+/// `dag` has fewer nodes than the floors ask for.
+pub fn prefix_split(dag: &CompDag, balance: &Balance) -> AcyclicPartition {
     let n = dag.num_nodes();
-    let min0 = config.min_side0_nodes.max(1);
-    let min1 = config.min_side1_nodes.max(1);
+    let (min0, min1) = balance.floors(n);
     if n < min0 + min1 {
         return AcyclicPartition::trivial(dag);
     }
+    // What is balanced, and the share of it side 1 should get.
+    let (weight, share): (&dyn Fn(NodeId) -> f64, f64) = match *balance {
+        Balance::Thirds => (&|_| 1.0, 0.5),
+        Balance::Mass { fraction, .. } => (&|v| dag.compute_weight(v), fraction),
+    };
     let topo = TopologicalOrder::of(dag);
-    let total_mass: f64 = dag.nodes().map(|v| dag.compute_weight(v)).sum();
-    let target = total_mass * config.side1_mass_fraction;
-    // suffix_mass(c) = mass of positions c..n; choose the cut position minimising
+    let total: f64 = dag.nodes().map(weight).sum();
+    let target = total * share;
+    // suffix = weight of positions c..n; choose the cut position minimising
     // the distance to the target.
     let mut best_cut = min0;
     let mut best_err = f64::INFINITY;
-    let mut suffix = total_mass;
+    let mut suffix = total;
     for (c, &v) in topo.order().iter().enumerate() {
         if c >= min0 && c <= n - min1 {
             let err = (suffix - target).abs();
@@ -349,7 +294,7 @@ pub fn weighted_prefix_split(
                 best_cut = c;
             }
         }
-        suffix -= dag.compute_weight(v);
+        suffix -= weight(v);
     }
     let mut assignment = vec![0usize; n];
     for (i, &v) in topo.order().iter().enumerate() {
@@ -358,13 +303,10 @@ pub fn weighted_prefix_split(
     AcyclicPartition::new(dag, assignment, 2).expect("prefix split is always acyclic")
 }
 
-/// Recursively bipartitions `dag` until every part has at most `max_part_size`
-/// nodes. Returns the final acyclic partition.
-pub fn recursive_partition(
-    dag: &CompDag,
-    max_part_size: usize,
-    config: &BipartitionConfig,
-) -> AcyclicPartition {
+/// Recursively bipartitions `dag` under [`Balance::Thirds`], every edge
+/// weighing one and every cut within [`DNC_SPLIT_LIMITS`], until every part
+/// has at most `max_part_size` nodes. Returns the final acyclic partition.
+pub fn recursive_partition(dag: &CompDag, max_part_size: usize) -> AcyclicPartition {
     let mut partition = AcyclicPartition::trivial(dag);
     loop {
         // Find the largest part exceeding the size limit.
@@ -378,7 +320,9 @@ pub fn recursive_partition(
         let Some(target) = target else { break };
         let nodes = partition.parts()[target].clone();
         let sub = mbsp_dag::SubDag::induced(dag, &nodes, "part").expect("valid selection");
-        let sub_split = bipartition(sub.dag(), config);
+        let unit = vec![1.0; sub.dag().num_edges()];
+        let (sub_split, ..) =
+            bipartition(sub.dag(), &unit, &Balance::Thirds, DNC_SPLIT_LIMITS, None);
         // Map the sub-split back to the parent graph and refine the partition.
         let side_of = |v: NodeId| -> usize {
             match sub.to_local(v) {
@@ -404,6 +348,20 @@ mod tests {
     use super::*;
     use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 
+    /// The §6.3 cut of `dag`: unit edge weights, thirds, the D&C budget.
+    fn thirds(dag: &CompDag) -> AcyclicPartition {
+        let unit = vec![1.0; dag.num_edges()];
+        bipartition(dag, &unit, &Balance::Thirds, DNC_SPLIT_LIMITS, None).0
+    }
+
+    /// A shard split of `dag` asking side 1 for half the mass, within 15 %.
+    const HALF_MASS: Balance = Balance::Mass {
+        fraction: 0.5,
+        tolerance: 0.15,
+        min_side0: 1,
+        min_side1: 1,
+    };
+
     #[test]
     fn bipartition_of_a_layered_dag_is_balanced_and_acyclic() {
         let dag = random_layered_dag(
@@ -414,7 +372,7 @@ mod tests {
             },
             1,
         );
-        let part = bipartition(&dag, &BipartitionConfig::default());
+        let part = thirds(&dag);
         assert_eq!(part.num_parts(), 2);
         assert!(part.quotient_is_acyclic(&dag));
         let sizes = part.part_sizes();
@@ -433,10 +391,21 @@ mod tests {
             },
             7,
         );
-        let cfg = BipartitionConfig::default();
-        let ilp = bipartition(&dag, &cfg);
-        let prefix = prefix_split(&dag);
+        let ilp = thirds(&dag);
+        let prefix = prefix_split(&dag, &Balance::Thirds);
         assert!(ilp.cut_edges(&dag) <= prefix.cut_edges(&dag));
+    }
+
+    #[test]
+    fn the_thirds_prefix_split_cuts_at_half_the_nodes() {
+        for n in 2..12 {
+            let mut b = mbsp_dag::DagBuilder::new("chain");
+            let nodes = b.add_unit_nodes(n).unwrap();
+            b.add_chain(&nodes).unwrap();
+            let dag = b.build();
+            let sizes = prefix_split(&dag, &Balance::Thirds).part_sizes();
+            assert_eq!(sizes, vec![n / 2, n - n / 2], "{n} nodes");
+        }
     }
 
     #[test]
@@ -446,7 +415,7 @@ mod tests {
         let nodes = b.add_unit_nodes(12).unwrap();
         b.add_chain(&nodes).unwrap();
         let dag = b.build();
-        let part = bipartition(&dag, &BipartitionConfig::default());
+        let part = thirds(&dag);
         assert_eq!(part.cut_edges(&dag), 1);
     }
 
@@ -460,7 +429,7 @@ mod tests {
             },
             3,
         );
-        let part = recursive_partition(&dag, 20, &BipartitionConfig::default());
+        let part = recursive_partition(&dag, 20);
         assert!(part.quotient_is_acyclic(&dag));
         for size in part.part_sizes() {
             assert!(size <= 20, "part of size {size} exceeds the limit");
@@ -475,12 +444,11 @@ mod tests {
         let mut b = mbsp_dag::DagBuilder::new("one");
         b.add_unit_node().unwrap();
         let dag = b.build();
-        let part = bipartition(&dag, &BipartitionConfig::default());
-        assert_eq!(part.num_parts(), 1);
+        assert_eq!(thirds(&dag).num_parts(), 1);
     }
 
     #[test]
-    fn weighted_bipartition_balances_mass_not_node_count() {
+    fn a_mass_balance_balances_mass_not_node_count() {
         // A chain where the last two nodes carry almost all the mass: a node-count
         // split would put ~half the nodes on each side, but the mass-balanced split
         // must cut late so that side 1 holds roughly half the *mass*.
@@ -492,8 +460,8 @@ mod tests {
         b.add_edge(light[9], h1).unwrap();
         b.add_edge(h1, h2).unwrap();
         let dag = b.build();
-        let weights = vec![1.0; dag.edges().count()];
-        let part = weighted_bipartition(&dag, &weights, &WeightedBipartitionConfig::default());
+        let weights = vec![1.0; dag.num_edges()];
+        let (part, ..) = bipartition(&dag, &weights, &HALF_MASS, SHARD_SPLIT_LIMITS, None);
         assert_eq!(part.num_parts(), 2);
         assert!(part.quotient_is_acyclic(&dag));
         let mass1: f64 = dag
@@ -509,9 +477,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_bipartition_prefers_cheap_cuts() {
-        // Two parallel chains joined at a single bridge edge of huge weight versus
-        // many light edges elsewhere: the solver must avoid cutting the bridge.
+    fn a_mass_balanced_cut_is_not_worse_than_its_prefix_split() {
         let dag = random_layered_dag(
             &RandomDagConfig {
                 layers: 6,
@@ -520,24 +486,14 @@ mod tests {
             },
             11,
         );
-        let m = dag.edges().count();
-        // Uniform weights first: record the baseline weighted cut.
-        let cfg = WeightedBipartitionConfig::default();
-        let uniform = weighted_bipartition(&dag, &vec![1.0; m], &cfg);
-        let fallback = weighted_prefix_split(&dag, &cfg);
-        let cut_cost = |p: &AcyclicPartition, w: &[f64]| -> f64 {
-            dag.edges()
-                .enumerate()
-                .filter(|&(_, (u, v))| p.part_of(u) != p.part_of(v))
-                .map(|(e, _)| w[e])
-                .sum()
-        };
-        let w = vec![1.0; m];
-        assert!(cut_cost(&uniform, &w) <= cut_cost(&fallback, &w) + 1e-9);
+        let w = vec![1.0; dag.num_edges()];
+        let (cut, ..) = bipartition(&dag, &w, &HALF_MASS, SHARD_SPLIT_LIMITS, None);
+        let fallback = prefix_split(&dag, &HALF_MASS);
+        assert!(cut.cut_edges(&dag) <= fallback.cut_edges(&dag));
     }
 
     #[test]
-    fn weighted_prefix_split_respects_count_floors() {
+    fn a_mass_prefix_split_respects_count_floors() {
         let dag = random_layered_dag(
             &RandomDagConfig {
                 layers: 4,
@@ -546,13 +502,13 @@ mod tests {
             },
             5,
         );
-        let cfg = WeightedBipartitionConfig {
-            min_side0_nodes: 3,
-            min_side1_nodes: 5,
-            ..Default::default()
+        let balance = Balance::Mass {
+            fraction: 0.5,
+            tolerance: 0.15,
+            min_side0: 3,
+            min_side1: 5,
         };
-        let part = weighted_prefix_split(&dag, &cfg);
-        let sizes = part.part_sizes();
+        let sizes = prefix_split(&dag, &balance).part_sizes();
         assert!(sizes[0] >= 3 && sizes[1] >= 5, "sizes {sizes:?}");
     }
 }

@@ -629,7 +629,7 @@ impl<'a> ShardedSearch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition_ilp::WeightedBipartitionConfig;
+    use crate::partition_ilp::SHARD_SPLIT_LIMITS;
     use crate::shard::weighted_shards_solve;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
@@ -655,9 +655,15 @@ mod tests {
             ..Default::default()
         };
         // The partition every request below solves.
-        let limits = WeightedBipartitionConfig::default().limits;
-        let (_, solve) =
-            weighted_shards_solve(dag, 4, 12, config.mass_tolerance, 0.0, limits, None);
+        let (_, solve) = weighted_shards_solve(
+            dag,
+            4,
+            12,
+            config.mass_tolerance,
+            0.0,
+            SHARD_SPLIT_LIMITS,
+            None,
+        );
         assert!(solve.truncated, "{solve:?}");
 
         let baseline = GreedyBspScheduler::new().schedule(dag, arch);

@@ -9,12 +9,12 @@
 //! 1. **Partition** — [`weighted_shards`] balances per-shard *compute mass*
 //!    and penalises cut edges: the DAG is quotiented over contiguous topo
 //!    runs (a few runs per shard), and the small run-quotient is recursively
-//!    bipartitioned by the warm-started
-//!    [`weighted_bipartition`](crate::weighted_bipartition) ILP. Side 0 of
-//!    every split receives the lower part indices, so each edge satisfies
-//!    `part(u) ≤ part(v)` and the quotient is acyclic by
-//!    construction. [`topo_shards`] (equal node-count blocks) is retained as
-//!    the differential fallback/oracle and the legacy strategy. Keeping shard
+//!    bipartitioned by the warm-started [`bipartition`](crate::bipartition)
+//!    ILP under a [`Balance::Mass`]. Side 0 of every split receives the
+//!    lower part indices, so each edge satisfies `part(u) ≤ part(v)` and the
+//!    quotient is acyclic by construction. [`topo_shards`] (equal node-count
+//!    blocks) is retained as the differential fallback/oracle and the legacy
+//!    strategy. Keeping shard
 //!    boundaries aligned with the precedence order is the BSP-bridging-model
 //!    discipline: merged schedules stay superstep-valid.
 //! 2. **Search** — every shard becomes a zero-copy [`SubDagView`]
@@ -68,9 +68,7 @@
 //! this module owns the partitioners, the configuration and the front-end
 //! that seeds the global incumbent and iterates the pass.
 
-use crate::partition_ilp::{
-    solve, weighted_bipartition_model, weighted_prefix_split, WeightedBipartitionConfig,
-};
+use crate::partition_ilp::{bipartition_model, solve, Balance, SHARD_SPLIT_LIMITS};
 use crate::search::{Incumbent, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
@@ -295,10 +293,10 @@ fn contiguous_mass_blocks(
 /// mass-balanced topological runs (`contiguous_mass_blocks`; always acyclic),
 /// then the small run-quotient — whose edge weights are the multiplicities of
 /// the aggregated original edges — is recursively split by the warm-started
-/// [`weighted_bipartition`](crate::weighted_bipartition) ILP. Side 0 of every
-/// split takes the lower part indices, so every original edge satisfies
-/// `part(u) ≤ part(v)` and the result is acyclic by construction for *any*
-/// split the ILP returns.
+/// [`bipartition`](crate::bipartition) ILP under a [`Balance::Mass`] window of
+/// `mass_tolerance`. Side 0 of every split takes the lower part indices, so
+/// every original edge satisfies `part(u) ≤ part(v)` and the result is
+/// acyclic by construction for *any* split the ILP returns.
 ///
 /// `cut_offset ∈ [0, 1)` shifts the run boundaries (see
 /// `contiguous_mass_blocks`); the iterated search passes a golden-ratio
@@ -312,14 +310,13 @@ pub fn weighted_shards(
     mass_tolerance: f64,
     cut_offset: f64,
 ) -> AcyclicPartition {
-    let limits = WeightedBipartitionConfig::default().limits;
     weighted_shards_solve(
         dag,
         num_shards,
         runs_per_shard,
         mass_tolerance,
         cut_offset,
-        limits,
+        SHARD_SPLIT_LIMITS,
         None,
     )
     .0
@@ -341,7 +338,7 @@ pub struct PartitionSolve {
 }
 
 /// [`weighted_shards`] with explicit solver `limits` for every split (it uses
-/// [`WeightedBipartitionConfig`]'s defaults) and, when given, the job's stop
+/// [`SHARD_SPLIT_LIMITS`]) and, when given, the job's stop
 /// signal, also returning what the solves did. A split `cancel` stops keeps
 /// its incumbent — at worst the prefix split — so the partition is valid
 /// whenever the signal arrives.
@@ -456,21 +453,19 @@ impl RunSplitter<'_> {
             }
         }
         let sub = CompDag::from_edges("runs", weights, &edges).expect("run quotient is acyclic");
-        let cfg = WeightedBipartitionConfig {
-            side1_mass_fraction: kr as f64 / k as f64,
-            mass_tolerance: self.mass_tolerance,
-            min_side0_nodes: kl,
-            min_side1_nodes: kr,
-            limits: self.limits,
+        let balance = Balance::Mass {
+            fraction: kr as f64 / k as f64,
+            tolerance: self.mass_tolerance,
+            min_side0: kl,
+            min_side1: kr,
         };
-        let lp = weighted_bipartition_model(&sub, &edge_weights, &cfg);
+        let lp = bipartition_model(&sub, &edge_weights, &balance);
         // Only the root split holds every run.
         if runs.len() == self.part_of_run.len() {
             self.solve.root_variables = lp.0.num_variables();
             self.solve.root_constraints = lp.0.num_constraints();
         }
-        let fallback = weighted_prefix_split(&sub, &cfg);
-        let (split, bnb_nodes, stop) = solve(&sub, lp, fallback, self.limits, self.cancel);
+        let (split, bnb_nodes, stop) = solve(&sub, lp, self.limits, self.cancel);
         self.solve.bnb_nodes += bnb_nodes;
         self.solve.truncated |= stop != MipStop::Gap;
 
@@ -522,7 +517,7 @@ pub(crate) fn shard_partition(
                 config.runs_per_shard,
                 config.mass_tolerance,
                 offset,
-                WeightedBipartitionConfig::default().limits,
+                SHARD_SPLIT_LIMITS,
                 Some(cancel),
             )
             .0
@@ -807,7 +802,7 @@ mod tests {
 
     #[test]
     fn a_zero_pivot_budget_is_reported_and_still_yields_a_valid_partition() {
-        let limits = WeightedBipartitionConfig::default().limits;
+        let limits = SHARD_SPLIT_LIMITS;
         let cut = SolverLimits {
             max_pivots: 0,
             ..limits
@@ -838,7 +833,7 @@ mod tests {
     /// before the partition stops every split at its first node pop.
     #[test]
     fn a_cancelled_token_stops_every_split_at_its_prefix_fallback() {
-        let limits = WeightedBipartitionConfig::default().limits;
+        let limits = SHARD_SPLIT_LIMITS;
         let no_pivots = SolverLimits {
             max_pivots: 0,
             ..limits

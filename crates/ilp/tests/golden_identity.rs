@@ -124,7 +124,6 @@ fn divide_and_conquer_scheduler_matches_the_recorded_values() {
             moves_per_round: 20,
             ..Default::default()
         },
-        ..Default::default()
     });
     let actual: Vec<Row> = instances()
         .iter()

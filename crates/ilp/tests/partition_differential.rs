@@ -13,8 +13,14 @@
 //! splits need not: ties are broken by the pivoting order, which differs.
 //! Inputs: the run-quotient splits the sharded search solves for every tiny-
 //! and small-dataset instance at the served parameters (`k = 4`, 8 runs per
-//! shard, tolerance 0.25), and seeded layered DAGs through
+//! shard, tolerance 0.25) under `Balance::Mass`, and seeded layered DAGs
+//! under `Balance::Thirds` with unit edge weights, all built by
 //! `bipartition_model`.
+//!
+//! Every model built on the way is also pinned: an FNV-1a hash of all it
+//! hands the solver must equal the one recorded before the divide-and-conquer
+//! cut and the shard split shared one builder, so a refactor of the builder
+//! cannot move a row, a bound or a warm start unnoticed.
 
 use lp_solver::{
     BranchBoundSolver, ConstraintSense, LinExpr, LpProblem, MipSolution, MipStop, SolverLimits,
@@ -24,14 +30,112 @@ use mbsp_dag::graph::NodeWeights;
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, TopologicalOrder};
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_ilp::{
-    bipartition_model, weighted_bipartition_model, weighted_shards_solve, BipartitionConfig,
-    WeightedBipartitionConfig,
+    bipartition_model, weighted_shards_solve, Balance, DNC_SPLIT_LIMITS, SHARD_SPLIT_LIMITS,
 };
 use std::collections::BTreeMap;
 
 const SHARDS: usize = 4;
 const RUNS_PER_SHARD: usize = 8;
 const MASS_TOLERANCE: f64 = 0.25;
+
+/// [`model_hash`] of the four layered DAGs' models, in the order
+/// `layered_bipartition_models_agree_with_the_y_formulation` builds them.
+const LAYERED_MODELS: [u64; 4] = [
+    0x73a3_027d_e4ed_2a27,
+    0xc6f0_2352_b350_87e0,
+    0xd063_8058_394d_bcfd,
+    0x4386_d4f8_28c1_b48d,
+];
+
+/// Per instance of `served_run_quotient_splits_agree_with_the_y_formulation`:
+/// the splits [`check_splits`] visits and the FNV-1a fold of their
+/// [`model_hash`]es, in visiting order.
+const RUN_QUOTIENT_MODELS: &[(&str, usize, u64)] = &[
+    ("bicgstab", 3, 0x5f01_7619_3243_8f31),
+    ("k-means", 3, 0x41ae_1267_ecff_da52),
+    ("pregel", 3, 0x5998_061a_991f_1b88),
+    ("spmv_N6", 3, 0xfcef_623a_8e2f_fd46),
+    ("spmv_N7", 3, 0x92cb_45a5_19e0_8499),
+    ("spmv_N10", 3, 0x9f17_dee2_5d9a_30ac),
+    ("CG_N2_K2", 3, 0x7501_7dd6_8531_ab49),
+    ("CG_N3_K1", 3, 0xa86d_8f45_ca71_978c),
+    ("CG_N4_K1", 3, 0xa717_c8f5_3094_798c),
+    ("exp_N4_K2", 3, 0xdf0b_73bd_6d30_d332),
+    ("exp_N5_K3", 3, 0x2c4a_43e0_3e1c_7f1c),
+    ("exp_N6_K4", 3, 0x4d89_4c94_6617_8979),
+    ("kNN_N4_K3", 3, 0x3455_ac26_9b32_659e),
+    ("kNN_N5_K3", 3, 0x1360_01f6_0b64_8829),
+    ("kNN_N6_K4", 3, 0x4343_ba26_c086_5569),
+    ("simple_pagerank", 3, 0x38c4_7dbd_36d9_231b),
+    ("snni_graphchallenge", 3, 0x53df_5613_5846_16c1),
+    ("spmv_N25", 3, 0x9ffc_c9e0_af33_5bbf),
+    ("spmv_N35", 3, 0xaa74_9a7f_23fc_78ea),
+    ("CG_N5_K4", 3, 0x7352_fb9b_4033_4b99),
+    ("CG_N7_K2", 3, 0x24f1_e3c1_dbd7_8a55),
+    ("exp_N10_K8", 3, 0x6b25_48da_00fc_75cd),
+    ("exp_N15_K4", 3, 0x7304_26c5_a9db_c841),
+    ("kNN_N10_K8", 3, 0xe362_99d2_8b5a_52e2),
+    ("kNN_N15_K4", 3, 0xc1d6_782a_d6fb_e993),
+];
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// FNV-1a over everything a model hands the solver: every variable's name,
+/// bounds, objective coefficient and type; every row's name, terms, sense and
+/// right-hand side; and the warm start — each list prefixed by its length.
+fn model_hash((problem, warm): &(LpProblem, Vec<f64>)) -> u64 {
+    let mut hash = Fnv::new();
+    hash.u64(problem.variables.len() as u64);
+    for v in &problem.variables {
+        hash.str(&v.name);
+        for x in [v.lower, v.upper, v.objective] {
+            hash.f64(x);
+        }
+        hash.bytes(&[v.var_type as u8]);
+    }
+    hash.u64(problem.constraints.len() as u64);
+    for row in &problem.constraints {
+        hash.str(&row.name);
+        hash.u64(row.expr.terms.len() as u64);
+        for &(var, coeff) in &row.expr.terms {
+            hash.u64(var.index() as u64);
+            hash.f64(coeff);
+        }
+        hash.bytes(&[row.sense as u8]);
+        hash.f64(row.rhs);
+    }
+    hash.u64(warm.len() as u64);
+    for &x in warm {
+        hash.f64(x);
+    }
+    hash.0
+}
 
 /// The `y_e` formulation of the model `closure` states in closure form: the
 /// same node indicators and — copied, they are not what changed — the same
@@ -199,6 +303,8 @@ fn run_quotient(dag: &CompDag, c: usize) -> (Vec<NodeWeights>, BTreeMap<(usize, 
 /// What [`check_splits`] saw of one instance or of all of them.
 #[derive(Default)]
 struct Tally {
+    /// [`model_hash`] of every model built, in building order.
+    models: Vec<u64>,
     /// Splits checked, and those in which both solves proved optimality.
     splits: usize,
     proven: usize,
@@ -229,20 +335,21 @@ fn check_splits(
         }
     }
     let sub = CompDag::from_edges("runs", weights, &edges).expect("run quotient is acyclic");
-    let config = WeightedBipartitionConfig {
-        side1_mass_fraction: kr as f64 / k as f64,
-        mass_tolerance: MASS_TOLERANCE,
-        min_side0_nodes: kl,
-        min_side1_nodes: kr,
-        ..Default::default()
+    let balance = Balance::Mass {
+        fraction: kr as f64 / k as f64,
+        tolerance: MASS_TOLERANCE,
+        min_side0: kl,
+        min_side1: kr,
     };
-    let model = weighted_bipartition_model(&sub, &edge_weights, &config);
+    let model = bipartition_model(&sub, &edge_weights, &balance);
+    tally.models.push(model_hash(&model));
     let size = (model.0.num_variables(), model.0.num_constraints());
     tally.root_size.get_or_insert(size);
     tally.splits += 1;
     let what = format!("{name}: {} runs into {k}", runs.len());
     let proven = &mut tally.proven;
-    let Some(split) = check(&sub, &edge_weights, model, config.limits, &what, proven) else {
+    let limits = SHARD_SPLIT_LIMITS;
+    let Some(split) = check(&sub, &edge_weights, model, limits, &what, proven) else {
         return;
     };
     let side = |s: usize| -> Vec<usize> {
@@ -261,13 +368,14 @@ fn check_splits(
 fn served_run_quotient_splits_agree_with_the_y_formulation() {
     let mut instances = mbsp_gen::tiny_dataset(42);
     instances.extend(mbsp_gen::small_dataset_sample(42));
-    let limits = WeightedBipartitionConfig::default().limits;
     let mut tally = Tally::default();
+    let mut pins = Vec::new();
     for named in &instances {
         let dag = &named.dag;
         let c = (SHARDS * RUNS_PER_SHARD).clamp(SHARDS, dag.num_nodes());
         let runs: Vec<usize> = (0..c).collect();
         tally.root_size = None;
+        tally.models.clear();
         check_splits(
             &named.name,
             &run_quotient(dag, c),
@@ -275,6 +383,11 @@ fn served_run_quotient_splits_agree_with_the_y_formulation() {
             SHARDS,
             &mut tally,
         );
+        let mut fold = Fnv::new();
+        for &hash in &tally.models {
+            fold.u64(hash);
+        }
+        pins.push((named.name.as_str(), tally.models.len(), fold.0));
         // The quotient above is the one the partitioner solves.
         let (_, served) = weighted_shards_solve(
             dag,
@@ -282,7 +395,7 @@ fn served_run_quotient_splits_agree_with_the_y_formulation() {
             RUNS_PER_SHARD,
             MASS_TOLERANCE,
             0.0,
-            limits,
+            SHARD_SPLIT_LIMITS,
             None,
         );
         let served_size = (served.root_variables, served.root_constraints);
@@ -293,12 +406,13 @@ fn served_run_quotient_splits_agree_with_the_y_formulation() {
     let Tally { splits, proven, .. } = tally;
     assert!(splits >= 3 * instances.len() - 3, "{splits} splits checked");
     assert!(proven + 3 >= splits, "{proven} of {splits} proven");
+    assert_eq!(pins, RUN_QUOTIENT_MODELS, "a run-quotient model moved");
 }
 
 #[test]
 fn layered_bipartition_models_agree_with_the_y_formulation() {
-    let limits = BipartitionConfig::default().limits;
     let mut proven = 0;
+    let mut hashes = Vec::new();
     for (layers, width, seed) in [(4, 5, 7), (5, 6, 11), (6, 6, 3), (5, 8, 1)] {
         let dag = random_layered_dag(
             &RandomDagConfig {
@@ -310,10 +424,11 @@ fn layered_bipartition_models_agree_with_the_y_formulation() {
             seed,
         );
         let unit = vec![1.0; dag.num_edges()];
-        let model = bipartition_model(&dag);
+        let model = bipartition_model(&dag, &unit, &Balance::Thirds);
+        hashes.push(model_hash(&model));
         let what = format!("layered {layers}x{width} seed {seed}");
-        let split =
-            check(&dag, &unit, model, limits, &what, &mut proven).expect("a third is feasible");
+        let split = check(&dag, &unit, model, DNC_SPLIT_LIMITS, &what, &mut proven)
+            .expect("a third is feasible");
         let third = dag.num_nodes().div_ceil(3);
         assert!(split.part_sizes().iter().all(|&s| s >= third), "{what}");
     }
@@ -321,4 +436,5 @@ fn layered_bipartition_models_agree_with_the_y_formulation() {
         proven, 4,
         "every layered comparison is between proven optima"
     );
+    assert_eq!(hashes, LAYERED_MODELS, "a layered model moved");
 }

@@ -54,8 +54,7 @@ pub enum MipStatus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MipStop {
     /// The tree was exhausted: every open node was solved and pruned only when
-    /// infeasible, integral or within [`SolverLimits::relative_gap`] of the
-    /// incumbent.
+    /// infeasible, integral or within [`RELATIVE_GAP`] of the incumbent.
     Gap,
     /// [`SolverLimits::max_nodes`] nodes were explored — a count, so the same
     /// solve stops at the same node on any machine.
@@ -85,7 +84,9 @@ pub struct MipSolution {
     pub best_bound: f64,
 }
 
-/// Search limits of the branch-and-bound solver.
+/// Search limits of the branch-and-bound solver: two counts, so a solve they
+/// cut short is as reproducible as a finished one. The optimality gap at which
+/// the search stops is not a limit but the constant [`RELATIVE_GAP`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolverLimits {
     /// Maximum number of branch-and-bound nodes to explore.
@@ -99,8 +100,6 @@ pub struct SolverLimits {
     /// solve the workspace runs under it (14,573 pivots: the 247-variable
     /// `diamond_p2` pebbling ILP of `bench_record solver`).
     pub max_pivots: usize,
-    /// Relative optimality gap at which the search stops.
-    pub relative_gap: f64,
 }
 
 impl Default for SolverLimits {
@@ -108,10 +107,14 @@ impl Default for SolverLimits {
         SolverLimits {
             max_nodes: 50_000,
             max_pivots: 1_000_000,
-            relative_gap: 1e-6,
         }
     }
 }
+
+/// Relative optimality gap at which the search stops: a node whose bound is
+/// within this fraction of the incumbent's objective (at least an absolute
+/// `RELATIVE_GAP`) is pruned.
+pub const RELATIVE_GAP: f64 = 1e-6;
 
 /// Branch-and-bound MIP solver.
 #[derive(Debug, Clone, Default)]
@@ -211,9 +214,9 @@ impl BranchBoundSolver {
         };
         // Prune by bound.
         let pruned = |bound: f64, incumbent: &Option<(f64, Vec<f64>)>| {
-            incumbent.as_ref().is_some_and(|(best, _)| {
-                bound >= *best - self.limits.relative_gap * best.abs().max(1.0)
-            })
+            incumbent
+                .as_ref()
+                .is_some_and(|(best, _)| bound >= *best - RELATIVE_GAP * best.abs().max(1.0))
         };
 
         let root_lower: Vec<f64> = problem.variables.iter().map(|v| v.lower).collect();

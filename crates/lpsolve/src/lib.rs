@@ -41,7 +41,9 @@ pub mod pricing;
 pub mod revised;
 pub mod sparse;
 
-pub use branch_bound::{BranchBoundSolver, MipSolution, MipStatus, MipStop, SolverLimits};
+pub use branch_bound::{
+    BranchBoundSolver, MipSolution, MipStatus, MipStop, SolverLimits, RELATIVE_GAP,
+};
 pub use model::{Constraint, ConstraintSense, LinExpr, LpProblem, VarId, VarType};
 pub use revised::{
     solve_lp, solve_lp_with_bounds, Basis, LpSolution, LpStatus, RevisedSimplex, VarStatus,

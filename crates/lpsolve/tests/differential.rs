@@ -224,7 +224,6 @@ fn mbsp_shaped_ilps_match_the_dense_oracle_through_branch_and_bound() {
     let mut r = rng(0xD1FF_0003);
     let limits = SolverLimits {
         max_nodes: 20_000,
-        relative_gap: 1e-9,
         ..Default::default()
     };
     for k in 0..NUM_ILPS {
@@ -349,7 +348,6 @@ fn the_random_ilp_family_contains_both_feasible_and_infeasible_instances() {
     let mut r = rng(0xD1FF_0003);
     let limits = SolverLimits {
         max_nodes: 20_000,
-        relative_gap: 1e-9,
         ..Default::default()
     };
     let mut optimal = 0;

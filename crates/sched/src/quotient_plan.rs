@@ -58,15 +58,6 @@ impl QuotientPlan {
             .find(|p| p.part == part)
             .expect("part exists in plan")
     }
-
-    /// The order in which parts should be scheduled (stage by stage, parts within a
-    /// stage in index order). This is a topological order of the quotient graph.
-    pub fn part_order(&self) -> Vec<usize> {
-        let mut entries: Vec<(usize, usize)> =
-            self.parts.iter().map(|p| (p.stage, p.part)).collect();
-        entries.sort_unstable();
-        entries.into_iter().map(|(_, part)| part).collect()
-    }
 }
 
 /// Planner producing [`QuotientPlan`]s from a quotient DAG.
@@ -196,8 +187,8 @@ mod tests {
         assert_eq!(plan.parts.len(), 3);
         for part in &plan.parts {
             assert_eq!(part.processors.len(), 4);
+            assert_eq!(part.stage, part.part);
         }
-        assert_eq!(plan.part_order(), vec![0, 1, 2]);
         assert_eq!(plan.stages().len(), 3);
     }
 
