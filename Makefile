@@ -85,8 +85,10 @@ bench-e2e-smoke:
 
 # "Less code" as a printed number: the counted production lines per crate and
 # in total (every .rs file under crates/*/src up to its first #[cfg(test)],
-# blank and // lines skipped) and the byte size of the release daemon when one
-# has been built. "Fewer options" likewise: `switches` counts what can be set
+# blank and // lines skipped), `pub-items` — the counted lines outside
+# crates/bench that open with `pub fn|struct|enum|trait|const|type|static`, an
+# informational count of the public surface with no gate — and the byte size
+# of the release daemon when one has been built. "Fewer options" likewise: `switches` counts what can be set
 # independently — the `pub` fields of every `pub struct *Config` / `*Limits`
 # under crates/*/src outside crates/bench, the distinct `MBSP_*` names passed
 # to `env::var` anywhere under crates/, the arms of `EvalPath`, and the `--`
@@ -106,10 +108,12 @@ loc:
 	  /^#\[cfg\(test\)\]/ { stop = 1 } \
 	  !stop { s = $$0; sub(/^[ \t]+/, "", s); \
 	          if (s != "" && substr(s, 1, 2) != "//") { lines[crate]++; total++; \
+	            if (crate != "bench" && s ~ /^pub (fn|struct|enum|trait|const|type|static) /) pubs++; \
 	            if (crate != "bench" && s ~ /Instant::now|\.elapsed\(\)/) { clocks++; \
 	              if (crate != "pool" && crate != "serve") { stray++; print FILENAME ": " s } } } } \
 	  END { for (c in lines) printf "%-8s %6d\n", c, lines[c] | "sort"; close("sort"); \
 	        printf "%-8s %6d\n", "total", total; \
+	        printf "pub-items %5d\n", pubs; \
 	        printf "%-8s %6d  (%d outside crates/pool/src and crates/serve/src)\n", "clocks", clocks, stray; \
 	        exit stray > 0 }'
 	@fields=$$(find crates/*/src -name '*.rs' ! -path 'crates/bench/*' | xargs awk ' \

@@ -168,7 +168,9 @@ const CKPT_DEAD: u32 = 1 << 30;
 /// on its processor (sequence positions stay below `2^29`).
 const NO_USE: u32 = u32::MAX;
 
-/// The two-stage (BSP schedule + cache policy) MBSP scheduler.
+/// The two-stage (BSP schedule + cache policy) MBSP scheduler: the paper's
+/// baseline, converting a memory-oblivious BSP schedule into a valid MBSP
+/// schedule that saves every sink.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TwoStageScheduler;
 
@@ -187,23 +189,9 @@ impl TwoStageScheduler {
         bsp: &BspSchedulingResult,
         policy: &dyn EvictionPolicy,
     ) -> MbspSchedule {
-        self.schedule_with_required_outputs(dag, arch, bsp, policy, &[])
-    }
-
-    /// Like [`TwoStageScheduler::schedule`], but additionally guarantees that every
-    /// node in `required_outputs` is saved to slow memory (used by the
-    /// divide-and-conquer scheduler for values needed by later sub-problems).
-    pub fn schedule_with_required_outputs<D: DagLike + ?Sized>(
-        &self,
-        dag: &D,
-        arch: &Architecture,
-        bsp: &BspSchedulingResult,
-        policy: &dyn EvictionPolicy,
-        required_outputs: &[NodeId],
-    ) -> MbspSchedule {
         let mut arena = ConversionArena::new(dag, arch);
         let mut out = MbspSchedule::new(arch.processors);
-        arena.convert(dag, arch, bsp, policy, required_outputs, &mut out);
+        arena.convert(dag, arch, bsp, policy, &[], &mut out);
         out
     }
 }

@@ -1,6 +1,7 @@
-//! Whole-DAG statistics used by the experiment harness and the schedulers.
+//! Whole-DAG summary statistics. No scheduler reads them: the instance
+//! generators' tests check the shapes they build through them.
 
-use crate::graph::{CompDag, NodeId};
+use crate::graph::CompDag;
 use crate::topo::{critical_path_length, TopologicalOrder};
 use serde::{Deserialize, Serialize};
 
@@ -74,70 +75,6 @@ impl DagStatistics {
     }
 }
 
-/// Reusable scratch for the reachability sweeps: version-stamped visited marks
-/// plus a DFS stack, so repeated [`ancestors_into`] / [`descendants_into`] calls
-/// on large DAGs allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct ReachScratch {
-    marks: crate::scratch::VisitMarks,
-    stack: Vec<NodeId>,
-}
-
-/// Returns the set of ancestors of `v` (excluding `v` itself).
-pub fn ancestors(dag: &CompDag, v: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    ancestors_into(dag, v, &mut ReachScratch::default(), &mut out);
-    out
-}
-
-/// Allocation-free variant of [`ancestors`]: writes the sorted ancestor set into
-/// `out`, reusing `scratch` across calls.
-pub fn ancestors_into(dag: &CompDag, v: NodeId, scratch: &mut ReachScratch, out: &mut Vec<NodeId>) {
-    scratch.marks.begin(dag.num_nodes());
-    scratch.stack.clear();
-    scratch.stack.push(v);
-    out.clear();
-    while let Some(u) = scratch.stack.pop() {
-        for &p in dag.parents(u) {
-            if scratch.marks.visit(p.index()) {
-                out.push(p);
-                scratch.stack.push(p);
-            }
-        }
-    }
-    out.sort_unstable();
-}
-
-/// Returns the set of descendants of `v` (excluding `v` itself).
-pub fn descendants(dag: &CompDag, v: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    descendants_into(dag, v, &mut ReachScratch::default(), &mut out);
-    out
-}
-
-/// Allocation-free variant of [`descendants`]: writes the sorted descendant set
-/// into `out`, reusing `scratch` across calls.
-pub fn descendants_into(
-    dag: &CompDag,
-    v: NodeId,
-    scratch: &mut ReachScratch,
-    out: &mut Vec<NodeId>,
-) {
-    scratch.marks.begin(dag.num_nodes());
-    scratch.stack.clear();
-    scratch.stack.push(v);
-    out.clear();
-    while let Some(u) = scratch.stack.pop() {
-        for &c in dag.children(u) {
-            if scratch.marks.visit(c.index()) {
-                out.push(c);
-                scratch.stack.push(c);
-            }
-        }
-    }
-    out.sort_unstable();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,21 +104,6 @@ mod tests {
         assert_eq!(s.max_out_degree, 2);
         assert_eq!(s.minimal_cache_size, 3.0);
         assert!((s.avg_parallelism - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ancestors_and_descendants() {
-        let d = diamond();
-        assert_eq!(
-            ancestors(&d, NodeId::new(3)),
-            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
-        );
-        assert_eq!(ancestors(&d, NodeId::new(0)), Vec::<NodeId>::new());
-        assert_eq!(
-            descendants(&d, NodeId::new(0)),
-            vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]
-        );
-        assert_eq!(descendants(&d, NodeId::new(3)), Vec::<NodeId>::new());
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! O(1) offset subtractions. Incremental construction lives in [`DagBuilder`],
 //! which keeps nested append-friendly lists plus an incremental Pearce–Kelly
 //! topological order (O(1) cycle checks for order-respecting edges) and compacts
-//! into CSR once at `build`. Traversal helpers run on reusable flat scratch
-//! buffers with version-stamped visited marks ([`scratch::VisitMarks`]) instead
-//! of per-call hash sets. [`SubDagView`] borrows a parent graph and serves an
+//! into CSR once at `build`. Traversal helpers work on flat per-node arrays,
+//! allocated per call; the Pearce–Kelly order keeps version-stamped visited
+//! marks ([`scratch::VisitMarks`]) across its repairs instead of per-call hash
+//! sets. [`SubDagView`] borrows a parent graph and serves an
 //! induced subgraph by remapping the parent's CSR slices through a
 //! local↔global offset table — no adjacency/weight/label copies — which is how
 //! the sharded holistic search of `mbsp-ilp` builds per-shard sub-problems at

@@ -143,14 +143,6 @@ impl PkOrder {
         self.ord.swap_remove(v.index());
     }
 
-    /// The node ids sorted by order value (a valid topological order of the
-    /// accepted edge set). Intended for tests and diagnostics.
-    pub fn to_order(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = (0..self.ord.len()).map(NodeId::new).collect();
-        nodes.sort_unstable_by_key(|v| self.ord[v.index()]);
-        nodes
-    }
-
     /// Checks the edge `from -> to` against the maintained order, repairing the
     /// order if the edge violates it, and rejecting it with
     /// [`DagError::CycleDetected`] if it would close a cycle.
@@ -270,7 +262,6 @@ mod tests {
         assert_eq!(pk.len(), 4);
         assert!(pk.is_valid_for(&d));
         assert!(pk.is_before(NodeId::new(0), NodeId::new(3)));
-        assert_eq!(pk.to_order().len(), 4);
     }
 
     #[test]

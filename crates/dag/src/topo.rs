@@ -1,21 +1,16 @@
 //! Topological orderings and level structure.
 //!
-//! Schedulers repeatedly need (a) a topological order of the nodes, (b) the level
+//! Schedulers need (a) a topological order of the nodes, (b) the level
 //! (longest distance from a source) of each node, and (c) priority orderings such as
 //! bottom-levels (critical-path-to-sink lengths) used by list scheduling. This module
-//! computes all of them in `O(|V| + |E|)` on flat, reusable buffers: the Kahn queue
-//! is the output array itself (no `VecDeque`), and every entry point has an `_into`
-//! or `rebuild` variant that reuses the caller's allocations across instances.
+//! computes each of them in one `O(|V| + |E|)` sweep on flat per-node arrays;
+//! the Kahn queue is the output array itself (no `VecDeque`).
 
 use crate::graph::NodeId;
 use crate::view::DagLike;
 
 /// A topological ordering of a [`CompDag`](crate::graph::CompDag) together with derived level information.
-///
-/// The `Default` value is the (valid) ordering of the empty DAG; it exists so
-/// scratch holders can embed a `TopologicalOrder` and fill it later via
-/// [`TopologicalOrder::rebuild`].
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologicalOrder {
     /// Nodes in topological order (every node appears after all its parents).
     order: Vec<NodeId>,
@@ -23,9 +18,6 @@ pub struct TopologicalOrder {
     position: Vec<usize>,
     /// `level[v]` = length (in edges) of the longest path from any source to `v`.
     level: Vec<usize>,
-    /// Scratch: remaining-parent counters for the Kahn sweep (all zero after a
-    /// successful rebuild; kept so `rebuild` is allocation-free).
-    indeg: Vec<u32>,
 }
 
 impl TopologicalOrder {
@@ -36,54 +28,37 @@ impl TopologicalOrder {
     /// does not. Accepts any [`DagLike`] graph, including the zero-copy
     /// [`crate::SubDagView`].
     pub fn of<D: DagLike + ?Sized>(dag: &D) -> Self {
-        let mut topo = TopologicalOrder {
-            order: Vec::new(),
-            position: Vec::new(),
-            level: Vec::new(),
-            indeg: Vec::new(),
-        };
-        topo.rebuild(dag);
-        topo
-    }
-
-    /// Recomputes the ordering for `dag`, reusing every buffer — the in-place
-    /// counterpart of [`TopologicalOrder::of`] for loops that process many DAGs.
-    pub fn rebuild<D: DagLike + ?Sized>(&mut self, dag: &D) {
         let n = dag.num_nodes();
-        self.indeg.clear();
-        self.indeg
-            .extend((0..n).map(|i| dag.in_degree(NodeId::new(i)) as u32));
-        self.level.clear();
-        self.level.resize(n, 0);
+        let mut indeg: Vec<u32> = (0..n)
+            .map(|i| dag.in_degree(NodeId::new(i)) as u32)
+            .collect();
+        let mut level = vec![0usize; n];
         // The output array doubles as the FIFO queue: nodes are appended when
         // their last parent is processed and consumed in append order.
-        self.order.clear();
-        self.order.reserve(n);
-        let indeg = &self.indeg;
-        self.order.extend(
-            (0..n)
-                .map(NodeId::new)
-                .filter(move |&v| indeg[v.index()] == 0),
-        );
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).map(NodeId::new).filter(|&v| indeg[v.index()] == 0));
         let mut head = 0usize;
-        while head < self.order.len() {
-            let u = self.order[head];
+        while head < order.len() {
+            let u = order[head];
             head += 1;
-            let lu = self.level[u.index()];
+            let lu = level[u.index()];
             for c in dag.children(u) {
-                let lc = &mut self.level[c.index()];
-                *lc = (*lc).max(lu + 1);
-                self.indeg[c.index()] -= 1;
-                if self.indeg[c.index()] == 0 {
-                    self.order.push(c);
+                level[c.index()] = level[c.index()].max(lu + 1);
+                indeg[c.index()] -= 1;
+                if indeg[c.index()] == 0 {
+                    order.push(c);
                 }
             }
         }
-        assert_eq!(self.order.len(), n, "CompDag must be acyclic");
-        self.position.clear();
-        self.position.resize(n, 0);
-        for (i, &v) in self.order.iter().enumerate() {
-            self.position[v.index()] = i;
+        assert_eq!(order.len(), n, "CompDag must be acyclic");
+        let mut position = vec![0usize; n];
+        for (i, &v) in order.iter().enumerate() {
+            position[v.index()] = i;
+        }
+        TopologicalOrder {
+            order,
+            position,
+            level,
         }
     }
 
@@ -117,90 +92,53 @@ impl TopologicalOrder {
     }
 }
 
-/// Reusable scratch state for [`dfs_topological_order_into`].
-#[derive(Debug, Clone, Default)]
-pub struct DfsOrderScratch {
-    remaining_parents: Vec<u32>,
-    stack: Vec<NodeId>,
-    ready: Vec<NodeId>,
-    emitted: Vec<bool>,
-}
-
 /// Returns a depth-first topological order starting from the sources, visiting
 /// children in index order. This is the order the paper's single-processor DFS
 /// baseline uses for the red–blue pebbling experiment. Accepts any [`DagLike`]
 /// graph, including the zero-copy [`crate::SubDagView`].
 pub fn dfs_topological_order<D: DagLike + ?Sized>(dag: &D) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    dfs_topological_order_into(dag, &mut order, &mut DfsOrderScratch::default());
-    order
-}
-
-/// Allocation-free variant of [`dfs_topological_order`]: writes the order into
-/// `order` and reuses `scratch` across calls.
-pub fn dfs_topological_order_into<D: DagLike + ?Sized>(
-    dag: &D,
-    order: &mut Vec<NodeId>,
-    scratch: &mut DfsOrderScratch,
-) {
     let n = dag.num_nodes();
-    scratch.remaining_parents.clear();
-    scratch
-        .remaining_parents
-        .extend((0..n).map(|i| dag.in_degree(NodeId::new(i)) as u32));
-    scratch.emitted.clear();
-    scratch.emitted.resize(n, false);
-    scratch.stack.clear();
-    scratch.stack.extend(dag.source_nodes());
+    let mut remaining_parents: Vec<u32> = (0..n)
+        .map(|i| dag.in_degree(NodeId::new(i)) as u32)
+        .collect();
+    let mut emitted = vec![false; n];
+    let mut stack: Vec<NodeId> = dag.source_nodes().collect();
     // Reverse so that lower-index sources are popped first.
-    scratch.stack.reverse();
-    order.clear();
-    order.reserve(n);
-    while let Some(u) = scratch.stack.pop() {
-        if scratch.emitted[u.index()] {
+    stack.reverse();
+    let mut ready = Vec::new();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = stack.pop() {
+        if emitted[u.index()] {
             continue;
         }
-        scratch.emitted[u.index()] = true;
+        emitted[u.index()] = true;
         order.push(u);
         // Push children whose parents are all emitted; depth-first: last pushed is
         // explored next, so push in reverse index order to explore low indices first.
-        scratch.ready.clear();
+        ready.clear();
         for c in dag.children(u) {
-            scratch.remaining_parents[c.index()] -= 1;
-            if scratch.remaining_parents[c.index()] == 0 {
-                scratch.ready.push(c);
+            remaining_parents[c.index()] -= 1;
+            if remaining_parents[c.index()] == 0 {
+                ready.push(c);
             }
         }
-        scratch.ready.sort_unstable();
-        for i in (0..scratch.ready.len()).rev() {
-            scratch.stack.push(scratch.ready[i]);
-        }
+        ready.sort_unstable();
+        stack.extend(ready.iter().rev());
     }
     debug_assert_eq!(order.len(), n);
+    order
 }
 
 /// Bottom level of every node: the compute weight of the heaviest path from the node
 /// to any sink, including the node's own weight. Classic list-scheduling priority.
 pub fn bottom_levels<D: DagLike + ?Sized>(dag: &D) -> Vec<f64> {
     let topo = TopologicalOrder::of(dag);
-    let mut bl = Vec::new();
-    bottom_levels_into(dag, &topo, &mut bl);
-    bl
-}
-
-/// Allocation-free variant of [`bottom_levels`] for callers that already hold a
-/// [`TopologicalOrder`] and a reusable output buffer.
-pub fn bottom_levels_into<D: DagLike + ?Sized>(
-    dag: &D,
-    topo: &TopologicalOrder,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(dag.num_nodes(), 0.0);
+    let mut bl = vec![0.0f64; dag.num_nodes()];
     for &v in topo.order().iter().rev() {
-        let best_child = dag.children(v).map(|c| out[c.index()]).fold(0.0, f64::max);
-        out[v.index()] = dag.compute_weight(v) + best_child;
+        let best_child = dag.children(v).map(|c| bl[c.index()]).fold(0.0, f64::max);
+        bl[v.index()] = dag.compute_weight(v) + best_child;
     }
+    bl
 }
 
 /// Top level of every node: the compute weight of the heaviest path from any source
@@ -255,18 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_reuses_buffers_across_dags() {
-        let d = diamond();
-        let mut topo = TopologicalOrder::of(&d);
-        let p3 = CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)]).unwrap();
-        topo.rebuild(&p3);
-        assert_eq!(topo.order().len(), 3);
-        assert_eq!(topo.level(NodeId::new(2)), 2);
-        topo.rebuild(&d);
-        assert_eq!(topo, TopologicalOrder::of(&d));
-    }
-
-    #[test]
     fn levels_are_longest_paths() {
         let d = diamond();
         let topo = TopologicalOrder::of(&d);
@@ -314,18 +240,6 @@ mod tests {
         }
         // Chain `a` has lower indices, so it is fully explored before chain `c` starts.
         assert!(pos[a[2].index()] < pos[c[0].index()]);
-    }
-
-    #[test]
-    fn dfs_scratch_is_reusable() {
-        let d = diamond();
-        let mut scratch = DfsOrderScratch::default();
-        let mut order = Vec::new();
-        dfs_topological_order_into(&d, &mut order, &mut scratch);
-        let first = order.clone();
-        dfs_topological_order_into(&d, &mut order, &mut scratch);
-        assert_eq!(first, order);
-        assert_eq!(order, dfs_topological_order(&d));
     }
 
     #[test]

@@ -24,15 +24,6 @@ pub fn assign_random_memory_weights(dag: &mut CompDag, max_weight: u32, seed: u6
     }
 }
 
-/// Assigns every node a unit memory weight (used by the pure-pebbling experiments).
-pub fn assign_unit_memory_weights(dag: &mut CompDag) {
-    for v in dag.nodes().collect::<Vec<_>>() {
-        let compute = dag.compute_weight(v);
-        dag.set_weights(v, NodeWeights::new(compute, 1.0))
-            .expect("unit weight is valid");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +63,5 @@ mod tests {
             .filter(|&v| d1.memory_weight(v) == d2.memory_weight(v))
             .count();
         assert!(same < 50, "two seeds should not produce identical weights");
-    }
-
-    #[test]
-    fn unit_weights_override() {
-        let mut d = chain(10);
-        assign_random_memory_weights(&mut d, 5, 7);
-        assign_unit_memory_weights(&mut d);
-        assert!(d.nodes().all(|v| d.memory_weight(v) == 1.0));
     }
 }

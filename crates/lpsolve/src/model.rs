@@ -227,16 +227,6 @@ impl LpProblem {
         self.constraints.len()
     }
 
-    /// The indices of integer-constrained (binary or integer) variables.
-    pub fn integer_variables(&self) -> Vec<VarId> {
-        self.variables
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| matches!(v.var_type, VarType::Binary | VarType::Integer))
-            .map(|(i, _)| VarId(i))
-            .collect()
-    }
-
     /// Objective value of an assignment.
     pub fn objective_value(&self, assignment: &[f64]) -> f64 {
         self.variables
@@ -323,7 +313,6 @@ mod tests {
         );
         assert_eq!(p.num_variables(), 3);
         assert_eq!(p.num_constraints(), 2);
-        assert_eq!(p.integer_variables(), vec![y, z]);
         let assignment = vec![1.0, 1.0, 2.0];
         assert!(p.is_feasible(&assignment, 1e-9));
         assert_eq!(p.objective_value(&assignment), 3.0);

@@ -183,12 +183,6 @@ impl SparseForm {
         self.nstruct + self.nrows + i
     }
 
-    /// True if `j` is an artificial column.
-    #[inline]
-    pub fn is_artificial(&self, j: usize) -> bool {
-        j >= self.nstruct + self.nrows
-    }
-
     /// Overrides the structural bounds (used by branch and bound, which tightens
     /// one bound per node on a shared form).
     pub fn set_structural_bounds(&mut self, lower: &[f64], upper: &[f64]) {
@@ -273,8 +267,6 @@ mod tests {
             (f.lower[f.artificial(0)], f.upper[f.artificial(0)]),
             (0.0, 0.0)
         );
-        assert!(f.is_artificial(f.artificial(2)));
-        assert!(!f.is_artificial(f.slack(2)));
     }
 
     #[test]

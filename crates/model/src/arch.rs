@@ -116,13 +116,6 @@ impl Architecture {
         self.latency = latency;
         self
     }
-
-    /// Returns a copy with a different communication gap.
-    pub fn with_g(mut self, g: f64) -> Self {
-        assert!(g.is_finite() && g >= 0.0);
-        self.g = g;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -152,12 +145,10 @@ mod tests {
         let a = Architecture::paper_default(30.0)
             .with_processors(8)
             .with_cache_size(50.0)
-            .with_latency(0.0)
-            .with_g(2.0);
+            .with_latency(0.0);
         assert_eq!(a.processors, 8);
         assert_eq!(a.cache_size, 50.0);
         assert_eq!(a.latency, 0.0);
-        assert_eq!(a.g, 2.0);
     }
 
     #[test]

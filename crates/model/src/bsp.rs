@@ -14,7 +14,7 @@
 //! when a child lives on a different processor.
 
 use crate::arch::{Architecture, ProcId};
-use mbsp_dag::{CompDag, NodeId, TopologicalOrder};
+use mbsp_dag::{CompDag, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -106,11 +106,6 @@ impl BspSchedule {
     /// The raw assignment.
     pub fn assignment(&self) -> &[(ProcId, usize)] {
         &self.assignment
-    }
-
-    /// Mutably reassigns node `v`.
-    pub fn assign(&mut self, v: NodeId, proc: ProcId, superstep: usize) {
-        self.assignment[v.index()] = (proc, superstep);
     }
 
     /// Number of supersteps (1 + maximal superstep index used, 0 if empty).
@@ -212,20 +207,6 @@ impl BspSchedule {
             latency,
             supersteps: steps,
         }
-    }
-
-    /// Returns, for each superstep and processor, the nodes computed there in a
-    /// topological (dependency-respecting) order. Source nodes are included so the
-    /// two-stage converter knows where their values are first needed.
-    pub fn compute_lists(&self, dag: &CompDag) -> Vec<Vec<Vec<NodeId>>> {
-        let steps = self.num_supersteps();
-        let topo = TopologicalOrder::of(dag);
-        let mut lists = vec![vec![Vec::new(); self.processors]; steps];
-        for &v in topo.order() {
-            let (p, s) = self.assignment[v.index()];
-            lists[s][p.index()].push(v);
-        }
-        lists
     }
 
     /// Total compute work assigned to each processor (excluding source nodes).
@@ -402,29 +383,6 @@ mod tests {
         assert_eq!(cost.communication, 2.0);
         assert_eq!(cost.latency, 30.0);
         assert_eq!(cost.total, 34.0);
-    }
-
-    #[test]
-    fn compute_lists_are_topological_per_processor() {
-        let dag = diamond();
-        let sched = BspSchedule::new(
-            1,
-            vec![
-                (ProcId::new(0), 0),
-                (ProcId::new(0), 0),
-                (ProcId::new(0), 0),
-                (ProcId::new(0), 0),
-            ],
-        );
-        let lists = sched.compute_lists(&dag);
-        assert_eq!(lists.len(), 1);
-        let order = &lists[0][0];
-        assert_eq!(order.len(), 4);
-        let pos: std::collections::HashMap<_, _> =
-            order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        for (u, v) in dag.edges() {
-            assert!(pos[&u] < pos[&v]);
-        }
     }
 
     #[test]

@@ -55,19 +55,6 @@ impl MbspInstance {
     pub fn is_feasible(&self) -> bool {
         self.arch.fits(self.dag.minimal_cache_size())
     }
-
-    /// Returns a copy of the instance with a modified architecture.
-    pub fn with_arch(&self, arch: Architecture) -> Self {
-        MbspInstance {
-            dag: self.dag.clone(),
-            arch,
-        }
-    }
-
-    /// Decomposes the instance into its parts.
-    pub fn into_parts(self) -> (CompDag, Architecture) {
-        (self.dag, self.arch)
-    }
 }
 
 #[cfg(test)]
@@ -100,17 +87,5 @@ mod tests {
         let dag = diamond();
         let inst = MbspInstance::new(dag, Architecture::new(2, 2.0, 1.0, 0.0));
         assert!(!inst.is_feasible());
-    }
-
-    #[test]
-    fn with_arch_keeps_dag() {
-        let dag = diamond();
-        let inst = MbspInstance::with_cache_factor(dag, Architecture::paper_default(0.0), 3.0);
-        let changed = inst.with_arch(inst.arch().with_processors(8));
-        assert_eq!(changed.arch().processors, 8);
-        assert_eq!(changed.dag().num_nodes(), 4);
-        let (dag, arch) = changed.into_parts();
-        assert_eq!(dag.num_nodes(), 4);
-        assert_eq!(arch.processors, 8);
     }
 }

@@ -79,11 +79,6 @@ impl Operation {
             Operation::Delete { .. } => 0.0,
         }
     }
-
-    /// Returns true for `Load` and `Save` (the I/O operations).
-    pub fn is_io(&self) -> bool {
-        matches!(self, Operation::Load { .. } | Operation::Save { .. })
-    }
 }
 
 impl std::fmt::Display for Operation {
@@ -158,8 +153,6 @@ mod tests {
         let op = Operation::Load { proc: p, node: v };
         assert_eq!(op.proc(), p);
         assert_eq!(op.node(), v);
-        assert!(op.is_io());
-        assert!(!Operation::Compute { proc: p, node: v }.is_io());
         assert_eq!(op.to_string(), "LOAD(p1, v2)");
     }
 

@@ -133,20 +133,6 @@ impl Configuration {
         SetBits::new(&self.red[base..base + self.words])
     }
 
-    /// Number of nodes currently cached by processor `p` — a chunked popcount
-    /// over the processor's red bitset ([`crate::kernels::popcount_words`]),
-    /// without iterating the set bits.
-    pub fn num_cached(&self, p: ProcId) -> usize {
-        let base = p.index() * self.words;
-        crate::kernels::popcount_words(&self.red[base..base + self.words]) as usize
-    }
-
-    /// Number of nodes currently in slow memory — a chunked popcount over the
-    /// blue bitset.
-    pub fn num_blue(&self) -> usize {
-        crate::kernels::popcount_words(&self.blue) as usize
-    }
-
     /// Word-level state equality through the chunked
     /// [`crate::kernels::words_equal`] kernel: identical to `self == other`
     /// (the derived `PartialEq` is the differential oracle) but compares the
@@ -495,12 +481,6 @@ impl ParentMasks {
     /// Number of nodes the table covers.
     pub fn num_nodes(&self) -> usize {
         self.off.len().saturating_sub(1)
-    }
-
-    /// Number of `(word, mask)` entries of node `v`.
-    pub fn num_entries(&self, v: NodeId) -> usize {
-        let (a, b) = self.range(v);
-        b - a
     }
 
     #[inline]
@@ -853,7 +833,6 @@ mod tests {
         let arch = Architecture::new(2, 1e9, 1.0, 0.0);
         let masks = ParentMasks::of(&dag);
         assert_eq!(masks.num_nodes(), n);
-        assert_eq!(masks.num_entries(NodeId::new(n - 1)), 3);
         let p = ProcId::new(1);
         let mut walk = Configuration::initial(&dag, &arch);
         let mut masked = Configuration::initial(&dag, &arch);
@@ -884,9 +863,6 @@ mod tests {
             cfg.place_red_unchecked(&dag, p, NodeId::new(i));
             cfg.place_blue_unchecked(NodeId::new(i));
         }
-        assert_eq!(cfg.num_cached(p), cfg.cached_nodes(p).count());
-        assert_eq!(cfg.num_cached(ProcId::new(0)), 0);
-        assert_eq!(cfg.num_blue(), cfg.blue_nodes().count());
         let other = cfg.clone();
         assert!(cfg.state_eq(&other));
         assert_eq!(cfg.state_eq(&other), cfg == other);

@@ -9,15 +9,17 @@
 //! a BSP schedule: a node starts a new superstep whenever it consumes a value
 //! produced on another processor in the current superstep.
 //!
-//! The simulation and the fold run entirely on [`SchedulerScratch`] buffers (the
-//! RNG draw sequence is untouched, so results are bit-identical to the
-//! pre-scratch implementation retained as [`crate::reference::cilk_reference`]).
+//! The simulation and the fold keep their state in flat per-node arrays local
+//! to one call; the RNG draw sequence is that of the original nested-`Vec`
+//! implementation retained as [`crate::reference::cilk_reference`], so results
+//! are bit-identical to it.
 
-use crate::{BspScheduler, BspSchedulingResult, SchedulerScratch};
+use crate::{BspScheduler, BspSchedulingResult};
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{Architecture, BspSchedule, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// Work-stealing scheduler simulation (Cilk-style baseline).
 #[derive(Debug, Clone)]
@@ -42,67 +44,54 @@ impl CilkScheduler {
         CilkScheduler { seed }
     }
 
-    /// Simulates the work-stealing execution into the scratch buffers: per node,
-    /// the worker that executed it (`scratch.owner`) and the execution order
-    /// (`scratch.completion_order`, a permutation of the non-source nodes in
-    /// completion order).
+    /// Simulates the work-stealing execution: returns, per node, the worker
+    /// that executed it, and the execution order (a permutation of the
+    /// non-source nodes in completion order).
     fn simulate<D: DagLike + ?Sized>(
         &self,
         dag: &D,
         processors: usize,
-        scratch: &mut SchedulerScratch,
-    ) {
+    ) -> (Vec<ProcId>, Vec<NodeId>) {
         let n = dag.num_nodes();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        scratch.remaining_parents.clear();
-        scratch
-            .remaining_parents
-            .extend((0..n).map(|i| dag.in_degree(NodeId::new(i)) as u32));
-        scratch.owner.clear();
-        scratch.owner.resize(n, ProcId::new(0));
-        scratch.deques.resize(processors, Default::default());
-        for d in &mut scratch.deques {
-            d.clear();
-        }
+        let mut remaining_parents: Vec<u32> = (0..n)
+            .map(|i| dag.in_degree(NodeId::new(i)) as u32)
+            .collect();
+        let mut owner = vec![ProcId::new(0); n];
+        let mut deques: Vec<VecDeque<NodeId>> = vec![VecDeque::new(); processors];
 
         // Seed the deques with the children of the sources that become ready, spread
         // round-robin over the workers (sources themselves are inputs).
-        scratch.ready.clear();
+        let mut ready = Vec::new();
         for v in dag.source_nodes() {
             for c in dag.children(v) {
-                scratch.remaining_parents[c.index()] -= 1;
-                if scratch.remaining_parents[c.index()] == 0 {
-                    scratch.ready.push(c);
+                remaining_parents[c.index()] -= 1;
+                if remaining_parents[c.index()] == 0 {
+                    ready.push(c);
                 }
             }
         }
-        scratch.ready.sort_unstable();
-        scratch.ready.dedup();
-        for (i, &v) in scratch.ready.iter().enumerate() {
-            scratch.deques[i % processors].push_back(v);
+        ready.sort_unstable();
+        ready.dedup();
+        for (i, &v) in ready.iter().enumerate() {
+            deques[i % processors].push_back(v);
         }
 
         // Event-driven simulation in virtual time: each worker has a time at which
         // it becomes idle; the earliest idle worker acts next.
-        scratch.worker_time.clear();
-        scratch.worker_time.resize(processors, 0.0);
-        scratch.completion_order.clear();
-        scratch.executed.clear();
-        scratch.executed.resize(n, false);
+        let mut worker_time = vec![0.0f64; processors];
+        let mut completion_order = Vec::new();
+        let mut executed = vec![false; n];
         let non_source_count = dag.nodes().filter(|&v| !dag.is_source(v)).count();
 
-        while scratch.completion_order.len() < non_source_count {
+        while completion_order.len() < non_source_count {
             // Pick the worker with the smallest current time (ties: lowest index).
             let w = (0..processors)
-                .min_by(|&a, &b| {
-                    scratch.worker_time[a]
-                        .partial_cmp(&scratch.worker_time[b])
-                        .unwrap()
-                })
+                .min_by(|&a, &b| worker_time[a].partial_cmp(&worker_time[b]).unwrap())
                 .unwrap();
             // Take own work from the bottom of the deque, or steal from the top of a
             // random victim.
-            let task = if let Some(t) = scratch.deques[w].pop_back() {
+            let task = if let Some(t) = deques[w].pop_back() {
                 Some(t)
             } else {
                 let mut stolen = None;
@@ -110,7 +99,7 @@ impl CilkScheduler {
                 for _ in 0..processors {
                     let victim = rng.gen_range(0..processors);
                     if victim != w {
-                        if let Some(t) = scratch.deques[victim].pop_front() {
+                        if let Some(t) = deques[victim].pop_front() {
                             stolen = Some(t);
                             break;
                         }
@@ -119,7 +108,7 @@ impl CilkScheduler {
                 if stolen.is_none() {
                     for victim in 0..processors {
                         if victim != w {
-                            if let Some(t) = scratch.deques[victim].pop_front() {
+                            if let Some(t) = deques[victim].pop_front() {
                                 stolen = Some(t);
                                 break;
                             }
@@ -130,37 +119,37 @@ impl CilkScheduler {
             };
             match task {
                 Some(v) => {
-                    debug_assert!(!scratch.executed[v.index()]);
-                    scratch.executed[v.index()] = true;
-                    scratch.owner[v.index()] = ProcId::new(w);
-                    scratch.worker_time[w] += dag.compute_weight(v).max(f64::MIN_POSITIVE);
-                    scratch.completion_order.push(v);
+                    debug_assert!(!executed[v.index()]);
+                    executed[v.index()] = true;
+                    owner[v.index()] = ProcId::new(w);
+                    worker_time[w] += dag.compute_weight(v).max(f64::MIN_POSITIVE);
+                    completion_order.push(v);
                     // Newly ready children go to this worker's deque (depth-first).
                     for c in dag.children(v) {
-                        scratch.remaining_parents[c.index()] -= 1;
-                        if scratch.remaining_parents[c.index()] == 0 {
-                            scratch.deques[w].push_back(c);
+                        remaining_parents[c.index()] -= 1;
+                        if remaining_parents[c.index()] == 0 {
+                            deques[w].push_back(c);
                         }
                     }
                 }
                 None => {
                     // Nothing to steal right now: advance this worker's clock past
                     // the next busy worker so someone else can produce work.
-                    let next_busy = scratch
-                        .worker_time
+                    let next_busy = worker_time
                         .iter()
                         .enumerate()
                         .filter(|&(i, _)| i != w)
                         .map(|(_, &t)| t)
                         .fold(f64::INFINITY, f64::min);
-                    scratch.worker_time[w] = if next_busy.is_finite() {
+                    worker_time[w] = if next_busy.is_finite() {
                         next_busy + 1e-6
                     } else {
-                        scratch.worker_time[w] + 1.0
+                        worker_time[w] + 1.0
                     };
                 }
             }
         }
+        (owner, completion_order)
     }
 
     /// Generic counterpart of [`BspScheduler::schedule`]: simulates the
@@ -173,18 +162,8 @@ impl CilkScheduler {
         dag: &D,
         arch: &Architecture,
     ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, &mut SchedulerScratch::default())
-    }
-
-    /// Like [`CilkScheduler::schedule_dag`], reusing the caller's scratch buffers.
-    pub fn schedule_dag_with_scratch<D: DagLike + ?Sized>(
-        &self,
-        dag: &D,
-        arch: &Architecture,
-        scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
         let p = arch.processors;
-        self.simulate(dag, p, scratch);
+        let (owner, completion_order) = self.simulate(dag, p);
         let n = dag.num_nodes();
 
         // Fold the trace into supersteps: a node's superstep is at least one more
@@ -192,10 +171,8 @@ impl CilkScheduler {
         // superstep of any parent on the same processor, and at least the superstep
         // of the previous node executed by the same worker (the trace order must
         // stay realisable).
-        scratch.superstep_of.clear();
-        scratch.superstep_of.resize(n, 0);
-        scratch.last_step_of_worker.clear();
-        scratch.last_step_of_worker.resize(p, 0);
+        let mut superstep_of = vec![0usize; n];
+        let mut last_step_of_worker = vec![0usize; p];
         let mut assignment: Vec<(ProcId, usize)> = vec![(ProcId::new(0), 0); n];
         let mut order: Vec<NodeId> = Vec::with_capacity(n);
 
@@ -204,24 +181,19 @@ impl CilkScheduler {
             assignment[v.index()] = (ProcId::new(0), 0);
             order.push(v);
         }
-        for i in 0..scratch.completion_order.len() {
-            let v = scratch.completion_order[i];
-            let w = scratch.owner[v.index()];
-            let mut s = scratch.last_step_of_worker[w.index()];
+        for v in completion_order {
+            let w = owner[v.index()];
+            let mut s = last_step_of_worker[w.index()];
             for u in dag.parents(v) {
                 if dag.is_source(u) {
                     continue;
                 }
-                let su = scratch.superstep_of[u.index()];
-                let needed = if scratch.owner[u.index()] == w {
-                    su
-                } else {
-                    su + 1
-                };
+                let su = superstep_of[u.index()];
+                let needed = if owner[u.index()] == w { su } else { su + 1 };
                 s = s.max(needed);
             }
-            scratch.superstep_of[v.index()] = s;
-            scratch.last_step_of_worker[w.index()] = s;
+            superstep_of[v.index()] = s;
+            last_step_of_worker[w.index()] = s;
             assignment[v.index()] = (w, s);
             order.push(v);
         }
@@ -250,15 +222,6 @@ impl BspScheduler for CilkScheduler {
 
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
         self.schedule_dag(dag, arch)
-    }
-
-    fn schedule_with_scratch(
-        &self,
-        dag: &CompDag,
-        arch: &Architecture,
-        scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, scratch)
     }
 }
 
@@ -312,20 +275,6 @@ mod tests {
         let b = CilkScheduler::with_seed(5).schedule(&dag, &arch(3));
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.order, b.order);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        let a = arch(3);
-        let mut scratch = SchedulerScratch::new();
-        for seed in 0..5 {
-            let dag = random_layered_dag(&RandomDagConfig::default(), seed);
-            let sched = CilkScheduler::with_seed(seed ^ 0xA5);
-            let reused = sched.schedule_with_scratch(&dag, &a, &mut scratch);
-            let fresh = sched.schedule(&dag, &a);
-            assert_eq!(reused.schedule, fresh.schedule, "seed {seed}");
-            assert_eq!(reused.order, fresh.order, "seed {seed}");
-        }
     }
 
     #[test]

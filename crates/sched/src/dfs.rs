@@ -4,12 +4,12 @@
 //! as the first stage of the two-stage baseline, combined with the clairvoyant cache
 //! eviction policy. This scheduler assigns every node to processor 0 in a single
 //! superstep and provides the depth-first topological order as the ordering hint
-//! (which the BSP→MBSP conversion uses as the compute order). The order is computed
-//! on the reusable [`SchedulerScratch`] buffers; the pre-scratch implementation is
-//! retained as [`crate::reference::dfs_reference`].
+//! (which the BSP→MBSP conversion uses as the compute order). The order comes
+//! from [`mbsp_dag::topo::dfs_topological_order`]; the original implementation
+//! is retained as [`crate::reference::dfs_reference`].
 
-use crate::{BspScheduler, BspSchedulingResult, SchedulerScratch};
-use mbsp_dag::topo::dfs_topological_order_into;
+use crate::{BspScheduler, BspSchedulingResult};
+use mbsp_dag::topo::dfs_topological_order;
 use mbsp_dag::{CompDag, DagLike};
 use mbsp_model::{Architecture, BspSchedule, ProcId};
 
@@ -29,24 +29,12 @@ impl DfsScheduler {
     pub fn schedule_dag<D: DagLike + ?Sized>(
         &self,
         dag: &D,
-        arch: &Architecture,
-    ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, &mut SchedulerScratch::default())
-    }
-
-    /// Like [`DfsScheduler::schedule_dag`], reusing the caller's scratch buffers.
-    pub fn schedule_dag_with_scratch<D: DagLike + ?Sized>(
-        &self,
-        dag: &D,
         _arch: &Architecture,
-        scratch: &mut SchedulerScratch,
     ) -> BspSchedulingResult {
-        let mut order = Vec::new();
-        dfs_topological_order_into(dag, &mut order, &mut scratch.dfs);
         let assignment = vec![(ProcId::new(0), 0usize); dag.num_nodes()];
         BspSchedulingResult {
             schedule: BspSchedule::new(1, assignment),
-            order,
+            order: dfs_topological_order(dag),
         }
     }
 }
@@ -58,15 +46,6 @@ impl BspScheduler for DfsScheduler {
 
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
         self.schedule_dag(dag, arch)
-    }
-
-    fn schedule_with_scratch(
-        &self,
-        dag: &CompDag,
-        arch: &Architecture,
-        scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, scratch)
     }
 }
 

@@ -48,15 +48,15 @@
 //! nodes pinned to a processor that is full while another keeps receiving a
 //! chain — still cost one list walk per pass.
 //!
-//! All working state lives in [`SchedulerScratch`] and is reused across calls;
-//! the per-superstep "assigned here" test reads the assignment array directly,
-//! and the superstep close touches only the nodes assigned in that superstep.
-//! The original implementation is retained verbatim as
-//! [`crate::reference::greedy_reference`]; the differential tests assert both
-//! produce byte-identical schedules and order hints.
+//! All working state is local to one call; the per-superstep "assigned here"
+//! test reads the assignment array directly, and the superstep close touches
+//! only the nodes assigned in that superstep. The original implementation is
+//! retained verbatim as [`crate::reference::greedy_reference`]; the
+//! differential tests assert both produce byte-identical schedules and order
+//! hints.
 
-use crate::{BspScheduler, BspSchedulingResult, SchedulerScratch};
-use mbsp_dag::topo::bottom_levels_into;
+use crate::{BspScheduler, BspSchedulingResult};
+use mbsp_dag::topo::bottom_levels;
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{Architecture, BspSchedule, ProcId};
 
@@ -87,21 +87,19 @@ impl GreedyBspScheduler {
         dag: &D,
         arch: &Architecture,
     ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, &mut SchedulerScratch::default())
+        self.schedule_counting_visits(dag, arch).0
     }
 
-    /// Like [`GreedyBspScheduler::schedule_dag`], reusing the caller's scratch
-    /// buffers.
-    pub fn schedule_dag_with_scratch<D: DagLike + ?Sized>(
+    /// The greedy list scheduler, returning with its schedule the number of
+    /// candidate-loop iterations it took (what the complexity guard bounds).
+    fn schedule_counting_visits<D: DagLike + ?Sized>(
         &self,
         dag: &D,
         arch: &Architecture,
-        scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
+    ) -> (BspSchedulingResult, u64) {
         let n = dag.num_nodes();
         let p = arch.processors;
-        scratch.topo.rebuild(dag);
-        bottom_levels_into(dag, &scratch.topo, &mut scratch.priorities);
+        let priorities = bottom_levels(dag);
 
         // Work quantum per processor per superstep.
         let max_node_weight = dag
@@ -117,90 +115,83 @@ impl GreedyBspScheduler {
         // is exactly the predicate the former `Vec<Vec<bool>>` scratch answered.
         let mut assignment: Vec<Option<(ProcId, usize)>> = vec![None; n];
         let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        scratch.remaining_parents.clear();
-        scratch
-            .remaining_parents
-            .extend((0..n).map(|i| dag.in_degree(NodeId::new(i)) as u32));
+        let mut remaining_parents: Vec<u32> = (0..n)
+            .map(|i| dag.in_degree(NodeId::new(i)) as u32)
+            .collect();
         let mut scheduled = 0usize;
+        let mut list = ReadyList::default();
 
         // Sources are "scheduled" implicitly: they are inputs that live in slow
         // memory. We place them on processor 0, superstep 0 so that the assignment
         // covers every node, but they carry no compute work.
-        scratch.ready.clear();
-        scratch.newly_ready.clear();
         for v in dag.nodes() {
             if dag.is_source(v) {
                 assignment[v.index()] = Some((ProcId::new(0), 0));
                 order.push(v);
                 scheduled += 1;
                 for c in dag.children(v) {
-                    scratch.remaining_parents[c.index()] -= 1;
-                    if scratch.remaining_parents[c.index()] == 0 {
-                        scratch.newly_ready.push(c);
+                    remaining_parents[c.index()] -= 1;
+                    if remaining_parents[c.index()] == 0 {
+                        list.newly_ready.push(c);
                     }
                 }
             } else if dag.in_degree(v) == 0 {
-                scratch.newly_ready.push(v);
+                list.newly_ready.push(v);
             }
         }
 
         let mut superstep = 0usize;
         // `finished_before[v]` is true once v was assigned in a superstep strictly
         // before the current one (its value can have been communicated).
-        scratch.finished_before.clear();
-        scratch
-            .finished_before
-            .extend((0..n).map(|i| assignment[i].is_some()));
-        scratch.load.clear();
-        scratch.load.resize(p, 0.0);
-        scratch.candidate_visits = 0;
+        let mut finished_before: Vec<bool> = assignment.iter().map(Option::is_some).collect();
+        let mut load = vec![0.0f64; p];
+        let mut allowed: Vec<ProcId> = Vec::with_capacity(p);
+        let mut newly_assigned: Vec<NodeId> = Vec::new();
+        let mut candidate_visits = 0u64;
 
         while scheduled < n {
             superstep += 1;
-            scratch.load.fill(0.0);
-            scratch.newly_assigned.clear();
+            load.fill(0.0);
+            newly_assigned.clear();
             // A function of `load` alone, refreshed on every commit — the only
             // place `load` changes within a superstep.
             let mut superstep_empty = true;
 
             'superstep: loop {
-                merge_newly_ready(scratch, &assignment);
+                list.merge_newly_ready(&priorities, &assignment);
                 let mut progressed = false;
 
-                for ci in 0..scratch.ready.len() {
-                    scratch.candidate_visits += 1;
-                    let v = scratch.ready[ci];
+                for ci in 0..list.ready.len() {
+                    candidate_visits += 1;
+                    let v = list.ready[ci];
                     // Determine which processors may execute v in this superstep:
                     // every parent must be finished before this superstep, or be
                     // assigned to that same processor within this superstep.
-                    scratch.allowed.clear();
+                    allowed.clear();
                     'proc: for pi in 0..p {
                         for u in dag.parents(v) {
-                            let ok = scratch.finished_before[u.index()]
+                            let ok = finished_before[u.index()]
                                 || assignment[u.index()] == Some((ProcId::new(pi), superstep));
                             if !ok {
                                 continue 'proc;
                             }
                         }
-                        scratch.allowed.push(ProcId::new(pi));
+                        allowed.push(ProcId::new(pi));
                     }
-                    if scratch.allowed.is_empty() {
+                    if allowed.is_empty() {
                         continue;
                     }
                     // Skip nodes if every allowed processor is already full, unless
                     // nothing has been placed in this superstep yet (guarantee
                     // progress).
-                    let someone_below_quantum = scratch
-                        .allowed
-                        .iter()
-                        .any(|&q| scratch.load[q.index()] < quantum);
+                    let someone_below_quantum = allowed.iter().any(|&q| load[q.index()] < quantum);
                     if !someone_below_quantum && !superstep_empty {
                         continue;
                     }
 
                     // Placement score: balance + communication.
                     let mut best: Option<(f64, ProcId)> = None;
-                    for &q in &scratch.allowed {
+                    for &q in &allowed {
                         let comm: f64 = dag
                             .parents(v)
                             .filter(|&u| {
@@ -209,28 +200,28 @@ impl GreedyBspScheduler {
                             })
                             .map(|u| dag.memory_weight(u) * arch.g)
                             .sum();
-                        let score = scratch.load[q.index()] + comm;
+                        let score = load[q.index()] + comm;
                         if best.map_or(true, |(s, _)| score < s - 1e-12) {
                             best = Some((score, q));
                         }
                     }
                     let (_, chosen) = best.expect("allowed is non-empty");
-                    if scratch.load[chosen.index()] >= quantum && !superstep_empty {
+                    if load[chosen.index()] >= quantum && !superstep_empty {
                         continue;
                     }
 
                     // Commit the assignment.
                     assignment[v.index()] = Some((chosen, superstep));
-                    scratch.load[chosen.index()] += dag.compute_weight(v);
-                    superstep_empty = scratch.load.iter().all(|&l| l == 0.0);
-                    scratch.newly_assigned.push(v);
+                    load[chosen.index()] += dag.compute_weight(v);
+                    superstep_empty = load.iter().all(|&l| l == 0.0);
+                    newly_assigned.push(v);
                     order.push(v);
                     scheduled += 1;
                     progressed = true;
                     for c in dag.children(v) {
-                        scratch.remaining_parents[c.index()] -= 1;
-                        if scratch.remaining_parents[c.index()] == 0 {
-                            scratch.newly_ready.push(c);
+                        remaining_parents[c.index()] -= 1;
+                        if remaining_parents[c.index()] == 0 {
+                            list.newly_ready.push(c);
                         }
                     }
                     // Exact early exit: once every processor is at quantum
@@ -239,7 +230,7 @@ impl GreedyBspScheduler {
                     // all of the pass that would follow, fails the
                     // `someone_below_quantum` test above and is skipped
                     // without touching any state — the superstep is over.
-                    if scratch.load.iter().all(|&l| l >= quantum) {
+                    if load.iter().all(|&l| l >= quantum) {
                         break 'superstep;
                     }
                 }
@@ -249,8 +240,8 @@ impl GreedyBspScheduler {
             }
             // Close the superstep: everything assigned in it is now visible to
             // other processors (O(assigned) instead of an O(V) sweep).
-            for i in 0..scratch.newly_assigned.len() {
-                scratch.finished_before[scratch.newly_assigned[i].index()] = true;
+            for &v in &newly_assigned {
+                finished_before[v.index()] = true;
             }
         }
 
@@ -260,41 +251,50 @@ impl GreedyBspScheduler {
             .collect();
         let mut schedule = BspSchedule::new(p, assignment);
         schedule.compact_supersteps();
-        BspSchedulingResult { schedule, order }
+        (BspSchedulingResult { schedule, order }, candidate_visits)
     }
 }
 
-/// Pass start: sorts the nodes that became ready since the last pass and merges
-/// them into the sorted ready list, dropping entries assigned in the meantime.
-/// The order — priority descending, ties by node id — is total (ids are unique),
-/// so the result is exactly the list a full re-sort of the unassigned ready
-/// nodes would produce.
-fn merge_newly_ready(scratch: &mut SchedulerScratch, assignment: &[Option<(ProcId, usize)>]) {
-    let SchedulerScratch {
-        priorities,
-        ready,
-        newly_ready,
-        merged,
-        ..
-    } = scratch;
-    let by_priority = |a: &NodeId, b: &NodeId| {
-        priorities[b.index()]
-            .partial_cmp(&priorities[a.index()])
-            .unwrap()
-            .then(a.cmp(b))
-    };
-    newly_ready.sort_unstable_by(by_priority);
-    merged.clear();
-    let mut incoming = newly_ready.iter().copied().peekable();
-    for &v in ready.iter().filter(|v| assignment[v.index()].is_none()) {
-        while let Some(w) = incoming.next_if(|w| by_priority(w, &v).is_lt()) {
-            merged.push(w);
+/// The ready list: `ready` stays sorted across passes; `newly_ready` collects
+/// nodes released during a pass and `merged` is the buffer they are merged
+/// through at the next pass start.
+#[derive(Default)]
+struct ReadyList {
+    ready: Vec<NodeId>,
+    newly_ready: Vec<NodeId>,
+    merged: Vec<NodeId>,
+}
+
+impl ReadyList {
+    /// Pass start: sorts the nodes that became ready since the last pass and
+    /// merges them into the sorted ready list, dropping entries assigned in the
+    /// meantime. The order — priority descending, ties by node id — is total
+    /// (ids are unique), so the result is exactly the list a full re-sort of the
+    /// unassigned ready nodes would produce.
+    fn merge_newly_ready(&mut self, priorities: &[f64], assignment: &[Option<(ProcId, usize)>]) {
+        let by_priority = |a: &NodeId, b: &NodeId| {
+            priorities[b.index()]
+                .partial_cmp(&priorities[a.index()])
+                .unwrap()
+                .then(a.cmp(b))
+        };
+        self.newly_ready.sort_unstable_by(by_priority);
+        self.merged.clear();
+        let mut incoming = self.newly_ready.iter().copied().peekable();
+        for &v in self
+            .ready
+            .iter()
+            .filter(|v| assignment[v.index()].is_none())
+        {
+            while let Some(w) = incoming.next_if(|w| by_priority(w, &v).is_lt()) {
+                self.merged.push(w);
+            }
+            self.merged.push(v);
         }
-        merged.push(v);
+        self.merged.extend(incoming);
+        self.newly_ready.clear();
+        std::mem::swap(&mut self.ready, &mut self.merged);
     }
-    merged.extend(incoming);
-    newly_ready.clear();
-    std::mem::swap(ready, merged);
 }
 
 impl BspScheduler for GreedyBspScheduler {
@@ -304,15 +304,6 @@ impl BspScheduler for GreedyBspScheduler {
 
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
         self.schedule_dag(dag, arch)
-    }
-
-    fn schedule_with_scratch(
-        &self,
-        dag: &CompDag,
-        arch: &Architecture,
-        scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
-        self.schedule_dag_with_scratch(dag, arch, scratch)
     }
 }
 
@@ -351,20 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        let sched = GreedyBspScheduler::new();
-        let a = arch(4, 10.0);
-        let mut scratch = SchedulerScratch::new();
-        for seed in 0..6 {
-            let dag = random_layered_dag(&RandomDagConfig::default(), seed);
-            let reused = sched.schedule_with_scratch(&dag, &a, &mut scratch);
-            let fresh = sched.schedule(&dag, &a);
-            assert_eq!(reused.schedule, fresh.schedule, "seed {seed}");
-            assert_eq!(reused.order, fresh.order, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn candidate_visits_stay_linear_in_nodes_plus_edges() {
         // Timing-free complexity guard. Re-walking the whole ready list once
         // the processors are at quantum (the pre-merge pass loop) costs about
@@ -381,17 +358,15 @@ mod tests {
         );
         let cg = mbsp_gen::cg::cg_dag("cg_n16_k3", 16, 3);
         let sched = GreedyBspScheduler::new();
-        let mut scratch = SchedulerScratch::new();
         for dag in [&layered, &cg] {
             let size = (dag.num_nodes() + dag.num_edges()) as u64;
             for p in [1usize, 2, 4, 8] {
                 for l in [0.0, 2.0, 10.0] {
-                    sched.schedule_with_scratch(dag, &arch(p, l), &mut scratch);
+                    let (_, visits) = sched.schedule_counting_visits(dag, &arch(p, l));
                     assert!(
-                        scratch.candidate_visits <= size,
-                        "{} p {p} l {l}: {} candidate visits for n + m = {size}",
-                        dag.name(),
-                        scratch.candidate_visits
+                        visits <= size,
+                        "{} p {p} l {l}: {visits} candidate visits for n + m = {size}",
+                        dag.name()
                     );
                 }
             }

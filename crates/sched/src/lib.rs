@@ -22,12 +22,15 @@
 //! [`mbsp_model::BspSchedule`], plus an explicit per-node ordering hint used by the
 //! BSP→MBSP conversion in `mbsp-cache`.
 //!
-//! Scheduling runs on reusable flat scratch buffers ([`SchedulerScratch`],
-//! threaded through [`BspScheduler::schedule_with_scratch`]): O(1) allocations
-//! per superstep, pruned ready lists, and no per-superstep `Vec<Vec<bool>>`.
-//! The pre-scratch implementations are retained verbatim in [`mod@reference`] as
-//! differential oracles — the tests in `tests/scheduler_differential.rs`
-//! assert byte-identical schedules — following the workspace's oracle
+//! Each scheduler has two ways in: the object-safe [`BspScheduler::schedule`]
+//! on a `CompDag`, and its generic `schedule_dag` on any
+//! [`mbsp_dag::DagLike`] graph (the sharded search seeds shards on zero-copy
+//! views through it). A call keeps its working state in flat per-node arrays
+//! of its own: O(1) allocations per superstep, pruned ready lists, and no
+//! per-superstep `Vec<Vec<bool>>`. The original nested-`Vec` implementations
+//! are retained verbatim in [`mod@reference`] as differential oracles — the
+//! tests in `tests/scheduler_differential.rs` assert byte-identical schedules
+//! and pin each baseline's output by hash — following the workspace's oracle
 //! convention.
 
 pub mod cilk;
@@ -41,10 +44,8 @@ pub use dfs::DfsScheduler;
 pub use greedy::GreedyBspScheduler;
 pub use quotient_plan::{QuotientPlan, QuotientPlanner};
 
-use mbsp_dag::topo::{DfsOrderScratch, TopologicalOrder};
 use mbsp_dag::{CompDag, NodeId};
-use mbsp_model::{Architecture, BspSchedule, ProcId};
-use std::collections::VecDeque;
+use mbsp_model::{Architecture, BspSchedule};
 
 /// The output of a BSP scheduling stage: the assignment of nodes to processors and
 /// supersteps, plus a global order hint describing the intended execution order of
@@ -58,51 +59,6 @@ pub struct BspSchedulingResult {
     pub order: Vec<NodeId>,
 }
 
-/// Reusable scratch buffers shared by the baseline schedulers.
-///
-/// All per-call working state of the greedy, Cilk and DFS schedulers lives here:
-/// priorities, ready lists, per-processor loads, work-stealing deques, the DFS
-/// stack, and the version-stamped bookkeeping arrays. One instance serves any
-/// number of [`BspScheduler::schedule_with_scratch`] calls (also across
-/// different DAGs — buffers are resized on entry), so scheduling a 100k-node
-/// instance allocates O(1) per superstep instead of O(V · P).
-#[derive(Debug, Clone, Default)]
-pub struct SchedulerScratch {
-    // Shared traversal state.
-    pub(crate) topo: TopologicalOrder,
-    pub(crate) priorities: Vec<f64>,
-    pub(crate) remaining_parents: Vec<u32>,
-    pub(crate) ready: Vec<NodeId>,
-    // Greedy scheduler: `ready` stays sorted across passes; `newly_ready`
-    // collects nodes released during a pass and `merged` is the buffer they are
-    // merged through at the next pass start.
-    pub(crate) newly_ready: Vec<NodeId>,
-    pub(crate) merged: Vec<NodeId>,
-    pub(crate) allowed: Vec<ProcId>,
-    pub(crate) load: Vec<f64>,
-    pub(crate) finished_before: Vec<bool>,
-    pub(crate) newly_assigned: Vec<NodeId>,
-    /// Candidate-loop iterations of the last greedy run (complexity guard).
-    pub(crate) candidate_visits: u64,
-    // Cilk work-stealing simulation + superstep fold.
-    pub(crate) deques: Vec<VecDeque<NodeId>>,
-    pub(crate) worker_time: Vec<f64>,
-    pub(crate) executed: Vec<bool>,
-    pub(crate) owner: Vec<ProcId>,
-    pub(crate) completion_order: Vec<NodeId>,
-    pub(crate) superstep_of: Vec<usize>,
-    pub(crate) last_step_of_worker: Vec<usize>,
-    // DFS order.
-    pub(crate) dfs: DfsOrderScratch,
-}
-
-impl SchedulerScratch {
-    /// Creates an empty scratch holder (buffers grow on first use).
-    pub fn new() -> Self {
-        SchedulerScratch::default()
-    }
-}
-
 /// A scheduler producing BSP schedules (the memory-oblivious first stage).
 pub trait BspScheduler {
     /// Human-readable name of the scheduler (used in experiment reports).
@@ -110,20 +66,6 @@ pub trait BspScheduler {
 
     /// Computes a BSP schedule of `dag` on `arch`, ignoring the memory bound.
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult;
-
-    /// Like [`BspScheduler::schedule`], reusing the caller's scratch buffers.
-    ///
-    /// The default implementation ignores the scratch; the baseline schedulers
-    /// override it so loops that schedule many (or huge) instances amortise
-    /// every allocation.
-    fn schedule_with_scratch(
-        &self,
-        dag: &CompDag,
-        arch: &Architecture,
-        _scratch: &mut SchedulerScratch,
-    ) -> BspSchedulingResult {
-        self.schedule(dag, arch)
-    }
 }
 
 /// Asserts that `order` covers every node of `dag` exactly once and respects all

@@ -1,7 +1,7 @@
-//! Pre-scratch baseline schedulers, retained verbatim as differential oracles.
+//! The original baseline schedulers, retained verbatim as differential oracles.
 //!
 //! The optimised schedulers in [`crate::greedy`], [`crate::cilk`] and
-//! [`crate::dfs`] run on reusable flat scratch buffers and prune their ready
+//! [`crate::dfs`] run on flat per-node arrays and prune their ready
 //! lists; these functions are the straightforward implementations they replaced
 //! — fresh `Vec<Vec<bool>>` per superstep, a full `O(V)` sweep per superstep
 //! close, one allocation per DFS step — kept because they are obviously correct.
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// The pre-scratch greedy BSP list scheduler (original implementation).
+/// The original greedy BSP list scheduler (original implementation).
 pub fn greedy_reference(dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
     let n = dag.num_nodes();
     let p = arch.processors;
@@ -171,7 +171,7 @@ pub fn greedy_reference(dag: &CompDag, arch: &Architecture) -> BspSchedulingResu
     BspSchedulingResult { schedule, order }
 }
 
-/// The pre-scratch work-stealing simulation + BSP fold (original implementation).
+/// The original work-stealing simulation + BSP fold (original implementation).
 pub fn cilk_reference(seed: u64, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
     let p = arch.processors;
     let (owner, completion_order) = cilk_simulate_reference(seed, dag, p);
@@ -330,7 +330,7 @@ fn cilk_simulate_reference(
     (owner, completion_order)
 }
 
-/// The pre-scratch DFS scheduler: original depth-first order (one `ready`
+/// The original DFS scheduler: original depth-first order (one `ready`
 /// allocation per emitted node) on a single processor and superstep.
 pub fn dfs_reference(dag: &CompDag) -> BspSchedulingResult {
     let n = dag.num_nodes();

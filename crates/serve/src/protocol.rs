@@ -48,7 +48,9 @@ pub const E_TOO_LARGE: &str = "too_large";
 pub const E_STORAGE_FAILED: &str = "storage_failed";
 /// Error code: the instance already has [`crate::server::MAX_QUEUED_JOBS`]
 /// jobs waiting, or the daemon could not start the thread that runs them. The
-/// job was refused; the instance keeps serving what it had queued.
+/// job was refused; the instance keeps serving what it had queued. A
+/// `register` gets it when the daemon already holds
+/// [`crate::server::MAX_INSTANCES`] instances; it registered nothing.
 pub const E_OVERLOADED: &str = "overloaded";
 
 /// A rejected request: a stable machine-readable code plus a human message.

@@ -87,6 +87,14 @@ pub const MAX_SHARDS: usize = 256;
 /// than the instance runs them cannot grow the daemon's memory without bound.
 pub const MAX_QUEUED_JOBS: usize = 256;
 
+/// Most instances the daemon holds, counting `register`s in flight. The next
+/// `register` is refused with `overloaded` before it writes anything, so
+/// clients cannot grow the instance map, its sessions and the state directory
+/// without bound. Restoring the state directory is exempt: it brings back
+/// what the daemon held. About 80 times the 13 instances of `tenants_small`,
+/// the most any `benchmark/` workload registers.
+pub const MAX_INSTANCES: usize = 1024;
+
 /// Most candidate moves a shard may propose per round (`moves_per_round`,
 /// flat or under `budget`). A shard's hill climb reserves a round's `Move`s
 /// before it draws the first, so an unchecked count lets one request line
@@ -621,20 +629,27 @@ fn handle_register(
     id: Option<u64>,
     req: RegisterRequest,
 ) {
-    let reserved = {
+    let refused = {
         let mut instances = inner.instances.lock().unwrap();
-        !instances.live.contains_key(&req.instance)
-            && instances.registering.insert(req.instance.clone())
-    };
-    if !reserved {
-        out.send_reject(
-            id,
-            None,
-            &Reject::new(
+        if instances.live.contains_key(&req.instance)
+            || instances.registering.contains(&req.instance)
+        {
+            Some(Reject::new(
                 protocol::E_DUPLICATE_INSTANCE,
                 format!("instance {:?} already exists", req.instance),
-            ),
-        );
+            ))
+        } else if instances.live.len() + instances.registering.len() >= MAX_INSTANCES {
+            Some(Reject::new(
+                protocol::E_OVERLOADED,
+                format!("the daemon already holds {MAX_INSTANCES} instances"),
+            ))
+        } else {
+            instances.registering.insert(req.instance.clone());
+            None
+        }
+    };
+    if let Some(reject) = refused {
+        out.send_reject(id, None, &reject);
         return;
     }
     let _reservation = Reservation {

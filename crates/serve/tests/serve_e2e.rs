@@ -1198,6 +1198,73 @@ fn a_full_mailbox_refuses_only_the_overflow() {
 }
 
 #[test]
+fn a_register_past_the_instance_cap_is_overloaded_and_writes_nothing() {
+    use mbsp_serve::server::MAX_INSTANCES;
+    let state_dir = temp_state_dir("instance_cap");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let register = |name: &str| {
+        format!(
+            r#"{{"op":"register","instance":"{name}","family":{{"kind":"cg","n":4,"k":1}},"processors":2,{BUDGET}}}"#
+        )
+    };
+    // Pipelined in batches small enough that neither side's socket buffer
+    // fills while the other is not reading.
+    let names: Vec<String> = (0..MAX_INSTANCES).map(|i| format!("t{i}")).collect();
+    for batch in names.chunks(64) {
+        let lines: Vec<String> = batch.iter().map(|name| register(name)).collect();
+        c.send(&lines.join("\n"));
+        for _ in batch {
+            let frame = c.recv();
+            assert!(is_event(&frame, "registered"), "got {frame:?}");
+        }
+    }
+    let files = || std::fs::read_dir(&state_dir).unwrap().count();
+    let written = files();
+    c.send(&register("over"));
+    let refused = c.recv();
+    assert_eq!(
+        error_code(&refused).as_deref(),
+        Some("overloaded"),
+        "{refused:?}"
+    );
+    assert_eq!(files(), written);
+    assert!(!state_dir.join("over.session.mbio").exists());
+    // A taken name is still a duplicate, and the registered keep serving.
+    c.send(&register("t0"));
+    assert_eq!(error_code(&c.recv()).as_deref(), Some("duplicate_instance"));
+    c.send(r#"{"id":7,"op":"status","instance":"t0"}"#);
+    let (_, status) = c.recv_until(|f| get_u64(f, "id") == Some(7) && is_event(f, "status"));
+    assert_eq!(get_str(&status, "instance"), Some("t0"), "{status:?}");
+    server.shutdown();
+    server.join();
+
+    // The restored instances count: a full state directory comes back whole
+    // and the daemon still refuses the next `register`.
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    c.send(&register("over"));
+    assert_eq!(error_code(&c.recv()).as_deref(), Some("overloaded"));
+    let last = names.last().unwrap();
+    c.send(&format!(r#"{{"id":8,"op":"status","instance":"{last}"}}"#));
+    let (_, status) = c.recv_until(|f| get_u64(f, "id") == Some(8) && is_event(f, "status"));
+    assert_eq!(
+        get_str(&status, "instance"),
+        Some(last.as_str()),
+        "{status:?}"
+    );
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn shutdown_checkpoints_idle_and_busy_instances() {
     // Every final checkpoint is written by the shutdown path: the session
     // files are deleted beforehand, and the restarted daemon reads them.

@@ -99,7 +99,6 @@ pub mod prelude {
     };
     pub use crate::sched::{
         BspScheduler, BspSchedulingResult, CilkScheduler, DfsScheduler, GreedyBspScheduler,
-        SchedulerScratch,
     };
 }
 
