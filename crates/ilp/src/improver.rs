@@ -26,7 +26,7 @@ use crate::search::{hill_climb, Incumbent, LocalSearchParams};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
     Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspInstance,
-    MbspSchedule, ParentMasks, ProcId, ScheduleEvaluator, SuperstepView,
+    MbspSchedule, ParentMasks, ProcId, ScheduleEvaluator,
 };
 use mbsp_pool::CancelToken;
 use mbsp_sched::BspSchedulingResult;
@@ -324,8 +324,11 @@ impl PostOptimizer {
     /// steps are compacted away once at the end. The folds taken — and the
     /// resulting schedule and cost — are those of [`crate::reference::post_optimize`]
     /// (the differential tests pin this down). The asynchronous makespan has
-    /// no per-superstep decomposition, so that model keeps the full
-    /// re-evaluation through the scratch schedule and the eager fold.
+    /// no per-superstep decomposition, so that model keeps the full cost
+    /// re-evaluation through the scratch schedule and the eager fold, but
+    /// decides validity the same way: `try_fold_pair` on a `prefix` the pass
+    /// advances over every step it keeps, so a fold attempt costs the merged
+    /// pair's simulation instead of a validation of the whole schedule.
     fn merge_supersteps<D: DagLike + ?Sized>(
         &mut self,
         schedule: &mut MbspSchedule,
@@ -352,7 +355,8 @@ impl PostOptimizer {
                         self.evaluator.apply_merge_pair(k, k + 1);
                         folded = true;
                     } else {
-                        apply_step_unchecked(&mut self.prefix, schedule.superstep(k), dag);
+                        self.prefix
+                            .apply_superstep_unchecked(dag, schedule.superstep(k));
                     }
                 }
                 // Compact: drop exactly the folded-away (now empty) steps.
@@ -365,18 +369,23 @@ impl PostOptimizer {
             }
             CostModel::Asynchronous => {
                 let mut current_cost = cost_model.evaluate(schedule, dag, arch);
+                self.prefix.reset_initial(dag);
                 let mut k = 0usize;
                 while k + 1 < schedule.num_supersteps() {
-                    self.scratch.clone_from(schedule);
-                    fold_superstep(&mut self.scratch, k);
-                    if self.scratch.validate(dag, arch).is_ok() {
+                    if self.try_fold_pair(schedule, dag, arch, k) {
+                        self.scratch.clone_from(schedule);
+                        fold_superstep(&mut self.scratch, k);
                         let cost = cost_model.evaluate(&self.scratch, dag, arch);
                         if cost <= current_cost + 1e-9 {
+                            // The merged step is step `k` now, so `prefix`
+                            // stays the configuration before it.
                             std::mem::swap(schedule, &mut self.scratch);
                             current_cost = cost;
                             continue;
                         }
                     }
+                    self.prefix
+                        .apply_superstep_unchecked(dag, schedule.superstep(k));
                     k += 1;
                 }
                 current_cost
@@ -432,56 +441,15 @@ impl PostOptimizer {
         }
         self.fold_stats.copied += 1;
         self.trial.copy_from(&self.prefix);
-        // Simulate the merged superstep with full precondition checks, in
-        // validation order: the compute phases of every processor, then the save,
-        // delete and load phases (each processor's folded phase list is the
-        // concatenation of its step-k and step-j lists).
-        for (pi, lists) in step_k.computes().zip(step_j.computes()).enumerate() {
-            let proc = ProcId::new(pi);
-            for list in [lists.0, lists.1] {
-                for &c in list {
-                    let ok = match c {
-                        ComputePhaseStep::Compute(v) => {
-                            self.trial
-                                .try_compute_masked(dag, arch, &self.masks, proc, v)
-                        }
-                        ComputePhaseStep::Delete(v) => self.trial.try_delete(dag, proc, v),
-                    };
-                    if !ok {
-                        return false;
-                    }
-                }
-            }
-        }
-        for (pi, lists) in step_k.saves().zip(step_j.saves()).enumerate() {
-            let proc = ProcId::new(pi);
-            for list in [lists.0, lists.1] {
-                for &v in list {
-                    if !self.trial.try_save(proc, v) {
-                        return false;
-                    }
-                }
-            }
-        }
-        for (pi, lists) in step_k.deletes().zip(step_j.deletes()).enumerate() {
-            let proc = ProcId::new(pi);
-            for list in [lists.0, lists.1] {
-                for &v in list {
-                    if !self.trial.try_delete(dag, proc, v) {
-                        return false;
-                    }
-                }
-            }
-        }
-        for (pi, lists) in step_k.loads().zip(step_j.loads()).enumerate() {
-            let proc = ProcId::new(pi);
-            for list in [lists.0, lists.1] {
-                for &v in list {
-                    if !self.trial.try_load(dag, arch, proc, v) {
-                        return false;
-                    }
-                }
-            }
+        // The merged superstep with full precondition checks: each
+        // processor's folded phase list is its step-k list, then its step-j
+        // list.
+        if self
+            .trial
+            .apply_superstep(dag, arch, &self.masks, &[step_k, step_j])
+            .is_err()
+        {
+            return false;
         }
         // Fast accept: if the configuration after the merged step equals the
         // configuration after the original pair (compared exactly, floats
@@ -490,8 +458,8 @@ impl PostOptimizer {
         // stay valid because the current schedule is valid.
         self.fold_stats.compared += 1;
         self.unfolded.copy_from(&self.prefix);
-        apply_step_unchecked(&mut self.unfolded, step_k, dag);
-        apply_step_unchecked(&mut self.unfolded, step_j, dag);
+        self.unfolded.apply_superstep_unchecked(dag, step_k);
+        self.unfolded.apply_superstep_unchecked(dag, step_j);
         if self.trial.state_eq(&self.unfolded) {
             self.fold_stats.accepted += 1;
             return true;
@@ -499,99 +467,14 @@ impl PostOptimizer {
         // Rare slow path: the fold reordered a delete/load pair and changed the
         // state, so re-simulate the suffix (still allocation-free) and re-check
         // the terminal condition. Every step after `j` is alive.
-        for step in schedule.supersteps().skip(j + 1) {
-            if !apply_step_checked(&mut self.trial, step, dag, arch, &self.masks) {
-                return false;
-            }
-        }
-        let valid = dag.sink_nodes().all(|v| self.trial.has_blue(v));
+        let valid = schedule.supersteps().skip(j + 1).all(|step| {
+            self.trial
+                .apply_superstep(dag, arch, &self.masks, &[step])
+                .is_ok()
+        }) && self.trial.is_terminal(dag);
         self.fold_stats.accepted += valid as u64;
         valid
     }
-}
-
-/// Applies every operation of `step` to `cfg` without precondition checks (the
-/// step is known to be valid from this state).
-fn apply_step_unchecked<D: DagLike + ?Sized>(
-    cfg: &mut Configuration,
-    step: SuperstepView<'_>,
-    dag: &D,
-) {
-    for (pi, compute) in step.computes().enumerate() {
-        let proc = ProcId::new(pi);
-        for &c in compute {
-            match c {
-                ComputePhaseStep::Compute(v) => cfg.place_red_unchecked(dag, proc, v),
-                ComputePhaseStep::Delete(v) => cfg.remove_red_unchecked(dag, proc, v),
-            }
-        }
-    }
-    for save in step.saves() {
-        for &v in save {
-            cfg.place_blue_unchecked(v);
-        }
-    }
-    for (pi, delete) in step.deletes().enumerate() {
-        let proc = ProcId::new(pi);
-        for &v in delete {
-            cfg.remove_red_unchecked(dag, proc, v);
-        }
-    }
-    for (pi, load) in step.loads().enumerate() {
-        let proc = ProcId::new(pi);
-        for &v in load {
-            cfg.place_red_unchecked(dag, proc, v);
-        }
-    }
-}
-
-/// Applies every operation of `step` to `cfg` with full precondition checks;
-/// returns false on the first violation (mirroring schedule validation). The
-/// compute precondition goes through the word-level [`ParentMasks`] path.
-fn apply_step_checked<D: DagLike + ?Sized>(
-    cfg: &mut Configuration,
-    step: SuperstepView<'_>,
-    dag: &D,
-    arch: &Architecture,
-    masks: &ParentMasks,
-) -> bool {
-    for (pi, compute) in step.computes().enumerate() {
-        let proc = ProcId::new(pi);
-        for &c in compute {
-            let ok = match c {
-                ComputePhaseStep::Compute(v) => cfg.try_compute_masked(dag, arch, masks, proc, v),
-                ComputePhaseStep::Delete(v) => cfg.try_delete(dag, proc, v),
-            };
-            if !ok {
-                return false;
-            }
-        }
-    }
-    for (pi, save) in step.saves().enumerate() {
-        let proc = ProcId::new(pi);
-        for &v in save {
-            if !cfg.try_save(proc, v) {
-                return false;
-            }
-        }
-    }
-    for (pi, delete) in step.deletes().enumerate() {
-        let proc = ProcId::new(pi);
-        for &v in delete {
-            if !cfg.try_delete(dag, proc, v) {
-                return false;
-            }
-        }
-    }
-    for (pi, load) in step.loads().enumerate() {
-        let proc = ProcId::new(pi);
-        for &v in load {
-            if !cfg.try_load(dag, arch, proc, v) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Drops save operations for values that are neither sinks nor ever loaded later

@@ -22,12 +22,14 @@ use mbsp_ilp::engine::{EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
 use mbsp_ilp::reference::{evaluate_assignment, evaluate_bsp};
 use mbsp_ilp::shard::{part_view, topo_shards};
+use mbsp_model::reference::ReferenceConfiguration;
 use mbsp_model::{
-    async_cost, sync_cost, Architecture, CostModel, MbspInstance, MbspSchedule, ProcId,
+    async_cost, sync_cost, Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule,
+    Operation, ProcId, ProcPhases, ScheduleError, Superstep,
 };
 use mbsp_sched::{BspScheduler, CilkScheduler, DfsScheduler, GreedyBspScheduler};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const DATASET_SEEDS: [u64; 2] = [42, 1717];
 const MOVES_PER_CASE: usize = 6;
@@ -269,15 +271,23 @@ fn required_outputs_are_respected_by_both_paths() {
     let (oracle, b) = evaluate_assignment(dag, arch, &procs, CostModel::Synchronous, &required);
     assert!((a - b).abs() < 1e-9);
     assert_eq!(incremental.schedule(), &oracle);
-    let boundary = mbsp_model::BoundaryCondition {
-        required_outputs: required,
-        require_sinks: true,
-        ..Default::default()
-    };
-    incremental
-        .schedule()
-        .validate_with_boundary(dag, arch, &boundary)
-        .expect("required outputs must be persisted");
+    let schedule = incremental.schedule();
+    schedule
+        .validate(dag, arch)
+        .expect("the schedule validates");
+    // A blue pebble is never removed, so a saved output is in slow memory at
+    // the end.
+    let saved: Vec<NodeId> = schedule
+        .operations()
+        .into_iter()
+        .filter_map(|(_, op)| match op {
+            Operation::Save { node, .. } => Some(node),
+            _ => None,
+        })
+        .collect();
+    for v in &required {
+        assert!(saved.contains(v), "required output {v} is never saved");
+    }
 }
 
 /// FNV-1a over one reference evaluation: the cost bits, then the schedule's
@@ -323,5 +333,181 @@ fn the_reference_evaluation_reproduces_its_recorded_hash() {
     assert_eq!(
         hash, REFERENCE_EVALUATIONS,
         "the reference evaluation moved: {hash:#018x}"
+    );
+}
+
+/// The owned supersteps of `schedule`, read back through its views.
+fn owned_steps(schedule: &MbspSchedule) -> Vec<Superstep> {
+    schedule
+        .supersteps()
+        .map(|step| Superstep {
+            procs: step
+                .procs()
+                .map(|ph| ProcPhases {
+                    compute: ph.compute.to_vec(),
+                    save: ph.save.to_vec(),
+                    delete: ph.delete.to_vec(),
+                    load: ph.load.to_vec(),
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Schedule validation spelled out on the oracle: every operation of
+/// `operations()` through `ReferenceConfiguration::apply` (its parent-walking
+/// rule set), then the first sink without a blue pebble.
+fn oracle_validate(
+    schedule: &MbspSchedule,
+    dag: &CompDag,
+    arch: &Architecture,
+) -> Result<(), ScheduleError> {
+    let mut cfg = ReferenceConfiguration::initial(dag, arch);
+    for (_, op) in schedule.operations() {
+        cfg.apply(dag, arch, op)?;
+    }
+    match dag.sink_nodes().find(|&v| !cfg.has_blue(v)) {
+        Some(node) => Err(ScheduleError::MissingSink { node }),
+        None => Ok(()),
+    }
+}
+
+/// Seeded damaged copies of `steps`, two of each kind: one operation dropped,
+/// one load moved to the next superstep of its processor, and a save swapped
+/// with a delete of the same processor and superstep (from its delete phase
+/// or its compute phase).
+fn damaged_variants(steps: &[Superstep], rng: &mut StdRng) -> Vec<(&'static str, Vec<Superstep>)> {
+    let slots: Vec<(usize, usize)> = (0..steps.len())
+        .flat_map(|s| (0..steps[s].procs.len()).map(move |p| (s, p)))
+        .collect();
+    // (superstep, processor, phase, index): phase 0..4 is compute, save,
+    // delete, load.
+    let ops: Vec<(usize, usize, usize, usize)> = slots
+        .iter()
+        .flat_map(|&(s, p)| {
+            let ph = &steps[s].procs[p];
+            let lens = [
+                ph.compute.len(),
+                ph.save.len(),
+                ph.delete.len(),
+                ph.load.len(),
+            ];
+            (0..4).flat_map(move |k| (0..lens[k]).map(move |i| (s, p, k, i)))
+        })
+        .collect();
+    let later_loads: Vec<&(usize, usize, usize, usize)> = ops
+        .iter()
+        .filter(|&&(s, _, k, _)| k == 3 && s + 1 < steps.len())
+        .collect();
+    // (superstep, processor, save index, delete): a delete-phase index, or
+    // `len + i` for compute step `i`, which is a delete.
+    let swaps: Vec<(usize, usize, usize, usize)> = slots
+        .iter()
+        .flat_map(|&(s, p)| {
+            let ph = &steps[s].procs[p];
+            let in_compute = ph
+                .compute
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_compute());
+            let deletes: Vec<usize> = (0..ph.delete.len())
+                .chain(in_compute.map(|(i, _)| ph.delete.len() + i))
+                .collect();
+            (0..ph.save.len())
+                .flat_map(move |i| deletes.clone().into_iter().map(move |d| (s, p, i, d)))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        if !ops.is_empty() {
+            let (s, p, k, i) = ops[rng.gen_range(0..ops.len())];
+            let mut v = steps.to_vec();
+            let ph = &mut v[s].procs[p];
+            match k {
+                0 => drop(ph.compute.remove(i)),
+                1 => drop(ph.save.remove(i)),
+                2 => drop(ph.delete.remove(i)),
+                _ => drop(ph.load.remove(i)),
+            }
+            out.push(("drop", v));
+        }
+        if !later_loads.is_empty() {
+            let &(s, p, _, i) = later_loads[rng.gen_range(0..later_loads.len())];
+            let mut v = steps.to_vec();
+            let node = v[s].procs[p].load.remove(i);
+            v[s + 1].procs[p].load.insert(0, node);
+            out.push(("late load", v));
+        }
+        if !swaps.is_empty() {
+            let (s, p, i, d) = swaps[rng.gen_range(0..swaps.len())];
+            let mut v = steps.to_vec();
+            let ph = &mut v[s].procs[p];
+            let saved = ph.save[i];
+            let deleted = if d < ph.delete.len() {
+                std::mem::replace(&mut ph.delete[d], saved)
+            } else {
+                let c = &mut ph.compute[d - ph.delete.len()];
+                std::mem::replace(c, ComputePhaseStep::Delete(saved)).node()
+            };
+            ph.save[i] = deleted;
+            out.push(("swap", v));
+        }
+    }
+    out
+}
+
+/// `MbspSchedule::validate` against the oracle's replay on the two-stage
+/// schedules of the seeded corpus and on damaged copies of them: the same
+/// `Ok`, or the same first `ScheduleError`. The corpus includes DAGs of 264
+/// to 464 nodes, so a node's parent masks span several 64-bit words.
+#[test]
+fn validation_matches_the_oracle_replay_on_damaged_schedules() {
+    let mut corpus = instances(42);
+    corpus.extend(instances(1717));
+    corpus.extend(
+        mbsp_gen::small_dataset_sample(42)
+            .into_iter()
+            .take(3)
+            .map(|inst| {
+                MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0)
+            }),
+    );
+    assert!(corpus.iter().any(|inst| inst.dag().num_nodes() > 128));
+    let mut rng = StdRng::seed_from_u64(0x0DA3_A6ED);
+    let (mut cases, mut errors) = (0usize, std::collections::BTreeSet::new());
+    for instance in &corpus {
+        let (dag, arch) = (instance.dag(), instance.arch());
+        for scheduler in baselines() {
+            let bsp = scheduler.schedule(dag, arch);
+            let schedule = reference::convert(dag, arch, &bsp, &ClairvoyantPolicy::new(), &[]);
+            assert_eq!(schedule.validate(dag, arch), Ok(()));
+            assert_eq!(oracle_validate(&schedule, dag, arch), Ok(()));
+            for (kind, steps) in damaged_variants(&owned_steps(&schedule), &mut rng) {
+                let damaged = MbspSchedule::from_supersteps(arch.processors, &steps).unwrap();
+                let got = damaged.validate(dag, arch);
+                let case = format!("{}/{}/{kind}", instance.name(), scheduler.name());
+                assert_eq!(got, oracle_validate(&damaged, dag, arch), "{case}");
+                if let Err(e) = got {
+                    let name = format!("{e:?}");
+                    errors.insert(name[..name.find([' ', '{']).unwrap_or(name.len())].to_string());
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 200, "expected 200+ damaged schedules, got {cases}");
+    // The damage breaks every rule an in-range operation list can break
+    // (nothing here computes a source).
+    let every = [
+        "DeleteWithoutRed",
+        "LoadWithoutBlue",
+        "MemoryBoundExceeded",
+        "MissingParent",
+        "MissingSink",
+        "SaveWithoutRed",
+    ];
+    assert!(
+        every.iter().all(|e| errors.contains(*e)),
+        "only {errors:?} were hit"
     );
 }

@@ -4,7 +4,7 @@
 //! operations over the packed red/blue bitsets of [`crate::Configuration`]:
 //! population counts (cache occupancy), whole-state equality (the
 //! post-optimiser's exact fast-accept) and the `parents ⊆ R_p` subset test of
-//! [`crate::Configuration::try_compute_masked`]. The straightforward
+//! a compute in [`crate::Configuration::apply`]. The straightforward
 //! one-word-at-a-time loops compile to serial scalar code; the kernels here
 //! process the words in fixed-size chunks (`chunks_exact`) with a branch-free
 //! accumulator per chunk, which LLVM unrolls and — on SIMD targets —
@@ -91,8 +91,8 @@ pub fn words_equal_scalar(a: &[u64], b: &[u64]) -> bool {
 
 /// Is every mask contained in its word of `red`? `words[k]` indexes into `red`,
 /// and the test is `red[words[k]] & masks[k] == masks[k]` for all `k` — the
-/// CSR-sliced `parents ⊆ R_p` precondition of
-/// [`crate::Configuration::try_compute_masked`].
+/// CSR-sliced `parents ⊆ R_p` precondition of a compute in
+/// [`crate::Configuration::apply`].
 ///
 /// Chunked form of [`masked_subset_scalar`]: four entries per iteration feed
 /// one OR-accumulated "missing bits" word that is tested once per chunk, so

@@ -22,8 +22,11 @@
 //!   it is built from and serialised as;
 //! * the pebble state itself ([`state::Configuration`]) packs the per-processor
 //!   red sets and the blue set into `u64`-word bitsets with incrementally
-//!   maintained memory usage, so simulation, validation and the post-optimiser's
-//!   merge checks run on flat cache-resident words; the hottest word loops
+//!   maintained memory usage; its one checked operation
+//!   ([`state::Configuration::apply`]) and one superstep walker
+//!   ([`state::Configuration::apply_superstep`]) are what validation and the
+//!   post-optimiser's merge checks simulate with, on flat cache-resident
+//!   words; the hottest word loops
 //!   (popcounts, equality, the masked `parents ⊆ R_p` subset test) go through
 //!   the chunked autovectorizable kernels of [`kernels`], each retaining its
 //!   scalar form as differential oracle, and the pre-bitset nested-`Vec<bool>`
@@ -60,8 +63,8 @@ pub use eval::ScheduleEvaluator;
 pub use instance::MbspInstance;
 pub use ops::{ComputePhaseStep, Operation};
 pub use schedule::{
-    BoundaryCondition, MbspSchedule, PhasesView, ProcPhases, ScheduleError, ScheduleStatistics,
-    Superstep, SuperstepView,
+    MbspSchedule, PhasesView, ProcPhases, ScheduleError, ScheduleStatistics, Superstep,
+    SuperstepView,
 };
 pub use state::{Configuration, ParentMasks};
 

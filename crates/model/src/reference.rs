@@ -128,7 +128,9 @@ impl ReferenceConfiguration {
         }
     }
 
-    /// Precondition check, mirroring `Configuration::check`.
+    /// Precondition check: the rules of `Configuration::apply`, with each
+    /// parent of a compute tested bit by bit along the parent list instead of
+    /// word by word through `ParentMasks`.
     pub fn check(
         &self,
         dag: &CompDag,
@@ -190,7 +192,8 @@ impl ReferenceConfiguration {
         }
     }
 
-    /// Checked apply, mirroring `Configuration::apply`.
+    /// Checked apply: [`ReferenceConfiguration::check`], then the unchecked
+    /// placement — the oracle of `Configuration::apply`.
     pub fn apply(
         &mut self,
         dag: &CompDag,
@@ -215,69 +218,6 @@ impl ReferenceConfiguration {
                 self.remove_red_unchecked(dag, proc, node);
             }
         }
-    }
-
-    /// Fused load, mirroring `Configuration::try_load`.
-    pub fn try_load(&mut self, dag: &CompDag, arch: &Architecture, p: ProcId, v: NodeId) -> bool {
-        if !self.blue[v.index()] {
-            return false;
-        }
-        if !self.red[p.index()][v.index()] {
-            if self.used[p.index()] + dag.memory_weight(v) > arch.cache_size + MEMORY_EPS {
-                return false;
-            }
-            self.red[p.index()][v.index()] = true;
-            self.used[p.index()] += dag.memory_weight(v);
-        }
-        true
-    }
-
-    /// Fused compute, mirroring `Configuration::try_compute`.
-    pub fn try_compute(
-        &mut self,
-        dag: &CompDag,
-        arch: &Architecture,
-        p: ProcId,
-        v: NodeId,
-    ) -> bool {
-        if dag.is_source(v) {
-            return false;
-        }
-        for &parent in dag.parents(v) {
-            if !self.red[p.index()][parent.index()] {
-                return false;
-            }
-        }
-        if !self.red[p.index()][v.index()] {
-            if self.used[p.index()] + dag.memory_weight(v) > arch.cache_size + MEMORY_EPS {
-                return false;
-            }
-            self.red[p.index()][v.index()] = true;
-            self.used[p.index()] += dag.memory_weight(v);
-        }
-        true
-    }
-
-    /// Fused save, mirroring `Configuration::try_save`.
-    pub fn try_save(&mut self, p: ProcId, v: NodeId) -> bool {
-        if !self.red[p.index()][v.index()] {
-            return false;
-        }
-        self.blue[v.index()] = true;
-        true
-    }
-
-    /// Fused delete, mirroring `Configuration::try_delete`.
-    pub fn try_delete(&mut self, dag: &CompDag, p: ProcId, v: NodeId) -> bool {
-        if !self.red[p.index()][v.index()] {
-            return false;
-        }
-        self.red[p.index()][v.index()] = false;
-        self.used[p.index()] -= dag.memory_weight(v);
-        if self.used[p.index()] < 0.0 {
-            self.used[p.index()] = 0.0;
-        }
-        true
     }
 
     /// Terminal condition: every sink carries a blue pebble.

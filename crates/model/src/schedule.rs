@@ -32,9 +32,10 @@
 
 use crate::arch::{Architecture, ProcId};
 use crate::ops::{ComputePhaseStep, Operation};
-use crate::state::Configuration;
+use crate::state::{Configuration, ParentMasks};
 use mbsp_dag::{DagLike, NodeId};
 use serde::{Deserialize, Serialize, Value};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Errors reported by schedule validation and construction.
@@ -93,12 +94,6 @@ pub enum ScheduleError {
         /// The sink that never reached slow memory.
         node: NodeId,
     },
-    /// At the end of the schedule a required output (boundary condition of a
-    /// sub-schedule) has no blue pebble.
-    MissingRequiredOutput {
-        /// The required node that never reached slow memory.
-        node: NodeId,
-    },
     /// A superstep does not have exactly one [`ProcPhases`] entry per processor
     /// (when built or deserialised), or the schedule targets a different number of
     /// processors than the architecture it is validated against.
@@ -155,12 +150,6 @@ impl fmt::Display for ScheduleError {
                 write!(
                     f,
                     "sink {node} is not in slow memory at the end of the schedule"
-                )
-            }
-            ScheduleError::MissingRequiredOutput { node } => {
-                write!(
-                    f,
-                    "required output {node} is not in slow memory at the end of the schedule"
                 )
             }
             ScheduleError::ProcessorCountMismatch {
@@ -309,19 +298,11 @@ impl<'a> SuperstepView<'a> {
             .map(move |slot| list(&schedule.compute, &schedule.compute_off, slot))
     }
 
-    /// The save phase of every processor, in processor order.
-    pub fn saves(self) -> impl ExactSizeIterator<Item = &'a [NodeId]> {
-        self.io_phase(SAVE)
-    }
-
-    /// The delete phase of every processor, in processor order.
-    pub fn deletes(self) -> impl ExactSizeIterator<Item = &'a [NodeId]> {
-        self.io_phase(DELETE)
-    }
-
     /// The load phase of every processor, in processor order.
     pub fn loads(self) -> impl ExactSizeIterator<Item = &'a [NodeId]> {
-        self.io_phase(LOAD)
+        let schedule = self.schedule;
+        self.slots()
+            .map(move |slot| list(&schedule.io, &schedule.io_off, IO_PHASES * slot + LOAD))
     }
 
     /// The slots of this superstep.
@@ -329,18 +310,56 @@ impl<'a> SuperstepView<'a> {
         let first = self.index * self.schedule.processors;
         first..first + self.schedule.processors
     }
-
-    fn io_phase(self, k: usize) -> impl ExactSizeIterator<Item = &'a [NodeId]> {
-        let schedule = self.schedule;
-        self.slots()
-            .map(move |slot| list(&schedule.io, &schedule.io_off, IO_PHASES * slot + k))
-    }
 }
 
 /// Range `at` of `data` under the offsets `off`.
 #[inline]
 fn list<'a, T>(data: &'a [T], off: &[u32], at: usize) -> &'a [T] {
     &data[off[at] as usize..off[at + 1] as usize]
+}
+
+/// Feeds the operations of `steps` to `f` as one superstep, in model order:
+/// the compute phase of every processor, then every save, delete and load
+/// phase; within a phase, the processor's list from each step of `steps` in
+/// turn. Stops at the first error `f` returns. The lists are read straight
+/// from the offsets: at tight caches most supersteps hold one or two
+/// operations, so the cost of reaching a list is most of the walk.
+#[inline]
+pub(crate) fn for_each_operation<E>(
+    steps: &[SuperstepView<'_>],
+    mut f: impl FnMut(Operation) -> Result<(), E>,
+) -> Result<(), E> {
+    let Some(first) = steps.first() else {
+        return Ok(());
+    };
+    let procs = first.schedule.processors;
+    for p in 0..procs {
+        let proc = ProcId::new(p);
+        for step in steps {
+            let schedule = step.schedule;
+            let slot = step.index * procs + p;
+            for &c in list(&schedule.compute, &schedule.compute_off, slot) {
+                f(c.to_operation(proc))?;
+            }
+        }
+    }
+    for k in [SAVE, DELETE, LOAD] {
+        for p in 0..procs {
+            let proc = ProcId::new(p);
+            for step in steps {
+                let schedule = step.schedule;
+                let at = IO_PHASES * (step.index * procs + p) + k;
+                for &node in list(&schedule.io, &schedule.io_off, at) {
+                    f(match k {
+                        SAVE => Operation::Save { proc, node },
+                        DELETE => Operation::Delete { proc, node },
+                        _ => Operation::Load { proc, node },
+                    })?;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Index of the save, delete and load range of a slot within its three entries
@@ -382,34 +401,6 @@ impl Clone for MbspSchedule {
     /// Copies `source` into the allocations of `self`.
     fn clone_from(&mut self, source: &Self) {
         self.copy_prefix_from(source, source.num_supersteps());
-    }
-}
-
-/// Optional boundary conditions used when validating sub-schedules produced by the
-/// divide-and-conquer scheduler: some nodes may start with red/blue pebbles already
-/// placed, and additional (non-sink) nodes may be required to end up in slow memory.
-#[derive(Debug, Clone, Default)]
-pub struct BoundaryCondition {
-    /// Nodes that carry a blue pebble before the schedule starts (besides sources).
-    pub initial_blue: Vec<NodeId>,
-    /// `(p, v)` pairs: node `v` carries a red pebble of processor `p` at the start.
-    pub initial_red: Vec<(ProcId, NodeId)>,
-    /// Nodes (besides sinks) that must carry a blue pebble at the end.
-    pub required_outputs: Vec<NodeId>,
-    /// If false, the sinks of the DAG are *not* required to end in slow memory
-    /// (used for parts whose sinks are internal to a later part).
-    pub require_sinks: bool,
-}
-
-impl BoundaryCondition {
-    /// The standard whole-problem boundary: nothing pre-placed, all sinks required.
-    pub fn standard() -> Self {
-        BoundaryCondition {
-            initial_blue: Vec::new(),
-            initial_red: Vec::new(),
-            required_outputs: Vec::new(),
-            require_sinks: true,
-        }
     }
 }
 
@@ -696,90 +687,24 @@ impl MbspSchedule {
     pub fn operations(&self) -> Vec<(usize, Operation)> {
         let mut out = Vec::new();
         for (s, step) in self.supersteps().enumerate() {
-            for (pi, compute) in step.computes().enumerate() {
-                let p = ProcId::new(pi);
-                for &c in compute {
-                    out.push((s, c.to_operation(p)));
-                }
-            }
-            for (pi, save) in step.saves().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in save {
-                    out.push((s, Operation::Save { proc: p, node: v }));
-                }
-            }
-            for (pi, delete) in step.deletes().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in delete {
-                    out.push((s, Operation::Delete { proc: p, node: v }));
-                }
-            }
-            for (pi, load) in step.loads().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in load {
-                    out.push((s, Operation::Load { proc: p, node: v }));
-                }
-            }
+            for_each_operation(&[step], |op| {
+                out.push((s, op));
+                Ok(())
+            })
+            .unwrap_or_else(|never: Infallible| match never {});
         }
         out
     }
 
-    /// Validates the schedule against the DAG and architecture with the standard
-    /// boundary conditions (empty caches, sources in slow memory, all sinks required
-    /// to be in slow memory at the end).
+    /// Validates the schedule against the DAG and architecture: from empty
+    /// caches and the sources in slow memory, every superstep goes through
+    /// [`Configuration::apply_superstep`], and at the end every sink must be in
+    /// slow memory. Builds the DAG's [`ParentMasks`] per call, in O(|E|).
     pub fn validate<D: DagLike + ?Sized>(
         &self,
         dag: &D,
         arch: &Architecture,
     ) -> Result<(), ScheduleError> {
-        self.validate_with_boundary(dag, arch, &BoundaryCondition::standard())
-    }
-
-    /// Validates the schedule with custom boundary conditions (used by the
-    /// divide-and-conquer scheduler for sub-problems).
-    pub fn validate_with_boundary<D: DagLike + ?Sized>(
-        &self,
-        dag: &D,
-        arch: &Architecture,
-        boundary: &BoundaryCondition,
-    ) -> Result<(), ScheduleError> {
-        let n = dag.num_nodes();
-        let check_node = |v: NodeId| -> Result<(), ScheduleError> {
-            if v.index() >= n {
-                Err(ScheduleError::NodeOutOfRange {
-                    node: v,
-                    num_nodes: n,
-                })
-            } else {
-                Ok(())
-            }
-        };
-
-        let mut cfg = Configuration::initial(dag, arch);
-        for &v in &boundary.initial_blue {
-            check_node(v)?;
-            cfg.place_blue_unchecked(v);
-        }
-        for &(p, v) in &boundary.initial_red {
-            check_node(v)?;
-            cfg.place_red_unchecked(dag, p, v);
-        }
-        if !cfg.within_memory_bound(arch) {
-            // The boundary itself violates the memory bound; attribute it to the
-            // first red node of the first overloaded processor.
-            for p in arch.procs() {
-                if cfg.memory_used(p) > arch.cache_size {
-                    let node = cfg.cached_nodes(p).next().unwrap_or(NodeId::new(0));
-                    return Err(ScheduleError::MemoryBoundExceeded {
-                        proc: p,
-                        node,
-                        used: cfg.memory_used(p),
-                        bound: arch.cache_size,
-                    });
-                }
-            }
-        }
-
         if self.processors != arch.processors && self.num_supersteps() > 0 {
             return Err(ScheduleError::ProcessorCountMismatch {
                 superstep: 0,
@@ -787,56 +712,15 @@ impl MbspSchedule {
                 expected: arch.processors,
             });
         }
+        let masks = ParentMasks::of(dag);
+        let mut cfg = Configuration::initial(dag, arch);
         for step in self.supersteps() {
-            // 1. Compute phases (computes and deletes) of every processor.
-            for (pi, compute) in step.computes().enumerate() {
-                let p = ProcId::new(pi);
-                for &c in compute {
-                    check_node(c.node())?;
-                    cfg.apply(dag, arch, c.to_operation(p))?;
-                }
-            }
-            // 2. Save phases of every processor; saves become visible to every
-            //    processor's load phase of this superstep.
-            for (pi, save) in step.saves().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in save {
-                    check_node(v)?;
-                    cfg.apply(dag, arch, Operation::Save { proc: p, node: v })?;
-                }
-            }
-            // 3. Delete phases.
-            for (pi, delete) in step.deletes().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in delete {
-                    check_node(v)?;
-                    cfg.apply(dag, arch, Operation::Delete { proc: p, node: v })?;
-                }
-            }
-            // 4. Load phases.
-            for (pi, load) in step.loads().enumerate() {
-                let p = ProcId::new(pi);
-                for &v in load {
-                    check_node(v)?;
-                    cfg.apply(dag, arch, Operation::Load { proc: p, node: v })?;
-                }
-            }
+            cfg.apply_superstep(dag, arch, &masks, &[step])?;
         }
-
-        if boundary.require_sinks {
-            for v in dag.sink_nodes() {
-                if !cfg.has_blue(v) {
-                    return Err(ScheduleError::MissingSink { node: v });
-                }
-            }
+        match dag.sink_nodes().find(|&v| !cfg.has_blue(v)) {
+            Some(node) => Err(ScheduleError::MissingSink { node }),
+            None => Ok(()),
         }
-        for &v in &boundary.required_outputs {
-            check_node(v)?;
-            if !cfg.has_blue(v) {
-                return Err(ScheduleError::MissingRequiredOutput { node: v });
-            }
-        }
-        Ok(())
     }
 
     /// Computes summary statistics of the schedule (operation counts, recomputation
@@ -1079,45 +963,6 @@ mod tests {
         assert!(matches!(
             sched.validate(&dag, &a),
             Err(ScheduleError::LoadWithoutBlue { .. })
-        ));
-    }
-
-    #[test]
-    fn boundary_conditions_are_respected() {
-        let dag = path3();
-        let a = arch(1, 3.0);
-        // Start with node 1 already in slow memory; compute only node 2.
-        let mut steps = vec![Superstep::empty(1); 2];
-        steps[0].procs[0].load.push(node(1));
-        steps[1].procs[0].compute.push(compute(2));
-        steps[1].procs[0].save.push(node(2));
-        let sched = MbspSchedule::from_supersteps(1, &steps).unwrap();
-        // Standard validation fails (node 1 is not blue initially).
-        assert!(sched.validate(&dag, &a).is_err());
-        let boundary = BoundaryCondition {
-            initial_blue: vec![node(1)],
-            initial_red: vec![],
-            required_outputs: vec![],
-            require_sinks: true,
-        };
-        sched.validate_with_boundary(&dag, &a, &boundary).unwrap();
-    }
-
-    #[test]
-    fn required_outputs_are_checked() {
-        let dag = path3();
-        let a = arch(1, 3.0);
-        let sched = valid_path_schedule();
-        let boundary = BoundaryCondition {
-            initial_blue: vec![],
-            initial_red: vec![],
-            required_outputs: vec![node(1)],
-            require_sinks: true,
-        };
-        // Node 1 is computed but never saved.
-        assert!(matches!(
-            sched.validate_with_boundary(&dag, &a, &boundary),
-            Err(ScheduleError::MissingRequiredOutput { .. })
         ));
     }
 

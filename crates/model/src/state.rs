@@ -20,15 +20,25 @@
 //! bits with `trailing_zeros`. Bits at index `≥ n` are kept zero at all times
 //! so word-level comparisons are exact.
 //!
+//! ## One rule set
+//!
+//! The four transition rules are checked in one place,
+//! [`Configuration::apply`], and a superstep's phases are walked in one
+//! place, [`Configuration::apply_superstep`] (checked) and
+//! [`Configuration::apply_superstep_unchecked`]. Validation, the
+//! post-optimiser's fold checks, its suffix re-simulation and its prefix
+//! replays all run through them.
+//!
 //! The pre-bitset nested-`Vec<bool>` implementation is retained verbatim as
 //! [`crate::reference::ReferenceConfiguration`], the differential oracle of the
 //! seeded property tests in `tests/state_differential.rs`.
 
 use crate::arch::{Architecture, ProcId};
 use crate::ops::Operation;
-use crate::schedule::ScheduleError;
+use crate::schedule::{for_each_operation, ScheduleError, SuperstepView};
 use mbsp_dag::{DagLike, NodeId};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// The memory state of an MBSP execution at one point in time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,8 +70,9 @@ impl Configuration {
         cfg
     }
 
-    /// An entirely empty configuration (no pebbles anywhere). Used by sub-schedule
-    /// construction where the caller places the boundary pebbles explicitly.
+    /// An entirely empty configuration (no pebbles anywhere): what
+    /// [`Configuration::initial`] places the sources on, and a buffer for
+    /// [`Configuration::copy_from`] to fill.
     pub fn empty<D: DagLike + ?Sized>(dag: &D, arch: &Architecture) -> Self {
         let n = dag.num_nodes();
         let words = n.div_ceil(64);
@@ -191,79 +202,115 @@ impl Configuration {
         }
     }
 
-    /// Checks whether `op` can be applied in the current configuration and whether
-    /// applying it keeps processor `p` within the memory bound.
-    pub fn check<D: DagLike + ?Sized>(
-        &self,
-        dag: &D,
-        arch: &Architecture,
-        op: Operation,
-    ) -> Result<(), ScheduleError> {
-        match op {
-            Operation::Load { proc, node } => {
-                if !self.has_blue(node) {
-                    return Err(ScheduleError::LoadWithoutBlue { proc, node });
-                }
-                if !self.has_red(proc, node)
-                    && self.used[proc.index()] + dag.memory_weight(node)
-                        > arch.cache_size + MEMORY_EPS
-                {
-                    return Err(ScheduleError::MemoryBoundExceeded {
-                        proc,
-                        node,
-                        used: self.used[proc.index()] + dag.memory_weight(node),
-                        bound: arch.cache_size,
-                    });
-                }
-                Ok(())
-            }
-            Operation::Save { proc, node } => {
-                if !self.has_red(proc, node) {
-                    return Err(ScheduleError::SaveWithoutRed { proc, node });
-                }
-                Ok(())
-            }
-            Operation::Compute { proc, node } => {
-                if dag.is_source(node) {
-                    return Err(ScheduleError::ComputeSource { proc, node });
-                }
-                for parent in dag.parents(node) {
-                    if !self.has_red(proc, parent) {
-                        return Err(ScheduleError::MissingParent { proc, node, parent });
-                    }
-                }
-                if !self.has_red(proc, node)
-                    && self.used[proc.index()] + dag.memory_weight(node)
-                        > arch.cache_size + MEMORY_EPS
-                {
-                    return Err(ScheduleError::MemoryBoundExceeded {
-                        proc,
-                        node,
-                        used: self.used[proc.index()] + dag.memory_weight(node),
-                        bound: arch.cache_size,
-                    });
-                }
-                Ok(())
-            }
-            Operation::Delete { proc, node } => {
-                if !self.has_red(proc, node) {
-                    return Err(ScheduleError::DeleteWithoutRed { proc, node });
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies `op` after checking its preconditions and the memory bound.
+    /// Applies `op` if the pebble game allows it here; otherwise returns why
+    /// not and changes nothing. The checks run in one order, and the first
+    /// that fails is the error: the node range, then the rule's own
+    /// precondition — a blue pebble to load, a red one to save or delete, and
+    /// to compute a non-source whose parents are all red on the processor —
+    /// then, for a load or compute, the memory bound. A compute's parents are
+    /// tested word by word against `masks` ([`crate::kernels::masked_subset`]);
+    /// only a miss walks the parent list, to name the first missing parent.
+    ///
+    /// `masks` must have been built for the same DAG (`debug_assert`ed).
+    #[inline]
     pub fn apply<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
+        masks: &ParentMasks,
         op: Operation,
     ) -> Result<(), ScheduleError> {
-        self.check(dag, arch, op)?;
-        self.apply_unchecked(dag, op);
+        debug_assert_eq!(masks.num_nodes(), self.num_nodes);
+        let (proc, node) = (op.proc(), op.node());
+        if node.index() >= self.num_nodes {
+            return Err(ScheduleError::NodeOutOfRange {
+                node,
+                num_nodes: self.num_nodes,
+            });
+        }
+        match op {
+            Operation::Load { .. } => {
+                if !self.has_blue(node) {
+                    return Err(ScheduleError::LoadWithoutBlue { proc, node });
+                }
+            }
+            Operation::Compute { .. } => {
+                if dag.is_source(node) {
+                    return Err(ScheduleError::ComputeSource { proc, node });
+                }
+                let base = proc.index() * self.words;
+                let (a, b) = masks.range(node);
+                if !crate::kernels::masked_subset(
+                    &self.red[base..base + self.words],
+                    &masks.words[a..b],
+                    &masks.masks[a..b],
+                ) {
+                    let parent = dag
+                        .parents(node)
+                        .find(|&u| !self.has_red(proc, u))
+                        .expect("a masked miss has a parent without a red pebble");
+                    return Err(ScheduleError::MissingParent { proc, node, parent });
+                }
+            }
+            Operation::Save { .. } => {
+                if !self.has_red(proc, node) {
+                    return Err(ScheduleError::SaveWithoutRed { proc, node });
+                }
+                self.place_blue_unchecked(node);
+                return Ok(());
+            }
+            Operation::Delete { .. } => {
+                if !self.has_red(proc, node) {
+                    return Err(ScheduleError::DeleteWithoutRed { proc, node });
+                }
+                self.remove_red_unchecked(dag, proc, node);
+                return Ok(());
+            }
+        }
+        if !self.has_red(proc, node) {
+            let used = self.used[proc.index()] + dag.memory_weight(node);
+            if used > arch.cache_size + MEMORY_EPS {
+                return Err(ScheduleError::MemoryBoundExceeded {
+                    proc,
+                    node,
+                    used,
+                    bound: arch.cache_size,
+                });
+            }
+            self.place_red_unchecked(dag, proc, node);
+        }
         Ok(())
+    }
+
+    /// Applies the operations of `steps` as one superstep through
+    /// [`Configuration::apply`]: each processor's phase lists are those of
+    /// every step of `steps` one after another — what folding the steps into
+    /// one superstep makes — and the phases run in model order (every compute
+    /// phase, then every save, delete and load phase). Stops at the first
+    /// illegal operation and returns its error; the operations before it stay
+    /// applied.
+    pub fn apply_superstep<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        arch: &Architecture,
+        masks: &ParentMasks,
+        steps: &[SuperstepView<'_>],
+    ) -> Result<(), ScheduleError> {
+        for_each_operation(steps, |op| self.apply(dag, arch, masks, op))
+    }
+
+    /// Applies every operation of `step`, in model order, without
+    /// precondition checks (the step is known to be legal from here).
+    pub fn apply_superstep_unchecked<D: DagLike + ?Sized>(
+        &mut self,
+        dag: &D,
+        step: SuperstepView<'_>,
+    ) {
+        for_each_operation(&[step], |op| {
+            self.apply_unchecked(dag, op);
+            Ok(())
+        })
+        .unwrap_or_else(|never: Infallible| match never {});
     }
 
     /// Applies `op` without precondition checks (the caller has already validated).
@@ -281,140 +328,10 @@ impl Configuration {
         }
     }
 
-    /// Fused check-and-apply of a load: returns false if the node has no blue
-    /// pebble or would exceed the memory bound. Equivalent to
-    /// [`Configuration::apply`] with [`Operation::Load`], without constructing the
-    /// operation value (the post-optimiser's merge-validity simulation is a hot
-    /// loop).
-    #[inline]
-    pub fn try_load<D: DagLike + ?Sized>(
-        &mut self,
-        dag: &D,
-        arch: &Architecture,
-        p: ProcId,
-        v: NodeId,
-    ) -> bool {
-        if !self.has_blue(v) {
-            return false;
-        }
-        let i = v.index();
-        let bit = 1u64 << (i & 63);
-        let slot = p.index() * self.words + (i >> 6);
-        if self.red[slot] & bit == 0 {
-            if self.used[p.index()] + dag.memory_weight(v) > arch.cache_size + MEMORY_EPS {
-                return false;
-            }
-            self.red[slot] |= bit;
-            self.used[p.index()] += dag.memory_weight(v);
-        }
-        true
-    }
-
-    /// Fused check-and-apply of a compute step; see [`Configuration::try_load`].
-    #[inline]
-    pub fn try_compute<D: DagLike + ?Sized>(
-        &mut self,
-        dag: &D,
-        arch: &Architecture,
-        p: ProcId,
-        v: NodeId,
-    ) -> bool {
-        if dag.is_source(v) {
-            return false;
-        }
-        for parent in dag.parents(v) {
-            if !self.has_red(p, parent) {
-                return false;
-            }
-        }
-        let i = v.index();
-        let bit = 1u64 << (i & 63);
-        let slot = p.index() * self.words + (i >> 6);
-        if self.red[slot] & bit == 0 {
-            if self.used[p.index()] + dag.memory_weight(v) > arch.cache_size + MEMORY_EPS {
-                return false;
-            }
-            self.red[slot] |= bit;
-            self.used[p.index()] += dag.memory_weight(v);
-        }
-        true
-    }
-
-    /// Fused check-and-apply of a save; see [`Configuration::try_load`].
-    #[inline]
-    pub fn try_save(&mut self, p: ProcId, v: NodeId) -> bool {
-        if !self.has_red(p, v) {
-            return false;
-        }
-        self.place_blue_unchecked(v);
-        true
-    }
-
-    /// Fused check-and-apply of a delete; see [`Configuration::try_load`].
-    #[inline]
-    pub fn try_delete<D: DagLike + ?Sized>(&mut self, dag: &D, p: ProcId, v: NodeId) -> bool {
-        let i = v.index();
-        let bit = 1u64 << (i & 63);
-        let slot = p.index() * self.words + (i >> 6);
-        if self.red[slot] & bit == 0 {
-            return false;
-        }
-        self.red[slot] &= !bit;
-        self.used[p.index()] -= dag.memory_weight(v);
-        if self.used[p.index()] < 0.0 {
-            self.used[p.index()] = 0.0;
-        }
-        true
-    }
-
     /// Returns true if every sink of the DAG carries a blue pebble (the terminal
     /// condition of a schedule).
     pub fn is_terminal<D: DagLike + ?Sized>(&self, dag: &D) -> bool {
         dag.sink_nodes().all(|v| self.has_blue(v))
-    }
-
-    /// Fused check-and-apply of a compute step that tests the `parents ⊆ R_p`
-    /// precondition word by word through precomputed [`ParentMasks`] instead of
-    /// walking the parent list bit by bit. Exactly equivalent to
-    /// [`Configuration::try_compute`] (the differential test in
-    /// `tests/state_differential.rs` replays random operation sequences through
-    /// both); the masked path wins on high-fan-in nodes whose parents cluster
-    /// into few 64-node words.
-    ///
-    /// `masks` must have been built for the same DAG (`debug_assert`ed).
-    #[inline]
-    pub fn try_compute_masked<D: DagLike + ?Sized>(
-        &mut self,
-        dag: &D,
-        arch: &Architecture,
-        masks: &ParentMasks,
-        p: ProcId,
-        v: NodeId,
-    ) -> bool {
-        debug_assert_eq!(masks.num_nodes(), self.num_nodes);
-        if dag.is_source(v) {
-            return false;
-        }
-        let base = p.index() * self.words;
-        let (a, b) = masks.range(v);
-        if !crate::kernels::masked_subset(
-            &self.red[base..base + self.words],
-            &masks.words[a..b],
-            &masks.masks[a..b],
-        ) {
-            return false;
-        }
-        let i = v.index();
-        let bit = 1u64 << (i & 63);
-        let slot = p.index() * self.words + (i >> 6);
-        if self.red[slot] & bit == 0 {
-            if self.used[p.index()] + dag.memory_weight(v) > arch.cache_size + MEMORY_EPS {
-                return false;
-            }
-            self.red[slot] |= bit;
-            self.used[p.index()] += dag.memory_weight(v);
-        }
-        true
     }
 
     /// Returns true if every processor satisfies the memory bound.
@@ -424,7 +341,7 @@ impl Configuration {
 }
 
 /// Precomputed per-node parent bitsets in sparse `(word, mask)` form, enabling
-/// word-level `parents ⊆ R_p` checks in [`Configuration::try_compute_masked`].
+/// the word-level `parents ⊆ R_p` check of a compute in [`Configuration::apply`].
 ///
 /// For every node the parents are grouped by 64-bit word of the red bitset: one
 /// `(word index, bit mask)` entry per word that contains at least one parent,
@@ -434,8 +351,9 @@ impl Configuration {
 /// word test per *occupied word* instead of one bit test per parent.
 ///
 /// Built once per `(dag)` and shared by every configuration simulated against
-/// that DAG (the [`ParentMasks`] are read-only; `mbsp_ilp`'s post-optimiser owns
-/// one per evaluation engine).
+/// that DAG (the [`ParentMasks`] are read-only): `mbsp_ilp`'s post-optimiser
+/// owns one per evaluation engine, and [`crate::MbspSchedule::validate`] builds
+/// one per call.
 #[derive(Debug, Clone, Default)]
 pub struct ParentMasks {
     /// CSR offsets into `words`/`masks`; length `n + 1`.
@@ -536,6 +454,7 @@ pub(crate) const MEMORY_EPS: f64 = 1e-9;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceConfiguration;
     use mbsp_dag::graph::NodeWeights;
     use mbsp_dag::CompDag;
 
@@ -545,6 +464,34 @@ mod tests {
 
     fn arch2(cache: f64) -> Architecture {
         Architecture::new(2, cache, 1.0, 0.0)
+    }
+
+    fn load(p: usize, v: usize) -> Operation {
+        Operation::Load {
+            proc: ProcId::new(p),
+            node: NodeId::new(v),
+        }
+    }
+
+    fn compute(p: usize, v: usize) -> Operation {
+        Operation::Compute {
+            proc: ProcId::new(p),
+            node: NodeId::new(v),
+        }
+    }
+
+    fn save(p: usize, v: usize) -> Operation {
+        Operation::Save {
+            proc: ProcId::new(p),
+            node: NodeId::new(v),
+        }
+    }
+
+    fn delete(p: usize, v: usize) -> Operation {
+        Operation::Delete {
+            proc: ProcId::new(p),
+            node: NodeId::new(v),
+        }
     }
 
     #[test]
@@ -564,57 +511,18 @@ mod tests {
     fn load_compute_save_cycle() {
         let dag = path3();
         let arch = arch2(2.0);
+        let masks = ParentMasks::of(&dag);
         let p = ProcId::new(0);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
         assert!(cfg.has_red(p, NodeId::new(0)));
         assert_eq!(cfg.memory_used(p), 1.0);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Compute {
-                proc: p,
-                node: NodeId::new(1),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, compute(0, 1)).unwrap();
         assert_eq!(cfg.memory_used(p), 2.0);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Delete {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, delete(0, 0)).unwrap();
         assert_eq!(cfg.memory_used(p), 1.0);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Compute {
-                proc: p,
-                node: NodeId::new(2),
-            },
-        )
-        .unwrap();
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Save {
-                proc: p,
-                node: NodeId::new(2),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, compute(0, 2)).unwrap();
+        cfg.apply(&dag, &arch, &masks, save(0, 2)).unwrap();
         assert!(cfg.is_terminal(&dag));
         assert!(cfg.cached_nodes(p).eq([NodeId::new(1), NodeId::new(2)]));
         assert!(cfg.blue_nodes().eq([NodeId::new(0), NodeId::new(2)]));
@@ -624,164 +532,90 @@ mod tests {
     fn preconditions_are_enforced() {
         let dag = path3();
         let arch = arch2(2.0);
-        let p = ProcId::new(0);
+        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
+        let initial = cfg.clone();
+        let mut rejects = |op| {
+            let err = cfg.apply(&dag, &arch, &masks, op).unwrap_err();
+            // A rejected operation changes nothing.
+            assert_eq!(cfg, initial);
+            err
+        };
         // Loading a node with no blue pebble.
         assert!(matches!(
-            cfg.check(
-                &dag,
-                &arch,
-                Operation::Load {
-                    proc: p,
-                    node: NodeId::new(1)
-                }
-            ),
-            Err(ScheduleError::LoadWithoutBlue { .. })
+            rejects(load(0, 1)),
+            ScheduleError::LoadWithoutBlue { .. }
         ));
         // Computing a source node.
         assert!(matches!(
-            cfg.check(
-                &dag,
-                &arch,
-                Operation::Compute {
-                    proc: p,
-                    node: NodeId::new(0)
-                }
-            ),
-            Err(ScheduleError::ComputeSource { .. })
+            rejects(compute(0, 0)),
+            ScheduleError::ComputeSource { .. }
         ));
         // Computing without the parent cached.
-        assert!(matches!(
-            cfg.check(
-                &dag,
-                &arch,
-                Operation::Compute {
-                    proc: p,
-                    node: NodeId::new(1)
-                }
-            ),
-            Err(ScheduleError::MissingParent { .. })
-        ));
+        assert_eq!(
+            rejects(compute(0, 1)),
+            ScheduleError::MissingParent {
+                proc: ProcId::new(0),
+                node: NodeId::new(1),
+                parent: NodeId::new(0)
+            }
+        );
         // Saving or deleting a value that is not cached.
         assert!(matches!(
-            cfg.check(
-                &dag,
-                &arch,
-                Operation::Save {
-                    proc: p,
-                    node: NodeId::new(0)
-                }
-            ),
-            Err(ScheduleError::SaveWithoutRed { .. })
+            rejects(save(0, 0)),
+            ScheduleError::SaveWithoutRed { .. }
         ));
         assert!(matches!(
-            cfg.check(
-                &dag,
-                &arch,
-                Operation::Delete {
-                    proc: p,
-                    node: NodeId::new(0)
-                }
-            ),
-            Err(ScheduleError::DeleteWithoutRed { .. })
+            rejects(delete(0, 0)),
+            ScheduleError::DeleteWithoutRed { .. }
+        ));
+        // A node outside the DAG.
+        assert!(matches!(
+            rejects(load(0, 3)),
+            ScheduleError::NodeOutOfRange { num_nodes: 3, .. }
         ));
         // A valid load still works.
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
     }
 
     #[test]
     fn memory_bound_is_enforced() {
         let dag = path3();
         let arch = arch2(1.0);
-        let p = ProcId::new(0);
+        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
         // Computing node 1 would need 2 units of cache but the bound is 1.
-        let err = cfg
-            .apply(
-                &dag,
-                &arch,
-                Operation::Compute {
-                    proc: p,
-                    node: NodeId::new(1),
-                },
-            )
-            .unwrap_err();
+        let err = cfg.apply(&dag, &arch, &masks, compute(0, 1)).unwrap_err();
         assert!(matches!(err, ScheduleError::MemoryBoundExceeded { .. }));
+        assert!(!cfg.has_red(ProcId::new(0), NodeId::new(1)));
+        assert_eq!(cfg.memory_used(ProcId::new(0)), 1.0);
     }
 
     #[test]
     fn caches_are_independent_per_processor() {
         let dag = path3();
         let arch = arch2(2.0);
+        let masks = ParentMasks::of(&dag);
         let (p0, p1) = (ProcId::new(0), ProcId::new(1));
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p0,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
         assert!(cfg.has_red(p0, NodeId::new(0)));
         assert!(!cfg.has_red(p1, NodeId::new(0)));
         assert_eq!(cfg.memory_used(p1), 0.0);
         // p1 cannot compute node 1: its own cache does not hold the parent.
-        assert!(cfg
-            .check(
-                &dag,
-                &arch,
-                Operation::Compute {
-                    proc: p1,
-                    node: NodeId::new(1)
-                }
-            )
-            .is_err());
+        assert!(cfg.apply(&dag, &arch, &masks, compute(1, 1)).is_err());
     }
 
     #[test]
     fn repeated_load_does_not_double_count_memory() {
         let dag = path3();
         let arch = arch2(5.0);
-        let p = ProcId::new(0);
+        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
-        cfg.apply(
-            &dag,
-            &arch,
-            Operation::Load {
-                proc: p,
-                node: NodeId::new(0),
-            },
-        )
-        .unwrap();
-        assert_eq!(cfg.memory_used(p), 1.0);
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        assert_eq!(cfg.memory_used(ProcId::new(0)), 1.0);
     }
 
     #[test]
@@ -825,7 +659,8 @@ mod tests {
 
     #[test]
     fn masked_compute_check_matches_walking_path() {
-        // High-fan-in node whose parents span three bitset words.
+        // High-fan-in node whose parents span three bitset words: the masked
+        // `apply` against the oracle's parent-walking one.
         let n = 140;
         let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, n - 1)).collect();
         edges.push((0, 1));
@@ -833,23 +668,48 @@ mod tests {
         let arch = Architecture::new(2, 1e9, 1.0, 0.0);
         let masks = ParentMasks::of(&dag);
         assert_eq!(masks.num_nodes(), n);
-        let p = ProcId::new(1);
-        let mut walk = Configuration::initial(&dag, &arch);
+        let (p, sink) = (ProcId::new(1), NodeId::new(n - 1));
+        let mut walk = ReferenceConfiguration::initial(&dag, &arch);
         let mut masked = Configuration::initial(&dag, &arch);
-        // Missing parents: both reject, neither mutates.
-        assert!(!walk.try_compute(&dag, &arch, p, NodeId::new(n - 1)));
-        assert!(!masked.try_compute_masked(&dag, &arch, &masks, p, NodeId::new(n - 1)));
-        assert_eq!(walk, masked);
-        for i in 0..n - 1 {
-            walk.place_red_unchecked(&dag, p, NodeId::new(i));
-            masked.place_red_unchecked(&dag, p, NodeId::new(i));
+        let same = |walk: &ReferenceConfiguration, masked: &Configuration| {
+            (0..n).all(|i| walk.has_red(p, NodeId::new(i)) == masked.has_red(p, NodeId::new(i)))
+                && walk.memory_used(p) == masked.memory_used(p)
+        };
+        // An empty cache and then one missing parent per word: both reject
+        // with the first missing parent, and neither mutates.
+        let op = compute(1, n - 1);
+        let expected = walk.apply(&dag, &arch, op);
+        assert_eq!(masked.apply(&dag, &arch, &masks, op), expected);
+        assert!(matches!(expected, Err(ScheduleError::MissingParent { .. })));
+        for missing in [0usize, 64, 128, 138] {
+            for i in 0..n - 1 {
+                walk.place_red_unchecked(&dag, p, NodeId::new(i));
+                masked.place_red_unchecked(&dag, p, NodeId::new(i));
+            }
+            walk.remove_red_unchecked(&dag, p, NodeId::new(missing));
+            masked.remove_red_unchecked(&dag, p, NodeId::new(missing));
+            let expected = walk.apply(&dag, &arch, op);
+            assert_eq!(
+                expected,
+                Err(ScheduleError::MissingParent {
+                    proc: p,
+                    node: sink,
+                    parent: NodeId::new(missing)
+                })
+            );
+            assert_eq!(masked.apply(&dag, &arch, &masks, op), expected);
+            assert!(same(&walk, &masked));
         }
-        assert!(walk.try_compute(&dag, &arch, p, NodeId::new(n - 1)));
-        assert!(masked.try_compute_masked(&dag, &arch, &masks, p, NodeId::new(n - 1)));
-        assert_eq!(walk, masked);
+        walk.place_red_unchecked(&dag, p, NodeId::new(138));
+        masked.place_red_unchecked(&dag, p, NodeId::new(138));
+        walk.apply(&dag, &arch, op).unwrap();
+        masked.apply(&dag, &arch, &masks, op).unwrap();
+        assert!(masked.has_red(p, sink) && same(&walk, &masked));
         // Sources are rejected by both paths.
-        assert!(!walk.try_compute(&dag, &arch, p, NodeId::new(0)));
-        assert!(!masked.try_compute_masked(&dag, &arch, &masks, p, NodeId::new(0)));
+        assert_eq!(
+            masked.apply(&dag, &arch, &masks, compute(1, 0)),
+            walk.apply(&dag, &arch, compute(1, 0))
+        );
     }
 
     #[test]

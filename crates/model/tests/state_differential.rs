@@ -3,16 +3,17 @@
 //! settings.
 //!
 //! Each case replays a random sequence of checked operations (load / compute /
-//! save / delete), fused `try_*` calls, unchecked placements and removals, and
+//! save / delete through `apply` on both sides: word-level parent masks on
+//! one, the parent walk on the other), unchecked placements and removals, and
 //! the buffer-reuse entry points (`reset_initial`, `copy_from`) through both
 //! implementations, asserting identical observable state — pebbles, memory
-//! usage, operation outcomes, pebble-set iterators, terminal and memory-bound
-//! predicates — after every step.
+//! usage, operation outcomes and errors, pebble-set iterators, terminal and
+//! memory-bound predicates — after every step.
 
 use mbsp_dag::{CompDag, NodeId};
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_model::reference::ReferenceConfiguration;
-use mbsp_model::{Architecture, Configuration, Operation, ProcId};
+use mbsp_model::{Architecture, Configuration, Operation, ParentMasks, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,11 +50,12 @@ fn assert_same_state(
     );
 }
 
-/// One random operation against both implementations; returns the op kind tag.
+/// One random operation against both implementations.
 fn random_step(
     rng: &mut StdRng,
     dag: &CompDag,
     arch: &Architecture,
+    masks: &ParentMasks,
     fast: &mut Configuration,
     oracle: &mut ReferenceConfiguration,
 ) {
@@ -61,50 +63,16 @@ fn random_step(
     let node = NodeId::new(rng.gen_range(0..n));
     let proc = ProcId::new(rng.gen_range(0..arch.processors));
     match rng.gen_range(0..10u32) {
-        0 => {
-            let op = Operation::Load { proc, node };
-            let a = fast.apply(dag, arch, op);
+        k @ 0..=7 => {
+            let op = match k % 4 {
+                0 => Operation::Load { proc, node },
+                1 => Operation::Compute { proc, node },
+                2 => Operation::Save { proc, node },
+                _ => Operation::Delete { proc, node },
+            };
+            let a = fast.apply(dag, arch, masks, op);
             let b = oracle.apply(dag, arch, op);
-            assert_eq!(a, b, "load outcome diverged");
-        }
-        1 => {
-            let op = Operation::Compute { proc, node };
-            let a = fast.apply(dag, arch, op);
-            let b = oracle.apply(dag, arch, op);
-            assert_eq!(a, b, "compute outcome diverged");
-        }
-        2 => {
-            let op = Operation::Save { proc, node };
-            let a = fast.apply(dag, arch, op);
-            let b = oracle.apply(dag, arch, op);
-            assert_eq!(a, b, "save outcome diverged");
-        }
-        3 => {
-            let op = Operation::Delete { proc, node };
-            let a = fast.apply(dag, arch, op);
-            let b = oracle.apply(dag, arch, op);
-            assert_eq!(a, b, "delete outcome diverged");
-        }
-        4 => {
-            assert_eq!(
-                fast.try_load(dag, arch, proc, node),
-                oracle.try_load(dag, arch, proc, node)
-            );
-        }
-        5 => {
-            assert_eq!(
-                fast.try_compute(dag, arch, proc, node),
-                oracle.try_compute(dag, arch, proc, node)
-            );
-        }
-        6 => {
-            assert_eq!(fast.try_save(proc, node), oracle.try_save(proc, node));
-        }
-        7 => {
-            assert_eq!(
-                fast.try_delete(dag, proc, node),
-                oracle.try_delete(dag, proc, node)
-            );
+            assert_eq!(a, b, "{op} outcome diverged");
         }
         8 => {
             fast.place_red_unchecked(dag, proc, node);
@@ -134,11 +102,12 @@ fn bitset_configuration_matches_the_nested_vec_oracle() {
         );
         for &(p, cache) in &[(1usize, 4.0), (2, 8.0), (4, 16.0)] {
             let arch = Architecture::new(p, cache, 1.0, 10.0);
+            let masks = ParentMasks::of(&dag);
             let mut fast = Configuration::initial(&dag, &arch);
             let mut oracle = ReferenceConfiguration::initial(&dag, &arch);
             assert_same_state(&dag, &arch, &fast, &oracle);
             for step in 0..120 {
-                random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
+                random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
                 if step % 10 == 0 {
                     assert_same_state(&dag, &arch, &fast, &oracle);
                 }
@@ -163,10 +132,11 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
             1000 + round as u64,
         );
         let arch = Architecture::new(3, 12.0, 1.0, 5.0);
+        let masks = ParentMasks::of(&dag);
         let mut fast = Configuration::initial(&dag, &arch);
         let mut oracle = ReferenceConfiguration::initial(&dag, &arch);
         for _ in 0..60 {
-            random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
+            random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
         }
         // Snapshot via copy_from into a fresh buffer; mutate; restore; compare.
         let mut fast_snap = Configuration::empty(&dag, &arch);
@@ -174,7 +144,7 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
         let mut oracle_snap = ReferenceConfiguration::empty(&dag, &arch);
         oracle_snap.copy_from(&oracle);
         for _ in 0..30 {
-            random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
+            random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
         }
         assert_same_state(&dag, &arch, &fast, &oracle);
         fast.copy_from(&fast_snap);
@@ -188,13 +158,13 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
     }
 }
 
-/// The word-level masked compute path (`try_compute_masked` over precomputed
-/// [`ParentMasks`]) must take exactly the same accept/reject decisions — and
-/// leave exactly the same state — as the parent-walking `try_compute`, across
-/// random DAGs, cache pressures and interleaved unchecked mutations.
+/// The word-level masked compute check of `Configuration::apply` (precomputed
+/// [`ParentMasks`]) must take exactly the same accept/reject decisions — with
+/// the same first missing parent, and leaving the same state — as the
+/// oracle's parent-walking `apply`, across dense random DAGs whose nodes have
+/// many parents, cache pressures and interleaved unchecked placements.
 #[test]
 fn masked_compute_path_matches_the_walking_path() {
-    use mbsp_model::ParentMasks;
     let mut rng = StdRng::seed_from_u64(0x3A5C);
     for case in 0..120 {
         let dag = random_layered_dag(
@@ -210,33 +180,27 @@ fn masked_compute_path_matches_the_walking_path() {
         let arch = Architecture::new(1 + (case % 3), 2.0 + (case % 9) as f64, 1.0, 0.0);
         let masks = ParentMasks::of(&dag);
         assert_eq!(masks.num_nodes(), n);
-        let mut walk = Configuration::initial(&dag, &arch);
         let mut masked = Configuration::initial(&dag, &arch);
+        let mut walk = ReferenceConfiguration::initial(&dag, &arch);
         for _ in 0..200 {
             let node = NodeId::new(rng.gen_range(0..n));
             let proc = ProcId::new(rng.gen_range(0..arch.processors));
-            match rng.gen_range(0..4u32) {
-                0 => {
-                    let a = walk.try_compute(&dag, &arch, proc, node);
-                    let b = masked.try_compute_masked(&dag, &arch, &masks, proc, node);
-                    assert_eq!(a, b, "case {case}: compute outcome diverged on {node}");
-                }
+            let op = match rng.gen_range(0..4u32) {
+                0 => Operation::Compute { proc, node },
                 1 => {
-                    walk.place_red_unchecked(&dag, proc, node);
                     masked.place_red_unchecked(&dag, proc, node);
+                    walk.place_red_unchecked(&dag, proc, node);
+                    continue;
                 }
-                2 => {
-                    let a = walk.try_delete(&dag, proc, node);
-                    let b = masked.try_delete(&dag, proc, node);
-                    assert_eq!(a, b);
-                }
-                _ => {
-                    let a = walk.try_load(&dag, &arch, proc, node);
-                    let b = masked.try_load(&dag, &arch, proc, node);
-                    assert_eq!(a, b);
-                }
-            }
-            assert_eq!(walk, masked, "case {case}: states diverged");
+                2 => Operation::Delete { proc, node },
+                _ => Operation::Load { proc, node },
+            };
+            assert_eq!(
+                masked.apply(&dag, &arch, &masks, op),
+                walk.apply(&dag, &arch, op),
+                "case {case}: {op} diverged"
+            );
+            assert_same_state(&dag, &arch, &masked, &walk);
         }
     }
 }

@@ -11,7 +11,7 @@
 //! tree: [`JsonWriter`] and [`write_schedule`] append each frame's JSON text
 //! to the one line buffer the daemon writes.
 
-use crate::server::{check_search_caps, MAX_FAMILY_NODES, MAX_PROCESSORS, MAX_TABLE_CELLS};
+use crate::server::{check_search_caps, check_table_caps, MAX_FAMILY_NODES};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -431,18 +431,7 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
     // The session sizes per-processor tables from these numbers, so they are
     // bounded here, before anything is built.
     let processors = require(field_usize(map, "processors")?, "processors")?;
-    if !(1..=MAX_PROCESSORS).contains(&processors) {
-        return Err(Reject::new(
-            E_BAD_REQUEST,
-            format!("`processors` must be between 1 and {MAX_PROCESSORS}"),
-        ));
-    }
-    if processors.saturating_mul(nodes) > MAX_TABLE_CELLS {
-        return Err(Reject::new(
-            E_BAD_REQUEST,
-            format!("`processors` x nodes ({processors} x {nodes}) exceeds {MAX_TABLE_CELLS}"),
-        ));
-    }
+    check_table_caps(processors, nodes).map_err(|e| Reject::new(E_BAD_REQUEST, e))?;
     let non_negative = |key: &str| -> Parse<Option<f64>> {
         match field_f64(map, key)? {
             Some(x) if !(x.is_finite() && x >= 0.0) => Err(Reject::new(

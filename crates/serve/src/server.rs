@@ -32,11 +32,12 @@ use crate::protocol::{
     self, parse_request, CacheSpec, DagSource, JsonWriter, MutateRequest, RegisterRequest, Reject,
     RepairRequest, Request, ScheduleRequest,
 };
+use mbsp_dag::DagDelta;
 use mbsp_ilp::{
     CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
-use mbsp_model::Architecture;
+use mbsp_model::{sync_cost, Architecture, MbspSchedule};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -114,6 +115,25 @@ pub(crate) fn check_search_caps(num_shards: usize, moves_per_round: usize) -> Re
     if moves_per_round > MAX_MOVES_PER_ROUND {
         return Err(format!(
             "`moves_per_round` must be at most {MAX_MOVES_PER_ROUND}"
+        ));
+    }
+    Ok(())
+}
+
+/// Holds a session's tables to [`MAX_PROCESSORS`] and [`MAX_TABLE_CELLS`]: a
+/// `register` as it is parsed, every session restored from the state
+/// directory, and every `add_node` a `mutate` applies — a node added past the
+/// cap, or a checkpoint written with a larger count, would otherwise abort the
+/// daemon on the first allocation of the session's tables.
+pub(crate) fn check_table_caps(processors: usize, nodes: usize) -> Result<(), String> {
+    if !(1..=MAX_PROCESSORS).contains(&processors) {
+        return Err(format!(
+            "`processors` must be between 1 and {MAX_PROCESSORS}"
+        ));
+    }
+    if processors.saturating_mul(nodes) > MAX_TABLE_CELLS {
+        return Err(format!(
+            "`processors` x nodes ({processors} x {nodes}) exceeds {MAX_TABLE_CELLS}"
         ));
     }
     Ok(())
@@ -413,6 +433,7 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
             .with_pool(inner.pool.clone());
         let search = &session.config().search;
         check_search_caps(search.num_shards, search.moves_per_round)
+            .and_then(|()| check_table_caps(session.arch().processors, session.dag().num_nodes()))
             .map_err(|e| invalid(format!("session {}: {e}", session_path.display())))?;
         inner
             .registry
@@ -959,6 +980,7 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
     session.set_cancel(Some(&job.cancel));
     let (schedule, stats) = session.schedule(&config, &baseline, observer);
     session.set_cancel(None);
+    debug_assert_served(session, &schedule, stats.final_cost);
     state.last_cost = Some(stats.final_cost);
 
     let mut frame = JsonWriter::new()
@@ -982,6 +1004,7 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
     state.session.set_cancel(Some(&job.cancel));
     let (schedule, stats) = state.session.repair();
     state.session.set_cancel(None);
+    debug_assert_served(&state.session, &schedule, stats.final_cost);
     *state.session.config_mut() = saved;
     state.last_cost = Some(stats.final_cost);
     // The repair moved the incumbent: persist it so a restart resumes from
@@ -1011,13 +1034,48 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
     job.out.send(frame.build());
 }
 
+/// Referees a schedule the daemon is about to serve, in debug builds only: it
+/// must be a legal pebbling of the session's DAG under its architecture, and
+/// its synchronous cost must be the reported `cost` bit for bit (two
+/// non-finite costs count as equal).
+fn debug_assert_served(session: &IncrementalScheduler, schedule: &MbspSchedule, cost: f64) {
+    let (dag, arch) = (session.dag(), session.arch());
+    debug_assert_eq!(
+        schedule.validate(dag, arch),
+        Ok(()),
+        "served an illegal schedule"
+    );
+    debug_assert!(
+        {
+            let recost = sync_cost(schedule, dag, arch).total;
+            recost.to_bits() == cost.to_bits() || !(recost.is_finite() || cost.is_finite())
+        },
+        "served cost {cost} is not the schedule's sync_cost"
+    );
+}
+
 fn run_mutate(state: &mut InstanceState, job: &Job, req: &MutateRequest, inner: &ServerInner) {
     // The applied prefix of a batch stays applied (and is checkpointed); the
     // client learns exactly how far the batch got.
     let mut applied = 0u64;
     let mut reject = None;
     for (i, delta) in req.deltas.iter().enumerate() {
-        if let Err(e) = state.session.apply(delta) {
+        // An added node grows the session's `processors × nodes` tables.
+        let capped = match delta {
+            DagDelta::AddNode { .. } => check_table_caps(
+                state.session.arch().processors,
+                state.session.dag().num_nodes() + 1,
+            ),
+            _ => Ok(()),
+        };
+        let outcome = capped.and_then(|()| {
+            state
+                .session
+                .apply(delta)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        });
+        if let Err(e) = outcome {
             let message = format!("delta {i} rejected after {applied} applied: {e}");
             reject = Some(Reject::new(protocol::E_BAD_DELTA, message));
             break;

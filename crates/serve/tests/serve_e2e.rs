@@ -1442,3 +1442,99 @@ fn parse_test_delta(entry: &Value) -> mbsp_dag::DagDelta {
         other => panic!("unexpected delta kind {other}"),
     }
 }
+
+/// Writes a state directory holding one checkpointed session, instance
+/// `name`: `dag` on `processors` processors, every node on processor 0.
+fn write_state_dir(state_dir: &Path, name: &str, dag: mbsp_dag::CompDag, processors: usize) {
+    use mbsp_io::{RegistryEntry, ServiceRegistry};
+    let arch = Architecture::new(processors, 3.0 * dag.minimal_cache_size(), 1.0, 0.0);
+    let procs = vec![mbsp_model::ProcId::new(0); dag.num_nodes()];
+    let session = IncrementalScheduler::new(dag, arch, procs, RepairConfig::default());
+    let file = format!("{name}.session.mbio");
+    std::fs::write(state_dir.join(&file), session.checkpoint()).unwrap();
+    let registry = ServiceRegistry {
+        entries: vec![RegistryEntry {
+            name: name.to_string(),
+            session_file: file,
+            generation: 1,
+        }],
+    };
+    std::fs::write(
+        state_dir.join(mbsp_serve::server::REGISTRY_FILE),
+        registry.encode(),
+    )
+    .unwrap();
+}
+
+#[test]
+fn a_checkpoint_past_the_table_caps_does_not_restore() {
+    // `register` bounds the processor count, but a state directory written
+    // before the bound existed — or by hand — used to restore such a session,
+    // and its first repair then aborted the daemon allocating its tables.
+    use mbsp_dag::graph::NodeWeights;
+    use mbsp_serve::server::MAX_PROCESSORS;
+    let state_dir = temp_state_dir("table_caps");
+    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
+        .unwrap();
+    write_state_dir(&state_dir, "wide", path, MAX_PROCESSORS + 1);
+    let started = Server::start(ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        workers: 0,
+    });
+    match started {
+        Ok(_) => panic!("a session on {} processors restored", MAX_PROCESSORS + 1),
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("`processors`"), "{e}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn an_add_node_past_the_table_cap_is_a_bad_delta_and_changes_nothing() {
+    // A session exactly at the cap: MAX_PROCESSORS × the most nodes the cap
+    // admits on them. One more node would cross it.
+    use mbsp_dag::graph::NodeWeights;
+    use mbsp_serve::server::{MAX_PROCESSORS, MAX_TABLE_CELLS};
+    let state_dir = temp_state_dir("cell_cap");
+    let nodes = MAX_TABLE_CELLS / MAX_PROCESSORS;
+    let flat =
+        mbsp_dag::CompDag::from_edges("flat", vec![NodeWeights::unit(); nodes], &[]).unwrap();
+    write_state_dir(&state_dir, "full", flat, MAX_PROCESSORS);
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let status = |c: &mut Client, id: u64| {
+        c.send(&format!(r#"{{"id":{id},"op":"status","instance":"full"}}"#));
+        c.recv_until(|f| is_event(f, "status")).1
+    };
+    assert_eq!(get_u64(&status(&mut c, 1), "nodes"), Some(nodes as u64));
+    c.send(r#"{"id":2,"op":"mutate","instance":"full","deltas":[{"add_node":{"compute":1,"memory":1}},{"reweight":{"node":0,"compute":2,"memory":1}}]}"#);
+    let (_, frame) =
+        c.recv_until(|f| is_event(f, "done") || get(f, "ok") == Some(&Value::Bool(false)));
+    assert_eq!(
+        error_code(&frame).as_deref(),
+        Some("bad_delta"),
+        "got {frame:?}"
+    );
+    let message = get(&frame, "error").and_then(|e| get_str(e, "message"));
+    assert!(
+        message.is_some_and(|m| m.contains("delta 0 rejected after 0 applied")),
+        "got {frame:?}"
+    );
+    // The batch stopped at the refused delta: nothing was applied.
+    let after = status(&mut c, 3);
+    assert_eq!(
+        get_u64(&after, "nodes"),
+        Some(nodes as u64),
+        "got {after:?}"
+    );
+    assert_eq!(get_u64(&after, "pending"), Some(0), "got {after:?}");
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
