@@ -49,8 +49,8 @@ serve-smoke:
 
 # Worker-count determinism: the search and the daemon must produce
 # byte-identical schedules whatever MBSP_BENCH_THREADS says — the determinism
-# suites pinned to an undersubscribed (2) and an oversubscribed (8) resident
-# pool. CI runs one count per matrix job: `make determinism WORKERS=2`.
+# suites pinned to an undersubscribed (2) and an oversubscribed (8) lane
+# permit count. CI runs one count per matrix job: `make determinism WORKERS=2`.
 WORKERS ?= 2 8
 determinism:
 	@set -e; for workers in $(WORKERS); do \

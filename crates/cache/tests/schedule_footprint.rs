@@ -7,6 +7,9 @@
 //! superstep. A counting global allocator measures the clone; this binary has
 //! one test, so nothing else allocates while it runs.
 
+// A `#[global_allocator]` implements the `unsafe` trait `GlobalAlloc`.
+#![allow(unsafe_code)]
+
 use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};

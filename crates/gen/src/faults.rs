@@ -4,9 +4,9 @@
 //! stream, it deterministically picks the operation indices at which the soak
 //! harness injects each fault class —
 //!
-//! * **worker panics** — before applying the operation, the harness submits a
-//!   poisoned batch to the scheduler's worker pool, exercising panic isolation
-//!   and respawn (`mbsp_pool`);
+//! * **worker panics** — before applying the operation, the harness runs a
+//!   poisoned batch on the scheduler's lane-permit count, exercising panic
+//!   isolation and the permits' return on unwind (`mbsp_pool`);
 //! * **checkpoint corruption** — the harness checkpoints the session, applies
 //!   the planned [`Corruption`] (truncation at a chosen offset, or a single
 //!   bit flip) and asserts the restore is rejected with a typed error while

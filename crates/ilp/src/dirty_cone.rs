@@ -217,8 +217,9 @@ impl IncrementalScheduler {
         }
     }
 
-    /// Replaces the worker pool the repair searches run on (the default is the
-    /// process-wide [`WorkerPool::shared`](mbsp_pool::WorkerPool::shared) pool).
+    /// Replaces the lane-permit count the repair searches take their lanes
+    /// from (the default is the process-wide
+    /// [`WorkerPool::shared`](mbsp_pool::WorkerPool::shared) count).
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = pool;
         self

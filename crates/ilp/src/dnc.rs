@@ -75,9 +75,9 @@ impl DivideAndConquerScheduler {
         }
     }
 
-    /// Replaces the worker pool the per-part searches run on (the default is
-    /// the process-wide [`WorkerPool::shared`](mbsp_pool::WorkerPool::shared)
-    /// pool).
+    /// Replaces the lane-permit count the per-part searches take their lanes
+    /// from (the default is the process-wide
+    /// [`WorkerPool::shared`](mbsp_pool::WorkerPool::shared) count).
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = pool;
         self
@@ -104,8 +104,8 @@ impl DivideAndConquerScheduler {
         //    their values are in slow memory when the part runs) and one
         //    engine-backed local search, seeded by restricting a single global
         //    greedy baseline to the part. Parts are independent, so they run
-        //    concurrently on every lane of the worker pool (`MBSP_BENCH_THREADS`
-        //    or the machine's parallelism); results are deterministic
+        //    concurrently on up to `MBSP_BENCH_THREADS` lanes (or the
+        //    machine's parallelism); results are deterministic
         //    regardless of the worker count.
         let global_baseline = GreedyBspScheduler::new().schedule(dag, arch);
         let global_procs: Vec<ProcId> = dag

@@ -12,7 +12,7 @@
 //! * `search` (crate-private) — the one search core behind the four search
 //!   front-ends below: the seeded `hill_climb` (propose a batch of moves,
 //!   evaluate it through one engine, adopt the winner), the index-ordered
-//!   `fan_out` over the worker pool — the workspace's only parallel shape —
+//!   `fan_out` over scoped lanes — the workspace's only parallel shape —
 //!   and the partition → search → merge `pass` over a borrowed DAG.
 //!   Holistic = `hill_climb` on the whole DAG;
 //!   divide-and-conquer = `fan_out` + `hill_climb` per part;
@@ -49,7 +49,7 @@
 //!   weight-aware shards (recursive ILP bipartition of a topological run
 //!   quotient, with equal node-count topological shards as the legacy
 //!   fallback), one `EvaluationEngine`-backed local search per shard, fanned
-//!   out over the resident worker pool and seeded from both the global
+//!   out over scoped lanes and seeded from both the global
 //!   incumbent's restriction and a shard-local greedy baseline, a deterministic `(cost, shard index)`-ordered
 //!   merge whose boundary-repair pass re-evaluates cross-shard supersteps
 //!   through the incremental evaluator (with capped move-replay salvage for

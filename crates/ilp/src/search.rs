@@ -11,10 +11,10 @@
 //!   single-incumbent search; on a [`SubDagView`] it is a shard of the
 //!   sharded search or a part of the divide-and-conquer scheduler.
 //! * [`fan_out`] — runs independent index-addressed jobs (shard or part
-//!   searches) on the worker pool and returns their results in index order,
-//!   so the worker count never changes a result. The paper parallelises
-//!   across independent acyclic parts (§6.3) and so does this workspace: it
-//!   is the only place a search touches the pool.
+//!   searches) on scoped lanes and returns their results in index order, so
+//!   the worker count never changes a result. The paper parallelises across
+//!   independent acyclic parts (§6.3) and so does this workspace: it is the
+//!   only place a search runs in parallel.
 //! * [`ShardedSearch::pass`] — one partition → search → merge pass over a
 //!   borrowed `(CompDag, Architecture, ShardedSearchConfig)`: partition, pick
 //!   every shard or only those intersecting a mutation cone, fan out
@@ -196,12 +196,13 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
     (rounds, stopped)
 }
 
-/// Runs `job(0), …, job(count - 1)` on at most `workers` lanes of `pool` and
-/// returns the results in index order. Every job is self-contained, so the
+/// Runs `job(0), …, job(count - 1)` on at most `workers` lanes — the calling
+/// thread plus scoped threads for the permits `pool` has free — and returns
+/// the results in index order. Every job is self-contained, so the
 /// distribution over lanes (and therefore the worker count) cannot change any
 /// result, only the wall-clock.
 ///
-/// A poisoned batch (a job panicked on a worker) degrades to re-running every
+/// A poisoned batch (a job panicked on a lane) degrades to re-running every
 /// job on the calling thread: slower, but the schedulers keep producing
 /// schedules instead of aborting. A deterministic panic surfaces again there,
 /// on the caller's stack, where it belongs.
@@ -210,8 +211,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // The pool drains the whole batch before it re-throws a job's panic, so
-    // nothing still borrows `job` when the unwind arrives here.
+    // Every lane has joined before a job's panic is re-thrown, so nothing
+    // still borrows `job` when the unwind arrives here.
     catch_unwind(AssertUnwindSafe(|| pool.run_indexed(count, workers, &job)))
         .unwrap_or_else(|_poisoned| (0..count).map(&job).collect())
 }

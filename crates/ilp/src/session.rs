@@ -6,8 +6,8 @@
 //! freshly recomputed order would diverge on the next structural delta), the
 //! incumbent per-node assignment, the pending touched set and the full
 //! [`RepairConfig`] (seeds, budgets, strategy). Restoring therefore takes no
-//! caller-side configuration; only the transient worker pool and cancel token
-//! are re-attached with [`IncrementalScheduler::with_pool`] /
+//! caller-side configuration; only the transient lane-permit count and cancel
+//! token are re-attached with [`IncrementalScheduler::with_pool`] /
 //! [`IncrementalScheduler::with_cancel`], neither of which can affect results.
 //!
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
@@ -147,8 +147,8 @@ impl IncrementalScheduler {
     /// Restores a session from a checkpoint blob, re-validating every domain
     /// invariant (acyclicity, order consistency, assignment coverage, pending
     /// ids in range, every compute footprint within the cache). The restored
-    /// scheduler runs on the default worker pool with no cancel token; both
-    /// are transient and result-neutral.
+    /// scheduler takes its lanes from the default permit count, with no cancel
+    /// token; both are transient and result-neutral.
     pub fn restore(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::open(bytes, KIND_SESSION)?;
         let mut dag_sections = DagSections::default();

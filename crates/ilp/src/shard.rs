@@ -21,7 +21,7 @@
 //!    ([`SubDagView::with_inputs`]: external parents join as pure sources whose
 //!    values are already in slow memory) and gets its own
 //!    [`EvaluationEngine`](crate::EvaluationEngine)-backed hill climb, fanned
-//!    out over the resident worker pool. Per-shard candidate evaluations cost
+//!    out over scoped lanes. Per-shard candidate evaluations cost
 //!    `O(V/k)` instead of `O(V)`, which is where the wall-clock win comes from
 //!    even on one core.
 //!    With [`ShardedSearchConfig::shard_local_seed`] the search additionally
@@ -580,7 +580,7 @@ pub struct IncumbentUpdate {
 pub type IncumbentObserver = Arc<dyn Fn(&IncumbentUpdate) + Send + Sync>;
 
 /// The sharded holistic scheduler: partition, per-shard engine-backed search on
-/// the resident worker pool, deterministic boundary-repaired merge.
+/// scoped lanes, deterministic boundary-repaired merge.
 #[derive(Clone, Default)]
 pub struct ShardedHolisticScheduler {
     config: ShardedSearchConfig,
@@ -616,8 +616,8 @@ impl ShardedHolisticScheduler {
         }
     }
 
-    /// Replaces the worker pool the shard searches run on (the default is the
-    /// process-wide [`WorkerPool::shared`] pool).
+    /// Replaces the lane-permit count the shard searches take their lanes from
+    /// (the default is the process-wide [`WorkerPool::shared`] count).
     pub fn with_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = pool;
         self

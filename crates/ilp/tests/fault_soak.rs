@@ -60,8 +60,8 @@ fn the_engine_survives_a_seeded_fault_schedule() {
     assert!(!plan.corrupt_ops.is_empty());
     assert!(!plan.invalid_delta_ops.is_empty());
 
-    // The session shares a pool handle with the test so panics can be
-    // injected into the exact workers the repairs run on.
+    // The session shares a permit count with the test so panics can be
+    // injected into calls that take the same permits the repairs take.
     let pool = WorkerPool::with_capacity(2);
     let mut sched = IncrementalScheduler::new(
         inst.dag().clone(),
@@ -86,9 +86,9 @@ fn the_engine_survives_a_seeded_fault_schedule() {
     let mut rejected_deltas = 0usize;
     for (op, delta) in stream.iter().enumerate() {
         if plan.panics_at(op) {
-            // Poison the session's own worker pool; the panic must reach the
-            // submitter (where the schedulers' fan-out catches it) and the
-            // pool must keep serving the session afterwards.
+            // Poison a call on the session's own permit count; the panic must
+            // reach the caller (where the schedulers' fan-out catches it) and
+            // every permit must be back for the session afterwards.
             let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..4usize)
                 .map(|i| {
                     Box::new(move || {
@@ -144,7 +144,7 @@ fn the_engine_survives_a_seeded_fault_schedule() {
     assert_eq!(injected_panics, plan.panic_ops.len());
     assert_eq!(rejected_restores, plan.corrupt_ops.len());
     assert_eq!(rejected_deltas, plan.invalid_delta_ops.len());
-    // The pool the panics were injected into served every repair above and is
-    // still healthy.
+    // The permit count the panics were injected into served every repair
+    // above and still starts lanes.
     assert_eq!(pool.run_batch(vec![|| 1, || 2]), vec![1, 2]);
 }

@@ -1,55 +1,50 @@
-//! # mbsp-pool — the resident worker pool
+//! # mbsp-pool — scoped lanes under one permit count
 //!
 //! The workspace has one parallel shape: independent, index-addressed jobs —
 //! the shards of the sharded search, the dirty shards of a repair, the parts
 //! of divide-and-conquer, the instances of a bench sweep — run side by side
-//! and their results are read in index order. This crate is the one **resident**
-//! pool those sites share, so none of them spawns threads per batch:
+//! and their results are read in index order. [`WorkerPool::run_indexed`] is
+//! that shape, and no thread of it outlives the call that started it:
 //!
-//! * **Capped, lazily spawned workers.** No thread exists until the first batch
-//!   is submitted; workers are spawned up to the cap as demand appears. If the
-//!   OS refuses a thread (`EAGAIN`), the cap falls back to the number of
-//!   workers already running instead of panicking — batches still complete
-//!   because submitting threads help execute queued jobs while they wait.
-//! * **One shared FIFO.** Batches are appended to a single queue; workers and
-//!   waiting submitters take the oldest job. Batch tasks are coarse (one shard,
-//!   one part, one [`WorkerPool::run_indexed`] lane), and a lane pulls its
-//!   indices from one atomic counter, so load is balanced where the work is
-//!   dealt and the queue needs no per-worker structure.
-//! * **Scoped batches.** [`WorkerPool::run_batch`] submits a `Vec` of closures
-//!   that may borrow from the caller's stack (like `std::thread::scope`) and
-//!   blocks until every closure has run, returning the results **in submission
-//!   order**. Worker count and scheduling interleaving therefore never change
-//!   what a caller observes — every index-ordered sweep is reproducible.
-//! * **Panic isolation.** A panicking job does not poison the pool: every job
-//!   runs under `catch_unwind`, the batch drains fully, and the first payload
-//!   is re-thrown on the submitting thread (mirroring `std::thread::scope`),
-//!   where callers can catch it and degrade — the schedulers re-run a
-//!   poisoned batch on the calling thread instead of aborting. Workers that
-//!   die anyway (stack overflow and friends) are reaped and respawned on the
-//!   next batch, and a worker that observes shutdown drains the queue before
-//!   exiting so no queued job is ever stranded.
+//! * **The caller plus scoped lanes.** The calling thread is always a lane. The
+//!   others are started with `std::thread::Builder::spawn_scoped` for this call
+//!   and exit with it; all of them pull indices from one atomic counter. There
+//!   is no queue, so a caller never runs another caller's job and never waits
+//!   on one.
+//! * **One permit count.** A [`WorkerPool`] is a shared count of lane permits.
+//!   A call takes what it can, without waiting, for its extra lanes and gives
+//!   them back on every exit, unwinding included. The threads running at once
+//!   therefore stay within the capacity plus the callers. A lane the OS refuses
+//!   to start (`EAGAIN`) is simply not started.
+//! * **Results in index order.** [`WorkerPool::run_batch`], a `Vec` of closures
+//!   that may borrow from the caller's stack, is the same call with one lane
+//!   per closure. Lane count and interleaving never change what a caller
+//!   observes, so every index-ordered sweep is reproducible.
+//! * **Panic isolation.** With more than one lane, every index runs under
+//!   `catch_unwind`. Once all have run, the first panicking index's payload is
+//!   re-thrown on the caller, like `std::thread::scope`, where the schedulers
+//!   catch it and re-run the batch on the calling thread. No thread outlives
+//!   the call, so none needs respawning.
 //!
-//! The pool is also where the workspace's **cancellation vocabulary** lives:
+//! This crate is also where the workspace's **cancellation vocabulary** lives:
 //! [`CancelToken`] (a cloneable atomic flag with an optional wall-clock expiry)
 //! and [`StopReason`]. The schedulers observe the token only at deterministic
 //! round boundaries — see the fault-tolerance section of the repository README.
 //!
-//! The pool also owns the workspace's worker-count contract:
+//! It also owns the workspace's worker-count contract:
 //! [`resolve_workers`] is the single implementation of the `MBSP_BENCH_THREADS`
 //! environment-variable parse (an explicit positive count wins, then the
 //! environment variable, then the machine's available parallelism — always at
 //! least 1).
 //!
-//! [`WorkerPool::shared`] hands out the process-wide pool that the schedulers
-//! thread through `ShardedHolisticScheduler`, `IncrementalScheduler` and
-//! `DivideAndConquerScheduler`; isolated pools can still be built with
+//! [`WorkerPool::shared`] hands out the process-wide permit count that the
+//! schedulers thread through `ShardedHolisticScheduler`, `IncrementalScheduler`
+//! and `DivideAndConquerScheduler`; private counts are built with
 //! [`WorkerPool::with_capacity`] (tests use this to exercise specific sizes).
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The workspace's one stop signal: a cloneable cancellation flag — one
@@ -156,377 +151,131 @@ pub fn resolve_workers(configured: usize) -> usize {
     })
 }
 
-/// A queued, lifetime-erased job. Soundness of the erasure rests on
-/// [`WorkerPool::run_batch`] never returning before every job of its batch has
-/// finished, so the borrows the closure carries outlive its execution.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// State shared between the pool handle, its workers and waiting submitters.
-struct Shared {
-    /// The job queue, spawn bookkeeping and shutdown flag, under one lock: a
-    /// worker that finds the queue empty parks on `wake` without letting go of
-    /// the lock in between, so an injection is never slept through.
-    control: Mutex<Control>,
-    /// Wakes parked workers on injection and on shutdown.
-    wake: Condvar,
-}
-
-struct Control {
-    /// Queued jobs of every in-flight batch, oldest first.
-    queue: VecDeque<Job>,
-    /// Workers spawned so far (they stay resident until shutdown).
-    spawned: usize,
-    /// Maximum workers this pool may spawn; shrinks on `EAGAIN`.
-    cap: usize,
-    /// True once a worker spawn failed and the cap was frozen at `spawned`.
-    eagain_fallback: bool,
-    shutdown: bool,
-}
-
-/// Runs one queued job with panic isolation. Batch jobs already wrap the
-/// caller's closure in `catch_unwind` and report panics through their batch
-/// state; this outer guard is defence in depth so that a panic escaping the
-/// glue (e.g. out of a payload's `Drop`) cannot unwind a resident worker.
-fn run_isolated(job: Job) {
-    let _ = catch_unwind(AssertUnwindSafe(job));
-}
-
-/// Resident worker loop: run jobs while any are queued, park otherwise. A
-/// worker exits only once shutdown is set *and* the queue is empty, so a
-/// submitter blocked on a batch is never stranded by a racing drop.
-fn worker_loop(shared: Arc<Shared>) {
-    let mut control = shared.control.lock().unwrap();
-    loop {
-        if let Some(job) = control.queue.pop_front() {
-            drop(control);
-            run_isolated(job);
-            control = shared.control.lock().unwrap();
-        } else if control.shutdown {
-            break;
-        } else {
-            control = shared.wake.wait(control).unwrap();
-        }
-    }
-}
-
-/// Progress of one in-flight batch, shared by its jobs and the submitter.
-struct BatchState {
-    progress: Mutex<BatchProgress>,
-    done: Condvar,
-}
-
-struct BatchProgress {
-    pending: usize,
-    /// Payload of the batch's first panic (later ones are dropped, like
-    /// `std::thread::scope` joining multiple panicked threads).
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// Owns the worker handles; dropping the last pool handle shuts the workers
-/// down and joins them.
-struct PoolCore {
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for PoolCore {
-    fn drop(&mut self) {
-        {
-            let mut control = self.shared.control.lock().unwrap();
-            control.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for handle in self.handles.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A cloneable handle to a resident worker pool. All clones share the
-/// same workers; the workers shut down when the last handle is dropped (the
-/// [`WorkerPool::shared`] pool lives for the whole process).
-#[derive(Clone)]
+/// A cloneable handle to a count of lane permits. All clones share one
+/// count; a [`WorkerPool::run_indexed`] call takes permits for its extra lanes
+/// and returns them when it ends, so the lanes running at once beyond their
+/// callers never exceed [`WorkerPool::capacity`]. No thread outlives a call.
+#[derive(Clone, Debug)]
 pub struct WorkerPool {
-    core: Arc<PoolCore>,
+    /// Permits not held by a running call.
+    free: Arc<Mutex<usize>>,
+    cap: usize,
 }
 
 impl Default for WorkerPool {
     /// The default handle is a clone of the process-wide [`WorkerPool::shared`]
-    /// pool, so `SomeScheduler::default()` joins the resident workers instead of
-    /// creating a private pool.
+    /// count, so `SomeScheduler::default()` shares its permits instead of
+    /// getting a private count.
     fn default() -> Self {
         WorkerPool::shared().clone()
     }
 }
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let control = self.core.shared.control.lock().unwrap();
-        f.debug_struct("WorkerPool")
-            .field("cap", &control.cap)
-            .field("spawned", &control.spawned)
-            .field("eagain_fallback", &control.eagain_fallback)
-            .finish()
-    }
+/// Permits one call holds; dropping it returns them, unwinding included.
+struct Permits<'a> {
+    free: &'a Mutex<usize>,
+    taken: usize,
 }
 
-/// Raw pointer wrapper so a job can carry its result slot across the thread
-/// boundary; each job writes a distinct slot, and the batch join orders the
-/// writes before any read.
-struct SlotPtr<T>(*mut Option<T>);
-unsafe impl<T: Send> Send for SlotPtr<T> {}
-
-impl<T> SlotPtr<T> {
-    /// # Safety
-    /// The slot must be live, written by exactly one job, and read only after
-    /// the batch join ordered the write.
-    unsafe fn write(&self, value: T) {
-        *self.0 = Some(value);
+impl Drop for Permits<'_> {
+    fn drop(&mut self) {
+        // Nothing panics while the lock is held, but a poisoned count must
+        // still take its permits back rather than abort an unwind.
+        *self.free.lock().unwrap_or_else(PoisonError::into_inner) += self.taken;
     }
 }
 
 impl WorkerPool {
-    /// Creates an isolated pool capped at `cap` workers (at least 1). No thread
-    /// is spawned until the first batch arrives.
+    /// Creates an isolated count of `cap` lane permits (at least 1).
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(1);
         WorkerPool {
-            core: Arc::new(PoolCore {
-                shared: Arc::new(Shared {
-                    control: Mutex::new(Control {
-                        queue: VecDeque::new(),
-                        spawned: 0,
-                        cap,
-                        eagain_fallback: false,
-                        shutdown: false,
-                    }),
-                    wake: Condvar::new(),
-                }),
-                handles: Mutex::new(Vec::new()),
-            }),
+            free: Arc::new(Mutex::new(cap)),
+            cap,
         }
     }
 
-    /// The process-wide pool every scheduler defaults to, sized once by
-    /// [`resolve_workers`] (so `MBSP_BENCH_THREADS` at startup also bounds the
-    /// resident thread count). Its workers live for the rest of the process.
+    /// The process-wide permit count every scheduler defaults to, sized once
+    /// by [`resolve_workers`] (so `MBSP_BENCH_THREADS` at startup also bounds
+    /// the lanes running at once).
     pub fn shared() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| WorkerPool::with_capacity(resolve_workers(0)))
     }
 
-    /// The worker cap (after any `EAGAIN` fallback shrink).
+    /// The number of permits this count was created with.
     pub fn capacity(&self) -> usize {
-        self.core.shared.control.lock().unwrap().cap
+        self.cap
     }
 
-    /// True if a worker spawn ever failed and the pool fell back to the
-    /// workers it had at that point.
-    pub fn eagain_fallback(&self) -> bool {
-        self.core.shared.control.lock().unwrap().eagain_fallback
-    }
-
-    /// Spawns workers lazily up to `min(want, cap)`; on a spawn failure
-    /// (`EAGAIN`-class resource exhaustion) freezes the cap at the current
-    /// worker count — the pool keeps functioning because submitters help.
-    fn ensure_workers(&self, control: &mut Control, want: usize) {
-        // Reap workers that died (defensive `catch_unwind` makes this nearly
-        // unreachable, but a stack overflow or a poisoned internal lock can
-        // still kill a thread) so the spawn loop below replaces them instead
-        // of counting corpses against the cap.
-        let mut handles = self.core.handles.lock().unwrap();
-        let mut i = 0;
-        while i < handles.len() {
-            if handles[i].is_finished() {
-                let _ = handles.swap_remove(i).join();
-                control.spawned -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        let target = want.min(control.cap);
-        while control.spawned < target {
-            let shared = Arc::clone(&self.core.shared);
-            match std::thread::Builder::new()
-                .name(format!("mbsp-pool-{}", control.spawned))
-                .spawn(move || worker_loop(shared))
-            {
-                Ok(handle) => {
-                    control.spawned += 1;
-                    handles.push(handle);
-                }
-                Err(_) => {
-                    control.cap = control.spawned;
-                    control.eagain_fallback = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Runs a batch of scoped closures to completion and returns their results
-    /// **in submission order**. Closures may borrow from the caller's stack;
-    /// `run_batch` does not return before every closure has finished (this is
-    /// the scope guarantee the lifetime erasure rests on). The submitting
-    /// thread helps execute queued jobs while it waits, so a batch completes
-    /// even if the pool could not spawn a single worker.
-    ///
-    /// If a closure panics, the remaining jobs still run and the first panic
-    /// payload is re-thrown here, like `std::thread::scope`.
-    pub fn run_batch<'env, T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    /// Runs a batch of closures, which may borrow from the caller's stack, and
+    /// returns their results **in submission order**: [`WorkerPool::run_indexed`]
+    /// with one lane per closure.
+    pub fn run_batch<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
+        T: Send,
+        F: FnOnce() -> T + Send,
     {
-        let n = tasks.len();
-        if n <= 1 {
-            // An empty or one-task batch is the serial case: run inline, no
-            // queue round trip, panics propagate natively.
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let state = Arc::new(BatchState {
-            progress: Mutex::new(BatchProgress {
-                pending: n,
-                panic: None,
-            }),
-            done: Condvar::new(),
-        });
-        // Erase every job before injecting any: if this loop could panic (an
-        // allocation failure) after injection had started, queued jobs might
-        // run while the unwinding caller frees the state they borrow.
-        let results_base = results.as_mut_ptr();
-        let mut jobs: Vec<Job> = Vec::with_capacity(n);
-        for (i, task) in tasks.into_iter().enumerate() {
-            let state = Arc::clone(&state);
-            let slot = SlotPtr(unsafe { results_base.add(i) });
-            let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(task));
-                let mut progress = state.progress.lock().unwrap();
-                match outcome {
-                    // SAFETY: slot `i` is written by exactly this job, and the
-                    // submitter reads the slots only after `pending` hits 0.
-                    Ok(value) => unsafe { slot.write(value) },
-                    Err(payload) => {
-                        progress.panic.get_or_insert(payload);
-                    }
-                }
-                progress.pending -= 1;
-                if progress.pending == 0 {
-                    state.done.notify_all();
-                }
-            });
-            // SAFETY: lifetime erasure of the scope borrow. `run_batch` blocks
-            // until `pending == 0`, i.e. until every job has run to completion,
-            // so the `'env` borrows inside the job are live whenever it
-            // executes. Jobs are never dropped unexecuted: the queue only
-            // drains by running, and shutdown joins after every batch returned.
-            let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
-                    job,
-                )
-            };
-            jobs.push(job);
-        }
-        self.inject(jobs);
-        self.help_until_done(&state);
-        if let Some(payload) = state.progress.lock().unwrap().panic.take() {
-            resume_unwind(payload);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every batch job fills its slot"))
-            .collect()
+        let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.run_indexed(tasks.len(), tasks.len(), |i| {
+            let task = tasks[i].lock().expect("held only to take").take();
+            task.expect("each index runs once")()
+        })
     }
 
-    /// Maps `f` over `0..count` with dynamic index stealing across at most
-    /// `lanes` concurrent lanes and returns the results **in index order** —
-    /// the pool-backed form of the bench harness's deterministic sweeps.
+    /// Maps `f` over `0..count` on at most `lanes` lanes and returns the
+    /// results **in index order**. The calling thread is always a lane; the
+    /// others are scoped threads started for this call with the permits it
+    /// could take without waiting. Lanes pull indices from one atomic counter,
+    /// so a caller runs only its own indices.
+    ///
+    /// With more than one lane, every index runs under `catch_unwind`; once
+    /// all have run, the payload of the first index that panicked is re-thrown
+    /// here, like `std::thread::scope`.
     pub fn run_indexed<T, F>(&self, count: usize, lanes: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if count == 0 {
-            return Vec::new();
-        }
-        let lanes = lanes.clamp(1, count);
-        if lanes == 1 {
+        let lanes = lanes.min(count);
+        if lanes <= 1 {
             return (0..count).map(f).collect();
         }
+        let permits = {
+            let mut free = self.free.lock().expect("no panic holds this lock");
+            let taken = (*free).min(lanes - 1);
+            *free -= taken;
+            Permits {
+                free: &self.free,
+                taken,
+            }
+        };
         let next = AtomicUsize::new(0);
-        let next = &next;
-        let f = &f;
-        let chunks = self.run_batch(
-            (0..lanes)
-                .map(|_| {
-                    move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= count {
-                                break;
-                            }
-                            local.push((i, f(i)));
-                        }
-                        local
-                    }
-                })
-                .collect(),
-        );
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
-        for chunk in chunks {
-            for (i, value) in chunk {
-                slots[i] = Some(value);
+        let lane = || {
+            let mut ran = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    return ran;
+                }
+                ran.push((i, catch_unwind(AssertUnwindSafe(|| f(i)))));
             }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index is produced exactly once"))
+        };
+        let mut ran: Vec<_> = std::thread::scope(|scope| {
+            // A lane the OS refuses to start (`EAGAIN`) is simply not started.
+            let spawned: Vec<_> = (0..permits.taken)
+                .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, lane).ok())
+                .collect();
+            let mut ran = lane();
+            for handle in spawned {
+                ran.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+            }
+            ran
+        });
+        ran.sort_unstable_by_key(|&(i, _)| i);
+        ran.into_iter()
+            .map(|(_, result)| result.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
-    }
-
-    /// Appends a batch's jobs to the queue and makes sure enough workers are
-    /// awake (spawning lazily on first use).
-    fn inject(&self, jobs: Vec<Job>) {
-        let shared = &self.core.shared;
-        let want = jobs.len();
-        {
-            let mut control = shared.control.lock().unwrap();
-            control.queue.extend(jobs);
-            self.ensure_workers(&mut control, want);
-        }
-        shared.wake.notify_all();
-    }
-
-    /// Blocks until `state`'s batch has fully completed, executing queued jobs
-    /// (of any batch — nested batches make this the deadlock-freedom guarantee)
-    /// while any are available.
-    fn help_until_done(&self, state: &BatchState) {
-        let shared = &self.core.shared;
-        loop {
-            if state.progress.lock().unwrap().pending == 0 {
-                return;
-            }
-            let job = shared.control.lock().unwrap().queue.pop_front();
-            if let Some(job) = job {
-                job();
-                continue;
-            }
-            // Every remaining job of the batch is running on some thread; its
-            // completion notifies `done`. The timeout is a backstop that also
-            // re-polls the queue (another batch may have queued helpable work).
-            let progress = state.progress.lock().unwrap();
-            if progress.pending == 0 {
-                return;
-            }
-            let _ = state
-                .done
-                .wait_timeout(progress, Duration::from_millis(10))
-                .unwrap();
-        }
     }
 }
 
@@ -563,8 +312,6 @@ mod tests {
         let none: Vec<usize> = pool.run_batch(Vec::<fn() -> usize>::new());
         assert!(none.is_empty());
         assert_eq!(pool.run_batch(vec![|| 41 + 1]), vec![42]);
-        // No worker is needed (or spawned) for inline batches.
-        assert!(!pool.eagain_fallback());
     }
 
     #[test]
@@ -639,39 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_handles_under_load_joins_cleanly() {
-        // Clones of the pool are dropped from other threads while batches are
-        // in flight; every batch must still complete with correct results and
-        // the final drop must join all workers without hanging.
-        let pool = WorkerPool::with_capacity(3);
-        let batches: Vec<_> = (0..4)
-            .map(|b| {
-                let handle = pool.clone();
-                std::thread::spawn(move || {
-                    let tasks: Vec<_> = (0..32)
-                        .map(|i| {
-                            move || {
-                                std::thread::sleep(Duration::from_micros(200));
-                                b * 100 + i
-                            }
-                        })
-                        .collect();
-                    handle.run_batch(tasks)
-                })
-            })
-            .collect();
-        for _ in 0..8 {
-            drop(pool.clone());
-        }
-        drop(pool); // workers keep running: the batch threads hold clones
-        for (b, t) in batches.into_iter().enumerate() {
-            let got = t.join().expect("batch thread");
-            let want: Vec<usize> = (0..32).map(|i| b * 100 + i).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn cancel_tokens_and_deadlines_expire_as_documented() {
         let token = CancelToken::new();
         let timed = token.expiring_after(Duration::from_secs(3600));
@@ -695,24 +409,91 @@ mod tests {
     }
 
     #[test]
-    fn workers_spawn_lazily_and_stay_within_the_cap() {
-        let pool = WorkerPool::with_capacity(3);
-        assert_eq!(pool.capacity(), 3);
-        {
-            let control = pool.core.shared.control.lock().unwrap();
-            assert_eq!(control.spawned, 0, "no batch yet, no thread yet");
-        }
-        let tasks: Vec<_> = (0..10).map(|i| move || i).collect();
-        pool.run_batch(tasks);
-        let control = pool.core.shared.control.lock().unwrap();
-        assert!(control.spawned <= 3);
+    fn a_caller_runs_only_its_own_indices() {
+        // One permit: thread B's three-job batch runs two jobs (B and one
+        // lane) that hold until released, its third waits for a free lane.
+        // A's batch must not run B's third job while it waits for its own.
+        let pool = WorkerPool::with_capacity(1);
+        let (running, release) = (&AtomicUsize::new(0), &AtomicBool::new(false));
+        let give_up = Instant::now() + Duration::from_secs(5);
+        std::thread::scope(|scope| {
+            let b = scope.spawn(|| {
+                let tasks: Vec<_> = (0..3)
+                    .map(|_| {
+                        move || {
+                            running.fetch_add(1, Ordering::SeqCst);
+                            while !release.load(Ordering::SeqCst) && Instant::now() < give_up {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                    .collect();
+                pool.run_batch(tasks)
+            });
+            while running.load(Ordering::SeqCst) < 2 && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            assert_eq!(running.load(Ordering::SeqCst), 2, "B holds two jobs");
+            assert_eq!(pool.run_batch(vec![|| 1, || 2]), vec![1, 2]);
+            assert!(Instant::now() < give_up, "A waited for B's jobs");
+            release.store(true, Ordering::SeqCst);
+            assert_eq!(b.join().unwrap().len(), 3);
+        });
+    }
+
+    #[test]
+    fn lanes_stay_within_the_permits_and_every_permit_comes_back() {
+        let pool = WorkerPool::with_capacity(2);
+        let (running, high) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let caller = std::thread::current().id();
+                    pool.run_indexed(16, 4, |i| {
+                        let lane = std::thread::current().id() != caller;
+                        if lane {
+                            high.fetch_max(
+                                running.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                        if lane {
+                            running.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        i
+                    })
+                });
+            }
+        });
+        let high = high.load(Ordering::SeqCst);
+        assert!(high <= 2, "{high} lanes beyond their callers at once");
+
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed(6, 3, |i| if i == 4 { panic!("poisoned") } else { i })
+        }));
+        assert!(poisoned.is_err());
+        // Both permits are back: three indices that wait for each other run on
+        // the caller and two lanes (a leaked permit leaves them two threads,
+        // so one index gives up waiting and the ids repeat).
+        let arrived = &AtomicUsize::new(0);
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let threads = pool.run_indexed(3, 3, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 3 && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 3, "a permit leaked on unwind");
     }
 
     #[test]
     fn shared_pool_is_a_singleton() {
         let a = WorkerPool::shared();
         let b = WorkerPool::shared();
-        assert!(Arc::ptr_eq(&a.core, &b.core));
+        assert!(Arc::ptr_eq(&a.free, &b.free));
         assert!(a.capacity() >= 1);
     }
 

@@ -1,11 +1,11 @@
-//! Panic-recovery behaviour of the resident pool, exercised against both the
-//! process-wide shared pool (whose size follows `MBSP_BENCH_THREADS` — CI runs
+//! Panic-recovery behaviour of scoped lanes, exercised against both the
+//! process-wide permit count (whose size follows `MBSP_BENCH_THREADS` — CI runs
 //! this binary under `MBSP_BENCH_THREADS=2` and `=8`) and explicit capacities.
 //!
-//! The contract under test: a panicking job never aborts the process or kills
-//! the pool; the batch drains; the failure surfaces as a re-thrown panic the
-//! submitter can catch (what the schedulers' `fan_out` relies on); and the
-//! very next batch on the same pool completes normally.
+//! The contract under test: a panicking job never aborts the process or loses
+//! a permit; every other job of the batch still runs; the failure surfaces as
+//! a re-thrown panic the caller can catch (what the schedulers' `fan_out`
+//! relies on); and the very next batch on the same count completes normally.
 
 use mbsp_pool::WorkerPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,7 +1,7 @@
 //! # mbsp-serve — the long-lived MBSP scheduling daemon
 //!
 //! The batch binaries of this workspace pay the full engine warm-up (arena
-//! allocation, pool spawn, baseline conversion) on every invocation. This
+//! allocation, baseline conversion) on every invocation. This
 //! crate is the serving form of the same engine: a daemon that keeps **one
 //! warm [`mbsp_ilp::IncrementalScheduler`] session per registered DAG
 //! instance** and answers scheduling traffic over a newline-delimited JSON
@@ -15,9 +15,11 @@
 //! * **Deterministic request batching.** Concurrent requests for one instance
 //!   are pushed onto its mailbox: one drain thread per busy instance, FIFO
 //!   under the mailbox lock, pops them in admission order and runs each job
-//!   on the shared [`mbsp_pool::WorkerPool`] shard workers. It exits when
-//!   the mailbox drains, so an idle instance holds no thread. Given an
-//!   admission order, every result is byte-identical for any worker count.
+//!   itself, its shard searches on scoped lanes under the daemon's
+//!   [`mbsp_pool::WorkerPool`] permit count. It exits when the mailbox
+//!   drains, so an idle instance holds no thread, and no lane outlives its
+//!   job. Given an admission order, every result is byte-identical for any
+//!   worker count.
 //! * **Streamed anytime incumbents.** A `schedule` job attaches an
 //!   [`mbsp_ilp::IncumbentObserver`] to the sharded search; every
 //!   deterministic merge boundary that improves the incumbent is forwarded to

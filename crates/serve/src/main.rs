@@ -11,8 +11,8 @@
 //!   `mbsp-serve-state`); restored on startup.
 //! * `--addr-file` — write the actually-bound address to this file once
 //!   listening (scripts using an ephemeral port read it back).
-//! * `--workers` — shard-pool worker threads (default: shared pool, which
-//!   resolves `MBSP_BENCH_THREADS`).
+//! * `--workers` — a private count of lane permits for the shard fan-outs
+//!   (default: the process-wide count, which resolves `MBSP_BENCH_THREADS`).
 //!
 //! The daemon runs until a client sends `{"op":"shutdown"}`, then checkpoints
 //! every session and exits.

@@ -1,5 +1,5 @@
-//! The daemon: TCP listener, connection handling, per-instance session
-//! workers and checkpoint/restore plumbing.
+//! The daemon: TCP listener, connection handling, per-instance drain
+//! threads and checkpoint/restore plumbing.
 //!
 //! # Threading model
 //!
@@ -13,7 +13,9 @@
 //! * **One drain thread per busy instance, FIFO under the mailbox lock.** The
 //!   push that finds no drain thread spawns one. It takes the warm
 //!   [`IncrementalScheduler`] out of the mailbox, pops jobs in push order and
-//!   runs each on the shared [`WorkerPool`]. When it finds the mailbox empty,
+//!   runs each itself; a job's shard searches run on scoped lanes that take
+//!   their permits from the daemon's [`WorkerPool`] and exit with the fan-out
+//!   that started them. When it finds the mailbox empty,
 //!   it puts the session back and exits, under the same lock the next push
 //!   takes, so no job is stranded. An idle instance costs no thread: the
 //!   memory one instance's search freed is reused by the next busy instance's
@@ -152,8 +154,10 @@ pub struct ServerConfig {
     /// Directory for session checkpoints and the instance registry; created
     /// if missing.
     pub state_dir: PathBuf,
-    /// Worker threads of the shard pool; `0` uses the process-wide shared
-    /// pool (which resolves `MBSP_BENCH_THREADS`).
+    /// Lane permits of the daemon's own [`WorkerPool`]: how many scoped
+    /// threads its shard fan-outs may run at once besides the drain threads
+    /// that start them. `0` shares the process-wide count (which resolves
+    /// `MBSP_BENCH_THREADS`).
     pub workers: usize,
 }
 
