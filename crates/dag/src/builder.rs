@@ -7,10 +7,13 @@
 //! after Pearce & Kelly, 2006): every node carries an order index, an edge
 //! `u -> v` with `ord(u) < ord(v)` is accepted in O(1), and only an
 //! order-violating edge triggers a DFS that is bounded to the *affected region*
-//! `(ord(v), ord(u))` and locally repairs the order. Since the generators emit
-//! edges from lower to higher node ids, building a DAG with them is linear in
-//! practice. The same order type drives [`crate::delta`]'s in-place edge
-//! insertion on an already-built [`CompDag`].
+//! `(ord(v), ord(u))` and locally repairs the order. The duplicate-edge check
+//! scans the shorter of `children[from]` and `parents[to]` (an edge sits in
+//! both), so a hub node — a reduction root feeding every grid point — costs
+//! its neighbours' degrees per edge rather than its own. Since the generators
+//! emit edges from lower to higher node ids, building a DAG with them is
+//! linear in practice, hubs included. The same order type drives
+//! [`crate::delta`]'s in-place edge insertion on an already-built [`CompDag`].
 //!
 //! Construction-time adjacency uses plain nested `Vec`s (append-friendly); the
 //! final [`DagBuilder::build`] compacts everything into the CSR form of
@@ -140,8 +143,21 @@ impl DagBuilder {
     }
 
     /// Returns true if the edge `from -> to` has already been added.
+    ///
+    /// An edge sits in both `children[from]` and `parents[to]`, so scanning
+    /// the shorter list is enough: a hub with thousands of children costs
+    /// its children's in-degree per edge, not its own out-degree.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        from.index() < self.num_nodes() && self.children[from.index()].contains(&to)
+        let n = self.num_nodes();
+        if from.index() >= n || to.index() >= n {
+            return false;
+        }
+        let (children, parents) = (&self.children[from.index()], &self.parents[to.index()]);
+        if children.len() <= parents.len() {
+            children.contains(&to)
+        } else {
+            parents.contains(&from)
+        }
     }
 
     /// Adds an edge `from -> to`, rejecting edges that would create a cycle.
@@ -167,7 +183,7 @@ impl DagBuilder {
         if from == to {
             return Err(DagError::SelfLoop { node: from.index() });
         }
-        if self.children[from.index()].contains(&to) {
+        if self.has_edge(from, to) {
             return Err(DagError::DuplicateEdge {
                 from: from.index(),
                 to: to.index(),
@@ -334,6 +350,51 @@ mod tests {
         b.add_edge_idempotent(n[0], n[1]).unwrap();
         b.add_edge_idempotent(n[0], n[1]).unwrap();
         assert_eq!(b.num_edges(), 1);
+    }
+
+    #[test]
+    fn duplicates_at_a_hub_are_rejected_from_either_side() {
+        // Node 0 feeds 1,200 nodes and node 1,201 reads all of them: the
+        // duplicate check scans the shorter adjacency list, so both hub
+        // directions must still see every edge.
+        let hub = 1200;
+        let mut b = DagBuilder::new("hubs");
+        let ids = b.add_unit_nodes(hub + 2).unwrap();
+        let (source, sink) = (ids[0], ids[hub + 1]);
+        for &v in &ids[1..=hub] {
+            b.add_edge(source, v).unwrap();
+            b.add_edge(v, sink).unwrap();
+        }
+        for &v in &ids[1..=hub] {
+            for (from, to) in [(source, v), (v, sink)] {
+                assert!(b.has_edge(from, to));
+                assert!(!b.has_edge(to, from));
+                assert!(matches!(
+                    b.add_edge(from, to),
+                    Err(DagError::DuplicateEdge { from: f, to: t })
+                        if (f, t) == (from.index(), to.index())
+                ));
+                // The reverse edge closes a cycle through the hub.
+                assert!(matches!(
+                    b.add_edge(to, from),
+                    Err(DagError::CycleDetected { .. })
+                ));
+            }
+        }
+        // Absent edges between hub neighbours are absent both ways, and the
+        // hub-to-hub edge is new.
+        assert!(!b.has_edge(ids[1], ids[2]));
+        assert!(!b.has_edge(source, sink));
+        b.add_edge(source, sink).unwrap();
+        assert!(b.has_edge(source, sink));
+        assert!(matches!(
+            b.add_edge(source, sink),
+            Err(DagError::DuplicateEdge { .. })
+        ));
+        assert!(!b.has_edge(source, NodeId::new(hub + 2)));
+        let dag = b.build();
+        assert_eq!(dag.num_edges(), 2 * hub + 1);
+        assert!(dag.is_acyclic());
     }
 
     #[test]

@@ -152,9 +152,11 @@ pub fn small_dataset_sample(seed: u64) -> Vec<NamedInstance> {
 ///
 /// These are the instances the `shard`, `delta` and `io` recorders run on at
 /// full size (the 100k-node `rand_L200_W500` instance is the headline case);
-/// construction is near-linear thanks to the builder's incremental
-/// Pearce–Kelly cycle check (every generator emits order-respecting edges). Memory weights stay at the
-/// paper's random `{1..5}` distribution.
+/// construction is near-linear: the random layered instances are written to
+/// CSR in one pass, and the others go through the builder, whose incremental
+/// Pearce–Kelly cycle check is O(1) per order-respecting edge and whose
+/// duplicate check scans the shorter adjacency list. Memory weights stay at
+/// the paper's random `{1..5}` distribution.
 pub fn large_dataset(seed: u64) -> Vec<NamedInstance> {
     use crate::random::{random_layered_dag, RandomDagConfig};
     let layered = |layers: usize, width: usize, s: u64| {

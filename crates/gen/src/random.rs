@@ -1,7 +1,14 @@
-//! Random layered DAGs for property-based testing and stress tests.
+//! Random layered DAGs for property-based testing, stress tests and the
+//! daemon's `random` family.
+//!
+//! The generator is bound by its keystream: it draws one ChaCha8 `u64` per
+//! candidate edge through a precomputed [`Bernoulli`] threshold and writes the
+//! CSR in one pass, without a [`mbsp_dag::DagBuilder`]. The DAG is the one the
+//! builder made from the same draws, byte for byte; `tests/generator_pins.rs`
+//! pins it by value.
 
-use mbsp_dag::{CompDag, DagBuilder, NodeId};
-use rand::distributions::{Distribution, Uniform};
+use mbsp_dag::{CompDag, NodeId, NodeWeights};
+use rand::distributions::{Bernoulli, Distribution, Uniform};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -35,47 +42,58 @@ impl Default for RandomDagConfig {
 /// Generates a random layered DAG: `layers × width` nodes; every non-first-layer
 /// node has at least one parent in the previous layer, plus additional random edges
 /// with probability `edge_probability`. Deterministic in `seed`.
+///
+/// Layered edges run forward and are distinct by construction, so the DAG is
+/// assembled in one pass: weights, labels and edges are collected in
+/// insertion order and compacted into CSR once, with no per-edge duplicate or
+/// cycle check. The result is the DAG a [`mbsp_dag::DagBuilder`] fed the same
+/// sequence builds, byte for byte.
 pub fn random_layered_dag(config: &RandomDagConfig, seed: u64) -> CompDag {
     assert!(config.layers >= 1 && config.width >= 1);
+    let (layers, width) = (config.layers, config.width);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let compute_dist = Uniform::new_inclusive(1u32, config.max_compute.max(1));
     let memory_dist = Uniform::new_inclusive(1u32, config.max_memory.max(1));
-    let mut b = DagBuilder::new(format!(
-        "random_l{}_w{}_s{}",
-        config.layers, config.width, seed
-    ));
-    let mut layers: Vec<Vec<NodeId>> = Vec::with_capacity(config.layers);
-    for l in 0..config.layers {
-        let mut layer = Vec::with_capacity(config.width);
-        for i in 0..config.width {
+    let extra_edge = Bernoulli::new(config.edge_probability)
+        .expect("the vendored Bernoulli clamps p into [0, 1]");
+    let nodes = layers * width;
+    let mut weights = Vec::with_capacity(nodes);
+    let mut labels = Vec::with_capacity(nodes);
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for l in 0..layers {
+        for i in 0..width {
             let compute = if l == 0 {
                 0.0
             } else {
                 compute_dist.sample(&mut rng) as f64
             };
             let memory = memory_dist.sample(&mut rng) as f64;
-            let v = b
-                .add_labeled_node(compute, memory, format!("l{l}_n{i}"))
-                .unwrap();
-            layer.push(v);
+            weights.push(NodeWeights::new(compute, memory));
+            labels.push(format!("l{l}_n{i}"));
         }
         if l > 0 {
-            let prev = &layers[l - 1];
-            for &v in &layer {
+            let prev = (l - 1) * width..l * width;
+            for v in l * width..(l + 1) * width {
+                let v = NodeId::new(v);
                 // Guarantee at least one parent so that no non-first-layer node is a
                 // source (sources are never computed in the MBSP model).
-                let forced = prev[rng.gen_range(0..prev.len())];
-                b.add_edge(forced, v).unwrap();
-                for &u in prev {
-                    if u != forced && rng.gen_bool(config.edge_probability) {
-                        b.add_edge(u, v).unwrap();
+                let forced = prev.start + rng.gen_range(0..width);
+                edges.push((NodeId::new(forced), v));
+                for u in prev.clone() {
+                    if u != forced && extra_edge.sample(&mut rng) {
+                        edges.push((NodeId::new(u), v));
                     }
                 }
             }
         }
-        layers.push(layer);
     }
-    b.build()
+    CompDag::from_saved_parts(
+        format!("random_l{layers}_w{width}_s{seed}"),
+        weights,
+        labels,
+        edges,
+    )
+    .expect("layered edges run forward and are distinct")
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! tree: [`JsonWriter`] and [`write_schedule`] append each frame's JSON text
 //! to the one line buffer the daemon writes.
 
-use crate::server::{check_search_caps, check_table_caps, MAX_FAMILY_NODES};
+use crate::server::{
+    check_search_caps, check_table_caps, MAX_FAMILY_EDGES, MAX_FAMILY_NODES, MAX_FAMILY_PAIRS,
+};
 use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
@@ -561,13 +563,35 @@ fn parse_family(spec: &Value) -> Parse<(FamilySpec, usize)> {
              or n >= 2 and k >= 1 (cg, knn)",
         ));
     }
-    match nodes {
-        Some(nodes) if nodes <= MAX_FAMILY_NODES => Ok((spec, nodes)),
-        _ => Err(Reject::new(
-            E_BAD_REQUEST,
-            format!("`family` would generate more than {MAX_FAMILY_NODES} nodes"),
-        )),
+    let nodes = match nodes {
+        Some(nodes) if nodes <= MAX_FAMILY_NODES => nodes,
+        _ => {
+            return Err(Reject::new(
+                E_BAD_REQUEST,
+                format!("`family` would generate more than {MAX_FAMILY_NODES} nodes"),
+            ))
+        }
+    };
+    // A random family's work and edge count grow with width², not with its
+    // node count: every node past the first layer draws once per node of the
+    // layer above.
+    if let FamilySpec::Random { config, .. } = &spec {
+        let trials = (config.layers - 1) * config.width;
+        if trials.saturating_mul(config.width) > MAX_FAMILY_PAIRS {
+            return Err(Reject::new(
+                E_BAD_REQUEST,
+                format!("`family` would draw more than {MAX_FAMILY_PAIRS} edge trials"),
+            ));
+        }
+        let edges = trials as f64 * (1.0 + config.edge_probability * (config.width - 1) as f64);
+        if edges > MAX_FAMILY_EDGES as f64 {
+            return Err(Reject::new(
+                E_BAD_REQUEST,
+                format!("`family` would generate more than {MAX_FAMILY_EDGES} edges"),
+            ));
+        }
     }
+    Ok((spec, nodes))
 }
 
 fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {
@@ -981,6 +1005,40 @@ mod tests {
             _ => panic!("expected family"),
         };
         assert!(dag.num_nodes() > 0);
+    }
+
+    #[test]
+    fn wide_random_families_are_refused_before_generation() {
+        let register = |family: &str| {
+            parse_request(&format!(
+                r#"{{"op":"register","instance":"w","family":{{"kind":"random",{family}}},"processors":2}}"#
+            ))
+        };
+        let rejected = |family: &str, cap: usize| match register(family) {
+            Err((_, rej)) => {
+                assert_eq!(rej.code, E_BAD_REQUEST, "{family}");
+                assert!(
+                    rej.message.contains(&cap.to_string()),
+                    "{family}: {}",
+                    rej.message
+                );
+            }
+            Ok(_) => panic!("{family}: accepted"),
+        };
+        // 8,000 nodes, 1.6·10⁷ trials, ≈ 4.8·10⁶ expected edges.
+        rejected(r#""layers":2,"width":4000"#, MAX_FAMILY_EDGES);
+        // 40,000 nodes and no extra edges, but 4·10⁸ trials.
+        rejected(
+            r#""layers":2,"width":20000,"edge_probability":0.0"#,
+            MAX_FAMILY_PAIRS,
+        );
+        // `sched_large`'s spec and one layer of any admissible width pass.
+        assert!(register(
+            r#""layers":200,"width":500,"edge_probability":0.006,"seed":2949826092126892291"#
+        )
+        .is_ok());
+        assert!(register(r#""layers":1,"width":1000000"#).is_ok());
+        assert!(register(r#""layers":2,"width":1000"#).is_ok());
     }
 
     #[test]

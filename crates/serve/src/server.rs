@@ -17,7 +17,9 @@
 //!   their permits from the daemon's [`WorkerPool`] and exit with the fan-out
 //!   that started them. When it finds the mailbox empty,
 //!   it puts the session back and exits, under the same lock the next push
-//!   takes, so no job is stranded. An idle instance costs no thread: the
+//!   takes, so no job is stranded; a push that starts a drain thread first
+//!   joins every one that has exited, so the new thread takes over a malloc
+//!   arena they freed their memory to. An idle instance costs no thread: the
 //!   memory one instance's search freed is reused by the next busy instance's
 //!   thread instead of staying with a resident thread per tenant. Single
 //!   ownership is what makes request batching deterministic: no lock
@@ -145,6 +147,18 @@ pub(crate) fn check_table_caps(processors: usize, nodes: usize) -> Result<(), St
 /// instance of `mbsp_gen::large_dataset` (100,000 nodes). Uploaded DAGs are
 /// bounded by [`MAX_LINE_BYTES`] instead.
 pub const MAX_FAMILY_NODES: usize = 1_000_000;
+
+/// Most edge trials a `random` family spec may draw: `(layers − 1)·width²`
+/// (every node past the first layer draws once per node of the layer above).
+/// About twice `sched_large`'s 4.975·10⁷, so a wide family inside
+/// [`MAX_FAMILY_NODES`] cannot pin a drain thread for minutes.
+pub const MAX_FAMILY_PAIRS: usize = 100_000_000;
+
+/// Most edges a `random` family spec may be expected to generate:
+/// `(layers − 1)·width·(1 + p·(width − 1))`. About ten times `sched_large`'s
+/// ≈ 397,000. `cg` and `knn` make a few edges per node, so
+/// [`MAX_FAMILY_NODES`] bounds theirs.
+pub const MAX_FAMILY_EDGES: usize = 4_000_000;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -285,6 +299,9 @@ struct ServerInner {
     jobs: Mutex<HashMap<u64, CancelToken>>,
     next_job: AtomicU64,
     registry: Mutex<BTreeMap<String, (String, u64)>>,
+    /// Drain threads that have put their session back and are exiting or
+    /// gone, not yet joined. Taken after a mailbox lock, never before one.
+    exited: Mutex<Vec<thread::JoinHandle<()>>>,
     done: (Mutex<bool>, Condvar),
 }
 
@@ -380,6 +397,7 @@ impl Server {
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
             registry: Mutex::new(BTreeMap::new()),
+            exited: Mutex::new(Vec::new()),
             done: (Mutex::new(false), Condvar::new()),
         });
         restore_instances(&inner)?;
@@ -855,6 +873,13 @@ fn enqueue(
 
 /// Pushes `job` onto the mailbox and, when no drain thread holds the session,
 /// spawns one. A refused job is dropped; the mailbox is as it was.
+///
+/// Every drain thread that has put its session back has nothing left to do
+/// but exit; they are joined before a new one starts. A thread's exit hands
+/// its malloc arena back, so the new thread takes over an arena and the
+/// memory freed in it. Without the join, a request answered before the last
+/// drain thread was gone would start the next job in a fresh arena, and the
+/// daemon's footprint would depend on how the two threads raced.
 fn admit(
     inner: &Arc<ServerInner>,
     mailbox: &SharedMailbox,
@@ -876,6 +901,10 @@ fn admit(
     }
     guard.jobs.push_back(job);
     if guard.worker.is_none() {
+        let exited = std::mem::take(&mut *inner.exited.lock().unwrap());
+        for thread in exited {
+            let _ = thread.join();
+        }
         let (mailbox, inner) = (Arc::clone(mailbox), Arc::clone(inner));
         let spawned = thread::Builder::new()
             .name(format!("mbsp-serve-{instance}"))
@@ -912,8 +941,9 @@ fn drain(mailbox: SharedMailbox, inner: Arc<ServerInner>) {
         guard = mailbox.lock().unwrap();
     }
     guard.idle = Some(state);
-    // This thread's own handle: dropping it detaches a thread that is done.
-    guard.worker = None;
+    // Handed over under the mailbox lock: an admission that finds the
+    // session idle also finds this thread in the list.
+    inner.exited.lock().unwrap().extend(guard.worker.take());
 }
 
 fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {

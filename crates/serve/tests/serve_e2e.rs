@@ -823,6 +823,10 @@ fn hostile_lines_are_rejected_with_typed_frames() {
         r#""processors":2,"family":{"kind":"random","layers":4294967296,"width":4294967296}"#
             .to_string(),
         r#""processors":2,"family":{"kind":"random","layers":2000,"width":1000}"#.to_string(),
+        // 40,000 nodes and 20,000 edges, but 4·10⁸ edge trials: seconds of
+        // generation on a drain thread unless the trial cap refuses it.
+        r#""processors":2,"family":{"kind":"random","layers":2,"width":20000,"edge_probability":0.0}"#
+            .to_string(),
         r#""processors":2,"family":{"kind":"random","layers":4,"width":4,"edge_probability":1.5}"#
             .to_string(),
         r#""processors":2,"family":{"kind":"cg","n":1000,"k":4}"#.to_string(),

@@ -1,6 +1,7 @@
 #!/bin/sh
 # The CI serving smoke: boots a real mbsp_serve daemon on an ephemeral port,
-# drives a scripted client session (register / schedule with streamed
+# checks that a `random` family too wide to generate is refused with a typed
+# frame, drives a scripted client session (register / schedule with streamed
 # incumbents and the schedule embedded / an instance whose costs overflow /
 # mutate / graceful shutdown), then restarts the daemon on the same state
 # directory and asserts the checkpointed session restored — the pending set
@@ -74,6 +75,16 @@ def check_schedule(schedule):
             assert sorted(phases) == ["compute", "delete", "load", "save"], phases
             computed += [op["Compute"] for op in phases["compute"] if "Compute" in op]
     assert computed and len(computed) == len(set(computed)), "a node computed twice"
+
+# A `random` family inside the node cap whose (layers - 1) * width^2 edge
+# trials are not: refused with a typed frame before anything is generated,
+# well within the socket timeout, and the name stays free.
+send({"id": 0, "op": "register", "instance": "wide",
+      "family": {"kind": "random", "layers": 2, "width": 20000,
+                 "edge_probability": 0.0},
+      "processors": 2})
+frame = recv()
+assert not frame["ok"] and frame["error"]["code"] == "bad_request", frame
 
 send({"id": 1, "op": "register", "instance": "smoke",
       "family": {"kind": "cg", "n": 4, "k": 2},
