@@ -22,6 +22,10 @@
 //! Figure 4 is the report's `figure4` field: the quartiles of the rows already
 //! measured for `table1` and four of the Table 4 settings.
 //!
+//! Every `holistic` column is the search the `mbsp_serve` daemon serves —
+//! `IncrementalScheduler::schedule` — at one shard, under the row's cost
+//! model.
+//!
 //! Every number is a function of (experiment, seed) only. The budgets are
 //! counts — `max_rounds`, `moves_per_round`, the bipartition's `max_nodes`
 //! and `max_pivots` — and no scheduler or solver here is handed a clock, so
@@ -38,8 +42,8 @@ use mbsp_gen::constructions::{
 use mbsp_gen::NamedInstance;
 use mbsp_ilp::improver::{canonical_bsp, post_optimize};
 use mbsp_ilp::{
-    BspIlpScheduler, DivideAndConquerConfig, DivideAndConquerScheduler, HolisticConfig,
-    HolisticScheduler,
+    BspIlpScheduler, DivideAndConquerConfig, DivideAndConquerScheduler, IncrementalScheduler,
+    RepairConfig, ShardedSearchConfig,
 };
 use mbsp_model::{
     Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep,
@@ -199,16 +203,23 @@ impl Setting {
         MbspInstance::with_cache_factor(named.dag.clone(), arch, self.cache_factor)
     }
 
-    /// The search budget of this setting, whole-instance or per part: the
-    /// scheduler's default counts (a search also ends at its first round
-    /// without an improvement), spelled out because the report is a function
-    /// of them.
-    fn search(&self) -> HolisticConfig {
-        HolisticConfig {
+    /// The search budget of this setting, whole-instance or per part: counts
+    /// spelled out because the report is a function of them (a search also
+    /// ends at its first round without an improvement). The whole-instance
+    /// search is the daemon's sharded search at one shard, started from the
+    /// seeding BSP schedule alone — no shard-local greedy seed — so Table 3's
+    /// BSP-ILP column and `pebbling_p1`'s DFS column seed it.
+    fn search(&self) -> ShardedSearchConfig {
+        ShardedSearchConfig {
             cost_model: self.cost_model,
+            num_shards: 1,
+            workers: 1,
             max_rounds: 60,
             moves_per_round: 120,
             seed: SEED,
+            stale_round_limit: 1,
+            shard_local_seed: false,
+            ..Default::default()
         }
     }
 
@@ -226,10 +237,19 @@ impl Setting {
         (bsp, cost)
     }
 
-    /// The cost of the holistic search seeded with `bsp`.
+    /// The cost of the holistic search seeded with `bsp`: a served session's
+    /// `schedule` on the instance.
     fn improved(&self, instance: &MbspInstance, bsp: &BspSchedulingResult) -> f64 {
-        let schedule = HolisticScheduler::with_config(self.search()).schedule(instance, bsp);
-        cost(&schedule, instance.dag(), instance.arch(), self.cost_model)
+        let (dag, arch) = (instance.dag(), instance.arch());
+        let search = self.search();
+        let procs = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
+        let repair = RepairConfig {
+            search,
+            cone_radius: 2,
+        };
+        let mut session = IncrementalScheduler::new(dag.clone(), *arch, procs, repair);
+        let (schedule, _) = session.schedule(&search, bsp, None);
+        cost(&schedule, dag, arch, self.cost_model)
     }
 }
 
@@ -252,8 +272,11 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
                 vec![baseline, setting.improved(&instance, &seed)]
             }
             Sweep::DivideAndConquer { .. } => {
+                let search = setting.search();
                 let config = DivideAndConquerConfig {
-                    per_part: setting.search(),
+                    max_rounds: search.max_rounds,
+                    moves_per_round: search.moves_per_round,
+                    seed: search.seed,
                     ..Default::default()
                 };
                 let schedule = DivideAndConquerScheduler::with_config(config).schedule(&instance);

@@ -2,13 +2,14 @@
 //! (mass-balanced ILP shards → shard-local greedy seeds → per-shard
 //! `EvaluationEngine` local searches → salvaging boundary-repaired merge →
 //! re-partition with shifted cuts) against both the legacy topological
-//! sharding of PR 5 and the single-incumbent holistic search, all at the
-//! **same total candidate budget**, on the `large_dataset` instances
-//! (`BENCH_shard.json`).
+//! sharding of PR 5 and the single-incumbent holistic search — the same
+//! search at one shard, from the baseline alone — all at the **same total
+//! candidate budget**, on the `large_dataset` instances (`BENCH_shard.json`).
 //!
 //! All searches start from the same greedy BSP baseline and may spend up to
-//! `TOTAL_MOVES` candidate evaluations. The single-incumbent search evaluates
-//! every candidate against the whole graph (`O(V)` per conversion); both
+//! `TOTAL_MOVES` candidate evaluations (their seed and merge evaluations
+//! come on top). The single-incumbent search evaluates every candidate against
+//! the whole graph (`O(V)` per conversion); both
 //! sharded modes split the budget over `k` shards whose evaluations touch
 //! only `O(V/k)` nodes. The weighted-iterated mode additionally spends part
 //! of its budget on shard-local greedy seed candidates (one per shard per
@@ -42,8 +43,8 @@
 use crate::{field, geomean, large_or_quick, paper_instance, Fields, Recorder};
 use mbsp_gen::NamedInstance;
 use mbsp_ilp::{
-    weighted_shards_solve, EvaluationEngine, HolisticConfig, HolisticScheduler, ShardStrategy,
-    ShardedHolisticScheduler, ShardedSearchConfig, ShardedSearchStats, SHARD_SPLIT_LIMITS,
+    weighted_shards_solve, EvaluationEngine, ShardStrategy, ShardedHolisticScheduler,
+    ShardedSearchConfig, ShardedSearchStats, SHARD_SPLIT_LIMITS,
 };
 use mbsp_model::{CostModel, MbspInstance};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
@@ -288,10 +289,12 @@ impl Recorder for Shard {
             a.min(b)
         };
 
-        let single = HolisticScheduler::with_config(HolisticConfig {
-            cost_model: CostModel::Synchronous,
+        let single = ShardedHolisticScheduler::with_config(ShardedSearchConfig {
+            num_shards: 1,
+            workers: 1,
             max_rounds: SINGLE_ROUNDS,
             moves_per_round: SINGLE_MOVES_PER_ROUND,
+            shard_local_seed: false,
             ..Default::default()
         });
         let start = Instant::now();

@@ -417,6 +417,7 @@ impl IncrementalScheduler {
 mod tests {
     use super::*;
     use crate::shard::{topo_shards, ShardedHolisticScheduler};
+    use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
     use mbsp_model::{sync_cost, CostModel, MbspInstance};
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
@@ -637,6 +638,104 @@ mod tests {
         assert!(
             c_got <= c_expect.max(stats.incumbent_cost) + 1e-9,
             "full repair {c_got} vs sharded {c_expect}"
+        );
+    }
+
+    fn tiny_instances(limit: usize) -> Vec<MbspInstance> {
+        mbsp_gen::tiny_dataset(42)
+            .into_iter()
+            .take(limit)
+            .map(|inst| {
+                MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0)
+            })
+            .collect()
+    }
+
+    /// The §6.1 holistic search as the reproduction runs it, at a small
+    /// budget: a session's full search at one shard, started from the
+    /// baseline's assignment and its own superstep structure.
+    fn holistic(
+        inst: &MbspInstance,
+        baseline: &BspSchedulingResult,
+        cost_model: CostModel,
+    ) -> (MbspSchedule, ShardedSearchStats) {
+        let search = ShardedSearchConfig {
+            cost_model,
+            num_shards: 1,
+            workers: 1,
+            max_rounds: 6,
+            moves_per_round: 30,
+            shard_local_seed: false,
+            ..Default::default()
+        };
+        let procs = inst
+            .dag()
+            .nodes()
+            .map(|v| baseline.schedule.proc_of(v))
+            .collect();
+        let repair = RepairConfig {
+            search,
+            cone_radius: 2,
+        };
+        IncrementalScheduler::new(inst.dag().clone(), *inst.arch(), procs, repair)
+            .schedule(&search, baseline, None)
+    }
+
+    #[test]
+    fn holistic_schedules_are_valid_and_not_worse_than_baseline() {
+        let greedy = GreedyBspScheduler::new();
+        let converter = TwoStageScheduler::new();
+        let policy = ClairvoyantPolicy::new();
+        for inst in tiny_instances(5) {
+            let baseline = greedy.schedule(inst.dag(), inst.arch());
+            let base_mbsp = converter.schedule(inst.dag(), inst.arch(), &baseline, &policy);
+            let base_cost = sync_cost(&base_mbsp, inst.dag(), inst.arch()).total;
+            let (improved, stats) = holistic(&inst, &baseline, CostModel::Synchronous);
+            improved.validate(inst.dag(), inst.arch()).unwrap();
+            let improved_cost = sync_cost(&improved, inst.dag(), inst.arch()).total;
+            assert!(
+                improved_cost <= base_cost + 1e-9,
+                "{}: holistic {improved_cost} vs baseline {base_cost}",
+                inst.name()
+            );
+            // The returned schedule is the one the search kept for its last
+            // accepted incumbent; it must cost what the search reports.
+            assert!((improved_cost - stats.final_cost).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn holistic_improves_on_at_least_one_instance() {
+        let greedy = GreedyBspScheduler::new();
+        let converter = TwoStageScheduler::new();
+        let policy = ClairvoyantPolicy::new();
+        let improved_any = tiny_instances(6).iter().any(|inst| {
+            let baseline = greedy.schedule(inst.dag(), inst.arch());
+            let base_mbsp = converter.schedule(inst.dag(), inst.arch(), &baseline, &policy);
+            let base_cost = sync_cost(&base_mbsp, inst.dag(), inst.arch()).total;
+            let (improved, _) = holistic(inst, &baseline, CostModel::Synchronous);
+            sync_cost(&improved, inst.dag(), inst.arch()).total < base_cost - 1e-9
+        });
+        assert!(
+            improved_any,
+            "the holistic search should beat the baseline somewhere"
+        );
+    }
+
+    #[test]
+    fn asynchronous_cost_model_is_supported() {
+        let inst = MbspInstance::with_cache_factor(
+            mbsp_gen::tiny_dataset(42).remove(3).dag,
+            Architecture::paper_default(0.0).with_latency(0.0),
+            3.0,
+        );
+        let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
+        let (schedule, stats) = holistic(&inst, &baseline, CostModel::Asynchronous);
+        schedule.validate(inst.dag(), inst.arch()).unwrap();
+        let recost = CostModel::Asynchronous.evaluate(&schedule, inst.dag(), inst.arch());
+        assert!(
+            (recost - stats.final_cost).abs() < 1e-9,
+            "{recost} vs {stats:?}"
         );
     }
 }

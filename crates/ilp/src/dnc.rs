@@ -8,7 +8,7 @@
 //!    `max_part_size` nodes;
 //! 2. a high-level plan on the quotient graph decides which processors handle which
 //!    part and in which stage (the adjusted BSPg planner of `mbsp-sched`);
-//! 3. every part is scheduled independently with the holistic scheduler, with the
+//! 3. every part is scheduled independently with the holistic search, with the
 //!    boundary conditions of the paper: values produced by earlier parts are treated
 //!    as inputs (they are already in slow memory), and values needed by later parts
 //!    are required outputs that must be saved;
@@ -20,36 +20,39 @@
 //! sub-problem is optimised well, but the concatenation is not globally optimal and
 //! can fall behind the two-stage baseline on DAGs without good partitions.
 
-use crate::improver::{post_optimize, HolisticConfig};
+use crate::improver::post_optimize;
 use crate::partition_ilp::recursive_partition;
 use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
-use mbsp_model::{Architecture, ComputePhaseStep, MbspInstance, MbspSchedule, ProcId, Superstep};
+use mbsp_model::{
+    Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep,
+};
 use mbsp_pool::{CancelToken, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
 
-/// Configuration of [`DivideAndConquerScheduler`].
+/// Configuration of [`DivideAndConquerScheduler`]. Every part search, and the
+/// final streamlining pass, optimises the synchronous cost.
 #[derive(Debug, Clone, Copy)]
 pub struct DivideAndConquerConfig {
     /// Maximal number of nodes per part (the paper uses 60). Every cut is
     /// solved within [`DNC_SPLIT_LIMITS`](crate::DNC_SPLIT_LIMITS).
     pub max_part_size: usize,
-    /// The per-part local search: its cost model (also that of the final
-    /// streamlining pass), round and move budgets (applied per part) and seed
-    /// (part `i` searches with `seed + i`).
-    pub per_part: HolisticConfig,
+    /// Maximum local-search rounds per part.
+    pub max_rounds: usize,
+    /// Candidate moves evaluated per round per part.
+    pub moves_per_round: usize,
+    /// RNG seed; part `i` searches with `seed + i`.
+    pub seed: u64,
 }
 
 impl Default for DivideAndConquerConfig {
     fn default() -> Self {
         DivideAndConquerConfig {
             max_part_size: 60,
-            per_part: HolisticConfig {
-                max_rounds: 20,
-                moves_per_round: 60,
-                ..Default::default()
-            },
+            max_rounds: 20,
+            moves_per_round: 60,
+            seed: 0x5EED,
         }
     }
 }
@@ -142,12 +145,11 @@ impl DivideAndConquerScheduler {
                 .map(|g| ProcId::new(global_procs[g.index()].index() % local_arch.processors))
                 .collect();
             let params = LocalSearchParams {
-                cost_model: config.per_part.cost_model,
-                max_rounds: config.per_part.max_rounds,
-                moves_per_round: config.per_part.moves_per_round,
-                seed: config.per_part.seed.wrapping_add(part as u64),
-                // Mirror the single-incumbent search: a stale best-of-batch
-                // round ends the part.
+                cost_model: CostModel::Synchronous,
+                max_rounds: config.max_rounds,
+                moves_per_round: config.moves_per_round,
+                seed: config.seed.wrapping_add(part as u64),
+                // A stale best-of-batch round ends the part.
                 stale_round_limit: 1,
             };
             let found = search_view(
@@ -249,7 +251,7 @@ impl DivideAndConquerScheduler {
         // Streamline the combined schedule. Saves of values needed by later parts
         // have already happened, so no extra required outputs are necessary here.
         combined.remove_empty_supersteps();
-        post_optimize(&mut combined, dag, arch, config.per_part.cost_model, &[]);
+        post_optimize(&mut combined, dag, arch, CostModel::Synchronous, &[]);
         combined
     }
 
@@ -269,11 +271,9 @@ mod tests {
     fn fast_config() -> DivideAndConquerConfig {
         DivideAndConquerConfig {
             max_part_size: 40,
-            per_part: HolisticConfig {
-                max_rounds: 3,
-                moves_per_round: 20,
-                ..Default::default()
-            },
+            max_rounds: 3,
+            moves_per_round: 20,
+            ..Default::default()
         }
     }
 
@@ -307,11 +307,7 @@ mod tests {
             MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0);
         let dnc = DivideAndConquerScheduler::with_config(DivideAndConquerConfig {
             max_part_size: 25,
-            per_part: HolisticConfig {
-                max_rounds: 3,
-                moves_per_round: 20,
-                ..Default::default()
-            },
+            ..fast_config()
         });
         let schedule = dnc.schedule(&instance);
         schedule.validate(instance.dag(), instance.arch()).unwrap();

@@ -323,24 +323,6 @@ impl EvaluationEngine {
     }
 }
 
-/// Statistics of one holistic search run, reported by
-/// [`crate::improver::HolisticScheduler::schedule_with_stats`].
-#[derive(Debug, Clone, Copy)]
-pub struct SearchStats {
-    /// Total candidate evaluations: the two seed incumbents plus every batch
-    /// candidate. (A round winner is not evaluated again — its batch keeps its
-    /// schedule.)
-    pub evaluations: u64,
-    /// Number of completed search rounds.
-    pub rounds: usize,
-    /// Cost of the returned schedule under the configured cost model.
-    pub final_cost: f64,
-    /// Supersteps the engine's conversions simulated (rebases included).
-    pub simulated_supersteps: u64,
-    /// Supersteps they copied from a base instead of simulating them.
-    pub skipped_supersteps: u64,
-}
-
 pub use mbsp_pool::resolve_workers;
 
 /// The `(node, new processor)` pairs by which `after` differs from `before` —

@@ -1,140 +1,25 @@
-//! The holistic MBSP scheduler: baseline-seeded local search over the full problem.
+//! The schedule-level pieces of the holistic search: the canonical BSP
+//! schedule of a processor assignment and the post-optimiser.
 //!
 //! The paper's headline scheduler formulates the whole MBSP problem as an ILP and
 //! lets COPT improve on the two-stage baseline within a time limit. Without a
-//! commercial solver, this module plays the same role (see PAPER.md,
-//! "Reproduction notes"): starting from the baseline's processor assignment it
-//! searches the neighbourhood of assignments — moving single nodes, moving small node groups
-//! that share a parent, and swapping nodes between processors — and evaluates every
-//! candidate *holistically*: the candidate assignment is converted into a valid MBSP
-//! schedule (cache simulation with the clairvoyant policy) and measured with the
-//! true synchronous or asynchronous MBSP cost, so the search directly optimises the
-//! paper's objective rather than a memory-oblivious proxy. A final post-optimisation
-//! pass merges adjacent supersteps and drops redundant I/O whenever that keeps the
-//! schedule valid and lowers the cost.
-//!
-//! Candidate evaluation goes through the [`crate::engine`] module: each round's
-//! batch of [`crate::engine::Move`]s is generated up front from the seeded RNG and
-//! evaluated through one [`crate::engine::EvaluationEngine`] (arena plus scratch
-//! buffers), with the round winner chosen by the fixed `(cost, candidate index)`
-//! tie-break. The loop itself is the search core's `hill_climb`, run on the
-//! whole DAG; callers with many instances run one scheduler per instance side
-//! by side.
+//! commercial solver, the search core (`crate::search`) plays the same role (see
+//! PAPER.md, "Reproduction notes"): starting from the baseline's processor
+//! assignment it searches the neighbourhood of assignments and evaluates every
+//! candidate *holistically* — converted into a valid MBSP schedule (cache
+//! simulation with the clairvoyant policy) and measured with the true
+//! synchronous or asynchronous MBSP cost. This module holds what that
+//! evaluation does to a schedule: [`canonical_bsp`] derives the superstep
+//! structure of an assignment, and [`post_optimize`] / [`PostOptimizer`] merge
+//! adjacent supersteps and drop redundant I/O whenever that keeps the schedule
+//! valid and lowers the cost.
 
-use crate::engine::{EvaluationEngine, SearchStats};
-use crate::search::{hill_climb, Incumbent, LocalSearchParams};
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
-    Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspInstance,
-    MbspSchedule, ParentMasks, ProcId, ScheduleEvaluator,
+    Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspSchedule,
+    ParentMasks, ProcId, ScheduleEvaluator,
 };
-use mbsp_pool::CancelToken;
 use mbsp_sched::BspSchedulingResult;
-
-/// Configuration of [`HolisticScheduler`].
-#[derive(Debug, Clone, Copy)]
-pub struct HolisticConfig {
-    /// Cost model to optimise (synchronous by default, as in the paper's main
-    /// experiments).
-    pub cost_model: CostModel,
-    /// Maximum number of local-search rounds.
-    pub max_rounds: usize,
-    /// Number of candidate moves evaluated per round.
-    pub moves_per_round: usize,
-    /// RNG seed; the search is a function of the instance, this
-    /// configuration and the seed.
-    pub seed: u64,
-}
-
-impl Default for HolisticConfig {
-    fn default() -> Self {
-        HolisticConfig {
-            cost_model: CostModel::Synchronous,
-            max_rounds: 60,
-            moves_per_round: 120,
-            seed: 0x5EED,
-        }
-    }
-}
-
-/// Holistic MBSP scheduler (baseline-seeded local search + schedule post-optimiser).
-#[derive(Debug, Clone, Default)]
-pub struct HolisticScheduler {
-    config: HolisticConfig,
-}
-
-impl HolisticScheduler {
-    /// Creates a scheduler with the default configuration.
-    pub fn new() -> Self {
-        HolisticScheduler::default()
-    }
-
-    /// Creates a scheduler with an explicit configuration.
-    pub fn with_config(config: HolisticConfig) -> Self {
-        HolisticScheduler { config }
-    }
-
-    /// Improves on the given baseline scheduling result and returns the best MBSP
-    /// schedule found. The result is always at least as good as the baseline
-    /// conversion (the baseline itself is the starting incumbent).
-    pub fn schedule(
-        &self,
-        instance: &MbspInstance,
-        baseline: &BspSchedulingResult,
-    ) -> MbspSchedule {
-        self.schedule_with_stats(instance, baseline).0
-    }
-
-    /// Runs the search and reports statistics (candidate evaluations, rounds,
-    /// final cost).
-    pub fn schedule_with_stats(
-        &self,
-        instance: &MbspInstance,
-        baseline: &BspSchedulingResult,
-    ) -> (MbspSchedule, SearchStats) {
-        let (dag, arch) = (instance.dag(), instance.arch());
-        let config = &self.config;
-        let mut engine = EvaluationEngine::new(instance);
-
-        let procs: Vec<ProcId> = dag.nodes().map(|v| baseline.schedule.proc_of(v)).collect();
-        let cost_model = config.cost_model;
-        let mut incumbent = Incumbent::seed(
-            &mut engine,
-            dag,
-            arch,
-            procs,
-            Some(baseline),
-            cost_model,
-            &[],
-        );
-        let params = LocalSearchParams {
-            cost_model,
-            max_rounds: config.max_rounds,
-            moves_per_round: config.moves_per_round,
-            seed: config.seed,
-            // The first stale best-of-batch round ends the search.
-            stale_round_limit: 1,
-        };
-        let (rounds, _) = hill_climb(
-            &mut engine,
-            dag,
-            arch,
-            &params,
-            &[],
-            &CancelToken::new(),
-            &mut incumbent,
-        );
-
-        let stats = SearchStats {
-            evaluations: engine.evaluations,
-            rounds,
-            final_cost: incumbent.cost,
-            simulated_supersteps: engine.simulated_supersteps(),
-            skipped_supersteps: engine.skipped_supersteps(),
-        };
-        (incumbent.schedule, stats)
-    }
-}
 
 /// Builds a canonical BSP schedule (with recomputed supersteps and a topological
 /// order hint) from a per-node processor assignment: in topological order, a node's
@@ -516,7 +401,7 @@ pub(crate) fn fold_superstep(schedule: &mut MbspSchedule, k: usize) {
 mod tests {
     use super::*;
     use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
-    use mbsp_model::sync_cost;
+    use mbsp_model::{sync_cost, MbspInstance};
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -529,65 +414,6 @@ mod tests {
                 MbspInstance::with_cache_factor(inst.dag, Architecture::paper_default(0.0), 3.0)
             })
             .collect()
-    }
-
-    fn fast_config() -> HolisticConfig {
-        HolisticConfig {
-            max_rounds: 6,
-            moves_per_round: 30,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn holistic_schedules_are_valid_and_not_worse_than_baseline() {
-        let greedy = GreedyBspScheduler::new();
-        let converter = TwoStageScheduler::new();
-        let policy = ClairvoyantPolicy::new();
-        let holistic = HolisticScheduler::with_config(fast_config());
-        for inst in tiny_instances(5) {
-            let baseline = greedy.schedule(inst.dag(), inst.arch());
-            let base_mbsp = converter.schedule(inst.dag(), inst.arch(), &baseline, &policy);
-            let base_cost = sync_cost(&base_mbsp, inst.dag(), inst.arch()).total;
-            let (improved, stats) = holistic.schedule_with_stats(&inst, &baseline);
-            improved.validate(inst.dag(), inst.arch()).unwrap();
-            let improved_cost = sync_cost(&improved, inst.dag(), inst.arch()).total;
-            assert!(
-                improved_cost <= base_cost + 1e-9,
-                "{}: holistic {improved_cost} vs baseline {base_cost}",
-                inst.name()
-            );
-            // The returned schedule is the one a batch kept for its last
-            // accepted winner; it must cost what the search reports.
-            assert!((improved_cost - stats.final_cost).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn holistic_improves_on_at_least_one_instance() {
-        let greedy = GreedyBspScheduler::new();
-        let converter = TwoStageScheduler::new();
-        let policy = ClairvoyantPolicy::new();
-        let holistic = HolisticScheduler::with_config(fast_config());
-        let mut improved_any = false;
-        for inst in tiny_instances(6) {
-            let baseline = greedy.schedule(inst.dag(), inst.arch());
-            let base_mbsp = converter.schedule(inst.dag(), inst.arch(), &baseline, &policy);
-            let base_cost = sync_cost(&base_mbsp, inst.dag(), inst.arch()).total;
-            let improved_cost = sync_cost(
-                &holistic.schedule(&inst, &baseline),
-                inst.dag(),
-                inst.arch(),
-            )
-            .total;
-            if improved_cost < base_cost - 1e-9 {
-                improved_any = true;
-            }
-        }
-        assert!(
-            improved_any,
-            "the holistic scheduler should beat the baseline somewhere"
-        );
     }
 
     #[test]
@@ -848,22 +674,5 @@ mod tests {
                 inst.name()
             );
         }
-    }
-
-    #[test]
-    fn asynchronous_cost_model_is_supported() {
-        let greedy = GreedyBspScheduler::new();
-        let holistic = HolisticScheduler::with_config(HolisticConfig {
-            cost_model: CostModel::Asynchronous,
-            ..fast_config()
-        });
-        let inst = MbspInstance::with_cache_factor(
-            mbsp_gen::tiny_dataset(42).remove(3).dag,
-            Architecture::paper_default(0.0).with_latency(0.0),
-            3.0,
-        );
-        let baseline = greedy.schedule(inst.dag(), inst.arch());
-        let schedule = holistic.schedule(&inst, &baseline);
-        schedule.validate(inst.dag(), inst.arch()).unwrap();
     }
 }

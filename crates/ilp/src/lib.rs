@@ -9,22 +9,23 @@
 //!   ILP with the branch-and-bound solver of `lp-solver` and extracts an
 //!   [`mbsp_model::MbspSchedule`]. Exact solving is viable for small DAGs — the same
 //!   regime in which the paper runs its full formulation with COPT.
-//! * `search` (crate-private) — the one search core behind the four search
+//! * `search` (crate-private) — the one search core behind the three search
 //!   front-ends below: the seeded `hill_climb` (propose a batch of moves,
 //!   evaluate it through one engine, adopt the winner), the index-ordered
 //!   `fan_out` over scoped lanes — the workspace's only parallel shape —
 //!   and the partition → search → merge `pass` over a borrowed DAG.
-//!   Holistic = `hill_climb` on the whole DAG;
-//!   divide-and-conquer = `fan_out` + `hill_climb` per part;
+//!   Divide-and-conquer = `fan_out` + `hill_climb` per part;
 //!   sharded = seed + `iterations` passes; incremental = the session's
-//!   assignment + pass `0` restricted to the mutation cone.
-//! * [`improver`] — [`improver::HolisticScheduler`], the holistic optimiser used by
-//!   the experiment harness on benchmark-sized instances: starting from the
-//!   two-stage baseline (exactly like the paper warm-starts COPT), it performs a
-//!   seeded local search over processor assignments and superstep structure,
-//!   evaluating every candidate with the *true* MBSP cost (including cache-miss I/O)
-//!   and post-optimising the resulting schedule (superstep merging, redundant-I/O
-//!   removal). See PAPER.md, "Reproduction notes", for the COPT substitution.
+//!   assignment + pass `0` restricted to the mutation cone. The §6.1
+//!   holistic search is the sharded search at one shard: starting from the
+//!   two-stage baseline (exactly like the paper warm-starts COPT), it
+//!   evaluates every candidate assignment with the *true* MBSP cost
+//!   (including cache-miss I/O). See PAPER.md, "Reproduction notes", for the
+//!   COPT substitution.
+//! * [`improver`] — what that evaluation does to a schedule:
+//!   [`improver::canonical_bsp`] (the superstep structure of an assignment)
+//!   and the post-optimiser ([`improver::post_optimize`],
+//!   [`improver::PostOptimizer`]: superstep merging, redundant-I/O removal).
 //! * [`engine`] — the candidate-evaluation engine behind the holistic search:
 //!   first-class [`engine::Move`]s, one [`engine::EvaluationEngine`] per search
 //!   (arena-backed conversion via `mbsp_cache::ConversionArena` plus incremental
@@ -94,9 +95,8 @@ pub use dirty_cone::{
     dirty_shard_indices, mutation_cone, IncrementalScheduler, RepairConfig, RepairStats,
 };
 pub use dnc::{DivideAndConquerConfig, DivideAndConquerScheduler};
-pub use engine::{EvalPath, EvaluationEngine, Move, SearchStats};
+pub use engine::{EvalPath, EvaluationEngine, Move};
 pub use formulation::{ExactIlpScheduler, IlpConfig, MbspIlpBuilder};
-pub use improver::{HolisticConfig, HolisticScheduler};
 pub use partition_ilp::{
     bipartition, bipartition_model, Balance, DNC_SPLIT_LIMITS, SHARD_SPLIT_LIMITS,
 };

@@ -7,9 +7,9 @@
 //! * [`hill_climb`] — the seeded local search: each round draws a batch of
 //!   [`Move`]s from the RNG, evaluates it through the given
 //!   [`EvaluationEngine`] and adopts the `(cost, index)`-ordered winner when
-//!   it improves the [`Incumbent`]. On the whole DAG it is the
-//!   single-incumbent search; on a [`SubDagView`] it is a shard of the
-//!   sharded search or a part of the divide-and-conquer scheduler.
+//!   it improves the [`Incumbent`]. It runs on a [`SubDagView`]: a shard of
+//!   the sharded search (at one shard, the whole DAG) or a part of the
+//!   divide-and-conquer scheduler.
 //! * [`fan_out`] — runs independent index-addressed jobs (shard or part
 //!   searches) on scoped lanes and returns their results in index order, so
 //!   the worker count never changes a result. The paper parallelises across
@@ -33,10 +33,6 @@ use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The objective of the sharded search and the dirty-cone repair: the
-/// synchronous cost. (The asynchronous objective is not a served target.)
-const SHARDED_COST_MODEL: CostModel = CostModel::Synchronous;
 
 /// Deltas of a shard whose whole block the merge rejected that are replayed
 /// one at a time to salvage an improving prefix. Each replay is one global
@@ -113,9 +109,8 @@ impl Incumbent {
 /// The seeded hill climb: up to `params.max_rounds` rounds, each proposing
 /// `params.moves_per_round` moves from the seeded RNG, evaluating them through
 /// `engine` and adopting the round winner when it improves `incumbent`. Every
-/// adopted improvement is recorded in [`Incumbent::deltas`]. Returns the
-/// number of completed rounds and, when `stop` ended the search with rounds
-/// still to run, the signal it showed.
+/// adopted improvement is recorded in [`Incumbent::deltas`]. Returns, when
+/// `stop` ended the search with rounds still to run, the signal it showed.
 ///
 /// Before a round's batch the engine is rebased on the incumbent whenever
 /// it changed (the seed, then every adopted winner), so each candidate
@@ -133,14 +128,13 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
     required_outputs: &[NodeId],
     stop: &CancelToken,
     incumbent: &mut Incumbent,
-) -> (usize, Option<StopReason>) {
+) -> Option<StopReason> {
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     if movable.is_empty() || arch.processors <= 1 {
-        return (0, None);
+        return None;
     }
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut moves: Vec<Move> = Vec::with_capacity(params.moves_per_round);
-    let mut rounds = 0usize;
     let mut stale_rounds = 0usize;
     // Does the engine's base describe `incumbent.procs`?
     let mut based = false;
@@ -168,7 +162,6 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
             params.cost_model,
             required_outputs,
         );
-        rounds += 1;
         let Some((cost, idx)) = winner else {
             // Every draw of this round was a no-op proposal; the round
             // consumed its budget, but nothing was evaluated, so it says
@@ -193,7 +186,7 @@ pub(crate) fn hill_climb<D: DagLike + ?Sized>(
             }
         }
     }
-    (rounds, stopped)
+    stopped
 }
 
 /// Runs `job(0), …, job(count - 1)` on at most `workers` lanes — the calling
@@ -297,7 +290,7 @@ pub(crate) fn search_view(
         }
     }
 
-    let (_, stopped) = hill_climb(
+    let stopped = hill_climb(
         &mut engine,
         view,
         arch,
@@ -352,11 +345,10 @@ fn run_shard(
         .map(|i| global_procs[view.to_global(NodeId::new(i)).index()])
         .collect();
     let params = LocalSearchParams {
-        cost_model: SHARDED_COST_MODEL,
+        cost_model: config.cost_model,
         max_rounds: config.max_rounds,
         moves_per_round: config.moves_per_round,
-        // Golden-ratio stride decorrelates the shard streams from each other
-        // and from the single-incumbent search at the same base seed.
+        // Golden-ratio stride decorrelates the shard streams from each other.
         seed: seed_base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         stale_round_limit: config.stale_round_limit,
     };
@@ -472,7 +464,7 @@ impl<'a> ShardedSearch<'a> {
             arch,
             procs,
             baseline,
-            SHARDED_COST_MODEL,
+            config.cost_model,
             &[],
         );
         ShardedSearch {
@@ -569,7 +561,7 @@ impl<'a> ShardedSearch<'a> {
     /// assignment) and kept only if the global cost improves; rejected blocks
     /// get a prefix-replay salvage bounded by [`MERGE_REPLAY_CAP`].
     fn merge_outcomes(&mut self, outcomes: &[ShardOutcome]) {
-        let (dag, arch, cost_model) = (self.dag, self.arch, SHARDED_COST_MODEL);
+        let (dag, arch, cost_model) = (self.dag, self.arch, self.config.cost_model);
         let (engine, incumbent) = (&mut self.engine, &mut self.incumbent);
         let mut order: Vec<usize> = (0..outcomes.len()).collect();
         order.sort_by(|&a, &b| {

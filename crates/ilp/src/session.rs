@@ -15,8 +15,8 @@
 //! `mbsp_io` crate documents — it cannot depend on the scheduler itself.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
 //! blobs (order/assignment length mismatching the DAG, out-of-range pending
-//! ids, unknown strategy bytes, a cost-model byte or salvage cap other than
-//! the fixed one, a DAG whose minimal cache size `r₀` exceeds the
+//! ids, unknown strategy or cost-model bytes, a salvage cap other than the
+//! fixed one, a DAG whose minimal cache size `r₀` exceeds the
 //! architecture's cache) are rejected with a typed [`DecodeError`].
 //!
 //! The `mbsp_serve` daemon builds its durability on exactly this contract:
@@ -32,17 +32,16 @@ use mbsp_io::{
     check_assignment, write_dag_sections, DagSections, Decode, DecodeError, Encode, Reader,
     SavedOrder, Writer, KIND_SESSION, SEC_ARCH, SEC_CONFIG, SEC_ORDER, SEC_PENDING, SEC_PROCS,
 };
-use mbsp_model::{Architecture, ProcId};
+use mbsp_model::{Architecture, CostModel, ProcId};
 use mbsp_pool::WorkerPool;
 use std::time::Duration;
 
-/// The `CONF` section's cost-model byte: the search optimises the synchronous
-/// cost only, so `0` is the one value written and accepted.
-const SYNCHRONOUS: u8 = 0;
-
 fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
     let s = &cfg.search;
-    w.put_u8(SYNCHRONOUS);
+    w.put_u8(match s.cost_model {
+        CostModel::Synchronous => 0,
+        CostModel::Asynchronous => 1,
+    });
     w.put_u8(match s.strategy {
         ShardStrategy::Topo => 0,
         ShardStrategy::Weighted => 1,
@@ -64,12 +63,11 @@ fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
-    let cost_model = r.get_u8()?;
-    if cost_model != SYNCHRONOUS {
-        return Err(r.invalid(format!(
-            "cost-model byte {cost_model:#04x} is not the synchronous cost ({SYNCHRONOUS:#04x})"
-        )));
-    }
+    let cost_model = match r.get_u8()? {
+        0 => CostModel::Synchronous,
+        1 => CostModel::Asynchronous,
+        b => return Err(r.invalid(format!("byte {b:#04x} is not a cost model"))),
+    };
     let strategy = match r.get_u8()? {
         0 => ShardStrategy::Topo,
         1 => ShardStrategy::Weighted,
@@ -105,6 +103,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     let cone_radius = usize::decode(r)?;
     Ok(RepairConfig {
         search: ShardedSearchConfig {
+            cost_model,
             num_shards,
             workers,
             max_rounds,

@@ -40,8 +40,8 @@
 //!    that break the boundary are rejected rather than merged blindly. A
 //!    rejected shard gets a prefix salvage: up to four of its accepted deltas
 //!    are replayed one at a time while the global cost keeps improving. Every
-//!    cost here is the synchronous one; both the objective and the salvage
-//!    cap are constants, not configuration.
+//!    cost here is [`ShardedSearchConfig::cost_model`]'s; the salvage cap is
+//!    a constant, not configuration.
 //!
 //! 4. **Iterate** — with [`ShardedSearchConfig::iterations`] `> 1` the
 //!    pipeline re-partitions around the merged incumbent with *shifted* cut
@@ -72,7 +72,7 @@ use crate::partition_ilp::{bipartition_model, solve, Balance, SHARD_SPLIT_LIMITS
 use crate::search::{Incumbent, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
 use mbsp_dag::{AcyclicPartition, CompDag, NodeId, NodeWeights, SubDagView, TopologicalOrder};
-use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId};
+use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
 use std::collections::BTreeMap;
@@ -92,12 +92,16 @@ pub enum ShardStrategy {
     Weighted,
 }
 
-/// Configuration of [`ShardedHolisticScheduler`]. The search always
-/// optimises the synchronous cost (the asynchronous objective is not a served
-/// target) and replays at most 4 deltas of a rejected shard (see
+/// Configuration of [`ShardedHolisticScheduler`] and of every
+/// [`IncrementalScheduler`](crate::IncrementalScheduler) session. The search
+/// replays at most 4 deltas of a rejected shard (see
 /// [`ShardedSearchStats::salvaged_moves`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedSearchConfig {
+    /// The objective every seed, candidate and merge fold is costed under
+    /// (synchronous by default, as in the paper's main experiments). The
+    /// `mbsp_serve` daemon serves the synchronous cost only.
+    pub cost_model: CostModel,
     /// Number of shards `k`. `0` resolves like the worker count (so one shard
     /// per worker by default). The shard count shapes the partition and the
     /// per-shard seeds, so it *does* affect the result — reproducible runs
@@ -112,8 +116,7 @@ pub struct ShardedSearchConfig {
     pub max_rounds: usize,
     /// Candidate moves evaluated per round *per shard* (so `k` shards spend at
     /// most `k · max_rounds · moves_per_round` candidate evaluations, the same
-    /// budget shape as a single-incumbent search with `k ·  moves_per_round`
-    /// moves per round).
+    /// budget shape as one shard with `k · moves_per_round` moves per round).
     pub moves_per_round: usize,
     /// The workspace's one wall-clock: the search's stop signal expires this
     /// long after the search is set up, is observed at round and pass
@@ -126,10 +129,10 @@ pub struct ShardedSearchConfig {
     pub seed: u64,
     /// Stop a shard's search after this many *consecutive* rounds without an
     /// improvement; `0` disables early stopping, so the shard spends its whole
-    /// round budget. The single-incumbent search effectively uses `1` (it
-    /// breaks on the first stale batch); deep per-shard hill climbs with small
-    /// rounds want `0`, since one unlucky candidate should not forfeit the
-    /// remaining budget.
+    /// round budget. The default `1` ends a search at its first stale
+    /// best-of-batch round, which suits wide batches; deep per-shard hill
+    /// climbs with small rounds want `0`, since one unlucky candidate should
+    /// not forfeit the remaining budget.
     pub stale_round_limit: usize,
     /// Partitioning strategy (see [`ShardStrategy`]).
     pub strategy: ShardStrategy,
@@ -157,6 +160,7 @@ pub struct ShardedSearchConfig {
 impl Default for ShardedSearchConfig {
     fn default() -> Self {
         ShardedSearchConfig {
+            cost_model: CostModel::Synchronous,
             num_shards: 0,
             workers: 0,
             max_rounds: 60,
@@ -188,7 +192,7 @@ pub struct ShardedSearchStats {
     /// schedule). Globally: the two seed incumbents plus one per merge fold
     /// and per replayed delta.
     pub evaluations: u64,
-    /// Synchronous cost of the returned schedule.
+    /// Cost of the returned schedule under the configured cost model.
     pub final_cost: f64,
     /// Per-shard compute mass of the first iteration's partition (what the
     /// weighted partitioner balances; empty when no partition was built).
@@ -568,7 +572,7 @@ pub struct IncumbentUpdate {
     /// The partition/search/merge iteration that produced this incumbent
     /// (0 for the seed incumbent emitted before the first iteration).
     pub iteration: usize,
-    /// Synchronous cost of the incumbent.
+    /// Cost of the incumbent under the configured cost model.
     pub cost: f64,
     /// Schedules converted and costed so far (global engine + finished
     /// shards; counted as in [`ShardedSearchStats::evaluations`]).
@@ -691,9 +695,8 @@ impl ShardedHolisticScheduler {
 }
 
 /// The full sharded search on a borrowed problem: the baseline's assignment
-/// and its own superstep structure seed the global incumbent (exactly like the
-/// single-incumbent search), then `config.iterations` partition → search →
-/// merge passes improve it. Behind both
+/// and its own superstep structure seed the global incumbent, then
+/// `config.iterations` partition → search → merge passes improve it. Behind both
 /// [`ShardedHolisticScheduler::schedule_with_assignment`] and
 /// [`IncrementalScheduler::schedule`](crate::IncrementalScheduler::schedule),
 /// which runs it on the warm session's own DAG.
@@ -769,7 +772,7 @@ pub(crate) fn sharded_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbsp_model::{sync_cost, CostModel};
+    use mbsp_model::sync_cost;
     use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
     fn instances(limit: usize) -> Vec<MbspInstance> {

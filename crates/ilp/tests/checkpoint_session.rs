@@ -7,7 +7,7 @@
 use mbsp_dag::{DagDelta, NodeId};
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig};
-use mbsp_model::{Architecture, MbspInstance, MbspSchedule, ProcId};
+use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
 fn instance() -> MbspInstance {
@@ -341,15 +341,15 @@ fn with_config_bytes(blob: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The `CONF` section keeps its layout, but its cost-model byte (the
-/// section's first) and its salvage cap (the `u64` at payload offset 71)
-/// each have one legal value: the synchronous cost, `0`, and `4`.
+/// The `CONF` section keeps its layout. Its cost-model byte (the section's
+/// first) names the synchronous cost, `0`, or the asynchronous one, `1`; its
+/// salvage cap (the `u64` at payload offset 71) has one legal value, `4`.
 #[test]
 fn a_config_section_with_another_cost_model_or_salvage_cap_is_rejected() {
     let blob = session(1).checkpoint();
     assert_eq!(with_config_bytes(&blob, 0, &[0]), blob);
     assert_eq!(with_config_bytes(&blob, 71, &4u64.to_le_bytes()), blob);
-    for (at, bytes) in [(0, vec![1u8]), (71, 7u64.to_le_bytes().to_vec())] {
+    for (at, bytes) in [(0, vec![2u8]), (71, 7u64.to_le_bytes().to_vec())] {
         let err = IncrementalScheduler::restore(&with_config_bytes(&blob, at, &bytes))
             .err()
             .unwrap_or_else(|| panic!("CONF byte {at} set to {bytes:?} was accepted"));
@@ -358,4 +358,35 @@ fn a_config_section_with_another_cost_model_or_salvage_cap_is_rejected() {
             "CONF byte {at}: {err}"
         );
     }
+}
+
+/// An asynchronous session writes cost-model byte `1` and nothing else
+/// differently, round-trips through its checkpoint to equal bytes, and a
+/// restored copy repairs exactly like the uninterrupted session — under the
+/// asynchronous cost.
+#[test]
+fn an_asynchronous_session_round_trips_through_its_checkpoint() {
+    let inst = instance();
+    let mut config = repair_config(1);
+    config.search.cost_model = CostModel::Asynchronous;
+    let mut sched =
+        IncrementalScheduler::new(inst.dag().clone(), *inst.arch(), seed_procs(&inst), config);
+    let blob = sched.checkpoint();
+    assert_eq!(with_config_bytes(&blob, 0, &[0]), session(1).checkpoint());
+    let mut restored = IncrementalScheduler::restore(&blob).expect("an asynchronous checkpoint");
+    assert_eq!(restored.config().search.cost_model, CostModel::Asynchronous);
+    assert_eq!(restored.checkpoint(), blob);
+
+    let (schedule, stats) = sched.full_repair();
+    let (again, again_stats) = restored.full_repair();
+    assert_eq!(schedule, again);
+    assert_eq!(stats.final_cost.to_bits(), again_stats.final_cost.to_bits());
+    assert_eq!(stats.evaluations, again_stats.evaluations);
+    assert_eq!(sched.checkpoint(), restored.checkpoint());
+    schedule.validate(inst.dag(), inst.arch()).unwrap();
+    let recost = CostModel::Asynchronous.evaluate(&schedule, inst.dag(), inst.arch());
+    assert!(
+        (recost - stats.final_cost).abs() < 1e-9,
+        "{recost} vs {stats:?}"
+    );
 }

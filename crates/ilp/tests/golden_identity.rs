@@ -16,9 +16,8 @@
 
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{
-    DivideAndConquerConfig, DivideAndConquerScheduler, HolisticConfig, HolisticScheduler,
-    IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, ShardStrategy,
-    ShardedHolisticScheduler, ShardedSearchConfig,
+    DivideAndConquerConfig, DivideAndConquerScheduler, IncrementalScheduler, IncumbentObserver,
+    IncumbentUpdate, RepairConfig, ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig,
 };
 use mbsp_model::{sync_cost, Architecture, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
@@ -73,38 +72,6 @@ fn assert_golden<T: PartialEq + std::fmt::Debug>(name: &str, actual: &[T], expec
     }
 }
 
-const HOLISTIC: &[Row] = &[
-    (4641276075354095616, 21, 3896335938315141028),
-    (4640748309772763136, 20, 3407941841364740758),
-    (4641979762795872256, 17, 4814326394961686495),
-    (4636103972657037312, 51, 17412918153206124177),
-    (4637652085028945920, 35, 14982820834776587203),
-    (4640502019168141312, 48, 10071881478012525615),
-];
-
-#[test]
-fn holistic_scheduler_matches_the_recorded_values() {
-    let greedy = GreedyBspScheduler::new();
-    let holistic = HolisticScheduler::with_config(HolisticConfig {
-        max_rounds: 6,
-        moves_per_round: 24,
-        ..Default::default()
-    });
-    let actual: Vec<Row> = instances()
-        .iter()
-        .map(|inst| {
-            let baseline = greedy.schedule(inst.dag(), inst.arch());
-            let (schedule, stats) = holistic.schedule_with_stats(inst, &baseline);
-            (
-                stats.final_cost.to_bits(),
-                stats.evaluations,
-                schedule_hash(&schedule),
-            )
-        })
-        .collect();
-    assert_golden("HOLISTIC", &actual, HOLISTIC);
-}
-
 const DIVIDE_AND_CONQUER: &[Row] = &[
     (4644090825121202176, 0, 11491537141267037038),
     (4644213970423513088, 0, 7588284370162990913),
@@ -118,11 +85,9 @@ const DIVIDE_AND_CONQUER: &[Row] = &[
 fn divide_and_conquer_scheduler_matches_the_recorded_values() {
     let dnc = DivideAndConquerScheduler::with_config(DivideAndConquerConfig {
         max_part_size: 25,
-        per_part: HolisticConfig {
-            max_rounds: 4,
-            moves_per_round: 20,
-            ..Default::default()
-        },
+        max_rounds: 4,
+        moves_per_round: 20,
+        ..Default::default()
     });
     let actual: Vec<Row> = instances()
         .iter()

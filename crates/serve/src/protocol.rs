@@ -901,7 +901,8 @@ mod tests {
 
     #[test]
     fn write_schedule_writes_the_bytes_of_the_derive() {
-        use mbsp_ilp::{HolisticConfig, HolisticScheduler, ShardedHolisticScheduler};
+        use mbsp_cache::{ClairvoyantPolicy, TwoStageScheduler};
+        use mbsp_ilp::ShardedHolisticScheduler;
         use mbsp_model::{Architecture, MbspInstance};
         use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
@@ -914,10 +915,7 @@ mod tests {
         // The converted baselines of both datasets — at the minimal cache too,
         // where the compute phases evict — plus one sharded-search result and
         // the empty schedule.
-        let converted = HolisticScheduler::with_config(HolisticConfig {
-            max_rounds: 0,
-            ..HolisticConfig::default()
-        });
+        let (converter, policy) = (TwoStageScheduler::new(), ClairvoyantPolicy::new());
         let mut corpus = vec![MbspSchedule::new(4)];
         for (named, factor) in mbsp_gen::tiny_dataset(42)
             .into_iter()
@@ -929,7 +927,7 @@ mod tests {
             )
         {
             let (instance, baseline) = instance(named.dag, factor);
-            corpus.push(converted.schedule(&instance, &baseline));
+            corpus.push(converter.schedule(instance.dag(), instance.arch(), &baseline, &policy));
         }
         let (instance, baseline) = instance(cg_dag("cg", 4, 2), 3.0);
         let sharded = ShardedHolisticScheduler::with_config(ShardedSearchConfig {

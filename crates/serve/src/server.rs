@@ -41,7 +41,7 @@ use mbsp_ilp::{
     CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
-use mbsp_model::{sync_cost, Architecture, MbspSchedule};
+use mbsp_model::{sync_cost, Architecture, CostModel, MbspSchedule};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -453,8 +453,18 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
         let session = IncrementalScheduler::restore(&blob)
             .map_err(|e| invalid(format!("corrupt session {}: {e}", session_path.display())))?
             .with_pool(inner.pool.clone());
+        // The daemon serves (and its debug referee checks) the synchronous
+        // cost only; a session checkpointed under another objective would
+        // report a cost of that model.
         let search = &session.config().search;
-        check_search_caps(search.num_shards, search.moves_per_round)
+        let served = match search.cost_model {
+            CostModel::Synchronous => Ok(()),
+            other => Err(format!(
+                "cost model `{other}` is not the served `sync` cost"
+            )),
+        };
+        served
+            .and_then(|()| check_search_caps(search.num_shards, search.moves_per_round))
             .and_then(|()| check_table_caps(session.arch().processors, session.dag().num_nodes()))
             .map_err(|e| invalid(format!("session {}: {e}", session_path.display())))?;
         inner

@@ -1448,12 +1448,19 @@ fn parse_test_delta(entry: &Value) -> mbsp_dag::DagDelta {
 }
 
 /// Writes a state directory holding one checkpointed session, instance
-/// `name`: `dag` on `processors` processors, every node on processor 0.
-fn write_state_dir(state_dir: &Path, name: &str, dag: mbsp_dag::CompDag, processors: usize) {
+/// `name`: `dag` on `processors` processors under `config`, every node on
+/// processor 0.
+fn write_state_dir(
+    state_dir: &Path,
+    name: &str,
+    dag: mbsp_dag::CompDag,
+    processors: usize,
+    config: RepairConfig,
+) {
     use mbsp_io::{RegistryEntry, ServiceRegistry};
     let arch = Architecture::new(processors, 3.0 * dag.minimal_cache_size(), 1.0, 0.0);
     let procs = vec![mbsp_model::ProcId::new(0); dag.num_nodes()];
-    let session = IncrementalScheduler::new(dag, arch, procs, RepairConfig::default());
+    let session = IncrementalScheduler::new(dag, arch, procs, config);
     let file = format!("{name}.session.mbio");
     std::fs::write(state_dir.join(&file), session.checkpoint()).unwrap();
     let registry = ServiceRegistry {
@@ -1480,7 +1487,8 @@ fn a_checkpoint_past_the_table_caps_does_not_restore() {
     let state_dir = temp_state_dir("table_caps");
     let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
         .unwrap();
-    write_state_dir(&state_dir, "wide", path, MAX_PROCESSORS + 1);
+    let config = RepairConfig::default();
+    write_state_dir(&state_dir, "wide", path, MAX_PROCESSORS + 1, config);
     let started = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         state_dir: state_dir.clone(),
@@ -1497,6 +1505,34 @@ fn a_checkpoint_past_the_table_caps_does_not_restore() {
 }
 
 #[test]
+fn an_asynchronous_checkpoint_does_not_restore() {
+    // The session codec carries either cost model, but the daemon serves the
+    // synchronous one: a restored asynchronous session would fail the debug
+    // referee's `sync_cost` check, or in release report a cost of the other
+    // model.
+    use mbsp_dag::graph::NodeWeights;
+    let state_dir = temp_state_dir("async");
+    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
+        .unwrap();
+    let mut config = RepairConfig::default();
+    config.search.cost_model = mbsp_model::CostModel::Asynchronous;
+    write_state_dir(&state_dir, "async", path, 2, config);
+    let started = Server::start(ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        workers: 0,
+    });
+    match started {
+        Ok(_) => panic!("an asynchronous session restored"),
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("cost model `async`"), "{e}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+#[test]
 fn an_add_node_past_the_table_cap_is_a_bad_delta_and_changes_nothing() {
     // A session exactly at the cap: MAX_PROCESSORS × the most nodes the cap
     // admits on them. One more node would cross it.
@@ -1506,7 +1542,13 @@ fn an_add_node_past_the_table_cap_is_a_bad_delta_and_changes_nothing() {
     let nodes = MAX_TABLE_CELLS / MAX_PROCESSORS;
     let flat =
         mbsp_dag::CompDag::from_edges("flat", vec![NodeWeights::unit(); nodes], &[]).unwrap();
-    write_state_dir(&state_dir, "full", flat, MAX_PROCESSORS);
+    write_state_dir(
+        &state_dir,
+        "full",
+        flat,
+        MAX_PROCESSORS,
+        RepairConfig::default(),
+    );
     let server = start_server(&state_dir);
     let mut c = Client::connect(server.local_addr());
     c.writer

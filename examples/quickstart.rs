@@ -83,8 +83,16 @@ fn main() {
         base_cost.latency
     );
 
-    // Holistic scheduler seeded with the same baseline.
-    let holistic = HolisticScheduler::new().schedule(&instance, &bsp);
+    // The holistic search seeded with the same baseline, on the whole DAG:
+    // the daemon's search at one shard, from the baseline alone, at the
+    // reproduction's 120 moves per round.
+    let search = ShardedSearchConfig {
+        num_shards: 1,
+        moves_per_round: 120,
+        shard_local_seed: false,
+        ..Default::default()
+    };
+    let holistic = ShardedHolisticScheduler::with_config(search).schedule(&instance, &bsp);
     holistic
         .validate(instance.dag(), instance.arch())
         .expect("holistic schedule is valid");

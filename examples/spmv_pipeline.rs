@@ -21,6 +21,13 @@ fn main() {
     println!();
     println!("| cache factor | baseline | holistic | ratio |");
     println!("|---|---|---|---|");
+    // The holistic search on the whole DAG (one shard), from the baseline alone.
+    let search = ShardedSearchConfig {
+        num_shards: 1,
+        moves_per_round: 120,
+        shard_local_seed: false,
+        ..Default::default()
+    };
     for factor in [1.0, 2.0, 3.0, 5.0] {
         let instance =
             MbspInstance::with_cache_factor(dag.clone(), Architecture::paper_default(0.0), factor);
@@ -31,7 +38,7 @@ fn main() {
             &bsp,
             &ClairvoyantPolicy::new(),
         );
-        let holistic = HolisticScheduler::new().schedule(&instance, &bsp);
+        let holistic = ShardedHolisticScheduler::with_config(search).schedule(&instance, &bsp);
         let base = sync_cost(&baseline, instance.dag(), instance.arch()).total;
         let ours = sync_cost(&holistic, instance.dag(), instance.arch()).total;
         println!(

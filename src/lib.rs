@@ -15,9 +15,10 @@
 //! * [`solver`] — the LP/MIP solver substrate (sparse revised simplex with
 //!   warm-started branch and bound, plus the dense differential oracle);
 //! * [`ilp`] — the holistic schedulers: ILP formulation, exact solver,
-//!   baseline-seeded holistic search, the divide-and-conquer method, the
-//!   sharded holistic search over zero-copy sub-DAG views
-//!   ([`ilp::shard::ShardedHolisticScheduler`]) and the incremental
+//!   the divide-and-conquer method, the baseline-seeded sharded holistic
+//!   search over zero-copy sub-DAG views
+//!   ([`ilp::shard::ShardedHolisticScheduler`]; at one shard it is the
+//!   paper's whole-DAG holistic search) and the incremental
 //!   re-scheduling engine ([`ilp::dirty_cone::IncrementalScheduler`]) with
 //!   binary session checkpoints, cooperative cancellation and typed stop
 //!   reasons;
@@ -63,8 +64,12 @@
 //! );
 //! baseline.validate(instance.dag(), instance.arch()).unwrap();
 //!
-//! // Holistic scheduler seeded with the baseline.
-//! let holistic = HolisticScheduler::new().schedule(&instance, &bsp);
+//! // The holistic search seeded with the baseline, on the whole DAG (one shard).
+//! let search = ShardedSearchConfig {
+//!     num_shards: 1,
+//!     ..Default::default()
+//! };
+//! let holistic = ShardedHolisticScheduler::with_config(search).schedule(&instance, &bsp);
 //! let base_cost = sync_cost(&baseline, instance.dag(), instance.arch()).total;
 //! let holistic_cost = sync_cost(&holistic, instance.dag(), instance.arch()).total;
 //! assert!(holistic_cost <= base_cost);
@@ -89,9 +94,8 @@ pub mod prelude {
     pub use crate::dag::{CompDag, DagBuilder, DagLike, DagStatistics, NodeId, SubDagView};
     pub use crate::gen::{large_dataset, small_dataset_sample, tiny_dataset};
     pub use crate::ilp::{
-        CancelToken, DivideAndConquerScheduler, ExactIlpScheduler, HolisticConfig,
-        HolisticScheduler, IncrementalScheduler, RepairConfig, ShardedHolisticScheduler,
-        ShardedSearchConfig, StopReason,
+        CancelToken, DivideAndConquerScheduler, ExactIlpScheduler, IncrementalScheduler,
+        RepairConfig, ShardedHolisticScheduler, ShardedSearchConfig, StopReason,
     };
     pub use crate::model::{
         async_cost, sync_cost, Architecture, BspSchedule, CostModel, MbspInstance, MbspSchedule,
