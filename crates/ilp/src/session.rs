@@ -11,8 +11,10 @@
 //! [`IncrementalScheduler::with_cancel`], neither of which can affect results.
 //!
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
-//! sections) under [`KIND_SESSION`]; this module is the composition point the
-//! `mbsp_io` crate documents — it cannot depend on the scheduler itself.
+//! sections) under [`KIND_SESSION`], and this module is the one place that
+//! knows its sections: the DAG's four come from `mbsp_io`
+//! ([`write_dag_sections`], [`DagSections`]); `CONF`, `ARCH`, `ORDR`, `PROC`
+//! and `PEND` are written and read here, field by field.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
 //! blobs (order/assignment length mismatching the DAG, out-of-range pending
 //! ids, unknown strategy or cost-model bytes, a salvage cap other than the
@@ -27,10 +29,10 @@
 use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
 use crate::search::MERGE_REPLAY_CAP;
 use crate::shard::{ShardStrategy, ShardedSearchConfig};
-use mbsp_dag::NodeId;
+use mbsp_dag::{NodeId, PkOrder};
 use mbsp_io::{
-    check_assignment, write_dag_sections, DagSections, Decode, DecodeError, Encode, Reader,
-    SavedOrder, Writer, KIND_SESSION, SEC_ARCH, SEC_CONFIG, SEC_ORDER, SEC_PENDING, SEC_PROCS,
+    set_once, write_dag_sections, DagSections, DecodeError, Reader, Writer, KIND_SESSION, SEC_ARCH,
+    SEC_CONFIG, SEC_ORDER, SEC_PENDING, SEC_PROCS,
 };
 use mbsp_model::{Architecture, CostModel, ProcId};
 use mbsp_pool::WorkerPool;
@@ -73,11 +75,11 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
         1 => ShardStrategy::Weighted,
         b => return Err(r.invalid(format!("byte {b:#04x} is not a shard strategy"))),
     };
-    let shard_local_seed = bool::decode(r)?;
-    let num_shards = usize::decode(r)?;
-    let workers = usize::decode(r)?;
-    let max_rounds = usize::decode(r)?;
-    let moves_per_round = usize::decode(r)?;
+    let shard_local_seed = r.get_bool()?;
+    let num_shards = r.get_usize()?;
+    let workers = r.get_usize()?;
+    let max_rounds = r.get_usize()?;
+    let moves_per_round = r.get_usize()?;
     let secs = r.get_u64()?;
     let nanos = r.get_u32()?;
     if nanos >= 1_000_000_000 {
@@ -85,22 +87,22 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     }
     let time_limit = Duration::new(secs, nanos);
     let seed = r.get_u64()?;
-    let stale_round_limit = usize::decode(r)?;
-    let iterations = usize::decode(r)?;
-    let merge_replay_cap = usize::decode(r)?;
+    let stale_round_limit = r.get_usize()?;
+    let iterations = r.get_usize()?;
+    let merge_replay_cap = r.get_usize()?;
     if merge_replay_cap != MERGE_REPLAY_CAP {
         return Err(r.invalid(format!(
             "salvage cap {merge_replay_cap} is not the fixed {MERGE_REPLAY_CAP}"
         )));
     }
-    let runs_per_shard = usize::decode(r)?;
+    let runs_per_shard = r.get_usize()?;
     let mass_tolerance = r.get_f64()?;
     if !mass_tolerance.is_finite() || mass_tolerance < 0.0 {
         return Err(r.invalid(format!(
             "mass tolerance {mass_tolerance} is not finite and >= 0"
         )));
     }
-    let cone_radius = usize::decode(r)?;
+    let cone_radius = r.get_usize()?;
     Ok(RepairConfig {
         search: ShardedSearchConfig {
             cost_model,
@@ -121,11 +123,82 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     })
 }
 
-fn set_once<T>(tag: u32, slot: &mut Option<T>, value: T) -> Result<(), DecodeError> {
-    if slot.is_some() {
-        return Err(DecodeError::DuplicateSection { tag });
+/// The `ARCH` section: `P`, then `r`, `g` and `L`. Decoding refuses zero
+/// processors and a parameter that is negative or not finite.
+fn encode_arch(arch: &Architecture, w: &mut Writer) {
+    w.put_u64(arch.processors as u64);
+    w.put_f64(arch.cache_size);
+    w.put_f64(arch.g);
+    w.put_f64(arch.latency);
+}
+
+fn decode_arch(r: &mut Reader<'_>) -> Result<Architecture, DecodeError> {
+    let processors = r.get_usize()?;
+    let cache_size = r.get_f64()?;
+    let g = r.get_f64()?;
+    let latency = r.get_f64()?;
+    if processors == 0 {
+        return Err(r.invalid("architecture has zero processors"));
     }
-    *slot = Some(value);
+    for (name, v) in [("cache size", cache_size), ("g", g), ("latency", latency)] {
+        if !v.is_finite() || v < 0.0 {
+            return Err(r.invalid(format!("{name} {v} is not finite and >= 0")));
+        }
+    }
+    Ok(Architecture {
+        processors,
+        cache_size,
+        g,
+        latency,
+    })
+}
+
+/// The `ORDR` section: the order's never-reused high-water mark, then its
+/// value per node id.
+fn encode_order(order: &PkOrder, w: &mut Writer) {
+    w.put_u64(order.next_value());
+    w.put_u64(order.values().len() as u64);
+    for &v in order.values() {
+        w.put_u64(v);
+    }
+}
+
+/// An `ORDR` payload as `(values, high-water mark)`; [`restore_order`] checks
+/// it once the DAG is known.
+fn decode_order(r: &mut Reader<'_>) -> Result<(Vec<u64>, u64), DecodeError> {
+    let next_value = r.get_u64()?;
+    Ok((r.get_vec(8, Reader::get_u64)?, next_value))
+}
+
+/// The live order of an `n`-node DAG, rejecting a value count other than `n`
+/// and then duplicate or out-of-range values.
+fn restore_order((values, next_value): (Vec<u64>, u64), n: usize) -> Result<PkOrder, DecodeError> {
+    if values.len() != n {
+        return Err(DecodeError::InvalidValue {
+            offset: 0,
+            what: format!("order covers {} nodes but the DAG has {n}", values.len()),
+        });
+    }
+    PkOrder::from_saved(values, next_value).map_err(|e| DecodeError::InvalidValue {
+        offset: 0,
+        what: format!("rejected order: {e}"),
+    })
+}
+
+/// One entry per node, every processor in range.
+fn check_procs(procs: &[ProcId], num_nodes: usize, processors: usize) -> Result<(), DecodeError> {
+    if procs.len() != num_nodes {
+        return Err(DecodeError::InvalidValue {
+            offset: 0,
+            what: format!("{} assignments for {num_nodes} nodes", procs.len()),
+        });
+    }
+    if let Some(p) = procs.iter().find(|p| p.index() >= processors) {
+        return Err(DecodeError::InvalidValue {
+            offset: 0,
+            what: format!("assignment references processor {p} but only {processors} exist"),
+        });
+    }
     Ok(())
 }
 
@@ -136,10 +209,20 @@ impl IncrementalScheduler {
         let mut w = Writer::new(KIND_SESSION);
         w.section(SEC_CONFIG, |w| encode_config(&self.config, w));
         write_dag_sections(&mut w, &self.dag);
-        w.section(SEC_ARCH, |w| self.arch.encode(w));
-        w.section(SEC_ORDER, |w| SavedOrder::of(&self.order).encode(w));
-        w.section(SEC_PROCS, |w| self.procs.encode(w));
-        w.section(SEC_PENDING, |w| self.pending.encode(w));
+        w.section(SEC_ARCH, |w| encode_arch(&self.arch, w));
+        w.section(SEC_ORDER, |w| encode_order(&self.order, w));
+        w.section(SEC_PROCS, |w| {
+            w.put_u64(self.procs.len() as u64);
+            for p in &self.procs {
+                w.put_u32(p.0);
+            }
+        });
+        w.section(SEC_PENDING, |w| {
+            w.put_u64(self.pending.len() as u64);
+            for v in &self.pending {
+                w.put_u32(v.0);
+            }
+        });
         w.finish()
     }
 
@@ -153,7 +236,7 @@ impl IncrementalScheduler {
         let mut dag_sections = DagSections::default();
         let mut config: Option<RepairConfig> = None;
         let mut arch: Option<Architecture> = None;
-        let mut order: Option<SavedOrder> = None;
+        let mut order: Option<(Vec<u64>, u64)> = None;
         let mut procs: Option<Vec<ProcId>> = None;
         let mut pending: Option<Vec<NodeId>> = None;
         while let Some((tag, mut body)) = r.next_section()? {
@@ -162,10 +245,16 @@ impl IncrementalScheduler {
             }
             match tag {
                 SEC_CONFIG => set_once(tag, &mut config, decode_config(&mut body)?)?,
-                SEC_ARCH => set_once(tag, &mut arch, Architecture::decode(&mut body)?)?,
-                SEC_ORDER => set_once(tag, &mut order, SavedOrder::decode(&mut body)?)?,
-                SEC_PROCS => set_once(tag, &mut procs, Vec::decode(&mut body)?)?,
-                SEC_PENDING => set_once(tag, &mut pending, Vec::decode(&mut body)?)?,
+                SEC_ARCH => set_once(tag, &mut arch, decode_arch(&mut body)?)?,
+                SEC_ORDER => set_once(tag, &mut order, decode_order(&mut body)?)?,
+                SEC_PROCS => {
+                    let decoded = body.get_vec(4, |r| Ok(ProcId(r.get_u32()?)))?;
+                    set_once(tag, &mut procs, decoded)?;
+                }
+                SEC_PENDING => {
+                    let decoded = body.get_vec(4, |r| Ok(NodeId(r.get_u32()?)))?;
+                    set_once(tag, &mut pending, decoded)?;
+                }
                 _ => {
                     return Err(DecodeError::BadSectionTag {
                         offset: body.offset(),
@@ -181,18 +270,8 @@ impl IncrementalScheduler {
         let order = order.ok_or(DecodeError::MissingSection { tag: SEC_ORDER })?;
         let procs = procs.ok_or(DecodeError::MissingSection { tag: SEC_PROCS })?;
         let pending = pending.ok_or(DecodeError::MissingSection { tag: SEC_PENDING })?;
-        if order.values.len() != dag.num_nodes() {
-            return Err(DecodeError::InvalidValue {
-                offset: 0,
-                what: format!(
-                    "order covers {} nodes but the DAG has {}",
-                    order.values.len(),
-                    dag.num_nodes()
-                ),
-            });
-        }
-        let order = order.restore()?;
-        check_assignment(&procs, dag.num_nodes(), arch.processors)?;
+        let order = restore_order(order, dag.num_nodes())?;
+        check_procs(&procs, dag.num_nodes(), arch.processors)?;
         // Below `r₀` some node cannot be computed at all: no schedule exists.
         let r0 = dag.minimal_cache_size();
         if !arch.fits(r0) {

@@ -7,6 +7,7 @@
 use mbsp_dag::{DagDelta, NodeId};
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig};
+use mbsp_io::SEC_CONFIG;
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
@@ -326,19 +327,46 @@ fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
     );
 }
 
-/// `blob` with the `CONF` payload bytes at `at` replaced by `bytes` and the
-/// section's CRC recomputed: a well-formed checkpoint carrying other values.
-fn with_config_bytes(blob: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+/// The payload of `blob`'s `tag` section and the blob offset it starts at.
+fn section_payload(blob: &[u8], tag: u32) -> (usize, &[u8]) {
     let (_, start, end) = section_spans(blob)
         .into_iter()
-        .find(|&(tag, ..)| tag == mbsp_io::SEC_CONFIG)
-        .expect("a checkpoint has a CONF section");
-    let payload = start + 16;
-    let mut out = blob.to_vec();
-    out[payload + at..payload + at + bytes.len()].copy_from_slice(bytes);
-    let crc = mbsp_io::crc32(&out[payload..end]);
-    out[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
+        .find(|&(t, ..)| t == tag)
+        .unwrap_or_else(|| panic!("a checkpoint has section {tag:#x}"));
+    (start + 16, &blob[start + 16..end])
+}
+
+/// `blob` with the payload of its `tag` section passed through `edit` and the
+/// section's length and CRC re-sealed: a well-formed checkpoint carrying other
+/// values, which only restore's value checks can refuse.
+fn resealed(blob: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let (at, payload) = section_payload(blob, tag);
+    let mut payload = payload.to_vec();
+    let end = at + payload.len();
+    edit(&mut payload);
+    let mut out = blob[..at - 12].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&mbsp_io::crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&blob[end..]);
     out
+}
+
+/// `blob` with the `tag` payload bytes at `at` replaced by `bytes`, re-sealed.
+fn with_section_bytes(blob: &[u8], tag: u32, at: usize, bytes: &[u8]) -> Vec<u8> {
+    resealed(blob, tag, |p| {
+        p[at..at + bytes.len()].copy_from_slice(bytes)
+    })
+}
+
+/// Restores `blob`, which must fail with a [`DecodeError::InvalidValue`]
+/// whose message contains `says`.
+fn assert_invalid_value(blob: &[u8], says: &str) {
+    match IncrementalScheduler::restore(blob) {
+        Err(DecodeError::InvalidValue { what, .. }) if what.contains(says) => {}
+        Err(other) => panic!("expected an invalid value saying {says:?}, got {other}"),
+        Ok(_) => panic!("a checkpoint that should fail with {says:?} was accepted"),
+    }
 }
 
 /// The `CONF` section keeps its layout. Its cost-model byte (the section's
@@ -347,10 +375,13 @@ fn with_config_bytes(blob: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
 #[test]
 fn a_config_section_with_another_cost_model_or_salvage_cap_is_rejected() {
     let blob = session(1).checkpoint();
-    assert_eq!(with_config_bytes(&blob, 0, &[0]), blob);
-    assert_eq!(with_config_bytes(&blob, 71, &4u64.to_le_bytes()), blob);
+    assert_eq!(with_section_bytes(&blob, SEC_CONFIG, 0, &[0]), blob);
+    assert_eq!(
+        with_section_bytes(&blob, SEC_CONFIG, 71, &4u64.to_le_bytes()),
+        blob
+    );
     for (at, bytes) in [(0, vec![2u8]), (71, 7u64.to_le_bytes().to_vec())] {
-        let err = IncrementalScheduler::restore(&with_config_bytes(&blob, at, &bytes))
+        let err = IncrementalScheduler::restore(&with_section_bytes(&blob, SEC_CONFIG, at, &bytes))
             .err()
             .unwrap_or_else(|| panic!("CONF byte {at} set to {bytes:?} was accepted"));
         assert!(
@@ -372,7 +403,10 @@ fn an_asynchronous_session_round_trips_through_its_checkpoint() {
     let mut sched =
         IncrementalScheduler::new(inst.dag().clone(), *inst.arch(), seed_procs(&inst), config);
     let blob = sched.checkpoint();
-    assert_eq!(with_config_bytes(&blob, 0, &[0]), session(1).checkpoint());
+    assert_eq!(
+        with_section_bytes(&blob, SEC_CONFIG, 0, &[0]),
+        session(1).checkpoint()
+    );
     let mut restored = IncrementalScheduler::restore(&blob).expect("an asynchronous checkpoint");
     assert_eq!(restored.config().search.cost_model, CostModel::Asynchronous);
     assert_eq!(restored.checkpoint(), blob);
@@ -389,4 +423,140 @@ fn an_asynchronous_session_round_trips_through_its_checkpoint() {
         (recost - stats.final_cost).abs() < 1e-9,
         "{recost} vs {stats:?}"
     );
+}
+
+/// Little-endian `u64` at `at` of a payload.
+fn u64_at(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+/// Every value check `restore` makes after the CRCs, reached through a whole
+/// re-sealed checkpoint. The `CONF` offsets follow its layout: cost model 0,
+/// strategy 1, shard-local seed 2, the time limit's nanos 43, mass tolerance
+/// 87; `ARCH` is `P` 0, `r` 8, `g` 16, `L` 24; `PROC` and `PEND` are a count
+/// and then one `u32` per entry.
+#[test]
+fn every_value_check_of_restore_is_reached_through_a_whole_checkpoint() {
+    use mbsp_io::{SEC_ARCH, SEC_PENDING, SEC_PROCS};
+    let sched = session(1);
+    let blob = sched.checkpoint();
+    let n = sched.dag().num_nodes();
+    let r0 = sched.dag().minimal_cache_size();
+    let rewrites: [(u32, usize, Vec<u8>, &str); 8] = [
+        (SEC_CONFIG, 1, vec![2], "is not a shard strategy"),
+        (SEC_CONFIG, 2, vec![2], "is not a bool"),
+        (
+            SEC_CONFIG,
+            43,
+            1_000_000_000u32.to_le_bytes().to_vec(),
+            "nanos overflow a second",
+        ),
+        (
+            SEC_CONFIG,
+            87,
+            (-0.5f64).to_le_bytes().to_vec(),
+            "mass tolerance -0.5",
+        ),
+        (SEC_ARCH, 0, 0u64.to_le_bytes().to_vec(), "zero processors"),
+        (SEC_ARCH, 16, (-1.0f64).to_le_bytes().to_vec(), "g -1"),
+        (
+            SEC_ARCH,
+            8,
+            (r0 / 2.0).to_le_bytes().to_vec(),
+            "below the DAG's minimal cache size",
+        ),
+        (
+            SEC_PROCS,
+            8,
+            (sched.arch().processors as u32).to_le_bytes().to_vec(),
+            "references processor",
+        ),
+    ];
+    for (tag, at, bytes, says) in rewrites {
+        let (_, payload) = section_payload(&blob, tag);
+        let unchanged = payload[at..at + bytes.len()].to_vec();
+        assert_eq!(with_section_bytes(&blob, tag, at, &unchanged), blob);
+        assert_invalid_value(&with_section_bytes(&blob, tag, at, &bytes), says);
+    }
+    let pending_at_n = resealed(&blob, SEC_PENDING, |p| {
+        p.clear();
+        p.extend_from_slice(&1u64.to_le_bytes());
+        p.extend_from_slice(&(n as u32).to_le_bytes());
+    });
+    assert_invalid_value(&pending_at_n, "pending node");
+    let one_short = resealed(&blob, SEC_PROCS, |p| {
+        p.truncate(p.len() - 4);
+        p[..8].copy_from_slice(&(n as u64 - 1).to_le_bytes());
+    });
+    assert_invalid_value(&one_short, &format!("{} assignments for {n} nodes", n - 1));
+}
+
+/// The `ORDR` section (the high-water mark, then the counted values) through
+/// a whole checkpoint: it round-trips, and a wrong length, a duplicate value
+/// and a value at the high-water mark are each refused.
+#[test]
+fn an_order_section_round_trips_and_its_checks_reject_a_whole_checkpoint() {
+    use mbsp_io::SEC_ORDER;
+    let sched = session(1);
+    let blob = sched.checkpoint();
+    let (_, payload) = section_payload(&blob, SEC_ORDER);
+    let next_value = u64_at(payload, 0);
+    let n = u64_at(payload, 8);
+    assert_eq!(n as usize, sched.dag().num_nodes());
+    let back = IncrementalScheduler::restore(&blob).expect("restore");
+    assert_eq!(section_payload(&back.checkpoint(), SEC_ORDER).1, payload);
+
+    let one_short = resealed(&blob, SEC_ORDER, |p| {
+        p.truncate(p.len() - 8);
+        p[8..16].copy_from_slice(&(n - 1).to_le_bytes());
+    });
+    assert_invalid_value(&one_short, &format!("order covers {} nodes", n - 1));
+    let duplicate = with_section_bytes(&blob, SEC_ORDER, 24, &payload[16..24]);
+    assert_invalid_value(&duplicate, "duplicate order value");
+    let at_mark = with_section_bytes(&blob, SEC_ORDER, 16, &next_value.to_le_bytes());
+    assert_invalid_value(&at_mark, "not below the high-water mark");
+}
+
+/// Each counted section refuses, at its count, a count one element past what
+/// the rest of its payload can hold: the guard that keeps a corrupt count from
+/// driving an allocation knows each section's element size.
+#[test]
+fn every_count_guard_knows_its_element_size() {
+    use mbsp_io::{SEC_EDGES, SEC_LABELS, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS};
+    let mut sched = session(1);
+    // One pending node, so `PEND` carries an element too.
+    let v = NodeId::new(1);
+    let mut w = sched.dag().weights(v);
+    w.memory += 1.0;
+    sched
+        .apply(&DagDelta::Reweight {
+            node: v,
+            weights: w,
+        })
+        .unwrap();
+    let blob = sched.checkpoint();
+    // (section, offset of the count in its payload, element size)
+    let guards = [
+        (SEC_WEIGHTS, 0, 16),
+        (SEC_EDGES, 0, 8),
+        (SEC_LABELS, 0, 8),
+        (SEC_ORDER, 8, 8),
+        (SEC_PROCS, 0, 4),
+        (SEC_PENDING, 0, 4),
+    ];
+    for (tag, count_at, size) in guards {
+        let (at, payload) = section_payload(&blob, tag);
+        let available = payload.len() - count_at - 8;
+        let count = available / size + 1;
+        let bad = with_section_bytes(&blob, tag, count_at, &(count as u64).to_le_bytes());
+        assert_eq!(
+            IncrementalScheduler::restore(&bad).err(),
+            Some(DecodeError::Truncated {
+                offset: at + count_at,
+                needed: count * size,
+                available,
+            }),
+            "section {tag:#x}"
+        );
+    }
 }

@@ -1,17 +1,15 @@
-//! Framed codecs for the engine's domain artifacts: computational DAGs,
-//! Pearce–Kelly orders, assignments and architectures.
+//! The artifacts `mbsp_io` knows: computational DAGs and the serving
+//! daemon's instance registry, plus the one tag namespace every artifact's
+//! sections share.
 //!
 //! Each artifact is a blob of CRC-checked sections (see [`crate::frame`]);
 //! decoding validates domain invariants on the way back in — a decoded DAG is
-//! re-checked acyclic, a decoded order must be pairwise distinct, a decoded
-//! schedule must reference processors that exist — so restoring from a
-//! corrupted or adversarial blob yields a typed [`DecodeError`], never an
-//! inconsistent in-memory structure.
+//! re-checked acyclic, a decoded registry names each instance once — so
+//! restoring from a corrupted or adversarial blob yields a typed
+//! [`DecodeError`], never an inconsistent in-memory structure.
 
-use crate::codec::{Decode, Encode};
 use crate::frame::{DecodeError, Reader, Writer};
-use mbsp_dag::{CompDag, NodeId, NodeWeights, PkOrder};
-use mbsp_model::{Architecture, ProcId};
+use mbsp_dag::{CompDag, NodeId, NodeWeights};
 
 /// Artifact kind stamped in the header of a DAG blob.
 pub const KIND_DAG: u32 = u32::from_le_bytes(*b"CDAG");
@@ -51,8 +49,12 @@ pub fn write_dag_sections(w: &mut Writer, dag: &CompDag) {
         w.put_u64(dag.num_nodes() as u64);
     });
     w.section(SEC_WEIGHTS, |w| {
-        let weights: Vec<NodeWeights> = dag.nodes().map(|v| dag.weights(v)).collect();
-        weights.encode(w);
+        w.put_u64(dag.num_nodes() as u64);
+        for v in dag.nodes() {
+            let weights = dag.weights(v);
+            w.put_f64(weights.compute);
+            w.put_f64(weights.memory);
+        }
     });
     w.section(SEC_LABELS, |w| {
         w.put_u64(dag.num_nodes() as u64);
@@ -61,8 +63,11 @@ pub fn write_dag_sections(w: &mut Writer, dag: &CompDag) {
         }
     });
     w.section(SEC_EDGES, |w| {
-        let edges: Vec<(NodeId, NodeId)> = dag.edges().collect();
-        edges.encode(w);
+        w.put_u64(dag.num_edges() as u64);
+        for (u, v) in dag.edges() {
+            w.put_u32(u.0);
+            w.put_u32(v.0);
+        }
     });
 }
 
@@ -85,18 +90,19 @@ impl DagSections {
                 set_once(tag, &mut self.name, (r.get_str()?, r.get_u64()?))?;
             }
             SEC_WEIGHTS => {
-                set_once(tag, &mut self.weights, Vec::decode(r)?)?;
+                let weights = r.get_vec(16, |r| {
+                    let compute = r.get_f64()?;
+                    let memory = r.get_f64()?;
+                    Ok(NodeWeights { compute, memory })
+                })?;
+                set_once(tag, &mut self.weights, weights)?;
             }
             SEC_LABELS => {
-                let len = r.get_len(8)?;
-                let mut labels = Vec::with_capacity(len);
-                for _ in 0..len {
-                    labels.push(r.get_str()?);
-                }
-                set_once(tag, &mut self.labels, labels)?;
+                set_once(tag, &mut self.labels, r.get_vec(8, Reader::get_str)?)?;
             }
             SEC_EDGES => {
-                set_once(tag, &mut self.edges, Vec::decode(r)?)?;
+                let edges = r.get_vec(8, |r| Ok((NodeId(r.get_u32()?), NodeId(r.get_u32()?))))?;
+                set_once(tag, &mut self.edges, edges)?;
             }
             _ => return Ok(false),
         }
@@ -139,7 +145,7 @@ impl DagSections {
 
 /// Records a value for a section seen for the first time; a second occurrence
 /// is a [`DecodeError::DuplicateSection`].
-fn set_once<T>(tag: u32, slot: &mut Option<T>, value: T) -> Result<(), DecodeError> {
+pub fn set_once<T>(tag: u32, slot: &mut Option<T>, value: T) -> Result<(), DecodeError> {
     if slot.is_some() {
         return Err(DecodeError::DuplicateSection { tag });
     }
@@ -167,82 +173,6 @@ pub fn decode_dag(bytes: &[u8]) -> Result<CompDag, DecodeError> {
         }
     }
     dag.build()
-}
-
-/// The persistent state of a [`PkOrder`]: its values and high-water mark.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedOrder {
-    /// Order value per node id.
-    pub values: Vec<u64>,
-    /// Never-reused high-water mark for fresh values.
-    pub next_value: u64,
-}
-
-impl SavedOrder {
-    /// Captures the persistent state of an order.
-    pub fn of(order: &PkOrder) -> Self {
-        SavedOrder {
-            values: order.values().to_vec(),
-            next_value: order.next_value(),
-        }
-    }
-
-    /// Restores the live order, rejecting duplicate or out-of-range values.
-    pub fn restore(self) -> Result<PkOrder, DecodeError> {
-        PkOrder::from_saved(self.values, self.next_value).map_err(|e| DecodeError::InvalidValue {
-            offset: 0,
-            what: format!("rejected order: {e}"),
-        })
-    }
-}
-
-impl Encode for SavedOrder {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.next_value);
-        self.values.encode(w);
-    }
-}
-
-impl Decode for SavedOrder {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let next_value = r.get_u64()?;
-        let values = Vec::decode(r)?;
-        Ok(SavedOrder { values, next_value })
-    }
-    const MIN_SIZE: usize = 16;
-}
-
-impl Encode for Architecture {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.processors as u64);
-        w.put_f64(self.cache_size);
-        w.put_f64(self.g);
-        w.put_f64(self.latency);
-    }
-}
-
-impl Decode for Architecture {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let processors = usize::decode(r)?;
-        let cache_size = r.get_f64()?;
-        let g = r.get_f64()?;
-        let latency = r.get_f64()?;
-        if processors == 0 {
-            return Err(r.invalid("architecture has zero processors"));
-        }
-        for (name, v) in [("cache size", cache_size), ("g", g), ("latency", latency)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(r.invalid(format!("{name} {v} is not finite and >= 0")));
-            }
-        }
-        Ok(Architecture {
-            processors,
-            cache_size,
-            g,
-            latency,
-        })
-    }
-    const MIN_SIZE: usize = 32;
 }
 
 /// True when `name` is a valid service-instance name: 1–64 characters drawn
@@ -301,23 +231,21 @@ impl ServiceRegistry {
         while let Some((tag, mut body)) = r.next_section()? {
             match tag {
                 SEC_INSTANCES => {
-                    let len = body.get_len(24)?;
-                    let mut entries = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let name = body.get_str()?;
-                        let session_file = body.get_str()?;
-                        let generation = body.get_u64()?;
+                    let entries = body.get_vec(24, |r| {
+                        let name = r.get_str()?;
+                        let session_file = r.get_str()?;
+                        let generation = r.get_u64()?;
                         if !valid_instance_name(&name) {
-                            return Err(body.invalid(format!(
+                            return Err(r.invalid(format!(
                                 "registry entry name {name:?} is not a valid instance name"
                             )));
                         }
-                        entries.push(RegistryEntry {
+                        Ok(RegistryEntry {
                             name,
                             session_file,
                             generation,
-                        });
-                    }
+                        })
+                    })?;
                     body.finish()?;
                     for i in 1..entries.len() {
                         if entries[..i].iter().any(|e| e.name == entries[i].name) {
@@ -342,26 +270,4 @@ impl ServiceRegistry {
         }
         saved.ok_or(DecodeError::MissingSection { tag: SEC_INSTANCES })
     }
-}
-
-/// Validates a decoded assignment against a DAG and processor count: one entry
-/// per node, every processor in range. Shared by the session restore path.
-pub fn check_assignment(
-    procs: &[ProcId],
-    num_nodes: usize,
-    processors: usize,
-) -> Result<(), DecodeError> {
-    if procs.len() != num_nodes {
-        return Err(DecodeError::InvalidValue {
-            offset: 0,
-            what: format!("{} assignments for {num_nodes} nodes", procs.len()),
-        });
-    }
-    if let Some(p) = procs.iter().find(|p| p.index() >= processors) {
-        return Err(DecodeError::InvalidValue {
-            offset: 0,
-            what: format!("assignment references processor {p} but only {processors} exist"),
-        });
-    }
-    Ok(())
 }

@@ -424,10 +424,40 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Reads a `u64` that must fit in a `usize`.
+    pub fn get_usize(&mut self) -> Result<usize, DecodeError> {
+        let v = self.get_u64()?;
+        usize::try_from(v).map_err(|_| self.invalid(format!("{v} does not fit in usize")))
+    }
+
+    /// Reads a byte that must be `0` or `1`.
+    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(self.invalid(format!("byte {b:#04x} is not a bool"))),
+        }
+    }
+
+    /// Reads a counted sequence whose elements take at least `elem_size` bytes
+    /// each: the count, then `f` once per element.
+    pub fn get_vec<T>(
+        &mut self,
+        elem_size: usize,
+        mut f: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let len = self.get_len(elem_size)?;
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(f(self)?);
+        }
+        Ok(out)
+    }
+
     /// Reads an element count that claims `elem_size`-byte elements, rejecting
     /// counts the remaining input cannot possibly hold — the guard that keeps a
     /// bit-flipped length from driving a multi-gigabyte allocation.
-    pub fn get_len(&mut self, elem_size: usize) -> Result<usize, DecodeError> {
+    fn get_len(&mut self, elem_size: usize) -> Result<usize, DecodeError> {
         let start = self.offset();
         let raw = self.get_u64()?;
         let len = usize::try_from(raw).ok();

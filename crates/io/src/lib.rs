@@ -1,4 +1,4 @@
-//! Binary checkpoint codec for the MBSP engine.
+//! The binary frame of the MBSP engine's checkpoints.
 //!
 //! The vendored serde stub serialises element-wise through JSON, which is far
 //! too slow to checkpoint a 100k-node session; this crate is the fast path it
@@ -19,40 +19,40 @@
 //! - [`encode_dag`]/[`decode_dag`] — a [`mbsp_dag::CompDag`] (name, weights,
 //!   labels, edge list; the CSR arrays are rebuilt and re-validated on
 //!   decode).
-//! - [`SavedOrder`] — the persistent state of a [`mbsp_dag::PkOrder`].
 //! - [`ServiceRegistry`] — the instance registry of the `mbsp_serve` daemon
 //!   (instance name → session-checkpoint file + generation counter), so a
 //!   restarted daemon knows which engine sessions to restore.
-//! - [`Encode`]/[`Decode`] impls for the primitives and id types any composite
-//!   artifact needs. Full `IncrementalScheduler` session checkpoints compose
-//!   these in `mbsp_ilp::session` (this crate cannot depend on the scheduler).
+//! - The section tags of every artifact, session checkpoints included: one
+//!   namespace, so no two sections share a tag. The session format itself —
+//!   configuration, architecture, order, assignment and pending set around an
+//!   embedded DAG ([`write_dag_sections`], [`DagSections`]) — is written and
+//!   read in `mbsp_ilp::session`, with [`Writer`]'s `put_*` and [`Reader`]'s
+//!   `get_*` methods like every field here.
 //!
 //! # Robustness contract
 //!
 //! Decoding is *total*: any byte sequence either round-trips to a valid value
 //! or is rejected with a typed [`DecodeError`] naming the offset and cause —
 //! truncation, checksum mismatch, version skew, unknown section, or a value
-//! the domain constructors refuse (cyclic edge list, duplicate order value,
-//! out-of-range processor). No decode path panics or allocates unboundedly on
-//! untrusted input.
+//! the domain constructors refuse (a cyclic edge list, an invalid or repeated
+//! instance name). No decode path panics or allocates unboundedly on untrusted
+//! input: a count is checked against the bytes left before anything is
+//! allocated for it ([`Reader::get_vec`]).
 
 mod artifacts;
-mod codec;
 mod frame;
 
 pub use artifacts::{
-    check_assignment, decode_dag, encode_dag, valid_instance_name, write_dag_sections, DagSections,
-    RegistryEntry, SavedOrder, ServiceRegistry, KIND_DAG, KIND_REGISTRY, KIND_SESSION, SEC_ARCH,
-    SEC_CONFIG, SEC_EDGES, SEC_INSTANCES, SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS,
-    SEC_WEIGHTS,
+    decode_dag, encode_dag, set_once, valid_instance_name, write_dag_sections, DagSections,
+    RegistryEntry, ServiceRegistry, KIND_DAG, KIND_REGISTRY, KIND_SESSION, SEC_ARCH, SEC_CONFIG,
+    SEC_EDGES, SEC_INSTANCES, SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
 };
-pub use codec::{Decode, Encode};
 pub use frame::{crc32, DecodeError, Reader, Writer, MAGIC, VERSION};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbsp_dag::{CompDag, NodeWeights, PkOrder};
+    use mbsp_dag::{CompDag, NodeWeights};
 
     fn sample_dag() -> CompDag {
         let weights = (0..6)
@@ -135,39 +135,36 @@ mod tests {
         }
     }
 
+    /// A registry entry takes at least 24 bytes (two string lengths and the
+    /// generation): an entry count one past what the payload can hold is
+    /// refused at the count, before anything is allocated.
     #[test]
-    fn saved_order_round_trips_and_rejects_corruption() {
-        let dag = sample_dag();
-        let order = PkOrder::of_dag(&dag);
-        let saved = SavedOrder::of(&order);
-        let mut w = Writer::new(KIND_DAG);
-        w.section(SEC_ORDER, |w| saved.encode(w));
-        let blob = w.finish();
-        let mut r = Reader::open(&blob, KIND_DAG).expect("open");
-        let (tag, mut body) = r.next_section().expect("section").expect("present");
-        assert_eq!(tag, SEC_ORDER);
-        let back = SavedOrder::decode(&mut body).expect("decode");
-        assert_eq!(back, saved);
-        let restored = back.restore().expect("restore");
-        assert_eq!(restored.values(), order.values());
-        assert_eq!(restored.next_value(), order.next_value());
-
-        let dup = SavedOrder {
-            values: vec![0, 1, 1],
-            next_value: 3,
+    fn a_registry_count_past_its_payload_is_truncated_at_the_count() {
+        let entry = |name: &str| RegistryEntry {
+            name: name.to_string(),
+            session_file: format!("{name}.ckpt"),
+            generation: 3,
         };
-        assert!(matches!(
-            dup.restore(),
-            Err(DecodeError::InvalidValue { .. })
-        ));
-        let high = SavedOrder {
-            values: vec![0, 7],
-            next_value: 3,
-        };
-        assert!(matches!(
-            high.restore(),
-            Err(DecodeError::InvalidValue { .. })
-        ));
+        let blob = ServiceRegistry {
+            entries: vec![entry("a"), entry("b")],
+        }
+        .encode();
+        // magic(4) + version(2) + kind(4), then tag(4) + len(8) + crc(4).
+        let count_at = 26;
+        let available = blob.len() - count_at - 8;
+        let count = available / 24 + 1;
+        let mut bad = blob.clone();
+        bad[count_at..count_at + 8].copy_from_slice(&(count as u64).to_le_bytes());
+        let crc = crc32(&bad[count_at..]);
+        bad[22..26].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            ServiceRegistry::decode(&bad),
+            Err(DecodeError::Truncated {
+                offset: count_at,
+                needed: count * 24,
+                available,
+            })
+        );
     }
 
     #[test]

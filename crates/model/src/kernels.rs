@@ -1,10 +1,11 @@
 //! Chunked word-loop kernels for the pebble bitsets.
 //!
-//! The hot paths of candidate evaluation spend their time in three word-level
+//! The hot paths of candidate evaluation spend their time in two word-level
 //! operations over the packed red/blue bitsets of [`crate::Configuration`]:
-//! population counts (cache occupancy), whole-state equality (the
-//! post-optimiser's exact fast-accept) and the `parents ⊆ R_p` subset test of
-//! a compute in [`crate::Configuration::apply`]. The straightforward
+//! whole-state equality (the post-optimiser's exact fast-accept) and the
+//! `parents ⊆ R_p` subset test of a compute in
+//! [`crate::Configuration::apply`]. (Cache occupancy is tracked per
+//! processor as pebbles come and go, so nothing counts bits.) The straightforward
 //! one-word-at-a-time loops compile to serial scalar code; the kernels here
 //! process the words in fixed-size chunks (`chunks_exact`) with a branch-free
 //! accumulator per chunk, which LLVM unrolls and — on SIMD targets —
@@ -17,7 +18,7 @@
 //! name only: no caller outside the tests runs it, and nothing selects it at
 //! run time.
 
-/// Words per chunk of [`words_equal`] and [`popcount_words`]. Eight `u64`s are
+/// Words per chunk of [`words_equal`]. Eight `u64`s are
 /// one cache line — wide enough for two 256-bit vector lanes, small enough that
 /// an early exit loses at most a line of work.
 const EQ_CHUNK: usize = 8;
@@ -26,35 +27,6 @@ const EQ_CHUNK: usize = 8;
 /// more than a few words, so the chunk is kept narrow to make the remainder
 /// loop the common case only for tiny entries.
 const SUBSET_CHUNK: usize = 4;
-
-/// Total number of set bits across `words`.
-///
-/// Chunked form of [`popcount_words_scalar`]: per chunk the eight `count_ones`
-/// results are summed without branches, so the loop body is a straight line of
-/// popcount instructions the backend can schedule (and, with SIMD popcount,
-/// vectorize).
-#[inline]
-pub fn popcount_words(words: &[u64]) -> u32 {
-    let mut chunks = words.chunks_exact(EQ_CHUNK);
-    let mut total = 0u32;
-    for chunk in &mut chunks {
-        let mut sum = 0u32;
-        for &w in chunk {
-            sum += w.count_ones();
-        }
-        total += sum;
-    }
-    for &w in chunks.remainder() {
-        total += w.count_ones();
-    }
-    total
-}
-
-/// One-word-at-a-time form of [`popcount_words`] — the differential oracle.
-#[inline]
-pub fn popcount_words_scalar(words: &[u64]) -> u32 {
-    words.iter().map(|w| w.count_ones()).sum()
-}
 
 /// Are the two word slices equal? Slices of different lengths are unequal.
 ///
@@ -136,15 +108,6 @@ pub fn masked_subset_scalar(red: &[u64], words: &[u32], masks: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn popcount_matches_oracle_across_chunk_edges() {
-        for n in 0..=2 * EQ_CHUNK + 1 {
-            let words: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x0101_0307)).collect();
-            assert_eq!(popcount_words(&words), popcount_words_scalar(&words));
-        }
-        assert_eq!(popcount_words(&[u64::MAX; 11]), 11 * 64);
-    }
 
     #[test]
     fn equality_matches_oracle_for_every_flip_position() {

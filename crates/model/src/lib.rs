@@ -27,7 +27,7 @@
 //!   ([`state::Configuration::apply_superstep`]) are what validation and the
 //!   post-optimiser's merge checks simulate with, on flat cache-resident
 //!   words; the hottest word loops
-//!   (popcounts, equality, the masked `parents ⊆ R_p` subset test) go through
+//!   (equality, the masked `parents ⊆ R_p` subset test) go through
 //!   the chunked autovectorizable kernels of [`kernels`], each retaining its
 //!   scalar form as differential oracle, and the pre-bitset nested-`Vec<bool>`
 //!   implementation is retained as [`reference::ReferenceConfiguration`], the

@@ -13,8 +13,8 @@
 //! pebbles. A pebble test is a shift-and-mask, [`Configuration::reset_initial`]
 //! and [`Configuration::copy_from`] are word-level `fill`/`copy_from_slice`
 //! operations (lowered to `memset`/`memcpy`), equality (used by the
-//! post-optimiser's exact fast-accept, [`Configuration::state_eq`]), occupancy
-//! popcounts and the masked `parents ⊆ R_p` subset test run through the chunked
+//! post-optimiser's exact fast-accept, [`Configuration::state_eq`]) and the
+//! masked `parents ⊆ R_p` subset test run through the chunked
 //! autovectorizable word kernels of [`crate::kernels`], and
 //! [`Configuration::cached_nodes`] / [`Configuration::blue_nodes`] walk set
 //! bits with `trailing_zeros`. Bits at index `≥ n` are kept zero at all times

@@ -8,10 +8,7 @@
 //! empty, sub-chunk, exact multiples of the chunk width and ragged remainders —
 //! and on near-miss inputs that differ in exactly one word.
 
-use mbsp_model::kernels::{
-    masked_subset, masked_subset_scalar, popcount_words, popcount_words_scalar, words_equal,
-    words_equal_scalar,
-};
+use mbsp_model::kernels::{masked_subset, masked_subset_scalar, words_equal, words_equal_scalar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,20 +25,6 @@ fn random_words(rng: &mut StdRng, len: usize) -> Vec<u64> {
             }
         })
         .collect()
-}
-
-#[test]
-fn popcount_kernel_matches_the_scalar_oracle() {
-    let mut rng = StdRng::seed_from_u64(0xC0_FFEE);
-    for case in 0..120 {
-        let len = case % 40; // covers 0..=39: empty, partial, exact and ragged chunks
-        let words = random_words(&mut rng, len);
-        assert_eq!(
-            popcount_words(&words),
-            popcount_words_scalar(&words),
-            "case {case}, len {len}"
-        );
-    }
 }
 
 #[test]
