@@ -16,8 +16,8 @@
 
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
-    Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspSchedule,
-    ParentMasks, ProcId, ScheduleEvaluator,
+    Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspSchedule, ProcId,
+    ScheduleEvaluator,
 };
 use mbsp_sched::BspSchedulingResult;
 
@@ -105,9 +105,6 @@ pub fn post_optimize<D: DagLike + ?Sized>(
 pub struct PostOptimizer {
     scratch: MbspSchedule,
     evaluator: ScheduleEvaluator,
-    /// Sparse per-node parent bitsets for word-level `parents ⊆ R_p` checks in
-    /// the merge-validity simulation (built once per instance).
-    masks: ParentMasks,
     /// Configuration after supersteps `0..k` of the current schedule (the merge
     /// loop's cursor state).
     prefix: Configuration,
@@ -148,7 +145,6 @@ impl PostOptimizer {
         PostOptimizer {
             scratch: MbspSchedule::new(arch.processors),
             evaluator: ScheduleEvaluator::new(arch),
-            masks: ParentMasks::of(dag),
             prefix: Configuration::initial(dag, arch),
             trial: Configuration::initial(dag, arch),
             unfolded: Configuration::initial(dag, arch),
@@ -331,32 +327,31 @@ impl PostOptimizer {
         // list.
         if self
             .trial
-            .apply_superstep(dag, arch, &self.masks, &[step_k, step_j])
+            .apply_superstep(dag, arch, &[step_k, step_j])
             .is_err()
         {
             return false;
         }
         // Fast accept: if the configuration after the merged step equals the
         // configuration after the original pair (compared exactly, floats
-        // included — `state_eq` is the chunked-kernel form of the derived
-        // `PartialEq`), the remaining supersteps see an identical state and
+        // included), the remaining supersteps see an identical state and
         // stay valid because the current schedule is valid.
         self.fold_stats.compared += 1;
         self.unfolded.copy_from(&self.prefix);
         self.unfolded.apply_superstep_unchecked(dag, step_k);
         self.unfolded.apply_superstep_unchecked(dag, step_j);
-        if self.trial.state_eq(&self.unfolded) {
+        if self.trial == self.unfolded {
             self.fold_stats.accepted += 1;
             return true;
         }
         // Rare slow path: the fold reordered a delete/load pair and changed the
         // state, so re-simulate the suffix (still allocation-free) and re-check
         // the terminal condition. Every step after `j` is alive.
-        let valid = schedule.supersteps().skip(j + 1).all(|step| {
-            self.trial
-                .apply_superstep(dag, arch, &self.masks, &[step])
-                .is_ok()
-        }) && self.trial.is_terminal(dag);
+        let valid = schedule
+            .supersteps()
+            .skip(j + 1)
+            .all(|step| self.trial.apply_superstep(dag, arch, &[step]).is_ok())
+            && self.trial.is_terminal(dag);
         self.fold_stats.accepted += valid as u64;
         valid
     }

@@ -22,10 +22,9 @@ use mbsp_ilp::engine::{EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
 use mbsp_ilp::reference::{evaluate_assignment, evaluate_bsp};
 use mbsp_ilp::shard::{part_view, topo_shards};
-use mbsp_model::reference::ReferenceConfiguration;
 use mbsp_model::{
     async_cost, sync_cost, Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule,
-    Operation, ProcId, ProcPhases, ScheduleError, Superstep,
+    Operation, ProcId, ProcPhases, Superstep,
 };
 use mbsp_sched::{BspScheduler, CilkScheduler, DfsScheduler, GreedyBspScheduler};
 use rand::rngs::StdRng;
@@ -354,24 +353,6 @@ fn owned_steps(schedule: &MbspSchedule) -> Vec<Superstep> {
         .collect()
 }
 
-/// Schedule validation spelled out on the oracle: every operation of
-/// `operations()` through `ReferenceConfiguration::apply` (its parent-walking
-/// rule set), then the first sink without a blue pebble.
-fn oracle_validate(
-    schedule: &MbspSchedule,
-    dag: &CompDag,
-    arch: &Architecture,
-) -> Result<(), ScheduleError> {
-    let mut cfg = ReferenceConfiguration::initial(dag, arch);
-    for (_, op) in schedule.operations() {
-        cfg.apply(dag, arch, op)?;
-    }
-    match dag.sink_nodes().find(|&v| !cfg.has_blue(v)) {
-        Some(node) => Err(ScheduleError::MissingSink { node }),
-        None => Ok(()),
-    }
-}
-
 /// Seeded damaged copies of `steps`, two of each kind: one operation dropped,
 /// one load moved to the next superstep of its processor, and a save swapped
 /// with a delete of the same processor and superstep (from its delete phase
@@ -459,7 +440,7 @@ fn damaged_variants(steps: &[Superstep], rng: &mut StdRng) -> Vec<(&'static str,
 /// `MbspSchedule::validate` against the oracle's replay on the two-stage
 /// schedules of the seeded corpus and on damaged copies of them: the same
 /// `Ok`, or the same first `ScheduleError`. The corpus includes DAGs of 264
-/// to 464 nodes, so a node's parent masks span several 64-bit words.
+/// to 464 nodes, so a node's parents span several 64-bit words.
 #[test]
 fn validation_matches_the_oracle_replay_on_damaged_schedules() {
     let mut corpus = instances(42);
@@ -481,12 +462,19 @@ fn validation_matches_the_oracle_replay_on_damaged_schedules() {
             let bsp = scheduler.schedule(dag, arch);
             let schedule = reference::convert(dag, arch, &bsp, &ClairvoyantPolicy::new(), &[]);
             assert_eq!(schedule.validate(dag, arch), Ok(()));
-            assert_eq!(oracle_validate(&schedule, dag, arch), Ok(()));
+            assert_eq!(
+                mbsp_model::reference::validate(&schedule, dag, arch),
+                Ok(())
+            );
             for (kind, steps) in damaged_variants(&owned_steps(&schedule), &mut rng) {
                 let damaged = MbspSchedule::from_supersteps(arch.processors, &steps).unwrap();
                 let got = damaged.validate(dag, arch);
                 let case = format!("{}/{}/{kind}", instance.name(), scheduler.name());
-                assert_eq!(got, oracle_validate(&damaged, dag, arch), "{case}");
+                assert_eq!(
+                    got,
+                    mbsp_model::reference::validate(&damaged, dag, arch),
+                    "{case}"
+                );
                 if let Err(e) = got {
                     let name = format!("{e:?}");
                     errors.insert(name[..name.find([' ', '{']).unwrap_or(name.len())].to_string());

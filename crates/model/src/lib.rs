@@ -26,13 +26,11 @@
 //!   ([`state::Configuration::apply`]) and one superstep walker
 //!   ([`state::Configuration::apply_superstep`]) are what validation and the
 //!   post-optimiser's merge checks simulate with, on flat cache-resident
-//!   words; the hottest word loops
-//!   (equality, the masked `parents ⊆ R_p` subset test) go through
-//!   the chunked autovectorizable kernels of [`kernels`], each retaining its
-//!   scalar form as differential oracle, and the pre-bitset nested-`Vec<bool>`
-//!   implementation is retained as [`reference::ReferenceConfiguration`], the
-//!   differential oracle of the seeded property tests (the workspace's oracle
-//!   convention);
+//!   words. The pre-bitset nested-`Vec<bool>` implementation is retained as
+//!   [`reference::ReferenceConfiguration`], the differential oracle of the
+//!   seeded property tests (the workspace's oracle convention), and
+//!   [`reference::validate`] replays a schedule through it as an independent
+//!   referee of [`schedule::MbspSchedule::validate`];
 //! * the cost of a schedule is measured either **synchronously** (BSP-style,
 //!   per-superstep maxima plus `L`) or **asynchronously** (makespan of the induced
 //!   per-processor timelines) — see [`cost`];
@@ -50,7 +48,6 @@ pub mod bsp;
 pub mod cost;
 pub mod eval;
 pub mod instance;
-pub mod kernels;
 pub mod ops;
 pub mod reference;
 pub mod schedule;
@@ -66,7 +63,7 @@ pub use schedule::{
     MbspSchedule, PhasesView, ProcPhases, ScheduleError, ScheduleStatistics, Superstep,
     SuperstepView,
 };
-pub use state::{Configuration, ParentMasks};
+pub use state::Configuration;
 
 /// Convenience result alias for schedule validation.
 pub type Result<T> = std::result::Result<T, ScheduleError>;

@@ -8,10 +8,14 @@
 //! `mbsp_dag::reference`) — and the seeded property tests in
 //! `tests/state_differential.rs` replay random operation sequences through both
 //! implementations asserting identical observable state after every step.
+//!
+//! [`validate`] replays a whole schedule through it: the independent referee
+//! of [`crate::MbspSchedule::validate`], which shares none of its pebble
+//! checks with the bitset [`crate::Configuration`].
 
 use crate::arch::{Architecture, ProcId};
 use crate::ops::Operation;
-use crate::schedule::ScheduleError;
+use crate::schedule::{MbspSchedule, ScheduleError};
 use crate::state::MEMORY_EPS;
 use mbsp_dag::{CompDag, NodeId};
 
@@ -128,9 +132,9 @@ impl ReferenceConfiguration {
         }
     }
 
-    /// Precondition check: the rules of `Configuration::apply`, with each
-    /// parent of a compute tested bit by bit along the parent list instead of
-    /// word by word through `ParentMasks`.
+    /// Precondition check: the rules of `Configuration::apply`, one
+    /// `Vec<bool>` lookup per parent of a compute. A node outside the DAG
+    /// panics instead of returning `NodeOutOfRange`.
     pub fn check(
         &self,
         dag: &CompDag,
@@ -228,5 +232,32 @@ impl ReferenceConfiguration {
     /// Returns true if every processor satisfies the memory bound.
     pub fn within_memory_bound(&self, arch: &Architecture) -> bool {
         self.used.iter().all(|&u| u <= arch.cache_size + MEMORY_EPS)
+    }
+}
+
+/// Validates `schedule` the way [`MbspSchedule::validate`] does, through the
+/// oracle: the processor-count check first, then every
+/// [`MbspSchedule::operations`] entry through [`ReferenceConfiguration::apply`],
+/// then the first sink without a blue pebble. Returns the same `Ok` or the
+/// same first error as the served check; a node outside the DAG panics.
+pub fn validate(
+    schedule: &MbspSchedule,
+    dag: &CompDag,
+    arch: &Architecture,
+) -> Result<(), ScheduleError> {
+    if schedule.processors() != arch.processors && schedule.num_supersteps() > 0 {
+        return Err(ScheduleError::ProcessorCountMismatch {
+            superstep: 0,
+            found: schedule.processors(),
+            expected: arch.processors,
+        });
+    }
+    let mut cfg = ReferenceConfiguration::initial(dag, arch);
+    for (_, op) in schedule.operations() {
+        cfg.apply(dag, arch, op)?;
+    }
+    match dag.sink_nodes().find(|&v| !cfg.has_blue(v)) {
+        Some(node) => Err(ScheduleError::MissingSink { node }),
+        None => Ok(()),
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::arch::{Architecture, ProcId};
 use crate::ops::{ComputePhaseStep, Operation};
-use crate::state::{Configuration, ParentMasks};
+use crate::state::Configuration;
 use mbsp_dag::{DagLike, NodeId};
 use serde::{Deserialize, Serialize, Value};
 use std::convert::Infallible;
@@ -699,7 +699,8 @@ impl MbspSchedule {
     /// Validates the schedule against the DAG and architecture: from empty
     /// caches and the sources in slow memory, every superstep goes through
     /// [`Configuration::apply_superstep`], and at the end every sink must be in
-    /// slow memory. Builds the DAG's [`ParentMasks`] per call, in O(|E|).
+    /// slow memory. [`crate::reference::validate`] is its independent
+    /// referee.
     pub fn validate<D: DagLike + ?Sized>(
         &self,
         dag: &D,
@@ -712,10 +713,9 @@ impl MbspSchedule {
                 expected: arch.processors,
             });
         }
-        let masks = ParentMasks::of(dag);
         let mut cfg = Configuration::initial(dag, arch);
         for step in self.supersteps() {
-            cfg.apply_superstep(dag, arch, &masks, &[step])?;
+            cfg.apply_superstep(dag, arch, &[step])?;
         }
         match dag.sink_nodes().find(|&v| !cfg.has_blue(v)) {
             Some(node) => Err(ScheduleError::MissingSink { node }),

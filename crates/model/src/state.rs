@@ -12,13 +12,11 @@
 //! `P · ⌈n / 64⌉` words (processor-major), and one word array for the blue
 //! pebbles. A pebble test is a shift-and-mask, [`Configuration::reset_initial`]
 //! and [`Configuration::copy_from`] are word-level `fill`/`copy_from_slice`
-//! operations (lowered to `memset`/`memcpy`), equality (used by the
-//! post-optimiser's exact fast-accept, [`Configuration::state_eq`]) and the
-//! masked `parents ⊆ R_p` subset test run through the chunked
-//! autovectorizable word kernels of [`crate::kernels`], and
-//! [`Configuration::cached_nodes`] / [`Configuration::blue_nodes`] walk set
-//! bits with `trailing_zeros`. Bits at index `≥ n` are kept zero at all times
-//! so word-level comparisons are exact.
+//! operations (lowered to `memset`/`memcpy`), a compute walks its parent list
+//! and tests each parent's bit, and [`Configuration::cached_nodes`] /
+//! [`Configuration::blue_nodes`] walk set bits with `trailing_zeros`. Bits at
+//! index `≥ n` are kept zero at all times so the derived `==` (the
+//! post-optimiser's exact fast-accept) compares whole words.
 //!
 //! ## One rule set
 //!
@@ -37,11 +35,10 @@ use crate::arch::{Architecture, ProcId};
 use crate::ops::Operation;
 use crate::schedule::{for_each_operation, ScheduleError, SuperstepView};
 use mbsp_dag::{DagLike, NodeId};
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
 /// The memory state of an MBSP execution at one point in time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
     /// Packed red pebbles, processor-major: bit `v` of processor `p` lives in
     /// word `p * words + v / 64`.
@@ -144,23 +141,6 @@ impl Configuration {
         SetBits::new(&self.red[base..base + self.words])
     }
 
-    /// Word-level state equality through the chunked
-    /// [`crate::kernels::words_equal`] kernel: identical to `self == other`
-    /// (the derived `PartialEq` is the differential oracle) but compares the
-    /// red and blue bitsets eight words per branch. The tracked memory usage
-    /// is compared with ordinary `f64` slice equality, preserving float
-    /// semantics (`-0.0 == 0.0`).
-    ///
-    /// This is the post-optimiser's exact fast-accept test, executed once per
-    /// attempted superstep fold.
-    pub fn state_eq(&self, other: &Configuration) -> bool {
-        self.processors == other.processors
-            && self.num_nodes == other.num_nodes
-            && crate::kernels::words_equal(&self.red, &other.red)
-            && crate::kernels::words_equal(&self.blue, &other.blue)
-            && self.used == other.used
-    }
-
     /// The nodes currently in slow memory, in index order.
     ///
     /// Returns a lazy iterator over the set bits of the blue bitset; collect it
@@ -207,20 +187,15 @@ impl Configuration {
     /// that fails is the error: the node range, then the rule's own
     /// precondition — a blue pebble to load, a red one to save or delete, and
     /// to compute a non-source whose parents are all red on the processor —
-    /// then, for a load or compute, the memory bound. A compute's parents are
-    /// tested word by word against `masks` ([`crate::kernels::masked_subset`]);
-    /// only a miss walks the parent list, to name the first missing parent.
-    ///
-    /// `masks` must have been built for the same DAG (`debug_assert`ed).
+    /// then, for a load or compute, the memory bound. A missing parent of a
+    /// compute is reported as the first one in the DAG's parent order.
     #[inline]
     pub fn apply<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
-        masks: &ParentMasks,
         op: Operation,
     ) -> Result<(), ScheduleError> {
-        debug_assert_eq!(masks.num_nodes(), self.num_nodes);
         let (proc, node) = (op.proc(), op.node());
         if node.index() >= self.num_nodes {
             return Err(ScheduleError::NodeOutOfRange {
@@ -238,17 +213,7 @@ impl Configuration {
                 if dag.is_source(node) {
                     return Err(ScheduleError::ComputeSource { proc, node });
                 }
-                let base = proc.index() * self.words;
-                let (a, b) = masks.range(node);
-                if !crate::kernels::masked_subset(
-                    &self.red[base..base + self.words],
-                    &masks.words[a..b],
-                    &masks.masks[a..b],
-                ) {
-                    let parent = dag
-                        .parents(node)
-                        .find(|&u| !self.has_red(proc, u))
-                        .expect("a masked miss has a parent without a red pebble");
+                if let Some(parent) = dag.parents(node).find(|&u| !self.has_red(proc, u)) {
                     return Err(ScheduleError::MissingParent { proc, node, parent });
                 }
             }
@@ -293,10 +258,9 @@ impl Configuration {
         &mut self,
         dag: &D,
         arch: &Architecture,
-        masks: &ParentMasks,
         steps: &[SuperstepView<'_>],
     ) -> Result<(), ScheduleError> {
-        for_each_operation(steps, |op| self.apply(dag, arch, masks, op))
+        for_each_operation(steps, |op| self.apply(dag, arch, op))
     }
 
     /// Applies every operation of `step`, in model order, without
@@ -337,76 +301,6 @@ impl Configuration {
     /// Returns true if every processor satisfies the memory bound.
     pub fn within_memory_bound(&self, arch: &Architecture) -> bool {
         self.used.iter().all(|&u| u <= arch.cache_size + MEMORY_EPS)
-    }
-}
-
-/// Precomputed per-node parent bitsets in sparse `(word, mask)` form, enabling
-/// the word-level `parents ⊆ R_p` check of a compute in [`Configuration::apply`].
-///
-/// For every node the parents are grouped by 64-bit word of the red bitset: one
-/// `(word index, bit mask)` entry per word that contains at least one parent,
-/// stored flat in CSR style. Total size is `O(|E|)` in the worst case and far
-/// smaller when node ids of parents cluster (as they do for the generators'
-/// layered and stencil DAGs), so a compute-precondition check costs at most one
-/// word test per *occupied word* instead of one bit test per parent.
-///
-/// Built once per `(dag)` and shared by every configuration simulated against
-/// that DAG (the [`ParentMasks`] are read-only): `mbsp_ilp`'s post-optimiser
-/// owns one per evaluation engine, and [`crate::MbspSchedule::validate`] builds
-/// one per call.
-#[derive(Debug, Clone, Default)]
-pub struct ParentMasks {
-    /// CSR offsets into `words`/`masks`; length `n + 1`.
-    off: Vec<u32>,
-    /// Word index within a processor's red bitset.
-    words: Vec<u32>,
-    /// Bits of the parents that fall into that word.
-    masks: Vec<u64>,
-}
-
-impl ParentMasks {
-    /// Builds the parent masks of every node of `dag`.
-    pub fn of<D: DagLike + ?Sized>(dag: &D) -> Self {
-        let n = dag.num_nodes();
-        let mut off = Vec::with_capacity(n + 1);
-        off.push(0u32);
-        let mut words = Vec::new();
-        let mut masks = Vec::new();
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        for v in dag.nodes() {
-            scratch.clear();
-            for u in dag.parents(v) {
-                let i = u.index();
-                scratch.push(((i >> 6) as u32, 1u64 << (i & 63)));
-            }
-            scratch.sort_unstable_by_key(|&(w, _)| w);
-            let mut k = 0;
-            while k < scratch.len() {
-                let w = scratch[k].0;
-                let mut m = 0u64;
-                while k < scratch.len() && scratch[k].0 == w {
-                    m |= scratch[k].1;
-                    k += 1;
-                }
-                words.push(w);
-                masks.push(m);
-            }
-            off.push(u32::try_from(words.len()).expect("mask table fits u32 offsets"));
-        }
-        ParentMasks { off, words, masks }
-    }
-
-    /// Number of nodes the table covers.
-    pub fn num_nodes(&self) -> usize {
-        self.off.len().saturating_sub(1)
-    }
-
-    #[inline]
-    fn range(&self, v: NodeId) -> (usize, usize) {
-        (
-            self.off[v.index()] as usize,
-            self.off[v.index() + 1] as usize,
-        )
     }
 }
 
@@ -511,18 +405,17 @@ mod tests {
     fn load_compute_save_cycle() {
         let dag = path3();
         let arch = arch2(2.0);
-        let masks = ParentMasks::of(&dag);
         let p = ProcId::new(0);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
         assert!(cfg.has_red(p, NodeId::new(0)));
         assert_eq!(cfg.memory_used(p), 1.0);
-        cfg.apply(&dag, &arch, &masks, compute(0, 1)).unwrap();
+        cfg.apply(&dag, &arch, compute(0, 1)).unwrap();
         assert_eq!(cfg.memory_used(p), 2.0);
-        cfg.apply(&dag, &arch, &masks, delete(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, delete(0, 0)).unwrap();
         assert_eq!(cfg.memory_used(p), 1.0);
-        cfg.apply(&dag, &arch, &masks, compute(0, 2)).unwrap();
-        cfg.apply(&dag, &arch, &masks, save(0, 2)).unwrap();
+        cfg.apply(&dag, &arch, compute(0, 2)).unwrap();
+        cfg.apply(&dag, &arch, save(0, 2)).unwrap();
         assert!(cfg.is_terminal(&dag));
         assert!(cfg.cached_nodes(p).eq([NodeId::new(1), NodeId::new(2)]));
         assert!(cfg.blue_nodes().eq([NodeId::new(0), NodeId::new(2)]));
@@ -532,11 +425,10 @@ mod tests {
     fn preconditions_are_enforced() {
         let dag = path3();
         let arch = arch2(2.0);
-        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
         let initial = cfg.clone();
         let mut rejects = |op| {
-            let err = cfg.apply(&dag, &arch, &masks, op).unwrap_err();
+            let err = cfg.apply(&dag, &arch, op).unwrap_err();
             // A rejected operation changes nothing.
             assert_eq!(cfg, initial);
             err
@@ -575,18 +467,17 @@ mod tests {
             ScheduleError::NodeOutOfRange { num_nodes: 3, .. }
         ));
         // A valid load still works.
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
     }
 
     #[test]
     fn memory_bound_is_enforced() {
         let dag = path3();
         let arch = arch2(1.0);
-        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
         // Computing node 1 would need 2 units of cache but the bound is 1.
-        let err = cfg.apply(&dag, &arch, &masks, compute(0, 1)).unwrap_err();
+        let err = cfg.apply(&dag, &arch, compute(0, 1)).unwrap_err();
         assert!(matches!(err, ScheduleError::MemoryBoundExceeded { .. }));
         assert!(!cfg.has_red(ProcId::new(0), NodeId::new(1)));
         assert_eq!(cfg.memory_used(ProcId::new(0)), 1.0);
@@ -596,25 +487,23 @@ mod tests {
     fn caches_are_independent_per_processor() {
         let dag = path3();
         let arch = arch2(2.0);
-        let masks = ParentMasks::of(&dag);
         let (p0, p1) = (ProcId::new(0), ProcId::new(1));
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
         assert!(cfg.has_red(p0, NodeId::new(0)));
         assert!(!cfg.has_red(p1, NodeId::new(0)));
         assert_eq!(cfg.memory_used(p1), 0.0);
         // p1 cannot compute node 1: its own cache does not hold the parent.
-        assert!(cfg.apply(&dag, &arch, &masks, compute(1, 1)).is_err());
+        assert!(cfg.apply(&dag, &arch, compute(1, 1)).is_err());
     }
 
     #[test]
     fn repeated_load_does_not_double_count_memory() {
         let dag = path3();
         let arch = arch2(5.0);
-        let masks = ParentMasks::of(&dag);
         let mut cfg = Configuration::initial(&dag, &arch);
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
-        cfg.apply(&dag, &arch, &masks, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
+        cfg.apply(&dag, &arch, load(0, 0)).unwrap();
         assert_eq!(cfg.memory_used(ProcId::new(0)), 1.0);
     }
 
@@ -659,35 +548,33 @@ mod tests {
 
     #[test]
     fn masked_compute_check_matches_walking_path() {
-        // High-fan-in node whose parents span three bitset words: the masked
-        // `apply` against the oracle's parent-walking one.
+        // High-fan-in node whose parents span three bitset words: the bitset
+        // `apply` against the oracle's `Vec<bool>` one, both walking parents.
         let n = 140;
         let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, n - 1)).collect();
         edges.push((0, 1));
         let dag = CompDag::from_edges("fanin", vec![NodeWeights::unit(); n], &edges).unwrap();
         let arch = Architecture::new(2, 1e9, 1.0, 0.0);
-        let masks = ParentMasks::of(&dag);
-        assert_eq!(masks.num_nodes(), n);
         let (p, sink) = (ProcId::new(1), NodeId::new(n - 1));
         let mut walk = ReferenceConfiguration::initial(&dag, &arch);
-        let mut masked = Configuration::initial(&dag, &arch);
-        let same = |walk: &ReferenceConfiguration, masked: &Configuration| {
-            (0..n).all(|i| walk.has_red(p, NodeId::new(i)) == masked.has_red(p, NodeId::new(i)))
-                && walk.memory_used(p) == masked.memory_used(p)
+        let mut fast = Configuration::initial(&dag, &arch);
+        let same = |walk: &ReferenceConfiguration, fast: &Configuration| {
+            (0..n).all(|i| walk.has_red(p, NodeId::new(i)) == fast.has_red(p, NodeId::new(i)))
+                && walk.memory_used(p) == fast.memory_used(p)
         };
         // An empty cache and then one missing parent per word: both reject
         // with the first missing parent, and neither mutates.
         let op = compute(1, n - 1);
         let expected = walk.apply(&dag, &arch, op);
-        assert_eq!(masked.apply(&dag, &arch, &masks, op), expected);
+        assert_eq!(fast.apply(&dag, &arch, op), expected);
         assert!(matches!(expected, Err(ScheduleError::MissingParent { .. })));
         for missing in [0usize, 64, 128, 138] {
             for i in 0..n - 1 {
                 walk.place_red_unchecked(&dag, p, NodeId::new(i));
-                masked.place_red_unchecked(&dag, p, NodeId::new(i));
+                fast.place_red_unchecked(&dag, p, NodeId::new(i));
             }
             walk.remove_red_unchecked(&dag, p, NodeId::new(missing));
-            masked.remove_red_unchecked(&dag, p, NodeId::new(missing));
+            fast.remove_red_unchecked(&dag, p, NodeId::new(missing));
             let expected = walk.apply(&dag, &arch, op);
             assert_eq!(
                 expected,
@@ -697,39 +584,19 @@ mod tests {
                     parent: NodeId::new(missing)
                 })
             );
-            assert_eq!(masked.apply(&dag, &arch, &masks, op), expected);
-            assert!(same(&walk, &masked));
+            assert_eq!(fast.apply(&dag, &arch, op), expected);
+            assert!(same(&walk, &fast));
         }
         walk.place_red_unchecked(&dag, p, NodeId::new(138));
-        masked.place_red_unchecked(&dag, p, NodeId::new(138));
+        fast.place_red_unchecked(&dag, p, NodeId::new(138));
         walk.apply(&dag, &arch, op).unwrap();
-        masked.apply(&dag, &arch, &masks, op).unwrap();
-        assert!(masked.has_red(p, sink) && same(&walk, &masked));
-        // Sources are rejected by both paths.
+        fast.apply(&dag, &arch, op).unwrap();
+        assert!(fast.has_red(p, sink) && same(&walk, &fast));
+        // Sources are rejected by both.
         assert_eq!(
-            masked.apply(&dag, &arch, &masks, compute(1, 0)),
+            fast.apply(&dag, &arch, compute(1, 0)),
             walk.apply(&dag, &arch, compute(1, 0))
         );
-    }
-
-    #[test]
-    fn kernel_backed_counts_and_equality_match_the_derived_forms() {
-        let n = 130;
-        let dag = CompDag::from_edges("wide", vec![NodeWeights::unit(); n], &[]).unwrap();
-        let arch = arch2(1e9);
-        let p = ProcId::new(1);
-        let mut cfg = Configuration::empty(&dag, &arch);
-        for i in [0usize, 63, 64, 129] {
-            cfg.place_red_unchecked(&dag, p, NodeId::new(i));
-            cfg.place_blue_unchecked(NodeId::new(i));
-        }
-        let other = cfg.clone();
-        assert!(cfg.state_eq(&other));
-        assert_eq!(cfg.state_eq(&other), cfg == other);
-        let mut diff = cfg.clone();
-        diff.place_red_unchecked(&dag, p, NodeId::new(1));
-        assert!(!cfg.state_eq(&diff));
-        assert_eq!(cfg.state_eq(&diff), cfg == diff);
     }
 
     #[test]

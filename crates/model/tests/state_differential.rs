@@ -3,8 +3,9 @@
 //! settings.
 //!
 //! Each case replays a random sequence of checked operations (load / compute /
-//! save / delete through `apply` on both sides: word-level parent masks on
-//! one, the parent walk on the other), unchecked placements and removals, and
+//! save / delete through `apply` on both sides: a bit test per parent on
+//! one, a `Vec<bool>` lookup per parent on the other), unchecked placements
+//! and removals, and
 //! the buffer-reuse entry points (`reset_initial`, `copy_from`) through both
 //! implementations, asserting identical observable state — pebbles, memory
 //! usage, operation outcomes and errors, pebble-set iterators, terminal and
@@ -13,7 +14,7 @@
 use mbsp_dag::{CompDag, NodeId};
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
 use mbsp_model::reference::ReferenceConfiguration;
-use mbsp_model::{Architecture, Configuration, Operation, ParentMasks, ProcId};
+use mbsp_model::{Architecture, Configuration, Operation, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +56,6 @@ fn random_step(
     rng: &mut StdRng,
     dag: &CompDag,
     arch: &Architecture,
-    masks: &ParentMasks,
     fast: &mut Configuration,
     oracle: &mut ReferenceConfiguration,
 ) {
@@ -70,7 +70,7 @@ fn random_step(
                 2 => Operation::Save { proc, node },
                 _ => Operation::Delete { proc, node },
             };
-            let a = fast.apply(dag, arch, masks, op);
+            let a = fast.apply(dag, arch, op);
             let b = oracle.apply(dag, arch, op);
             assert_eq!(a, b, "{op} outcome diverged");
         }
@@ -102,12 +102,11 @@ fn bitset_configuration_matches_the_nested_vec_oracle() {
         );
         for &(p, cache) in &[(1usize, 4.0), (2, 8.0), (4, 16.0)] {
             let arch = Architecture::new(p, cache, 1.0, 10.0);
-            let masks = ParentMasks::of(&dag);
             let mut fast = Configuration::initial(&dag, &arch);
             let mut oracle = ReferenceConfiguration::initial(&dag, &arch);
             assert_same_state(&dag, &arch, &fast, &oracle);
             for step in 0..120 {
-                random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
+                random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
                 if step % 10 == 0 {
                     assert_same_state(&dag, &arch, &fast, &oracle);
                 }
@@ -132,11 +131,10 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
             1000 + round as u64,
         );
         let arch = Architecture::new(3, 12.0, 1.0, 5.0);
-        let masks = ParentMasks::of(&dag);
         let mut fast = Configuration::initial(&dag, &arch);
         let mut oracle = ReferenceConfiguration::initial(&dag, &arch);
         for _ in 0..60 {
-            random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
+            random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
         }
         // Snapshot via copy_from into a fresh buffer; mutate; restore; compare.
         let mut fast_snap = Configuration::empty(&dag, &arch);
@@ -144,7 +142,7 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
         let mut oracle_snap = ReferenceConfiguration::empty(&dag, &arch);
         oracle_snap.copy_from(&oracle);
         for _ in 0..30 {
-            random_step(&mut rng, &dag, &arch, &masks, &mut fast, &mut oracle);
+            random_step(&mut rng, &dag, &arch, &mut fast, &mut oracle);
         }
         assert_same_state(&dag, &arch, &fast, &oracle);
         fast.copy_from(&fast_snap);
@@ -158,11 +156,12 @@ fn reset_and_copy_agree_after_random_save_delete_load_sequences() {
     }
 }
 
-/// The word-level masked compute check of `Configuration::apply` (precomputed
-/// [`ParentMasks`]) must take exactly the same accept/reject decisions — with
-/// the same first missing parent, and leaving the same state — as the
-/// oracle's parent-walking `apply`, across dense random DAGs whose nodes have
-/// many parents, cache pressures and interleaved unchecked placements.
+/// The compute check of `Configuration::apply` must take exactly the same
+/// accept/reject decisions — with the same first missing parent, and leaving
+/// the same state — as the oracle's parent-walking `apply`, across dense
+/// random DAGs whose nodes have many parents, cache pressures and interleaved
+/// unchecked placements. Parents spread over several bitset words are
+/// covered by `state::tests::masked_compute_check_matches_walking_path`.
 #[test]
 fn masked_compute_path_matches_the_walking_path() {
     let mut rng = StdRng::seed_from_u64(0x3A5C);
@@ -178,9 +177,7 @@ fn masked_compute_path_matches_the_walking_path() {
         );
         let n = dag.num_nodes();
         let arch = Architecture::new(1 + (case % 3), 2.0 + (case % 9) as f64, 1.0, 0.0);
-        let masks = ParentMasks::of(&dag);
-        assert_eq!(masks.num_nodes(), n);
-        let mut masked = Configuration::initial(&dag, &arch);
+        let mut fast = Configuration::initial(&dag, &arch);
         let mut walk = ReferenceConfiguration::initial(&dag, &arch);
         for _ in 0..200 {
             let node = NodeId::new(rng.gen_range(0..n));
@@ -188,7 +185,7 @@ fn masked_compute_path_matches_the_walking_path() {
             let op = match rng.gen_range(0..4u32) {
                 0 => Operation::Compute { proc, node },
                 1 => {
-                    masked.place_red_unchecked(&dag, proc, node);
+                    fast.place_red_unchecked(&dag, proc, node);
                     walk.place_red_unchecked(&dag, proc, node);
                     continue;
                 }
@@ -196,11 +193,11 @@ fn masked_compute_path_matches_the_walking_path() {
                 _ => Operation::Load { proc, node },
             };
             assert_eq!(
-                masked.apply(&dag, &arch, &masks, op),
+                fast.apply(&dag, &arch, op),
                 walk.apply(&dag, &arch, op),
                 "case {case}: {op} diverged"
             );
-            assert_same_state(&dag, &arch, &masked, &walk);
+            assert_same_state(&dag, &arch, &fast, &walk);
         }
     }
 }

@@ -41,7 +41,7 @@ use mbsp_ilp::{
     CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
 use mbsp_io::{RegistryEntry, ServiceRegistry};
-use mbsp_model::{sync_cost, Architecture, CostModel, MbspSchedule};
+use mbsp_model::{reference, sync_cost, Architecture, CostModel, MbspSchedule};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -1079,15 +1079,21 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
 }
 
 /// Referees a schedule the daemon is about to serve, in debug builds only: it
-/// must be a legal pebbling of the session's DAG under its architecture, and
-/// its synchronous cost must be the reported `cost` bit for bit (two
-/// non-finite costs count as equal).
+/// must be a legal pebbling of the session's DAG under its architecture, by
+/// the served check and by the independent [`reference::validate`], and its
+/// synchronous cost must be the reported `cost` bit for bit (two non-finite
+/// costs count as equal).
 fn debug_assert_served(session: &IncrementalScheduler, schedule: &MbspSchedule, cost: f64) {
     let (dag, arch) = (session.dag(), session.arch());
     debug_assert_eq!(
         schedule.validate(dag, arch),
         Ok(()),
         "served an illegal schedule"
+    );
+    debug_assert_eq!(
+        reference::validate(schedule, dag, arch),
+        Ok(()),
+        "the reference replay rejects a served schedule"
     );
     debug_assert!(
         {
