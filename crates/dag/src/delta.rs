@@ -84,7 +84,7 @@ pub enum DagDelta {
 }
 
 /// What a successfully applied [`DagDelta`] changed, in terms the incremental
-/// consumers (dirty-cone repair, evaluator invalidation) need.
+/// consumers (dirty-cone repair, per-node side tables) need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaEffect {
     /// The nodes whose incident structure or weights changed — the seeds of

@@ -8,7 +8,7 @@
 //! CSR slices and remapping ids through a local↔global offset table on the fly.
 //!
 //! * [`DagLike`] is the small accessor trait the schedulers' generic hot paths
-//!   ([`crate::TopologicalOrder`], `mbsp_model`'s configurations/evaluators,
+//!   ([`crate::TopologicalOrder`], `mbsp_model`'s configurations and costs,
 //!   `mbsp_cache::ConversionArena`, `mbsp_ilp`'s evaluation engine) are written
 //!   against. [`CompDag`] implements it with its contiguous CSR slices;
 //!   monomorphisation keeps those paths exactly as fast as before.

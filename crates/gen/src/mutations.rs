@@ -71,8 +71,9 @@ pub struct MutationStreamConfig {
     /// Number of deltas to emit (compound operations — node add/remove — count
     /// each of their deltas against this budget).
     pub ops: usize,
-    /// When false, the stream is reweight-only: node ids stay stable, which is
-    /// what the evaluator dirty-set differential suite needs.
+    /// When false, the stream is reweight-only: node ids stay stable, so the
+    /// same deltas replay into independently built schedulers (`mbsp_ilp`'s
+    /// repair determinism suite).
     pub structural: bool,
     /// Reweights and new nodes draw compute weights from `{1..max_compute}`.
     pub max_compute: u32,

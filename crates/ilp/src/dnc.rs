@@ -28,7 +28,7 @@ use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{
     Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep,
 };
-use mbsp_pool::{CancelToken, WorkerPool};
+use mbsp_pool::{resolve_workers, CancelToken, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
 
 /// Configuration of [`DivideAndConquerScheduler`]. Every part search, and the
@@ -61,7 +61,6 @@ impl Default for DivideAndConquerConfig {
 #[derive(Debug, Clone, Default)]
 pub struct DivideAndConquerScheduler {
     config: DivideAndConquerConfig,
-    pool: WorkerPool,
 }
 
 impl DivideAndConquerScheduler {
@@ -72,18 +71,7 @@ impl DivideAndConquerScheduler {
 
     /// Creates a scheduler with an explicit configuration.
     pub fn with_config(config: DivideAndConquerConfig) -> Self {
-        DivideAndConquerScheduler {
-            config,
-            pool: WorkerPool::default(),
-        }
-    }
-
-    /// Replaces the lane-permit count the per-part searches take their lanes
-    /// from (the default is the process-wide
-    /// [`WorkerPool::shared`](mbsp_pool::WorkerPool::shared) count).
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
+        DivideAndConquerScheduler { config }
     }
 
     /// Schedules the instance. Returns a valid MBSP schedule over the instance's
@@ -115,7 +103,7 @@ impl DivideAndConquerScheduler {
             .nodes()
             .map(|v| global_baseline.schedule.proc_of(v))
             .collect();
-        let workers = crate::engine::resolve_workers(0);
+        let workers = resolve_workers(0);
         let config = &self.config;
         // Each entry keeps only the part's schedule, processor set and the
         // O(part-size) local→global id map; the parent-sized view is dropped
@@ -127,7 +115,7 @@ impl DivideAndConquerScheduler {
         }
         // Nothing stops a part search but its budget of rounds.
         let never = CancelToken::new();
-        let scheduled = fan_out(&self.pool, workers, plan.parts.len(), |i| {
+        let scheduled = fan_out(WorkerPool::shared(), workers, plan.parts.len(), |i| {
             let part_plan = &plan.parts[i];
             let part = part_plan.part;
             let local_arch = Architecture::new(

@@ -12,9 +12,9 @@
 //!   [`EvaluationEngine::rebase`] records the incumbent's conversion in it, so
 //!   a candidate re-simulates only the supersteps its move can change),
 //!   a scratch schedule (plus the retained schedule of its best batch
-//!   candidate, so a round's winner is never converted twice), and a
-//!   [`mbsp_model::ScheduleEvaluator`] for the post-optimiser's incremental
-//!   cost deltas;
+//!   candidate, so a round's winner is never converted twice), and the
+//!   [`PostOptimizer`], whose merge pass streams its superstep costs over
+//!   two reused rows;
 //! * one evaluation path: the engine has no switch. Its ground truth — a
 //!   freshly allocated converter, the pre-engine post-optimiser and a full
 //!   re-cost per candidate — is [`crate::reference::evaluate_assignment`],
@@ -323,8 +323,6 @@ impl EvaluationEngine {
     }
 }
 
-pub use mbsp_pool::resolve_workers;
-
 /// The `(node, new processor)` pairs by which `after` differs from `before` —
 /// the assignment delta the sharded merge replays through the global engine.
 /// Node ids are indices into the assignment slices (local or global, caller's
@@ -477,24 +475,5 @@ mod tests {
             winners_past_the_first_candidate > 0,
             "every winner was candidate 0: the retention swap is untested"
         );
-    }
-
-    #[test]
-    fn resolve_workers_is_at_least_one() {
-        assert_eq!(resolve_workers(3), 3);
-        assert!(resolve_workers(0) >= 1);
-    }
-
-    #[test]
-    fn resolve_workers_reads_the_bench_threads_env() {
-        // An explicit worker count always wins; `0` falls back to
-        // MBSP_BENCH_THREADS. Setting the variable is process-global, but every
-        // search in this test binary is deterministic for any worker count, so
-        // concurrently running tests are unaffected by the brief override.
-        std::env::set_var("MBSP_BENCH_THREADS", "2");
-        assert_eq!(resolve_workers(0), 2);
-        assert_eq!(resolve_workers(5), 5);
-        std::env::remove_var("MBSP_BENCH_THREADS");
-        assert!(resolve_workers(0) >= 1);
     }
 }

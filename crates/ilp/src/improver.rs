@@ -17,7 +17,7 @@
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
     Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspSchedule, ProcId,
-    ScheduleEvaluator,
+    SuperstepView,
 };
 use mbsp_sched::BspSchedulingResult;
 
@@ -98,13 +98,18 @@ pub fn post_optimize<D: DagLike + ?Sized>(
 }
 
 /// Reusable scratch state for [`PostOptimizer::optimize`]: a scratch schedule, the
-/// incremental cost evaluator, three pebbling configurations for the incremental
-/// merge-validity check, and the redundant-save buffers. One instance serves an
-/// entire candidate-evaluation loop without allocating.
+/// two superstep cost rows of the synchronous merge pass, three pebbling
+/// configurations for the incremental merge-validity check, and the
+/// redundant-save buffers. One instance serves an entire candidate-evaluation
+/// loop without allocating.
 #[derive(Debug)]
 pub struct PostOptimizer {
     scratch: MbspSchedule,
-    evaluator: ScheduleEvaluator,
+    /// The superstep the synchronous merge pass carries, with every superstep
+    /// folded into it so far.
+    row: StepCosts,
+    /// The superstep after `row`.
+    next: StepCosts,
     /// Configuration after supersteps `0..k` of the current schedule (the merge
     /// loop's cursor state).
     prefix: Configuration,
@@ -139,12 +144,77 @@ pub(crate) struct FoldStats {
     pub(crate) accepted: u64,
 }
 
+/// One superstep's per-processor `[compute, save, load]` costs under the
+/// synchronous model and their maxima over processors, taken from `0.0` in
+/// processor order as [`mbsp_model::sync_cost`] takes them: a row of the
+/// merge pass. A fold adds two rows per processor — the arithmetic of
+/// [`crate::reference::post_optimize`], so both passes take the same folds.
+#[derive(Debug)]
+struct StepCosts {
+    procs: Vec<[f64; 3]>,
+    max: [f64; 3],
+}
+
+impl StepCosts {
+    fn new(processors: usize) -> Self {
+        StepCosts {
+            procs: Vec::with_capacity(processors),
+            max: [0.0; 3],
+        }
+    }
+
+    /// Re-fills the row with `step`'s costs.
+    fn fill<D: DagLike + ?Sized>(&mut self, step: SuperstepView<'_>, dag: &D, g: f64) {
+        self.procs.clear();
+        self.procs.extend(step.procs().map(|p| {
+            [
+                p.compute_cost(dag),
+                p.save_cost(dag, g),
+                p.load_cost(dag, g),
+            ]
+        }));
+        self.take_max();
+    }
+
+    /// Adds `earlier`'s per-processor costs into this row, which then holds
+    /// this superstep with `earlier` folded into it.
+    fn add(&mut self, earlier: &StepCosts) {
+        for (costs, more) in self.procs.iter_mut().zip(&earlier.procs) {
+            for (cost, more) in costs.iter_mut().zip(more) {
+                *cost += more;
+            }
+        }
+        self.take_max();
+    }
+
+    fn take_max(&mut self) {
+        self.max = [0.0; 3];
+        for costs in &self.procs {
+            for (max, &cost) in self.max.iter_mut().zip(costs) {
+                *max = max.max(cost);
+            }
+        }
+    }
+
+    /// The cost without `L` of this superstep and `next` folded into one.
+    fn merged(&self, next: &StepCosts) -> f64 {
+        let mut max = [0.0f64; 3];
+        for (a, b) in self.procs.iter().zip(&next.procs) {
+            for i in 0..3 {
+                max[i] = max[i].max(a[i] + b[i]);
+            }
+        }
+        max[0] + max[1] + max[2]
+    }
+}
+
 impl PostOptimizer {
     /// Allocates the scratch state for one `(dag, arch)` instance.
     pub fn new<D: DagLike + ?Sized>(dag: &D, arch: &Architecture) -> Self {
         PostOptimizer {
             scratch: MbspSchedule::new(arch.processors),
-            evaluator: ScheduleEvaluator::new(arch),
+            row: StepCosts::new(arch.processors),
+            next: StepCosts::new(arch.processors),
             prefix: Configuration::initial(dag, arch),
             trial: Configuration::initial(dag, arch),
             unfolded: Configuration::initial(dag, arch),
@@ -159,7 +229,7 @@ impl PostOptimizer {
     /// Runs the full post-optimisation pass (redundant-save removal, empty-step
     /// removal, greedy superstep merging) and returns the cost of the optimised
     /// schedule under `cost_model` — for the synchronous model it falls out of the
-    /// incremental evaluator for free, so callers need no extra re-cost pass.
+    /// merge pass's cost rows for free, so callers need no extra re-cost pass.
     pub fn optimize<D: DagLike + ?Sized>(
         &mut self,
         schedule: &mut MbspSchedule,
@@ -185,31 +255,32 @@ impl PostOptimizer {
     /// valid and its cost does not increase; returns the final cost.
     ///
     /// Under the synchronous model neither side of the decision re-costs the
-    /// whole schedule: the cost side is an `O(P)` delta from the
-    /// [`ScheduleEvaluator`] (per-superstep phase costs add up, maxima are
-    /// re-taken, one latency `L` is saved), and the validity side simulates only
-    /// the two folded supersteps on top of a cached prefix configuration. When
-    /// the configuration after the merged step is identical to the configuration
-    /// after the original pair — the common case, checked exactly — the suffix of
-    /// the schedule cannot be affected and is not re-simulated at all; otherwise
-    /// the check falls back to simulating the suffix, which is still
-    /// allocation-free.
+    /// whole schedule. The cost side reads two [`StepCosts`] rows — the
+    /// superstep the pass carries and the next one — and compares their
+    /// maxima kept separate (plus the one `L` a fold saves) with the maxima
+    /// of their per-processor sums, in `O(P)`. The validity side simulates
+    /// only the two folded supersteps on top of a cached prefix
+    /// configuration. When the configuration after the merged step is
+    /// identical to the configuration after the original pair — the common
+    /// case, checked exactly — the suffix of the schedule cannot be affected
+    /// and is not re-simulated at all; otherwise the check falls back to
+    /// simulating the suffix, which is still allocation-free.
     ///
-    /// Structural bookkeeping goes through the evaluator's **merge session**:
-    /// an accepted fold moves superstep `k` into `k + 1`
-    /// ([`MbspSchedule::fold_into_next`], O(operations of the two)) and marks
-    /// `k` dead instead of shifting the superstep and cost arrays by O(S), and
-    /// the pass goes on from the merged step — so every pair it tries is
-    /// adjacent, a pass that folds most of a thousands-of-supersteps schedule
-    /// is O(operations + S · P) instead of O(S² · P), and the dead (empty)
-    /// steps are compacted away once at the end. The folds taken — and the
-    /// resulting schedule and cost — are those of [`crate::reference::post_optimize`]
-    /// (the differential tests pin this down). The asynchronous makespan has
-    /// no per-superstep decomposition, so that model keeps the full cost
-    /// re-evaluation through the scratch schedule and the eager fold, but
-    /// decides validity the same way: `try_fold_pair` on a `prefix` the pass
-    /// advances over every step it keeps, so a fold attempt costs the merged
-    /// pair's simulation instead of a validation of the whole schedule.
+    /// An accepted fold moves superstep `k` into `k + 1`
+    /// ([`MbspSchedule::fold_into_next`], O(operations of the two)), adds
+    /// `k`'s row into the next one and carries that on, so every pair the
+    /// pass tries is adjacent and a pass that folds most of a
+    /// thousands-of-supersteps schedule is O(operations + S · P). The
+    /// schedule starts without empty supersteps, so the folded-away ones are
+    /// exactly the empty ones at the end, and one compaction drops them. The
+    /// folds taken — and the resulting schedule and cost — are those of
+    /// [`crate::reference::post_optimize`] (the differential tests pin this
+    /// down). The asynchronous makespan has no per-superstep decomposition,
+    /// so that model keeps the full cost re-evaluation through the scratch
+    /// schedule and the eager fold, but decides validity the same way:
+    /// `try_fold_pair` on a `prefix` the pass advances over every step it
+    /// keeps, so a fold attempt costs the merged pair's simulation instead of
+    /// a validation of the whole schedule.
     fn merge_supersteps<D: DagLike + ?Sized>(
         &mut self,
         schedule: &mut MbspSchedule,
@@ -219,34 +290,51 @@ impl PostOptimizer {
     ) -> f64 {
         match cost_model {
             CostModel::Synchronous => {
-                self.evaluator.rebuild(schedule, dag);
-                self.evaluator.begin_merge();
+                debug_assert!(
+                    schedule
+                        .supersteps()
+                        .all(|step| step.procs().any(|phases| !phases.is_empty())),
+                    "the merge pass starts without empty supersteps"
+                );
                 self.prefix.reset_initial(dag);
-                let mut folded = false;
-                for k in 0..schedule.num_supersteps().saturating_sub(1) {
-                    // Cost of the two steps separately vs merged; all other
-                    // supersteps are untouched by the fold.
-                    if self.evaluator.merged_cost_pair(k, k + 1)
-                        <= self.evaluator.separate_cost_pair(k, k + 1) + 1e-9
-                        && self.try_fold_pair(schedule, dag, arch, k)
-                    {
-                        // Step `k` is empty from here on, so `prefix` stays the
-                        // configuration before the merged step.
-                        schedule.fold_into_next(k);
-                        self.evaluator.apply_merge_pair(k, k + 1);
-                        folded = true;
-                    } else {
+                let steps = schedule.num_supersteps();
+                let (mut compute, mut save, mut load) = (0.0, 0.0, 0.0);
+                let mut kept = 0usize;
+                if steps > 0 {
+                    self.row.fill(schedule.superstep(0), dag, arch.g);
+                }
+                for k in 0..steps {
+                    if k + 1 < steps {
+                        self.next.fill(schedule.superstep(k + 1), dag, arch.g);
+                        // Cost of the two steps separately vs merged; all other
+                        // supersteps are untouched by the fold.
+                        let [c, s, l] = self.row.max;
+                        let [nc, ns, nl] = self.next.max;
+                        if self.row.merged(&self.next)
+                            <= c + s + l + nc + ns + nl + arch.latency + 1e-9
+                            && self.try_fold_pair(schedule, dag, arch, k)
+                        {
+                            // Step `k` is empty from here on, so `prefix` stays
+                            // the configuration before the merged step.
+                            schedule.fold_into_next(k);
+                            self.next.add(&self.row);
+                            std::mem::swap(&mut self.row, &mut self.next);
+                            continue;
+                        }
                         self.prefix
                             .apply_superstep_unchecked(dag, schedule.superstep(k));
                     }
+                    let [c, s, l] = self.row.max;
+                    compute += c;
+                    save += s;
+                    load += l;
+                    kept += 1;
+                    std::mem::swap(&mut self.row, &mut self.next);
                 }
-                // Compact: drop exactly the folded-away (now empty) steps.
-                // Fold-free passes skip the sweep — nothing was emptied.
-                if folded {
-                    schedule.retain_supersteps(|s| self.evaluator.merge_alive(s));
+                if kept < steps {
+                    schedule.remove_empty_supersteps();
                 }
-                self.evaluator.finish_merge();
-                self.evaluator.total()
+                compute + save + load + arch.latency * kept as f64
             }
             CostModel::Asynchronous => {
                 let mut current_cost = cost_model.evaluate(schedule, dag, arch);
@@ -475,7 +563,7 @@ mod tests {
 
     #[test]
     fn fast_post_optimize_matches_the_reference_pass() {
-        // The incremental merge (prefix-cached validity, evaluator cost deltas)
+        // The incremental merge (prefix-cached validity, streamed cost rows)
         // must take exactly the same accept/reject decisions as the reference
         // pass, so the optimised schedules are equal — not just equal in cost.
         let greedy = GreedyBspScheduler::new();
@@ -542,26 +630,32 @@ mod tests {
 
     #[test]
     fn session_eager_and_reference_passes_agree_on_seeded_conversions() {
+        // Both passes on `schedule`: equal schedules, equal cost bits. Returns
+        // the optimised schedule, its cost and whether a fold was accepted.
+        let agree = |inst: &MbspInstance, schedule: MbspSchedule, name: &str| {
+            let (dag, arch) = (inst.dag(), inst.arch());
+            let model = CostModel::Synchronous;
+            let mut post = PostOptimizer::new(dag, arch);
+            let mut session = schedule.clone();
+            let session_cost = post.optimize(&mut session, dag, arch, model, &[]);
+            let mut reference = schedule;
+            crate::reference::post_optimize(&mut reference, dag, arch, model, &[]);
+            assert_eq!(session, reference, "{name}: session vs reference");
+            assert_eq!(
+                session_cost.to_bits(),
+                sync_cost(&reference, dag, arch).total.to_bits(),
+                "{name}"
+            );
+            (session, session_cost, post.fold_stats.accepted > 0)
+        };
         let mut cases = 0usize;
         let mut folded_cases = 0usize;
         for (cache_factor, latency) in [(3.0, 10.0), (12.0, 50.0)] {
             for (inst, schedule) in seeded_conversions(cache_factor, latency, 4) {
-                let (dag, arch) = (inst.dag(), inst.arch());
-                let model = CostModel::Synchronous;
-                let mut post = PostOptimizer::new(dag, arch);
-                let mut session = schedule.clone();
-                let session_cost = post.optimize(&mut session, dag, arch, model, &[]);
-                let mut reference = schedule;
-                crate::reference::post_optimize(&mut reference, dag, arch, model, &[]);
                 let name = format!("{} r={cache_factor}·r0 L={latency}", inst.name());
-                assert_eq!(session, reference, "{name}: session vs reference");
-                assert_eq!(
-                    session_cost.to_bits(),
-                    sync_cost(&reference, dag, arch).total.to_bits(),
-                    "{name}"
-                );
+                let (_, _, folded) = agree(&inst, schedule, &name);
                 cases += 1;
-                folded_cases += (post.fold_stats.accepted > 0) as usize;
+                folded_cases += folded as usize;
             }
         }
         assert!(cases >= 100, "expected 100+ cases, got {cases}");
@@ -569,6 +663,34 @@ mod tests {
             folded_cases >= cases / 4,
             "only {folded_cases} of {cases} cases accepted a fold: the accept path is barely tested"
         );
+
+        // Prefixes of a `P = 1` path `a → b → c → d`: `a` is loaded in
+        // superstep 0 and `b`, `c`, `d` are computed in supersteps 1–3 (`d`
+        // saved). The whole schedule folds 1 into 2 and the carried result
+        // into 3; 0 cannot fold, because its load would follow the computes.
+        let dag = mbsp_dag::CompDag::from_edges(
+            "path",
+            vec![mbsp_dag::NodeWeights::unit(); 4],
+            &[(0, 1), (1, 2), (2, 3)],
+        )
+        .unwrap();
+        let path = MbspInstance::new(dag, Architecture::new(1, 4.0, 1.0, 5.0));
+        let mut steps = vec![mbsp_model::Superstep::empty(1); 4];
+        steps[0].procs[0].load.push(NodeId::new(0));
+        for v in 1..4 {
+            let compute = ComputePhaseStep::Compute(NodeId::new(v));
+            steps[v].procs[0].compute.push(compute);
+        }
+        steps[3].procs[0].save.push(NodeId::new(3));
+        let prefix = |len: usize| MbspSchedule::from_supersteps(1, &steps[..len]).unwrap();
+        let (empty, cost, _) = agree(&path, prefix(0), "empty");
+        assert_eq!((empty.num_supersteps(), cost), (0, 0.0));
+        let (one, _, _) = agree(&path, prefix(1), "one superstep");
+        assert_eq!(one.num_supersteps(), 1);
+        let (chain, _, _) = agree(&path, prefix(4), "fold chain");
+        chain.validate(path.dag(), path.arch()).unwrap();
+        assert_eq!(chain.num_supersteps(), 2);
+        assert_eq!(chain.superstep(1).proc(ProcId::new(0)).compute.len(), 3);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   [`improver::PostOptimizer`]: superstep merging, redundant-I/O removal).
 //! * [`engine`] — the candidate-evaluation engine behind the holistic search:
 //!   first-class [`engine::Move`]s, one [`engine::EvaluationEngine`] per search
-//!   (arena-backed conversion via `mbsp_cache::ConversionArena` plus incremental
-//!   cost deltas via `mbsp_model::ScheduleEvaluator`), and `(cost, index)`-ordered
+//!   (arena-backed conversion via `mbsp_cache::ConversionArena` plus the
+//!   post-optimiser's two-row merge pass), and `(cost, index)`-ordered
 //!   batch evaluation. It has one path and no switch.
 //! * [`reference`](mod@reference) — the engine's ground truth, reached by name: the
 //!   pre-engine clone-and-recost evaluation of one candidate
@@ -53,7 +53,7 @@
 //!   out over scoped lanes and seeded from both the global
 //!   incumbent's restriction and a shard-local greedy baseline, a deterministic `(cost, shard index)`-ordered
 //!   merge whose boundary-repair pass re-evaluates cross-shard supersteps
-//!   through the incremental evaluator (with capped move-replay salvage for
+//!   through the global evaluation engine (with capped move-replay salvage for
 //!   rejected blocks), iterated over shifted partitions until the candidate
 //!   budget is spent. An optional [`shard::IncumbentObserver`] fires at each
 //!   deterministic merge boundary, yielding the monotone anytime-incumbent
@@ -65,9 +65,10 @@
 //!   shards intersecting the cone are re-searched (global shard indices keep
 //!   the seed streams aligned with a full run) before the shared deterministic
 //!   merge folds the winners back. Repairs are byte-identical for any worker
-//!   count and never cost more than the stale incumbent; the mutation-replay
-//!   differential suites in `mbsp_gen` and `mbsp_model` pin the underlying
-//!   delta and dirty-set semantics against full-rebuild oracles.
+//!   count and never cost more than the stale incumbent
+//!   (`tests/repair_determinism.rs`); `mbsp_gen`'s mutation-replay suite
+//!   (`tests/mutation_replay.rs`) pins the underlying delta semantics against
+//!   a full-rebuild oracle.
 //!   [`dirty_cone::IncrementalScheduler::schedule`] runs the full sharded
 //!   search on the session's own DAG and adopts the winner in place (what
 //!   the `mbsp_serve` daemon's `schedule` request calls).

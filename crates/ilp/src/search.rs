@@ -24,11 +24,11 @@
 //!   assignment plus pass `0` restricted to the cone.
 
 use crate::dirty_cone::dirty_shard_indices;
-use crate::engine::{assignment_delta, resolve_workers, EvalPath, EvaluationEngine, Move};
+use crate::engine::{assignment_delta, EvalPath, EvaluationEngine, Move};
 use crate::shard::{part_view, shard_partition, ShardedSearchConfig};
 use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
 use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
-use mbsp_pool::{CancelToken, StopReason, WorkerPool};
+use mbsp_pool::{resolve_workers, CancelToken, StopReason, WorkerPool};
 use mbsp_sched::{BspSchedulingResult, GreedyBspScheduler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

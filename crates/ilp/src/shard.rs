@@ -34,8 +34,8 @@
 //!    assignment one shard at a time, ordered by `(local cost delta, shard
 //!    index)` — a total order, so the result is identical for any worker count.
 //!    Each fold is accepted only if the **global** cost improves, re-evaluated
-//!    through the shared incremental machinery (arena conversion + superstep
-//!    merging through [`mbsp_model::ScheduleEvaluator`]): this boundary-repair
+//!    through the shared incremental machinery (arena conversion + the
+//!    post-optimiser's superstep merging): this boundary-repair
 //!    pass re-derives and re-costs the cross-shard supersteps, so local wins
 //!    that break the boundary are rejected rather than merged blindly. A
 //!    rejected shard gets a prefix salvage: up to four of its accepted deltas

@@ -33,11 +33,7 @@
 //!   referee of [`schedule::MbspSchedule::validate`];
 //! * the cost of a schedule is measured either **synchronously** (BSP-style,
 //!   per-superstep maxima plus `L`) or **asynchronously** (makespan of the induced
-//!   per-processor timelines) — see [`cost`];
-//! * search loops that evaluate many locally-edited schedules use
-//!   [`eval::ScheduleEvaluator`], which caches the per-superstep phase costs and
-//!   re-evaluates edits in O(changed supersteps), with [`cost`] as the slow
-//!   reference path.
+//!   per-processor timelines) — see [`cost`].
 //!
 //! The crate also contains the plain **BSP schedule** representation
 //! ([`bsp::BspSchedule`]) used as the first stage of the paper's two-stage baseline,
@@ -46,7 +42,6 @@
 pub mod arch;
 pub mod bsp;
 pub mod cost;
-pub mod eval;
 pub mod instance;
 pub mod ops;
 pub mod reference;
@@ -56,7 +51,6 @@ pub mod state;
 pub use arch::{Architecture, ProcId};
 pub use bsp::{BspCost, BspSchedule};
 pub use cost::{async_cost, sync_cost, CostBreakdown, CostModel};
-pub use eval::ScheduleEvaluator;
 pub use instance::MbspInstance;
 pub use ops::{ComputePhaseStep, Operation};
 pub use schedule::{

@@ -38,8 +38,9 @@
 //! least 1).
 //!
 //! [`WorkerPool::shared`] hands out the process-wide permit count that the
-//! schedulers thread through `ShardedHolisticScheduler`, `IncrementalScheduler`
-//! and `DivideAndConquerScheduler`; private counts are built with
+//! schedulers thread through `ShardedHolisticScheduler` and
+//! `IncrementalScheduler` and that `DivideAndConquerScheduler`'s part fan-out
+//! takes its lanes from; private counts are built with
 //! [`WorkerPool::with_capacity`] (tests use this to exercise specific sizes).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -501,5 +502,22 @@ mod tests {
     fn resolve_workers_is_at_least_one() {
         assert_eq!(resolve_workers(3), 3);
         assert!(resolve_workers(0) >= 1);
+    }
+
+    #[test]
+    fn resolve_workers_reads_the_bench_threads_env() {
+        // An explicit worker count always wins; `0` falls back to
+        // MBSP_BENCH_THREADS, then to the machine. The variable is
+        // process-global, so its previous value is put back for every test
+        // that resolves its workers after this one.
+        let previous = std::env::var_os("MBSP_BENCH_THREADS");
+        std::env::set_var("MBSP_BENCH_THREADS", "2");
+        assert_eq!(resolve_workers(0), 2);
+        assert_eq!(resolve_workers(5), 5);
+        std::env::remove_var("MBSP_BENCH_THREADS");
+        assert!(resolve_workers(0) >= 1);
+        if let Some(previous) = previous {
+            std::env::set_var("MBSP_BENCH_THREADS", previous);
+        }
     }
 }
