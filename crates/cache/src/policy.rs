@@ -1,9 +1,11 @@
 //! Cache-eviction policies.
 //!
-//! The two-stage converter asks a policy which cached values to evict when it needs
-//! to free space on a processor. The policy receives the full set of evictable
-//! candidates together with recency and future-use information and returns the
-//! victims, ordered by eviction preference.
+//! The single-shot two-stage converter (`two_stage::reference`) asks a policy
+//! which cached values to evict when it needs to free space on a processor. The
+//! policy receives the full set of evictable candidates together with recency
+//! and future-use information and returns the victims, ordered by eviction
+//! preference. [`crate::ConversionArena`] asks no policy: it evicts in the
+//! clairvoyant order itself.
 
 use mbsp_dag::NodeId;
 
@@ -29,41 +31,31 @@ pub struct CandidateVictim {
 
 /// A cache-eviction policy: selects which cached values to drop when space is needed.
 pub trait EvictionPolicy {
-    /// Human-readable name of the policy (used in experiment reports). It also
-    /// identifies the policy to [`crate::ConversionArena::rebase`]: two
-    /// policies that order candidates differently must not share a name.
+    /// Human-readable name of the policy (used in experiment reports).
     fn name(&self) -> &'static str;
 
     /// Compares two candidates by eviction preference: `Less` means `a` should be
     /// evicted before `b`. The order must be **total** (policies break remaining
-    /// ties by node id), so any selection strategy — a full sort or a repeated
-    /// minimum — produces the same eviction sequence. It may depend on
-    /// [`CandidateVictim::next_use`] only through how two candidates' positions
-    /// compare: a conversion that starts from a recorded base
-    /// ([`crate::ConversionArena::rebase`]) sees positions shifted by the
-    /// candidate's move, monotonically, relative to the base's.
+    /// ties by node id), so any selection strategy produces the same eviction
+    /// sequence.
     fn order(&self, a: &CandidateVictim, b: &CandidateVictim) -> std::cmp::Ordering;
 
     /// Is [`EvictionPolicy::order`] exactly the clairvoyant order: furthest
     /// `next_use` first with `None` (no further use) furthest of all, then
     /// `(has_blue desc, weight desc, node asc)`?
     ///
-    /// Returning `true` is a promise about `order` that lets the arena
-    /// converter pick victims without building the candidate set: candidates
-    /// with no further use come off an incrementally maintained ordered set
-    /// in `O(log cached)` each, the others from a dense array of next-use
-    /// positions, one pass per victim — `order` itself is never called. A
-    /// policy answering `true` only changes *how fast* victims are found,
-    /// never *which* victims are chosen.
+    /// [`crate::TwoStageScheduler::schedule`] converts through
+    /// [`crate::ConversionArena`], which evicts in exactly this order without
+    /// calling `order`, for a policy answering `true`; any other policy goes
+    /// through the single-shot `two_stage::reference::convert`. Either way
+    /// the same victims are chosen.
     fn orders_by_next_use(&self) -> bool {
         false
     }
 
     /// Orders the candidates by eviction preference (most evictable first). The
-    /// reference converter walks this order and evicts until enough space is
-    /// free; the arena-based converter instead selects victims one at a time via
-    /// [`EvictionPolicy::order`], which avoids sorting candidates that are never
-    /// evicted.
+    /// single-shot converter walks this order and evicts until enough space is
+    /// free.
     fn rank(&self, candidates: &[CandidateVictim]) -> Vec<NodeId> {
         let mut order: Vec<&CandidateVictim> = candidates.iter().collect();
         order.sort_by(|a, b| self.order(a, b));

@@ -62,9 +62,9 @@
 //! cache list (written on entry, rewritten for the inputs of every compute
 //! step — the only values whose next use a step moves) and takes the largest
 //! key in one pass, where it used to build a candidate record per cached
-//! value. A policy that does not promise the clairvoyant order
-//! ([`EvictionPolicy::orders_by_next_use`]; LRU) gets the full candidate scan
-//! through [`EvictionPolicy::order`].
+//! value. The arena evicts in the clairvoyant order only; [`TwoStageScheduler`]
+//! hands a policy that does not promise that order
+//! ([`EvictionPolicy::orders_by_next_use`]; LRU) to [`reference::convert`].
 //!
 //! ## Suffix re-conversion: the base
 //!
@@ -96,15 +96,14 @@
 //! **What is reconstructed, and why that is exact.** Everything else at a
 //! superstep boundary `c` follows from the prefix: a blue stamp is written
 //! once and never cleared, so the blue set at `c` is the final stamps
-//! filtered by `≤ c`; `remaining_uses` and `last_use` are written only by
-//! compute steps, so replaying the `cursor` computed entries of each sequence
-//! (identical in base and candidate, see below) rebuilds them; the LRU clock
-//! of a processor *is* its cursor; `use_ptr` is a lazily advanced cache of
-//! "first use at or after the cursor" and may restart from `use_off`; the
-//! next-use keys are read off it as the cache contents are re-inserted at the
-//! restored cursor; the spent keys are recomputed from the restored blue
-//! stamps. No array of size
-//! `P·n` is ever copied into a checkpoint.
+//! filtered by `≤ c`; `remaining_uses` is written only by compute steps, so
+//! replaying the `cursor` computed entries of each sequence (identical in
+//! base and candidate, see below) rebuilds it; `use_ptr` is a lazily
+//! advanced cache of "first use at or after the cursor" and may restart
+//! from `use_off`; the next-use keys are read off it as the cache contents
+//! are re-inserted at the restored cursor; the spent keys are recomputed
+//! from the restored blue stamps. No array of size `P·n` is ever copied
+//! into a checkpoint.
 //!
 //! **The read-stamp rule.** A candidate's conversion may differ from the
 //! base's only through the three things an assignment determines: the
@@ -119,13 +118,14 @@
 //!   are read in index order, so on a processor whose sequence changed the
 //!   earliest affected read is the base entry at the first index where the two
 //!   sequences differ (or the end-of-sequence stamp).
-//! * *use lists* are read only for values in a cache (`next_use` of a computed
+//! * *use lists* are read only for values in a cache (the next use of a computed
 //!   value, of its inputs, of eviction candidates), so every cache entry —
 //!   computed or loaded — stamps the value. A value's uses change only when a
 //!   child changes processor or position, so the parents of every changed node
 //!   are tested. Uses of unchanged nodes may shift position, but monotonically
 //!   (unchanged nodes keep their `(superstep, topological position)` keys),
-//!   and policies compare `next_use` positions only with each other.
+//!   and the clairvoyant order compares next-use positions only with each
+//!   other.
 //! * *`node_proc` of a computed value's children* is read by the save phase
 //!   (`has_remote_child`); the value was computed, so it carries a stamp, and
 //!   it is a parent of the changed child, so it is tested.
@@ -134,19 +134,20 @@
 //! changed} ∪ their parents ∪ the first differing base entry of each affected
 //! processor is a superstep `d` before which the two simulations cannot tell
 //! the assignments apart; the restore goes to the last checkpoint `≤ d`.
-//! Without a base (or with `d = 0`, or under a different policy or
-//! required-output set than the base was recorded with) the same code
-//! restores the initial checkpoint — superstep 0, empty caches — which is a
-//! full conversion. A rebase is itself such a conversion relative to the
-//! previous base, recording from the restored checkpoint on.
+//! Without a base (or with `d = 0`, or under a different required-output
+//! set than the base was recorded with) the same code restores the initial
+//! checkpoint — superstep 0, empty caches — which is a full conversion. A
+//! rebase is itself such a conversion relative to the previous base,
+//! recording from the restored checkpoint on.
 //!
-//! The arena is **operation-identical** to a from-scratch conversion: the
-//! [`mod@reference`] module keeps the original single-shot converter as the
-//! ground truth (mirroring the `dense::` module of `lp_solver`), and the tests
+//! The arena is **operation-identical** to a from-scratch conversion under
+//! [`crate::ClairvoyantPolicy`]: the [`mod@reference`] module keeps the
+//! original single-shot converter as the ground truth (mirroring the
+//! `dense::` module of `lp_solver`), and the tests
 //! in `mbsp-ilp` replay random move sequences asserting that arena output —
 //! based and base-less — and reference output are equal schedules.
 
-use crate::policy::{CandidateVictim, EvictionPolicy};
+use crate::policy::EvictionPolicy;
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{Architecture, ComputePhaseStep, MbspSchedule, ProcId, ProcPhases, Superstep};
 use mbsp_sched::BspSchedulingResult;
@@ -181,7 +182,9 @@ impl TwoStageScheduler {
     }
 
     /// Converts a BSP scheduling result into a valid MBSP schedule using `policy`
-    /// for cache eviction.
+    /// for cache eviction: through a [`ConversionArena`] when the policy
+    /// promises the clairvoyant order, through [`reference::convert`]
+    /// otherwise (LRU). Both produce the same schedule for the same policy.
     pub fn schedule<D: DagLike + ?Sized>(
         &self,
         dag: &D,
@@ -189,9 +192,12 @@ impl TwoStageScheduler {
         bsp: &BspSchedulingResult,
         policy: &dyn EvictionPolicy,
     ) -> MbspSchedule {
+        if !policy.orders_by_next_use() {
+            return reference::convert(dag, arch, bsp, policy, &[]);
+        }
         let mut arena = ConversionArena::new(dag, arch);
         let mut out = MbspSchedule::new(arch.processors);
-        arena.convert(dag, arch, bsp, policy, &[], &mut out);
+        arena.convert(dag, arch, bsp, &[], &mut out);
         out
     }
 }
@@ -203,9 +209,8 @@ impl TwoStageScheduler {
 struct Base {
     /// Do the fields below describe a recorded conversion?
     valid: bool,
-    /// The parameters the base was recorded under: a conversion under any
-    /// other starts from superstep 0.
-    policy: &'static str,
+    /// The required outputs the base was recorded under: a conversion under
+    /// any others starts from superstep 0.
     required: Vec<NodeId>,
     /// The base's assignment, canonical supersteps and sequences.
     procs: Vec<ProcId>,
@@ -238,7 +243,6 @@ impl Base {
     fn new(p: usize) -> Self {
         Base {
             valid: false,
-            policy: "",
             required: Vec::new(),
             procs: Vec::new(),
             superstep: Vec::new(),
@@ -386,8 +390,7 @@ pub struct ConversionArena {
     simulated_supersteps: u64,
     skipped_supersteps: u64,
     // ---- Per-run cache-simulation state. ----
-    /// Per processor: current position in `seq` — also the processor's LRU
-    /// clock (one tick per compute step).
+    /// Per processor: current position in `seq`.
     cursor: Vec<usize>,
     /// Per processor and node (flat `p * n + v`): index into `use_pos[p]` of
     /// the node's first use that has not been passed yet (starts at the node's
@@ -402,7 +405,7 @@ pub struct ConversionArena {
     cached_list: Vec<Vec<NodeId>>,
     /// Parallel to `cached_list`: the position in `seq[pi]` of each cached
     /// node's next use on `pi` at or after the cursor ([`NO_USE`] when it has
-    /// none) — `next_use` as a dense array, so the clairvoyant eviction scan
+    /// none) — the next use as a dense array, so the clairvoyant eviction scan
     /// reads one `u32` per cached value. Written when a node enters the cache
     /// and rewritten for the inputs of every compute step: advancing the
     /// cursor past position `c` changes the next use of exactly the nodes
@@ -413,13 +416,8 @@ pub struct ConversionArena {
     list_pos: Vec<u32>,
     /// Per processor: current cache usage.
     used: Vec<f64>,
-    /// Per processor and node (flat `p * n + v`): logical time of the last
-    /// access (for LRU).
-    last_use: Vec<usize>,
-    /// Per node: a membership mask for the two node sets `plan_io` tests
-    /// cached values against — the inputs of the next compute step during the
-    /// eviction scan, then the prefetch planner's `virtually_cached` list
-    /// (O(1) lookups instead of a linear scan). Always all-false outside
+    /// Per node: membership in the prefetch planner's `virtually_cached`
+    /// list (O(1) lookups instead of a linear scan). Always all-false outside
     /// [`ConversionArena::plan_io`].
     node_mask: Vec<bool>,
     /// Per node: its memory weight `μ(v)`, copied out of the DAG once so the
@@ -431,10 +429,7 @@ pub struct ConversionArena {
     /// then smaller node id (see [`ConversionArena::spent_key`]). A value enters
     /// the list the moment its last local use is consumed (or when it is
     /// computed with no local children) and leaves it on eviction, so eviction
-    /// triggers pop victims instead of scanning the whole cache. Policies whose
-    /// [`EvictionPolicy::orders_by_next_use`] is `false` (LRU) ignore the list
-    /// (and `cached_next`) for victim selection, but both are maintained
-    /// unconditionally so switching policies between runs is safe.
+    /// triggers pop victims instead of scanning the whole cache.
     spent: Vec<Vec<(u8, u64, u32)>>,
     /// Per processor and node (flat `p * n + v`): is the node in `spent`?
     in_spent: Vec<bool>,
@@ -470,7 +465,6 @@ pub struct ConversionArena {
     scratch_nodes: Vec<NodeId>,
     scratch_nodes2: Vec<NodeId>,
     scratch_nodes3: Vec<NodeId>,
-    scratch_candidates: Vec<CandidateVictim>,
 }
 
 impl ConversionArena {
@@ -528,12 +522,11 @@ impl ConversionArena {
             cached_next: vec![Vec::new(); p],
             list_pos: vec![0; p * n],
             used: vec![0.0; p],
-            last_use: vec![0; p * n],
             node_mask: vec![false; n],
             mem_weight: {
                 let w: Vec<f64> = dag.nodes().map(|v| dag.memory_weight(v)).collect();
                 // Non-negative weights keep the `to_bits` ordering of `spent_key`
-                // consistent with `partial_cmp` in the eviction policies.
+                // consistent with `partial_cmp` in `ClairvoyantPolicy::order`.
                 debug_assert!(w.iter().all(|&x| x >= 0.0));
                 w
             },
@@ -549,7 +542,6 @@ impl ConversionArena {
             scratch_nodes: Vec::new(),
             scratch_nodes2: Vec::new(),
             scratch_nodes3: Vec::new(),
-            scratch_candidates: Vec::new(),
         }
     }
 
@@ -569,12 +561,11 @@ impl ConversionArena {
     /// BSP baselines; the per-processor sequences are rebuilt from scratch, but all
     /// allocations are reused. Clears the arena's base: a base describes a
     /// canonical assignment, which an explicit superstep structure is not.
-    pub fn convert<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+    pub fn convert<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         bsp: &BspSchedulingResult,
-        policy: &P,
         required_outputs: &[NodeId],
         out: &mut MbspSchedule,
     ) {
@@ -610,7 +601,7 @@ impl ConversionArena {
         }
         let start = self.restore(dag, 0, required_outputs);
         out.truncate(start);
-        self.run(dag, arch, policy, out);
+        self.run(dag, arch, out);
         out.remove_empty_supersteps();
     }
 
@@ -626,46 +617,42 @@ impl ConversionArena {
     /// checkpoint before the first one the change can affect are simulated —
     /// the rest is copied from the base. The result is the same schedule
     /// either way.
-    pub fn convert_assignment<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+    pub fn convert_assignment<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         procs: &[ProcId],
-        policy: &P,
         required_outputs: &[NodeId],
         out: &mut MbspSchedule,
     ) {
-        self.convert_from_base(dag, arch, procs, policy, required_outputs, out, false);
+        self.convert_from_base(dag, arch, procs, required_outputs, out, false);
     }
 
     /// Converts `procs` into `out` exactly like
     /// [`ConversionArena::convert_assignment`] and records the conversion as
-    /// the arena's **base**: later `convert_assignment` calls under the same
-    /// policy (by [`EvictionPolicy::name`]) and required outputs re-simulate
-    /// only the supersteps their difference from `procs` can change. The base
-    /// costs O(n + operations of the schedule) memory and stays until the next
-    /// `rebase` or [`ConversionArena::convert`].
-    pub fn rebase<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+    /// the arena's **base**: later `convert_assignment` calls with the same
+    /// required outputs re-simulate only the supersteps their difference from
+    /// `procs` can change. The base costs O(n + operations of the schedule)
+    /// memory and stays until the next `rebase` or
+    /// [`ConversionArena::convert`].
+    pub fn rebase<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         procs: &[ProcId],
-        policy: &P,
         required_outputs: &[NodeId],
         out: &mut MbspSchedule,
     ) {
-        self.convert_from_base(dag, arch, procs, policy, required_outputs, out, true);
+        self.convert_from_base(dag, arch, procs, required_outputs, out, true);
     }
 
     /// The canonical-assignment conversion behind `convert_assignment`
     /// (`record == false`) and `rebase`.
-    #[allow(clippy::too_many_arguments)]
-    fn convert_from_base<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+    fn convert_from_base<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
         procs: &[ProcId],
-        policy: &P,
         required_outputs: &[NodeId],
         out: &mut MbspSchedule,
         record: bool,
@@ -708,10 +695,7 @@ impl ConversionArena {
         self.prev_superstep.copy_from_slice(&self.superstep);
         self.have_prev = true;
 
-        let same_parameters = self.base.valid
-            && self.base.policy == policy.name()
-            && self.base.required == required_outputs;
-        let checkpoint = if same_parameters {
+        let checkpoint = if self.base.valid && self.base.required == required_outputs {
             self.first_affected_checkpoint(dag, procs)
         } else {
             Some(0)
@@ -730,7 +714,7 @@ impl ConversionArena {
             self.base.rewind_to(checkpoint, self.n, self.p);
         }
         self.recording = record;
-        self.run(dag, arch, policy, out);
+        self.run(dag, arch, out);
         self.recording = false;
         if record {
             let base = &mut self.base;
@@ -742,7 +726,6 @@ impl ConversionArena {
             for (kept, seq) in base.seq.iter_mut().zip(&self.seq) {
                 kept.clone_from(seq);
             }
-            base.policy = policy.name();
             base.required.clear();
             base.required.extend_from_slice(required_outputs);
             base.valid = true;
@@ -900,7 +883,6 @@ impl ConversionArena {
                 self.in_dead[row + v as usize] = false;
             }
         }
-        self.last_use.fill(0);
         for pi in 0..p {
             self.use_ptr[pi * n..(pi + 1) * n]
                 .copy_from_slice(&self.use_off[pi * (n + 1)..pi * (n + 1) + n]);
@@ -922,16 +904,13 @@ impl ConversionArena {
             self.is_required_output[v.index()] = true;
         }
         for pi in 0..p {
-            let (row, slot) = (pi * n, idx * p + pi);
+            let slot = idx * p + pi;
             let cursor = self.base.ckpt_cursor[slot] as usize;
             self.cursor[pi] = cursor;
             self.used[pi] = self.base.ckpt_used[slot];
-            // Only compute steps write the use counts and the LRU clocks.
-            for pos in 0..cursor {
-                let v = self.seq[pi][pos];
-                self.last_use[row + v.index()] = pos + 1;
+            // Only compute steps write the use counts.
+            for &v in &self.seq[pi][..cursor] {
                 for u in dag.parents(v) {
-                    self.last_use[row + u.index()] = pos + 1;
                     self.remaining_uses[u.index()] -= 1;
                 }
             }
@@ -1003,13 +982,7 @@ impl ConversionArena {
     /// identical transition rules to [`reference::convert`]. Each superstep is
     /// built in the scratch phase lists and appended to `out` once it ends, so
     /// `out` gains one superstep per simulated superstep.
-    fn run<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
-        &mut self,
-        dag: &D,
-        arch: &Architecture,
-        policy: &P,
-        out: &mut MbspSchedule,
-    ) {
+    fn run<D: DagLike + ?Sized>(&mut self, dag: &D, arch: &Architecture, out: &mut MbspSchedule) {
         assert_eq!(
             out.processors(),
             self.p,
@@ -1061,16 +1034,13 @@ impl ConversionArena {
                     if !self.make_room_with_dead_values(dag, arch, pi, needed, phases, v) {
                         break;
                     }
-                    // Execute the compute step; it is the processor's
-                    // `pos + 1`-th, which is its LRU clock reading.
+                    // Execute the compute step. v's own uses all lie behind
+                    // `pos`, so the key it enters the cache with still holds
+                    // once the cursor has moved on.
                     phases.compute.push(ComputePhaseStep::Compute(v));
-                    // v's own uses all lie behind `pos`, so the key it enters
-                    // the cache with still holds once the cursor has moved on.
                     let key = self.cache_insert(pi, v);
                     self.used[pi] += dag.memory_weight(v);
-                    self.last_use[base + v.index()] = pos + 1;
                     for u in dag.parents(v) {
-                        self.last_use[base + u.index()] = pos + 1;
                         self.remaining_uses[u.index()] -= 1;
                     }
                     self.cursor[pi] += 1;
@@ -1135,7 +1105,7 @@ impl ConversionArena {
                 }
 
                 // ---- 3 & 4. Eviction and loads for the next segment. ----
-                self.plan_io(dag, arch, policy, pi, phases);
+                self.plan_io(dag, arch, pi, phases);
             }
             out.push_superstep(&step);
             step_idx += 1;
@@ -1178,11 +1148,10 @@ impl ConversionArena {
 
     /// Plans the save/delete/load phases that prepare the next compute segment of
     /// processor `pi`.
-    fn plan_io<D: DagLike + ?Sized, P: EvictionPolicy + ?Sized>(
+    fn plan_io<D: DagLike + ?Sized>(
         &mut self,
         dag: &D,
         arch: &Architecture,
-        policy: &P,
         pi: usize,
         phases: &mut ProcPhases,
     ) {
@@ -1215,111 +1184,50 @@ impl ConversionArena {
         let missing_weight: f64 = loadable.iter().map(|&u| dag.memory_weight(u)).sum();
         let target_free = missing_weight + dag.memory_weight(next);
 
-        // Evict until the next compute step fits.
-        let must_evict = self.used[pi] + target_free > r + 1e-9;
-        if must_evict && policy.orders_by_next_use() {
-            // The policy's order is known, so no candidate set is built.
-            // First the spent values, popped straight off their sorted list.
-            // Parents of `next` (and `next` itself) are never spent (their
-            // use at the current cursor position is still pending), so the
-            // keep-set filter of the generic scan is vacuous here. Popping
-            // reads the current blue pebbles, which equal the trigger-start
-            // snapshot the generic scan sees: the only blue bit an eviction
-            // flips belongs to the victim itself, which leaves the cache with
-            // it.
-            while self.used[pi] + target_free > r + 1e-9 {
-                let Some((_, _, vid)) = self.spent[pi].pop() else {
-                    break;
-                };
-                let v = NodeId::new(vid as usize);
-                self.in_spent[base + v.index()] = false;
-                debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
-                self.evict(dag, pi, v, phases);
-            }
-            // Then the values with a future use, furthest first, ties like
-            // the spent keys: each victim is one pass over the dense next-use
-            // keys. A key equal to `pos` is an input of `next` (nothing else
-            // is read there), which is the whole keep-set.
-            while self.used[pi] + target_free > r + 1e-9 {
-                let (keys, list) = (&self.cached_next[pi], &self.cached_list[pi]);
-                let mut best: Option<usize> = None;
-                for (at, &key) in keys.iter().enumerate() {
-                    if key as usize <= pos {
-                        continue;
-                    }
-                    let better = best.map_or(true, |b| {
-                        key > keys[b]
-                            || (key == keys[b]
-                                && self.spent_key(list[at]) < self.spent_key(list[b]))
-                    });
-                    if better {
-                        best = Some(at);
-                    }
-                }
-                let Some(best) = best else {
-                    break;
-                };
-                let v = list[best];
-                debug_assert_eq!(self.next_use_key(pi, v), self.cached_next[pi][best]);
-                debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
-                self.evict(dag, pi, v, phases);
-            }
-        } else if must_evict {
-            // Full scan, for a policy that promises no order: the reference
-            // converter ranks the whole candidate set through `policy.rank`;
-            // since the policy order is total, repeatedly extracting the
-            // minimum yields the identical eviction sequence without sorting
-            // candidates that are never evicted. The first minimum is tracked
-            // while the candidates are built — one victim is usually enough —
-            // and only a further victim costs a further pass.
-            self.node_mask[next.index()] = true;
-            for u in dag.parents(next) {
-                self.node_mask[u.index()] = true;
-            }
-            let mut candidates = std::mem::take(&mut self.scratch_candidates);
-            candidates.clear();
-            let mut best = 0usize;
-            for idx in 0..self.cached_list[pi].len() {
-                let v = self.cached_list[pi][idx];
-                if self.node_mask[v.index()] {
+        // Evict in the clairvoyant order until the next compute step fits,
+        // without building a candidate set. First the spent values, popped
+        // straight off their sorted list. Parents of `next` (and `next`
+        // itself) are never spent (their use at the current cursor position
+        // is still pending), so the reference converter's keep-set filter is
+        // vacuous here. Popping reads the current blue pebbles, which equal
+        // the trigger-start snapshot the reference ranks by: the only blue bit
+        // an eviction flips belongs to the victim itself, which leaves the
+        // cache with it.
+        while self.used[pi] + target_free > r + 1e-9 {
+            let Some((_, _, vid)) = self.spent[pi].pop() else {
+                break;
+            };
+            let v = NodeId::new(vid as usize);
+            self.in_spent[base + v.index()] = false;
+            debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
+            self.evict(dag, pi, v, phases);
+        }
+        // Then the values with a future use, furthest first, ties like the
+        // spent keys: each victim is one pass over the dense next-use keys. A
+        // key equal to `pos` is an input of `next` (nothing else is read
+        // there), which is the whole keep-set.
+        while self.used[pi] + target_free > r + 1e-9 {
+            let (keys, list) = (&self.cached_next[pi], &self.cached_list[pi]);
+            let mut best: Option<usize> = None;
+            for (at, &key) in keys.iter().enumerate() {
+                if key as usize <= pos {
                     continue;
                 }
-                let candidate = CandidateVictim {
-                    node: v,
-                    weight: dag.memory_weight(v),
-                    next_use: self.next_use(pi, v),
-                    last_use: self.last_use[base + v.index()],
-                    has_blue: self.is_blue(v),
-                    needed_later: self.remaining_uses[v.index()] > 0
-                        || (self.is_required_output[v.index()] && !self.is_blue(v)),
-                };
-                if candidates.is_empty() || policy.order(&candidate, &candidates[best]).is_lt() {
-                    best = candidates.len();
-                }
-                candidates.push(candidate);
-            }
-            self.node_mask[next.index()] = false;
-            for u in dag.parents(next) {
-                self.node_mask[u.index()] = false;
-            }
-            let mut first = Some(best);
-            let mut remaining = candidates.len();
-            while self.used[pi] + target_free > r + 1e-9 && remaining > 0 {
-                let best = first.take().unwrap_or_else(|| {
-                    (1..remaining).fold(0, |best, i| {
-                        if policy.order(&candidates[i], &candidates[best]).is_lt() {
-                            i
-                        } else {
-                            best
-                        }
-                    })
+                let better = best.map_or(true, |b| {
+                    key > keys[b]
+                        || (key == keys[b] && self.spent_key(list[at]) < self.spent_key(list[b]))
                 });
-                let v = candidates[best].node;
-                candidates.swap(best, remaining - 1);
-                remaining -= 1;
-                self.evict(dag, pi, v, phases);
+                if better {
+                    best = Some(at);
+                }
             }
-            self.scratch_candidates = candidates;
+            let Some(best) = best else {
+                break;
+            };
+            let v = list[best];
+            debug_assert_eq!(self.next_use_key(pi, v), self.cached_next[pi][best]);
+            debug_assert!(v != next && !dag.parents(next).any(|u| u == v));
+            self.evict(dag, pi, v, phases);
         }
 
         // Required loads for the next compute step.
@@ -1392,10 +1300,9 @@ impl ConversionArena {
         v: NodeId,
         phases: &mut ProcPhases,
     ) {
-        // The victim may sit in the spent list (policies that do not evict
-        // spent values first); drop it before the blue flip below invalidates
-        // its ordering key.
-        self.spent_remove(pi, v);
+        // A spent victim was popped off its list: the blue flip below cannot
+        // invalidate a stored ordering key.
+        debug_assert!(!self.in_spent[pi * self.n + v.index()]);
         let needed_later = self.remaining_uses[v.index()] > 0 || self.is_required_output[v.index()];
         if needed_later && !self.is_blue(v) {
             phases.save.push(v);
@@ -1406,8 +1313,9 @@ impl ConversionArena {
         self.used[pi] -= dag.memory_weight(v);
     }
 
-    /// Position of the next use of `v` as an input on processor `pi`, if any.
-    fn next_use(&mut self, pi: usize, v: NodeId) -> Option<usize> {
+    /// Position in `seq[pi]` of the next use of `v` as an input on processor
+    /// `pi` at or after the cursor, as a `cached_next` key ([`NO_USE`]: none).
+    fn next_use_key(&mut self, pi: usize, v: NodeId) -> u32 {
         let end = self.use_off[pi * (self.n + 1) + v.index() + 1];
         let positions = &self.use_pos[pi];
         let cursor = self.cursor[pi] as u32;
@@ -1415,13 +1323,11 @@ impl ConversionArena {
         while *ptr < end && positions[*ptr as usize] < cursor {
             *ptr += 1;
         }
-        (*ptr < end).then(|| positions[*ptr as usize] as usize)
-    }
-
-    /// [`ConversionArena::next_use`] as a `cached_next` key.
-    #[inline]
-    fn next_use_key(&mut self, pi: usize, v: NodeId) -> u32 {
-        self.next_use(pi, v).map_or(NO_USE, |pos| pos as u32)
+        if *ptr < end {
+            positions[*ptr as usize]
+        } else {
+            NO_USE
+        }
     }
 
     /// Does `v` have a blue pebble right now?
@@ -1549,14 +1455,17 @@ impl ConversionArena {
     }
 }
 
-/// The original single-shot converter, kept verbatim as the differential oracle
-/// for [`ConversionArena`] (the `dense::` pattern of `lp_solver`): every
-/// conversion the arena performs must be operation-identical to
-/// [`reference::convert`] on the same inputs. It allocates its entire state per
-/// call, which is exactly the cost the arena exists to avoid — use it in tests
-/// and benchmarks only.
+/// The original single-shot converter, for any eviction policy. It is the
+/// differential oracle of [`ConversionArena`] (the `dense::` pattern of
+/// `lp_solver`): every conversion the arena performs must be
+/// operation-identical to [`reference::convert`] under
+/// [`crate::ClairvoyantPolicy`] on the same inputs. It is also the only
+/// converter for a policy that does not promise the clairvoyant order (LRU),
+/// which [`TwoStageScheduler::schedule`] sends here. It allocates its entire
+/// state per call, which is exactly the cost the arena exists to avoid.
 pub mod reference {
     use super::*;
+    use crate::policy::CandidateVictim;
 
     /// Converts `bsp` with a freshly allocated converter (the pre-arena code path).
     pub fn convert<D: DagLike + ?Sized>(
@@ -1920,7 +1829,7 @@ mod tests {
     use super::*;
     use crate::policy::{ClairvoyantPolicy, LruPolicy};
     use mbsp_model::{sync_cost, CostModel, MbspInstance};
-    use mbsp_sched::{BspScheduler, DfsScheduler, GreedyBspScheduler};
+    use mbsp_sched::{BspScheduler, CilkScheduler, DfsScheduler, GreedyBspScheduler};
 
     fn instances() -> Vec<MbspInstance> {
         mbsp_gen::tiny_dataset(42)
@@ -1962,10 +1871,10 @@ mod tests {
             let oracle = reference::convert(inst.dag(), inst.arch(), &bsp, &policy, &[]);
             let mut arena = ConversionArena::new(inst.dag(), inst.arch());
             let mut out = MbspSchedule::new(inst.arch().processors);
-            arena.convert(inst.dag(), inst.arch(), &bsp, &policy, &[], &mut out);
+            arena.convert(inst.dag(), inst.arch(), &bsp, &[], &mut out);
             assert_eq!(out, oracle, "{}", inst.name());
             // A second conversion through the same arena is identical as well.
-            arena.convert(inst.dag(), inst.arch(), &bsp, &policy, &[], &mut out);
+            arena.convert(inst.dag(), inst.arch(), &bsp, &[], &mut out);
             assert_eq!(out, oracle, "{}: arena reuse drifted", inst.name());
         }
     }
@@ -1985,14 +1894,18 @@ mod tests {
         .unwrap();
         let arch = Architecture::new(2, 3.0, 1.0, 1.0);
         let procs = [ProcId::new(0), ProcId::new(0), ProcId::new(1)];
+        let bsp = BspSchedulingResult {
+            schedule: mbsp_model::BspSchedule::new(2, procs.into_iter().zip(0..).collect()),
+            order: (0..3).map(NodeId::new).collect(),
+        };
         let produced = NodeId::new(1);
+        // The clairvoyant conversion runs on the arena, the LRU one on the
+        // single-shot converter.
         for policy in [
             &ClairvoyantPolicy::new() as &dyn EvictionPolicy,
             &LruPolicy::new(),
         ] {
-            let mut arena = ConversionArena::new(&dag, &arch);
-            let mut out = MbspSchedule::new(arch.processors);
-            arena.convert_assignment(&dag, &arch, &procs, policy, &[], &mut out);
+            let out = TwoStageScheduler::new().schedule(&dag, &arch, &bsp, policy);
             out.validate(&dag, &arch).unwrap();
             let step_of = |pi: usize, pick: fn(mbsp_model::PhasesView<'_>) -> &[NodeId]| {
                 out.supersteps()
@@ -2100,16 +2013,22 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_reference_with_lru() {
-        let sched = GreedyBspScheduler::new();
-        let policy = LruPolicy::new();
-        for inst in instances().into_iter().take(5) {
-            let bsp = sched.schedule(inst.dag(), inst.arch());
-            let oracle = reference::convert(inst.dag(), inst.arch(), &bsp, &policy, &[]);
-            let mut arena = ConversionArena::new(inst.dag(), inst.arch());
-            let mut out = MbspSchedule::new(inst.arch().processors);
-            arena.convert(inst.dag(), inst.arch(), &bsp, &policy, &[], &mut out);
-            assert_eq!(out, oracle, "{}", inst.name());
+    fn lru_conversions_of_every_baseline_pass_the_reference_validator() {
+        // LRU conversions run on the single-shot converter only; the
+        // independent `Vec<bool>` replay referees them for every baseline.
+        let conv = TwoStageScheduler::new();
+        let baselines: [&dyn BspScheduler; 3] = [
+            &GreedyBspScheduler::new(),
+            &CilkScheduler::new(),
+            &DfsScheduler::new(),
+        ];
+        for inst in instances() {
+            for baseline in baselines {
+                let bsp = baseline.schedule(inst.dag(), inst.arch());
+                let mbsp = conv.schedule(inst.dag(), inst.arch(), &bsp, &LruPolicy::new());
+                mbsp_model::reference::validate(&mbsp, inst.dag(), inst.arch())
+                    .unwrap_or_else(|e| panic!("{}/{}: {e}", inst.name(), baseline.name()));
+            }
         }
     }
 

@@ -230,14 +230,6 @@ impl DagBuilder {
         Ok(())
     }
 
-    /// Adds edges from `from` to every node in `tos`.
-    pub fn add_fan_out(&mut self, from: NodeId, tos: &[NodeId]) -> Result<()> {
-        for &v in tos {
-            self.add_edge(from, v)?;
-        }
-        Ok(())
-    }
-
     /// Overrides the label of an already-added node.
     pub fn set_label(&mut self, v: NodeId, label: impl Into<String>) {
         self.labels[v.index()] = label.into();
@@ -334,7 +326,7 @@ mod tests {
         let ns = b.add_unit_nodes(5).unwrap();
         b.add_chain(&ns[0..3]).unwrap();
         b.add_fan_in(&[ns[0], ns[1]], ns[3]).unwrap();
-        b.add_fan_out(ns[3], &[ns[4]]).unwrap();
+        b.add_edge(ns[3], ns[4]).unwrap();
         let dag = b.build();
         assert!(dag.has_edge(ns[0], ns[1]));
         assert!(dag.has_edge(ns[1], ns[2]));

@@ -27,7 +27,7 @@
 //!   independent searches (shards, parts), never inside one.
 
 use crate::improver::PostOptimizer;
-use mbsp_cache::{ClairvoyantPolicy, ConversionArena};
+use mbsp_cache::ConversionArena;
 use mbsp_dag::{DagLike, NodeId};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::BspSchedulingResult;
@@ -143,7 +143,6 @@ pub enum EvalPath {
 /// evaluated through the same engine reuses its arena and scratch allocations.
 #[derive(Debug)]
 pub struct EvaluationEngine {
-    policy: ClairvoyantPolicy,
     arena: ConversionArena,
     schedule: MbspSchedule,
     /// The schedule of the best candidate of the last batch evaluated through
@@ -167,7 +166,6 @@ impl EvaluationEngine {
     /// [`EvalPath`] selects nothing (it has one arm).
     pub fn for_dag<D: DagLike + ?Sized>(dag: &D, arch: &Architecture, _: EvalPath) -> Self {
         EvaluationEngine {
-            policy: ClairvoyantPolicy::new(),
             arena: ConversionArena::new(dag, arch),
             schedule: MbspSchedule::new(arch.processors),
             retained: MbspSchedule::new(arch.processors),
@@ -191,14 +189,8 @@ impl EvaluationEngine {
         required_outputs: &[NodeId],
     ) -> f64 {
         self.evaluations += 1;
-        self.arena.convert_assignment(
-            dag,
-            arch,
-            procs,
-            &self.policy,
-            required_outputs,
-            &mut self.schedule,
-        );
+        self.arena
+            .convert_assignment(dag, arch, procs, required_outputs, &mut self.schedule);
         self.post
             .optimize(&mut self.schedule, dag, arch, cost_model, required_outputs)
     }
@@ -219,14 +211,8 @@ impl EvaluationEngine {
         procs: &[ProcId],
         required_outputs: &[NodeId],
     ) {
-        self.arena.rebase(
-            dag,
-            arch,
-            procs,
-            &self.policy,
-            required_outputs,
-            &mut self.schedule,
-        );
+        self.arena
+            .rebase(dag, arch, procs, required_outputs, &mut self.schedule);
     }
 
     /// Supersteps this engine's conversions simulated (rebases included).
@@ -251,14 +237,8 @@ impl EvaluationEngine {
         required_outputs: &[NodeId],
     ) -> f64 {
         self.evaluations += 1;
-        self.arena.convert(
-            dag,
-            arch,
-            bsp,
-            &self.policy,
-            required_outputs,
-            &mut self.schedule,
-        );
+        self.arena
+            .convert(dag, arch, bsp, required_outputs, &mut self.schedule);
         self.post
             .optimize(&mut self.schedule, dag, arch, cost_model, required_outputs)
     }

@@ -73,10 +73,10 @@ pub fn post_optimize<D: DagLike + ?Sized>(
     merge_supersteps(schedule, dag, arch, cost_model);
 }
 
-/// The pre-engine greedy superstep merging, kept verbatim:
-/// per-superstep phase costs are built afresh per call, every accepted
-/// candidate is validated by simulating the whole folded schedule, and
-/// candidate construction goes through a scratch clone.
+/// The pre-engine greedy superstep merging: per-superstep phase costs are
+/// built afresh per call (and a merged superstep's from its phase lists),
+/// every accepted candidate is validated by simulating the whole folded
+/// schedule, and candidate construction goes through a scratch clone.
 fn merge_supersteps<D: DagLike + ?Sized>(
     schedule: &mut MbspSchedule,
     dag: &D,
@@ -123,12 +123,11 @@ fn merge_supersteps<D: DagLike + ?Sized>(
                     fold_superstep(&mut scratch, k);
                     if scratch.validate(dag, arch).is_ok() {
                         std::mem::swap(schedule, &mut scratch);
-                        for pi in 0..p {
-                            let (c, s, l) = (comp[k + 1][pi], save[k + 1][pi], load[k + 1][pi]);
-                            comp[k][pi] += c;
-                            save[k][pi] += s;
-                            load[k][pi] += l;
-                        }
+                        // The merged superstep's costs, from its phase lists.
+                        let step = schedule.superstep(k);
+                        comp[k] = step.procs().map(|ph| ph.compute_cost(dag)).collect();
+                        save[k] = step.procs().map(|ph| ph.save_cost(dag, arch.g)).collect();
+                        load[k] = step.procs().map(|ph| ph.load_cost(dag, arch.g)).collect();
                         comp.remove(k + 1);
                         save.remove(k + 1);
                         load.remove(k + 1);

@@ -5,7 +5,7 @@
 //!
 //! On the two at-scale DAGs of `differential_eval.rs` (layered 25×200, CG
 //! n13/k4), whole and as a `SubDagView::with_inputs` shard with required
-//! outputs, for both eviction policies × cache factors 1, 3 and 30: after every one of 50 seeded moves,
+//! outputs, at cache factors 1, 3 and 30: after every one of 50 seeded moves,
 //! `based arena == fresh arena == reference::convert` (at 30·r0, where one
 //! reference conversion takes about a second, the reference joins on every
 //! fifth move), with the base replaced on every fifth move (so bases are
@@ -14,7 +14,7 @@
 //! skipped share of the production configuration.
 
 use mbsp_cache::two_stage::reference;
-use mbsp_cache::{ClairvoyantPolicy, ConversionArena, EvictionPolicy, LruPolicy};
+use mbsp_cache::{ClairvoyantPolicy, ConversionArena};
 use mbsp_dag::{CompDag, DagLike, NodeId, TopologicalOrder};
 use mbsp_ilp::engine::{EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
@@ -69,75 +69,71 @@ fn replay_against_a_base<D: DagLike + ?Sized>(
     // nothing before the end of the run reads.
     let first = *movable.iter().min_by_key(|v| topo.position(**v)).unwrap();
     let last = *movable.iter().max_by_key(|v| topo.position(**v)).unwrap();
-    let policies: [&dyn EvictionPolicy; 2] = [&ClairvoyantPolicy::new(), &LruPolicy::new()];
-    let mut total = (0u64, 0u64);
-    for policy in policies {
-        let case = format!("{label}/{}", policy.name());
-        let mut based = ConversionArena::new(dag, arch);
-        let mut out = MbspSchedule::new(arch.processors);
-        let mut full = MbspSchedule::new(arch.processors);
-        let mut base_procs = seed_procs.to_vec();
-        based.rebase(dag, arch, &base_procs, policy, required, &mut out);
-        let mut rng = StdRng::seed_from_u64(0x5FF1_0001);
-        let mut kinds = [0usize; 3];
-        for step in 1..=MOVES {
-            let mv = match step {
-                7 => Some(relocate(first, &base_procs, arch)),
-                8 => Some(relocate(last, &base_procs, arch)),
-                // The base itself.
-                9 => None,
-                _ => loop {
-                    if let Some(mv) = Move::propose(dag, arch, &base_procs, &movable, &mut rng) {
-                        break Some(mv);
-                    }
-                },
-            };
-            let mut procs = base_procs.clone();
-            if let Some(mv) = mv {
-                mv.apply(dag, &mut procs);
-                kinds[match mv {
-                    Move::Relocate { .. } => 0,
-                    Move::RelocateSiblings { .. } => 1,
-                    Move::Swap { .. } => 2,
-                }] += 1;
-            }
-            let case = format!("{case}/move {step} ({mv:?})");
-
-            let before = counts(&based);
-            based.convert_assignment(dag, arch, &procs, policy, required, &mut out);
-            let after = counts(&based);
-            match step {
-                7 => assert_eq!(after.1, before.1, "{case}: skipped a superstep at d = 0"),
-                8 => assert!(after.1 > before.1, "{case}: skipped nothing"),
-                9 => assert_eq!(after.0, before.0, "{case}: simulated a superstep"),
-                _ => {}
-            }
-
-            ConversionArena::new(dag, arch)
-                .convert_assignment(dag, arch, &procs, policy, required, &mut full);
-            assert!(out == full, "{case}: based and full conversion differ");
-            if (7..=9).contains(&step) || step % oracle_every == 0 {
-                let canonical = canonical_bsp(dag, arch, &procs);
-                let oracle = reference::convert(dag, arch, &canonical, policy, required);
-                assert!(out == oracle, "{case}: the arena drifted from the oracle");
-            }
-
-            if step % REBASE_EVERY == 0 {
-                // A rebase is a conversion too — recorded relative to the
-                // previous base.
-                based.rebase(dag, arch, &procs, policy, required, &mut out);
-                assert!(
-                    out == full,
-                    "{case}: the rebase differs from the full conversion"
-                );
-                base_procs = procs;
-            }
+    let mut based = ConversionArena::new(dag, arch);
+    let mut out = MbspSchedule::new(arch.processors);
+    let mut full = MbspSchedule::new(arch.processors);
+    let mut base_procs = seed_procs.to_vec();
+    based.rebase(dag, arch, &base_procs, required, &mut out);
+    let mut rng = StdRng::seed_from_u64(0x5FF1_0001);
+    let mut kinds = [0usize; 3];
+    for step in 1..=MOVES {
+        let mv = match step {
+            7 => Some(relocate(first, &base_procs, arch)),
+            8 => Some(relocate(last, &base_procs, arch)),
+            // The base itself.
+            9 => None,
+            _ => loop {
+                if let Some(mv) = Move::propose(dag, arch, &base_procs, &movable, &mut rng) {
+                    break Some(mv);
+                }
+            },
+        };
+        let mut procs = base_procs.clone();
+        if let Some(mv) = mv {
+            mv.apply(dag, &mut procs);
+            kinds[match mv {
+                Move::Relocate { .. } => 0,
+                Move::RelocateSiblings { .. } => 1,
+                Move::Swap { .. } => 2,
+            }] += 1;
         }
-        assert!(kinds.iter().all(|&k| k > 0), "{case}: move kinds {kinds:?}");
-        let (simulated, skipped) = counts(&based);
-        total = (total.0 + simulated, total.1 + skipped);
+        let case = format!("{label}/move {step} ({mv:?})");
+
+        let before = counts(&based);
+        based.convert_assignment(dag, arch, &procs, required, &mut out);
+        let after = counts(&based);
+        match step {
+            7 => assert_eq!(after.1, before.1, "{case}: skipped a superstep at d = 0"),
+            8 => assert!(after.1 > before.1, "{case}: skipped nothing"),
+            9 => assert_eq!(after.0, before.0, "{case}: simulated a superstep"),
+            _ => {}
+        }
+
+        ConversionArena::new(dag, arch).convert_assignment(dag, arch, &procs, required, &mut full);
+        assert!(out == full, "{case}: based and full conversion differ");
+        if (7..=9).contains(&step) || step % oracle_every == 0 {
+            let canonical = canonical_bsp(dag, arch, &procs);
+            let oracle =
+                reference::convert(dag, arch, &canonical, &ClairvoyantPolicy::new(), required);
+            assert!(out == oracle, "{case}: the arena drifted from the oracle");
+        }
+
+        if step % REBASE_EVERY == 0 {
+            // A rebase is a conversion too — recorded relative to the
+            // previous base.
+            based.rebase(dag, arch, &procs, required, &mut out);
+            assert!(
+                out == full,
+                "{case}: the rebase differs from the full conversion"
+            );
+            base_procs = procs;
+        }
     }
-    total
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "{label}: move kinds {kinds:?}"
+    );
+    counts(&based)
 }
 
 /// The whole DAG and one `SubDagView::with_inputs` shard of it (with its
@@ -200,8 +196,8 @@ fn based_conversion_matches_full_and_reference_on_a_cg_dag() {
     at_scale(mbsp_gen::cg::cg_dag("cg_n13_k4", 13, 4));
 }
 
-/// A base recorded under one policy or required-output set must not be used
-/// for a conversion under another.
+/// A base recorded under one required-output set must not be used for a
+/// conversion under another.
 #[test]
 fn a_base_is_only_used_under_the_parameters_it_was_recorded_with() {
     let named = mbsp_gen::tiny_dataset(42).remove(3);
@@ -216,23 +212,21 @@ fn a_base_is_only_used_under_the_parameters_it_was_recorded_with() {
         .take(3)
         .collect();
     let clairvoyant = ClairvoyantPolicy::new();
-    let lru = LruPolicy::new();
     let mut arena = ConversionArena::new(dag, arch);
     let mut out = MbspSchedule::new(arch.processors);
-    arena.rebase(dag, arch, &procs, &clairvoyant, &[], &mut out);
+    arena.rebase(dag, arch, &procs, &[], &mut out);
     let canonical = canonical_bsp(dag, arch, &procs);
-    let others: [(&dyn EvictionPolicy, &[NodeId]); 2] = [(&lru, &[]), (&clairvoyant, &required)];
-    for (policy, required) in others {
-        let skipped = arena.skipped_supersteps();
-        arena.convert_assignment(dag, arch, &procs, policy, required, &mut out);
-        assert_eq!(arena.skipped_supersteps(), skipped);
-        let oracle = reference::convert(dag, arch, &canonical, policy, required);
-        assert_eq!(out, oracle, "{}", policy.name());
-    }
-    // An explicit-BSP conversion clears the base.
-    arena.convert(dag, arch, &bsp, &clairvoyant, &[], &mut out);
     let skipped = arena.skipped_supersteps();
-    arena.convert_assignment(dag, arch, &procs, &clairvoyant, &[], &mut out);
+    arena.convert_assignment(dag, arch, &procs, &required, &mut out);
+    assert_eq!(arena.skipped_supersteps(), skipped);
+    assert_eq!(
+        out,
+        reference::convert(dag, arch, &canonical, &clairvoyant, &required)
+    );
+    // An explicit-BSP conversion clears the base.
+    arena.convert(dag, arch, &bsp, &[], &mut out);
+    let skipped = arena.skipped_supersteps();
+    arena.convert_assignment(dag, arch, &procs, &[], &mut out);
     assert_eq!(arena.skipped_supersteps(), skipped);
     assert_eq!(
         out,

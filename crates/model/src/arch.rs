@@ -96,13 +96,6 @@ impl Architecture {
         (0..self.processors).map(ProcId::new)
     }
 
-    /// Returns a copy with a different number of processors.
-    pub fn with_processors(mut self, processors: usize) -> Self {
-        assert!(processors >= 1);
-        self.processors = processors;
-        self
-    }
-
     /// Returns a copy with a different cache size.
     pub fn with_cache_size(mut self, cache_size: f64) -> Self {
         assert!(cache_size.is_finite() && cache_size >= 0.0);
@@ -143,10 +136,9 @@ mod tests {
     #[test]
     fn builder_style_modifiers() {
         let a = Architecture::paper_default(30.0)
-            .with_processors(8)
             .with_cache_size(50.0)
             .with_latency(0.0);
-        assert_eq!(a.processors, 8);
+        assert_eq!(a.processors, 4);
         assert_eq!(a.cache_size, 50.0);
         assert_eq!(a.latency, 0.0);
     }

@@ -68,7 +68,7 @@ pub const MAX_PROCESSORS: usize = 1024;
 
 /// Largest `processors × nodes` product a `register` may ask for (a `family`
 /// is held to its node-count bound): the session's conversion arena allocates
-/// seven tables of that many cells, so the two per-factor caps alone still
+/// six tables of that many cells, so the two per-factor caps alone still
 /// admit a request line that aborts the daemon on allocation. 2²⁴ cells is
 /// forty times the largest product `benchmark/` sends (4 × 100,000).
 pub const MAX_TABLE_CELLS: usize = 1 << 24;
