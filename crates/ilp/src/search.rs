@@ -39,6 +39,31 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// evaluation, so the cap bounds the merge cost.
 pub(crate) const MERGE_REPLAY_CAP: usize = 4;
 
+/// `num_shards: 0` searches one shard below this many nodes and four at or
+/// above it. Measured at the library default budget (60 rounds × 30 moves,
+/// stale limit 1; then 16 seeded deltas and a repair) on random-layered and
+/// CG DAGs, `P = 4`, cache `3·r₀`, on a 2-vCPU x86-64 host, one shard
+/// against four: the CPU ratio hardly moves with size (a schedule 1–2.4×, a
+/// repair 0.8–3×; one shard runs longer because it keeps improving), but the
+/// cost gain shrinks. Below 2k nodes one shard is 1–2.4 % cheaper on the
+/// layered DAGs (4–7 % at 500 nodes), from 2k on under 1 % and none on CG,
+/// and at 16k it is dearer on the layered DAG (+0.3 %) at 7× the repair CPU.
+/// At 48k nodes (CG, `edit_loop`) one shard served 4.3 requests per second
+/// against 7.0 at four.
+const ONE_SHARD_BELOW_NODES: usize = 2048;
+
+/// The shard count of a search over `num_nodes` nodes: `num_shards` when it
+/// is set, else [`ONE_SHARD_BELOW_NODES`]' size rule; never more than the DAG
+/// has nodes. A function of the configuration and the DAG alone.
+fn shard_count(num_shards: usize, num_nodes: usize) -> usize {
+    let k = match num_shards {
+        0 if num_nodes < ONE_SHARD_BELOW_NODES => 1,
+        0 => 4,
+        k => k,
+    };
+    k.clamp(1, num_nodes.max(1))
+}
+
 /// Tuning knobs of one [`hill_climb`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LocalSearchParams {
@@ -450,12 +475,7 @@ impl<'a> ShardedSearch<'a> {
             .cloned()
             .unwrap_or_default()
             .expiring_after(config.time_limit);
-        let k = if config.num_shards >= 1 {
-            config.num_shards
-        } else {
-            resolve_workers(0)
-        }
-        .clamp(1, dag.num_nodes().max(1));
+        let k = shard_count(config.num_shards, dag.num_nodes());
         let workers = resolve_workers(config.workers).min(k);
         let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
         let incumbent = Incumbent::seed(
@@ -737,6 +757,19 @@ mod tests {
         assert_eq!(schedule, fresh_schedule);
         assert_eq!(stats.final_cost.to_bits(), fresh.final_cost.to_bits());
         assert_eq!(stats.evaluations, fresh.evaluations);
+    }
+
+    #[test]
+    fn the_default_shard_count_is_chosen_by_size_and_an_explicit_one_is_kept() {
+        let n = ONE_SHARD_BELOW_NODES;
+        assert_eq!(shard_count(0, n - 1), 1);
+        assert_eq!(shard_count(0, n), 4);
+        for (k, nodes) in [(1, n), (3, n - 1), (4, n - 1), (16, 10 * n)] {
+            assert_eq!(shard_count(k, nodes), k);
+        }
+        // Never more shards than nodes, and at least one on an empty DAG.
+        assert_eq!(shard_count(8, 5), 5);
+        assert_eq!(shard_count(0, 0), 1);
     }
 
     #[test]

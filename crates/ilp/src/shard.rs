@@ -102,11 +102,12 @@ pub struct ShardedSearchConfig {
     /// (synchronous by default, as in the paper's main experiments). The
     /// `mbsp_serve` daemon serves the synchronous cost only.
     pub cost_model: CostModel,
-    /// Number of shards `k`. `0` resolves like the worker count (so one shard
-    /// per worker by default). The shard count shapes the partition and the
-    /// per-shard seeds, so it *does* affect the result — reproducible runs
-    /// across machines/environments must set an explicit value (the `0`
-    /// default resolves from `MBSP_BENCH_THREADS` / available parallelism).
+    /// Number of shards `k`. The shard count shapes the partition and the
+    /// per-shard seeds, so it *does* affect the result. `0` (the default) is
+    /// chosen by size, per search: one shard on a DAG below 2,048 nodes, four
+    /// at or above it — a function of the DAG alone, so a session's shape
+    /// follows its current DAG. At paper scale that is the whole-DAG search
+    /// the reproduction reports.
     pub num_shards: usize,
     /// Number of worker threads running shard searches. `0` resolves via
     /// `MBSP_BENCH_THREADS`, falling back to the machine's parallelism. The

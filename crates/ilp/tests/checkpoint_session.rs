@@ -184,6 +184,37 @@ fn a_restored_session_continues_byte_identically() {
     }
 }
 
+/// A session on the default shard count stores `num_shards: 0`, restores it,
+/// and resolves it per search: its repair after a restart is byte-identical
+/// to the uninterrupted one.
+#[test]
+fn a_default_shard_count_round_trips_and_is_resolved_per_search() {
+    let inst = instance();
+    let mut config = repair_config(0);
+    config.search.num_shards = 0;
+    let mut live =
+        IncrementalScheduler::new(inst.dag().clone(), *inst.arch(), seed_procs(&inst), config);
+    live.full_repair();
+    let stream = MutationStreamConfig {
+        ops: 8,
+        ..Default::default()
+    };
+    for delta in mutation_stream(live.dag(), &stream, 0x0D5F) {
+        live.apply(&delta).unwrap();
+    }
+    let blob = live.checkpoint();
+    let mut restored = IncrementalScheduler::restore(&blob).expect("clean restore");
+    assert_eq!(restored.config().search.num_shards, 0);
+    assert_eq!(restored.checkpoint(), blob);
+
+    let (schedule, stats) = live.repair();
+    let (back, back_stats) = restored.repair();
+    assert_eq!(back, schedule);
+    assert_eq!(back_stats.shards, 1, "a paper-scale DAG searches one shard");
+    assert_eq!(format!("{back_stats:?}"), format!("{stats:?}"));
+    assert_eq!(restored.checkpoint(), live.checkpoint());
+}
+
 /// A checkpoint taken mid-stream restores with the pending set intact: the
 /// restored session's next repair drains exactly what the live one would.
 #[test]

@@ -3,7 +3,11 @@
 //! `(local cost delta, shard index)` order, so the worker pool only changes
 //! wall-clock, never results.
 
-use mbsp_ilp::{ShardStrategy, ShardedHolisticScheduler, ShardedSearchConfig};
+use mbsp_gen::{mutation_stream, MutationStreamConfig};
+use mbsp_ilp::{
+    IncrementalScheduler, RepairConfig, ShardStrategy, ShardedHolisticScheduler,
+    ShardedSearchConfig,
+};
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 
@@ -143,4 +147,56 @@ fn sharded_search_stats_are_consistent() {
     assert!(stats.evaluations >= 2 + stats.shards as u64);
     let cost = mbsp_model::sync_cost(&schedule, inst.dag(), inst.arch()).total;
     assert!((cost - stats.final_cost).abs() < 1e-9);
+}
+
+/// The default shard count is chosen by the DAG's size, not by the host: on
+/// paper-scale instances a session at `num_shards: 0` schedules and repairs
+/// exactly as one at `num_shards: 1`, down to its statistics and its
+/// checkpoint bytes (modulo the stored shard count). `workers: 0` resolves
+/// from `MBSP_BENCH_THREADS`, so CI's sweep of that variable runs this at
+/// several worker counts.
+#[test]
+fn the_default_shard_count_is_one_shard_on_a_small_instance() {
+    let mut dags: Vec<_> = instances(3).into_iter().map(|i| i.dag().clone()).collect();
+    dags.push(mbsp_gen::small_dataset_sample(42).swap_remove(5).dag); // CG_N7_K2
+    let stream = MutationStreamConfig {
+        ops: 8,
+        ..Default::default()
+    };
+    for dag in dags {
+        let inst = MbspInstance::with_cache_factor(dag, Architecture::paper_default(0.0), 3.0);
+        let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
+        let procs: Vec<_> = inst
+            .dag()
+            .nodes()
+            .map(|v| baseline.schedule.proc_of(v))
+            .collect();
+        let run = |num_shards: usize| {
+            let search = ShardedSearchConfig {
+                num_shards,
+                max_rounds: 8,
+                ..Default::default()
+            };
+            let config = RepairConfig {
+                search,
+                cone_radius: 2,
+            };
+            let (dag, arch) = (inst.dag().clone(), *inst.arch());
+            let mut session = IncrementalScheduler::new(dag, arch, procs.clone(), config);
+            let (schedule, stats) = session.schedule(&search, &baseline, None);
+            assert_eq!(stats.shards, 1, "{}", inst.name());
+            for delta in mutation_stream(session.dag(), &stream, 0x5A4D) {
+                session.apply(&delta).unwrap();
+            }
+            let (repaired, repair_stats) = session.repair();
+            assert_eq!(repair_stats.shards, 1, "{}", inst.name());
+            session.config_mut().search.num_shards = 1;
+            (
+                (schedule, format!("{stats:?}")),
+                (repaired, format!("{repair_stats:?}")),
+                session.checkpoint(),
+            )
+        };
+        assert_eq!(run(0), run(1), "{}", inst.name());
+    }
 }

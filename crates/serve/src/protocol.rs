@@ -460,15 +460,11 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
         ));
     }
 
-    // Serving needs reproducible results across daemons with different core
-    // counts, so the environment-resolved `num_shards: 0` default is replaced
-    // with an explicit value unless the client picks one. The library default
-    // has no deadline, so neither has an instance whose client sent no
-    // `time_limit_ms`: its budget is counts, the same on a slow host.
-    let mut search = ShardedSearchConfig {
-        num_shards: 4,
-        ..ShardedSearchConfig::default()
-    };
+    // An instance whose client picks no budget gets the library default: no
+    // deadline, so its budget is counts, the same on a slow host, and
+    // `num_shards: 0`, which every search resolves from the DAG's size, the
+    // same on any host.
+    let mut search = ShardedSearchConfig::default();
     parse_overrides(map)?.apply(&mut search);
     if let Some(strategy) = field_str(map, "strategy")? {
         search.strategy = match strategy.as_str() {
@@ -1051,10 +1047,10 @@ mod tests {
             }
         };
         // `Duration::MAX` arms no expiry, so no search over this config can
-        // report `deadline`; the shard count is still pinned.
+        // report `deadline`; the shard count is the library's size rule.
         let search = register("");
         assert_eq!(search.time_limit, Duration::MAX);
-        assert_eq!(search.num_shards, 4);
+        assert_eq!(search.num_shards, 0);
         // The field keeps its name, both positions and its meaning.
         let hour = Duration::from_secs(3600);
         assert_eq!(register(r#","time_limit_ms":3600000"#).time_limit, hour);

@@ -344,6 +344,36 @@ fn a_zero_time_limit_answers_the_seed_incumbent_and_says_deadline() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A `register` without `num_shards` stores the library default, which the
+/// search resolves from the DAG's size: on the small CG instance the served
+/// schedule is the direct library run at one shard, on any host.
+#[test]
+fn a_register_without_num_shards_serves_the_one_shard_search_on_a_small_dag() {
+    let state_dir = temp_state_dir("default_shards");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(
+        r#"{"id":1,"op":"register","instance":"cg","family":{"kind":"cg","n":4,"k":2},"processors":4,"cache_factor":3.0,"seed":11,"max_rounds":6,"moves_per_round":8,"iterations":2,"stale_round_limit":0}"#,
+    );
+    assert_ok(&c.recv());
+    c.send(r#"{"id":2,"op":"schedule","instance":"cg","stream":false,"return_schedule":true}"#);
+    let (_, done) = c.recv_until(|f| is_event(f, "done"));
+    assert_ok(&done);
+    let served = serde_json::to_string(get(&done, "schedule").expect("schedule embedded")).unwrap();
+
+    let dag = cg_dag("cg", 4, 2);
+    let base = Architecture::new(4, 0.0, 1.0, 2.0);
+    let arch = *MbspInstance::with_cache_factor(dag.clone(), base, 3.0).arch();
+    let one_shard = ShardedSearchConfig {
+        num_shards: 1,
+        ..budget_config()
+    };
+    assert_eq!(served, direct_schedule_json(&dag, &arch, one_shard));
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 // Entry builders of the byte-identity oracle below. Each types a value the
 // way its frame kind prescribes, reading it from the parsed frame where the
 // test cannot know it in advance.
