@@ -170,7 +170,6 @@ impl Recorder for Delta {
             ops: (n / 1000).clamp(4, 32),
             structural: false,
             locality: 0.01,
-            ..Default::default()
         };
         let stream = mutation_stream(repairer.dag(), &stream_config, 0xDE17A);
 

@@ -103,7 +103,6 @@ impl Recorder for Io {
             ops: (n / 1000).clamp(4, 32),
             structural: false,
             locality: 0.01,
-            ..Default::default()
         };
         for delta in &mutation_stream(sched.dag(), &stream_config, 0x10CDC) {
             sched

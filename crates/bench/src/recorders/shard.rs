@@ -26,7 +26,9 @@
 //! the branch-and-bound nodes of its splits and whether a split stopped on a
 //! limit. The report's `paper_scale_partitions` lists the same — and the
 //! variables and rows of the root split's model — for the paper-scale
-//! instances a `tenants_small` daemon serves. Both are per instance: the cost
+//! instances, split into the four shards an explicit `num_shards: 4` request
+//! asks for (at the default shard count a DAG below 2,048 nodes is searched
+//! as one shard and solves no partition). Both are per instance: the cost
 //! is heavy-tailed (a split that runs into its node limit costs twenty times
 //! the median), which a median over instances hides. A paper-scale partition
 //! that stops on a limit fails the run (`paper_scale_untruncated`), quick or

@@ -13,9 +13,9 @@
 //!   compute weight, and an edge removal never strips the last parent of a
 //!   non-source (which would turn a compute-weighted node into an input);
 //! * **feasibility is preserved** — no delta pushes any node's compute
-//!   footprint above [`MutationStreamConfig::footprint_cap`] (by default the
-//!   graph's minimal feasible cache size `r₀` at stream start), so an instance
-//!   built with `r ≥ r₀` stays schedulable across the whole stream;
+//!   footprint above the graph's minimal feasible cache size `r₀` at stream
+//!   start, so an instance built with `r ≥ r₀` stays schedulable across the
+//!   whole stream;
 //! * **node removals are self-contained** — the incident `RemoveEdge` deltas
 //!   are emitted before the `RemoveNode`, matching the isolation requirement
 //!   of [`CompDag::apply_delta`].
@@ -42,8 +42,9 @@ pub enum StreamError {
     EmptyGraph,
     /// `config.locality` is outside `(0, 1]`.
     BadLocality(f64),
-    /// The generator exhausted its attempt budget without emitting a single
-    /// delta (the footprint cap or the family invariants are too tight).
+    /// The generator exhausted its attempt budget or its candidate window
+    /// without emitting a single delta (the footprint cap `r₀` or the family
+    /// invariants leave no valid mutation).
     Starved,
 }
 
@@ -65,7 +66,14 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Configuration of a [`mutation_stream`].
+/// Reweights and new nodes draw compute weights from `{1..MAX_COMPUTE}`.
+const MAX_COMPUTE: u32 = 3;
+/// Reweights and new nodes draw memory weights from `{1..MAX_MEMORY}`.
+const MAX_MEMORY: u32 = 5;
+
+/// Configuration of a [`mutation_stream`]. Weights are drawn from fixed
+/// ranges (compute `1..=3`, memory `1..=5`) and the footprint cap is always
+/// the graph's `r₀` at stream start.
 #[derive(Debug, Clone, Copy)]
 pub struct MutationStreamConfig {
     /// Number of deltas to emit (compound operations — node add/remove — count
@@ -75,14 +83,6 @@ pub struct MutationStreamConfig {
     /// same deltas replay into independently built schedulers (`mbsp_ilp`'s
     /// repair determinism suite).
     pub structural: bool,
-    /// Reweights and new nodes draw compute weights from `{1..max_compute}`.
-    pub max_compute: u32,
-    /// Reweights and new nodes draw memory weights from `{1..max_memory}`.
-    pub max_memory: u32,
-    /// Upper bound on any node's compute footprint after every delta; values
-    /// `<= 0` derive the mirror's minimal feasible cache size `r₀` at stream
-    /// start (so instances built with `r ≥ r₀` stay feasible).
-    pub footprint_cap: f64,
     /// Fraction `(0, 1]` of the nodes eligible for mutation, taken as one
     /// contiguous window of the topological order; `1.0` means the whole graph.
     pub locality: f64,
@@ -93,9 +93,6 @@ impl Default for MutationStreamConfig {
         MutationStreamConfig {
             ops: 32,
             structural: true,
-            max_compute: 3,
-            max_memory: 5,
-            footprint_cap: 0.0,
             locality: 1.0,
         }
     }
@@ -135,11 +132,7 @@ pub fn try_mutation_stream(
     }
     let mut mirror = dag.clone();
     let mut order = PkOrder::of_dag(&mirror);
-    let cap = if config.footprint_cap > 0.0 {
-        config.footprint_cap
-    } else {
-        mirror.minimal_cache_size().max(1.0)
-    };
+    let cap = mirror.minimal_cache_size().max(1.0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = mirror.num_nodes();
     let mut pool: Vec<NodeId> = if config.locality >= 1.0 {
@@ -169,9 +162,9 @@ pub fn try_mutation_stream(
                 let compute = if mirror.is_source(v) {
                     mirror.compute_weight(v)
                 } else {
-                    rng.gen_range(1..=config.max_compute.max(1)) as f64
+                    rng.gen_range(1..=MAX_COMPUTE) as f64
                 };
-                let memory = rng.gen_range(1..=config.max_memory.max(1)) as f64;
+                let memory = rng.gen_range(1..=MAX_MEMORY) as f64;
                 let grow = memory - mirror.memory_weight(v);
                 if mirror.compute_footprint(v) + grow > cap + 1e-9 {
                     continue;
@@ -230,11 +223,11 @@ pub fn try_mutation_stream(
                 if deltas.len() + 2 > config.ops {
                     continue;
                 }
-                let memory = rng.gen_range(1..=config.max_memory.max(1)) as f64;
+                let memory = rng.gen_range(1..=MAX_MEMORY) as f64;
                 if memory + mirror.memory_weight(v) > cap + 1e-9 {
                     continue;
                 }
-                let compute = rng.gen_range(1..=config.max_compute.max(1)) as f64;
+                let compute = rng.gen_range(1..=MAX_COMPUTE) as f64;
                 let add = DagDelta::AddNode {
                     weights: NodeWeights::new(compute, memory),
                     label: None,
@@ -406,15 +399,30 @@ mod tests {
             try_mutation_stream(&dag, &bad_locality, 1),
             Err(StreamError::BadLocality(1.5))
         );
-        let starving = MutationStreamConfig {
-            structural: false,
-            footprint_cap: 1e-12,
+    }
+
+    #[test]
+    fn a_window_without_a_valid_mutation_starves() {
+        // `a → b` with fractional memories: `r₀ = 0.75` lifts to the cap 1.0,
+        // yet every drawn memory weight (≥ 1) pushes `b`'s footprint past it.
+        // A one-delta budget rules out node additions, two nodes rule out a
+        // removal, and the one-node window leaves no second edge endpoint.
+        let mut b = mbsp_dag::DagBuilder::new("tight");
+        let a = b.add_node(0.0, 0.5).unwrap();
+        let sink = b.add_node(1.0, 0.25).unwrap();
+        b.add_edge(a, sink).unwrap();
+        let dag = b.build();
+        let config = MutationStreamConfig {
+            ops: 1,
+            locality: 0.5,
             ..Default::default()
         };
-        assert_eq!(
-            try_mutation_stream(&dag, &starving, 1),
-            Err(StreamError::Starved)
-        );
+        for seed in 0..8 {
+            assert_eq!(
+                try_mutation_stream(&dag, &config, seed),
+                Err(StreamError::Starved)
+            );
+        }
     }
 
     #[test]
@@ -425,7 +433,6 @@ mod tests {
             ops: 20,
             structural: false,
             locality: 0.2,
-            ..Default::default()
         };
         let stream = mutation_stream(&dag, &config, 5);
         let mut touched: Vec<usize> = stream

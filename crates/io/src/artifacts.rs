@@ -36,8 +36,11 @@ pub const SEC_PROCS: u32 = u32::from_le_bytes(*b"PROC");
 pub const SEC_PENDING: u32 = u32::from_le_bytes(*b"PEND");
 /// Section tag: search/repair configuration (seeds, budgets, strategy).
 pub const SEC_CONFIG: u32 = u32::from_le_bytes(*b"CONF");
-/// Section tag: instance entries of a serving-daemon registry.
-pub const SEC_INSTANCES: u32 = u32::from_le_bytes(*b"INST");
+/// Section tag: instance entries of a serving-daemon registry, each a name
+/// and a generation. The earlier layout, tag `INST`, also stored a file name
+/// per entry; its tag is refused as [`DecodeError::BadSectionTag`], so no
+/// registry names a path.
+pub const SEC_INSTANCES: u32 = u32::from_le_bytes(*b"INS2");
 
 /// Writes the body of a DAG (its four sections) into `w`.
 ///
@@ -186,21 +189,19 @@ pub fn valid_instance_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// One instance known to a serving daemon: the name clients address it by,
-/// the session-checkpoint file holding its engine state, and the number of
-/// checkpoints written so far (a freshness/debugging aid).
+/// One instance known to a serving daemon: the name clients address it by
+/// (which also names its session-checkpoint file in the state directory) and
+/// the number of checkpoints written so far (a freshness/debugging aid).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryEntry {
     /// Client-facing instance name (validated by [`valid_instance_name`]).
     pub name: String,
-    /// Checkpoint file name, relative to the daemon's state directory.
-    pub session_file: String,
     /// Monotone count of checkpoints written for this instance.
     pub generation: u64,
 }
 
 /// The persistent instance registry of a serving daemon: which instances
-/// exist and where each one's session checkpoint lives. Written atomically on
+/// exist and how many checkpoints each has written. Written atomically on
 /// every mutation and on graceful shutdown; decoded (and fully re-validated)
 /// on restart before any session is restored.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -217,7 +218,6 @@ impl ServiceRegistry {
             w.put_u64(self.entries.len() as u64);
             for e in &self.entries {
                 w.put_str(&e.name);
-                w.put_str(&e.session_file);
                 w.put_u64(e.generation);
             }
         });
@@ -231,20 +231,15 @@ impl ServiceRegistry {
         while let Some((tag, mut body)) = r.next_section()? {
             match tag {
                 SEC_INSTANCES => {
-                    let entries = body.get_vec(24, |r| {
+                    let entries = body.get_vec(16, |r| {
                         let name = r.get_str()?;
-                        let session_file = r.get_str()?;
                         let generation = r.get_u64()?;
                         if !valid_instance_name(&name) {
                             return Err(r.invalid(format!(
                                 "registry entry name {name:?} is not a valid instance name"
                             )));
                         }
-                        Ok(RegistryEntry {
-                            name,
-                            session_file,
-                            generation,
-                        })
+                        Ok(RegistryEntry { name, generation })
                     })?;
                     body.finish()?;
                     for i in 1..entries.len() {

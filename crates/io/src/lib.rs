@@ -135,14 +135,13 @@ mod tests {
         }
     }
 
-    /// A registry entry takes at least 24 bytes (two string lengths and the
+    /// A registry entry takes at least 16 bytes (the name's length and the
     /// generation): an entry count one past what the payload can hold is
     /// refused at the count, before anything is allocated.
     #[test]
     fn a_registry_count_past_its_payload_is_truncated_at_the_count() {
         let entry = |name: &str| RegistryEntry {
             name: name.to_string(),
-            session_file: format!("{name}.ckpt"),
             generation: 3,
         };
         let blob = ServiceRegistry {
@@ -152,7 +151,7 @@ mod tests {
         // magic(4) + version(2) + kind(4), then tag(4) + len(8) + crc(4).
         let count_at = 26;
         let available = blob.len() - count_at - 8;
-        let count = available / 24 + 1;
+        let count = available / 16 + 1;
         let mut bad = blob.clone();
         bad[count_at..count_at + 8].copy_from_slice(&(count as u64).to_le_bytes());
         let crc = crc32(&bad[count_at..]);
@@ -161,7 +160,7 @@ mod tests {
             ServiceRegistry::decode(&bad),
             Err(DecodeError::Truncated {
                 offset: count_at,
-                needed: count * 24,
+                needed: count * 16,
                 available,
             })
         );

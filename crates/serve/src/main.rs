@@ -2,7 +2,7 @@
 //! [`mbsp_serve::Server`].
 //!
 //! ```text
-//! mbsp_serve [--listen ADDR] [--state-dir DIR] [--addr-file FILE] [--workers N]
+//! mbsp_serve [--listen ADDR] [--state-dir DIR] [--addr-file FILE]
 //! ```
 //!
 //! * `--listen` — bind address (default `127.0.0.1:7700`; `:0` picks an
@@ -11,8 +11,9 @@
 //!   `mbsp-serve-state`); restored on startup.
 //! * `--addr-file` — write the actually-bound address to this file once
 //!   listening (scripts using an ephemeral port read it back).
-//! * `--workers` — a private count of lane permits for the shard fan-outs
-//!   (default: the process-wide count, which resolves `MBSP_BENCH_THREADS`).
+//!
+//! The shard fan-outs share the process-wide lane count, which
+//! `MBSP_BENCH_THREADS` sets (default: the core count).
 //!
 //! The daemon runs until a client sends `{"op":"shutdown"}`, then checkpoints
 //! every session and exits.
@@ -36,15 +37,8 @@ fn main() {
             "--listen" => config.listen = value("--listen"),
             "--state-dir" => config.state_dir = PathBuf::from(value("--state-dir")),
             "--addr-file" => addr_file = Some(PathBuf::from(value("--addr-file"))),
-            "--workers" => {
-                config.workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| die("--workers needs a number"))
-            }
             "--help" | "-h" => {
-                println!(
-                    "mbsp_serve [--listen ADDR] [--state-dir DIR] [--addr-file FILE] [--workers N]"
-                );
+                println!("mbsp_serve [--listen ADDR] [--state-dir DIR] [--addr-file FILE]");
                 return;
             }
             other => die(&format!("unknown argument `{other}` (see --help)")),

@@ -18,7 +18,7 @@ use mbsp_dag::{CompDag, DagDelta, NodeId, NodeWeights};
 use mbsp_gen::cg::cg_dag;
 use mbsp_gen::knn::knn_dag;
 use mbsp_gen::random::{random_layered_dag, RandomDagConfig};
-use mbsp_ilp::{ShardStrategy, ShardedSearchConfig};
+use mbsp_ilp::ShardedSearchConfig;
 use mbsp_model::{ComputePhaseStep, MbspSchedule};
 use serde::{map_get, Serialize, Value};
 use std::fmt::Write;
@@ -188,8 +188,6 @@ pub struct SearchOverrides {
     pub seed: Option<u64>,
     /// Shard count.
     pub num_shards: Option<usize>,
-    /// Worker threads.
-    pub workers: Option<usize>,
     /// Local-search rounds per shard.
     pub max_rounds: Option<usize>,
     /// Candidate moves per round per shard.
@@ -211,9 +209,6 @@ impl SearchOverrides {
         }
         if let Some(v) = self.num_shards {
             config.num_shards = v;
-        }
-        if let Some(v) = self.workers {
-            config.workers = v;
         }
         if let Some(v) = self.max_rounds {
             config.max_rounds = v;
@@ -466,18 +461,6 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
     // same on any host.
     let mut search = ShardedSearchConfig::default();
     parse_overrides(map)?.apply(&mut search);
-    if let Some(strategy) = field_str(map, "strategy")? {
-        search.strategy = match strategy.as_str() {
-            "topo" => ShardStrategy::Topo,
-            "weighted" => ShardStrategy::Weighted,
-            other => {
-                return Err(Reject::new(
-                    E_BAD_REQUEST,
-                    format!("unknown strategy `{other}` (expected topo/weighted)"),
-                ))
-            }
-        };
-    }
     let cone_radius = field_usize(map, "cone_radius")?.unwrap_or(2);
 
     let cache = match (cache_size, cache_factor) {
@@ -605,7 +588,6 @@ fn parse_overrides(map: &[(String, Value)]) -> Parse<SearchOverrides> {
     let overrides = SearchOverrides {
         seed: field_u64(map, "seed")?,
         num_shards: field_usize(map, "num_shards")?,
-        workers: field_usize(map, "workers")?,
         max_rounds: field_usize(map, "max_rounds")?,
         moves_per_round: field_usize(map, "moves_per_round")?,
         iterations: field_usize(map, "iterations")?,
@@ -1058,6 +1040,24 @@ mod tests {
             register(r#","budget":{"time_limit_ms":3600000}"#).time_limit,
             hour
         );
+    }
+
+    #[test]
+    fn workers_and_strategy_are_ignored_like_any_unread_field() {
+        // The stored repair configuration: search budget and cone radius.
+        let stored = |extra: &str| {
+            let line = format!(
+                r#"{{"op":"register","instance":"x","family":{{"kind":"cg","n":4,"k":2}},"processors":4{extra}}}"#
+            );
+            match parse_request(&line).unwrap().1 {
+                Request::Register(req) => format!("{:?} {}", req.search, req.cone_radius),
+                other => panic!("expected register, got {other:?}"),
+            }
+        };
+        let plain = stored("");
+        assert_eq!(stored(r#","workers":3,"strategy":"topo""#), plain);
+        assert_eq!(stored(r#","budget":{"workers":3}"#), plain);
+        assert_eq!(stored(r#","strategy":"none-such""#), plain);
     }
 
     #[test]

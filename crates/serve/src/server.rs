@@ -298,7 +298,8 @@ struct ServerInner {
     instances: Mutex<Instances>,
     jobs: Mutex<HashMap<u64, CancelToken>>,
     next_job: AtomicU64,
-    registry: Mutex<BTreeMap<String, (String, u64)>>,
+    /// Instance name → checkpoint generation, as the registry file says.
+    registry: Mutex<BTreeMap<String, u64>>,
     /// Drain threads that have put their session back and are exiting or
     /// gone, not yet joined. Taken after a mailbox lock, never before one.
     exited: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -306,16 +307,12 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    fn write_registry_locked(
-        &self,
-        entries: &BTreeMap<String, (String, u64)>,
-    ) -> std::io::Result<()> {
+    fn write_registry_locked(&self, entries: &BTreeMap<String, u64>) -> std::io::Result<()> {
         let registry = ServiceRegistry {
             entries: entries
                 .iter()
-                .map(|(name, (file, generation))| RegistryEntry {
+                .map(|(name, generation)| RegistryEntry {
                     name: name.clone(),
-                    session_file: file.clone(),
                     generation: *generation,
                 })
                 .collect(),
@@ -325,10 +322,12 @@ impl ServerInner {
 
     /// Persists one instance: session blob first, then the registry naming it.
     fn checkpoint_instance(&self, state: &InstanceState) -> std::io::Result<()> {
-        let file = format!("{}.session.mbio", state.name);
-        write_atomic(&self.state_dir.join(&file), &state.session.checkpoint())?;
+        write_atomic(
+            &session_path(&self.state_dir, &state.name),
+            &state.session.checkpoint(),
+        )?;
         let mut registry = self.registry.lock().unwrap();
-        let previous = registry.insert(state.name.clone(), (file, state.generation));
+        let previous = registry.insert(state.name.clone(), state.generation);
         let written = self.write_registry_locked(&registry);
         if written.is_err() {
             // The map keeps saying what the registry file on disk says.
@@ -439,6 +438,13 @@ impl Server {
     }
 }
 
+/// Where an instance's session checkpoint lives: derived from its validated
+/// name, never read from the registry, so no registry entry reaches a file
+/// outside the state directory.
+fn session_path(state_dir: &Path, name: &str) -> PathBuf {
+    state_dir.join(format!("{name}.session.mbio"))
+}
+
 fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
     let path = inner.state_dir.join(REGISTRY_FILE);
     if !path.exists() {
@@ -448,7 +454,7 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
     let registry = ServiceRegistry::decode(&std::fs::read(&path)?)
         .map_err(|e| invalid(format!("corrupt registry {}: {e}", path.display())))?;
     for entry in registry.entries {
-        let session_path = inner.state_dir.join(&entry.session_file);
+        let session_path = session_path(&inner.state_dir, &entry.name);
         let blob = std::fs::read(&session_path)?;
         let session = IncrementalScheduler::restore(&blob)
             .map_err(|e| invalid(format!("corrupt session {}: {e}", session_path.display())))?
@@ -471,7 +477,7 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
             .registry
             .lock()
             .unwrap()
-            .insert(entry.name.clone(), (entry.session_file, entry.generation));
+            .insert(entry.name.clone(), entry.generation);
         insert_instance(
             inner,
             InstanceState {
@@ -802,10 +808,9 @@ fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u
         .lock()
         .unwrap()
         .iter()
-        .map(|(name, (file, generation))| {
+        .map(|(name, generation)| {
             JsonWriter::new()
                 .str("name", name)
-                .str("session_file", file)
                 .u64("generation", *generation)
         })
         .collect();

@@ -536,7 +536,6 @@ fn every_frame_kind_is_the_text_serde_json_writes_for_its_map() {
     c.recv_exactly(|f| {
         let registered = Value::Map(vec![
             ("name".to_string(), text("cg")),
-            ("session_file".to_string(), text("cg.session.mbio")),
             ("generation".to_string(), Value::UInt(1)),
         ]);
         vec![
@@ -1492,11 +1491,10 @@ fn write_state_dir(
     let procs = vec![mbsp_model::ProcId::new(0); dag.num_nodes()];
     let session = IncrementalScheduler::new(dag, arch, procs, config);
     let file = format!("{name}.session.mbio");
-    std::fs::write(state_dir.join(&file), session.checkpoint()).unwrap();
+    std::fs::write(state_dir.join(file), session.checkpoint()).unwrap();
     let registry = ServiceRegistry {
         entries: vec![RegistryEntry {
             name: name.to_string(),
-            session_file: file,
             generation: 1,
         }],
     };
@@ -1505,6 +1503,75 @@ fn write_state_dir(
         registry.encode(),
     )
     .unwrap();
+}
+
+#[test]
+fn a_registry_that_names_a_file_is_refused() {
+    // The registry used to store each entry's checkpoint path, and restore
+    // read whatever it named — here a valid checkpoint outside the state
+    // directory. The path now follows from the instance name, and the old
+    // layout's section tag is a decode error before any session is read.
+    use mbsp_dag::graph::NodeWeights;
+    use mbsp_io::{DecodeError, ServiceRegistry, Writer, KIND_REGISTRY};
+    let state_dir = temp_state_dir("old_registry");
+    let outside = temp_state_dir("old_registry_outside");
+    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
+        .unwrap();
+    write_state_dir(&outside, "x", path, 2, RepairConfig::default());
+    let old_tag = u32::from_le_bytes(*b"INST");
+    let mut w = Writer::new(KIND_REGISTRY);
+    w.section(old_tag, |w| {
+        w.put_u64(1);
+        w.put_str("x");
+        w.put_str(outside.join("x.session.mbio").to_str().unwrap());
+        w.put_u64(1);
+    });
+    let old = w.finish();
+    std::fs::write(state_dir.join(mbsp_serve::server::REGISTRY_FILE), &old).unwrap();
+    let started = Server::start(ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        workers: 0,
+    });
+    match started {
+        Ok(_) => panic!("a registry naming a file outside the state dir restored"),
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains("corrupt registry"), "{e}");
+        }
+    }
+    assert!(matches!(
+        ServiceRegistry::decode(&old),
+        Err(DecodeError::BadSectionTag { tag, .. }) if tag == old_tag
+    ));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let _ = std::fs::remove_dir_all(&outside);
+}
+
+#[test]
+fn workers_and_strategy_on_a_register_are_ignored() {
+    // Neither is a request field: like any key the parser does not read, they
+    // leave the stored session, checkpoint bytes included, as it would be
+    // without them.
+    let checkpoint = |label: &str, extra: &str| {
+        let state_dir = temp_state_dir(label);
+        let server = start_server(&state_dir);
+        let mut c = Client::connect(server.local_addr());
+        c.send(&format!(
+            r#"{{"op":"register","instance":"k","family":{{"kind":"cg","n":4,"k":1}},"processors":2{extra}}}"#
+        ));
+        let registered = c.recv();
+        assert!(is_event(&registered, "registered"), "got {registered:?}");
+        server.shutdown();
+        server.join();
+        let bytes = std::fs::read(state_dir.join("k.session.mbio")).unwrap();
+        let _ = std::fs::remove_dir_all(&state_dir);
+        bytes
+    };
+    assert_eq!(
+        checkpoint("knobs", r#","workers":3,"strategy":"topo""#),
+        checkpoint("no_knobs", "")
+    );
 }
 
 #[test]
