@@ -133,6 +133,11 @@ pub fn try_mutation_stream(
     let mut mirror = dag.clone();
     let mut order = PkOrder::of_dag(&mirror);
     let cap = mirror.minimal_cache_size().max(1.0);
+    // Whether `delta` would raise a compute footprint past the stream's cap.
+    let exceeds = |dag: &CompDag, delta: &DagDelta| {
+        dag.footprint_after(delta)
+            .is_some_and(|(_, footprint)| footprint > cap + 1e-9)
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = mirror.num_nodes();
     let mut pool: Vec<NodeId> = if config.locality >= 1.0 {
@@ -165,21 +170,13 @@ pub fn try_mutation_stream(
                     rng.gen_range(1..=MAX_COMPUTE) as f64
                 };
                 let memory = rng.gen_range(1..=MAX_MEMORY) as f64;
-                let grow = memory - mirror.memory_weight(v);
-                if mirror.compute_footprint(v) + grow > cap + 1e-9 {
-                    continue;
-                }
-                if mirror
-                    .children(v)
-                    .iter()
-                    .any(|&c| mirror.compute_footprint(c) + grow > cap + 1e-9)
-                {
-                    continue;
-                }
                 let delta = DagDelta::Reweight {
                     node: v,
                     weights: NodeWeights::new(compute, memory),
                 };
+                if exceeds(&mirror, &delta) {
+                    continue;
+                }
                 mirror
                     .apply_delta(&delta, &mut order)
                     .expect("pre-validated reweight");
@@ -191,10 +188,10 @@ pub fn try_mutation_stream(
                 if u == v || mirror.has_edge(u, v) {
                     continue;
                 }
-                if mirror.compute_footprint(v) + mirror.memory_weight(u) > cap + 1e-9 {
+                let delta = DagDelta::AddEdge { from: u, to: v };
+                if exceeds(&mirror, &delta) {
                     continue;
                 }
-                let delta = DagDelta::AddEdge { from: u, to: v };
                 match mirror.apply_delta(&delta, &mut order) {
                     Ok(_) => deltas.push(delta),
                     Err(DagError::CycleDetected { .. }) => continue,

@@ -69,12 +69,7 @@ pub struct RepairConfig {
     /// The sharded-search knobs (shard count, workers, per-shard budget, seed)
     /// shared with the full [`ShardedHolisticScheduler`](crate::ShardedHolisticScheduler). The shard count and
     /// strategy must match the full run's for the repaired shards to explore
-    /// the same streams. The *default* here overrides the search default to
-    /// [`ShardStrategy::Topo`](crate::ShardStrategy::Topo) without shard-local
-    /// seeds: a repair is a latency path, and the weighted partition — one
-    /// closure-form bipartition ILP per split, solved again by every repair
-    /// (≈ 4 ms in the mean at the paper's scale, ≈ 0.2 s on a 16k-node SpMV)
-    /// — is pure overhead inside a cone that rarely spans a cut.
+    /// the same streams, so the default is the search default.
     pub search: ShardedSearchConfig,
     /// Hop radius of the mutation cone expanded around touched nodes, in both
     /// edge directions. `0` repairs only the shards containing touched nodes
@@ -85,11 +80,7 @@ pub struct RepairConfig {
 impl Default for RepairConfig {
     fn default() -> Self {
         RepairConfig {
-            search: ShardedSearchConfig {
-                strategy: crate::shard::ShardStrategy::Topo,
-                shard_local_seed: false,
-                ..ShardedSearchConfig::default()
-            },
+            search: ShardedSearchConfig::default(),
             cone_radius: 2,
         }
     }
@@ -127,7 +118,7 @@ pub struct RepairStats {
     pub final_cost: f64,
     /// Why the repair stopped: `Completed` when no shard-search round and not
     /// the pass itself was skipped, else the signal that skipped one (the
-    /// configured time limit, or a [`CancelToken`]).
+    /// [`CancelToken`]'s cancellation or the deadline it was armed with).
     pub stop_reason: StopReason,
 }
 
@@ -445,6 +436,40 @@ mod tests {
             },
             cone_radius: 2,
         }
+    }
+
+    /// A session that searches at the search default and then repairs at the
+    /// repair default searches one partition shape. The destructuring names
+    /// every field, so a new one cannot be left out.
+    #[test]
+    fn the_default_repair_searches_at_the_search_default() {
+        let ShardedSearchConfig {
+            cost_model,
+            num_shards,
+            workers,
+            max_rounds,
+            moves_per_round,
+            seed,
+            stale_round_limit,
+            strategy,
+            iterations,
+            shard_local_seed,
+            runs_per_shard,
+            mass_tolerance,
+        } = RepairConfig::default().search;
+        let search = ShardedSearchConfig::default();
+        assert_eq!(cost_model, search.cost_model);
+        assert_eq!(num_shards, search.num_shards);
+        assert_eq!(workers, search.workers);
+        assert_eq!(max_rounds, search.max_rounds);
+        assert_eq!(moves_per_round, search.moves_per_round);
+        assert_eq!(seed, search.seed);
+        assert_eq!(stale_round_limit, search.stale_round_limit);
+        assert_eq!(strategy, search.strategy);
+        assert_eq!(iterations, search.iterations);
+        assert_eq!(shard_local_seed, search.shard_local_seed);
+        assert_eq!(runs_per_shard, search.runs_per_shard);
+        assert_eq!(mass_tolerance.to_bits(), search.mass_tolerance.to_bits());
     }
 
     #[test]

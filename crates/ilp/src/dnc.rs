@@ -26,7 +26,8 @@ use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
 use mbsp_dag::{CompDag, DagLike, NodeId};
 use mbsp_model::{
-    Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule, ProcId, Superstep,
+    Architecture, ComputePhaseStep, Configuration, CostModel, MbspInstance, MbspSchedule, ProcId,
+    Superstep,
 };
 use mbsp_pool::{resolve_workers, CancelToken, WorkerPool};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler, QuotientPlanner};
@@ -167,8 +168,9 @@ impl DivideAndConquerScheduler {
         //    is already in slow memory. A stage is assembled in owned supersteps —
         //    its parts run side by side on disjoint processors — and then appended.
         let mut combined = MbspSchedule::new(arch.processors);
-        let mut cached: Vec<std::collections::BTreeSet<NodeId>> =
-            vec![std::collections::BTreeSet::new(); arch.processors];
+        // The pebbles the appended stages leave behind: what the next stage
+        // flushes.
+        let mut cached = Configuration::empty(dag, arch);
         let mut stage_steps: Vec<Superstep> = Vec::new();
         for stage in plan.stages() {
             let stage_len = stage
@@ -187,11 +189,12 @@ impl DivideAndConquerScheduler {
             stage_steps.resize(stage_len, Superstep::empty(arch.processors));
             // Flush the caches left over from earlier stages at the beginning of the
             // first superstep of this stage.
-            for (pi, leftovers) in cached.iter_mut().enumerate() {
-                stage_steps[0].procs[pi]
-                    .compute
-                    .extend(leftovers.iter().map(|&v| ComputePhaseStep::Delete(v)));
-                leftovers.clear();
+            for (pi, flush) in stage_steps[0].procs.iter_mut().enumerate() {
+                flush.compute.extend(
+                    cached
+                        .cached_nodes(ProcId::new(pi))
+                        .map(ComputePhaseStep::Delete),
+                );
             }
             for part_plan in stage {
                 let part = part_plan.part;
@@ -209,30 +212,15 @@ impl DivideAndConquerScheduler {
                         t.save.extend(phases.save.iter().map(|&v| to_global(v)));
                         t.delete.extend(phases.delete.iter().map(|&v| to_global(v)));
                         t.load.extend(phases.load.iter().map(|&v| to_global(v)));
-                        // Track what remains cached on this processor at stage end.
-                        let cache = &mut cached[global_p.index()];
-                        for &c in phases.compute {
-                            match c {
-                                ComputePhaseStep::Compute(v) => {
-                                    cache.insert(to_global(v));
-                                }
-                                ComputePhaseStep::Delete(v) => {
-                                    cache.remove(&to_global(v));
-                                }
-                            }
-                        }
-                        // Phase order within a superstep: deletes happen before loads.
-                        for &v in phases.delete {
-                            cache.remove(&to_global(v));
-                        }
-                        for &v in phases.load {
-                            cache.insert(to_global(v));
-                        }
                     }
                 }
             }
             for step in &stage_steps {
                 combined.push_superstep(step);
+                cached.apply_superstep_unchecked(
+                    dag,
+                    combined.superstep(combined.num_supersteps() - 1),
+                );
             }
         }
 

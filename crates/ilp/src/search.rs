@@ -443,8 +443,8 @@ pub(crate) struct ShardedSearch<'a> {
     pub(crate) accepted: usize,
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub(crate) salvaged: u64,
-    /// The job's stop signal: the caller's cancel token (a fresh one without),
-    /// expiring `config.time_limit` after the search was set up.
+    /// The job's stop signal: the caller's cancel token as given, deadline
+    /// included (a fresh one without).
     token: CancelToken,
     /// The signal that skipped a shard-search round or a pass, if one did — a
     /// cancellation outranks an expiry. `None` after a run that spent its
@@ -471,10 +471,7 @@ impl<'a> ShardedSearch<'a> {
         procs: Vec<ProcId>,
         baseline: Option<&BspSchedulingResult>,
     ) -> Self {
-        let token = cancel
-            .cloned()
-            .unwrap_or_default()
-            .expiring_after(config.time_limit);
+        let token = cancel.cloned().unwrap_or_default();
         let k = shard_count(config.num_shards, dag.num_nodes());
         let workers = resolve_workers(config.workers).min(k);
         let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);

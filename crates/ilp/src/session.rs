@@ -4,22 +4,28 @@
 //! byte-identically to an uninterrupted one: the mutated DAG, the live
 //! Pearce–Kelly order (its values **and** never-reused high-water mark — a
 //! freshly recomputed order would diverge on the next structural delta), the
-//! incumbent per-node assignment, the pending touched set and the full
-//! [`RepairConfig`] (seeds, budgets, strategy). Restoring therefore takes no
-//! caller-side configuration; only the transient lane-permit count and cancel
-//! token are re-attached with [`IncrementalScheduler::with_pool`] /
-//! [`IncrementalScheduler::with_cancel`], neither of which can affect results.
+//! incumbent per-node assignment, the pending touched set and every
+//! [`RepairConfig`] setting that decides a result. The `CNF2` section stores
+//! those: the cost model, strategy, shard-local seeding, shard count, rounds,
+//! moves per round, seed, stale-round limit, iterations, runs per shard, mass
+//! tolerance and cone radius. It stores no clock — a deadline belongs to a
+//! job's [`CancelToken`](mbsp_pool::CancelToken), not to a session — and no
+//! worker count. Restoring therefore takes no caller-side configuration; the
+//! transient worker count (restored as `0`), lane-permit count and cancel
+//! token are re-attached with [`IncrementalScheduler::config_mut`],
+//! [`IncrementalScheduler::with_pool`] and
+//! [`IncrementalScheduler::with_cancel`], none of which can affect results.
 //!
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
 //! sections) under [`KIND_SESSION`], and this module is the one place that
 //! knows its sections: the DAG's four come from `mbsp_io`
-//! ([`write_dag_sections`], [`DagSections`]); `CONF`, `ARCH`, `ORDR`, `PROC`
+//! ([`write_dag_sections`], [`DagSections`]); `CNF2`, `ARCH`, `ORDR`, `PROC`
 //! and `PEND` are written and read here, field by field.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
 //! blobs (order/assignment length mismatching the DAG, out-of-range pending
-//! ids, unknown strategy or cost-model bytes, a salvage cap other than the
-//! fixed one, a DAG whose minimal cache size `r₀` exceeds the
-//! architecture's cache) are rejected with a typed [`DecodeError`].
+//! ids, unknown strategy or cost-model bytes, a DAG whose minimal cache size
+//! `r₀` exceeds the architecture's cache, the earlier `CONF` layout) are
+//! rejected with a typed [`DecodeError`].
 //!
 //! The `mbsp_serve` daemon builds its durability on exactly this contract:
 //! it checkpoints every warm session to disk after each mutation batch and on
@@ -27,7 +33,6 @@
 //! continues serving byte-identically to an uninterrupted one.
 
 use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
-use crate::search::MERGE_REPLAY_CAP;
 use crate::shard::{ShardStrategy, ShardedSearchConfig};
 use mbsp_dag::{NodeId, PkOrder};
 use mbsp_io::{
@@ -36,7 +41,6 @@ use mbsp_io::{
 };
 use mbsp_model::{Architecture, CostModel, ProcId};
 use mbsp_pool::WorkerPool;
-use std::time::Duration;
 
 fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
     let s = &cfg.search;
@@ -50,15 +54,11 @@ fn encode_config(cfg: &RepairConfig, w: &mut Writer) {
     });
     w.put_u8(s.shard_local_seed as u8);
     w.put_u64(s.num_shards as u64);
-    w.put_u64(s.workers as u64);
     w.put_u64(s.max_rounds as u64);
     w.put_u64(s.moves_per_round as u64);
-    w.put_u64(s.time_limit.as_secs());
-    w.put_u32(s.time_limit.subsec_nanos());
     w.put_u64(s.seed);
     w.put_u64(s.stale_round_limit as u64);
     w.put_u64(s.iterations as u64);
-    w.put_u64(MERGE_REPLAY_CAP as u64);
     w.put_u64(s.runs_per_shard as u64);
     w.put_f64(s.mass_tolerance);
     w.put_u64(cfg.cone_radius as u64);
@@ -77,24 +77,11 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
     };
     let shard_local_seed = r.get_bool()?;
     let num_shards = r.get_usize()?;
-    let workers = r.get_usize()?;
     let max_rounds = r.get_usize()?;
     let moves_per_round = r.get_usize()?;
-    let secs = r.get_u64()?;
-    let nanos = r.get_u32()?;
-    if nanos >= 1_000_000_000 {
-        return Err(r.invalid(format!("{nanos} subsecond nanos overflow a second")));
-    }
-    let time_limit = Duration::new(secs, nanos);
     let seed = r.get_u64()?;
     let stale_round_limit = r.get_usize()?;
     let iterations = r.get_usize()?;
-    let merge_replay_cap = r.get_usize()?;
-    if merge_replay_cap != MERGE_REPLAY_CAP {
-        return Err(r.invalid(format!(
-            "salvage cap {merge_replay_cap} is not the fixed {MERGE_REPLAY_CAP}"
-        )));
-    }
     let runs_per_shard = r.get_usize()?;
     let mass_tolerance = r.get_f64()?;
     if !mass_tolerance.is_finite() || mass_tolerance < 0.0 {
@@ -107,10 +94,10 @@ fn decode_config(r: &mut Reader<'_>) -> Result<RepairConfig, DecodeError> {
         search: ShardedSearchConfig {
             cost_model,
             num_shards,
-            workers,
+            // Result-neutral, so not stored: re-attached like the pool.
+            workers: 0,
             max_rounds,
             moves_per_round,
-            time_limit,
             seed,
             stale_round_limit,
             strategy,
@@ -230,7 +217,7 @@ impl IncrementalScheduler {
     /// invariant (acyclicity, order consistency, assignment coverage, pending
     /// ids in range, every compute footprint within the cache). The restored
     /// scheduler takes its lanes from the default permit count, with no cancel
-    /// token; both are transient and result-neutral.
+    /// token and `workers: 0`; all three are transient and result-neutral.
     pub fn restore(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::open(bytes, KIND_SESSION)?;
         let mut dag_sections = DagSections::default();

@@ -57,12 +57,13 @@
 //! [`StopReason::Completed`] is a function of (DAG, architecture, config,
 //! seed), byte-identical for any worker count: `tests/shard_determinism.rs`
 //! asserts it for both strategies, also when the partition was cut by its
-//! pivot budget. The one thing that reads a clock is the job's stop signal —
-//! [`ShardedSearchConfig::time_limit`] and the caller's `CancelToken` —
-//! observed at round and pass boundaries and at the node pops of the
-//! partitioner's branch and bound: a run it cuts says so
-//! (`DeadlineExpired` / `Cancelled`) and returns a valid schedule that costs
-//! no more than its seed, but not a reproducible one.
+//! pivot budget. The configuration holds no clock. The one thing that can
+//! read one is the caller's `CancelToken`, when the caller armed it with a
+//! deadline ([`CancelToken::expiring_after`]); it is observed at round and
+//! pass boundaries and at the node pops of the partitioner's branch and
+//! bound, and a run it cuts says so (`DeadlineExpired` / `Cancelled`) and
+//! returns a valid schedule that costs no more than its seed, but not a
+//! reproducible one.
 //!
 //! Steps 2 and 3 are one pass of the shared search core (`crate::search`);
 //! this module owns the partitioners, the configuration and the front-end
@@ -77,7 +78,6 @@ use mbsp_pool::{CancelToken, StopReason, WorkerPool};
 use mbsp_sched::BspSchedulingResult;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How [`ShardedHolisticScheduler`] partitions the DAG into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,13 +119,6 @@ pub struct ShardedSearchConfig {
     /// most `k · max_rounds · moves_per_round` candidate evaluations, the same
     /// budget shape as one shard with `k · moves_per_round` moves per round).
     pub moves_per_round: usize,
-    /// The workspace's one wall-clock: the search's stop signal expires this
-    /// long after the search is set up, is observed at round and pass
-    /// boundaries like a cancellation, and is reported as
-    /// [`StopReason::DeadlineExpired`]. `Duration::MAX` (the default) is no
-    /// deadline; the budget is then `max_rounds`, `moves_per_round` and
-    /// `iterations` alone.
-    pub time_limit: Duration,
     /// RNG seed; shard `s` searches with seed `seed ⊕ f(s)`.
     pub seed: u64,
     /// Stop a shard's search after this many *consecutive* rounds without an
@@ -166,7 +159,6 @@ impl Default for ShardedSearchConfig {
             workers: 0,
             max_rounds: 60,
             moves_per_round: 30,
-            time_limit: Duration::MAX,
             seed: 0x5EED,
             stale_round_limit: 1,
             strategy: ShardStrategy::Weighted,
@@ -628,9 +620,9 @@ impl ShardedHolisticScheduler {
         self
     }
 
-    /// Attaches a cancellation token; the search observes it, with
-    /// [`ShardedSearchConfig::time_limit`] as its expiry, **only at
-    /// deterministic cut points** — before each partition/search/merge
+    /// Attaches a cancellation token, with whatever expiry the caller armed
+    /// it with ([`CancelToken::expiring_after`]); the search observes it
+    /// **only at deterministic cut points** — before each partition/search/merge
     /// iteration, at every node pop of the partition's branch and bound and
     /// at every shard-search round boundary — so a run cancelled
     /// before it starts returns the seed incumbent byte-identically for any

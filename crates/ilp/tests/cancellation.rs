@@ -161,12 +161,10 @@ fn a_deadline_that_cuts_the_only_pass_is_reported() {
     let inst = instance();
     let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
     let (seed_cost, _) = seed_of(&inst, one_long_pass());
-    let config = ShardedSearchConfig {
-        time_limit: Duration::from_millis(5),
-        ..one_long_pass()
-    };
-    let (schedule, stats) =
-        ShardedHolisticScheduler::with_config(config).schedule_with_stats(&inst, &baseline);
+    let deadline = CancelToken::new().expiring_after(Duration::from_millis(5));
+    let (schedule, stats) = ShardedHolisticScheduler::with_config(one_long_pass())
+        .with_cancel(&deadline)
+        .schedule_with_stats(&inst, &baseline);
     assert_eq!(stats.stop_reason, StopReason::DeadlineExpired);
     assert!(stats.evaluations < 4 * 2_000 * 30);
     schedule.validate(inst.dag(), inst.arch()).unwrap();
@@ -180,12 +178,10 @@ fn an_expired_deadline_returns_the_seed_incumbent_like_a_cancel_does() {
     let (seed_cost, seed_evaluations) = seed_of(&inst, search_config(1));
     let mut schedules = Vec::new();
     for workers in [1usize, 4, 8] {
-        let config = ShardedSearchConfig {
-            time_limit: Duration::ZERO,
-            ..search_config(workers)
-        };
-        let (schedule, stats) =
-            ShardedHolisticScheduler::with_config(config).schedule_with_stats(&inst, &baseline);
+        let expired = CancelToken::new().expiring_after(Duration::ZERO);
+        let (schedule, stats) = ShardedHolisticScheduler::with_config(search_config(workers))
+            .with_cancel(&expired)
+            .schedule_with_stats(&inst, &baseline);
         assert_eq!(stats.stop_reason, StopReason::DeadlineExpired);
         assert_eq!(stats.iterations, 0, "no pass may start past the deadline");
         assert_eq!(stats.evaluations, seed_evaluations);

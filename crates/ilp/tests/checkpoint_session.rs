@@ -166,6 +166,8 @@ fn a_restored_session_continues_byte_identically() {
         let blob = sched.checkpoint();
         drop(sched);
         let mut sched = IncrementalScheduler::restore(&blob).expect("clean restore");
+        // The worker count is not stored: it is re-attached like the pool.
+        assert_eq!(sched.config().search.workers, 0);
         sched.config_mut().search.workers = workers;
         for delta in &stream[half..] {
             sched.apply(delta).unwrap();
@@ -177,9 +179,7 @@ fn a_restored_session_continues_byte_identically() {
         );
         assert_eq!(sched.assignment(), &ref_procs[..]);
         assert!(stats.final_cost <= stats.incumbent_cost + 1e-9);
-        // The final checkpoints agree byte-for-byte (modulo the worker knob we
-        // deliberately changed).
-        sched.config_mut().search.workers = 1;
+        // The final checkpoints agree byte-for-byte: they hold no worker count.
         assert_eq!(sched.checkpoint(), ref_blob);
     }
 }
@@ -337,8 +337,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The checkpoint format is pinned: a seeded session's bytes before and after
 /// one repair hash to recorded `(length, FNV-1a)` pairs. A change to what any
-/// section holds — the `CONF` layout included — moves them; such a change
-/// belongs with a bump of `mbsp_io::VERSION`.
+/// section holds moves them; such a change belongs with a bump of
+/// `mbsp_io::VERSION` or, for one session section, a new tag (as `CONF` →
+/// `CNF2`).
 #[test]
 fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
     let mut sched = session(1);
@@ -354,7 +355,7 @@ fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
     let after = sched.checkpoint();
     assert_eq!(
         [(before.len(), fnv1a(&before)), (after.len(), fnv1a(&after))],
-        [(3611, 0x583C_FEFC_DA09_FE5B), (3666, 0x53F3_7EBF_B642_E331)]
+        [(3583, 0x01B5_03BB_F6DA_4EB8), (3638, 0x700D_9F07_73EF_5F60)]
     );
 }
 
@@ -400,25 +401,44 @@ fn assert_invalid_value(blob: &[u8], says: &str) {
     }
 }
 
-/// The `CONF` section keeps its layout. Its cost-model byte (the section's
-/// first) names the synchronous cost, `0`, or the asynchronous one, `1`; its
-/// salvage cap (the `u64` at payload offset 71) has one legal value, `4`.
+/// The `CNF2` section keeps its layout. Its cost-model byte (the section's
+/// first) names the synchronous cost, `0`, or the asynchronous one, `1`. The
+/// earlier layout, tag `CONF`, also held a worker count, a deadline and the
+/// salvage cap: a checkpoint that carries it is refused by its tag.
 #[test]
-fn a_config_section_with_another_cost_model_or_salvage_cap_is_rejected() {
+fn a_config_section_with_another_cost_model_or_the_old_tag_is_rejected() {
     let blob = session(1).checkpoint();
     assert_eq!(with_section_bytes(&blob, SEC_CONFIG, 0, &[0]), blob);
+    let err = IncrementalScheduler::restore(&with_section_bytes(&blob, SEC_CONFIG, 0, &[2]))
+        .err()
+        .unwrap_or_else(|| panic!("cost-model byte 2 was accepted"));
+    assert!(matches!(err, DecodeError::InvalidValue { .. }), "{err}");
+
+    // The same settings in the `CONF` layout: workers after the shard count,
+    // the deadline (`Duration::MAX`) after the moves per round, the salvage
+    // cap after the iterations.
+    let old_tag = u32::from_le_bytes(*b"CONF");
+    let mut old = resealed(&blob, SEC_CONFIG, |p| {
+        let new = std::mem::take(p);
+        p.extend_from_slice(&new[..11]);
+        p.extend_from_slice(&1u64.to_le_bytes());
+        p.extend_from_slice(&new[11..27]);
+        p.extend_from_slice(&u64::MAX.to_le_bytes());
+        p.extend_from_slice(&999_999_999u32.to_le_bytes());
+        p.extend_from_slice(&new[27..51]);
+        p.extend_from_slice(&4u64.to_le_bytes());
+        p.extend_from_slice(&new[51..]);
+    });
+    let (at, payload) = section_payload(&old, SEC_CONFIG);
     assert_eq!(
-        with_section_bytes(&blob, SEC_CONFIG, 71, &4u64.to_le_bytes()),
-        blob
+        payload.len(),
+        section_payload(&blob, SEC_CONFIG).1.len() + 28
     );
-    for (at, bytes) in [(0, vec![2u8]), (71, 7u64.to_le_bytes().to_vec())] {
-        let err = IncrementalScheduler::restore(&with_section_bytes(&blob, SEC_CONFIG, at, &bytes))
-            .err()
-            .unwrap_or_else(|| panic!("CONF byte {at} set to {bytes:?} was accepted"));
-        assert!(
-            matches!(err, DecodeError::InvalidValue { .. }),
-            "CONF byte {at}: {err}"
-        );
+    old[at - 16..at - 12].copy_from_slice(&old_tag.to_le_bytes());
+    match IncrementalScheduler::restore(&old) {
+        Err(DecodeError::BadSectionTag { tag, .. }) => assert_eq!(tag, old_tag),
+        Err(other) => panic!("expected the `CONF` tag to be refused, got {other}"),
+        Ok(_) => panic!("a checkpoint with the `CONF` layout was restored"),
     }
 }
 
@@ -462,10 +482,10 @@ fn u64_at(payload: &[u8], at: usize) -> u64 {
 }
 
 /// Every value check `restore` makes after the CRCs, reached through a whole
-/// re-sealed checkpoint. The `CONF` offsets follow its layout: cost model 0,
-/// strategy 1, shard-local seed 2, the time limit's nanos 43, mass tolerance
-/// 87; `ARCH` is `P` 0, `r` 8, `g` 16, `L` 24; `PROC` and `PEND` are a count
-/// and then one `u32` per entry.
+/// re-sealed checkpoint. The `CNF2` offsets follow its layout: cost model 0,
+/// strategy 1, shard-local seed 2, mass tolerance 59; `ARCH` is `P` 0, `r` 8,
+/// `g` 16, `L` 24; `PROC` and `PEND` are a count and then one `u32` per
+/// entry.
 #[test]
 fn every_value_check_of_restore_is_reached_through_a_whole_checkpoint() {
     use mbsp_io::{SEC_ARCH, SEC_PENDING, SEC_PROCS};
@@ -473,18 +493,12 @@ fn every_value_check_of_restore_is_reached_through_a_whole_checkpoint() {
     let blob = sched.checkpoint();
     let n = sched.dag().num_nodes();
     let r0 = sched.dag().minimal_cache_size();
-    let rewrites: [(u32, usize, Vec<u8>, &str); 8] = [
+    let rewrites: [(u32, usize, Vec<u8>, &str); 7] = [
         (SEC_CONFIG, 1, vec![2], "is not a shard strategy"),
         (SEC_CONFIG, 2, vec![2], "is not a bool"),
         (
             SEC_CONFIG,
-            43,
-            1_000_000_000u32.to_le_bytes().to_vec(),
-            "nanos overflow a second",
-        ),
-        (
-            SEC_CONFIG,
-            87,
+            59,
             (-0.5f64).to_le_bytes().to_vec(),
             "mass tolerance -0.5",
         ),

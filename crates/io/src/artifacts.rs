@@ -34,8 +34,11 @@ pub const SEC_ORDER: u32 = u32::from_le_bytes(*b"ORDR");
 pub const SEC_PROCS: u32 = u32::from_le_bytes(*b"PROC");
 /// Section tag: pending touched-node set of an incremental session.
 pub const SEC_PENDING: u32 = u32::from_le_bytes(*b"PEND");
-/// Section tag: search/repair configuration (seeds, budgets, strategy).
-pub const SEC_CONFIG: u32 = u32::from_le_bytes(*b"CONF");
+/// Section tag: the search/repair settings that decide a result (seeds,
+/// budgets, strategy). The earlier layout, tag `CONF`, also stored a worker
+/// count, a deadline and the fixed salvage cap; its tag is refused as
+/// [`DecodeError::BadSectionTag`], so no session carries a clock.
+pub const SEC_CONFIG: u32 = u32::from_le_bytes(*b"CNF2");
 /// Section tag: instance entries of a serving-daemon registry, each a name
 /// and a generation. The earlier layout, tag `INST`, also stored a file name
 /// per entry; its tag is refused as [`DecodeError::BadSectionTag`], so no

@@ -22,7 +22,6 @@ use mbsp_ilp::ShardedSearchConfig;
 use mbsp_model::{ComputePhaseStep, MbspSchedule};
 use serde::{map_get, Serialize, Value};
 use std::fmt::Write;
-use std::time::Duration;
 
 /// Error code: the line was not valid JSON or not a JSON object.
 pub const E_BAD_REQUEST: &str = "bad_request";
@@ -194,8 +193,10 @@ pub struct SearchOverrides {
     pub moves_per_round: Option<usize>,
     /// Partition/search/merge passes.
     pub iterations: Option<usize>,
-    /// Wall-clock deadline of the job in milliseconds (absent: the
-    /// instance's, which is none unless `register` set one).
+    /// Wall-clock deadline of this job in milliseconds (absent: none). Not a
+    /// search setting, so [`SearchOverrides::apply`] leaves it alone: the
+    /// daemon arms the job's cancel token with it, and a `register` stores
+    /// none.
     pub time_limit_ms: Option<u64>,
     /// Stale-round early-stopping limit.
     pub stale_round_limit: Option<usize>,
@@ -218,9 +219,6 @@ impl SearchOverrides {
         }
         if let Some(v) = self.iterations {
             config.iterations = v;
-        }
-        if let Some(v) = self.time_limit_ms {
-            config.time_limit = Duration::from_millis(v);
         }
         if let Some(v) = self.stale_round_limit {
             config.stale_round_limit = v;
@@ -455,10 +453,10 @@ fn parse_register(map: &[(String, Value)]) -> Parse<RegisterRequest> {
         ));
     }
 
-    // An instance whose client picks no budget gets the library default: no
-    // deadline, so its budget is counts, the same on a slow host, and
+    // An instance whose client picks no budget gets the library default:
     // `num_shards: 0`, which every search resolves from the DAG's size, the
-    // same on any host.
+    // same on any host. A `time_limit_ms` here is parsed and dropped: a
+    // deadline belongs to a job, never to the session.
     let mut search = ShardedSearchConfig::default();
     parse_overrides(map)?.apply(&mut search);
     let cone_radius = field_usize(map, "cone_radius")?.unwrap_or(2);
@@ -1018,28 +1016,35 @@ mod tests {
     }
 
     #[test]
-    fn a_register_without_time_limit_ms_has_no_deadline() {
-        let register = |budget: &str| {
+    fn a_register_stores_no_deadline() {
+        // The stored repair configuration: search budget and cone radius.
+        let stored = |budget: &str| {
             let line = format!(
                 r#"{{"op":"register","instance":"x","family":{{"kind":"cg","n":4,"k":2}},"processors":4{budget}}}"#
             );
             match parse_request(&line).unwrap().1 {
-                Request::Register(req) => req.search,
+                Request::Register(req) => format!("{:?} {}", req.search, req.cone_radius),
                 other => panic!("expected register, got {other:?}"),
             }
         };
-        // `Duration::MAX` arms no expiry, so no search over this config can
-        // report `deadline`; the shard count is the library's size rule.
-        let search = register("");
-        assert_eq!(search.time_limit, Duration::MAX);
-        assert_eq!(search.num_shards, 0);
-        // The field keeps its name, both positions and its meaning.
-        let hour = Duration::from_secs(3600);
-        assert_eq!(register(r#","time_limit_ms":3600000"#).time_limit, hour);
-        assert_eq!(
-            register(r#","budget":{"time_limit_ms":3600000}"#).time_limit,
-            hour
-        );
+        // A deadline in either position leaves the stored config as it is
+        // without one; the shard count is the library's size rule.
+        let plain = stored("");
+        assert!(plain.contains("num_shards: 0"), "{plain}");
+        assert_eq!(stored(r#","time_limit_ms":0"#), plain);
+        assert_eq!(stored(r#","budget":{"time_limit_ms":3600000}"#), plain);
+        // Per job, the field keeps its name, both positions and its meaning.
+        for line in [
+            r#"{"op":"schedule","instance":"x","time_limit_ms":1500}"#,
+            r#"{"op":"repair","instance":"x","budget":{"time_limit_ms":1500}}"#,
+        ] {
+            let overrides = match parse_request(line).unwrap().1 {
+                Request::Schedule(req) => req.overrides,
+                Request::Repair(req) => req.overrides,
+                other => panic!("expected a job, got {other:?}"),
+            };
+            assert_eq!(overrides.time_limit_ms, Some(1500), "{line}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::protocol::{
     self, parse_request, CacheSpec, DagSource, JsonWriter, MutateRequest, RegisterRequest, Reject,
-    RepairRequest, Request, ScheduleRequest,
+    RepairRequest, Request, ScheduleRequest, SearchOverrides,
 };
 use mbsp_dag::DagDelta;
 use mbsp_ilp::{
@@ -51,6 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 /// Name of the registry blob inside the state directory.
 pub const REGISTRY_FILE: &str = "registry.mbio";
@@ -76,9 +77,9 @@ pub const MAX_TABLE_CELLS: usize = 1 << 24;
 /// Most shards a request may ask for (`num_shards`, flat or under `budget`).
 /// The weighted partitioner solves `num_shards − 1` bipartition ILPs over a
 /// quotient of `8 · num_shards` runs, each bounded by its node and pivot
-/// counts. The job's cancel token and `time_limit_ms` reach their branch and
-/// bound — seen at every node pop, a cancelled split keeps its prefix split —
-/// so the cap bounds the largest model and the one relaxation a cancel may
+/// counts. The job's cancel token, armed with its `time_limit_ms`, reaches
+/// their branch and bound — seen at every node pop, a cancelled split keeps
+/// its prefix split — so the cap bounds the largest model and the one relaxation a cancel may
 /// wait for, not uncancellable work. Measured at the cap on `rand_L200_W500`
 /// (100,000 nodes, 2 vCPUs): the root split is 2,048 variables × 16,506 rows,
 /// proven optimal in 25 nodes, 16,907 pivots and 540 s, and its longest
@@ -1000,6 +1001,17 @@ fn stop_reason_str(reason: StopReason) -> &'static str {
     }
 }
 
+/// The stop signal of one search: the job's cancel token, armed with the
+/// request's `time_limit_ms` when it carries one. The armed token shares the
+/// job's flag, so a `cancel` still stops the job; the session itself never
+/// holds a deadline.
+fn job_token(job: &Job, overrides: &SearchOverrides) -> CancelToken {
+    match overrides.time_limit_ms {
+        Some(ms) => job.cancel.expiring_after(Duration::from_millis(ms)),
+        None => job.cancel.clone(),
+    }
+}
+
 fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
     let session = &mut state.session;
     let mut config = session.config().search;
@@ -1026,7 +1038,7 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
             );
         })
     });
-    session.set_cancel(Some(&job.cancel));
+    session.set_cancel(Some(&job_token(job, &req.overrides)));
     let (schedule, stats) = session.schedule(&config, &baseline, observer);
     session.set_cancel(None);
     debug_assert_served(session, &schedule, stats.final_cost);
@@ -1050,7 +1062,9 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
 fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: &ServerInner) {
     let saved = *state.session.config();
     req.overrides.apply(&mut state.session.config_mut().search);
-    state.session.set_cancel(Some(&job.cancel));
+    state
+        .session
+        .set_cancel(Some(&job_token(job, &req.overrides)));
     let (schedule, stats) = state.session.repair();
     state.session.set_cancel(None);
     debug_assert_served(&state.session, &schedule, stats.final_cost);

@@ -344,6 +344,36 @@ fn a_zero_time_limit_answers_the_seed_incumbent_and_says_deadline() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A deadline belongs to a job: on `register`, `time_limit_ms` is parsed and
+/// dropped, so an instance registered with an already-expired one — and the
+/// same instance restored after a restart — spends its counts.
+#[test]
+fn a_register_deadline_is_ignored_and_a_restored_session_carries_none() {
+    let state_dir = temp_state_dir("register_deadline");
+    let schedule = |server: &Server| {
+        let mut c = Client::connect(server.local_addr());
+        c.send(r#"{"id":2,"op":"schedule","instance":"cg","stream":false}"#);
+        let (_, done) = c.recv_until(|f| is_event(f, "done"));
+        assert_ok(&done);
+        assert_eq!(get_str(&done, "stop_reason"), Some("completed"));
+        assert!(get_u64(&done, "iterations") >= Some(1), "{done:?}");
+    };
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(&format!(
+        r#"{{"id":1,"op":"register","instance":"cg","family":{{"kind":"cg","n":4,"k":2}},"processors":4,"cache_factor":3.0,"time_limit_ms":0,{BUDGET}}}"#
+    ));
+    assert_ok(&c.recv());
+    schedule(&server);
+    server.shutdown();
+    server.join();
+    let server = start_server(&state_dir);
+    schedule(&server);
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 /// A `register` without `num_shards` stores the library default, which the
 /// search resolves from the DAG's size: on the small CG instance the served
 /// schedule is the direct library run at one shard, on any host.
