@@ -40,7 +40,7 @@ use mbsp_gen::constructions::{
     lemma53_construction, lemma54_construction, lemma61_construction, theorem41_construction,
 };
 use mbsp_gen::NamedInstance;
-use mbsp_ilp::improver::{canonical_bsp, post_optimize};
+use mbsp_ilp::improver::{canonical_bsp, post_optimize, TieOrder};
 use mbsp_ilp::{
     BspIlpScheduler, DivideAndConquerConfig, DivideAndConquerScheduler, IncrementalScheduler,
     RepairConfig, ShardedSearchConfig,
@@ -130,6 +130,10 @@ pub(crate) struct Row {
     /// Instances on which the second column is below / above the first.
     improved: usize,
     losing: usize,
+    /// Holistic searches of the row that ran in the depth-first tie order
+    /// (their seed's depth-first conversion was the cheaper one); the others
+    /// ran breadth-first.
+    depth_first: usize,
     claims: Vec<Claim>,
     claims_hold: bool,
 }
@@ -167,6 +171,7 @@ fn row(setting: String, columns: &[&str], costs: Vec<Costs>) -> Row {
         quartiles: [0.0, 0.25, 0.5, 0.75, 1.0].map(quantile).to_vec(),
         improved: sorted.iter().filter(|&&r| !le(1.0, r)).count(),
         losing: sorted.iter().filter(|&&r| !le(r, 1.0)).count(),
+        depth_first: 0,
         claims: Vec::new(),
         claims_hold: true,
         costs,
@@ -237,9 +242,9 @@ impl Setting {
         (bsp, cost)
     }
 
-    /// The cost of the holistic search seeded with `bsp`: a served session's
-    /// `schedule` on the instance.
-    fn improved(&self, instance: &MbspInstance, bsp: &BspSchedulingResult) -> f64 {
+    /// The cost of the holistic search seeded with `bsp` — a served session's
+    /// `schedule` on the instance — and whether it ran depth-first.
+    fn improved(&self, instance: &MbspInstance, bsp: &BspSchedulingResult) -> (f64, bool) {
         let (dag, arch) = (instance.dag(), instance.arch());
         let search = self.search();
         let procs = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
@@ -248,8 +253,9 @@ impl Setting {
             cone_radius: 2,
         };
         let mut session = IncrementalScheduler::new(dag.clone(), *arch, procs, repair);
-        let (schedule, _) = session.schedule(&search, bsp, None);
-        cost(&schedule, dag, arch, self.cost_model)
+        let (schedule, stats) = session.schedule(&search, bsp, None);
+        let depth_first = stats.tie_order == TieOrder::DepthFirst;
+        (cost(&schedule, dag, arch, self.cost_model), depth_first)
     }
 }
 
@@ -260,7 +266,9 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
         dataset.truncate(instances);
     }
     let clairvoyant = ClairvoyantPolicy::new();
-    let measure = |named: &NamedInstance| -> Vec<f64> {
+    // An instance's costs and how many of its holistic searches ran
+    // depth-first.
+    let measure = |named: &NamedInstance| -> (Vec<f64>, usize) {
         let instance = setting.instance(named);
         let first: &dyn BspScheduler = match sweep {
             Sweep::Pebbling => &DfsScheduler::new(),
@@ -269,7 +277,8 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
         let (seed, baseline) = setting.two_stage(&instance, first, &clairvoyant);
         match sweep {
             Sweep::Holistic | Sweep::Pebbling => {
-                vec![baseline, setting.improved(&instance, &seed)]
+                let (holistic, depth_first) = setting.improved(&instance, &seed);
+                (vec![baseline, holistic], depth_first as usize)
             }
             Sweep::DivideAndConquer { .. } => {
                 let search = setting.search();
@@ -281,7 +290,10 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
                 };
                 let schedule = DivideAndConquerScheduler::with_config(config).schedule(&instance);
                 let (dag, arch) = (instance.dag(), instance.arch());
-                vec![baseline, cost(&schedule, dag, arch, setting.cost_model)]
+                (
+                    vec![baseline, cost(&schedule, dag, arch, setting.cost_model)],
+                    0,
+                )
             }
             Sweep::Baselines => {
                 let cilk = setting.two_stage(&instance, &CilkScheduler::new(), &LruPolicy::new());
@@ -289,15 +301,19 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
                 let (optimised, bsp_ilp) = setting.two_stage(&instance, &bsp_ilp, &clairvoyant);
                 let ours = setting.improved(&instance, &seed);
                 let both = setting.improved(&instance, &optimised);
-                vec![baseline, ours, cilk.1, bsp_ilp, both]
+                let depth_first = ours.1 as usize + both.1 as usize;
+                (vec![baseline, ours.0, cilk.1, bsp_ilp, both.0], depth_first)
             }
         }
     };
     // Instances are independent; rows come back in dataset order.
     let lanes = mbsp_pool::resolve_workers(0);
-    let costs = mbsp_pool::WorkerPool::shared().run_indexed(dataset.len(), lanes, |i| {
-        costs(dataset[i].name.clone(), measure(&dataset[i]))
+    let measured = mbsp_pool::WorkerPool::shared().run_indexed(dataset.len(), lanes, |i| {
+        let (measured, depth_first) = measure(&dataset[i]);
+        (costs(dataset[i].name.clone(), measured), depth_first)
     });
+    let depth_first = measured.iter().map(|(_, d)| d).sum();
+    let costs = measured.into_iter().map(|(c, _)| c).collect();
     let columns: &[&str] = match sweep {
         Sweep::Holistic => &["baseline", "holistic"],
         Sweep::DivideAndConquer { .. } => &["baseline", "divide_and_conquer"],
@@ -311,6 +327,7 @@ fn sweep(sweep: Sweep, setting: Setting) -> Row {
         Sweep::Pebbling => &["dfs_clairvoyant", "holistic"],
     };
     let mut row = row(format!("{setting:?}"), columns, costs);
+    row.depth_first = depth_first;
     match sweep {
         Sweep::Holistic => {
             row.claim("holistic_le_baseline_on_every_instance", row.every_le(1, 0));
@@ -346,8 +363,9 @@ fn theorem41(ds: &[usize]) -> Row {
     let point = |&d: &usize| {
         let (dag, groups) = theorem41_construction(d, 4 * d);
         let arch = Architecture::new(2, d as f64 + 2.0, 1.0, 0.0);
+        let order = TieOrder::BreadthFirst.of(&dag);
         let convert = |procs: &[ProcId]| {
-            let bsp = canonical_bsp(&dag, &arch, procs);
+            let bsp = canonical_bsp(&dag, &arch, procs, &order);
             TwoStageScheduler::new().schedule(&dag, &arch, &bsp, &ClairvoyantPolicy::new())
         };
         let mut procs = vec![ProcId::new(0); dag.num_nodes()];
@@ -530,7 +548,7 @@ fn lemma61(d: usize, g: f64, ms: &[usize]) -> Row {
         // The two-stage conversion never recomputes: one processor, nodes in
         // id order, clairvoyant eviction.
         let everything = vec![ProcId::new(0); dag.num_nodes()];
-        let bsp = canonical_bsp(&dag, &arch, &everything);
+        let bsp = canonical_bsp(&dag, &arch, &everything, &TieOrder::BreadthFirst.of(&dag));
         let without =
             TwoStageScheduler::new().schedule(&dag, &arch, &bsp, &ClairvoyantPolicy::new());
         let both = [&with, &without].map(|s| cost(s, &dag, &arch, Synchronous));

@@ -24,8 +24,9 @@
 //! processor assignments per instance, so the conversion state is split in two:
 //!
 //! * [`ConversionArena`] holds everything that outlives one candidate — the
-//!   topological order, the per-processor compute sequences, the flat use
-//!   index, the cache-simulation buffers — allocated **once per instance**;
+//!   topological and tie orders, the per-processor compute sequences, the
+//!   flat use index, the cache-simulation buffers — allocated **once per
+//!   instance**;
 //! * each conversion then *restores* that state to a superstep boundary and
 //!   simulates from there. Converting a neighbouring assignment via
 //!   [`ConversionArena::convert_assignment`] reuses all allocations and
@@ -123,7 +124,7 @@
 //!   computed or loaded — stamps the value. A value's uses change only when a
 //!   child changes processor or position, so the parents of every changed node
 //!   are tested. Uses of unchanged nodes may shift position, but monotonically
-//!   (unchanged nodes keep their `(superstep, topological position)` keys),
+//!   (unchanged nodes keep their `(superstep, tie rank)` keys),
 //!   and the clairvoyant order compares next-use positions only with each
 //!   other.
 //! * *`node_proc` of a computed value's children* is read by the save phase
@@ -341,10 +342,13 @@ pub struct ConversionArena {
     n: usize,
     p: usize,
     // ---- Per-instance immutable data. ----
-    /// Topological order of the DAG (computed once).
+    /// Topological order of the DAG (computed once): the order the canonical
+    /// supersteps are derived in.
     topo_order: Vec<NodeId>,
-    /// Position of every node within `topo_order`.
-    topo_pos: Vec<usize>,
+    /// Per node: its position in the tie order, which orders the nodes of one
+    /// processor inside one canonical superstep (see
+    /// [`ConversionArena::set_tie_order`]; breadth-first by default).
+    tie_rank: Vec<u32>,
     /// Per node: number of compute steps (over the whole run, any processor) that
     /// read it — assignment-independent, copied into `remaining_uses` per run.
     base_uses: Vec<usize>,
@@ -475,7 +479,9 @@ impl ConversionArena {
         let n = dag.num_nodes();
         let p = arch.processors;
         let topo = TopologicalOrder::of(dag);
-        let topo_pos: Vec<usize> = (0..n).map(|i| topo.position(NodeId::new(i))).collect();
+        let tie_rank: Vec<u32> = (0..n)
+            .map(|i| topo.position(NodeId::new(i)) as u32)
+            .collect();
         let mut base_uses = vec![0usize; n];
         for v in dag.nodes().filter(|&v| !dag.is_source(v)) {
             for u in dag.parents(v) {
@@ -496,7 +502,7 @@ impl ConversionArena {
             n,
             p,
             topo_order: topo.order().to_vec(),
-            topo_pos,
+            tie_rank,
             base_uses,
             sink_mask,
             source_mask,
@@ -556,6 +562,22 @@ impl ConversionArena {
         self.skipped_supersteps
     }
 
+    /// Sets the order that breaks ties inside a canonical superstep: a
+    /// processor computes the nodes it owns in one superstep in the order they
+    /// take in `order`, which must be a topological order of the DAG (a node
+    /// may share a superstep with a parent on its own processor). Until this
+    /// is called the arena breaks ties breadth-first, by Kahn's order. Clears
+    /// the base and the previous call's sequences: they were built in the old
+    /// order.
+    pub fn set_tie_order(&mut self, order: &[NodeId]) {
+        assert_eq!(order.len(), self.n, "tie order of a different DAG");
+        for (i, &v) in order.iter().enumerate() {
+            self.tie_rank[v.index()] = i as u32;
+        }
+        self.base.valid = false;
+        self.have_prev = false;
+    }
+
     /// Converts an explicit BSP scheduling result (assignment, supersteps and order
     /// hint) into `out`. This is the general path used for schedules produced by the
     /// BSP baselines; the per-processor sequences are rebuilt from scratch, but all
@@ -607,7 +629,9 @@ impl ConversionArena {
 
     /// Converts a bare per-node processor assignment into `out`, deriving the
     /// superstep structure canonically (each node in the earliest superstep
-    /// compatible with its parents, exactly as `mbsp_ilp::improver::canonical_bsp`).
+    /// compatible with its parents, exactly as `mbsp_ilp::improver::canonical_bsp`)
+    /// and ordering each processor's nodes inside a superstep by the tie order
+    /// ([`ConversionArena::set_tie_order`]).
     ///
     /// This is the hot path of the holistic search: consecutive calls reuse the
     /// per-processor sequences of every processor whose node set and superstep keys
@@ -799,13 +823,14 @@ impl ConversionArena {
     }
 
     /// Rebuilds `seq[pi]` for the canonical-assignment path: the non-source nodes
-    /// assigned to `pi`, sorted by `(superstep, topological position)` — the same
-    /// order the explicit-BSP path derives from the canonical schedule.
+    /// assigned to `pi`, sorted by `(superstep, tie rank)` — the same order the
+    /// explicit-BSP path derives from the canonical schedule built in the same
+    /// tie order.
     fn rebuild_seq_for_assignment(&mut self, pi: usize, procs: &[ProcId]) {
         let ConversionArena {
             seq,
             superstep,
-            topo_pos,
+            tie_rank,
             source_mask,
             ..
         } = self;
@@ -816,7 +841,7 @@ impl ConversionArena {
                 s.push(NodeId::new(i));
             }
         }
-        s.sort_unstable_by_key(|v| (superstep[v.index()], topo_pos[v.index()]));
+        s.sort_unstable_by_key(|v| (superstep[v.index()], tie_rank[v.index()]));
     }
 
     /// Rebuilds processor `pi`'s slice of the flat use index from its (fresh)

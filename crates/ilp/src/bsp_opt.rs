@@ -11,7 +11,7 @@
 //! branch and bound is warm-started from the two-stage baseline schedule via
 //! [`crate::MbspIlpBuilder::warm_start_from_schedule`].)
 
-use crate::improver::canonical_bsp;
+use crate::improver::{canonical_bsp, TieOrder};
 use mbsp_dag::{CompDag, NodeId};
 use mbsp_model::{Architecture, ProcId};
 use mbsp_sched::{BspScheduler, BspSchedulingResult, GreedyBspScheduler};
@@ -46,8 +46,9 @@ impl BspScheduler for BspIlpScheduler {
     fn schedule(&self, dag: &CompDag, arch: &Architecture) -> BspSchedulingResult {
         let greedy = GreedyBspScheduler::new().schedule(dag, arch);
         let mut procs: Vec<ProcId> = dag.nodes().map(|v| greedy.schedule.proc_of(v)).collect();
+        let order = TieOrder::BreadthFirst.of(dag);
         let evaluate = |procs: &[ProcId]| -> (f64, BspSchedulingResult) {
-            let result = canonical_bsp(dag, arch, procs);
+            let result = canonical_bsp(dag, arch, procs, &order);
             let cost = result.schedule.cost(dag, arch).total;
             (cost, result)
         };

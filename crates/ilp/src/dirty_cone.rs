@@ -54,6 +54,7 @@
 //! re-search from the same stale incumbent; `tests/repair_determinism.rs` pins
 //! the worker-count invariance.
 
+use crate::improver::TieOrder;
 use crate::search::{Incumbent, ShardedSearch};
 use crate::shard::{sharded_schedule, IncumbentObserver, ShardedSearchConfig, ShardedSearchStats};
 use mbsp_dag::{
@@ -103,16 +104,20 @@ pub struct RepairStats {
     pub accepted_shards: usize,
     /// Individually replayed deltas kept by the merge's prefix salvage.
     pub salvaged_moves: u64,
-    /// Schedules converted and costed: the stale incumbent, every dirty
-    /// shard's search (its seeds and every batch candidate) and one per merge
-    /// fold and per replayed delta.
+    /// Schedules converted and costed: the stale incumbent once per candidate
+    /// tie order, every dirty shard's search (its seeds and every batch
+    /// candidate) and one per merge fold and per replayed delta.
     pub evaluations: u64,
+    /// The tie order the repair ran in: the one whose canonical conversion of
+    /// the session's assignment was cheaper (breadth-first on a tie).
+    pub tie_order: TieOrder,
     /// Supersteps the conversions behind `evaluations` (and the shard
     /// searches' rebases) simulated.
     pub simulated_supersteps: u64,
     /// Supersteps they copied from a base instead of simulating them.
     pub skipped_supersteps: u64,
-    /// Cost of the stale incumbent's assignment on the mutated DAG.
+    /// Cost of the stale incumbent's assignment on the mutated DAG, in the
+    /// repair's tie order.
     pub incumbent_cost: f64,
     /// Cost of the repaired schedule.
     pub final_cost: f64,
@@ -329,8 +334,9 @@ impl IncrementalScheduler {
     fn repair_from(&mut self, pending: &[NodeId]) -> (MbspSchedule, RepairStats) {
         let dag = &self.dag;
         // The stale incumbent: the session's assignment re-evaluated on the
-        // mutated DAG. The search works on a copy, so a panic inside it leaves
-        // the session's assignment whole.
+        // mutated DAG, in both tie orders; the repair runs in the cheaper one.
+        // The search works on a copy, so a panic inside it leaves the
+        // session's assignment whole.
         let mut search = ShardedSearch::new(
             &self.pool,
             self.cancel.as_ref(),
@@ -359,6 +365,7 @@ impl IncrementalScheduler {
             accepted_shards: search.accepted,
             salvaged_moves: search.salvaged,
             evaluations: search.evaluations(),
+            tie_order: search.tie_order,
             simulated_supersteps: search.simulated_supersteps(),
             skipped_supersteps: search.skipped_supersteps(),
             incumbent_cost,

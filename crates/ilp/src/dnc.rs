@@ -20,7 +20,7 @@
 //! sub-problem is optimised well, but the concatenation is not globally optimal and
 //! can fall behind the two-stage baseline on DAGs without good partitions.
 
-use crate::improver::post_optimize;
+use crate::improver::{post_optimize, TieOrder};
 use crate::partition_ilp::recursive_partition;
 use crate::search::{fan_out, search_view, LocalSearchParams};
 use crate::shard::part_view;
@@ -140,6 +140,7 @@ impl DivideAndConquerScheduler {
                 seed: config.seed.wrapping_add(part as u64),
                 // A stale best-of-batch round ends the part.
                 stale_round_limit: 1,
+                tie_order: TieOrder::BreadthFirst,
             };
             let found = search_view(
                 &view,

@@ -175,6 +175,15 @@ impl EvaluationEngine {
         }
     }
 
+    /// Sets the order that breaks ties inside a canonical superstep (see
+    /// [`ConversionArena::set_tie_order`]; breadth-first until set). `order`
+    /// must be a topological order of the graph the engine was built for, such
+    /// as [`crate::TieOrder::of`] returns. Clears the arena's base: the next
+    /// [`EvaluationEngine::rebase`] records one in the new order.
+    pub fn set_tie_order(&mut self, order: &[NodeId]) {
+        self.arena.set_tie_order(order);
+    }
+
     /// Evaluates a per-node processor assignment: canonical superstep structure,
     /// BSP→MBSP conversion, post-optimisation, and the true MBSP cost. The
     /// resulting schedule stays available through [`EvaluationEngine::schedule`].
@@ -375,6 +384,7 @@ mod tests {
                 dag,
                 inst.arch(),
                 &procs,
+                &crate::TieOrder::BreadthFirst.of(dag),
                 CostModel::Synchronous,
                 &[],
             );

@@ -14,6 +14,7 @@
 //! adjacent supersteps and drop redundant I/O whenever that keeps the schedule
 //! valid and lowers the cost.
 
+use mbsp_dag::topo::dfs_topological_order;
 use mbsp_dag::{DagLike, NodeId, TopologicalOrder};
 use mbsp_model::{
     Architecture, BspSchedule, ComputePhaseStep, Configuration, CostModel, MbspSchedule, ProcId,
@@ -21,25 +22,59 @@ use mbsp_model::{
 };
 use mbsp_sched::BspSchedulingResult;
 
-/// Builds a canonical BSP schedule (with recomputed supersteps and a topological
-/// order hint) from a per-node processor assignment: in topological order, a node's
-/// superstep is the smallest one compatible with its parents (same superstep on the
-/// same processor, strictly later across processors).
+/// The order that breaks ties inside a canonical superstep: which of a
+/// processor's nodes in one superstep it computes first. The supersteps are the
+/// same either way; the order decides what the clairvoyant converter can keep
+/// in cache, and so the I/O (Hong–Kung: in the red–blue pebble game, I/O is a
+/// function of evaluation order). A sharded search converts its seed in both
+/// and runs in the cheaper one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TieOrder {
+    /// Kahn's order with a FIFO frontier ([`TopologicalOrder::of`]): level by
+    /// level. A tie keeps it, and divide-and-conquer part searches always run
+    /// in it.
+    #[default]
+    BreadthFirst,
+    /// The depth-first order of [`dfs_topological_order`]: a child follows its
+    /// last parent as soon as it is ready.
+    DepthFirst,
+}
+
+impl TieOrder {
+    /// This order over `dag`'s nodes: a topological order, the argument
+    /// [`canonical_bsp`] and `ConversionArena::set_tie_order` take.
+    pub fn of<D: DagLike + ?Sized>(self, dag: &D) -> Vec<NodeId> {
+        match self {
+            TieOrder::BreadthFirst => TopologicalOrder::of(dag).order().to_vec(),
+            TieOrder::DepthFirst => dfs_topological_order(dag),
+        }
+    }
+}
+
+/// Builds a canonical BSP schedule (with recomputed supersteps and an order
+/// hint) from a per-node processor assignment: in `order`, a node's superstep is
+/// the smallest one compatible with its parents (same superstep on the same
+/// processor, strictly later across processors), and the nodes of one
+/// superstep keep their order in `order` — the tie order, which must be a
+/// topological order of `dag` ([`TieOrder::of`] builds the two a search
+/// chooses between).
 ///
-/// The arena path (`mbsp_cache::ConversionArena::convert_assignment`) derives the
-/// same structure without materialising the schedule; this function is the
-/// materialised form, used by [`crate::bsp_opt`] and
-/// [`crate::reference::evaluate_assignment`].
+/// The arena path (`mbsp_cache::ConversionArena::convert_assignment`, after
+/// `set_tie_order` with the same order) derives the same structure without
+/// materialising the schedule; this function is the materialised form, used by
+/// [`crate::bsp_opt`] and [`crate::reference::evaluate_assignment`].
 pub fn canonical_bsp<D: DagLike + ?Sized>(
     dag: &D,
     arch: &Architecture,
     procs: &[ProcId],
+    order: &[NodeId],
 ) -> BspSchedulingResult {
-    let topo = TopologicalOrder::of(dag);
     let n = dag.num_nodes();
+    assert_eq!(order.len(), n, "tie order of a different DAG");
     let mut superstep = vec![0usize; n];
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    for &v in topo.order() {
+    let mut rank = vec![0usize; n];
+    for (i, &v) in order.iter().enumerate() {
+        rank[v.index()] = i;
         if dag.is_source(v) {
             superstep[v.index()] = 0;
         } else {
@@ -60,15 +95,14 @@ pub fn canonical_bsp<D: DagLike + ?Sized>(
             }
             superstep[v.index()] = s.max(1);
         }
-        order.push(v);
     }
     let assignment: Vec<(ProcId, usize)> = (0..n).map(|i| (procs[i], superstep[i])).collect();
     let mut schedule = BspSchedule::new(arch.processors, assignment);
     schedule.compact_supersteps();
-    // Re-read the (compacted) supersteps for the order: sort by (superstep, topo pos).
+    // Re-read the (compacted) supersteps for the order: sort by (superstep, tie rank).
     let mut order_keyed: Vec<(usize, usize, NodeId)> = order
         .iter()
-        .map(|&v| (schedule.superstep_of(v), topo.position(v), v))
+        .map(|&v| (schedule.superstep_of(v), rank[v.index()], v))
         .collect();
     order_keyed.sort_unstable();
     let order = order_keyed.into_iter().map(|(_, _, v)| v).collect();
@@ -498,10 +532,20 @@ mod tests {
                 .nodes()
                 .map(|_| ProcId::new(rng.gen_range(0..inst.arch().processors)))
                 .collect();
-            let result = canonical_bsp(inst.dag(), inst.arch(), &procs);
-            result.schedule.validate(inst.dag()).unwrap();
-            // Order hint is topological.
-            mbsp_sched::assert_order_respects_precedence(inst.dag(), &result.order);
+            let breadth_first = canonical_bsp(
+                inst.dag(),
+                inst.arch(),
+                &procs,
+                &TieOrder::BreadthFirst.of(inst.dag()),
+            );
+            for tie in [TieOrder::BreadthFirst, TieOrder::DepthFirst] {
+                let result = canonical_bsp(inst.dag(), inst.arch(), &procs, &tie.of(inst.dag()));
+                result.schedule.validate(inst.dag()).unwrap();
+                // Order hint is topological.
+                mbsp_sched::assert_order_respects_precedence(inst.dag(), &result.order);
+                // The tie order moves nodes inside a superstep, never across.
+                assert_eq!(result.schedule, breadth_first.schedule);
+            }
         }
     }
 

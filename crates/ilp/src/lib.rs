@@ -98,6 +98,7 @@ pub use dirty_cone::{
 pub use dnc::{DivideAndConquerConfig, DivideAndConquerScheduler};
 pub use engine::{EvalPath, EvaluationEngine, Move};
 pub use formulation::{ExactIlpScheduler, IlpConfig, MbspIlpBuilder};
+pub use improver::TieOrder;
 pub use partition_ilp::{
     bipartition, bipartition_model, Balance, DNC_SPLIT_LIMITS, SHARD_SPLIT_LIMITS,
 };

@@ -20,16 +20,18 @@ use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
 use mbsp_sched::BspSchedulingResult;
 
 /// Evaluates a per-node processor assignment: its canonical superstep
-/// structure, converted under the clairvoyant policy and post-optimised.
-/// Returns the schedule and its cost under `cost_model`.
+/// structure with ties broken in `order` (the engine's tie order), converted
+/// under the clairvoyant policy and post-optimised. Returns the schedule and
+/// its cost under `cost_model`.
 pub fn evaluate_assignment<D: DagLike + ?Sized>(
     dag: &D,
     arch: &Architecture,
     procs: &[ProcId],
+    order: &[NodeId],
     cost_model: CostModel,
     required_outputs: &[NodeId],
 ) -> (MbspSchedule, f64) {
-    let bsp = canonical_bsp(dag, arch, procs);
+    let bsp = canonical_bsp(dag, arch, procs, order);
     evaluate_bsp(dag, arch, &bsp, cost_model, required_outputs)
 }
 

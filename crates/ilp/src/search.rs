@@ -25,6 +25,7 @@
 
 use crate::dirty_cone::dirty_shard_indices;
 use crate::engine::{assignment_delta, EvalPath, EvaluationEngine, Move};
+use crate::improver::TieOrder;
 use crate::shard::{part_view, shard_partition, ShardedSearchConfig};
 use mbsp_dag::{AcyclicPartition, CompDag, DagLike, NodeId, SubDagView};
 use mbsp_model::{Architecture, CostModel, MbspSchedule, ProcId};
@@ -64,7 +65,8 @@ fn shard_count(num_shards: usize, num_nodes: usize) -> usize {
     k.clamp(1, num_nodes.max(1))
 }
 
-/// Tuning knobs of one [`hill_climb`].
+/// Tuning knobs of one view search: its [`hill_climb`] and the engine
+/// [`search_view`] builds for it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LocalSearchParams {
     /// Cost model to optimise.
@@ -78,6 +80,9 @@ pub(crate) struct LocalSearchParams {
     /// Consecutive stale rounds tolerated before stopping (`0` = spend the
     /// whole round budget regardless).
     pub(crate) stale_round_limit: usize,
+    /// The order ties inside a canonical superstep are broken in, built on
+    /// the searched view.
+    pub(crate) tie_order: TieOrder,
 }
 
 /// The best assignment found so far, its cost and its materialised schedule.
@@ -98,35 +103,65 @@ pub(crate) struct Incumbent {
 }
 
 impl Incumbent {
-    /// Evaluates `procs` through `engine` as the starting incumbent. With a
-    /// `baseline` (whose assignment `procs` is), its own superstep structure —
-    /// which the canonical reconstruction may not reproduce — is considered as
-    /// the starting schedule too.
+    /// Evaluates `procs` through `engine` as the starting incumbent, with ties
+    /// broken in the engine's order.
     pub(crate) fn seed<D: DagLike + ?Sized>(
         engine: &mut EvaluationEngine,
         dag: &D,
         arch: &Architecture,
         procs: Vec<ProcId>,
-        baseline: Option<&BspSchedulingResult>,
         cost_model: CostModel,
         required_outputs: &[NodeId],
     ) -> Self {
-        let mut cost =
-            engine.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
+        let cost = engine.evaluate_assignment_on(dag, arch, &procs, cost_model, required_outputs);
         let mut schedule = MbspSchedule::new(arch.processors);
         engine.swap_schedule(&mut schedule);
-        if let Some(bsp) = baseline {
-            let bsp_cost = engine.evaluate_bsp_on(dag, arch, bsp, cost_model, required_outputs);
-            if bsp_cost < cost {
-                cost = bsp_cost;
-                engine.swap_schedule(&mut schedule);
-            }
-        }
         Incumbent {
             procs,
             cost,
             schedule,
             deltas: Vec::new(),
+        }
+    }
+
+    /// Converts the seed assignment again with ties broken depth-first (the
+    /// engine is still in its breadth-first default) and leaves `engine` in
+    /// the order that converted it cheaper — breadth-first on a tie — adopting
+    /// that conversion. Returns the order chosen.
+    fn choose_tie_order(
+        &mut self,
+        engine: &mut EvaluationEngine,
+        dag: &CompDag,
+        arch: &Architecture,
+        cost_model: CostModel,
+    ) -> TieOrder {
+        engine.set_tie_order(&TieOrder::DepthFirst.of(dag));
+        let cost = engine.evaluate_assignment_on(dag, arch, &self.procs, cost_model, &[]);
+        if cost < self.cost {
+            self.cost = cost;
+            engine.swap_schedule(&mut self.schedule);
+            TieOrder::DepthFirst
+        } else {
+            engine.set_tie_order(&TieOrder::BreadthFirst.of(dag));
+            TieOrder::BreadthFirst
+        }
+    }
+
+    /// Adopts `baseline`'s own superstep structure (whose assignment the
+    /// seed's is, and which the canonical reconstruction may not reproduce)
+    /// as the starting schedule when it is cheaper.
+    fn consider_baseline(
+        &mut self,
+        engine: &mut EvaluationEngine,
+        dag: &CompDag,
+        arch: &Architecture,
+        baseline: &BspSchedulingResult,
+        cost_model: CostModel,
+    ) {
+        let cost = engine.evaluate_bsp_on(dag, arch, baseline, cost_model, &[]);
+        if cost < self.cost {
+            self.cost = cost;
+            engine.swap_schedule(&mut self.schedule);
         }
     }
 }
@@ -254,7 +289,8 @@ pub(crate) struct ViewSearch {
 }
 
 /// Runs one engine-backed [`hill_climb`] over a zero-copy view, so candidate
-/// conversions and re-costs touch only the shard or part.
+/// conversions and re-costs touch only the shard or part, with ties broken in
+/// `params.tie_order` built on the view.
 ///
 /// `seed_procs` is the starting assignment (local ids; entries of input nodes
 /// are ignored — inputs are sources and never computed), `required_outputs`
@@ -276,6 +312,9 @@ pub(crate) fn search_view(
 ) -> ViewSearch {
     let cost_model = params.cost_model;
     let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
+    if params.tie_order != TieOrder::BreadthFirst {
+        engine.set_tie_order(&params.tie_order.of(view));
+    }
     // Each seed is recorded as the engine's base before it is evaluated (the
     // evaluation then only copies it), so the hill climb's first rebase converts
     // nothing when it starts from the seed evaluated last.
@@ -285,7 +324,6 @@ pub(crate) fn search_view(
         view,
         arch,
         seed_procs,
-        None,
         cost_model,
         required_outputs,
     );
@@ -362,6 +400,7 @@ fn run_shard(
     index: usize,
     global_procs: &[ProcId],
     config: &ShardedSearchConfig,
+    tie_order: TieOrder,
     seed_base: u64,
     stop: &CancelToken,
 ) -> ShardOutcome {
@@ -376,6 +415,7 @@ fn run_shard(
         // Golden-ratio stride decorrelates the shard streams from each other.
         seed: seed_base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         stale_round_limit: config.stale_round_limit,
+        tie_order,
     };
     // Shard-local greedy baseline: a restriction of the global schedule is
     // rarely a good schedule of the sub-problem, so offer the generic greedy
@@ -453,6 +493,9 @@ pub(crate) struct ShardedSearch<'a> {
     /// Whether there is anything to search: a movable node and a second
     /// processor to move it to.
     pub(crate) searchable: bool,
+    /// The tie order the seed chose; every engine of the search runs in it,
+    /// each shard's built on its own view.
+    pub(crate) tie_order: TieOrder,
     /// The global incumbent every pass improves in place.
     pub(crate) incumbent: Incumbent,
 }
@@ -460,7 +503,10 @@ pub(crate) struct ShardedSearch<'a> {
 impl<'a> ShardedSearch<'a> {
     /// Starts a search from `procs` (and, when given, the superstep structure
     /// of the `baseline` they come from), evaluated on the whole DAG as the
-    /// seed incumbent. The engine (arena sized at construction) is built per
+    /// seed incumbent, and picks the search's tie order: `procs` converted
+    /// breadth-first and depth-first, the cheaper one kept (breadth-first on a
+    /// tie) — a function of the DAG, the assignment, the architecture and the
+    /// cost model alone. The engine (arena sized at construction) is built per
     /// search: a session's DAG may have changed size since the last one.
     pub(crate) fn new(
         pool: &'a WorkerPool,
@@ -475,15 +521,14 @@ impl<'a> ShardedSearch<'a> {
         let k = shard_count(config.num_shards, dag.num_nodes());
         let workers = resolve_workers(config.workers).min(k);
         let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
-        let incumbent = Incumbent::seed(
-            &mut engine,
-            dag,
-            arch,
-            procs,
-            baseline,
-            config.cost_model,
-            &[],
-        );
+        // The seed: `procs` in both tie orders, then the baseline's own
+        // structure.
+        let cost_model = config.cost_model;
+        let mut incumbent = Incumbent::seed(&mut engine, dag, arch, procs, cost_model, &[]);
+        let tie_order = incumbent.choose_tie_order(&mut engine, dag, arch, cost_model);
+        if let Some(bsp) = baseline {
+            incumbent.consider_baseline(&mut engine, dag, arch, bsp, cost_model);
+        }
         ShardedSearch {
             dag,
             arch,
@@ -502,13 +547,14 @@ impl<'a> ShardedSearch<'a> {
             token,
             stopped: None,
             searchable: arch.processors > 1 && dag.nodes().any(|v| !dag.is_source(v)),
+            tie_order,
             incumbent,
         }
     }
 
-    /// Schedules converted and costed so far: the global engine (seeds, one
-    /// per merge fold and per replayed delta) plus every finished shard
-    /// search.
+    /// Schedules converted and costed so far: the global engine (the seed in
+    /// both tie orders and, with a baseline, its own structure; one per merge
+    /// fold and per replayed delta) plus every finished shard search.
     pub(crate) fn evaluations(&self) -> u64 {
         self.engine.evaluations + self.shard_evaluations
     }
@@ -552,12 +598,12 @@ impl<'a> ShardedSearch<'a> {
         let seed_base = config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let (procs, token) = (&self.incumbent.procs, &self.token);
+        let (procs, order, token) = (&self.incumbent.procs, self.tie_order, &self.token);
         // Each shard's search is seeded by its own global index.
         let outcomes = fan_out(self.pool, self.workers, shards.len(), |i| {
             let s = shards[i];
             run_shard(
-                dag, arch, &partition, &parts[s], s, procs, config, seed_base, token,
+                dag, arch, &partition, &parts[s], s, procs, config, order, seed_base, token,
             )
         });
         self.searched += outcomes.len();
@@ -754,6 +800,48 @@ mod tests {
         assert_eq!(schedule, fresh_schedule);
         assert_eq!(stats.final_cost.to_bits(), fresh.final_cost.to_bits());
         assert_eq!(stats.evaluations, fresh.evaluations);
+    }
+
+    /// On a 1,912-node CG DAG (`P = 4`, `r = 3·r₀`, `g = 1`, `L = 2`; one
+    /// shard at the default count, library default budget) the greedy
+    /// baseline's own structure beats the breadth-first reconstruction of its
+    /// assignment. A search in that order "improved" on a seed the incumbent
+    /// already beat, and the merge accepted nothing at seeds 1 and 3 (final
+    /// cost the seed's, 0.9962 of two-stage). The depth-first reconstruction is
+    /// cheaper, so the search runs in it and its improvements reach the
+    /// incumbent (0.982 / 0.977 / 0.973 of two-stage).
+    #[test]
+    fn a_depth_first_seed_lets_the_merge_accept_on_a_cg_dag() {
+        use crate::shard::{IncumbentObserver, IncumbentUpdate, ShardedHolisticScheduler};
+        use mbsp_sched::BspScheduler;
+        use std::sync::{Arc, Mutex};
+        let dag = mbsp_gen::cg::cg_dag("cg_n8_k4", 8, 4);
+        assert_eq!(dag.num_nodes(), 1912);
+        let arch = Architecture::new(4, 0.0, 1.0, 2.0);
+        let inst = mbsp_model::MbspInstance::with_cache_factor(dag, arch, 3.0);
+        let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
+        for seed in 1..=3u64 {
+            let seed_cost = Arc::new(Mutex::new(f64::NAN));
+            let sink = Arc::clone(&seed_cost);
+            let observer: IncumbentObserver = Arc::new(move |u: &IncumbentUpdate| {
+                if u.sequence == 0 {
+                    *sink.lock().unwrap() = u.cost;
+                }
+            });
+            let config = ShardedSearchConfig {
+                seed,
+                ..Default::default()
+            };
+            let (schedule, stats) = ShardedHolisticScheduler::with_config(config)
+                .with_observer(observer)
+                .schedule_with_stats(&inst, &baseline);
+            let seed_cost = *seed_cost.lock().unwrap();
+            schedule.validate(inst.dag(), inst.arch()).unwrap();
+            assert_eq!(stats.shards, 1, "seed {seed}");
+            assert_eq!(stats.tie_order, TieOrder::DepthFirst, "seed {seed}");
+            assert!(stats.accepted_shards >= 1, "seed {seed}: {stats:?}");
+            assert!(stats.final_cost < seed_cost, "seed {seed}: {stats:?}");
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@
 //! this module owns the partitioners, the configuration and the front-end
 //! that seeds the global incumbent and iterates the pass.
 
+use crate::improver::TieOrder;
 use crate::partition_ilp::{bipartition_model, solve, Balance, SHARD_SPLIT_LIMITS};
 use crate::search::{Incumbent, ShardedSearch};
 use lp_solver::{MipStop, SolverLimits};
@@ -182,9 +183,14 @@ pub struct ShardedSearchStats {
     /// Schedules converted and costed. Per shard search: its seed, the
     /// shard-local greedy seed when one was offered, and every batch
     /// candidate (a round winner is not evaluated again — its batch keeps its
-    /// schedule). Globally: the two seed incumbents plus one per merge fold
-    /// and per replayed delta.
+    /// schedule). Globally: three seed incumbents — the baseline's assignment
+    /// in its canonical structure once per candidate tie order, and the
+    /// baseline's own structure — plus one per merge fold and per replayed
+    /// delta.
     pub evaluations: u64,
+    /// The tie order the search ran in: the one whose canonical conversion of
+    /// the baseline's assignment was cheaper (breadth-first on a tie).
+    pub tie_order: TieOrder,
     /// Cost of the returned schedule under the configured cost model.
     pub final_cost: f64,
     /// Per-shard compute mass of the first iteration's partition (what the
@@ -747,6 +753,7 @@ pub(crate) fn sharded_schedule(
         improved_shards: search.improved,
         accepted_shards: search.accepted,
         evaluations: search.evaluations(),
+        tie_order: search.tie_order,
         final_cost: search.incumbent.cost,
         shard_compute_mass,
         cut_edges,
@@ -903,6 +910,7 @@ mod tests {
             moves_per_round: 16,
             seed: 7,
             stale_round_limit: 1,
+            tie_order: crate::TieOrder::BreadthFirst,
         };
         let out = search_view(
             &view,

@@ -6,7 +6,7 @@
 
 use mbsp_dag::{DagDelta, NodeId};
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
-use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig};
+use mbsp_ilp::{DecodeError, IncrementalScheduler, RepairConfig, ShardedSearchConfig, TieOrder};
 use mbsp_io::SEC_CONFIG;
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
@@ -264,10 +264,11 @@ fn served_session(inst: mbsp_gen::NamedInstance) -> IncrementalScheduler {
 
 /// A `schedule` request on the session's own DAG, from a fresh greedy
 /// baseline.
-fn served_schedule(session: &mut IncrementalScheduler) -> (MbspSchedule, u64, u64) {
+fn served_schedule(session: &mut IncrementalScheduler) -> (MbspSchedule, u64, u64, TieOrder) {
     let baseline = GreedyBspScheduler::new().schedule(session.dag(), session.arch());
     let (schedule, stats) = session.schedule(&served_config(), &baseline, None);
-    (schedule, stats.final_cost.to_bits(), stats.evaluations)
+    let cost = stats.final_cost.to_bits();
+    (schedule, cost, stats.evaluations, stats.tie_order)
 }
 
 /// The same session as a daemon would have it after `kill -9`: rebuilt from
@@ -279,9 +280,13 @@ fn restarted(session: &IncrementalScheduler) -> IncrementalScheduler {
 /// The `tenants_small` request pattern — per pass one `schedule`, one batch of
 /// eight seeded deltas, one `repair` — on a warm session and on one restored
 /// from its checkpoint before every request: schedules, cost bits, evaluation
-/// counts and checkpoint bytes agree after every request.
+/// counts, tie orders and checkpoint bytes agree after every request. The
+/// checkpoint stores no tie order; a restored session chooses it again from
+/// its DAG and assignment, and both orders are chosen along the way.
 #[test]
 fn a_warm_session_equals_one_restarted_before_every_request() {
+    // Searches that ran depth-first, of all searches.
+    let (mut depth_first, mut searches) = (0usize, 0usize);
     let mut instances = mbsp_gen::tiny_dataset(42);
     instances.push(mbsp_gen::small_dataset_sample(42).swap_remove(5)); // CG_N7_K2
     let stream = MutationStreamConfig {
@@ -295,6 +300,7 @@ fn a_warm_session_equals_one_restarted_before_every_request() {
         for pass in 0..6u64 {
             let what = format!("{name} pass {pass}");
             let w = served_schedule(&mut warm);
+            depth_first += (w.3 == TieOrder::DepthFirst) as usize;
             cold = restarted(&cold);
             assert_eq!(w, served_schedule(&mut cold), "{what}: schedule");
             assert_eq!(warm.checkpoint(), cold.checkpoint(), "{what}: schedule");
@@ -310,9 +316,16 @@ fn a_warm_session_equals_one_restarted_before_every_request() {
             assert_eq!(w_stats.final_cost.to_bits(), c_stats.final_cost.to_bits());
             assert_eq!(w_stats.evaluations, c_stats.evaluations, "{what}");
             assert_eq!(w_stats.dirty_shards, c_stats.dirty_shards, "{what}");
+            assert_eq!(w_stats.tie_order, c_stats.tie_order, "{what}");
             assert_eq!(warm.checkpoint(), cold.checkpoint(), "{what}: repair");
+            depth_first += (w_stats.tie_order == TieOrder::DepthFirst) as usize;
+            searches += 2;
         }
     }
+    assert!(
+        0 < depth_first && depth_first < searches,
+        "{depth_first} of {searches} searches ran depth-first"
+    );
 }
 
 #[test]

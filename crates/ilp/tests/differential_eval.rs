@@ -15,6 +15,9 @@
 //! dataset seeds, times all three BSP baselines (greedy BSPg, Cilk work
 //! stealing, DFS), under the clairvoyant policy — the only order the arena
 //! converts in (an LRU conversion runs on the reference converter itself).
+//! Every canonical-assignment check runs in both tie orders a search chooses
+//! between (`TieOrder`), the oracle's canonical structure built in the same
+//! order the arena was set to.
 
 use mbsp_cache::two_stage::reference;
 use mbsp_cache::{ClairvoyantPolicy, ConversionArena};
@@ -23,6 +26,7 @@ use mbsp_ilp::engine::{EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
 use mbsp_ilp::reference::{evaluate_assignment, evaluate_bsp};
 use mbsp_ilp::shard::{part_view, topo_shards};
+use mbsp_ilp::TieOrder;
 use mbsp_model::{
     async_cost, sync_cost, Architecture, ComputePhaseStep, CostModel, MbspInstance, MbspSchedule,
     Operation, ProcId, ProcPhases, Superstep,
@@ -33,6 +37,7 @@ use rand::{Rng, SeedableRng};
 
 const DATASET_SEEDS: [u64; 3] = [42, 1717, 2024];
 const MOVES_PER_CASE: usize = 6;
+const TIE_ORDERS: [TieOrder; 2] = [TieOrder::BreadthFirst, TieOrder::DepthFirst];
 
 fn baselines() -> Vec<Box<dyn BspScheduler>> {
     vec![
@@ -52,8 +57,9 @@ fn instances(seed: u64) -> Vec<MbspInstance> {
 }
 
 /// The arena must reproduce the reference converter exactly — on the baseline's
-/// own BSP result and on every assignment of a random move sequence, while being
-/// reused (and thus exercising its incremental per-processor sequence reuse).
+/// own BSP result and on every assignment of a random move sequence, in each tie
+/// order, while being reused (and thus exercising its incremental per-processor
+/// sequence reuse, and the reset a new tie order makes).
 #[test]
 fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
     let mut cases = 0usize;
@@ -78,27 +84,33 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
                     scheduler.name()
                 );
 
-                // Canonical-assignment path under a replayed move sequence; the
-                // same arena is reused for every step so stale sequence state
-                // would be caught immediately.
-                let mut rng =
-                    StdRng::seed_from_u64(dataset_seed ^ (cases as u64).wrapping_mul(0x9E37_79B9));
-                let mut procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
-                for _ in 0..MOVES_PER_CASE {
-                    if let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) {
-                        mv.apply(dag, &mut procs);
-                    }
-                    let canonical = canonical_bsp(dag, arch, &procs);
-                    let oracle =
-                        reference::convert(dag, arch, &canonical, &ClairvoyantPolicy::new(), &[]);
-                    arena.convert_assignment(dag, arch, &procs, &[], &mut out);
-                    assert_eq!(
-                        out,
-                        oracle,
-                        "{}/{}: assignment conversion drifted",
-                        instance.name(),
-                        scheduler.name()
+                // Canonical-assignment path under a replayed move sequence, once
+                // per tie order; the same arena is reused for every step so stale
+                // sequence state would be caught immediately.
+                for tie in TIE_ORDERS {
+                    let order = tie.of(dag);
+                    arena.set_tie_order(&order);
+                    let mut rng = StdRng::seed_from_u64(
+                        dataset_seed ^ (cases as u64).wrapping_mul(0x9E37_79B9),
                     );
+                    let mut procs: Vec<ProcId> =
+                        dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
+                    for _ in 0..MOVES_PER_CASE {
+                        if let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) {
+                            mv.apply(dag, &mut procs);
+                        }
+                        let canonical = canonical_bsp(dag, arch, &procs, &order);
+                        let policy = ClairvoyantPolicy::new();
+                        let oracle = reference::convert(dag, arch, &canonical, &policy, &[]);
+                        arena.convert_assignment(dag, arch, &procs, &[], &mut out);
+                        assert_eq!(
+                            out,
+                            oracle,
+                            "{}/{}/{tie:?}: assignment conversion drifted",
+                            instance.name(),
+                            scheduler.name()
+                        );
+                    }
                 }
             }
         }
@@ -109,10 +121,10 @@ fn arena_conversion_is_operation_identical_to_a_fresh_converter() {
     );
 }
 
-/// Replays `AT_SCALE_MOVES` seeded moves through **one** arena and checks after
-/// every move that `convert_assignment` produces exactly the schedule the
-/// from-scratch reference converter produces for the canonical BSP schedule of
-/// the same assignment. At this size a conversion simulates hundreds to
+/// Replays `AT_SCALE_MOVES` seeded moves through **one** arena, set to the tie
+/// order `order`, and checks after every move that `convert_assignment`
+/// produces exactly the schedule the from-scratch reference converter produces
+/// for the canonical BSP schedule of the same assignment in the same order. At this size a conversion simulates hundreds to
 /// thousands of supersteps, so the stamped blue set, the flat use index and
 /// their per-processor incremental rebuild are compared against the snapshot
 /// copy and the per-node position vectors of the oracle at every one of them.
@@ -121,11 +133,13 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
     arch: &Architecture,
     seed_procs: &[ProcId],
     required: &[NodeId],
+    order: &[NodeId],
     label: &str,
 ) {
     const AT_SCALE_MOVES: usize = 50;
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     let mut arena = ConversionArena::new(dag, arch);
+    arena.set_tie_order(order);
     let mut out = MbspSchedule::new(arch.processors);
     let mut procs = seed_procs.to_vec();
     let mut rng = StdRng::seed_from_u64(0x0A75_CA1F);
@@ -137,7 +151,7 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
         mv.apply(dag, &mut procs);
         moves += 1;
         let case = format!("{label}/move {moves} ({mv:?})");
-        let canonical = canonical_bsp(dag, arch, &procs);
+        let canonical = canonical_bsp(dag, arch, &procs, order);
         let oracle = reference::convert(dag, arch, &canonical, &ClairvoyantPolicy::new(), required);
         arena.convert_assignment(dag, arch, &procs, required, &mut out);
         assert!(out == oracle, "{case}: the arena drifted from the oracle");
@@ -145,7 +159,8 @@ fn replay_moves_against_the_reference<D: DagLike + ?Sized>(
 }
 
 /// The whole DAG and one `SubDagView::with_inputs` shard of it (with its
-/// non-empty required outputs), at the minimal and at the paper's cache size.
+/// non-empty required outputs), at the minimal and at the paper's cache size,
+/// in both tie orders (the shard's built on its view, as a shard search does).
 fn at_scale_differential(dag: CompDag) {
     let base = Architecture::new(4, 0.0, 1.0, 2.0);
     for cache_factor in [1.0, 3.0] {
@@ -154,7 +169,10 @@ fn at_scale_differential(dag: CompDag) {
         let bsp = GreedyBspScheduler::new().schedule(dag, arch);
         let procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
         let label = format!("{} r={cache_factor}·r0", dag.name());
-        replay_moves_against_the_reference(dag, arch, &procs, &[], &label);
+        for tie in TIE_ORDERS {
+            let label = format!("{label} {tie:?}");
+            replay_moves_against_the_reference(dag, arch, &procs, &[], &tie.of(dag), &label);
+        }
 
         let partition = topo_shards(dag, 4);
         let parts = partition.parts();
@@ -163,13 +181,16 @@ fn at_scale_differential(dag: CompDag) {
         let shard_procs: Vec<ProcId> = (0..view.num_nodes())
             .map(|l| procs[view.to_global(NodeId::new(l)).index()])
             .collect();
-        replay_moves_against_the_reference(
-            &view,
-            arch,
-            &shard_procs,
-            &required,
-            &format!("{label} shard 1"),
-        );
+        for tie in TIE_ORDERS {
+            replay_moves_against_the_reference(
+                &view,
+                arch,
+                &shard_procs,
+                &required,
+                &tie.of(&view),
+                &format!("{label} shard 1 {tie:?}"),
+            );
+        }
     }
 }
 
@@ -191,8 +212,9 @@ fn arena_matches_the_reference_at_scale_on_a_cg_dag() {
 }
 
 /// The engine's incremental candidate cost must match a full re-cost of the
-/// schedule it produced, after every move, under both cost models; and the
-/// incremental path must stay schedule-identical to the reference path.
+/// schedule it produced, after every move, under both cost models and in both
+/// tie orders; and the incremental path must stay schedule-identical to the
+/// reference path.
 #[test]
 fn incremental_costs_match_full_recost_after_every_move() {
     for &dataset_seed in &DATASET_SEEDS {
@@ -200,8 +222,11 @@ fn incremental_costs_match_full_recost_after_every_move() {
             let (dag, arch) = (instance.dag(), instance.arch());
             let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
             let bsp = GreedyBspScheduler::new().schedule(dag, arch);
-            for cost_model in [CostModel::Synchronous, CostModel::Asynchronous] {
+            let models = [CostModel::Synchronous, CostModel::Asynchronous];
+            for (cost_model, tie) in models.into_iter().flat_map(|m| TIE_ORDERS.map(|t| (m, t))) {
+                let order = tie.of(dag);
                 let mut incremental = EvaluationEngine::new(&instance);
+                incremental.set_tie_order(&order);
                 let mut rng = StdRng::seed_from_u64(dataset_seed.wrapping_add(99));
                 let mut procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
                 for _ in 0..MOVES_PER_CASE {
@@ -226,7 +251,7 @@ fn incremental_costs_match_full_recost_after_every_move() {
                     // ...and the schedule (not just the cost) matches the
                     // clone-and-recost reference evaluation.
                     let (oracle, ref_cost) =
-                        evaluate_assignment(dag, arch, &procs, cost_model, &[]);
+                        evaluate_assignment(dag, arch, &procs, &order, cost_model, &[]);
                     assert!((cost - ref_cost).abs() < 1e-9);
                     assert_eq!(incremental.schedule(), &oracle);
                 }
@@ -251,11 +276,15 @@ fn required_outputs_are_respected_by_both_paths() {
     let bsp = GreedyBspScheduler::new().schedule(dag, arch);
     let procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
     let mut incremental = EvaluationEngine::new(instance);
-    let a =
-        incremental.evaluate_assignment_on(dag, arch, &procs, CostModel::Synchronous, &required);
-    let (oracle, b) = evaluate_assignment(dag, arch, &procs, CostModel::Synchronous, &required);
-    assert!((a - b).abs() < 1e-9);
-    assert_eq!(incremental.schedule(), &oracle);
+    for tie in [TieOrder::DepthFirst, TieOrder::BreadthFirst] {
+        let order = tie.of(dag);
+        incremental.set_tie_order(&order);
+        let model = CostModel::Synchronous;
+        let a = incremental.evaluate_assignment_on(dag, arch, &procs, model, &required);
+        let (oracle, b) = evaluate_assignment(dag, arch, &procs, &order, model, &required);
+        assert!((a - b).abs() < 1e-9, "{tie:?}");
+        assert_eq!(incremental.schedule(), &oracle, "{tie:?}");
+    }
     let schedule = incremental.schedule();
     schedule
         .validate(dag, arch)
@@ -287,21 +316,15 @@ fn fold_evaluation(hash: u64, (schedule, cost): (MbspSchedule, f64)) -> u64 {
 
 /// What [`REFERENCE_EVALUATIONS`] folds: on the first six `tiny_dataset(42)`
 /// instances, under both cost models, the greedy baseline's own structure and
-/// then the canonical structure after each move of a seeded walk.
-const REFERENCE_EVALUATIONS: u64 = 0xdfcf_0238_b7a2_0e21;
-
-/// The oracle is pinned by value as well as by agreement: the engine is
-/// checked against the reference, and the reference against this hash, which
-/// was recorded through the engine's former reference path. A change to the
-/// oracle — a move, a cleanup — that alters any schedule or cost bit fails
-/// here even when the engine moved with it.
-#[test]
-fn the_reference_evaluation_reproduces_its_recorded_hash() {
+/// then the canonical structure, ties broken in `tie`, after each move of a
+/// seeded walk.
+fn reference_evaluations_hash(tie: TieOrder) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     for instance in instances(42).iter().take(6) {
         let (dag, arch) = (instance.dag(), instance.arch());
         let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
         let bsp = GreedyBspScheduler::new().schedule(dag, arch);
+        let order = tie.of(dag);
         for cost_model in [CostModel::Synchronous, CostModel::Asynchronous] {
             hash = fold_evaluation(hash, evaluate_bsp(dag, arch, &bsp, cost_model, &[]));
             let mut rng = StdRng::seed_from_u64(7);
@@ -310,14 +333,36 @@ fn the_reference_evaluation_reproduces_its_recorded_hash() {
                 if let Some(mv) = Move::propose(dag, arch, &procs, &movable, &mut rng) {
                     mv.apply(dag, &mut procs);
                 }
-                let evaluation = evaluate_assignment(dag, arch, &procs, cost_model, &[]);
+                let evaluation = evaluate_assignment(dag, arch, &procs, &order, cost_model, &[]);
                 hash = fold_evaluation(hash, evaluation);
             }
         }
     }
+    hash
+}
+
+/// [`reference_evaluations_hash`] in the breadth-first tie order, recorded
+/// before the tie order was a parameter.
+const REFERENCE_EVALUATIONS: u64 = 0xdfcf_0238_b7a2_0e21;
+/// [`reference_evaluations_hash`] in the depth-first tie order.
+const REFERENCE_EVALUATIONS_DEPTH_FIRST: u64 = 0xd95c_89fc_b8d9_e2da;
+
+/// The oracle is pinned by value as well as by agreement: the engine is
+/// checked against the reference, and the reference against these hashes, the
+/// breadth-first one recorded through the engine's former reference path. A
+/// change to the oracle — a move, a cleanup — that alters any schedule or cost
+/// bit fails here even when the engine moved with it.
+#[test]
+fn the_reference_evaluation_reproduces_its_recorded_hash() {
+    let hash = reference_evaluations_hash(TieOrder::BreadthFirst);
     assert_eq!(
         hash, REFERENCE_EVALUATIONS,
         "the reference evaluation moved: {hash:#018x}"
+    );
+    let hash = reference_evaluations_hash(TieOrder::DepthFirst);
+    assert_eq!(
+        hash, REFERENCE_EVALUATIONS_DEPTH_FIRST,
+        "the depth-first reference evaluation moved: {hash:#018x}"
     );
 }
 

@@ -149,153 +149,153 @@ fn sharded_rows(strategy: ShardStrategy, shard_local_seed: bool) -> Vec<ShardedR
 const SHARDED_TOPO_LOCAL_SEED: &[ShardedRow] = &[
     (
         4640853862889029632,
-        38,
+        39,
         14050396731830282402,
-        5911856417541313263,
+        8680618421834301905,
     ),
     (
         4640748309772763136,
-        86,
+        87,
         3407941841364740758,
-        17078888314822672808,
+        864459648080710601,
     ),
     (
         4641979762795872256,
-        82,
+        83,
         4814326394961686495,
-        12010078265069988452,
+        14242393672037577861,
     ),
     (
-        4635329916471083008,
-        76,
-        6128121373858442839,
-        13848651149967595124,
+        4636526185122103296,
+        91,
+        4766469012951891124,
+        1024522165821481646,
     ),
     (
         4637652085028945920,
-        64,
+        65,
         4362345751605939281,
-        5836933512387604153,
+        8030995217789422825,
     ),
     (
         4640185359819341824,
-        85,
-        7044624231542368793,
-        3308899605373008538,
+        86,
+        10105911686239032778,
+        2848727819770984906,
     ),
 ];
 const SHARDED_TOPO_INCUMBENT_SEED: &[ShardedRow] = &[
     (
         4641346444098273280,
-        36,
+        37,
         5136440828595974245,
-        14605150697679452566,
+        16837466104647041975,
     ),
     (
         4640255728563519488,
-        79,
+        80,
         6035264189021127707,
-        5175394508700219322,
+        11394666440091861044,
     ),
     (
         4641979762795872256,
-        81,
+        82,
         4814326394961686495,
-        12010078265069988452,
+        14242393672037577861,
     ),
     (
         4636385447633747968,
-        82,
-        12245934291615690845,
-        13960428774775252325,
+        83,
+        2360520861031319889,
+        15928675983603914485,
     ),
     (
         4637370610052235264,
-        70,
+        71,
         2525775066120621773,
-        16473946196616867747,
+        4868691604665265554,
     ),
     (
-        4640290912935608320,
-        118,
-        515333435751862615,
-        17840753159975150881,
+        4640326097307697152,
+        132,
+        2357330465003108260,
+        13143108582631957167,
     ),
 ];
 const SHARDED_WEIGHTED_LOCAL_SEED: &[ShardedRow] = &[
     (
         4641276075354095616,
-        37,
+        38,
         2400523297319232285,
-        13165130786028070146,
+        8380458479310191200,
     ),
     (
         4640748309772763136,
-        66,
+        67,
         3407941841364740758,
-        17078888314822672808,
+        864459648080710601,
     ),
     (
         4641979762795872256,
-        69,
+        70,
         4814326394961686495,
-        12010078265069988452,
+        14242393672037577861,
     ),
     (
         4636385447633747968,
-        80,
-        4206028768088501097,
-        2117129791919105072,
+        81,
+        1879027844049070965,
+        10154587440534858400,
     ),
     (
         4635892866424504320,
-        105,
+        106,
         5167368198685613334,
-        15732106177436549689,
+        15445031162361784746,
     ),
     (
-        4640361281679785984,
-        95,
-        4047691476760464372,
-        3265441624120913757,
+        4640959416005296128,
+        96,
+        16794189046409514526,
+        16045956642705052486,
     ),
 ];
 const SHARDED_WEIGHTED_INCUMBENT_SEED: &[ShardedRow] = &[
     (
         4641346444098273280,
-        32,
+        33,
         5136440828595974245,
-        14605150697679452566,
+        16837466104647041975,
     ),
     (
         4640748309772763136,
-        58,
+        59,
         3407941841364740758,
-        17078888314822672808,
+        864459648080710601,
     ),
     (
         4641979762795872256,
-        46,
+        47,
         4814326394961686495,
-        12010078265069988452,
+        14242393672037577861,
     ),
     (
         4636385447633747968,
-        67,
-        4206028768088501097,
-        9990517648759545987,
+        68,
+        1879027844049070965,
+        1692978765725581141,
     ),
     (
         4637581716284768256,
-        82,
+        83,
         16775519440794393649,
-        6582484622997570615,
+        1156216724009961622,
     ),
     (
-        4640326097307697152,
-        113,
-        6402579048842926037,
-        14133151384747127503,
+        4640502019168141312,
+        129,
+        5446912211206036736,
+        11201340330657593597,
     ),
 ];
 
@@ -344,34 +344,34 @@ type IncrementalRow = (Row, Row, u64);
 
 const INCREMENTAL: &[IncrementalRow] = &[
     (
-        (4641276075354095616, 37, 14347240237950182896),
-        (4641522365958717440, 29, 834257870919038502),
+        (4641276075354095616, 38, 14347240237950182896),
+        (4641522365958717440, 30, 834257870919038502),
         1509298880388229013,
     ),
     (
-        (4640396466051874816, 47, 18254570904224638095),
-        (4639903884842631168, 48, 2304020880547337240),
+        (4640396466051874816, 48, 18254570904224638095),
+        (4639903884842631168, 49, 2304020880547337240),
         4384838275318442756,
     ),
     (
-        (4642824187726004224, 33, 10439191748400367539),
-        (4642507528377204736, 61, 4266520391578624591),
+        (4642824187726004224, 34, 10439191748400367539),
+        (4642507528377204736, 62, 4266520391578624591),
         7108820197079045289,
     ),
     (
-        (4636455816377925632, 49, 28594442630095732),
-        (4637229872563879936, 93, 13090499555709260215),
+        (4636385447633747968, 50, 9651592118288835760),
+        (4637229872563879936, 94, 14979415379550022691),
         2874461240284126256,
     ),
     (
-        (4637581716284768256, 65, 12775341531550626209),
-        (4638989091168321536, 66, 13010671417280737662),
+        (4637581716284768256, 66, 12775341531550626209),
+        (4638883538052055040, 67, 329350569936027434),
         16705492263593062667,
     ),
     (
-        (4640713125400674304, 102, 7662595864747250945),
-        (4641276075354095616, 71, 8406562070636501512),
-        18215444116966441952,
+        (4641205706609917952, 101, 12748834799017232835),
+        (4641240890982006784, 93, 7257127178155521069),
+        5448411400066494323,
     ),
 ];
 

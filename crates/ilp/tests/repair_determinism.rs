@@ -86,6 +86,7 @@ fn repair_is_byte_identical_across_worker_counts() {
         assert_eq!(s1.dirty_shards, s4.dirty_shards);
         assert_eq!(s1.accepted_shards, s4.accepted_shards);
         assert_eq!(s1.evaluations, s4.evaluations);
+        assert_eq!(s1.tie_order, s4.tie_order);
     }
 }
 

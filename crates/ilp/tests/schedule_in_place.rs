@@ -121,8 +121,9 @@ fn a_pre_cancelled_in_place_schedule_adopts_the_baseline() {
     let (schedule, stats) = session.schedule(&search_config(ShardStrategy::Topo), &baseline, None);
     assert_eq!(stats.stop_reason, StopReason::Cancelled);
     assert_eq!(stats.iterations, 0, "no iteration may start when cancelled");
-    // The seed incumbent: the baseline's assignment and its own supersteps.
-    assert_eq!(stats.evaluations, 2);
+    // The seed incumbent: the baseline's assignment in both tie orders and
+    // the baseline's own supersteps.
+    assert_eq!(stats.evaluations, 3);
     schedule.validate(session.dag(), session.arch()).unwrap();
     let baseline_procs: Vec<ProcId> = session
         .dag()

@@ -6,7 +6,7 @@
 use mbsp_gen::{mutation_stream, MutationStreamConfig};
 use mbsp_ilp::{
     IncrementalScheduler, RepairConfig, ShardStrategy, ShardedHolisticScheduler,
-    ShardedSearchConfig,
+    ShardedSearchConfig, TieOrder,
 };
 use mbsp_model::{Architecture, MbspInstance};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
@@ -113,6 +113,47 @@ fn weighted_iterated_search_is_byte_identical_across_worker_counts() {
     }
 }
 
+/// Each search picks its tie order from its seed, and every shard engine
+/// builds that order on its own view: on the tiny dataset and a CG instance,
+/// at four shards, the choice, the schedule and every statistic are the same
+/// at 1, 2 and 8 workers — and both orders are chosen.
+#[test]
+fn the_tie_order_choice_and_the_search_are_identical_across_worker_counts() {
+    let mut dags: Vec<_> = mbsp_gen::tiny_dataset(42)
+        .into_iter()
+        .map(|i| i.dag)
+        .collect();
+    dags.push(mbsp_gen::small_dataset_sample(42).swap_remove(5).dag); // CG_N7_K2
+    let mut depth_first = 0usize;
+    for dag in &dags {
+        let inst =
+            MbspInstance::with_cache_factor(dag.clone(), Architecture::paper_default(0.0), 3.0);
+        let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());
+        let runs: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|workers| {
+                let sharded = ShardedHolisticScheduler::with_config(ShardedSearchConfig {
+                    num_shards: 4,
+                    workers,
+                    max_rounds: 3,
+                    moves_per_round: 8,
+                    ..Default::default()
+                });
+                let (schedule, stats) = sharded.schedule_with_stats(&inst, &baseline);
+                (schedule, stats.tie_order, format!("{stats:?}"))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "{}: 1 and 2 workers", dag.name());
+        assert_eq!(runs[0], runs[2], "{}: 1 and 8 workers", dag.name());
+        depth_first += (runs[0].1 == TieOrder::DepthFirst) as usize;
+    }
+    assert!(
+        0 < depth_first && depth_first < dags.len(),
+        "{depth_first} of {} searches ran depth-first",
+        dags.len()
+    );
+}
+
 #[test]
 fn sharded_search_stats_are_consistent() {
     let greedy = GreedyBspScheduler::new();
@@ -142,9 +183,9 @@ fn sharded_search_stats_are_consistent() {
     assert!((recorded - total_mass).abs() < 1e-6);
     assert!(stats.accepted_shards <= stats.improved_shards);
     assert!(stats.improved_shards <= stats.shards);
-    // Global incumbent evaluations (assignment + baseline BSP) plus at least
-    // one evaluation per shard.
-    assert!(stats.evaluations >= 2 + stats.shards as u64);
+    // Global incumbent evaluations (the assignment in both tie orders, the
+    // baseline's own structure) plus at least one evaluation per shard.
+    assert!(stats.evaluations >= 3 + stats.shards as u64);
     let cost = mbsp_model::sync_cost(&schedule, inst.dag(), inst.arch()).total;
     assert!((cost - stats.final_cost).abs() < 1e-9);
 }

@@ -9,7 +9,9 @@
 //! `based arena == fresh arena == reference::convert` (at 30·r0, where one
 //! reference conversion takes about a second, the reference joins on every
 //! fifth move), with the base replaced on every fifth move (so bases are
-//! recorded relative to bases). Identical
+//! recorded relative to bases). Every run is in the breadth-first tie order
+//! and, at cache factors 1 and 3, in the depth-first one too, the oracle's
+//! canonical structure built in the arena's order. Identical
 //! output cannot show that anything was skipped, so one more test pins the
 //! skipped share of the production configuration.
 
@@ -19,7 +21,7 @@ use mbsp_dag::{CompDag, DagLike, NodeId, TopologicalOrder};
 use mbsp_ilp::engine::{EvaluationEngine, Move};
 use mbsp_ilp::improver::canonical_bsp;
 use mbsp_ilp::shard::{part_view, topo_shards};
-use mbsp_ilp::{ShardedHolisticScheduler, ShardedSearchConfig};
+use mbsp_ilp::{ShardedHolisticScheduler, ShardedSearchConfig, TieOrder};
 use mbsp_model::{Architecture, CostModel, MbspInstance, MbspSchedule, ProcId};
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
 use rand::rngs::StdRng;
@@ -50,26 +52,38 @@ fn counts(arena: &ConversionArena) -> (u64, u64) {
     (arena.simulated_supersteps(), arena.skipped_supersteps())
 }
 
-/// Replays `MOVES` candidates `base + move` through one based arena and
-/// compares each with a fresh arena's full conversion and — the three forced
-/// candidates and every `oracle_every`-th — with the reference converter.
-/// Returns the based arena's `(simulated, skipped)` supersteps.
+/// Replays `MOVES` candidates `base + move` through one based arena in the
+/// tie order `order` and compares each with a fresh arena's full conversion and
+/// — the three forced candidates and every `oracle_every`-th — with the
+/// reference converter. Returns the based arena's `(simulated, skipped)`
+/// supersteps.
 fn replay_against_a_base<D: DagLike + ?Sized>(
     dag: &D,
     arch: &Architecture,
     seed_procs: &[ProcId],
     required: &[NodeId],
     oracle_every: usize,
+    order: &[NodeId],
     label: &str,
 ) -> (u64, u64) {
     let movable: Vec<NodeId> = dag.nodes().filter(|&v| !dag.is_source(v)).collect();
     let topo = TopologicalOrder::of(dag);
-    // The first and the last computed node of the canonical order: the first
-    // entry of some processor's sequence (read by superstep 0) and a node
-    // nothing before the end of the run reads.
-    let first = *movable.iter().min_by_key(|v| topo.position(**v)).unwrap();
+    let mut rank = vec![0usize; dag.num_nodes()];
+    for (i, v) in order.iter().enumerate() {
+        rank[v.index()] = i;
+    }
+    // The first computed node of the tie order — the first entry of some
+    // processor's sequence (read by superstep 0) — and the last of the
+    // breadth-first one, in the last canonical superstep: a node nothing
+    // before the end of the run reads.
+    let first = *movable.iter().min_by_key(|v| rank[v.index()]).unwrap();
     let last = *movable.iter().max_by_key(|v| topo.position(**v)).unwrap();
-    let mut based = ConversionArena::new(dag, arch);
+    let arena = || {
+        let mut arena = ConversionArena::new(dag, arch);
+        arena.set_tie_order(order);
+        arena
+    };
+    let mut based = arena();
     let mut out = MbspSchedule::new(arch.processors);
     let mut full = MbspSchedule::new(arch.processors);
     let mut base_procs = seed_procs.to_vec();
@@ -109,10 +123,10 @@ fn replay_against_a_base<D: DagLike + ?Sized>(
             _ => {}
         }
 
-        ConversionArena::new(dag, arch).convert_assignment(dag, arch, &procs, required, &mut full);
+        arena().convert_assignment(dag, arch, &procs, required, &mut full);
         assert!(out == full, "{case}: based and full conversion differ");
         if (7..=9).contains(&step) || step % oracle_every == 0 {
-            let canonical = canonical_bsp(dag, arch, &procs);
+            let canonical = canonical_bsp(dag, arch, &procs, order);
             let oracle =
                 reference::convert(dag, arch, &canonical, &ClairvoyantPolicy::new(), required);
             assert!(out == oracle, "{case}: the arena drifted from the oracle");
@@ -138,12 +152,13 @@ fn replay_against_a_base<D: DagLike + ?Sized>(
 
 /// The whole DAG and one `SubDagView::with_inputs` shard of it (with its
 /// non-empty required outputs) at the minimal, the paper's and a generous
-/// cache size. Returns the summed `(simulated, skipped)` supersteps of the
-/// paper-size runs.
-fn at_scale(dag: CompDag) -> (u64, u64) {
+/// cache size, in `tie` (the shard's order built on its view, as a shard
+/// search builds it). Returns the summed `(simulated, skipped)` supersteps of
+/// the paper-size runs.
+fn at_scale(dag: &CompDag, tie: TieOrder, cache_factors: &[f64]) -> (u64, u64) {
     let base = Architecture::new(4, 0.0, 1.0, 2.0);
     let mut paper_size = (0u64, 0u64);
-    for cache_factor in [1.0, 3.0, 30.0] {
+    for &cache_factor in cache_factors {
         let instance = MbspInstance::with_cache_factor(dag.clone(), base, cache_factor);
         let (dag, arch) = (instance.dag(), instance.arch());
         // At 30·r0 every eviction trigger of the reference ranks a cache of
@@ -152,8 +167,9 @@ fn at_scale(dag: CompDag) -> (u64, u64) {
         let oracle_every = if cache_factor > 3.0 { REBASE_EVERY } else { 1 };
         let bsp = GreedyBspScheduler::new().schedule(dag, arch);
         let procs: Vec<ProcId> = dag.nodes().map(|v| bsp.schedule.proc_of(v)).collect();
-        let label = format!("{} r={cache_factor}·r0", dag.name());
-        let whole = replay_against_a_base(dag, arch, &procs, &[], oracle_every, &label);
+        let label = format!("{} r={cache_factor}·r0 {tie:?}", dag.name());
+        let order = tie.of(dag);
+        let whole = replay_against_a_base(dag, arch, &procs, &[], oracle_every, &order, &label);
 
         let partition = topo_shards(dag, 4);
         let parts = partition.parts();
@@ -168,6 +184,7 @@ fn at_scale(dag: CompDag) -> (u64, u64) {
             &shard_procs,
             &required,
             oracle_every,
+            &tie.of(&view),
             &format!("{label} shard 1"),
         );
         if cache_factor == 3.0 {
@@ -177,23 +194,36 @@ fn at_scale(dag: CompDag) -> (u64, u64) {
     paper_size
 }
 
+/// Every cache factor breadth-first; the depth-first order skips the generous
+/// one, where the reference is slowest.
+const BREADTH_FIRST_FACTORS: [f64; 3] = [1.0, 3.0, 30.0];
+const DEPTH_FIRST_FACTORS: [f64; 2] = [1.0, 3.0];
+
 #[test]
 fn based_conversion_matches_full_and_reference_on_a_layered_random_dag() {
-    let (simulated, skipped) = at_scale(layered_dag());
-    // Identical schedules cannot show that the based path still skips
-    // anything; a diff that went conservative (every candidate from superstep
-    // 0) would pass everything above.
-    let share = skipped as f64 / (skipped + simulated) as f64;
-    assert!(
-        share >= 0.30,
-        "skipped {skipped} of {} supersteps ({share:.3}) at r = 3·r0",
-        skipped + simulated
-    );
+    let dag = layered_dag();
+    for (tie, factors) in [
+        (TieOrder::BreadthFirst, &BREADTH_FIRST_FACTORS[..]),
+        (TieOrder::DepthFirst, &DEPTH_FIRST_FACTORS[..]),
+    ] {
+        let (simulated, skipped) = at_scale(&dag, tie, factors);
+        // Identical schedules cannot show that the based path still skips
+        // anything; a diff that went conservative (every candidate from
+        // superstep 0) would pass everything above.
+        let share = skipped as f64 / (skipped + simulated) as f64;
+        assert!(
+            share >= 0.30,
+            "{tie:?}: skipped {skipped} of {} supersteps ({share:.3}) at r = 3·r0",
+            skipped + simulated
+        );
+    }
 }
 
 #[test]
 fn based_conversion_matches_full_and_reference_on_a_cg_dag() {
-    at_scale(mbsp_gen::cg::cg_dag("cg_n13_k4", 13, 4));
+    let dag = mbsp_gen::cg::cg_dag("cg_n13_k4", 13, 4);
+    at_scale(&dag, TieOrder::BreadthFirst, &BREADTH_FIRST_FACTORS);
+    at_scale(&dag, TieOrder::DepthFirst, &DEPTH_FIRST_FACTORS);
 }
 
 /// A base recorded under one required-output set must not be used for a
@@ -215,7 +245,7 @@ fn a_base_is_only_used_under_the_parameters_it_was_recorded_with() {
     let mut arena = ConversionArena::new(dag, arch);
     let mut out = MbspSchedule::new(arch.processors);
     arena.rebase(dag, arch, &procs, &[], &mut out);
-    let canonical = canonical_bsp(dag, arch, &procs);
+    let canonical = canonical_bsp(dag, arch, &procs, &TieOrder::BreadthFirst.of(dag));
     let skipped = arena.skipped_supersteps();
     arena.convert_assignment(dag, arch, &procs, &required, &mut out);
     assert_eq!(arena.skipped_supersteps(), skipped);
@@ -228,6 +258,18 @@ fn a_base_is_only_used_under_the_parameters_it_was_recorded_with() {
     let skipped = arena.skipped_supersteps();
     arena.convert_assignment(dag, arch, &procs, &[], &mut out);
     assert_eq!(arena.skipped_supersteps(), skipped);
+    assert_eq!(
+        out,
+        reference::convert(dag, arch, &canonical, &clairvoyant, &[])
+    );
+    // So does a new tie order: the base was recorded in the old one.
+    arena.rebase(dag, arch, &procs, &[], &mut out);
+    let order = TieOrder::DepthFirst.of(dag);
+    arena.set_tie_order(&order);
+    let skipped = arena.skipped_supersteps();
+    arena.convert_assignment(dag, arch, &procs, &[], &mut out);
+    assert_eq!(arena.skipped_supersteps(), skipped);
+    let canonical = canonical_bsp(dag, arch, &procs, &order);
     assert_eq!(
         out,
         reference::convert(dag, arch, &canonical, &clairvoyant, &[])

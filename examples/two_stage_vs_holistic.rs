@@ -6,7 +6,7 @@
 //! Run with `cargo run --example two_stage_vs_holistic`.
 
 use mbsp::gen::constructions::theorem41_construction;
-use mbsp::ilp::improver::canonical_bsp;
+use mbsp::ilp::improver::{canonical_bsp, TieOrder};
 use mbsp::prelude::*;
 
 fn main() {
@@ -18,6 +18,7 @@ fn main() {
         let arch = Architecture::new(2, d as f64 + 2.0, 1.0, 0.0);
         let converter = TwoStageScheduler::new();
         let policy = ClairvoyantPolicy::new();
+        let order = TieOrder::BreadthFirst.of(&dag);
 
         // Two-stage: the BSP optimum assigns one chain to each processor, so the
         // cache (which can hold only one group besides the chain) thrashes between
@@ -29,7 +30,7 @@ fn main() {
         let two_stage = converter.schedule(
             &dag,
             &arch,
-            &canonical_bsp(&dag, &arch, &chain_per_proc),
+            &canonical_bsp(&dag, &arch, &chain_per_proc, &order),
             &policy,
         );
 
@@ -49,7 +50,7 @@ fn main() {
         let holistic = converter.schedule(
             &dag,
             &arch,
-            &canonical_bsp(&dag, &arch, &group_per_proc),
+            &canonical_bsp(&dag, &arch, &group_per_proc, &order),
             &policy,
         );
 
