@@ -18,10 +18,16 @@
 //! comparison isolates exactly what the dirty cone buys. The repair must reach
 //! the full re-schedule's final cost on every measured instance — equal or
 //! better up to `COST_TOLERANCE` (0.1%): from a converged incumbent the two
-//! fold the same dirty-shard improvements, and the residual is the occasional
-//! clean-shard proposal that flips from rejected to accepted under the
-//! superstep-max coupling of the delta, which no hop-bounded cone can capture
-//! (empirically <= 0.03% across the suite). A from-scratch pipeline (fresh
+//! fold the same dirty-shard improvements, and the residual is the clean-shard
+//! proposals that flip from rejected to accepted once a dirty shard's fold has
+//! moved the canonical supersteps around it, which no hop-bounded cone can
+//! capture. The warm-up's fixed point holds many such proposals (at 24 shards
+//! most shards still improve locally and the merge rejects every one), so the
+//! residual is a draw per mutation stream, not a constant: over ten streams
+//! per instance (seeds `0xDE17A + i`, the five instances below 100k nodes),
+//! 8 of 50 repairs exceed 0.1 % with breadth-first ties alone and 9 of 50
+//! with the seed-chosen tie order, by up to 0.37 %, and a warm-up swept over
+//! several seed streams does not change that. A from-scratch pipeline (fresh
 //! greedy baseline + full sharded search on the mutated DAG) is also timed for
 //! context, but not gated: its greedy cascade lands in an unrelated search
 //! basin, so its cost is noise around the warmed steady state rather than a
@@ -59,7 +65,7 @@ const WARM_PASS_CAP: usize = 12;
 const CONE_RADIUS: usize = 1;
 /// Relative slack on `repair_cost <= full_cost`: the cross-shard residual of
 /// clean-shard proposals flipping under the delta's global coupling (see the
-/// module docs). Observed residuals are 3-30x smaller than this bound.
+/// module docs). Most mutation streams stay below it; not all do.
 const COST_TOLERANCE: f64 = 1e-3;
 
 /// The `delta` recorder.
@@ -137,8 +143,8 @@ impl Recorder for Delta {
         // re-search to a *fixed point* of the (deterministic, constant-seed)
         // search operator: once a pass accepts nothing, re-searching a clean
         // shard re-evaluates exactly the proposals the fixed point already
-        // rejected, and the scheduler's outcome cache holds every shard's
-        // outcome at that state. This is the steady state an
+        // rejected — until a fold elsewhere moves the supersteps they were
+        // rejected under (module docs). This is the steady state an
         // incrementally-maintained deployment amortizes over its lifetime
         // (none of it is timed), and it is what makes the comparison
         // meaningful — post-mutation improvements exist only where the deltas
@@ -174,8 +180,7 @@ impl Recorder for Delta {
         let stream = mutation_stream(repairer.dag(), &stream_config, 0xDE17A);
 
         // Land the deltas, then fork three twins off the identical
-        // post-mutation state (same pending set, same outcome cache, same
-        // seed streams): the measured repair, its 1-worker determinism check,
+        // post-mutation state (same pending set, same seed streams): the measured repair, its 1-worker determinism check,
         // and the full re-search comparator. Scope — dirty cone vs every
         // shard — is the only variable between (a) and (b).
         let apply_start = Instant::now();

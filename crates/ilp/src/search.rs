@@ -124,45 +124,16 @@ impl Incumbent {
         }
     }
 
-    /// Converts the seed assignment again with ties broken depth-first (the
-    /// engine is still in its breadth-first default) and leaves `engine` in
-    /// the order that converted it cheaper — breadth-first on a tie — adopting
-    /// that conversion. Returns the order chosen.
-    fn choose_tie_order(
-        &mut self,
-        engine: &mut EvaluationEngine,
-        dag: &CompDag,
-        arch: &Architecture,
-        cost_model: CostModel,
-    ) -> TieOrder {
-        engine.set_tie_order(&TieOrder::DepthFirst.of(dag));
-        let cost = engine.evaluate_assignment_on(dag, arch, &self.procs, cost_model, &[]);
-        if cost < self.cost {
-            self.cost = cost;
-            engine.swap_schedule(&mut self.schedule);
-            TieOrder::DepthFirst
-        } else {
-            engine.set_tie_order(&TieOrder::BreadthFirst.of(dag));
-            TieOrder::BreadthFirst
-        }
-    }
-
-    /// Adopts `baseline`'s own superstep structure (whose assignment the
-    /// seed's is, and which the canonical reconstruction may not reproduce)
-    /// as the starting schedule when it is cheaper.
-    fn consider_baseline(
-        &mut self,
-        engine: &mut EvaluationEngine,
-        dag: &CompDag,
-        arch: &Architecture,
-        baseline: &BspSchedulingResult,
-        cost_model: CostModel,
-    ) {
-        let cost = engine.evaluate_bsp_on(dag, arch, baseline, cost_model, &[]);
-        if cost < self.cost {
+    /// Adopts the schedule `engine` evaluated last, at `cost`, when it is
+    /// cheaper than the incumbent's (the incumbent's assignment stays: the
+    /// candidates a seed weighs are conversions of it). Returns whether it was.
+    fn adopt_if_cheaper(&mut self, engine: &mut EvaluationEngine, cost: f64) -> bool {
+        let cheaper = cost < self.cost;
+        if cheaper {
             self.cost = cost;
             engine.swap_schedule(&mut self.schedule);
         }
+        cheaper
     }
 }
 
@@ -312,9 +283,7 @@ pub(crate) fn search_view(
 ) -> ViewSearch {
     let cost_model = params.cost_model;
     let mut engine = EvaluationEngine::for_dag(view, arch, EvalPath::Incremental);
-    if params.tie_order != TieOrder::BreadthFirst {
-        engine.set_tie_order(&params.tie_order.of(view));
-    }
+    engine.set_tie_order(&params.tie_order.of(view));
     // Each seed is recorded as the engine's base before it is evaluated (the
     // evaluation then only copies it), so the hill climb's first rebase converts
     // nothing when it starts from the seed evaluated last.
@@ -521,13 +490,22 @@ impl<'a> ShardedSearch<'a> {
         let k = shard_count(config.num_shards, dag.num_nodes());
         let workers = resolve_workers(config.workers).min(k);
         let mut engine = EvaluationEngine::for_dag(dag, arch, EvalPath::Incremental);
-        // The seed: `procs` in both tie orders, then the baseline's own
-        // structure.
+        // The seed: `procs` converted breadth-first (the engine's default) and
+        // depth-first, then the baseline's own structure, which the canonical
+        // reconstruction may not reproduce.
         let cost_model = config.cost_model;
         let mut incumbent = Incumbent::seed(&mut engine, dag, arch, procs, cost_model, &[]);
-        let tie_order = incumbent.choose_tie_order(&mut engine, dag, arch, cost_model);
+        engine.set_tie_order(&TieOrder::DepthFirst.of(dag));
+        let cost = engine.evaluate_assignment_on(dag, arch, &incumbent.procs, cost_model, &[]);
+        let tie_order = if incumbent.adopt_if_cheaper(&mut engine, cost) {
+            TieOrder::DepthFirst
+        } else {
+            engine.set_tie_order(&TieOrder::BreadthFirst.of(dag));
+            TieOrder::BreadthFirst
+        };
         if let Some(bsp) = baseline {
-            incumbent.consider_baseline(&mut engine, dag, arch, bsp, cost_model);
+            let cost = engine.evaluate_bsp_on(dag, arch, bsp, cost_model, &[]);
+            incumbent.adopt_if_cheaper(&mut engine, cost);
         }
         ShardedSearch {
             dag,
