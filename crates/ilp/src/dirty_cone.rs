@@ -221,15 +221,6 @@ impl IncrementalScheduler {
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`] observed before the pass and at
-    /// shard-round boundaries of every subsequent repair: a repair interrupted
-    /// by the token still folds the completed rounds' winners through the
-    /// merge and reports [`StopReason::Cancelled`] in its stats.
-    pub fn with_cancel(mut self, token: &CancelToken) -> Self {
-        self.cancel = Some(token.clone());
-        self
-    }
-
     /// The current (mutated) DAG.
     pub fn dag(&self) -> &CompDag {
         &self.dag
@@ -261,10 +252,11 @@ impl IncrementalScheduler {
         &mut self.config
     }
 
-    /// Replaces the cancellation token observed by subsequent repairs (`None`
-    /// detaches). The in-place counterpart of
-    /// [`IncrementalScheduler::with_cancel`] for sessions owned by a long-lived
-    /// service, where each job brings its own token.
+    /// Replaces the cooperative [`CancelToken`] observed by subsequent repairs
+    /// (`None` detaches), before the pass and at shard-round boundaries: a
+    /// repair interrupted by the token still folds the completed rounds'
+    /// winners through the merge and reports [`StopReason::Cancelled`] in its
+    /// stats. A long-lived service sets each job's own token this way.
     pub fn set_cancel(&mut self, token: Option<&CancelToken>) {
         self.cancel = token.cloned();
     }

@@ -14,13 +14,16 @@
 //! transient worker count (restored as `0`), lane-permit count and cancel
 //! token are re-attached with [`IncrementalScheduler::config_mut`],
 //! [`IncrementalScheduler::with_pool`] and
-//! [`IncrementalScheduler::with_cancel`], none of which can affect results.
+//! [`IncrementalScheduler::set_cancel`], none of which can affect results.
 //!
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
 //! sections) under [`KIND_SESSION`], and this module is the one place that
 //! knows its sections: the DAG's four come from `mbsp_io`
 //! ([`write_dag_sections`], [`DagSections`]); `CNF2`, `ARCH`, `ORDR`, `PROC`
-//! and `PEND` are written and read here, field by field.
+//! and `PEND` are written and read here, field by field. The sections are
+//! composable the same way: [`IncrementalScheduler::write_sections`] writes
+//! them into any frame and [`SessionSections`] reads them back, so an artifact
+//! of another kind can carry a session next to its own sections.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
 //! blobs (order/assignment length mismatching the DAG, out-of-range pending
 //! ids, unknown strategy or cost-model bytes, a DAG whose minimal cache size
@@ -29,7 +32,8 @@
 //!
 //! The `mbsp_serve` daemon builds its durability on exactly this contract:
 //! it checkpoints every warm session to disk after each mutation batch and on
-//! graceful shutdown, and a restarted daemon restores the sessions and
+//! graceful shutdown — one file per instance, its generation section followed
+//! by these sections — and a restarted daemon restores the sessions and
 //! continues serving byte-identically to an uninterrupted one.
 
 use crate::dirty_cone::{IncrementalScheduler, RepairConfig};
@@ -189,69 +193,61 @@ fn check_procs(procs: &[ProcId], num_nodes: usize, processors: usize) -> Result<
     Ok(())
 }
 
-impl IncrementalScheduler {
-    /// Serialises the full session into a checkpoint blob. See the module docs
-    /// for exactly what is captured.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_SESSION);
-        w.section(SEC_CONFIG, |w| encode_config(&self.config, w));
-        write_dag_sections(&mut w, &self.dag);
-        w.section(SEC_ARCH, |w| encode_arch(&self.arch, w));
-        w.section(SEC_ORDER, |w| encode_order(&self.order, w));
-        w.section(SEC_PROCS, |w| {
-            w.put_u64(self.procs.len() as u64);
-            for p in &self.procs {
-                w.put_u32(p.0);
+/// Accumulates a session's sections while a blob is scanned, then rebuilds
+/// the session, re-validating every domain invariant (acyclicity, order
+/// consistency, assignment coverage, pending ids in range, every compute
+/// footprint within the cache). The counterpart of
+/// [`IncrementalScheduler::write_sections`], the way [`DagSections`] is of
+/// [`write_dag_sections`]: an artifact that carries a session among sections
+/// of its own reads them through it.
+#[derive(Default)]
+pub struct SessionSections {
+    dag: DagSections,
+    config: Option<RepairConfig>,
+    arch: Option<Architecture>,
+    order: Option<(Vec<u64>, u64)>,
+    procs: Option<Vec<ProcId>>,
+    pending: Option<Vec<NodeId>>,
+}
+
+impl SessionSections {
+    /// Consumes one section if its tag belongs to the session; returns
+    /// `false` for foreign tags so composite decoders can try their own.
+    pub fn accept(&mut self, tag: u32, body: &mut Reader<'_>) -> Result<bool, DecodeError> {
+        if self.dag.accept(tag, body)? {
+            return Ok(true);
+        }
+        match tag {
+            SEC_CONFIG => set_once(tag, &mut self.config, decode_config(body)?)?,
+            SEC_ARCH => set_once(tag, &mut self.arch, decode_arch(body)?)?,
+            SEC_ORDER => set_once(tag, &mut self.order, decode_order(body)?)?,
+            SEC_PROCS => {
+                let decoded = body.get_vec(4, |r| Ok(ProcId(r.get_u32()?)))?;
+                set_once(tag, &mut self.procs, decoded)?;
             }
-        });
-        w.section(SEC_PENDING, |w| {
-            w.put_u64(self.pending.len() as u64);
-            for v in &self.pending {
-                w.put_u32(v.0);
+            SEC_PENDING => {
+                let decoded = body.get_vec(4, |r| Ok(NodeId(r.get_u32()?)))?;
+                set_once(tag, &mut self.pending, decoded)?;
             }
-        });
-        w.finish()
+            _ => return Ok(false),
+        }
+        body.finish()?;
+        Ok(true)
     }
 
-    /// Restores a session from a checkpoint blob, re-validating every domain
-    /// invariant (acyclicity, order consistency, assignment coverage, pending
-    /// ids in range, every compute footprint within the cache). The restored
-    /// scheduler takes its lanes from the default permit count, with no cancel
-    /// token and `workers: 0`; all three are transient and result-neutral.
-    pub fn restore(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::open(bytes, KIND_SESSION)?;
-        let mut dag_sections = DagSections::default();
-        let mut config: Option<RepairConfig> = None;
-        let mut arch: Option<Architecture> = None;
-        let mut order: Option<(Vec<u64>, u64)> = None;
-        let mut procs: Option<Vec<ProcId>> = None;
-        let mut pending: Option<Vec<NodeId>> = None;
-        while let Some((tag, mut body)) = r.next_section()? {
-            if dag_sections.accept(tag, &mut body)? {
-                continue;
-            }
-            match tag {
-                SEC_CONFIG => set_once(tag, &mut config, decode_config(&mut body)?)?,
-                SEC_ARCH => set_once(tag, &mut arch, decode_arch(&mut body)?)?,
-                SEC_ORDER => set_once(tag, &mut order, decode_order(&mut body)?)?,
-                SEC_PROCS => {
-                    let decoded = body.get_vec(4, |r| Ok(ProcId(r.get_u32()?)))?;
-                    set_once(tag, &mut procs, decoded)?;
-                }
-                SEC_PENDING => {
-                    let decoded = body.get_vec(4, |r| Ok(NodeId(r.get_u32()?)))?;
-                    set_once(tag, &mut pending, decoded)?;
-                }
-                _ => {
-                    return Err(DecodeError::BadSectionTag {
-                        offset: body.offset(),
-                        tag,
-                    })
-                }
-            }
-            body.finish()?;
-        }
-        let dag = dag_sections.build()?;
+    /// Rebuilds the session once every section has been seen. It takes its
+    /// lanes from the default permit count, with no cancel token and
+    /// `workers: 0`; all three are transient and result-neutral.
+    pub fn build(self) -> Result<IncrementalScheduler, DecodeError> {
+        let SessionSections {
+            dag,
+            config,
+            arch,
+            order,
+            procs,
+            pending,
+        } = self;
+        let dag = dag.build()?;
         let config = config.ok_or(DecodeError::MissingSection { tag: SEC_CONFIG })?;
         let arch = arch.ok_or(DecodeError::MissingSection { tag: SEC_ARCH })?;
         let order = order.ok_or(DecodeError::MissingSection { tag: SEC_ORDER })?;
@@ -289,6 +285,56 @@ impl IncrementalScheduler {
             pool: WorkerPool::default(),
             cancel: None,
         })
+    }
+}
+
+impl IncrementalScheduler {
+    /// Writes the session's sections into `w`: `CNF2`, the DAG's four,
+    /// `ARCH`, `ORDR`, `PROC` and `PEND`. Exposed separately from
+    /// [`IncrementalScheduler::checkpoint`] so a composite artifact can carry
+    /// a session next to sections of its own without nesting a second header;
+    /// [`SessionSections`] reads them back.
+    pub fn write_sections(&self, w: &mut Writer) {
+        w.section(SEC_CONFIG, |w| encode_config(&self.config, w));
+        write_dag_sections(w, &self.dag);
+        w.section(SEC_ARCH, |w| encode_arch(&self.arch, w));
+        w.section(SEC_ORDER, |w| encode_order(&self.order, w));
+        w.section(SEC_PROCS, |w| {
+            w.put_u64(self.procs.len() as u64);
+            for p in &self.procs {
+                w.put_u32(p.0);
+            }
+        });
+        w.section(SEC_PENDING, |w| {
+            w.put_u64(self.pending.len() as u64);
+            for v in &self.pending {
+                w.put_u32(v.0);
+            }
+        });
+    }
+
+    /// Serialises the full session into a standalone [`KIND_SESSION`] blob.
+    /// See the module docs for exactly what is captured.
+    pub fn checkpoint(&self) -> Vec<u8> {
+        let mut w = Writer::new(KIND_SESSION);
+        self.write_sections(&mut w);
+        w.finish()
+    }
+
+    /// Restores a session from a [`KIND_SESSION`] blob; see
+    /// [`SessionSections::build`] for what is re-validated.
+    pub fn restore(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::open(bytes, KIND_SESSION)?;
+        let mut sections = SessionSections::default();
+        while let Some((tag, mut body)) = r.next_section()? {
+            if !sections.accept(tag, &mut body)? {
+                return Err(DecodeError::BadSectionTag {
+                    offset: body.offset(),
+                    tag,
+                });
+            }
+        }
+        sections.build()
     }
 }
 

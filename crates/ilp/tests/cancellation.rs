@@ -88,8 +88,8 @@ fn a_cancelled_repair_still_returns_a_valid_incumbent() {
                 search: search_config(workers),
                 cone_radius: 2,
             },
-        )
-        .with_cancel(&token);
+        );
+        sched.set_cancel(Some(&token));
         let (schedule, stats) = sched.full_repair();
         assert_eq!(stats.stop_reason, StopReason::Cancelled);
         // The incumbent is returned unchanged: nothing ran, nothing regressed.

@@ -1,12 +1,10 @@
-//! The artifacts `mbsp_io` knows: computational DAGs and the serving
-//! daemon's instance registry, plus the one tag namespace every artifact's
-//! sections share.
+//! The artifacts `mbsp_io` knows: computational DAGs, plus the kinds and the
+//! one tag namespace of every artifact the workspace writes.
 //!
 //! Each artifact is a blob of CRC-checked sections (see [`crate::frame`]);
 //! decoding validates domain invariants on the way back in — a decoded DAG is
-//! re-checked acyclic, a decoded registry names each instance once — so
-//! restoring from a corrupted or adversarial blob yields a typed
-//! [`DecodeError`], never an inconsistent in-memory structure.
+//! re-checked acyclic — so restoring from a corrupted or adversarial blob
+//! yields a typed [`DecodeError`], never an inconsistent in-memory structure.
 
 use crate::frame::{DecodeError, Reader, Writer};
 use mbsp_dag::{CompDag, NodeId, NodeWeights};
@@ -15,8 +13,10 @@ use mbsp_dag::{CompDag, NodeId, NodeWeights};
 pub const KIND_DAG: u32 = u32::from_le_bytes(*b"CDAG");
 /// Artifact kind of an incremental-scheduler session checkpoint.
 pub const KIND_SESSION: u32 = u32::from_le_bytes(*b"SESS");
-/// Artifact kind of a serving-daemon instance registry.
-pub const KIND_REGISTRY: u32 = u32::from_le_bytes(*b"SREG");
+/// Artifact kind of a serving daemon's instance file: one
+/// [`SEC_GENERATION`] section, then the sections of a session checkpoint.
+/// The whole durable state of one instance, written with one rename.
+pub const KIND_INSTANCE: u32 = u32::from_le_bytes(*b"SINS");
 
 /// Section tag: DAG metadata (name, node count).
 pub const SEC_META: u32 = u32::from_le_bytes(*b"META");
@@ -39,11 +39,10 @@ pub const SEC_PENDING: u32 = u32::from_le_bytes(*b"PEND");
 /// count, a deadline and the fixed salvage cap; its tag is refused as
 /// [`DecodeError::BadSectionTag`], so no session carries a clock.
 pub const SEC_CONFIG: u32 = u32::from_le_bytes(*b"CNF2");
-/// Section tag: instance entries of a serving-daemon registry, each a name
-/// and a generation. The earlier layout, tag `INST`, also stored a file name
-/// per entry; its tag is refused as [`DecodeError::BadSectionTag`], so no
-/// registry names a path.
-pub const SEC_INSTANCES: u32 = u32::from_le_bytes(*b"INS2");
+/// Section tag: the generation of a serving daemon's instance file, its
+/// monotone checkpoint counter (1 at registration, one more per `mutate` or
+/// `repair`).
+pub const SEC_GENERATION: u32 = u32::from_le_bytes(*b"GENR");
 
 /// Writes the body of a DAG (its four sections) into `w`.
 ///
@@ -182,7 +181,7 @@ pub fn decode_dag(bytes: &[u8]) -> Result<CompDag, DecodeError> {
 }
 
 /// True when `name` is a valid service-instance name: 1–64 characters drawn
-/// from `[A-Za-z0-9_-]`. The charset keeps names safe to embed in checkpoint
+/// from `[A-Za-z0-9_-]`. The charset keeps names safe to embed in instance
 /// file names and in the `mbsp_serve` line protocol without escaping.
 pub fn valid_instance_name(name: &str) -> bool {
     !name.is_empty()
@@ -190,82 +189,4 @@ pub fn valid_instance_name(name: &str) -> bool {
         && name
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-}
-
-/// One instance known to a serving daemon: the name clients address it by
-/// (which also names its session-checkpoint file in the state directory) and
-/// the number of checkpoints written so far (a freshness/debugging aid).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegistryEntry {
-    /// Client-facing instance name (validated by [`valid_instance_name`]).
-    pub name: String,
-    /// Monotone count of checkpoints written for this instance.
-    pub generation: u64,
-}
-
-/// The persistent instance registry of a serving daemon: which instances
-/// exist and how many checkpoints each has written. Written atomically on
-/// every mutation and on graceful shutdown; decoded (and fully re-validated)
-/// on restart before any session is restored.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceRegistry {
-    /// Registered instances, in registration order.
-    pub entries: Vec<RegistryEntry>,
-}
-
-impl ServiceRegistry {
-    /// Encodes the registry as a standalone [`KIND_REGISTRY`] blob.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_REGISTRY);
-        w.section(SEC_INSTANCES, |w| {
-            w.put_u64(self.entries.len() as u64);
-            for e in &self.entries {
-                w.put_str(&e.name);
-                w.put_u64(e.generation);
-            }
-        });
-        w.finish()
-    }
-
-    /// Decodes a registry blob, rejecting invalid or duplicate instance names.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::open(bytes, KIND_REGISTRY)?;
-        let mut saved: Option<ServiceRegistry> = None;
-        while let Some((tag, mut body)) = r.next_section()? {
-            match tag {
-                SEC_INSTANCES => {
-                    let entries = body.get_vec(16, |r| {
-                        let name = r.get_str()?;
-                        let generation = r.get_u64()?;
-                        if !valid_instance_name(&name) {
-                            return Err(r.invalid(format!(
-                                "registry entry name {name:?} is not a valid instance name"
-                            )));
-                        }
-                        Ok(RegistryEntry { name, generation })
-                    })?;
-                    body.finish()?;
-                    for i in 1..entries.len() {
-                        if entries[..i].iter().any(|e| e.name == entries[i].name) {
-                            return Err(DecodeError::InvalidValue {
-                                offset: 0,
-                                what: format!(
-                                    "registry lists instance {:?} twice",
-                                    entries[i].name
-                                ),
-                            });
-                        }
-                    }
-                    set_once(tag, &mut saved, ServiceRegistry { entries })?;
-                }
-                _ => {
-                    return Err(DecodeError::BadSectionTag {
-                        offset: body.offset(),
-                        tag,
-                    })
-                }
-            }
-        }
-        saved.ok_or(DecodeError::MissingSection { tag: SEC_INSTANCES })
-    }
 }

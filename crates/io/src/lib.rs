@@ -19,23 +19,23 @@
 //! - [`encode_dag`]/[`decode_dag`] — a [`mbsp_dag::CompDag`] (name, weights,
 //!   labels, edge list; the CSR arrays are rebuilt and re-validated on
 //!   decode).
-//! - [`ServiceRegistry`] — the instance registry of the `mbsp_serve` daemon
-//!   (instance name → session-checkpoint file + generation counter), so a
-//!   restarted daemon knows which engine sessions to restore.
-//! - The section tags of every artifact, session checkpoints included: one
-//!   namespace, so no two sections share a tag. The session format itself —
-//!   configuration, architecture, order, assignment and pending set around an
-//!   embedded DAG ([`write_dag_sections`], [`DagSections`]) — is written and
-//!   read in `mbsp_ilp::session`, with [`Writer`]'s `put_*` and [`Reader`]'s
-//!   `get_*` methods like every field here.
+//! - The kinds and section tags of every artifact, session checkpoints
+//!   ([`KIND_SESSION`]) and the `mbsp_serve` daemon's instance files
+//!   ([`KIND_INSTANCE`]) included: one namespace, so no two sections share a
+//!   tag. The session format itself — configuration, architecture, order,
+//!   assignment and pending set around an embedded DAG
+//!   ([`write_dag_sections`], [`DagSections`]) — is written and read in
+//!   `mbsp_ilp::session`, with [`Writer`]'s `put_*` and [`Reader`]'s `get_*`
+//!   methods like every field here. An instance file is one
+//!   [`SEC_GENERATION`] section followed by those same sections, so one
+//!   rename replaces an instance's whole durable state.
 //!
 //! # Robustness contract
 //!
 //! Decoding is *total*: any byte sequence either round-trips to a valid value
 //! or is rejected with a typed [`DecodeError`] naming the offset and cause —
 //! truncation, checksum mismatch, version skew, unknown section, or a value
-//! the domain constructors refuse (a cyclic edge list, an invalid or repeated
-//! instance name). No decode path panics or allocates unboundedly on untrusted
+//! the domain constructors refuse (a cyclic edge list). No decode path panics or allocates unboundedly on untrusted
 //! input: a count is checked against the bytes left before anything is
 //! allocated for it ([`Reader::get_vec`]).
 
@@ -44,8 +44,8 @@ mod frame;
 
 pub use artifacts::{
     decode_dag, encode_dag, set_once, valid_instance_name, write_dag_sections, DagSections,
-    RegistryEntry, ServiceRegistry, KIND_DAG, KIND_REGISTRY, KIND_SESSION, SEC_ARCH, SEC_CONFIG,
-    SEC_EDGES, SEC_INSTANCES, SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
+    KIND_DAG, KIND_INSTANCE, KIND_SESSION, SEC_ARCH, SEC_CONFIG, SEC_EDGES, SEC_GENERATION,
+    SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
 };
 pub use frame::{crc32, DecodeError, Reader, Writer, MAGIC, VERSION};
 
@@ -135,35 +135,49 @@ mod tests {
         }
     }
 
-    /// A registry entry takes at least 16 bytes (the name's length and the
-    /// generation): an entry count one past what the payload can hold is
-    /// refused at the count, before anything is allocated.
+    /// A counted sequence whose count is one past what its payload holds is
+    /// refused at the count, before any element is read or allocated.
     #[test]
-    fn a_registry_count_past_its_payload_is_truncated_at_the_count() {
-        let entry = |name: &str| RegistryEntry {
-            name: name.to_string(),
-            generation: 3,
-        };
-        let blob = ServiceRegistry {
-            entries: vec![entry("a"), entry("b")],
-        }
-        .encode();
+    fn a_count_past_its_payload_is_truncated_at_the_count() {
+        const TAG: u32 = u32::from_le_bytes(*b"TEST");
+        let mut w = Writer::new(KIND_DAG);
+        w.section(TAG, |w| {
+            w.put_u64(3);
+            for v in [10u64, 20, 30] {
+                w.put_u64(v);
+            }
+        });
+        let blob = w.finish();
         // magic(4) + version(2) + kind(4), then tag(4) + len(8) + crc(4).
         let count_at = 26;
         let available = blob.len() - count_at - 8;
-        let count = available / 16 + 1;
+        let count = available / 8 + 1;
         let mut bad = blob.clone();
         bad[count_at..count_at + 8].copy_from_slice(&(count as u64).to_le_bytes());
         let crc = crc32(&bad[count_at..]);
         bad[22..26].copy_from_slice(&crc.to_le_bytes());
+
+        let read = |bytes: &[u8], calls: &mut usize| {
+            let mut r = Reader::open(bytes, KIND_DAG)?;
+            let (tag, mut body) = r.next_section()?.expect("one section");
+            assert_eq!(tag, TAG);
+            body.get_vec(8, |r| {
+                *calls += 1;
+                r.get_u64()
+            })
+        };
+        let mut calls = 0;
+        assert_eq!(read(&blob, &mut calls), Ok(vec![10, 20, 30]));
+        calls = 0;
         assert_eq!(
-            ServiceRegistry::decode(&bad),
+            read(&bad, &mut calls),
             Err(DecodeError::Truncated {
                 offset: count_at,
-                needed: count * 16,
+                needed: count * 8,
                 available,
             })
         );
+        assert_eq!(calls, 0, "no element is read past a refused count");
     }
 
     #[test]

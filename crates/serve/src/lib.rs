@@ -27,12 +27,14 @@
 //!   reproducible improvement sequence and can `cancel` (or deadline) the job
 //!   at any point — cancellation is observed only at the same deterministic
 //!   boundaries.
-//! * **Durability.** Sessions checkpoint to the state directory (via the
-//!   [`mbsp_io`] session codec) on registration, after every mutation and on
-//!   graceful shutdown; the instance registry is an
-//!   [`mbsp_io::ServiceRegistry`] blob. A write the state directory refuses is
-//!   answered with a typed `storage_failed` reject, never acknowledged. A restarted daemon restores every
-//!   session and continues byte-identically — the serving inheritance of the
+//! * **Durability.** Each instance is one file in the state directory,
+//!   `{name}.session.mbio`: an [`mbsp_io::KIND_INSTANCE`] frame holding its
+//!   generation and its session's sections, rewritten with one atomic rename
+//!   on registration, after every mutation and repair and on graceful
+//!   shutdown, so its generation always belongs to its session. A write the
+//!   state directory refuses is answered with a typed `storage_failed`
+//!   reject, never acknowledged. A restarted daemon restores every instance
+//!   file and continues byte-identically — the serving inheritance of the
 //!   engine's checkpoint contract.
 //!
 //! The crate exposes [`Server`] for in-process embedding (tests, benches) and

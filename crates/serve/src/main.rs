@@ -7,7 +7,7 @@
 //!
 //! * `--listen` — bind address (default `127.0.0.1:7700`; `:0` picks an
 //!   ephemeral port).
-//! * `--state-dir` — checkpoint/registry directory (default
+//! * `--state-dir` — directory of instance files, one per instance (default
 //!   `mbsp-serve-state`); restored on startup.
 //! * `--addr-file` — write the actually-bound address to this file once
 //!   listening (scripts using an ephemeral port read it back).

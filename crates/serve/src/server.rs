@@ -27,20 +27,25 @@
 //!
 //! # Durability
 //!
-//! Every instance checkpoint (registration, after each mutation batch, on
-//! graceful shutdown) is an atomic temp-file-and-rename write of the
-//! session blob plus a rewrite of the [`ServiceRegistry`] blob, so a crash
-//! between writes leaves the previous consistent pair in place.
+//! An instance's whole durable state is one file, `{name}.session.mbio`: an
+//! `mbsp_io` frame of kind [`KIND_INSTANCE`] holding the instance's
+//! generation and then its session's sections. Every checkpoint
+//! (registration, each mutation batch, each repair, graceful shutdown)
+//! writes it to a temp file and renames it into place, so a crash leaves
+//! either the previous file or the new one, and its generation always
+//! belongs to its session. A restart restores every `{valid name}.session.mbio`
+//! in the state directory, in name order, and ignores every other file.
 
 use crate::protocol::{
     self, parse_request, CacheSpec, DagSource, JsonWriter, MutateRequest, RegisterRequest, Reject,
     RepairRequest, Request, ScheduleRequest, SearchOverrides,
 };
 use mbsp_dag::DagDelta;
+use mbsp_ilp::session::SessionSections;
 use mbsp_ilp::{
     CancelToken, IncrementalScheduler, IncumbentObserver, IncumbentUpdate, RepairConfig, StopReason,
 };
-use mbsp_io::{RegistryEntry, ServiceRegistry};
+use mbsp_io::{valid_instance_name, DecodeError, Reader, Writer, KIND_INSTANCE, SEC_GENERATION};
 use mbsp_model::{reference, sync_cost, Architecture, CostModel, MbspSchedule};
 use mbsp_pool::WorkerPool;
 use mbsp_sched::{BspScheduler, GreedyBspScheduler};
@@ -52,9 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Name of the registry blob inside the state directory.
-pub const REGISTRY_FILE: &str = "registry.mbio";
 
 /// Longest request line (terminator included) a connection may send: 64 MiB,
 /// two orders of magnitude above a 100k-node `dag_hex` upload. A longer line
@@ -166,8 +168,8 @@ pub const MAX_FAMILY_EDGES: usize = 4_000_000;
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7700` (`:0` picks an ephemeral port).
     pub listen: String,
-    /// Directory for session checkpoints and the instance registry; created
-    /// if missing.
+    /// Directory for the instance files, one `{name}.session.mbio` per
+    /// instance; created if missing.
     pub state_dir: PathBuf,
     /// Lane permits of the daemon's own [`WorkerPool`]: how many scoped
     /// threads its shard fan-outs may run at once besides the drain threads
@@ -261,6 +263,9 @@ struct Mailbox {
     closed: bool,
     /// The drain thread, from its spawn until it puts the session back.
     worker: Option<thread::JoinHandle<()>>,
+    /// The generation of the instance's file in the state directory, which
+    /// daemon `status` reports without waiting for a drain thread.
+    durable: u64,
 }
 
 type SharedMailbox = Arc<Mutex<Mailbox>>;
@@ -299,8 +304,6 @@ struct ServerInner {
     instances: Mutex<Instances>,
     jobs: Mutex<HashMap<u64, CancelToken>>,
     next_job: AtomicU64,
-    /// Instance name → checkpoint generation, as the registry file says.
-    registry: Mutex<BTreeMap<String, u64>>,
     /// Drain threads that have put their session back and are exiting or
     /// gone, not yet joined. Taken after a mailbox lock, never before one.
     exited: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -308,36 +311,13 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    fn write_registry_locked(&self, entries: &BTreeMap<String, u64>) -> std::io::Result<()> {
-        let registry = ServiceRegistry {
-            entries: entries
-                .iter()
-                .map(|(name, generation)| RegistryEntry {
-                    name: name.clone(),
-                    generation: *generation,
-                })
-                .collect(),
-        };
-        write_atomic(&self.state_dir.join(REGISTRY_FILE), &registry.encode())
-    }
-
-    /// Persists one instance: session blob first, then the registry naming it.
+    /// Persists one instance: its generation and its session's sections, one
+    /// file written with one rename.
     fn checkpoint_instance(&self, state: &InstanceState) -> std::io::Result<()> {
-        write_atomic(
-            &session_path(&self.state_dir, &state.name),
-            &state.session.checkpoint(),
-        )?;
-        let mut registry = self.registry.lock().unwrap();
-        let previous = registry.insert(state.name.clone(), state.generation);
-        let written = self.write_registry_locked(&registry);
-        if written.is_err() {
-            // The map keeps saying what the registry file on disk says.
-            match previous {
-                Some(entry) => registry.insert(state.name.clone(), entry),
-                None => registry.remove(&state.name),
-            };
-        }
-        written
+        let mut w = Writer::new(KIND_INSTANCE);
+        w.section(SEC_GENERATION, |w| w.put_u64(state.generation));
+        state.session.write_sections(&mut w);
+        write_atomic(&instance_path(&self.state_dir, &state.name), &w.finish())
     }
 
     fn begin_shutdown(&self) {
@@ -377,8 +357,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, restores every instance recorded in the state
-    /// directory's registry and starts serving.
+    /// Binds the listener, restores every instance file in the state
+    /// directory and starts serving.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&config.state_dir)?;
         let listener = TcpListener::bind(&config.listen)?;
@@ -396,7 +376,6 @@ impl Server {
             instances: Mutex::default(),
             jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
-            registry: Mutex::new(BTreeMap::new()),
             exited: Mutex::new(Vec::new()),
             done: (Mutex::new(false), Condvar::new()),
         });
@@ -439,27 +418,55 @@ impl Server {
     }
 }
 
-/// Where an instance's session checkpoint lives: derived from its validated
-/// name, never read from the registry, so no registry entry reaches a file
-/// outside the state directory.
-fn session_path(state_dir: &Path, name: &str) -> PathBuf {
+/// Where an instance's file lives: derived from its validated name, so no
+/// byte in the state directory reaches a file outside it.
+fn instance_path(state_dir: &Path, name: &str) -> PathBuf {
     state_dir.join(format!("{name}.session.mbio"))
 }
 
-fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
-    let path = inner.state_dir.join(REGISTRY_FILE);
-    if !path.exists() {
-        return Ok(());
+/// Decodes an instance file: its generation, then its session.
+fn decode_instance(bytes: &[u8]) -> Result<(u64, IncrementalScheduler), DecodeError> {
+    let mut r = Reader::open(bytes, KIND_INSTANCE)?;
+    let mut generation = None;
+    let mut session = SessionSections::default();
+    while let Some((tag, mut body)) = r.next_section()? {
+        if tag == SEC_GENERATION {
+            mbsp_io::set_once(tag, &mut generation, body.get_u64()?)?;
+            body.finish()?;
+        } else if !session.accept(tag, &mut body)? {
+            return Err(DecodeError::BadSectionTag {
+                offset: body.offset(),
+                tag,
+            });
+        }
     }
+    let generation = generation.ok_or(DecodeError::MissingSection {
+        tag: SEC_GENERATION,
+    })?;
+    Ok((generation, session.build()?))
+}
+
+/// Restores every `{valid name}.session.mbio` in the state directory, in name
+/// order. Any other file — the `addr` file, a `.session.tmp` a crash left, an
+/// old layout's `registry.mbio` — is not an instance and is left alone. A
+/// file that does not decode as an instance, an old layout's session
+/// checkpoint included, refuses the start with an error naming it.
+fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(&inner.state_dir)? {
+        let file = entry?.file_name();
+        let stem = file.to_str().and_then(|f| f.strip_suffix(".session.mbio"));
+        if let Some(name) = stem.filter(|name| valid_instance_name(name)) {
+            names.push(name.to_string());
+        }
+    }
+    names.sort();
     let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let registry = ServiceRegistry::decode(&std::fs::read(&path)?)
-        .map_err(|e| invalid(format!("corrupt registry {}: {e}", path.display())))?;
-    for entry in registry.entries {
-        let session_path = session_path(&inner.state_dir, &entry.name);
-        let blob = std::fs::read(&session_path)?;
-        let session = IncrementalScheduler::restore(&blob)
-            .map_err(|e| invalid(format!("corrupt session {}: {e}", session_path.display())))?
-            .with_pool(inner.pool.clone());
+    for name in names {
+        let path = instance_path(&inner.state_dir, &name);
+        let (generation, session) = decode_instance(&std::fs::read(&path)?)
+            .map_err(|e| invalid(format!("corrupt instance file {}: {e}", path.display())))?;
+        let session = session.with_pool(inner.pool.clone());
         // The daemon serves (and its debug referee checks) the synchronous
         // cost only; a session checkpointed under another objective would
         // report a cost of that model.
@@ -473,18 +480,13 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
         served
             .and_then(|()| check_search_caps(search.num_shards, search.moves_per_round))
             .and_then(|()| check_table_caps(session.arch().processors, session.dag().num_nodes()))
-            .map_err(|e| invalid(format!("session {}: {e}", session_path.display())))?;
-        inner
-            .registry
-            .lock()
-            .unwrap()
-            .insert(entry.name.clone(), entry.generation);
+            .map_err(|e| invalid(format!("instance file {}: {e}", path.display())))?;
         insert_instance(
             inner,
             InstanceState {
-                name: entry.name,
+                name,
                 session,
-                generation: entry.generation,
+                generation,
                 last_cost: None,
             },
         );
@@ -498,6 +500,7 @@ fn insert_instance(inner: &ServerInner, state: InstanceState) {
     let name = state.name.clone();
     let mailbox = Mailbox {
         jobs: VecDeque::new(),
+        durable: state.generation,
         idle: Some(state),
         closed: false,
         worker: None,
@@ -804,21 +807,15 @@ fn handle_register(
 }
 
 fn handle_server_status(inner: &Arc<ServerInner>, out: &LineWriter, id: Option<u64>) {
-    let instances = inner
-        .registry
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(name, generation)| {
+    let active = inner.jobs.lock().unwrap().len();
+    let (mut instances, mut running, mut queued) = (Vec::new(), 0, 0);
+    for (name, mailbox) in &inner.instances.lock().unwrap().live {
+        let mailbox = mailbox.lock().unwrap();
+        instances.push(
             JsonWriter::new()
                 .str("name", name)
-                .u64("generation", *generation)
-        })
-        .collect();
-    let active = inner.jobs.lock().unwrap().len();
-    let (mut running, mut queued) = (0, 0);
-    for mailbox in inner.instances.lock().unwrap().live.values() {
-        let mailbox = mailbox.lock().unwrap();
+                .u64("generation", mailbox.durable),
+        );
         running += usize::from(mailbox.worker.is_some());
         queued += mailbox.jobs.len();
     }
@@ -952,7 +949,7 @@ fn drain(mailbox: SharedMailbox, inner: Arc<ServerInner>) {
     while let Some(job) = guard.jobs.pop_front() {
         drop(guard);
         let job_id = job.job_id;
-        execute(&mut state, job, &inner);
+        execute(&mut state, job, &inner, &mailbox);
         inner.jobs.lock().unwrap().remove(&job_id);
         guard = mailbox.lock().unwrap();
     }
@@ -962,11 +959,11 @@ fn drain(mailbox: SharedMailbox, inner: Arc<ServerInner>) {
     inner.exited.lock().unwrap().extend(guard.worker.take());
 }
 
-fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {
+fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner, mailbox: &Mutex<Mailbox>) {
     match job.kind {
         JobKind::Schedule(ref req) => run_schedule(state, &job, req),
-        JobKind::Repair(ref req) => run_repair(state, &job, req, inner),
-        JobKind::Mutate(ref req) => run_mutate(state, &job, req, inner),
+        JobKind::Repair(ref req) => run_repair(state, &job, req, inner, mailbox),
+        JobKind::Mutate(ref req) => run_mutate(state, &job, req, inner, mailbox),
         JobKind::Status => {
             job.out.send(
                 instance_status_frame(state)
@@ -976,6 +973,18 @@ fn execute(state: &mut InstanceState, job: Job, inner: &ServerInner) {
             );
         }
     }
+}
+
+/// A drain thread's checkpoint: once the file is in place, daemon `status`
+/// reports its generation.
+fn persist(
+    inner: &ServerInner,
+    mailbox: &Mutex<Mailbox>,
+    state: &InstanceState,
+) -> std::io::Result<()> {
+    inner.checkpoint_instance(state)?;
+    mailbox.lock().unwrap().durable = state.generation;
+    Ok(())
 }
 
 fn instance_status_frame(state: &InstanceState) -> JsonWriter {
@@ -1059,7 +1068,13 @@ fn run_schedule(state: &mut InstanceState, job: &Job, req: &ScheduleRequest) {
     job.out.send(frame.build());
 }
 
-fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: &ServerInner) {
+fn run_repair(
+    state: &mut InstanceState,
+    job: &Job,
+    req: &RepairRequest,
+    inner: &ServerInner,
+    mailbox: &Mutex<Mailbox>,
+) {
     let saved = *state.session.config();
     req.overrides.apply(&mut state.session.config_mut().search);
     state
@@ -1073,7 +1088,7 @@ fn run_repair(state: &mut InstanceState, job: &Job, req: &RepairRequest, inner: 
     // The repair moved the incumbent: persist it so a restart resumes from
     // the repaired state, not the pre-repair checkpoint.
     state.generation += 1;
-    if let Err(e) = inner.checkpoint_instance(state) {
+    if let Err(e) = persist(inner, mailbox, state) {
         // The session keeps the repaired incumbent and keeps serving.
         job.out
             .send_reject(job.id, Some(job.job_id), &storage_failed(&e));
@@ -1123,7 +1138,13 @@ fn debug_assert_served(session: &IncrementalScheduler, schedule: &MbspSchedule, 
     );
 }
 
-fn run_mutate(state: &mut InstanceState, job: &Job, req: &MutateRequest, inner: &ServerInner) {
+fn run_mutate(
+    state: &mut InstanceState,
+    job: &Job,
+    req: &MutateRequest,
+    inner: &ServerInner,
+    mailbox: &Mutex<Mailbox>,
+) {
     // The applied prefix of a batch stays applied (and is checkpointed); the
     // client learns exactly how far the batch got.
     let mut applied = 0u64;
@@ -1152,7 +1173,7 @@ fn run_mutate(state: &mut InstanceState, job: &Job, req: &MutateRequest, inner: 
         applied += 1;
     }
     state.generation += 1;
-    if let Err(e) = inner.checkpoint_instance(state) {
+    if let Err(e) = persist(inner, mailbox, state) {
         // The session keeps what was applied and keeps serving. A batch that
         // was cut short stays a `bad_delta`; its message carries both causes.
         let unsaved = storage_failed(&e);

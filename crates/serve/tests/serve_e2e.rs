@@ -5,7 +5,9 @@
 //! shutdown + restart, every frame kind's text against what
 //! `serde_json::to_string` writes for its map, and the mailbox's drain
 //! threads — none while an instance is idle, no job stranded as one exits, a
-//! bounded backlog, final checkpoints from idle and busy instances alike. CI
+//! bounded backlog, final checkpoints from idle and busy instances alike —
+//! and the state directory: one file per instance, restored with its own
+//! generation, and nothing else in the directory read. CI
 //! reruns this suite under
 //! `MBSP_BENCH_THREADS=2/8` to pin the worker-count independence of every
 //! served result.
@@ -1506,9 +1508,20 @@ fn parse_test_delta(entry: &Value) -> mbsp_dag::DagDelta {
     }
 }
 
-/// Writes a state directory holding one checkpointed session, instance
-/// `name`: `dag` on `processors` processors under `config`, every node on
-/// processor 0.
+/// A session for a hand-written state directory: `dag` on `processors`
+/// processors under `config`, every node on processor 0.
+fn test_session(
+    dag: mbsp_dag::CompDag,
+    processors: usize,
+    config: RepairConfig,
+) -> IncrementalScheduler {
+    let arch = Architecture::new(processors, 3.0 * dag.minimal_cache_size(), 1.0, 0.0);
+    let procs = vec![mbsp_model::ProcId::new(0); dag.num_nodes()];
+    IncrementalScheduler::new(dag, arch, procs, config)
+}
+
+/// Writes instance `name`'s file into a state directory: generation 1 and
+/// the [`test_session`] of `dag`, `processors` and `config`.
 fn write_state_dir(
     state_dir: &Path,
     name: &str,
@@ -1516,66 +1529,123 @@ fn write_state_dir(
     processors: usize,
     config: RepairConfig,
 ) {
-    use mbsp_io::{RegistryEntry, ServiceRegistry};
-    let arch = Architecture::new(processors, 3.0 * dag.minimal_cache_size(), 1.0, 0.0);
-    let procs = vec![mbsp_model::ProcId::new(0); dag.num_nodes()];
-    let session = IncrementalScheduler::new(dag, arch, procs, config);
-    let file = format!("{name}.session.mbio");
-    std::fs::write(state_dir.join(file), session.checkpoint()).unwrap();
-    let registry = ServiceRegistry {
-        entries: vec![RegistryEntry {
-            name: name.to_string(),
-            generation: 1,
-        }],
-    };
-    std::fs::write(
-        state_dir.join(mbsp_serve::server::REGISTRY_FILE),
-        registry.encode(),
-    )
-    .unwrap();
+    use mbsp_io::{Writer, KIND_INSTANCE, SEC_GENERATION};
+    let mut w = Writer::new(KIND_INSTANCE);
+    w.section(SEC_GENERATION, |w| w.put_u64(1));
+    test_session(dag, processors, config).write_sections(&mut w);
+    std::fs::write(state_dir.join(format!("{name}.session.mbio")), w.finish()).unwrap();
+}
+
+fn three_node_path() -> mbsp_dag::CompDag {
+    use mbsp_dag::graph::NodeWeights;
+    mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)]).unwrap()
 }
 
 #[test]
-fn a_registry_that_names_a_file_is_refused() {
-    // The registry used to store each entry's checkpoint path, and restore
-    // read whatever it named — here a valid checkpoint outside the state
-    // directory. The path now follows from the instance name, and the old
-    // layout's section tag is a decode error before any session is read.
-    use mbsp_dag::graph::NodeWeights;
-    use mbsp_io::{DecodeError, ServiceRegistry, Writer, KIND_REGISTRY};
-    let state_dir = temp_state_dir("old_registry");
-    let outside = temp_state_dir("old_registry_outside");
-    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
-        .unwrap();
-    write_state_dir(&outside, "x", path, 2, RepairConfig::default());
-    let old_tag = u32::from_le_bytes(*b"INST");
-    let mut w = Writer::new(KIND_REGISTRY);
-    w.section(old_tag, |w| {
+fn a_state_dir_restores_only_valid_instance_files() {
+    // Restore reads `{valid name}.session.mbio` and nothing else: not the
+    // address file, not a temp file a crash left, not an old layout's
+    // registry, not a file whose stem is no instance name.
+    let state_dir = temp_state_dir("inputs");
+    write_state_dir(
+        &state_dir,
+        "ok",
+        three_node_path(),
+        2,
+        RepairConfig::default(),
+    );
+    std::fs::write(state_dir.join("addr"), "127.0.0.1:7700").unwrap();
+    std::fs::write(state_dir.join("ok.session.tmp"), b"half a checkpoint").unwrap();
+    let mut old_registry = mbsp_io::Writer::new(u32::from_le_bytes(*b"SREG"));
+    old_registry.section(u32::from_le_bytes(*b"INS2"), |w| {
         w.put_u64(1);
-        w.put_str("x");
-        w.put_str(outside.join("x.session.mbio").to_str().unwrap());
-        w.put_u64(1);
+        w.put_str("gone");
+        w.put_u64(7);
     });
-    let old = w.finish();
-    std::fs::write(state_dir.join(mbsp_serve::server::REGISTRY_FILE), &old).unwrap();
-    let started = Server::start(ServerConfig {
+    std::fs::write(state_dir.join("registry.mbio"), old_registry.finish()).unwrap();
+    for stem in ["", "a.b", "no space", &"x".repeat(65)] {
+        let file = format!("{stem}.session.mbio");
+        std::fs::write(state_dir.join(file), b"not an instance").unwrap();
+    }
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    let status = daemon_status(&mut c);
+    let instances = get(&status, "instances").and_then(Value::as_seq).unwrap();
+    let names: Vec<_> = instances.iter().map(|i| get_str(i, "name")).collect();
+    assert_eq!(names, [Some("ok")], "{status:?}");
+    assert_eq!(get_u64(&instances[0], "generation"), Some(1));
+    server.shutdown();
+    server.join();
+
+    // The earlier layout's session checkpoint under a valid name is not an
+    // instance file: the start is refused, naming it.
+    let old = state_dir.join("old.session.mbio");
+    let session = test_session(three_node_path(), 2, RepairConfig::default());
+    std::fs::write(&old, session.checkpoint()).unwrap();
+    match Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         state_dir: state_dir.clone(),
         workers: 0,
-    });
-    match started {
-        Ok(_) => panic!("a registry naming a file outside the state dir restored"),
+    }) {
+        Ok(_) => panic!("an old-layout session checkpoint restored"),
         Err(e) => {
             assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
-            assert!(e.to_string().contains("corrupt registry"), "{e}");
+            assert!(e.to_string().contains(&old.display().to_string()), "{e}");
         }
     }
-    assert!(matches!(
-        ServiceRegistry::decode(&old),
-        Err(DecodeError::BadSectionTag { tag, .. }) if tag == old_tag
-    ));
     let _ = std::fs::remove_dir_all(&state_dir);
-    let _ = std::fs::remove_dir_all(&outside);
+}
+
+#[test]
+fn an_instance_file_restores_with_its_own_generation() {
+    // The file a kill after the first of two mutates leaves behind: its
+    // generation must come back with its DAG, whatever the instance reached
+    // later.
+    let state_dir = temp_state_dir("own_generation");
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    register_tiny(&mut c, "g");
+    let file = state_dir.join("g.session.mbio");
+    let copy = state_dir.join("g.copy");
+    let mut mutate = |delta: String| {
+        c.send(&format!(
+            r#"{{"op":"mutate","instance":"g","deltas":[{delta}]}}"#
+        ));
+        let (_, done) = c.recv_until(|f| is_event(f, "done"));
+        assert_ok(&done);
+        done
+    };
+    let first = mutate(r#"{"add_node":{"compute":1.0,"memory":1.0}}"#.to_string());
+    std::fs::copy(&file, &copy).unwrap();
+    let added = get_u64(&first, "nodes").unwrap() - 1;
+    let second = mutate(format!(r#"{{"add_edge":{{"from":0,"to":{added}}}}}"#));
+    assert_eq!(get_u64(&second, "generation"), Some(3));
+    let (generation, nodes, edges) = (
+        uint(&first, "generation"),
+        uint(&first, "nodes"),
+        uint(&first, "edges"),
+    );
+    assert_eq!(generation, Value::UInt(2));
+    assert_ne!(uint(&second, "edges"), edges);
+    server.shutdown();
+    server.join();
+    std::fs::rename(&copy, &file).unwrap();
+
+    let server = start_server(&state_dir);
+    let mut c = Client::connect(server.local_addr());
+    c.send(r#"{"op":"status","instance":"g"}"#);
+    let (_, status) = c.recv_until(|f| is_event(f, "status"));
+    assert_eq!(uint(&status, "generation"), generation, "{status:?}");
+    assert_eq!(uint(&status, "nodes"), nodes, "{status:?}");
+    assert_eq!(uint(&status, "edges"), edges, "{status:?}");
+    let daemon = daemon_status(&mut c);
+    let instances = get(&daemon, "instances").and_then(Value::as_seq).unwrap();
+    assert_eq!(instances.len(), 1, "{daemon:?}");
+    assert_eq!(get_str(&instances[0], "name"), Some("g"));
+    assert_eq!(uint(&instances[0], "generation"), generation, "{daemon:?}");
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 #[test]
@@ -1609,13 +1679,16 @@ fn a_checkpoint_past_the_table_caps_does_not_restore() {
     // `register` bounds the processor count, but a state directory written
     // before the bound existed — or by hand — used to restore such a session,
     // and its first repair then aborted the daemon allocating its tables.
-    use mbsp_dag::graph::NodeWeights;
     use mbsp_serve::server::MAX_PROCESSORS;
     let state_dir = temp_state_dir("table_caps");
-    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
-        .unwrap();
     let config = RepairConfig::default();
-    write_state_dir(&state_dir, "wide", path, MAX_PROCESSORS + 1, config);
+    write_state_dir(
+        &state_dir,
+        "wide",
+        three_node_path(),
+        MAX_PROCESSORS + 1,
+        config,
+    );
     let started = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         state_dir: state_dir.clone(),
@@ -1637,13 +1710,10 @@ fn an_asynchronous_checkpoint_does_not_restore() {
     // synchronous one: a restored asynchronous session would fail the debug
     // referee's `sync_cost` check, or in release report a cost of the other
     // model.
-    use mbsp_dag::graph::NodeWeights;
     let state_dir = temp_state_dir("async");
-    let path = mbsp_dag::CompDag::from_edges("p", vec![NodeWeights::unit(); 3], &[(0, 1), (1, 2)])
-        .unwrap();
     let mut config = RepairConfig::default();
     config.search.cost_model = mbsp_model::CostModel::Asynchronous;
-    write_state_dir(&state_dir, "async", path, 2, config);
+    write_state_dir(&state_dir, "async", three_node_path(), 2, config);
     let started = Server::start(ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         state_dir: state_dir.clone(),

@@ -6,9 +6,10 @@
 # mutate / graceful shutdown), then restarts the daemon on the same state
 # directory and asserts the checkpointed session restored — the pending set
 # survived and a repair completes. Before each shutdown the daemon `status`
-# must report no running session: an idle instance holds no thread. Python's `json` reads every frame, so the
-# daemon's frame writer is checked by an independent parser. Exits non-zero on any failed
-# step. Run via `make serve-smoke`.
+# must report no running session: an idle instance holds no thread. After the restart the
+# state directory must hold one instance file per registered instance and no registry.
+# Python's `json` reads every frame, so the daemon's frame writer is checked by an
+# independent parser. Exits non-zero on any failed step. Run via `make serve-smoke`.
 set -eu
 
 cargo build --release -q -p mbsp_serve
@@ -16,6 +17,16 @@ cargo build --release -q -p mbsp_serve
 STATE=$(mktemp -d)
 BIN=target/release/mbsp_serve
 trap 'kill $DAEMON_PID 2>/dev/null || true; rm -rf "$STATE"' EXIT
+
+# One `{name}.session.mbio` per registered instance (`smoke`, `overflow`),
+# and no `registry.mbio`: each instance's state is its own file.
+check_state_dir() {
+    files=$(cd "$STATE" && ls -- *.session.mbio | tr '\n' ' ')
+    [ "$files" = "overflow.session.mbio smoke.session.mbio " ] ||
+        { echo "serve_smoke: state dir holds [$files]" >&2; exit 1; }
+    [ ! -e "$STATE/registry.mbio" ] ||
+        { echo "serve_smoke: state dir holds a registry.mbio" >&2; exit 1; }
+}
 
 wait_addr() {
     i=0
@@ -137,6 +148,7 @@ rm -f "$STATE/addr"
 "$BIN" --listen 127.0.0.1:0 --state-dir "$STATE" --addr-file "$STATE/addr" &
 DAEMON_PID=$!
 wait_addr
+check_state_dir
 
 python3 - "$(cat "$STATE/addr")" "$STATE/pending" <<'EOF'
 import json, socket, sys, time
@@ -203,4 +215,5 @@ EOF
 
 wait "$DAEMON_PID"
 DAEMON_PID=""
+check_state_dir
 echo "serve_smoke: restart restored the checkpointed session — PASS"

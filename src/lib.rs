@@ -151,8 +151,8 @@ mod tests {
             *instance.arch(),
             procs,
             RepairConfig::default(),
-        )
-        .with_cancel(&token);
+        );
+        sched.set_cancel(Some(&token));
         let (_, stats) = sched.full_repair();
         assert_eq!(stats.stop_reason, StopReason::Cancelled);
         let blob = sched.checkpoint();
