@@ -96,7 +96,7 @@ impl Recorder for Io {
         );
 
         // Make the session state non-trivial: land a localized delta stream so
-        // the checkpoint carries a real pending set and a mutated live order.
+        // the checkpoint carries a real pending set.
         // (The search itself is not run — this benchmark times the codec, and
         // the blob layout is identical either way.)
         let stream_config = MutationStreamConfig {

@@ -16,6 +16,10 @@
 //! are *not* kept contiguous across node removals; they only need to stay
 //! pairwise distinct, which [`PkOrder::push_node`] guarantees by handing out
 //! values from a high-water mark that is never reused.
+//!
+//! Any valid topological order gives [`PkOrder::check_edge`] the same answer,
+//! so the values are scratch, not state: a holder that persists its graph
+//! rebuilds the order with [`PkOrder::of_dag`] instead of storing it.
 
 use crate::error::DagError;
 use crate::topo::TopologicalOrder;
@@ -76,46 +80,6 @@ impl PkOrder {
     #[inline]
     pub fn value(&self, v: NodeId) -> u64 {
         self.ord[v.index()]
-    }
-
-    /// The raw order value of every node, indexed by node id. Together with
-    /// [`PkOrder::next_value`] this is the complete persistent state of the
-    /// order (the remaining fields are version-stamped scratch); feed both back
-    /// into [`PkOrder::from_saved`] to restore it.
-    pub fn values(&self) -> &[u64] {
-        &self.ord
-    }
-
-    /// The never-reused high-water mark for fresh order values.
-    pub fn next_value(&self) -> u64 {
-        self.next_value
-    }
-
-    /// Rebuilds an order from saved state ([`PkOrder::values`] +
-    /// [`PkOrder::next_value`]). The values must be pairwise distinct and
-    /// strictly below `next_value`; a violation — e.g. a bit-flipped
-    /// checkpoint — is rejected with [`DagError::InvalidPartition`] instead of
-    /// silently producing an order that would misbehave on the next edge check.
-    pub fn from_saved(ord: Vec<u64>, next_value: u64) -> Result<Self> {
-        if let Some((i, &v)) = ord.iter().enumerate().find(|&(_, &v)| v >= next_value) {
-            return Err(DagError::InvalidPartition {
-                reason: format!(
-                    "order value {v} of node {i} is not below the high-water mark {next_value}"
-                ),
-            });
-        }
-        let mut sorted = ord.clone();
-        sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Err(DagError::InvalidPartition {
-                reason: format!("duplicate order value {}", w[0]),
-            });
-        }
-        Ok(PkOrder {
-            ord,
-            next_value,
-            ..Default::default()
-        })
     }
 
     /// Returns true if `u` precedes `v` in the maintained order.

@@ -35,13 +35,17 @@
 //! from the same incumbent: a reweight shifts which nodes are critical inside
 //! the superstep maxima, and that can flip a previously rejected clean-shard
 //! proposal to globally improving even when the proposal's shard is far from
-//! the mutation — a coupling no hop-bounded cone can capture. Empirically the
-//! residual stays below a tenth of a percent of the schedule cost
-//! (the `delta` recorder gates it at 0.1%) while the repair runs several times
-//! faster, and the gap to the mutated incumbent is always closed exactly.
+//! the mutation — a coupling no hop-bounded cone can capture. The residual is
+//! a fraction of a percent of the schedule cost, not bounded below any fixed
+//! figure: the `delta` recorder (`crates/bench/src/recorders/delta.rs`) bars
+//! it at 0.1 %, and over 50 mutation streams 8–9 exceeded that bar, by up to
+//! 0.37 % (ROADMAP item 4(a)). The repair runs several times faster, and the
+//! gap to the mutated incumbent is always closed exactly.
 //!
 //! [`IncrementalScheduler`] owns the mutating DAG, its live
-//! [`PkOrder`], the current assignment and the set of pending touched nodes;
+//! [`PkOrder`] (the edge-insertion cycle check's scratch, rebuilt on restore
+//! rather than checkpointed), the current assignment and the set of pending
+//! touched nodes;
 //! [`IncrementalScheduler::apply`] routes deltas through
 //! [`CompDag::apply_delta`] (keeping the assignment's per-node side table in
 //! sync with swap-remove id remaps) and [`IncrementalScheduler::repair`]
@@ -378,9 +382,9 @@ impl IncrementalScheduler {
     /// token, and adopts the winner in place. Afterwards the session equals
     /// `IncrementalScheduler::new(dag, arch, winner, config)` on the current
     /// DAG, down to its [`checkpoint`](IncrementalScheduler::checkpoint)
-    /// bytes: the assignment is replaced, the pending set cleared and the live
-    /// order reset. `search` replaces the session's own search knobs for this
-    /// run only; `baseline` must schedule the session's current DAG.
+    /// bytes: the assignment is replaced and the pending set cleared. `search`
+    /// replaces the session's own search knobs for this run only; `baseline`
+    /// must schedule the session's current DAG.
     pub fn schedule(
         &mut self,
         search: &ShardedSearchConfig,
@@ -398,7 +402,6 @@ impl IncrementalScheduler {
         );
         self.procs = procs;
         self.pending.clear();
-        self.order = PkOrder::of_dag(&self.dag);
         (schedule, stats)
     }
 }

@@ -74,9 +74,11 @@
 //!   the `mbsp_serve` daemon's `schedule` request calls).
 //! * [`session`] — binary session checkpoints for the incremental scheduler,
 //!   composing the `mbsp_io` frame: [`IncrementalScheduler::checkpoint`]
-//!   captures the mutated DAG, live order, incumbent assignment, pending set
-//!   and full repair configuration; [`IncrementalScheduler::restore`]
-//!   re-validates every invariant and continues byte-identically to an
+//!   captures what decides a result — the mutated DAG, incumbent assignment,
+//!   pending set and full repair configuration;
+//!   [`IncrementalScheduler::restore`] re-validates every invariant, rebuilds
+//!   the live Pearce–Kelly order from the DAG (any topological order answers
+//!   the cycle check alike) and continues byte-identically to an
 //!   uninterrupted session.
 
 pub mod bsp_opt;

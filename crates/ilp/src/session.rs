@@ -1,16 +1,17 @@
 //! Binary session checkpoints for [`IncrementalScheduler`].
 //!
-//! A checkpoint captures *everything* a restored session needs to continue
-//! byte-identically to an uninterrupted one: the mutated DAG, the live
-//! Pearce–Kelly order (its values **and** never-reused high-water mark — a
-//! freshly recomputed order would diverge on the next structural delta), the
-//! incumbent per-node assignment, the pending touched set and every
+//! A checkpoint captures *everything that decides a result*, so a restored
+//! session continues byte-identically to an uninterrupted one: the mutated
+//! DAG, the incumbent per-node assignment, the pending touched set and every
 //! [`RepairConfig`] setting that decides a result. The `CNF2` section stores
 //! those: the cost model, strategy, shard-local seeding, shard count, rounds,
 //! moves per round, seed, stale-round limit, iterations, runs per shard, mass
 //! tolerance and cone radius. It stores no clock — a deadline belongs to a
-//! job's [`CancelToken`](mbsp_pool::CancelToken), not to a session — and no
-//! worker count. Restoring therefore takes no caller-side configuration; the
+//! job's [`CancelToken`](mbsp_pool::CancelToken), not to a session — no
+//! worker count, and no Pearce–Kelly order: the live order only answers
+//! whether an edge closes a cycle, any topological order of the DAG answers
+//! that alike, and [`SessionSections::build`] rebuilds one from the restored
+//! DAG. Restoring therefore takes no caller-side configuration; the
 //! transient worker count (restored as `0`), lane-permit count and cancel
 //! token are re-attached with [`IncrementalScheduler::config_mut`],
 //! [`IncrementalScheduler::with_pool`] and
@@ -19,16 +20,16 @@
 //! The format is the `mbsp_io` frame (`MBIO` magic, version, CRC-checked
 //! sections) under [`KIND_SESSION`], and this module is the one place that
 //! knows its sections: the DAG's four come from `mbsp_io`
-//! ([`write_dag_sections`], [`DagSections`]); `CNF2`, `ARCH`, `ORDR`, `PROC`
-//! and `PEND` are written and read here, field by field. The sections are
+//! ([`write_dag_sections`], [`DagSections`]); `CNF2`, `ARCH`, `PROC` and
+//! `PEND` are written and read here, field by field. The sections are
 //! composable the same way: [`IncrementalScheduler::write_sections`] writes
 //! them into any frame and [`SessionSections`] reads them back, so an artifact
 //! of another kind can carry a session next to its own sections.
 //! Decoding is total: truncated, bit-flipped or semantically inconsistent
-//! blobs (order/assignment length mismatching the DAG, out-of-range pending
+//! blobs (an assignment length mismatching the DAG, out-of-range pending
 //! ids, unknown strategy or cost-model bytes, a DAG whose minimal cache size
-//! `r₀` exceeds the architecture's cache, the earlier `CONF` layout) are
-//! rejected with a typed [`DecodeError`].
+//! `r₀` exceeds the architecture's cache, a section of an earlier layout such
+//! as `CONF`) are rejected with a typed [`DecodeError`].
 //!
 //! The `mbsp_serve` daemon builds its durability on exactly this contract:
 //! it checkpoints every warm session to disk after each mutation batch and on
@@ -41,7 +42,7 @@ use crate::shard::{ShardStrategy, ShardedSearchConfig};
 use mbsp_dag::{NodeId, PkOrder};
 use mbsp_io::{
     set_once, write_dag_sections, DagSections, DecodeError, Reader, Writer, KIND_SESSION, SEC_ARCH,
-    SEC_CONFIG, SEC_ORDER, SEC_PENDING, SEC_PROCS,
+    SEC_CONFIG, SEC_PENDING, SEC_PROCS,
 };
 use mbsp_model::{Architecture, CostModel, ProcId};
 use mbsp_pool::WorkerPool;
@@ -144,38 +145,6 @@ fn decode_arch(r: &mut Reader<'_>) -> Result<Architecture, DecodeError> {
     })
 }
 
-/// The `ORDR` section: the order's never-reused high-water mark, then its
-/// value per node id.
-fn encode_order(order: &PkOrder, w: &mut Writer) {
-    w.put_u64(order.next_value());
-    w.put_u64(order.values().len() as u64);
-    for &v in order.values() {
-        w.put_u64(v);
-    }
-}
-
-/// An `ORDR` payload as `(values, high-water mark)`; [`restore_order`] checks
-/// it once the DAG is known.
-fn decode_order(r: &mut Reader<'_>) -> Result<(Vec<u64>, u64), DecodeError> {
-    let next_value = r.get_u64()?;
-    Ok((r.get_vec(8, Reader::get_u64)?, next_value))
-}
-
-/// The live order of an `n`-node DAG, rejecting a value count other than `n`
-/// and then duplicate or out-of-range values.
-fn restore_order((values, next_value): (Vec<u64>, u64), n: usize) -> Result<PkOrder, DecodeError> {
-    if values.len() != n {
-        return Err(DecodeError::InvalidValue {
-            offset: 0,
-            what: format!("order covers {} nodes but the DAG has {n}", values.len()),
-        });
-    }
-    PkOrder::from_saved(values, next_value).map_err(|e| DecodeError::InvalidValue {
-        offset: 0,
-        what: format!("rejected order: {e}"),
-    })
-}
-
 /// One entry per node, every processor in range.
 fn check_procs(procs: &[ProcId], num_nodes: usize, processors: usize) -> Result<(), DecodeError> {
     if procs.len() != num_nodes {
@@ -194,18 +163,16 @@ fn check_procs(procs: &[ProcId], num_nodes: usize, processors: usize) -> Result<
 }
 
 /// Accumulates a session's sections while a blob is scanned, then rebuilds
-/// the session, re-validating every domain invariant (acyclicity, order
-/// consistency, assignment coverage, pending ids in range, every compute
-/// footprint within the cache). The counterpart of
-/// [`IncrementalScheduler::write_sections`], the way [`DagSections`] is of
-/// [`write_dag_sections`]: an artifact that carries a session among sections
-/// of its own reads them through it.
+/// the session, re-validating every domain invariant (acyclicity, assignment
+/// coverage, pending ids in range, every compute footprint within the cache).
+/// The counterpart of [`IncrementalScheduler::write_sections`], the way
+/// [`DagSections`] is of [`write_dag_sections`]: an artifact that carries a
+/// session among sections of its own reads them through it.
 #[derive(Default)]
 pub struct SessionSections {
     dag: DagSections,
     config: Option<RepairConfig>,
     arch: Option<Architecture>,
-    order: Option<(Vec<u64>, u64)>,
     procs: Option<Vec<ProcId>>,
     pending: Option<Vec<NodeId>>,
 }
@@ -220,7 +187,6 @@ impl SessionSections {
         match tag {
             SEC_CONFIG => set_once(tag, &mut self.config, decode_config(body)?)?,
             SEC_ARCH => set_once(tag, &mut self.arch, decode_arch(body)?)?,
-            SEC_ORDER => set_once(tag, &mut self.order, decode_order(body)?)?,
             SEC_PROCS => {
                 let decoded = body.get_vec(4, |r| Ok(ProcId(r.get_u32()?)))?;
                 set_once(tag, &mut self.procs, decoded)?;
@@ -235,25 +201,25 @@ impl SessionSections {
         Ok(true)
     }
 
-    /// Rebuilds the session once every section has been seen. It takes its
-    /// lanes from the default permit count, with no cancel token and
-    /// `workers: 0`; all three are transient and result-neutral.
+    /// Rebuilds the session once every section has been seen. Its
+    /// Pearce–Kelly order is built afresh from the DAG, which
+    /// [`DagSections::build`] has re-checked acyclic, so the order is valid by
+    /// construction. It takes its lanes from the default permit count, with
+    /// no cancel token and `workers: 0`; all three are transient and
+    /// result-neutral.
     pub fn build(self) -> Result<IncrementalScheduler, DecodeError> {
         let SessionSections {
             dag,
             config,
             arch,
-            order,
             procs,
             pending,
         } = self;
         let dag = dag.build()?;
         let config = config.ok_or(DecodeError::MissingSection { tag: SEC_CONFIG })?;
         let arch = arch.ok_or(DecodeError::MissingSection { tag: SEC_ARCH })?;
-        let order = order.ok_or(DecodeError::MissingSection { tag: SEC_ORDER })?;
         let procs = procs.ok_or(DecodeError::MissingSection { tag: SEC_PROCS })?;
         let pending = pending.ok_or(DecodeError::MissingSection { tag: SEC_PENDING })?;
-        let order = restore_order(order, dag.num_nodes())?;
         check_procs(&procs, dag.num_nodes(), arch.processors)?;
         // Below `r₀` some node cannot be computed at all: no schedule exists.
         let r0 = dag.minimal_cache_size();
@@ -276,9 +242,9 @@ impl SessionSections {
             });
         }
         Ok(IncrementalScheduler {
+            order: PkOrder::of_dag(&dag),
             dag,
             arch,
-            order,
             procs,
             config,
             pending,
@@ -290,7 +256,7 @@ impl SessionSections {
 
 impl IncrementalScheduler {
     /// Writes the session's sections into `w`: `CNF2`, the DAG's four,
-    /// `ARCH`, `ORDR`, `PROC` and `PEND`. Exposed separately from
+    /// `ARCH`, `PROC` and `PEND`. Exposed separately from
     /// [`IncrementalScheduler::checkpoint`] so a composite artifact can carry
     /// a session next to sections of its own without nesting a second header;
     /// [`SessionSections`] reads them back.
@@ -298,7 +264,6 @@ impl IncrementalScheduler {
         w.section(SEC_CONFIG, |w| encode_config(&self.config, w));
         write_dag_sections(w, &self.dag);
         w.section(SEC_ARCH, |w| encode_arch(&self.arch, w));
-        w.section(SEC_ORDER, |w| encode_order(&self.order, w));
         w.section(SEC_PROCS, |w| {
             w.put_u64(self.procs.len() as u64);
             for p in &self.procs {

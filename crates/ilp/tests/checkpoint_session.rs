@@ -352,7 +352,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// one repair hash to recorded `(length, FNV-1a)` pairs. A change to what any
 /// section holds moves them; such a change belongs with a bump of
 /// `mbsp_io::VERSION` or, for one session section, a new tag (as `CONF` →
-/// `CNF2`).
+/// `CNF2`) or a section's removal.
 #[test]
 fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
     let mut sched = session(1);
@@ -368,7 +368,7 @@ fn the_checkpoint_bytes_of_a_seeded_session_are_pinned() {
     let after = sched.checkpoint();
     assert_eq!(
         [(before.len(), fnv1a(&before)), (after.len(), fnv1a(&after))],
-        [(3583, 0x01B5_03BB_F6DA_4EB8), (3638, 0x700D_9F07_73EF_5F60)]
+        [(3135, 0x102F_F15B_E0BD_4202), (3182, 0x2AD2_7BEE_3740_D378)]
     );
 }
 
@@ -489,11 +489,6 @@ fn an_asynchronous_session_round_trips_through_its_checkpoint() {
     );
 }
 
-/// Little-endian `u64` at `at` of a payload.
-fn u64_at(payload: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
-}
-
 /// Every value check `restore` makes after the CRCs, reached through a whole
 /// re-sealed checkpoint. The `CNF2` offsets follow its layout: cost model 0,
 /// strategy 1, shard-local seed 2, mass tolerance 59; `ARCH` is `P` 0, `r` 8,
@@ -549,30 +544,103 @@ fn every_value_check_of_restore_is_reached_through_a_whole_checkpoint() {
     assert_invalid_value(&one_short, &format!("{} assignments for {n} nodes", n - 1));
 }
 
-/// The `ORDR` section (the high-water mark, then the counted values) through
-/// a whole checkpoint: it round-trips, and a wrong length, a duplicate value
-/// and a value at the high-water mark are each refused.
+/// The previous layout also stored the live Pearce–Kelly order, tag `ORDR`
+/// (its high-water mark, then one value per node) between `ARCH` and `PROC`.
+/// A checkpoint that carries it is refused by that tag, and the error names
+/// it.
 #[test]
-fn an_order_section_round_trips_and_its_checks_reject_a_whole_checkpoint() {
-    use mbsp_io::SEC_ORDER;
+fn a_checkpoint_in_the_previous_layout_is_refused_by_its_order_tag() {
     let sched = session(1);
     let blob = sched.checkpoint();
-    let (_, payload) = section_payload(&blob, SEC_ORDER);
-    let next_value = u64_at(payload, 0);
-    let n = u64_at(payload, 8);
-    assert_eq!(n as usize, sched.dag().num_nodes());
-    let back = IncrementalScheduler::restore(&blob).expect("restore");
-    assert_eq!(section_payload(&back.checkpoint(), SEC_ORDER).1, payload);
+    let n = sched.dag().num_nodes() as u64;
+    let mut payload = n.to_le_bytes().to_vec();
+    payload.extend_from_slice(&n.to_le_bytes());
+    for v in 0..n {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let order_tag = u32::from_le_bytes(*b"ORDR");
+    let (_, procs_at, _) = section_spans(&blob)
+        .into_iter()
+        .find(|&(tag, ..)| tag == mbsp_io::SEC_PROCS)
+        .expect("a checkpoint has a `PROC` section");
+    let mut old = blob[..procs_at].to_vec();
+    old.extend_from_slice(&order_tag.to_le_bytes());
+    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    old.extend_from_slice(&mbsp_io::crc32(&payload).to_le_bytes());
+    old.extend_from_slice(&payload);
+    old.extend_from_slice(&blob[procs_at..]);
+    match IncrementalScheduler::restore(&old) {
+        Err(err @ DecodeError::BadSectionTag { tag, .. }) => {
+            assert_eq!(tag, order_tag);
+            assert!(err.to_string().contains("\"ORDR\""), "{err}");
+        }
+        Err(other) => panic!("expected the `ORDR` tag to be refused, got {other}"),
+        Ok(_) => panic!("a checkpoint with an `ORDR` section was restored"),
+    }
+}
 
-    let one_short = resealed(&blob, SEC_ORDER, |p| {
-        p.truncate(p.len() - 8);
-        p[8..16].copy_from_slice(&(n - 1).to_le_bytes());
-    });
-    assert_invalid_value(&one_short, &format!("order covers {} nodes", n - 1));
-    let duplicate = with_section_bytes(&blob, SEC_ORDER, 24, &payload[16..24]);
-    assert_invalid_value(&duplicate, "duplicate order value");
-    let at_mark = with_section_bytes(&blob, SEC_ORDER, 16, &next_value.to_le_bytes());
-    assert_invalid_value(&at_mark, "not below the high-water mark");
+/// An edge that closes a cycle in `dag`: from a grandchild back to its
+/// grandparent (or, where no node has one, from a child back to its parent),
+/// searching from node `from % n` on so successive calls probe different
+/// paths.
+fn cycle_closing_edge(dag: &mbsp_dag::CompDag, from: usize) -> DagDelta {
+    let n = dag.num_nodes();
+    let mut back_edge = None;
+    for u in (0..n).map(|i| NodeId::new((from + i) % n)) {
+        for &v in dag.children(u) {
+            if let Some(&w) = dag.children(v).first() {
+                return DagDelta::AddEdge { from: w, to: u };
+            }
+            back_edge.get_or_insert(DagDelta::AddEdge { from: v, to: u });
+        }
+    }
+    back_edge.expect("a DAG with an edge")
+}
+
+/// The checkpoint holds no Pearce–Kelly order; a restored session builds one
+/// from its DAG, and any topological order answers a cycle check alike. Along
+/// a structural mutation stream, a session restored before every delta — and
+/// sent an `add_edge` that would close a cycle after each restore — accepts
+/// and refuses exactly what the live session does, though the live order has
+/// been repaired by every inserted edge since the start, and both end on
+/// equal checkpoint bytes.
+#[test]
+fn a_session_restored_before_every_delta_accepts_and_refuses_what_the_live_one_does() {
+    let mut live = session(1);
+    live.full_repair();
+    let mut cold = restarted(&live);
+    let stream = MutationStreamConfig {
+        ops: 48,
+        ..Default::default()
+    };
+    let deltas = mutation_stream(live.dag(), &stream, 0x0C7C);
+    let edges = deltas
+        .iter()
+        .filter(|d| matches!(d, DagDelta::AddEdge { .. }))
+        .count();
+    assert!(edges >= 4, "{edges} edge insertions in the stream");
+    for (i, delta) in deltas.iter().enumerate() {
+        let probe = cycle_closing_edge(live.dag(), 7 * i);
+        cold = restarted(&cold);
+        let refused = live.apply(&probe);
+        assert!(
+            matches!(refused, Err(mbsp_dag::DagError::CycleDetected { .. })),
+            "delta {i}: {probe:?} gave {refused:?}"
+        );
+        assert_eq!(cold.apply(&probe), refused, "delta {i}: {probe:?}");
+        cold = restarted(&cold);
+        let applied = live.apply(delta);
+        assert!(applied.is_ok(), "delta {i}: {delta:?} gave {applied:?}");
+        assert_eq!(cold.apply(delta), applied, "delta {i}: {delta:?}");
+        assert_eq!(cold.checkpoint(), live.checkpoint(), "delta {i}");
+    }
+    cold = restarted(&cold);
+    let (schedule, stats) = live.repair();
+    let (again, again_stats) = cold.repair();
+    assert_eq!(again, schedule);
+    assert_eq!(again_stats.final_cost.to_bits(), stats.final_cost.to_bits());
+    assert_eq!(again_stats.evaluations, stats.evaluations);
+    assert_eq!(cold.checkpoint(), live.checkpoint());
 }
 
 /// Each counted section refuses, at its count, a count one element past what
@@ -580,7 +648,7 @@ fn an_order_section_round_trips_and_its_checks_reject_a_whole_checkpoint() {
 /// driving an allocation knows each section's element size.
 #[test]
 fn every_count_guard_knows_its_element_size() {
-    use mbsp_io::{SEC_EDGES, SEC_LABELS, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS};
+    use mbsp_io::{SEC_EDGES, SEC_LABELS, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS};
     let mut sched = session(1);
     // One pending node, so `PEND` carries an element too.
     let v = NodeId::new(1);
@@ -598,7 +666,6 @@ fn every_count_guard_knows_its_element_size() {
         (SEC_WEIGHTS, 0, 16),
         (SEC_EDGES, 0, 8),
         (SEC_LABELS, 0, 8),
-        (SEC_ORDER, 8, 8),
         (SEC_PROCS, 0, 4),
         (SEC_PENDING, 0, 4),
     ];

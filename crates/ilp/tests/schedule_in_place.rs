@@ -30,9 +30,9 @@ fn search_config(strategy: ShardStrategy) -> ShardedSearchConfig {
     }
 }
 
-/// A session that has applied structural deltas (so its live order is no
-/// longer the one `PkOrder::of_dag` builds) and still holds their touched
-/// nodes as pending.
+/// A session that has applied structural deltas (so its live order, which
+/// its checkpoint does not hold, is no longer the one `PkOrder::of_dag`
+/// builds) and still holds their touched nodes as pending.
 fn mutated_session() -> IncrementalScheduler {
     let inst = instance();
     let baseline = GreedyBspScheduler::new().schedule(inst.dag(), inst.arch());

@@ -28,8 +28,6 @@ pub const SEC_LABELS: u32 = u32::from_le_bytes(*b"LBLS");
 pub const SEC_EDGES: u32 = u32::from_le_bytes(*b"EDGE");
 /// Section tag: architecture parameters.
 pub const SEC_ARCH: u32 = u32::from_le_bytes(*b"ARCH");
-/// Section tag: Pearce–Kelly order values + high-water mark.
-pub const SEC_ORDER: u32 = u32::from_le_bytes(*b"ORDR");
 /// Section tag: per-node processor assignment (the incumbent).
 pub const SEC_PROCS: u32 = u32::from_le_bytes(*b"PROC");
 /// Section tag: pending touched-node set of an incremental session.

@@ -134,7 +134,11 @@ impl fmt::Display for DecodeError {
                 write!(f, "section {:?} checksum mismatch: header says {expected:#010x}, payload hashes to {actual:#010x}", tag_name(*tag))
             }
             DecodeError::BadSectionTag { offset, tag } => {
-                write!(f, "unknown section tag {tag:#010x} at byte {offset}")
+                write!(
+                    f,
+                    "unknown section tag {:?} at byte {offset}",
+                    tag_name(*tag)
+                )
             }
             DecodeError::MissingSection { tag } => {
                 write!(f, "required section {:?} missing", tag_name(*tag))

@@ -22,7 +22,7 @@
 //! - The kinds and section tags of every artifact, session checkpoints
 //!   ([`KIND_SESSION`]) and the `mbsp_serve` daemon's instance files
 //!   ([`KIND_INSTANCE`]) included: one namespace, so no two sections share a
-//!   tag. The session format itself — configuration, architecture, order,
+//!   tag. The session format itself — configuration, architecture,
 //!   assignment and pending set around an embedded DAG
 //!   ([`write_dag_sections`], [`DagSections`]) — is written and read in
 //!   `mbsp_ilp::session`, with [`Writer`]'s `put_*` and [`Reader`]'s `get_*`
@@ -45,7 +45,7 @@ mod frame;
 pub use artifacts::{
     decode_dag, encode_dag, set_once, valid_instance_name, write_dag_sections, DagSections,
     KIND_DAG, KIND_INSTANCE, KIND_SESSION, SEC_ARCH, SEC_CONFIG, SEC_EDGES, SEC_GENERATION,
-    SEC_LABELS, SEC_META, SEC_ORDER, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
+    SEC_LABELS, SEC_META, SEC_PENDING, SEC_PROCS, SEC_WEIGHTS,
 };
 pub use frame::{crc32, DecodeError, Reader, Writer, MAGIC, VERSION};
 

@@ -127,6 +127,23 @@ pub(crate) fn check_search_caps(num_shards: usize, moves_per_round: usize) -> Re
     Ok(())
 }
 
+/// Holds a restored session's partition quotient to `8 · MAX_SHARDS` runs,
+/// the most a request reaches: no request sets `runs_per_shard` (every
+/// `register` stores 8), but a checkpoint holds it as any `u64`, and the
+/// weighted partition quotients the DAG over up to `shards · runs_per_shard`
+/// runs — past the bipartition models [`MAX_SHARDS`] was measured at. A
+/// `num_shards` of `0` resolves to at most 4 shards.
+pub(crate) fn check_run_quotient(num_shards: usize, runs_per_shard: usize) -> Result<(), String> {
+    let runs = num_shards.max(4).saturating_mul(runs_per_shard);
+    if runs > 8 * MAX_SHARDS {
+        return Err(format!(
+            "`runs_per_shard` {runs_per_shard} makes a quotient of {runs} runs, past {}",
+            8 * MAX_SHARDS
+        ));
+    }
+    Ok(())
+}
+
 /// Holds a session's tables to [`MAX_PROCESSORS`] and [`MAX_TABLE_CELLS`]: a
 /// `register` as it is parsed, every session restored from the state
 /// directory, and every `add_node` a `mutate` applies — a node added past the
@@ -479,6 +496,7 @@ fn restore_instances(inner: &Arc<ServerInner>) -> std::io::Result<()> {
         };
         served
             .and_then(|()| check_search_caps(search.num_shards, search.moves_per_round))
+            .and_then(|()| check_run_quotient(search.num_shards, search.runs_per_shard))
             .and_then(|()| check_table_caps(session.arch().processors, session.dag().num_nodes()))
             .map_err(|e| invalid(format!("instance file {}: {e}", path.display())))?;
         insert_instance(

@@ -1705,6 +1705,43 @@ fn a_checkpoint_past_the_table_caps_does_not_restore() {
 }
 
 #[test]
+fn a_checkpoint_past_the_run_quotient_cap_does_not_restore() {
+    // No request sets `runs_per_shard`, but a checkpoint holds it. At the
+    // default shard count (at most 4 shards) `2 · MAX_SHARDS` runs per shard
+    // quotient the DAG over `8 · MAX_SHARDS` runs, the most a request
+    // reaches; one more run per shard, or `4 · usize::MAX` (an overflow in a
+    // debug build), refuses the start.
+    use mbsp_serve::server::MAX_SHARDS;
+    let start = |runs_per_shard: usize| {
+        let state_dir = temp_state_dir("run_quotient");
+        let mut config = RepairConfig::default();
+        config.search.runs_per_shard = runs_per_shard;
+        write_state_dir(&state_dir, "runs", three_node_path(), 2, config);
+        let started = Server::start(ServerConfig {
+            listen: "127.0.0.1:0".to_string(),
+            state_dir: state_dir.clone(),
+            workers: 0,
+        });
+        let started = started.map(|server| {
+            server.shutdown();
+            server.join();
+        });
+        let _ = std::fs::remove_dir_all(&state_dir);
+        started
+    };
+    start(2 * MAX_SHARDS).expect("the largest quotient a request reaches");
+    for runs_per_shard in [2 * MAX_SHARDS + 1, usize::MAX] {
+        match start(runs_per_shard) {
+            Ok(()) => panic!("a session at {runs_per_shard} runs per shard restored"),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                assert!(e.to_string().contains("`runs_per_shard`"), "{e}");
+            }
+        }
+    }
+}
+
+#[test]
 fn an_asynchronous_checkpoint_does_not_restore() {
     // The session codec carries either cost model, but the daemon serves the
     // synchronous one: a restored asynchronous session would fail the debug

@@ -5,8 +5,9 @@
 # incumbents and the schedule embedded / an instance whose costs overflow /
 # mutate / graceful shutdown), then restarts the daemon on the same state
 # directory and asserts the checkpointed session restored — the pending set
-# survived and a repair completes. Before each shutdown the daemon `status`
-# must report no running session: an idle instance holds no thread. After the restart the
+# survived, an edge closing a cycle through the restored DAG is refused and a
+# repair completes. Before each shutdown the daemon `status` must report no
+# running session: an idle instance holds no thread. After the restart the
 # state directory must hold one instance file per registered instance and no registry.
 # Python's `json` reads every frame, so the daemon's frame writer is checked by an
 # independent parser. Exits non-zero on any failed step. Run via `make serve-smoke`.
@@ -192,13 +193,30 @@ def check_schedule(schedule):
 
 expected_pending = int(open(sys.argv[2]).read())
 
-send({"id": 1, "op": "status", "instance": "smoke"})
+def status(id):
+    send({"id": id, "op": "status", "instance": "smoke"})
+    while True:
+        frame = recv()
+        if frame.get("event") == "status" and "pending" in frame:
+            return frame
+
+restored = status(1)
+assert restored["pending"] == expected_pending, (
+    f"restart lost pending set: {restored['pending']} != {expected_pending}")
+
+# The checkpoint holds no topological order: the restored session rebuilt
+# its cycle check from the DAG. The first daemon added `0 -> 252`, so
+# `252 -> 0` closes a cycle and is refused with nothing applied.
+send({"id": 4, "op": "mutate", "instance": "smoke",
+      "deltas": [{"add_edge": {"from": 252, "to": 0}}]})
 while True:
     frame = recv()
-    if frame.get("event") == "status" and "pending" in frame:
-        assert frame["pending"] == expected_pending, (
-            f"restart lost pending set: {frame['pending']} != {expected_pending}")
+    if not frame["ok"] or frame.get("event") == "done":
         break
+assert frame["error"]["code"] == "bad_delta", frame
+assert "after 0 applied" in frame["error"]["message"], frame
+after = status(5)
+assert (after["edges"], after["pending"]) == (restored["edges"], expected_pending), after
 
 send({"id": 2, "op": "repair", "instance": "smoke", "return_schedule": True})
 while True:
